@@ -4,54 +4,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
-	"time"
 
 	"polygraph/internal/audit"
-	"polygraph/internal/core"
-	"polygraph/internal/obs"
 )
-
-// auditor bridges the scoring paths to the decision ledger: it applies
-// the ledger's sampling policy, builds the explanation only for
-// decisions that will actually be recorded, and stamps each record with
-// the hash of the exact model that produced the verdict.
-type auditor struct {
-	ledger *audit.Ledger
-	topK   int
-}
-
-// record audits one scored decision. dep is the deployment snapshot the
-// verdict came from (model + hash loaded together, so a concurrent
-// SwapModel cannot mismatch them). Returns nil for sampled-out benign
-// decisions.
-func (a *auditor) record(dep *deployed, tr *obs.Trace, endpoint, sessionID, userAgent string, vec []float64, res core.Result) error {
-	if !a.ledger.Admit(res.Flagged()) {
-		return nil
-	}
-	ex, err := dep.m.ExplainResult(vec, userAgent, res, a.topK)
-	if err != nil {
-		return err
-	}
-	rec := audit.Record{
-		TimeNs:      time.Now().UnixNano(),
-		ModelHash:   dep.hash,
-		SessionID:   sessionID,
-		UserAgent:   userAgent,
-		Endpoint:    endpoint,
-		Vector:      vec,
-		Verdict:     ex.Verdict,
-		Explanation: ex,
-	}
-	if tr != nil {
-		rec.TraceID = tr.ID.String()
-	}
-	return a.ledger.Append(rec)
-}
 
 // handleDecisions serves the ledger's recent-record ring as JSON:
 // GET /debug/decisions?n=50&verdict=flagged|benign&trace=<id>.
 func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
-	if s.auditor == nil {
+	if s.ledger == nil {
 		http.Error(w, "audit ledger not configured", http.StatusNotFound)
 		return
 	}
@@ -72,7 +32,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, nil, http.StatusBadRequest, reasonBadRequest, "bad verdict %q (want flagged or benign)", verdict)
 		return
 	}
-	recent := s.auditor.ledger.Recent(n, verdict, q.Get("trace"))
+	recent := s.ledger.Recent(n, verdict, q.Get("trace"))
 	if recent == nil {
 		recent = []audit.Record{}
 	}

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"io"
 	"net"
 	"time"
@@ -13,31 +11,29 @@ import (
 	"polygraph/internal/core"
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/obs"
-	"polygraph/internal/pipeline"
 )
 
-// The coalescer is the edge-batching layer between the framed TCP
-// protocol and the model's batch scorer. A pipelining client (one that
-// writes many frames before reading any reply) lands all of its frames
-// in the connection's read buffer at once; the coalescer drains every
-// frame already buffered — up to maxBatch — decodes them into one
-// reused vector block, scores the block through a single
-// ScoreStringBatchContext call (parallel.PlanFor decides the worker
-// fan-out), and writes all replies with one flush.
+// The coalescer is the edge-batching layer of the framed TCP protocol. A
+// pipelining client (one that writes many frames before reading any
+// reply) lands all of its frames in the connection's read buffer at
+// once; the coalescer drains every frame already buffered — up to
+// tcpMaxBatch — runs them through the ingest core in frame order on the
+// connection's one scoreBuf, and writes all replies with one flush. What
+// a batch amortises is the trace, the clock reads and the write
+// syscall; every frame still takes the same path as an HTTP request.
 //
 // The latency contract for interactive clients is preserved by
 // construction: read-ahead only consumes frames whose bytes are already
-// buffered (never blocking mid-batch while maxDelay is zero, the
-// default), so a client that sends one frame and waits for the reply
-// always sees a batch of one — which short-circuits to the exact
-// serial ScoreStringWith path and flushes immediately.
+// buffered and never blocks mid-batch, so a client that sends one frame
+// and waits for the reply always sees a batch of one, flushed
+// immediately.
 
 const (
-	// defaultTCPMaxBatch caps a coalesced batch when Config.TCPMaxBatch
-	// is zero. 256 frames × ≤1 KiB is at most 256 KiB of payload per
-	// scoring call — deep enough to engage the parallel plan, shallow
-	// enough that reply latency for the first frame stays bounded.
-	defaultTCPMaxBatch = 256
+	// tcpMaxBatch caps a coalesced batch. 256 frames × ≤1 KiB is at most
+	// 256 KiB of payload per flush — deep enough to amortise the
+	// syscall, shallow enough that reply latency for the first frame
+	// stays bounded.
+	tcpMaxBatch = 256
 
 	// tcpReadBufSize sizes the per-connection read buffer. It must hold
 	// at least one maximum frame plus its length prefix so Peek can see
@@ -47,9 +43,9 @@ const (
 	tcpReadBufSize = 64 << 10
 )
 
-// coalescer owns one connection's framing state and all the reusable
-// batch buffers, so steady-state batches allocate only what the audit
-// retention boundary demands (owned vector copies).
+// coalescer owns one connection's framing state and its reusable
+// buffers, so a steady-state batch allocates only what decoding and the
+// audit retention boundary demand.
 type coalescer struct {
 	s    *TCPServer
 	conn net.Conn
@@ -63,40 +59,8 @@ type coalescer struct {
 	frameBuf []byte
 	ends     []int
 
-	// Per-batch decode products, indexed by frame. payloads[i] is nil
-	// for frames that failed decode (statuses[i] says why).
-	payloads []*fingerprint.Payload
-	statuses []string
-
-	// vecBlock is the flattened feature matrix for decodable frames;
-	// vecs are row views into it. rowFrame maps scoring row -> frame
-	// index, since undecodable frames never reach the scorer.
-	vecBlock []float64
-	vecs     [][]float64
-	uas      []string
-	rowFrame []int
-
-	sids    []string
-	results []core.Result
-	replies []byte
-
-	// vec and scratch serve the batch-of-one fast path, which routes
-	// through scoreFrame exactly like the historical per-frame loop.
-	vec     []float64
-	scratch *core.Scratch
-
+	buf    *scoreBuf
 	lenBuf [4]byte
-}
-
-func newCoalescer(s *TCPServer, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) *coalescer {
-	return &coalescer{
-		s:       s,
-		conn:    conn,
-		br:      br,
-		bw:      bw,
-		vec:     make([]float64, s.model.Dim()),
-		scratch: s.model.NewScratch(),
-	}
 }
 
 // frame returns the byte view of frame i in the current batch.
@@ -148,42 +112,28 @@ func (c *coalescer) serveBatch() bool {
 	}
 	keep := c.readAhead()
 	c.s.batchHist.Record(time.Duration(len(c.ends)) * time.Microsecond)
-	var ok bool
-	if len(c.ends) == 1 {
-		ok = c.serveSingle()
-	} else {
-		ok = c.serveBatched()
-	}
-	return ok && keep
+	return c.serve() && keep
 }
 
 // readAhead drains pipelined frames already sitting in the read buffer,
-// up to maxBatch. With maxDelay zero (the default) it never blocks: a
-// frame is consumed only when its length prefix and full body are
-// already buffered. With a positive maxDelay it may wait up to that
-// long after the batch's first frame for stragglers. It reports false
+// up to tcpMaxBatch. It never blocks: a frame is consumed only when its
+// length prefix and full body are already buffered. It reports false
 // when the stream hits a protocol violation — the batch gathered so far
 // is still served, then the connection drops.
 func (c *coalescer) readAhead() bool {
-	if c.s.maxDelay > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(c.s.maxDelay))
-	}
-	for len(c.ends) < c.s.maxBatch {
-		if c.s.maxDelay <= 0 && c.br.Buffered() < 4 {
+	for len(c.ends) < tcpMaxBatch {
+		if c.br.Buffered() < 4 {
 			return true
 		}
 		prefix, err := c.br.Peek(4)
 		if err != nil {
-			return true // timeout or EOF: serve what we have
+			return true
 		}
 		n := binary.BigEndian.Uint32(prefix)
 		if n == 0 || n > tcpMaxFrame {
 			return false // violation mid-batch: serve, then drop
 		}
-		if c.s.maxDelay <= 0 && c.br.Buffered() < 4+int(n) {
-			return true
-		}
-		if _, err := c.br.Peek(4 + int(n)); err != nil {
+		if c.br.Buffered() < 4+int(n) {
 			return true
 		}
 		c.br.Discard(4)
@@ -194,193 +144,61 @@ func (c *coalescer) readAhead() bool {
 	return true
 }
 
-// serveSingle is the batch-of-one fast path: the exact historical
-// per-frame code, ending in an immediate flush so an interactive
-// client's reply is never parked behind a batching buffer.
-func (c *coalescer) serveSingle() bool {
-	frameStart := time.Now()
-	ctx, tr := c.s.tracer.Start(context.Background(), EndpointTCP)
-	reply, status := c.s.scoreFrame(ctx, c.frame(0), c.vec, c.scratch)
-	if status == "ok" {
-		c.s.hist.Record(time.Since(frameStart))
-	}
-	c.s.tracer.Finish(tr, status)
-	if _, err := c.bw.Write(reply[:]); err != nil {
-		return false
-	}
-	return c.bw.Flush() == nil
-}
-
-// prep sizes the batch working set for nFrames frames of dim features.
-func (c *coalescer) prep(nFrames, dim int) {
-	if cap(c.payloads) < nFrames {
-		c.payloads = make([]*fingerprint.Payload, nFrames)
-		c.statuses = make([]string, nFrames)
-		c.sids = make([]string, nFrames)
-	}
-	c.payloads = c.payloads[:nFrames]
-	c.statuses = c.statuses[:nFrames]
-	c.sids = c.sids[:nFrames]
-	for i := range c.payloads {
-		c.payloads[i] = nil
-		c.statuses[i] = ""
-		c.sids[i] = ""
-	}
-	if cap(c.vecBlock) < nFrames*dim {
-		c.vecBlock = make([]float64, nFrames*dim)
-	}
-	c.vecBlock = c.vecBlock[:nFrames*dim]
-	c.vecs = c.vecs[:0]
-	c.uas = c.uas[:0]
-	c.rowFrame = c.rowFrame[:0]
-	if cap(c.replies) < nFrames*tcpReplySize {
-		c.replies = make([]byte, nFrames*tcpReplySize)
-	}
-	c.replies = c.replies[:nFrames*tcpReplySize]
-	for i := range c.replies {
-		c.replies[i] = 0
-	}
-}
-
-// reply returns the wire view of frame i's reply.
-func (c *coalescer) reply(i int) []byte {
-	return c.replies[i*tcpReplySize : (i+1)*tcpReplySize]
-}
-
-// serveBatched decodes every frame in the batch, scores the decodable
-// rows through one batch call, and writes all replies in frame order
-// with a single flush. Per-frame semantics — reply layout, error
-// flagging, store records, audit records with owned vector copies —
-// are identical to the serial path; only the scheduling changes.
-func (c *coalescer) serveBatched() bool {
-	batchStart := time.Now()
-	ctx, tr := c.s.tracer.Start(context.Background(), EndpointTCP)
-	nFrames := len(c.ends)
-	dim := c.s.model.Dim()
-	c.prep(nFrames, dim)
-
-	endDecode := pipeline.StartSpan(ctx, "decode")
-	for i := 0; i < nFrames; i++ {
-		payload, err := fingerprint.UnmarshalBinary(c.frame(i))
-		if err != nil {
-			c.reply(i)[tcpReplySize-1] = tcpErrorFlag
-			if errors.Is(err, fingerprint.ErrBadVersion) {
-				c.statuses[i] = "bad_version"
-			} else {
-				c.statuses[i] = "decode"
-			}
-			c.s.badFrames.Add(1)
-			continue
-		}
-		copy(c.reply(i)[:fingerprint.SessionIDSize], payload.SessionID[:])
-		if len(payload.Values) != dim {
-			c.reply(i)[tcpReplySize-1] = tcpErrorFlag
-			c.statuses[i] = "bad_dim"
-			c.s.badFrames.Add(1)
-			continue
-		}
-		row := len(c.vecs)
-		v := c.vecBlock[row*dim : (row+1)*dim]
-		for j, val := range payload.Values {
-			v[j] = float64(val)
-		}
-		c.payloads[i] = payload
-		c.statuses[i] = "ok"
-		c.vecs = append(c.vecs, v)
-		c.uas = append(c.uas, payload.UserAgent)
-		c.rowFrame = append(c.rowFrame, i)
-	}
-	endDecode()
-
-	if len(c.vecs) > 0 {
-		results, err := c.s.model.ScoreStringBatchContext(ctx, c.vecs, c.uas, 0)
-		if err != nil {
-			// Batch-level failure (a poisoned row aborts the whole
-			// call): fall back to scoring each row serially so one bad
-			// frame cannot sink its batchmates' verdicts.
-			results = make([]core.Result, len(c.vecs))
-			for r := range c.vecs {
-				res, rerr := c.s.model.ScoreStringWith(c.scratch, c.vecs[r], c.uas[r])
-				if rerr != nil {
-					i := c.rowFrame[r]
-					c.reply(i)[tcpReplySize-1] = tcpErrorFlag
-					c.statuses[i] = "score"
-					c.payloads[i] = nil
-					c.s.badFrames.Add(1)
-					continue
-				}
-				results[r] = res
-			}
-		}
-		c.results = results
-	} else {
-		c.results = c.results[:0]
-	}
-
-	for r, i := range c.rowFrame {
-		if c.payloads[i] == nil {
-			continue // serial-fallback row that failed to score
-		}
-		res := c.results[r]
-		if c.s.drift != nil {
-			c.s.drift.Observe(c.vecs[r])
-		}
-		reply := c.reply(i)
-		binary.BigEndian.PutUint16(reply[fingerprint.SessionIDSize:], uint16(res.Cluster))
-		binary.BigEndian.PutUint16(reply[fingerprint.SessionIDSize+2:], uint16(res.RiskFactor))
-		var flags byte
-		if res.Flagged() {
-			flags |= tcpFlagged
-		}
-		if res.Matched {
-			flags |= tcpMatched
-		}
-		reply[tcpReplySize-1] = flags
-		c.s.scored.Add(1)
-		sessionID := fmt.Sprintf("%x", c.payloads[i].SessionID[:])
-		c.sids[i] = sessionID
-		if res.Flagged() {
-			c.s.flagged.Add(1)
-			c.s.store.Record(Decision{
-				SessionID:  sessionID,
-				Cluster:    res.Cluster,
-				RiskFactor: res.RiskFactor,
-				Flagged:    true,
-			})
-		}
-	}
-
-	if c.s.auditor != nil {
-		endAudit := pipeline.StartSpan(ctx, "audit")
-		for r, i := range c.rowFrame {
-			if c.payloads[i] == nil {
-				continue
-			}
-			// vecBlock is reused by the next batch; each ledger record
-			// must own its vector.
-			owned := append([]float64(nil), c.vecs[r]...)
-			if err := c.s.auditor.record(c.s.dep, obs.TraceFrom(ctx), EndpointTCP, c.sids[i], c.payloads[i].UserAgent, owned, c.results[r]); err != nil {
-				c.s.badAudit.Add(1)
-			}
-		}
-		endAudit()
-	}
-
-	elapsed := time.Since(batchStart)
-	status := "ok"
-	for i := 0; i < nFrames; i++ {
-		if c.statuses[i] == "ok" && c.payloads[i] != nil {
-			// Per-frame latency under coalescing is the batch's wall
-			// time: that is what each client frame actually waited.
-			c.s.hist.Record(elapsed)
-		} else {
+// serve answers the gathered batch: one trace, every frame through
+// serveFrame in frame order, one flush. Per-frame latency under
+// coalescing is the batch's wall time — that is what each client frame
+// actually waited — so the clock is read once per batch, not per frame.
+func (c *coalescer) serve() bool {
+	start := time.Now()
+	_, tr := c.s.tracer.Start(context.Background(), EndpointTCP)
+	status, scored := "ok", 0
+	for i := range c.ends {
+		reply, st := c.serveFrame(tr, c.frame(i))
+		switch {
+		case st == "ok":
+			scored++
+		case len(c.ends) == 1:
+			status = st
+		default:
 			status = "partial"
 		}
+		// bufio errors are sticky: Flush below reports a failed write.
+		_, _ = c.bw.Write(reply[:])
+	}
+	elapsed := time.Since(start)
+	for i := 0; i < scored; i++ {
+		c.s.hist.Record(elapsed)
 	}
 	c.s.tracer.Finish(tr, status)
-
-	if _, err := c.bw.Write(c.replies); err != nil {
-		return false
-	}
 	return c.bw.Flush() == nil
+}
+
+// serveFrame is the TCP transport's share of one frame: decode, hand
+// the payload to the ingest core, count, and encode the 21-byte reply.
+// It reports the trace status ("ok" or the reject reason).
+func (c *coalescer) serveFrame(tr *obs.Trace, data []byte) (reply [tcpReplySize]byte, status string) {
+	payload, reason, err := decodeBinaryPayload(data)
+	var res core.Result
+	if err == nil {
+		copy(reply[:fingerprint.SessionIDSize], payload.SessionID[:])
+		res, _, reason, err = c.s.score(tr, c.buf, payload, false)
+	}
+	if err != nil {
+		reply[tcpReplySize-1] = tcpErrorFlag
+		c.s.badFrames.Add(1)
+		return reply, reasonNames[reason]
+	}
+	binary.BigEndian.PutUint16(reply[fingerprint.SessionIDSize:], uint16(res.Cluster))
+	binary.BigEndian.PutUint16(reply[fingerprint.SessionIDSize+2:], uint16(res.RiskFactor))
+	var flags byte
+	if res.Flagged() {
+		flags |= tcpFlagged
+		c.s.flagged.Add(1)
+	}
+	if res.Matched {
+		flags |= tcpMatched
+	}
+	reply[tcpReplySize-1] = flags
+	c.s.scored.Add(1)
+	return reply, "ok"
 }

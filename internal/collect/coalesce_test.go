@@ -153,12 +153,13 @@ func TestTCPCoalescerBatchOfOne(t *testing.T) {
 	}
 }
 
-// TestTCPCoalescerExactlyMaxBatch covers the MaxBatch flush boundary: a
-// burst of exactly MaxBatch frames coalesces into one batch, and a
-// larger burst splits at the cap without losing frames.
+// TestTCPCoalescerExactlyMaxBatch covers the tcpMaxBatch flush boundary:
+// a burst of exactly tcpMaxBatch frames coalesces into one batch, and a
+// burst one frame longer splits at the cap without losing the extra
+// frame.
 func TestTCPCoalescerExactlyMaxBatch(t *testing.T) {
 	m, d := testModel(t)
-	srv, err := NewTCPServer(Config{Model: m, TCPMaxBatch: 4})
+	srv, err := NewTCPServer(Config{Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,34 +167,39 @@ func TestTCPCoalescerExactlyMaxBatch(t *testing.T) {
 	defer cleanup()
 
 	rel := ua.Release{Vendor: ua.Chrome, Version: 112}
-	burst := make([]*fingerprint.Payload, 9)
+	burst := make([]*fingerprint.Payload, tcpMaxBatch+1)
 	for i := range burst {
 		burst[i] = payloadFor(d, rel, rel)
 	}
+	over := frameBytes(t, false, burst...)
+	if len(over) > tcpReadBufSize {
+		t.Fatalf("burst of %d bytes does not fit one %d-byte read: batch boundaries would not be deterministic", len(over), tcpReadBufSize)
+	}
 
-	// First burst: exactly MaxBatch frames in one write → one batch of 4.
-	if _, err := conn.Write(frameBytes(t, true, burst[:4]...)); err != nil {
+	// First burst: exactly tcpMaxBatch frames in one write → one batch.
+	if _, err := conn.Write(frameBytes(t, true, burst[:tcpMaxBatch]...)); err != nil {
 		t.Fatal(err)
 	}
-	readReplies(t, conn, 4)
+	readReplies(t, conn, tcpMaxBatch)
 	h := srv.BatchHist()
-	if h.Count() != 1 || h.Max() != 4*time.Microsecond {
-		t.Fatalf("after 4-frame burst: %d batches, max %v (want 1 batch of 4)", h.Count(), h.Max())
+	if h.Count() != 1 || h.Max() != tcpMaxBatch*time.Microsecond {
+		t.Fatalf("after %d-frame burst: %d batches, max %v (want 1 batch of %d)", tcpMaxBatch, h.Count(), h.Max(), tcpMaxBatch)
 	}
 
-	// Second burst: 9 frames → batches of 4, 4, 1; every frame replied.
-	if _, err := conn.Write(frameBytes(t, false, burst...)); err != nil {
+	// Second burst: one frame over the cap → a full batch, then a batch
+	// of one; every frame replied.
+	if _, err := conn.Write(over); err != nil {
 		t.Fatal(err)
 	}
-	readReplies(t, conn, 9)
-	if h.Count() != 4 {
-		t.Fatalf("after 9-frame burst: %d batches recorded, want 4", h.Count())
+	readReplies(t, conn, tcpMaxBatch+1)
+	if h.Count() != 3 {
+		t.Fatalf("after %d-frame burst: %d batches recorded, want 3", tcpMaxBatch+1, h.Count())
 	}
-	if h.Max() != 4*time.Microsecond {
-		t.Fatalf("a batch exceeded MaxBatch: max %v", h.Max())
+	if h.Max() != tcpMaxBatch*time.Microsecond {
+		t.Fatalf("a batch exceeded tcpMaxBatch: max %v", h.Max())
 	}
-	if got := srv.Scored(); got != 13 {
-		t.Fatalf("scored %d frames, want 13", got)
+	if got := srv.Scored(); got != 2*tcpMaxBatch+1 {
+		t.Fatalf("scored %d frames, want %d", got, 2*tcpMaxBatch+1)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"polygraph/internal/browser"
 	"polygraph/internal/core"
@@ -237,79 +236,6 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-func TestScoreStream(t *testing.T) {
-	m, d := testModel(t)
-	in := make(chan *fingerprint.Payload)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	out := ScoreStream(ctx, m, in, 4)
-
-	const n = 500
-	go func() {
-		defer close(in)
-		for i := 0; i < n; i++ {
-			rel := ua.Release{Vendor: ua.Chrome, Version: 110 + i%4}
-			claimed := rel
-			if i%10 == 0 {
-				claimed = ua.Release{Vendor: ua.Firefox, Version: 110}
-			}
-			in <- payloadFor(d, rel, claimed)
-		}
-	}()
-
-	got, flagged, errs := 0, 0, 0
-	for s := range out {
-		got++
-		if s.Err != nil {
-			errs++
-			continue
-		}
-		if s.Decision.Flagged {
-			flagged++
-		}
-	}
-	if got != n {
-		t.Fatalf("received %d results, want %d", got, n)
-	}
-	if errs != 0 {
-		t.Fatalf("%d errors", errs)
-	}
-	if flagged != n/10 {
-		t.Fatalf("flagged %d, want %d", flagged, n/10)
-	}
-}
-
-func TestScoreStreamWrongWidth(t *testing.T) {
-	m, _ := testModel(t)
-	in := make(chan *fingerprint.Payload, 1)
-	in <- &fingerprint.Payload{UserAgent: "x", Values: []int64{1, 2}}
-	close(in)
-	out := ScoreStream(context.Background(), m, in, 1)
-	s := <-out
-	if s.Err == nil {
-		t.Fatal("wrong-width payload scored without error")
-	}
-	if _, ok := <-out; ok {
-		t.Fatal("stream did not close")
-	}
-}
-
-func TestScoreStreamCancel(t *testing.T) {
-	m, _ := testModel(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan *fingerprint.Payload) // never fed
-	out := ScoreStream(ctx, m, in, 2)
-	cancel()
-	select {
-	case _, ok := <-out:
-		if ok {
-			t.Fatal("unexpected result after cancel")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("stream did not close after cancel")
-	}
-}
-
 func TestMemoryStoreRing(t *testing.T) {
 	st := NewMemoryStore(16) // 1 per shard
 	for i := 0; i < 100; i++ {
@@ -347,25 +273,6 @@ func BenchmarkServerScore(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkScoreStreamThroughput(b *testing.B) {
-	m, d := testModel(b)
-	p := payloadFor(d, ua.Release{Vendor: ua.Chrome, Version: 112}, ua.Release{Vendor: ua.Chrome, Version: 112})
-	b.ResetTimer()
-	in := make(chan *fingerprint.Payload, 256)
-	out := ScoreStream(context.Background(), m, in, 8)
-	done := make(chan struct{})
-	go func() {
-		for range out {
-		}
-		close(done)
-	}()
-	for i := 0; i < b.N; i++ {
-		in <- p
-	}
-	close(in)
-	<-done
 }
 
 func TestServerRateLimiting(t *testing.T) {

@@ -1,0 +1,214 @@
+package collect
+
+import (
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"log/slog"
+	"sync/atomic"
+	"time"
+
+	"polygraph/internal/audit"
+	"polygraph/internal/core"
+	"polygraph/internal/fingerprint"
+	"polygraph/internal/obs"
+)
+
+// deployed pairs a model with its audit hash so a hot swap can never
+// tear the two apart: an audit record is always stamped with the hash
+// of the exact model that produced its verdict.
+type deployed struct {
+	m    *core.Model
+	hash string
+}
+
+// modelHolder supports hot model swaps: the drift detector's retrain
+// loop produces a new model, and the serving tier adopts it without
+// downtime. The ingest core loads the pointer once per payload, so a
+// swap never tears a verdict.
+type modelHolder struct {
+	ptr atomic.Pointer[deployed]
+}
+
+func (h *modelHolder) load() *core.Model { return h.ptr.Load().m }
+
+func (h *modelHolder) loadDeployed() *deployed { return h.ptr.Load() }
+
+func (h *modelHolder) store(m *core.Model) error {
+	hash, err := m.Hash()
+	if err != nil {
+		return fmt.Errorf("collect: hash model: %w", err)
+	}
+	h.ptr.Store(&deployed{m: m, hash: hash})
+	return nil
+}
+
+// ingest is the one scoring pipeline behind every transport. The HTTP
+// handlers and the TCP coalescer read and decode their own bytes, keep
+// their own counters and histograms and encode their own replies; what
+// happens to a decoded payload — and every side effect of its verdict —
+// happens in score, so it cannot depend on which socket the session
+// arrived on.
+type ingest struct {
+	model   modelHolder
+	store   *MemoryStore
+	journal *Journal
+	drift   *obs.DriftMonitor
+	ledger  *audit.Ledger
+	topK    int
+	logger  *slog.Logger
+}
+
+func newIngest(cfg Config) (*ingest, error) {
+	if cfg.Model == nil {
+		return nil, errors.New("collect: Config.Model is required")
+	}
+	in := &ingest{
+		store:   cfg.Store,
+		journal: cfg.Journal,
+		drift:   cfg.Drift,
+		ledger:  cfg.Audit,
+		topK:    cfg.AuditTopK,
+		logger:  cfg.Logger,
+	}
+	if in.store == nil {
+		in.store = NewMemoryStore(4096)
+	}
+	if err := in.model.store(cfg.Model); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// tracerFor returns the configured tracer, or builds one from the
+// config's trace settings.
+func tracerFor(cfg Config) *obs.Tracer {
+	if cfg.Tracer != nil {
+		return cfg.Tracer
+	}
+	return obs.NewTracer(obs.TracerConfig{
+		RingSize:      cfg.TraceRingSize,
+		Seed:          cfg.TraceSeed,
+		SlowThreshold: cfg.SlowRequest,
+		Logger:        cfg.Logger,
+	})
+}
+
+// scoreBuf is the caller-owned scratch of one scorer — pooled per
+// request by the HTTP server, one per connection on TCP — so the
+// steady-state path allocates nothing for the numeric work. Buffers are
+// model-agnostic and survive SwapModel.
+type scoreBuf struct {
+	vec     []float64
+	scratch *core.Scratch
+}
+
+func (in *ingest) newScoreBuf() *scoreBuf {
+	return &scoreBuf{scratch: in.model.load().NewScratch()}
+}
+
+// score runs one decoded payload through the pipeline: dimension check
+// and vectorise, the model, the drift monitor, then the store and the
+// journal for a flagged verdict, then the audit ledger for an admitted
+// one. It returns the verdict, or the reject reason with the error to
+// report. tr is the caller's open trace: it names the endpoint, stamps
+// audit records and log lines, and receives a record or audit span from
+// the payloads that do that work.
+//
+// timed adds the score span and returns the kernel time in
+// microseconds. A transport with one payload per trace sets it; the TCP
+// coalescer, whose one trace covers up to tcpMaxBatch rows, does not —
+// two clock reads per row are a tenth of a 400 ns kernel.
+func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, timed bool) (res core.Result, elapsedUs int64, reason rejectReason, err error) {
+	dep := in.model.loadDeployed()
+	if len(p.Values) != dep.m.Dim() {
+		return res, 0, reasonBadDim, fmt.Errorf("expected %d features, got %d", dep.m.Dim(), len(p.Values))
+	}
+	buf.vec = fingerprint.ValuesToVectorInto(buf.vec, p.Values)
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
+	res, err = dep.m.ScoreStringWith(buf.scratch, buf.vec, p.UserAgent)
+	if timed {
+		d := time.Since(start)
+		tr.RecordSpan("score", start, d)
+		elapsedUs = d.Microseconds()
+	}
+	if err != nil {
+		return res, elapsedUs, reasonScore, fmt.Errorf("score: %w", err)
+	}
+	if in.drift != nil {
+		in.drift.Observe(buf.vec)
+	}
+
+	// Neither the hex session ID nor the owned vector copy is built for
+	// the common payload: benign and sampled out of the ledger.
+	var sessionID string
+	if res.Flagged() {
+		start := time.Now()
+		sessionID = hex.EncodeToString(p.SessionID[:])
+		d := Decision{
+			SessionID:     sessionID,
+			Cluster:       res.Cluster,
+			Matched:       res.Matched,
+			RiskFactor:    res.RiskFactor,
+			Flagged:       true,
+			ElapsedMicros: elapsedUs,
+		}
+		in.store.Record(d)
+		if in.journal != nil {
+			if err := in.journal.Append(d); err != nil {
+				in.logWarn(tr, "collect: journal append failed", "err", err.Error())
+			}
+		}
+		tr.RecordSpan("record", start, time.Since(start))
+	}
+	if in.ledger != nil && in.ledger.Admit(res.Flagged()) {
+		start := time.Now()
+		if sessionID == "" {
+			sessionID = hex.EncodeToString(p.SessionID[:])
+		}
+		if err := in.audit(dep, tr, sessionID, p.UserAgent, buf.vec, res); err != nil {
+			in.logWarn(tr, "collect: audit record failed", "err", err.Error())
+		}
+		tr.RecordSpan("audit", start, time.Since(start))
+	}
+	return res, elapsedUs, 0, nil
+}
+
+// audit explains an admitted verdict and appends it to the ledger,
+// stamped with the hash of the deployment that decided it (dep is the
+// snapshot score loaded, so a concurrent SwapModel cannot mismatch
+// them). vec is the caller's reusable buffer; the ledger's recent ring
+// retains the record, so it gets its own copy.
+func (in *ingest) audit(dep *deployed, tr *obs.Trace, sessionID, userAgent string, vec []float64, res core.Result) error {
+	owned := append([]float64(nil), vec...)
+	ex, err := dep.m.ExplainResult(owned, userAgent, res, in.topK)
+	if err != nil {
+		return err
+	}
+	return in.ledger.Append(audit.Record{
+		TimeNs:      time.Now().UnixNano(),
+		TraceID:     tr.ID.String(),
+		ModelHash:   dep.hash,
+		SessionID:   sessionID,
+		UserAgent:   userAgent,
+		Endpoint:    tr.Endpoint,
+		Vector:      owned,
+		Verdict:     ex.Verdict,
+		Explanation: ex,
+	})
+}
+
+// logWarn emits a structured warning carrying the trace ID when a trace
+// is in flight.
+func (in *ingest) logWarn(tr *obs.Trace, msg string, args ...any) {
+	if in.logger == nil {
+		return
+	}
+	if tr != nil {
+		args = append(args, obs.TraceIDKey, tr.ID.String())
+	}
+	in.logger.Warn(msg, args...)
+}

@@ -56,7 +56,6 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 	series := []obs.HistogramSeries{
 		obs.HistogramSnapshot(EndpointBinary, s.hists[EndpointBinary]),
 		obs.HistogramSnapshot(EndpointJSON, s.hists[EndpointJSON]),
-		obs.HistogramSnapshot(EndpointBatch, s.hists[EndpointBatch]),
 	}
 	if tcp := s.tcp.Load(); tcp != nil {
 		series = append(series, obs.HistogramSnapshot(EndpointTCP, &tcp.hist))
@@ -108,8 +107,8 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 	// deployment shape. The TCP listener shares the HTTP server's
 	// ledger, so its records are already in these counters.
 	var ac audit.Counters
-	if s.auditor != nil {
-		ac = s.auditor.ledger.Counters()
+	if s.ledger != nil {
+		ac = s.ledger.Counters()
 	}
 	obs.WriteMetric(w, "polygraph_audit_records_total",
 		"Decisions durably recorded in the audit ledger.", "counter", float64(ac.Records))

@@ -2,8 +2,11 @@
 // an HTTP service that serves the fingerprint-collection script, ingests
 // ≤1 KB fingerprint payloads, scores them against the trained model in
 // real time (paper §3 budget: 100 ms; measured cost: microseconds), and
-// retains flagged sessions for the fraud team. It also provides a client
-// and a streaming scorer for batch replay.
+// retains flagged sessions for the fraud team. A framed TCP listener
+// serves backend replay, and both transports hand every decoded payload
+// to one ingest core (ingest.go), so a verdict and its side effects —
+// drift sample, store entry, journal line, audit record — do not depend
+// on the socket it arrived on. The package also provides the clients.
 //
 // Observability (internal/obs) is threaded through the whole serving
 // path: every ingest request runs under a deterministic trace whose
@@ -39,43 +42,13 @@ import (
 )
 
 // The ingest endpoints, also the labels of the per-endpoint latency
-// histogram family at /metrics. EndpointTCP and EndpointBatch label the
-// framed TCP listener and the ScoreStream replay path.
+// histogram family at /metrics. EndpointTCP labels the framed TCP
+// listener.
 const (
 	EndpointBinary = "/v1/collect"
 	EndpointJSON   = "/v1/collect-json"
 	EndpointTCP    = "tcp"
-	EndpointBatch  = "batch"
 )
-
-// deployed pairs a model with its audit hash so a hot swap can never
-// tear the two apart: an audit record is always stamped with the hash
-// of the exact model that produced its verdict.
-type deployed struct {
-	m    *core.Model
-	hash string
-}
-
-// modelHolder supports hot model swaps: the drift detector's retrain
-// loop produces a new model, and the serving tier adopts it without
-// downtime. Scoring paths load the pointer once per request, so a swap
-// never tears a request.
-type modelHolder struct {
-	ptr atomic.Pointer[deployed]
-}
-
-func (h *modelHolder) load() *core.Model { return h.ptr.Load().m }
-
-func (h *modelHolder) loadDeployed() *deployed { return h.ptr.Load() }
-
-func (h *modelHolder) store(m *core.Model) error {
-	hash, err := m.Hash()
-	if err != nil {
-		return fmt.Errorf("collect: hash model: %w", err)
-	}
-	h.ptr.Store(&deployed{m: m, hash: hash})
-	return nil
-}
 
 // Decision is the scoring outcome returned to the risk system.
 type Decision struct {
@@ -131,16 +104,6 @@ type Config struct {
 	// AuditTopK bounds the explanation contribution lists on audited
 	// records (0 = core.DefaultExplainTopK).
 	AuditTopK int
-	// TCPMaxBatch caps how many pipelined frames the TCP listener
-	// coalesces into one scored batch (0 = 256, 1 disables coalescing
-	// so every frame scores alone). Only NewTCPServer reads it.
-	TCPMaxBatch int
-	// TCPMaxDelay, when positive, lets the coalescer wait up to this
-	// long after a batch's first frame for more pipelined frames to
-	// arrive. 0 (the default, and what the latency contract assumes)
-	// coalesces only frames already buffered — an interactive client
-	// sending one frame at a time never waits.
-	TCPMaxDelay time.Duration
 	// ScoreDelay injects an artificial per-request delay into the HTTP
 	// ingest path, inside the latency-histogram measurement. It exists
 	// solely for SLO burn-rate fault drills (loadgen -fault-slow, CI's
@@ -151,20 +114,13 @@ type Config struct {
 // Server is the collection/scoring HTTP service. Create with NewServer;
 // it implements http.Handler.
 type Server struct {
-	model   modelHolder
-	store   *MemoryStore
-	journal *Journal
+	*ingest
 	maxLen  int64
-	logger  *slog.Logger
 	tracer  *obs.Tracer
-	drift   *obs.DriftMonitor
-	auditor *auditor
 	limiter *RateLimiter
 	mux     *http.ServeMux
 
-	// bufs pools per-request scoring buffers (feature vector + model
-	// scratch) so the steady-state ingest path allocates nothing for the
-	// numeric work. Buffers are model-agnostic and survive SwapModel.
+	// bufs pools per-request scoreBufs.
 	bufs sync.Pool
 
 	// hists holds per-endpoint request-handling latency of successfully
@@ -229,46 +185,24 @@ var reasonNames = [numReasons]string{
 
 // NewServer validates the config and builds the service.
 func NewServer(cfg Config) (*Server, error) {
-	if cfg.Model == nil {
-		return nil, errors.New("collect: Config.Model is required")
+	in, err := newIngest(cfg)
+	if err != nil {
+		return nil, err
 	}
 	maxLen := cfg.MaxBodyBytes
 	if maxLen == 0 {
 		maxLen = 4 * fingerprint.MaxPayloadSize // JSON framing slack
 	}
-	store := cfg.Store
-	if store == nil {
-		store = NewMemoryStore(4096)
-	}
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = obs.NewTracer(obs.TracerConfig{
-			RingSize:      cfg.TraceRingSize,
-			Seed:          cfg.TraceSeed,
-			SlowThreshold: cfg.SlowRequest,
-			Logger:        cfg.Logger,
-		})
-	}
 	s := &Server{
-		store:   store,
-		journal: cfg.Journal,
-		maxLen:  maxLen,
-		logger:  cfg.Logger,
-		tracer:  tracer,
-		drift:   cfg.Drift,
-		mux:     http.NewServeMux(),
+		ingest: in,
+		maxLen: maxLen,
+		tracer: tracerFor(cfg),
+		mux:    http.NewServeMux(),
 		hists: map[string]*obs.Hist{
 			EndpointBinary: new(obs.Hist),
 			EndpointJSON:   new(obs.Hist),
-			EndpointBatch:  new(obs.Hist),
 		},
 		scoreDelay: cfg.ScoreDelay,
-	}
-	if err := s.model.store(cfg.Model); err != nil {
-		return nil, err
-	}
-	if cfg.Audit != nil {
-		s.auditor = &auditor{ledger: cfg.Audit, topK: cfg.AuditTopK}
 	}
 	if cfg.RateLimitPerSec > 0 {
 		burst := cfg.RateBurst
@@ -304,12 +238,6 @@ func (s *Server) Store() *MemoryStore { return s.store }
 // Tracer exposes the request tracer (to share with a TCP listener or
 // inspect the ring in tests).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
-// Hist returns the latency histogram for an endpoint label (nil for
-// unknown labels). The EndpointBatch histogram is the one replay
-// tooling should pass to ScoreStreamObserved so batch scoring shows up
-// in this server's /metrics.
-func (s *Server) Hist(endpoint string) *obs.Hist { return s.hists[endpoint] }
 
 // AttachTCP includes a TCP batch listener's histogram and counters in
 // this server's /metrics exposition.
@@ -486,7 +414,37 @@ func (s *Server) collectOne(ctx context.Context, w http.ResponseWriter, r *http.
 		s.reject(w, tr, http.StatusBadRequest, reason, "payload: %v", err)
 		return reasonNames[reason]
 	}
-	return s.score(ctx, w, tr, payload)
+	buf, _ := s.bufs.Get().(*scoreBuf)
+	if buf == nil {
+		buf = s.newScoreBuf()
+	}
+	defer s.bufs.Put(buf)
+	res, elapsed, reason, err := s.score(tr, buf, payload, true)
+	if err != nil {
+		code := http.StatusBadRequest
+		if reason == reasonScore {
+			code = http.StatusInternalServerError
+		}
+		s.reject(w, tr, code, reason, "%v", err)
+		return reasonNames[reason]
+	}
+	s.stats.received.Add(1)
+	if res.Flagged() {
+		s.stats.flagged.Add(1)
+	}
+	d := Decision{
+		SessionID:     hex.EncodeToString(payload.SessionID[:]),
+		Cluster:       res.Cluster,
+		Matched:       res.Matched,
+		RiskFactor:    res.RiskFactor,
+		Flagged:       res.Flagged(),
+		ElapsedMicros: elapsed,
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(&d); err != nil {
+		s.logWarn(tr, "collect: encode response failed", "err", err.Error())
+	}
+	return "ok"
 }
 
 // clientKey is the rate-limit key: the remote IP, ignoring the
@@ -496,94 +454,6 @@ func clientKey(r *http.Request) string {
 		return host
 	}
 	return r.RemoteAddr
-}
-
-// scoreBuf is the pooled per-request scratch of the score path.
-type scoreBuf struct {
-	vec     []float64
-	scratch *core.Scratch
-}
-
-// score runs the model, writes the decision, and returns the trace
-// status.
-func (s *Server) score(ctx context.Context, w http.ResponseWriter, tr *obs.Trace, payload *fingerprint.Payload) string {
-	dep := s.model.loadDeployed()
-	model := dep.m
-	if len(payload.Values) != model.Dim() {
-		s.reject(w, tr, http.StatusBadRequest, reasonBadDim, "expected %d features, got %d", model.Dim(), len(payload.Values))
-		return reasonNames[reasonBadDim]
-	}
-	buf, _ := s.bufs.Get().(*scoreBuf)
-	if buf == nil {
-		buf = &scoreBuf{scratch: model.NewScratch()}
-	}
-	defer s.bufs.Put(buf)
-	buf.vec = fingerprint.ValuesToVectorInto(buf.vec, payload.Values)
-	vec := buf.vec
-	endScore := pipeline.StartSpan(ctx, "score")
-	start := time.Now()
-	result, err := model.ScoreStringWith(buf.scratch, vec, payload.UserAgent)
-	elapsed := time.Since(start).Microseconds()
-	endScore()
-	if err != nil {
-		s.reject(w, tr, http.StatusInternalServerError, reasonScore, "score: %v", err)
-		return reasonNames[reasonScore]
-	}
-	if s.drift != nil {
-		s.drift.Observe(vec)
-	}
-
-	d := Decision{
-		SessionID:     hex.EncodeToString(payload.SessionID[:]),
-		Cluster:       result.Cluster,
-		Matched:       result.Matched,
-		RiskFactor:    result.RiskFactor,
-		Flagged:       result.Flagged(),
-		ElapsedMicros: elapsed,
-	}
-	s.stats.received.Add(1)
-	if d.Flagged {
-		endRecord := pipeline.StartSpan(ctx, "record")
-		s.stats.flagged.Add(1)
-		s.store.Record(d)
-		if s.journal != nil {
-			if err := s.journal.Append(d); err != nil {
-				s.logWarn(tr, "collect: journal append failed", "err", err.Error())
-			}
-		}
-		endRecord()
-	}
-	if s.auditor != nil {
-		endAudit := pipeline.StartSpan(ctx, "audit")
-		endpoint := ""
-		if tr != nil {
-			endpoint = tr.Endpoint
-		}
-		// vec is a pooled buffer reused by the next request; the ledger
-		// record must own its vector.
-		owned := append([]float64(nil), vec...)
-		if err := s.auditor.record(dep, tr, endpoint, d.SessionID, payload.UserAgent, owned, result); err != nil {
-			s.logWarn(tr, "collect: audit record failed", "err", err.Error())
-		}
-		endAudit()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(&d); err != nil {
-		s.logWarn(tr, "collect: encode response failed", "err", err.Error())
-	}
-	return "ok"
-}
-
-// logWarn emits a structured warning carrying the trace ID when a trace
-// is in flight.
-func (s *Server) logWarn(tr *obs.Trace, msg string, args ...any) {
-	if s.logger == nil {
-		return
-	}
-	if tr != nil {
-		args = append(args, obs.TraceIDKey, tr.ID.String())
-	}
-	s.logger.Warn(msg, args...)
 }
 
 // reject counts, logs, and answers one rejected request. tr may be nil

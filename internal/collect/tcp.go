@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,10 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"polygraph/internal/core"
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/obs"
-	"polygraph/internal/pipeline"
 )
 
 // The TCP batch path serves backend replay: risk systems that re-score
@@ -44,19 +41,9 @@ const (
 
 // TCPServer is the framed batch-scoring listener.
 type TCPServer struct {
-	model   *core.Model
-	dep     *deployed
-	store   *MemoryStore
-	idle    time.Duration
-	tracer  *obs.Tracer
-	drift   *obs.DriftMonitor
-	auditor *auditor
-
-	// maxBatch caps how many pipelined frames a connection coalesces
-	// into one scored batch; maxDelay optionally lets read-ahead wait
-	// for stragglers (0 = drain only already-buffered frames).
-	maxBatch int
-	maxDelay time.Duration
+	*ingest
+	idle   time.Duration
+	tracer *obs.Tracer
 
 	// hist records per-frame handling latency of scored frames; an
 	// HTTP server with this listener attached (Server.AttachTCP)
@@ -75,13 +62,12 @@ type TCPServer struct {
 	closed   bool
 	wg       sync.WaitGroup
 
-	// scored, flagged, badConn, badFrames, and badAudit are bumped
-	// from concurrent connection goroutines; they must be atomic.
+	// scored, flagged, badConn, and badFrames are bumped from
+	// concurrent connection goroutines; they must be atomic.
 	scored    atomic.Int64
 	flagged   atomic.Int64
 	badConn   atomic.Int64
 	badFrames atomic.Int64
-	badAudit  atomic.Int64
 }
 
 // NewTCPServer builds the batch listener from the same config as the
@@ -89,45 +75,16 @@ type TCPServer struct {
 // HTTP server's Tracer in cfg.Tracer to interleave TCP frames into the
 // same /debug/traces ring.
 func NewTCPServer(cfg Config) (*TCPServer, error) {
-	if cfg.Model == nil {
-		return nil, errors.New("collect: Config.Model is required")
+	in, err := newIngest(cfg)
+	if err != nil {
+		return nil, err
 	}
-	store := cfg.Store
-	if store == nil {
-		store = NewMemoryStore(4096)
-	}
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = obs.NewTracer(obs.TracerConfig{
-			RingSize:      cfg.TraceRingSize,
-			Seed:          cfg.TraceSeed,
-			SlowThreshold: cfg.SlowRequest,
-			Logger:        cfg.Logger,
-		})
-	}
-	maxBatch := cfg.TCPMaxBatch
-	if maxBatch <= 0 {
-		maxBatch = defaultTCPMaxBatch
-	}
-	s := &TCPServer{
-		model:    cfg.Model,
-		store:    store,
-		idle:     tcpIdleExpiry,
-		tracer:   tracer,
-		drift:    cfg.Drift,
-		maxBatch: maxBatch,
-		maxDelay: cfg.TCPMaxDelay,
-		conns:    map[net.Conn]struct{}{},
-	}
-	if cfg.Audit != nil {
-		hash, err := cfg.Model.Hash()
-		if err != nil {
-			return nil, fmt.Errorf("collect: hash model: %w", err)
-		}
-		s.dep = &deployed{m: cfg.Model, hash: hash}
-		s.auditor = &auditor{ledger: cfg.Audit, topK: cfg.AuditTopK}
-	}
-	return s, nil
+	return &TCPServer{
+		ingest: in,
+		idle:   tcpIdleExpiry,
+		tracer: tracerFor(cfg),
+		conns:  map[net.Conn]struct{}{},
+	}, nil
 }
 
 // Scored counts frames scored successfully across all connections.
@@ -220,14 +177,10 @@ func (s *TCPServer) dropConn(c net.Conn) {
 func (s *TCPServer) handleConn(conn net.Conn) {
 	defer s.dropConn(conn)
 	// The read buffer must hold at least one full frame plus its length
-	// prefix so read-ahead can Peek a whole frame; the write buffer is
-	// sized so a full batch of replies flushes in one syscall.
+	// prefix so read-ahead can Peek a whole frame; the write buffer
+	// holds a full batch of replies, so a batch flushes in one syscall.
 	br := bufio.NewReaderSize(conn, tcpReadBufSize)
-	wbuf := s.maxBatch * tcpReplySize
-	if wbuf < 4096 {
-		wbuf = 4096
-	}
-	bw := bufio.NewWriterSize(conn, wbuf)
+	bw := bufio.NewWriterSize(conn, tcpMaxBatch*tcpReplySize)
 
 	conn.SetReadDeadline(time.Now().Add(s.idle))
 	hello := make([]byte, len(tcpHello))
@@ -236,80 +189,9 @@ func (s *TCPServer) handleConn(conn net.Conn) {
 		return
 	}
 
-	c := newCoalescer(s, conn, br, bw)
+	c := &coalescer{s: s, conn: conn, br: br, bw: bw, buf: s.newScoreBuf()}
 	for c.serveBatch() {
 	}
-}
-
-// scoreFrame decodes, scores, and encodes one reply, reporting the
-// trace status ("ok" or the failure kind). vec and scratch are the
-// connection's reusable buffers, so steady-state frames allocate nothing
-// for the numeric work.
-func (s *TCPServer) scoreFrame(ctx context.Context, data []byte, vec []float64, scratch *core.Scratch) ([tcpReplySize]byte, string) {
-	var reply [tcpReplySize]byte
-	endDecode := pipeline.StartSpan(ctx, "decode")
-	payload, err := fingerprint.UnmarshalBinary(data)
-	endDecode()
-	if err != nil {
-		reply[tcpReplySize-1] = tcpErrorFlag
-		s.badFrames.Add(1)
-		if errors.Is(err, fingerprint.ErrBadVersion) {
-			return reply, "bad_version"
-		}
-		return reply, "decode"
-	}
-	copy(reply[:fingerprint.SessionIDSize], payload.SessionID[:])
-	if len(payload.Values) != s.model.Dim() {
-		reply[tcpReplySize-1] = tcpErrorFlag
-		s.badFrames.Add(1)
-		return reply, "bad_dim"
-	}
-	for i, v := range payload.Values {
-		vec[i] = float64(v)
-	}
-	endScore := pipeline.StartSpan(ctx, "score")
-	res, err := s.model.ScoreStringWith(scratch, vec, payload.UserAgent)
-	endScore()
-	if err != nil {
-		reply[tcpReplySize-1] = tcpErrorFlag
-		s.badFrames.Add(1)
-		return reply, "score"
-	}
-	if s.drift != nil {
-		s.drift.Observe(vec)
-	}
-	binary.BigEndian.PutUint16(reply[fingerprint.SessionIDSize:], uint16(res.Cluster))
-	binary.BigEndian.PutUint16(reply[fingerprint.SessionIDSize+2:], uint16(res.RiskFactor))
-	var flags byte
-	if res.Flagged() {
-		flags |= tcpFlagged
-	}
-	if res.Matched {
-		flags |= tcpMatched
-	}
-	reply[tcpReplySize-1] = flags
-	s.scored.Add(1)
-	sessionID := fmt.Sprintf("%x", payload.SessionID[:])
-	if res.Flagged() {
-		s.flagged.Add(1)
-		s.store.Record(Decision{
-			SessionID:  sessionID,
-			Cluster:    res.Cluster,
-			RiskFactor: res.RiskFactor,
-			Flagged:    true,
-		})
-	}
-	if s.auditor != nil {
-		endAudit := pipeline.StartSpan(ctx, "audit")
-		// vec is a per-connection scratch buffer reused by the next
-		// frame; the ledger record must own its vector.
-		owned := append([]float64(nil), vec...)
-		if err := s.auditor.record(s.dep, obs.TraceFrom(ctx), EndpointTCP, sessionID, payload.UserAgent, owned, res); err != nil {
-			s.badAudit.Add(1)
-		}
-		endAudit()
-	}
-	return reply, "ok"
 }
 
 // BatchDecision is one TCP reply, decoded.

@@ -206,122 +206,77 @@ func (m *Model) ScoreBatchWorkers(vectors [][]float64, claims []ua.Release, work
 // completes is bit-identical to ScoreBatch's — rows are independent and
 // chunk geometry never depends on the context.
 func (m *Model) ScoreBatchContext(ctx context.Context, vectors [][]float64, claims []ua.Release, workers int) ([]Result, error) {
-	if err := m.checkTrained(); err != nil {
-		return nil, err
-	}
-	// Report into a request trace when the ingress attached one (see
-	// pipeline.SpanRecorder); a bare context makes this a no-op.
-	defer pipeline.StartSpan(ctx, "score-batch")()
 	if len(vectors) != len(claims) {
 		return nil, fmt.Errorf("core: %w: %d vectors vs %d claims", ErrBadInput, len(vectors), len(claims))
 	}
-	out := make([]Result, len(vectors))
-	var mu sync.Mutex
-	errIdx, errVal := -1, error(nil)
-	record := func(i int, err error) {
-		mu.Lock()
-		if errIdx == -1 || i < errIdx {
-			errIdx, errVal = i, err
-		}
-		mu.Unlock()
-	}
-	p := m.scorePlanNow()
-	// Adaptive dispatch: small or cheap batches run serially — the
-	// crossover is decided from the plan's per-row cost estimate, so the
-	// batch path never loses to a plain loop (rows are independent, so
-	// the results are bit-identical either way).
-	plan := parallel.PlanFor(workers, len(vectors), p.perItemNs)
-	if err := parallel.ForContext(ctx, plan.Workers, len(vectors), plan.Chunk, func(start, end int) {
-		if !p.valid {
-			for i := start; i < end; i++ {
-				res, err := m.scoreSlowChecked(vectors[i], claims[i])
-				if err != nil {
-					record(i, err)
-					continue
-				}
-				out[i] = res
-			}
-			return
-		}
-		s := p.getScratch()
-		for i := start; i < end; i++ {
-			if len(vectors[i]) != p.dim {
-				record(i, fmt.Errorf("core: vector has %d features, model expects %d", len(vectors[i]), p.dim))
-				continue
-			}
-			out[i] = m.scoreOnPlan(p, s, vectors[i], claims[i])
-		}
-		p.putScratch(s)
-	}); err != nil {
-		return nil, fmt.Errorf("core: score batch: %w", pipeline.Canceled(err))
-	}
-	if errVal != nil {
-		return nil, fmt.Errorf("core: score batch row %d: %w", errIdx, errVal)
-	}
-	return out, nil
+	return m.scoreRows(ctx, "score batch", len(vectors), workers, func(s *Scratch, i int) (Result, error) {
+		return m.ScoreWith(s, vectors[i], claims[i])
+	})
 }
 
 // ScoreStringBatchContext is ScoreBatchContext for sessions that deliver
 // raw user-agent strings: row i of a completed batch is exactly what
 // ScoreString(vectors[i], userAgents[i]) returns — including the
 // unparseable-user-agent rule (cluster predicted, Matched false,
-// RiskFactor ua.MaxDistance) — so the TCP frame coalescer can batch
-// wire frames without changing a single verdict. Dispatch is the same
-// adaptive parallel.PlanFor crossover as ScoreBatchContext; on error the
+// RiskFactor ua.MaxDistance). Dispatch is the same adaptive
+// parallel.PlanFor crossover as ScoreBatchContext; on error the
 // lowest-index bad row is reported.
 func (m *Model) ScoreStringBatchContext(ctx context.Context, vectors [][]float64, userAgents []string, workers int) ([]Result, error) {
-	if err := m.checkTrained(); err != nil {
-		return nil, err
-	}
-	defer pipeline.StartSpan(ctx, "score-batch")()
 	if len(vectors) != len(userAgents) {
 		return nil, fmt.Errorf("core: %w: %d vectors vs %d user-agents", ErrBadInput, len(vectors), len(userAgents))
 	}
-	out := make([]Result, len(vectors))
+	return m.scoreRows(ctx, "score string batch", len(vectors), workers, func(s *Scratch, i int) (Result, error) {
+		return m.ScoreStringWith(s, vectors[i], userAgents[i])
+	})
+}
+
+// scoreRows is the row loop both batch scorers share. Every row goes
+// through the serial entry point (ScoreWith or ScoreStringWith) with one
+// pooled scratch per chunk, so parity with the per-request path is by
+// construction. Small or cheap batches run serially — the crossover is
+// decided from the plan's per-row cost estimate, so the batch path
+// never loses to a plain loop. On error the failure of the lowest-index
+// bad row is reported, which keeps the error deterministic under
+// concurrency.
+func (m *Model) scoreRows(ctx context.Context, what string, n, workers int, row func(s *Scratch, i int) (Result, error)) ([]Result, error) {
+	if err := m.checkTrained(); err != nil {
+		return nil, err
+	}
+	// Report into a request trace when the ingress attached one (see
+	// pipeline.SpanRecorder); a bare context makes this a no-op.
+	defer pipeline.StartSpan(ctx, "score-batch")()
+	out := make([]Result, n)
 	var mu sync.Mutex
 	errIdx, errVal := -1, error(nil)
-	record := func(i int, err error) {
-		mu.Lock()
-		if errIdx == -1 || i < errIdx {
-			errIdx, errVal = i, err
-		}
-		mu.Unlock()
-	}
 	p := m.scorePlanNow()
-	plan := parallel.PlanFor(workers, len(vectors), p.perItemNs)
-	if err := parallel.ForContext(ctx, plan.Workers, len(vectors), plan.Chunk, func(start, end int) {
-		// Each row routes through ScoreStringWith, the exact per-frame
-		// serial path, with one pooled scratch per chunk — parity with
-		// the single-frame path is by construction, not by reimplementation.
+	plan := parallel.PlanFor(workers, n, p.perItemNs)
+	if err := parallel.ForContext(ctx, plan.Workers, n, plan.Chunk, func(start, end int) {
+		// An inconsistent model has no plan to draw scratch from; the
+		// row functions then take the component path, which needs none.
 		var s *Scratch
 		if p.valid {
 			s = p.getScratch()
 			defer p.putScratch(s)
 		}
 		for i := start; i < end; i++ {
-			res, err := m.ScoreStringWith(s, vectors[i], userAgents[i])
+			res, err := row(s, i)
 			if err != nil {
-				record(i, err)
+				mu.Lock()
+				if errIdx == -1 || i < errIdx {
+					errIdx, errVal = i, err
+				}
+				mu.Unlock()
 				continue
 			}
 			out[i] = res
 		}
 	}); err != nil {
-		return nil, fmt.Errorf("core: score string batch: %w", pipeline.Canceled(err))
+		return nil, fmt.Errorf("core: %s: %w", what, pipeline.Canceled(err))
 	}
 	if errVal != nil {
-		return nil, fmt.Errorf("core: score string batch row %d: %w", errIdx, errVal)
+		return nil, fmt.Errorf("core: %s row %d: %w", what, errIdx, errVal)
 	}
 	return out, nil
-}
-
-// scoreSlowChecked is scoreSlow behind the standard width check, the
-// per-row fallback for batches over dimensionally inconsistent models.
-func (m *Model) scoreSlowChecked(vector []float64, claimed ua.Release) (Result, error) {
-	if len(vector) != m.Dim() {
-		return Result{}, fmt.Errorf("core: vector has %d features, model expects %d", len(vector), m.Dim())
-	}
-	return m.scoreSlow(vector, claimed)
 }
 
 // ScoreString is Score for sessions that deliver a raw user-agent string.

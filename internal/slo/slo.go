@@ -104,7 +104,7 @@ type Objective struct {
 	// Kind is KindLatency or KindAvailability.
 	Kind string `json:"kind"`
 	// Endpoint selects the histogram series for latency objectives
-	// ("/v1/collect", "/v1/collect-json", "batch", "tcp") and the
+	// ("/v1/collect", "/v1/collect-json", "tcp") and the
 	// counter set for availability ones ("" = HTTP ingest, "tcp" = the
 	// framed listener).
 	Endpoint string `json:"endpoint,omitempty"`
