@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"polygraph/internal/benchjson"
 	"polygraph/internal/bundle"
 	"polygraph/internal/loadgen"
+	"polygraph/internal/serving"
 	"polygraph/internal/slo"
 )
 
@@ -58,8 +60,13 @@ func TestRunBadFlags(t *testing.T) {
 	if code := run([]string{"-short", "-tcp", "-invalid-mix", "0.1"}, null, null); code != 2 {
 		t.Fatalf("-tcp with -invalid-mix exit %d, want 2", code)
 	}
-	if code := run([]string{"-short", "-tcp", "-audit-dir", "/tmp/x", "-audit-sample", "3"}, null, null); code != 2 {
-		t.Fatalf("-tcp with sampled audit exit %d, want 2", code)
+	// Flags that configure in-process replicas have nothing to act on
+	// behind -addr.
+	if code := run([]string{"-short", "-addr", "http://x", "-audit-dir", "/tmp/x"}, null, null); code != 2 {
+		t.Fatalf("-audit-dir with -addr exit %d, want 2", code)
+	}
+	if code := run([]string{"-short", "-addr", "http://x", "-fault-slow", "1ms"}, null, null); code != 2 {
+		t.Fatalf("-fault-slow with -addr exit %d, want 2", code)
 	}
 	// SLO flag combinations rejected before any training happens.
 	if code := run([]string{"-short", "-fault-slow", "1ms", "-fleet", "2"}, null, null); code != 2 {
@@ -191,14 +198,17 @@ func TestRunTCPEndToEnd(t *testing.T) {
 	null := devNull(t)
 	args := []string{
 		"-tcp", "-scenario", scPath, "-train-sessions", "6000",
-		"-min-rps", "10", "-fail-on-errors", "-tcp-batch", "16",
+		"-min-rps", "10", "-fail-on-errors",
 	}
+	// One replica, one ledger, one sampling counter: every-4th benign
+	// sampling stays a function of the seed however the connections'
+	// batches interleave.
 	if code := run(append(args, "-ledger", ledger1, "-benchjson", bench,
-		"-audit-dir", filepath.Join(dir, "aud1"), "-audit-sample", "1"), null, null); code != 0 {
+		"-audit-dir", filepath.Join(dir, "aud1"), "-audit-sample", "4"), null, null); code != 0 {
 		t.Fatalf("tcp run 1 exit %d", code)
 	}
 	if code := run(append(args, "-ledger", ledger2,
-		"-audit-dir", filepath.Join(dir, "aud2"), "-audit-sample", "1"), null, null); code != 0 {
+		"-audit-dir", filepath.Join(dir, "aud2"), "-audit-sample", "4"), null, null); code != 0 {
 		t.Fatalf("tcp run 2 exit %d", code)
 	}
 
@@ -220,9 +230,15 @@ func TestRunTCPEndToEnd(t *testing.T) {
 	if led.Sent != 256 || led.Errors() != 0 {
 		t.Fatalf("ledger sent=%d errors=%d, want 256 sent and 0 errors", led.Sent, led.Errors())
 	}
-	// Full-sample audit over TCP: one record per scored frame.
-	if led.AuditRecords != led.Sent || led.AuditDropped != 0 {
-		t.Fatalf("audit records=%d dropped=%d, want %d/0", led.AuditRecords, led.AuditDropped, led.Sent)
+	// Sampled audit over TCP: every scored frame recorded or counted as
+	// sampled out, in replica r0's directory next to its journal.
+	if led.AuditRecords+led.AuditDropped != led.Sent || led.AuditDropped == 0 || led.AuditRecords < led.Flagged {
+		t.Fatalf("audit records=%d dropped=%d over %d sent (%d flagged)", led.AuditRecords, led.AuditDropped, led.Sent, led.Flagged)
+	}
+	for _, pattern := range []string{"decisions.*.audit", "decisions.*.jsonl"} {
+		if files, _ := filepath.Glob(filepath.Join(dir, "aud1", "r0", pattern)); len(files) == 0 {
+			t.Fatalf("no %s under aud1/r0", pattern)
+		}
 	}
 
 	// The benchjson snapshot carries the serve-tcp family with
@@ -322,6 +338,63 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if serve == 0 || run2 != 1 {
 		t.Fatalf("benchjson serve entries=%d serve/run=%d", serve, run2)
+	}
+}
+
+// TestRunLiveAddr drives a running replica the way an operator points
+// loadgen at a deployed polygraphd: the target is one plain-HTTP member,
+// so the health probes, the pre/post scrapes, the stats read, the SLO
+// rollup and the metrics dump all go over its listener — and the run
+// must still reconcile.
+func TestRunLiveAddr(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model in-process")
+	}
+	replica, err := serving.New(context.Background(), serving.Config{Name: "live", Addr: "127.0.0.1:0", Train: true, Sessions: 6000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	if err := replica.Start(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	sc := &loadgen.Scenario{
+		Name: "live", Seed: 5, Pool: 64, FraudMix: 0.05, JSONMix: 0.25,
+		Phases: []loadgen.Phase{{Name: "steady", Requests: 120, Concurrency: 4}},
+	}
+	scData, err := json.Marshal(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scPath := filepath.Join(dir, "sc.json")
+	if err := os.WriteFile(scPath, scData, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	metricsPath := filepath.Join(dir, "metrics.txt")
+	null := devNull(t)
+	// A bare host:port is accepted, as before.
+	args := []string{"-scenario", scPath, "-addr", replica.Addr(), "-fail-on-errors", "-metrics-out", metricsPath}
+	if code := run(args, null, null); code != 0 {
+		t.Fatalf("live run exit %d", code)
+	}
+	if got := replica.Stats().Received; got != 120 {
+		t.Fatalf("live replica scored %d, want 120", got)
+	}
+	dump, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, needle := range []string{"polygraph_collections_total 120", `polygraph_fleet_replica_info{replica="live"`} {
+		if !strings.Contains(string(dump), needle) {
+			t.Fatalf("metrics dump missing %q", needle)
+		}
+	}
+	// A target that refuses connections fails the gates instead of
+	// hanging or passing.
+	replica.Kill()
+	if code := run(args[:5], null, null); code != 1 {
+		t.Fatalf("dead target exit %d, want 1", code)
 	}
 }
 

@@ -45,17 +45,14 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"polygraph/internal/collect"
 	"polygraph/internal/core"
 	"polygraph/internal/obs"
 	"polygraph/internal/serving"
@@ -178,7 +175,7 @@ func main() {
 	if *debugAddr != "" {
 		debugSrv = &http.Server{
 			Addr:              *debugAddr,
-			Handler:           debugMux(replica.Server()),
+			Handler:           debugMux(replica),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {
@@ -227,24 +224,16 @@ loop:
 }
 
 // debugMux assembles the -debug-addr surface: pprof profiles, expvar,
-// and (for convenience next to the profiles) the request-trace ring.
-// See the README runbook for the capture recipe. srv is nil while a
-// -warm replica waits for its first model; the trace and decision
-// surfaces only exist once it has one.
-func debugMux(srv *collect.Server) *http.ServeMux {
+// and (for convenience next to the profiles) the request-trace ring and
+// the audit surface. See the README runbook for the capture recipe.
+// The last two are forwarded to the replica's serving mux, which
+// resolves the collect server per request: a -warm replica answers 503
+// there until the fleet pushes its first model, and serves them from
+// then on.
+func debugMux(replica *serving.Replica) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
-	if srv != nil {
-		mux.HandleFunc("/debug/traces", srv.Tracer().ServeTraces)
-		// Forwarded to the collect server's handlers so the audit surface
-		// is reachable from the profiling listener too; the serving
-		// listener also exposes them plus a /debug/ index page.
-		mux.Handle("/debug/decisions", srv)
-	}
+	serving.MountProfiling(mux)
+	mux.Handle("GET /debug/traces", replica.Handler())
+	mux.Handle("GET /debug/decisions", replica.Handler())
 	return mux
 }

@@ -10,7 +10,7 @@
 //
 //	promlint metrics.txt
 //	promlint -require polygraph_build_info,polygraph_feature_psi metrics.txt
-//	promlint -require-file scripts/required-families-http.txt metrics.txt
+//	promlint -require-file scripts/required-families-http.txt -require-file scripts/required-families-fleet.txt metrics.txt
 //	promlint http://127.0.0.1:8080/metrics
 //	loadgen -short | promlint -
 //
@@ -37,7 +37,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("promlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	require := fs.String("require", "", "comma-separated metric families that must be present")
-	requireFile := fs.String("require-file", "", "file listing required families (one per line, # comments); combines with -require")
+	var requireFiles []string
+	fs.Func("require-file", "file listing required families (one per line, # comments); repeatable, combines with -require", func(path string) error {
+		requireFiles = append(requireFiles, path)
+		return nil
+	})
 	version := fs.Bool("version", false, "print build info and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -64,8 +68,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			required = append(required, name)
 		}
 	}
-	if *requireFile != "" {
-		fromFile, err := readRequireFile(*requireFile)
+	for _, path := range requireFiles {
+		fromFile, err := readRequireFile(path)
 		if err != nil {
 			fmt.Fprintf(stderr, "promlint: %v\n", err)
 			return 2

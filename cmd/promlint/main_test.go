@@ -68,6 +68,18 @@ func TestRunRequireFile(t *testing.T) {
 		t.Fatalf("exit %d when require-file family missing", code)
 	}
 
+	// The flag repeats: every list must hold, not just the last one.
+	ok := filepath.Join(dir, "ok.txt")
+	if err := os.WriteFile(ok, []byte("polygraph_collections_total\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{"-require-file", list, "-require-file", ok, expo}, &out, &errb); code != 1 {
+		t.Fatalf("exit %d when the first of two require-files is unmet", code)
+	}
+	if code := run([]string{"-require-file", ok, "-require-file", ok, expo}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d with two satisfied require-files", code)
+	}
+
 	// Missing or empty list files are usage errors, not silent passes.
 	if code := run([]string{"-require-file", filepath.Join(dir, "nope.txt"), expo}, &out, &errb); code != 2 {
 		t.Fatalf("exit %d for missing require-file", code)

@@ -239,9 +239,17 @@ func (s *Server) Store() *MemoryStore { return s.store }
 // inspect the ring in tests).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
-// AttachTCP includes a TCP batch listener's histogram and counters in
-// this server's /metrics exposition.
-func (s *Server) AttachTCP(t *TCPServer) { s.tcp.Store(t) }
+// AttachTCP joins a TCP batch listener to this server: its histogram
+// and counters ride this server's /metrics exposition, and from here on
+// it scores through this server's ingest core — one model holder, store,
+// journal, drift monitor and ledger — so a SwapModel reaches both
+// transports at once and no audit record can carry a stale hash. Call
+// it before t.Serve; whatever ingest settings t was built with are
+// dropped.
+func (s *Server) AttachTCP(t *TCPServer) {
+	t.ingest = s.ingest
+	s.tcp.Store(t)
+}
 
 // SetSLO attaches a burn-rate engine: its polygraph_slo_* families join
 // the /metrics exposition and GET /debug/slo serves its status page.

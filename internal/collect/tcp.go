@@ -71,9 +71,10 @@ type TCPServer struct {
 }
 
 // NewTCPServer builds the batch listener from the same config as the
-// HTTP service. IdleTimeout guards slow-loris connections. Pass the
-// HTTP server's Tracer in cfg.Tracer to interleave TCP frames into the
-// same /debug/traces ring.
+// HTTP service. Pass the HTTP server's Tracer in cfg.Tracer to
+// interleave TCP frames into the same /debug/traces ring, then
+// Server.AttachTCP the listener so both transports score through one
+// ingest core (a standalone listener keeps the one built from cfg).
 func NewTCPServer(cfg Config) (*TCPServer, error) {
 	in, err := newIngest(cfg)
 	if err != nil {

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"polygraph/internal/collect"
+	"polygraph/internal/fingerprint"
 	"polygraph/internal/fleet"
 	"polygraph/internal/obs"
 )
@@ -28,35 +29,27 @@ type Options struct {
 	// Pool is the pre-generated request stream; required (build with
 	// BuildPool against the deployed model's features).
 	Pool *Pool
-	// BaseURL is the target server root, e.g. "http://127.0.0.1:8080".
-	// Ignored when Fleet is set.
-	BaseURL string
-	// Fleet, when set, routes every request through the balancer instead
-	// of BaseURL: each send picks a healthy replica, reports the outcome
+	// Fleet is the target: one member or many behind the balancer.
+	// Every HTTP send picks a healthy member, reports the outcome
 	// (ejecting on transport failure), and transparently retries on
-	// another replica when the picked one was down. The cross-check then
-	// generalizes to client-vs-sum-of-replicas: per-replica stat and
-	// metric deltas are summed before reconciliation and reported
-	// individually in CrossCheck.Replicas.
+	// another member when the picked one was down. The cross-check reads
+	// every member through Member.FetchStats/FetchMetrics — in-process
+	// where the member allows it, which keeps a drained replica's
+	// counters readable — sums the per-member deltas before
+	// reconciliation and itemizes them in CrossCheck.Replicas.
 	Fleet *fleet.Balancer
 	// Hook injects callbacks at deterministic points of the run — the
-	// fleet drill uses Midpoint to kill a replica mid-phase.
+	// fleet drill uses Midpoint to drain a replica mid-phase.
 	Hook *PhaseHook
-	// Client overrides the HTTP client; nil builds one sized for the
-	// scenario's peak concurrency.
-	Client *http.Client
-	// TCPAddr, when set, drives the framed TCP listener instead of the
-	// HTTP endpoints: workers claim pool indices in blocks of TCPBatch
-	// and pipeline each block through one TCPClient.SubmitBatch, which
-	// exercises the server-side frame coalescer. The pool must be all
-	// binary (json_mix 0, invalid_mix 0) so every entry carries a
-	// decoded Payload. BaseURL stays required for the /metrics
-	// cross-check (the HTTP server the listener is attached to) unless
-	// SkipCrossCheck is set.
+	// TCPAddr, when set, drives the framed TCP listener at this address
+	// instead of the HTTP endpoints: workers claim pool indices in
+	// blocks of 64 and pipeline each block through one
+	// TCPClient.SubmitBatch, which exercises the server-side frame
+	// coalescer. The pool must be all binary (json_mix 0, invalid_mix 0)
+	// so every entry carries a decoded Payload. Fleet then only serves
+	// the cross-check: its members are the HTTP servers whose /metrics
+	// carry the listener's counters.
 	TCPAddr string
-	// TCPBatch is the frames-per-SubmitBatch block size in TCP mode
-	// (0 = 64).
-	TCPBatch int
 	// SkipCrossCheck disables the /v1/stats + /metrics reconciliation
 	// (needed when other traffic shares the target).
 	SkipCrossCheck bool
@@ -73,11 +66,11 @@ type Options struct {
 type PhaseHook struct {
 	// Start fires synchronously as each phase begins.
 	Start func(phase string)
-	// Midpoint fires exactly once per fixed-count phase, when half of
-	// its requests have been drawn from the sequence counter (it never
-	// fires for duration-bounded phases). The fleet drill hangs the
-	// replica kill here so the failure lands at the same request index
-	// every run.
+	// Midpoint fires exactly once per fixed-count phase, on the worker
+	// that claims the phase's halfway index and before that claim is
+	// sent (it never fires for duration-bounded phases). The fleet drill
+	// hangs the replica drain here so the failure lands at the same
+	// request index every run.
 	Midpoint func(phase string)
 }
 
@@ -229,34 +222,153 @@ func (r *Report) P99() time.Duration {
 }
 
 // phaseState accumulates one phase's counters; statuses live behind a
-// mutex (cheap next to an HTTP round trip), latency in atomic histograms.
+// mutex (cheap next to a round trip), latency in atomic histograms.
 type phaseState struct {
 	sent    atomic.Int64
 	ok      atomic.Int64
 	flagged atomic.Int64
 	timeout atomic.Int64
 	connErr atomic.Int64
+	retries atomic.Int64
 
 	mu       sync.Mutex
 	byStatus map[int]int64
 
-	hists map[string]*Hist // keyed by endpoint path
+	// hists are this phase's latency series and overall the whole run's,
+	// both keyed by transport endpoint.
+	hists, overall map[string]*Hist
 }
 
-func newPhaseState() *phaseState {
-	return &phaseState{
-		byStatus: map[int]int64{},
-		hists: map[string]*Hist{
-			EndpointBinary: new(Hist),
-			EndpointJSON:   new(Hist),
-		},
+func newHists(endpoints []string) map[string]*Hist {
+	m := make(map[string]*Hist, len(endpoints))
+	for _, ep := range endpoints {
+		m[ep] = new(Hist)
 	}
+	return m
 }
 
 func (ps *phaseState) countStatus(code int) {
 	ps.mu.Lock()
 	ps.byStatus[code]++
 	ps.mu.Unlock()
+}
+
+func (ps *phaseState) observe(endpoint string, d time.Duration) {
+	ps.hists[endpoint].Record(d)
+	ps.overall[endpoint].Record(d)
+}
+
+// countFailure taxonomizes n requests lost to one transport error.
+func (ps *phaseState) countFailure(err error, n int64) {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		ps.timeout.Add(n)
+	} else {
+		ps.connErr.Add(n)
+	}
+}
+
+// transport is everything that differs between the HTTP endpoints and
+// the framed TCP listener. A run is blocks × send function: workers
+// claim the sequence counter block indices at a time and hand each
+// claim to their own send function.
+type transport struct {
+	// block is how many sequence indices a worker claims at once.
+	block int64
+	// endpoints key the client latency histograms.
+	endpoints []string
+	// scored, flagged and rejected name the server counter families the
+	// ledger's 2xx, flagged and error replies reconcile against.
+	scored, flagged, rejected string
+	// worker returns one worker's send function, which puts pool entries
+	// [start, start+n) on the wire and tallies the replies into ps, and
+	// the cleanup to run when the worker's phase ends.
+	worker func(ctx context.Context, ps *phaseState) (send func(start, n int64), done func())
+}
+
+// Server counter families exported by internal/collect.
+const (
+	auditRecordsFamily = "polygraph_audit_records_total"
+	auditDroppedFamily = "polygraph_audit_dropped_total"
+	collectionsFamily  = "polygraph_collections_total"
+	// scoreHistFamily is the serving-path latency histogram; the harness
+	// reconciles its own per-endpoint client histograms against it at
+	// bucket granularity.
+	scoreHistFamily = "polygraph_score_duration_microseconds"
+)
+
+// EndpointTCPLabel keys TCP-mode latency histograms in reports. The
+// recorded unit is one SubmitBatch round trip (a whole pipelined
+// block), not one frame.
+const EndpointTCPLabel = "tcp"
+
+// tcpBlock is the frames pipelined per SubmitBatch in TCP mode: enough
+// that the server-side coalescer sees genuinely batched wire traffic.
+const tcpBlock = 64
+
+// httpTransport posts one pool entry per claim through the balancer.
+func httpTransport(opts *Options) transport {
+	client := newClient(peakConcurrency(opts.Scenario))
+	// Every failed attempt ejects its member, so a request gets as many
+	// attempts as there are members and a one-member target no retry.
+	attempts := len(opts.Fleet.Members())
+	return transport{
+		block:     1,
+		endpoints: []string{EndpointBinary, EndpointJSON},
+		scored:    collectionsFamily,
+		flagged:   "polygraph_flagged_total",
+		rejected:  "polygraph_rejected_total",
+		worker: func(ctx context.Context, ps *phaseState) (func(start, n int64), func()) {
+			return func(start, _ int64) { sendOne(ctx, client, opts.Fleet, attempts, opts.Pool.At(start), ps) }, func() {}
+		},
+	}
+}
+
+// tcpTransport pipelines each claimed block through one
+// TCPClient.SubmitBatch. The ledger keeps its byte-identity contract —
+// ok replies count as status "200", error replies as "400", and the
+// stream digest hashes the identical binary bodies the HTTP transport
+// would have posted. Each worker keeps one connection and redials after
+// a transport failure; a failed block is counted (sent + per-frame
+// transport errors) but never resent, which keeps client and server
+// frame counts reconcilable.
+func tcpTransport(opts *Options) (transport, error) {
+	for i, r := range opts.Pool.Requests {
+		if r.Payload == nil {
+			return transport{}, fmt.Errorf(
+				"loadgen: TCP mode needs an all-binary pool but entry %d has no payload (set json_mix and invalid_mix to 0)", i)
+		}
+	}
+	return transport{
+		block:     tcpBlock,
+		endpoints: []string{EndpointTCPLabel},
+		scored:    "polygraph_tcp_scored_total",
+		flagged:   "polygraph_tcp_flagged_total",
+		rejected:  "polygraph_tcp_bad_frames_total",
+		worker: func(_ context.Context, ps *phaseState) (func(start, n int64), func()) {
+			var client *collect.TCPClient
+			send := func(start, n int64) {
+				if client == nil {
+					c, err := collect.DialTCP(opts.TCPAddr, 0)
+					if err != nil {
+						ps.sent.Add(n)
+						ps.connErr.Add(n)
+						return
+					}
+					client = c
+				}
+				if !sendTCPBlock(client, opts.Pool, start, n, ps) {
+					client.Close()
+					client = nil
+				}
+			}
+			return send, func() {
+				if client != nil {
+					client.Close()
+				}
+			}
+		},
+	}, nil
 }
 
 // Run drives the scenario against the target and assembles the report.
@@ -271,41 +383,34 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	if opts.Pool == nil || len(opts.Pool.Requests) == 0 {
 		return nil, fmt.Errorf("loadgen: Options.Pool is required")
 	}
-	if opts.TCPAddr != "" {
-		return runTCP(ctx, opts)
+	if opts.TCPAddr == "" {
+		if opts.Fleet == nil {
+			return nil, fmt.Errorf("loadgen: Options.Fleet is required")
+		}
+		return run(ctx, opts, httpTransport(&opts))
 	}
-	if opts.BaseURL == "" && opts.Fleet == nil {
-		return nil, fmt.Errorf("loadgen: Options.BaseURL or Options.Fleet is required")
+	if opts.Fleet == nil && !opts.SkipCrossCheck {
+		return nil, fmt.Errorf("loadgen: TCP mode needs Options.Fleet for the /metrics cross-check (or SkipCrossCheck)")
 	}
-	client := opts.Client
-	if client == nil {
-		client = newClient(peakConcurrency(sc))
+	tr, err := tcpTransport(&opts)
+	if err != nil {
+		return nil, err
 	}
+	return run(ctx, opts, tr)
+}
 
+// run is the one phase loop: scrape, drive every phase through tr,
+// scrape again, reconcile.
+func run(ctx context.Context, opts Options, tr transport) (*Report, error) {
+	sc := opts.Scenario
 	if sc.Budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(sc.Budget))
 		defer cancel()
 	}
-
-	// One stats source per target: the single server, or every fleet
-	// replica (whose in-process overrides keep a killed replica's
-	// counters readable).
-	srcs := buildSources(opts, client)
-	pres := make([]sourcePre, len(srcs))
+	var pre []page
 	if !opts.SkipCrossCheck {
-		for i, s := range srcs {
-			pres[i].stats, pres[i].statsErr = s.stats(ctx)
-			// Old servers without the histogram family scrape as an empty
-			// map; the latency reconciliation then degrades to a note.
-			if text, err := s.exposition(ctx); err == nil {
-				pres[i].hist = obs.ParseHistogram(text, scoreHistFamily, "endpoint")
-				if opts.ExpectAudit {
-					pres[i].audit[0], _ = obs.ParseMetric(text, auditRecordsFamily)
-					pres[i].audit[1], _ = obs.ParseMetric(text, auditDroppedFamily)
-				}
-			}
-		}
+		pre = scrape(ctx, opts.Fleet)
 	}
 
 	report := &Report{
@@ -317,14 +422,11 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 			ByStatus: map[string]int64{},
 		},
 	}
-	overall := map[string]*Hist{
-		EndpointBinary: new(Hist),
-		EndpointJSON:   new(Hist),
-	}
+	overall := newHists(tr.endpoints)
 
 	start := time.Now()
-	var seq int64 // global sequence index into the cycled pool
-	var retries atomic.Int64
+	var seq atomic.Int64 // global sequence index into the cycled pool
+	var retries int64
 	for _, phase := range sc.Phases {
 		if ctx.Err() != nil {
 			report.BudgetExceeded = true
@@ -333,8 +435,8 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		if opts.Hook != nil && opts.Hook.Start != nil {
 			opts.Hook.Start(phase.Name)
 		}
-		ps := newPhaseState()
-		truncated := runPhase(ctx, phase, opts.Pool, client, &opts, &seq, ps, overall, &retries)
+		ps := &phaseState{byStatus: map[int]int64{}, hists: newHists(tr.endpoints), overall: overall}
+		truncated := runPhase(ctx, phase, opts.Hook, tr, &seq, ps)
 
 		pr := PhaseResult{
 			Name:       phase.Name,
@@ -347,7 +449,6 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 			Latency:    map[string]Quantiles{},
 			Truncated:  truncated,
 		}
-		elapsed := time.Since(start)
 		for code, c := range ps.byStatus {
 			key := strconv.Itoa(code)
 			pr.ByStatus[key] = c
@@ -358,9 +459,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 				pr.Latency[path] = h.Summary()
 			}
 		}
-		// Phase elapsed is measured inside runPhase via its own clock;
-		// recompute here as the delta of the run clock for simplicity.
-		pr.Elapsed = elapsed - sumElapsed(report.Phases)
+		pr.Elapsed = time.Since(start) - sumElapsed(report.Phases)
 		if pr.Elapsed > 0 {
 			pr.AchievedRPS = float64(pr.Sent) / pr.Elapsed.Seconds()
 		}
@@ -375,6 +474,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 			OK:      pr.OK,
 			Flagged: pr.Flagged,
 		})
+		retries += ps.retries.Load()
 		if truncated {
 			report.BudgetExceeded = true
 		}
@@ -397,115 +497,9 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 			cctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 		}
-		posts := make([]string, len(srcs)) // post-run exposition per source
-		for i, s := range srcs {
-			posts[i], _ = s.exposition(cctx)
-		}
-		report.CrossCheck = crossCheck(cctx, srcs, pres, posts, &report.Ledger, retries.Load())
-		reconcileLatency(pres, posts, report)
-		if opts.ExpectAudit {
-			reconcileAudit(pres, posts, report)
-		}
+		crossCheck(cctx, &opts, tr, pre, report, retries)
 	}
 	return report, nil
-}
-
-// statsSource is one reconciliation target: a way to read a server's
-// stats snapshot and /metrics exposition.
-type statsSource struct {
-	name       string
-	stats      func(context.Context) (collect.Stats, error)
-	exposition func(context.Context) (string, error)
-}
-
-// sourcePre holds a source's pre-run counters.
-type sourcePre struct {
-	stats    collect.Stats
-	statsErr error
-	hist     map[string][]uint64
-	audit    [2]float64 // records, dropped
-}
-
-func buildSources(opts Options, client *http.Client) []statsSource {
-	if opts.Fleet != nil {
-		members := opts.Fleet.Members()
-		fc := opts.Fleet.Client()
-		out := make([]statsSource, 0, len(members))
-		for _, m := range members {
-			m := m
-			out = append(out, statsSource{
-				name: m.Name,
-				stats: func(ctx context.Context) (collect.Stats, error) {
-					return m.FetchStats(ctx, fc)
-				},
-				exposition: func(ctx context.Context) (string, error) {
-					return m.FetchMetrics(ctx, fc)
-				},
-			})
-		}
-		return out
-	}
-	return []statsSource{{
-		name: "server",
-		stats: func(ctx context.Context) (collect.Stats, error) {
-			return fetchStats(ctx, client, opts.BaseURL)
-		},
-		exposition: func(ctx context.Context) (string, error) {
-			return fetchExposition(ctx, client, opts.BaseURL)
-		},
-	}}
-}
-
-// Audit-ledger counter families exported by internal/collect; the
-// harness reconciles their deltas against the ingest delta.
-const (
-	auditRecordsFamily = "polygraph_audit_records_total"
-	auditDroppedFamily = "polygraph_audit_dropped_total"
-)
-
-// reconcileAudit enforces the audit accounting invariant on targets
-// whose ledgers this harness enabled: recorded + dropped must equal the
-// number of decisions the servers scored — no decision silently escapes
-// a ledger. Against a fleet the deltas are summed over every replica.
-// The deltas also land in the run ledger (run-level totals stay
-// deterministic for a fixed seed; see Ledger.AuditRecords).
-func reconcileAudit(pres []sourcePre, posts []string, report *Report) {
-	cc := report.CrossCheck
-	if cc == nil {
-		return
-	}
-	var records, dropped float64
-	for i := range pres {
-		postRecords, err := obs.ParseMetric(posts[i], auditRecordsFamily)
-		if err != nil {
-			cc.Details = append(cc.Details, fmt.Sprintf("scrape %s: %v", auditRecordsFamily, err))
-			cc.OK = false
-			return
-		}
-		postDropped, err := obs.ParseMetric(posts[i], auditDroppedFamily)
-		if err != nil {
-			cc.Details = append(cc.Details, fmt.Sprintf("scrape %s: %v", auditDroppedFamily, err))
-			cc.OK = false
-			return
-		}
-		records += postRecords - pres[i].audit[0]
-		dropped += postDropped - pres[i].audit[1]
-	}
-	cc.AuditRecordsDelta = int64(records)
-	cc.AuditDroppedDelta = int64(dropped)
-	report.Ledger.AuditRecords = cc.AuditRecordsDelta
-	report.Ledger.AuditDropped = cc.AuditDroppedDelta
-	if sum := cc.AuditRecordsDelta + cc.AuditDroppedDelta; sum != cc.ServerReceivedDelta {
-		cc.Details = append(cc.Details, fmt.Sprintf(
-			"audit ledger accounted for %d decisions (%d recorded + %d dropped) but server scored %d",
-			sum, cc.AuditRecordsDelta, cc.AuditDroppedDelta, cc.ServerReceivedDelta))
-		cc.OK = false
-	}
-	if cc.AuditRecordsDelta == 0 && cc.ServerReceivedDelta > 0 {
-		cc.Details = append(cc.Details,
-			"audit expected but polygraph_audit_records_total did not move")
-		cc.OK = false
-	}
 }
 
 func sumElapsed(phases []PhaseResult) time.Duration {
@@ -535,66 +529,78 @@ func newClient(concurrency int) *http.Client {
 	return &http.Client{Transport: tr, Timeout: 10 * time.Second}
 }
 
-// runPhase executes one phase's workers. Workers draw global sequence
-// indices from a shared atomic counter, so the body sent for index i is
-// deterministic regardless of which worker sends it or when. Returns
-// whether the phase was truncated by the context (budget).
-func runPhase(ctx context.Context, phase Phase, pool *Pool, client *http.Client, opts *Options, seq *int64, ps *phaseState, overall map[string]*Hist, retries *atomic.Int64) bool {
-	workers := phase.Concurrency
-	if workers <= 0 {
-		workers = 1
+// claim takes the phase's next block off the shared sequence counter
+// and returns it as [start, start+n), giving back whatever reaches past
+// the phase's fixed count (limit; 0 = unbounded) so the counter ends
+// the phase at exactly base+limit. n == 0 means the count is spent. The
+// arithmetic is all atomic adds, so concurrent over-claims at the
+// boundary cancel out; at block 1 it is the classic draw-and-give-back.
+func claim(seq *atomic.Int64, base, limit, block int64) (start, n int64) {
+	start = seq.Add(block) - block
+	n = block
+	if limit > 0 {
+		if remain := limit - (start - base); remain < n {
+			n = max(remain, 0)
+			seq.Add(n - block)
+		}
 	}
-	phaseStartSeq := atomic.LoadInt64(seq)
+	return start, n
+}
+
+// runPhase executes one phase's workers. Workers claim global sequence
+// indices in blocks of tr.block, so the entries sent for a claim — and
+// therefore every reply — are a pure function of (scenario, seed)
+// regardless of which worker sends which block or when. Returns whether
+// the phase was truncated by the context (budget).
+func runPhase(ctx context.Context, phase Phase, hook *PhaseHook, tr transport, seq *atomic.Int64, ps *phaseState) bool {
+	base := seq.Load()
+	mid := int64(-1) // a duration-bounded phase has no midpoint
+	if hook != nil && hook.Midpoint != nil && phase.Requests > 0 {
+		mid = base + int64(phase.Requests/2)
+	}
 	phaseStart := time.Now()
 	var truncated atomic.Bool
-	var midpointFired atomic.Bool
-
-	// stop decides, per drawn index, whether the phase is over.
-	stop := func(i int64) bool {
-		if ctx.Err() != nil {
-			truncated.Store(true)
-			return true
-		}
-		if phase.Requests > 0 {
-			return i-phaseStartSeq >= int64(phase.Requests)
-		}
-		return time.Since(phaseStart) >= time.Duration(phase.Duration)
-	}
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < max(phase.Concurrency, 1); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			send, done := tr.worker(ctx, ps)
+			defer done()
 			for {
-				i := atomic.AddInt64(seq, 1) - 1
-				if stop(i) {
-					// Return the unused index so the ledger's sent count
-					// equals the number of requests actually issued.
-					atomic.AddInt64(seq, -1)
+				if ctx.Err() != nil {
+					truncated.Store(true)
 					return
 				}
-				// The midpoint hook fires on the worker that draws the
-				// halfway index, so the injected event (the fleet drill's
-				// replica kill) lands at the same request index every run.
-				if opts.Hook != nil && opts.Hook.Midpoint != nil && phase.Requests > 0 &&
-					i-phaseStartSeq == int64(phase.Requests/2) &&
-					midpointFired.CompareAndSwap(false, true) {
-					opts.Hook.Midpoint(phase.Name)
+				start, n := claim(seq, base, int64(phase.Requests), tr.block)
+				if n == 0 {
+					return
+				}
+				if phase.Requests == 0 && time.Since(phaseStart) >= time.Duration(phase.Duration) {
+					seq.Add(-n)
+					return
+				}
+				// Claims partition the phase, so exactly one holds the
+				// halfway index: the hook fires once, on that worker, before
+				// the block goes out — the injected event (the fleet drill's
+				// replica drain) lands at the same request index every run.
+				if start <= mid && mid < start+n {
+					hook.Midpoint(phase.Name)
 				}
 				if phase.RPS > 0 {
-					due := phaseStart.Add(time.Duration(float64(i-phaseStartSeq) / phase.RPS * float64(time.Second)))
+					due := phaseStart.Add(time.Duration(float64(start-base) / phase.RPS * float64(time.Second)))
 					if wait := time.Until(due); wait > 0 {
 						select {
 						case <-time.After(wait):
 						case <-ctx.Done():
 							truncated.Store(true)
-							atomic.AddInt64(seq, -1)
+							seq.Add(-n)
 							return
 						}
 					}
 				}
-				sendOne(ctx, client, opts, pool.At(i), ps, overall, retries)
+				send(start, n)
 			}
 		}()
 	}
@@ -607,42 +613,28 @@ type decisionFrame struct {
 	Flagged bool `json:"flagged"`
 }
 
-// sendOne issues one pool request. Against a fleet, it routes through
-// the balancer and transparently retries on another replica when the
-// picked one was unreachable — the failure is reported (ejecting the
-// dead replica) and the retry counted, but the ledger records only the
-// final outcome, which is what keeps a kill drill at zero
-// client-visible errors. Timeouts are never retried: a timed-out
-// request may have been scored by the slow replica, and re-sending it
-// would double-count it on another, breaking the
-// client-vs-sum-of-replicas reconciliation.
-func sendOne(ctx context.Context, client *http.Client, opts *Options, r *Request, ps *phaseState, overall map[string]*Hist, retries *atomic.Int64) {
+// sendOne posts one pool request through the balancer, transparently
+// retrying on another member when the picked one was unreachable — the
+// failure is reported (ejecting the dead replica) and the retry
+// counted, but the ledger records only the final outcome, which is what
+// keeps a kill drill at zero client-visible errors. Timeouts are never
+// retried: a timed-out request may have been scored by the slow
+// replica, and re-sending it would double-count it on another, breaking
+// the client-vs-sum-of-replicas reconciliation.
+func sendOne(ctx context.Context, client *http.Client, b *fleet.Balancer, attempts int, r *Request, ps *phaseState) {
 	ps.sent.Add(1)
-	attempts := 1
-	if opts.Fleet != nil {
-		attempts = len(opts.Fleet.Members()) + 1
-	}
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		baseURL := opts.BaseURL
-		var picked fleet.Picked
-		havePick := false
-		if opts.Fleet != nil {
-			p, err := opts.Fleet.Pick()
-			if err != nil {
-				lastErr = err
-				break
-			}
-			picked, havePick = p, true
-			baseURL = p.BaseURL()
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+r.Path, bytes.NewReader(r.Body))
+	for ; attempts > 0; attempts-- {
+		picked, err := b.Pick()
 		if err != nil {
-			if havePick {
-				opts.Fleet.Finish(picked, nil)
-			}
-			ps.connErr.Add(1)
-			return
+			lastErr = err
+			break
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, picked.BaseURL()+r.Path, bytes.NewReader(r.Body))
+		if err != nil {
+			b.Finish(picked, nil)
+			lastErr = err
+			break
 		}
 		req.Header.Set("Content-Type", r.ContentType)
 		start := time.Now()
@@ -650,26 +642,18 @@ func sendOne(ctx context.Context, client *http.Client, opts *Options, r *Request
 		elapsed := time.Since(start)
 		if err != nil {
 			lastErr = err
-			isTimeout := false
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				isTimeout = true
+			b.Finish(picked, &collect.ClientError{Kind: collect.FailDown, Op: "submit", Err: err})
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() || attempts == 1 {
+				break
 			}
-			if havePick {
-				opts.Fleet.Finish(picked, &collect.ClientError{Kind: collect.FailDown, Op: "submit", Err: err})
-				if !isTimeout && attempt+1 < attempts {
-					opts.Fleet.CountRetry()
-					retries.Add(1)
-					continue
-				}
-			}
-			break
+			b.CountRetry()
+			ps.retries.Add(1)
+			continue
 		}
-		if havePick {
-			opts.Fleet.Finish(picked, nil)
-		}
+		b.Finish(picked, nil)
 		defer resp.Body.Close()
-		ps.hists[r.Path].Record(elapsed)
-		overall[r.Path].Record(elapsed)
+		ps.observe(r.Path, elapsed)
 		ps.countStatus(resp.StatusCode)
 		if resp.StatusCode/100 == 2 {
 			ps.ok.Add(1)
@@ -680,63 +664,179 @@ func sendOne(ctx context.Context, client *http.Client, opts *Options, r *Request
 		}
 		return
 	}
-	if ne, ok := lastErr.(net.Error); ok && ne.Timeout() {
-		ps.timeout.Add(1)
-	} else {
-		ps.connErr.Add(1)
-	}
+	ps.countFailure(lastErr, 1)
 }
 
-func fetchStats(ctx context.Context, client *http.Client, baseURL string) (collect.Stats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/stats", nil)
+// sendTCPBlock pipelines one claimed block through SubmitBatch and
+// tallies the replies. It reports false when the connection failed and
+// should be redialed.
+func sendTCPBlock(client *collect.TCPClient, pool *Pool, start, size int64, ps *phaseState) bool {
+	payloads := make([]*fingerprint.Payload, size)
+	for k := int64(0); k < size; k++ {
+		payloads[k] = pool.At(start + k).Payload
+	}
+	ps.sent.Add(size)
+	t0 := time.Now()
+	decs, err := client.SubmitBatch(payloads)
+	elapsed := time.Since(t0)
 	if err != nil {
-		return collect.Stats{}, err
+		ps.countFailure(err, size)
+		return false
 	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return collect.Stats{}, err
+	// One histogram sample per pipelined block: the unit of latency in
+	// TCP mode is the batch round trip.
+	ps.observe(EndpointTCPLabel, elapsed)
+	for _, d := range decs {
+		if d.Err {
+			ps.countStatus(400)
+			continue
+		}
+		ps.ok.Add(1)
+		ps.countStatus(200)
+		if d.Flagged {
+			ps.flagged.Add(1)
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return collect.Stats{}, fmt.Errorf("loadgen: /v1/stats returned %d", resp.StatusCode)
-	}
-	var st collect.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return collect.Stats{}, err
-	}
-	return st, nil
+	return true
 }
 
-// fetchExposition fetches a target's full /metrics exposition as text.
-// Each source is scraped once per checkpoint and the text shared by
-// every reconciliation pass, so a fleet of N replicas costs N scrapes,
-// not N×passes.
-func fetchExposition(ctx context.Context, client *http.Client, baseURL string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("loadgen: /metrics returned %d", resp.StatusCode)
-	}
-	var b strings.Builder
-	if _, err := io.Copy(&b, resp.Body); err != nil {
-		return "", err
-	}
-	return b.String(), nil
+// page is one member's /metrics exposition at a checkpoint.
+type page struct {
+	ex  *obs.Exposition
+	err error
 }
 
-// scoreHistFamily is the serving-path latency histogram exported by
-// internal/collect; the harness reconciles its own per-endpoint client
-// histograms against it at bucket granularity. Parsing lives in
-// internal/obs (obs.ParseMetric / obs.ParseHistogram / obs.QuantileBucket),
-// shared with the support-bundle analyzers.
-const scoreHistFamily = "polygraph_score_duration_microseconds"
+// scrape fetches every member's exposition once; every reconciliation
+// pass shares the parsed pages, so a fleet of N costs N scrapes per
+// checkpoint. Members resolve in-process where they can, which keeps a
+// drained replica's counters readable.
+func scrape(ctx context.Context, b *fleet.Balancer) []page {
+	members := b.Members()
+	pages := make([]page, len(members))
+	for i, m := range members {
+		text, err := m.FetchMetrics(ctx, b.Client())
+		pages[i] = page{ex: obs.ParseExpositionString(text), err: err}
+	}
+	return pages
+}
+
+// crossCheck reconciles the client ledger against the target's own
+// counters and stores the verdict in report.CrossCheck. It compares
+// deltas (post − pre) of the transport's counter families, so a live
+// daemon with prior traffic still reconciles as long as nothing else
+// hits it during the run. Each member's delta is computed individually
+// (itemized in Replicas when there are several) and the reconciliation
+// runs against the sums — the client-vs-sum-of-replicas audit: no
+// request may be double-scored (a retry landing twice) or lost (a
+// "2xx" the fleet never counted).
+func crossCheck(ctx context.Context, opts *Options, tr transport, pre []page, report *Report, retries int64) {
+	cc := &CrossCheck{Retries: retries}
+	report.CrossCheck = cc
+	ledger := &report.Ledger
+	members := opts.Fleet.Members()
+	post := scrape(ctx, opts.Fleet)
+	var scored, flagged, rejected float64
+	for i, m := range members {
+		for _, p := range []page{pre[i], post[i]} {
+			if p.err != nil {
+				cc.Details = append(cc.Details, fmt.Sprintf("%s: scrape /metrics: %v", m.Name, p.err))
+				return
+			}
+		}
+		if !post[i].ex.Has(tr.scored) {
+			cc.Details = append(cc.Details, fmt.Sprintf("%s: /metrics does not export %s (is the listener attached?)", m.Name, tr.scored))
+			return
+		}
+		delta := func(family string) float64 { return post[i].ex.Sum(family) - pre[i].ex.Sum(family) }
+		if len(members) > 1 {
+			cc.Replicas = append(cc.Replicas, ReplicaDelta{
+				Name:          m.Name,
+				ReceivedDelta: int64(delta(tr.scored)),
+				FlaggedDelta:  int64(delta(tr.flagged)),
+				RejectedDelta: int64(delta(tr.rejected)),
+			})
+		}
+		scored += delta(tr.scored)
+		flagged += delta(tr.flagged)
+		rejected += delta(tr.rejected)
+		cc.MetricsReceived += post[i].ex.Sum(tr.scored)
+		// The JSON stats view and the exposition read the same counters.
+		st, err := m.FetchStats(ctx, opts.Fleet.Client())
+		if err != nil {
+			cc.Details = append(cc.Details, fmt.Sprintf("%s: /v1/stats: %v", m.Name, err))
+			return
+		}
+		if got := post[i].ex.Sum(collectionsFamily); int64(got) != st.Received {
+			cc.Details = append(cc.Details, fmt.Sprintf(
+				"%s: /metrics %s %v disagrees with /v1/stats received %d", m.Name, collectionsFamily, got, st.Received))
+		}
+	}
+
+	cc.ClientOK = ledger.ByStatus["200"]
+	cc.ServerReceivedDelta = int64(scored)
+	cc.ClientFlagged = ledger.Flagged
+	cc.ServerFlaggedDelta = int64(flagged)
+	cc.ServerRejectedDelta = int64(rejected)
+	for code, c := range ledger.ByStatus {
+		if !strings.HasPrefix(code, "2") {
+			cc.ClientErrors += c
+		}
+	}
+	if cc.ClientOK != cc.ServerReceivedDelta {
+		cc.Details = append(cc.Details, fmt.Sprintf(
+			"client saw %d 2xx but server %s moved by %d", cc.ClientOK, tr.scored, cc.ServerReceivedDelta))
+	}
+	if cc.ClientFlagged != cc.ServerFlaggedDelta {
+		cc.Details = append(cc.Details, fmt.Sprintf(
+			"client decoded %d flagged decisions but server %s moved by %d", cc.ClientFlagged, tr.flagged, cc.ServerFlaggedDelta))
+	}
+	// Rejected reconciles only when every client-side error was a
+	// server-side reject (429s from a rate limiter and transport errors
+	// are not counted by the server).
+	if ledger.Timeouts == 0 && ledger.ConnErrors == 0 && ledger.ByStatus["429"] == 0 &&
+		cc.ClientErrors != cc.ServerRejectedDelta {
+		cc.Details = append(cc.Details, fmt.Sprintf(
+			"client saw %d error responses but server %s moved by %d", cc.ClientErrors, tr.rejected, cc.ServerRejectedDelta))
+	}
+	reconcileLatency(pre, post, report)
+	if opts.ExpectAudit {
+		reconcileAudit(pre, post, report)
+	}
+	cc.OK = len(cc.Details) == 0
+}
+
+// reconcileAudit enforces the audit accounting invariant on targets
+// whose ledgers this harness enabled: recorded + dropped must equal the
+// number of decisions the servers scored — no decision silently escapes
+// a ledger. Against a fleet the deltas are summed over every replica.
+// The deltas also land in the run ledger (run-level totals stay
+// deterministic for a fixed seed; see Ledger.AuditRecords).
+func reconcileAudit(pre, post []page, report *Report) {
+	cc := report.CrossCheck
+	var records, dropped float64
+	for i := range pre {
+		for _, family := range []string{auditRecordsFamily, auditDroppedFamily} {
+			if !post[i].ex.Has(family) {
+				cc.Details = append(cc.Details, "/metrics does not export "+family)
+				return
+			}
+		}
+		records += post[i].ex.Sum(auditRecordsFamily) - pre[i].ex.Sum(auditRecordsFamily)
+		dropped += post[i].ex.Sum(auditDroppedFamily) - pre[i].ex.Sum(auditDroppedFamily)
+	}
+	cc.AuditRecordsDelta = int64(records)
+	cc.AuditDroppedDelta = int64(dropped)
+	report.Ledger.AuditRecords = cc.AuditRecordsDelta
+	report.Ledger.AuditDropped = cc.AuditDroppedDelta
+	if sum := cc.AuditRecordsDelta + cc.AuditDroppedDelta; sum != cc.ServerReceivedDelta {
+		cc.Details = append(cc.Details, fmt.Sprintf(
+			"audit ledger accounted for %d decisions (%d recorded + %d dropped) but server scored %d",
+			sum, cc.AuditRecordsDelta, cc.AuditDroppedDelta, cc.ServerReceivedDelta))
+	}
+	if cc.AuditRecordsDelta == 0 && cc.ServerReceivedDelta > 0 {
+		cc.Details = append(cc.Details, "audit expected but "+auditRecordsFamily+" did not move")
+	}
+}
 
 // reconcileLatency compares the run's client-observed p99 per endpoint
 // against the servers' own duration histograms (delta of cumulative
@@ -748,34 +848,32 @@ const scoreHistFamily = "polygraph_score_duration_microseconds"
 // same requests. The common benign skew — client p99 far above server
 // p99 because of client-side queuing under burst concurrency — is
 // recorded as a note.
-func reconcileLatency(pres []sourcePre, posts []string, report *Report) {
+func reconcileLatency(pre, post []page, report *Report) {
 	cc := report.CrossCheck
-	if cc == nil {
-		return
-	}
 	// Per-endpoint delta buckets summed over all sources.
 	sum := map[string][]uint64{}
 	exported := false
-	for i := range pres {
-		postHist := obs.ParseHistogram(posts[i], scoreHistFamily, "endpoint")
+	for i := range pre {
+		postHist := post[i].ex.HistogramBuckets(scoreHistFamily, "endpoint")
 		if len(postHist) == 0 {
 			continue
 		}
 		exported = true
-		for ep, post := range postHist {
-			if len(post) != obs.NumBuckets {
+		preHist := pre[i].ex.HistogramBuckets(scoreHistFamily, "endpoint")
+		for ep, after := range postHist {
+			if len(after) != obs.NumBuckets {
 				continue
 			}
 			acc := sum[ep]
 			if acc == nil {
-				acc = make([]uint64, len(post))
+				acc = make([]uint64, len(after))
 				sum[ep] = acc
 			}
-			pre := pres[i].hist[ep]
-			for j, c := range post {
+			before := preHist[ep]
+			for j, c := range after {
 				d := c
-				if j < len(pre) && pre[j] <= c {
-					d = c - pre[j]
+				if j < len(before) && before[j] <= c {
+					d = c - before[j]
 				}
 				acc[j] += d
 			}
@@ -821,7 +919,6 @@ func reconcileLatency(pres []sourcePre, posts []string, report *Report) {
 			cc.Details = append(cc.Details, fmt.Sprintf(
 				"endpoint %s: server p99 bucket %d (≤%gµs over %d requests) exceeds client p99 bucket %d (%v) by more than one bucket",
 				ep, serverIdx, serverP99, total, clientIdx, clientQ.P99))
-			cc.OK = false
 		case clientIdx > serverIdx+1:
 			cc.LatencyNotes = append(cc.LatencyNotes, fmt.Sprintf(
 				"endpoint %s: client p99 %v (bucket %d) above server p99 ≤%gµs (bucket %d) — client-side queuing",
@@ -832,86 +929,6 @@ func reconcileLatency(pres []sourcePre, posts []string, report *Report) {
 				ep, clientQ.P99, serverP99))
 		}
 	}
-}
-
-// crossCheck reconciles the client ledger against the server-side
-// counters. It compares deltas (post − pre), so a live daemon with
-// prior traffic still reconciles as long as nothing else hits it during
-// the run. With multiple sources (a fleet), each replica's delta is
-// computed individually, itemized in Replicas, and the reconciliation
-// runs against the sums — the client-vs-sum-of-replicas audit: no
-// request may be double-scored (a retry landing twice) or lost (a
-// "2xx" the fleet never counted).
-func crossCheck(ctx context.Context, srcs []statsSource, pres []sourcePre, posts []string, ledger *Ledger, retries int64) *CrossCheck {
-	cc := &CrossCheck{Retries: retries}
-	var post collect.Stats // summed post-run stats
-	var pre collect.Stats  // summed pre-run stats
-	var metricsReceived float64
-	for i, s := range srcs {
-		if pres[i].statsErr != nil {
-			cc.Details = append(cc.Details, fmt.Sprintf("%s: pre-run stats: %v", s.name, pres[i].statsErr))
-			return cc
-		}
-		st, err := s.stats(ctx)
-		if err != nil {
-			cc.Details = append(cc.Details, fmt.Sprintf("%s: post-run stats: %v", s.name, err))
-			return cc
-		}
-		if len(srcs) > 1 {
-			cc.Replicas = append(cc.Replicas, ReplicaDelta{
-				Name:          s.name,
-				ReceivedDelta: st.Received - pres[i].stats.Received,
-				FlaggedDelta:  st.Flagged - pres[i].stats.Flagged,
-				RejectedDelta: st.Rejected - pres[i].stats.Rejected,
-			})
-		}
-		post.Received += st.Received
-		post.Flagged += st.Flagged
-		post.Rejected += st.Rejected
-		pre.Received += pres[i].stats.Received
-		pre.Flagged += pres[i].stats.Flagged
-		pre.Rejected += pres[i].stats.Rejected
-		if mv, err := obs.ParseMetric(posts[i], "polygraph_collections_total"); err != nil {
-			cc.Details = append(cc.Details, fmt.Sprintf("%s: scrape /metrics: %v", s.name, err))
-		} else {
-			metricsReceived += mv
-		}
-	}
-
-	cc.ClientOK = ledger.ByStatus["200"]
-	cc.ServerReceivedDelta = post.Received - pre.Received
-	cc.ClientFlagged = ledger.Flagged
-	cc.ServerFlaggedDelta = post.Flagged - pre.Flagged
-	cc.ServerRejectedDelta = post.Rejected - pre.Rejected
-	for code, c := range ledger.ByStatus {
-		if !strings.HasPrefix(code, "2") {
-			cc.ClientErrors += c
-		}
-	}
-
-	if cc.ClientOK != cc.ServerReceivedDelta {
-		cc.Details = append(cc.Details, fmt.Sprintf(
-			"client saw %d 2xx but server ingest counter moved by %d", cc.ClientOK, cc.ServerReceivedDelta))
-	}
-	if cc.ClientFlagged != cc.ServerFlaggedDelta {
-		cc.Details = append(cc.Details, fmt.Sprintf(
-			"client decoded %d flagged decisions but server flagged counter moved by %d", cc.ClientFlagged, cc.ServerFlaggedDelta))
-	}
-	// Rejected reconciles only when every client-side error was a
-	// server-side reject (429s from a rate limiter and transport errors
-	// are not counted by the server).
-	if ledger.Timeouts == 0 && ledger.ConnErrors == 0 && ledger.ByStatus["429"] == 0 &&
-		cc.ClientErrors != cc.ServerRejectedDelta {
-		cc.Details = append(cc.Details, fmt.Sprintf(
-			"client saw %d error responses but server rejected counter moved by %d", cc.ClientErrors, cc.ServerRejectedDelta))
-	}
-	cc.MetricsReceived = metricsReceived
-	if int64(metricsReceived) != post.Received {
-		cc.Details = append(cc.Details, fmt.Sprintf(
-			"/metrics polygraph_collections_total %v disagrees with /v1/stats received %d", metricsReceived, post.Received))
-	}
-	cc.OK = len(cc.Details) == 0
-	return cc
 }
 
 // FormatReport renders the human-readable per-phase table.

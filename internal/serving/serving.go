@@ -1,9 +1,11 @@
 // Package serving is the reusable replica runtime extracted from
 // cmd/polygraphd: everything a scoring replica needs — model
-// obtain/deploy, the collect server, drift telemetry, decision journal,
-// audit ledger, hot reload — behind one Replica type, so a process can
-// run one replica (the daemon) or a test harness can run N in-process
-// (the fleet smoke drill).
+// obtain/deploy, the collect server and its framed TCP listener, drift
+// telemetry, decision journal, audit ledger, hot reload — behind one
+// Replica type, so a process can run one replica (the daemon) or a
+// harness can run N in-process (cmd/loadgen). It is the only package
+// that constructs a collect server (scripts/check.sh enforces it), so
+// what the load harness gates is what the daemon deploys.
 //
 // A Replica can boot in two modes:
 //
@@ -61,6 +63,12 @@ type Config struct {
 	Name string
 	// Addr is the listen address (":0" for an ephemeral port).
 	Addr string
+	// TCPAddr, when set, also serves the framed batch protocol
+	// (collect.TCPServer) on this address. The listener scores through
+	// the collect server's ingest core, so it shares the model — hot
+	// swaps included — store, tracer, drift monitor, journal and ledger,
+	// and its counters ride the same /metrics page.
+	TCPAddr string
 
 	// Model deploys this in-memory model at startup (takes precedence
 	// over Train/ModelPath).
@@ -114,6 +122,10 @@ type Config struct {
 	// loadgen rigs usually skip Run and tick explicitly instead.
 	SLOInterval time.Duration
 
+	// ScoreDelay is collect.Config.ScoreDelay, the SLO fault-drill seam
+	// (loadgen -fault-slow); never set it in production.
+	ScoreDelay time.Duration
+
 	// Logger receives replica events; nil discards.
 	Logger *slog.Logger
 }
@@ -144,8 +156,13 @@ type Replica struct {
 	// sloEng is built on first deployment when cfg.SLOSpec is set.
 	sloEng atomic.Pointer[slo.Engine]
 
-	deployMu sync.Mutex // serializes create-vs-swap on first deployment
+	// deployMu serializes create-vs-swap on first deployment and guards
+	// the fields below, which that deployment (driftMon, tcp) and Start
+	// (tcpLn) fill in.
+	deployMu sync.Mutex
 	driftMon *obs.DriftMonitor
+	tcp      *collect.TCPServer
+	tcpLn    net.Listener
 
 	reloading atomic.Bool
 	// ReloadDone receives one nil/error per finished TriggerReload;
@@ -183,11 +200,16 @@ func New(ctx context.Context, cfg Config) (*Replica, error) {
 		reloadDone: make(chan error, 4),
 	}
 
+	fail := func(err error) (*Replica, error) {
+		r.closeStores()
+		cancel()
+		return nil, err
+	}
+
 	if cfg.JournalDir != "" {
 		journal, err := collect.OpenJournal(cfg.JournalDir, "decisions", 0)
 		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("serving: journal: %w", err)
+			return fail(fmt.Errorf("serving: journal: %w", err))
 		}
 		r.journal = journal
 		logger.Info("journaling flagged decisions", "dir", cfg.JournalDir)
@@ -203,9 +225,7 @@ func New(ctx context.Context, cfg Config) (*Replica, error) {
 			SampleBenign: sample,
 		})
 		if err != nil {
-			r.closeStores()
-			cancel()
-			return nil, fmt.Errorf("serving: audit: %w", err)
+			return fail(fmt.Errorf("serving: audit: %w", err))
 		}
 		r.ledger = ledger
 		logger.Info("auditing decisions", "dir", cfg.AuditDir, "benign_sample", sample)
@@ -216,18 +236,13 @@ func New(ctx context.Context, cfg Config) (*Replica, error) {
 	// Read-only alias: the support-bundle capture path. GET /admin/model
 	// answers the same, but the alias keeps provenance reads apart from
 	// the push surface in access logs.
-	mux.HandleFunc("GET "+bundle.AdminModelInfoPath, r.handleAdminModelInfo)
+	mux.HandleFunc("GET "+bundle.AdminModelInfoPath, r.handleModelInfo)
 	// The self-snapshot endpoint is mounted above the warming catchall
 	// on purpose: a replica stuck warming is exactly the one an operator
 	// wants a bundle from.
 	mux.HandleFunc("GET /debug/bundle", r.handleBundle)
 	if cfg.Debug {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-		mux.Handle("GET /debug/vars", expvar.Handler())
+		MountProfiling(mux)
 	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		srv := r.srv.Load()
@@ -242,22 +257,16 @@ func New(ctx context.Context, cfg Config) (*Replica, error) {
 
 	if cfg.Model != nil {
 		if _, err := r.DeployModel(cfg.Model); err != nil {
-			r.closeStores()
-			cancel()
-			return nil, err
+			return fail(err)
 		}
 		r.srv.Load().SetModelTrainedAt(time.Now())
 	} else if cfg.Train || cfg.ModelPath != "" {
 		model, report, baseline, err := ObtainModel(ctx, cfg.Train, cfg.ModelPath, cfg.Sessions, cfg.Novelty, logger)
 		if err != nil {
-			r.closeStores()
-			cancel()
-			return nil, err
+			return fail(err)
 		}
 		if _, err := r.DeployModel(model); err != nil {
-			r.closeStores()
-			cancel()
-			return nil, err
+			return fail(err)
 		}
 		r.applyProvenance(report, baseline)
 		logger.Info("model ready",
@@ -274,13 +283,31 @@ func New(ctx context.Context, cfg Config) (*Replica, error) {
 	return r, nil
 }
 
-func (r *Replica) closeStores() {
+// MountProfiling mounts net/http/pprof and expvar on mux — the surface
+// Config.Debug adds to the serving listener and polygraphd keeps on its
+// separate -debug-addr one.
+func MountProfiling(mux *http.ServeMux) {
+	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	mux.Handle("GET /debug/vars", expvar.Handler())
+}
+
+// closeStores closes the journal and seals the audit ledger; both
+// closes are idempotent.
+func (r *Replica) closeStores() error {
+	var firstErr error
 	if r.journal != nil {
-		r.journal.Close()
+		firstErr = r.journal.Close()
 	}
 	if r.ledger != nil {
-		r.ledger.Close()
+		if err := r.ledger.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
+	return firstErr
 }
 
 // applyProvenance records where the deployed model came from: training
@@ -291,16 +318,19 @@ func (r *Replica) applyProvenance(report *core.TrainReport, baseline [][]float64
 	if srv == nil {
 		return
 	}
+	// Baseline before the trained-at stamp: a model must never read as
+	// older than the baseline of its own training run (the bundle
+	// analyzer's stale-model rule compares the two timestamps).
+	if mon := r.Drift(); mon != nil && baseline != nil {
+		if err := mon.SetBaseline(baseline, 0); err != nil {
+			r.logger.Warn("drift baseline rejected", "err", err.Error())
+		}
+	}
 	if report != nil {
 		srv.SetTrainStages(report.Stages)
 		srv.SetModelTrainedAt(time.Now())
 	} else if fi, err := os.Stat(r.cfg.ModelPath); err == nil {
 		srv.SetModelTrainedAt(fi.ModTime())
-	}
-	if r.driftMon != nil && baseline != nil {
-		if err := r.driftMon.SetBaseline(baseline, 0); err != nil {
-			r.logger.Warn("drift baseline rejected", "err", err.Error())
-		}
 	}
 }
 
@@ -344,6 +374,7 @@ func (r *Replica) DeployModel(m *core.Model) (string, error) {
 		Drift:           r.driftMon,
 		Journal:         r.journal,
 		Audit:           r.ledger,
+		ScoreDelay:      r.cfg.ScoreDelay,
 	})
 	if err != nil {
 		return "", fmt.Errorf("serving: server: %w", err)
@@ -369,23 +400,55 @@ func (r *Replica) DeployModel(m *core.Model) (string, error) {
 		r.sloEng.Store(eng)
 		go eng.Run(r.ctx, interval)
 	}
+	if r.cfg.TCPAddr != "" {
+		// AttachTCP puts the listener on srv's ingest core; only the
+		// tracer is its own to share.
+		tcp, err := collect.NewTCPServer(collect.Config{Model: m, Tracer: srv.Tracer()})
+		if err != nil {
+			return "", fmt.Errorf("serving: tcp listener: %w", err)
+		}
+		srv.AttachTCP(tcp)
+		r.tcp = tcp
+		r.serveTCP()
+	}
 	r.model.Store(m)
 	r.srv.Store(srv)
 	return srv.ModelHash(), nil
+}
+
+// serveTCP starts the framed listener once both halves exist: the
+// socket Start bound and the TCPServer the first deployment built,
+// whichever comes second (a warming replica binds first and accepts
+// nothing until a model arrives). deployMu must be held.
+func (r *Replica) serveTCP() {
+	if r.tcp == nil || r.tcpLn == nil {
+		return
+	}
+	tcp, ln := r.tcp, r.tcpLn
+	go func() {
+		if err := tcp.Serve(ln); err != nil {
+			r.logger.Error("tcp listener failed", "err", err.Error())
+		}
+	}()
+	r.logger.Info("listening (framed tcp)", "addr", ln.Addr().String())
 }
 
 // SLO returns the replica's burn-rate engine (nil until a model is
 // deployed with Config.SLOSpec set).
 func (r *Replica) SLO() *slo.Engine { return r.sloEng.Load() }
 
-// handleAdminModel is the distribution endpoint: POST deploys the model
-// serialized in the body and echoes the deployed identity, GET reports
-// the current one. The POST response hash is computed by the replica
-// from what it actually deserialized — a corrupted upload therefore
-// reports a different hash and the controller refuses the replica.
-// handleAdminModelInfo is the read-only provenance view
-// (GET /admin/model/info) — same body as GET /admin/model.
-func (r *Replica) handleAdminModelInfo(w http.ResponseWriter, req *http.Request) {
+// Drift returns the replica's drift monitor (nil until a model is
+// deployed with Config.DriftInterval set), so a rig can baseline it on
+// the vectors it trained on and force an Evaluate after a short run.
+func (r *Replica) Drift() *obs.DriftMonitor {
+	r.deployMu.Lock()
+	defer r.deployMu.Unlock()
+	return r.driftMon
+}
+
+// handleModelInfo is the read-only provenance view served at GET
+// /admin/model and its alias GET /admin/model/info.
+func (r *Replica) handleModelInfo(w http.ResponseWriter, req *http.Request) {
 	m := r.model.Load()
 	if m == nil {
 		http.Error(w, "no model deployed", http.StatusNotFound)
@@ -449,16 +512,15 @@ func (r *Replica) BundleTarget() bundle.Target {
 	}
 }
 
+// handleAdminModel is the distribution endpoint: POST deploys the model
+// serialized in the body and echoes the deployed identity, GET reports
+// the current one. The POST response hash is computed by the replica
+// from what it actually deserialized — a corrupted upload therefore
+// reports a different hash and the controller refuses the replica.
 func (r *Replica) handleAdminModel(w http.ResponseWriter, req *http.Request) {
 	switch req.Method {
 	case http.MethodGet:
-		m := r.model.Load()
-		if m == nil {
-			http.Error(w, "no model deployed", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(r.modelInfo(m))
+		r.handleModelInfo(w, req)
 	case http.MethodPost:
 		m, err := core.Load(io.LimitReader(req.Body, 64<<20))
 		if err != nil {
@@ -505,6 +567,17 @@ func (r *Replica) Start() error {
 	if err != nil {
 		return fmt.Errorf("serving: listen: %w", err)
 	}
+	if r.cfg.TCPAddr != "" {
+		tcpLn, err := net.Listen("tcp", r.cfg.TCPAddr)
+		if err != nil {
+			ln.Close()
+			return fmt.Errorf("serving: listen (framed tcp): %w", err)
+		}
+		r.deployMu.Lock()
+		r.tcpLn = tcpLn
+		r.serveTCP()
+		r.deployMu.Unlock()
+	}
 	r.ln = ln
 	r.httpSrv = &http.Server{
 		Handler:           r.mux,
@@ -546,6 +619,23 @@ func (r *Replica) BaseURL() string {
 	}
 	return "http://" + a
 }
+
+// TCPAddr returns the framed listener's bound address ("" before Start
+// or without Config.TCPAddr).
+func (r *Replica) TCPAddr() string {
+	r.deployMu.Lock()
+	defer r.deployMu.Unlock()
+	if r.tcpLn == nil {
+		return ""
+	}
+	return r.tcpLn.Addr().String()
+}
+
+// Handler returns the replica's serving mux — the admin and bundle
+// surface plus, once a model is deployed, every collect endpoint (503
+// until then). polygraphd forwards its debug listener's trace and
+// decision pages here so they resolve the collect server per request.
+func (r *Replica) Handler() http.Handler { return r.mux }
 
 // Name returns the replica's configured name.
 func (r *Replica) Name() string { return r.cfg.Name }
@@ -663,6 +753,7 @@ func (r *Replica) Kill() {
 	if r.httpSrv != nil {
 		r.httpSrv.Close()
 	}
+	r.closeTCP()
 	r.logger.Warn("replica killed")
 }
 
@@ -683,33 +774,42 @@ func (r *Replica) Drain() {
 		r.httpSrv.Shutdown(ctx)
 		cancel()
 	}
+	r.closeTCP()
 	r.logger.Warn("replica drained out of service")
 }
 
 // Killed reports whether Kill was called.
 func (r *Replica) Killed() bool { return r.killed.Load() }
 
-// Close shuts the replica down gracefully: drain the listener, stop the
-// drift loop, close the journal and seal the audit ledger.
+// closeTCP stops the framed listener: the TCPServer when one is serving
+// (closes the socket and live connections, waits for their handlers),
+// else the bare socket a replica that never left warming still holds.
+// The protocol has no in-band goodbye, so a drain and a kill look the
+// same to a framed client; both are idempotent.
+func (r *Replica) closeTCP() {
+	r.deployMu.Lock()
+	tcp, ln := r.tcp, r.tcpLn
+	r.deployMu.Unlock()
+	if tcp != nil {
+		tcp.Close()
+	} else if ln != nil {
+		ln.Close()
+	}
+}
+
+// Close shuts the replica down gracefully: drain the listeners, stop
+// the drift loop, close the journal and seal the audit ledger.
 func (r *Replica) Close() error {
 	var firstErr error
 	if r.httpSrv != nil && !r.killed.Load() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if err := r.httpSrv.Shutdown(ctx); err != nil {
-			firstErr = err
-		}
+		firstErr = r.httpSrv.Shutdown(ctx)
 		cancel()
 	}
+	r.closeTCP()
 	r.cancel()
-	if r.journal != nil {
-		if err := r.journal.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if r.ledger != nil {
-		if err := r.ledger.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if err := r.closeStores(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	return firstErr
 }

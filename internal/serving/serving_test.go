@@ -1,20 +1,30 @@
 package serving
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"polygraph/internal/audit"
+	"polygraph/internal/browser"
+	"polygraph/internal/collect"
 	"polygraph/internal/core"
+	"polygraph/internal/fingerprint"
 	"polygraph/internal/fleet"
 	"polygraph/internal/obs"
 	"polygraph/internal/slo"
+	"polygraph/internal/ua"
 )
 
 var (
@@ -321,5 +331,137 @@ func TestReplicaSLOEngine(t *testing.T) {
 	defer r2.Close()
 	if r2.SLO() != nil {
 		t.Fatal("engine attached without Config.SLOSpec")
+	}
+}
+
+// withoutRelease returns a copy of m that no longer lists rel in any
+// cluster, so a session honestly claiming rel mismatches under it.
+func withoutRelease(t *testing.T, m *core.Model, rel ua.Release) *core.Model {
+	t.Helper()
+	reload := func(m *core.Model) *core.Model {
+		var blob bytes.Buffer
+		if err := m.Save(&blob); err != nil {
+			t.Fatal(err)
+		}
+		out, err := core.Load(&blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	edited := reload(m)
+	c, ok := edited.UACluster[rel]
+	if !ok {
+		t.Fatalf("model does not know %v", rel)
+	}
+	edited.ClusterUAs[c] = slices.DeleteFunc(edited.ClusterUAs[c], func(r ua.Release) bool { return r == rel })
+	return reload(edited) // Load rebuilds UACluster and the score plan
+}
+
+// TestHotSwapReachesBothTransports: a warming replica with a framed
+// listener binds both sockets at Start, serves neither until the fleet
+// pushes model A, and a second push of model B changes the verdict —
+// and the audit hash — on HTTP and on TCP alike, because the listener
+// scores through the collect server's ingest core.
+func TestHotSwapReachesBothTransports(t *testing.T) {
+	modelA := trainedModel(t)
+	rel := ua.Release{Vendor: ua.Chrome, Version: 112}
+	modelB := withoutRelease(t, modelA, rel)
+	hashA, _ := modelA.Hash()
+	hashB, _ := modelB.Hash()
+	if hashA == hashB {
+		t.Fatal("edited model hashes like the original")
+	}
+
+	r, err := New(context.Background(), Config{
+		Name: "swap-0", Addr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0",
+		AuditDir: t.TempDir(), AuditSample: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if r.TCPAddr() == "" {
+		t.Fatal("warming replica did not bind its framed listener at Start")
+	}
+	b, err := fleet.NewBalancer(fleet.Config{Seed: 1}, fleet.Member{Name: "swap-0", BaseURL: r.BaseURL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func(m *core.Model) {
+		t.Helper()
+		if _, err := (&fleet.Controller{}).Distribute(context.Background(), b, m); err != nil {
+			t.Fatalf("distribute: %v", err)
+		}
+	}
+
+	ext := fingerprint.NewExtractor(browser.NewOracle(), modelA.Features)
+	payload := &fingerprint.Payload{
+		UserAgent: ua.UserAgent(rel, ua.Windows10),
+		Values:    fingerprint.VectorToValues(ext.Extract(browser.Profile{Release: rel, OS: ua.Windows10})),
+	}
+	push(modelA)
+	tcp, err := collect.DialTCP(r.TCPAddr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	// scoreBoth sends the session once per transport, HTTP first.
+	scoreBoth := func() (overHTTP, overTCP bool) {
+		t.Helper()
+		d, err := collect.NewClient(r.BaseURL()).Submit(context.Background(), payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, err := tcp.SubmitBatch([]*fingerprint.Payload{payload})
+		if err != nil || frames[0].Err {
+			t.Fatalf("frame: %+v, %v", frames, err)
+		}
+		return d.Flagged, frames[0].Flagged
+	}
+	if h, f := scoreBoth(); h || f {
+		t.Fatalf("model A flags an honest session: http %v tcp %v", h, f)
+	}
+	push(modelB)
+	if h, f := scoreBoth(); !h || !f {
+		t.Fatalf("after the push of model B: http flagged %v, tcp flagged %v, want both", h, f)
+	}
+
+	// The ledger carries four records, oldest first: A's verdicts, then
+	// B's, each pair one per transport and stamped with its model's hash.
+	resp, err := http.Get(r.BaseURL() + "/debug/decisions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var recs []audit.Record
+	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
+	type stamp struct {
+		endpoint, hash string
+		flagged        bool
+	}
+	var got []stamp
+	for _, rec := range recs {
+		got = append(got, stamp{rec.Endpoint, rec.ModelHash, rec.Verdict.Flagged})
+	}
+	want := []stamp{
+		{collect.EndpointBinary, hashA, false}, {collect.EndpointTCP, hashA, false},
+		{collect.EndpointBinary, hashB, true}, {collect.EndpointTCP, hashB, true},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("audit records\n got %+v\nwant %+v", got, want)
+	}
+
+	// A killed replica stops answering frames too.
+	r.Kill()
+	if c, err := collect.DialTCP(r.TCPAddr(), time.Second); err == nil {
+		c.Close()
+		t.Fatal("killed replica still accepts framed connections")
 	}
 }

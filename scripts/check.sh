@@ -4,9 +4,9 @@
 # Runs the gofmt gate, the tier-1 build+test pass (what CI and the
 # roadmap call "tier-1 green"), vet — of this module and of the
 # benchmark module under bench/, whose seam.go pins the symbols the
-# benchmark calls — the one-ingest-core guard, and the race-detector
-# pass that guards the internal/parallel worker-pool layer and the
-# collect hot-swap/stats paths. Usage:
+# benchmark calls — the one-ingest-core and one-daemon-wiring guards,
+# and the race-detector pass that guards the internal/parallel
+# worker-pool layer and the collect hot-swap/stats paths. Usage:
 #
 #   scripts/check.sh          # everything
 #   scripts/check.sh -short   # pass flags through to both test runs
@@ -44,6 +44,16 @@ echo "== one ingest core"
 for call in 'ScoreStringWith(' 'ExplainResult(' '.Observe('; do
     n=$(ls internal/collect/*.go | grep -v _test.go | xargs grep -F -- "$call" | wc -l)
     [ "$n" -eq 1 ] || { echo "check.sh: $n call sites of $call in internal/collect, want 1" >&2; exit 1; }
+done
+
+# One daemon wiring: internal/serving is the only place in cmd/ and
+# internal/ that constructs a collect server or its TCP listener, so
+# what loadgen gates is what polygraphd deploys.
+echo "== one daemon wiring"
+for call in 'collect.NewServer(' 'collect.NewTCPServer('; do
+    sites=$(grep -rnF --include='*.go' --exclude='*_test.go' -- "$call" cmd internal | cut -d: -f1)
+    [ "$sites" = internal/serving/serving.go ] || {
+        echo "check.sh: call sites of $call: $(echo $sites), want exactly one, in internal/serving/serving.go" >&2; exit 1; }
 done
 
 echo "== go test ./... $*"
