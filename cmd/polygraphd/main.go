@@ -7,6 +7,7 @@
 //	polygraphd -model model.json -addr :8080
 //	polygraphd -train -sessions 40000 -addr :8080   # train in-process first
 //	polygraphd -warm -addr :8080                    # fleet-managed: wait for a push
+//	polygraphd -model model.json -tcp-addr :9090    # also serve the framed TCP protocol
 //
 // With -warm the daemon boots without a model and fails closed: every
 // endpoint (including /healthz) answers 503 until the fleet control
@@ -59,42 +60,93 @@ import (
 	"polygraph/internal/slo"
 )
 
-func main() {
-	var (
-		addr          = flag.String("addr", ":8080", "listen address")
-		modelPath     = flag.String("model", "model.json", "trained model path")
-		train         = flag.Bool("train", false, "train a fresh model in-process instead of loading one")
-		warm          = flag.Bool("warm", false, "start without a model and wait for a fleet push (everything 503s until /admin/model deploys one)")
-		sessions      = flag.Int("sessions", 40000, "sessions to generate when -train is set")
-		journalDir    = flag.String("journal", "", "directory for the durable flagged-decision journal (empty = off)")
-		novelty       = flag.Bool("novelty", false, "arm the novelty guard when training with -train")
-		rateLimit     = flag.Float64("rate-limit", 0, "per-client-IP requests/second on the ingest endpoints (0 = off)")
-		reloadTimeout = flag.Duration("reload-timeout", 5*time.Minute, "deadline for a SIGHUP model reload/retrain")
-		logJSON       = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
-		debugAddr     = flag.String("debug-addr", "", "separate listener for pprof/expvar (empty = off)")
-		slowRequest   = flag.Duration("slow-request", 100*time.Millisecond, "log requests slower than this with their trace")
-		traceRing     = flag.Int("trace-ring", 256, "finished request traces retained for /debug/traces")
-		traceSeed     = flag.Uint64("trace-seed", 1, "seed for the deterministic trace-ID stream")
-		driftInterval = flag.Duration("drift-interval", time.Minute, "period of the live feature-drift PSI evaluation (0 = off)")
-		driftRes      = flag.Int("drift-reservoir", 512, "feature vectors sampled from live traffic for drift PSI")
-		auditDir      = flag.String("audit-dir", "", "directory for the checksummed decision audit ledger (empty = off)")
-		auditSample   = flag.Int("audit-sample", 1, "record every Nth benign decision in the audit ledger (flagged always recorded)")
-		auditMaxBytes = flag.Int64("audit-max-bytes", 0, "rotate audit-ledger segments beyond this size (0 = 16 MiB default)")
-		sloSpecPath   = flag.String("slo-spec", "", "SLO spec JSON for burn-rate alerting (empty = the built-in spec)")
-		sloInterval   = flag.Duration("slo-interval", 10*time.Second, "SLO engine tick period (0 disables the engine)")
-		version       = flag.Bool("version", false, "print build info (and the model hash when -model loads) and exit")
-	)
-	flag.Parse()
+// options is the command line: the replica's configuration (everything
+// but the logger) and what main itself acts on.
+type options struct {
+	replica   serving.Config
+	train     bool
+	modelPath string
+	debugAddr string
+	logJSON   bool
+	version   bool
+}
 
-	if *version {
+// parseFlags turns the command line into the replica configuration main
+// boots, so a test can boot the same replica from the same flags.
+func parseFlags(args []string) (*options, error) {
+	o := &options{}
+	c := &o.replica
+	c.Name = "polygraphd"
+	fs := flag.NewFlagSet("polygraphd", flag.ContinueOnError)
+	fs.StringVar(&c.Addr, "addr", ":8080", "listen address")
+	fs.StringVar(&c.TCPAddr, "tcp-addr", "", "also serve the framed TCP protocol (length-prefixed binary payloads, pipelined frames scored as one batch) on this address (empty = off)")
+	fs.StringVar(&o.modelPath, "model", "model.json", "trained model path")
+	fs.BoolVar(&o.train, "train", false, "train a fresh model in-process instead of loading one")
+	warm := fs.Bool("warm", false, "start without a model and wait for a fleet push (everything 503s until /admin/model deploys one)")
+	fs.IntVar(&c.Sessions, "sessions", 40000, "sessions to generate when -train is set")
+	fs.StringVar(&c.JournalDir, "journal", "", "directory for the durable flagged-decision journal (empty = off)")
+	fs.BoolVar(&c.Novelty, "novelty", false, "arm the novelty guard when training with -train")
+	fs.Float64Var(&c.RateLimitPerSec, "rate-limit", 0, "per-client-IP requests/second on the ingest endpoints (0 = off)")
+	fs.DurationVar(&c.ReloadTimeout, "reload-timeout", 5*time.Minute, "deadline for a SIGHUP model reload/retrain")
+	fs.BoolVar(&o.logJSON, "log-json", false, "emit structured logs as JSON instead of text")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listener for pprof/expvar (empty = off)")
+	fs.DurationVar(&c.SlowRequest, "slow-request", 100*time.Millisecond, "log requests slower than this with their trace")
+	fs.IntVar(&c.TraceRingSize, "trace-ring", 256, "finished request traces retained for /debug/traces")
+	fs.Uint64Var(&c.TraceSeed, "trace-seed", 1, "seed for the deterministic trace-ID stream")
+	fs.DurationVar(&c.DriftInterval, "drift-interval", time.Minute, "period of the live feature-drift PSI evaluation (0 = off)")
+	fs.IntVar(&c.DriftReservoir, "drift-reservoir", 512, "feature vectors sampled from live traffic for drift PSI")
+	fs.StringVar(&c.AuditDir, "audit-dir", "", "directory for the checksummed decision audit ledger (empty = off)")
+	fs.IntVar(&c.AuditSample, "audit-sample", 1, "record every Nth benign decision in the audit ledger (flagged always recorded)")
+	fs.Int64Var(&c.AuditMaxBytes, "audit-max-bytes", 0, "rotate audit-ledger segments beyond this size (0 = 16 MiB default)")
+	sloSpecPath := fs.String("slo-spec", "", "SLO spec JSON for burn-rate alerting (empty = the built-in spec)")
+	fs.DurationVar(&c.SLOInterval, "slo-interval", 10*time.Second, "SLO engine tick period (0 disables the engine)")
+	fs.BoolVar(&o.version, "version", false, "print build info (and the model hash when -model loads) and exit")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	c.Train, c.ModelPath = o.train, o.modelPath
+	if *warm {
+		if o.train {
+			return nil, errors.New("-warm and -train are mutually exclusive")
+		}
+		c.Train, c.ModelPath = false, ""
+	}
+	// Burn-rate alerting is on by default with the built-in spec; the
+	// engine arms itself on the first model deployment and serves GET
+	// /debug/slo plus the polygraph_slo_* families from then on.
+	if c.SLOInterval > 0 {
+		c.SLOSpec = slo.DefaultSpec()
+		if *sloSpecPath != "" {
+			loaded, err := slo.LoadSpec(*sloSpecPath)
+			if err != nil {
+				return nil, fmt.Errorf("slo: %w", err)
+			}
+			c.SLOSpec = loaded
+		}
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "polygraphd:", err)
+		os.Exit(2)
+	}
+
+	if o.version {
 		fmt.Println(obs.Version("polygraphd"))
 		// When a model file is on hand, print its hash too — the identity
 		// the fleet control plane verifies across replicas.
-		if !*train {
-			if f, err := os.Open(*modelPath); err == nil {
+		if !o.train {
+			if f, err := os.Open(o.modelPath); err == nil {
 				if m, err := core.Load(f); err == nil {
 					if h, err := m.Hash(); err == nil {
-						fmt.Printf("model %s %s\n", *modelPath, h)
+						fmt.Printf("model %s %s\n", o.modelPath, h)
 					}
 				}
 				f.Close()
@@ -103,7 +155,7 @@ func main() {
 		return
 	}
 
-	logger := obs.NewLogger(os.Stderr, *logJSON).With("app", "polygraphd")
+	logger := obs.NewLogger(os.Stderr, o.logJSON).With("app", "polygraphd")
 	fatalf := func(format string, args ...any) {
 		logger.Error(fmt.Sprintf(format, args...))
 		os.Exit(1)
@@ -115,49 +167,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfgTrain, cfgModelPath := *train, *modelPath
-	if *warm {
-		if *train {
-			fatalf("-warm and -train are mutually exclusive")
-		}
-		cfgTrain, cfgModelPath = false, ""
-	}
-	// Burn-rate alerting is on by default with the built-in spec; the
-	// engine arms itself on the first model deployment and serves GET
-	// /debug/slo plus the polygraph_slo_* families from then on.
-	var sloSpec *slo.Spec
-	if *sloInterval > 0 {
-		sloSpec = slo.DefaultSpec()
-		if *sloSpecPath != "" {
-			loaded, err := slo.LoadSpec(*sloSpecPath)
-			if err != nil {
-				fatalf("slo: %v", err)
-			}
-			sloSpec = loaded
-		}
-	}
-	replica, err := serving.New(ctx, serving.Config{
-		Name:            "polygraphd",
-		Addr:            *addr,
-		Train:           cfgTrain,
-		ModelPath:       cfgModelPath,
-		Sessions:        *sessions,
-		Novelty:         *novelty,
-		RateLimitPerSec: *rateLimit,
-		ReloadTimeout:   *reloadTimeout,
-		JournalDir:      *journalDir,
-		AuditDir:        *auditDir,
-		AuditSample:     *auditSample,
-		AuditMaxBytes:   *auditMaxBytes,
-		DriftInterval:   *driftInterval,
-		DriftReservoir:  *driftRes,
-		TraceRingSize:   *traceRing,
-		TraceSeed:       *traceSeed,
-		SlowRequest:     *slowRequest,
-		SLOSpec:         sloSpec,
-		SLOInterval:     *sloInterval,
-		Logger:          logger,
-	})
+	o.replica.Logger = logger
+	replica, err := serving.New(ctx, o.replica)
 	if err != nil {
 		if errors.Is(err, core.ErrCanceled) {
 			fatalf("model: startup interrupted: %v", err)
@@ -172,9 +183,9 @@ func main() {
 	// pprof surface never faces ingest traffic (and can bind loopback
 	// while the service binds a VIP).
 	var debugSrv *http.Server
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		debugSrv = &http.Server{
-			Addr:              *debugAddr,
+			Addr:              o.debugAddr,
 			Handler:           debugMux(replica),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
@@ -183,7 +194,7 @@ func main() {
 				logger.Error("debug listener failed", "err", err.Error())
 			}
 		}()
-		logger.Info("debug listener up", "addr", *debugAddr)
+		logger.Info("debug listener up", "addr", o.debugAddr)
 	}
 
 	hup := make(chan os.Signal, 1)
@@ -200,8 +211,8 @@ loop:
 		case <-hup:
 			if err := replica.RotateAudit(); err != nil {
 				logger.Warn("audit rotate failed", "err", err.Error())
-			} else if *auditDir != "" {
-				logger.Info("audit ledger rotated", "dir", *auditDir)
+			} else if o.replica.AuditDir != "" {
+				logger.Info("audit ledger rotated", "dir", o.replica.AuditDir)
 			}
 			replica.TriggerReload()
 		case <-ctx.Done():

@@ -5,11 +5,76 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	"polygraph/internal/browser"
+	"polygraph/internal/collect"
+	"polygraph/internal/fingerprint"
 	"polygraph/internal/fleet"
 	"polygraph/internal/obs"
 	"polygraph/internal/serving"
+	"polygraph/internal/ua"
 )
+
+// TestTCPAddrFlag boots the replica main boots from `-warm -tcp-addr`:
+// the framed listener holds the flag-bound port from Start on but
+// answers nothing while the replica warms, and scores a frame once the
+// fleet has pushed a model.
+func TestTCPAddrFlag(t *testing.T) {
+	o, err := parseFlags([]string{"-warm", "-addr", "127.0.0.1:0", "-tcp-addr", "127.0.0.1:0", "-audit-dir", t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := serving.New(context.Background(), o.replica)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	if err := replica.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if replica.TCPAddr() == "" {
+		t.Fatal("-tcp-addr bound no framed listener")
+	}
+
+	model, _, _, err := serving.ObtainModel(context.Background(), true, "", 6000, false, obs.NewLogger(nil, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := ua.Release{Vendor: ua.Chrome, Version: 112}
+	ext := fingerprint.NewExtractor(browser.NewOracle(), model.Features)
+	frame := []*fingerprint.Payload{{
+		UserAgent: ua.UserAgent(rel, ua.Windows10),
+		Values:    fingerprint.VectorToValues(ext.Extract(browser.Profile{Release: rel, OS: ua.Windows10})),
+	}}
+
+	early, err := collect.DialTCP(replica.TCPAddr(), time.Second)
+	if err != nil {
+		t.Fatalf("warming replica does not hold its framed port: %v", err)
+	}
+	early.ReadTimeout = 200 * time.Millisecond
+	if got, err := early.SubmitBatch(frame); err == nil {
+		t.Fatalf("warming replica answered a frame: %+v", got)
+	}
+	early.Close()
+
+	b, err := fleet.NewBalancer(fleet.Config{Seed: 1}, fleet.Member{Name: "polygraphd", BaseURL: replica.BaseURL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&fleet.Controller{}).Distribute(context.Background(), b, model); err != nil {
+		t.Fatal(err)
+	}
+	tcp, err := collect.DialTCP(replica.TCPAddr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	got, err := tcp.SubmitBatch(frame)
+	if err != nil || len(got) != 1 || got[0].Err || got[0].Flagged {
+		t.Fatalf("frame over the -tcp-addr port: %+v, %v", got, err)
+	}
+}
 
 // TestDebugMuxFollowsWarmReplica boots the -warm shape: the debug
 // listener's mux is built while the replica has no collect server, must

@@ -33,12 +33,14 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"encoding/json"
 
 	"polygraph/internal/core"
+	"polygraph/internal/jsonappend"
 )
 
 // MaxRecordBytes bounds one framed record body; a length prefix beyond
@@ -82,6 +84,77 @@ type Record struct {
 	VectorSHA256 string `json:"vector_sha256,omitempty"`
 	// VectorDim is the dropped Vector's width.
 	VectorDim int `json:"vector_dim,omitempty"`
+}
+
+// recordHead opens every encoded record; the sequence number follows it.
+const recordHead = `{"seq":`
+
+// appendAfterSeq appends everything of rec's JSON that follows the
+// sequence number, byte for byte as json.Marshal writes it (readers
+// decode records with encoding/json; TestRecordEncodeParity and its
+// fuzz twin hold the two together): recordHead, rec.Seq in decimal and
+// the bytes appended here are json.Marshal(rec). The split is what lets
+// Append encode before it takes the ledger lock — only Seq is assigned
+// under it. A json-tagged field added to Record needs its line here. A
+// non-finite float is the one error, the same one json.Marshal reports.
+func (rec *Record) appendAfterSeq(dst []byte) ([]byte, error) {
+	var err error
+	if rec.TimeNs != 0 {
+		dst = append(dst, `,"time_ns":`...)
+		dst = strconv.AppendInt(dst, rec.TimeNs, 10)
+	}
+	if rec.TraceID != "" {
+		dst = append(dst, `,"trace_id":`...)
+		dst = jsonappend.String(dst, rec.TraceID)
+	}
+	if rec.ModelHash != "" {
+		dst = append(dst, `,"model_hash":`...)
+		dst = jsonappend.String(dst, rec.ModelHash)
+	}
+	if rec.SessionID != "" {
+		dst = append(dst, `,"session_id":`...)
+		dst = jsonappend.String(dst, rec.SessionID)
+	}
+	dst = append(dst, `,"ua":`...)
+	dst = jsonappend.String(dst, rec.UserAgent)
+	if rec.Endpoint != "" {
+		dst = append(dst, `,"endpoint":`...)
+		dst = jsonappend.String(dst, rec.Endpoint)
+	}
+	if len(rec.Vector) > 0 {
+		dst = append(dst, `,"vector":[`...)
+		for i, f := range rec.Vector {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = jsonappend.Float(dst, f); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"verdict":`...)
+	if dst, err = rec.Verdict.AppendJSON(dst); err != nil {
+		return dst, err
+	}
+	if rec.Explanation != nil {
+		dst = append(dst, `,"explanation":`...)
+		if dst, err = rec.Explanation.AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	if rec.Redacted {
+		dst = append(dst, `,"redacted":true`...)
+	}
+	if rec.VectorSHA256 != "" {
+		dst = append(dst, `,"vector_sha256":`...)
+		dst = jsonappend.String(dst, rec.VectorSHA256)
+	}
+	if rec.VectorDim != 0 {
+		dst = append(dst, `,"vector_dim":`...)
+		dst = strconv.AppendInt(dst, int64(rec.VectorDim), 10)
+	}
+	return append(dst, '}'), nil
 }
 
 // Config parameterizes a ledger.
@@ -133,6 +206,11 @@ type Ledger struct {
 	segSeq int
 	seq    uint64 // next record sequence number
 	closed bool
+	// lead is writeFrame's scratch: the 8-byte frame header and the
+	// record's opening up to the sequence number (at most 20 digits),
+	// which go out in one write. A local array would escape to the heap
+	// through the writer.
+	lead [8 + len(recordHead) + 20]byte
 
 	ringMu sync.Mutex
 	ring   []Record
@@ -322,51 +400,68 @@ func (l *Ledger) Record(rec Record) error {
 	return l.Append(rec)
 }
 
-// Append writes one admitted record unconditionally — pair it with
-// Admit, or use Record for the combined path.
-func (l *Ledger) Append(rec Record) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		l.dropped.Add(1)
-		return fmt.Errorf("audit: ledger closed")
-	}
-	rec.Seq = l.seq
-	body, err := json.Marshal(&rec)
-	if err != nil {
-		l.mu.Unlock()
-		l.dropped.Add(1)
-		return fmt.Errorf("audit: marshal record: %w", err)
-	}
-	frame := int64(8 + len(body))
-	if l.size+frame > l.maxBytes && l.size > 0 {
-		if err := l.rotateLocked(); err != nil {
-			l.mu.Unlock()
-			l.dropped.Add(1)
-			return err
-		}
-	}
-	var head [8]byte
-	binary.BigEndian.PutUint32(head[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(head[4:], crc32.ChecksumIEEE(body))
-	if _, err := l.writer.Write(head[:]); err != nil {
-		l.mu.Unlock()
-		l.dropped.Add(1)
-		return fmt.Errorf("audit: write frame: %w", err)
-	}
-	if _, err := l.writer.Write(body); err != nil {
-		l.mu.Unlock()
-		l.dropped.Add(1)
-		return fmt.Errorf("audit: write frame: %w", err)
-	}
-	l.size += frame
-	l.seq++
-	l.mu.Unlock()
+// encodeBufs recycles the buffers records are encoded into; a record of
+// the serving tier is about 2.2 KB.
+var encodeBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4096)
+	return &b
+}}
 
+// Append writes one admitted record unconditionally — pair it with
+// Admit, or use Record for the combined path. The record is encoded
+// before the ledger lock is taken, so concurrent appenders serialise on
+// the sequence number, the checksum and two buffered writes, not on
+// each other's encoding.
+func (l *Ledger) Append(rec Record) error {
+	buf := encodeBufs.Get().(*[]byte)
+	rest, err := rec.appendAfterSeq((*buf)[:0])
+	var frame int64
+	if err != nil {
+		err = fmt.Errorf("audit: marshal record: %w", err)
+	} else {
+		frame, err = l.writeFrame(&rec, rest)
+	}
+	*buf = rest
+	encodeBufs.Put(buf)
+	if err != nil {
+		l.dropped.Add(1)
+		return err
+	}
 	l.records.Add(1)
 	l.bytes.Add(frame)
 	l.remember(rec)
 	return nil
+}
+
+// writeFrame is Append's critical section: it assigns rec.Seq, frames
+// recordHead + Seq + rest (rotating first when the frame would overflow
+// the segment) and returns the framed size.
+func (l *Ledger) writeFrame(rec *Record, rest []byte) (int64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, fmt.Errorf("audit: ledger closed")
+	}
+	rec.Seq = l.seq
+	head := strconv.AppendUint(append(l.lead[:8], recordHead...), rec.Seq, 10)
+	n := len(head) - 8 + len(rest)
+	frame := int64(8 + n)
+	if l.size+frame > l.maxBytes && l.size > 0 {
+		if err := l.rotateLocked(); err != nil {
+			return 0, err
+		}
+	}
+	binary.BigEndian.PutUint32(head[:4], uint32(n))
+	binary.BigEndian.PutUint32(head[4:8], crc32.Update(crc32.ChecksumIEEE(head[8:]), crc32.IEEETable, rest))
+	if _, err := l.writer.Write(head); err != nil {
+		return 0, fmt.Errorf("audit: write frame: %w", err)
+	}
+	if _, err := l.writer.Write(rest); err != nil {
+		return 0, fmt.Errorf("audit: write frame: %w", err)
+	}
+	l.size += frame
+	l.seq++
+	return frame, nil
 }
 
 // remember keeps the record in the recent ring for /debug/decisions.

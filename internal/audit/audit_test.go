@@ -2,6 +2,7 @@ package audit
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -350,8 +351,12 @@ func TestLedgerRecentFilters(t *testing.T) {
 }
 
 // TestLedgerConcurrencyHammer races writers against rotation and ring
-// reads; run with -race. Afterwards the ledger must scan clean and
-// account for every record.
+// reads; run with -race. Records are encoded outside the ledger lock and
+// numbered inside it, so afterwards the ledger must scan clean (every
+// checksum covers the sequence number it was framed with), the on-disk
+// sequence must run 0, 1, 2, … without a gap across the segments, and
+// every submitted record — the unencodable ones included — must be
+// counted exactly once as recorded or dropped.
 func TestLedgerConcurrencyHammer(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(Config{Dir: dir, MaxBytes: 4096, SampleBenign: 3, RingSize: 32})
@@ -366,6 +371,14 @@ func TestLedgerConcurrencyHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				rec := testRecord(i%2 == 0, fmt.Sprintf("w%d-%d", w, i))
+				if i%50 == 0 {
+					// Flagged, so admitted; fails in the encoder.
+					rec.Vector = []float64{1, math.NaN()}
+					if err := l.Record(rec); err == nil {
+						t.Errorf("NaN record appended")
+					}
+					continue
+				}
 				if err := l.Record(rec); err != nil {
 					t.Errorf("record: %v", err)
 					return
@@ -409,12 +422,15 @@ func TestLedgerConcurrencyHammer(t *testing.T) {
 	if int64(stats.Records) != c.Records {
 		t.Fatalf("on-disk records %d, counter %d", stats.Records, c.Records)
 	}
-	seen := make(map[uint64]bool)
+	if unencodable := int64(writers * perWriter / 50); c.Dropped < unencodable {
+		t.Fatalf("dropped %d, below the %d unencodable records", c.Dropped, unencodable)
+	}
+	var next uint64
 	if _, err := Scan(dir, "", func(r Record) error {
-		if seen[r.Seq] {
-			return fmt.Errorf("duplicate seq %d", r.Seq)
+		if r.Seq != next {
+			return fmt.Errorf("seq %d on disk where %d belongs", r.Seq, next)
 		}
-		seen[r.Seq] = true
+		next++
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -449,6 +465,25 @@ func TestSegmentsOrder(t *testing.T) {
 	for i := range want {
 		if segments[i] != want[i] {
 			t.Fatalf("segment %d = %q, want %q", i, segments[i], want[i])
+		}
+	}
+}
+
+// BenchmarkLedgerAppend is one admitted record of the serving tier's
+// shape (28-feature vector, full explanation, ≈2.2 KB) encoded, framed
+// and buffered. scripts/benchgate.sh gates its allocs/op.
+func BenchmarkLedgerAppend(b *testing.B) {
+	l, err := Open(Config{Dir: b.TempDir(), MaxBytes: 1 << 40})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	rec := servingRecord()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := l.Append(rec); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -59,8 +59,12 @@ type coalescer struct {
 	frameBuf []byte
 	ends     []int
 
-	buf    *scoreBuf
-	lenBuf [4]byte
+	buf *scoreBuf
+	// payload is what every frame of the connection is decoded into; the
+	// ingest core keeps nothing of it but the user-agent string, which
+	// each decode allocates anew.
+	payload fingerprint.Payload
+	lenBuf  [4]byte
 }
 
 // frame returns the byte view of frame i in the current batch.
@@ -177,11 +181,11 @@ func (c *coalescer) serve() bool {
 // the payload to the ingest core, count, and encode the 21-byte reply.
 // It reports the trace status ("ok" or the reject reason).
 func (c *coalescer) serveFrame(tr *obs.Trace, data []byte) (reply [tcpReplySize]byte, status string) {
-	payload, reason, err := decodeBinaryPayload(data)
+	reason, err := decodeBinaryPayload(&c.payload, data)
 	var res core.Result
 	if err == nil {
-		copy(reply[:fingerprint.SessionIDSize], payload.SessionID[:])
-		res, _, reason, err = c.s.score(tr, c.buf, payload, false)
+		copy(reply[:fingerprint.SessionIDSize], c.payload.SessionID[:])
+		res, _, reason, err = c.s.score(tr, c.buf, &c.payload, false)
 	}
 	if err != nil {
 		reply[tcpReplySize-1] = tcpErrorFlag

@@ -362,20 +362,18 @@ func (s *Server) serveCollect(w http.ResponseWriter, r *http.Request, endpoint s
 	s.tracer.Finish(tr, status)
 }
 
-// payloadDecoder turns a bounded request body into a payload, or
-// reports the reject reason.
-type payloadDecoder func(body []byte) (*fingerprint.Payload, rejectReason, error)
+// payloadDecoder decodes a bounded request body into p, overwriting
+// every field, or reports the reject reason.
+type payloadDecoder func(p *fingerprint.Payload, body []byte) (rejectReason, error)
 
-func decodeBinaryPayload(body []byte) (*fingerprint.Payload, rejectReason, error) {
-	payload, err := fingerprint.UnmarshalBinary(body)
-	if err != nil {
-		reason := reasonDecode
+func decodeBinaryPayload(p *fingerprint.Payload, body []byte) (rejectReason, error) {
+	if err := p.UnmarshalBinary(body); err != nil {
 		if errors.Is(err, fingerprint.ErrBadVersion) {
-			reason = reasonBadVersion
+			return reasonBadVersion, err
 		}
-		return nil, reason, err
+		return reasonDecode, err
 	}
-	return payload, 0, nil
+	return 0, nil
 }
 
 // jsonPayload is the sendBeacon-friendly JSON frame the script posts.
@@ -385,16 +383,16 @@ type jsonPayload struct {
 	Values    []int64 `json:"v"`
 }
 
-func decodeJSONPayload(body []byte) (*fingerprint.Payload, rejectReason, error) {
+func decodeJSONPayload(p *fingerprint.Payload, body []byte) (rejectReason, error) {
 	var jp jsonPayload
 	if err := json.Unmarshal(body, &jp); err != nil {
-		return nil, reasonBadJSON, err
+		return reasonBadJSON, err
 	}
-	payload := &fingerprint.Payload{UserAgent: jp.UserAgent, Values: jp.Values}
+	*p = fingerprint.Payload{UserAgent: jp.UserAgent, Values: jp.Values}
 	if sid, err := hex.DecodeString(jp.SessionID); err == nil && len(sid) == fingerprint.SessionIDSize {
-		copy(payload.SessionID[:], sid)
+		copy(p.SessionID[:], sid)
 	}
-	return payload, 0, nil
+	return 0, nil
 }
 
 // collectOne handles one ingest request under an open trace and returns
@@ -416,7 +414,10 @@ func (s *Server) collectOne(ctx context.Context, w http.ResponseWriter, r *http.
 		s.reject(w, tr, http.StatusRequestEntityTooLarge, reasonTooLarge, "body over %d bytes", s.maxLen)
 		return reasonNames[reasonTooLarge]
 	}
-	payload, reason, err := decode(body)
+	// A fresh Payload per request: reusing one across requests is the
+	// TCP listener's saving, and HTTP's waits on ROADMAP item 1's note.
+	payload := new(fingerprint.Payload)
+	reason, err := decode(payload, body)
 	endDecode()
 	if err != nil {
 		s.reject(w, tr, http.StatusBadRequest, reason, "payload: %v", err)

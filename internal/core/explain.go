@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"math"
+	"strconv"
 	"sync"
 
+	"polygraph/internal/jsonappend"
 	"polygraph/internal/parallel"
 	"polygraph/internal/pipeline"
 	"polygraph/internal/ua"
@@ -57,6 +59,43 @@ func (v Verdict) Result() Result {
 		Novel:        v.Novel,
 		NoveltyScore: v.NoveltyScore,
 	}
+}
+
+// AppendJSON appends v byte for byte as json.Marshal(v) writes it. The
+// audit ledger encodes every record through the AppendJSON methods of
+// this file instead of reflection; a json-tagged field added to one of
+// these types needs its line in the method below it
+// (audit.TestRecordEncodeParity fails until it has one). A non-finite
+// float is the one error, the same one json.Marshal reports.
+func (v Verdict) AppendJSON(dst []byte) ([]byte, error) {
+	var err error
+	dst = append(dst, `{"cluster":`...)
+	dst = strconv.AppendInt(dst, int64(v.Cluster), 10)
+	dst = append(dst, `,"matched":`...)
+	dst = strconv.AppendBool(dst, v.Matched)
+	dst = append(dst, `,"risk_factor":`...)
+	dst = strconv.AppendInt(dst, int64(v.RiskFactor), 10)
+	if v.Novel {
+		dst = append(dst, `,"novel":true`...)
+	}
+	if v.NoveltyScore != 0 {
+		dst = append(dst, `,"novelty_score":`...)
+		dst = appendFloat(dst, v.NoveltyScore, &err)
+	}
+	dst = append(dst, `,"flagged":`...)
+	dst = strconv.AppendBool(dst, v.Flagged)
+	return append(dst, '}'), err
+}
+
+// appendFloat appends f and keeps the first error of an encoding in
+// *first, so an encoder reports what json.Marshal would: the first
+// non-finite value in field order.
+func appendFloat(dst []byte, f float64, first *error) []byte {
+	dst, err := jsonappend.Float(dst, f)
+	if err != nil && *first == nil {
+		*first = err
+	}
+	return dst
 }
 
 // FeatureZ is one feature's standardized contribution: the raw reported
@@ -141,6 +180,110 @@ type Explanation struct {
 	Novelty NoveltyExplanation `json:"novelty"`
 }
 
+// AppendJSON appends ex byte for byte as json.Marshal(ex) writes it (see
+// Verdict.AppendJSON).
+func (ex *Explanation) AppendJSON(dst []byte) ([]byte, error) {
+	if ex == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, `{"schema":`...)
+	dst = strconv.AppendInt(dst, int64(ex.Schema), 10)
+	dst = append(dst, `,"verdict":`...)
+	dst, err := ex.Verdict.AppendJSON(dst)
+	dst = append(dst, `,"claim":`...)
+	dst = jsonappend.String(dst, ex.Claim)
+	dst = append(dst, `,"claim_parsed":`...)
+	dst = strconv.AppendBool(dst, ex.ClaimParsed)
+
+	dst = append(dst, `,"top_features":`...)
+	if ex.TopFeatures == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, f := range ex.TopFeatures {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"name":`...)
+			dst = jsonappend.String(dst, f.Name)
+			dst = append(dst, `,"raw":`...)
+			dst = appendFloat(dst, f.Raw, &err)
+			dst = append(dst, `,"z":`...)
+			dst = appendFloat(dst, f.Z, &err)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+
+	dst = append(dst, `,"components":`...)
+	if ex.Components == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, c := range ex.Components {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"component":`...)
+			dst = strconv.AppendInt(dst, int64(c.Component), 10)
+			dst = append(dst, `,"value":`...)
+			dst = appendFloat(dst, c.Value, &err)
+			dst = append(dst, `,"delta":`...)
+			dst = appendFloat(dst, c.Delta, &err)
+			dst = append(dst, `,"share":`...)
+			dst = appendFloat(dst, c.Share, &err)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+
+	dst = append(dst, `,"centroids":`...)
+	if ex.Centroids == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, c := range ex.Centroids {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"cluster":`...)
+			dst = strconv.AppendInt(dst, int64(c.Cluster), 10)
+			dst = append(dst, `,"distance":`...)
+			dst = appendFloat(dst, c.Distance, &err)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+
+	if ex.ClusterUAs != "" {
+		dst = append(dst, `,"cluster_uas":`...)
+		dst = jsonappend.String(dst, ex.ClusterUAs)
+	}
+	dst = append(dst, `,"frequent_cluster":`...)
+	dst = strconv.AppendBool(dst, ex.Frequent)
+	if nc := ex.NearestClaim; nc != nil {
+		dst = append(dst, `,"nearest_claim":{"ua":`...)
+		dst = jsonappend.String(dst, nc.UserAgent)
+		dst = append(dst, `,"distance":`...)
+		dst = strconv.AppendInt(dst, int64(nc.Distance), 10)
+		dst = append(dst, '}')
+	}
+
+	dst = append(dst, `,"novelty":{"armed":`...)
+	dst = strconv.AppendBool(dst, ex.Novelty.Armed)
+	if ex.Novelty.Threshold != 0 {
+		dst = append(dst, `,"threshold":`...)
+		dst = appendFloat(dst, ex.Novelty.Threshold, &err)
+	}
+	if ex.Novelty.Score != 0 {
+		dst = append(dst, `,"score":`...)
+		dst = appendFloat(dst, ex.Novelty.Score, &err)
+	}
+	dst = append(dst, `,"tripped":`...)
+	dst = strconv.AppendBool(dst, ex.Novelty.Tripped)
+	return append(dst, '}', '}'), err
+}
+
 // Explain scores one session and decomposes the verdict. topK ≤ 0 uses
 // DefaultExplainTopK. The embedded Verdict is computed by the exact
 // Score code path, so Explain(v, c).Verdict always equals
@@ -189,125 +332,144 @@ func (m *Model) ExplainResult(vector []float64, userAgent string, res Result, to
 	return m.explain(vector, claimed.String(), claimed, true, res, topK)
 }
 
-// explain builds the decomposition around an already-computed Result.
+// explained is the one heap block behind an Explanation: the struct, the
+// ClaimDistance it may point at, and the two topK-bounded lists at their
+// default bound. A caller asking for more than DefaultExplainTopK gets
+// those two from make; the centroid list is as long as the model has
+// clusters and is always its own slice.
+type explained struct {
+	ex       Explanation
+	nearest  ClaimDistance
+	features [DefaultExplainTopK]FeatureZ
+	comps    [DefaultExplainTopK]ComponentShare
+}
+
+// explain builds the decomposition around an already-computed Result,
+// from the flattened plan: the scaled and projected vectors land in
+// pooled scratch with the arithmetic scoring uses, and the feature
+// names, cluster labels and member names are the plan's. Every ordering
+// below is a stable insertion, so ties keep ascending index and the
+// output is a pure function of the input.
 func (m *Model) explain(vector []float64, claim string, claimed ua.Release, parsed bool, res Result, topK int) (*Explanation, error) {
 	if topK <= 0 {
 		topK = DefaultExplainTopK
 	}
-	scaled, err := m.Scaler.TransformVec(vector)
-	if err != nil {
-		return nil, err
+	p := m.scorePlanNow()
+	if !p.valid {
+		return nil, fmt.Errorf("core: %w: cannot explain on a model whose components disagree on their dimensions", ErrBadInput)
 	}
-	x := scaled
-	if m.PCA != nil {
-		proj, err := m.PCA.TransformVec(scaled)
-		if err != nil {
-			return nil, err
-		}
-		x = proj
+	if len(vector) != p.dim {
+		return nil, fmt.Errorf("core: vector has %d features, model expects %d", len(vector), p.dim)
 	}
+	if res.Cluster < 0 || res.Cluster >= p.k {
+		return nil, fmt.Errorf("core: %w: verdict names cluster %d of %d", ErrBadInput, res.Cluster, p.k)
+	}
+	s := p.getScratch()
+	defer p.putScratch(s)
+	x := p.transform(s, vector)
+	scaled := s.scaled[:p.dim]
 
-	ex := &Explanation{
+	out := &explained{ex: Explanation{
 		Schema:      ExplanationSchema,
 		Verdict:     VerdictOf(res),
 		Claim:       claim,
 		ClaimParsed: parsed,
-	}
+		Novelty: NoveltyExplanation{
+			Armed:     m.NoveltyThreshold > 0,
+			Threshold: m.NoveltyThreshold,
+			Score:     res.NoveltyScore,
+			Tripped:   res.Novel,
+		},
+	}}
+	ex := &out.ex
 
-	// Per-feature z-scores, topK by |z|; ties break on feature index so
-	// the order is a pure function of the input.
-	idx := make([]int, len(scaled))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		za, zb := abs(scaled[idx[a]]), abs(scaled[idx[b]])
-		if za != zb {
-			return za > zb
+	// Per-feature z-scores, topK by |z|, most anomalous first.
+	top := boundedList(out.features[:], min(topK, p.dim))
+	for j, z := range scaled {
+		i := len(top)
+		for i > 0 && abs(top[i-1].Z) < abs(z) {
+			i--
 		}
-		return idx[a] < idx[b]
-	})
-	n := topK
-	if n > len(idx) {
-		n = len(idx)
+		top = insertAt(top, i, FeatureZ{Name: p.featNames[j], Raw: vector[j], Z: z})
 	}
-	ex.TopFeatures = make([]FeatureZ, 0, n)
-	for _, j := range idx[:n] {
-		ex.TopFeatures = append(ex.TopFeatures, FeatureZ{
-			Name: m.Features[j].Name(), Raw: vector[j], Z: scaled[j],
-		})
-	}
+	ex.TopFeatures = top
 
 	// Distance to every centroid, ascending; the winner is res.Cluster
 	// by construction (same nearest-centroid arithmetic).
-	k := m.KMeans.K
-	ex.Centroids = make([]CentroidDist, k)
-	for c := 0; c < k; c++ {
-		ex.Centroids[c] = CentroidDist{Cluster: c, Distance: m.KMeans.Distance(x, c)}
-	}
-	sort.SliceStable(ex.Centroids, func(a, b int) bool {
-		if ex.Centroids[a].Distance != ex.Centroids[b].Distance {
-			return ex.Centroids[a].Distance < ex.Centroids[b].Distance
+	cents := make([]CentroidDist, p.k)
+	for c := 0; c < p.k; c++ {
+		d := math.Sqrt(p.sqDist(x, c))
+		i := c
+		for i > 0 && cents[i-1].Distance > d {
+			cents[i] = cents[i-1]
+			i--
 		}
-		return ex.Centroids[a].Cluster < ex.Centroids[b].Cluster
-	})
+		cents[i] = CentroidDist{Cluster: c, Distance: d}
+	}
+	ex.Centroids = cents
 
 	// Per-coordinate share of the squared distance to the winning
 	// centroid, topK by share.
-	cent := m.KMeans.Centroids.RawRow(res.Cluster)
-	var sq float64
-	deltas := make([]float64, len(x))
-	for c := range x {
-		d := x[c] - cent[c]
-		deltas[c] = d
-		sq += d * d
-	}
-	comp := make([]ComponentShare, len(x))
-	for c := range x {
+	cent := p.cents[res.Cluster*p.cdim : (res.Cluster+1)*p.cdim]
+	sq := p.sqDist(x, res.Cluster)
+	comps := boundedList(out.comps[:], min(topK, p.cdim))
+	for c, xv := range x {
+		d := xv - cent[c]
 		share := 0.0
 		if sq > 0 {
-			share = deltas[c] * deltas[c] / sq
+			share = d * d / sq
 		}
-		comp[c] = ComponentShare{Component: c, Value: x[c], Delta: deltas[c], Share: share}
-	}
-	sort.SliceStable(comp, func(a, b int) bool {
-		if comp[a].Share != comp[b].Share {
-			return comp[a].Share > comp[b].Share
+		i := len(comps)
+		for i > 0 && comps[i-1].Share < share {
+			i--
 		}
-		return comp[a].Component < comp[b].Component
-	})
-	if len(comp) > topK {
-		comp = comp[:topK]
+		comps = insertAt(comps, i, ComponentShare{Component: c, Value: xv, Delta: d, Share: share})
 	}
-	ex.Components = comp
+	ex.Components = comps
 
 	// Cluster-table outcome: the predicted cluster's members (Table 3
 	// view) and, for parsed mismatches, the member that set the risk
 	// factor.
-	members := m.ClusterUAs[res.Cluster]
-	ex.Frequent = len(members) > 0
-	if len(members) > 0 {
-		ex.ClusterUAs = CompressReleases(members)
-	}
-	if parsed && !res.Matched && len(members) > 0 {
-		best := ClaimDistance{Distance: ua.MaxDistance + 1}
-		for _, r := range members {
-			if d := ua.Distance(claimed, r, m.VersionDivisor); d < best.Distance {
-				best = ClaimDistance{UserAgent: r.String(), Distance: d}
+	lo, hi := p.uaOff[res.Cluster], p.uaOff[res.Cluster+1]
+	ex.Frequent = hi > lo
+	ex.ClusterUAs = p.clusterLabels[res.Cluster]
+	if parsed && !res.Matched {
+		best, bestD := -1, ua.MaxDistance+1
+		for i := lo; i < hi; i++ {
+			if d := ua.Distance(claimed, p.uaList[i], m.VersionDivisor); d < bestD {
+				best, bestD = int(i), d
 			}
 		}
-		if best.Distance <= ua.MaxDistance {
-			ex.NearestClaim = &best
+		if bestD <= ua.MaxDistance {
+			out.nearest = ClaimDistance{UserAgent: p.uaNames[best], Distance: bestD}
+			ex.NearestClaim = &out.nearest
 		}
 	}
-
-	ex.Novelty = NoveltyExplanation{
-		Armed:     m.NoveltyThreshold > 0,
-		Threshold: m.NoveltyThreshold,
-		Score:     res.NoveltyScore,
-		Tripped:   res.Novel,
-	}
 	return ex, nil
+}
+
+// boundedList returns an empty list of capacity n: backing's front when
+// it is long enough, a new slice otherwise.
+func boundedList[T any](backing []T, n int) []T {
+	if n <= len(backing) {
+		return backing[:0:n]
+	}
+	return make([]T, 0, n)
+}
+
+// insertAt is one step of a top-k selection into a list whose capacity
+// is k: v goes in at position i and the tail moves right, off the end
+// once the list is full; i == cap(s) means v ranks below a full list.
+func insertAt[T any](s []T, i int, v T) []T {
+	if i == cap(s) {
+		return s
+	}
+	if len(s) < cap(s) {
+		s = s[:len(s)+1]
+	}
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
 }
 
 func abs(v float64) float64 {

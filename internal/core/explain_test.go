@@ -262,3 +262,26 @@ func TestModelHashStable(t *testing.T) {
 		t.Fatal("distinct models share a hash")
 	}
 }
+
+// BenchmarkExplainResult is the audit path's explain cost for a flagged
+// session (parsed claim, mismatched, nearest-claim search included).
+// scripts/benchgate.sh gates its allocs/op.
+func BenchmarkExplainResult(b *testing.B) {
+	m, _, ext := trainFixtureModel(b, 40)
+	vec := ext.Extract(browser.Profile{Release: ua.Release{Vendor: ua.Chrome, Version: 112}, OS: ua.Windows10})
+	claim := ua.UserAgent(ua.Release{Vendor: ua.Firefox, Version: 110}, ua.Windows10)
+	res, err := m.ScoreString(vec, claim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Matched {
+		b.Fatal("fixture session is not a mismatch")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.ExplainResult(vec, claim, res, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -56,6 +56,13 @@ type scorePlan struct {
 	uaOff  []int32 // len k+1
 	uaList []ua.Release
 
+	// What explain would otherwise format per verdict: the feature names
+	// (len dim), each member's String (parallel to uaList) and each
+	// cluster's Table 3 label (len k, "" for a cluster without members).
+	featNames     []string
+	uaNames       []string
+	clusterLabels []string
+
 	// perItemNs estimates one Score's cost for parallel.PlanFor.
 	perItemNs float64
 
@@ -160,11 +167,23 @@ func buildScorePlan(m *Model) *scorePlan {
 	}
 
 	p.uaOff = make([]int32, km.K+1)
+	p.clusterLabels = make([]string, km.K)
 	for c := 0; c < km.K; c++ {
 		p.uaOff[c] = int32(len(p.uaList))
 		p.uaList = append(p.uaList, m.ClusterUAs[c]...)
+		if members := m.ClusterUAs[c]; len(members) > 0 {
+			p.clusterLabels[c] = CompressReleases(members)
+		}
 	}
 	p.uaOff[km.K] = int32(len(p.uaList))
+	p.uaNames = make([]string, len(p.uaList))
+	for i, r := range p.uaList {
+		p.uaNames[i] = r.String()
+	}
+	p.featNames = make([]string, dim)
+	for j, f := range m.Features {
+		p.featNames[j] = f.Name()
+	}
 
 	flops := dim + p.pcaK*dim + p.k*p.cdim
 	p.perItemNs = 50 + 1.5*float64(flops)
@@ -204,6 +223,19 @@ func (p *scorePlan) transform(s *Scratch, vector []float64) []float64 {
 		x[c] = sum
 	}
 	return x
+}
+
+// sqDist is the squared Euclidean distance from x to centroid c, summed
+// in ascending coordinate order — assign's inner loop for the callers
+// that want one centroid (a call per centroid costs the kernel 15 %).
+func (p *scorePlan) sqDist(x []float64, c int) float64 {
+	cent := p.cents[c*p.cdim : (c+1)*p.cdim]
+	d := 0.0
+	for j, xv := range x {
+		diff := xv - cent[j]
+		d += diff * diff
+	}
+	return d
 }
 
 // assign returns the nearest centroid and the Euclidean distance to it.

@@ -2,12 +2,17 @@ package fingerprint
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
 // FuzzUnmarshalBinary hardens the codec against hostile network input:
-// it must never panic, never over-allocate, and anything it accepts must
-// re-encode to a payload it accepts again.
+// it must never panic, never over-allocate, anything it accepts must
+// re-encode to a payload it accepts again, and decoding into a Payload
+// that held another session must give what decoding into a fresh one
+// gives — the same fields on success, the same error and an empty
+// payload on failure — because the TCP listener decodes every frame of a
+// connection into one Payload.
 func FuzzUnmarshalBinary(f *testing.F) {
 	// Seed corpus: a valid payload, truncations, mutations.
 	valid := &Payload{UserAgent: "Mozilla/5.0 Chrome/112.0.0.0", Values: []int64{1, 2, 3, -4, 1 << 40}}
@@ -26,8 +31,26 @@ func FuzzUnmarshalBinary(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := UnmarshalBinary(data)
+		dirty := &Payload{
+			SessionID: [SessionIDSize]byte{0xAA, 0xBB, 15: 0xCC},
+			UserAgent: "left over from the previous frame",
+			Values:    []int64{9, 8, 7, 6, 5, 4, 3, 2, 1, -1, -2, -3, -4, -5, -6, -7, -8, -9, 1 << 50, -1 << 50}[:12],
+		}
+		derr := dirty.UnmarshalBinary(data)
+		if (err == nil) != (derr == nil) || (err != nil && err.Error() != derr.Error()) {
+			t.Fatalf("fresh decode: %v; reused decode: %v", err, derr)
+		}
 		if err != nil {
+			if p != nil {
+				t.Fatal("failed decode returned a payload")
+			}
+			if dirty.SessionID != [SessionIDSize]byte{} || dirty.UserAgent != "" || len(dirty.Values) != 0 {
+				t.Fatalf("failed decode left %+v in the reused payload", dirty)
+			}
 			return
+		}
+		if dirty.SessionID != p.SessionID || dirty.UserAgent != p.UserAgent || !slices.Equal(dirty.Values, p.Values) {
+			t.Fatalf("reused payload decoded to %+v, a fresh one to %+v", dirty, p)
 		}
 		// Accepted payloads must roundtrip.
 		re, err := p.MarshalBinary()

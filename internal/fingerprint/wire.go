@@ -73,25 +73,45 @@ func (p *Payload) MarshalBinary() ([]byte, error) {
 // and rejects oversized payloads, so it is safe on untrusted network
 // input.
 func UnmarshalBinary(data []byte) (*Payload, error) {
+	p := new(Payload)
+	if err := p.UnmarshalBinary(data); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// UnmarshalBinary is the package-level UnmarshalBinary decoding into the
+// receiver, for callers that decode many frames into one Payload: every
+// field is overwritten and the capacity of Values is reused, so what the
+// payload held before never shows through. An error leaves the payload
+// empty.
+func (p *Payload) UnmarshalBinary(data []byte) error {
+	err := p.decode(data)
+	if err != nil {
+		*p = Payload{Values: p.Values[:0]}
+	}
+	return err
+}
+
+func (p *Payload) decode(data []byte) error {
 	if len(data) > MaxPayloadSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(data))
+		return fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(data))
 	}
 	if len(data) < 3+SessionIDSize {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadPayload)
+		return fmt.Errorf("%w: truncated header", ErrBadPayload)
 	}
 	if data[0] != magicByte0 || data[1] != magicByte1 {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadPayload)
+		return fmt.Errorf("%w: bad magic", ErrBadPayload)
 	}
 	if data[2] != payloadVersion {
-		return nil, fmt.Errorf("%w: %w %d", ErrBadPayload, ErrBadVersion, data[2])
+		return fmt.Errorf("%w: %w %d", ErrBadPayload, ErrBadVersion, data[2])
 	}
-	p := &Payload{}
 	copy(p.SessionID[:], data[3:3+SessionIDSize])
 	rest := data[3+SessionIDSize:]
 
 	uaLen, n := binary.Uvarint(rest)
 	if n <= 0 || uaLen > uint64(len(rest)-n) {
-		return nil, fmt.Errorf("%w: bad user-agent length", ErrBadPayload)
+		return fmt.Errorf("%w: bad user-agent length", ErrBadPayload)
 	}
 	rest = rest[n:]
 	p.UserAgent = string(rest[:uaLen])
@@ -99,27 +119,30 @@ func UnmarshalBinary(data []byte) (*Payload, error) {
 
 	nVals, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: bad value count", ErrBadPayload)
+		return fmt.Errorf("%w: bad value count", ErrBadPayload)
 	}
 	rest = rest[n:]
 	// Each varint takes ≥ 1 byte; cheap upper-bound check prevents
 	// attacker-controlled huge allocations.
 	if nVals > uint64(len(rest)) {
-		return nil, fmt.Errorf("%w: value count %d exceeds payload", ErrBadPayload, nVals)
+		return fmt.Errorf("%w: value count %d exceeds payload", ErrBadPayload, nVals)
 	}
-	p.Values = make([]int64, nVals)
+	if uint64(cap(p.Values)) < nVals {
+		p.Values = make([]int64, nVals)
+	}
+	p.Values = p.Values[:nVals]
 	for i := range p.Values {
 		v, n := binary.Varint(rest)
 		if n <= 0 {
-			return nil, fmt.Errorf("%w: truncated value %d", ErrBadPayload, i)
+			return fmt.Errorf("%w: truncated value %d", ErrBadPayload, i)
 		}
 		p.Values[i] = v
 		rest = rest[n:]
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, len(rest))
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, len(rest))
 	}
-	return p, nil
+	return nil
 }
 
 // VectorToValues converts an extracted float vector (whose entries are

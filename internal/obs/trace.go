@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -18,12 +17,28 @@ import (
 // TraceID identifies one request trace.
 type TraceID uint64
 
-// String renders the ID as fixed-width hex, the form logs and
-// /debug/traces use.
-func (id TraceID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
+// appendHex appends the ID as 16 lower-case hex digits.
+func (id TraceID) appendHex(dst []byte) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[id>>shift&0xF])
+	}
+	return dst
+}
 
-// MarshalJSON emits the hex form.
-func (id TraceID) MarshalJSON() ([]byte, error) { return json.Marshal(id.String()) }
+// String renders the ID as fixed-width hex, the form logs and
+// /debug/traces use. It runs once per audit record and once per warn
+// line, so it formats by hand.
+func (id TraceID) String() string {
+	var b [16]byte
+	return string(id.appendHex(b[:0]))
+}
+
+// MarshalJSON emits the hex form as a JSON string.
+func (id TraceID) MarshalJSON() ([]byte, error) {
+	b := append(make([]byte, 0, 18), '"')
+	return append(id.appendHex(b), '"'), nil
+}
 
 // IDGen produces trace IDs that are deterministic for a fixed seed yet
 // safe for concurrent use: two PCG-drawn keys whiten an atomic sequence

@@ -56,9 +56,27 @@ func TestIDGenConcurrentUnique(t *testing.T) {
 	}
 }
 
+// TestTraceIDString pins the hand-rolled hex against the fmt and
+// encoding/json renderings it replaced: logs, /debug/traces and audit
+// records written before and after must carry the same bytes.
 func TestTraceIDString(t *testing.T) {
 	if got := TraceID(0xab).String(); got != "00000000000000ab" {
 		t.Fatalf("String() = %q", got)
+	}
+	ids := []TraceID{0, 1, 0xf, 0x10, 0x0123456789abcdef, 0xfedcba9876543210, 1 << 63, ^TraceID(0)}
+	gen := NewIDGen(3)
+	for i := 0; i < 64; i++ {
+		ids = append(ids, gen.Next())
+	}
+	for _, id := range ids {
+		want := fmt.Sprintf("%016x", uint64(id))
+		if got := id.String(); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+		wantJSON, _ := json.Marshal(want)
+		if got, err := id.MarshalJSON(); err != nil || !bytes.Equal(got, wantJSON) {
+			t.Fatalf("MarshalJSON() = %s, %v; want %s", got, err, wantJSON)
+		}
 	}
 }
 

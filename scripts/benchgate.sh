@@ -1,11 +1,16 @@
 #!/bin/sh
-# benchgate.sh — the allocation gate for the scoring fast path.
+# benchgate.sh — the allocation gate for the scoring fast path and the
+# audited-verdict path.
 #
-# Runs the online-scoring benchmark family with -benchmem and fails when
-# a pinned hot path regresses its allocation budget:
+# Runs the online-scoring benchmark family and the two audit-path
+# benchmarks with -benchmem and fails when a pinned path regresses its
+# allocation budget:
 #
 #   BenchmarkOnlineScore          0 allocs/op  (pooled scratch)
 #   BenchmarkOnlineScoreScratch   0 allocs/op  (caller-owned scratch)
+#   BenchmarkExplainResult      ≤ 4 allocs/op  (internal/core: the explanation
+#                                               block, its centroid list, the claim)
+#   BenchmarkLedgerAppend       ≤ 1 allocs/op  (internal/audit: pooled encode buffer)
 #
 # The ns/op numbers are machine-dependent and therefore only recorded,
 # never gated. With -merge <snapshot.json>, the run is re-executed with
@@ -46,7 +51,25 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "benchgate: allocation budget holds (0 allocs/op on pinned paths)"
+echo "== go test -bench 'ExplainResult$|LedgerAppend$' -benchmem ./internal/core ./internal/audit"
+go test -run '^$' -bench 'ExplainResult$|LedgerAppend$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit | tee "$out"
+
+awk '
+    /^BenchmarkExplainResult(-[0-9]+)? / { seen++; max = 4 }
+    /^BenchmarkLedgerAppend(-[0-9]+)? /  { seen++; max = 1 }
+    /^Benchmark(ExplainResult|LedgerAppend)(-[0-9]+)? / {
+        if ($NF != "allocs/op" || $(NF-1) > max) {
+            printf "benchgate: %s allocates %s %s, ceiling %d allocs/op\n", $1, $(NF-1), $NF, max
+            bad = 1
+        }
+    }
+    END {
+        if (seen < 2) { print "benchgate: audit-path benchmarks missing from output"; bad = 1 }
+        exit bad
+    }
+' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
+
+echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths, audit-path ceilings)"
 
 if [ -n "$merge_target" ]; then
     echo "== merging scoring entries into $merge_target"

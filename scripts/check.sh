@@ -5,15 +5,16 @@
 # roadmap call "tier-1 green"), vet — of this module and of the
 # benchmark module under bench/, whose seam.go pins the symbols the
 # benchmark calls — the one-ingest-core and one-daemon-wiring guards,
-# and the race-detector pass that guards the internal/parallel
-# worker-pool layer and the collect hot-swap/stats paths. Usage:
+# the race-detector pass that guards the internal/parallel worker-pool
+# layer and the collect hot-swap/stats paths, and five seconds of
+# fuzzing per fuzz target. Usage:
 #
 #   scripts/check.sh          # everything
 #   scripts/check.sh -short   # pass flags through to both test runs
 #
 # Ordering: gofmt first (cheapest, catches the most common CI failure),
 # then build before vet so compile errors surface as compile errors
-# rather than vet noise, then the two test passes.
+# rather than vet noise, then the two test passes, then the fuzzers.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -61,5 +62,16 @@ go test "$@" ./...
 
 echo "== go test -race ./... $*"
 go test -race "$@" ./...
+
+# Every fuzz target of the module, seeds first, then five seconds of
+# mutation each: long enough to walk the committed corpus and the cheap
+# mutations of it on every run, short enough to stay in the gate. A
+# failing input is written under the package's testdata/fuzz/.
+echo "== go test -fuzz (5s per target)"
+for file in $(grep -rl --include='*_test.go' '^func Fuzz' cmd internal); do
+    for target in $(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$file"); do
+        go test -run '^$' -fuzz "^$target\$" -fuzztime 5s "./$(dirname "$file")"
+    done
+done
 
 echo "check.sh: all green"
