@@ -209,6 +209,11 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
+	// The stage closures capture these matrices, which keeps them
+	// reachable to the end of training; dropping each n-row matrix after
+	// its last reader keeps the collector's heap goal, and with it the
+	// process's peak RSS, at what the remaining stages need.
+	raw = nil
 
 	// Stage 2: Isolation Forest outlier filtering (§6.4.1).
 	kept := samples
@@ -238,6 +243,7 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 			return nil, nil, fmt.Errorf("core: %w", err)
 		}
 	}
+	scaled = nil
 
 	// Stage 3: PCA (§6.4.2).
 	var p *pca.PCA
@@ -260,6 +266,7 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 			return nil, nil, fmt.Errorf("core: %w", err)
 		}
 	}
+	keptScaled = nil
 
 	// Stage 4: k-means (§6.4.3).
 	var km *kmeans.Model
@@ -297,11 +304,13 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 	// do.
 	if cfg.NoveltyGuard {
 		err := run.Run(StageNovelty, len(kept), func(ctx context.Context) (int, error) {
-			nKept, _ := clusterInput.Dims()
-			maxDist, err := parallel.MapReduceContext(ctx, cfg.Workers, nKept, 0,
+			// The largest distance over the rows is the largest over
+			// the distinct rows.
+			rows := clusterInput.DistinctRows()
+			maxDist, err := parallel.MapReduceContext(ctx, cfg.Workers, len(rows.First), 0,
 				func() float64 { return 0 },
 				func(acc float64, start, end int) float64 {
-					for i := start; i < end; i++ {
+					for _, i := range rows.First[start:end] {
 						// One-pass nearest + distance; bit-identical to
 						// Distance(row, Predict(row)) at half the work.
 						if _, d := km.AssignDistance(clusterInput.RawRow(i)); d > acc {

@@ -324,45 +324,53 @@ func (f *Forest) ScoreAllWorkers(data *matrix.Dense, workers int) ([]float64, er
 }
 
 // ScoreAllContext is ScoreAllWorkers with cooperative cancellation at
-// chunk boundaries; rows are independent, so a completed pass is
-// identical for every pool size and context.
+// chunk boundaries. A score is a pure function of the row's bits, so each
+// class of bitwise-equal rows is scored once, on its first row, and the
+// result copied to the rest; a completed pass is identical for every
+// pool size and context.
 func (f *Forest) ScoreAllContext(ctx context.Context, data *matrix.Dense, workers int) ([]float64, error) {
 	r, d := data.Dims()
 	if d != f.dim {
 		return nil, fmt.Errorf("iforest: score on %d-dim rows, fitted on %d", d, f.dim)
 	}
 	out := make([]float64, r)
-	plan := parallel.PlanFor(workers, r, f.scoreCostNs())
-	if err := parallel.ForContext(ctx, plan.Workers, r, plan.Chunk, func(start, end int) {
-		f.scoreRows(data, out, start, end)
+	rows := data.DistinctRows()
+	plan := parallel.PlanFor(workers, len(rows.First), f.scoreCostNs())
+	if err := parallel.ForContext(ctx, plan.Workers, len(rows.First), plan.Chunk, func(start, end int) {
+		f.scoreRows(data, out, rows.First[start:end])
 	}); err != nil {
 		return nil, err
+	}
+	// First[g] <= i, so the class's score is final when row i reads it.
+	for i, g := range rows.Group {
+		out[i] = out[rows.First[g]]
 	}
 	return out, nil
 }
 
-// scoreRows scores rows [start, end) into out. With the flat layout it
-// traverses tree-by-tree across the whole chunk — the tree's arrays stay
-// hot in cache while every row walks them — accumulating per-row path
-// totals in tree order, which is exactly the summation order Score uses,
-// so the batch is bit-identical to row-at-a-time scoring.
-func (f *Forest) scoreRows(data *matrix.Dense, out []float64, start, end int) {
+// scoreRows scores the listed rows of data, each into its own slot of
+// out. With the flat layout it traverses tree-by-tree across the whole
+// chunk — the tree's arrays stay hot in cache while every row walks them
+// — accumulating per-row path totals in tree order, which is exactly the
+// summation order Score uses, so the batch is bit-identical to
+// row-at-a-time scoring.
+func (f *Forest) scoreRows(data *matrix.Dense, out []float64, rows []int) {
 	if f.flatRoots == nil {
-		for i := start; i < end; i++ {
+		for _, i := range rows {
 			out[i] = f.Score(data.RawRow(i))
 		}
 		return
 	}
-	for i := start; i < end; i++ {
+	for _, i := range rows {
 		out[i] = 0
 	}
 	for t := range f.trees {
-		for i := start; i < end; i++ {
+		for _, i := range rows {
 			out[i] += f.pathLengthFlat(t, data.RawRow(i))
 		}
 	}
 	nTrees := float64(len(f.trees))
-	for i := start; i < end; i++ {
+	for _, i := range rows {
 		mean := out[i] / nTrees
 		out[i] = math.Pow(2, -mean/f.norm)
 	}
@@ -378,8 +386,8 @@ func (f *Forest) FilterContamination(data *matrix.Dense, contamination float64) 
 }
 
 // FilterContaminationContext is FilterContamination with cooperative
-// cancellation during the scoring pass (the sort/selection tail is
-// cheap and runs to completion once scoring finishes).
+// cancellation during the scoring pass (the selection tail is cheap and
+// runs to completion once scoring finishes).
 func (f *Forest) FilterContaminationContext(ctx context.Context, data *matrix.Dense, contamination float64) (keep, drop []int, err error) {
 	if contamination < 0 || contamination >= 1 {
 		return nil, nil, fmt.Errorf("iforest: contamination %v out of [0,1)", contamination)
@@ -389,43 +397,72 @@ func (f *Forest) FilterContaminationContext(ctx context.Context, data *matrix.De
 		return nil, nil, err
 	}
 	n := len(scores)
-	if n == 0 || contamination == 0 {
-		keep = make([]int, n)
-		for i := range keep {
-			keep[i] = i
+	nDrop := 0
+	if n > 0 && contamination > 0 {
+		nDrop = int(math.Round(contamination * float64(n)))
+		if nDrop == 0 {
+			nDrop = 1
 		}
-		return keep, nil, nil
 	}
-	nDrop := int(math.Round(contamination * float64(n)))
-	if nDrop == 0 {
-		nDrop = 1
-	}
-	// Find the cut score via a sorted copy; ties broken by index order
-	// to keep the result deterministic.
-	type scored struct {
-		idx int
-		s   float64
-	}
-	all := make([]scored, n)
-	for i, s := range scores {
-		all[i] = scored{idx: i, s: s}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].s != all[j].s {
-			return all[i].s > all[j].s
+	drop = topScores(scores, nDrop)
+	keep = make([]int, 0, n-nDrop)
+	for i, next := 0, 0; i < n; i++ {
+		if next < len(drop) && drop[next] == i {
+			next++
+			continue
 		}
-		return all[i].idx < all[j].idx
-	})
-	dropSet := make(map[int]bool, nDrop)
-	for i := 0; i < nDrop; i++ {
-		dropSet[all[i].idx] = true
-	}
-	for i := 0; i < n; i++ {
-		if dropSet[i] {
-			drop = append(drop, i)
-		} else {
-			keep = append(keep, i)
-		}
+		keep = append(keep, i)
 	}
 	return keep, drop, nil
+}
+
+// topScores returns, in ascending index order, the k rows a full sort by
+// (score descending, index ascending) would put first; ties therefore go
+// to the earlier row, which keeps the cut deterministic. It holds the k
+// best rows seen so far in a heap with the weakest at the root: rows
+// arrive in index order, so a newcomer displaces the root only with a
+// strictly higher score, and on the few hundred distinct scores of a
+// fingerprint population almost every row is settled by that one
+// comparison. k must not exceed len(scores).
+func topScores(scores []float64, k int) []int {
+	if k <= 0 {
+		return nil
+	}
+	weaker := func(a, b int) bool {
+		if scores[a] != scores[b] {
+			return scores[a] < scores[b]
+		}
+		return a > b
+	}
+	top := make([]int, k)
+	for i := range top {
+		top[i] = i
+	}
+	siftDown := func(p int) {
+		for {
+			c := 2*p + 1
+			if c >= k {
+				return
+			}
+			if c+1 < k && weaker(top[c+1], top[c]) {
+				c++
+			}
+			if !weaker(top[c], top[p]) {
+				return
+			}
+			top[p], top[c] = top[c], top[p]
+			p = c
+		}
+	}
+	for p := k/2 - 1; p >= 0; p-- {
+		siftDown(p)
+	}
+	for i := k; i < len(scores); i++ {
+		if scores[i] > scores[top[0]] {
+			top[0] = i
+			siftDown(0)
+		}
+	}
+	sort.Ints(top)
+	return top
 }

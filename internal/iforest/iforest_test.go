@@ -2,10 +2,13 @@ package iforest
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"polygraph/internal/matrix"
+	"polygraph/internal/matrix/matrixtest"
 	"polygraph/internal/rng"
 )
 
@@ -345,20 +348,170 @@ func TestFlatTraversalMatchesPointerWalk(t *testing.T) {
 	}
 }
 
+// TestScoreAllMatchesPerRowScore: ScoreAll scores each class of
+// bitwise-equal rows once and copies the result; it must agree bit for
+// bit with Score called on every row, whatever the repetition and the
+// pool size.
 func TestScoreAllMatchesPerRowScore(t *testing.T) {
-	data, _ := clusterWithOutliers(400, 20, 5)
-	f, err := Fit(data, Config{Trees: 40, SampleSize: 64, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	outliers, _ := clusterWithOutliers(400, 20, 5)
+	inputs := []struct {
+		name string
+		data *matrix.Dense
+	}{
+		{"gaussian-with-outliers", outliers},
+		{"few-distinct", matrixtest.FewDistinct(5, 900, 6, 60, true)},
+		{"sign-of-zero-only", matrixtest.FewDistinct(6, 200, 3, 4, false)},
+		{"all-distinct", matrixtest.FewDistinct(7, 300, 6, 300, true)},
 	}
-	batch, err := f.ScoreAll(data)
-	if err != nil {
-		t.Fatal(err)
+	for _, in := range inputs {
+		f, err := Fit(in.data, Config{Trees: 40, SampleSize: 64, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _ := in.data.Dims()
+		want := make([]float64, r)
+		for i := range want {
+			want[i] = f.Score(in.data.RawRow(i))
+		}
+		for _, workers := range []int{1, 2, 7} {
+			got, err := f.ScoreAllWorkers(in.data, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matrixtest.RequireSameBits(t, fmt.Sprintf("%s/workers=%d: score", in.name, workers), got, want)
+		}
 	}
-	r, _ := data.Dims()
-	for i := 0; i < r; i++ {
-		if got := f.Score(data.RawRow(i)); batch[i] != got {
-			t.Fatalf("row %d: batch %v, single %v", i, batch[i], got)
+}
+
+// fullSortFilter is the filter as it was first written: sort every row by
+// (score descending, index ascending) and cut after nDrop.
+func fullSortFilter(scores []float64, nDrop int) (keep, drop []int) {
+	type scored struct {
+		idx int
+		s   float64
+	}
+	all := make([]scored, len(scores))
+	for i, s := range scores {
+		all[i] = scored{idx: i, s: s}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].s != all[j].s {
+			return all[i].s > all[j].s
+		}
+		return all[i].idx < all[j].idx
+	})
+	dropSet := make(map[int]bool, nDrop)
+	for i := 0; i < nDrop; i++ {
+		dropSet[all[i].idx] = true
+	}
+	for i := range scores {
+		if dropSet[i] {
+			drop = append(drop, i)
+		} else {
+			keep = append(keep, i)
+		}
+	}
+	return keep, drop
+}
+
+// TestTopScoresMatchesFullSort: a fingerprint population has a few
+// hundred distinct scores, so the cut nearly always falls inside a run of
+// ties; the bounded selection must break them exactly as the full sort
+// did.
+func TestTopScoresMatchesFullSort(t *testing.T) {
+	gen := rng.New(41)
+	tied := func(n, levels int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = 0.4 + 0.05*float64(gen.Intn(levels))
+		}
+		return s
+	}
+	cases := []struct {
+		name   string
+		scores []float64
+		nDrop  int
+	}{
+		{"all-equal", tied(50, 1), 5},
+		{"one-row", tied(1, 1), 1},
+		{"cut-inside-a-tie", tied(400, 3), 37},
+		{"drop-past-the-top-level", tied(400, 6), 250},
+		{"all-but-one", tied(64, 4), 63},
+		{"everything", tied(20, 2), 20},
+		{"nothing", tied(20, 2), 0},
+		{"all-distinct-ascending", []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}, 2},
+	}
+	for _, tc := range cases {
+		_, want := fullSortFilter(tc.scores, tc.nDrop)
+		got := topScores(tc.scores, tc.nDrop)
+		if len(got) != len(want) {
+			t.Fatalf("%s: dropped %v, full sort drops %v", tc.name, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: dropped %v, full sort drops %v", tc.name, got, want)
+			}
+		}
+	}
+}
+
+// TestFilterContaminationOnTiedRows drives the same order through the
+// exported filter, where contamination picks nDrop.
+func TestFilterContaminationOnTiedRows(t *testing.T) {
+	cases := []struct {
+		name          string
+		data          *matrix.Dense
+		contamination float64
+	}{
+		{"all-rows-equal", matrix.NewDense(50, 4), 0.1},
+		{"one-row", matrixtest.FewDistinct(1, 1, 3, 4, false), 0.5},
+		{"few-distinct", matrixtest.FewDistinct(2, 600, 5, 7, true), 0.3},
+		{"all-but-one", matrixtest.FewDistinct(3, 64, 5, 5, false), 63.0 / 64},
+	}
+	for _, tc := range cases {
+		f, err := Fit(tc.data, Config{Trees: 20, SampleSize: 32, Seed: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scores, err := f.ScoreAll(tc.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nDrop := int(math.Round(tc.contamination * float64(len(scores))))
+		if nDrop == 0 {
+			nDrop = 1
+		}
+		wantKeep, wantDrop := fullSortFilter(scores, nDrop)
+		keep, drop, err := f.FilterContamination(tc.data, tc.contamination)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(keep) != fmt.Sprint(wantKeep) || fmt.Sprint(drop) != fmt.Sprint(wantDrop) {
+			t.Fatalf("%s: keep %v drop %v, full sort keeps %v drops %v", tc.name, keep, drop, wantKeep, wantDrop)
+		}
+	}
+}
+
+// BenchmarkScoreAllAllDistinct is the guard on the other side of the
+// distinct-row pass: 20 000 rows with no repeat, where grouping is pure
+// overhead and must stay within a few percent of scoring every row.
+func BenchmarkScoreAllAllDistinct(b *testing.B) {
+	gen := rng.New(1)
+	data := matrix.NewDense(20000, 28)
+	for i := 0; i < 20000; i++ {
+		for j := 0; j < 28; j++ {
+			data.Set(i, j, gen.Float64())
+		}
+	}
+	f, err := Fit(data, Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.ScoreAll(data); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -91,10 +91,12 @@ func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Model, error
 		restarts = 1
 	}
 
+	// Every restart walks the same rows, so they share one grouping.
+	data := groupRows(m)
 	var best *Model
 	for attempt := 0; attempt < restarts; attempt++ {
 		gen := rng.New(cfg.Seed).Split(fmt.Sprintf("restart-%d", attempt))
-		model, err := fitOnce(ctx, m, cfg.K, maxIter, tol, cfg.PlusPlus, cfg.Workers, gen)
+		model, err := fitOnce(ctx, data, cfg.K, maxIter, tol, cfg.PlusPlus, cfg.Workers, gen)
 		if err != nil {
 			return nil, err
 		}
@@ -114,36 +116,64 @@ type partial struct {
 	sums   *matrix.Dense
 }
 
-func fitOnce(ctx context.Context, m *matrix.Dense, k, maxIter int, tol float64, plusPlus bool, workers int, gen *rng.PCG) (*Model, error) {
+// grouped is a data matrix seen through its classes of bitwise-equal
+// rows. Nearest-centroid search is a pure function of a row's bits, so
+// refresh runs it once per class, on the class's first row, and the
+// order-sensitive reductions (centroid sums, WCSS, the k-means++ scan)
+// read the result for every row, in row order, through Group.
+type grouped struct {
+	m *matrix.Dense
+	matrix.RowGroups
+	// cluster[g] is the centroid nearest to the rows of class g and
+	// sqDist[g] their squared distance to it, as of the last refresh.
+	cluster []int32
+	sqDist  []float64
+}
+
+func groupRows(m *matrix.Dense) *grouped {
+	rows := m.DistinctRows()
+	return &grouped{m: m, RowGroups: rows, cluster: make([]int32, len(rows.First)), sqDist: make([]float64, len(rows.First))}
+}
+
+// refresh recomputes cluster and sqDist against cents; ctx cancels at
+// chunk boundaries.
+func (data *grouped) refresh(ctx context.Context, cents *matrix.Dense, workers int) error {
+	k, d := cents.Dims()
+	// ~2 ns per centroid coordinate, plus loop overhead.
+	plan := parallel.PlanFor(workers, len(data.First), 40+2*float64(k*d))
+	return parallel.ForContext(ctx, plan.Workers, len(data.First), plan.Chunk, func(start, end int) {
+		for g := start; g < end; g++ {
+			c, d2 := nearestCentroid(data.m.RawRow(data.First[g]), cents)
+			data.cluster[g], data.sqDist[g] = int32(c), d2
+		}
+	})
+}
+
+func fitOnce(ctx context.Context, data *grouped, k, maxIter int, tol float64, plusPlus bool, workers int, gen *rng.PCG) (*Model, error) {
+	m := data.m
 	r, d := m.Dims()
 	cents := matrix.NewDense(k, d)
 	if plusPlus {
-		if err := seedPlusPlus(ctx, m, cents, workers, gen); err != nil {
+		if err := seedPlusPlus(ctx, data, cents, workers, gen); err != nil {
 			return nil, err
 		}
 	} else {
 		seedUniform(m, cents, gen)
 	}
 
-	assign := make([]int, r)
 	iter := 0
 	for ; iter < maxIter; iter++ {
-		// Assignment step: each row is independent, so the fan-out is a
-		// pure map.
-		if err := parallel.ForContext(ctx, workers, r, 0, func(start, end int) {
-			for i := start; i < end; i++ {
-				assign[i] = nearestCentroid(m.RawRow(i), cents)
-			}
-		}); err != nil {
+		// Assignment step, once per distinct row.
+		if err := data.refresh(ctx, cents, workers); err != nil {
 			return nil, err
 		}
-		// Update step: per-chunk partial sums, merged in fixed chunk
-		// order.
+		// Update step: per-chunk partial sums over all rows in row order,
+		// merged in fixed chunk order.
 		acc, err := parallel.MapReduceContext(ctx, workers, r, 0,
 			func() *partial { return &partial{counts: make([]int, k), sums: matrix.NewDense(k, d)} },
 			func(p *partial, start, end int) *partial {
 				for i := start; i < end; i++ {
-					c := assign[i]
+					c := int(data.cluster[data.Group[i]])
 					p.counts[c]++
 					srow := p.sums.RawRow(c)
 					for j, v := range m.RawRow(i) {
@@ -174,9 +204,19 @@ func fitOnce(ctx context.Context, m *matrix.Dense, k, maxIter int, tol float64, 
 				// Empty cluster: reseed at the point farthest
 				// from its centroid, the standard fix that
 				// keeps K stable.
-				far := farthestPoint(m, cents)
-				copy(crow, m.RawRow(far))
-				moved += math.Inf(1)
+				far, err := farthestPoint(ctx, data, cents, workers)
+				if err != nil {
+					return nil, err
+				}
+				// A reseed onto the spot the centroid already
+				// holds moves nothing: with more clusters than
+				// distinct rows the surplus ones are re-placed
+				// every round, and counting that as movement
+				// would keep a settled fit running to MaxIter.
+				if !matrix.SameBits(crow, m.RawRow(far)) {
+					copy(crow, m.RawRow(far))
+					moved += math.Inf(1)
+				}
 				continue
 			}
 			inv := 1 / float64(counts[c])
@@ -195,7 +235,7 @@ func fitOnce(ctx context.Context, m *matrix.Dense, k, maxIter int, tol float64, 
 	}
 
 	model := &Model{Centroids: cents, K: k, Dim: d, Iterations: iter}
-	wcss, err := model.inertiaContext(ctx, m, workers)
+	wcss, err := model.inertia(ctx, data, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -216,24 +256,34 @@ func seedUniform(m *matrix.Dense, cents *matrix.Dense, gen *rng.PCG) {
 // seedPlusPlus implements k-means++ (Arthur & Vassilvitskii 2007):
 // subsequent centroids are sampled proportional to squared distance from
 // the nearest already-chosen centroid. The distance refresh after each
-// pick is a pure per-row map and fans out over the pool; the cumulative
-// sampling scan stays serial because it is inherently ordered.
-func seedPlusPlus(ctx context.Context, m *matrix.Dense, cents *matrix.Dense, workers int, gen *rng.PCG) error {
-	r, _ := m.Dims()
+// pick is a pure map over the distinct rows and fans out over the pool;
+// the total and the cumulative sampling scan stay serial over all rows,
+// because they are inherently ordered.
+func seedPlusPlus(ctx context.Context, data *grouped, cents *matrix.Dense, workers int, gen *rng.PCG) error {
+	m := data.m
+	r, d := m.Dims()
 	k, _ := cents.Dims()
+	// d2[g] is class g's squared distance to its nearest chosen centroid.
+	d2 := make([]float64, len(data.First))
+	plan := parallel.PlanFor(workers, len(data.First), 20+2*float64(d))
+	refresh := func(c int) error {
+		crow := cents.RawRow(c)
+		return parallel.ForContext(ctx, plan.Workers, len(data.First), plan.Chunk, func(start, end int) {
+			for g := start; g < end; g++ {
+				if nd := sqDist(m.RawRow(data.First[g]), crow); c == 0 || nd < d2[g] {
+					d2[g] = nd
+				}
+			}
+		})
+	}
 	copy(cents.RawRow(0), m.RawRow(gen.Intn(r)))
-	d2 := make([]float64, r)
-	if err := parallel.ForContext(ctx, workers, r, 0, func(start, end int) {
-		for i := start; i < end; i++ {
-			d2[i] = sqDist(m.RawRow(i), cents.RawRow(0))
-		}
-	}); err != nil {
+	if err := refresh(0); err != nil {
 		return err
 	}
 	for c := 1; c < k; c++ {
 		total := 0.0
-		for _, v := range d2 {
-			total += v
+		for _, g := range data.Group {
+			total += d2[g]
 		}
 		var idx int
 		if total <= 0 {
@@ -244,8 +294,8 @@ func seedPlusPlus(ctx context.Context, m *matrix.Dense, cents *matrix.Dense, wor
 			target := gen.Float64() * total
 			acc := 0.0
 			idx = r - 1
-			for i, v := range d2 {
-				acc += v
+			for i, g := range data.Group {
+				acc += d2[g]
 				if acc >= target {
 					idx = i
 					break
@@ -253,35 +303,34 @@ func seedPlusPlus(ctx context.Context, m *matrix.Dense, cents *matrix.Dense, wor
 			}
 		}
 		copy(cents.RawRow(c), m.RawRow(idx))
-		crow := cents.RawRow(c)
-		if err := parallel.ForContext(ctx, workers, r, 0, func(start, end int) {
-			for i := start; i < end; i++ {
-				if nd := sqDist(m.RawRow(i), crow); nd < d2[i] {
-					d2[i] = nd
-				}
-			}
-		}); err != nil {
+		if err := refresh(c); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func farthestPoint(m *matrix.Dense, cents *matrix.Dense) int {
-	r, _ := m.Dims()
-	worstIdx, worstD := 0, -1.0
-	for i := 0; i < r; i++ {
-		c := nearestCentroid(m.RawRow(i), cents)
-		d := sqDist(m.RawRow(i), cents.RawRow(c))
+// farthestPoint returns the row farthest from its nearest centroid, the
+// lowest such row on a tie: classes are numbered by first appearance, so
+// the first class to reach the maximum holds that row. It refreshes
+// data.
+func farthestPoint(ctx context.Context, data *grouped, cents *matrix.Dense, workers int) (int, error) {
+	if err := data.refresh(ctx, cents, workers); err != nil {
+		return 0, err
+	}
+	worst, worstD := 0, -1.0
+	for g, d := range data.sqDist {
 		if d > worstD {
 			worstD = d
-			worstIdx = i
+			worst = g
 		}
 	}
-	return worstIdx
+	return data.First[worst], nil
 }
 
-func nearestCentroid(x []float64, cents *matrix.Dense) int {
+// nearestCentroid returns the centroid closest to x — the lowest index
+// on a tie — and the squared distance to it.
+func nearestCentroid(x []float64, cents *matrix.Dense) (int, float64) {
 	k, _ := cents.Dims()
 	best, bestD := 0, math.Inf(1)
 	for c := 0; c < k; c++ {
@@ -290,7 +339,12 @@ func nearestCentroid(x []float64, cents *matrix.Dense) int {
 			best = c
 		}
 	}
-	return best
+	if math.IsInf(bestD, 1) {
+		// No distance compared below +Inf (NaN input, or overflow):
+		// centroid 0 stands, at whatever its distance is.
+		bestD = sqDist(x, cents.RawRow(0))
+	}
+	return best, bestD
 }
 
 func sqDist(a, b []float64) float64 {
@@ -309,7 +363,8 @@ func (m *Model) Predict(x []float64) int {
 	if len(x) != m.Dim {
 		panic(fmt.Sprintf("kmeans: predict on %d-dim vector, model is %d-dim", len(x), m.Dim))
 	}
-	return nearestCentroid(x, m.Centroids)
+	c, _ := nearestCentroid(x, m.Centroids)
+	return c
 }
 
 // AssignDistance returns the nearest-centroid cluster for x and the
@@ -332,12 +387,6 @@ func (m *Model) AssignDistance(x []float64) (int, float64) {
 	return best, math.Sqrt(bestD)
 }
 
-// predictCostNs estimates one nearest-centroid assignment's cost for
-// adaptive dispatch (~2 ns per centroid coordinate, plus loop overhead).
-func (m *Model) predictCostNs() float64 {
-	return 40 + 2*float64(m.K*m.Dim)
-}
-
 // PredictAll returns cluster assignments for every row of data, fanning
 // the rows out over the worker pool (each row is independent, so the
 // result is identical for every pool size).
@@ -358,14 +407,13 @@ func (m *Model) PredictAllContext(ctx context.Context, data *matrix.Dense, worke
 	if d != m.Dim {
 		return nil, fmt.Errorf("kmeans: predict on %d-dim rows, model is %d-dim", d, m.Dim)
 	}
-	out := make([]int, r)
-	plan := parallel.PlanFor(workers, r, m.predictCostNs())
-	if err := parallel.ForContext(ctx, plan.Workers, r, plan.Chunk, func(start, end int) {
-		for i := start; i < end; i++ {
-			out[i] = nearestCentroid(data.RawRow(i), m.Centroids)
-		}
-	}); err != nil {
+	rows := groupRows(data)
+	if err := rows.refresh(ctx, m.Centroids, workers); err != nil {
 		return nil, err
+	}
+	out := make([]int, r)
+	for i, g := range rows.Group {
+		out[i] = int(rows.cluster[g])
 	}
 	return out, nil
 }
@@ -380,22 +428,23 @@ func (m *Model) Distance(x []float64, c int) float64 {
 
 // Inertia computes the WCSS of data under the model's centroids.
 func (m *Model) Inertia(data *matrix.Dense) float64 {
-	wcss, _ := m.inertiaContext(context.Background(), data, 0)
+	wcss, _ := m.inertia(context.Background(), groupRows(data), 0)
 	return wcss
 }
 
-// inertiaContext reduces per-chunk WCSS partials in fixed chunk order, so
-// the value is bit-identical for every worker count; ctx cancels at chunk
-// boundaries.
-func (m *Model) inertiaContext(ctx context.Context, data *matrix.Dense, workers int) (float64, error) {
-	r, _ := data.Dims()
-	return parallel.MapReduceContext(ctx, workers, r, 0,
+// inertia takes each distinct row's squared distance to its nearest
+// centroid (refreshing data), then reduces them over all rows in row
+// order: per-chunk partials merged in fixed chunk order, so the value is
+// bit-identical for every worker count; ctx cancels at chunk boundaries.
+func (m *Model) inertia(ctx context.Context, data *grouped, workers int) (float64, error) {
+	if err := data.refresh(ctx, m.Centroids, workers); err != nil {
+		return 0, err
+	}
+	return parallel.MapReduceContext(ctx, workers, len(data.Group), 0,
 		func() float64 { return 0 },
 		func(total float64, start, end int) float64 {
-			for i := start; i < end; i++ {
-				row := data.RawRow(i)
-				c := nearestCentroid(row, m.Centroids)
-				total += sqDist(row, m.Centroids.RawRow(c))
+			for _, g := range data.Group[start:end] {
+				total += data.sqDist[g]
 			}
 			return total
 		},

@@ -151,28 +151,35 @@ func (p *PCA) TransformWorkers(m *matrix.Dense, workers int) (*matrix.Dense, err
 }
 
 // TransformContext is TransformWorkers with cooperative cancellation at
-// chunk boundaries; projections are row-independent, so a completed
-// transform is identical for every pool size and context.
+// chunk boundaries. A projection is a pure function of the row's bits,
+// so each class of bitwise-equal rows is projected once, on its first
+// row, and the result copied to the rest; a completed transform is
+// identical for every pool size and context.
 func (p *PCA) TransformContext(ctx context.Context, m *matrix.Dense, workers int) (*matrix.Dense, error) {
 	r, d := m.Dims()
 	if d != len(p.Mean) {
 		return nil, fmt.Errorf("pca: transform on %d features, fitted on %d", d, len(p.Mean))
 	}
 	out := matrix.NewDense(r, p.K)
+	rows := m.DistinctRows()
 	// Adaptive dispatch: one projection is ~(K+1)·d flops, so small
 	// batches run serially rather than paying pool startup.
-	plan := parallel.PlanFor(workers, r, 40+2*float64((p.K+1)*d))
-	if err := parallel.ForContext(ctx, plan.Workers, r, plan.Chunk, func(start, end int) {
+	plan := parallel.PlanFor(workers, len(rows.First), 40+2*float64((p.K+1)*d))
+	if err := parallel.ForContext(ctx, plan.Workers, len(rows.First), plan.Chunk, func(start, end int) {
 		buf := make([]float64, d)
-		for i := start; i < end; i++ {
-			row := m.RawRow(i)
-			for j, v := range row {
+		for _, i := range rows.First[start:end] {
+			for j, v := range m.RawRow(i) {
 				buf[j] = v - p.Mean[j]
 			}
 			p.projectInto(buf, out.RawRow(i))
 		}
 	}); err != nil {
 		return nil, err
+	}
+	for i, g := range rows.Group {
+		if first := rows.First[g]; first != i {
+			copy(out.RawRow(i), out.RawRow(first))
+		}
 	}
 	return out, nil
 }

@@ -1,10 +1,12 @@
 package pca
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"polygraph/internal/matrix"
+	"polygraph/internal/matrix/matrixtest"
 	"polygraph/internal/rng"
 )
 
@@ -115,22 +117,60 @@ func TestTransformShape(t *testing.T) {
 	}
 }
 
-func TestTransformVecMatchesMatrix(t *testing.T) {
-	m := corrData(50, 6)
-	p, err := Fit(m, 2)
-	if err != nil {
-		t.Fatal(err)
+// TestTransformMatchesRowAtATime: Transform projects each class of
+// bitwise-equal rows once and copies the result; it must agree bit for
+// bit with centering and projecting every row on its own, whatever the
+// repetition and the pool size, and with TransformVec up to rounding.
+func TestTransformMatchesRowAtATime(t *testing.T) {
+	inputs := []struct {
+		name           string
+		n, d, distinct int
+	}{
+		{"few-distinct", 900, 6, 60},
+		{"sign-of-zero-and-nan-only", 200, 3, 4},
+		{"all-distinct", 3000, 6, 3000}, // enough work for the pool to start
 	}
-	full, _ := p.Transform(m)
-	for i := 0; i < 50; i++ {
-		v, err := p.TransformVec(m.Row(i))
+	for _, in := range inputs {
+		// Fit on the clean twin: a NaN would poison the covariance.
+		p, err := Fit(matrixtest.FewDistinct(9, in.n, in.d, in.distinct, false), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range v {
-			if math.Abs(v[j]-full.At(i, j)) > 1e-9 {
-				t.Fatalf("row %d comp %d: %v vs %v", i, j, v[j], full.At(i, j))
+		m := matrixtest.FewDistinct(9, in.n, in.d, in.distinct, true)
+		want := make([]float64, 0, in.n*p.K)
+		for i := 0; i < in.n; i++ {
+			row := m.RawRow(i)
+			centered := make([]float64, in.d)
+			for j, v := range row {
+				centered[j] = v - p.Mean[j]
 			}
+			for c := 0; c < p.K; c++ {
+				s := 0.0
+				for j, w := range p.Components.RawRow(c) {
+					s += centered[j] * w
+				}
+				want = append(want, s)
+			}
+			vec, err := p.TransformVec(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c, v := range vec {
+				if ref := want[i*p.K+c]; math.Abs(v-ref) > 1e-9 && !math.IsNaN(ref) {
+					t.Fatalf("%s: row %d comp %d: TransformVec %v vs %v", in.name, i, c, v, ref)
+				}
+			}
+		}
+		for _, workers := range []int{1, 2, 7} {
+			got, err := p.TransformWorkers(m, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flat := make([]float64, 0, len(want))
+			for i := 0; i < in.n; i++ {
+				flat = append(flat, got.RawRow(i)...)
+			}
+			matrixtest.RequireSameBits(t, fmt.Sprintf("%s/workers=%d: projection", in.name, workers), flat, want)
 		}
 	}
 }

@@ -4,10 +4,11 @@
 # Runs the gofmt gate, the tier-1 build+test pass (what CI and the
 # roadmap call "tier-1 green"), vet — of this module and of the
 # benchmark module under bench/, whose seam.go pins the symbols the
-# benchmark calls — the one-ingest-core and one-daemon-wiring guards,
-# the race-detector pass that guards the internal/parallel worker-pool
-# layer and the collect hot-swap/stats paths, and five seconds of
-# fuzzing per fuzz target. Usage:
+# benchmark calls — the one-ingest-core, one-daemon-wiring and
+# per-row-kernel call-site guards, the race-detector pass that guards
+# the internal/parallel worker-pool layer and the collect
+# hot-swap/stats paths, and five seconds of fuzzing per fuzz target.
+# Usage:
 #
 #   scripts/check.sh          # everything
 #   scripts/check.sh -short   # pass flags through to both test runs
@@ -56,6 +57,24 @@ for call in 'collect.NewServer(' 'collect.NewTCPServer('; do
     [ "$sites" = internal/serving/serving.go ] || {
         echo "check.sh: call sites of $call: $(echo $sites), want exactly one, in internal/serving/serving.go" >&2; exit 1; }
 done
+
+# One pass per distinct row: training runs each pure per-row kernel once
+# per class of bitwise-equal rows (matrix.DistinctRows), so every kernel
+# has a fixed set of non-test call sites and an edit that brings back an
+# all-rows loop shows up here as one more. nearestCentroid:
+# grouped.refresh (per distinct row) and Model.Predict (one vector).
+# scoreRows: ScoreAllContext. pathLengthFlat: Score and scoreRows.
+# projectInto: TransformContext.
+echo "== per-row kernels"
+while read -r call dir want; do
+    n=$(ls "$dir"/*.go | grep -v _test.go | xargs grep -HF -- "$call" | grep -vc ':func ' || true)
+    [ "$n" -eq "$want" ] || { echo "check.sh: $n call sites of $call in $dir, want $want" >&2; exit 1; }
+done <<'SITES'
+nearestCentroid( internal/kmeans 2
+scoreRows( internal/iforest 1
+pathLengthFlat( internal/iforest 2
+projectInto( internal/pca 1
+SITES
 
 echo "== go test ./... $*"
 go test "$@" ./...
