@@ -169,10 +169,7 @@ func (c *coalescer) serve() bool {
 		// bufio errors are sticky: Flush below reports a failed write.
 		_, _ = c.bw.Write(reply[:])
 	}
-	elapsed := time.Since(start)
-	for i := 0; i < scored; i++ {
-		c.s.hist.Record(elapsed)
-	}
+	c.s.hist.RecordN(time.Since(start), scored)
 	c.s.tracer.Finish(tr, status)
 	return c.bw.Flush() == nil
 }

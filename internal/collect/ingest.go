@@ -118,7 +118,7 @@ func (in *ingest) newScoreBuf() *scoreBuf {
 // timed adds the score span and returns the kernel time in
 // microseconds. A transport with one payload per trace sets it; the TCP
 // coalescer, whose one trace covers up to tcpMaxBatch rows, does not —
-// two clock reads per row are a tenth of a 400 ns kernel.
+// two clock reads per row are a quarter of a 200 ns kernel.
 func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, timed bool) (res core.Result, elapsedUs int64, reason rejectReason, err error) {
 	dep := in.model.loadDeployed()
 	if len(p.Values) != dep.m.Dim() {

@@ -413,6 +413,31 @@ func BenchmarkScore(b *testing.B) {
 	}
 }
 
+// BenchmarkScoreKernel times the two loops of the score plan on their
+// own: scale + project, and nearest centroid. scripts/benchgate.sh pins
+// both at 0 allocs/op.
+func BenchmarkScoreKernel(b *testing.B) {
+	m, _, ext := trainFixtureModel(b, 40)
+	vec := ext.Extract(browser.Profile{Release: ua.Release{Vendor: ua.Chrome, Version: 112}, OS: ua.Windows10})
+	p := m.scorePlanNow()
+	s := m.NewScratch()
+	b.Run("transform", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			kernelSink = p.transform(s, vec)[0]
+		}
+	})
+	x := append([]float64(nil), p.transform(s, vec)...)
+	b.Run("assign", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, kernelSink = p.assign(x)
+		}
+	})
+}
+
+var kernelSink float64
+
 func BenchmarkTrain(b *testing.B) {
 	samples, ext := trainFixture(b, 100)
 	cfg := DefaultTrainConfig()

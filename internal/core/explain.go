@@ -300,8 +300,8 @@ func (m *Model) Explain(vector []float64, claimed ua.Release, topK int) (*Explan
 // ExplainString is Explain for sessions delivering a raw user-agent
 // string, mirroring ScoreString's handling of unparseable claims.
 func (m *Model) ExplainString(vector []float64, userAgent string, topK int) (*Explanation, error) {
-	claimed, err := ua.Parse(userAgent)
-	if err != nil {
+	claimed, ok := ua.ParseRelease(userAgent)
+	if !ok {
 		res, serr := m.ScoreString(vector, userAgent)
 		if serr != nil {
 			return nil, serr
@@ -325,8 +325,8 @@ func (m *Model) ExplainResult(vector []float64, userAgent string, res Result, to
 	if err := m.checkTrained(); err != nil {
 		return nil, err
 	}
-	claimed, err := ua.Parse(userAgent)
-	if err != nil {
+	claimed, ok := ua.ParseRelease(userAgent)
+	if !ok {
 		return m.explain(vector, userAgent, ua.Release{}, false, res, topK)
 	}
 	return m.explain(vector, claimed.String(), claimed, true, res, topK)

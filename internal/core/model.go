@@ -287,10 +287,11 @@ func (m *Model) ScoreString(vector []float64, userAgent string) (Result, error) 
 }
 
 // ScoreStringWith is ScoreString with caller-owned scratch (see
-// ScoreWith). Only the user-agent parse allocates on this path.
+// ScoreWith). Nothing allocates on this path, whether or not the
+// user-agent parses.
 func (m *Model) ScoreStringWith(s *Scratch, vector []float64, userAgent string) (Result, error) {
-	claimed, err := ua.Parse(userAgent)
-	if err != nil {
+	claimed, ok := ua.ParseRelease(userAgent)
+	if !ok {
 		cluster, cerr := m.predictClusterWith(s, vector)
 		if cerr != nil {
 			return Result{}, cerr

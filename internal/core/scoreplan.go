@@ -26,13 +26,29 @@ import (
 //     (means, stds) tables as exact identities (mean 0, std 1 — x−0 and
 //     x/1 round to x), so the fused loop reproduces
 //     scaler.transformInto bit for bit;
-//   - projection accumulates (scaled[j]−pcaMean[j])·w in ascending j per
-//     component, exactly pca.TransformVecInto's order;
-//   - assignment scans centroids in ascending order with a strict <,
-//     summing squared diffs in ascending j, exactly kmeans
-//     nearestCentroid + sqDist, then takes one sqrt.
+//   - projection centres the scaled vector once (scaled[j]−pcaMean[j],
+//     the same subtraction pca.TransformVecInto repeats per component)
+//     and accumulates centred[j]·w in ascending j per component, exactly
+//     pca.TransformVecInto's order;
+//   - assignment sums squared diffs in ascending j per centroid and
+//     compares centroids in ascending order with a strict <, exactly
+//     kmeans nearestCentroid + sqDist, then takes one sqrt.
 //
-// The worker-invariance and audit-replay suites pin this equivalence.
+// Both loops are register-blocked: four components (centroids) are
+// evaluated per pass over j, then two, then one for the remainder. A
+// float add has a latency of about four cycles, so one serial chain
+// retires a quarter of what the core can issue; four chains side by side
+// fill it. Blocking changes which chains run together, never the order
+// of additions inside a chain — each sum is still a left fold over
+// ascending j of the same products — and chains share no rounding, so
+// every sum has the bits the serial loop gave it. The d < bestD tests run
+// after a block's sums, in ascending centroid index, so the winner of a
+// tie (or of NaN distances, which never compare below) is the serial
+// scan's. There is one kernel: no serial copy is kept outside the tests.
+//
+// The worker-invariance and audit-replay suites pin the equivalence on
+// the fixture model; TestKernelBlockingParity pins it for every block
+// remainder.
 type scorePlan struct {
 	// valid is false when the model's components are dimensionally
 	// inconsistent (possible only for hand-assembled models); scoring
@@ -76,8 +92,9 @@ type scorePlan struct {
 // ScoreStringWith; Score and ScoreBatch manage pooled scratch
 // internally.
 type Scratch struct {
-	scaled []float64 // scaled feature vector (len dim)
-	x      []float64 // PCA projection (len pcaK), unused when PCA is off
+	scaled  []float64 // scaled feature vector (len dim)
+	centred []float64 // scaled − pcaMean (len dim), unused when PCA is off
+	x       []float64 // PCA projection (len pcaK), unused when PCA is off
 }
 
 // NewScratch returns scratch buffers for the allocation-free scoring
@@ -87,7 +104,10 @@ func (m *Model) NewScratch() *Scratch {
 	s := &Scratch{}
 	if p := m.plan.Load(); p != nil && p.valid {
 		s.scaled = make([]float64, p.dim)
-		s.x = make([]float64, p.pcaK)
+		if p.pcaK > 0 {
+			s.centred = make([]float64, p.dim)
+			s.x = make([]float64, p.pcaK)
+		}
 	}
 	return s
 }
@@ -199,37 +219,81 @@ func (p *scorePlan) putScratch(s *Scratch) {
 // transform scales vector and, when PCA is enabled, projects it, using
 // s's buffers. It returns the cluster-space vector (aliasing s). The
 // caller has validated len(vector) == p.dim.
+//
+// Projection runs four components per pass over j (then two, then one),
+// so four independent add chains are in flight instead of one; each
+// component's sum still adds the same products in ascending j.
 func (p *scorePlan) transform(s *Scratch, vector []float64) []float64 {
-	if cap(s.scaled) < p.dim {
-		s.scaled = make([]float64, p.dim)
+	dim := p.dim
+	if cap(s.scaled) < dim {
+		s.scaled = make([]float64, dim)
 	}
-	scaled := s.scaled[:p.dim]
+	scaled := s.scaled[:dim]
+	vector = vector[:dim]
+	means, stds := p.means[:dim], p.stds[:dim]
 	for j, v := range vector {
-		scaled[j] = (v - p.means[j]) / p.stds[j]
+		scaled[j] = (v - means[j]) / stds[j]
 	}
-	if p.pcaK == 0 {
+	pcaK := p.pcaK
+	if pcaK == 0 {
 		return scaled
 	}
-	if cap(s.x) < p.pcaK {
-		s.x = make([]float64, p.pcaK)
+	if cap(s.centred) < dim {
+		s.centred = make([]float64, dim)
 	}
-	x := s.x[:p.pcaK]
-	for c := 0; c < p.pcaK; c++ {
-		comp := p.pcaComp[c*p.dim : (c+1)*p.dim]
-		sum := 0.0
-		for j, w := range comp {
-			sum += (scaled[j] - p.pcaMean[j]) * w
+	centred := s.centred[:dim]
+	pcaMean := p.pcaMean[:dim]
+	for j, v := range scaled {
+		centred[j] = v - pcaMean[j]
+	}
+	if cap(s.x) < pcaK {
+		s.x = make([]float64, pcaK)
+	}
+	x := s.x[:pcaK]
+	comp := p.pcaComp[:pcaK*dim]
+	c := 0
+	for ; c+4 <= pcaK; c += 4 {
+		w0 := comp[c*dim:][:dim]
+		w1 := comp[(c+1)*dim:][:dim]
+		w2 := comp[(c+2)*dim:][:dim]
+		w3 := comp[(c+3)*dim:][:dim]
+		var s0, s1, s2, s3 float64
+		for j, v := range centred {
+			s0 += v * w0[j]
+			s1 += v * w1[j]
+			s2 += v * w2[j]
+			s3 += v * w3[j]
 		}
-		x[c] = sum
+		x[c], x[c+1], x[c+2], x[c+3] = s0, s1, s2, s3
+	}
+	if c+2 <= pcaK {
+		w0 := comp[c*dim:][:dim]
+		w1 := comp[(c+1)*dim:][:dim]
+		var s0, s1 float64
+		for j, v := range centred {
+			s0 += v * w0[j]
+			s1 += v * w1[j]
+		}
+		x[c], x[c+1] = s0, s1
+		c += 2
+	}
+	if c < pcaK {
+		w0 := comp[c*dim:][:dim]
+		s0 := 0.0
+		for j, v := range centred {
+			s0 += v * w0[j]
+		}
+		x[c] = s0
 	}
 	return x
 }
 
 // sqDist is the squared Euclidean distance from x to centroid c, summed
-// in ascending coordinate order — assign's inner loop for the callers
-// that want one centroid (a call per centroid costs the kernel 15 %).
+// in ascending coordinate order: one of assign's chains on its own, for
+// explain, which wants every centroid's distance rather than the
+// nearest.
 func (p *scorePlan) sqDist(x []float64, c int) float64 {
-	cent := p.cents[c*p.cdim : (c+1)*p.cdim]
+	cent := p.cents[c*p.cdim:][:len(x)]
 	d := 0.0
 	for j, xv := range x {
 		diff := xv - cent[j]
@@ -239,18 +303,66 @@ func (p *scorePlan) sqDist(x []float64, c int) float64 {
 }
 
 // assign returns the nearest centroid and the Euclidean distance to it.
+// Four centroids are summed per pass over x (then two, then one), each
+// in ascending coordinate order as sqDist does; the comparisons then
+// run in ascending centroid order with a strict <, so a tie goes to the
+// lowest index inside a block and across blocks.
 func (p *scorePlan) assign(x []float64) (int, float64) {
+	k, cdim := p.k, p.cdim
+	x = x[:cdim]
+	cents := p.cents[:k*cdim]
 	best, bestD := 0, math.Inf(1)
-	for c := 0; c < p.k; c++ {
-		cent := p.cents[c*p.cdim : (c+1)*p.cdim]
-		d := 0.0
+	c := 0
+	for ; c+4 <= k; c += 4 {
+		c0 := cents[c*cdim:][:cdim]
+		c1 := cents[(c+1)*cdim:][:cdim]
+		c2 := cents[(c+2)*cdim:][:cdim]
+		c3 := cents[(c+3)*cdim:][:cdim]
+		var d0, d1, d2, d3 float64
 		for j, xv := range x {
-			diff := xv - cent[j]
-			d += diff * diff
+			t0 := xv - c0[j]
+			t1 := xv - c1[j]
+			t2 := xv - c2[j]
+			t3 := xv - c3[j]
+			d0 += t0 * t0
+			d1 += t1 * t1
+			d2 += t2 * t2
+			d3 += t3 * t3
 		}
-		if d < bestD {
-			bestD = d
-			best = c
+		if d0 < bestD {
+			best, bestD = c, d0
+		}
+		if d1 < bestD {
+			best, bestD = c+1, d1
+		}
+		if d2 < bestD {
+			best, bestD = c+2, d2
+		}
+		if d3 < bestD {
+			best, bestD = c+3, d3
+		}
+	}
+	if c+2 <= k {
+		c0 := cents[c*cdim:][:cdim]
+		c1 := cents[(c+1)*cdim:][:cdim]
+		var d0, d1 float64
+		for j, xv := range x {
+			t0 := xv - c0[j]
+			t1 := xv - c1[j]
+			d0 += t0 * t0
+			d1 += t1 * t1
+		}
+		if d0 < bestD {
+			best, bestD = c, d0
+		}
+		if d1 < bestD {
+			best, bestD = c+1, d1
+		}
+		c += 2
+	}
+	if c < k {
+		if d := p.sqDist(x, c); d < bestD {
+			best, bestD = c, d
 		}
 	}
 	return best, math.Sqrt(bestD)

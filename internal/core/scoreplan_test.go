@@ -212,6 +212,18 @@ func TestScoreAllocationFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("ScoreWith allocates %v objects/op, want 0", allocs)
 	}
+
+	// A claim that does not parse takes the same kernel and must cost no
+	// more: the hostile frame is not allowed to be the expensive one.
+	for _, junk := range []string{"definitely not a browser", "Chrome/999.0.0.0"} {
+		if allocs := testing.AllocsPerRun(200, func() {
+			if _, err := m.ScoreStringWith(scratch, vec, junk); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("ScoreStringWith(%q) allocates %v objects/op, want 0", junk, allocs)
+		}
+	}
 }
 
 // TestScoreBatchAllocsSizeIndependent: batching allocates O(1) beyond the

@@ -7,8 +7,10 @@ import (
 )
 
 // FuzzUnmarshalBinary hardens the codec against hostile network input:
-// it must never panic, never over-allocate, anything it accepts must
-// re-encode to a payload it accepts again, and decoding into a Payload
+// it must never panic, never over-allocate, agree with the
+// binary.Varint-only reference decoder on what it accepts, rejects and
+// produces, anything it accepts must re-encode to a payload it accepts
+// again, and decoding into a Payload
 // that held another session must give what decoding into a fresh one
 // gives — the same fields on success, the same error and an empty
 // payload on failure — because the TCP listener decodes every frame of a
@@ -28,8 +30,12 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	mut := append([]byte(nil), enc...)
 	mut[5] ^= 0x80
 	f.Add(mut)
+	for _, frame := range varintEdgeFrames() {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeParity(t, data)
 		p, err := UnmarshalBinary(data)
 		dirty := &Payload{
 			SessionID: [SessionIDSize]byte{0xAA, 0xBB, 15: 0xCC},

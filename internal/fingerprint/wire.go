@@ -132,9 +132,28 @@ func (p *Payload) decode(data []byte) error {
 	}
 	p.Values = p.Values[:nVals]
 	for i := range p.Values {
-		v, n := binary.Varint(rest)
-		if n <= 0 {
-			return fmt.Errorf("%w: truncated value %d", ErrBadPayload, i)
+		// binary.Varint, with the one- and two-byte encodings — every
+		// value below 8 192, which is all of Table 8's counts — read in
+		// line. Both short cases take the first byte's low seven bits as
+		// binary.Uvarint does, so the same byte strings are accepted,
+		// the non-canonical 0x80 0x00 included; longer varints and the
+		// empty tail go to binary.Uvarint itself.
+		var ux uint64
+		n := 1
+		switch {
+		case len(rest) >= 1 && rest[0] < 0x80:
+			ux = uint64(rest[0])
+		case len(rest) >= 2 && rest[1] < 0x80:
+			ux = uint64(rest[0]&0x7f) | uint64(rest[1])<<7
+			n = 2
+		default:
+			if ux, n = binary.Uvarint(rest); n <= 0 {
+				return fmt.Errorf("%w: truncated value %d", ErrBadPayload, i)
+			}
+		}
+		v := int64(ux >> 1) // zig-zag
+		if ux&1 != 0 {
+			v = ^v
 		}
 		p.Values[i] = v
 		rest = rest[n:]

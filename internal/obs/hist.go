@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -26,17 +27,24 @@ type Hist struct {
 	maxNs  atomic.Int64
 }
 
-// Record adds one latency observation. The latency sum is published
-// before the observation count so a concurrent reader never divides a
-// sum by more observations than contributed to it (the mean/avg-gauge
-// torn-read guard).
-func (h *Hist) Record(d time.Duration) {
+// Record adds one latency observation.
+func (h *Hist) Record(d time.Duration) { h.RecordN(d, 1) }
+
+// RecordN adds n observations of the same latency — the frames of one
+// coalesced batch, which all waited the batch's wall time — at the cost
+// of one. The latency sum is published before the observation count so
+// a concurrent reader never divides a sum by more observations than
+// contributed to it (the mean/avg-gauge torn-read guard).
+func (h *Hist) RecordN(d time.Duration, n int) {
+	if n <= 0 {
+		return
+	}
 	if d < 0 {
 		d = 0
 	}
-	h.counts[bucketFor(d)].Add(1)
-	h.sumNs.Add(int64(d))
-	h.count.Add(1)
+	h.counts[bucketFor(d)].Add(uint64(n))
+	h.sumNs.Add(int64(d) * int64(n))
+	h.count.Add(uint64(n))
 	for {
 		cur := h.maxNs.Load()
 		if int64(d) <= cur || h.maxNs.CompareAndSwap(cur, int64(d)) {
@@ -46,18 +54,7 @@ func (h *Hist) Record(d time.Duration) {
 }
 
 func bucketFor(d time.Duration) int {
-	us := uint64(d / time.Microsecond)
-	// bits.Len64 semantics without the import: position of highest set
-	// bit + 1; 0 → bucket 0.
-	idx := 0
-	for us != 0 {
-		idx++
-		us >>= 1
-	}
-	if idx >= NumBuckets {
-		idx = NumBuckets - 1
-	}
-	return idx
+	return min(bits.Len64(uint64(d/time.Microsecond)), NumBuckets-1)
 }
 
 // BucketIndex returns the bucket a latency of us microseconds lands in

@@ -40,6 +40,27 @@ func TestHistExactMoments(t *testing.T) {
 	}
 }
 
+// TestHistRecordNIsRecordRepeated: a batch recorded at once reads
+// exactly like its frames recorded one by one, and an empty batch (no
+// frame of the block scored) records nothing, the maximum included.
+func TestHistRecordNIsRecordRepeated(t *testing.T) {
+	var batched, single Hist
+	for i, d := range []time.Duration{0, 700 * time.Nanosecond, 93 * time.Microsecond, 4 * time.Millisecond, -time.Second} {
+		n := 1 + 21*i
+		batched.RecordN(d, n)
+		for j := 0; j < n; j++ {
+			single.Record(d)
+		}
+	}
+	batched.RecordN(time.Hour, 0)
+	batched.RecordN(time.Hour, -3)
+	if batched.Buckets() != single.Buckets() || batched.Count() != single.Count() ||
+		batched.Sum() != single.Sum() || batched.Max() != single.Max() {
+		t.Fatalf("RecordN: %+v sum %v; repeated Record: %+v sum %v",
+			batched.Summary(), batched.Sum(), single.Summary(), single.Sum())
+	}
+}
+
 // TestHistQuantilesKnownDistributions drives the quantile math against
 // distributions whose true quantiles are known, asserting the estimate
 // stays within the histogram's error budget (well under one octave for

@@ -3,8 +3,9 @@ package ua
 import "testing"
 
 // FuzzParse hardens user-agent parsing against hostile header values: it
-// must never panic, and anything it accepts must be a valid release that
-// re-renders to a string Parse accepts identically.
+// must never panic, Parse and ParseRelease must accept the same strings
+// with the same release, and anything accepted must be a valid release
+// that re-renders to a string Parse accepts identically.
 func FuzzParse(f *testing.F) {
 	f.Add("Mozilla/5.0 (Windows NT 10.0; Win64; x64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/112.0.0.0 Safari/537.36")
 	f.Add("Mozilla/5.0 (Windows NT 10.0; Win64; x64; rv:109.0) Gecko/20100101 Firefox/109.0")
@@ -16,6 +17,9 @@ func FuzzParse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, s string) {
 		r, err := Parse(s)
+		if fast, ok := ParseRelease(s); ok != (err == nil) || fast != r {
+			t.Fatalf("%q: Parse = %v, %v; ParseRelease = %v, %v", s, r, err, fast, ok)
+		}
 		if err != nil {
 			return
 		}

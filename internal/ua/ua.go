@@ -10,6 +10,7 @@ package ua
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -169,19 +170,41 @@ func UserAgent(r Release, os OS) string {
 // Edge contains "Chrome/" and "Edge/". Unrecognized strings return an
 // error rather than a zero release so callers must handle junk input.
 func Parse(userAgent string) (Release, error) {
+	r, ok := recognize(userAgent)
+	if !ok {
+		return Release{}, fmt.Errorf("ua: unrecognized user-agent %q", truncate(userAgent, 64))
+	}
+	return checked(r)
+}
+
+// ParseRelease is Parse for callers that act on failure without
+// reporting it — the scoring path, where an unparseable claim is simply
+// maximally risky. It accepts exactly what Parse accepts and allocates
+// nothing either way, so a junk header costs no more than an honest one.
+func ParseRelease(userAgent string) (Release, bool) {
+	r, ok := recognize(userAgent)
+	if !ok || !r.Valid() {
+		return Release{}, false
+	}
+	return r, true
+}
+
+// recognize finds the vendor marker and the version after it; the
+// release may still lie outside the modeled universe.
+func recognize(userAgent string) (Release, bool) {
 	if v, ok := versionAfter(userAgent, "Edg/"); ok {
-		return checked(Release{Vendor: Edge, Version: v})
+		return Release{Vendor: Edge, Version: v}, true
 	}
 	if v, ok := versionAfter(userAgent, "Edge/"); ok {
-		return checked(Release{Vendor: Edge, Version: v})
+		return Release{Vendor: Edge, Version: v}, true
 	}
 	if v, ok := versionAfter(userAgent, "Firefox/"); ok {
-		return checked(Release{Vendor: Firefox, Version: v})
+		return Release{Vendor: Firefox, Version: v}, true
 	}
 	if v, ok := versionAfter(userAgent, "Chrome/"); ok {
-		return checked(Release{Vendor: Chrome, Version: v})
+		return Release{Vendor: Chrome, Version: v}, true
 	}
-	return Release{}, fmt.Errorf("ua: unrecognized user-agent %q", truncate(userAgent, 64))
+	return Release{}, false
 }
 
 func checked(r Release) (Release, error) {
@@ -206,18 +229,17 @@ func versionAfter(s, marker string) (int, bool) {
 		return 0, false
 	}
 	rest := s[i+len(marker):]
-	end := 0
-	for end < len(rest) && rest[end] >= '0' && rest[end] <= '9' {
-		end++
+	v, end := 0, 0
+	for ; end < len(rest) && rest[end] >= '0' && rest[end] <= '9'; end++ {
+		// strconv.Atoi's range check without its error: a digit run that
+		// overflows int is not a version, and saying so must not allocate.
+		d := int(rest[end] - '0')
+		if v > (math.MaxInt-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
 	}
-	if end == 0 {
-		return 0, false
-	}
-	v, err := strconv.Atoi(rest[:end])
-	if err != nil {
-		return 0, false
-	}
-	return v, true
+	return v, end > 0
 }
 
 // ParseName parses the compact "Chrome 112" notation used in tables,

@@ -1,6 +1,7 @@
 package ua
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -119,6 +120,9 @@ func TestUserAgentParseRoundtrip(t *testing.T) {
 			if got != r {
 				t.Fatalf("roundtrip %s via %q => %s", r, s, got)
 			}
+			if fast, ok := ParseRelease(s); !ok || fast != r {
+				t.Fatalf("ParseRelease(%q) = %s, %v; Parse gave %s", s, fast, ok, r)
+			}
 		}
 	}
 }
@@ -128,13 +132,41 @@ func TestParseRejectsJunk(t *testing.T) {
 		"",
 		"curl/8.0",
 		"Mozilla/5.0 (compatible; Googlebot/2.1)",
-		"Chrome/",          // marker with no digits
-		"Chrome/999.0.0.0", // out of universe
+		"Chrome/",                      // marker with no digits
+		"Chrome/999.0.0.0",             // out of universe
+		"Edg/999999999999999999999999", // overflows int
 	}
 	for _, s := range junk {
 		if _, err := Parse(s); err == nil {
 			t.Fatalf("Parse(%q) should fail", s)
 		}
+		if r, ok := ParseRelease(s); ok || r != (Release{}) {
+			t.Fatalf("ParseRelease(%q) = %s, %v; should fail with the zero release", s, r, ok)
+		}
+	}
+	// Rejecting costs what accepting does: the hostile header must not
+	// be the expensive one.
+	for _, s := range junk {
+		if allocs := testing.AllocsPerRun(100, func() { ParseRelease(s) }); allocs != 0 {
+			t.Fatalf("ParseRelease(%q) allocates %v objects", s, allocs)
+		}
+	}
+}
+
+// TestParseVersionOverflow pins strconv.Atoi's boundary, which the
+// in-line digit loop replaced: the largest int is a version (of no
+// modeled release), one more is not a version at all and the next
+// marker gets its turn.
+func TestParseVersionOverflow(t *testing.T) {
+	if v, ok := versionAfter("Edg/9223372036854775807", "Edg/"); !ok || v != math.MaxInt64 {
+		t.Fatalf("MaxInt64 parsed as %d, %v", v, ok)
+	}
+	if _, err := Parse("Edg/9223372036854775807 Chrome/112"); err == nil {
+		t.Fatal("an in-range but unmodeled Edg/ version must win and fail")
+	}
+	r, err := Parse("Edg/9223372036854775808 Chrome/112")
+	if err != nil || r != (Release{Chrome, 112}) {
+		t.Fatalf("overflowing Edg/ version should fall through to Chrome/: %v, %v", r, err)
 	}
 }
 

@@ -1,13 +1,15 @@
 #!/bin/sh
-# benchgate.sh — the allocation gate for the scoring fast path and the
-# audited-verdict path.
+# benchgate.sh — the allocation gate for the scoring fast path, its
+# kernel and the audited-verdict path.
 #
-# Runs the online-scoring benchmark family and the two audit-path
-# benchmarks with -benchmem and fails when a pinned path regresses its
-# allocation budget:
+# Runs the online-scoring benchmark family, the score kernel's two loops
+# and the two audit-path benchmarks with -benchmem and fails when a
+# pinned path regresses its allocation budget:
 #
 #   BenchmarkOnlineScore          0 allocs/op  (pooled scratch)
 #   BenchmarkOnlineScoreScratch   0 allocs/op  (caller-owned scratch)
+#   BenchmarkScoreKernel/transform  0 allocs/op  (internal/core: scale + project)
+#   BenchmarkScoreKernel/assign     0 allocs/op  (internal/core: nearest centroid)
 #   BenchmarkExplainResult      ≤ 4 allocs/op  (internal/core: the explanation
 #                                               block, its centroid list, the claim)
 #   BenchmarkLedgerAppend       ≤ 1 allocs/op  (internal/audit: pooled encode buffer)
@@ -51,25 +53,26 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "== go test -bench 'ExplainResult$|LedgerAppend$' -benchmem ./internal/core ./internal/audit"
-go test -run '^$' -bench 'ExplainResult$|LedgerAppend$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit | tee "$out"
+echo "== go test -bench 'ExplainResult$|LedgerAppend$|ScoreKernel$' -benchmem ./internal/core ./internal/audit"
+go test -run '^$' -bench 'ExplainResult$|LedgerAppend$|ScoreKernel$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit | tee "$out"
 
 awk '
     /^BenchmarkExplainResult(-[0-9]+)? / { seen++; max = 4 }
     /^BenchmarkLedgerAppend(-[0-9]+)? /  { seen++; max = 1 }
-    /^Benchmark(ExplainResult|LedgerAppend)(-[0-9]+)? / {
+    /^BenchmarkScoreKernel\/(transform|assign)(-[0-9]+)? / { seen++; max = 0 }
+    /^Benchmark(ExplainResult|LedgerAppend|ScoreKernel\/(transform|assign))(-[0-9]+)? / {
         if ($NF != "allocs/op" || $(NF-1) > max) {
             printf "benchgate: %s allocates %s %s, ceiling %d allocs/op\n", $1, $(NF-1), $NF, max
             bad = 1
         }
     }
     END {
-        if (seen < 2) { print "benchgate: audit-path benchmarks missing from output"; bad = 1 }
+        if (seen < 4) { print "benchgate: kernel or audit-path benchmarks missing from output"; bad = 1 }
         exit bad
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths, audit-path ceilings)"
+echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths and the kernel, audit-path ceilings)"
 
 if [ -n "$merge_target" ]; then
     echo "== merging scoring entries into $merge_target"

@@ -5,9 +5,10 @@
 # roadmap call "tier-1 green"), vet — of this module and of the
 # benchmark module under bench/, whose seam.go pins the symbols the
 # benchmark calls — the one-ingest-core, one-daemon-wiring and
-# per-row-kernel call-site guards, the race-detector pass that guards
-# the internal/parallel worker-pool layer and the collect
-# hot-swap/stats paths, and five seconds of fuzzing per fuzz target.
+# per-row-kernel (score kernel included) call-site guards, the
+# race-detector pass that guards the internal/parallel worker-pool layer
+# and the collect hot-swap/stats paths, and five seconds of fuzzing per
+# fuzz target.
 # Usage:
 #
 #   scripts/check.sh          # everything
@@ -65,6 +66,11 @@ done
 # grouped.refresh (per distinct row) and Model.Predict (one vector).
 # scoreRows: ScoreAllContext. pathLengthFlat: Score and scoreRows.
 # projectInto: TransformContext.
+# The score plan's two loops are on the same list: there is one
+# register-blocked kernel, so a "fast path" written beside it would be
+# one more site. p.transform(: scoreOnPlan, explain, predictClusterWith
+# (pooled and caller scratch). p.assign(: scoreOnPlan, predictClusterWith
+# (both).
 echo "== per-row kernels"
 while read -r call dir want; do
     n=$(ls "$dir"/*.go | grep -v _test.go | xargs grep -HF -- "$call" | grep -vc ':func ' || true)
@@ -74,6 +80,8 @@ nearestCentroid( internal/kmeans 2
 scoreRows( internal/iforest 1
 pathLengthFlat( internal/iforest 2
 projectInto( internal/pca 1
+p.transform( internal/core 4
+p.assign( internal/core 3
 SITES
 
 echo "== go test ./... $*"
