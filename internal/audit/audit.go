@@ -17,6 +17,20 @@
 // demands the recorded verdict — the model/ledger consistency invariant
 // CI enforces on every smoke-load run.
 //
+// Durability — the segments are written by internal/seglog, which the
+// journal shares. Append encodes, numbers, checksums and counts a record
+// before it returns, but does not wait for the disk: the frame is copied
+// into one of two 32 KiB buffers and a single flusher goroutine performs
+// every write(2), whole frames only. A record is in the file within a
+// second of Append (a quiet ledger's buffer is flushed by a timer), or
+// when Sync, Rotate or Close return. A process crash can lose at most
+// the two buffers (about 28 records of the serving tier), a machine
+// crash also what the OS had not written back; either leaves at worst a
+// torn tail, which Open drops. A disk that falls behind blocks Append
+// once both buffers are full — backpressure, not a queue. A write that
+// fails is sticky: the records it lost move from Records to Dropped and
+// every later Append fails and counts as dropped.
+//
 // Recording policy: flagged sessions are always recorded; benign
 // sessions are sampled 1-in-N by a deterministic counter, so the
 // recorded-benign count for a given traffic volume is a pure function
@@ -31,8 +45,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -41,6 +53,7 @@ import (
 
 	"polygraph/internal/core"
 	"polygraph/internal/jsonappend"
+	"polygraph/internal/seglog"
 )
 
 // MaxRecordBytes bounds one framed record body; a length prefix beyond
@@ -176,40 +189,35 @@ type Config struct {
 
 // Counters is a snapshot of the ledger's exported metrics.
 type Counters struct {
-	// Records counts records durably framed (the
-	// polygraph_audit_records_total counter).
+	// Records counts records framed and not since lost to a failed write
+	// (the polygraph_audit_records_total counter).
 	Records int64
 	// Dropped counts benign verdicts skipped by sampling plus records
-	// lost to append errors (polygraph_audit_dropped_total).
+	// lost to append or write errors (polygraph_audit_dropped_total).
 	Dropped int64
-	// Bytes counts framed bytes written (polygraph_audit_bytes_total).
+	// Bytes counts the framed bytes of Records (polygraph_audit_bytes_total).
 	Bytes int64
 }
 
 // Ledger is the concurrency-safe ledger writer. Open one with Open;
 // Record is safe for concurrent use.
 type Ledger struct {
-	dir      string
-	prefix   string
-	maxBytes int64
-	sampleN  int
+	dir     string
+	sampleN int
 
-	records atomic.Int64
+	records atomic.Int64 // frames the segment log accepted
 	dropped atomic.Int64
 	bytes   atomic.Int64
 	benign  atomic.Uint64 // benign verdicts seen, drives sampling
 
-	mu     sync.Mutex
-	file   *os.File
-	writer *bufio.Writer
-	size   int64
-	segSeq int
-	seq    uint64 // next record sequence number
-	closed bool
+	// mu makes a record's sequence number and its place in the segment
+	// log one step.
+	mu  sync.Mutex
+	log *seglog.Writer
+	seq uint64 // next record sequence number
 	// lead is writeFrame's scratch: the 8-byte frame header and the
-	// record's opening up to the sequence number (at most 20 digits),
-	// which go out in one write. A local array would escape to the heap
-	// through the writer.
+	// record's opening up to the sequence number (at most 20 digits). A
+	// local array would escape to the heap through the log.
 	lead [8 + len(recordHead) + 20]byte
 
 	ringMu sync.Mutex
@@ -218,11 +226,17 @@ type Ledger struct {
 	full   bool
 }
 
+// segmentExt is the ledger's segment file extension.
+const segmentExt = "audit"
+
 // Open creates or resumes a ledger in cfg.Dir. Resuming scans the
 // newest segment, drops a torn tail (crash mid-append) by truncating
 // the file at the last intact frame, and continues appending to it —
 // record sequence numbers carry on from the last durable record.
-func Open(cfg Config) (*Ledger, error) {
+func Open(cfg Config) (*Ledger, error) { return open(cfg, nil) }
+
+// open is Open with the segment log's write seam exposed to the tests.
+func open(cfg Config, tap func(io.Writer) io.Writer) (*Ledger, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("audit: Config.Dir is required")
 	}
@@ -234,15 +248,7 @@ func Open(cfg Config) (*Ledger, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("audit: ledger dir: %w", err)
-	}
-	l := &Ledger{
-		dir:      cfg.Dir,
-		prefix:   prefix,
-		maxBytes: maxBytes,
-		sampleN:  cfg.SampleBenign,
-	}
+	l := &Ledger{dir: cfg.Dir, sampleN: cfg.SampleBenign}
 	ringSize := cfg.RingSize
 	if ringSize == 0 {
 		ringSize = DefaultRingSize
@@ -250,27 +256,25 @@ func Open(cfg Config) (*Ledger, error) {
 	if ringSize > 0 {
 		l.ring = make([]Record, ringSize)
 	}
-	segments, err := Segments(cfg.Dir, prefix)
+	log, err := seglog.Open(seglog.Config{
+		Dir:      cfg.Dir,
+		Prefix:   prefix,
+		Ext:      segmentExt,
+		MaxBytes: maxBytes,
+		Tap:      tap,
+		Recover: func(f *os.File) (int64, error) {
+			good, lastSeq, count, err := scanFrames(f, nil)
+			if count > 0 {
+				l.seq = lastSeq + 1
+			}
+			return good, err
+		},
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("audit: %w", err)
 	}
-	if n := len(segments); n > 0 {
-		var last int
-		fmt.Sscanf(filepath.Base(segments[n-1]), prefix+".%06d.audit", &last)
-		l.segSeq = last
-		if err := l.recoverSegment(segments[n-1]); err != nil {
-			return nil, err
-		}
-		return l, nil
-	}
-	if err := l.openSegment(); err != nil {
-		return nil, err
-	}
+	l.log = log
 	return l, nil
-}
-
-func segmentPath(dir, prefix string, seq int) string {
-	return filepath.Join(dir, fmt.Sprintf("%s.%06d.audit", prefix, seq))
 }
 
 // Segments lists a ledger directory's segment files in sequence order.
@@ -278,54 +282,7 @@ func Segments(dir, prefix string) ([]string, error) {
 	if prefix == "" {
 		prefix = "decisions"
 	}
-	matches, err := filepath.Glob(filepath.Join(dir, prefix+".*.audit"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(matches)
-	return matches, nil
-}
-
-func (l *Ledger) openSegment() error {
-	f, err := os.OpenFile(segmentPath(l.dir, l.prefix, l.segSeq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("audit: segment: %w", err)
-	}
-	l.file = f
-	l.writer = bufio.NewWriterSize(f, 32<<10)
-	l.size = 0
-	return nil
-}
-
-// recoverSegment reopens an existing segment for append after dropping
-// any torn tail: the file is truncated at the end of the last frame
-// whose length and checksum verify.
-func (l *Ledger) recoverSegment(path string) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("audit: recover %s: %w", path, err)
-	}
-	good, lastSeq, _, err := scanFrames(f, nil)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("audit: recover %s: %w", path, err)
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return fmt.Errorf("audit: truncate torn tail of %s: %w", path, err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("audit: recover %s: %w", path, err)
-	}
-	l.file = f
-	l.writer = bufio.NewWriterSize(f, 32<<10)
-	l.size = good
-	l.seq = lastSeq + 1
-	if good == 0 {
-		l.seq = lastSeq // lastSeq is 0 when the segment held no record
-	}
-	return nil
+	return seglog.Segments(dir, prefix, segmentExt)
 }
 
 // scanFrames walks framed records from r, calling fn (when non-nil) for
@@ -410,8 +367,8 @@ var encodeBufs = sync.Pool{New: func() any {
 // Append writes one admitted record unconditionally — pair it with
 // Admit, or use Record for the combined path. The record is encoded
 // before the ledger lock is taken, so concurrent appenders serialise on
-// the sequence number, the checksum and two buffered writes, not on
-// each other's encoding.
+// the sequence number, the checksum and a copy into the segment log's
+// buffer — not on each other's encoding, and not on the disk.
 func (l *Ledger) Append(rec Record) error {
 	buf := encodeBufs.Get().(*[]byte)
 	rest, err := rec.appendAfterSeq((*buf)[:0])
@@ -434,34 +391,21 @@ func (l *Ledger) Append(rec Record) error {
 }
 
 // writeFrame is Append's critical section: it assigns rec.Seq, frames
-// recordHead + Seq + rest (rotating first when the frame would overflow
-// the segment) and returns the framed size.
+// recordHead + Seq + rest, hands the frame to the segment log and
+// returns its size.
 func (l *Ledger) writeFrame(rec *Record, rest []byte) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("audit: ledger closed")
-	}
 	rec.Seq = l.seq
 	head := strconv.AppendUint(append(l.lead[:8], recordHead...), rec.Seq, 10)
 	n := len(head) - 8 + len(rest)
-	frame := int64(8 + n)
-	if l.size+frame > l.maxBytes && l.size > 0 {
-		if err := l.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
 	binary.BigEndian.PutUint32(head[:4], uint32(n))
 	binary.BigEndian.PutUint32(head[4:8], crc32.Update(crc32.ChecksumIEEE(head[8:]), crc32.IEEETable, rest))
-	if _, err := l.writer.Write(head); err != nil {
+	if err := l.log.Append(head, rest); err != nil {
 		return 0, fmt.Errorf("audit: write frame: %w", err)
 	}
-	if _, err := l.writer.Write(rest); err != nil {
-		return 0, fmt.Errorf("audit: write frame: %w", err)
-	}
-	l.size += frame
 	l.seq++
-	return frame, nil
+	return int64(8 + n), nil
 }
 
 // remember keeps the record in the recent ring for /debug/decisions.
@@ -513,67 +457,36 @@ func (l *Ledger) Recent(n int, verdict, traceID string) []Record {
 	return out
 }
 
-func (l *Ledger) rotateLocked() error {
-	if err := l.writer.Flush(); err != nil {
-		return err
-	}
-	if err := l.file.Close(); err != nil {
-		return err
-	}
-	l.segSeq++
-	return l.openSegment()
-}
-
 // Rotate closes the active segment and starts a fresh one — the SIGHUP
 // hook, so operators can archive sealed segments while the daemon runs.
 func (l *Ledger) Rotate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("audit: ledger closed")
+	if err := l.log.Rotate(); err != nil {
+		return fmt.Errorf("audit: rotate: %w", err)
 	}
-	if l.size == 0 {
-		return nil // active segment is empty; nothing to seal
-	}
-	return l.rotateLocked()
+	return nil
 }
 
-// Sync flushes buffered frames to the OS.
-func (l *Ledger) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	if err := l.writer.Flush(); err != nil {
-		return err
-	}
-	return l.file.Sync()
-}
+// Sync returns once every appended record is in its segment file and
+// the file is fsynced.
+func (l *Ledger) Sync() error { return l.log.Sync() }
 
-// Close flushes and closes the active segment; further Records fail.
-func (l *Ledger) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	if err := l.writer.Flush(); err != nil {
-		l.file.Close()
-		return err
-	}
-	return l.file.Close()
-}
+// Close writes out and closes the active segment; further Records fail.
+func (l *Ledger) Close() error { return l.log.Close() }
 
-// Counters snapshots the exported metrics.
+// Counters snapshots the exported metrics. What a failed write lost was
+// counted as recorded when Append accepted it; it is taken back here, so
+// Records + Dropped is the number of admitted decisions at every scrape.
 func (l *Ledger) Counters() Counters {
+	lostFrames, lostBytes := l.log.Lost()
 	return Counters{
-		Records: l.records.Load(),
-		Dropped: l.dropped.Load(),
-		Bytes:   l.bytes.Load(),
+		Records: l.records.Load() - lostFrames,
+		Dropped: l.dropped.Load() + lostFrames,
+		Bytes:   l.bytes.Load() - lostBytes,
 	}
 }
+
+// FlushMetrics reports on the segment log's flusher.
+func (l *Ledger) FlushMetrics() seglog.FlushMetrics { return l.log.FlushMetrics() }
 
 // Dir returns the ledger directory (for log lines and tooling).
 func (l *Ledger) Dir() string { return l.dir }

@@ -12,6 +12,7 @@ import (
 	"polygraph/internal/core"
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/obs"
+	"polygraph/internal/seglog"
 )
 
 // deployed pairs a model with its audit hash so a hot swap can never
@@ -57,6 +58,10 @@ type ingest struct {
 	ledger  *audit.Ledger
 	topK    int
 	logger  *slog.Logger
+
+	// Set once the journal's or the ledger's segment write has failed and
+	// been logged; see warnAppend.
+	journalFailed, ledgerFailed atomic.Bool
 }
 
 func newIngest(cfg Config) (*ingest, error) {
@@ -159,7 +164,7 @@ func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, ti
 		in.store.Record(d)
 		if in.journal != nil {
 			if err := in.journal.Append(d); err != nil {
-				in.logWarn(tr, "collect: journal append failed", "err", err.Error())
+				in.warnAppend(tr, "collect: journal append failed", err, &in.journalFailed)
 			}
 		}
 		tr.RecordSpan("record", start, time.Since(start))
@@ -170,7 +175,7 @@ func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, ti
 			sessionID = hex.EncodeToString(p.SessionID[:])
 		}
 		if err := in.audit(dep, tr, sessionID, p.UserAgent, buf.vec, res); err != nil {
-			in.logWarn(tr, "collect: audit record failed", "err", err.Error())
+			in.warnAppend(tr, "collect: audit record failed", err, &in.ledgerFailed)
 		}
 		tr.RecordSpan("audit", start, time.Since(start))
 	}
@@ -199,6 +204,17 @@ func (in *ingest) audit(dep *deployed, tr *obs.Trace, sessionID, userAgent strin
 		Verdict:     ex.Verdict,
 		Explanation: ex,
 	})
+}
+
+// warnAppend logs a failed journal or ledger append. A failed segment
+// write is sticky — every append after it fails the same way, and the
+// ledger counts each as dropped — so it is logged once, with what it
+// lost, not once per request; any other failure is logged each time.
+func (in *ingest) warnAppend(tr *obs.Trace, msg string, err error, logged *atomic.Bool) {
+	if errors.Is(err, seglog.ErrWriteFailed) && logged.Swap(true) {
+		return
+	}
+	in.logWarn(tr, msg, "err", err.Error())
 }
 
 // logWarn emits a structured warning carrying the trace ID when a trace

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"sync"
+
+	"polygraph/internal/seglog"
 )
 
 // Journal is an append-only, size-rotated JSONL log of scoring decisions.
@@ -18,23 +18,21 @@ import (
 //
 // Files are named <prefix>.000000.jsonl, <prefix>.000001.jsonl, ... in
 // the journal directory; the active file rotates once it passes
-// maxBytes. Writes are line-atomic under the journal's lock.
+// maxBytes. They are written by internal/seglog, which the audit ledger
+// shares: Append copies the encoded line into one of two 32 KiB buffers
+// and a flusher goroutine performs every write(2), whole lines only. A
+// line is in the file within a second of Append, or when Sync or Close
+// return; a process crash can lose at most the two buffers, a machine
+// crash also what the OS had not written back. A disk that falls behind
+// blocks Append once both buffers are full; a failed write is sticky and
+// fails every later Append.
 type Journal struct {
-	dir      string
-	prefix   string
-	maxBytes int64
-
-	mu     sync.Mutex
-	file   *os.File
-	writer *bufio.Writer
-	size   int64
-	seq    int
-	closed bool
+	log *seglog.Writer
 }
 
 // OpenJournal creates or resumes a journal in dir. maxBytes ≤ 0 selects
 // 16 MiB per segment. Resuming continues after the highest existing
-// segment.
+// segment, keeping history immutable.
 func OpenJournal(dir, prefix string, maxBytes int64) (*Journal, error) {
 	if prefix == "" {
 		prefix = "decisions"
@@ -42,118 +40,45 @@ func OpenJournal(dir, prefix string, maxBytes int64) (*Journal, error) {
 	if maxBytes <= 0 {
 		maxBytes = 16 << 20
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("collect: journal dir: %w", err)
-	}
-	j := &Journal{dir: dir, prefix: prefix, maxBytes: maxBytes}
-	segments, err := j.Segments()
+	log, err := seglog.Open(seglog.Config{Dir: dir, Prefix: prefix, Ext: "jsonl", MaxBytes: maxBytes})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("collect: journal: %w", err)
 	}
-	if n := len(segments); n > 0 {
-		// Resume after the last existing segment to keep history
-		// immutable.
-		var last int
-		fmt.Sscanf(filepath.Base(segments[n-1]), prefix+".%06d.jsonl", &last)
-		j.seq = last + 1
-	}
-	if err := j.openSegment(); err != nil {
-		return nil, err
-	}
-	return j, nil
+	return &Journal{log: log}, nil
 }
 
-func (j *Journal) segmentPath(seq int) string {
-	return filepath.Join(j.dir, fmt.Sprintf("%s.%06d.jsonl", j.prefix, seq))
-}
-
-func (j *Journal) openSegment() error {
-	f, err := os.OpenFile(j.segmentPath(j.seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("collect: journal segment: %w", err)
-	}
-	j.file = f
-	j.writer = bufio.NewWriterSize(f, 32<<10)
-	j.size = 0
-	return nil
-}
+// lineBufs recycles the buffers journal lines are encoded into.
+var lineBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 256)
+	return &b
+}}
 
 // Append writes one decision as a JSON line, rotating first if the active
-// segment is full.
+// segment is full. The line is encoded before any lock is taken.
 func (j *Journal) Append(d Decision) error {
-	line, err := json.Marshal(&d)
+	buf := lineBufs.Get().(*[]byte)
+	line := append(d.AppendJSON((*buf)[:0]), '\n')
+	err := j.log.Append(line, nil)
+	*buf = line
+	lineBufs.Put(buf)
 	if err != nil {
-		return fmt.Errorf("collect: journal marshal: %w", err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("collect: journal closed")
-	}
-	if j.size+int64(len(line))+1 > j.maxBytes && j.size > 0 {
-		if err := j.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	if _, err := j.writer.Write(line); err != nil {
 		return fmt.Errorf("collect: journal write: %w", err)
 	}
-	if err := j.writer.WriteByte('\n'); err != nil {
-		return fmt.Errorf("collect: journal write: %w", err)
-	}
-	j.size += int64(len(line)) + 1
 	return nil
 }
 
-func (j *Journal) rotateLocked() error {
-	if err := j.writer.Flush(); err != nil {
-		return err
-	}
-	if err := j.file.Close(); err != nil {
-		return err
-	}
-	j.seq++
-	return j.openSegment()
-}
+// Sync returns once every appended line is in its segment file and the
+// file is fsynced.
+func (j *Journal) Sync() error { return j.log.Sync() }
 
-// Sync flushes buffered lines to the OS.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	if err := j.writer.Flush(); err != nil {
-		return err
-	}
-	return j.file.Sync()
-}
-
-// Close flushes and closes the active segment. Further Appends fail.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	if err := j.writer.Flush(); err != nil {
-		j.file.Close()
-		return err
-	}
-	return j.file.Close()
-}
+// Close writes out and closes the active segment. Further Appends fail.
+func (j *Journal) Close() error { return j.log.Close() }
 
 // Segments lists the journal's files in sequence order.
-func (j *Journal) Segments() ([]string, error) {
-	pattern := filepath.Join(j.dir, j.prefix+".*.jsonl")
-	matches, err := filepath.Glob(pattern)
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(matches)
-	return matches, nil
-}
+func (j *Journal) Segments() ([]string, error) { return j.log.Segments() }
+
+// FlushMetrics reports on the segment log's flusher.
+func (j *Journal) FlushMetrics() seglog.FlushMetrics { return j.log.FlushMetrics() }
 
 // Replay streams every journaled decision, oldest first, to fn; a false
 // return stops early. The journal should be Synced (or Closed) first so

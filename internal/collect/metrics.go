@@ -8,6 +8,7 @@ import (
 
 	"polygraph/internal/audit"
 	"polygraph/internal/obs"
+	"polygraph/internal/seglog"
 )
 
 // Prometheus text-exposition metrics for the scoring service, composed
@@ -116,6 +117,34 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 		"Decisions not recorded: benign sampling plus append failures.", "counter", float64(ac.Dropped))
 	obs.WriteMetric(w, "polygraph_audit_bytes_total",
 		"Framed bytes appended to the audit ledger.", "counter", float64(ac.Bytes))
+
+	// The ledger and the journal append without waiting for the disk, so
+	// a slow disk no longer shows in request latency; it shows here. Both
+	// series are always present, like the audit families above.
+	logs := [...]struct {
+		name string
+		m    seglog.FlushMetrics
+	}{{name: "audit"}, {name: "journal"}}
+	if s.ledger != nil {
+		logs[0].m = s.ledger.FlushMetrics()
+	}
+	if s.journal != nil {
+		logs[1].m = s.journal.FlushMetrics()
+	}
+	var durations []obs.HistogramSeries
+	var waits []obs.LabeledValue
+	for _, l := range logs {
+		if l.m.Durations == nil {
+			l.m.Durations = new(obs.Hist)
+		}
+		durations = append(durations, obs.HistogramSnapshot(l.name, l.m.Durations))
+		waits = append(waits, obs.LabeledValue{Label: l.name, Value: float64(l.m.Waits)})
+	}
+	obs.WriteHistogramFamily(w, "polygraph_segment_flush_duration_microseconds",
+		"Duration of each write(2) the segment flusher performed.", "log", durations)
+	obs.WriteLabeledFamily(w, "polygraph_segment_flush_waits_total",
+		"Appends that found both segment buffers full and waited for the flusher.",
+		"counter", "log", waits)
 
 	if s.drift != nil {
 		s.drift.WriteMetrics(w)

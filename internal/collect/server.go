@@ -36,6 +36,7 @@ import (
 	"polygraph/internal/audit"
 	"polygraph/internal/core"
 	"polygraph/internal/fingerprint"
+	"polygraph/internal/jsonappend"
 	"polygraph/internal/obs"
 	"polygraph/internal/pipeline"
 	"polygraph/internal/slo"
@@ -59,6 +60,25 @@ type Decision struct {
 	Flagged    bool   `json:"flagged"`
 	// ElapsedMicros is the server-side scoring latency in microseconds.
 	ElapsedMicros int64 `json:"elapsed_us"`
+}
+
+// AppendJSON appends d byte for byte as json.Marshal encodes it, without
+// reflection (TestDecisionEncodeParity and its fuzz twin hold the two
+// together). A json-tagged field added to Decision needs its line here.
+func (d *Decision) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"session_id":`...)
+	dst = jsonappend.String(dst, d.SessionID)
+	dst = append(dst, `,"cluster":`...)
+	dst = strconv.AppendInt(dst, int64(d.Cluster), 10)
+	dst = append(dst, `,"matched":`...)
+	dst = strconv.AppendBool(dst, d.Matched)
+	dst = append(dst, `,"risk_factor":`...)
+	dst = strconv.AppendInt(dst, int64(d.RiskFactor), 10)
+	dst = append(dst, `,"flagged":`...)
+	dst = strconv.AppendBool(dst, d.Flagged)
+	dst = append(dst, `,"elapsed_us":`...)
+	dst = strconv.AppendInt(dst, d.ElapsedMicros, 10)
+	return append(dst, '}')
 }
 
 // Config parameterizes the server.

@@ -2,9 +2,9 @@
 # benchgate.sh — the allocation gate for the scoring fast path, its
 # kernel and the audited-verdict path.
 #
-# Runs the online-scoring benchmark family, the score kernel's two loops
-# and the two audit-path benchmarks with -benchmem and fails when a
-# pinned path regresses its allocation budget:
+# Runs the online-scoring benchmark family, the score kernel's two loops,
+# the two audit-path benchmarks and the journal append with -benchmem and
+# fails when a pinned path regresses its allocation budget:
 #
 #   BenchmarkOnlineScore          0 allocs/op  (pooled scratch)
 #   BenchmarkOnlineScoreScratch   0 allocs/op  (caller-owned scratch)
@@ -13,6 +13,7 @@
 #   BenchmarkExplainResult      ≤ 4 allocs/op  (internal/core: the explanation
 #                                               block, its centroid list, the claim)
 #   BenchmarkLedgerAppend       ≤ 1 allocs/op  (internal/audit: pooled encode buffer)
+#   BenchmarkJournalAppend      ≤ 1 allocs/op  (internal/collect: pooled line buffer)
 #
 # The ns/op numbers are machine-dependent and therefore only recorded,
 # never gated. With -merge <snapshot.json>, the run is re-executed with
@@ -53,21 +54,21 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "== go test -bench 'ExplainResult$|LedgerAppend$|ScoreKernel$' -benchmem ./internal/core ./internal/audit"
-go test -run '^$' -bench 'ExplainResult$|LedgerAppend$|ScoreKernel$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit | tee "$out"
+echo "== go test -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$' -benchmem ./internal/core ./internal/audit ./internal/collect"
+go test -run '^$' -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit ./internal/collect | tee "$out"
 
 awk '
     /^BenchmarkExplainResult(-[0-9]+)? / { seen++; max = 4 }
-    /^BenchmarkLedgerAppend(-[0-9]+)? /  { seen++; max = 1 }
+    /^Benchmark(Ledger|Journal)Append(-[0-9]+)? / { seen++; max = 1 }
     /^BenchmarkScoreKernel\/(transform|assign)(-[0-9]+)? / { seen++; max = 0 }
-    /^Benchmark(ExplainResult|LedgerAppend|ScoreKernel\/(transform|assign))(-[0-9]+)? / {
+    /^Benchmark(ExplainResult|(Ledger|Journal)Append|ScoreKernel\/(transform|assign))(-[0-9]+)? / {
         if ($NF != "allocs/op" || $(NF-1) > max) {
             printf "benchgate: %s allocates %s %s, ceiling %d allocs/op\n", $1, $(NF-1), $NF, max
             bad = 1
         }
     }
     END {
-        if (seen < 4) { print "benchgate: kernel or audit-path benchmarks missing from output"; bad = 1 }
+        if (seen < 5) { print "benchgate: kernel, audit-path or journal benchmarks missing from output"; bad = 1 }
         exit bad
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }

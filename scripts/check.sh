@@ -4,11 +4,11 @@
 # Runs the gofmt gate, the tier-1 build+test pass (what CI and the
 # roadmap call "tier-1 green"), vet — of this module and of the
 # benchmark module under bench/, whose seam.go pins the symbols the
-# benchmark calls — the one-ingest-core, one-daemon-wiring and
-# per-row-kernel (score kernel included) call-site guards, the
-# race-detector pass that guards the internal/parallel worker-pool layer
-# and the collect hot-swap/stats paths, and five seconds of fuzzing per
-# fuzz target.
+# benchmark calls — the one-ingest-core, one-daemon-wiring,
+# one-segment-writer and per-row-kernel (score kernel included)
+# call-site guards, the race-detector pass that guards the
+# internal/parallel worker-pool layer and the collect hot-swap/stats
+# paths, and five seconds of fuzzing per fuzz target.
 # Usage:
 #
 #   scripts/check.sh          # everything
@@ -58,6 +58,20 @@ for call in 'collect.NewServer(' 'collect.NewTCPServer('; do
     [ "$sites" = internal/serving/serving.go ] || {
         echo "check.sh: call sites of $call: $(echo $sites), want exactly one, in internal/serving/serving.go" >&2; exit 1; }
 done
+
+# One segment writer: the audit ledger and the decision journal own no
+# file. internal/seglog creates every segment (the one O_EXCL open) and
+# its flusher performs every write, so a bufio.Writer over a file, or a
+# second O_EXCL open, in either of them is the hand-rolled rotating file
+# coming back.
+echo "== one segment writer"
+owners=$(ls internal/audit/*.go internal/collect/journal.go | grep -v _test.go)
+for call in 'os.O_EXCL' 'bufio.NewWriterSize('; do
+    n=$(echo "$owners" | xargs grep -F -- "$call" | wc -l)
+    [ "$n" -eq 0 ] || { echo "check.sh: $n uses of $call in internal/audit and internal/collect/journal.go, want 0" >&2; exit 1; }
+done
+n=$(ls internal/seglog/*.go | grep -v _test.go | xargs grep -F -- 'os.O_EXCL' | wc -l)
+[ "$n" -eq 1 ] || { echo "check.sh: $n uses of os.O_EXCL in internal/seglog, want 1" >&2; exit 1; }
 
 # One pass per distinct row: training runs each pure per-row kernel once
 # per class of bitwise-equal rows (matrix.DistinctRows), so every kernel
