@@ -8,12 +8,10 @@ package polygraph
 // headline (accuracy, flag counts, payload size).
 
 import (
-	"fmt"
-	"os"
+	"context"
 	"sync"
 	"testing"
 
-	"polygraph/internal/benchjson"
 	"polygraph/internal/browser"
 	"polygraph/internal/collect"
 	"polygraph/internal/experiments"
@@ -29,38 +27,7 @@ var (
 	benchEnvOnce sync.Once
 	benchEnv     *experiments.Env
 	benchEnvErr  error
-
-	// benchReport collects the benchmark trajectory when
-	// POLYGRAPH_BENCH_JSON arms it (see internal/benchjson); nil (the
-	// default) makes every emitBench call a no-op.
-	benchReport, benchReportPath = benchjson.FromEnv(benchSessions)
 )
-
-// TestMain flushes the armed benchmark-trajectory snapshot after the run.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if err := benchReport.WriteFile(benchReportPath); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		if code == 0 {
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-// emitBench records one benchmark's ns/op plus headline metrics into the
-// trajectory snapshot. Call it via defer after b.ResetTimer so Elapsed
-// covers only measured work.
-func emitBench(b *testing.B, metrics map[string]float64) {
-	if benchReport == nil {
-		return
-	}
-	nsPerOp := 0.0
-	if b.N > 0 {
-		nsPerOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	}
-	benchReport.Add(b.Name(), nsPerOp, metrics)
-}
 
 func sharedBenchEnv(b *testing.B) *experiments.Env {
 	b.Helper()
@@ -105,22 +72,13 @@ func benchmarkTrain(b *testing.B, workers int) {
 	cfg := DefaultTrainConfig()
 	cfg.Workers = workers
 	var acc float64
-	var stages []StageTiming
 	b.ResetTimer()
-	defer func() {
-		emitBench(b, map[string]float64{
-			"accuracy-%": acc * 100,
-			"workers":    float64(workers),
-		})
-		benchReport.AddStages(b.Name()+"/stage", stages)
-	}()
 	for i := 0; i < b.N; i++ {
-		m, rep, err := Train(env.Traffic.Samples(), cfg)
+		m, _, err := Train(env.Traffic.Samples(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		acc = m.Accuracy
-		stages = rep.Stages
 	}
 	b.ReportMetric(acc*100, "accuracy-%")
 }
@@ -131,7 +89,6 @@ func BenchmarkTable4Flagging(b *testing.B) {
 	env := sharedBenchEnv(b)
 	var flagged int
 	b.ResetTimer()
-	defer func() { emitBench(b, map[string]float64{"flagged-sessions": float64(flagged)}) }()
 	for i := 0; i < b.N; i++ {
 		n, err := env.FlaggedCount()
 		if err != nil {
@@ -307,14 +264,8 @@ func BenchmarkOnlineScore(b *testing.B) {
 	env := sharedBenchEnv(b)
 	vec := env.Traffic.Sessions[0].Vector
 	claimed := env.Traffic.Sessions[0].Claimed
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := env.Model.Score(vec, claimed); err != nil {
-			b.Fatal(err)
-		}
-	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	defer func() { emitBench(b, map[string]float64{"allocs-per-op": allocs}) }()
 	for i := 0; i < b.N; i++ {
 		if _, err := env.Model.Score(vec, claimed); err != nil {
 			b.Fatal(err)
@@ -331,14 +282,8 @@ func BenchmarkOnlineScoreScratch(b *testing.B) {
 	vec := env.Traffic.Sessions[0].Vector
 	claimed := env.Traffic.Sessions[0].Claimed
 	scratch := env.Model.NewScratch()
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := env.Model.ScoreWith(scratch, vec, claimed); err != nil {
-			b.Fatal(err)
-		}
-	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	defer func() { emitBench(b, map[string]float64{"allocs-per-op": allocs}) }()
 	for i := 0; i < b.N; i++ {
 		if _, err := env.Model.ScoreWith(scratch, vec, claimed); err != nil {
 			b.Fatal(err)
@@ -375,13 +320,9 @@ func benchmarkScoreBatch(b *testing.B, workers int) {
 			perSec = float64(len(sessions)) * float64(b.N) / secs
 		}
 		b.ReportMetric(perSec, "sessions/sec")
-		emitBench(b, map[string]float64{
-			"sessions-per-sec": perSec,
-			"workers":          float64(workers),
-		})
 	}()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.Model.ScoreBatchWorkers(vectors, claims, workers); err != nil {
+		if _, err := env.Model.ScoreBatchContext(context.Background(), vectors, claims, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

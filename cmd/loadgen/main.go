@@ -48,7 +48,6 @@ import (
 	"strings"
 	"time"
 
-	"polygraph/internal/benchjson"
 	"polygraph/internal/bundle"
 	"polygraph/internal/core"
 	"polygraph/internal/dataset"
@@ -81,12 +80,11 @@ func run(args []string, stdout, stderr *os.File) int {
 		maxP99        = fs.Duration("max-p99", 0, "fail when any endpoint's overall p99 exceeds this (0 = off)")
 		failOnErrors  = fs.Bool("fail-on-errors", false, "fail on any non-2xx response or transport error")
 		ledgerPath    = fs.String("ledger", "", "write the deterministic run ledger (JSON) to this path")
-		benchOut      = fs.String("benchjson", "", "merge serve/* entries into this BENCH_<date>.json (created if absent)")
 		noCrossCheck  = fs.Bool("no-crosscheck", false, "skip the /v1/stats and /metrics reconciliation")
 		metricsOut    = fs.String("metrics-out", "", "dump the first member's /metrics exposition plus the balancer's fleet families to this path after the run")
 		auditDir      = fs.String("audit-dir", "", "enable the decision audit ledger and flagged-decision journal on the in-process replicas; replica r<i> writes to <dir>/r<i>")
 		auditSample   = fs.Int("audit-sample", 1, "record every Nth benign decision in the audit ledger (flagged always recorded)")
-		modelOut      = fs.String("model-out", "", "save the in-process model to this file (for auditq replay)")
+		modelOut      = fs.String("model-out", "", "save the in-process model to this file (for polygraphctl audit replay)")
 		fleetN        = fs.Int("fleet", 0, "run N in-process replicas behind the health-checked balancer (0 = one)")
 		fleetKill     = fs.Bool("fleet-kill", false, "drain one replica at the midpoint of the steady phase (requires -fleet of at least 2)")
 		tcpMode       = fs.Bool("tcp", false, "drive the replica's framed TCP listener (frame coalescer) instead of the HTTP endpoints")
@@ -260,22 +258,8 @@ func run(args []string, stdout, stderr *os.File) int {
 			return 2
 		}
 	}
-	if *benchOut != "" {
-		family := "serve"
-		if *fleetN > 0 {
-			family = "serve-fleet"
-		}
-		if *tcpMode {
-			family = "serve-tcp"
-		}
-		if err := emitBenchJSON(*benchOut, report, family); err != nil {
-			fmt.Fprintf(stderr, "loadgen: benchjson: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "benchjson: %s/* entries merged into %s\n", family, *benchOut)
-	}
 	if *bundleOut != "" {
-		if err := rig.captureBundle(ctx, *bundleOut, *benchOut); err != nil {
+		if err := rig.captureBundle(ctx, *bundleOut); err != nil {
 			fmt.Fprintf(stderr, "loadgen: bundle-out: %v\n", err)
 			return 2
 		}
@@ -543,7 +527,7 @@ func startRig(ctx context.Context, sc *loadgen.Scenario, cfg rigConfig, stderr *
 }
 
 // shutdown stops the health loop and closes the replicas, which seals
-// their audit ledgers so auditq can verify and replay them the moment
+// their audit ledgers so `polygraphctl audit` can verify and replay them the moment
 // the process exits.
 func (rig *targetRig) shutdown() {
 	rig.cancel()
@@ -554,7 +538,7 @@ func (rig *targetRig) shutdown() {
 
 // dumpMetrics writes the first member's full exposition with the
 // balancer's fleet families appended — one file carrying both the
-// serving contract and the fleet contract for promlint.
+// serving contract and the fleet contract for `polygraphctl lint`.
 func (rig *targetRig) dumpMetrics(ctx context.Context, path string) error {
 	text, err := rig.balancer.Members()[0].FetchMetrics(ctx, rig.balancer.Client())
 	if err != nil {
@@ -569,31 +553,19 @@ func (rig *targetRig) dumpMetrics(ctx context.Context, path string) error {
 // captureBundle snapshots the target into a support bundle: every
 // member (in-process replicas straight off their muxes, so a drained
 // kill-drill victim is still captured) plus the balancer's own
-// exposition. The fresh benchjson trajectory rides along when the run
-// emitted one. Collector errors are recorded in the manifest, not fatal.
-func (rig *targetRig) captureBundle(ctx context.Context, path, benchOut string) error {
-	opts := bundle.Options{
+// exposition. Collector errors are recorded in the manifest, not fatal.
+func (rig *targetRig) captureBundle(ctx context.Context, path string) error {
+	_, err := bundle.CaptureFile(ctx, path, bundle.Options{
 		Tool:         obs.Version("loadgen").String(),
 		Targets:      rig.targets,
 		FleetMetrics: rig.balancer.WriteMetrics,
-	}
-	if benchOut != "" {
-		opts.Files = []string{benchOut}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := bundle.Capture(ctx, f, opts); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	})
+	return err
 }
 
 // printSLO summarizes the run's error-budget standing: one quiet line
 // when everything is within budget, one loud line per firing objective
-// otherwise (the same state slocheck gates on from the metrics dump).
+// otherwise (the same state `polygraphctl slo` gates on from the metrics dump).
 func printSLO(w io.Writer, page slo.Page) {
 	if !page.Alerting {
 		fmt.Fprintf(w, "slo: %s: %d objective(s) within budget\n", page.Spec, len(page.Objectives))
@@ -619,7 +591,7 @@ func short12(h string) string {
 	return h
 }
 
-// saveModel serializes the in-process model so `auditq replay` can pair
+// saveModel serializes the in-process model so `polygraphctl audit replay` can pair
 // it with the ledger the run just produced.
 func saveModel(m *core.Model, path string) error {
 	f, err := os.Create(path)
@@ -641,63 +613,4 @@ func writeLedger(path string, report *loadgen.Report) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// emitBenchJSON merges the run's <family>/* entries into the snapshot
-// at path, regenerating only that family in place so training entries —
-// and the other serving family (serve vs serve-fleet) — survive.
-func emitBenchJSON(path string, report *loadgen.Report, family string) error {
-	rep, err := benchjson.ReadFile(path)
-	if os.IsNotExist(err) {
-		rep = benchjson.New(0)
-		err = nil
-	}
-	if err != nil {
-		return err
-	}
-	rep.DropPrefix(family + "/")
-	// HTTP endpoint keys carry a leading slash ("/v1/collect"); the TCP
-	// label ("tcp") does not — normalize so entry names always read
-	// family/phase/endpoint.
-	epKey := func(ep string) string {
-		if !strings.HasPrefix(ep, "/") {
-			return "/" + ep
-		}
-		return ep
-	}
-	for _, p := range report.Phases {
-		for ep, q := range p.Latency {
-			rep.Add(family+"/"+p.Name+epKey(ep), float64(q.Mean.Nanoseconds()), map[string]float64{
-				"p50-us":   float64(q.P50.Microseconds()),
-				"p95-us":   float64(q.P95.Microseconds()),
-				"p99-us":   float64(q.P99.Microseconds()),
-				"max-us":   float64(q.Max.Microseconds()),
-				"requests": float64(q.Count),
-			})
-		}
-	}
-	for ep, q := range report.Overall {
-		rep.Add(family+"/overall"+epKey(ep), float64(q.Mean.Nanoseconds()), map[string]float64{
-			"p50-us":   float64(q.P50.Microseconds()),
-			"p95-us":   float64(q.P95.Microseconds()),
-			"p99-us":   float64(q.P99.Microseconds()),
-			"max-us":   float64(q.Max.Microseconds()),
-			"requests": float64(q.Count),
-		})
-	}
-	metrics := map[string]float64{
-		"requests":    float64(report.Ledger.Sent),
-		"ok":          float64(report.Ledger.ByStatus["200"]),
-		"errors":      float64(report.Ledger.Errors()),
-		"flagged":     float64(report.Ledger.Flagged),
-		"elapsed-sec": report.Elapsed.Seconds(),
-	}
-	if report.Elapsed > 0 {
-		metrics["requests-per-sec"] = float64(report.Ledger.Sent) / report.Elapsed.Seconds()
-	}
-	if cc := report.CrossCheck; cc != nil {
-		metrics["retries"] = float64(cc.Retries)
-	}
-	rep.Add(family+"/run", float64(report.Elapsed.Nanoseconds()), metrics)
-	return rep.WriteFile(path)
 }

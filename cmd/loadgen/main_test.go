@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"polygraph/internal/benchjson"
 	"polygraph/internal/bundle"
 	"polygraph/internal/loadgen"
 	"polygraph/internal/serving"
@@ -114,12 +113,11 @@ func TestRunFleetKillDrill(t *testing.T) {
 	}
 	ledger1 := filepath.Join(dir, "ledger1.json")
 	ledger2 := filepath.Join(dir, "ledger2.json")
-	bench := filepath.Join(dir, "BENCH_fleet.json")
 
 	null := devNull(t)
 	args := []string{
 		"-scenario", scPath, "-train-sessions", "6000",
-		"-fleet", "3", "-fleet-kill", "-fail-on-errors", "-benchjson", bench,
+		"-fleet", "3", "-fleet-kill", "-fail-on-errors",
 	}
 	if code := run(append(args, "-ledger", ledger1, "-audit-dir", filepath.Join(dir, "aud1")), null, null); code != 0 {
 		t.Fatalf("fleet run 1 exit %d", code)
@@ -150,21 +148,6 @@ func TestRunFleetKillDrill(t *testing.T) {
 	if led.AuditRecords != led.Sent || led.AuditDropped != 0 {
 		t.Fatalf("audit records=%d dropped=%d, want %d/0", led.AuditRecords, led.AuditDropped, led.Sent)
 	}
-
-	// The benchjson snapshot carries the serve-fleet family.
-	rep, err := benchjson.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fleetRun int
-	for _, e := range rep.Entries {
-		if e.Name == "serve-fleet/run" {
-			fleetRun++
-		}
-	}
-	if fleetRun != 1 {
-		t.Fatalf("benchjson serve-fleet/run entries=%d, want 1", fleetRun)
-	}
 }
 
 // TestRunTCPEndToEnd is the smoke-tcp CI job in miniature: a fixed-seed
@@ -193,7 +176,6 @@ func TestRunTCPEndToEnd(t *testing.T) {
 	}
 	ledger1 := filepath.Join(dir, "ledger1.json")
 	ledger2 := filepath.Join(dir, "ledger2.json")
-	bench := filepath.Join(dir, "BENCH_tcp.json")
 
 	null := devNull(t)
 	args := []string{
@@ -203,7 +185,7 @@ func TestRunTCPEndToEnd(t *testing.T) {
 	// One replica, one ledger, one sampling counter: every-4th benign
 	// sampling stays a function of the seed however the connections'
 	// batches interleave.
-	if code := run(append(args, "-ledger", ledger1, "-benchjson", bench,
+	if code := run(append(args, "-ledger", ledger1,
 		"-audit-dir", filepath.Join(dir, "aud1"), "-audit-sample", "4"), null, null); code != 0 {
 		t.Fatalf("tcp run 1 exit %d", code)
 	}
@@ -240,30 +222,10 @@ func TestRunTCPEndToEnd(t *testing.T) {
 			t.Fatalf("no %s under aud1/r0", pattern)
 		}
 	}
-
-	// The benchjson snapshot carries the serve-tcp family with
-	// slash-normalized endpoint keys ("serve-tcp/ramp/tcp", not
-	// "serve-tcp/ramptcp").
-	rep, err := benchjson.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tcpRun, rampTCP int
-	for _, e := range rep.Entries {
-		if e.Name == "serve-tcp/run" {
-			tcpRun++
-		}
-		if e.Name == "serve-tcp/ramp/tcp" {
-			rampTCP++
-		}
-	}
-	if tcpRun != 1 || rampTCP != 1 {
-		t.Fatalf("benchjson serve-tcp/run=%d serve-tcp/ramp/tcp=%d, want 1/1", tcpRun, rampTCP)
-	}
 }
 
 // TestRunEndToEnd drives the full CLI path once: scenario file, an
-// in-process trained model, ledger emission, benchjson merge, and the
+// in-process trained model, ledger emission, and the
 // gate assertions — the same invocation shape the CI smoke-load job uses.
 func TestRunEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -287,12 +249,11 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	ledger1 := filepath.Join(dir, "ledger1.json")
 	ledger2 := filepath.Join(dir, "ledger2.json")
-	bench := filepath.Join(dir, "BENCH_test.json")
 
 	null := devNull(t)
 	args := []string{
 		"-scenario", scPath, "-train-sessions", "6000",
-		"-max-p99", "5s", "-fail-on-errors", "-benchjson", bench,
+		"-max-p99", "5s", "-fail-on-errors",
 	}
 	if code := run(append(args, "-ledger", ledger1), null, null); code != 0 {
 		t.Fatalf("run 1 exit %d", code)
@@ -320,24 +281,6 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if led.Sent != 160 || led.Errors() != 0 {
 		t.Fatalf("ledger sent=%d errors=%d", led.Sent, led.Errors())
-	}
-
-	// The benchjson snapshot gained serve/* entries.
-	rep, err := benchjson.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var serve, run2 int
-	for _, e := range rep.Entries {
-		if len(e.Name) >= 6 && e.Name[:6] == "serve/" {
-			serve++
-		}
-		if e.Name == "serve/run" {
-			run2++
-		}
-	}
-	if serve == 0 || run2 != 1 {
-		t.Fatalf("benchjson serve entries=%d serve/run=%d", serve, run2)
 	}
 }
 
@@ -402,7 +345,7 @@ func TestRunLiveAddr(t *testing.T) {
 // injected per-request scoring delay breaches a tight latency
 // objective, the burn-rate engine trips the fast-burn alert, the
 // exported polygraph_slo_alert gauge lands in the -metrics-out dump
-// (the evidence slocheck exits nonzero on), and the bundle analyzer's
+// (the evidence `polygraphctl slo` exits nonzero on), and the bundle analyzer's
 // SLO rule fails the captured bundle offline.
 func TestRunSLOFaultDrill(t *testing.T) {
 	if testing.Short() {

@@ -1,15 +1,26 @@
-// Command auditq queries and checks decision audit ledgers written by
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+
+	"polygraph/internal/audit"
+	"polygraph/internal/core"
+)
+
+// runAudit queries and checks decision audit ledgers written by
 // internal/audit (polygraphd -audit-dir, loadgen -audit-dir).
 //
-// Subcommands:
-//
-//	auditq verify <dir>                 walk every frame; fail on any
+//	polygraphctl audit verify <dir>     walk every frame; fail on any
 //	                                    checksum/framing damage other
 //	                                    than a torn tail on the final
 //	                                    segment (a crash artifact)
-//	auditq ls [-n N] [-verdict v] [-trace id] [-json] <dir>
+//	polygraphctl audit ls [-n N] [-verdict v] [-trace id] [-json] <dir>
 //	                                    print matching records
-//	auditq replay -model model.json [-explain] <dir>
+//	polygraphctl audit replay -model model.json [-explain] [-v] <dir>
 //	                                    re-score every recorded vector
 //	                                    through the model file and fail
 //	                                    on any verdict divergence
@@ -19,67 +30,25 @@
 // bit-for-bit through the recorded model. The model file's hash must
 // match the hash stamped on the records; -explain additionally
 // re-derives each stored explanation byte-for-byte.
-//
-// Exit codes: 0 clean, 1 verification/replay failures, 2 usage/read
-// error.
-package main
-
-import (
-	"bytes"
-	"encoding/json"
-	"flag"
-	"fmt"
-	"io"
-	"os"
-
-	"polygraph/internal/audit"
-	"polygraph/internal/core"
-	"polygraph/internal/obs"
-)
-
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+func runAudit(args []string, stdout, stderr io.Writer) int {
+	return dispatch("audit", []command{
+		{"verify", runAuditVerify},
+		{"ls", runAuditLs},
+		{"replay", runAuditReplay},
+	}, args, stdout, stderr)
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 0 {
-		usage(stderr)
-		return 2
-	}
-	switch args[0] {
-	case "verify":
-		return runVerify(args[1:], stdout, stderr)
-	case "ls":
-		return runLs(args[1:], stdout, stderr)
-	case "replay":
-		return runReplay(args[1:], stdout, stderr)
-	case "version", "-version", "--version":
-		fmt.Fprintln(stdout, obs.Version("auditq"))
-		return 0
-	default:
-		fmt.Fprintf(stderr, "auditq: unknown subcommand %q\n", args[0])
-		usage(stderr)
-		return 2
-	}
-}
-
-func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage:
-  auditq verify <ledger-dir>
-  auditq ls [-n N] [-verdict flagged|benign] [-trace id] [-json] <ledger-dir>
-  auditq replay -model model.json [-explain] [-v] <ledger-dir>`)
-}
-
+// ledgerArg returns the one ledger directory an audit subcommand takes.
 func ledgerArg(fs *flag.FlagSet, stderr io.Writer) (string, bool) {
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "auditq: exactly one ledger directory required")
+		fail(stderr, "audit: exactly one ledger directory required")
 		return "", false
 	}
 	return fs.Arg(0), true
 }
 
-func runVerify(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("auditq verify", flag.ContinueOnError)
+func runAuditVerify(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("polygraphctl audit verify", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	prefix := fs.String("prefix", "", "segment name prefix (default decisions)")
 	if err := fs.Parse(args); err != nil {
@@ -91,31 +60,29 @@ func runVerify(args []string, stdout, stderr io.Writer) int {
 	}
 	stats, err := audit.Scan(dir, *prefix, nil)
 	if err != nil {
-		fmt.Fprintf(stderr, "auditq: %v\n", err)
-		return 2
+		return fail(stderr, "%v", err)
 	}
 	if stats.Segments == 0 {
-		fmt.Fprintf(stderr, "auditq: %s: no ledger segments found\n", dir)
-		return 2
+		return fail(stderr, "%s: no ledger segments found", dir)
 	}
-	fmt.Fprintf(stdout, "auditq: %s: %d segment(s), %d record(s)\n", dir, stats.Segments, stats.Records)
+	fmt.Fprintf(stdout, "polygraphctl: %s: %d segment(s), %d record(s)\n", dir, stats.Segments, stats.Records)
 	if stats.Acceptable() {
 		if !stats.Clean() {
-			fmt.Fprintf(stdout, "auditq: torn tail on final segment %s (crash artifact; writer truncates on reopen)\n",
+			fmt.Fprintf(stdout, "polygraphctl: torn tail on final segment %s (crash artifact; writer truncates on reopen)\n",
 				stats.TornSegments[0])
 		}
-		fmt.Fprintln(stdout, "auditq: verify OK — zero checksum failures")
+		fmt.Fprintln(stdout, "polygraphctl: verify OK — zero checksum failures")
 		return 0
 	}
 	for _, seg := range stats.TornSegments {
-		fmt.Fprintf(stdout, "auditq: DAMAGED segment %s\n", seg)
+		fmt.Fprintf(stdout, "polygraphctl: DAMAGED segment %s\n", seg)
 	}
-	fmt.Fprintf(stderr, "auditq: verify FAILED: %d damaged segment(s)\n", len(stats.TornSegments))
+	fmt.Fprintf(stderr, "polygraphctl: verify FAILED: %d damaged segment(s)\n", len(stats.TornSegments))
 	return 1
 }
 
-func runLs(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("auditq ls", flag.ContinueOnError)
+func runAuditLs(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("polygraphctl audit ls", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	prefix := fs.String("prefix", "", "segment name prefix (default decisions)")
 	n := fs.Int("n", 0, "print at most N records (0 = all)")
@@ -128,8 +95,7 @@ func runLs(args []string, stdout, stderr io.Writer) int {
 	switch *verdict {
 	case "", "flagged", "benign":
 	default:
-		fmt.Fprintf(stderr, "auditq: bad -verdict %q (want flagged or benign)\n", *verdict)
-		return 2
+		return fail(stderr, "bad -verdict %q (want flagged or benign)", *verdict)
 	}
 	dir, ok := ledgerArg(fs, stderr)
 	if !ok {
@@ -159,18 +125,17 @@ func runLs(args []string, stdout, stderr io.Writer) int {
 		return err
 	})
 	if err != nil {
-		fmt.Fprintf(stderr, "auditq: %v\n", err)
-		return 2
+		return fail(stderr, "%v", err)
 	}
 	if !stats.Acceptable() {
-		fmt.Fprintf(stderr, "auditq: warning: ledger has damaged segments (run auditq verify)\n")
+		fmt.Fprintf(stderr, "polygraphctl: warning: ledger has damaged segments (run polygraphctl audit verify)\n")
 		return 1
 	}
 	return 0
 }
 
-func runReplay(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("auditq replay", flag.ContinueOnError)
+func runAuditReplay(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("polygraphctl audit replay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	prefix := fs.String("prefix", "", "segment name prefix (default decisions)")
 	modelPath := fs.String("model", "", "model file the ledger was recorded against (required)")
@@ -180,28 +145,15 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *modelPath == "" {
-		fmt.Fprintln(stderr, "auditq: replay requires -model")
-		return 2
+		return fail(stderr, "replay requires -model")
 	}
 	dir, ok := ledgerArg(fs, stderr)
 	if !ok {
 		return 2
 	}
-	f, err := os.Open(*modelPath)
+	model, hash, err := loadModel(*modelPath)
 	if err != nil {
-		fmt.Fprintf(stderr, "auditq: %v\n", err)
-		return 2
-	}
-	model, err := core.Load(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintf(stderr, "auditq: load model: %v\n", err)
-		return 2
-	}
-	hash, err := model.Hash()
-	if err != nil {
-		fmt.Fprintf(stderr, "auditq: hash model: %v\n", err)
-		return 2
+		return fail(stderr, "%v", err)
 	}
 
 	var replayed, mismatches, hashMismatches int
@@ -247,33 +199,31 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 		return nil
 	})
 	if err != nil {
-		fmt.Fprintf(stderr, "auditq: %v\n", err)
-		return 2
+		return fail(stderr, "%v", err)
 	}
 	if stats.Segments == 0 {
-		fmt.Fprintf(stderr, "auditq: %s: no ledger segments found\n", dir)
-		return 2
+		return fail(stderr, "%s: no ledger segments found", dir)
 	}
-	fmt.Fprintf(stdout, "auditq: replayed %d/%d record(s) against model %s\n", replayed, stats.Records, hash)
+	fmt.Fprintf(stdout, "polygraphctl: replayed %d/%d record(s) against model %s\n", replayed, stats.Records, hash)
 	if hashMismatches > 0 {
-		fmt.Fprintf(stdout, "auditq: skipped %d record(s) stamped with a different model hash\n", hashMismatches)
+		fmt.Fprintf(stdout, "polygraphctl: skipped %d record(s) stamped with a different model hash\n", hashMismatches)
 	}
 	ok2 := true
 	if !stats.Acceptable() {
-		fmt.Fprintf(stderr, "auditq: replay FAILED: ledger has damaged segments\n")
+		fmt.Fprintf(stderr, "polygraphctl: replay FAILED: ledger has damaged segments\n")
 		ok2 = false
 	}
 	if mismatches > 0 {
-		fmt.Fprintf(stderr, "auditq: replay FAILED: %d verdict(s) did not re-derive\n", mismatches)
+		fmt.Fprintf(stderr, "polygraphctl: replay FAILED: %d verdict(s) did not re-derive\n", mismatches)
 		ok2 = false
 	}
 	if replayed == 0 {
-		fmt.Fprintf(stderr, "auditq: replay FAILED: no records matched the model hash\n")
+		fmt.Fprintf(stderr, "polygraphctl: replay FAILED: no records matched the model hash\n")
 		ok2 = false
 	}
 	if !ok2 {
 		return 1
 	}
-	fmt.Fprintf(stdout, "auditq: replay OK — 100%% of verdicts re-derived identically\n")
+	fmt.Fprintf(stdout, "polygraphctl: replay OK — 100%% of verdicts re-derived identically\n")
 	return 0
 }

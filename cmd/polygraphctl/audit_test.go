@@ -110,14 +110,15 @@ func buildFixture(t *testing.T) (string, string) {
 	return ledgerDir, modelPath
 }
 
+// runCmd runs `polygraphctl audit <args>`.
 func runCmd(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
-	code := run(args, &stdout, &stderr)
+	code := run(append([]string{"audit"}, args...), &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
 }
 
-func TestVerifyCleanLedger(t *testing.T) {
+func TestAuditVerifyCleanLedger(t *testing.T) {
 	dir, _ := buildFixture(t)
 	code, out, errOut := runCmd(t, "verify", dir)
 	if code != 0 {
@@ -128,7 +129,7 @@ func TestVerifyCleanLedger(t *testing.T) {
 	}
 }
 
-func TestVerifyTornTailAccepted(t *testing.T) {
+func TestAuditVerifyTornTailAccepted(t *testing.T) {
 	dir, _ := buildFixture(t)
 	segs, err := audit.Segments(dir, "")
 	if err != nil || len(segs) == 0 {
@@ -151,7 +152,7 @@ func TestVerifyTornTailAccepted(t *testing.T) {
 	}
 }
 
-func TestVerifyDamagedSealedSegment(t *testing.T) {
+func TestAuditVerifyDamagedSealedSegment(t *testing.T) {
 	dir, modelPath := buildFixture(t)
 	// Force a second segment so corruption lands in a sealed (non-final)
 	// one, which is never a legitimate crash artifact.
@@ -199,7 +200,7 @@ func TestVerifyDamagedSealedSegment(t *testing.T) {
 	}
 }
 
-func TestLsFilters(t *testing.T) {
+func TestAuditLsFilters(t *testing.T) {
 	dir, _ := buildFixture(t)
 	code, out, _ := runCmd(t, "ls", dir)
 	if code != 0 {
@@ -237,7 +238,7 @@ func TestLsFilters(t *testing.T) {
 	}
 }
 
-func TestReplayCleanLedger(t *testing.T) {
+func TestAuditReplayCleanLedger(t *testing.T) {
 	dir, modelPath := buildFixture(t)
 	code, out, errOut := runCmd(t, "replay", "-model", modelPath, dir)
 	if code != 0 {
@@ -253,7 +254,7 @@ func TestReplayCleanLedger(t *testing.T) {
 	}
 }
 
-func TestReplayWrongModel(t *testing.T) {
+func TestAuditReplayWrongModel(t *testing.T) {
 	dir, _ := buildFixture(t)
 	other, _ := trainModel(t, 12)
 	otherPath := filepath.Join(t.TempDir(), "other.json")
@@ -275,7 +276,7 @@ func TestReplayWrongModel(t *testing.T) {
 	}
 }
 
-func TestReplayDetectsTamperedVerdict(t *testing.T) {
+func TestAuditReplayDetectsTamperedVerdict(t *testing.T) {
 	m, ext := trainModel(t, 30)
 	dir := t.TempDir()
 	modelPath := filepath.Join(dir, "model.json")
@@ -321,7 +322,7 @@ func TestReplayDetectsTamperedVerdict(t *testing.T) {
 	}
 }
 
-func TestUsageErrors(t *testing.T) {
+func TestAuditUsageErrors(t *testing.T) {
 	if code, _, _ := runCmd(t); code != 2 {
 		t.Fatal("no args accepted")
 	}

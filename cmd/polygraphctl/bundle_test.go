@@ -19,26 +19,36 @@ import (
 
 func healthyServer(t *testing.T) string {
 	t.Helper()
+	return healthyServerWith(t, func() {})
+}
+
+// healthyServerWith is healthyServer with a hook run inside every
+// /metrics fetch — the middle of a capture.
+func healthyServerWith(t *testing.T, duringMetrics func()) string {
+	t.Helper()
 	var metrics bytes.Buffer
 	obs.WriteMetric(&metrics, "polygraph_collections_total", "Scored.", "counter", 10)
 	obs.WriteMetric(&metrics, "polygraph_audit_records_total", "Records.", "counter", 10)
 	obs.WriteMetric(&metrics, "polygraph_audit_dropped_total", "Dropped.", "counter", 0)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("ok\n")) })
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) { w.Write(metrics.Bytes()) })
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		duringMetrics()
+		w.Write(metrics.Bytes())
+	})
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("{}")) })
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("[]")) })
 	mux.HandleFunc("/debug/decisions", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("[]")) })
-	mux.HandleFunc("/admin/model/info", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"hash":"cafe"}`))
-	})
+	modelInfo := func(w http.ResponseWriter, r *http.Request) { w.Write([]byte(`{"hash":"cafe"}`)) }
+	mux.HandleFunc("/admin/model/info", modelInfo) // what a bundle captures
+	mux.HandleFunc("/admin/model", modelInfo)      // what status probes
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("{}")) })
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv.URL
 }
 
-func TestRunUsageErrors(t *testing.T) {
+func TestBundleUsageErrors(t *testing.T) {
 	var out, errOut bytes.Buffer
 	for _, args := range [][]string{
 		{},
@@ -51,29 +61,19 @@ func TestRunUsageErrors(t *testing.T) {
 		{"analyze", "/nonexistent/b.tgz"},              // unreadable bundle
 		{"capture", "-addr", "http://x", "-file", "["}, // bad glob
 	} {
-		if code := run(args, &out, &errOut); code != 2 {
+		if code := run(append([]string{"bundle"}, args...), &out, &errOut); code != 2 {
 			t.Errorf("run(%v) = %d, want 2", args, code)
 		}
 	}
 }
 
-func TestRunVersion(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-version"}, &out, &errOut); code != 0 {
-		t.Fatalf("run(-version) = %d", code)
-	}
-	if !strings.Contains(out.String(), "supportbundle") {
-		t.Fatalf("version output %q", out.String())
-	}
-}
-
-func TestCaptureThenAnalyzeHealthyExitsZero(t *testing.T) {
+func TestBundleCaptureThenAnalyzeHealthyExitsZero(t *testing.T) {
 	url := healthyServer(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bundle.tgz")
 
 	var out, errOut bytes.Buffer
-	code := run([]string{"capture", "-o", path, "-addr", url, "-skip-pprof", "-timeout", "30s"},
+	code := run([]string{"bundle", "capture", "-o", path, "-addr", url, "-skip-pprof", "-timeout", "30s"},
 		&out, &errOut)
 	if code != 0 {
 		t.Fatalf("capture = %d; stderr %s", code, errOut.String())
@@ -87,7 +87,7 @@ func TestCaptureThenAnalyzeHealthyExitsZero(t *testing.T) {
 
 	out.Reset()
 	errOut.Reset()
-	code = run([]string{"analyze", path}, &out, &errOut)
+	code = run([]string{"bundle", "analyze", path}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("analyze healthy = %d; stdout %s stderr %s", code, out.String(), errOut.String())
 	}
@@ -99,7 +99,7 @@ func TestCaptureThenAnalyzeHealthyExitsZero(t *testing.T) {
 	}
 }
 
-func TestCaptureRecordsDeadTargetAndStillExitsZero(t *testing.T) {
+func TestBundleCaptureRecordsDeadTargetAndStillExitsZero(t *testing.T) {
 	// A fleet where one URL is dead: capture exits 0 and prints the
 	// collector errors as warnings.
 	live := healthyServer(t)
@@ -109,7 +109,7 @@ func TestCaptureRecordsDeadTargetAndStillExitsZero(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "fleet.tgz")
 	var out, errOut bytes.Buffer
-	code := run([]string{"capture", "-o", path, "-fleet", live + "," + deadURL,
+	code := run([]string{"bundle", "capture", "-o", path, "-fleet", live + "," + deadURL,
 		"-skip-pprof", "-timeout", "30s"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("fleet capture = %d; stderr %s", code, errOut.String())
@@ -126,6 +126,32 @@ func TestCaptureRecordsDeadTargetAndStillExitsZero(t *testing.T) {
 	}
 	if len(b.Manifest.Target("r1").Errors) == 0 {
 		t.Fatal("dead fleet target recorded no errors")
+	}
+}
+
+// TestBundleCaptureKeepsPreviousBundleUntilDone pins the -o contract:
+// the bundle already at the output path is intact for as long as the
+// capture runs (the CPU profile alone holds it for -pprof-seconds per
+// target) and is replaced only by a complete new one. What a capture
+// that fails leaves behind is pinned in internal/bundle.
+func TestBundleCaptureKeepsPreviousBundleUntilDone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bundle.tgz")
+	previous := []byte("yesterday's bundle")
+	if err := os.WriteFile(path, previous, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var midCapture []byte
+	url := healthyServerWith(t, func() { midCapture, _ = os.ReadFile(path) })
+
+	var out, errOut bytes.Buffer
+	if code := run([]string{"bundle", "capture", "-o", path, "-addr", url, "-skip-pprof"}, &out, &errOut); code != 0 {
+		t.Fatalf("capture = %d; stderr %s", code, errOut.String())
+	}
+	if !bytes.Equal(midCapture, previous) {
+		t.Fatalf("mid-capture the output path held %q, want the previous bundle", midCapture)
+	}
+	if _, err := bundle.Open(path); err != nil {
+		t.Fatalf("capture did not replace the previous bundle: %v", err)
 	}
 }
 
@@ -154,10 +180,10 @@ func writeFaultyBundle(t *testing.T) string {
 	return path
 }
 
-func TestAnalyzeFaultyBundleExitsOne(t *testing.T) {
+func TestBundleAnalyzeFaultyExitsOne(t *testing.T) {
 	path := writeFaultyBundle(t)
 	var out, errOut bytes.Buffer
-	code := run([]string{"analyze", path}, &out, &errOut)
+	code := run([]string{"bundle", "analyze", path}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("analyze faulty = %d, want 1; stdout %s", code, out.String())
 	}
@@ -166,10 +192,10 @@ func TestAnalyzeFaultyBundleExitsOne(t *testing.T) {
 	}
 }
 
-func TestAnalyzeJSONOutput(t *testing.T) {
+func TestBundleAnalyzeJSONOutput(t *testing.T) {
 	path := writeFaultyBundle(t)
 	var out, errOut bytes.Buffer
-	code := run([]string{"analyze", "-json", path}, &out, &errOut)
+	code := run([]string{"bundle", "analyze", "-json", path}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("analyze -json = %d, want 1", code)
 	}

@@ -12,40 +12,40 @@ const cleanExpo = `# HELP polygraph_collections_total Fingerprint payloads score
 polygraph_collections_total 42
 `
 
-func TestRunCleanFile(t *testing.T) {
+func TestLintCleanFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.txt")
 	if err := os.WriteFile(path, []byte(cleanExpo), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out, errb bytes.Buffer
-	if code := run([]string{path}, &out, &errb); code != 0 {
+	if code := run([]string{"lint", path}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errb.String())
 	}
 }
 
-func TestRunFlagsProblems(t *testing.T) {
+func TestLintFlagsProblems(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.txt")
 	if err := os.WriteFile(path, []byte("orphan_sample 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out, errb bytes.Buffer
-	if code := run([]string{path}, &out, &errb); code != 1 {
+	if code := run([]string{"lint", path}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d for exposition with problems, stdout %q", code, out.String())
 	}
 }
 
-func TestRunRequireMissingFamily(t *testing.T) {
+func TestLintRequireMissingFamily(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.txt")
 	if err := os.WriteFile(path, []byte(cleanExpo), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out, errb bytes.Buffer
-	if code := run([]string{"-require", "polygraph_feature_psi", path}, &out, &errb); code != 1 {
+	if code := run([]string{"lint", "-require", "polygraph_feature_psi", path}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d when required family missing", code)
 	}
 }
 
-func TestRunRequireFile(t *testing.T) {
+func TestLintRequireFile(t *testing.T) {
 	dir := t.TempDir()
 	expo := filepath.Join(dir, "m.txt")
 	if err := os.WriteFile(expo, []byte(cleanExpo), 0o644); err != nil {
@@ -56,7 +56,7 @@ func TestRunRequireFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errb bytes.Buffer
-	if code := run([]string{"-require-file", list, expo}, &out, &errb); code != 0 {
+	if code := run([]string{"lint", "-require-file", list, expo}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d with satisfied require-file, stderr %q", code, errb.String())
 	}
 
@@ -64,7 +64,7 @@ func TestRunRequireFile(t *testing.T) {
 	if err := os.WriteFile(list, []byte("polygraph_collections_total\npolygraph_feature_psi\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code := run([]string{"-require-file", list, expo}, &out, &errb); code != 1 {
+	if code := run([]string{"lint", "-require-file", list, expo}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d when require-file family missing", code)
 	}
 
@@ -73,29 +73,29 @@ func TestRunRequireFile(t *testing.T) {
 	if err := os.WriteFile(ok, []byte("polygraph_collections_total\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code := run([]string{"-require-file", list, "-require-file", ok, expo}, &out, &errb); code != 1 {
+	if code := run([]string{"lint", "-require-file", list, "-require-file", ok, expo}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d when the first of two require-files is unmet", code)
 	}
-	if code := run([]string{"-require-file", ok, "-require-file", ok, expo}, &out, &errb); code != 0 {
+	if code := run([]string{"lint", "-require-file", ok, "-require-file", ok, expo}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d with two satisfied require-files", code)
 	}
 
 	// Missing or empty list files are usage errors, not silent passes.
-	if code := run([]string{"-require-file", filepath.Join(dir, "nope.txt"), expo}, &out, &errb); code != 2 {
+	if code := run([]string{"lint", "-require-file", filepath.Join(dir, "nope.txt"), expo}, &out, &errb); code != 2 {
 		t.Fatalf("exit %d for missing require-file", code)
 	}
 	empty := filepath.Join(dir, "empty.txt")
 	if err := os.WriteFile(empty, []byte("# only comments\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code := run([]string{"-require-file", empty, expo}, &out, &errb); code != 2 {
+	if code := run([]string{"lint", "-require-file", empty, expo}, &out, &errb); code != 2 {
 		t.Fatalf("exit %d for empty require-file", code)
 	}
 }
 
-func TestRunUsageError(t *testing.T) {
+func TestLintUsageError(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run(nil, &out, &errb); code != 2 {
+	if code := run([]string{"lint"}, &out, &errb); code != 2 {
 		t.Fatalf("exit %d with no source argument", code)
 	}
 }

@@ -1,5 +1,7 @@
-// Command polygraphctl is the fleet control plane: train once, push the
-// model to every replica, and verify the fleet serves one hash.
+// Command polygraphctl is the operator's tool for a polygraph
+// deployment: the fleet control plane (train once, push the model to
+// every replica, verify the fleet serves one hash) and the offline
+// checks an operator or CI runs against what the service wrote down.
 //
 // Subcommands:
 //
@@ -15,6 +17,16 @@
 //	                                    probe each replica's health and
 //	                                    deployed model hash; fail unless
 //	                                    all live replicas agree
+//	polygraphctl lint <source>         check a /metrics exposition (lint.go)
+//	polygraphctl slo <source>          evaluate an SLO spec over a metrics
+//	                                    dump or a support bundle (slo.go)
+//	polygraphctl bundle capture|analyze
+//	                                    snapshot a daemon or fleet into a
+//	                                    support bundle; replay the offline
+//	                                    rule catalog over one (bundle.go)
+//	polygraphctl audit verify|ls|replay
+//	                                    check, list and re-derive a decision
+//	                                    audit ledger (audit.go)
 //	polygraphctl version               print build info
 //
 // The push contract is the paper's deployment story scaled out: the
@@ -24,8 +36,13 @@
 // deploys anything else is refused, because two replicas with different
 // models silently give different verdicts for the same fingerprint.
 //
-// Exit codes: 0 success, 1 a replica failed verification (push) or the
-// fleet disagrees (status), 2 usage error.
+// Conventions every subcommand shares. A <source> is a file path, an
+// http(s) URL, or - for stdin. A replica list (-replicas, -fleet) is
+// comma-separated base URLs, http:// assumed where no scheme is given,
+// named r0, r1, ... in list order. Exit codes: 0 clean, 1 a check
+// failed (a lint problem, an SLO violation, a FAIL finding, a damaged
+// or diverging ledger, a refused replica, a fleet that disagrees),
+// 2 usage or read error.
 package main
 
 import (
@@ -34,14 +51,17 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"strings"
 	"time"
 
+	"polygraph/internal/bundle"
 	"polygraph/internal/core"
 	"polygraph/internal/fleet"
 	"polygraph/internal/obs"
 	"polygraph/internal/serving"
+	"polygraph/internal/slo"
 )
 
 func main() {
@@ -49,37 +69,140 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 0 {
-		usage(stderr)
-		return 2
-	}
-	switch args[0] {
-	case "train":
-		return runTrain(args[1:], stdout, stderr)
-	case "push":
-		return runPush(args[1:], stdout, stderr)
-	case "status":
-		return runStatus(args[1:], stdout, stderr)
-	case "version", "-version", "--version":
-		fmt.Fprintln(stdout, obs.Version("polygraphctl"))
-		return 0
-	default:
-		fmt.Fprintf(stderr, "polygraphctl: unknown subcommand %q\n", args[0])
-		usage(stderr)
-		return 2
-	}
+	return dispatch("", []command{
+		{"train", runTrain},
+		{"push", runPush},
+		{"status", runStatus},
+		{"lint", runLint},
+		{"slo", runSLO},
+		{"bundle", runBundle},
+		{"audit", runAudit},
+		{"version", runVersion},
+		{"-version", runVersion},
+		{"--version", runVersion},
+	}, args, stdout, stderr)
 }
 
-func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage:
+const usage = `usage:
   polygraphctl train -out model.json [-sessions N] [-novelty]
   polygraphctl push -model model.json -replicas url1,url2,...
   polygraphctl status -replicas url1,url2,...
-  polygraphctl version`)
+  polygraphctl lint [-require f1,f2] [-require-file list.txt]... <source>
+  polygraphctl slo [-spec spec.json] <metrics-or-bundle-source>
+  polygraphctl bundle capture -o bundle.tgz (-addr URL | -fleet URL,URL,...) [flags]
+  polygraphctl bundle analyze [-json] [-p99-budget D] [-slo-spec spec.json] <bundle-source>
+  polygraphctl audit verify <ledger-dir>
+  polygraphctl audit ls [-n N] [-verdict flagged|benign] [-trace id] [-json] <ledger-dir>
+  polygraphctl audit replay -model model.json [-explain] [-v] <ledger-dir>
+  polygraphctl version
+a <source> is a file path, an http(s) URL, or - for stdin
+`
+
+// command is one name a dispatch level accepts.
+type command struct {
+	name string
+	run  func(args []string, stdout, stderr io.Writer) int
+}
+
+// dispatch runs the command args[0] names. No name, a request for help
+// or a name the level does not have — repeated in the message — is a
+// usage error; group is the level's own name ("" at the top).
+func dispatch(group string, cmds []command, args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		for _, c := range cmds {
+			if c.name == args[0] {
+				return c.run(args[1:], stdout, stderr)
+			}
+		}
+		if h := args[0]; h != "-h" && h != "-help" && h != "--help" {
+			fmt.Fprintf(stderr, "%s: unknown subcommand %q\n", strings.TrimSpace("polygraphctl "+group), h)
+		}
+	}
+	fmt.Fprint(stderr, usage)
+	return 2
+}
+
+// fail reports a usage or read error: exit code 2 in every subcommand.
+func fail(stderr io.Writer, format string, args ...any) int {
+	fmt.Fprintf(stderr, "polygraphctl: "+format+"\n", args...)
+	return 2
+}
+
+func runVersion(_ []string, stdout, _ io.Writer) int {
+	fmt.Fprintln(stdout, obs.Version("polygraphctl"))
+	return 0
+}
+
+// readSource resolves a <source> argument: "-" is stdin, an http(s)
+// URL is fetched (anything but a 200 is an error), anything else is a
+// file path.
+func readSource(src string) ([]byte, error) {
+	switch {
+	case src == "-":
+		return io.ReadAll(os.Stdin)
+	case strings.HasPrefix(src, "http://") || strings.HasPrefix(src, "https://"):
+		return bundle.HTTPFetch(context.Background(), &http.Client{Timeout: 10 * time.Second}, src)
+	default:
+		return os.ReadFile(src)
+	}
+}
+
+// baseURL normalizes one replica address: surrounding space and a
+// trailing slash dropped, http:// assumed where no scheme is given.
+// Blank stays blank.
+func baseURL(raw string) string {
+	u := strings.TrimRight(strings.TrimSpace(raw), "/")
+	if u != "" && !strings.Contains(u, "://") {
+		u = "http://" + u
+	}
+	return u
+}
+
+// parseReplicas parses a replica list into fleet members named r0..rN
+// in list order. Blank entries are skipped without leaving a gap in the
+// names; a list with no entry at all is an error.
+func parseReplicas(list string) ([]fleet.Member, error) {
+	var members []fleet.Member
+	for _, raw := range strings.Split(list, ",") {
+		if u := baseURL(raw); u != "" {
+			members = append(members, fleet.Member{Name: fmt.Sprintf("r%d", len(members)), BaseURL: u})
+		}
+	}
+	if len(members) == 0 {
+		return nil, fmt.Errorf("no replica URLs in %q", list)
+	}
+	return members, nil
+}
+
+// loadModel reads a model file and computes the hash replicas and audit
+// records are matched against.
+func loadModel(path string) (*core.Model, string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, "", err
+	}
+	defer f.Close()
+	model, err := core.Load(f)
+	if err != nil {
+		return nil, "", fmt.Errorf("load model: %w", err)
+	}
+	hash, err := model.Hash()
+	if err != nil {
+		return nil, "", err
+	}
+	return model, hash, nil
+}
+
+// loadSpec reads an SLO spec file; no path means the built-in spec.
+func loadSpec(path string) (*slo.Spec, error) {
+	if path == "" {
+		return slo.DefaultSpec(), nil
+	}
+	return slo.LoadSpec(path)
 }
 
 func runTrain(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("train", flag.ContinueOnError)
+	fs := flag.NewFlagSet("polygraphctl train", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("out", "model.json", "output model path")
 	sessions := fs.Int("sessions", 40000, "training sessions to generate")
@@ -90,53 +213,29 @@ func runTrain(args []string, stdout, stderr io.Writer) int {
 	logger := obs.NewLogger(stderr, false).With("app", "polygraphctl")
 	model, _, _, err := serving.ObtainModel(context.Background(), true, "", *sessions, *novelty, logger)
 	if err != nil {
-		fmt.Fprintf(stderr, "polygraphctl: train: %v\n", err)
-		return 2
+		return fail(stderr, "train: %v", err)
 	}
 	f, err := os.Create(*out)
 	if err != nil {
-		fmt.Fprintf(stderr, "polygraphctl: %v\n", err)
-		return 2
+		return fail(stderr, "%v", err)
 	}
 	if err := model.Save(f); err != nil {
 		f.Close()
-		fmt.Fprintf(stderr, "polygraphctl: save: %v\n", err)
-		return 2
+		return fail(stderr, "save: %v", err)
 	}
 	if err := f.Close(); err != nil {
-		fmt.Fprintf(stderr, "polygraphctl: close: %v\n", err)
-		return 2
+		return fail(stderr, "close: %v", err)
 	}
 	hash, err := model.Hash()
 	if err != nil {
-		fmt.Fprintf(stderr, "polygraphctl: hash: %v\n", err)
-		return 2
+		return fail(stderr, "hash: %v", err)
 	}
 	fmt.Fprintf(stdout, "trained %s sessions=%d accuracy=%.4f hash=%s\n", *out, *sessions, model.Accuracy, hash)
 	return 0
 }
 
-// replicaMembers parses -replicas into fleet members named r0..rN.
-func replicaMembers(list string) ([]fleet.Member, error) {
-	var members []fleet.Member
-	for i, raw := range strings.Split(list, ",") {
-		u := strings.TrimSpace(raw)
-		if u == "" {
-			continue
-		}
-		if !strings.Contains(u, "://") {
-			u = "http://" + u
-		}
-		members = append(members, fleet.Member{Name: fmt.Sprintf("r%d", i), BaseURL: strings.TrimRight(u, "/")})
-	}
-	if len(members) == 0 {
-		return nil, fmt.Errorf("no replica URLs in %q", list)
-	}
-	return members, nil
-}
-
 func runPush(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("push", flag.ContinueOnError)
+	fs := flag.NewFlagSet("polygraphctl push", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	modelPath := fs.String("model", "model.json", "model file to distribute")
 	replicas := fs.String("replicas", "", "comma-separated replica base URLs")
@@ -145,32 +244,18 @@ func runPush(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	f, err := os.Open(*modelPath)
+	model, hash, err := loadModel(*modelPath)
 	if err != nil {
-		fmt.Fprintf(stderr, "polygraphctl: %v\n", err)
-		return 2
+		return fail(stderr, "%v", err)
 	}
-	model, err := core.Load(f)
-	f.Close()
+	members, err := parseReplicas(*replicas)
 	if err != nil {
-		fmt.Fprintf(stderr, "polygraphctl: load model: %v\n", err)
-		return 2
-	}
-	hash, err := model.Hash()
-	if err != nil {
-		fmt.Fprintf(stderr, "polygraphctl: hash: %v\n", err)
-		return 2
-	}
-	members, err := replicaMembers(*replicas)
-	if err != nil {
-		fmt.Fprintf(stderr, "polygraphctl: %v\n", err)
-		return 2
+		return fail(stderr, "%v", err)
 	}
 	logger := obs.NewLogger(stderr, false).With("app", "polygraphctl")
 	b, err := fleet.NewBalancer(fleet.Config{Seed: 1, ExpectHash: hash, Logger: logger}, members...)
 	if err != nil {
-		fmt.Fprintf(stderr, "polygraphctl: %v\n", err)
-		return 2
+		return fail(stderr, "%v", err)
 	}
 	ctrl := &fleet.Controller{PushTimeout: *timeout, Logger: logger}
 	results, derr := ctrl.Distribute(context.Background(), b, model)
@@ -189,7 +274,7 @@ func runPush(args []string, stdout, stderr io.Writer) int {
 }
 
 func runStatus(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("status", flag.ContinueOnError)
+	fs := flag.NewFlagSet("polygraphctl status", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	replicas := fs.String("replicas", "", "comma-separated replica base URLs")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-replica probe deadline")
@@ -197,15 +282,13 @@ func runStatus(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	members, err := replicaMembers(*replicas)
+	members, err := parseReplicas(*replicas)
 	if err != nil {
-		fmt.Fprintf(stderr, "polygraphctl: %v\n", err)
-		return 2
+		return fail(stderr, "%v", err)
 	}
 	b, err := fleet.NewBalancer(fleet.Config{Seed: 1, ProbeTimeout: *timeout}, members...)
 	if err != nil {
-		fmt.Fprintf(stderr, "polygraphctl: %v\n", err)
-		return 2
+		return fail(stderr, "%v", err)
 	}
 	// One probe pass over Pending members: reuse the controller's Verify
 	// admission against the first live hash so agreement is checked the

@@ -44,9 +44,9 @@ func writeFile(t *testing.T, name, content string) string {
 	return path
 }
 
-func TestRunHealthyMetricsDump(t *testing.T) {
+func TestSLOHealthyMetricsDump(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{writeFile(t, "m.txt", healthyExpo)}, &out, &errb)
+	code := run([]string{"slo", writeFile(t, "m.txt", healthyExpo)}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d for healthy dump\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
@@ -55,9 +55,9 @@ func TestRunHealthyMetricsDump(t *testing.T) {
 	}
 }
 
-func TestRunAvailabilityBreach(t *testing.T) {
+func TestSLOAvailabilityBreach(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{writeFile(t, "m.txt", breachedExpo)}, &out, &errb)
+	code := run([]string{"slo", writeFile(t, "m.txt", breachedExpo)}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d for breached dump, want 1\n%s", code, out.String())
 	}
@@ -66,9 +66,9 @@ func TestRunAvailabilityBreach(t *testing.T) {
 	}
 }
 
-func TestRunAlertGaugeFails(t *testing.T) {
+func TestSLOAlertGaugeFails(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{writeFile(t, "m.txt", alertingExpo)}, &out, &errb)
+	code := run([]string{"slo", writeFile(t, "m.txt", alertingExpo)}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d when alert gauge firing, want 1\n%s", code, out.String())
 	}
@@ -77,7 +77,7 @@ func TestRunAlertGaugeFails(t *testing.T) {
 	}
 }
 
-func TestRunCustomSpec(t *testing.T) {
+func TestSLOCustomSpec(t *testing.T) {
 	// Default spec passes the healthy dump; a stricter spec with a 512us
 	// threshold fails it (all mass sits in the 1024us bucket).
 	spec := writeFile(t, "spec.json", `{
@@ -88,17 +88,17 @@ func TestRunCustomSpec(t *testing.T) {
 }`)
 	expo := writeFile(t, "m.txt", healthyExpo)
 	var out, errb bytes.Buffer
-	if code := run([]string{"-spec", spec, expo}, &out, &errb); code != 1 {
+	if code := run([]string{"slo", "-spec", spec, expo}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d under strict spec, want 1\n%s", code, out.String())
 	}
-	if code := run([]string{"-spec", filepath.Join(t.TempDir(), "nope.json"), expo}, &out, &errb); code != 2 {
+	if code := run([]string{"slo", "-spec", filepath.Join(t.TempDir(), "nope.json"), expo}, &out, &errb); code != 2 {
 		t.Fatal("missing spec file did not exit 2")
 	}
 }
 
 // TestRunBundle pins the fleet semantics: per-target evaluation, the
 // summed fleet view, and the fleet-level alert gauge all gate.
-func TestRunBundle(t *testing.T) {
+func TestSLOBundle(t *testing.T) {
 	buildBundle := func(t *testing.T, fn func(b *bundle.Builder)) string {
 		t.Helper()
 		b := bundle.NewBuilder(time.Unix(1700000000, 0))
@@ -120,7 +120,7 @@ func TestRunBundle(t *testing.T) {
 		b.Target("r0", "http://r0").Add(bundle.ArtifactMetrics, bundle.KindMetrics, []byte(healthyExpo))
 		b.Target("r1", "http://r1").Add(bundle.ArtifactMetrics, bundle.KindMetrics, []byte(healthyExpo))
 	})
-	if code := run([]string{clean}, &out, &errb); code != 0 {
+	if code := run([]string{"slo", clean}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d for healthy fleet bundle\n%s%s", code, out.String(), errb.String())
 	}
 	for _, want := range []string{"ok r0:", "ok r1:", "ok fleet:"} {
@@ -135,7 +135,7 @@ func TestRunBundle(t *testing.T) {
 		b.Target("r0", "http://r0").Add(bundle.ArtifactMetrics, bundle.KindMetrics, []byte(healthyExpo))
 		b.Target("r1", "http://r1").Add(bundle.ArtifactMetrics, bundle.KindMetrics, []byte(breachedExpo))
 	})
-	if code := run([]string{mixed}, &out, &errb); code != 1 {
+	if code := run([]string{"slo", mixed}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d for mixed fleet bundle, want 1\n%s", code, out.String())
 	}
 	if !strings.Contains(out.String(), "FAIL r1: ingest-availability") ||
@@ -152,19 +152,19 @@ func TestRunBundle(t *testing.T) {
 polygraph_fleet_slo_alert{objective="ingest-availability"} 1
 `))
 	})
-	if code := run([]string{fleetAlert}, &out, &errb); code != 1 {
+	if code := run([]string{"slo", fleetAlert}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d for fleet-alert bundle, want 1\n%s", code, out.String())
 	}
 }
 
 // TestRunDeterministic pins the acceptance requirement: identical input
 // yields byte-identical output and identical exit codes across runs.
-func TestRunDeterministic(t *testing.T) {
+func TestSLODeterministic(t *testing.T) {
 	path := writeFile(t, "m.txt", breachedExpo)
 	var first string
 	for i := 0; i < 5; i++ {
 		var out, errb bytes.Buffer
-		if code := run([]string{path}, &out, &errb); code != 1 {
+		if code := run([]string{"slo", path}, &out, &errb); code != 1 {
 			t.Fatalf("run %d: exit %d", i, code)
 		}
 		if i == 0 {
@@ -175,17 +175,17 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunUsageErrors(t *testing.T) {
+func TestSLOUsageErrors(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run(nil, &out, &errb); code != 2 {
+	if code := run([]string{"slo"}, &out, &errb); code != 2 {
 		t.Fatalf("exit %d with no source", code)
 	}
-	if code := run([]string{filepath.Join(t.TempDir(), "missing.txt")}, &out, &errb); code != 2 {
+	if code := run([]string{"slo", filepath.Join(t.TempDir(), "missing.txt")}, &out, &errb); code != 2 {
 		t.Fatalf("exit %d for unreadable source", code)
 	}
 	// Corrupt gzip data is a read error, not a silent pass.
 	bad := writeFile(t, "bad.tgz", "\x1f\x8bgarbage")
-	if code := run([]string{bad}, &out, &errb); code != 2 {
+	if code := run([]string{"slo", bad}, &out, &errb); code != 2 {
 		t.Fatalf("exit %d for corrupt bundle", code)
 	}
 }

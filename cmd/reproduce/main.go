@@ -10,8 +10,6 @@
 //	reproduce -figure 5            # one figure (2,3,4,5)
 //	reproduce -sessions 205000     # traffic volume (default 60000)
 //	reproduce -seed 7              # dataset seed
-//	reproduce -benchjson BENCH.json # timed train+score pass, JSON trajectory snapshot
-//	reproduce -workers 1           # pin the worker pool (0 = GOMAXPROCS)
 package main
 
 import (
@@ -20,12 +18,8 @@ import (
 	"os"
 	"time"
 
-	"polygraph/internal/benchjson"
-	"polygraph/internal/core"
-	"polygraph/internal/dataset"
 	"polygraph/internal/experiments"
 	"polygraph/internal/obs"
-	"polygraph/internal/ua"
 )
 
 func main() {
@@ -37,8 +31,6 @@ func main() {
 		sessions  = flag.Int("sessions", 60000, "training sessions to generate (paper: 205000)")
 		seed      = flag.Uint64("seed", 0, "traffic seed (0 = default)")
 		htmlOut   = flag.String("html", "", "write an HTML report (tables + SVG figures) to this path")
-		benchOut  = flag.String("benchjson", "", "time a train+score pass and write the BENCH_<date>.json trajectory snapshot to this path (empty honors POLYGRAPH_BENCH_JSON)")
-		workers   = flag.Int("workers", 0, "worker-pool size for training and scoring (0 = GOMAXPROCS, 1 = serial)")
 		version   = flag.Bool("version", false, "print build info and exit")
 	)
 	flag.Parse()
@@ -47,26 +39,9 @@ func main() {
 		return
 	}
 
-	benchPath := *benchOut
-	if benchPath == "" {
-		if _, p := benchjson.FromEnv(*sessions); p != "" {
-			benchPath = p
-		}
-	}
-
-	if !*all && !*scorecard && *table == 0 && *figure == 0 && *htmlOut == "" && benchPath == "" {
+	if !*all && !*scorecard && *table == 0 && *figure == 0 && *htmlOut == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if benchPath != "" {
-		if err := runBenchJSON(benchPath, *sessions, *seed, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "reproduce:", err)
-			os.Exit(1)
-		}
-		if !*all && !*scorecard && *table == 0 && *figure == 0 && *htmlOut == "" {
-			return
-		}
 	}
 
 	if *scorecard {
@@ -102,128 +77,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "reproduce:", err)
 		os.Exit(1)
 	}
-}
-
-// runBenchJSON times the three hot phases — traffic generation, the full
-// training pipeline, and a batched scoring pass over every session — and
-// writes the benchmark-trajectory snapshot (see internal/benchjson).
-func runBenchJSON(path string, sessions int, seed uint64, workers int) error {
-	rep := benchjson.New(sessions)
-
-	dcfg := dataset.DefaultConfig()
-	if sessions > 0 {
-		dcfg.Sessions = sessions
-	}
-	if seed != 0 {
-		dcfg.Seed = seed
-	}
-	fmt.Printf("benchjson: generating %d sessions (workers=%d, gomaxprocs=%d)...\n",
-		dcfg.Sessions, workers, rep.GoMaxProcs)
-	t0 := time.Now()
-	traffic, err := dataset.Generate(dcfg)
-	if err != nil {
-		return err
-	}
-	genDur := time.Since(t0)
-	n := len(traffic.Sessions)
-	rep.Add("generate", float64(genDur.Nanoseconds()), map[string]float64{
-		"sessions-per-sec": float64(n) / genDur.Seconds(),
-	})
-
-	tc := core.DefaultTrainConfig()
-	tc.Reference = core.ExtractorReference{Extractor: traffic.Extractor, OS: ua.Windows10}
-	tc.Workers = workers
-	t0 = time.Now()
-	model, report, err := core.Train(traffic.Samples(), tc)
-	if err != nil {
-		return err
-	}
-	trainDur := time.Since(t0)
-	rep.Add("train", float64(trainDur.Nanoseconds()), map[string]float64{
-		"accuracy-%":        100 * model.Accuracy,
-		"outliers-filtered": float64(report.OutliersFiltered),
-		"sessions-per-sec":  float64(n) / trainDur.Seconds(),
-		"workers":           float64(workers),
-	})
-	rep.AddStages("train-stage", report.Stages)
-
-	vectors := make([][]float64, n)
-	claims := make([]ua.Release, n)
-	for i, s := range traffic.Sessions {
-		vectors[i] = s.Vector
-		claims[i] = s.Claimed
-	}
-	t0 = time.Now()
-	results, err := model.ScoreBatchWorkers(vectors, claims, workers)
-	if err != nil {
-		return err
-	}
-	scoreDur := time.Since(t0)
-	flagged := 0
-	for _, r := range results {
-		if r.Flagged() {
-			flagged++
-		}
-	}
-	rep.Add("score-batch", float64(scoreDur.Nanoseconds()), map[string]float64{
-		"sessions-per-sec": float64(n) / scoreDur.Seconds(),
-		"flagged-sessions": float64(flagged),
-		"workers":          float64(workers),
-	})
-
-	// Per-session latency distribution of the single-score path — the
-	// cost one /v1/collect request pays on the serving tier — recorded
-	// into the same power-of-two histogram internal/collect exports.
-	var hist obs.Hist
-	scratch := model.NewScratch()
-	t0 = time.Now()
-	for i := range vectors {
-		s0 := time.Now()
-		if _, err := model.ScoreWith(scratch, vectors[i], claims[i]); err != nil {
-			return err
-		}
-		hist.Record(time.Since(s0))
-	}
-	oneDur := time.Since(t0)
-	q := hist.Summary()
-	rep.Add("score-one", float64(oneDur.Nanoseconds()), map[string]float64{
-		"sessions-per-sec": float64(n) / oneDur.Seconds(),
-		"p50-us":           float64(q.P50.Microseconds()),
-		"p95-us":           float64(q.P95.Microseconds()),
-		"p99-us":           float64(q.P99.Microseconds()),
-		"max-us":           float64(q.Max.Microseconds()),
-	})
-
-	// The explanation path: what each audited decision pays on top of
-	// scoring (Model.Explain re-scores, so this is score + decompose —
-	// the end-to-end cost of one `auditq replay`-able record).
-	var exHist obs.Hist
-	t0 = time.Now()
-	for i := range vectors {
-		s0 := time.Now()
-		if _, err := model.Explain(vectors[i], claims[i], 0); err != nil {
-			return err
-		}
-		exHist.Record(time.Since(s0))
-	}
-	exDur := time.Since(t0)
-	eq := exHist.Summary()
-	rep.Add("score-explain", float64(exDur.Nanoseconds()), map[string]float64{
-		"sessions-per-sec": float64(n) / exDur.Seconds(),
-		"p50-us":           float64(eq.P50.Microseconds()),
-		"p95-us":           float64(eq.P95.Microseconds()),
-		"p99-us":           float64(eq.P99.Microseconds()),
-		"max-us":           float64(eq.Max.Microseconds()),
-	})
-
-	if err := rep.WriteFile(path); err != nil {
-		return err
-	}
-	fmt.Printf("benchjson: generate %v, train %v (accuracy %.2f%%), score %v (%.0f sessions/sec, %d flagged)\n",
-		genDur.Round(time.Millisecond), trainDur.Round(time.Millisecond), 100*model.Accuracy,
-		scoreDur.Round(time.Millisecond), float64(n)/scoreDur.Seconds(), flagged)
-	fmt.Printf("benchjson: snapshot written to %s\n", path)
-	return nil
 }
 
 func runHTML(path string, sessions int, seed uint64) error {

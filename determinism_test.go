@@ -8,6 +8,7 @@ package polygraph
 // never of scheduling (see DESIGN.md, "Parallel execution model").
 
 import (
+	"context"
 	"testing"
 
 	"polygraph/internal/core"
@@ -82,11 +83,11 @@ func TestTrainWorkerCountInvariance(t *testing.T) {
 		vectors[i] = s.Vector
 		claims[i] = s.Claimed
 	}
-	serialRes, err := serial.ScoreBatchWorkers(vectors, claims, 1)
+	serialRes, err := serial.ScoreBatchContext(context.Background(), vectors, claims, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wideRes, err := wide.ScoreBatchWorkers(vectors, claims, 8)
+	wideRes, err := wide.ScoreBatchContext(context.Background(), vectors, claims, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,10 @@
 // The framing makes two properties machine-checkable: a checksum
 // mismatch pins silent corruption to a record, and a truncated tail
 // (crash mid-write) is recognized and dropped on reopen without losing
-// any earlier record. `cmd/auditq verify` walks the frames; `auditq
-// replay` feeds each record's vector back through a model file and
-// demands the recorded verdict — the model/ledger consistency invariant
-// CI enforces on every smoke-load run.
+// any earlier record. `polygraphctl audit verify` walks the frames;
+// `polygraphctl audit replay` feeds each record's vector back through a
+// model file and demands the recorded verdict — the model/ledger
+// consistency invariant CI enforces on every smoke-load run.
 //
 // Durability — the segments are written by internal/seglog, which the
 // journal shares. Append encodes, numbers, checksums and counts a record
@@ -88,8 +88,8 @@ type Record struct {
 	// by RedactRecord before leaving the host: UserAgent replaced by a
 	// hash token, Vector dropped (its digest and width kept below), and
 	// the per-feature Explanation removed. Redacted records cannot be
-	// replayed through auditq; they exist so support bundles can ship
-	// decision context without shipping fingerprints.
+	// replayed through polygraphctl audit; they exist so support bundles
+	// can ship decision context without shipping fingerprints.
 	Redacted bool `json:"redacted,omitempty"`
 	// VectorSHA256 is the hex SHA-256 of the dropped Vector's big-endian
 	// IEEE-754 encoding — enough to match identical fingerprints across

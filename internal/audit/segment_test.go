@@ -19,7 +19,7 @@ func segmentPath(dir, prefix string, seq int) string {
 
 // TestQuietLedgerWritesItsLastRecord: nothing in the daemon calls Sync,
 // so a record appended to a ledger that then goes quiet must still reach
-// the file — here read with auditq's reader, without Sync or Close —
+// the file — here read with polygraphctl audit's reader, without Sync or Close —
 // through the segment log's idle flush. (The flush itself is driven from
 // its timer seam in seglog.TestIdleFlush; this is the real one-second
 // timer under the ledger.)
@@ -157,7 +157,7 @@ func TestFailedFlushMovesRecordsToDropped(t *testing.T) {
 	}
 	identity("after Close")
 
-	// auditq verify over what reached the file.
+	// polygraphctl audit verify over what reached the file.
 	stats, err := Scan(dir, "", nil)
 	if err != nil {
 		t.Fatal(err)

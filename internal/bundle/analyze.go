@@ -107,12 +107,7 @@ func HasFailure(findings []Finding) bool {
 // just what failed.
 func Analyze(b *Bundle, opts AnalyzeOptions) []Finding {
 	opts.defaults()
-	a := &analyzer{b: b, opts: opts, expositions: map[string]*obs.Exposition{}}
-	for _, t := range b.Manifest.Targets {
-		if data := b.TargetFile(t.Name, ArtifactMetrics); data != nil {
-			a.expositions[t.Name] = obs.ParseExpositionString(string(data))
-		}
-	}
+	a := &analyzer{b: b, opts: opts, expositions: targetExpositions(b)}
 	a.checkChecksums()
 	a.checkCollectErrors()
 	a.checkPromlint()
@@ -457,48 +452,31 @@ func (a *analyzer) checkFleetHealth() {
 	a.pass(RuleFleetHealth, "fleet healthy: no ejections, retry rate nominal")
 }
 
-// checkSLO replays the SLO spec over each captured exposition — the
-// lifetime counters evaluated as one window (the run's overall SLI) —
-// and additionally fails on any live burn-rate alert gauge the capture
-// caught firing (polygraph_slo_alert on targets, polygraph_fleet_slo_alert
-// in the fleet exposition). The offline evaluation catches runs that
-// breached an objective on aggregate; the gauge check catches a
-// transient burn the lifetime average would wash out.
+// checkSLO fails on every failed check EvaluateSLO finds in the bundle:
+// an objective violated over a target's (or the fleet's summed)
+// lifetime counters, or a burn-rate alert gauge caught firing.
 func (a *analyzer) checkSLO() {
 	spec := a.opts.SLOSpec
 	if spec == nil {
 		spec = slo.DefaultSpec()
 	}
 	evaluated := 0
-	for _, name := range a.targetNames() {
-		ex := a.expositions[name]
-		if ex == nil {
-			continue
-		}
-		for _, res := range slo.Evaluate(spec, ex) {
-			if res.Vacuous {
-				continue
-			}
+	for _, c := range evaluateSLO(a.b, spec, a.expositions) {
+		res := c.Result
+		switch {
+		case c.AlertFamily != "" && c.Scope == SLOScopeFleet:
+			a.addf(RuleSLO, SeverityFail, c.Scope,
+				"fleet-level burn-rate alert firing at capture time for objective %q", res.Objective)
+		case c.AlertFamily != "":
+			a.addf(RuleSLO, SeverityFail, c.Scope,
+				"burn-rate alert firing at capture time for objective %q", res.Objective)
+		case res.Vacuous:
+		default:
 			evaluated++
 			if !res.Met {
-				a.addf(RuleSLO, SeverityFail, name,
+				a.addf(RuleSLO, SeverityFail, c.Scope,
 					"objective %q violated over the run: SLI %.5f < target %.5f (%.0f good / %.0f total)",
 					res.Objective, res.SLI, res.Target, res.Good, res.Total)
-			}
-		}
-		for _, s := range ex.Samples("polygraph_slo_alert") {
-			if s.Value >= 1 {
-				a.addf(RuleSLO, SeverityFail, name,
-					"burn-rate alert firing at capture time for objective %q", s.Label("objective"))
-			}
-		}
-	}
-	if data := a.b.Files["files/"+FleetMetricsFile]; data != nil {
-		ex := obs.ParseExpositionString(string(data))
-		for _, s := range ex.Samples("polygraph_fleet_slo_alert") {
-			if s.Value >= 1 {
-				a.addf(RuleSLO, SeverityFail, "fleet",
-					"fleet-level burn-rate alert firing at capture time for objective %q", s.Label("objective"))
 			}
 		}
 	}

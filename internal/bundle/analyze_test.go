@@ -2,6 +2,7 @@ package bundle
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // The analyzer tests seed bundles through the Builder directly: each
 // fault the rule catalog promises to catch is reproduced synthetically
 // and its named rule must fail, while the healthy bundle passes every
-// rule — the contract CI's `supportbundle analyze` step leans on.
+// rule — the contract CI's `polygraphctl bundle analyze` step leans on.
 
 // metricsOpts tweaks the synthetic per-target exposition.
 type metricsOpts struct {
@@ -286,6 +287,20 @@ func TestAnalyzeSLOViolationFault(t *testing.T) {
 	}
 	if !HasFailure(findings) {
 		t.Fatal("HasFailure false despite SLO violation")
+	}
+
+	// Beside a healthy replica the slow one also drags the fleet's
+	// summed counters under the target (EvaluateSLO's aggregate view).
+	findings = analyzeBundle(t, func(b *Builder) {
+		seedTarget(b, "r0", hashA, healthyOpts())
+		seedTarget(b, "r1", hashA, o)
+	})
+	var scopes []string
+	for _, f := range ruleFindings(findings, RuleSLO) {
+		scopes = append(scopes, f.Severity+" "+f.Target)
+	}
+	if want := []string{"fail r1", "fail fleet"}; !reflect.DeepEqual(scopes, want) {
+		t.Fatalf("slo findings %v, want %v", scopes, want)
 	}
 }
 

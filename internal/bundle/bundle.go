@@ -3,7 +3,7 @@
 // diagnose a polygraphd or a fleet after the fact — per-replica metrics
 // expositions, trace rings, redacted audit records, model provenance,
 // pprof profiles — plus the offline analyzers that replay pass/warn/fail
-// rules over a captured bundle (cmd/supportbundle).
+// rules over a captured bundle (polygraphctl bundle).
 //
 // The package sits below serving/fleet in the dependency order: it
 // knows HTTP paths and metric family names but imports neither, so
@@ -84,8 +84,8 @@ type Manifest struct {
 	// audit.RedactRecord before packing (the default).
 	Redacted bool             `json:"redacted"`
 	Targets  []TargetManifest `json:"targets"`
-	// Files lists run-level artifacts under files/ (benchjson
-	// trajectories, effective config).
+	// Files lists run-level artifacts under files/ (the balancer's
+	// exposition, effective config, -file extras).
 	Files  []Artifact     `json:"files,omitempty"`
 	Errors []CollectError `json:"errors,omitempty"`
 }

@@ -77,8 +77,8 @@ type Options struct {
 	// FleetMetrics, when set, writes the balancer's own exposition
 	// (fleet.Balancer.WriteMetrics) into files/fleet-metrics.txt.
 	FleetMetrics func(w io.Writer)
-	// Files lists extra run-level files to pack (benchjson
-	// trajectories); unreadable ones become manifest errors.
+	// Files lists extra run-level files to pack; unreadable ones
+	// become manifest errors.
 	Files []string
 	// Config, when non-nil, is marshaled into files/config.json — the
 	// effective flags/configuration of the capturing process.
@@ -138,6 +138,42 @@ func Capture(ctx context.Context, w io.Writer, opts Options) (*Manifest, error) 
 	}
 
 	return b.Write(w)
+}
+
+// CaptureFile is Capture into the file at path. Whatever was at path
+// stays intact until the new bundle is complete: the archive goes to a
+// temporary file in the same directory, which is renamed over path once
+// it is written and closed, and removed if anything fails first.
+func CaptureFile(ctx context.Context, path string, opts Options) (*Manifest, error) {
+	var manifest *Manifest
+	err := writeFileAtomic(path, func(w io.Writer) (err error) {
+		manifest, err = Capture(ctx, w, opts)
+		return err
+	})
+	return manifest, err
+}
+
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		// CreateTemp's 0600 would hide the bundle from the CI step or
+		// the colleague it was captured for.
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // captureTarget collects one target's artifact set in a fixed order.

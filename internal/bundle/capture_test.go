@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -277,5 +278,51 @@ func TestCaptureThenAnalyzeHealthy(t *testing.T) {
 	findings := Analyze(bb, AnalyzeOptions{})
 	if HasFailure(findings) {
 		t.Fatalf("captured healthy target fails analysis: %v", findings)
+	}
+}
+
+// TestCaptureFileKeepsPreviousBundleOnFailure pins CaptureFile's
+// contract: a failed write leaves the file at the target path byte for
+// byte and no temporary file beside it; a good capture replaces it.
+func TestCaptureFileKeepsPreviousBundleOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bundle.tgz")
+	previous := []byte("the bundle an operator captured yesterday")
+	if err := os.WriteFile(path, previous, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	errDisk := errors.New("disk full")
+	err := writeFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("half a tarball")); err != nil {
+			return err
+		}
+		return errDisk
+	})
+	if !errors.Is(err, errDisk) {
+		t.Fatalf("writeFileAtomic error = %v, want the writer's", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, previous) {
+		t.Fatalf("failed write changed the previous bundle: %q", got)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("failed write left %d entries in the directory, want only the previous bundle", len(entries))
+	}
+
+	if _, err := CaptureFile(context.Background(), path, Options{
+		Targets:   []Target{{Name: "r0", BaseURL: liveTarget(t)}},
+		SkipPprof: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(path)
+	if err != nil {
+		t.Fatalf("good capture did not replace the previous bundle: %v", err)
+	}
+	if b.Manifest.Target("r0") == nil {
+		t.Fatalf("manifest targets: %+v", b.Manifest.Targets)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("good capture left %d entries in the directory, want one", len(entries))
 	}
 }

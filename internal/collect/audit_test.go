@@ -288,7 +288,7 @@ func TestAuditMetricsFamilies(t *testing.T) {
 		"polygraph_audit_bytes_total",
 	}
 
-	// Without a ledger the families still exist (zero), so a promlint
+	// Without a ledger the families still exist (zero), so a `polygraphctl lint`
 	// -require list holds in every deployment shape.
 	m, _ := testModel(t)
 	bare, err := NewServer(Config{Model: m})

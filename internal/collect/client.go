@@ -18,7 +18,7 @@ import (
 //
 // Every failure is returned as a *ClientError so fleet balancers can
 // distinguish an unreachable replica (IsDown → eject) from a live
-// replica that answered badly (IsBadFrame → keep in rotation).
+// replica that answered badly (Kind FailBadFrame → keep in rotation).
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string

@@ -89,13 +89,6 @@ func IsDown(err error) bool {
 	return errors.As(err, &ce) && ce.Kind == FailDown
 }
 
-// IsBadFrame reports whether err represents a protocol failure from a
-// live replica (which must NOT trigger ejection).
-func IsBadFrame(err error) bool {
-	var ce *ClientError
-	return errors.As(err, &ce) && ce.Kind == FailBadFrame
-}
-
 // Backoff computes bounded, jittered reconnect delays. The jitter stream
 // is PCG-seeded so a fixed-seed harness run schedules reconnects
 // identically run to run — the same determinism contract as the rest of

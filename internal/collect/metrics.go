@@ -15,7 +15,7 @@ import (
 // from internal/obs's writers. Stdlib only: the format is plain text,
 // and every value already lives on an atomic counter or histogram.
 // Mounted at GET /metrics; obs.Lint checks the output in CI
-// (cmd/promlint) and in this package's tests.
+// (polygraphctl lint) and in this package's tests.
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -51,9 +51,7 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 		"Rejected requests by cause.", "counter", "reason", reasons)
 
 	// Per-endpoint request-handling latency of scored requests, as a
-	// real histogram family. The avg/max gauges below are kept during
-	// deprecation, now derived from the same histograms (guarded
-	// against the zero-received torn-stats edge by construction).
+	// real histogram family.
 	series := []obs.HistogramSeries{
 		obs.HistogramSnapshot(EndpointBinary, s.hists[EndpointBinary]),
 		obs.HistogramSnapshot(EndpointJSON, s.hists[EndpointJSON]),
@@ -64,12 +62,6 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 	obs.WriteHistogramFamily(w, "polygraph_score_duration_microseconds",
 		"Request-handling latency of scored requests per endpoint, in microseconds.",
 		"endpoint", series)
-	obs.WriteMetric(w, "polygraph_score_avg_microseconds",
-		"Mean request-handling latency (deprecated: use the duration histogram).",
-		"gauge", st.AvgScoreUs)
-	obs.WriteMetric(w, "polygraph_score_max_microseconds",
-		"Max request-handling latency (deprecated: use the duration histogram).",
-		"gauge", float64(st.MaxScoreUs))
 
 	obs.WriteMetric(w, "polygraph_store_entries",
 		"Flagged decisions retained in memory.", "gauge", float64(st.StoreEntries))
@@ -104,7 +96,7 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 	}
 
 	// Audit-ledger families are always present (zeros when no ledger is
-	// configured) so the promlint -require list holds for every
+	// configured) so the `polygraphctl lint -require` list holds for every
 	// deployment shape. The TCP listener shares the HTTP server's
 	// ledger, so its records are already in these counters.
 	var ac audit.Counters

@@ -255,7 +255,8 @@ func TestRejectReasonTaxonomy(t *testing.T) {
 }
 
 // TestAvgGaugeZeroTraffic pins the torn-stats fix: with zero scored
-// requests the avg gauge must be exactly 0, not NaN or garbage.
+// requests the mean latency on /v1/stats must be exactly 0, not NaN or
+// garbage (NaN would not even encode).
 func TestAvgGaugeZeroTraffic(t *testing.T) {
 	m, _ := testModel(t)
 	srv, err := NewServer(Config{Model: m})
@@ -268,9 +269,17 @@ func TestAvgGaugeZeroTraffic(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	expo := scrapeMetrics(t, ts.URL)
-	if !strings.Contains(expo, "polygraph_score_avg_microseconds 0\n") {
-		t.Fatalf("zero-traffic avg gauge not 0:\n%s", expo)
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), `"avg_score_us":0,`) {
+		t.Fatalf("zero-traffic avg on /v1/stats not 0:\n%s", body)
 	}
 }
 

@@ -2,7 +2,6 @@ package collect
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -238,35 +237,6 @@ func DialTCP(addr string, timeout time.Duration) (*TCPClient, error) {
 		return nil, &ClientError{Kind: FailDown, Op: "dial", Err: err}
 	}
 	return c, nil
-}
-
-// DialTCPRetry dials with a bounded number of attempts separated by
-// jittered exponential backoff — the reconnect discipline a batch client
-// uses when its replica is restarting. attempts <= 0 defaults to 3; the
-// last failure is returned (always a *ClientError with Kind FailDown).
-func DialTCPRetry(ctx context.Context, addr string, timeout time.Duration, attempts int, backoff *Backoff) (*TCPClient, error) {
-	if attempts <= 0 {
-		attempts = 3
-	}
-	if backoff == nil {
-		backoff = NewBackoff(0, 0, 1)
-	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			select {
-			case <-time.After(backoff.Delay(i - 1)):
-			case <-ctx.Done():
-				return nil, &ClientError{Kind: FailDown, Op: "dial", Err: ctx.Err()}
-			}
-		}
-		c, err := DialTCP(addr, timeout)
-		if err == nil {
-			return c, nil
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("collect: dial %s: %d attempts exhausted: %w", addr, attempts, lastErr)
 }
 
 // deadlines arms the per-batch read/write deadlines.

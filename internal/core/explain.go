@@ -1,17 +1,13 @@
 package core
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 
 	"polygraph/internal/jsonappend"
-	"polygraph/internal/parallel"
-	"polygraph/internal/pipeline"
 	"polygraph/internal/ua"
 )
 
@@ -26,7 +22,7 @@ const DefaultExplainTopK = 5
 
 // Verdict is the decision part of an explanation: Result plus the
 // derived Flagged bit, in a stable JSON shape. It is what the audit
-// ledger records and what `auditq replay` re-derives; two verdicts from
+// ledger records and what `polygraphctl audit replay` re-derives; two verdicts from
 // the same model and input are comparable field-for-field.
 type Verdict struct {
 	Cluster      int     `json:"cluster"`
@@ -297,24 +293,6 @@ func (m *Model) Explain(vector []float64, claimed ua.Release, topK int) (*Explan
 	return m.explain(vector, claimed.String(), claimed, true, res, topK)
 }
 
-// ExplainString is Explain for sessions delivering a raw user-agent
-// string, mirroring ScoreString's handling of unparseable claims.
-func (m *Model) ExplainString(vector []float64, userAgent string, topK int) (*Explanation, error) {
-	claimed, ok := ua.ParseRelease(userAgent)
-	if !ok {
-		res, serr := m.ScoreString(vector, userAgent)
-		if serr != nil {
-			return nil, serr
-		}
-		return m.explain(vector, userAgent, ua.Release{}, false, res, topK)
-	}
-	res, err := m.Score(vector, claimed)
-	if err != nil {
-		return nil, err
-	}
-	return m.explain(vector, claimed.String(), claimed, true, res, topK)
-}
-
 // ExplainResult decomposes an already-computed verdict without paying
 // for a second scoring pass — the serving tier's audit path, where res
 // just came out of ScoreString for the same (vector, userAgent) pair.
@@ -479,55 +457,12 @@ func abs(v float64) float64 {
 	return v
 }
 
-// ExplainBatch explains many sessions at once over the shared worker
-// pool; row i equals what Explain(vectors[i], claims[i], topK) returns.
-func (m *Model) ExplainBatch(vectors [][]float64, claims []ua.Release, topK int) ([]*Explanation, error) {
-	return m.ExplainBatchContext(context.Background(), vectors, claims, topK, 0)
-}
-
-// ExplainBatchContext is ExplainBatch with an explicit pool size and
-// cooperative cancellation at chunk boundaries, mirroring
-// ScoreBatchContext's contract: a completed batch is identical for
-// every worker count and context.
-func (m *Model) ExplainBatchContext(ctx context.Context, vectors [][]float64, claims []ua.Release, topK, workers int) ([]*Explanation, error) {
-	if err := m.checkTrained(); err != nil {
-		return nil, err
-	}
-	defer pipeline.StartSpan(ctx, "explain-batch")()
-	if len(vectors) != len(claims) {
-		return nil, fmt.Errorf("core: %w: %d vectors vs %d claims", ErrBadInput, len(vectors), len(claims))
-	}
-	out := make([]*Explanation, len(vectors))
-	var mu sync.Mutex
-	errIdx, errVal := -1, error(nil)
-	if err := parallel.ForContext(ctx, workers, len(vectors), 0, func(start, end int) {
-		for i := start; i < end; i++ {
-			ex, err := m.Explain(vectors[i], claims[i], topK)
-			if err != nil {
-				mu.Lock()
-				if errIdx == -1 || i < errIdx {
-					errIdx, errVal = i, err
-				}
-				mu.Unlock()
-				continue
-			}
-			out[i] = ex
-		}
-	}); err != nil {
-		return nil, fmt.Errorf("core: explain batch: %w", pipeline.Canceled(err))
-	}
-	if errVal != nil {
-		return nil, fmt.Errorf("core: explain batch row %d: %w", errIdx, errVal)
-	}
-	return out, nil
-}
-
 // Hash returns a stable hex digest of the model's serialized form
 // (SHA-256 over Save's output, which is deterministic: struct fields in
 // declaration order, map keys sorted by encoding/json). Two models with
 // the same digest produce identical verdicts for every input, which is
 // what lets the audit ledger stamp each record with the model that
-// decided it and `auditq replay` refuse a mismatched model file.
+// decided it and `polygraphctl audit replay` refuse a mismatched model file.
 func (m *Model) Hash() (string, error) {
 	h := sha256.New()
 	if err := m.Save(h); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -144,6 +145,9 @@ func TestExplainDeterministicJSON(t *testing.T) {
 	}
 }
 
+// TestExplainBatchMatchesSingle pins the offline shape of an audited
+// batch: ScoreBatchContext then ExplainResult per row gives, for every
+// worker count, exactly what Explain gives for the row alone.
 func TestExplainBatchMatchesSingle(t *testing.T) {
 	m, _, ext := trainFixtureModel(t, 60)
 	releases := []ua.Release{
@@ -159,22 +163,28 @@ func TestExplainBatchMatchesSingle(t *testing.T) {
 		// Make one of them a lie.
 		claims = append(claims, releases[(i+1)%len(releases)])
 	}
-	batch, err := m.ExplainBatch(vectors, claims, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vectors {
-		single, err := m.Explain(vectors[i], claims[i], 4)
+	for _, workers := range []int{1, 4} {
+		batch, err := m.ScoreBatchContext(context.Background(), vectors, claims, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bj, _ := json.Marshal(batch[i])
-		sj, _ := json.Marshal(single)
-		if !bytes.Equal(bj, sj) {
-			t.Fatalf("row %d batch != single:\n%s\n%s", i, bj, sj)
+		for i := range vectors {
+			fromBatch, err := m.ExplainResult(vectors[i], ua.UserAgent(claims[i], ua.Windows10), batch[i], 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, err := m.Explain(vectors[i], claims[i], 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bj, _ := json.Marshal(fromBatch)
+			sj, _ := json.Marshal(single)
+			if !bytes.Equal(bj, sj) {
+				t.Fatalf("workers=%d row %d batch != single:\n%s\n%s", workers, i, bj, sj)
+			}
 		}
 	}
-	if _, err := m.ExplainBatch(vectors, claims[:1], 4); err == nil {
+	if _, err := m.ScoreBatchContext(context.Background(), vectors, claims[:1], 4); err == nil {
 		t.Fatal("mismatched lengths should error")
 	}
 }
@@ -182,15 +192,22 @@ func TestExplainBatchMatchesSingle(t *testing.T) {
 func TestExplainStringUnparseable(t *testing.T) {
 	m, _, ext := trainFixtureModel(t, 60)
 	vec := ext.Extract(browser.Profile{Release: ua.Release{Vendor: ua.Chrome, Version: 112}, OS: ua.Windows10})
+	// explainString is what the serving tier does for an audited
+	// request: ScoreString, then ExplainResult over the same inputs.
+	explainString := func(userAgent string) (*Explanation, Result) {
+		t.Helper()
+		res, err := m.ScoreString(vec, userAgent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := m.ExplainResult(vec, userAgent, res, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex, res
+	}
 	const junk = "curl/7.81.0"
-	res, err := m.ScoreString(vec, junk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := m.ExplainString(vec, junk, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex, res := explainString(junk)
 	if ex.ClaimParsed {
 		t.Fatal("junk UA marked parsed")
 	}
@@ -204,13 +221,10 @@ func TestExplainStringUnparseable(t *testing.T) {
 		t.Fatal("unparseable claim cannot have a nearest member")
 	}
 
-	// Parsed path through ExplainString must match Explain.
+	// A parsed header through the string path must match Explain.
 	good := ua.Release{Vendor: ua.Chrome, Version: 112}
 	header := "Mozilla/5.0 (Windows NT 10.0; Win64; x64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/112.0.0.0 Safari/537.36"
-	fromString, err := m.ExplainString(vec, header, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fromString, _ := explainString(header)
 	direct, err := m.Explain(vec, good, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +232,7 @@ func TestExplainStringUnparseable(t *testing.T) {
 	fj, _ := json.Marshal(fromString)
 	dj, _ := json.Marshal(direct)
 	if !bytes.Equal(fj, dj) {
-		t.Fatal("ExplainString(parsed) != Explain")
+		t.Fatal("ScoreString+ExplainResult(parsed) != Explain")
 	}
 }
 
@@ -235,7 +249,7 @@ func TestModelHashStable(t *testing.T) {
 	if h1 != h2 || len(h1) != 32 {
 		t.Fatalf("hash unstable or wrong width: %q vs %q", h1, h2)
 	}
-	// Save → Load must preserve the hash (the property auditq replay
+	// Save → Load must preserve the hash (the property polygraphctl audit replay
 	// uses to pair a ledger with its model file).
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {

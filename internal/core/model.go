@@ -190,18 +190,12 @@ func (m *Model) scoreSlow(vector []float64, claimed ua.Release) (Result, error) 
 // never outcomes — which makes it the offline/backfill counterpart of the
 // per-request Score path (paper §6.4: 205k sessions scored in one pass).
 func (m *Model) ScoreBatch(vectors [][]float64, claims []ua.Release) ([]Result, error) {
-	return m.ScoreBatchWorkers(vectors, claims, 0)
+	return m.ScoreBatchContext(context.Background(), vectors, claims, 0)
 }
 
-// ScoreBatchWorkers is ScoreBatch with an explicit pool size (0 =
-// GOMAXPROCS, 1 = serial). On error it reports the failure of the
-// lowest-index bad row, so the error is deterministic under concurrency.
-func (m *Model) ScoreBatchWorkers(vectors [][]float64, claims []ua.Release, workers int) ([]Result, error) {
-	return m.ScoreBatchContext(context.Background(), vectors, claims, workers)
-}
-
-// ScoreBatchContext is ScoreBatchWorkers with cooperative cancellation
-// at chunk boundaries: a cancelled batch returns an error matching
+// ScoreBatchContext is ScoreBatch with an explicit pool size (0 =
+// GOMAXPROCS, 1 = serial) and cooperative cancellation at chunk
+// boundaries: a cancelled batch returns an error matching
 // errors.Is(err, ErrCanceled) within one chunk of work. A batch that
 // completes is bit-identical to ScoreBatch's — rows are independent and
 // chunk geometry never depends on the context.

@@ -31,8 +31,8 @@ var (
 )
 
 // Stage names of the §6.4 training pipeline, in execution order. They key
-// TrainReport.Stages, StageError attribution, benchjson snapshots, and
-// the /metrics stage-duration export.
+// TrainReport.Stages, StageError attribution and the /metrics
+// stage-duration export.
 const (
 	StageScale        = "scale"
 	StageFilter       = "iforest-filter"

@@ -11,7 +11,7 @@ import (
 // replicas do not know about each other, so fleet-level state can only
 // be observed here.
 //
-// Families (all gated by cmd/promlint -require in CI):
+// Families (all gated by polygraphctl lint -require in CI):
 //
 //	polygraph_fleet_replicas{state}            gauge, all four states always present
 //	polygraph_fleet_ejections_total            counter

@@ -45,6 +45,24 @@ func TestScenarioFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCommittedBenchScenariosLoad pins every scripts/*-bench.json — the
+// scenario files CI's smoke jobs and the README hand to -scenario — to
+// what LoadScenario accepts, so a bad edit fails here, not in a smoke job.
+func TestCommittedBenchScenariosLoad(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scripts", "*-bench.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 2 {
+		t.Fatalf("found %v, want at least serve-bench.json and tcp-bench.json", paths)
+	}
+	for _, path := range paths {
+		if _, err := LoadScenario(path); err != nil {
+			t.Errorf("committed scenario: %v", err)
+		}
+	}
+}
+
 func TestDurationJSONForms(t *testing.T) {
 	var d Duration
 	if err := json.Unmarshal([]byte(`"250ms"`), &d); err != nil || d != Duration(250*time.Millisecond) {

@@ -15,7 +15,7 @@ import (
 // break scrapers: samples without HELP/TYPE, invalid metric names,
 // unknown types, histograms whose cumulative buckets decrease, and
 // bucket series missing the terminal le="+Inf" or disagreeing with
-// their _count. CI runs it over /metrics (cmd/promlint) so a bad
+// their _count. CI runs it over /metrics (polygraphctl lint) so a bad
 // exposition fails the build instead of failing a scraper at 3am.
 
 // LintProblem is one finding.

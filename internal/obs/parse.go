@@ -17,7 +17,7 @@ import (
 // implementation. Like the linter it is deliberately lenient: lines it
 // cannot parse are skipped, because an analyzer reading a bundle from a
 // sick replica must extract what it can rather than give up at the
-// first malformed line (promlint reports the malformation separately).
+// first malformed line (obs.Lint reports the malformation separately).
 
 // Sample is one parsed sample line: name{labels} value.
 type Sample struct {

@@ -43,7 +43,7 @@ func TestEngineVacuousBaseline(t *testing.T) {
 	if o.SLI != 1 || o.BudgetRemaining != 1 || o.Total != 0 {
 		t.Fatalf("baseline objective = %+v, want vacuous green", o)
 	}
-	// Families are present before any tick so promlint's required list
+	// Families are present before any tick so `polygraphctl lint`'s required list
 	// holds even on a replica that has not completed its first interval.
 	var b strings.Builder
 	e.WriteMetrics(&b)

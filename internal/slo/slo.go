@@ -18,7 +18,7 @@
 // The package sits directly above internal/obs (the exposition parser
 // and writers) and below collect/serving/fleet, so a replica can
 // evaluate its own scrape, the balancer can aggregate per-replica
-// deltas into a fleet-level rollup, and cmd/slocheck can replay a spec
+// deltas into a fleet-level rollup, and `polygraphctl slo` can replay a spec
 // offline against a metrics dump or a support bundle.
 package slo
 
@@ -319,7 +319,7 @@ type Result struct {
 }
 
 // EvaluateCounters applies the spec's targets to one cumulative counter
-// snapshot — the offline (slocheck / bundle-analyzer) evaluation, where
+// snapshot — the offline (`polygraphctl slo` / bundle-analyzer) evaluation, where
 // a metrics dump's lifetime counters are the only window there is.
 func EvaluateCounters(spec *Spec, c []Counters) []Result {
 	out := make([]Result, len(spec.Objectives))

@@ -169,7 +169,7 @@ func TestLoadSpecFile(t *testing.T) {
 }
 
 // TestCommittedSmokeSpecMatchesDefault pins scripts/slo-smoke.json — the
-// spec CI's slocheck steps evaluate — to DefaultSpec, so the committed
+// spec CI's `polygraphctl slo` steps evaluate — to DefaultSpec, so the committed
 // file and the built-in default cannot drift apart.
 func TestCommittedSmokeSpecMatchesDefault(t *testing.T) {
 	s, err := LoadSpec(filepath.Join("..", "..", "scripts", "slo-smoke.json"))

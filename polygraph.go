@@ -56,7 +56,7 @@ type (
 	// that produced it (extract with errors.As).
 	StageError = pipeline.StageError
 	// Verdict is the replayable subset of a Result, as stamped into
-	// audit-ledger records (Model.Explain, cmd/auditq).
+	// audit-ledger records (Model.Explain, polygraphctl audit).
 	Verdict = core.Verdict
 	// Explanation decomposes one verdict: per-feature z-scores, top-k
 	// PCA component shares, centroid distances, cluster-table outcome,

@@ -15,21 +15,10 @@
 #   BenchmarkLedgerAppend       ≤ 1 allocs/op  (internal/audit: pooled encode buffer)
 #   BenchmarkJournalAppend      ≤ 1 allocs/op  (internal/collect: pooled line buffer)
 #
-# The ns/op numbers are machine-dependent and therefore only recorded,
-# never gated. With -merge <snapshot.json>, the run is re-executed with
-# POLYGRAPH_BENCH_JSON armed and the fresh scoring entries are folded
-# into the existing trajectory snapshot (same-name entries replaced,
-# everything else preserved — see benchjson.Merge). Usage:
-#
-#   scripts/benchgate.sh                       # gate only
-#   scripts/benchgate.sh -merge BENCH_$(date +%F).json
+# The ns/op numbers are machine-dependent and therefore only printed,
+# never gated; bench/ (BENCHMARK.json) is where they are measured.
 set -eu
 cd "$(dirname "$0")/.."
-
-merge_target=""
-if [ "${1:-}" = "-merge" ]; then
-    merge_target="${2:?usage: benchgate.sh -merge <snapshot.json>}"
-fi
 
 bench='OnlineScore$|OnlineScoreScratch$|OnlineScoreParallel$'
 out=$(mktemp)
@@ -74,11 +63,3 @@ awk '
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
 echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths and the kernel, audit-path ceilings)"
-
-if [ -n "$merge_target" ]; then
-    echo "== merging scoring entries into $merge_target"
-    fresh=$(mktemp -u).json
-    POLYGRAPH_BENCH_JSON="$fresh" go test -run '^$' -bench "$bench" -benchmem -benchtime 0.3s . >/dev/null
-    go run ./cmd/benchmerge -into "$merge_target" "$fresh"
-    rm -f "$fresh"
-fi
