@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"sort"
 
 	"polygraph/internal/audit"
 	"polygraph/internal/core"
@@ -17,19 +19,24 @@ import (
 //	polygraphctl audit verify <dir>     walk every frame; fail on any
 //	                                    checksum/framing damage other
 //	                                    than a torn tail on the final
-//	                                    segment (a crash artifact)
+//	                                    segment (a crash artifact), and
+//	                                    on any model hash whose archive
+//	                                    is missing or damaged
 //	polygraphctl audit ls [-n N] [-verdict v] [-trace id] [-json] <dir>
 //	                                    print matching records
-//	polygraphctl audit replay -model model.json [-explain] [-v] <dir>
+//	polygraphctl audit replay [-model model.json] [-explain] [-v] <dir>
 //	                                    re-score every recorded vector
-//	                                    through the model file and fail
-//	                                    on any verdict divergence
+//	                                    and fail on any verdict divergence
 //
 // Replay is the machine-checkable consistency invariant: a verdict is
 // only trustworthy if the recorded (vector, user-agent) re-derives it
-// bit-for-bit through the recorded model. The model file's hash must
-// match the hash stamped on the records; -explain additionally
-// re-derives each stored explanation byte-for-byte.
+// bit-for-bit through the recorded model. Each record is replayed
+// through the model its hash names in the ledger directory's archive
+// (model.<hash>.json); -model replays through one model file instead,
+// skipping records stamped with another hash. -explain additionally
+// derives each explanation, and compares it byte-for-byte where the
+// record stores one (segments from before explanations were derived on
+// read). ls -json prints each record with its explanation derived.
 func runAudit(args []string, stdout, stderr io.Writer) int {
 	return dispatch("audit", []command{
 		{"verify", runAuditVerify},
@@ -47,6 +54,25 @@ func ledgerArg(fs *flag.FlagSet, stderr io.Writer) (string, bool) {
 	return fs.Arg(0), true
 }
 
+// unresolvedModels prints, in hash order, every model hash of count that
+// does not resolve to an intact archive, and returns how many there are.
+// count maps a hash to the records that need it.
+func unresolvedModels(stdout io.Writer, models *audit.Resolver, count map[string]int) int {
+	hashes := make([]string, 0, len(count))
+	for hash := range count {
+		hashes = append(hashes, hash)
+	}
+	sort.Strings(hashes)
+	bad := 0
+	for _, hash := range hashes {
+		if _, err := models.Model(hash); err != nil {
+			bad++
+			fmt.Fprintf(stdout, "polygraphctl: UNRESOLVED model %s, needed by %d record(s): %v\n", hash, count[hash], err)
+		}
+	}
+	return bad
+}
+
 func runAuditVerify(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("polygraphctl audit verify", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -58,28 +84,46 @@ func runAuditVerify(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return 2
 	}
-	stats, err := audit.Scan(dir, *prefix, nil)
+	// A record that stores its explanation (an old segment) or names no
+	// model needs no archive; every other one does.
+	needed := map[string]int{}
+	stats, err := audit.Scan(dir, *prefix, func(rec audit.Record) error {
+		if rec.Derivable() {
+			needed[rec.ModelHash]++
+		}
+		return nil
+	})
 	if err != nil {
 		return fail(stderr, "%v", err)
 	}
 	if stats.Segments == 0 {
 		return fail(stderr, "%s: no ledger segments found", dir)
 	}
-	fmt.Fprintf(stdout, "polygraphctl: %s: %d segment(s), %d record(s)\n", dir, stats.Segments, stats.Records)
-	if stats.Acceptable() {
-		if !stats.Clean() {
-			fmt.Fprintf(stdout, "polygraphctl: torn tail on final segment %s (crash artifact; writer truncates on reopen)\n",
-				stats.TornSegments[0])
+	fmt.Fprintf(stdout, "polygraphctl: %s: %d segment(s), %d record(s), %d model(s)\n", dir, stats.Segments, stats.Records, len(needed))
+	failed := false
+	if !stats.Acceptable() {
+		for _, seg := range stats.TornSegments {
+			fmt.Fprintf(stdout, "polygraphctl: DAMAGED segment %s\n", seg)
 		}
-		fmt.Fprintln(stdout, "polygraphctl: verify OK — zero checksum failures")
-		return 0
+		fmt.Fprintf(stderr, "polygraphctl: verify FAILED: %d damaged segment(s)\n", len(stats.TornSegments))
+		failed = true
+	} else if !stats.Clean() {
+		fmt.Fprintf(stdout, "polygraphctl: torn tail on final segment %s (crash artifact; writer truncates on reopen)\n",
+			stats.TornSegments[0])
 	}
-	for _, seg := range stats.TornSegments {
-		fmt.Fprintf(stdout, "polygraphctl: DAMAGED segment %s\n", seg)
+	if bad := unresolvedModels(stdout, audit.NewResolver(dir), needed); bad > 0 {
+		fmt.Fprintf(stderr, "polygraphctl: verify FAILED: %d model hash(es) without an intact archive; their records cannot be explained\n", bad)
+		failed = true
 	}
-	fmt.Fprintf(stderr, "polygraphctl: verify FAILED: %d damaged segment(s)\n", len(stats.TornSegments))
-	return 1
+	if failed {
+		return 1
+	}
+	fmt.Fprintf(stdout, "polygraphctl: verify OK — zero checksum failures, %d model archive(s) intact\n", len(needed))
+	return 0
 }
+
+// errStopScan ends a ledger walk early; it is not a failure.
+var errStopScan = errors.New("stop scan")
 
 func runAuditLs(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("polygraphctl audit ls", flag.ContinueOnError)
@@ -88,7 +132,7 @@ func runAuditLs(args []string, stdout, stderr io.Writer) int {
 	n := fs.Int("n", 0, "print at most N records (0 = all)")
 	verdict := fs.String("verdict", "", "filter: flagged or benign")
 	trace := fs.String("trace", "", "filter: exact trace ID")
-	asJSON := fs.Bool("json", false, "print full records as JSON lines")
+	asJSON := fs.Bool("json", false, "print full records, explanations derived, as JSON lines")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -102,7 +146,9 @@ func runAuditLs(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	enc := json.NewEncoder(stdout)
-	printed := 0
+	models := audit.NewResolver(dir)
+	printed, unexplained := 0, 0
+	var firstExplainErr error
 	stats, err := audit.Scan(dir, *prefix, func(rec audit.Record) error {
 		if *verdict == "flagged" && !rec.Verdict.Flagged {
 			return nil
@@ -113,55 +159,84 @@ func runAuditLs(args []string, stdout, stderr io.Writer) int {
 		if *trace != "" && rec.TraceID != *trace {
 			return nil
 		}
-		if *n > 0 && printed >= *n {
-			return nil
+		if *asJSON {
+			if err := models.Explain(&rec); err != nil {
+				unexplained++
+				if firstExplainErr == nil {
+					firstExplainErr = err
+				}
+			}
+			if err := enc.Encode(&rec); err != nil {
+				return err
+			}
+		} else if _, err := fmt.Fprintf(stdout, "seq=%d trace=%s endpoint=%s flagged=%v cluster=%d risk=%d ua=%q\n",
+			rec.Seq, rec.TraceID, rec.Endpoint, rec.Verdict.Flagged, rec.Verdict.Cluster, rec.Verdict.RiskFactor, rec.UserAgent); err != nil {
+			return err
 		}
 		printed++
-		if *asJSON {
-			return enc.Encode(&rec)
+		if printed == *n {
+			return errStopScan
 		}
-		_, err := fmt.Fprintf(stdout, "seq=%d trace=%s endpoint=%s flagged=%v cluster=%d risk=%d ua=%q\n",
-			rec.Seq, rec.TraceID, rec.Endpoint, rec.Verdict.Flagged, rec.Verdict.Cluster, rec.Verdict.RiskFactor, rec.UserAgent)
-		return err
+		return nil
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, errStopScan) {
 		return fail(stderr, "%v", err)
+	}
+	code := 0
+	if unexplained > 0 {
+		fmt.Fprintf(stderr, "polygraphctl: warning: %d record(s) printed without an explanation; first: %v\n", unexplained, firstExplainErr)
+		code = 1
 	}
 	if !stats.Acceptable() {
 		fmt.Fprintf(stderr, "polygraphctl: warning: ledger has damaged segments (run polygraphctl audit verify)\n")
-		return 1
+		code = 1
 	}
-	return 0
+	return code
 }
 
 func runAuditReplay(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("polygraphctl audit replay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	prefix := fs.String("prefix", "", "segment name prefix (default decisions)")
-	modelPath := fs.String("model", "", "model file the ledger was recorded against (required)")
-	explain := fs.Bool("explain", false, "also re-derive and compare stored explanations byte-for-byte")
+	modelPath := fs.String("model", "", "replay through this model file, skipping records stamped with another hash (default: each record through its archived model)")
+	explain := fs.Bool("explain", false, "also derive every explanation, and compare stored ones byte-for-byte")
 	verbose := fs.Bool("v", false, "print every mismatch in detail")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *modelPath == "" {
-		return fail(stderr, "replay requires -model")
 	}
 	dir, ok := ledgerArg(fs, stderr)
 	if !ok {
 		return 2
 	}
-	model, hash, err := loadModel(*modelPath)
-	if err != nil {
-		return fail(stderr, "%v", err)
+	var fileModel *core.Model
+	var fileHash string
+	if *modelPath != "" {
+		var err error
+		if fileModel, fileHash, err = loadModel(*modelPath); err != nil {
+			return fail(stderr, "%v", err)
+		}
 	}
+	models := audit.NewResolver(dir)
 
 	var replayed, mismatches, hashMismatches int
+	unresolved := map[string]int{} // hash → records whose archive did not resolve
 	stats, err := audit.Scan(dir, *prefix, func(rec audit.Record) error {
-		if rec.ModelHash != "" && rec.ModelHash != hash {
+		model := fileModel
+		switch {
+		case fileModel == nil && rec.ModelHash == "":
+			mismatches++
+			fmt.Fprintf(stdout, "seq=%d trace=%s: no model hash; replay it with -model\n", rec.Seq, rec.TraceID)
+			return nil
+		case fileModel == nil:
+			var err error
+			if model, err = models.Model(rec.ModelHash); err != nil {
+				unresolved[rec.ModelHash]++
+				return nil
+			}
+		case rec.ModelHash != "" && rec.ModelHash != fileHash:
 			hashMismatches++
 			if *verbose {
-				fmt.Fprintf(stdout, "seq=%d: recorded under model %s, replaying with %s\n", rec.Seq, rec.ModelHash, hash)
+				fmt.Fprintf(stdout, "seq=%d: recorded under model %s, replaying with %s\n", rec.Seq, rec.ModelHash, fileHash)
 			}
 			return nil
 		}
@@ -179,11 +254,18 @@ func runAuditReplay(args []string, stdout, stderr io.Writer) int {
 				rec.Seq, rec.TraceID, rec.Verdict, got)
 			return nil
 		}
-		if *explain && rec.Explanation != nil {
-			ex, err := model.ExplainResult(rec.Vector, rec.UserAgent, res, len(rec.Explanation.TopFeatures))
+		if *explain {
+			topK := core.DefaultExplainTopK
+			if rec.Explanation != nil {
+				topK = len(rec.Explanation.TopFeatures)
+			}
+			ex, err := model.ExplainResult(rec.Vector, rec.UserAgent, res, topK)
 			if err != nil {
 				mismatches++
 				fmt.Fprintf(stdout, "seq=%d: replay explanation failed: %v\n", rec.Seq, err)
+				return nil
+			}
+			if rec.Explanation == nil {
 				return nil
 			}
 			want, _ := json.Marshal(rec.Explanation)
@@ -204,7 +286,11 @@ func runAuditReplay(args []string, stdout, stderr io.Writer) int {
 	if stats.Segments == 0 {
 		return fail(stderr, "%s: no ledger segments found", dir)
 	}
-	fmt.Fprintf(stdout, "polygraphctl: replayed %d/%d record(s) against model %s\n", replayed, stats.Records, hash)
+	if fileModel != nil {
+		fmt.Fprintf(stdout, "polygraphctl: replayed %d/%d record(s) against model %s\n", replayed, stats.Records, fileHash)
+	} else {
+		fmt.Fprintf(stdout, "polygraphctl: replayed %d/%d record(s), each against its archived model\n", replayed, stats.Records)
+	}
 	if hashMismatches > 0 {
 		fmt.Fprintf(stdout, "polygraphctl: skipped %d record(s) stamped with a different model hash\n", hashMismatches)
 	}
@@ -213,12 +299,19 @@ func runAuditReplay(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "polygraphctl: replay FAILED: ledger has damaged segments\n")
 		ok2 = false
 	}
+	if bad := unresolvedModels(stdout, models, unresolved); bad > 0 {
+		fmt.Fprintf(stderr, "polygraphctl: replay FAILED: %d model hash(es) without an intact archive (replay them with -model)\n", bad)
+		ok2 = false
+	}
 	if mismatches > 0 {
 		fmt.Fprintf(stderr, "polygraphctl: replay FAILED: %d verdict(s) did not re-derive\n", mismatches)
 		ok2 = false
 	}
-	if replayed == 0 {
+	if replayed == 0 && fileModel != nil {
 		fmt.Fprintf(stderr, "polygraphctl: replay FAILED: no records matched the model hash\n")
+		ok2 = false
+	} else if replayed == 0 {
+		fmt.Fprintf(stderr, "polygraphctl: replay FAILED: no record could be replayed\n")
 		ok2 = false
 	}
 	if !ok2 {

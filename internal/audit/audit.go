@@ -1,7 +1,7 @@
 // Package audit implements the decision audit ledger: an append-only,
-// checksummed, size-rotated record of scoring verdicts and the
-// explanations behind them (paper §6.4/§7: a coarse-grained flag is
-// only actionable when the risk team can see the evidence; this package
+// checksummed, size-rotated record of scoring verdicts and of what each
+// was decided from (paper §6.4/§7: a coarse-grained flag is only
+// actionable when the risk team can see the evidence; this package
 // makes every verdict durably explainable and re-derivable).
 //
 // On-disk format — segments named <prefix>.<seq>.audit, each a stream
@@ -9,13 +9,27 @@
 //
 //	uint32 length (big-endian) | uint32 CRC32-IEEE of body | body (JSON Record)
 //
+// A record holds inputs, not derivations: the feature vector, the
+// claimed user-agent, the verdict, the hash of the model that decided
+// and provenance (time, trace, session, endpoint) — about 0.45 KB for
+// the serving tier's 28 features. The explanation of a verdict is a pure
+// function of (model, vector, user-agent) and is computed when a record
+// is read (Resolver.Explain), from the model archive: every model a
+// replica deploys is saved once beside the segments as
+// model.<hash>.json before any record carries that hash (archive.go).
+// Segments written before explanations were derived store one per
+// record; they scan, resume and replay as they are, and a reader uses
+// the stored explanation where there is one.
+//
 // The framing makes two properties machine-checkable: a checksum
 // mismatch pins silent corruption to a record, and a truncated tail
 // (crash mid-write) is recognized and dropped on reopen without losing
-// any earlier record. `polygraphctl audit verify` walks the frames;
-// `polygraphctl audit replay` feeds each record's vector back through a
-// model file and demands the recorded verdict — the model/ledger
-// consistency invariant CI enforces on every smoke-load run.
+// any earlier record. `polygraphctl audit verify` walks the frames and
+// demands an intact archive for every hash a record is to be explained
+// from; `polygraphctl audit replay` feeds each record's vector back
+// through its archived model (or a model file) and demands the recorded
+// verdict — the model/ledger consistency invariant CI enforces on every
+// smoke-load run.
 //
 // Durability — the segments are written by internal/seglog, which the
 // journal shares. Append encodes, numbers, checksums and counts a record
@@ -24,7 +38,7 @@
 // every write(2), whole frames only. A record is in the file within a
 // second of Append (a quiet ledger's buffer is flushed by a timer), or
 // when Sync, Rotate or Close return. A process crash can lose at most
-// the two buffers (about 28 records of the serving tier), a machine
+// the two buffers (about 130 records of the serving tier), a machine
 // crash also what the OS had not written back; either leaves at worst a
 // torn tail, which Open drops. A disk that falls behind blocks Append
 // once both buffers are full — backpressure, not a queue. A write that
@@ -81,7 +95,10 @@ type Record struct {
 	Endpoint  string    `json:"endpoint,omitempty"`
 	Vector    []float64 `json:"vector,omitempty"`
 
-	Verdict     core.Verdict      `json:"verdict"`
+	Verdict core.Verdict `json:"verdict"`
+	// Explanation is never written by Append. Readers fill it
+	// (Resolver.Explain); segments from before explanations were derived
+	// decode into it.
 	Explanation *core.Explanation `json:"explanation,omitempty"`
 
 	// Redacted marks a record whose privacy-bearing fields were reduced
@@ -103,13 +120,14 @@ type Record struct {
 const recordHead = `{"seq":`
 
 // appendAfterSeq appends everything of rec's JSON that follows the
-// sequence number, byte for byte as json.Marshal writes it (readers
-// decode records with encoding/json; TestRecordEncodeParity and its
-// fuzz twin hold the two together): recordHead, rec.Seq in decimal and
-// the bytes appended here are json.Marshal(rec). The split is what lets
-// Append encode before it takes the ledger lock — only Seq is assigned
-// under it. A json-tagged field added to Record needs its line here. A
-// non-finite float is the one error, the same one json.Marshal reports.
+// sequence number, byte for byte as json.Marshal writes a record with no
+// Explanation (readers decode records with encoding/json;
+// TestRecordEncodeParity and its fuzz twin hold the two together):
+// recordHead, rec.Seq in decimal and the bytes appended here are
+// json.Marshal(rec). The split is what lets Append encode before it
+// takes the ledger lock — only Seq is assigned under it. A json-tagged
+// field added to Record needs its line here. A non-finite float is the
+// one error, the same one json.Marshal reports.
 func (rec *Record) appendAfterSeq(dst []byte) ([]byte, error) {
 	var err error
 	if rec.TimeNs != 0 {
@@ -149,12 +167,6 @@ func (rec *Record) appendAfterSeq(dst []byte) ([]byte, error) {
 	dst = append(dst, `,"verdict":`...)
 	if dst, err = rec.Verdict.AppendJSON(dst); err != nil {
 		return dst, err
-	}
-	if rec.Explanation != nil {
-		dst = append(dst, `,"explanation":`...)
-		if dst, err = rec.Explanation.AppendJSON(dst); err != nil {
-			return dst, err
-		}
 	}
 	if rec.Redacted {
 		dst = append(dst, `,"redacted":true`...)
@@ -224,6 +236,10 @@ type Ledger struct {
 	ring   []Record
 	next   int
 	full   bool
+
+	// models resolves the hashes of this ledger's own records, for
+	// Explain.
+	models *Resolver
 }
 
 // segmentExt is the ledger's segment file extension.
@@ -248,7 +264,7 @@ func open(cfg Config, tap func(io.Writer) io.Writer) (*Ledger, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	l := &Ledger{dir: cfg.Dir, sampleN: cfg.SampleBenign}
+	l := &Ledger{dir: cfg.Dir, sampleN: cfg.SampleBenign, models: NewResolver(cfg.Dir)}
 	ringSize := cfg.RingSize
 	if ringSize == 0 {
 		ringSize = DefaultRingSize
@@ -333,8 +349,7 @@ func scanFrames(r io.Reader, fn func(Record) error) (good int64, lastSeq uint64,
 // Admit applies the sampling policy to one decision: flagged verdicts
 // are always admitted; benign ones every Nth. A false return means the
 // decision was counted as dropped and should not be appended — callers
-// use it to skip building the (comparatively expensive) explanation for
-// records that would be sampled out anyway.
+// use it to skip building a record that would be sampled out anyway.
 func (l *Ledger) Admit(flagged bool) bool {
 	if flagged {
 		return true
@@ -358,18 +373,20 @@ func (l *Ledger) Record(rec Record) error {
 }
 
 // encodeBufs recycles the buffers records are encoded into; a record of
-// the serving tier is about 2.2 KB.
+// the serving tier is about 0.45 KB.
 var encodeBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
+	b := make([]byte, 0, 1024)
 	return &b
 }}
 
 // Append writes one admitted record unconditionally — pair it with
-// Admit, or use Record for the combined path. The record is encoded
-// before the ledger lock is taken, so concurrent appenders serialise on
-// the sequence number, the checksum and a copy into the segment log's
+// Admit, or use Record for the combined path. An Explanation on rec is
+// dropped, not stored: readers derive it. The record is encoded before
+// the ledger lock is taken, so concurrent appenders serialise on the
+// sequence number, the checksum and a copy into the segment log's
 // buffer — not on each other's encoding, and not on the disk.
 func (l *Ledger) Append(rec Record) error {
+	rec.Explanation = nil
 	buf := encodeBufs.Get().(*[]byte)
 	rest, err := rec.appendAfterSeq((*buf)[:0])
 	var frame int64
@@ -424,7 +441,8 @@ func (l *Ledger) remember(rec Record) {
 
 // Recent returns up to n recorded decisions, newest first, optionally
 // filtered: verdict is "", "flagged", or "benign"; traceID filters on
-// an exact trace-ID match.
+// an exact trace-ID match. The records are as Append wrote them; Explain
+// adds the explanation.
 func (l *Ledger) Recent(n int, verdict, traceID string) []Record {
 	if l.ring == nil || n <= 0 {
 		return nil
@@ -435,7 +453,7 @@ func (l *Ledger) Recent(n int, verdict, traceID string) []Record {
 	if l.full {
 		size = len(l.ring)
 	}
-	out := make([]Record, 0, n)
+	out := make([]Record, 0, min(n, size))
 	for i := 0; i < size && len(out) < n; i++ {
 		idx := (l.next - 1 - i + len(l.ring)) % len(l.ring)
 		rec := l.ring[idx]
@@ -456,6 +474,10 @@ func (l *Ledger) Recent(n int, verdict, traceID string) []Record {
 	}
 	return out
 }
+
+// Explain fills rec.Explanation from the archive in the ledger directory
+// (Resolver.Explain).
+func (l *Ledger) Explain(rec *Record) error { return l.models.Explain(rec) }
 
 // Rotate closes the active segment and starts a fresh one — the SIGHUP
 // hook, so operators can archive sealed segments while the daemon runs.

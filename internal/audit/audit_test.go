@@ -348,6 +348,10 @@ func TestLedgerRecentFilters(t *testing.T) {
 	if len(one) != 1 || one[0].TraceID != "tr-7" {
 		t.Fatalf("trace filter got %+v", one)
 	}
+	// n comes off a query string: it bounds the answer, not an allocation.
+	if huge := l.Recent(math.MaxInt, "", ""); len(huge) != 8 || cap(huge) > 8 {
+		t.Fatalf("Recent(MaxInt): len %d cap %d, want the ring's 8", len(huge), cap(huge))
+	}
 }
 
 // TestLedgerConcurrencyHammer races writers against rotation and ring
@@ -470,7 +474,7 @@ func TestSegmentsOrder(t *testing.T) {
 }
 
 // BenchmarkLedgerAppend is one admitted record of the serving tier's
-// shape (28-feature vector, full explanation, ≈2.2 KB) encoded, framed
+// shape (28-feature vector, no explanation, ≈0.47 KB) encoded, framed
 // and buffered. scripts/benchgate.sh gates its allocs/op.
 func BenchmarkLedgerAppend(b *testing.B) {
 	l, err := Open(Config{Dir: b.TempDir(), MaxBytes: 1 << 40})

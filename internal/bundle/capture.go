@@ -62,9 +62,9 @@ type Options struct {
 	Targets []Target
 	// Client serves HTTP fetches (nil = a 10s-timeout client).
 	Client *http.Client
-	// NoRedact ships audit records verbatim — UA strings and
-	// fingerprint vectors included. Default is redaction via
-	// audit.RedactRecord.
+	// NoRedact ships audit records as /debug/decisions serves them — UA
+	// strings, fingerprint vectors and the explanations derived from
+	// them included. Default is redaction via audit.RedactRecord.
 	NoRedact bool
 	// PprofSeconds is the CPU-profile duration per target; 0 skips the
 	// CPU profile (the heap profile is always attempted unless

@@ -9,7 +9,9 @@ import (
 )
 
 // handleDecisions serves the ledger's recent-record ring as JSON:
-// GET /debug/decisions?n=50&verdict=flagged|benign&trace=<id>.
+// GET /debug/decisions?n=50&verdict=flagged|benign&trace=<id>. Each
+// record's explanation is derived here, from the model archive; one that
+// cannot be is served without and logged.
 func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	if s.ledger == nil {
 		http.Error(w, "audit ledger not configured", http.StatusNotFound)
@@ -35,6 +37,11 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	recent := s.ledger.Recent(n, verdict, q.Get("trace"))
 	if recent == nil {
 		recent = []audit.Record{}
+	}
+	for i := range recent {
+		if err := s.ledger.Explain(&recent[i]); err != nil {
+			s.logWarn(nil, "collect: explain audit record failed", "err", err.Error())
+		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(recent); err != nil {

@@ -5,13 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"polygraph/internal/audit"
+	"polygraph/internal/core"
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/ua"
 )
@@ -82,11 +86,20 @@ func TestHTTPScoreRecordsAudit(t *testing.T) {
 		if len(rec.Vector) == 0 {
 			t.Fatalf("record %d vector empty", i)
 		}
-		if rec.Explanation == nil {
-			t.Fatalf("record %d has no explanation", i)
+		// The request path stores inputs only; the explanation is derived
+		// on read from the model archived at deployment.
+		if rec.Explanation != nil {
+			t.Fatalf("record %d stores an explanation", i)
 		}
-		if rec.Explanation.Verdict != rec.Verdict {
-			t.Fatalf("record %d verdict disagrees with explanation", i)
+		if err := led.Explain(&rec); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		want, err := srv.Model().ExplainResult(rec.Vector, rec.UserAgent, rec.Verdict.Result(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rec.Explanation, want) {
+			t.Fatalf("record %d derived explanation:\n got %+v\nwant %+v", i, rec.Explanation, want)
 		}
 	}
 	if recent[0].Verdict.RiskFactor != ua.MaxDistance {
@@ -162,6 +175,16 @@ func TestDecisionsEndpoint(t *testing.T) {
 	// Newest first: the last honest submit leads, the lie is in the middle.
 	if all[0].Verdict.Flagged || !all[1].Verdict.Flagged || all[2].Verdict.Flagged {
 		t.Fatalf("order wrong: %v %v %v", all[0].Verdict.Flagged, all[1].Verdict.Flagged, all[2].Verdict.Flagged)
+	}
+	for i, rec := range all {
+		if rec.Explanation == nil || rec.Explanation.Verdict != rec.Verdict || len(rec.Explanation.TopFeatures) != core.DefaultExplainTopK {
+			t.Fatalf("decision %d served without its derived explanation: %+v", i, rec.Explanation)
+		}
+	}
+	// n bounds the answer; it is not an allocation size.
+	var huge []audit.Record
+	if code := fetchJSON(t, fmt.Sprintf("%s/debug/decisions?n=%d", ts.URL, math.MaxInt), &huge); code != http.StatusOK || len(huge) != 3 {
+		t.Fatalf("n=MaxInt: status %d, %d records", code, len(huge))
 	}
 
 	var flagged []audit.Record
@@ -376,8 +399,8 @@ func TestTCPScoreRecordsAudit(t *testing.T) {
 		if rec.TraceID == "" {
 			t.Fatalf("record %d has no trace ID", i)
 		}
-		if rec.Explanation == nil || rec.Explanation.Verdict != rec.Verdict {
-			t.Fatalf("record %d explanation missing or inconsistent", i)
+		if err := led.Explain(&rec); err != nil || rec.Explanation == nil || rec.Explanation.Verdict != rec.Verdict {
+			t.Fatalf("record %d explanation missing or inconsistent: %v", i, err)
 		}
 	}
 	// The TCP path copies the per-connection scratch vector; both
@@ -387,5 +410,67 @@ func TestTCPScoreRecordsAudit(t *testing.T) {
 	}
 	if &recent[0].Vector[0] == &recent[1].Vector[0] {
 		t.Fatal("TCP audit records alias the same vector backing array")
+	}
+}
+
+// TestSwapModelFailsClosedWithoutArchive: a model that cannot be
+// archived is not deployed. Records stamped with its hash could never be
+// explained, so SwapModel reports the failure and the old model — whose
+// archive exists — keeps serving and keeps being audited.
+func TestSwapModelFailsClosedWithoutArchive(t *testing.T) {
+	srv, led, ts := auditedServer(t, 1)
+	_, d := testModel(t)
+	oldHash := srv.ModelHash()
+
+	tc := core.DefaultTrainConfig()
+	tc.K = 9
+	tc.Reference = core.ExtractorReference{Extractor: d.Extractor, OS: ua.Windows10}
+	other, _, err := core.Train(d.Samples(), tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, _ := other.Hash(); h == oldHash {
+		t.Fatal("fixture: the second model hashes like the first")
+	}
+
+	// The directory goes away under the open segment (chmod would not stop
+	// root): nothing new can be created in it.
+	gone := led.Dir() + ".gone"
+	if err := os.Rename(led.Dir(), gone); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SwapModel(other); err == nil {
+		t.Fatal("SwapModel succeeded with nowhere to archive the model")
+	}
+	if got := srv.ModelHash(); got != oldHash {
+		t.Fatalf("deployed hash %s after a failed swap, want the old %s", got, oldHash)
+	}
+	honest := payloadFor(d, ua.Release{Vendor: ua.Chrome, Version: 112}, ua.Release{Vendor: ua.Chrome, Version: 112})
+	if _, err := NewClient(ts.URL).Submit(context.Background(), honest); err != nil {
+		t.Fatal(err)
+	}
+	if recent := led.Recent(1, "", ""); len(recent) != 1 || recent[0].ModelHash != oldHash {
+		t.Fatalf("after the failed swap the ledger recorded %+v", recent)
+	}
+
+	// Back in place, the same swap goes through and leaves two archives.
+	if err := os.Rename(gone, led.Dir()); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SwapModel(other); err != nil {
+		t.Fatal(err)
+	}
+	for _, hash := range []string{oldHash, srv.ModelHash()} {
+		if _, err := audit.NewResolver(led.Dir()).Model(hash); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A boot fails the same way.
+	if err := os.Rename(led.Dir(), gone); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Rename(gone, led.Dir())
+	if _, err := NewServer(Config{Model: other, Audit: led}); err == nil {
+		t.Fatal("NewServer succeeded with nowhere to archive the model")
 	}
 }

@@ -29,16 +29,29 @@ type deployed struct {
 // swap never tears a verdict.
 type modelHolder struct {
 	ptr atomic.Pointer[deployed]
+	// ledger, when set, archives every model before it is deployed.
+	ledger *audit.Ledger
 }
 
 func (h *modelHolder) load() *core.Model { return h.ptr.Load().m }
 
 func (h *modelHolder) loadDeployed() *deployed { return h.ptr.Load() }
 
+// store is the one place a model becomes deployed: at boot, on
+// SwapModel, on a fleet push. The ledger's archive of m is in place
+// before the pointer is published, so no audit record ever carries a
+// hash that does not resolve; when it cannot be written the deployment
+// fails and the model already serving, if any, keeps serving.
 func (h *modelHolder) store(m *core.Model) error {
-	hash, err := m.Hash()
+	var hash string
+	var err error
+	if h.ledger != nil {
+		hash, err = h.ledger.ArchiveModel(m)
+	} else {
+		hash, err = m.Hash()
+	}
 	if err != nil {
-		return fmt.Errorf("collect: hash model: %w", err)
+		return fmt.Errorf("collect: deploy model: %w", err)
 	}
 	h.ptr.Store(&deployed{m: m, hash: hash})
 	return nil
@@ -56,7 +69,6 @@ type ingest struct {
 	journal *Journal
 	drift   *obs.DriftMonitor
 	ledger  *audit.Ledger
-	topK    int
 	logger  *slog.Logger
 
 	// Set once the journal's or the ledger's segment write has failed and
@@ -69,11 +81,11 @@ func newIngest(cfg Config) (*ingest, error) {
 		return nil, errors.New("collect: Config.Model is required")
 	}
 	in := &ingest{
+		model:   modelHolder{ledger: cfg.Audit},
 		store:   cfg.Store,
 		journal: cfg.Journal,
 		drift:   cfg.Drift,
 		ledger:  cfg.Audit,
-		topK:    cfg.AuditTopK,
 		logger:  cfg.Logger,
 	}
 	if in.store == nil {
@@ -182,27 +194,23 @@ func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, ti
 	return res, elapsedUs, 0, nil
 }
 
-// audit explains an admitted verdict and appends it to the ledger,
-// stamped with the hash of the deployment that decided it (dep is the
-// snapshot score loaded, so a concurrent SwapModel cannot mismatch
-// them). vec is the caller's reusable buffer; the ledger's recent ring
-// retains the record, so it gets its own copy.
+// audit appends an admitted verdict to the ledger with what it was
+// decided from, stamped with the hash of the deployment that decided it
+// (dep is the snapshot score loaded, so a concurrent SwapModel cannot
+// mismatch them). The explanation is not computed here: readers derive
+// it from the record and the model archive. vec is the caller's reusable
+// buffer; the ledger's recent ring retains the record, so it gets its
+// own copy.
 func (in *ingest) audit(dep *deployed, tr *obs.Trace, sessionID, userAgent string, vec []float64, res core.Result) error {
-	owned := append([]float64(nil), vec...)
-	ex, err := dep.m.ExplainResult(owned, userAgent, res, in.topK)
-	if err != nil {
-		return err
-	}
 	return in.ledger.Append(audit.Record{
-		TimeNs:      time.Now().UnixNano(),
-		TraceID:     tr.ID.String(),
-		ModelHash:   dep.hash,
-		SessionID:   sessionID,
-		UserAgent:   userAgent,
-		Endpoint:    tr.Endpoint,
-		Vector:      owned,
-		Verdict:     ex.Verdict,
-		Explanation: ex,
+		TimeNs:    time.Now().UnixNano(),
+		TraceID:   tr.ID.String(),
+		ModelHash: dep.hash,
+		SessionID: sessionID,
+		UserAgent: userAgent,
+		Endpoint:  tr.Endpoint,
+		Vector:    append([]float64(nil), vec...),
+		Verdict:   core.VerdictOf(res),
 	})
 }
 

@@ -115,15 +115,14 @@ type Config struct {
 	// Drift, when set, receives every accepted feature vector for live
 	// PSI monitoring; /metrics then exports the drift families.
 	Drift *obs.DriftMonitor
-	// Audit, when set, durably records decisions (with explanations)
-	// in the append-only ledger: every flagged session, benign ones per
-	// the ledger's sampling policy. Recent records are served at
+	// Audit, when set, durably records decisions in the append-only
+	// ledger: every flagged session, benign ones per the ledger's
+	// sampling policy. Every deployed model is archived in the ledger
+	// directory first, so a deployment fails when that directory cannot
+	// be written. Recent records are served, explained, at
 	// /debug/decisions and the polygraph_audit_* families appear at
 	// /metrics.
 	Audit *audit.Ledger
-	// AuditTopK bounds the explanation contribution lists on audited
-	// records (0 = core.DefaultExplainTopK).
-	AuditTopK int
 	// ScoreDelay injects an artificial per-request delay into the HTTP
 	// ingest path, inside the latency-histogram measurement. It exists
 	// solely for SLO burn-rate fault drills (loadgen -fault-slow, CI's
@@ -292,7 +291,8 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 // SwapModel atomically replaces the scoring model — the deployment step
 // of the §6.6 retraining loop. In-flight requests finish on the model
 // they started with; subsequent requests (and the served script, if the
-// feature set changed) use the new one.
+// feature set changed) use the new one. With an audit ledger the model
+// is archived there first; an error leaves the old model serving.
 func (s *Server) SwapModel(m *core.Model) error {
 	if m == nil {
 		return errors.New("collect: SwapModel with nil model")

@@ -58,13 +58,11 @@ func (v Verdict) Result() Result {
 }
 
 // AppendJSON appends v byte for byte as json.Marshal(v) writes it. The
-// audit ledger encodes every record through the AppendJSON methods of
-// this file instead of reflection; a json-tagged field added to one of
-// these types needs its line in the method below it
+// audit ledger encodes every record through it instead of reflection; a
+// json-tagged field added to Verdict needs its line here
 // (audit.TestRecordEncodeParity fails until it has one). A non-finite
 // float is the one error, the same one json.Marshal reports.
 func (v Verdict) AppendJSON(dst []byte) ([]byte, error) {
-	var err error
 	dst = append(dst, `{"cluster":`...)
 	dst = strconv.AppendInt(dst, int64(v.Cluster), 10)
 	dst = append(dst, `,"matched":`...)
@@ -75,23 +73,15 @@ func (v Verdict) AppendJSON(dst []byte) ([]byte, error) {
 		dst = append(dst, `,"novel":true`...)
 	}
 	if v.NoveltyScore != 0 {
+		var err error
 		dst = append(dst, `,"novelty_score":`...)
-		dst = appendFloat(dst, v.NoveltyScore, &err)
+		if dst, err = jsonappend.Float(dst, v.NoveltyScore); err != nil {
+			return dst, err
+		}
 	}
 	dst = append(dst, `,"flagged":`...)
 	dst = strconv.AppendBool(dst, v.Flagged)
-	return append(dst, '}'), err
-}
-
-// appendFloat appends f and keeps the first error of an encoding in
-// *first, so an encoder reports what json.Marshal would: the first
-// non-finite value in field order.
-func appendFloat(dst []byte, f float64, first *error) []byte {
-	dst, err := jsonappend.Float(dst, f)
-	if err != nil && *first == nil {
-		*first = err
-	}
-	return dst
+	return append(dst, '}'), nil
 }
 
 // FeatureZ is one feature's standardized contribution: the raw reported
@@ -174,110 +164,6 @@ type Explanation struct {
 	NearestClaim *ClaimDistance `json:"nearest_claim,omitempty"`
 
 	Novelty NoveltyExplanation `json:"novelty"`
-}
-
-// AppendJSON appends ex byte for byte as json.Marshal(ex) writes it (see
-// Verdict.AppendJSON).
-func (ex *Explanation) AppendJSON(dst []byte) ([]byte, error) {
-	if ex == nil {
-		return append(dst, "null"...), nil
-	}
-	dst = append(dst, `{"schema":`...)
-	dst = strconv.AppendInt(dst, int64(ex.Schema), 10)
-	dst = append(dst, `,"verdict":`...)
-	dst, err := ex.Verdict.AppendJSON(dst)
-	dst = append(dst, `,"claim":`...)
-	dst = jsonappend.String(dst, ex.Claim)
-	dst = append(dst, `,"claim_parsed":`...)
-	dst = strconv.AppendBool(dst, ex.ClaimParsed)
-
-	dst = append(dst, `,"top_features":`...)
-	if ex.TopFeatures == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, f := range ex.TopFeatures {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"name":`...)
-			dst = jsonappend.String(dst, f.Name)
-			dst = append(dst, `,"raw":`...)
-			dst = appendFloat(dst, f.Raw, &err)
-			dst = append(dst, `,"z":`...)
-			dst = appendFloat(dst, f.Z, &err)
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
-
-	dst = append(dst, `,"components":`...)
-	if ex.Components == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, c := range ex.Components {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"component":`...)
-			dst = strconv.AppendInt(dst, int64(c.Component), 10)
-			dst = append(dst, `,"value":`...)
-			dst = appendFloat(dst, c.Value, &err)
-			dst = append(dst, `,"delta":`...)
-			dst = appendFloat(dst, c.Delta, &err)
-			dst = append(dst, `,"share":`...)
-			dst = appendFloat(dst, c.Share, &err)
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
-
-	dst = append(dst, `,"centroids":`...)
-	if ex.Centroids == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, c := range ex.Centroids {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"cluster":`...)
-			dst = strconv.AppendInt(dst, int64(c.Cluster), 10)
-			dst = append(dst, `,"distance":`...)
-			dst = appendFloat(dst, c.Distance, &err)
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
-
-	if ex.ClusterUAs != "" {
-		dst = append(dst, `,"cluster_uas":`...)
-		dst = jsonappend.String(dst, ex.ClusterUAs)
-	}
-	dst = append(dst, `,"frequent_cluster":`...)
-	dst = strconv.AppendBool(dst, ex.Frequent)
-	if nc := ex.NearestClaim; nc != nil {
-		dst = append(dst, `,"nearest_claim":{"ua":`...)
-		dst = jsonappend.String(dst, nc.UserAgent)
-		dst = append(dst, `,"distance":`...)
-		dst = strconv.AppendInt(dst, int64(nc.Distance), 10)
-		dst = append(dst, '}')
-	}
-
-	dst = append(dst, `,"novelty":{"armed":`...)
-	dst = strconv.AppendBool(dst, ex.Novelty.Armed)
-	if ex.Novelty.Threshold != 0 {
-		dst = append(dst, `,"threshold":`...)
-		dst = appendFloat(dst, ex.Novelty.Threshold, &err)
-	}
-	if ex.Novelty.Score != 0 {
-		dst = append(dst, `,"score":`...)
-		dst = appendFloat(dst, ex.Novelty.Score, &err)
-	}
-	dst = append(dst, `,"tripped":`...)
-	dst = strconv.AppendBool(dst, ex.Novelty.Tripped)
-	return append(dst, '}', '}'), err
 }
 
 // Explain scores one session and decomposes the verdict. topK ≤ 0 uses

@@ -18,6 +18,7 @@ import (
 
 	"polygraph/internal/audit"
 	"polygraph/internal/browser"
+	"polygraph/internal/bundle"
 	"polygraph/internal/collect"
 	"polygraph/internal/core"
 	"polygraph/internal/fingerprint"
@@ -456,6 +457,44 @@ func TestHotSwapReachesBothTransports(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("audit records\n got %+v\nwant %+v", got, want)
+	}
+
+	// Each record is explained on read by the model that decided it — A's
+	// through A's archive although A is no longer deployed: the two models
+	// differ in the members of this very cluster.
+	members := map[string]string{}
+	for i, rec := range recs {
+		ex := rec.Explanation
+		if ex == nil || ex.Verdict != rec.Verdict {
+			t.Fatalf("record %d served without its explanation: %+v", i, ex)
+		}
+		if prev, ok := members[rec.ModelHash]; ok && prev != ex.ClusterUAs {
+			t.Fatalf("record %d under %s: cluster members %q, the other transport's record says %q", i, rec.ModelHash, ex.ClusterUAs, prev)
+		}
+		members[rec.ModelHash] = ex.ClusterUAs
+	}
+	if members[hashA] == members[hashB] {
+		t.Fatalf("both models' records explained with cluster members %q", members[hashA])
+	}
+	archives, err := filepath.Glob(filepath.Join(r.cfg.AuditDir, "model.*.json"))
+	if err != nil || len(archives) != 2 {
+		t.Fatalf("model archives %v (%v), want one per pushed model", archives, err)
+	}
+	// An un-redacted bundle ships the explanations; the default ships none.
+	for _, q := range []string{"?no-redact=1", ""} {
+		resp, err := http.Get(r.BaseURL() + "/debug/bundle" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bb, err := bundle.Read(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decisions := bb.TargetFile("swap-0", bundle.ArtifactDecisions)
+		if got := bytes.Count(decisions, []byte(`"explanation":{`)); got != map[string]int{"?no-redact=1": 4, "": 0}[q] {
+			t.Fatalf("bundle%s: %d explained decisions in %s", q, got, decisions)
+		}
 	}
 
 	// A killed replica stops answering frames too.

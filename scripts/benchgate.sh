@@ -12,7 +12,8 @@
 #   BenchmarkScoreKernel/assign     0 allocs/op  (internal/core: nearest centroid)
 #   BenchmarkExplainResult      ≤ 4 allocs/op  (internal/core: the explanation
 #                                               block, its centroid list, the claim)
-#   BenchmarkLedgerAppend       ≤ 1 allocs/op  (internal/audit: pooled encode buffer)
+#   BenchmarkLedgerAppend       ≤ 1 allocs/op  (internal/audit: pooled encode buffer;
+#                                               the lean record, ≈ 0.47 KB framed)
 #   BenchmarkJournalAppend      ≤ 1 allocs/op  (internal/collect: pooled line buffer)
 #
 # The ns/op numbers are machine-dependent and therefore only printed,

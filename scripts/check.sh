@@ -4,9 +4,10 @@
 # Runs the gofmt gate, the tier-1 build+test pass (what CI and the
 # roadmap call "tier-1 green"), vet — of this module and of the
 # benchmark module under bench/, whose seam.go pins the symbols the
-# benchmark calls — the one-ingest-core, one-daemon-wiring,
-# one-segment-writer, per-row-kernel (score kernel included) and
-# one-operator-binary-one-perf-line guards, the race-detector pass that
+# benchmark calls — the one-ingest-core, explanations-are-derived,
+# one-daemon-wiring, one-segment-writer, per-row-kernel (score kernel
+# included) and one-operator-binary-one-perf-line guards, the
+# race-detector pass that
 # guards the internal/parallel worker-pool layer and the collect
 # hot-swap/stats paths, and five seconds of fuzzing per fuzz target.
 # Usage:
@@ -41,13 +42,21 @@ go vet ./...
 echo "== go vet (bench module)"
 (cd bench && GOFLAGS=-mod=mod GOWORK=off go vet .)
 
-# One ingest core: the model call, the explanation and the drift sample
-# each happen at exactly one place in internal/collect (ingest.go).
+# One ingest core: the model call and the drift sample each happen at
+# exactly one place in internal/collect (ingest.go).
 echo "== one ingest core"
-for call in 'ScoreStringWith(' 'ExplainResult(' '.Observe('; do
+for call in 'ScoreStringWith(' '.Observe('; do
     n=$(ls internal/collect/*.go | grep -v _test.go | xargs grep -F -- "$call" | wc -l)
     [ "$n" -eq 1 ] || { echo "check.sh: $n call sites of $call in internal/collect, want 1" >&2; exit 1; }
 done
+
+# Explanations are derived, not stored: the request path writes down what
+# a verdict was decided from and readers compute the explanation from the
+# model archive (audit.Resolver.Explain), so nothing a request runs
+# through may call the explainer.
+echo "== explanations are derived, not stored"
+n=$(cat internal/collect/ingest.go internal/collect/server.go internal/collect/coalesce.go internal/collect/tcp.go | grep -cF -- 'ExplainResult(' || true)
+[ "$n" -eq 0 ] || { echo "check.sh: $n calls of ExplainResult( on internal/collect's request path, want 0" >&2; exit 1; }
 
 # One daemon wiring: internal/serving is the only place in cmd/ and
 # internal/ that constructs a collect server or its TCP listener, so
