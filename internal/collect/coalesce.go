@@ -2,7 +2,6 @@ package collect
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"io"
 	"net"
@@ -59,12 +58,10 @@ type coalescer struct {
 	frameBuf []byte
 	ends     []int
 
-	buf *scoreBuf
-	// payload is what every frame of the connection is decoded into; the
-	// ingest core keeps nothing of it but the user-agent string, which
-	// each decode allocates anew.
-	payload fingerprint.Payload
-	lenBuf  [4]byte
+	// buf holds the scratch and the payload every frame of the
+	// connection is decoded into.
+	buf    *scoreBuf
+	lenBuf [4]byte
 }
 
 // frame returns the byte view of frame i in the current batch.
@@ -153,8 +150,7 @@ func (c *coalescer) readAhead() bool {
 // coalescing is the batch's wall time — that is what each client frame
 // actually waited — so the clock is read once per batch, not per frame.
 func (c *coalescer) serve() bool {
-	start := time.Now()
-	_, tr := c.s.tracer.Start(context.Background(), EndpointTCP)
+	tr := c.s.tracer.Open(EndpointTCP)
 	status, scored := "ok", 0
 	for i := range c.ends {
 		reply, st := c.serveFrame(tr, c.frame(i))
@@ -169,7 +165,7 @@ func (c *coalescer) serve() bool {
 		// bufio errors are sticky: Flush below reports a failed write.
 		_, _ = c.bw.Write(reply[:])
 	}
-	c.s.hist.RecordN(time.Since(start), scored)
+	c.s.hist.RecordN(time.Since(tr.StartTime()), scored)
 	c.s.tracer.Finish(tr, status)
 	return c.bw.Flush() == nil
 }
@@ -178,11 +174,12 @@ func (c *coalescer) serve() bool {
 // the payload to the ingest core, count, and encode the 21-byte reply.
 // It reports the trace status ("ok" or the reject reason).
 func (c *coalescer) serveFrame(tr *obs.Trace, data []byte) (reply [tcpReplySize]byte, status string) {
-	reason, err := decodeBinaryPayload(&c.payload, data)
+	p := &c.buf.payload
+	reason, err := decodeBinaryPayload(p, data)
 	var res core.Result
 	if err == nil {
-		copy(reply[:fingerprint.SessionIDSize], c.payload.SessionID[:])
-		res, _, reason, err = c.s.score(tr, c.buf, &c.payload, false)
+		copy(reply[:fingerprint.SessionIDSize], p.SessionID[:])
+		res, _, reason, err = c.s.score(tr, c.buf, p, "", false)
 	}
 	if err != nil {
 		reply[tcpReplySize-1] = tcpErrorFlag

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"time"
-
-	"polygraph/internal/rng"
 )
 
 // Typed client-side failure taxonomy. A fleet balancer routing around a
@@ -87,39 +84,4 @@ func classify(op string, err error) *ClientError {
 func IsDown(err error) bool {
 	var ce *ClientError
 	return errors.As(err, &ce) && ce.Kind == FailDown
-}
-
-// Backoff computes bounded, jittered reconnect delays. The jitter stream
-// is PCG-seeded so a fixed-seed harness run schedules reconnects
-// identically run to run — the same determinism contract as the rest of
-// the harness. The zero value is unusable; build with NewBackoff.
-type Backoff struct {
-	base time.Duration
-	max  time.Duration
-	rng  *rng.PCG
-}
-
-// NewBackoff builds a backoff schedule: attempt n (0-based) waits
-// base·2ⁿ capped at max, with ±25% deterministic jitter. base <= 0
-// defaults to 50ms, max <= 0 to 2s.
-func NewBackoff(base, max time.Duration, seed uint64) *Backoff {
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	return &Backoff{base: base, max: max, rng: rng.New(seed)}
-}
-
-// Delay returns the wait before retry attempt (0-based).
-func (b *Backoff) Delay(attempt int) time.Duration {
-	d := b.base << uint(attempt)
-	if d <= 0 || d > b.max { // <<: overflow guard
-		d = b.max
-	}
-	// ±25% jitter keeps a fleet of reconnecting clients from stampeding
-	// the replica that just came back.
-	jitter := 0.75 + 0.5*b.rng.Float64()
-	return time.Duration(float64(d) * jitter)
 }

@@ -1,9 +1,11 @@
 package collect
 
 import (
+	"bytes"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"sync/atomic"
 	"time"
@@ -111,17 +113,35 @@ func tracerFor(cfg Config) *obs.Tracer {
 	})
 }
 
-// scoreBuf is the caller-owned scratch of one scorer — pooled per
-// request by the HTTP server, one per connection on TCP — so the
-// steady-state path allocates nothing for the numeric work. Buffers are
-// model-agnostic and survive SwapModel.
+// scoreBuf is everything one request borrows — pooled per request by the
+// HTTP server, one per connection on TCP — so the steady-state path
+// allocates nothing for the numeric work, the body or the reply. Each
+// user overwrites what it reads: payload is decoded in place (every
+// field set, the capacity of Values reused), body and reply are
+// reset before they are filled, and nothing here outlives the
+// request but the user-agent string, which each decode allocates anew.
+// Buffers are model-agnostic and survive SwapModel.
 type scoreBuf struct {
 	vec     []float64
 	scratch *core.Scratch
+	payload fingerprint.Payload
+
+	// HTTP only: the request body as read, through the reader that
+	// bounds it, and the encoded reply.
+	body    bytes.Buffer
+	limited io.LimitedReader
+	reply   []byte
 }
 
 func (in *ingest) newScoreBuf() *scoreBuf {
 	return &scoreBuf{scratch: in.model.load().NewScratch()}
+}
+
+// hexSessionID is hex.EncodeToString(id[:]) in one allocation, not two.
+func hexSessionID(id *[fingerprint.SessionIDSize]byte) string {
+	var b [2 * fingerprint.SessionIDSize]byte
+	hex.Encode(b[:], id[:])
+	return string(b[:])
 }
 
 // score runs one decoded payload through the pipeline: dimension check
@@ -130,13 +150,16 @@ func (in *ingest) newScoreBuf() *scoreBuf {
 // one. It returns the verdict, or the reject reason with the error to
 // report. tr is the caller's open trace: it names the endpoint, stamps
 // audit records and log lines, and receives a record or audit span from
-// the payloads that do that work.
+// the payloads that do that work. sessionID is the payload's session ID
+// in hex when the transport has already encoded it for its reply, ""
+// when it has not: it is then encoded here, once, and only for a payload
+// that is stored or audited.
 //
 // timed adds the score span and returns the kernel time in
 // microseconds. A transport with one payload per trace sets it; the TCP
 // coalescer, whose one trace covers up to tcpMaxBatch rows, does not —
 // two clock reads per row are a quarter of a 200 ns kernel.
-func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, timed bool) (res core.Result, elapsedUs int64, reason rejectReason, err error) {
+func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, sessionID string, timed bool) (res core.Result, elapsedUs int64, reason rejectReason, err error) {
 	dep := in.model.loadDeployed()
 	if len(p.Values) != dep.m.Dim() {
 		return res, 0, reasonBadDim, fmt.Errorf("expected %d features, got %d", dep.m.Dim(), len(p.Values))
@@ -161,10 +184,11 @@ func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, ti
 
 	// Neither the hex session ID nor the owned vector copy is built for
 	// the common payload: benign and sampled out of the ledger.
-	var sessionID string
 	if res.Flagged() {
 		start := time.Now()
-		sessionID = hex.EncodeToString(p.SessionID[:])
+		if sessionID == "" {
+			sessionID = hexSessionID(&p.SessionID)
+		}
 		d := Decision{
 			SessionID:     sessionID,
 			Cluster:       res.Cluster,
@@ -184,7 +208,7 @@ func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, ti
 	if in.ledger != nil && in.ledger.Admit(res.Flagged()) {
 		start := time.Now()
 		if sessionID == "" {
-			sessionID = hex.EncodeToString(p.SessionID[:])
+			sessionID = hexSessionID(&p.SessionID)
 		}
 		if err := in.audit(dep, tr, sessionID, p.UserAgent, buf.vec, res); err != nil {
 			in.warnAppend(tr, "collect: audit record failed", err, &in.ledgerFailed)

@@ -406,10 +406,10 @@ func TestIngestBenignSampledOutAllocs(t *testing.T) {
 		alone.Observe(vec)
 	})
 
-	_, tr := srv.Tracer().Start(httptest.NewRequest(http.MethodPost, EndpointBinary, nil).Context(), EndpointBinary)
+	tr := srv.Tracer().Open(EndpointBinary)
 	buf := srv.newScoreBuf()
 	got := testing.AllocsPerRun(200, func() {
-		res, _, _, err := srv.score(tr, buf, p, false)
+		res, _, _, err := srv.score(tr, buf, p, "", false)
 		if err != nil || res.Flagged() {
 			t.Fatalf("benign payload: %+v, %v", res, err)
 		}

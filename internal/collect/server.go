@@ -8,9 +8,17 @@
 // drift sample, store entry, journal line, audit record — do not depend
 // on the socket it arrived on. The package also provides the clients.
 //
+// A request borrows what it needs instead of allocating it: body, decoded
+// payload, feature vector, model scratch and encoded reply all live in a
+// scoreBuf (ingest.go) — pooled per HTTP request, one per TCP connection
+// — and the JSON frame the script sends is read by a scanner
+// (jsonscan.go), with encoding/json behind it for every other body. What
+// a scored HTTP request still allocates is its trace, the user-agent
+// string, the hex session ID and the Content-Type header value.
+//
 // Observability (internal/obs) is threaded through the whole serving
 // path: every ingest request runs under a deterministic trace whose
-// spans (decode, score, record, pipeline stages) land in a lock-free
+// spans (decode, score, record, audit) land in a lock-free
 // ring served at /debug/traces, per-endpoint request latency feeds
 // Prometheus histogram families at /metrics, rejects are counted by
 // cause, and accepted feature vectors optionally stream into a drift
@@ -18,7 +26,6 @@
 package collect
 
 import (
-	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -139,7 +146,7 @@ type Server struct {
 	limiter *RateLimiter
 	mux     *http.ServeMux
 
-	// bufs pools per-request scoreBufs.
+	// bufs pools the scoreBufs requests borrow.
 	bufs sync.Pool
 
 	// hists holds per-endpoint request-handling latency of successfully
@@ -368,22 +375,21 @@ func (s *Server) handleCollectJSON(w http.ResponseWriter, r *http.Request) {
 // serveCollect is the shared ingest path: open a trace, rate-limit,
 // decode, score, and seal the trace with the outcome. Only successfully
 // scored requests feed the endpoint latency histogram — rejects are
-// counted by cause instead.
+// counted by cause instead. The trace's start is the handler's.
 func (s *Server) serveCollect(w http.ResponseWriter, r *http.Request, endpoint string, decode payloadDecoder) {
-	start := time.Now()
-	ctx, tr := s.tracer.Start(r.Context(), endpoint)
+	tr := s.tracer.Open(endpoint)
 	if s.scoreDelay > 0 {
 		time.Sleep(s.scoreDelay) // fault drill: inflate measured latency
 	}
-	status := s.collectOne(ctx, w, r, tr, decode)
+	status := s.collectOne(w, r, tr, decode)
 	if status == "ok" {
-		s.hists[endpoint].Record(time.Since(start))
+		s.hists[endpoint].Record(time.Since(tr.StartTime()))
 	}
 	s.tracer.Finish(tr, status)
 }
 
 // payloadDecoder decodes a bounded request body into p, overwriting
-// every field, or reports the reject reason.
+// every field, or reports the reject reason. p keeps nothing of body.
 type payloadDecoder func(p *fingerprint.Payload, body []byte) (rejectReason, error)
 
 func decodeBinaryPayload(p *fingerprint.Payload, body []byte) (rejectReason, error) {
@@ -403,7 +409,14 @@ type jsonPayload struct {
 	Values    []int64 `json:"v"`
 }
 
+// decodeJSONPayload decodes the frame with scanJSONPayload when the body
+// is the shape the script sends, and with encoding/json when it is
+// anything else — the reference decoder, and the only one that ever
+// rejects a body.
 func decodeJSONPayload(p *fingerprint.Payload, body []byte) (rejectReason, error) {
+	if scanJSONPayload(p, body) {
+		return 0, nil
+	}
 	var jp jsonPayload
 	if err := json.Unmarshal(body, &jp); err != nil {
 		return reasonBadJSON, err
@@ -415,40 +428,51 @@ func decodeJSONPayload(p *fingerprint.Payload, body []byte) (rejectReason, error
 	return 0, nil
 }
 
+// readPayload reads the bounded request body into buf.body — one byte
+// past the limit at most, which is how a body over it is told — and
+// decodes it into buf.payload, or reports the reject: status code,
+// reason and message.
+func (s *Server) readPayload(buf *scoreBuf, body io.Reader, decode payloadDecoder) (int, rejectReason, error) {
+	buf.body.Reset()
+	buf.limited = io.LimitedReader{R: body, N: s.maxLen + 1}
+	_, err := buf.body.ReadFrom(&buf.limited)
+	buf.limited.R = nil // the pool must not keep the request alive
+	if err != nil {
+		return http.StatusBadRequest, reasonRead, fmt.Errorf("read: %w", err)
+	}
+	if int64(buf.body.Len()) > s.maxLen {
+		return http.StatusRequestEntityTooLarge, reasonTooLarge, fmt.Errorf("body over %d bytes", s.maxLen)
+	}
+	if reason, err := decode(&buf.payload, buf.body.Bytes()); err != nil {
+		return http.StatusBadRequest, reason, fmt.Errorf("payload: %w", err)
+	}
+	return http.StatusOK, 0, nil
+}
+
 // collectOne handles one ingest request under an open trace and returns
-// the trace status ("ok" or the reject reason).
-func (s *Server) collectOne(ctx context.Context, w http.ResponseWriter, r *http.Request, tr *obs.Trace, decode payloadDecoder) string {
+// the trace status ("ok" or the reject reason). Body, payload and reply
+// live in a pooled scoreBuf.
+func (s *Server) collectOne(w http.ResponseWriter, r *http.Request, tr *obs.Trace, decode payloadDecoder) string {
 	if s.limiter != nil && !s.limiter.Allow(clientKey(r)) {
 		s.reject(w, tr, http.StatusTooManyRequests, reasonRateLimit, "rate limit exceeded")
 		return reasonNames[reasonRateLimit]
-	}
-	endDecode := pipeline.StartSpan(ctx, "decode")
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxLen+1))
-	if err != nil {
-		endDecode()
-		s.reject(w, tr, http.StatusBadRequest, reasonRead, "read: %v", err)
-		return reasonNames[reasonRead]
-	}
-	if int64(len(body)) > s.maxLen {
-		endDecode()
-		s.reject(w, tr, http.StatusRequestEntityTooLarge, reasonTooLarge, "body over %d bytes", s.maxLen)
-		return reasonNames[reasonTooLarge]
-	}
-	// A fresh Payload per request: reusing one across requests is the
-	// TCP listener's saving, and HTTP's waits on ROADMAP item 1's note.
-	payload := new(fingerprint.Payload)
-	reason, err := decode(payload, body)
-	endDecode()
-	if err != nil {
-		s.reject(w, tr, http.StatusBadRequest, reason, "payload: %v", err)
-		return reasonNames[reason]
 	}
 	buf, _ := s.bufs.Get().(*scoreBuf)
 	if buf == nil {
 		buf = s.newScoreBuf()
 	}
 	defer s.bufs.Put(buf)
-	res, elapsed, reason, err := s.score(tr, buf, payload, true)
+
+	decodeStart := time.Now()
+	code, reason, err := s.readPayload(buf, r.Body, decode)
+	tr.RecordSpan("decode", decodeStart, time.Since(decodeStart))
+	if err != nil {
+		s.reject(w, tr, code, reason, "%v", err)
+		return reasonNames[reason]
+	}
+	payload := &buf.payload
+	sessionID := hexSessionID(&payload.SessionID)
+	res, elapsed, reason, err := s.score(tr, buf, payload, sessionID, true)
 	if err != nil {
 		code := http.StatusBadRequest
 		if reason == reasonScore {
@@ -462,15 +486,17 @@ func (s *Server) collectOne(ctx context.Context, w http.ResponseWriter, r *http.
 		s.stats.flagged.Add(1)
 	}
 	d := Decision{
-		SessionID:     hex.EncodeToString(payload.SessionID[:]),
+		SessionID:     sessionID,
 		Cluster:       res.Cluster,
 		Matched:       res.Matched,
 		RiskFactor:    res.RiskFactor,
 		Flagged:       res.Flagged(),
 		ElapsedMicros: elapsed,
 	}
+	// One Write of what json.NewEncoder(w).Encode(&d) would send.
+	buf.reply = append(d.AppendJSON(buf.reply[:0]), '\n')
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(&d); err != nil {
+	if _, err := w.Write(buf.reply); err != nil {
 		s.logWarn(tr, "collect: encode response failed", "err", err.Error())
 	}
 	return "ok"

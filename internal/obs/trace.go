@@ -79,12 +79,18 @@ type Span struct {
 	DurUs   int64  `json:"dur_us"`
 }
 
+// inlineSpans is how many spans a Trace stores without a second
+// allocation: the ingest path records at most decode, score, record and
+// audit.
+const inlineSpans = 4
+
 // Trace is one request's record: identity, endpoint, outcome, total
-// duration, and the spans recorded along the way. It implements
-// pipeline.SpanRecorder, so attaching it to a request context (which
-// Tracer.Start does) makes every pipeline stage and StartSpan section
-// report into it. A Trace is mutable until Tracer.Finish and immutable
-// after — the ring and /debug/traces only ever see finished traces.
+// duration, and the spans recorded along the way. The request paths
+// record spans on it directly; it also implements pipeline.SpanRecorder,
+// so attaching it to a context (which Tracer.Start does) makes every
+// pipeline stage and StartSpan section report into it. A Trace is
+// mutable until Tracer.Finish and immutable after — the ring and
+// /debug/traces only ever see finished traces.
 type Trace struct {
 	ID       TraceID `json:"id"`
 	Endpoint string  `json:"endpoint"`
@@ -94,12 +100,23 @@ type Trace struct {
 
 	start time.Time
 	mu    sync.Mutex
+	// inline backs Spans until a fifth span makes append move them; a
+	// trace with no span keeps Spans nil, which /debug/traces shows as
+	// null.
+	inline [inlineSpans]Span
 }
+
+// StartTime is when the trace was opened; a handler that times itself
+// from here spares a clock read.
+func (t *Trace) StartTime() time.Time { return t.start }
 
 // RecordSpan implements pipeline.SpanRecorder.
 func (t *Trace) RecordSpan(name string, start time.Time, d time.Duration) {
 	sp := Span{Name: name, StartUs: start.Sub(t.start).Microseconds(), DurUs: d.Microseconds()}
 	t.mu.Lock()
+	if t.Spans == nil {
+		t.Spans = t.inline[:0]
+	}
 	t.Spans = append(t.Spans, sp)
 	t.mu.Unlock()
 }
@@ -161,11 +178,17 @@ func NewTracer(cfg TracerConfig) *Tracer {
 // tests).
 func (t *Tracer) Ring() *TraceRing { return t.ring }
 
-// Start opens a trace for one request on endpoint, returning a derived
-// context that carries the trace both under its own key and as the
-// pipeline span recorder. Callers must call Finish exactly once.
+// Open opens a trace for one request on endpoint. The caller records
+// spans on it directly and must call Finish exactly once.
+func (t *Tracer) Open(endpoint string) *Trace {
+	return &Trace{ID: t.ids.Next(), Endpoint: endpoint, start: time.Now()}
+}
+
+// Start is Open for a caller that hands the request on through a
+// context: the derived context carries the trace both under its own key
+// and as the pipeline span recorder.
 func (t *Tracer) Start(ctx context.Context, endpoint string) (context.Context, *Trace) {
-	tr := &Trace{ID: t.ids.Next(), Endpoint: endpoint, start: time.Now()}
+	tr := t.Open(endpoint)
 	ctx = context.WithValue(ctx, traceKey{}, tr)
 	ctx = pipeline.WithSpanRecorder(ctx, tr)
 	return ctx, tr

@@ -149,6 +149,69 @@ func TestTracerSpansAndSlowLog(t *testing.T) {
 	}
 }
 
+// TestTraceInlineSpans pins the trace's span storage: the first four
+// spans need no allocation of their own, a fifth still lands, what
+// /debug/traces prints is what a plain []Span field printed, and traces
+// retained in the ring never share storage.
+func TestTraceInlineSpans(t *testing.T) {
+	tracer := NewTracer(TracerConfig{Seed: 9, RingSize: 8})
+	names := []string{"decode", "score", "record", "audit", "extra"}
+
+	// The fields and tags of Trace as they were with Spans its only
+	// storage.
+	type plainTrace struct {
+		ID       TraceID `json:"id"`
+		Endpoint string  `json:"endpoint"`
+		Status   string  `json:"status"`
+		DurUs    int64   `json:"dur_us"`
+		Spans    []Span  `json:"spans"`
+	}
+	for n := 0; n <= len(names); n++ {
+		tr := tracer.Open("/v1/collect")
+		for _, name := range names[:n] {
+			start := time.Now()
+			tr.RecordSpan(name, start, time.Since(start))
+		}
+		tracer.Finish(tr, "ok")
+		if len(tr.Spans) != n {
+			t.Fatalf("%d spans recorded, %d kept", n, len(tr.Spans))
+		}
+		for i, sp := range tr.Spans {
+			if sp.Name != names[i] {
+				t.Fatalf("span %d of %d is %q, want %q", i, n, sp.Name, names[i])
+			}
+		}
+		if inline := n > 0 && &tr.Spans[0] == &tr.inline[0]; inline != (n >= 1 && n <= inlineSpans) {
+			t.Fatalf("%d spans: stored inline = %v", n, inline)
+		}
+		got, err := json.Marshal(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := append([]Span(nil), tr.Spans...) // nil when there are none
+		want, _ := json.Marshal(plainTrace{tr.ID, tr.Endpoint, tr.Status, tr.DurUs, plain})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d spans: trace prints\n %s\nwant\n %s", n, got, want)
+		}
+	}
+
+	// Newest first: 5, 4, 3, … spans. Each retained trace still holds its
+	// own, in storage no other trace points into.
+	kept := tracer.Ring().Last(len(names) + 1)
+	seen := map[*Span]bool{}
+	for i, tr := range kept {
+		if want := len(names) - i; len(tr.Spans) != want {
+			t.Fatalf("retained trace %d holds %d spans, want %d", i, len(tr.Spans), want)
+		}
+		for j := range tr.Spans {
+			if tr.Spans[j].Name != names[j] || seen[&tr.Spans[j]] {
+				t.Fatalf("retained trace %d, span %d: %+v (shared: %v)", i, j, tr.Spans[j], seen[&tr.Spans[j]])
+			}
+			seen[&tr.Spans[j]] = true
+		}
+	}
+}
+
 func TestTracerFastRequestNotLogged(t *testing.T) {
 	var buf bytes.Buffer
 	tracer := NewTracer(TracerConfig{

@@ -1,10 +1,11 @@
 #!/bin/sh
 # benchgate.sh — the allocation gate for the scoring fast path, its
-# kernel and the audited-verdict path.
+# kernel, the audited-verdict path and the HTTP collect handler.
 #
 # Runs the online-scoring benchmark family, the score kernel's two loops,
-# the two audit-path benchmarks and the journal append with -benchmem and
-# fails when a pinned path regresses its allocation budget:
+# the two audit-path benchmarks, the journal append and the collect
+# handler with -benchmem and fails when a pinned path regresses its
+# allocation budget:
 #
 #   BenchmarkOnlineScore          0 allocs/op  (pooled scratch)
 #   BenchmarkOnlineScoreScratch   0 allocs/op  (caller-owned scratch)
@@ -15,6 +16,10 @@
 #   BenchmarkLedgerAppend       ≤ 1 allocs/op  (internal/audit: pooled encode buffer;
 #                                               the lean record, ≈ 0.47 KB framed)
 #   BenchmarkJournalAppend      ≤ 1 allocs/op  (internal/collect: pooled line buffer)
+#   BenchmarkCollectHandler/binary  ≤ 5 allocs/op  (internal/collect: Server.ServeHTTP on
+#   BenchmarkCollectHandler/json    ≤ 5 allocs/op   a reused request; measured 4 — the trace,
+#                                               the UA string, the hex session ID, the
+#                                               Content-Type header value)
 #
 # The ns/op numbers are machine-dependent and therefore only printed,
 # never gated; bench/ (BENCHMARK.json) is where they are measured.
@@ -44,23 +49,24 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "== go test -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$' -benchmem ./internal/core ./internal/audit ./internal/collect"
-go test -run '^$' -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit ./internal/collect | tee "$out"
+echo "== go test -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|CollectHandler$' -benchmem ./internal/core ./internal/audit ./internal/collect"
+go test -run '^$' -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|CollectHandler$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit ./internal/collect | tee "$out"
 
 awk '
     /^BenchmarkExplainResult(-[0-9]+)? / { seen++; max = 4 }
     /^Benchmark(Ledger|Journal)Append(-[0-9]+)? / { seen++; max = 1 }
     /^BenchmarkScoreKernel\/(transform|assign)(-[0-9]+)? / { seen++; max = 0 }
-    /^Benchmark(ExplainResult|(Ledger|Journal)Append|ScoreKernel\/(transform|assign))(-[0-9]+)? / {
+    /^BenchmarkCollectHandler\/(binary|json)(-[0-9]+)? / { seen++; max = 5 }
+    /^Benchmark(ExplainResult|(Ledger|Journal)Append|ScoreKernel\/(transform|assign)|CollectHandler\/(binary|json))(-[0-9]+)? / {
         if ($NF != "allocs/op" || $(NF-1) > max) {
             printf "benchgate: %s allocates %s %s, ceiling %d allocs/op\n", $1, $(NF-1), $NF, max
             bad = 1
         }
     }
     END {
-        if (seen < 5) { print "benchgate: kernel, audit-path or journal benchmarks missing from output"; bad = 1 }
+        if (seen < 7) { print "benchgate: kernel, audit-path, journal or collect-handler benchmarks missing from output"; bad = 1 }
         exit bad
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths and the kernel, audit-path ceilings)"
+echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths and the kernel, audit-path and collect-handler ceilings)"
