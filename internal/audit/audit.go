@@ -218,7 +218,7 @@ type Ledger struct {
 	sampleN int
 
 	records atomic.Int64 // frames the segment log accepted
-	dropped atomic.Int64
+	dropped atomic.Int64 // admitted records Append could not frame
 	bytes   atomic.Int64
 	benign  atomic.Uint64 // benign verdicts seen, drives sampling
 
@@ -348,18 +348,15 @@ func scanFrames(r io.Reader, fn func(Record) error) (good int64, lastSeq uint64,
 
 // Admit applies the sampling policy to one decision: flagged verdicts
 // are always admitted; benign ones every Nth. A false return means the
-// decision was counted as dropped and should not be appended — callers
-// use it to skip building a record that would be sampled out anyway.
+// decision counts as dropped (Counters derives how many from the benign
+// count) and should not be appended — callers use it to skip building a
+// record that would be sampled out anyway.
 func (l *Ledger) Admit(flagged bool) bool {
 	if flagged {
 		return true
 	}
 	c := l.benign.Add(1)
-	if l.sampleN > 1 && c%uint64(l.sampleN) != 0 {
-		l.dropped.Add(1)
-		return false
-	}
-	return true
+	return l.sampleN <= 1 || c%uint64(l.sampleN) == 0
 }
 
 // Record applies the sampling policy and appends the decision when
@@ -496,13 +493,19 @@ func (l *Ledger) Sync() error { return l.log.Sync() }
 func (l *Ledger) Close() error { return l.log.Close() }
 
 // Counters snapshots the exported metrics. What a failed write lost was
-// counted as recorded when Append accepted it; it is taken back here, so
-// Records + Dropped is the number of admitted decisions at every scrape.
+// counted as recorded when Append accepted it; it is taken back here,
+// and of b benign verdicts sampling admitted every Nth, so b − b/N were
+// dropped: Records + Dropped is the number of decisions at every scrape.
 func (l *Ledger) Counters() Counters {
 	lostFrames, lostBytes := l.log.Lost()
+	var sampledOut int64
+	if l.sampleN > 1 {
+		b := l.benign.Load()
+		sampledOut = int64(b - b/uint64(l.sampleN))
+	}
 	return Counters{
 		Records: l.records.Load() - lostFrames,
-		Dropped: l.dropped.Load() + lostFrames,
+		Dropped: l.dropped.Load() + sampledOut + lostFrames,
 		Bytes:   l.bytes.Load() - lostBytes,
 	}
 }

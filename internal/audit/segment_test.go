@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,6 +165,79 @@ func TestFailedFlushMovesRecordsToDropped(t *testing.T) {
 	}
 	if !stats.Acceptable() || int64(stats.Records) != after.Records {
 		t.Fatalf("ledger after the fault: %+v, want %d verifiable records", stats, after.Records)
+	}
+}
+
+// TestCountersIdentityUnderConcurrentAppends holds Records + Dropped to
+// the number of decisions while appenders run and the disk fails under
+// them: Admit counts a sampled-out verdict nowhere but in the benign
+// count, so Counters must derive it, at every sampling rate. A decision
+// between Admit and Append is in neither counter, hence the two bounds;
+// at rest the sum is exact, and sampling dropped exactly b − b/N.
+func TestCountersIdentityUnderConcurrentAppends(t *testing.T) {
+	for _, sample := range []int{1, 100} {
+		t.Run(fmt.Sprint("sample", sample), func(t *testing.T) {
+			dir := t.TempDir()
+			d := &disk{}
+			l, err := open(Config{Dir: dir, SampleBenign: sample}, d.tap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const writers, each = 4, 3000
+			var started, finished atomic.Int64
+			var diskFills sync.Once // half-way through, however the writers are scheduled
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						if finished.Load() >= writers*each/2 {
+							diskFills.Do(func() {
+								d.mu.Lock()
+								d.failing = errors.New("no space left on device")
+								d.mu.Unlock()
+							})
+						}
+						started.Add(1)
+						_ = l.Record(testRecord(i%10 == 0, "")) // fails once the disk has
+						finished.Add(1)
+					}
+				}(w)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for finished.Load() < writers*each {
+					lo := finished.Load()
+					c := l.Counters()
+					if hi := started.Load(); c.Records+c.Dropped < lo || c.Records+c.Dropped > hi {
+						t.Errorf("records %d + dropped %d outside the %d finished and %d started decisions", c.Records, c.Dropped, lo, hi)
+						return
+					}
+				}
+			}()
+			wg.Wait()
+			<-done
+			if err := l.Close(); err == nil {
+				t.Fatal("Close over a failed disk reported nothing")
+			}
+			c := l.Counters()
+			if c.Records+c.Dropped != writers*each {
+				t.Fatalf("at rest: records %d + dropped %d != %d decisions", c.Records, c.Dropped, writers*each)
+			}
+			benign := int64(writers * each * 9 / 10)
+			sampledOut := int64(0)
+			if sample > 1 {
+				sampledOut = benign - benign/int64(sample)
+			}
+			if c.Dropped < sampledOut || c.Records == 0 {
+				t.Fatalf("at rest: %+v, with %d benign verdicts sampled out", c, sampledOut)
+			}
+			if stats, err := Scan(dir, "", nil); err != nil || !stats.Acceptable() || int64(stats.Records) != c.Records {
+				t.Fatalf("ledger holds %+v (%v), counters say %d records", stats, err, c.Records)
+			}
+		})
 	}
 }
 

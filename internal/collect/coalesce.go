@@ -59,9 +59,12 @@ type coalescer struct {
 	ends     []int
 
 	// buf holds the scratch and the payload every frame of the
-	// connection is decoded into.
+	// connection is decoded into; reply is the frame's encoded answer.
+	// lenBuf and reply are fields because the reader and the writer
+	// they are handed to would move a local to the heap, once per frame.
 	buf    *scoreBuf
 	lenBuf [4]byte
+	reply  [tcpReplySize]byte
 }
 
 // frame returns the byte view of frame i in the current batch.
@@ -148,33 +151,44 @@ func (c *coalescer) readAhead() bool {
 // serve answers the gathered batch: one trace, every frame through
 // serveFrame in frame order, one flush. Per-frame latency under
 // coalescing is the batch's wall time — that is what each client frame
-// actually waited — so the clock is read once per batch, not per frame.
+// actually waited — so the clock is read once per batch, not per frame,
+// and the listener's counters, which every connection shares, are
+// added to once per batch, before the replies leave.
 func (c *coalescer) serve() bool {
 	tr := c.s.tracer.Open(EndpointTCP)
-	status, scored := "ok", 0
+	status, scored, flagged := "ok", 0, 0
 	for i := range c.ends {
-		reply, st := c.serveFrame(tr, c.frame(i))
+		st := c.serveFrame(tr, c.frame(i))
 		switch {
 		case st == "ok":
 			scored++
+			if c.reply[tcpReplySize-1]&tcpFlagged != 0 {
+				flagged++
+			}
 		case len(c.ends) == 1:
 			status = st
 		default:
 			status = "partial"
 		}
 		// bufio errors are sticky: Flush below reports a failed write.
-		_, _ = c.bw.Write(reply[:])
+		_, _ = c.bw.Write(c.reply[:])
 	}
+	c.s.scored.Add(int64(scored))
+	c.s.flagged.Add(int64(flagged))
+	c.s.badFrames.Add(int64(len(c.ends) - scored))
 	c.s.hist.RecordN(time.Since(tr.StartTime()), scored)
 	c.s.tracer.Finish(tr, status)
 	return c.bw.Flush() == nil
 }
 
 // serveFrame is the TCP transport's share of one frame: decode, hand
-// the payload to the ingest core, count, and encode the 21-byte reply.
-// It reports the trace status ("ok" or the reject reason).
-func (c *coalescer) serveFrame(tr *obs.Trace, data []byte) (reply [tcpReplySize]byte, status string) {
-	p := &c.buf.payload
+// the payload to the ingest core, and encode the 21-byte answer into
+// c.reply. It reports the trace status ("ok" or the reject reason). The
+// payload's user agent is a view of data, which the batch holds until it
+// is answered.
+func (c *coalescer) serveFrame(tr *obs.Trace, data []byte) (status string) {
+	p, reply := &c.buf.payload, &c.reply
+	*reply = [tcpReplySize]byte{}
 	reason, err := decodeBinaryPayload(p, data)
 	var res core.Result
 	if err == nil {
@@ -183,20 +197,17 @@ func (c *coalescer) serveFrame(tr *obs.Trace, data []byte) (reply [tcpReplySize]
 	}
 	if err != nil {
 		reply[tcpReplySize-1] = tcpErrorFlag
-		c.s.badFrames.Add(1)
-		return reply, reasonNames[reason]
+		return reasonNames[reason]
 	}
 	binary.BigEndian.PutUint16(reply[fingerprint.SessionIDSize:], uint16(res.Cluster))
 	binary.BigEndian.PutUint16(reply[fingerprint.SessionIDSize+2:], uint16(res.RiskFactor))
 	var flags byte
 	if res.Flagged() {
 		flags |= tcpFlagged
-		c.s.flagged.Add(1)
 	}
 	if res.Matched {
 		flags |= tcpMatched
 	}
 	reply[tcpReplySize-1] = flags
-	c.s.scored.Add(1)
-	return reply, "ok"
+	return "ok"
 }

@@ -2,8 +2,10 @@ package collect
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -365,6 +367,67 @@ func TestTCPSubmitBatchFragmentedReplies(t *testing.T) {
 	}
 	if err := <-serverErr; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTCPSubmitBatchServerStallsMidBatch: the client arms its read
+// deadline only before a read that can block. A server that sends its
+// replies in bursts, each pause shorter than ReadTimeout but the batch
+// longer, must not time the client out while it is still answering; once
+// it goes quiet — between two replies, or inside one — the client must
+// surface FailDown within ReadTimeout of the last byte, however many
+// replies were buffered when it did.
+func TestTCPSubmitBatchServerStallsMidBatch(t *testing.T) {
+	const n, bursts, perBurst = 8, 3, 2
+	const readTimeout, pause = 400 * time.Millisecond, 250 * time.Millisecond
+	for _, tail := range []int{0, tcpReplySize / 2} {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			for i := 0; i < bursts; i++ {
+				if i > 0 {
+					time.Sleep(pause)
+				}
+				size := perBurst * tcpReplySize
+				if i == bursts-1 {
+					size += tail
+				}
+				conn.Write(make([]byte, size))
+			}
+			select { // silence; the deferred Close bounds a client that never times out
+			case <-done:
+			case <-time.After(10 * time.Second):
+			}
+		}()
+		client, err := DialTCP(l.Addr().String(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client.ReadTimeout = readTimeout
+		batch := make([]*fingerprint.Payload, n)
+		for i := range batch {
+			batch[i] = &fingerprint.Payload{UserAgent: "ua", Values: []int64{1, 2, 3}}
+		}
+		start := time.Now()
+		_, err = client.SubmitBatch(batch)
+		took := time.Since(start)
+		if !IsDown(err) || !strings.Contains(err.Error(), fmt.Sprintf("read reply %d:", bursts*perBurst)) {
+			t.Fatalf("tail %d: %v after %v, want FailDown at reply %d", tail, err, took, bursts*perBurst)
+		}
+		if took < (bursts-1)*pause+readTimeout || took > 5*time.Second {
+			t.Fatalf("tail %d: gave up after %v, want ReadTimeout after the last burst", tail, took)
+		}
+		close(done)
+		client.Close()
+		l.Close()
 	}
 }
 

@@ -1,12 +1,14 @@
 package collect
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -14,7 +16,9 @@ import (
 	"sync"
 	"testing"
 	"testing/iotest"
+	"time"
 
+	"polygraph/internal/audit"
 	"polygraph/internal/core"
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/ua"
@@ -291,11 +295,43 @@ func answer(rec *httptest.ResponseRecorder) string {
 		elapsedField.ReplaceAllString(rec.Body.String(), `"elapsed_us":0`))
 }
 
+// poisonPooled overwrites the body bytes of every scoreBuf at rest in
+// srv's pool, as the requests that borrow them next will. A buffer taken
+// from the pool is the caller's alone, so this may run beside requests.
+func poisonPooled(srv *Server) {
+	var held []*scoreBuf
+	for {
+		buf, _ := srv.bufs.Get().(*scoreBuf)
+		if buf == nil {
+			break
+		}
+		poison(buf.body.Bytes())
+		held = append(held, buf)
+	}
+	for _, buf := range held {
+		srv.bufs.Put(buf)
+	}
+}
+
+// poison fills b, to its capacity, with 0xAA.
+func poison(b []byte) {
+	b = b[:cap(b)]
+	for i := range b {
+		b[i] = 0xAA
+	}
+}
+
 // TestCollectPooledStateIsolation interleaves long and short, binary and
 // JSON, accepted and rejected requests on several goroutines: every
 // reply must be the one a server that never saw another request gives,
 // so nothing of a request outlives it in the pooled scoreBuf. Run under
 // -race it also proves a scoreBuf is never shared.
+//
+// The decoded user agent is a view of the request's bytes, so the other
+// half of the test is that nothing keeps that view: the body buffer is
+// overwritten after every request, and the coalescer's frame buffer
+// after every batch, and the audit ledger, /debug/decisions and the
+// store must still hold what each session sent.
 func TestCollectPooledStateIsolation(t *testing.T) {
 	m, d := testModel(t)
 	chrome := ua.Release{Vendor: ua.Chrome, Version: 112}
@@ -306,6 +342,14 @@ func TestCollectPooledStateIsolation(t *testing.T) {
 	}
 	longUA := payloadFor(d, chrome, chrome)
 	longUA.UserAgent += strings.Repeat(" padding", 60)
+	longUA.SessionID[0] = 0xB0
+	tcpHonest, tcpLying := *honest, *lying
+	tcpHonest.SessionID[0], tcpLying.SessionID[0] = 0xC0, 0xC1
+	tcpHonest.UserAgent += " (framed)"
+	wantUA := map[string]string{hex.EncodeToString(make([]byte, fingerprint.SessionIDSize)): honest.UserAgent}
+	for _, p := range []*fingerprint.Payload{honest, lying, longUA, &tcpHonest, &tcpLying} {
+		wantUA[hexSessionID(&p.SessionID)] = p.UserAgent
+	}
 
 	noSID := jsonBodyFor(t, honest)
 	noSID = append([]byte(`{`), noSID[bytes.Index(noSID, []byte(`"ua"`)):]...)
@@ -345,7 +389,13 @@ func TestCollectPooledStateIsolation(t *testing.T) {
 		t.Fatalf("a frame with no sid answered %s", want[2])
 	}
 
-	srv, err := NewServer(Config{Model: m})
+	dir := t.TempDir()
+	led, err := audit.Open(audit.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	srv, err := NewServer(Config{Model: m, Audit: led})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +407,9 @@ func TestCollectPooledStateIsolation(t *testing.T) {
 			for k := 0; k < 40*len(requests); k++ {
 				i := (k*(2*g+1) + g) % len(requests) // a different order on each goroutine
 				rq := requests[i]
-				if got := answer(post(srv, rq.endpoint, bytes.NewReader(rq.body))); got != want[i] {
+				got := answer(post(srv, rq.endpoint, bytes.NewReader(rq.body)))
+				poisonPooled(srv)
+				if got != want[i] {
 					t.Errorf("goroutine %d, request %d: answered %s, a fresh server answers %s", g, i, got, want[i])
 					return
 				}
@@ -365,6 +417,72 @@ func TestCollectPooledStateIsolation(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+
+	// The framed transport, through the same ingest core: two coalesced
+	// batches on one connection's coalescer, its frame buffer poisoned
+	// after each.
+	tcp, err := NewTCPServer(Config{Model: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.AttachTCP(tcp)
+	server, client := net.Pipe()
+	defer client.Close()
+	c := &coalescer{s: tcp, conn: server, buf: tcp.newScoreBuf(),
+		br: bufio.NewReaderSize(server, tcpReadBufSize), bw: bufio.NewWriterSize(server, tcpMaxBatch*tcpReplySize)}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		for c.serveBatch() {
+			poison(c.frameBuf)
+		}
+	}()
+	for batch := 0; batch < 2; batch++ {
+		if _, err := client.Write(frameBytes(t, false, &tcpHonest, &tcpLying, &tcpHonest)); err != nil {
+			t.Fatal(err)
+		}
+		readReplies(t, client, 3)
+	}
+	client.Close()
+	<-served
+	if got := tcp.BatchHist().Sum(); got != 6*time.Microsecond {
+		t.Fatalf("the listener coalesced %v frames, want 6", got)
+	}
+
+	check := func(where string, rec audit.Record) {
+		t.Helper()
+		if ua, ok := wantUA[rec.SessionID]; !ok || rec.UserAgent != ua {
+			t.Fatalf("%s: session %s recorded with user agent %q, sent %q", where, rec.SessionID, rec.UserAgent, ua)
+		}
+	}
+	if err := led.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	framed := 0
+	stats, err := audit.Scan(dir, "", func(rec audit.Record) error {
+		check("ledger", rec)
+		if rec.Endpoint == EndpointTCP {
+			framed++
+		}
+		return nil
+	})
+	if err != nil || !stats.Clean() || framed != 6 {
+		t.Fatalf("ledger scan: %+v, %v; %d framed records, want 6", stats, err, framed)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/decisions?n=256", nil))
+	var recent []audit.Record
+	if err := json.Unmarshal(rec.Body.Bytes(), &recent); err != nil || len(recent) != audit.DefaultRingSize {
+		t.Fatalf("/debug/decisions: %d records, %v", len(recent), err)
+	}
+	for _, r := range recent {
+		check("/debug/decisions", r)
+	}
+	for _, d := range srv.Store().All() {
+		if id := d.SessionID; id != hexSessionID(&lying.SessionID) && id != hexSessionID(&tcpLying.SessionID) {
+			t.Fatalf("the store holds session %s, which no flagged request carried", id)
+		}
+	}
 }
 
 // nopWriter is a reusable http.ResponseWriter that keeps nothing, as the

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -119,8 +120,10 @@ func tracerFor(cfg Config) *obs.Tracer {
 // user overwrites what it reads: payload is decoded in place (every
 // field set, the capacity of Values reused), body and reply are
 // reset before they are filled, and nothing here outlives the
-// request but the user-agent string, which each decode allocates anew.
-// Buffers are model-agnostic and survive SwapModel.
+// request. payload.UserAgent is a view of the bytes it was decoded from
+// — body, or the coalescer's frame buffer — which stay as they are
+// until the request or the batch is answered; audit, the one place that
+// keeps it, clones it. Buffers are model-agnostic and survive SwapModel.
 type scoreBuf struct {
 	vec     []float64
 	scratch *core.Scratch
@@ -223,15 +226,15 @@ func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, se
 // (dep is the snapshot score loaded, so a concurrent SwapModel cannot
 // mismatch them). The explanation is not computed here: readers derive
 // it from the record and the model archive. vec is the caller's reusable
-// buffer; the ledger's recent ring retains the record, so it gets its
-// own copy.
+// buffer and userAgent a view of its request bytes; the ledger's recent
+// ring retains the record, so it gets its own copy of both.
 func (in *ingest) audit(dep *deployed, tr *obs.Trace, sessionID, userAgent string, vec []float64, res core.Result) error {
 	return in.ledger.Append(audit.Record{
 		TimeNs:    time.Now().UnixNano(),
 		TraceID:   tr.ID.String(),
 		ModelHash: dep.hash,
 		SessionID: sessionID,
-		UserAgent: userAgent,
+		UserAgent: strings.Clone(userAgent),
 		Endpoint:  tr.Endpoint,
 		Vector:    append([]float64(nil), vec...),
 		Verdict:   core.VerdictOf(res),

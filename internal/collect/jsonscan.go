@@ -8,7 +8,8 @@ import (
 
 // scanJSONPayload decodes body into p when body is the frame the
 // collection script's JSON.stringify({sid, ua, v}) and the in-repo
-// clients send, and reports whether it did:
+// clients send, and reports whether it did; p.UserAgent is then a view
+// of body (fingerprint.Payload.BorrowUserAgent):
 //
 //	frame  = ws "{" ws [ member { ws "," ws member } ] ws "}" ws
 //	member = `"sid"` ws ":" ws string | `"ua"` ws ":" ws string
@@ -87,7 +88,8 @@ func scanJSONPayload(p *fingerprint.Payload, body []byte) bool {
 	if skipJSONSpace(body, i) != len(body) {
 		return false
 	}
-	*p = fingerprint.Payload{UserAgent: string(ua), Values: vals}
+	*p = fingerprint.Payload{Values: vals}
+	p.BorrowUserAgent(ua)
 	// As decodeJSONPayload does after encoding/json: a sid that is not
 	// 32 hex digits leaves the session ID zero.
 	var id [fingerprint.SessionIDSize]byte

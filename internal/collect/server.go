@@ -13,8 +13,9 @@
 // scoreBuf (ingest.go) — pooled per HTTP request, one per TCP connection
 // — and the JSON frame the script sends is read by a scanner
 // (jsonscan.go), with encoding/json behind it for every other body. What
-// a scored HTTP request still allocates is its trace, the user-agent
-// string, the hex session ID and the Content-Type header value.
+// a scored HTTP request still allocates is its trace, the hex session ID
+// and the Content-Type header value; the user agent is a view of the
+// body, copied only into an audit record.
 //
 // Observability (internal/obs) is threaded through the whole serving
 // path: every ingest request runs under a deterministic trace whose
@@ -389,11 +390,12 @@ func (s *Server) serveCollect(w http.ResponseWriter, r *http.Request, endpoint s
 }
 
 // payloadDecoder decodes a bounded request body into p, overwriting
-// every field, or reports the reject reason. p keeps nothing of body.
+// every field, or reports the reject reason. p.UserAgent may be a view
+// of body: the caller keeps body as it is for as long as it uses p.
 type payloadDecoder func(p *fingerprint.Payload, body []byte) (rejectReason, error)
 
 func decodeBinaryPayload(p *fingerprint.Payload, body []byte) (rejectReason, error) {
-	if err := p.UnmarshalBinary(body); err != nil {
+	if err := p.UnmarshalBinaryBorrowed(body); err != nil {
 		if errors.Is(err, fingerprint.ErrBadVersion) {
 			return reasonBadVersion, err
 		}

@@ -62,7 +62,8 @@ type TCPServer struct {
 	wg       sync.WaitGroup
 
 	// scored, flagged, badConn, and badFrames are bumped from
-	// concurrent connection goroutines; they must be atomic.
+	// concurrent connection goroutines; they must be atomic. The frame
+	// counters are added to once per batch (coalescer.serve).
 	scored    atomic.Int64
 	flagged   atomic.Int64
 	badConn   atomic.Int64
@@ -283,7 +284,11 @@ func (c *TCPClient) SubmitBatch(payloads []*fingerprint.Payload) ([]BatchDecisio
 	}
 	var reply [tcpReplySize]byte
 	for _, i := range sent {
-		c.conn.SetReadDeadline(time.Now().Add(readTO))
+		// Only a read that can block needs its deadline armed: replies
+		// arrive many to a segment, so most are already buffered.
+		if c.br.Buffered() < tcpReplySize {
+			c.conn.SetReadDeadline(time.Now().Add(readTO))
+		}
 		if _, err := io.ReadFull(c.br, reply[:]); err != nil {
 			return nil, &ClientError{Kind: FailDown, Op: fmt.Sprintf("read reply %d", i), Err: err}
 		}

@@ -2,13 +2,16 @@ package collect
 
 import (
 	"encoding/binary"
+	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"polygraph/internal/audit"
 	"polygraph/internal/browser"
 	"polygraph/internal/fingerprint"
+	"polygraph/internal/obs"
 	"polygraph/internal/ua"
 )
 
@@ -231,4 +234,83 @@ func BenchmarkTCPBatchScore(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTCPBatchScoreParallel is the listener as replay traffic loads
+// it: two connections, each pipelining the same 64-frame block from its
+// own goroutine, behind a replica's ingest core — drift monitor on,
+// ledger sampling one benign verdict in a hundred. What two connections
+// share (the drift sampler, the ledger's and the listener's counters) is
+// what this measures and a one-connection benchmark cannot; frames/s is
+// the figure to compare, ns/op is per block.
+func BenchmarkTCPBatchScoreParallel(b *testing.B) {
+	m, d := testModel(b)
+	led, err := audit.Open(audit.Config{Dir: b.TempDir(), SampleBenign: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer led.Close()
+	drift, err := obs.NewDriftMonitor(obs.DriftConfig{Features: fingerprint.Names(m.Features), Reservoir: 512, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := NewTCPServer(Config{Model: m, Drift: drift, Audit: led})
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+
+	const conns, block = 2, 64
+	rel := ua.Release{Vendor: ua.Chrome, Version: 112}
+	var lenBuf [4]byte
+	var wire []byte
+	for i := 0; i < block; i++ {
+		enc, err := payloadFor(d, rel, rel).MarshalBinary()
+		if err != nil {
+			b.Fatal(err)
+		}
+		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(enc)))
+		wire = append(append(wire, lenBuf[:]...), enc...)
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for c := 0; c < conns; c++ {
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte(tcpHello)); err != nil {
+			b.Fatal(err)
+		}
+		wg.Add(1)
+		go func(blocks int) {
+			defer wg.Done()
+			replies := make([]byte, block*tcpReplySize)
+			<-start
+			for i := 0; i < blocks; i++ {
+				if _, err := conn.Write(wire); err != nil {
+					b.Error(err)
+					return
+				}
+				if _, err := io.ReadFull(conn, replies); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}((b.N + c) / conns)
+	}
+	b.ResetTimer()
+	close(start)
+	wg.Wait()
+	b.StopTimer()
+	if got := srv.Scored(); got != int64(b.N)*block {
+		b.Fatalf("scored %d frames, sent %d", got, b.N*block)
+	}
+	b.ReportMetric(float64(b.N)*block/b.Elapsed().Seconds(), "frames/s")
 }

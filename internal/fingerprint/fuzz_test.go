@@ -11,7 +11,8 @@ import (
 // binary.Varint-only reference decoder on what it accepts, rejects and
 // produces, anything it accepts must re-encode to a payload it accepts
 // again, and decoding into a Payload
-// that held another session must give what decoding into a fresh one
+// that held another session — copying the user agent, or borrowing it as
+// the serving tier does — must give what decoding into a fresh one
 // gives — the same fields on success, the same error and an empty
 // payload on failure — because the TCP listener decodes every frame of a
 // connection into one Payload.
@@ -37,26 +38,34 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodeParity(t, data)
 		p, err := UnmarshalBinary(data)
-		dirty := &Payload{
-			SessionID: [SessionIDSize]byte{0xAA, 0xBB, 15: 0xCC},
-			UserAgent: "left over from the previous frame",
-			Values:    []int64{9, 8, 7, 6, 5, 4, 3, 2, 1, -1, -2, -3, -4, -5, -6, -7, -8, -9, 1 << 50, -1 << 50}[:12],
-		}
-		derr := dirty.UnmarshalBinary(data)
-		if (err == nil) != (derr == nil) || (err != nil && err.Error() != derr.Error()) {
-			t.Fatalf("fresh decode: %v; reused decode: %v", err, derr)
+		for name, decode := range map[string]func(*Payload, []byte) error{
+			"reused":   (*Payload).UnmarshalBinary,
+			"borrowed": (*Payload).UnmarshalBinaryBorrowed,
+		} {
+			dirty := &Payload{
+				SessionID: [SessionIDSize]byte{0xAA, 0xBB, 15: 0xCC},
+				UserAgent: "left over from the previous frame",
+				Values:    []int64{9, 8, 7, 6, 5, 4, 3, 2, 1, -1, -2, -3, -4, -5, -6, -7, -8, -9, 1 << 50, -1 << 50}[:12],
+			}
+			derr := decode(dirty, data)
+			if (err == nil) != (derr == nil) || (err != nil && err.Error() != derr.Error()) {
+				t.Fatalf("fresh decode: %v; %s decode: %v", err, name, derr)
+			}
+			if err != nil {
+				if dirty.SessionID != [SessionIDSize]byte{} || dirty.UserAgent != "" || len(dirty.Values) != 0 {
+					t.Fatalf("failed %s decode left %+v in the payload", name, dirty)
+				}
+				continue
+			}
+			if dirty.SessionID != p.SessionID || dirty.UserAgent != p.UserAgent || !slices.Equal(dirty.Values, p.Values) {
+				t.Fatalf("%s decode gave %+v, a fresh one %+v", name, dirty, p)
+			}
 		}
 		if err != nil {
 			if p != nil {
 				t.Fatal("failed decode returned a payload")
 			}
-			if dirty.SessionID != [SessionIDSize]byte{} || dirty.UserAgent != "" || len(dirty.Values) != 0 {
-				t.Fatalf("failed decode left %+v in the reused payload", dirty)
-			}
 			return
-		}
-		if dirty.SessionID != p.SessionID || dirty.UserAgent != p.UserAgent || !slices.Equal(dirty.Values, p.Values) {
-			t.Fatalf("reused payload decoded to %+v, a fresh one to %+v", dirty, p)
 		}
 		// Accepted payloads must roundtrip.
 		re, err := p.MarshalBinary()

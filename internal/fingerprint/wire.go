@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // MaxPayloadSize is FinOrg's hard per-user data budget: "data extracted
@@ -86,14 +87,34 @@ func UnmarshalBinary(data []byte) (*Payload, error) {
 // payload held before never shows through. An error leaves the payload
 // empty.
 func (p *Payload) UnmarshalBinary(data []byte) error {
-	err := p.decode(data)
+	return p.unmarshal(data, false)
+}
+
+// UnmarshalBinaryBorrowed is UnmarshalBinary without its one
+// allocation: p.UserAgent is a view of data (BorrowUserAgent), for the
+// serving tier, which holds every frame until its request is answered.
+func (p *Payload) UnmarshalBinaryBorrowed(data []byte) error {
+	return p.unmarshal(data, true)
+}
+
+// BorrowUserAgent sets p.UserAgent to a view of ua, not a copy of it.
+// The string reads whatever ua's bytes hold at the time: it is good
+// until the owner of ua writes to them again, and whoever keeps it
+// longer than that must strings.Clone it first. This is the package's,
+// and the program's, one use of unsafe.
+func (p *Payload) BorrowUserAgent(ua []byte) {
+	p.UserAgent = unsafe.String(unsafe.SliceData(ua), len(ua))
+}
+
+func (p *Payload) unmarshal(data []byte, borrow bool) error {
+	err := p.decode(data, borrow)
 	if err != nil {
 		*p = Payload{Values: p.Values[:0]}
 	}
 	return err
 }
 
-func (p *Payload) decode(data []byte) error {
+func (p *Payload) decode(data []byte, borrow bool) error {
 	if len(data) > MaxPayloadSize {
 		return fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(data))
 	}
@@ -114,7 +135,11 @@ func (p *Payload) decode(data []byte) error {
 		return fmt.Errorf("%w: bad user-agent length", ErrBadPayload)
 	}
 	rest = rest[n:]
-	p.UserAgent = string(rest[:uaLen])
+	if borrow {
+		p.BorrowUserAgent(rest[:uaLen])
+	} else {
+		p.UserAgent = string(rest[:uaLen])
+	}
 	rest = rest[uaLen:]
 
 	nVals, n := binary.Uvarint(rest)

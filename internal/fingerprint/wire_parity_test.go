@@ -130,3 +130,36 @@ func TestDecodeInlineVarintParity(t *testing.T) {
 		}
 	}
 }
+
+// TestUnmarshalBinaryBorrowedAliases pins the two lifetimes: the
+// borrowed decode allocates nothing and its user agent reads the frame's
+// bytes as they are now, the exported pair's is the caller's to keep.
+func TestUnmarshalBinaryBorrowedAliases(t *testing.T) {
+	frame, err := (&Payload{UserAgent: "Mozilla/5.0 Chrome/112.0.0.0", Values: []int64{1, 2, 3}}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var copied, borrowed Payload
+	if err := copied.UnmarshalBinary(frame); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := borrowed.UnmarshalBinaryBorrowed(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("borrowed decode into a reused payload: %v allocs, want 0", n)
+	}
+	if borrowed.UserAgent != copied.UserAgent {
+		t.Fatalf("borrowed %q, copied %q", borrowed.UserAgent, copied.UserAgent)
+	}
+	for i := range frame {
+		frame[i] = 0xAA
+	}
+	if copied.UserAgent != "Mozilla/5.0 Chrome/112.0.0.0" {
+		t.Fatalf("UnmarshalBinary's user agent follows the frame: %q", copied.UserAgent)
+	}
+	if want := string(bytes.Repeat([]byte{0xAA}, len(copied.UserAgent))); borrowed.UserAgent != want {
+		t.Fatalf("UnmarshalBinaryBorrowed's user agent is a copy: %q", borrowed.UserAgent)
+	}
+}

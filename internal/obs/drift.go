@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"polygraph/internal/drift"
@@ -52,9 +54,19 @@ type DriftConfig struct {
 }
 
 // DriftMonitor is safe for concurrent Observe/Evaluate/WriteMetrics.
-// Observe takes one short mutex section per accepted request — noise
-// next to a score, and the reservoir copy is a few hundred floats.
+// Observe costs an accepted request one atomic add and one atomic load:
+// the reservoir is sampled by skip-ahead (Li's Algorithm L, TOMS 1994),
+// which draws how many observations to pass over instead of a number
+// per observation, so mu is taken only by the vectors that enter the
+// reservoir — the first Reservoir of a window, then about
+// Reservoir·ln(N/Reservoir) of the next N.
 type DriftMonitor struct {
+	// seen counts every accepted vector since the monitor was built.
+	// next is the value of seen at which the next vector enters the
+	// reservoir: 0 while a window fills, so that every vector does.
+	seen atomic.Uint64
+	next atomic.Uint64
+
 	mu       sync.Mutex
 	features []string
 	baseline [][]float64
@@ -65,11 +77,13 @@ type DriftMonitor struct {
 	// deployed model" (stale model) apart from ordinary drift.
 	baselineAt time.Time
 	res        [][]float64
-	seen       uint64
 	rng        *rng.PCG
-	resSize    int
-	minEval    int
-	log        *slog.Logger
+	// w is Algorithm L's running maximum of the keys it never
+	// materialises; the next skip is drawn from it.
+	w       float64
+	resSize int
+	minEval int
+	log     *slog.Logger
 
 	evals   uint64
 	latest  []drift.PSIResult
@@ -113,9 +127,12 @@ func NewDriftMonitor(cfg DriftConfig) (*DriftMonitor, error) {
 }
 
 // SetBaseline replaces the comparison baseline, deterministically
-// subsampling to maxRows (0 keeps 512). polygraphd calls this after a
-// successful SIGHUP retrain so drift is always measured against the
-// deployed model's training distribution.
+// subsampling to maxRows (0 keeps 512), and restarts the sampling
+// window: the reservoir empties and fills again from the traffic that
+// follows, so the new baseline is never compared against vectors seen
+// before it. polygraphd calls this after a successful SIGHUP retrain so
+// drift is always measured against the deployed model's training
+// distribution. Seen keeps counting across windows.
 func (m *DriftMonitor) SetBaseline(rows [][]float64, maxRows int) error {
 	dim := len(m.features)
 	for i, r := range rows {
@@ -142,36 +159,55 @@ func (m *DriftMonitor) SetBaseline(rows [][]float64, maxRows int) error {
 	m.mu.Lock()
 	m.baseline = copied
 	m.baselineAt = time.Now()
+	m.res = m.res[:0]
+	m.next.Store(0)
 	m.mu.Unlock()
 	return nil
 }
 
-// Observe feeds one accepted feature vector into the reservoir
-// (algorithm R with the monitor's own PCG stream; the vector is copied,
-// so callers may reuse their buffer). Vectors of the wrong width are
-// dropped — the scoring path already rejected them upstream.
+// Observe feeds one accepted feature vector into the reservoir (the
+// vector is copied, so callers may reuse their buffer). Vectors of the
+// wrong width are dropped — the scoring path already rejected them
+// upstream. The sample is uniform over the window, and for one seed and
+// one serial order of calls it is always the same sample.
 func (m *DriftMonitor) Observe(v []float64) {
 	if len(v) != len(m.features) {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.seen++
-	if len(m.res) < m.resSize {
-		m.res = append(m.res, append([]float64(nil), v...))
-		return
-	}
-	if j := m.rng.Uint64n(m.seen); j < uint64(m.resSize) {
-		copy(m.res[j], v)
+	if n := m.seen.Add(1); n >= m.next.Load() {
+		m.enter(n, v)
 	}
 }
 
-// Seen returns how many vectors Observe has accepted.
-func (m *DriftMonitor) Seen() uint64 {
+// enter is Observe's slow path: v, the n-th vector seen, fills the
+// window or replaces a uniformly drawn row, and the index of the next
+// vector to do so is drawn. Concurrent callers reach the lock in any
+// order, so the row goes to the first of them at or past next and the
+// others find next already moved on.
+func (m *DriftMonitor) enter(n uint64, v []float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.seen
+	next := m.next.Load()
+	switch {
+	case len(m.res) < m.resSize:
+		m.res = append(m.res, append([]float64(nil), v...))
+		if len(m.res) < m.resSize {
+			return
+		}
+		m.w, next = 1, n
+	case n < next:
+		return
+	default:
+		copy(m.res[m.rng.Uint64n(uint64(m.resSize))], v)
+	}
+	// 1 − Float64() is in (0, 1]: its logarithm is finite.
+	m.w *= math.Exp(math.Log(1-m.rng.Float64()) / float64(m.resSize))
+	skip := math.Floor(math.Log(1-m.rng.Float64()) / math.Log1p(-m.w))
+	m.next.Store(next + uint64(skip) + 1)
 }
+
+// Seen returns how many vectors Observe has accepted.
+func (m *DriftMonitor) Seen() uint64 { return m.seen.Load() }
 
 // Evaluate computes per-feature PSI of the current reservoir against
 // the baseline, retaining the results for WriteMetrics and logging a
@@ -181,9 +217,9 @@ func (m *DriftMonitor) Seen() uint64 {
 // yet).
 func (m *DriftMonitor) Evaluate() ([]drift.PSIResult, error) {
 	m.mu.Lock()
-	if len(m.res) < m.minEval {
+	if n := len(m.res); n < m.minEval {
 		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d/%d samples", ErrDriftNotReady, len(m.res), m.minEval)
+		return nil, fmt.Errorf("%w: %d/%d samples", ErrDriftNotReady, n, m.minEval)
 	}
 	current := make([][]float64, len(m.res))
 	for i, r := range m.res {
@@ -260,7 +296,7 @@ func (m *DriftMonitor) WriteMetrics(w io.Writer) {
 	alerted := m.alerted
 	evals := m.evals
 	resLen := len(m.res)
-	seen := m.seen
+	seen := m.seen.Load()
 	baselineAt := m.baselineAt
 	m.mu.Unlock()
 

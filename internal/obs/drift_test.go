@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"log/slog"
+	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"polygraph/internal/drift"
@@ -205,4 +210,217 @@ func TestDriftMonitorBaselineTimestampGauge(t *testing.T) {
 	if problems, err := Lint(strings.NewReader(after.String())); err != nil || len(problems) != 0 {
 		t.Fatalf("drift exposition fails lint: %v %v", problems, err)
 	}
+}
+
+// positions runs the stream 0, 1, …, n−1 through a fresh monitor, one
+// single-feature vector per position, and returns the positions its
+// reservoir holds.
+func positions(t testing.TB, seed uint64, k, n int) []int {
+	t.Helper()
+	m, err := NewDriftMonitor(DriftConfig{Features: []string{"pos"}, Reservoir: k, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		m.Observe([]float64{float64(i)})
+	}
+	out := make([]int, len(m.res))
+	for i, row := range m.res {
+		out[i] = int(row[0])
+	}
+	return out
+}
+
+// The skip-ahead sampler must keep what algorithm R promised: every
+// position of the stream is in the reservoir with probability k/n. Over
+// many seeds the retention counts are binomial(seeds, k/n) per position,
+// so their normalised squared deviations sum to about n; the bound is
+// six standard deviations of a χ² with n degrees above that.
+func TestDriftMonitorReservoirUniform(t *testing.T) {
+	const k, seeds = 8, 4000
+	for _, n := range []int{k + 2, 40 * k} {
+		kept := make([]int, n)
+		for seed := uint64(1); seed <= seeds; seed++ {
+			got := positions(t, seed, k, n)
+			if len(got) != k {
+				t.Fatalf("n=%d seed %d: reservoir holds %d rows, want %d", n, seed, len(got), k)
+			}
+			for _, pos := range got {
+				kept[pos]++
+			}
+		}
+		p := float64(k) / float64(n)
+		var chi2 float64
+		for _, c := range kept {
+			d := float64(c) - seeds*p
+			chi2 += d * d / (seeds * p * (1 - p))
+		}
+		if bound := float64(n) + 6*math.Sqrt(2*float64(n)); chi2 > bound {
+			t.Errorf("n=%d: χ² of the retention counts %.1f, bound %.1f (counts %v)", n, chi2, bound, kept)
+		}
+	}
+}
+
+// One seed, one serial order, one reservoir: the sample is part of what
+// a fixed-seed run reproduces, so a change to the sampler's draws shows
+// up here, not as an unexplained polygraph_feature_psi.
+func TestDriftMonitorGoldenReservoir(t *testing.T) {
+	got := positions(t, 7, 4, 200)
+	if want := []int{119, 178, 54, 9}; !slices.Equal(got, want) {
+		t.Fatalf("seed 7, 4 of 200: reservoir %v, want %v", got, want)
+	}
+}
+
+// Concurrent Observe against everything that takes the monitor's lock:
+// the count is exact, every reservoir row is one whole vector (each
+// observed vector repeats one value), and a window restarted under the
+// observers' feet still fills.
+func TestDriftMonitorConcurrentObserve(t *testing.T) {
+	const goroutines, each, dim = 4, 20000, 8
+	features := make([]string, dim)
+	for i := range features {
+		features[i] = fmt.Sprintf("f%d", i)
+	}
+	baseline := make([][]float64, 64)
+	for i := range baseline {
+		baseline[i] = make([]float64, dim)
+	}
+	m, err := NewDriftMonitor(DriftConfig{Features: features, Baseline: baseline, Reservoir: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := func() {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for _, row := range m.res {
+			for _, x := range row {
+				if x != row[0] {
+					t.Errorf("torn reservoir row %v", row)
+					return
+				}
+			}
+		}
+	}
+	stop := make(chan struct{})
+	var readers, observers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m.Evaluate()
+			m.WriteMetrics(io.Discard)
+			whole()
+			if i%8 == 0 {
+				if err := m.SetBaseline(baseline, 0); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}()
+	for g := 0; g < goroutines; g++ {
+		observers.Add(1)
+		go func(g int) {
+			defer observers.Done()
+			v := make([]float64, dim)
+			for i := 0; i < each; i++ {
+				for j := range v {
+					v[j] = float64(g*each + i)
+				}
+				m.Observe(v)
+			}
+		}(g)
+	}
+	observers.Wait()
+	close(stop)
+	readers.Wait()
+	if got := m.Seen(); got != goroutines*each {
+		t.Fatalf("Seen() = %d after %d observations", got, goroutines*each)
+	}
+	whole()
+	for i := 0; i < 64; i++ {
+		m.Observe(make([]float64, dim))
+	}
+	if len(m.res) != 64 {
+		t.Fatalf("reservoir holds %d rows after the last window restart, want 64", len(m.res))
+	}
+}
+
+// A retrain installs a new baseline, and the traffic it is compared
+// against must be the traffic that follows it: an all-time reservoir
+// would go on holding the population the old model served.
+func TestDriftMonitorSetBaselineRestartsWindow(t *testing.T) {
+	m, err := NewDriftMonitor(DriftConfig{
+		Features:   []string{"f0", "f1"},
+		Baseline:   driftRows(1, 400, 0, 10),
+		Reservoir:  128,
+		MinSamples: 64,
+		Seed:       2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range driftRows(3, 2000, 0, 10) {
+		m.Observe(v)
+	}
+	shifted := driftRows(4, 2000, 50, 10)
+	for _, v := range shifted {
+		m.Observe(v)
+	}
+	if results, err := m.Evaluate(); err != nil || !drift.AnyAlert(results) {
+		t.Fatalf("shifted traffic did not alert: %+v, %v", results, err)
+	}
+	if err := m.SetBaseline(shifted, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Evaluate(); !errors.Is(err, ErrDriftNotReady) {
+		t.Fatalf("evaluated an empty window: %v", err)
+	}
+	for _, v := range driftRows(5, 64, 50, 10) {
+		m.Observe(v)
+	}
+	results, err := m.Evaluate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drift.AnyAlert(results) {
+		t.Fatalf("traffic that matches the new baseline alerts: %+v", results)
+	}
+	if got := m.Seen(); got != 4064 {
+		t.Fatalf("Seen() = %d, want 4064: the count does not restart with the window", got)
+	}
+}
+
+// BenchmarkDriftObserve is the sampler alone. The parallel case is
+// printed for the record, not as evidence either way: a tight loop lets
+// one goroutine keep a mutex to itself, which a served request never
+// does (internal/collect's BenchmarkTCPBatchScoreParallel is the
+// contended measurement).
+func BenchmarkDriftObserve(b *testing.B) {
+	newMonitor := func() *DriftMonitor {
+		m, err := NewDriftMonitor(DriftConfig{Features: make([]string, 28), Reservoir: 512, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	b.Run("serial", func(b *testing.B) {
+		m, v := newMonitor(), make([]float64, 28)
+		for i := 0; i < b.N; i++ {
+			m.Observe(v)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		m := newMonitor()
+		b.RunParallel(func(pb *testing.PB) {
+			v := make([]float64, 28)
+			for pb.Next() {
+				m.Observe(v)
+			}
+		})
+	})
 }

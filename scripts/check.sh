@@ -5,8 +5,8 @@
 # roadmap call "tier-1 green"), vet — of this module and of the
 # benchmark module under bench/, whose seam.go pins the symbols the
 # benchmark calls — the one-ingest-core, explanations-are-derived,
-# one-daemon-wiring, one-segment-writer, per-row-kernel (score kernel
-# included) and one-operator-binary-one-perf-line guards, the
+# one-use-of-unsafe, one-daemon-wiring, one-segment-writer, per-row-kernel
+# (score kernel included) and one-operator-binary-one-perf-line guards, the
 # race-detector pass that
 # guards the internal/parallel worker-pool layer and the collect
 # hot-swap/stats paths, and five seconds of fuzzing per fuzz target.
@@ -57,6 +57,14 @@ done
 echo "== explanations are derived, not stored"
 n=$(cat internal/collect/ingest.go internal/collect/server.go internal/collect/coalesce.go internal/collect/tcp.go | grep -cF -- 'ExplainResult(' || true)
 [ "$n" -eq 0 ] || { echo "check.sh: $n calls of ExplainResult( on internal/collect's request path, want 0" >&2; exit 1; }
+
+# One use of unsafe: the decoded user agent is a view of the request's
+# bytes (fingerprint.Payload.BorrowUserAgent, with its lifetime rule
+# beside it). A second importer is a second lifetime to reason about.
+echo "== one use of unsafe"
+sites=$(grep -rlF --include='*.go' --exclude='*_test.go' -- '"unsafe"' cmd internal | tr '\n' ' ')
+[ "$sites" = "internal/fingerprint/wire.go " ] || {
+    echo "check.sh: \"unsafe\" is imported by: ${sites}— want internal/fingerprint/wire.go alone" >&2; exit 1; }
 
 # One daemon wiring: internal/serving is the only place in cmd/ and
 # internal/ that constructs a collect server or its TCP listener, so
