@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"polygraph/internal/pipeline"
+	"polygraph/internal/pipeline/pipelinetest"
 	"polygraph/internal/ua"
 )
 
@@ -32,40 +34,78 @@ func TestTrainContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestTrainContextCancelMidTrain measures an uncancelled baseline, then
-// cancels a fresh run a fraction of the way in and requires ErrCanceled.
-// The deadline adapts to the machine; boxes too fast to cancel reliably
-// skip instead of flaking.
+// stageEnds is a pipeline.SpanRecorder that notes, as each training stage
+// finishes, how many context checks the run has made so far.
+type stageEnds struct {
+	ctx    *pipelinetest.CountingCtx
+	names  []string
+	checks []int
+}
+
+func (s *stageEnds) RecordSpan(name string, _ time.Time, _ time.Duration) {
+	s.names = append(s.names, name)
+	s.checks = append(s.checks, s.ctx.Calls())
+}
+
+// TestTrainContextCancelMidTrain cancels a training run at every one of
+// the context checks a full run performs and requires, each time,
+// ErrCanceled attributed to the stage that check belongs to, and no
+// model. The checks sit at points fixed by the input (per stage, per
+// tree, per k-means++ pick and Lloyd iteration), so this is the same
+// sweep on every machine.
 func TestTrainContextCancelMidTrain(t *testing.T) {
-	samples, ext := trainFixture(t, 1200)
+	samples, ext := trainFixture(t, 40)
 	cfg := DefaultTrainConfig()
 	cfg.K = 8
-	cfg.Contamination = 0
-	cfg.Workers = 1
+	cfg.Contamination = 0.01
+	cfg.IsolationTrees = 10
+	cfg.KMeansRestarts = 2
+	cfg.NoveltyGuard = true
 	cfg.Reference = ExtractorReference{Extractor: ext, OS: ua.Windows10}
 
-	start := time.Now()
-	if _, _, err := TrainContext(context.Background(), samples, cfg); err != nil {
+	ends := &stageEnds{}
+	ends.ctx = pipelinetest.NewCountingCtx(pipeline.WithSpanRecorder(context.Background(), ends), math.MaxInt)
+	under, _, err := TrainContext(ends.ctx, samples, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := time.Since(start)
-	if baseline < 10*time.Millisecond {
-		t.Skipf("baseline train %v too fast to cancel mid-flight", baseline)
+	total := ends.ctx.Calls()
+	if len(ends.names) != 6 || total != ends.checks[5] {
+		t.Fatalf("stages %v ended at checks %v of %d", ends.names, ends.checks, total)
+	}
+	// Every stage starts with a check; the forest adds one per tree and
+	// k-means one per pick and iteration.
+	if least := 6 + cfg.IsolationTrees + cfg.KMeansRestarts*(cfg.K-1+2); total < least {
+		t.Fatalf("training performed %d ctx checks, want at least %d", total, least)
 	}
 
-	for attempt := 0; attempt < 5; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), baseline/20)
-		_, _, err := TrainContext(ctx, samples, cfg)
-		cancel()
-		if err == nil {
-			continue // timing noise let this run finish; try again
+	stage := 0
+	for i := 1; i <= total; i++ {
+		for i > ends.checks[stage] {
+			stage++
 		}
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("want ErrCanceled, got %v", err)
+		m, rep, err := TrainContext(pipelinetest.NewCountingCtx(context.Background(), i-1), samples, cfg)
+		if m != nil || rep != nil || !errors.Is(err, ErrCanceled) {
+			t.Fatalf("cancel at check %d of %d: model %v, report %v, err %v", i, total, m, rep, err)
 		}
-		return
+		var se *pipeline.StageError
+		if !errors.As(err, &se) || se.Stage != ends.names[stage] {
+			t.Fatalf("cancel at check %d of %d: %v, want stage %q", i, total, err, ends.names[stage])
+		}
 	}
-	t.Skip("train completed before the deadline on every attempt")
+
+	// A run that completes under a context is the run without one.
+	plain, _, err := Train(samples, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := under.Hash(); err != nil || got != want {
+		t.Fatalf("model trained under a context hashes %s (%v), without one %s", got, err, want)
+	}
 }
 
 func TestTrainReportStages(t *testing.T) {

@@ -30,7 +30,6 @@ func TestModelGolden(t *testing.T) {
 		want string
 	}{
 		{"default", func(*core.TrainConfig) {}, "29810d1176c2365d36e2fb5ffb68836c"},
-		{"workers-1", func(c *core.TrainConfig) { c.Workers = 1 }, "29810d1176c2365d36e2fb5ffb68836c"},
 		{"novelty-guard", func(c *core.TrainConfig) { c.NoveltyGuard = true }, "1ffec00e17a2a12cf44a08c19f2bd908"},
 		{"disable-pca", func(c *core.TrainConfig) { c.DisablePCA = true }, "ad6e040a90bf9061b046906a3251f339"},
 	}

@@ -8,13 +8,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/kmeans"
-	"polygraph/internal/parallel"
 	"polygraph/internal/pca"
 	"polygraph/internal/pipeline"
 	"polygraph/internal/scaler"
@@ -184,21 +184,21 @@ func (m *Model) scoreSlow(vector []float64, claimed ua.Release) (Result, error) 
 	return res, nil
 }
 
-// ScoreBatch scores many sessions at once, fanning the rows out over the
-// shared worker pool (GOMAXPROCS workers). Row i of the result is exactly
-// what Score(vectors[i], claims[i]) returns — batching changes throughput,
+// ScoreBatch scores many sessions at once, splitting a large batch over
+// GOMAXPROCS goroutines. Row i of the result is exactly what
+// Score(vectors[i], claims[i]) returns — batching changes throughput,
 // never outcomes — which makes it the offline/backfill counterpart of the
 // per-request Score path (paper §6.4: 205k sessions scored in one pass).
 func (m *Model) ScoreBatch(vectors [][]float64, claims []ua.Release) ([]Result, error) {
 	return m.ScoreBatchContext(context.Background(), vectors, claims, 0)
 }
 
-// ScoreBatchContext is ScoreBatch with an explicit pool size (0 =
-// GOMAXPROCS, 1 = serial) and cooperative cancellation at chunk
-// boundaries: a cancelled batch returns an error matching
-// errors.Is(err, ErrCanceled) within one chunk of work. A batch that
-// completes is bit-identical to ScoreBatch's — rows are independent and
-// chunk geometry never depends on the context.
+// ScoreBatchContext is ScoreBatch with an explicit goroutine bound (0 =
+// GOMAXPROCS, 1 = the caller's goroutine alone) and cooperative
+// cancellation: a cancelled batch returns an error matching
+// errors.Is(err, ErrCanceled). A batch that completes is bit-identical to
+// ScoreBatch's — rows are independent. Bad rows are errors; a row that
+// panics (a corrupted model) takes the process down, not just the batch.
 func (m *Model) ScoreBatchContext(ctx context.Context, vectors [][]float64, claims []ua.Release, workers int) ([]Result, error) {
 	if len(vectors) != len(claims) {
 		return nil, fmt.Errorf("core: %w: %d vectors vs %d claims", ErrBadInput, len(vectors), len(claims))
@@ -212,9 +212,8 @@ func (m *Model) ScoreBatchContext(ctx context.Context, vectors [][]float64, clai
 // raw user-agent strings: row i of a completed batch is exactly what
 // ScoreString(vectors[i], userAgents[i]) returns — including the
 // unparseable-user-agent rule (cluster predicted, Matched false,
-// RiskFactor ua.MaxDistance). Dispatch is the same adaptive
-// parallel.PlanFor crossover as ScoreBatchContext; on error the
-// lowest-index bad row is reported.
+// RiskFactor ua.MaxDistance). On error the lowest-index bad row is
+// reported.
 func (m *Model) ScoreStringBatchContext(ctx context.Context, vectors [][]float64, userAgents []string, workers int) ([]Result, error) {
 	if len(vectors) != len(userAgents) {
 		return nil, fmt.Errorf("core: %w: %d vectors vs %d user-agents", ErrBadInput, len(vectors), len(userAgents))
@@ -224,14 +223,26 @@ func (m *Model) ScoreStringBatchContext(ctx context.Context, vectors [][]float64
 	})
 }
 
+const (
+	// batchSplitRows is the fewest rows scoreRows gives a goroutine:
+	// about 0.2 ms of scoring, below which starting one costs more than
+	// it saves.
+	batchSplitRows = 512
+	// batchCancelRows is how many rows scoreRows scores between looks at
+	// the context.
+	batchCancelRows = 1024
+)
+
 // scoreRows is the row loop both batch scorers share. Every row goes
-// through the serial entry point (ScoreWith or ScoreStringWith) with one
-// pooled scratch per chunk, so parity with the per-request path is by
-// construction. Small or cheap batches run serially — the crossover is
-// decided from the plan's per-row cost estimate, so the batch path
-// never loses to a plain loop. On error the failure of the lowest-index
-// bad row is reported, which keeps the error deterministic under
-// concurrency.
+// through the serial entry point (ScoreWith or ScoreStringWith), so
+// parity with the per-request path is by construction. The batch is cut
+// into one contiguous span of at least batchSplitRows rows per goroutine,
+// at most workers of them (0 = GOMAXPROCS) counting the caller's, each
+// with one pooled scratch; it is the one fan-out of the train/score
+// stack, kept because it measures ×1.8 on two processors. On error the
+// failure of the lowest-index bad row is reported, which keeps the error
+// deterministic under concurrency. A panic in row on a spawned goroutine
+// is not recovered: it ends the process.
 func (m *Model) scoreRows(ctx context.Context, what string, n, workers int, row func(s *Scratch, i int) (Result, error)) ([]Result, error) {
 	if err := m.checkTrained(); err != nil {
 		return nil, err
@@ -239,12 +250,21 @@ func (m *Model) scoreRows(ctx context.Context, what string, n, workers int, row 
 	// Report into a request trace when the ingress attached one (see
 	// pipeline.SpanRecorder); a bare context makes this a no-op.
 	defer pipeline.StartSpan(ctx, "score-batch")()
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, n/batchSplitRows))
 	out := make([]Result, n)
-	var mu sync.Mutex
-	errIdx, errVal := -1, error(nil)
 	p := m.scorePlanNow()
-	plan := parallel.PlanFor(workers, n, p.perItemNs)
-	if err := parallel.ForContext(ctx, plan.Workers, n, plan.Chunk, func(start, end int) {
+	span := (n + workers - 1) / workers
+	// bad[w] is span w's first failure: spans ascend, so the first entry
+	// set is the batch's lowest-index bad row.
+	type rowErr struct {
+		i   int
+		err error
+	}
+	bad := make([]rowErr, workers)
+	score := func(w int) {
 		// An inconsistent model has no plan to draw scratch from; the
 		// row functions then take the component path, which needs none.
 		var s *Scratch
@@ -252,23 +272,38 @@ func (m *Model) scoreRows(ctx context.Context, what string, n, workers int, row 
 			s = p.getScratch()
 			defer p.putScratch(s)
 		}
-		for i := start; i < end; i++ {
+		lo := w * span
+		for i, hi := lo, min(lo+span, n); i < hi; i++ {
+			if (i-lo)%batchCancelRows == 0 && ctx.Err() != nil {
+				return
+			}
 			res, err := row(s, i)
 			if err != nil {
-				mu.Lock()
-				if errIdx == -1 || i < errIdx {
-					errIdx, errVal = i, err
+				if bad[w].err == nil {
+					bad[w] = rowErr{i, err}
 				}
-				mu.Unlock()
 				continue
 			}
 			out[i] = res
 		}
-	}); err != nil {
+	}
+	var wg sync.WaitGroup
+	for w := 1; w*span < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			score(w)
+		}()
+	}
+	score(0)
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", what, pipeline.Canceled(err))
 	}
-	if errVal != nil {
-		return nil, fmt.Errorf("core: %s row %d: %w", what, errIdx, errVal)
+	for _, b := range bad {
+		if b.err != nil {
+			return nil, fmt.Errorf("core: %s row %d: %w", what, b.i, b.err)
+		}
 	}
 	return out, nil
 }

@@ -79,9 +79,6 @@ type scorePlan struct {
 	uaNames       []string
 	clusterLabels []string
 
-	// perItemNs estimates one Score's cost for parallel.PlanFor.
-	perItemNs float64
-
 	scratch sync.Pool // of *Scratch
 }
 
@@ -205,8 +202,6 @@ func buildScorePlan(m *Model) *scorePlan {
 		p.featNames[j] = f.Name()
 	}
 
-	flops := dim + p.pcaK*dim + p.k*p.cdim
-	p.perItemNs = 50 + 1.5*float64(flops)
 	p.valid = true
 	return p
 }

@@ -3,14 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/iforest"
 	"polygraph/internal/kmeans"
 	"polygraph/internal/matrix"
-	"polygraph/internal/parallel"
 	"polygraph/internal/pca"
 	"polygraph/internal/pipeline"
 	"polygraph/internal/scaler"
@@ -83,11 +81,6 @@ type TrainConfig struct {
 	Reference ReferenceProvider
 	// VersionDivisor is Algorithm 1's divisor (default 4).
 	VersionDivisor int
-	// Workers sizes the worker pool behind every numeric stage (isolation
-	// forest, PCA, k-means, batch prediction): 0 means GOMAXPROCS, 1
-	// forces the serial path. The trained model is bit-identical for
-	// every value — see internal/parallel's determinism contract.
-	Workers int
 }
 
 // ReferenceProvider returns the legitimate fingerprint vector of a
@@ -122,8 +115,7 @@ type TrainReport struct {
 	// its majority cluster.
 	PerUAMajority map[ua.Release]float64
 	// Stages records the executed pipeline stages in order: name, wall
-	// time, rows in/out. Instrumentation never perturbs results — stage
-	// boundaries and chunk geometry are fixed by the input alone.
+	// time, rows in/out.
 	Stages []pipeline.Timing
 }
 
@@ -153,13 +145,13 @@ func Train(samples []Sample, cfg TrainConfig) (*Model, *TrainReport, error) {
 // TrainContext is Train under a context: every stage of the §6.4
 // pipeline (scale → iforest filter → PCA → k-means → cluster-table) runs
 // through an internal/pipeline Runner that records wall time and rows
-// in/out into TrainReport.Stages and checks ctx at chunk boundaries, so
-// cancelling mid-train aborts within one chunk of work and returns an
-// error matching errors.Is(err, ErrCanceled) with the failing stage
-// attached (pipeline.StageError). Invalid samples or configuration
-// return ErrBadInput. A run that completes is bit-identical to Train's —
-// cancellation checks and instrumentation never change chunk geometry or
-// reduction order.
+// in/out into TrainReport.Stages. Training is one goroutine; the stages
+// check ctx between their passes over the rows (per isolation tree, per
+// k-means++ pick and Lloyd iteration), so cancelling mid-train aborts
+// within one such pass and returns an error matching
+// errors.Is(err, ErrCanceled) with the failing stage attached
+// (pipeline.StageError). Invalid samples or configuration return
+// ErrBadInput. A run that completes is bit-identical to Train's.
 func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Model, *TrainReport, error) {
 	cfg = cfg.WithDefaults()
 	if len(cfg.Features) == 0 {
@@ -221,7 +213,7 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 	if !cfg.DisableOutlierFilter && cfg.Contamination > 0 {
 		err := run.Run(StageFilter, len(samples), func(ctx context.Context) (int, error) {
 			forest, err := iforest.FitContext(ctx, scaled, iforest.Config{
-				Trees: cfg.IsolationTrees, Seed: cfg.Seed, Workers: cfg.Workers,
+				Trees: cfg.IsolationTrees, Seed: cfg.Seed,
 			})
 			if err != nil {
 				return 0, err
@@ -256,7 +248,7 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 				return 0, err
 			}
 			report.CumulativeVariance = p.CumulativeVariance()
-			clusterInput, err = p.TransformContext(ctx, keptScaled, cfg.Workers)
+			clusterInput, err = p.TransformContext(ctx, keptScaled)
 			if err != nil {
 				return 0, err
 			}
@@ -277,7 +269,6 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 			Seed:     cfg.Seed,
 			Restarts: cfg.KMeansRestarts,
 			PlusPlus: true,
-			Workers:  cfg.Workers,
 		})
 		if err != nil {
 			return 0, err
@@ -303,26 +294,16 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 	// trips it and surfaces beyond the training population's territory
 	// do.
 	if cfg.NoveltyGuard {
-		err := run.Run(StageNovelty, len(kept), func(ctx context.Context) (int, error) {
+		err := run.Run(StageNovelty, len(kept), func(context.Context) (int, error) {
 			// The largest distance over the rows is the largest over
 			// the distinct rows.
-			rows := clusterInput.DistinctRows()
-			maxDist, err := parallel.MapReduceContext(ctx, cfg.Workers, len(rows.First), 0,
-				func() float64 { return 0 },
-				func(acc float64, start, end int) float64 {
-					for _, i := range rows.First[start:end] {
-						// One-pass nearest + distance; bit-identical to
-						// Distance(row, Predict(row)) at half the work.
-						if _, d := km.AssignDistance(clusterInput.RawRow(i)); d > acc {
-							acc = d
-						}
-					}
-					return acc
-				},
-				func(into, from float64) float64 { return math.Max(into, from) },
-			)
-			if err != nil {
-				return 0, err
+			maxDist := 0.0
+			for _, i := range clusterInput.DistinctRows().First {
+				// One-pass nearest + distance; bit-identical to
+				// Distance(row, Predict(row)) at half the work.
+				if _, d := km.AssignDistance(clusterInput.RawRow(i)); d > maxDist {
+					maxDist = d
+				}
 			}
 			model.NoveltyThreshold = maxDist * 1.15
 			return len(kept), nil
@@ -335,8 +316,8 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 	// Stage 5: label clusters by user-agent majority and align rare
 	// user-agents with reference fingerprints (§6.4.3). Rows out is the
 	// size of the UA→cluster table the stage distills.
-	err = run.Run(StageClusterTable, len(kept), func(ctx context.Context) (int, error) {
-		assign, err := km.PredictAllContext(ctx, clusterInput, cfg.Workers)
+	err = run.Run(StageClusterTable, len(kept), func(context.Context) (int, error) {
+		assign, err := km.PredictAll(clusterInput)
 		if err != nil {
 			return 0, err
 		}

@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"polygraph/internal/matrix"
-	"polygraph/internal/parallel"
 	"polygraph/internal/rng"
 )
 
@@ -24,10 +23,6 @@ type Config struct {
 	SampleSize int
 	// Seed drives deterministic construction.
 	Seed uint64
-	// Workers sizes the pool for tree construction and ScoreAll; 0 means
-	// GOMAXPROCS, 1 forces serial. Every tree draws from its own PCG
-	// stream split from Seed, so the forest is identical for every value.
-	Workers int
 }
 
 // Forest is a fitted isolation forest.
@@ -35,10 +30,6 @@ type Forest struct {
 	trees      []*node
 	sampleSize int
 	dim        int
-	// workers is the pool size Config requested at fit time; ScoreAll and
-	// FilterContamination reuse it (0 = GOMAXPROCS). Not serialized —
-	// loaded forests default to the machine width.
-	workers int
 
 	// Flat structure-of-arrays mirror of trees, built once by finalize()
 	// after Fit/Import so scoring walks contiguous slices instead of
@@ -75,10 +66,9 @@ func Fit(m *matrix.Dense, cfg Config) (*Forest, error) {
 	return FitContext(context.Background(), m, cfg)
 }
 
-// FitContext is Fit with cooperative cancellation: the serial sampling
-// pass checks ctx once per tree and the parallel build checks it at
-// every tree boundary, so cancellation aborts within one tree of work. A
-// forest that finishes fitting is bit-identical to Fit's.
+// FitContext is Fit with cooperative cancellation: ctx is checked once
+// per tree, so cancellation aborts within one tree of work. A forest
+// that finishes fitting is bit-identical to Fit's.
 func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Forest, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -100,36 +90,24 @@ func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Forest, erro
 	}
 	maxDepth := int(math.Ceil(math.Log2(float64(psi)))) + 1
 
-	f := &Forest{sampleSize: psi, dim: d, trees: make([]*node, trees), workers: cfg.Workers}
-	// Sampling walks one shared shuffle state across trees (tree t's ψ
-	// rows depend on every earlier shuffle), so it runs serially up
-	// front — O(trees·n) swaps, noise next to tree construction. Each
-	// tree's PCG stream is then left exactly where buildTree expects it,
-	// and the expensive part — building — fans out over the pool. The
-	// forest is bit-identical for every worker count.
+	f := &Forest{sampleSize: psi, dim: d, trees: make([]*node, trees)}
+	// Sampling walks one shuffle state across trees: tree t's ψ rows
+	// depend on every earlier shuffle. Each tree draws its sample and
+	// then its splits from its own PCG stream split from Seed.
 	base := rng.New(cfg.Seed)
-	gens := make([]*rng.PCG, trees)
-	samples := make([][]int, trees)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	for t := 0; t < trees; t++ {
+	for t := range f.trees {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		gen := base.Split(fmt.Sprintf("tree-%d", t))
-		// Sample ψ rows without replacement.
+		// Sample ψ rows without replacement. buildTree only reads the
+		// sample, so it can borrow the shuffle's prefix.
 		gen.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		gens[t] = gen
-		samples[t] = append([]int(nil), idx[:psi]...)
-	}
-	if err := parallel.ForContext(ctx, cfg.Workers, trees, 1, func(start, end int) {
-		for t := start; t < end; t++ {
-			f.trees[t] = buildTree(m, samples[t], 0, maxDepth, gens[t])
-		}
-	}); err != nil {
-		return nil, err
+		f.trees[t] = buildTree(m, idx[:psi], 0, maxDepth, gen)
 	}
 	f.finalize()
 	return f, nil
@@ -301,45 +279,34 @@ func (f *Forest) pathLengthFlat(t int, x []float64) float64 {
 	return depth + f.flatAdj[i]
 }
 
-// scoreCostNs estimates one row's scoring cost for adaptive dispatch:
-// every tree walks ~log2(ψ)+1 nodes at a handful of ns per node.
-func (f *Forest) scoreCostNs() float64 {
-	depth := 1.0
-	if f.sampleSize > 1 {
-		depth = math.Log2(float64(f.sampleSize)) + 1
-	}
-	return 100 + 8*float64(len(f.trees))*depth
-}
-
-// ScoreAll scores every row of data over the worker pool sized at fit
-// time (rows are independent, so pool size never changes the scores).
+// ScoreAll scores every row of data.
 func (f *Forest) ScoreAll(data *matrix.Dense) ([]float64, error) {
-	return f.ScoreAllWorkers(data, f.workers)
+	return f.ScoreAllContext(context.Background(), data)
 }
 
-// ScoreAllWorkers is ScoreAll with an explicit pool size (0 = GOMAXPROCS,
-// 1 = serial).
-func (f *Forest) ScoreAllWorkers(data *matrix.Dense, workers int) ([]float64, error) {
-	return f.ScoreAllContext(context.Background(), data, workers)
-}
+// scoreBlock is how many rows scoreRows takes at a time: a block's rows
+// stay in cache while each tree in turn is walked over them.
+const scoreBlock = 1024
 
-// ScoreAllContext is ScoreAllWorkers with cooperative cancellation at
-// chunk boundaries. A score is a pure function of the row's bits, so each
+// ScoreAllContext is ScoreAll with cooperative cancellation at block
+// boundaries. A score is a pure function of the row's bits, so each
 // class of bitwise-equal rows is scored once, on its first row, and the
-// result copied to the rest; a completed pass is identical for every
-// pool size and context.
-func (f *Forest) ScoreAllContext(ctx context.Context, data *matrix.Dense, workers int) ([]float64, error) {
+// result copied to the rest.
+func (f *Forest) ScoreAllContext(ctx context.Context, data *matrix.Dense) ([]float64, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	r, d := data.Dims()
 	if d != f.dim {
 		return nil, fmt.Errorf("iforest: score on %d-dim rows, fitted on %d", d, f.dim)
 	}
 	out := make([]float64, r)
 	rows := data.DistinctRows()
-	plan := parallel.PlanFor(workers, len(rows.First), f.scoreCostNs())
-	if err := parallel.ForContext(ctx, plan.Workers, len(rows.First), plan.Chunk, func(start, end int) {
-		f.scoreRows(data, out, rows.First[start:end])
-	}); err != nil {
-		return nil, err
+	for start := 0; start < len(rows.First); start += scoreBlock {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		f.scoreRows(data, out, rows.First[start:min(start+scoreBlock, len(rows.First))])
 	}
 	// First[g] <= i, so the class's score is final when row i reads it.
 	for i, g := range rows.Group {
@@ -350,7 +317,7 @@ func (f *Forest) ScoreAllContext(ctx context.Context, data *matrix.Dense, worker
 
 // scoreRows scores the listed rows of data, each into its own slot of
 // out. With the flat layout it traverses tree-by-tree across the whole
-// chunk — the tree's arrays stay hot in cache while every row walks them
+// block — the tree's arrays stay hot in cache while every row walks them
 // — accumulating per-row path totals in tree order, which is exactly the
 // summation order Score uses, so the batch is bit-identical to
 // row-at-a-time scoring.
@@ -392,7 +359,7 @@ func (f *Forest) FilterContaminationContext(ctx context.Context, data *matrix.De
 	if contamination < 0 || contamination >= 1 {
 		return nil, nil, fmt.Errorf("iforest: contamination %v out of [0,1)", contamination)
 	}
-	scores, err := f.ScoreAllContext(ctx, data, f.workers)
+	scores, err := f.ScoreAllContext(ctx, data)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -350,8 +350,7 @@ func TestFlatTraversalMatchesPointerWalk(t *testing.T) {
 
 // TestScoreAllMatchesPerRowScore: ScoreAll scores each class of
 // bitwise-equal rows once and copies the result; it must agree bit for
-// bit with Score called on every row, whatever the repetition and the
-// pool size.
+// bit with Score called on every row, whatever the repetition.
 func TestScoreAllMatchesPerRowScore(t *testing.T) {
 	outliers, _ := clusterWithOutliers(400, 20, 5)
 	inputs := []struct {
@@ -362,6 +361,7 @@ func TestScoreAllMatchesPerRowScore(t *testing.T) {
 		{"few-distinct", matrixtest.FewDistinct(5, 900, 6, 60, true)},
 		{"sign-of-zero-only", matrixtest.FewDistinct(6, 200, 3, 4, false)},
 		{"all-distinct", matrixtest.FewDistinct(7, 300, 6, 300, true)},
+		{"across-score-blocks", matrixtest.FewDistinct(8, 2*scoreBlock+100, 6, 2*scoreBlock+50, true)},
 	}
 	for _, in := range inputs {
 		f, err := Fit(in.data, Config{Trees: 40, SampleSize: 64, Seed: 3})
@@ -373,13 +373,11 @@ func TestScoreAllMatchesPerRowScore(t *testing.T) {
 		for i := range want {
 			want[i] = f.Score(in.data.RawRow(i))
 		}
-		for _, workers := range []int{1, 2, 7} {
-			got, err := f.ScoreAllWorkers(in.data, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			matrixtest.RequireSameBits(t, fmt.Sprintf("%s/workers=%d: score", in.name, workers), got, want)
+		got, err := f.ScoreAll(in.data)
+		if err != nil {
+			t.Fatal(err)
 		}
+		matrixtest.RequireSameBits(t, in.name+": score", got, want)
 	}
 }
 

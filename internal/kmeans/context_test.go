@@ -3,77 +3,43 @@ package kmeans
 import (
 	"context"
 	"errors"
-	"sync/atomic"
+	"math"
 	"testing"
-	"time"
 
 	"polygraph/internal/matrix"
+	"polygraph/internal/pipeline/pipelinetest"
 	"polygraph/internal/rng"
 )
 
-// countingCtx is a context whose Err flips to context.Canceled after a
-// fixed number of Err calls. Because FitContext checks the context at
-// chunk boundaries — a pure function of the input, not of time — this
-// cancels at a deterministic point inside the Lloyd iterations on every
-// run and every machine.
-type countingCtx struct {
-	context.Context
-	remaining atomic.Int64
-}
-
-func newCountingCtx(n int64) *countingCtx {
-	c := &countingCtx{Context: context.Background()}
-	c.remaining.Store(n)
-	return c
-}
-
-func (c *countingCtx) Err() error {
-	if c.remaining.Add(-1) < 0 {
-		return context.Canceled
-	}
-	return nil
-}
-
-func (c *countingCtx) Done() <-chan struct{} {
-	ch := make(chan struct{})
-	if c.remaining.Load() < 0 {
-		close(ch)
-	}
-	return ch
-}
-
-func (c *countingCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
-
+// TestFitContextCancelsMidLloyd cancels a fit at each of the context
+// checks a full run performs — before every k-means++ pick and every
+// Lloyd iteration of every restart — and requires context.Canceled and
+// no model each time.
 func TestFitContextCancelsMidLloyd(t *testing.T) {
-	p := rng.New(3)
-	data := blobsMatrix(2000, 5, p)
+	data := blobsMatrix(2000, 5, rng.New(3))
+	cfg := Config{K: 8, Seed: 1, Restarts: 2, PlusPlus: true}
 
-	// Count how many ctx checks a full run performs, then cancel partway
-	// through that budget — deep enough to be past seeding, shallow
-	// enough to land inside the Lloyd iterations.
-	probe := newCountingCtx(1 << 40)
-	if _, err := FitContext(probe, data, Config{K: 8, Seed: 1, Workers: 1}); err != nil {
+	probe := pipelinetest.NewCountingCtx(context.Background(), math.MaxInt)
+	if _, err := FitContext(probe, data, cfg); err != nil {
 		t.Fatal(err)
 	}
-	total := (1 << 40) - probe.remaining.Load()
-	if total < 10 {
-		t.Fatalf("fit performed only %d ctx checks; counting cancel cannot land mid-run", total)
+	total := probe.Calls()
+	// Two restarts of seven picks and at least two iterations each.
+	if total < 2*(7+2) {
+		t.Fatalf("fit performed only %d ctx checks", total)
 	}
-
-	ctx := newCountingCtx(total / 2)
-	_, err := FitContext(ctx, data, Config{K: 8, Seed: 1, Workers: 1})
-	if err == nil {
-		t.Fatal("expected cancellation error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled in chain, got %v", err)
+	for i := 1; i <= total; i++ {
+		model, err := FitContext(pipelinetest.NewCountingCtx(context.Background(), i-1), data, cfg)
+		if !errors.Is(err, context.Canceled) || model != nil {
+			t.Fatalf("cancel at check %d of %d: model %v, err %v", i, total, model, err)
+		}
 	}
 }
 
 func TestFitContextCompletedRunMatchesFit(t *testing.T) {
 	p := rng.New(4)
 	data := blobsMatrix(500, 4, p)
-	cfg := Config{K: 6, Seed: 9, Restarts: 2, PlusPlus: true, Workers: 1}
+	cfg := Config{K: 6, Seed: 9, Restarts: 2, PlusPlus: true}
 
 	plain, err := Fit(data, cfg)
 	if err != nil {
@@ -97,7 +63,7 @@ func TestFitContextCompletedRunMatchesFit(t *testing.T) {
 }
 
 // blobsMatrix builds an n×d matrix of mild Gaussian noise — enough rows
-// to make chunked fan-out and multiple Lloyd iterations happen.
+// to make several chunks and multiple Lloyd iterations happen.
 func blobsMatrix(n, d int, p *rng.PCG) *matrix.Dense {
 	rows := make([][]float64, n)
 	for i := range rows {

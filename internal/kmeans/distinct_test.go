@@ -7,15 +7,66 @@ import (
 
 	"polygraph/internal/matrix"
 	"polygraph/internal/matrix/matrixtest"
-	"polygraph/internal/parallel"
 	"polygraph/internal/rng"
 )
 
 // The reference below is Fit as it was first written: every per-row
-// kernel runs on every row. The production code runs them once per class
-// of bitwise-equal rows; both keep the order-sensitive reductions in row
-// order through internal/parallel's fixed chunk geometry, so they must
-// agree bit for bit.
+// kernel runs on every row, and the order-sensitive reductions go through
+// refMapReduce. The production code runs the kernels once per class of
+// bitwise-equal rows and keeps the reductions in the same row order and
+// chunk geometry, so they must agree bit for bit.
+
+// refMapReduce is the reduction the model format was fixed under: every
+// chunk of refChunk(n) rows folds into a fresh accumulator, and the
+// accumulators merge in ascending chunk order, the first one standing as
+// the initial total.
+func refMapReduce[A any](n int, newAcc func() A, body func(acc A, start, end int) A, merge func(into, from A) A) A {
+	if n <= 0 {
+		return newAcc()
+	}
+	c := refChunk(n)
+	var accs []A
+	for start := 0; start < n; start += c {
+		end := start + c
+		if end > n {
+			end = n
+		}
+		accs = append(accs, body(newAcc(), start, end))
+	}
+	out := accs[0]
+	for _, a := range accs[1:] {
+		out = merge(out, a)
+	}
+	return out
+}
+
+// refChunk is about 64 chunks, floored at one row and capped at 16384.
+func refChunk(n int) int {
+	c := (n + 63) / 64
+	if c < 1 {
+		c = 1
+	}
+	if c > 16384 {
+		c = 16384
+	}
+	return c
+}
+
+// TestChunkSize pins the reduction geometry: these are the chunk sizes
+// every model trained so far was summed under.
+func TestChunkSize(t *testing.T) {
+	for _, tc := range []struct{ n, want int }{
+		{1, 1}, {63, 1}, {64, 1}, {65, 2}, {8000, 125}, {60000, 938},
+		{1048576, 16384}, {1048577, 16384},
+	} {
+		if got := chunkSize(tc.n); got != tc.want {
+			t.Errorf("chunkSize(%d) = %d, want %d", tc.n, got, tc.want)
+		}
+		if ref := refChunk(tc.n); ref != tc.want {
+			t.Errorf("refChunk(%d) = %d, want %d", tc.n, ref, tc.want)
+		}
+	}
+}
 
 func refNearest(x []float64, cents *matrix.Dense) int {
 	k, _ := cents.Dims()
@@ -31,7 +82,7 @@ func refNearest(x []float64, cents *matrix.Dense) int {
 
 func refInertia(cents, m *matrix.Dense) float64 {
 	r, _ := m.Dims()
-	return parallel.MapReduce(1, r, 0,
+	return refMapReduce(r,
 		func() float64 { return 0 },
 		func(total float64, start, end int) float64 {
 			for i := start; i < end; i++ {
@@ -110,7 +161,7 @@ func refFitOnce(m *matrix.Dense, cfg Config, gen *rng.PCG, reseedAlwaysMoves boo
 		for i := range assign {
 			assign[i] = refNearest(m.RawRow(i), cents)
 		}
-		acc := parallel.MapReduce(1, r, 0,
+		acc := refMapReduce(r,
 			func() *partial { return &partial{counts: make([]int, k), sums: matrix.NewDense(k, d)} },
 			func(p *partial, start, end int) *partial {
 				for i := start; i < end; i++ {
@@ -203,24 +254,19 @@ func TestFitMatchesRowAtATime(t *testing.T) {
 		for i := range wantAssign {
 			wantAssign[i] = refNearest(tc.data.RawRow(i), want.Centroids)
 		}
-		for _, workers := range []int{1, 2, 7} {
-			what := fmt.Sprintf("%s/workers=%d", tc.name, workers)
-			cfg := tc.cfg
-			cfg.Workers = workers
-			got, err := Fit(tc.data, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameModel(t, what, got, want)
+		got, err := Fit(tc.data, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameModel(t, tc.name, got, want)
 
-			assign, err := got.PredictAllWorkers(tc.data, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range assign {
-				if assign[i] != wantAssign[i] {
-					t.Fatalf("%s: PredictAll[%d] = %d, row-at-a-time %d", what, i, assign[i], wantAssign[i])
-				}
+		assign, err := got.PredictAll(tc.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range assign {
+			if assign[i] != wantAssign[i] {
+				t.Fatalf("%s: PredictAll[%d] = %d, row-at-a-time %d", tc.name, i, assign[i], wantAssign[i])
 			}
 		}
 		matrixtest.RequireSameBits(t, tc.name+": Inertia",

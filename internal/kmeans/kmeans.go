@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"polygraph/internal/matrix"
-	"polygraph/internal/parallel"
 	"polygraph/internal/rng"
 )
 
@@ -33,10 +32,6 @@ type Config struct {
 	// centroid choice (false). The paper does not name its init; we use
 	// ++ by default and ablate the difference in EXPERIMENTS.md.
 	PlusPlus bool
-	// Workers sizes the worker pool for the assignment and update steps;
-	// 0 means GOMAXPROCS, 1 forces the serial path. Results are
-	// bit-identical for every value (see internal/parallel).
-	Workers int
 }
 
 // Model is a fitted k-means clustering.
@@ -58,12 +53,10 @@ func Fit(m *matrix.Dense, cfg Config) (*Model, error) {
 	return FitContext(context.Background(), m, cfg)
 }
 
-// FitContext is Fit with cooperative cancellation: the seeding fan-outs,
-// every Lloyd assignment/update step, and the restart loop all check ctx
-// at chunk boundaries, so cancellation mid-iteration aborts within one
-// chunk of work. A fit that runs to completion is bit-identical to
-// Fit's — cancellation checks never change chunk geometry or reduction
-// order.
+// FitContext is Fit with cooperative cancellation: ctx is checked before
+// every k-means++ pick and every Lloyd iteration (hence every restart),
+// so cancellation aborts within one pass over the rows. A fit that runs
+// to completion is bit-identical to Fit's.
 func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Model, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -96,7 +89,7 @@ func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Model, error
 	var best *Model
 	for attempt := 0; attempt < restarts; attempt++ {
 		gen := rng.New(cfg.Seed).Split(fmt.Sprintf("restart-%d", attempt))
-		model, err := fitOnce(ctx, data, cfg.K, maxIter, tol, cfg.PlusPlus, cfg.Workers, gen)
+		model, err := fitOnce(ctx, data, cfg.K, maxIter, tol, cfg.PlusPlus, gen)
 		if err != nil {
 			return nil, err
 		}
@@ -107,10 +100,32 @@ func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Model, error
 	return best, nil
 }
 
-// partial is one chunk's contribution to the centroid update: per-cluster
-// row counts and feature sums. Chunks cover fixed index ranges and merge
-// in ascending chunk order, so the reduced sums are bit-identical for
-// every worker count.
+// chunkSize is how many consecutive rows the ordered float reductions
+// over all n rows (the centroid sums and WCSS) fold into one partial sum:
+// ⌈n/64⌉, clamped to [1, 16384]. That grouping fixes the association
+// order of those sums, so it is part of the model format: a different
+// geometry trains a model with different bits.
+func chunkSize(n int) int {
+	return min(max((n+63)/64, 1), 16384)
+}
+
+// chunkedReduce folds [0, n) into one accumulator through per-chunk
+// partials: body folds [start, end) into a fresh accumulator, and merge
+// folds the partials together in ascending chunk order, the first one
+// standing as the initial total. n <= 0 returns a fresh accumulator.
+func chunkedReduce[A any](n int, newAcc func() A, body func(acc A, start, end int) A, merge func(into, from A) A) A {
+	if n <= 0 {
+		return newAcc()
+	}
+	c := chunkSize(n)
+	out := body(newAcc(), 0, min(c, n))
+	for start := c; start < n; start += c {
+		out = merge(out, body(newAcc(), start, min(start+c, n)))
+	}
+	return out
+}
+
+// partial is one chunk's contribution to the centroid update.
 type partial struct {
 	counts []int
 	sums   *matrix.Dense
@@ -135,26 +150,20 @@ func groupRows(m *matrix.Dense) *grouped {
 	return &grouped{m: m, RowGroups: rows, cluster: make([]int32, len(rows.First)), sqDist: make([]float64, len(rows.First))}
 }
 
-// refresh recomputes cluster and sqDist against cents; ctx cancels at
-// chunk boundaries.
-func (data *grouped) refresh(ctx context.Context, cents *matrix.Dense, workers int) error {
-	k, d := cents.Dims()
-	// ~2 ns per centroid coordinate, plus loop overhead.
-	plan := parallel.PlanFor(workers, len(data.First), 40+2*float64(k*d))
-	return parallel.ForContext(ctx, plan.Workers, len(data.First), plan.Chunk, func(start, end int) {
-		for g := start; g < end; g++ {
-			c, d2 := nearestCentroid(data.m.RawRow(data.First[g]), cents)
-			data.cluster[g], data.sqDist[g] = int32(c), d2
-		}
-	})
+// refresh recomputes cluster and sqDist against cents.
+func (data *grouped) refresh(cents *matrix.Dense) {
+	for g, first := range data.First {
+		c, d2 := nearestCentroid(data.m.RawRow(first), cents)
+		data.cluster[g], data.sqDist[g] = int32(c), d2
+	}
 }
 
-func fitOnce(ctx context.Context, data *grouped, k, maxIter int, tol float64, plusPlus bool, workers int, gen *rng.PCG) (*Model, error) {
+func fitOnce(ctx context.Context, data *grouped, k, maxIter int, tol float64, plusPlus bool, gen *rng.PCG) (*Model, error) {
 	m := data.m
 	r, d := m.Dims()
 	cents := matrix.NewDense(k, d)
 	if plusPlus {
-		if err := seedPlusPlus(ctx, data, cents, workers, gen); err != nil {
+		if err := seedPlusPlus(ctx, data, cents, gen); err != nil {
 			return nil, err
 		}
 	} else {
@@ -163,13 +172,14 @@ func fitOnce(ctx context.Context, data *grouped, k, maxIter int, tol float64, pl
 
 	iter := 0
 	for ; iter < maxIter; iter++ {
-		// Assignment step, once per distinct row.
-		if err := data.refresh(ctx, cents, workers); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Update step: per-chunk partial sums over all rows in row order,
-		// merged in fixed chunk order.
-		acc, err := parallel.MapReduceContext(ctx, workers, r, 0,
+		// Assignment step, once per distinct row.
+		data.refresh(cents)
+		// Update step: feature sums over all rows in row order, one
+		// partial per chunk (see chunkedReduce).
+		acc := chunkedReduce(r,
 			func() *partial { return &partial{counts: make([]int, k), sums: matrix.NewDense(k, d)} },
 			func(p *partial, start, end int) *partial {
 				for i := start; i < end; i++ {
@@ -193,9 +203,6 @@ func fitOnce(ctx context.Context, data *grouped, k, maxIter int, tol float64, pl
 				return into
 			},
 		)
-		if err != nil {
-			return nil, err
-		}
 		counts, sums := acc.counts, acc.sums
 		moved := 0.0
 		for c := 0; c < k; c++ {
@@ -204,10 +211,7 @@ func fitOnce(ctx context.Context, data *grouped, k, maxIter int, tol float64, pl
 				// Empty cluster: reseed at the point farthest
 				// from its centroid, the standard fix that
 				// keeps K stable.
-				far, err := farthestPoint(ctx, data, cents, workers)
-				if err != nil {
-					return nil, err
-				}
+				far := farthestPoint(data, cents)
 				// A reseed onto the spot the centroid already
 				// holds moves nothing: with more clusters than
 				// distinct rows the surplus ones are re-placed
@@ -235,11 +239,7 @@ func fitOnce(ctx context.Context, data *grouped, k, maxIter int, tol float64, pl
 	}
 
 	model := &Model{Centroids: cents, K: k, Dim: d, Iterations: iter}
-	wcss, err := model.inertia(ctx, data, workers)
-	if err != nil {
-		return nil, err
-	}
-	model.WCSS = wcss
+	model.WCSS = model.inertia(data)
 	return model, nil
 }
 
@@ -256,31 +256,29 @@ func seedUniform(m *matrix.Dense, cents *matrix.Dense, gen *rng.PCG) {
 // seedPlusPlus implements k-means++ (Arthur & Vassilvitskii 2007):
 // subsequent centroids are sampled proportional to squared distance from
 // the nearest already-chosen centroid. The distance refresh after each
-// pick is a pure map over the distinct rows and fans out over the pool;
-// the total and the cumulative sampling scan stay serial over all rows,
-// because they are inherently ordered.
-func seedPlusPlus(ctx context.Context, data *grouped, cents *matrix.Dense, workers int, gen *rng.PCG) error {
+// pick runs once per distinct row; the total and the cumulative sampling
+// scan run over all rows, because they are inherently ordered. ctx is
+// checked before every pick.
+func seedPlusPlus(ctx context.Context, data *grouped, cents *matrix.Dense, gen *rng.PCG) error {
 	m := data.m
-	r, d := m.Dims()
+	r, _ := m.Dims()
 	k, _ := cents.Dims()
 	// d2[g] is class g's squared distance to its nearest chosen centroid.
 	d2 := make([]float64, len(data.First))
-	plan := parallel.PlanFor(workers, len(data.First), 20+2*float64(d))
-	refresh := func(c int) error {
+	refresh := func(c int) {
 		crow := cents.RawRow(c)
-		return parallel.ForContext(ctx, plan.Workers, len(data.First), plan.Chunk, func(start, end int) {
-			for g := start; g < end; g++ {
-				if nd := sqDist(m.RawRow(data.First[g]), crow); c == 0 || nd < d2[g] {
-					d2[g] = nd
-				}
+		for g, first := range data.First {
+			if nd := sqDist(m.RawRow(first), crow); c == 0 || nd < d2[g] {
+				d2[g] = nd
 			}
-		})
+		}
 	}
 	copy(cents.RawRow(0), m.RawRow(gen.Intn(r)))
-	if err := refresh(0); err != nil {
-		return err
-	}
+	refresh(0)
 	for c := 1; c < k; c++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		total := 0.0
 		for _, g := range data.Group {
 			total += d2[g]
@@ -303,9 +301,7 @@ func seedPlusPlus(ctx context.Context, data *grouped, cents *matrix.Dense, worke
 			}
 		}
 		copy(cents.RawRow(c), m.RawRow(idx))
-		if err := refresh(c); err != nil {
-			return err
-		}
+		refresh(c)
 	}
 	return nil
 }
@@ -314,10 +310,8 @@ func seedPlusPlus(ctx context.Context, data *grouped, cents *matrix.Dense, worke
 // lowest such row on a tie: classes are numbered by first appearance, so
 // the first class to reach the maximum holds that row. It refreshes
 // data.
-func farthestPoint(ctx context.Context, data *grouped, cents *matrix.Dense, workers int) (int, error) {
-	if err := data.refresh(ctx, cents, workers); err != nil {
-		return 0, err
-	}
+func farthestPoint(data *grouped, cents *matrix.Dense) int {
+	data.refresh(cents)
 	worst, worstD := 0, -1.0
 	for g, d := range data.sqDist {
 		if d > worstD {
@@ -325,7 +319,7 @@ func farthestPoint(ctx context.Context, data *grouped, cents *matrix.Dense, work
 			worst = g
 		}
 	}
-	return data.First[worst], nil
+	return data.First[worst]
 }
 
 // nearestCentroid returns the centroid closest to x — the lowest index
@@ -387,30 +381,15 @@ func (m *Model) AssignDistance(x []float64) (int, float64) {
 	return best, math.Sqrt(bestD)
 }
 
-// PredictAll returns cluster assignments for every row of data, fanning
-// the rows out over the worker pool (each row is independent, so the
-// result is identical for every pool size).
+// PredictAll returns cluster assignments for every row of data, running
+// the nearest-centroid search once per distinct row.
 func (m *Model) PredictAll(data *matrix.Dense) ([]int, error) {
-	return m.PredictAllWorkers(data, 0)
-}
-
-// PredictAllWorkers is PredictAll with an explicit pool size (0 =
-// GOMAXPROCS, 1 = serial).
-func (m *Model) PredictAllWorkers(data *matrix.Dense, workers int) ([]int, error) {
-	return m.PredictAllContext(context.Background(), data, workers)
-}
-
-// PredictAllContext is PredictAllWorkers with cooperative cancellation
-// at chunk boundaries.
-func (m *Model) PredictAllContext(ctx context.Context, data *matrix.Dense, workers int) ([]int, error) {
 	r, d := data.Dims()
 	if d != m.Dim {
 		return nil, fmt.Errorf("kmeans: predict on %d-dim rows, model is %d-dim", d, m.Dim)
 	}
 	rows := groupRows(data)
-	if err := rows.refresh(ctx, m.Centroids, workers); err != nil {
-		return nil, err
-	}
+	rows.refresh(m.Centroids)
 	out := make([]int, r)
 	for i, g := range rows.Group {
 		out[i] = int(rows.cluster[g])
@@ -428,19 +407,15 @@ func (m *Model) Distance(x []float64, c int) float64 {
 
 // Inertia computes the WCSS of data under the model's centroids.
 func (m *Model) Inertia(data *matrix.Dense) float64 {
-	wcss, _ := m.inertia(context.Background(), groupRows(data), 0)
-	return wcss
+	return m.inertia(groupRows(data))
 }
 
 // inertia takes each distinct row's squared distance to its nearest
-// centroid (refreshing data), then reduces them over all rows in row
-// order: per-chunk partials merged in fixed chunk order, so the value is
-// bit-identical for every worker count; ctx cancels at chunk boundaries.
-func (m *Model) inertia(ctx context.Context, data *grouped, workers int) (float64, error) {
-	if err := data.refresh(ctx, m.Centroids, workers); err != nil {
-		return 0, err
-	}
-	return parallel.MapReduceContext(ctx, workers, len(data.Group), 0,
+// centroid (refreshing data), then sums them over all rows in row order,
+// one partial per chunk (see chunkedReduce).
+func (m *Model) inertia(data *grouped) float64 {
+	data.refresh(m.Centroids)
+	return chunkedReduce(len(data.Group),
 		func() float64 { return 0 },
 		func(total float64, start, end int) float64 {
 			for _, g := range data.Group[start:end] {

@@ -11,8 +11,6 @@ package matrix
 import (
 	"fmt"
 	"math"
-
-	"polygraph/internal/parallel"
 )
 
 // Dense is a row-major dense matrix. The zero value is an empty matrix;
@@ -107,46 +105,6 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// T returns the transpose as a new matrix.
-func (m *Dense) T() *Dense {
-	out := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*out.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return out
-}
-
-// Mul returns m · b. It panics on shape mismatch.
-func (m *Dense) Mul(b *Dense) *Dense { return m.MulWorkers(b, 0) }
-
-// MulWorkers is Mul fanned out over the worker pool (workers <= 0 means
-// GOMAXPROCS). Each output row is produced by exactly the serial loop, so
-// the product is bit-identical for every worker count.
-func (m *Dense) MulWorkers(b *Dense, workers int) *Dense {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("matrix: mul shape mismatch %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := NewDense(m.rows, b.cols)
-	parallel.For(workers, m.rows, 0, func(start, end int) {
-		for i := start; i < end; i++ {
-			arow := m.data[i*m.cols : (i+1)*m.cols]
-			orow := out.data[i*b.cols : (i+1)*b.cols]
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b.data[k*b.cols : (k+1)*b.cols]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-	})
-	return out
-}
-
 // MulVec returns m · v as a new vector. It panics on shape mismatch.
 func (m *Dense) MulVec(v []float64) []float64 {
 	if m.cols != len(v) {
@@ -206,35 +164,29 @@ func (m *Dense) ColStds() []float64 {
 
 // Covariance returns the c×c sample covariance matrix of the rows
 // (dividing by n-1). A matrix with fewer than two rows yields zeros.
-func (m *Dense) Covariance() *Dense { return m.CovarianceWorkers(0) }
-
-// CovarianceWorkers is Covariance fanned out over the worker pool
-// (workers <= 0 means GOMAXPROCS). Work splits over output rows, so each
-// cov[a][b] cell still accumulates input rows in ascending order — the
-// result is bit-identical for every worker count, including the serial
-// row-buffered loop this replaced.
-func (m *Dense) CovarianceWorkers(workers int) *Dense {
+func (m *Dense) Covariance() *Dense {
 	cov := NewDense(m.cols, m.cols)
 	if m.rows < 2 {
 		return cov
 	}
 	means := m.ColMeans()
-	parallel.For(workers, m.cols, 1, func(aStart, aEnd int) {
-		for a := aStart; a < aEnd; a++ {
+	// One pass over the rows: each cov[a][b] cell accumulates the input
+	// rows in ascending order.
+	centered := make([]float64, m.cols)
+	for i := 0; i < m.rows; i++ {
+		for b, v := range m.data[i*m.cols : (i+1)*m.cols] {
+			centered[b] = v - means[b]
+		}
+		for a, ca := range centered {
+			if ca == 0 {
+				continue
+			}
 			crow := cov.data[a*m.cols : (a+1)*m.cols]
-			meanA := means[a]
-			for i := 0; i < m.rows; i++ {
-				row := m.data[i*m.cols : (i+1)*m.cols]
-				ca := row[a] - meanA
-				if ca == 0 {
-					continue
-				}
-				for b := a; b < m.cols; b++ {
-					crow[b] += ca * (row[b] - means[b])
-				}
+			for b := a; b < m.cols; b++ {
+				crow[b] += ca * centered[b]
 			}
 		}
-	})
+	}
 	inv := 1 / float64(m.rows-1)
 	for a := 0; a < m.cols; a++ {
 		for b := a; b < m.cols; b++ {

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,36 @@ import (
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// T and Mul have no production caller; the SymEigen tests check VᵀV = I
+// with them.
+
+// T returns the transpose as a new matrix.
+func (m *Dense) T() *Dense {
+	out := NewDense(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			out.data[j*out.cols+i] = m.data[i*m.cols+j]
+		}
+	}
+	return out
+}
+
+// Mul returns m · b. It panics on shape mismatch.
+func (m *Dense) Mul(b *Dense) *Dense {
+	if m.cols != b.rows {
+		panic(fmt.Sprintf("matrix: mul shape mismatch %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols))
+	}
+	out := NewDense(m.rows, b.cols)
+	for i := 0; i < m.rows; i++ {
+		for k := 0; k < m.cols; k++ {
+			for j := 0; j < b.cols; j++ {
+				out.data[i*b.cols+j] += m.data[i*m.cols+k] * b.data[k*b.cols+j]
+			}
+		}
+	}
+	return out
+}
 
 func TestNewDenseZeroed(t *testing.T) {
 	m := NewDense(3, 4)

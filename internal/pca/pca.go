@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"polygraph/internal/matrix"
-	"polygraph/internal/parallel"
 )
 
 // PCA is a fitted principal component analysis. Construct with Fit.
@@ -138,43 +137,33 @@ func (p *PCA) ComponentsForVariance(target float64) int {
 }
 
 // Transform projects every row of m onto the kept components, returning an
-// r×k matrix. Rows fan out over the worker pool; each projection is
-// independent, so pool size never changes the output.
+// r×k matrix.
 func (p *PCA) Transform(m *matrix.Dense) (*matrix.Dense, error) {
-	return p.TransformWorkers(m, 0)
+	return p.TransformContext(context.Background(), m)
 }
 
-// TransformWorkers is Transform with an explicit pool size (0 =
-// GOMAXPROCS, 1 = serial).
-func (p *PCA) TransformWorkers(m *matrix.Dense, workers int) (*matrix.Dense, error) {
-	return p.TransformContext(context.Background(), m, workers)
-}
-
-// TransformContext is TransformWorkers with cooperative cancellation at
-// chunk boundaries. A projection is a pure function of the row's bits,
-// so each class of bitwise-equal rows is projected once, on its first
-// row, and the result copied to the rest; a completed transform is
-// identical for every pool size and context.
-func (p *PCA) TransformContext(ctx context.Context, m *matrix.Dense, workers int) (*matrix.Dense, error) {
+// TransformContext is Transform under a context: a done context refuses
+// to start. A projection is a pure function of the row's bits, so each
+// class of bitwise-equal rows is projected once, on its first row, and
+// the result copied to the rest.
+func (p *PCA) TransformContext(ctx context.Context, m *matrix.Dense) (*matrix.Dense, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
 	r, d := m.Dims()
 	if d != len(p.Mean) {
 		return nil, fmt.Errorf("pca: transform on %d features, fitted on %d", d, len(p.Mean))
 	}
 	out := matrix.NewDense(r, p.K)
 	rows := m.DistinctRows()
-	// Adaptive dispatch: one projection is ~(K+1)·d flops, so small
-	// batches run serially rather than paying pool startup.
-	plan := parallel.PlanFor(workers, len(rows.First), 40+2*float64((p.K+1)*d))
-	if err := parallel.ForContext(ctx, plan.Workers, len(rows.First), plan.Chunk, func(start, end int) {
-		buf := make([]float64, d)
-		for _, i := range rows.First[start:end] {
-			for j, v := range m.RawRow(i) {
-				buf[j] = v - p.Mean[j]
-			}
-			p.projectInto(buf, out.RawRow(i))
+	buf := make([]float64, d)
+	for _, i := range rows.First {
+		for j, v := range m.RawRow(i) {
+			buf[j] = v - p.Mean[j]
 		}
-	}); err != nil {
-		return nil, err
+		p.projectInto(buf, out.RawRow(i))
 	}
 	for i, g := range rows.Group {
 		if first := rows.First[g]; first != i {

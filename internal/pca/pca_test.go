@@ -1,7 +1,6 @@
 package pca
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -120,7 +119,7 @@ func TestTransformShape(t *testing.T) {
 // TestTransformMatchesRowAtATime: Transform projects each class of
 // bitwise-equal rows once and copies the result; it must agree bit for
 // bit with centering and projecting every row on its own, whatever the
-// repetition and the pool size, and with TransformVec up to rounding.
+// repetition, and with TransformVec up to rounding.
 func TestTransformMatchesRowAtATime(t *testing.T) {
 	inputs := []struct {
 		name           string
@@ -128,7 +127,7 @@ func TestTransformMatchesRowAtATime(t *testing.T) {
 	}{
 		{"few-distinct", 900, 6, 60},
 		{"sign-of-zero-and-nan-only", 200, 3, 4},
-		{"all-distinct", 3000, 6, 3000}, // enough work for the pool to start
+		{"all-distinct", 3000, 6, 3000},
 	}
 	for _, in := range inputs {
 		// Fit on the clean twin: a NaN would poison the covariance.
@@ -161,17 +160,15 @@ func TestTransformMatchesRowAtATime(t *testing.T) {
 				}
 			}
 		}
-		for _, workers := range []int{1, 2, 7} {
-			got, err := p.TransformWorkers(m, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flat := make([]float64, 0, len(want))
-			for i := 0; i < in.n; i++ {
-				flat = append(flat, got.RawRow(i)...)
-			}
-			matrixtest.RequireSameBits(t, fmt.Sprintf("%s/workers=%d: projection", in.name, workers), flat, want)
+		got, err := p.Transform(m)
+		if err != nil {
+			t.Fatal(err)
 		}
+		flat := make([]float64, 0, len(want))
+		for i := 0; i < in.n; i++ {
+			flat = append(flat, got.RawRow(i)...)
+		}
+		matrixtest.RequireSameBits(t, in.name+": projection", flat, want)
 	}
 }
 

@@ -8,12 +8,11 @@
 // and distinguish bad input from internal failure.
 //
 // Cancellation semantics. Stages observe the context cooperatively:
-// internal/parallel checks ctx at chunk boundaries, so a cancelled
-// context aborts within one chunk of work. Cancellation can only skip
-// work, never reorder or resplit it — chunk geometry stays a pure
-// function of the input size — which is why instrumented, cancellable
-// runs remain bit-identical to the uninstrumented pipeline whenever they
-// run to completion.
+// each checks ctx between its passes over the rows (per isolation tree,
+// per Lloyd iteration), so a cancelled context aborts within one such
+// pass. Cancellation can only skip work, never reorder it, which is why
+// instrumented, cancellable runs remain bit-identical to the
+// uninstrumented pipeline whenever they run to completion.
 package pipeline
 
 import (
@@ -85,8 +84,8 @@ type Timing struct {
 
 // Runner executes named stages under one shared context, accumulating a
 // Timing per completed stage. The zero value is not usable; construct
-// with New. Runners are single-goroutine objects (the pipeline itself
-// fans out internally through internal/parallel).
+// with New. Runners are single-goroutine objects, like the training
+// pipeline they run.
 type Runner struct {
 	ctx     context.Context
 	timings []Timing

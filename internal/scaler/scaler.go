@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"polygraph/internal/matrix"
-	"polygraph/internal/parallel"
 )
 
 // Standard is a fitted standard scaler. Construct with Fit; the zero value
@@ -92,21 +91,22 @@ func (s *Standard) Transform(m *matrix.Dense) (*matrix.Dense, error) {
 	return s.TransformContext(context.Background(), m)
 }
 
-// TransformContext is Transform with cooperative cancellation at chunk
-// boundaries. Rows are transformed serially in ascending chunk order, so
-// a completed transform is bit-identical to Transform.
+// TransformContext is Transform under a context: a done context refuses
+// to start. The transform is one cheap pass over the rows, so no further
+// checks occur.
 func (s *Standard) TransformContext(ctx context.Context, m *matrix.Dense) (*matrix.Dense, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
 	r, c := m.Dims()
 	if c != len(s.Means) {
 		return nil, fmt.Errorf("scaler: transform on %d columns, fitted on %d", c, len(s.Means))
 	}
 	out := matrix.NewDense(r, c)
-	if err := parallel.ForContext(ctx, 1, r, 0, func(start, end int) {
-		for i := start; i < end; i++ {
-			s.transformInto(m.RawRow(i), out.RawRow(i))
-		}
-	}); err != nil {
-		return nil, err
+	for i := 0; i < r; i++ {
+		s.transformInto(m.RawRow(i), out.RawRow(i))
 	}
 	return out, nil
 }

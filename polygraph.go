@@ -155,7 +155,7 @@ func Train(samples []Sample, cfg TrainConfig) (*Model, *TrainReport, error) {
 }
 
 // TrainContext is Train under a context: cancellation aborts the
-// pipeline within one chunk of work with an error matching
+// pipeline within one pass over the rows with an error matching
 // errors.Is(err, ErrCanceled), and TrainReport.Stages records per-stage
 // wall times and row counts.
 func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Model, *TrainReport, error) {

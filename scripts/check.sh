@@ -6,10 +6,11 @@
 # benchmark module under bench/, whose seam.go pins the symbols the
 # benchmark calls — the one-ingest-core, explanations-are-derived,
 # one-use-of-unsafe, one-daemon-wiring, one-segment-writer, per-row-kernel
-# (score kernel included) and one-operator-binary-one-perf-line guards, the
-# race-detector pass that
-# guards the internal/parallel worker-pool layer and the collect
-# hot-swap/stats paths, and five seconds of fuzzing per fuzz target.
+# (score kernel included), training-is-one-goroutine and
+# one-operator-binary-one-perf-line guards, the race-detector pass that
+# guards the concurrent layers (collect's hot-swap/stats paths, seglog's
+# flusher, obs, and core's batch scorer, the one fan-out of the
+# train/score stack), and five seconds of fuzzing per fuzz target.
 # Usage:
 #
 #   scripts/check.sh          # everything
@@ -114,6 +115,19 @@ projectInto( internal/pca 1
 p.transform( internal/core 4
 p.assign( internal/core 3
 SITES
+
+# Training is one goroutine: a training set is ~150 distinct rows, which
+# leaves a worker pool under the §6.4 pipeline nothing to divide
+# (CHANGES.md, PR 28, has the measurement). The training packages start
+# no goroutine and share no state, and internal/core starts goroutines
+# in one place: scoreRows, the batch scorer's split, which does measure.
+echo "== training is one goroutine"
+[ ! -e internal/parallel ] || { echo "check.sh: internal/parallel exists" >&2; exit 1; }
+training="$(ls internal/matrix/*.go internal/scaler/*.go internal/pca/*.go internal/kmeans/*.go internal/iforest/*.go | grep -v _test.go) internal/core/train.go"
+found=$(grep -nE '^[[:space:]]*go[[:space:]]|sync\.|atomic\.' $training || true)
+[ -z "$found" ] || { echo "check.sh: goroutines or shared state in the training pipeline:" >&2; echo "$found" >&2; exit 1; }
+n=$(ls internal/core/*.go | grep -v _test.go | xargs grep -F -- 'go func' | wc -l)
+[ "$n" -eq 1 ] || { echo "check.sh: $n go statements in internal/core, want 1 (scoreRows)" >&2; exit 1; }
 
 # One operator binary, one perf line: the offline checks are
 # polygraphctl subcommands, not binaries of their own, and performance
