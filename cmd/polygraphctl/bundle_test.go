@@ -27,9 +27,9 @@ func healthyServer(t *testing.T) string {
 func healthyServerWith(t *testing.T, duringMetrics func()) string {
 	t.Helper()
 	var metrics bytes.Buffer
-	obs.WriteMetric(&metrics, "polygraph_collections_total", "Scored.", "counter", 10)
-	obs.WriteMetric(&metrics, "polygraph_audit_records_total", "Records.", "counter", 10)
-	obs.WriteMetric(&metrics, "polygraph_audit_dropped_total", "Dropped.", "counter", 0)
+	obs.FamCollections.Write(&metrics, 10)
+	obs.FamAuditRecords.Write(&metrics, 10)
+	obs.FamAuditDropped.Write(&metrics, 0)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("ok\n")) })
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -160,9 +160,9 @@ func TestBundleCaptureKeepsPreviousBundleUntilDone(t *testing.T) {
 func writeFaultyBundle(t *testing.T) string {
 	t.Helper()
 	var metrics bytes.Buffer
-	obs.WriteMetric(&metrics, "polygraph_drift_alert", "Alert.", "gauge", 1)
-	obs.WriteMetric(&metrics, "polygraph_model_trained_timestamp_seconds", "Trained.", "gauge", 1000)
-	obs.WriteMetric(&metrics, "polygraph_drift_baseline_timestamp_seconds", "Baseline.", "gauge", 2000)
+	obs.FamDriftAlert.Write(&metrics, 1)
+	obs.FamModelTrainedAt.Write(&metrics, 1000)
+	obs.FamDriftBaselineAt.Write(&metrics, 2000)
 
 	b := bundle.NewBuilder(time.Unix(1_700_000_000, 0))
 	b.Target("r0", "http://r0").Add(bundle.ArtifactMetrics, bundle.KindMetrics, metrics.Bytes())

@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"polygraph/internal/obs"
 )
 
 const cleanExpo = `# HELP polygraph_collections_total Fingerprint payloads scored.
@@ -45,51 +49,49 @@ func TestLintRequireMissingFamily(t *testing.T) {
 	}
 }
 
-func TestLintRequireFile(t *testing.T) {
-	dir := t.TempDir()
-	expo := filepath.Join(dir, "m.txt")
-	if err := os.WriteFile(expo, []byte(cleanExpo), 0o644); err != nil {
-		t.Fatal(err)
+// surfaceExposition renders one sample of every declared family on
+// surface, skipping the family named skip.
+func surfaceExposition(surface obs.Surface, skip string) []byte {
+	var b bytes.Buffer
+	for _, f := range obs.Families() {
+		if f.Surface != surface || f.Name == skip {
+			continue
+		}
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, f.Type)
+		if f.Type == "histogram" {
+			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} 0\n%s_sum 0\n%s_count 0\n", f.Name, f.Name, f.Name)
+		} else {
+			fmt.Fprintf(&b, "%s 0\n", f.Name)
+		}
 	}
-	list := filepath.Join(dir, "families.txt")
-	if err := os.WriteFile(list, []byte("# ci contract\npolygraph_collections_total\n\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errb bytes.Buffer
-	if code := run([]string{"lint", "-require-file", list, expo}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d with satisfied require-file, stderr %q", code, errb.String())
-	}
+	return b.Bytes()
+}
 
-	// A listed family that is absent must fail the lint.
-	if err := os.WriteFile(list, []byte("polygraph_collections_total\npolygraph_feature_psi\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code := run([]string{"lint", "-require-file", list, expo}, &out, &errb); code != 1 {
-		t.Fatalf("exit %d when require-file family missing", code)
-	}
-
-	// The flag repeats: every list must hold, not just the last one.
-	ok := filepath.Join(dir, "ok.txt")
-	if err := os.WriteFile(ok, []byte("polygraph_collections_total\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code := run([]string{"lint", "-require-file", list, "-require-file", ok, expo}, &out, &errb); code != 1 {
-		t.Fatalf("exit %d when the first of two require-files is unmet", code)
-	}
-	if code := run([]string{"lint", "-require-file", ok, "-require-file", ok, expo}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d with two satisfied require-files", code)
-	}
-
-	// Missing or empty list files are usage errors, not silent passes.
-	if code := run([]string{"lint", "-require-file", filepath.Join(dir, "nope.txt"), expo}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d for missing require-file", code)
-	}
-	empty := filepath.Join(dir, "empty.txt")
-	if err := os.WriteFile(empty, []byte("# only comments\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code := run([]string{"lint", "-require-file", empty, expo}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d for empty require-file", code)
+// TestLintRequireSurface: -require takes a surface name, and an
+// exposition missing any one family of that surface fails the lint.
+func TestLintRequireSurface(t *testing.T) {
+	for _, surface := range obs.Surfaces {
+		t.Run(string(surface), func(t *testing.T) {
+			dir := t.TempDir()
+			lint := func(expo []byte) (int, string) {
+				path := filepath.Join(dir, "m.txt")
+				if err := os.WriteFile(path, expo, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				var out, errb bytes.Buffer
+				code := run([]string{"lint", "-require", " " + string(surface) + ",", path}, &out, &errb)
+				return code, out.String() + errb.String()
+			}
+			if code, out := lint(surfaceExposition(surface, "")); code != 0 {
+				t.Fatalf("exit %d for a complete %s exposition:\n%s", code, surface, out)
+			}
+			for _, name := range obs.RequiredFamilies(string(surface)) {
+				code, out := lint(surfaceExposition(surface, name))
+				if code != 1 || !strings.Contains(out, "required family "+name+" absent") {
+					t.Errorf("exit %d without %s:\n%s", code, name, out)
+				}
+			}
+		})
 	}
 }
 

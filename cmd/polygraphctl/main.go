@@ -87,7 +87,7 @@ const usage = `usage:
   polygraphctl train -out model.json [-sessions N] [-novelty]
   polygraphctl push -model model.json -replicas url1,url2,...
   polygraphctl status -replicas url1,url2,...
-  polygraphctl lint [-require f1,f2] [-require-file list.txt]... <source>
+  polygraphctl lint [-require replica,tcp,fleet|family,...] <source>
   polygraphctl slo [-spec spec.json] <metrics-or-bundle-source>
   polygraphctl bundle capture -o bundle.tgz (-addr URL | -fleet URL,URL,...) [flags]
   polygraphctl bundle analyze [-json] [-p99-budget D] [-slo-spec spec.json] <bundle-source>
@@ -326,9 +326,9 @@ func runStatus(args []string, stdout, stderr io.Writer) int {
 			}
 			if text, err := m.FetchMetrics(ctx, b.Client()); err == nil {
 				ex := obs.ParseExpositionString(text)
-				up, _ := ex.Value("polygraph_uptime_seconds")
-				start, _ := ex.Value("polygraph_process_start_timestamp_seconds")
-				trained, _ := ex.Value("polygraph_model_trained_timestamp_seconds")
+				up, _ := ex.Value(obs.FamUptime.Name)
+				start, _ := ex.Value(obs.FamProcessStart.Name)
+				trained, _ := ex.Value(obs.FamModelTrainedAt.Name)
 				r.UptimeS = up
 				if trained > 0 && start > 0 {
 					r.ModelAgeS = start + up - trained

@@ -240,7 +240,7 @@ func (a *analyzer) checkP99() {
 		if ex == nil {
 			continue
 		}
-		hist := ex.HistogramBuckets("polygraph_score_duration_microseconds", "endpoint")
+		hist := ex.HistogramBuckets(obs.FamScoreDuration.Name, "endpoint")
 		endpoints := make([]string, 0, len(hist))
 		for ep := range hist {
 			endpoints = append(endpoints, ep)
@@ -274,12 +274,12 @@ func (a *analyzer) checkDriftStaleModel() {
 		if ex == nil {
 			continue
 		}
-		alert, err := ex.Value("polygraph_drift_alert")
+		alert, err := ex.Value(obs.FamDriftAlert.Name)
 		if err != nil || alert < 1 {
 			continue
 		}
-		trained, terr := ex.Value("polygraph_model_trained_timestamp_seconds")
-		baseline, berr := ex.Value("polygraph_drift_baseline_timestamp_seconds")
+		trained, terr := ex.Value(obs.FamModelTrainedAt.Name)
+		baseline, berr := ex.Value(obs.FamDriftBaselineAt.Name)
 		if terr == nil && berr == nil && trained > 0 && baseline > 0 && trained < baseline {
 			a.addf(RuleDriftStaleModel, SeverityFail, name,
 				"drift alert active and deployed model (trained %.0f) predates the drift baseline (%.0f) — retrain overdue",
@@ -318,7 +318,7 @@ func (a *analyzer) checkFleetHash() {
 	}
 	if data := a.b.Files["files/"+FleetMetricsFile]; data != nil {
 		ex := obs.ParseExpositionString(string(data))
-		for _, s := range ex.Samples("polygraph_fleet_replica_info") {
+		for _, s := range ex.Samples(obs.FamFleetReplicaInfo.Name) {
 			record(s.Label("model_hash"), "fleet:"+s.Label("replica"))
 		}
 	}
@@ -350,16 +350,16 @@ func (a *analyzer) checkAuditAccounting() {
 		if ex == nil {
 			continue
 		}
-		records, rerr := ex.Value("polygraph_audit_records_total")
-		dropped, derr := ex.Value("polygraph_audit_dropped_total")
+		records, rerr := ex.Value(obs.FamAuditRecords.Name)
+		dropped, derr := ex.Value(obs.FamAuditDropped.Name)
 		if rerr != nil || derr != nil || records+dropped == 0 {
 			continue // no ledger configured (or empty): nothing to account
 		}
-		scored, serr := ex.Value("polygraph_collections_total")
+		scored, serr := ex.Value(obs.FamCollections.Name)
 		if serr != nil {
 			continue
 		}
-		tcp, terr := ex.Value("polygraph_tcp_scored_total")
+		tcp, terr := ex.Value(obs.FamTCPScored.Name)
 		if terr == nil {
 			scored += tcp
 		}
@@ -381,8 +381,8 @@ func (a *analyzer) checkRejectSpike() {
 		if ex == nil {
 			continue
 		}
-		rejected := ex.Sum("polygraph_rejected_total")
-		scored, err := ex.Value("polygraph_collections_total")
+		rejected := ex.Sum(obs.FamRejected.Name)
+		scored, err := ex.Value(obs.FamCollections.Name)
 		if err != nil || rejected == 0 {
 			continue
 		}
@@ -395,7 +395,7 @@ func (a *analyzer) checkRejectSpike() {
 			continue
 		}
 		topReason, topCount := "", 0.0
-		for _, s := range ex.Samples("polygraph_rejected_total") {
+		for _, s := range ex.Samples(obs.FamRejected.Name) {
 			if s.Value > topCount {
 				topReason, topCount = s.Label("reason"), s.Value
 			}
@@ -420,7 +420,7 @@ func (a *analyzer) checkFleetHealth() {
 	}
 	ex := obs.ParseExpositionString(string(data))
 	var ejected, healthy float64
-	for _, s := range ex.Samples("polygraph_fleet_replicas") {
+	for _, s := range ex.Samples(obs.FamFleetReplicas.Name) {
 		switch s.Label("state") {
 		case "ejected":
 			ejected = s.Value
@@ -433,12 +433,12 @@ func (a *analyzer) checkFleetHealth() {
 	} else if ejected > 0 {
 		a.addf(RuleFleetHealth, SeverityWarn, "", "%.0f replica(s) ejected from rotation", ejected)
 	}
-	retries := ex.Sum("polygraph_fleet_retries_total")
+	retries := ex.Sum(obs.FamFleetRetries.Name)
 	if retries > 0 {
 		var scored float64
 		for _, name := range a.targetNames() {
 			if tex := a.expositions[name]; tex != nil {
-				if v, err := tex.Value("polygraph_collections_total"); err == nil {
+				if v, err := tex.Value(obs.FamCollections.Name); err == nil {
 					scored += v
 				}
 			}

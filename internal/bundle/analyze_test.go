@@ -36,20 +36,18 @@ func healthyOpts() metricsOpts {
 
 func metricsText(o metricsOpts) []byte {
 	var b bytes.Buffer
-	obs.WriteMetric(&b, "polygraph_collections_total", "Sessions scored.", "counter", o.collections)
-	obs.WriteMetric(&b, "polygraph_audit_records_total", "Ledger records.", "counter", o.records)
-	obs.WriteMetric(&b, "polygraph_audit_dropped_total", "Ledger drops.", "counter", o.dropped)
+	obs.FamCollections.Write(&b, o.collections)
+	obs.FamAuditRecords.Write(&b, o.records)
+	obs.FamAuditDropped.Write(&b, o.dropped)
 	if o.rejected > 0 {
-		obs.WriteLabeledFamily(&b, "polygraph_rejected_total", "Rejects.", "counter",
-			"reason", []obs.LabeledValue{{Label: "decode", Value: o.rejected}})
+		obs.FamRejected.WriteSeries(&b, []obs.LabeledValue{{Label: "decode", Value: o.rejected}})
 	}
-	obs.WriteMetric(&b, "polygraph_drift_alert", "Drift alert.", "gauge", o.driftAlert)
-	obs.WriteMetric(&b, "polygraph_model_trained_timestamp_seconds", "Train time.", "gauge", o.trainedTs)
-	obs.WriteMetric(&b, "polygraph_drift_baseline_timestamp_seconds", "Baseline time.", "gauge", o.baselineTs)
+	obs.FamDriftAlert.Write(&b, o.driftAlert)
+	obs.FamModelTrainedAt.Write(&b, o.trainedTs)
+	obs.FamDriftBaselineAt.Write(&b, o.baselineTs)
 	s := obs.HistogramSeries{Label: "/v1/collect", SumUs: 1000}
 	s.Buckets[o.p99Bucket] = uint64(o.collections)
-	obs.WriteHistogramFamily(&b, "polygraph_score_duration_microseconds", "Latency.",
-		"endpoint", []obs.HistogramSeries{s})
+	obs.FamScoreDuration.WriteHistogram(&b, []obs.HistogramSeries{s})
 	return b.Bytes()
 }
 
@@ -226,8 +224,7 @@ func TestAnalyzeRejectSpike(t *testing.T) {
 func TestAnalyzeFleetHealth(t *testing.T) {
 	fleetMetrics := func(healthy, ejected float64) []byte {
 		var b bytes.Buffer
-		obs.WriteLabeledFamily(&b, "polygraph_fleet_replicas", "Replicas by state.", "gauge",
-			"state", []obs.LabeledValue{{Label: "healthy", Value: healthy}, {Label: "ejected", Value: ejected}})
+		obs.FamFleetReplicas.WriteSeries(&b, []obs.LabeledValue{{Label: "healthy", Value: healthy}, {Label: "ejected", Value: ejected}})
 		return b.Bytes()
 	}
 	// One ejected replica with others healthy: warn.

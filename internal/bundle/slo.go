@@ -37,13 +37,13 @@ type SLOCheck struct {
 func (c SLOCheck) Failed() bool { return c.AlertFamily != "" || !c.Result.Met }
 
 // CheckExposition evaluates spec over one exposition's lifetime
-// counters, then reports each polygraph_slo_alert gauge at 1.
+// counters, then reports each obs.ReplicaSLO alert gauge at 1.
 func CheckExposition(scope string, spec *slo.Spec, ex *obs.Exposition) []SLOCheck {
 	var out []SLOCheck
 	for _, res := range slo.Evaluate(spec, ex) {
 		out = append(out, SLOCheck{Scope: scope, Result: res})
 	}
-	return appendAlerts(out, scope, ex, "polygraph_slo_alert")
+	return appendAlerts(out, scope, ex, obs.ReplicaSLO.Alert.Name)
 }
 
 func appendAlerts(out []SLOCheck, scope string, ex *obs.Exposition, family string) []SLOCheck {
@@ -97,7 +97,7 @@ func evaluateSLO(b *Bundle, spec *slo.Spec, expositions map[string]*obs.Expositi
 		}
 	}
 	if data := b.Files["files/"+FleetMetricsFile]; data != nil {
-		out = appendAlerts(out, SLOScopeFleet, obs.ParseExpositionString(string(data)), "polygraph_fleet_slo_alert")
+		out = appendAlerts(out, SLOScopeFleet, obs.ParseExpositionString(string(data)), obs.FleetSLO.Alert.Name)
 	}
 	return out
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Prometheus text-exposition metrics for the scoring service, composed
-// from internal/obs's writers. Stdlib only: the format is plain text,
+// from the families internal/obs declares. Stdlib only: the format is plain text,
 // and every value already lives on an atomic counter or histogram.
 // Mounted at GET /metrics; obs.Lint checks the output in CI
 // (polygraphctl lint) and in this package's tests.
@@ -35,10 +35,8 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 	st := s.Snapshot()
 	obs.WriteBuildInfo(w)
 	obs.WriteRuntimeMetrics(w)
-	obs.WriteMetric(w, "polygraph_collections_total",
-		"Fingerprint payloads scored.", "counter", float64(st.Received))
-	obs.WriteMetric(w, "polygraph_flagged_total",
-		"Sessions flagged as suspicious.", "counter", float64(st.Flagged))
+	obs.FamCollections.Write(w, float64(st.Received))
+	obs.FamFlagged.Write(w, float64(st.Flagged))
 
 	// Rejects broken out by cause. Every reason is always present
 	// (zeros included) so rate() works from the first scrape; the sum
@@ -47,8 +45,7 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 	for i := range reasons {
 		reasons[i] = obs.LabeledValue{Label: reasonNames[i], Value: float64(s.rejects[i].Load())}
 	}
-	obs.WriteLabeledFamily(w, "polygraph_rejected_total",
-		"Rejected requests by cause.", "counter", "reason", reasons)
+	obs.FamRejected.WriteSeries(w, reasons)
 
 	// Per-endpoint request-handling latency of scored requests, as a
 	// real histogram family.
@@ -59,56 +56,39 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 	if tcp := s.tcp.Load(); tcp != nil {
 		series = append(series, obs.HistogramSnapshot(EndpointTCP, &tcp.hist))
 	}
-	obs.WriteHistogramFamily(w, "polygraph_score_duration_microseconds",
-		"Request-handling latency of scored requests per endpoint, in microseconds.",
-		"endpoint", series)
+	obs.FamScoreDuration.WriteHistogram(w, series)
 
-	obs.WriteMetric(w, "polygraph_store_entries",
-		"Flagged decisions retained in memory.", "gauge", float64(st.StoreEntries))
+	obs.FamStoreEntries.Write(w, float64(st.StoreEntries))
 	model := s.model.load()
-	obs.WriteMetric(w, "polygraph_model_clusters",
-		"Clusters in the deployed model.", "gauge", float64(model.KMeans.K))
-	obs.WriteMetric(w, "polygraph_model_accuracy",
-		"Training accuracy of the deployed model.", "gauge", model.Accuracy)
+	obs.FamModelClusters.Write(w, float64(model.KMeans.K))
+	obs.FamModelAccuracy.Write(w, model.Accuracy)
 	trainedAt := 0.0
 	if t := s.ModelTrainedAt(); !t.IsZero() {
 		trainedAt = float64(t.UnixNano()) / float64(time.Second)
 	}
-	obs.WriteMetric(w, "polygraph_model_trained_timestamp_seconds",
-		"When the deployed model was trained (unix seconds; 0 = unknown).",
-		"gauge", trainedAt)
+	obs.FamModelTrainedAt.Write(w, trainedAt)
 
 	if tcp := s.tcp.Load(); tcp != nil {
-		obs.WriteMetric(w, "polygraph_tcp_scored_total",
-			"Payload frames scored over the TCP batch listener.", "counter", float64(tcp.Scored()))
-		obs.WriteMetric(w, "polygraph_tcp_flagged_total",
-			"TCP-scored frames whose verdict was flagged.", "counter", float64(tcp.Flagged()))
-		obs.WriteMetric(w, "polygraph_tcp_bad_handshakes_total",
-			"TCP connections dropped before or at the hello handshake.", "counter", float64(tcp.BadConns()))
-		obs.WriteMetric(w, "polygraph_tcp_bad_frames_total",
-			"TCP frames rejected after the handshake and answered with the error flag.",
-			"counter", float64(tcp.BadFrames()))
+		obs.FamTCPScored.Write(w, float64(tcp.Scored()))
+		obs.FamTCPFlagged.Write(w, float64(tcp.Flagged()))
+		obs.FamTCPBadHandshakes.Write(w, float64(tcp.BadConns()))
+		obs.FamTCPBadFrames.Write(w, float64(tcp.BadFrames()))
 		// Batch sizes ride the microsecond histogram scale: le=N reads
 		// as a batch of N frames and _sum is total coalesced frames.
-		obs.WriteHistogramFamily(w, "polygraph_tcp_batch_size",
-			"Coalesced TCP batch sizes in frames (recorded on the microsecond scale).",
-			"endpoint", []obs.HistogramSeries{obs.HistogramSnapshot(EndpointTCP, tcp.BatchHist())})
+		obs.FamTCPBatchSize.WriteHistogram(w, []obs.HistogramSeries{obs.HistogramSnapshot(EndpointTCP, tcp.BatchHist())})
 	}
 
 	// Audit-ledger families are always present (zeros when no ledger is
-	// configured) so the `polygraphctl lint -require` list holds for every
-	// deployment shape. The TCP listener shares the HTTP server's
-	// ledger, so its records are already in these counters.
+	// configured) so the replica surface holds for every deployment
+	// shape. The TCP listener shares the HTTP server's ledger, so its
+	// records are already in these counters.
 	var ac audit.Counters
 	if s.ledger != nil {
 		ac = s.ledger.Counters()
 	}
-	obs.WriteMetric(w, "polygraph_audit_records_total",
-		"Decisions durably recorded in the audit ledger.", "counter", float64(ac.Records))
-	obs.WriteMetric(w, "polygraph_audit_dropped_total",
-		"Decisions not recorded: benign sampling plus append failures.", "counter", float64(ac.Dropped))
-	obs.WriteMetric(w, "polygraph_audit_bytes_total",
-		"Framed bytes appended to the audit ledger.", "counter", float64(ac.Bytes))
+	obs.FamAuditRecords.Write(w, float64(ac.Records))
+	obs.FamAuditDropped.Write(w, float64(ac.Dropped))
+	obs.FamAuditBytes.Write(w, float64(ac.Bytes))
 
 	// The ledger and the journal append without waiting for the disk, so
 	// a slow disk no longer shows in request latency; it shows here. Both
@@ -132,11 +112,8 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 		durations = append(durations, obs.HistogramSnapshot(l.name, l.m.Durations))
 		waits = append(waits, obs.LabeledValue{Label: l.name, Value: float64(l.m.Waits)})
 	}
-	obs.WriteHistogramFamily(w, "polygraph_segment_flush_duration_microseconds",
-		"Duration of each write(2) the segment flusher performed.", "log", durations)
-	obs.WriteLabeledFamily(w, "polygraph_segment_flush_waits_total",
-		"Appends that found both segment buffers full and waited for the flusher.",
-		"counter", "log", waits)
+	obs.FamFlushDuration.WriteHistogram(w, durations)
+	obs.FamFlushWaits.WriteSeries(w, waits)
 
 	if s.drift != nil {
 		s.drift.WriteMetrics(w)
@@ -145,20 +122,15 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 	// Per-stage timings of the (re)train that produced the deployed
 	// model, when the operator recorded them via SetTrainStages.
 	if stages := s.TrainStages(); len(stages) > 0 {
-		durations := make([]obs.LabeledValue, len(stages))
-		rowsIn := make([]obs.LabeledValue, len(stages))
-		rowsOut := make([]obs.LabeledValue, len(stages))
-		for i, st := range stages {
-			durations[i] = obs.LabeledValue{Label: st.Name, Value: st.Duration.Seconds()}
-			rowsIn[i] = obs.LabeledValue{Label: st.Name, Value: float64(st.RowsIn)}
-			rowsOut[i] = obs.LabeledValue{Label: st.Name, Value: float64(st.RowsOut)}
+		var durations, rowsIn, rowsOut []obs.LabeledValue
+		for _, st := range stages {
+			durations = append(durations, obs.LabeledValue{Label: st.Name, Value: st.Duration.Seconds()})
+			rowsIn = append(rowsIn, obs.LabeledValue{Label: st.Name, Value: float64(st.RowsIn)})
+			rowsOut = append(rowsOut, obs.LabeledValue{Label: st.Name, Value: float64(st.RowsOut)})
 		}
-		obs.WriteLabeledFamily(w, "polygraph_train_stage_duration_seconds",
-			"Wall time of each pipeline stage in the last (re)train.", "gauge", "stage", durations)
-		obs.WriteLabeledFamily(w, "polygraph_train_stage_rows_in",
-			"Rows entering each pipeline stage in the last (re)train.", "gauge", "stage", rowsIn)
-		obs.WriteLabeledFamily(w, "polygraph_train_stage_rows_out",
-			"Rows leaving each pipeline stage in the last (re)train.", "gauge", "stage", rowsOut)
+		obs.FamTrainStageDuration.WriteSeries(w, durations)
+		obs.FamTrainStageRowsIn.WriteSeries(w, rowsIn)
+		obs.FamTrainStageRowsOut.WriteSeries(w, rowsOut)
 	}
 
 	// The SLO engine's families ride the same scrape when one is

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"time"
 
@@ -95,18 +94,11 @@ func (r *SLORollup) Run(ctx context.Context, interval time.Duration) {
 	}
 }
 
-// AttachSLO includes a rollup's fleet-level families in the balancer's
-// WriteMetrics exposition under the polygraph_fleet_slo_* prefix —
-// distinct from the per-replica polygraph_slo_* names so a fleet dump
-// that concatenates a replica exposition with the balancer's stays
-// free of duplicate families.
+// AttachSLO includes a rollup's fleet-level families (obs.FleetSLO) in
+// the balancer's WriteMetrics exposition — distinct from a replica's
+// own (obs.ReplicaSLO) so a fleet dump that concatenates a replica
+// exposition with the balancer's stays free of duplicate families.
 func (b *Balancer) AttachSLO(r *SLORollup) { b.sloRollup.Store(r) }
 
 // SLO returns the attached rollup (nil when none).
 func (b *Balancer) SLO() *SLORollup { return b.sloRollup.Load() }
-
-func (b *Balancer) writeSLOMetrics(w io.Writer) {
-	if r := b.sloRollup.Load(); r != nil {
-		r.eng.WriteMetricsAs(w, "polygraph_fleet_slo")
-	}
-}

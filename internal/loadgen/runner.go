@@ -286,17 +286,6 @@ type transport struct {
 	worker func(ctx context.Context, ps *phaseState) (send func(start, n int64), done func())
 }
 
-// Server counter families exported by internal/collect.
-const (
-	auditRecordsFamily = "polygraph_audit_records_total"
-	auditDroppedFamily = "polygraph_audit_dropped_total"
-	collectionsFamily  = "polygraph_collections_total"
-	// scoreHistFamily is the serving-path latency histogram; the harness
-	// reconciles its own per-endpoint client histograms against it at
-	// bucket granularity.
-	scoreHistFamily = "polygraph_score_duration_microseconds"
-)
-
 // EndpointTCPLabel keys TCP-mode latency histograms in reports. The
 // recorded unit is one SubmitBatch round trip (a whole pipelined
 // block), not one frame.
@@ -315,9 +304,9 @@ func httpTransport(opts *Options) transport {
 	return transport{
 		block:     1,
 		endpoints: []string{EndpointBinary, EndpointJSON},
-		scored:    collectionsFamily,
-		flagged:   "polygraph_flagged_total",
-		rejected:  "polygraph_rejected_total",
+		scored:    obs.FamCollections.Name,
+		flagged:   obs.FamFlagged.Name,
+		rejected:  obs.FamRejected.Name,
 		worker: func(ctx context.Context, ps *phaseState) (func(start, n int64), func()) {
 			return func(start, _ int64) { sendOne(ctx, client, opts.Fleet, attempts, opts.Pool.At(start), ps) }, func() {}
 		},
@@ -342,9 +331,9 @@ func tcpTransport(opts *Options) (transport, error) {
 	return transport{
 		block:     tcpBlock,
 		endpoints: []string{EndpointTCPLabel},
-		scored:    "polygraph_tcp_scored_total",
-		flagged:   "polygraph_tcp_flagged_total",
-		rejected:  "polygraph_tcp_bad_frames_total",
+		scored:    obs.FamTCPScored.Name,
+		flagged:   obs.FamTCPFlagged.Name,
+		rejected:  obs.FamTCPBadFrames.Name,
 		worker: func(_ context.Context, ps *phaseState) (func(start, n int64), func()) {
 			var client *collect.TCPClient
 			send := func(start, n int64) {
@@ -766,9 +755,9 @@ func crossCheck(ctx context.Context, opts *Options, tr transport, pre []page, re
 			cc.Details = append(cc.Details, fmt.Sprintf("%s: /v1/stats: %v", m.Name, err))
 			return
 		}
-		if got := post[i].ex.Sum(collectionsFamily); int64(got) != st.Received {
+		if got := post[i].ex.Sum(obs.FamCollections.Name); int64(got) != st.Received {
 			cc.Details = append(cc.Details, fmt.Sprintf(
-				"%s: /metrics %s %v disagrees with /v1/stats received %d", m.Name, collectionsFamily, got, st.Received))
+				"%s: /metrics %s %v disagrees with /v1/stats received %d", m.Name, obs.FamCollections.Name, got, st.Received))
 		}
 	}
 
@@ -815,14 +804,14 @@ func reconcileAudit(pre, post []page, report *Report) {
 	cc := report.CrossCheck
 	var records, dropped float64
 	for i := range pre {
-		for _, family := range []string{auditRecordsFamily, auditDroppedFamily} {
+		for _, family := range []string{obs.FamAuditRecords.Name, obs.FamAuditDropped.Name} {
 			if !post[i].ex.Has(family) {
 				cc.Details = append(cc.Details, "/metrics does not export "+family)
 				return
 			}
 		}
-		records += post[i].ex.Sum(auditRecordsFamily) - pre[i].ex.Sum(auditRecordsFamily)
-		dropped += post[i].ex.Sum(auditDroppedFamily) - pre[i].ex.Sum(auditDroppedFamily)
+		records += post[i].ex.Sum(obs.FamAuditRecords.Name) - pre[i].ex.Sum(obs.FamAuditRecords.Name)
+		dropped += post[i].ex.Sum(obs.FamAuditDropped.Name) - pre[i].ex.Sum(obs.FamAuditDropped.Name)
 	}
 	cc.AuditRecordsDelta = int64(records)
 	cc.AuditDroppedDelta = int64(dropped)
@@ -834,7 +823,7 @@ func reconcileAudit(pre, post []page, report *Report) {
 			sum, cc.AuditRecordsDelta, cc.AuditDroppedDelta, cc.ServerReceivedDelta))
 	}
 	if cc.AuditRecordsDelta == 0 && cc.ServerReceivedDelta > 0 {
-		cc.Details = append(cc.Details, "audit expected but "+auditRecordsFamily+" did not move")
+		cc.Details = append(cc.Details, "audit expected but "+obs.FamAuditRecords.Name+" did not move")
 	}
 }
 
@@ -854,12 +843,12 @@ func reconcileLatency(pre, post []page, report *Report) {
 	sum := map[string][]uint64{}
 	exported := false
 	for i := range pre {
-		postHist := post[i].ex.HistogramBuckets(scoreHistFamily, "endpoint")
+		postHist := post[i].ex.HistogramBuckets(obs.FamScoreDuration.Name, "endpoint")
 		if len(postHist) == 0 {
 			continue
 		}
 		exported = true
-		preHist := pre[i].ex.HistogramBuckets(scoreHistFamily, "endpoint")
+		preHist := pre[i].ex.HistogramBuckets(obs.FamScoreDuration.Name, "endpoint")
 		for ep, after := range postHist {
 			if len(after) != obs.NumBuckets {
 				continue
@@ -881,7 +870,7 @@ func reconcileLatency(pre, post []page, report *Report) {
 	}
 	if !exported {
 		cc.LatencyNotes = append(cc.LatencyNotes,
-			"server does not export "+scoreHistFamily+"; latency reconciliation skipped")
+			"server does not export "+obs.FamScoreDuration.Name+"; latency reconciliation skipped")
 		return
 	}
 	endpoints := make([]string, 0, len(report.Overall))

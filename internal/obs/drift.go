@@ -300,32 +300,22 @@ func (m *DriftMonitor) WriteMetrics(w io.Writer) {
 	baselineAt := m.baselineAt
 	m.mu.Unlock()
 
-	WriteMetric(w, "polygraph_drift_evaluations_total",
-		"Completed PSI evaluations of live traffic vs the training baseline.", "counter", float64(evals))
-	WriteMetric(w, "polygraph_drift_reservoir_size",
-		"Feature vectors currently held in the drift reservoir.", "gauge", float64(resLen))
-	WriteMetric(w, "polygraph_drift_observed_total",
-		"Accepted feature vectors offered to the drift reservoir.", "counter", float64(seen))
+	FamDriftEvaluations.Write(w, float64(evals))
+	FamDriftReservoir.Write(w, float64(resLen))
+	FamDriftObserved.Write(w, float64(seen))
 	alertVal := 0.0
 	if alerted {
 		alertVal = 1
 	}
-	WriteMetric(w, "polygraph_drift_alert",
-		"1 when the last evaluation found a feature above the PSI alert threshold.", "gauge", alertVal)
+	FamDriftAlert.Write(w, alertVal)
 	baselineTs := 0.0
 	if !baselineAt.IsZero() {
 		baselineTs = float64(baselineAt.Unix())
 	}
-	WriteMetric(w, "polygraph_drift_baseline_timestamp_seconds",
-		"Unix time the current drift baseline was installed (0 while unset).", "gauge", baselineTs)
-	if len(latest) == 0 {
-		return
-	}
+	FamDriftBaselineAt.Write(w, baselineTs)
 	series := make([]LabeledValue, len(latest))
 	for i, r := range latest {
 		series[i] = LabeledValue{Label: r.Feature, Value: r.PSI}
 	}
-	WriteLabeledFamily(w, "polygraph_feature_psi",
-		"Population Stability Index of each feature, live traffic vs training baseline.",
-		"gauge", "feature", series)
+	FamFeaturePSI.WriteSeries(w, series)
 }

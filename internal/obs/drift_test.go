@@ -194,7 +194,7 @@ func TestDriftMonitorBaselineTimestampGauge(t *testing.T) {
 	}
 	var before bytes.Buffer
 	m.WriteMetrics(&before)
-	if v, err := ParseMetric(before.String(), "polygraph_drift_baseline_timestamp_seconds"); err != nil || v != 0 {
+	if v, err := ParseExpositionString(before.String()).Value("polygraph_drift_baseline_timestamp_seconds"); err != nil || v != 0 {
 		t.Fatalf("baseline timestamp before SetBaseline = %v, %v; want 0", v, err)
 	}
 
@@ -203,7 +203,7 @@ func TestDriftMonitorBaselineTimestampGauge(t *testing.T) {
 	}
 	var after bytes.Buffer
 	m.WriteMetrics(&after)
-	v, err := ParseMetric(after.String(), "polygraph_drift_baseline_timestamp_seconds")
+	v, err := ParseExpositionString(after.String()).Value("polygraph_drift_baseline_timestamp_seconds")
 	if err != nil || v <= 0 {
 		t.Fatalf("baseline timestamp after SetBaseline = %v, %v; want > 0", v, err)
 	}

@@ -89,7 +89,7 @@ func BucketUpperMicros(i int) float64 {
 
 // Buckets snapshots the per-bucket counts (non-cumulative). The copy is
 // internally consistent enough for exposition: each counter is read
-// once, and WriteHistogramFamily derives _count from the same snapshot
+// once, and Family.WriteHistogram derives _count from the same snapshot
 // so _bucket/_count never disagree.
 func (h *Hist) Buckets() [NumBuckets]uint64 {
 	var out [NumBuckets]uint64

@@ -10,14 +10,12 @@ import (
 func TestLintCleanExposition(t *testing.T) {
 	var b bytes.Buffer
 	WriteBuildInfo(&b)
-	WriteMetric(&b, "polygraph_collections_total", "Payloads scored.", "counter", 42)
-	WriteLabeledFamily(&b, "polygraph_rejected_total", "Rejects by cause.", "counter", "reason",
-		[]LabeledValue{{Label: "decode", Value: 1}, {Label: "score", Value: 0}})
+	FamCollections.Write(&b, 42)
+	FamRejected.WriteSeries(&b, []LabeledValue{{Label: "decode", Value: 1}, {Label: "score", Value: 0}})
 	var h Hist
 	h.Record(3 * time.Microsecond)
 	h.Record(900 * time.Microsecond)
-	WriteHistogramFamily(&b, "polygraph_score_duration_microseconds", "Latency.",
-		"endpoint", []HistogramSeries{HistogramSnapshot("/v1/collect", &h)})
+	FamScoreDuration.WriteHistogram(&b, []HistogramSeries{HistogramSnapshot("/v1/collect", &h)})
 
 	problems, err := Lint(bytes.NewReader(b.Bytes()),
 		"polygraph_build_info", "polygraph_collections_total",
@@ -92,8 +90,8 @@ func TestLintRequiredFamilies(t *testing.T) {
 	var b bytes.Buffer
 	var h Hist
 	h.Record(time.Millisecond)
-	WriteHistogramFamily(&b, "hist_fam", "x", "endpoint",
-		[]HistogramSeries{HistogramSnapshot("e", &h)})
+	histFam := &Family{Name: "hist_fam", Help: "x", Type: "histogram", Labels: []string{"endpoint"}}
+	histFam.WriteHistogram(&b, []HistogramSeries{HistogramSnapshot("e", &h)})
 	problems, err = Lint(&b, "hist_fam")
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +102,20 @@ func TestLintRequiredFamilies(t *testing.T) {
 }
 
 func TestEscapeLabel(t *testing.T) {
-	if got := EscapeLabel("a\"b\\c\nd"); got != `a\"b\\c\nd` {
-		t.Fatalf("EscapeLabel = %q", got)
+	for _, tc := range []struct{ in, want string }{
+		{`a\b`, `a\\b`},
+		{"a\nb", `a\nb`},
+		{`a"b`, `a\"b`},
+		{"a\"b\\c\nd", `a\"b\\c\nd`},
+		{"plain", "plain"},
+	} {
+		if got := EscapeLabel(tc.in); got != tc.want {
+			t.Errorf("EscapeLabel(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+	// A value with nothing to escape, the common case, costs nothing.
+	if n := testing.AllocsPerRun(100, func() { EscapeLabel("/v1/collect-json") }); n != 0 {
+		t.Fatalf("EscapeLabel of a plain value allocates %v times", n)
 	}
 }
 
@@ -123,7 +133,8 @@ func TestHistogramFamilyCountMatchesBuckets(t *testing.T) {
 		t.Fatalf("snapshot holds %d observations, want 100", total)
 	}
 	var b bytes.Buffer
-	WriteHistogramFamily(&b, "f", "x", "endpoint", []HistogramSeries{snap})
+	f := &Family{Name: "f", Help: "x", Type: "histogram", Labels: []string{"endpoint"}}
+	f.WriteHistogram(&b, []HistogramSeries{snap})
 	out := b.String()
 	if !strings.Contains(out, `f_bucket{endpoint="e",le="+Inf"} 100`) {
 		t.Fatalf("terminal bucket missing or wrong:\n%s", out)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -18,6 +17,12 @@ import (
 // cannot parse are skipped, because an analyzer reading a bundle from a
 // sick replica must extract what it can rather than give up at the
 // first malformed line (obs.Lint reports the malformation separately).
+
+// Label is one name/value pair of a parsed series.
+type Label struct {
+	Name  string
+	Value string
+}
 
 // Sample is one parsed sample line: name{labels} value.
 type Sample struct {
@@ -42,13 +47,12 @@ func (s Sample) Label(name string) string {
 type Exposition struct {
 	samples []Sample
 	byName  map[string][]int
-	types   map[string]string
 }
 
 // ParseExposition parses a text exposition from r. It returns an error
 // only for I/O failure; malformed lines are skipped.
 func ParseExposition(r io.Reader) (*Exposition, error) {
-	e := &Exposition{byName: map[string][]int{}, types: map[string]string{}}
+	e := &Exposition{byName: map[string][]int{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -57,10 +61,6 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			fields := strings.SplitN(line, " ", 4)
-			if len(fields) == 4 && fields[1] == "TYPE" {
-				e.types[fields[2]] = fields[3]
-			}
 			continue
 		}
 		name, labels, rest, ok := splitSample(line)
@@ -85,24 +85,6 @@ func ParseExpositionString(text string) *Exposition {
 	e, _ := ParseExposition(strings.NewReader(text)) // string reader cannot fail
 	return e
 }
-
-// Families returns the sorted family names that have samples (histogram
-// component samples collapse to their family name).
-func (e *Exposition) Families() []string {
-	set := map[string]bool{}
-	for name := range e.byName {
-		set[histFamily(name)] = true
-	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Type returns the declared TYPE of a family, "" when undeclared.
-func (e *Exposition) Type(family string) string { return e.types[family] }
 
 // Has reports whether the named family has at least one sample (for a
 // histogram, any of its _bucket/_sum/_count samples).
@@ -203,17 +185,6 @@ func (e *Exposition) Histogram(family, label string) map[string][]Bucket {
 		out[lv] = append(out[lv], Bucket{Le: le, Cum: s.Value})
 	}
 	return out
-}
-
-// ParseMetric returns the value of the named unlabeled family in an
-// exposition text — the one-shot form of Exposition.Value.
-func ParseMetric(text, name string) (float64, error) {
-	return ParseExpositionString(text).Value(name)
-}
-
-// ParseHistogram is the one-shot form of Exposition.HistogramBuckets.
-func ParseHistogram(text, family, label string) map[string][]uint64 {
-	return ParseExpositionString(text).HistogramBuckets(family, label)
 }
 
 // QuantileBucket returns the index of the bucket holding quantile q of

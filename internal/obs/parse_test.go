@@ -13,9 +13,8 @@ import (
 
 func TestParseExpositionBasics(t *testing.T) {
 	var b strings.Builder
-	WriteMetric(&b, "polygraph_collections_total", "Sessions scored.", "counter", 42)
-	WriteLabeledFamily(&b, "polygraph_rejected_total", "Rejected requests.", "counter",
-		"reason", []LabeledValue{{Label: "decode", Value: 3}, {Label: "too_large", Value: 5}})
+	FamCollections.Write(&b, 42)
+	FamRejected.WriteSeries(&b, []LabeledValue{{Label: "decode", Value: 3}, {Label: "too_large", Value: 5}})
 
 	ex := ParseExpositionString(b.String())
 	if v, err := ex.Value("polygraph_collections_total"); err != nil || v != 42 {
@@ -28,16 +27,8 @@ func TestParseExpositionBasics(t *testing.T) {
 	if len(samples) != 2 || samples[0].Label("reason") != "decode" || samples[1].Value != 5 {
 		t.Fatalf("Samples(rejected) = %+v", samples)
 	}
-	if ex.Type("polygraph_rejected_total") != "counter" {
-		t.Fatalf("Type = %q, want counter", ex.Type("polygraph_rejected_total"))
-	}
 	if !ex.Has("polygraph_collections_total") || ex.Has("polygraph_missing") {
 		t.Fatal("Has() misreports family presence")
-	}
-	families := ex.Families()
-	want := []string{"polygraph_collections_total", "polygraph_rejected_total"}
-	if len(families) != 2 || families[0] != want[0] || families[1] != want[1] {
-		t.Fatalf("Families = %v, want %v", families, want)
 	}
 }
 
@@ -69,10 +60,9 @@ func TestParseHistogramRoundTrip(t *testing.T) {
 		h.Record(d)
 	}
 	var b strings.Builder
-	WriteHistogramFamily(&b, "polygraph_score_duration_microseconds", "Latency.",
-		"endpoint", []HistogramSeries{HistogramSnapshot("/v1/collect", &h)})
+	FamScoreDuration.WriteHistogram(&b, []HistogramSeries{HistogramSnapshot("/v1/collect", &h)})
 
-	hist := ParseHistogram(b.String(), "polygraph_score_duration_microseconds", "endpoint")
+	hist := ParseExpositionString(b.String()).HistogramBuckets("polygraph_score_duration_microseconds", "endpoint")
 	cum, ok := hist["/v1/collect"]
 	if !ok {
 		t.Fatalf("series /v1/collect missing; got %v", hist)
@@ -104,13 +94,12 @@ func TestParseHistogramRoundTrip(t *testing.T) {
 func TestWriteHistogramFamilyZeroCount(t *testing.T) {
 	var h Hist
 	var b strings.Builder
-	WriteHistogramFamily(&b, "polygraph_score_duration_microseconds", "Latency.",
-		"endpoint", []HistogramSeries{HistogramSnapshot("/v1/collect", &h)})
+	FamScoreDuration.WriteHistogram(&b, []HistogramSeries{HistogramSnapshot("/v1/collect", &h)})
 
 	if problems, err := Lint(strings.NewReader(b.String())); err != nil || len(problems) != 0 {
 		t.Fatalf("zero-count histogram lints dirty: %v %v", problems, err)
 	}
-	cum := ParseHistogram(b.String(), "polygraph_score_duration_microseconds", "endpoint")["/v1/collect"]
+	cum := ParseExpositionString(b.String()).HistogramBuckets("polygraph_score_duration_microseconds", "endpoint")["/v1/collect"]
 	if len(cum) != NumBuckets {
 		t.Fatalf("bucket count = %d, want %d", len(cum), NumBuckets)
 	}
@@ -135,13 +124,12 @@ func TestWriteHistogramFamilyInfOnlyBucket(t *testing.T) {
 	s := HistogramSeries{Label: "slow", SumUs: 1e9}
 	s.Buckets[NumBuckets-1] = 5
 	var b strings.Builder
-	WriteHistogramFamily(&b, "polygraph_score_duration_microseconds", "Latency.",
-		"endpoint", []HistogramSeries{s})
+	FamScoreDuration.WriteHistogram(&b, []HistogramSeries{s})
 
 	if problems, err := Lint(strings.NewReader(b.String())); err != nil || len(problems) != 0 {
 		t.Fatalf("+Inf-only histogram lints dirty: %v %v", problems, err)
 	}
-	cum := ParseHistogram(b.String(), "polygraph_score_duration_microseconds", "endpoint")["slow"]
+	cum := ParseExpositionString(b.String()).HistogramBuckets("polygraph_score_duration_microseconds", "endpoint")["slow"]
 	if len(cum) != NumBuckets {
 		t.Fatalf("bucket count = %d, want %d", len(cum), NumBuckets)
 	}
@@ -175,13 +163,15 @@ func TestLabelEscapingRoundTrip(t *testing.T) {
 	for i, v := range gnarly {
 		series[i] = LabeledValue{Label: v, Value: float64(i + 1)}
 	}
-	WriteLabeledFamily(&b, "polygraph_ua_total", "UA counts.", "counter", "ua", series)
+	uaFam := &Family{Name: "polygraph_ua_total", Help: "UA counts.", Type: "counter", Labels: []string{"ua"}}
+	uaFam.WriteSeries(&b, series)
 
 	multi := make([]MultiSeries, len(gnarly))
 	for i, v := range gnarly {
-		multi[i] = MultiSeries{Labels: []Label{{Name: "replica", Value: v}, {Name: "idx", Value: "x"}}, Value: 1}
+		multi[i] = MultiSeries{Values: []string{v, "x"}, Value: 1}
 	}
-	WriteMultiFamily(&b, "polygraph_replica_info", "Replica info.", "gauge", multi)
+	infoFam := &Family{Name: "polygraph_replica_info", Help: "Replica info.", Type: "gauge", Labels: []string{"replica", "idx"}}
+	infoFam.WriteMulti(&b, multi)
 
 	if problems, err := Lint(strings.NewReader(b.String())); err != nil || len(problems) != 0 {
 		t.Fatalf("escaped labels lint dirty: %v %v", problems, err)
@@ -263,8 +253,8 @@ func TestQuantileBucketEdgeCases(t *testing.T) {
 // two writers that both own the same family.
 func TestLintDuplicateFamilyEmission(t *testing.T) {
 	var b strings.Builder
-	WriteMetric(&b, "polygraph_collections_total", "Sessions scored.", "counter", 1)
-	WriteMetric(&b, "polygraph_collections_total", "Sessions scored.", "counter", 2)
+	FamCollections.Write(&b, 1)
+	FamCollections.Write(&b, 2)
 	problems, err := Lint(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)

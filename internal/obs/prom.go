@@ -9,14 +9,21 @@ import (
 	"time"
 )
 
-// Prometheus text-exposition (version 0.0.4) writers. Stdlib only: the
+// Prometheus text-exposition (version 0.0.4) writers, one method per
+// series shape on the declared Family (families.go). Stdlib only: the
 // format is plain text, and every value already lives on an atomic
 // counter somewhere. The collect server composes its /metrics page from
 // these; Lint (lint.go) checks the result in CI.
 
-// WriteMetric emits one unlabeled metric with HELP/TYPE headers.
-func WriteMetric(w io.Writer, name, help, typ string, value float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, value)
+// header emits the family's HELP and TYPE lines.
+func (f *Family) header(w io.Writer) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, f.Type)
+}
+
+// Write emits an unlabeled family with one value.
+func (f *Family) Write(w io.Writer, value float64) {
+	f.header(w)
+	fmt.Fprintf(w, "%s %g\n", f.Name, value)
 }
 
 // LabeledValue is one series of a single-label family.
@@ -25,24 +32,23 @@ type LabeledValue struct {
 	Value float64
 }
 
-// WriteLabeledFamily emits one metric family whose series differ only
-// in one label value. Label values are escaped per the text exposition
-// format.
-func WriteLabeledFamily(w io.Writer, name, help, typ, label string, series []LabeledValue) {
+// WriteSeries emits a family whose series differ only in the value of
+// its one label. Nothing is written for no series.
+func (f *Family) WriteSeries(w io.Writer, series []LabeledValue) {
 	if len(series) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	f.header(w)
 	for _, s := range series {
-		fmt.Fprintf(w, "%s{%s=\"%s\"} %g\n", name, label, EscapeLabel(s.Label), s.Value)
+		fmt.Fprintf(w, "%s{%s=\"%s\"} %g\n", f.Name, f.Labels[0], EscapeLabel(s.Label), s.Value)
 	}
 }
 
+// labelEscaper escapes a label value per the exposition format.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+
 // EscapeLabel escapes a label value per the exposition format.
-func EscapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
+func EscapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // HistogramSeries is one labeled series of a histogram family: a
 // snapshot of per-bucket (non-cumulative) counts plus the exact latency
@@ -64,15 +70,16 @@ func HistogramSnapshot(label string, h *Hist) HistogramSeries {
 	}
 }
 
-// WriteHistogramFamily emits a full Prometheus histogram family —
-// cumulative _bucket series with a terminal le="+Inf", then _sum and
-// _count — one series set per label value. Bucket upper bounds are the
-// histogram's power-of-two microsecond boundaries.
-func WriteHistogramFamily(w io.Writer, name, help, label string, series []HistogramSeries) {
+// WriteHistogram emits a histogram family — cumulative _bucket series
+// with a terminal le="+Inf", then _sum and _count — one series set per
+// value of its one label. Bucket upper bounds are the histogram's
+// power-of-two microsecond boundaries. Nothing is written for no series.
+func (f *Family) WriteHistogram(w io.Writer, series []HistogramSeries) {
 	if len(series) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	f.header(w)
+	name, label := f.Name, f.Labels[0]
 	for _, s := range series {
 		lv := EscapeLabel(s.Label)
 		var cum uint64
@@ -89,36 +96,30 @@ func WriteHistogramFamily(w io.Writer, name, help, label string, series []Histog
 	}
 }
 
-// Label is one name/value pair of a multi-label series.
-type Label struct {
-	Name  string
-	Value string
-}
-
-// MultiSeries is one series of a multi-label family.
+// MultiSeries is one series of a multi-label family: a value for each
+// of the family's labels, in declaration order.
 type MultiSeries struct {
-	Labels []Label
+	Values []string
 	Value  float64
 }
 
-// WriteMultiFamily emits one metric family whose series carry an
-// arbitrary (per-series) label set — the shape of info gauges like the
-// fleet's per-replica model-hash series. Label values are escaped per
-// the text exposition format.
-func WriteMultiFamily(w io.Writer, name, help, typ string, series []MultiSeries) {
+// WriteMulti emits a family whose series carry several labels — the
+// shape of info gauges like the fleet's per-replica model-hash series.
+// Nothing is written for no series.
+func (f *Family) WriteMulti(w io.Writer, series []MultiSeries) {
 	if len(series) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	f.header(w)
 	for _, s := range series {
 		var b strings.Builder
-		for i, l := range s.Labels {
+		for i, v := range s.Values {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			fmt.Fprintf(&b, "%s=\"%s\"", l.Name, EscapeLabel(l.Value))
+			fmt.Fprintf(&b, "%s=\"%s\"", f.Labels[i], EscapeLabel(v))
 		}
-		fmt.Fprintf(w, "%s{%s} %g\n", name, b.String(), s.Value)
+		fmt.Fprintf(w, "%s{%s} %g\n", f.Name, b.String(), s.Value)
 	}
 }
 
@@ -180,19 +181,7 @@ func ProcessStart() time.Time { return processStart }
 // replica from a long-lived one.
 func WriteBuildInfo(w io.Writer) {
 	v := Version("polygraph")
-	WriteMultiFamily(w, "polygraph_build_info",
-		"Build metadata; value is always 1.", "gauge",
-		[]MultiSeries{{
-			Labels: []Label{
-				{Name: "go_version", Value: v.GoVersion},
-				{Name: "revision", Value: v.Revision},
-			},
-			Value: 1,
-		}})
-	WriteMetric(w, "polygraph_process_start_timestamp_seconds",
-		"Unix time the process started.", "gauge",
-		float64(processStart.UnixNano())/1e9)
-	WriteMetric(w, "polygraph_uptime_seconds",
-		"Seconds since the process started.", "gauge",
-		time.Since(processStart).Seconds())
+	FamBuildInfo.WriteMulti(w, []MultiSeries{{Values: []string{v.GoVersion, v.Revision}, Value: 1}})
+	FamProcessStart.Write(w, float64(processStart.UnixNano())/1e9)
+	FamUptime.Write(w, time.Since(processStart).Seconds())
 }

@@ -14,15 +14,18 @@ import (
 // starvation — is observable from the exposition the operator already
 // reads, instead of requiring a pprof session on a sick box.
 
-// runtimeSampleNames are the runtime/metrics keys the collector reads,
-// in the order writeRuntimeMetrics consumes them.
-var runtimeSampleNames = []string{
-	"/sched/goroutines:goroutines",
-	"/memory/classes/heap/objects:bytes",
-	"/gc/heap/goal:bytes",
-	"/gc/cycles/total:gc-cycles",
-	"/gc/pauses:seconds",
-	"/sched/latencies:seconds",
+// runtimeFamilies pairs each runtime/metrics key the collector reads
+// with the family it is exported as.
+var runtimeFamilies = []struct {
+	key string
+	fam *Family
+}{
+	{"/sched/goroutines:goroutines", FamGoroutines},
+	{"/memory/classes/heap/objects:bytes", FamHeapLive},
+	{"/gc/heap/goal:bytes", FamHeapGoal},
+	{"/gc/cycles/total:gc-cycles", FamGCCycles},
+	{"/gc/pauses:seconds", FamGCPause},
+	{"/sched/latencies:seconds", FamSchedLatency},
 }
 
 // maxRuntimeBuckets caps the exported bucket count of a runtime
@@ -36,29 +39,23 @@ const maxRuntimeBuckets = 32
 // pause and scheduler latency histograms. Metrics the running toolchain
 // does not support are skipped rather than emitted as zeros.
 func WriteRuntimeMetrics(w io.Writer) {
-	samples := make([]metrics.Sample, len(runtimeSampleNames))
-	for i, name := range runtimeSampleNames {
-		samples[i].Name = name
+	samples := make([]metrics.Sample, len(runtimeFamilies))
+	for i, rf := range runtimeFamilies {
+		samples[i].Name = rf.key
 	}
 	metrics.Read(samples)
-
-	writeRuntimeValue(w, samples[0], "polygraph_go_goroutines",
-		"Live goroutine count.", "gauge")
-	writeRuntimeValue(w, samples[1], "polygraph_go_heap_live_bytes",
-		"Bytes of live heap objects (runtime/metrics /memory/classes/heap/objects).", "gauge")
-	writeRuntimeValue(w, samples[2], "polygraph_go_heap_goal_bytes",
-		"Heap size the GC is pacing toward (runtime/metrics /gc/heap/goal).", "gauge")
-	writeRuntimeValue(w, samples[3], "polygraph_go_gc_cycles_total",
-		"Completed GC cycles since process start.", "counter")
-	writeRuntimeHistogram(w, samples[4], "polygraph_go_gc_pause_seconds",
-		"Distribution of stop-the-world GC pause latencies; sum approximated from bucket midpoints.")
-	writeRuntimeHistogram(w, samples[5], "polygraph_go_sched_latency_seconds",
-		"Distribution of goroutine scheduling latencies; sum approximated from bucket midpoints.")
+	for i, rf := range runtimeFamilies {
+		if rf.fam.Type == "histogram" {
+			writeRuntimeHistogram(w, samples[i], rf.fam)
+		} else {
+			writeRuntimeValue(w, samples[i], rf.fam)
+		}
+	}
 }
 
 // writeRuntimeValue emits one scalar runtime sample, skipping values the
 // toolchain reports as unsupported.
-func writeRuntimeValue(w io.Writer, s metrics.Sample, name, help, typ string) {
+func writeRuntimeValue(w io.Writer, s metrics.Sample, f *Family) {
 	var v float64
 	switch s.Value.Kind() {
 	case metrics.KindUint64:
@@ -68,7 +65,7 @@ func writeRuntimeValue(w io.Writer, s metrics.Sample, name, help, typ string) {
 	default:
 		return
 	}
-	WriteMetric(w, name, help, typ, v)
+	f.Write(w, v)
 }
 
 // writeRuntimeHistogram converts a runtime Float64Histogram into a
@@ -78,7 +75,7 @@ func writeRuntimeValue(w io.Writer, s metrics.Sample, name, help, typ string) {
 // approximated from bucket midpoints (using the finite edge for
 // unbounded buckets), which is the usual trade for re-exporting
 // pre-bucketed data.
-func writeRuntimeHistogram(w io.Writer, s metrics.Sample, name, help string) {
+func writeRuntimeHistogram(w io.Writer, s metrics.Sample, f *Family) {
 	if s.Value.Kind() != metrics.KindFloat64Histogram {
 		return
 	}
@@ -91,7 +88,8 @@ func writeRuntimeHistogram(w io.Writer, s metrics.Sample, name, help string) {
 		stride = 1
 	}
 
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	f.header(w)
+	name := f.Name
 	var cum uint64
 	var sum float64
 	sawInf := false

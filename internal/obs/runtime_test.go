@@ -8,22 +8,16 @@ import (
 	"time"
 )
 
-// runtimeFamilies is the self-telemetry contract: every exposition that
-// calls WriteRuntimeMetrics must carry all of these.
-var runtimeFamilies = []string{
-	"polygraph_go_goroutines",
-	"polygraph_go_heap_live_bytes",
-	"polygraph_go_heap_goal_bytes",
-	"polygraph_go_gc_cycles_total",
-	"polygraph_go_gc_pause_seconds",
-	"polygraph_go_sched_latency_seconds",
-}
-
 func TestWriteRuntimeMetricsLintsClean(t *testing.T) {
 	runtime.GC() // at least one cycle so the pause histogram is populated
 	var b strings.Builder
 	WriteRuntimeMetrics(&b)
-	problems, err := Lint(strings.NewReader(b.String()), runtimeFamilies...)
+	// Every family the collector reads must be on the page.
+	var names []string
+	for _, rf := range runtimeFamilies {
+		names = append(names, rf.fam.Name)
+	}
+	problems, err := Lint(strings.NewReader(b.String()), names...)
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
@@ -90,7 +84,7 @@ func TestExpositionHistogramBounds(t *testing.T) {
 	series := []HistogramSeries{{Label: "/v1/collect", SumUs: 10}}
 	series[0].Buckets[3] = 2 // [4,8) µs
 	series[0].Buckets[12] = 1
-	WriteHistogramFamily(&b, "polygraph_score_duration_microseconds", "h", "endpoint", series)
+	FamScoreDuration.WriteHistogram(&b, series)
 	ex := ParseExpositionString(b.String())
 
 	got := ex.Histogram("polygraph_score_duration_microseconds", "endpoint")["/v1/collect"]

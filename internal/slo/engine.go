@@ -65,7 +65,7 @@ type Engine struct {
 
 // NewEngine builds an engine and evaluates the implicit zero baseline
 // (tick 0, all counters zero — exact, because exported counters are
-// cumulative since process start), so the polygraph_slo_* families are
+// cumulative since process start), so the SLO families are
 // present and vacuously green before the first tick fires.
 func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Spec == nil {
@@ -364,48 +364,35 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	e.WriteJSON(w)
 }
 
-// WriteMetrics emits the polygraph_slo_* families.
-func (e *Engine) WriteMetrics(w io.Writer) { e.WriteMetricsAs(w, "polygraph_slo") }
+// WriteMetrics emits the replica's SLO families (obs.ReplicaSLO).
+func (e *Engine) WriteMetrics(w io.Writer) { e.WriteMetricsAs(w, obs.ReplicaSLO) }
 
-// WriteMetricsAs emits the engine's families under an alternate prefix
-// (the fleet rollup uses polygraph_fleet_slo so its families can share
-// an exposition with a replica's own).
-func (e *Engine) WriteMetricsAs(w io.Writer, prefix string) {
+// WriteMetricsAs emits the engine's gauges as the given families (the
+// fleet rollup writes obs.FleetSLO so its families can share an
+// exposition with a replica's own).
+func (e *Engine) WriteMetricsAs(w io.Writer, fams obs.SLOFamilies) {
 	page := e.Status()
-	n := len(page.Objectives)
-	target := make([]obs.LabeledValue, 0, n)
-	sliS := make([]obs.LabeledValue, 0, n)
-	budget := make([]obs.LabeledValue, 0, n)
-	alert := make([]obs.LabeledValue, 0, n)
+	per := func(value func(ObjectiveStatus) float64) []obs.LabeledValue {
+		out := make([]obs.LabeledValue, len(page.Objectives))
+		for i, o := range page.Objectives {
+			out[i] = obs.LabeledValue{Label: o.Name, Value: value(o)}
+		}
+		return out
+	}
 	var burn []obs.MultiSeries
 	for _, o := range page.Objectives {
-		target = append(target, obs.LabeledValue{Label: o.Name, Value: o.Target})
-		sliS = append(sliS, obs.LabeledValue{Label: o.Name, Value: o.SLI})
-		budget = append(budget, obs.LabeledValue{Label: o.Name, Value: o.BudgetRemaining})
-		av := 0.0
-		if o.Alerting {
-			av = 1
-		}
-		alert = append(alert, obs.LabeledValue{Label: o.Name, Value: av})
 		for _, b := range o.Burn {
-			burn = append(burn, obs.MultiSeries{
-				Labels: []obs.Label{{Name: "objective", Value: o.Name}, {Name: "window", Value: b.Window}},
-				Value:  b.Rate,
-			})
+			burn = append(burn, obs.MultiSeries{Values: []string{o.Name, b.Window}, Value: b.Rate})
 		}
 	}
-	obs.WriteLabeledFamily(w, prefix+"_target",
-		"Declared objective target ratio.", "gauge", "objective", target)
-	obs.WriteLabeledFamily(w, prefix+"_sli",
-		"Measured service-level indicator over the rolling compliance window.",
-		"gauge", "objective", sliS)
-	obs.WriteLabeledFamily(w, prefix+"_error_budget_remaining",
-		"Fraction of the compliance window's error budget left (negative = overspent).",
-		"gauge", "objective", budget)
-	obs.WriteMultiFamily(w, prefix+"_burn_rate",
-		"Error-budget burn rate per evaluation window (1 = sustainable pace).",
-		"gauge", burn)
-	obs.WriteLabeledFamily(w, prefix+"_alert",
-		"1 while a multi-window burn-rate alert is firing for the objective.",
-		"gauge", "objective", alert)
+	fams.Target.WriteSeries(w, per(func(o ObjectiveStatus) float64 { return o.Target }))
+	fams.SLI.WriteSeries(w, per(func(o ObjectiveStatus) float64 { return o.SLI }))
+	fams.BudgetRemaining.WriteSeries(w, per(func(o ObjectiveStatus) float64 { return o.BudgetRemaining }))
+	fams.BurnRate.WriteMulti(w, burn)
+	fams.Alert.WriteSeries(w, per(func(o ObjectiveStatus) float64 {
+		if o.Alerting {
+			return 1
+		}
+		return 0
+	}))
 }

@@ -182,7 +182,7 @@ func TestEngineMetricsLintClean(t *testing.T) {
 
 	// The fleet prefix renders the same families under fleet names.
 	var fb strings.Builder
-	e.WriteMetricsAs(&fb, "polygraph_fleet_slo")
+	e.WriteMetricsAs(&fb, obs.FleetSLO)
 	if !strings.Contains(fb.String(), "polygraph_fleet_slo_burn_rate") {
 		t.Fatalf("fleet prefix missing:\n%s", fb.String())
 	}

@@ -42,15 +42,6 @@ const (
 	KindAvailability = "availability"
 )
 
-// Metric family names the SLI derivation reads.
-const (
-	famScoreDuration = "polygraph_score_duration_microseconds"
-	famCollections   = "polygraph_collections_total"
-	famRejected      = "polygraph_rejected_total"
-	famTCPScored     = "polygraph_tcp_scored_total"
-	famTCPBadFrames  = "polygraph_tcp_bad_frames_total"
-)
-
 // EndpointTCP selects the framed-TCP listener's counters for an
 // availability objective (and its histogram label for latency).
 const EndpointTCP = "tcp"
@@ -246,7 +237,7 @@ func (s *Spec) Extract(ex *obs.Exposition) []Counters {
 func (o *Objective) extract(ex *obs.Exposition) Counters {
 	switch o.Kind {
 	case KindLatency:
-		series := ex.Histogram(famScoreDuration, "endpoint")[o.Endpoint]
+		series := ex.Histogram(obs.FamScoreDuration.Name, "endpoint")[o.Endpoint]
 		if len(series) == 0 {
 			return Counters{}
 		}
@@ -260,17 +251,17 @@ func (o *Objective) extract(ex *obs.Exposition) Counters {
 		return c
 	case KindAvailability:
 		if o.Endpoint == EndpointTCP {
-			good := valueOrZero(ex, famTCPScored)
-			bad := valueOrZero(ex, famTCPBadFrames)
+			good := valueOrZero(ex, obs.FamTCPScored.Name)
+			bad := valueOrZero(ex, obs.FamTCPBadFrames.Name)
 			return Counters{Good: good, Total: good + bad}
 		}
-		good := valueOrZero(ex, famCollections)
+		good := valueOrZero(ex, obs.FamCollections.Name)
 		reasons := o.BadReasons
 		if len(reasons) == 0 {
 			reasons = DefaultBadReasons
 		}
 		var bad float64
-		for _, s := range ex.Samples(famRejected) {
+		for _, s := range ex.Samples(obs.FamRejected.Name) {
 			for _, r := range reasons {
 				if s.Label("reason") == r {
 					bad += s.Value

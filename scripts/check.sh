@@ -6,8 +6,9 @@
 # benchmark module under bench/, whose seam.go pins the symbols the
 # benchmark calls — the one-ingest-core, explanations-are-derived,
 # one-use-of-unsafe, one-daemon-wiring, one-segment-writer, per-row-kernel
-# (score kernel included), training-is-one-goroutine and
-# one-operator-binary-one-perf-line guards, the race-detector pass that
+# (score kernel included), training-is-one-goroutine,
+# one-operator-binary-one-perf-line, metrics-declared-once and
+# docs-name-only-identifiers-that-exist guards, the race-detector pass that
 # guards the concurrent layers (collect's hot-swap/stats paths, seglog's
 # flusher, obs, and core's batch scorer, the one fan-out of the
 # train/score stack), and five seconds of fuzzing per fuzz target.
@@ -141,6 +142,25 @@ bins=$(ls cmd | tr '\n' ' ')
     echo "check.sh: cmd/ holds: $bins— want loadgen polygraph polygraphctl polygraphd reproduce" >&2; exit 1; }
 stale=$(git grep -lE 'bench''json|POLYGRAPH_''BENCH_JSON|bench''merge' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench' || true)
 [ -z "$stale" ] || { echo "check.sh: the retired perf trajectory is named in: $(echo $stale)" >&2; exit 1; }
+
+# Metrics declared once: internal/obs/families.go declares every
+# family's name, HELP, TYPE, labels and surface, and writers and readers
+# name families through it, so a family spelled out anywhere else is a
+# second declaration that can drift from the first.
+echo "== metrics declared once"
+found=$(grep -rnF --include='*.go' --exclude='*_test.go' -- '"polygraph_' cmd internal *.go | grep -v '^internal/obs/families.go:' || true)
+[ -z "$found" ] || { echo "check.sh: family names outside internal/obs/families.go:" >&2; echo "$found" >&2; exit 1; }
+
+# The docs describe what exists: every back-quoted Go identifier in
+# DESIGN.md and README.md (one with a capital letter, alone or as part
+# of a selector like pkg.Name or T.Method()) must occur in some .go file.
+echo "== docs name only identifiers that exist"
+missing=""
+for id in $(grep -ohE '`[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*(\(\))?`' DESIGN.md README.md |
+    tr -d '`()' | tr '.' '\n' | grep '[A-Z]' | sort -u); do
+    grep -rqw --include='*.go' --exclude-dir=.bench_build -- "$id" . || missing="$missing $id"
+done
+[ -z "$missing" ] || { echo "check.sh: DESIGN.md/README.md name identifiers no .go file has:$missing" >&2; exit 1; }
 
 echo "== go test ./... $*"
 go test "$@" ./...
