@@ -186,6 +186,32 @@ func TestTrainBadInput(t *testing.T) {
 	}
 }
 
+// TestTrainRejectsBadForestSizes: a negative isolation-forest size is
+// ErrBadInput, whether or not the filter stage would run, and never a
+// makeslice panic.
+func TestTrainRejectsBadForestSizes(t *testing.T) {
+	samples, _ := trainFixture(t, 5)
+	for _, tc := range []struct {
+		name string
+		edit func(*TrainConfig)
+	}{
+		{"trees-minus-one", func(c *TrainConfig) { c.IsolationTrees = -1 }},
+		{"trees-very-negative", func(c *TrainConfig) { c.IsolationTrees = -1 << 40 }},
+		{"filter-disabled", func(c *TrainConfig) { c.IsolationTrees, c.DisableOutlierFilter = -1, true }},
+		{"no-contamination", func(c *TrainConfig) { c.IsolationTrees, c.Contamination = -1, 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultTrainConfig()
+			cfg.K = 4
+			tc.edit(&cfg)
+			m, rep, err := TrainContext(context.Background(), samples, cfg)
+			if !errors.Is(err, ErrBadInput) || m != nil || rep != nil {
+				t.Fatalf("model %v, report %v, err %v; want ErrBadInput", m, rep, err)
+			}
+		})
+	}
+}
+
 func TestScoreNotTrained(t *testing.T) {
 	var m Model
 	if _, err := m.Score(make([]float64, 3), ua.Release{Vendor: ua.Chrome, Version: 100}); !errors.Is(err, ErrNotTrained) {

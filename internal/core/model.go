@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -439,16 +440,5 @@ func CompressReleases(releases []ua.Release) string {
 		}
 		flush(prev)
 	}
-	return join(parts, ", ")
-}
-
-func join(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
+	return strings.Join(parts, ", ")
 }

@@ -172,99 +172,83 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 	if !cfg.DisablePCA && (cfg.PCAComponents < 1 || cfg.PCAComponents > dim) {
 		return nil, nil, fmt.Errorf("core: %w: PCA components %d out of [1,%d]", ErrBadInput, cfg.PCAComponents, dim)
 	}
+	if cfg.IsolationTrees < 0 {
+		return nil, nil, fmt.Errorf("core: %w: IsolationTrees=%d", ErrBadInput, cfg.IsolationTrees)
+	}
 
 	run := pipeline.New(ctx)
 	report := &TrainReport{InputRows: len(samples)}
 
-	// Assemble the raw matrix.
-	raw := matrix.NewDense(len(samples), dim)
-	for i, s := range samples {
-		copy(raw.RawRow(i), s.Vector)
-	}
+	// Every stage reads one table: the distinct (claim, vector) pairs of
+	// the samples, each with its row count. A sum over the rows is a
+	// count-weighted sum over the table; what depends on row order — the
+	// isolation forest's ψ-samples, the contamination cut's tie-break,
+	// the k-means++ pick — reads the rows' classes in row order. No n-row
+	// float matrix is built.
+	rows := matrix.GroupRows(len(samples), dim, func(i int) (uint64, []float64) {
+		return claimKey(samples[i].UA), samples[i].Vector
+	})
 
 	// Stage 1: standard scaling; binary time-based columns pass through
 	// (§6.4.1).
 	var sc *scaler.Standard
-	var scaled *matrix.Dense
 	err := run.Run(StageScale, len(samples), func(ctx context.Context) (int, error) {
 		var err error
-		sc, err = scaler.FitContext(ctx, raw, scaler.Config{Skip: fingerprint.SkipScaleMask(cfg.Features)})
-		if err != nil {
+		if sc, err = scaler.FitContext(ctx, rows, scaler.Config{Skip: fingerprint.SkipScaleMask(cfg.Features)}); err != nil {
 			return 0, err
 		}
-		scaled, err = sc.TransformContext(ctx, raw)
-		if err != nil {
-			return 0, err
-		}
-		return len(samples), nil
+		rows.Rows, err = sc.Transform(rows.Rows)
+		return len(samples), err
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	// The stage closures capture these matrices, which keeps them
-	// reachable to the end of training; dropping each n-row matrix after
-	// its last reader keeps the collector's heap goal, and with it the
-	// process's peak RSS, at what the remaining stages need.
-	raw = nil
 
 	// Stage 2: Isolation Forest outlier filtering (§6.4.1).
-	kept := samples
-	keptScaled := scaled
 	if !cfg.DisableOutlierFilter && cfg.Contamination > 0 {
 		err := run.Run(StageFilter, len(samples), func(ctx context.Context) (int, error) {
-			forest, err := iforest.FitContext(ctx, scaled, iforest.Config{
+			forest, err := iforest.FitContext(ctx, rows, iforest.Config{
 				Trees: cfg.IsolationTrees, Seed: cfg.Seed,
 			})
 			if err != nil {
 				return 0, err
 			}
-			keepIdx, dropIdx, err := forest.FilterContaminationContext(ctx, scaled, cfg.Contamination)
+			drop, err := forest.Outliers(ctx, rows, cfg.Contamination)
 			if err != nil {
 				return 0, err
 			}
-			report.OutliersFiltered = len(dropIdx)
-			kept = make([]Sample, len(keepIdx))
-			keptScaled = matrix.NewDense(len(keepIdx), dim)
-			for newI, oldI := range keepIdx {
-				kept[newI] = samples[oldI]
-				copy(keptScaled.RawRow(newI), scaled.RawRow(oldI))
-			}
-			return len(kept), nil
+			report.OutliersFiltered = len(drop)
+			rows = rows.Drop(drop)
+			return len(rows.Group), nil
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	scaled = nil
+	kept := len(rows.Group)
 
 	// Stage 3: PCA (§6.4.2).
 	var p *pca.PCA
-	clusterInput := keptScaled
 	if !cfg.DisablePCA {
-		err := run.Run(StagePCA, len(kept), func(ctx context.Context) (int, error) {
+		err := run.Run(StagePCA, kept, func(ctx context.Context) (int, error) {
 			var err error
-			p, err = pca.FitContext(ctx, keptScaled, cfg.PCAComponents)
-			if err != nil {
+			if p, err = pca.FitContext(ctx, rows, cfg.PCAComponents); err != nil {
 				return 0, err
 			}
 			report.CumulativeVariance = p.CumulativeVariance()
-			clusterInput, err = p.TransformContext(ctx, keptScaled)
-			if err != nil {
-				return 0, err
-			}
-			return len(kept), nil
+			rows.Rows, err = p.Transform(rows.Rows)
+			return kept, err
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	keptScaled = nil
 
 	// Stage 4: k-means (§6.4.3).
 	var km *kmeans.Model
-	err = run.Run(StageKMeans, len(kept), func(ctx context.Context) (int, error) {
+	err = run.Run(StageKMeans, kept, func(ctx context.Context) (int, error) {
 		var err error
-		km, err = kmeans.FitContext(ctx, clusterInput, kmeans.Config{
+		km, err = kmeans.FitContext(ctx, rows, kmeans.Config{
 			K:        cfg.K,
 			Seed:     cfg.Seed,
 			Restarts: cfg.KMeansRestarts,
@@ -274,7 +258,7 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 			return 0, err
 		}
 		report.WCSS = km.WCSS
-		return len(kept), nil
+		return kept, nil
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
@@ -286,7 +270,7 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 		PCA:            p,
 		KMeans:         km,
 		VersionDivisor: cfg.VersionDivisor,
-		TrainedRows:    len(kept),
+		TrainedRows:    kept,
 	}
 
 	// Optional novelty guard: the threshold clears every *kept* training
@@ -294,19 +278,19 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 	// trips it and surfaces beyond the training population's territory
 	// do.
 	if cfg.NoveltyGuard {
-		err := run.Run(StageNovelty, len(kept), func(context.Context) (int, error) {
+		err := run.Run(StageNovelty, kept, func(context.Context) (int, error) {
 			// The largest distance over the rows is the largest over
-			// the distinct rows.
+			// the table.
 			maxDist := 0.0
-			for _, i := range clusterInput.DistinctRows().First {
+			for g := range rows.Count {
 				// One-pass nearest + distance; bit-identical to
 				// Distance(row, Predict(row)) at half the work.
-				if _, d := km.AssignDistance(clusterInput.RawRow(i)); d > maxDist {
+				if _, d := km.AssignDistance(rows.Rows.RawRow(g)); d > maxDist {
 					maxDist = d
 				}
 			}
 			model.NoveltyThreshold = maxDist * 1.15
-			return len(kept), nil
+			return kept, nil
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: %w", err)
@@ -316,12 +300,8 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 	// Stage 5: label clusters by user-agent majority and align rare
 	// user-agents with reference fingerprints (§6.4.3). Rows out is the
 	// size of the UA→cluster table the stage distills.
-	err = run.Run(StageClusterTable, len(kept), func(context.Context) (int, error) {
-		assign, err := km.PredictAll(clusterInput)
-		if err != nil {
-			return 0, err
-		}
-		model.buildClusterTable(kept, assign, cfg, report)
+	err = run.Run(StageClusterTable, kept, func(context.Context) (int, error) {
+		model.buildClusterTable(rows, cfg, report)
 		return len(model.UACluster), nil
 	})
 	if err != nil {
@@ -337,44 +317,42 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 	return model, report, nil
 }
 
+// claimKey packs a claimed release into the grouping key, so the table's
+// classes are (claim, vector) pairs and the cluster table is a sum over
+// them; claimOf unpacks it.
+func claimKey(r ua.Release) uint64 { return uint64(r.Vendor)<<32 | uint64(uint32(r.Version)) }
+
+func claimOf(key uint64) ua.Release {
+	return ua.Release{Vendor: ua.Vendor(key >> 32), Version: int(int32(uint32(key)))}
+}
+
 // buildClusterTable computes the UA→cluster majority assignment, applies
-// the rare-UA reference alignment, and evaluates Formula 1 accuracy.
-func (m *Model) buildClusterTable(samples []Sample, assign []int, cfg TrainConfig, report *TrainReport) {
-	type uaStat struct {
-		total     int
-		byCluster map[int]int
-	}
-	stats := map[ua.Release]*uaStat{}
-	for i, s := range samples {
-		st := stats[s.UA]
-		if st == nil {
-			st = &uaStat{byCluster: map[int]int{}}
-			stats[s.UA] = st
+// the rare-UA reference alignment, and evaluates Formula 1 accuracy, all
+// as count-weighted sums over the table of kept (claim, cluster-space
+// vector) classes.
+func (m *Model) buildClusterTable(rows matrix.RowGroups, cfg TrainConfig, report *TrainReport) {
+	byCluster := map[ua.Release][]int{} // rows per cluster, per claim
+	assign := make([]int, len(rows.Count))
+	for g, n := range rows.Count {
+		assign[g] = m.KMeans.Predict(rows.Rows.RawRow(g))
+		rel := claimOf(rows.Key[g])
+		if byCluster[rel] == nil {
+			byCluster[rel] = make([]int, m.KMeans.K)
 		}
-		st.total++
-		st.byCluster[assign[i]]++
+		byCluster[rel][assign[g]] += n
 	}
 
-	m.UACluster = make(map[ua.Release]int, len(stats))
-	report.PerUAMajority = make(map[ua.Release]float64, len(stats))
-	for rel, st := range stats {
-		bestCluster, bestCount := 0, -1
-		// Deterministic tie-break: lowest cluster wins.
-		clusters := make([]int, 0, len(st.byCluster))
-		for c := range st.byCluster {
-			clusters = append(clusters, c)
+	m.UACluster = make(map[ua.Release]int, len(byCluster))
+	report.PerUAMajority = make(map[ua.Release]float64, len(byCluster))
+	for rel, counts := range byCluster {
+		cluster, bestCount := majority(counts)
+		total := 0
+		for _, n := range counts {
+			total += n
 		}
-		sort.Ints(clusters)
-		for _, c := range clusters {
-			if st.byCluster[c] > bestCount {
-				bestCount = st.byCluster[c]
-				bestCluster = c
-			}
-		}
-		cluster := bestCluster
 		// Rare-UA alignment: too few rows to trust the majority; use
 		// the pristine reference fingerprint instead.
-		if cfg.Reference != nil && st.total < cfg.RareUAThreshold {
+		if cfg.Reference != nil && total < cfg.RareUAThreshold {
 			if vec, ok := cfg.Reference.ReferenceVector(rel); ok && len(vec) == m.Dim() {
 				if c, err := m.predictCluster(vec); err == nil {
 					cluster = c
@@ -382,7 +360,7 @@ func (m *Model) buildClusterTable(samples []Sample, assign []int, cfg TrainConfi
 			}
 		}
 		m.UACluster[rel] = cluster
-		report.PerUAMajority[rel] = float64(bestCount) / float64(st.total)
+		report.PerUAMajority[rel] = float64(bestCount) / float64(total)
 	}
 
 	m.ClusterUAs = make(map[int][]ua.Release)
@@ -401,13 +379,24 @@ func (m *Model) buildClusterTable(samples []Sample, assign []int, cfg TrainConfi
 
 	// Formula 1 accuracy over the training rows.
 	correct := 0
-	for i, s := range samples {
-		if assign[i] == m.UACluster[s.UA] {
-			correct++
+	for g, n := range rows.Count {
+		if assign[g] == m.UACluster[claimOf(rows.Key[g])] {
+			correct += n
 		}
 	}
-	m.Accuracy = float64(correct) / float64(len(samples))
+	m.Accuracy = float64(correct) / float64(len(rows.Group))
 	report.Accuracy = m.Accuracy
+}
+
+// majority returns the cluster holding the most rows, the lowest on a
+// tie, and its row count.
+func majority(rowsByCluster []int) (cluster, rows int) {
+	for c, n := range rowsByCluster {
+		if n > rows {
+			cluster, rows = c, n
+		}
+	}
+	return cluster, rows
 }
 
 // EvaluateAccuracy computes Formula 1 accuracy of the model on held-out
@@ -419,9 +408,9 @@ func (m *Model) EvaluateAccuracy(samples []Sample) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("core: no evaluation samples")
 	}
-	// First pass: cluster everything, find majorities for unseen UAs.
+	// First pass: cluster everything, count unseen UAs' clusters.
 	assign := make([]int, len(samples))
-	majority := map[ua.Release]map[int]int{}
+	unseen := map[ua.Release][]int{}
 	for i, s := range samples {
 		c, err := m.predictCluster(s.Vector)
 		if err != nil {
@@ -429,33 +418,17 @@ func (m *Model) EvaluateAccuracy(samples []Sample) (float64, error) {
 		}
 		assign[i] = c
 		if _, known := m.UACluster[s.UA]; !known {
-			if majority[s.UA] == nil {
-				majority[s.UA] = map[int]int{}
+			if unseen[s.UA] == nil {
+				unseen[s.UA] = make([]int, m.KMeans.K)
 			}
-			majority[s.UA][c]++
+			unseen[s.UA][c]++
 		}
-	}
-	expected := map[ua.Release]int{}
-	for rel, counts := range majority {
-		best, bestN := 0, -1
-		clusters := make([]int, 0, len(counts))
-		for c := range counts {
-			clusters = append(clusters, c)
-		}
-		sort.Ints(clusters)
-		for _, c := range clusters {
-			if counts[c] > bestN {
-				bestN = counts[c]
-				best = c
-			}
-		}
-		expected[rel] = best
 	}
 	correct := 0
 	for i, s := range samples {
 		want, known := m.UACluster[s.UA]
 		if !known {
-			want = expected[s.UA]
+			want, _ = majority(unseen[s.UA])
 		}
 		if assign[i] == want {
 			correct++

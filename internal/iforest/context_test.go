@@ -15,10 +15,11 @@ import (
 // later tree.
 func TestFitContextStopsBetweenTrees(t *testing.T) {
 	m, _ := clusterWithOutliers(300, 3, 6)
+	rows := m.DistinctRows()
 	cfg := Config{Trees: 12, SampleSize: 64, Seed: 5}
 
 	probe := pipelinetest.NewCountingCtx(context.Background(), math.MaxInt)
-	under, err := FitContext(probe, m, cfg)
+	under, err := FitContext(probe, rows, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestFitContextStopsBetweenTrees(t *testing.T) {
 	}
 	for i := 1; i <= cfg.Trees; i++ {
 		ctx := pipelinetest.NewCountingCtx(context.Background(), i-1)
-		f, err := FitContext(ctx, m, cfg)
+		f, err := FitContext(ctx, rows, cfg)
 		if !errors.Is(err, context.Canceled) || f != nil {
 			t.Fatalf("cancel before tree %d: forest %v, err %v", i-1, f, err)
 		}
@@ -47,7 +48,8 @@ func TestFitContextStopsBetweenTrees(t *testing.T) {
 }
 
 // TestScoreAllContextStopsBetweenBlocks: the scoring pass looks at its
-// context once per block of distinct rows.
+// context once per block of rows, and so does the contamination cut's,
+// over the blocks of its table.
 func TestScoreAllContextStopsBetweenBlocks(t *testing.T) {
 	const n = 2*scoreBlock + 50
 	data := matrixtest.FewDistinct(8, n, 6, n, false) // all distinct
@@ -60,12 +62,12 @@ func TestScoreAllContextStopsBetweenBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if probe.Calls() != 3 {
-		t.Fatalf("%d distinct rows scored under %d context checks, want 3", n, probe.Calls())
+		t.Fatalf("%d rows scored under %d context checks, want 3", n, probe.Calls())
 	}
 	for i := 1; i <= 3; i++ {
-		keep, _, err := f.FilterContaminationContext(pipelinetest.NewCountingCtx(context.Background(), i-1), data, 0.01)
-		if !errors.Is(err, context.Canceled) || keep != nil {
-			t.Fatalf("cancel before block %d: kept %v, err %v", i-1, keep, err)
+		drop, err := f.Outliers(pipelinetest.NewCountingCtx(context.Background(), i-1), data.DistinctRows(), 0.01)
+		if !errors.Is(err, context.Canceled) || drop != nil {
+			t.Fatalf("cancel before block %d: dropped %v, err %v", i-1, drop, err)
 		}
 	}
 }

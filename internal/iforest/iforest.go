@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"polygraph/internal/matrix"
+	"polygraph/internal/pipeline"
 	"polygraph/internal/rng"
 )
 
@@ -61,19 +62,27 @@ type node struct {
 	leaf bool
 }
 
-// Fit builds a forest over the rows of m.
+// Fit builds a forest over the rows of m, through their grouping (see
+// FitContext).
 func Fit(m *matrix.Dense, cfg Config) (*Forest, error) {
-	return FitContext(context.Background(), m, cfg)
+	return FitContext(context.Background(), m.DistinctRows(), cfg)
 }
 
-// FitContext is Fit with cooperative cancellation: ctx is checked once
-// per tree, so cancellation aborts within one tree of work. A forest
-// that finishes fitting is bit-identical to Fit's.
-func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Forest, error) {
+// FitContext builds a forest over the grouped rows. The ψ-sample of each
+// tree is drawn over all the row indices, so a row repeated a thousand
+// times is a thousand candidates, and the trees read the sampled rows'
+// vectors through the distinct-row table. ctx is checked once per tree,
+// so cancellation aborts within one tree of work. A forest that finishes
+// fitting is bit-identical to Fit's. A negative Trees or SampleSize is
+// pipeline.ErrBadInput.
+func FitContext(ctx context.Context, rows matrix.RowGroups, cfg Config) (*Forest, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n, d := m.Dims()
+	if cfg.Trees < 0 || cfg.SampleSize < 0 {
+		return nil, pipeline.BadInput("iforest: %d trees of sample size %d", cfg.Trees, cfg.SampleSize)
+	}
+	n, d := rows.Dims()
 	if n == 0 || d == 0 {
 		return nil, fmt.Errorf("iforest: empty input %dx%d", n, d)
 	}
@@ -95,19 +104,33 @@ func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Forest, erro
 	// depend on every earlier shuffle. Each tree draws its sample and
 	// then its splits from its own PCG stream split from Seed.
 	base := rng.New(cfg.Seed)
-	idx := make([]int, n)
+	idx := make([]int32, n)
 	for i := range idx {
-		idx[i] = i
+		idx[i] = int32(i)
 	}
+	// The trees read one feature of many rows at a time, so they read a
+	// column-major copy of the table.
+	cols := make([][]float64, d)
+	for j := range cols {
+		cols[j] = rows.Rows.Col(j)
+	}
+	sample := make([]int32, psi)
 	for t := range f.trees {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		gen := base.Split(fmt.Sprintf("tree-%d", t))
-		// Sample ψ rows without replacement. buildTree only reads the
-		// sample, so it can borrow the shuffle's prefix.
-		gen.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		f.trees[t] = buildTree(m, idx[:psi], 0, maxDepth, gen)
+		// Sample ψ rows without replacement: the prefix of a Fisher–Yates
+		// shuffle (gen.Shuffle's draws, without a call per swap), as the
+		// classes of those rows.
+		for i := n - 1; i > 0; i-- {
+			j := gen.Intn(i + 1)
+			idx[i], idx[j] = idx[j], idx[i]
+		}
+		for k, i := range idx[:psi] {
+			sample[k] = rows.Group[i]
+		}
+		f.trees[t] = buildTree(cols, sample, 0, maxDepth, gen)
 	}
 	f.finalize()
 	return f, nil
@@ -165,18 +188,23 @@ func (f *Forest) flatten(n *node, at int) int {
 	return at
 }
 
-func buildTree(m *matrix.Dense, sample []int, depth, maxDepth int, gen *rng.PCG) *node {
+// buildTree grows a tree over sample, the classes of the sampled rows
+// (one entry per row), reading feature j of class g as cols[j][g]. It
+// partitions sample in place: a node's split and its subtrees depend on
+// which rows fall on each side, never on their order.
+func buildTree(cols [][]float64, sample []int32, depth, maxDepth int, gen *rng.PCG) *node {
 	if depth >= maxDepth || len(sample) <= 1 {
 		return &node{leaf: true, size: len(sample)}
 	}
-	_, d := m.Dims()
+	d := len(cols)
 	// Pick a feature with spread; give up after a bounded number of
 	// tries (all-constant subsample).
 	for try := 0; try < d; try++ {
 		feat := gen.Intn(d)
+		col := cols[feat]
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, i := range sample {
-			v := m.At(i, feat)
+		for _, g := range sample {
+			v := col[g]
 			if v < lo {
 				lo = v
 			}
@@ -188,22 +216,21 @@ func buildTree(m *matrix.Dense, sample []int, depth, maxDepth int, gen *rng.PCG)
 			continue
 		}
 		thr := lo + gen.Float64()*(hi-lo)
-		var left, right []int
-		for _, i := range sample {
-			if m.At(i, feat) < thr {
-				left = append(left, i)
-			} else {
-				right = append(right, i)
+		left := 0
+		for k, g := range sample {
+			if col[g] < thr {
+				sample[k], sample[left] = sample[left], g
+				left++
 			}
 		}
-		if len(left) == 0 || len(right) == 0 {
+		if left == 0 || left == len(sample) {
 			continue
 		}
 		return &node{
 			feature:   feat,
 			threshold: thr,
-			left:      buildTree(m, left, depth+1, maxDepth, gen),
-			right:     buildTree(m, right, depth+1, maxDepth, gen),
+			left:      buildTree(cols, sample[:left], depth+1, maxDepth, gen),
+			right:     buildTree(cols, sample[left:], depth+1, maxDepth, gen),
 		}
 	}
 	return &node{leaf: true, size: len(sample)}
@@ -289,9 +316,8 @@ func (f *Forest) ScoreAll(data *matrix.Dense) ([]float64, error) {
 const scoreBlock = 1024
 
 // ScoreAllContext is ScoreAll with cooperative cancellation at block
-// boundaries. A score is a pure function of the row's bits, so each
-// class of bitwise-equal rows is scored once, on its first row, and the
-// result copied to the rest.
+// boundaries. Training scores its distinct-row table, so every row here
+// is scored on its own.
 func (f *Forest) ScoreAllContext(ctx context.Context, data *matrix.Dense) ([]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -301,69 +327,57 @@ func (f *Forest) ScoreAllContext(ctx context.Context, data *matrix.Dense) ([]flo
 		return nil, fmt.Errorf("iforest: score on %d-dim rows, fitted on %d", d, f.dim)
 	}
 	out := make([]float64, r)
-	rows := data.DistinctRows()
-	for start := 0; start < len(rows.First); start += scoreBlock {
+	for start := 0; start < r; start += scoreBlock {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		f.scoreRows(data, out, rows.First[start:min(start+scoreBlock, len(rows.First))])
-	}
-	// First[g] <= i, so the class's score is final when row i reads it.
-	for i, g := range rows.Group {
-		out[i] = out[rows.First[g]]
+		f.scoreRows(data, out, start, min(start+scoreBlock, r))
 	}
 	return out, nil
 }
 
-// scoreRows scores the listed rows of data, each into its own slot of
-// out. With the flat layout it traverses tree-by-tree across the whole
-// block — the tree's arrays stay hot in cache while every row walks them
-// — accumulating per-row path totals in tree order, which is exactly the
+// scoreRows scores rows [lo, hi) of data, each into its own slot of out.
+// With the flat layout it traverses tree-by-tree across the whole block —
+// the tree's arrays stay hot in cache while every row walks them —
+// accumulating per-row path totals in tree order, which is exactly the
 // summation order Score uses, so the batch is bit-identical to
 // row-at-a-time scoring.
-func (f *Forest) scoreRows(data *matrix.Dense, out []float64, rows []int) {
+func (f *Forest) scoreRows(data *matrix.Dense, out []float64, lo, hi int) {
 	if f.flatRoots == nil {
-		for _, i := range rows {
+		for i := lo; i < hi; i++ {
 			out[i] = f.Score(data.RawRow(i))
 		}
 		return
 	}
-	for _, i := range rows {
-		out[i] = 0
-	}
+	block := out[lo:hi]
+	clear(block)
 	for t := range f.trees {
-		for _, i := range rows {
-			out[i] += f.pathLengthFlat(t, data.RawRow(i))
+		for i := range block {
+			block[i] += f.pathLengthFlat(t, data.RawRow(lo+i))
 		}
 	}
 	nTrees := float64(len(f.trees))
-	for _, i := range rows {
-		mean := out[i] / nTrees
-		out[i] = math.Pow(2, -mean/f.norm)
+	for i, total := range block {
+		block[i] = math.Pow(2, -(total/nTrees)/f.norm)
 	}
 }
 
-// FilterContamination returns the indices of rows to KEEP after removing
-// the `contamination` fraction (0 ≤ c < 1) with the highest anomaly
-// scores. The returned slice preserves the original row order. At least
-// one row is always removed when contamination > 0 and n > 0, matching
-// the intent of a strictly positive threshold like the paper's 0.002%.
-func (f *Forest) FilterContamination(data *matrix.Dense, contamination float64) (keep, drop []int, err error) {
-	return f.FilterContaminationContext(context.Background(), data, contamination)
-}
-
-// FilterContaminationContext is FilterContamination with cooperative
-// cancellation during the scoring pass (the selection tail is cheap and
-// runs to completion once scoring finishes).
-func (f *Forest) FilterContaminationContext(ctx context.Context, data *matrix.Dense, contamination float64) (keep, drop []int, err error) {
+// Outliers returns, ascending, the rows that removing the
+// `contamination` fraction (0 ≤ c < 1) with the highest anomaly scores
+// drops. Each class is scored once, on its table row. At least one row
+// is removed when contamination > 0 and there are rows, matching the
+// intent of a strictly positive threshold like the paper's 0.002%. ctx is
+// checked during the scoring pass; the cut is cheap and runs to
+// completion once scoring finishes.
+func (f *Forest) Outliers(ctx context.Context, rows matrix.RowGroups, contamination float64) ([]int, error) {
 	if contamination < 0 || contamination >= 1 {
-		return nil, nil, fmt.Errorf("iforest: contamination %v out of [0,1)", contamination)
+		return nil, fmt.Errorf("iforest: contamination %v out of [0,1)", contamination)
 	}
-	scores, err := f.ScoreAllContext(ctx, data)
+	scores, err := f.ScoreAllContext(ctx, rows.Rows)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	n := len(scores)
+	n := len(rows.Group)
 	nDrop := 0
 	if n > 0 && contamination > 0 {
 		nDrop = int(math.Round(contamination * float64(n)))
@@ -371,33 +385,25 @@ func (f *Forest) FilterContaminationContext(ctx context.Context, data *matrix.De
 			nDrop = 1
 		}
 	}
-	drop = topScores(scores, nDrop)
-	keep = make([]int, 0, n-nDrop)
-	for i, next := 0, 0; i < n; i++ {
-		if next < len(drop) && drop[next] == i {
-			next++
-			continue
-		}
-		keep = append(keep, i)
-	}
-	return keep, drop, nil
+	return topScores(rows.Group, scores, nDrop), nil
 }
 
 // topScores returns, in ascending index order, the k rows a full sort by
-// (score descending, index ascending) would put first; ties therefore go
-// to the earlier row, which keeps the cut deterministic. It holds the k
-// best rows seen so far in a heap with the weakest at the root: rows
-// arrive in index order, so a newcomer displaces the root only with a
-// strictly higher score, and on the few hundred distinct scores of a
-// fingerprint population almost every row is settled by that one
-// comparison. k must not exceed len(scores).
-func topScores(scores []float64, k int) []int {
+// (score descending, index ascending) would put first, row i scoring
+// scores[group[i]]; ties therefore go to the earlier row, which keeps the
+// cut deterministic. It holds the k best rows seen so far in a heap with
+// the weakest at the root: rows arrive in index order, so a newcomer
+// displaces the root only with a strictly higher score, and on the few
+// hundred distinct scores of a fingerprint population almost every row is
+// settled by that one comparison. k must not exceed len(group).
+func topScores(group []int32, scores []float64, k int) []int {
 	if k <= 0 {
 		return nil
 	}
+	score := func(i int) float64 { return scores[group[i]] }
 	weaker := func(a, b int) bool {
-		if scores[a] != scores[b] {
-			return scores[a] < scores[b]
+		if sa, sb := score(a), score(b); sa != sb {
+			return sa < sb
 		}
 		return a > b
 	}
@@ -424,8 +430,8 @@ func topScores(scores []float64, k int) []int {
 	for p := k/2 - 1; p >= 0; p-- {
 		siftDown(p)
 	}
-	for i := k; i < len(scores); i++ {
-		if scores[i] > scores[top[0]] {
+	for i := k; i < len(group); i++ {
+		if score(i) > score(top[0]) {
 			top[0] = i
 			siftDown(0)
 		}

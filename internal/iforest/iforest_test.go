@@ -1,7 +1,9 @@
 package iforest
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -9,6 +11,7 @@ import (
 
 	"polygraph/internal/matrix"
 	"polygraph/internal/matrix/matrixtest"
+	"polygraph/internal/pipeline"
 	"polygraph/internal/rng"
 )
 
@@ -31,6 +34,22 @@ func clusterWithOutliers(n, outliers int, seed uint64) (*matrix.Dense, map[int]b
 func TestFitErrors(t *testing.T) {
 	if _, err := Fit(matrix.NewDense(0, 2), Config{}); err == nil {
 		t.Fatal("expected error for empty input")
+	}
+}
+
+// TestFitRejectsNegativeSizes: a negative forest or sample size is bad
+// input, not a makeslice panic.
+func TestFitRejectsNegativeSizes(t *testing.T) {
+	m, _ := clusterWithOutliers(50, 1, 1)
+	for _, cfg := range []Config{
+		{Trees: -1},
+		{SampleSize: -1},
+		{Trees: -3, SampleSize: -3},
+	} {
+		f, err := Fit(m, cfg)
+		if !errors.Is(err, pipeline.ErrBadInput) || f != nil {
+			t.Errorf("%+v: forest %v, err %v; want pipeline.ErrBadInput", cfg, f, err)
+		}
 	}
 }
 
@@ -111,13 +130,30 @@ func TestScoreAllDimError(t *testing.T) {
 	}
 }
 
+// filterContamination is the contamination cut over m: the rows Outliers
+// drops from m's grouping, and the rows it keeps, both in row order.
+func filterContamination(f *Forest, m *matrix.Dense, contamination float64) (keep, drop []int, err error) {
+	if drop, err = f.Outliers(context.Background(), m.DistinctRows(), contamination); err != nil {
+		return nil, nil, err
+	}
+	r, _ := m.Dims()
+	for i, next := 0, 0; i < r; i++ {
+		if next < len(drop) && drop[next] == i {
+			next++
+			continue
+		}
+		keep = append(keep, i)
+	}
+	return keep, drop, nil
+}
+
 func TestFilterContaminationDropsOutliers(t *testing.T) {
 	m, outliers := clusterWithOutliers(1000, 4, 6)
 	f, err := Fit(m, Config{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep, drop, err := f.FilterContamination(m, 4.0/1004.0)
+	keep, drop, err := filterContamination(f, m, 4.0/1004.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +179,7 @@ func TestFilterContaminationDropsOutliers(t *testing.T) {
 func TestFilterContaminationZero(t *testing.T) {
 	m, _ := clusterWithOutliers(50, 1, 7)
 	f, _ := Fit(m, Config{Seed: 1})
-	keep, drop, err := f.FilterContamination(m, 0)
+	keep, drop, err := filterContamination(f, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +193,7 @@ func TestFilterContaminationTinyThresholdDropsAtLeastOne(t *testing.T) {
 	// but on small data a naive round would drop zero. We guarantee ≥1.
 	m, _ := clusterWithOutliers(100, 1, 8)
 	f, _ := Fit(m, Config{Seed: 1})
-	_, drop, err := f.FilterContamination(m, 0.00002)
+	_, drop, err := filterContamination(f, m, 0.00002)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +205,10 @@ func TestFilterContaminationTinyThresholdDropsAtLeastOne(t *testing.T) {
 func TestFilterContaminationBadRange(t *testing.T) {
 	m, _ := clusterWithOutliers(50, 1, 9)
 	f, _ := Fit(m, Config{Seed: 1})
-	if _, _, err := f.FilterContamination(m, -0.1); err == nil {
+	if _, _, err := filterContamination(f, m, -0.1); err == nil {
 		t.Fatal("expected error for negative contamination")
 	}
-	if _, _, err := f.FilterContamination(m, 1.0); err == nil {
+	if _, _, err := filterContamination(f, m, 1.0); err == nil {
 		t.Fatal("expected error for contamination = 1")
 	}
 }
@@ -348,9 +384,9 @@ func TestFlatTraversalMatchesPointerWalk(t *testing.T) {
 	}
 }
 
-// TestScoreAllMatchesPerRowScore: ScoreAll scores each class of
-// bitwise-equal rows once and copies the result; it must agree bit for
-// bit with Score called on every row, whatever the repetition.
+// TestScoreAllMatchesPerRowScore: ScoreAll walks blocks of rows tree by
+// tree; it must agree bit for bit with Score called on every row,
+// whatever the repetition.
 func TestScoreAllMatchesPerRowScore(t *testing.T) {
 	outliers, _ := clusterWithOutliers(400, 20, 5)
 	inputs := []struct {
@@ -413,42 +449,48 @@ func fullSortFilter(scores []float64, nDrop int) (keep, drop []int) {
 }
 
 // TestTopScoresMatchesFullSort: a fingerprint population has a few
-// hundred distinct scores, so the cut nearly always falls inside a run of
-// ties; the bounded selection must break them exactly as the full sort
-// did.
+// hundred distinct scores, one per class, so the cut nearly always falls
+// inside a run of ties; the bounded selection over the rows' classes must
+// break them exactly as the full sort of every row's score did.
 func TestTopScoresMatchesFullSort(t *testing.T) {
-	gen := rng.New(41)
-	tied := func(n, levels int) []float64 {
-		s := make([]float64, n)
-		for i := range s {
-			s[i] = 0.4 + 0.05*float64(gen.Intn(levels))
-		}
-		return s
-	}
-	cases := []struct {
+	type tiedCase struct {
 		name   string
+		group  []int32
 		scores []float64
 		nDrop  int
-	}{
-		{"all-equal", tied(50, 1), 5},
-		{"one-row", tied(1, 1), 1},
-		{"cut-inside-a-tie", tied(400, 3), 37},
-		{"drop-past-the-top-level", tied(400, 6), 250},
-		{"all-but-one", tied(64, 4), 63},
-		{"everything", tied(20, 2), 20},
-		{"nothing", tied(20, 2), 0},
-		{"all-distinct-ascending", []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}, 2},
+	}
+	gen := rng.New(41)
+	// tied spreads n rows over classes with `levels` scores, two classes
+	// per level, so equal scores also come from different classes.
+	tied := func(name string, n, levels, nDrop int) tiedCase {
+		tc := tiedCase{name: name, group: make([]int32, n), scores: make([]float64, 2*levels), nDrop: nDrop}
+		for c := range tc.scores {
+			tc.scores[c] = 0.4 + 0.05*float64(c/2)
+		}
+		for i := range tc.group {
+			tc.group[i] = int32(gen.Intn(len(tc.scores)))
+		}
+		return tc
+	}
+	cases := []tiedCase{
+		tied("all-equal", 50, 1, 5),
+		tied("one-row", 1, 1, 1),
+		tied("cut-inside-a-tie", 400, 3, 37),
+		tied("drop-past-the-top-level", 400, 6, 250),
+		tied("all-but-one", 64, 4, 63),
+		tied("everything", 20, 2, 20),
+		tied("nothing", 20, 2, 0),
+		{"all-distinct-ascending", []int32{0, 1, 2, 3, 4, 5}, []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}, 2},
 	}
 	for _, tc := range cases {
-		_, want := fullSortFilter(tc.scores, tc.nDrop)
-		got := topScores(tc.scores, tc.nDrop)
-		if len(got) != len(want) {
-			t.Fatalf("%s: dropped %v, full sort drops %v", tc.name, got, want)
+		perRow := make([]float64, len(tc.group))
+		for i, g := range tc.group {
+			perRow[i] = tc.scores[g]
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: dropped %v, full sort drops %v", tc.name, got, want)
-			}
+		_, want := fullSortFilter(perRow, tc.nDrop)
+		got := topScores(tc.group, tc.scores, tc.nDrop)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: dropped %v, full sort drops %v", tc.name, got, want)
 		}
 	}
 }
@@ -480,7 +522,7 @@ func TestFilterContaminationOnTiedRows(t *testing.T) {
 			nDrop = 1
 		}
 		wantKeep, wantDrop := fullSortFilter(scores, nDrop)
-		keep, drop, err := f.FilterContamination(tc.data, tc.contamination)
+		keep, drop, err := filterContamination(f, tc.data, tc.contamination)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -490,9 +532,8 @@ func TestFilterContaminationOnTiedRows(t *testing.T) {
 	}
 }
 
-// BenchmarkScoreAllAllDistinct is the guard on the other side of the
-// distinct-row pass: 20 000 rows with no repeat, where grouping is pure
-// overhead and must stay within a few percent of scoring every row.
+// BenchmarkScoreAllAllDistinct scores 20 000 rows with no repeat: the
+// side of the distinct-row table where nothing is shared.
 func BenchmarkScoreAllAllDistinct(b *testing.B) {
 	gen := rng.New(1)
 	data := matrix.NewDense(20000, 28)

@@ -16,7 +16,7 @@ import (
 // Lloyd iteration of every restart — and requires context.Canceled and
 // no model each time.
 func TestFitContextCancelsMidLloyd(t *testing.T) {
-	data := blobsMatrix(2000, 5, rng.New(3))
+	data := blobsMatrix(2000, 5, rng.New(3)).DistinctRows()
 	cfg := Config{K: 8, Seed: 1, Restarts: 2, PlusPlus: true}
 
 	probe := pipelinetest.NewCountingCtx(context.Background(), math.MaxInt)
@@ -45,7 +45,7 @@ func TestFitContextCompletedRunMatchesFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	underCtx, err := FitContext(context.Background(), data, cfg)
+	underCtx, err := FitContext(context.Background(), data.DistinctRows(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFitContextCompletedRunMatchesFit(t *testing.T) {
 }
 
 // blobsMatrix builds an n×d matrix of mild Gaussian noise — enough rows
-// to make several chunks and multiple Lloyd iterations happen.
+// to make multiple Lloyd iterations happen.
 func blobsMatrix(n, d int, p *rng.PCG) *matrix.Dense {
 	rows := make([][]float64, n)
 	for i := range rows {

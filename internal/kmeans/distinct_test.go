@@ -10,62 +10,28 @@ import (
 	"polygraph/internal/rng"
 )
 
-// The reference below is Fit as it was first written: every per-row
-// kernel runs on every row, and the order-sensitive reductions go through
-// refMapReduce. The production code runs the kernels once per class of
-// bitwise-equal rows and keeps the reductions in the same row order and
-// chunk geometry, so they must agree bit for bit.
+// The reference below is Fit written row at a time: every per-row kernel
+// runs on every row, and every sum over the rows is the count-weighted
+// sum over the classes of bitwise-equal rows in first-appearance order —
+// the order the model format fixes — with the classes found the long way.
+// The production code runs the kernels once per class and reads the
+// classes from the grouping, so the two must agree bit for bit.
 
-// refMapReduce is the reduction the model format was fixed under: every
-// chunk of refChunk(n) rows folds into a fresh accumulator, and the
-// accumulators merge in ascending chunk order, the first one standing as
-// the initial total.
-func refMapReduce[A any](n int, newAcc func() A, body func(acc A, start, end int) A, merge func(into, from A) A) A {
-	if n <= 0 {
-		return newAcc()
-	}
-	c := refChunk(n)
-	var accs []A
-	for start := 0; start < n; start += c {
-		end := start + c
-		if end > n {
-			end = n
+// refClasses returns the first row and the row count of every class of
+// bitwise-equal rows, in first-appearance order.
+func refClasses(m *matrix.Dense) (firsts, counts []int) {
+	r, _ := m.Dims()
+	for i := 0; i < r; i++ {
+		g := 0
+		for g < len(firsts) && !matrix.SameBits(m.RawRow(i), m.RawRow(firsts[g])) {
+			g++
 		}
-		accs = append(accs, body(newAcc(), start, end))
-	}
-	out := accs[0]
-	for _, a := range accs[1:] {
-		out = merge(out, a)
-	}
-	return out
-}
-
-// refChunk is about 64 chunks, floored at one row and capped at 16384.
-func refChunk(n int) int {
-	c := (n + 63) / 64
-	if c < 1 {
-		c = 1
-	}
-	if c > 16384 {
-		c = 16384
-	}
-	return c
-}
-
-// TestChunkSize pins the reduction geometry: these are the chunk sizes
-// every model trained so far was summed under.
-func TestChunkSize(t *testing.T) {
-	for _, tc := range []struct{ n, want int }{
-		{1, 1}, {63, 1}, {64, 1}, {65, 2}, {8000, 125}, {60000, 938},
-		{1048576, 16384}, {1048577, 16384},
-	} {
-		if got := chunkSize(tc.n); got != tc.want {
-			t.Errorf("chunkSize(%d) = %d, want %d", tc.n, got, tc.want)
+		if g == len(firsts) {
+			firsts, counts = append(firsts, i), append(counts, 0)
 		}
-		if ref := refChunk(tc.n); ref != tc.want {
-			t.Errorf("refChunk(%d) = %d, want %d", tc.n, ref, tc.want)
-		}
+		counts[g]++
 	}
+	return firsts, counts
 }
 
 func refNearest(x []float64, cents *matrix.Dense) int {
@@ -81,18 +47,20 @@ func refNearest(x []float64, cents *matrix.Dense) int {
 }
 
 func refInertia(cents, m *matrix.Dense) float64 {
-	r, _ := m.Dims()
-	return refMapReduce(r,
-		func() float64 { return 0 },
-		func(total float64, start, end int) float64 {
-			for i := start; i < end; i++ {
-				row := m.RawRow(i)
-				total += sqDist(row, cents.RawRow(refNearest(row, cents)))
-			}
-			return total
-		},
-		func(into, from float64) float64 { return into + from },
-	)
+	firsts, counts := refClasses(m)
+	dists := make([]float64, len(firsts))
+	for g, first := range firsts {
+		row := m.RawRow(first)
+		dists[g] = sqDist(row, cents.RawRow(refNearest(row, cents)))
+	}
+	// The sum is a loop of its own, so total stays in a register and is
+	// the first operand of every add, as in inertia: which of two NaN
+	// payloads an add keeps depends on its operand order.
+	total := 0.0
+	for g, d := range dists {
+		total += float64(counts[g]) * d
+	}
+	return total
 }
 
 // refFit mirrors FitContext's defaults and restart loop. With
@@ -152,42 +120,32 @@ func refFitOnce(m *matrix.Dense, cfg Config, gen *rng.PCG, reseedAlwaysMoves boo
 			}
 		}
 	} else {
-		seedUniform(m, cents, gen)
+		perm := gen.Perm(r)
+		for c := 0; c < k; c++ {
+			copy(cents.RawRow(c), m.RawRow(perm[c]))
+		}
 	}
 
+	firsts, classCounts := refClasses(m)
 	assign := make([]int, r)
 	iter := 0
 	for ; iter < cfg.MaxIter; iter++ {
 		for i := range assign {
 			assign[i] = refNearest(m.RawRow(i), cents)
 		}
-		acc := refMapReduce(r,
-			func() *partial { return &partial{counts: make([]int, k), sums: matrix.NewDense(k, d)} },
-			func(p *partial, start, end int) *partial {
-				for i := start; i < end; i++ {
-					p.counts[assign[i]]++
-					srow := p.sums.RawRow(assign[i])
-					for j, v := range m.RawRow(i) {
-						srow[j] += v
-					}
-				}
-				return p
-			},
-			func(into, from *partial) *partial {
-				for c := 0; c < k; c++ {
-					into.counts[c] += from.counts[c]
-					irow := into.sums.RawRow(c)
-					for j, v := range from.sums.RawRow(c) {
-						irow[j] += v
-					}
-				}
-				return into
-			},
-		)
+		counts := make([]int, k)
+		sums := matrix.NewDense(k, d)
+		for g, first := range firsts {
+			c := assign[first]
+			counts[c] += classCounts[g]
+			for j, v := range m.RawRow(first) {
+				sums.RawRow(c)[j] += float64(classCounts[g]) * v
+			}
+		}
 		moved := 0.0
 		for c := 0; c < k; c++ {
 			crow := cents.RawRow(c)
-			if acc.counts[c] == 0 {
+			if counts[c] == 0 {
 				far, farD := 0, -1.0
 				for i := 0; i < r; i++ {
 					row := m.RawRow(i)
@@ -201,9 +159,9 @@ func refFitOnce(m *matrix.Dense, cfg Config, gen *rng.PCG, reseedAlwaysMoves boo
 				copy(crow, m.RawRow(far))
 				continue
 			}
-			inv := 1 / float64(acc.counts[c])
+			inv := 1 / float64(counts[c])
 			for j := range crow {
-				nv := acc.sums.RawRow(c)[j] * inv
+				nv := sums.RawRow(c)[j] * inv
 				dv := nv - crow[j]
 				moved += dv * dv
 				crow[j] = nv
@@ -270,7 +228,7 @@ func TestFitMatchesRowAtATime(t *testing.T) {
 			}
 		}
 		matrixtest.RequireSameBits(t, tc.name+": Inertia",
-			[]float64{want.Inertia(tc.data)}, []float64{refInertia(want.Centroids, tc.data)})
+			[]float64{want.inertia(newGrouped(tc.data.DistinctRows()))}, []float64{refInertia(want.Centroids, tc.data)})
 	}
 }
 
@@ -304,7 +262,7 @@ func TestFitConvergesWhenKExceedsDistinctRows(t *testing.T) {
 }
 
 // BenchmarkFitAllDistinct is the guard on the other side of the
-// distinct-row pass: 20 000 rows with no repeat, where grouping is pure
+// distinct-row table: 20 000 rows with no repeat, where grouping is pure
 // overhead and must stay within a few percent of a fit that touches
 // every row.
 func BenchmarkFitAllDistinct(b *testing.B) {

@@ -47,21 +47,25 @@ type Model struct {
 	K, Dim int
 }
 
-// Fit clusters the rows of m. It returns an error for degenerate input
-// (fewer rows than clusters, K < 1, empty matrix).
+// Fit clusters the rows of m, through their grouping (see FitContext).
+// It returns an error for degenerate input (fewer rows than clusters,
+// K < 1, empty matrix).
 func Fit(m *matrix.Dense, cfg Config) (*Model, error) {
-	return FitContext(context.Background(), m, cfg)
+	return FitContext(context.Background(), m.DistinctRows(), cfg)
 }
 
-// FitContext is Fit with cooperative cancellation: ctx is checked before
-// every k-means++ pick and every Lloyd iteration (hence every restart),
-// so cancellation aborts within one pass over the rows. A fit that runs
+// FitContext clusters the grouped rows. The nearest-centroid search runs
+// once per class, on its table row; the centroid update and the WCSS are
+// count-weighted sums over the table, in class order; the k-means++ pick
+// and uniform seeding draw over all the rows, in row order. ctx is
+// checked before every k-means++ pick and every Lloyd iteration (hence
+// every restart), so cancellation aborts within one pass. A fit that runs
 // to completion is bit-identical to Fit's.
-func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Model, error) {
+func FitContext(ctx context.Context, rows matrix.RowGroups, cfg Config) (*Model, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r, d := m.Dims()
+	r, d := rows.Dims()
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("kmeans: K=%d < 1", cfg.K)
 	}
@@ -84,8 +88,7 @@ func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Model, error
 		restarts = 1
 	}
 
-	// Every restart walks the same rows, so they share one grouping.
-	data := groupRows(m)
+	data := newGrouped(rows)
 	var best *Model
 	for attempt := 0; attempt < restarts; attempt++ {
 		gen := rng.New(cfg.Seed).Split(fmt.Sprintf("restart-%d", attempt))
@@ -100,74 +103,38 @@ func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Model, error
 	return best, nil
 }
 
-// chunkSize is how many consecutive rows the ordered float reductions
-// over all n rows (the centroid sums and WCSS) fold into one partial sum:
-// ⌈n/64⌉, clamped to [1, 16384]. That grouping fixes the association
-// order of those sums, so it is part of the model format: a different
-// geometry trains a model with different bits.
-func chunkSize(n int) int {
-	return min(max((n+63)/64, 1), 16384)
-}
-
-// chunkedReduce folds [0, n) into one accumulator through per-chunk
-// partials: body folds [start, end) into a fresh accumulator, and merge
-// folds the partials together in ascending chunk order, the first one
-// standing as the initial total. n <= 0 returns a fresh accumulator.
-func chunkedReduce[A any](n int, newAcc func() A, body func(acc A, start, end int) A, merge func(into, from A) A) A {
-	if n <= 0 {
-		return newAcc()
-	}
-	c := chunkSize(n)
-	out := body(newAcc(), 0, min(c, n))
-	for start := c; start < n; start += c {
-		out = merge(out, body(newAcc(), start, min(start+c, n)))
-	}
-	return out
-}
-
-// partial is one chunk's contribution to the centroid update.
-type partial struct {
-	counts []int
-	sums   *matrix.Dense
-}
-
-// grouped is a data matrix seen through its classes of bitwise-equal
-// rows. Nearest-centroid search is a pure function of a row's bits, so
-// refresh runs it once per class, on the class's first row, and the
-// order-sensitive reductions (centroid sums, WCSS, the k-means++ scan)
-// read the result for every row, in row order, through Group.
+// grouped is the rows' grouping plus, per class, the nearest centroid and
+// the squared distance to it as of the last refresh.
 type grouped struct {
-	m *matrix.Dense
 	matrix.RowGroups
-	// cluster[g] is the centroid nearest to the rows of class g and
-	// sqDist[g] their squared distance to it, as of the last refresh.
 	cluster []int32
 	sqDist  []float64
 }
 
-func groupRows(m *matrix.Dense) *grouped {
-	rows := m.DistinctRows()
-	return &grouped{m: m, RowGroups: rows, cluster: make([]int32, len(rows.First)), sqDist: make([]float64, len(rows.First))}
+func newGrouped(rows matrix.RowGroups) *grouped {
+	return &grouped{RowGroups: rows, cluster: make([]int32, len(rows.Count)), sqDist: make([]float64, len(rows.Count))}
 }
 
 // refresh recomputes cluster and sqDist against cents.
 func (data *grouped) refresh(cents *matrix.Dense) {
-	for g, first := range data.First {
-		c, d2 := nearestCentroid(data.m.RawRow(first), cents)
+	for g := range data.Count {
+		c, d2 := nearestCentroid(data.Rows.RawRow(g), cents)
 		data.cluster[g], data.sqDist[g] = int32(c), d2
 	}
 }
 
+// row returns the vector of row i.
+func (data *grouped) row(i int) []float64 { return data.Rows.RawRow(int(data.Group[i])) }
+
 func fitOnce(ctx context.Context, data *grouped, k, maxIter int, tol float64, plusPlus bool, gen *rng.PCG) (*Model, error) {
-	m := data.m
-	r, d := m.Dims()
+	_, d := data.Dims()
 	cents := matrix.NewDense(k, d)
 	if plusPlus {
 		if err := seedPlusPlus(ctx, data, cents, gen); err != nil {
 			return nil, err
 		}
 	} else {
-		seedUniform(m, cents, gen)
+		seedUniform(data, cents, gen)
 	}
 
 	iter := 0
@@ -175,35 +142,21 @@ func fitOnce(ctx context.Context, data *grouped, k, maxIter int, tol float64, pl
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Assignment step, once per distinct row.
+		// Assignment step, once per class.
 		data.refresh(cents)
-		// Update step: feature sums over all rows in row order, one
-		// partial per chunk (see chunkedReduce).
-		acc := chunkedReduce(r,
-			func() *partial { return &partial{counts: make([]int, k), sums: matrix.NewDense(k, d)} },
-			func(p *partial, start, end int) *partial {
-				for i := start; i < end; i++ {
-					c := int(data.cluster[data.Group[i]])
-					p.counts[c]++
-					srow := p.sums.RawRow(c)
-					for j, v := range m.RawRow(i) {
-						srow[j] += v
-					}
-				}
-				return p
-			},
-			func(into, from *partial) *partial {
-				for c := 0; c < k; c++ {
-					into.counts[c] += from.counts[c]
-					irow := into.sums.RawRow(c)
-					for j, v := range from.sums.RawRow(c) {
-						irow[j] += v
-					}
-				}
-				return into
-			},
-		)
-		counts, sums := acc.counts, acc.sums
+		// Update step: each class adds count × its vector to its
+		// cluster's sum, in class order.
+		counts := make([]int, k)
+		sums := matrix.NewDense(k, d)
+		for g, n := range data.Count {
+			c := int(data.cluster[g])
+			counts[c] += n
+			w := float64(n)
+			srow := sums.RawRow(c)
+			for j, v := range data.Rows.RawRow(g) {
+				srow[j] += w * v
+			}
+		}
 		moved := 0.0
 		for c := 0; c < k; c++ {
 			crow := cents.RawRow(c)
@@ -211,14 +164,14 @@ func fitOnce(ctx context.Context, data *grouped, k, maxIter int, tol float64, pl
 				// Empty cluster: reseed at the point farthest
 				// from its centroid, the standard fix that
 				// keeps K stable.
-				far := farthestPoint(data, cents)
+				far := data.Rows.RawRow(farthestClass(data, cents))
 				// A reseed onto the spot the centroid already
 				// holds moves nothing: with more clusters than
 				// distinct rows the surplus ones are re-placed
 				// every round, and counting that as movement
 				// would keep a settled fit running to MaxIter.
-				if !matrix.SameBits(crow, m.RawRow(far)) {
-					copy(crow, m.RawRow(far))
+				if !matrix.SameBits(crow, far) {
+					copy(crow, far)
 					moved += math.Inf(1)
 				}
 				continue
@@ -244,36 +197,35 @@ func fitOnce(ctx context.Context, data *grouped, k, maxIter int, tol float64, pl
 }
 
 // seedUniform picks K distinct random rows as initial centroids.
-func seedUniform(m *matrix.Dense, cents *matrix.Dense, gen *rng.PCG) {
-	r, _ := m.Dims()
+func seedUniform(data *grouped, cents *matrix.Dense, gen *rng.PCG) {
+	r, _ := data.Dims()
 	k, _ := cents.Dims()
 	perm := gen.Perm(r)
 	for c := 0; c < k; c++ {
-		copy(cents.RawRow(c), m.RawRow(perm[c]))
+		copy(cents.RawRow(c), data.row(perm[c]))
 	}
 }
 
 // seedPlusPlus implements k-means++ (Arthur & Vassilvitskii 2007):
 // subsequent centroids are sampled proportional to squared distance from
 // the nearest already-chosen centroid. The distance refresh after each
-// pick runs once per distinct row; the total and the cumulative sampling
-// scan run over all rows, because they are inherently ordered. ctx is
-// checked before every pick.
+// pick runs once per class; the total and the cumulative sampling scan
+// run over all rows, in row order, so the pick is the row a row-at-a-time
+// scan would make. ctx is checked before every pick.
 func seedPlusPlus(ctx context.Context, data *grouped, cents *matrix.Dense, gen *rng.PCG) error {
-	m := data.m
-	r, _ := m.Dims()
+	r, _ := data.Dims()
 	k, _ := cents.Dims()
 	// d2[g] is class g's squared distance to its nearest chosen centroid.
-	d2 := make([]float64, len(data.First))
+	d2 := make([]float64, len(data.Count))
 	refresh := func(c int) {
 		crow := cents.RawRow(c)
-		for g, first := range data.First {
-			if nd := sqDist(m.RawRow(first), crow); c == 0 || nd < d2[g] {
+		for g := range d2 {
+			if nd := sqDist(data.Rows.RawRow(g), crow); c == 0 || nd < d2[g] {
 				d2[g] = nd
 			}
 		}
 	}
-	copy(cents.RawRow(0), m.RawRow(gen.Intn(r)))
+	copy(cents.RawRow(0), data.row(gen.Intn(r)))
 	refresh(0)
 	for c := 1; c < k; c++ {
 		if err := ctx.Err(); err != nil {
@@ -300,17 +252,16 @@ func seedPlusPlus(ctx context.Context, data *grouped, cents *matrix.Dense, gen *
 				}
 			}
 		}
-		copy(cents.RawRow(c), m.RawRow(idx))
+		copy(cents.RawRow(c), data.row(idx))
 		refresh(c)
 	}
 	return nil
 }
 
-// farthestPoint returns the row farthest from its nearest centroid, the
-// lowest such row on a tie: classes are numbered by first appearance, so
-// the first class to reach the maximum holds that row. It refreshes
-// data.
-func farthestPoint(data *grouped, cents *matrix.Dense) int {
+// farthestClass returns the class farthest from its nearest centroid, the
+// lowest such class on a tie — the one holding the lowest such row, as
+// classes are numbered by first appearance. It refreshes data.
+func farthestClass(data *grouped, cents *matrix.Dense) int {
 	data.refresh(cents)
 	worst, worstD := 0, -1.0
 	for g, d := range data.sqDist {
@@ -319,18 +270,39 @@ func farthestPoint(data *grouped, cents *matrix.Dense) int {
 			worst = g
 		}
 	}
-	return data.First[worst]
+	return worst
 }
 
 // nearestCentroid returns the centroid closest to x — the lowest index
-// on a tie — and the squared distance to it.
+// on a tie — and the squared distance to it. Four centroids are summed
+// per pass over x, so four add chains are in flight instead of one; each
+// sum still runs in ascending coordinate order, as sqDist's does, and the
+// comparisons run in ascending centroid order, so the result is the
+// one-at-a-time scan's, bit for bit.
 func nearestCentroid(x []float64, cents *matrix.Dense) (int, float64) {
 	k, _ := cents.Dims()
 	best, bestD := 0, math.Inf(1)
-	for c := 0; c < k; c++ {
+	c := 0
+	for ; c+4 <= k; c += 4 {
+		c0, c1 := cents.RawRow(c)[:len(x)], cents.RawRow(c + 1)[:len(x)]
+		c2, c3 := cents.RawRow(c + 2)[:len(x)], cents.RawRow(c + 3)[:len(x)]
+		var d0, d1, d2, d3 float64
+		for j, xv := range x {
+			t0, t1, t2, t3 := xv-c0[j], xv-c1[j], xv-c2[j], xv-c3[j]
+			d0 += t0 * t0
+			d1 += t1 * t1
+			d2 += t2 * t2
+			d3 += t3 * t3
+		}
+		for i, d := range [4]float64{d0, d1, d2, d3} {
+			if d < bestD {
+				best, bestD = c+i, d
+			}
+		}
+	}
+	for ; c < k; c++ {
 		if d := sqDist(x, cents.RawRow(c)); d < bestD {
-			bestD = d
-			best = c
+			best, bestD = c, d
 		}
 	}
 	if math.IsInf(bestD, 1) {
@@ -384,17 +356,20 @@ func (m *Model) AssignDistance(x []float64) (int, float64) {
 // PredictAll returns cluster assignments for every row of data, running
 // the nearest-centroid search once per distinct row.
 func (m *Model) PredictAll(data *matrix.Dense) ([]int, error) {
-	r, d := data.Dims()
-	if d != m.Dim {
+	if _, d := data.Dims(); d != m.Dim {
 		return nil, fmt.Errorf("kmeans: predict on %d-dim rows, model is %d-dim", d, m.Dim)
 	}
-	rows := groupRows(data)
-	rows.refresh(m.Centroids)
-	out := make([]int, r)
-	for i, g := range rows.Group {
-		out[i] = int(rows.cluster[g])
+	return m.assign(newGrouped(data.DistinctRows())), nil
+}
+
+// assign returns the nearest centroid of every row (refreshing data).
+func (m *Model) assign(data *grouped) []int {
+	data.refresh(m.Centroids)
+	out := make([]int, len(data.Group))
+	for i, g := range data.Group {
+		out[i] = int(data.cluster[g])
 	}
-	return out, nil
+	return out
 }
 
 // Distance returns the Euclidean distance from x to centroid c.
@@ -405,26 +380,15 @@ func (m *Model) Distance(x []float64, c int) float64 {
 	return math.Sqrt(sqDist(x, m.Centroids.RawRow(c)))
 }
 
-// Inertia computes the WCSS of data under the model's centroids.
-func (m *Model) Inertia(data *matrix.Dense) float64 {
-	return m.inertia(groupRows(data))
-}
-
-// inertia takes each distinct row's squared distance to its nearest
-// centroid (refreshing data), then sums them over all rows in row order,
-// one partial per chunk (see chunkedReduce).
+// inertia takes each class's squared distance to its nearest centroid
+// (refreshing data) and sums count × distance over the classes in order.
 func (m *Model) inertia(data *grouped) float64 {
 	data.refresh(m.Centroids)
-	return chunkedReduce(len(data.Group),
-		func() float64 { return 0 },
-		func(total float64, start, end int) float64 {
-			for _, g := range data.Group[start:end] {
-				total += data.sqDist[g]
-			}
-			return total
-		},
-		func(into, from float64) float64 { return into + from },
-	)
+	total := 0.0
+	for g, n := range data.Count {
+		total += float64(n) * data.sqDist[g]
+	}
+	return total
 }
 
 // ElbowPoint is one (k, WCSS) sample of the elbow curve.
@@ -434,16 +398,18 @@ type ElbowPoint struct {
 }
 
 // ElbowCurve fits a model for every k in [kMin, kMax] and returns the
-// WCSS curve of the paper's Figure 3. Fits reuse cfg except for K.
+// WCSS curve of the paper's Figure 3. Fits reuse cfg except for K, and
+// one grouping of m's rows.
 func ElbowCurve(m *matrix.Dense, kMin, kMax int, cfg Config) ([]ElbowPoint, error) {
 	if kMin < 1 || kMax < kMin {
 		return nil, fmt.Errorf("kmeans: bad elbow range [%d,%d]", kMin, kMax)
 	}
+	rows := m.DistinctRows()
 	out := make([]ElbowPoint, 0, kMax-kMin+1)
 	for k := kMin; k <= kMax; k++ {
 		c := cfg
 		c.K = k
-		model, err := Fit(m, c)
+		model, err := FitContext(context.Background(), rows, c)
 		if err != nil {
 			return nil, fmt.Errorf("kmeans: elbow at k=%d: %w", k, err)
 		}

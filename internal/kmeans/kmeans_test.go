@@ -253,7 +253,7 @@ func TestInertiaMatchesFitWCSS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := model.Inertia(m); math.Abs(got-model.WCSS) > 1e-9*(1+model.WCSS) {
+	if got := model.inertia(newGrouped(m.DistinctRows())); math.Abs(got-model.WCSS) > 1e-9*(1+model.WCSS) {
 		t.Fatalf("Inertia %v != fit WCSS %v", got, model.WCSS)
 	}
 }

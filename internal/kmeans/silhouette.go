@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -111,24 +112,22 @@ func dist(a, b []float64) float64 {
 }
 
 // SilhouetteCurve evaluates the mean silhouette for each k in
-// [kMin, kMax] by fitting models with cfg, returning (k, score) points.
+// [kMin, kMax] by fitting models with cfg on one grouping of data's
+// rows, returning (k, score) points.
 func SilhouetteCurve(data *matrix.Dense, kMin, kMax int, cfg Config, sampleCap int) ([]ElbowPoint, error) {
 	if kMin < 2 || kMax < kMin {
 		return nil, fmt.Errorf("kmeans: bad silhouette range [%d,%d]", kMin, kMax)
 	}
+	rows := newGrouped(data.DistinctRows())
 	out := make([]ElbowPoint, 0, kMax-kMin+1)
 	for k := kMin; k <= kMax; k++ {
 		c := cfg
 		c.K = k
-		model, err := Fit(data, c)
+		model, err := FitContext(context.Background(), rows.RowGroups, c)
 		if err != nil {
 			return nil, err
 		}
-		assign, err := model.PredictAll(data)
-		if err != nil {
-			return nil, err
-		}
-		s, err := Silhouette(data, assign, k, sampleCap, cfg.Seed)
+		s, err := Silhouette(data, model.assign(rows), k, sampleCap, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

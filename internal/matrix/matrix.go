@@ -1,11 +1,13 @@
 // Package matrix implements the small dense linear-algebra kernel the
 // Browser Polygraph training pipeline needs: row-major float64 matrices,
-// products, column statistics, covariance, and a cyclic Jacobi
-// eigendecomposition for symmetric matrices (used by PCA).
+// products, the grouping of rows into a distinct-row table with counts
+// (RowGroups) and the count-weighted column statistics and covariance
+// over it, and a cyclic Jacobi eigendecomposition for symmetric matrices
+// (used by PCA).
 //
 // The package favors clarity and predictable allocation over absolute
 // throughput; training in this system runs offline (paper §6.5) and the
-// matrices involved are modest (≲ 205k × 28).
+// tables involved are small (a few hundred distinct rows × 28).
 package matrix
 
 import (
@@ -120,82 +122,6 @@ func (m *Dense) MulVec(v []float64) []float64 {
 		out[i] = s
 	}
 	return out
-}
-
-// ColMeans returns the per-column mean. An empty matrix yields all zeros.
-func (m *Dense) ColMeans() []float64 {
-	means := make([]float64, m.cols)
-	if m.rows == 0 {
-		return means
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			means[j] += v
-		}
-	}
-	inv := 1 / float64(m.rows)
-	for j := range means {
-		means[j] *= inv
-	}
-	return means
-}
-
-// ColStds returns the per-column population standard deviation.
-func (m *Dense) ColStds() []float64 {
-	stds := make([]float64, m.cols)
-	if m.rows == 0 {
-		return stds
-	}
-	means := m.ColMeans()
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			d := v - means[j]
-			stds[j] += d * d
-		}
-	}
-	inv := 1 / float64(m.rows)
-	for j := range stds {
-		stds[j] = math.Sqrt(stds[j] * inv)
-	}
-	return stds
-}
-
-// Covariance returns the c×c sample covariance matrix of the rows
-// (dividing by n-1). A matrix with fewer than two rows yields zeros.
-func (m *Dense) Covariance() *Dense {
-	cov := NewDense(m.cols, m.cols)
-	if m.rows < 2 {
-		return cov
-	}
-	means := m.ColMeans()
-	// One pass over the rows: each cov[a][b] cell accumulates the input
-	// rows in ascending order.
-	centered := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		for b, v := range m.data[i*m.cols : (i+1)*m.cols] {
-			centered[b] = v - means[b]
-		}
-		for a, ca := range centered {
-			if ca == 0 {
-				continue
-			}
-			crow := cov.data[a*m.cols : (a+1)*m.cols]
-			for b := a; b < m.cols; b++ {
-				crow[b] += ca * centered[b]
-			}
-		}
-	}
-	inv := 1 / float64(m.rows-1)
-	for a := 0; a < m.cols; a++ {
-		for b := a; b < m.cols; b++ {
-			v := cov.data[a*m.cols+b] * inv
-			cov.data[a*m.cols+b] = v
-			cov.data[b*m.cols+a] = v
-		}
-	}
-	return cov
 }
 
 // IsSymmetric reports whether the matrix is square and symmetric within

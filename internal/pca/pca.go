@@ -34,21 +34,22 @@ type PCA struct {
 }
 
 // Fit computes a PCA of m and keeps k components. k must be in [1, d].
-// Rows of m are observations.
+// Rows of m are observations; they are grouped (see FitContext).
 func Fit(m *matrix.Dense, k int) (*PCA, error) {
-	return FitContext(context.Background(), m, k)
+	return FitContext(context.Background(), m.DistinctRows(), k)
 }
 
-// FitContext is Fit under a context. The covariance product and the
-// Jacobi eigendecomposition are indivisible dense kernels, so the
-// context is checked between them rather than inside; our matrices are
-// at most a few hundred columns wide, which bounds each kernel to
-// milliseconds.
-func FitContext(ctx context.Context, m *matrix.Dense, k int) (*PCA, error) {
+// FitContext computes a PCA of the grouped rows: the mean and covariance
+// are count-weighted sums over the distinct-row table. The covariance
+// product and the Jacobi eigendecomposition are indivisible dense
+// kernels, so the context is checked between them rather than inside;
+// the table is a few hundred rows of at most a few hundred columns,
+// which bounds each kernel to milliseconds.
+func FitContext(ctx context.Context, rows matrix.RowGroups, k int) (*PCA, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r, d := m.Dims()
+	r, d := rows.Dims()
 	if r < 2 {
 		return nil, fmt.Errorf("pca: need at least 2 rows, have %d", r)
 	}
@@ -58,7 +59,7 @@ func FitContext(ctx context.Context, m *matrix.Dense, k int) (*PCA, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cov := m.Covariance()
+	cov := rows.Covariance()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -82,7 +83,7 @@ func FitContext(ctx context.Context, m *matrix.Dense, k int) (*PCA, error) {
 		vars[i] = v
 	}
 	return &PCA{
-		Mean:       m.ColMeans(),
+		Mean:       rows.ColMeans(),
 		Components: comps,
 		Variances:  vars,
 		K:          k,
@@ -137,38 +138,20 @@ func (p *PCA) ComponentsForVariance(target float64) int {
 }
 
 // Transform projects every row of m onto the kept components, returning an
-// r×k matrix.
+// r×k matrix. Training projects its distinct-row table, a few hundred
+// rows, so the pass takes no context.
 func (p *PCA) Transform(m *matrix.Dense) (*matrix.Dense, error) {
-	return p.TransformContext(context.Background(), m)
-}
-
-// TransformContext is Transform under a context: a done context refuses
-// to start. A projection is a pure function of the row's bits, so each
-// class of bitwise-equal rows is projected once, on its first row, and
-// the result copied to the rest.
-func (p *PCA) TransformContext(ctx context.Context, m *matrix.Dense) (*matrix.Dense, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
 	r, d := m.Dims()
 	if d != len(p.Mean) {
 		return nil, fmt.Errorf("pca: transform on %d features, fitted on %d", d, len(p.Mean))
 	}
 	out := matrix.NewDense(r, p.K)
-	rows := m.DistinctRows()
 	buf := make([]float64, d)
-	for _, i := range rows.First {
+	for i := 0; i < r; i++ {
 		for j, v := range m.RawRow(i) {
 			buf[j] = v - p.Mean[j]
 		}
 		p.projectInto(buf, out.RawRow(i))
-	}
-	for i, g := range rows.Group {
-		if first := rows.First[g]; first != i {
-			copy(out.RawRow(i), out.RawRow(first))
-		}
 	}
 	return out, nil
 }

@@ -10,28 +10,21 @@ import (
 	"polygraph/internal/pipeline/pipelinetest"
 )
 
-// TestContextRefusesToStart: FitContext and TransformContext each look
-// at their context once, before the pass over the rows.
+// TestContextRefusesToStart: FitContext looks at its context once, before
+// the pass over the table.
 func TestContextRefusesToStart(t *testing.T) {
-	m := matrix.FromRows([][]float64{{1, 2}, {3, 5}, {4, 9}})
+	rows := matrix.FromRows([][]float64{{1, 2}, {3, 5}, {4, 9}}).DistinctRows()
 
 	probe := pipelinetest.NewCountingCtx(context.Background(), math.MaxInt)
-	s, err := FitContext(probe, m, Config{})
-	if err != nil {
+	if _, err := FitContext(probe, rows, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.TransformContext(probe, m); err != nil {
-		t.Fatal(err)
-	}
-	if probe.Calls() != 2 {
-		t.Fatalf("fit and transform checked their context %d times, want 2", probe.Calls())
+	if probe.Calls() != 1 {
+		t.Fatalf("fit checked its context %d times, want 1", probe.Calls())
 	}
 
 	done := pipelinetest.NewCountingCtx(context.Background(), 0)
-	if got, err := FitContext(done, m, Config{}); !errors.Is(err, context.Canceled) || got != nil {
+	if got, err := FitContext(done, rows, Config{}); !errors.Is(err, context.Canceled) || got != nil {
 		t.Fatalf("fit under a done context: scaler %v, err %v", got, err)
-	}
-	if out, err := s.TransformContext(done, m); !errors.Is(err, context.Canceled) || out != nil {
-		t.Fatalf("transform under a done context: out %v, err %v", out, err)
 	}
 }

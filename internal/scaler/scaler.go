@@ -29,20 +29,22 @@ type Config struct {
 	Skip []bool
 }
 
-// Fit learns per-column mean and standard deviation from m.
+// Fit learns per-column mean and standard deviation from the rows of m,
+// through their grouping (see FitContext).
 func Fit(m *matrix.Dense, cfg Config) (*Standard, error) {
-	return FitContext(context.Background(), m, cfg)
+	return FitContext(context.Background(), m.DistinctRows(), cfg)
 }
 
-// FitContext is Fit under a context: a done context refuses to start.
-// Fitting is a single cheap column pass, so no further checks occur.
-func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Standard, error) {
+// FitContext learns the moments of the grouped rows: count-weighted sums
+// over the distinct-row table. A done context refuses to start; fitting
+// is one cheap pass over the table, so no further checks occur.
+func FitContext(ctx context.Context, rows matrix.RowGroups, cfg Config) (*Standard, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	r, c := m.Dims()
+	r, c := rows.Dims()
 	if r == 0 || c == 0 {
 		return nil, fmt.Errorf("scaler: cannot fit empty %dx%d matrix", r, c)
 	}
@@ -50,8 +52,8 @@ func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Standard, er
 		return nil, fmt.Errorf("scaler: skip mask has %d entries, want %d", len(cfg.Skip), c)
 	}
 	s := &Standard{
-		Means: m.ColMeans(),
-		Stds:  m.ColStds(),
+		Means: rows.ColMeans(),
+		Stds:  rows.ColStds(),
 	}
 	if cfg.Skip != nil {
 		s.skip = append([]bool(nil), cfg.Skip...)
@@ -87,19 +89,9 @@ func (s *Standard) SetSkip(mask []bool) error {
 
 // Transform returns a scaled copy of m. Constant columns (std 0) are only
 // centered, never divided, so they map to exactly zero rather than NaN.
+// Training transforms its distinct-row table, a few hundred rows, so the
+// pass takes no context.
 func (s *Standard) Transform(m *matrix.Dense) (*matrix.Dense, error) {
-	return s.TransformContext(context.Background(), m)
-}
-
-// TransformContext is Transform under a context: a done context refuses
-// to start. The transform is one cheap pass over the rows, so no further
-// checks occur.
-func (s *Standard) TransformContext(ctx context.Context, m *matrix.Dense) (*matrix.Dense, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
 	r, c := m.Dims()
 	if c != len(s.Means) {
 		return nil, fmt.Errorf("scaler: transform on %d columns, fitted on %d", c, len(s.Means))

@@ -37,8 +37,8 @@ func TestTransformZeroMeanUnitVar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	means := out.ColMeans()
-	stds := out.ColStds()
+	means := out.DistinctRows().ColMeans()
+	stds := out.DistinctRows().ColStds()
 	for j := 0; j < 2; j++ {
 		if math.Abs(means[j]) > 1e-9 {
 			t.Fatalf("col %d mean = %v", j, means[j])
@@ -84,7 +84,7 @@ func TestSkipMask(t *testing.T) {
 		}
 	}
 	// Scaled column is centered.
-	if math.Abs(out.ColMeans()[0]) > 1e-12 {
+	if math.Abs(out.DistinctRows().ColMeans()[0]) > 1e-12 {
 		t.Fatal("scaled column not centered")
 	}
 }

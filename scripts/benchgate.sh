@@ -1,6 +1,6 @@
 #!/bin/sh
 # benchgate.sh — the allocation gate for the scoring fast path, its
-# kernel, the audited-verdict path and the HTTP collect handler.
+# kernel, the audited-verdict path, the HTTP collect handler and training.
 #
 # Runs the online-scoring benchmark family, the score kernel's two loops,
 # the two audit-path benchmarks, the journal append and the collect
@@ -21,6 +21,10 @@
 #                                               the hex session ID, the Content-Type
 #                                               header value; the user agent is a view
 #                                               of the body)
+#   BenchmarkTrain60000         ≤ 10 MB/op     (internal/core: Train on bench/'s
+#                                               60 000 sessions; it reads a table of
+#                                               the ~150 distinct vectors, and an
+#                                               n-row float matrix is 13.4 MB)
 #
 # The ns/op numbers are machine-dependent and therefore only printed,
 # never gated; bench/ (BENCHMARK.json) is where they are measured. Two
@@ -74,4 +78,22 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths and the kernel, audit-path and collect-handler ceilings)"
+echo "== go test -bench 'Train60000$' -benchmem ./internal/core"
+go test -run '^$' -bench 'Train60000$' -benchmem -benchtime 5x ./internal/core | tee "$out"
+
+awk '
+    /^BenchmarkTrain60000(-[0-9]+)? / {
+        seen++
+        for (i = 1; i < NF; i++) if ($(i+1) == "B/op") bytes = $i
+        if (bytes == "" || bytes > 10485760) {
+            printf "benchgate: %s allocates %s B/op, ceiling 10485760 B/op\n", $1, bytes
+            bad = 1
+        }
+    }
+    END {
+        if (seen < 1) { print "benchgate: training benchmark missing from output"; bad = 1 }
+        exit bad
+    }
+' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
+
+echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths and the kernel, audit-path and collect-handler ceilings, training ≤ 10 MB)"

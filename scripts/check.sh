@@ -6,7 +6,8 @@
 # benchmark module under bench/, whose seam.go pins the symbols the
 # benchmark calls — the one-ingest-core, explanations-are-derived,
 # one-use-of-unsafe, one-daemon-wiring, one-segment-writer, per-row-kernel
-# (score kernel included), training-is-one-goroutine,
+# (score kernel included), training-reads-the-distinct-row-table,
+# training-is-one-goroutine,
 # one-operator-binary-one-perf-line, metrics-declared-once and
 # docs-name-only-identifiers-that-exist guards, the race-detector pass that
 # guards the concurrent layers (collect's hot-swap/stats paths, seglog's
@@ -93,12 +94,13 @@ n=$(ls internal/seglog/*.go | grep -v _test.go | xargs grep -F -- 'os.O_EXCL' | 
 [ "$n" -eq 1 ] || { echo "check.sh: $n uses of os.O_EXCL in internal/seglog, want 1" >&2; exit 1; }
 
 # One pass per distinct row: training runs each pure per-row kernel once
-# per class of bitwise-equal rows (matrix.DistinctRows), so every kernel
+# per row of the distinct-row table (matrix.RowGroups), so every kernel
 # has a fixed set of non-test call sites and an edit that brings back an
 # all-rows loop shows up here as one more. nearestCentroid:
-# grouped.refresh (per distinct row) and Model.Predict (one vector).
-# scoreRows: ScoreAllContext. pathLengthFlat: Score and scoreRows.
-# projectInto: TransformContext.
+# grouped.refresh (per table row) and Model.Predict (one vector).
+# scoreRows: ScoreAllContext, which Outliers runs on the table.
+# pathLengthFlat: Score and scoreRows. projectInto: TransformContext,
+# which training runs on the table.
 # The score plan's two loops are on the same list: there is one
 # register-blocked kernel, so a "fast path" written beside it would be
 # one more site. p.transform(: scoreOnPlan, explain, predictClusterWith
@@ -116,6 +118,24 @@ projectInto( internal/pca 1
 p.transform( internal/core 4
 p.assign( internal/core 3
 SITES
+
+# Training reads the distinct-row table: internal/core/train.go groups the
+# samples once (matrix.GroupRows) and every stage fits on that grouping —
+# scaler, iforest, pca and kmeans each take it in their one FitContext —
+# with sums over the rows taken as count-weighted sums over the table.
+# A matrix with a row per sample in train.go (an n-row float matrix is
+# 13.4 MB at the benchmark's 60 000 sessions; TestTrainAllocations pins
+# the bytes), or the k-means chunk geometry that tied the float
+# association order to n, is the n-row path coming back.
+echo "== training reads the distinct-row table"
+found=$(grep -nE 'matrix\.(NewDense|FromRows)\(' internal/core/train.go || true)
+[ -z "$found" ] || { echo "check.sh: an n-row matrix in the training path:" >&2; echo "$found" >&2; exit 1; }
+found=$(grep -rnE 'chunkedReduce|chunkSize' --include='*.go' internal/kmeans || true)
+[ -z "$found" ] || { echo "check.sh: the k-means chunk geometry is back:" >&2; echo "$found" >&2; exit 1; }
+for pkg in scaler iforest pca kmeans; do
+    n=$(ls internal/$pkg/*.go | grep -v _test.go | xargs grep -c 'func FitContext(ctx context.Context, rows matrix.RowGroups,' | awk -F: '{s += $NF} END {print s}')
+    [ "$n" -eq 1 ] || { echo "check.sh: internal/$pkg has $n FitContext over a matrix.RowGroups, want 1" >&2; exit 1; }
+done
 
 # Training is one goroutine: a training set is ~150 distinct rows, which
 # leaves a worker pool under the §6.4 pipeline nothing to divide
