@@ -2,14 +2,17 @@ package collect
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"polygraph/internal/audit"
 	"polygraph/internal/browser"
+	"polygraph/internal/core"
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/obs"
 	"polygraph/internal/ua"
@@ -242,9 +245,60 @@ func BenchmarkTCPBatchScore(b *testing.B) {
 // ledger sampling one benign verdict in a hundred. What two connections
 // share (the drift sampler, the ledger's and the listener's counters) is
 // what this measures and a one-connection benchmark cannot; frames/s is
-// the figure to compare, ns/op is per block.
+// the figure to compare, ns/op is per block. After the first block every
+// verdict is a hit in the model's verdict memo.
 func BenchmarkTCPBatchScoreParallel(b *testing.B) {
 	m, d := testModel(b)
+	rel := ua.Release{Vendor: ua.Chrome, Version: 112}
+	p := payloadFor(d, rel, rel)
+	benchTCPParallel(b, m, [][]byte{frameBlock(b, func(int) *fingerprint.Payload { return p })})
+}
+
+// BenchmarkTCPBatchScoreParallelDistinct is its twin on traffic that does
+// not repeat: 4 096 blocks of 64 frames, cycled, each frame the same
+// honest Chrome 112 session under its own build number
+// (Chrome/112.0.<block>.<frame>), so every (vector, user-agent) pair
+// returns only after 262 144 others and every verdict is a memo miss the
+// doorkeeper keeps out. It stands in for a population without the
+// repetition the coarse fingerprint gives real traffic.
+func BenchmarkTCPBatchScoreParallelDistinct(b *testing.B) {
+	m, d := testModel(b)
+	rel := ua.Release{Vendor: ua.Chrome, Version: 112}
+	p := payloadFor(d, rel, rel)
+	honest := p.UserAgent
+	blocks := make([][]byte, 4096)
+	for i := range blocks {
+		blocks[i] = frameBlock(b, func(f int) *fingerprint.Payload {
+			p.UserAgent = strings.Replace(honest, "/112.0.0.0", fmt.Sprintf("/112.0.%d.%d", i, f), 1)
+			return p
+		})
+	}
+	benchTCPParallel(b, m, blocks)
+}
+
+// tcpBlockFrames is how many frames a benchmark block pipelines, as
+// bench/'s replay-tcp does.
+const tcpBlockFrames = 64
+
+// frameBlock is tcpBlockFrames length-prefixed frames, frame f encoding
+// payload(f).
+func frameBlock(b *testing.B, payload func(f int) *fingerprint.Payload) []byte {
+	var wire []byte
+	for f := 0; f < tcpBlockFrames; f++ {
+		enc, err := payload(f).MarshalBinary()
+		if err != nil {
+			b.Fatal(err)
+		}
+		wire = binary.BigEndian.AppendUint32(wire, uint32(len(enc)))
+		wire = append(wire, enc...)
+	}
+	return wire
+}
+
+// benchTCPParallel pipelines blocks over two connections, each starting
+// half-way round the list from the other and cycling through it, and
+// reports frames/s.
+func benchTCPParallel(b *testing.B, m *core.Model, blocks [][]byte) {
 	led, err := audit.Open(audit.Config{Dir: b.TempDir(), SampleBenign: 100})
 	if err != nil {
 		b.Fatal(err)
@@ -265,18 +319,7 @@ func BenchmarkTCPBatchScoreParallel(b *testing.B) {
 	go srv.Serve(l)
 	defer srv.Close()
 
-	const conns, block = 2, 64
-	rel := ua.Release{Vendor: ua.Chrome, Version: 112}
-	var lenBuf [4]byte
-	var wire []byte
-	for i := 0; i < block; i++ {
-		enc, err := payloadFor(d, rel, rel).MarshalBinary()
-		if err != nil {
-			b.Fatal(err)
-		}
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(enc)))
-		wire = append(append(wire, lenBuf[:]...), enc...)
-	}
+	const conns = 2
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for c := 0; c < conns; c++ {
@@ -289,12 +332,12 @@ func BenchmarkTCPBatchScoreParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 		wg.Add(1)
-		go func(blocks int) {
+		go func(n int) {
 			defer wg.Done()
-			replies := make([]byte, block*tcpReplySize)
+			replies := make([]byte, tcpBlockFrames*tcpReplySize)
 			<-start
-			for i := 0; i < blocks; i++ {
-				if _, err := conn.Write(wire); err != nil {
+			for i := 0; i < n; i++ {
+				if _, err := conn.Write(blocks[(c*len(blocks)/conns+i)%len(blocks)]); err != nil {
 					b.Error(err)
 					return
 				}
@@ -309,8 +352,8 @@ func BenchmarkTCPBatchScoreParallel(b *testing.B) {
 	close(start)
 	wg.Wait()
 	b.StopTimer()
-	if got := srv.Scored(); got != int64(b.N)*block {
-		b.Fatalf("scored %d frames, sent %d", got, b.N*block)
+	if got := srv.Scored(); got != int64(b.N)*tcpBlockFrames {
+		b.Fatalf("scored %d frames, sent %d", got, b.N*tcpBlockFrames)
 	}
-	b.ReportMetric(float64(b.N)*block/b.Elapsed().Seconds(), "frames/s")
+	b.ReportMetric(float64(b.N)*tcpBlockFrames/b.Elapsed().Seconds(), "frames/s")
 }

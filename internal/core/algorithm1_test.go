@@ -123,8 +123,9 @@ func sameResult(a, b Result) bool {
 // 6 — and the package's trained fixture models, scored on random finite
 // vectors with claims drawn from the models' clusters, from the whole
 // release universe and from strings that do not parse. The score plan
-// (ScoreString), the component path (scoreSlow) and the oracle must agree
-// on every Result field.
+// (ScoreStringWith) — scored cold, then hot, then from its verdict memo —
+// the component path (scoreSlow) and the oracle must agree on every
+// Result field.
 func TestScorePathsMatchAlgorithm1(t *testing.T) {
 	gen := rng.New(33)
 	universe := ua.Universe(119)
@@ -178,6 +179,7 @@ func TestScorePathsMatchAlgorithm1(t *testing.T) {
 	checked := map[string]int{}
 	for _, nm := range models {
 		m := nm.m
+		s := m.NewScratch()
 		for i := 0; i < 60; i++ {
 			vec := make([]float64, m.Dim())
 			if m.Dim() == len(fixture.Features) && i%2 == 0 {
@@ -200,13 +202,24 @@ func TestScorePathsMatchAlgorithm1(t *testing.T) {
 			}
 
 			want := algorithm1(m, vec, claim)
-			plan, err := m.ScoreString(vec, claim)
-			if err != nil {
-				t.Fatal(err)
-			}
 			slow := slowString(t, m, vec, claim)
-			if !sameResult(plan, want) || !sameResult(slow, want) {
-				t.Fatalf("%s, vector %d, claim %q:\n plan      %+v\n scoreSlow %+v\n oracle    %+v", nm.name, i, claim, plan, slow, want)
+			if !sameResult(slow, want) {
+				t.Fatalf("%s, vector %d, claim %q:\n scoreSlow %+v\n oracle    %+v", nm.name, i, claim, slow, want)
+			}
+			// Cold (first sighting), hot (the second, which enters the
+			// verdict memo) and hot again (answered from it), all on one
+			// scorer's scratch, whose doorkeeper admits the pair.
+			for _, pass := range []string{"cold", "hot", "hot again"} {
+				if pass == "hot again" && !MemoHolds(m, vec, claim) {
+					t.Fatalf("%s, vector %d, claim %q: not memoised after two sightings", nm.name, i, claim)
+				}
+				plan, err := m.ScoreStringWith(s, vec, claim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameResult(plan, want) {
+					t.Fatalf("%s, vector %d, claim %q, %s:\n plan   %+v\n oracle %+v", nm.name, i, claim, pass, plan, want)
+				}
 			}
 			switch {
 			case want.Matched:

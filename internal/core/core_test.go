@@ -413,6 +413,47 @@ func BenchmarkScore(b *testing.B) {
 	}
 }
 
+// BenchmarkScoreString is the served entry point on the two kinds of
+// traffic the verdict memo sees. repeat cycles the fixture's 65 (vector,
+// user-agent) pairs, so after two rounds every call is a memo hit.
+// all-distinct moves one coordinate of the same pairs by the call's count
+// in ulps, so no pair ever repeats: every call parses, runs the kernel
+// and is kept out of the memo by its doorkeeper. scripts/benchgate.sh pins both at 0 allocs/op.
+func BenchmarkScoreString(b *testing.B) {
+	m, _, _ := trainFixtureModel(b, 40)
+	samples, _ := trainFixture(b, 5)
+	uas := make([]string, len(samples))
+	for i, s := range samples {
+		uas[i] = ua.UserAgent(s.UA, ua.Windows10)
+	}
+	s := m.NewScratch()
+	b.Run("repeat", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j := i % len(samples)
+			if _, err := m.ScoreStringWith(s, samples[j].Vector, uas[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	vecs := make([][]float64, len(samples))
+	for j := range samples {
+		vecs[j] = append([]float64(nil), samples[j].Vector...)
+	}
+	calls := uint64(0) // across the rounds testing.B runs, so no round repeats another
+	b.Run("all-distinct", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j := i % len(samples)
+			calls++
+			vecs[j][0] = math.Float64frombits(math.Float64bits(samples[j].Vector[0]) + calls)
+			if _, err := m.ScoreStringWith(s, vecs[j], uas[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkScoreKernel times the two loops of the score plan on their
 // own: scale + project, and nearest centroid. scripts/benchgate.sh pins
 // both at 0 allocs/op.

@@ -1,0 +1,106 @@
+package core
+
+import (
+	"hash/maphash"
+	"math"
+	"math/bits"
+	"math/rand/v2"
+	"strings"
+	"sync/atomic"
+
+	"polygraph/internal/ua"
+)
+
+const (
+	memoSlots = 4096 // a plan's memo: 32 KB of pointers (DESIGN.md §4 has the sizing)
+	memoSeen  = 512  // a scorer's doorkeeper (Scratch.seen)
+	memoMaxUA = 1024 // longer user-agents are never stored, so an entry is ≤ 1 KB + a vector
+)
+
+// verdictMemo holds ScoreString verdicts on one plan, keyed by the
+// vector's bits and the raw user-agent. A pair has a set of two slots; a
+// new entry takes the first and pushes the first's to the second. The
+// hash is seeded per plan, so sets cannot be aimed at; a hit compares the
+// whole key. A pair is stored on its second miss in a row at its slot of
+// the scorer's own doorkeeper (Scratch.seen; a shared one bounces a cache
+// line between cores on every miss), so one-off pairs allocate nothing.
+type verdictMemo struct {
+	seed   maphash.Seed
+	secret [2]uint64
+	slots  []atomic.Pointer[memoEntry] // len a power of two, ≥ 2
+}
+
+// memoEntry is a verdict with its key and hash and the two Model fields
+// scoring reads live, so that a change to either is a miss.
+type memoEntry struct {
+	hash             uint64
+	vec              []float64
+	ua               string
+	res              Result
+	versionDivisor   int
+	noveltyThreshold float64
+}
+
+func newVerdictMemo(slots int) *verdictMemo {
+	return &verdictMemo{seed: maphash.MakeSeed(), secret: [2]uint64{rand.Uint64(), rand.Uint64()},
+		slots: make([]atomic.Pointer[memoEntry], slots)}
+}
+
+// hash is the user-agent through maphash, then the vector's bits folded
+// in two words per 128-bit multiply (wyhash's step) in two lanes.
+func (memo *verdictMemo) hash(vector []float64, userAgent string) uint64 {
+	s0, s1 := memo.secret[0], memo.secret[1]
+	a := maphash.String(memo.seed, userAgent)
+	b := a ^ s1
+	for ; len(vector) >= 4; vector = vector[4:] {
+		a = mum(math.Float64bits(vector[0])^s0, math.Float64bits(vector[1])^a)
+		b = mum(math.Float64bits(vector[2])^s1, math.Float64bits(vector[3])^b)
+	}
+	for _, x := range vector {
+		a = mum(math.Float64bits(x)^s0, a^s1)
+	}
+	return mum(a^s1, b^s0)
+}
+
+func mum(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// holds reports whether e is the entry of (vector, userAgent), bit for bit.
+func (e *memoEntry) holds(h uint64, vector []float64, userAgent string) bool {
+	if e.hash != h || len(e.vec) != len(vector) || e.ua != userAgent {
+		return false
+	}
+	var diff uint64
+	vector = vector[:len(e.vec)]
+	for j, x := range e.vec {
+		diff |= math.Float64bits(x) ^ math.Float64bits(vector[j])
+	}
+	return diff == 0
+}
+
+// scoreStringMemo is ScoreString on a valid plan for a vector of its
+// width: the remembered verdict when the memo holds the pair under the
+// model's current VersionDivisor and NoveltyThreshold, else the kernel.
+func (m *Model) scoreStringMemo(p *scorePlan, s *Scratch, vector []float64, userAgent string) Result {
+	h := p.memo.hash(vector, userAgent)
+	set := p.memo.slots[h&uint64(len(p.memo.slots)-2):][:2]
+	div, thr := m.VersionDivisor, m.NoveltyThreshold
+	for w := range set {
+		if e := set[w].Load(); e != nil && e.holds(h, vector, userAgent) &&
+			e.versionDivisor == div && math.Float64bits(e.noveltyThreshold) == math.Float64bits(thr) {
+			return e.res
+		}
+	}
+	claimed, parsed := ua.ParseRelease(userAgent)
+	res := m.scoreOnPlan(p, s, vector, claimed, parsed)
+	if seen := &s.seen[h%memoSeen]; *seen != h || len(userAgent) > memoMaxUA {
+		*seen = h
+	} else {
+		set[1].Store(set[0].Load())
+		set[0].Store(&memoEntry{hash: h, vec: append([]float64(nil), vector...), ua: strings.Clone(userAgent),
+			res: res, versionDivisor: div, noveltyThreshold: thr})
+	}
+	return res
+}

@@ -136,12 +136,10 @@ func (m *Model) ScoreWith(s *Scratch, vector []float64, claimed ua.Release) (Res
 		return m.scoreSlow(vector, claimed)
 	}
 	if s == nil {
-		pooled := p.getScratch()
-		res := m.scoreOnPlan(p, pooled, vector, claimed)
-		p.putScratch(pooled)
-		return res, nil
+		s = p.getScratch()
+		defer p.putScratch(s)
 	}
-	return m.scoreOnPlan(p, s, vector, claimed), nil
+	return m.scoreOnPlan(p, s, vector, claimed, true), nil
 }
 
 // scoreSlow is the component-path fallback for models whose parts are
@@ -317,9 +315,20 @@ func (m *Model) ScoreString(vector []float64, userAgent string) (Result, error) 
 }
 
 // ScoreStringWith is ScoreString with caller-owned scratch (see
-// ScoreWith). Nothing allocates on this path, whether or not the
-// user-agent parses.
+// ScoreWith). A repeated (vector, user-agent) pair is answered from the
+// plan's verdict memo (memo.go). Nothing allocates on this path, whether
+// or not the user-agent parses, but a repeated pair entering the memo.
 func (m *Model) ScoreStringWith(s *Scratch, vector []float64, userAgent string) (Result, error) {
+	if err := m.checkTrained(); err != nil {
+		return Result{}, err
+	}
+	if p := m.scorePlanNow(); p.valid && len(vector) == p.dim {
+		if s == nil {
+			s = p.getScratch()
+			defer p.putScratch(s)
+		}
+		return m.scoreStringMemo(p, s, vector, userAgent), nil
+	}
 	claimed, ok := ua.ParseRelease(userAgent)
 	if !ok {
 		cluster, cerr := m.predictClusterWith(s, vector)
@@ -345,10 +354,8 @@ func (m *Model) predictClusterWith(s *Scratch, vector []float64) (int, error) {
 	}
 	if p := m.scorePlanNow(); p.valid && len(vector) == p.dim {
 		if s == nil {
-			pooled := p.getScratch()
-			c, _ := p.assign(p.transform(pooled, vector))
-			p.putScratch(pooled)
-			return c, nil
+			s = p.getScratch()
+			defer p.putScratch(s)
 		}
 		c, _ := p.assign(p.transform(s, vector))
 		return c, nil

@@ -79,7 +79,8 @@ type scorePlan struct {
 	uaNames       []string
 	clusterLabels []string
 
-	scratch sync.Pool // of *Scratch
+	scratch sync.Pool    // of *Scratch
+	memo    *verdictMemo // ScoreString's verdicts (memo.go)
 }
 
 // Scratch holds the per-scorer reusable buffers of the fast path. A
@@ -89,9 +90,10 @@ type scorePlan struct {
 // ScoreStringWith; Score and ScoreBatch manage pooled scratch
 // internally.
 type Scratch struct {
-	scaled  []float64 // scaled feature vector (len dim)
-	centred []float64 // scaled − pcaMean (len dim), unused when PCA is off
-	x       []float64 // PCA projection (len pcaK), unused when PCA is off
+	scaled  []float64        // scaled feature vector (len dim)
+	centred []float64        // scaled − pcaMean (len dim), unused when PCA is off
+	x       []float64        // PCA projection (len pcaK), unused when PCA is off
+	seen    [memoSeen]uint64 // verdict-memo doorkeeper: hashes of recent misses (memo.go)
 }
 
 // NewScratch returns scratch buffers for the allocation-free scoring
@@ -202,6 +204,7 @@ func buildScorePlan(m *Model) *scorePlan {
 		p.featNames[j] = f.Name()
 	}
 
+	p.memo = newVerdictMemo(memoSlots)
 	p.valid = true
 	return p
 }
@@ -365,10 +368,14 @@ func (p *scorePlan) assign(x []float64) (int, float64) {
 
 // scoreOnPlan is the allocation-free core of Score: transform, assign,
 // novelty check, and the Algorithm 1 risk loop over the flat UA table.
+// A claim that did not parse (!parsed) takes the maximum risk.
 // VersionDivisor and NoveltyThreshold are read live from the Model.
-func (m *Model) scoreOnPlan(p *scorePlan, s *Scratch, vector []float64, claimed ua.Release) Result {
+func (m *Model) scoreOnPlan(p *scorePlan, s *Scratch, vector []float64, claimed ua.Release, parsed bool) Result {
 	x := p.transform(s, vector)
 	cluster, dist := p.assign(x)
+	if !parsed {
+		return Result{Cluster: cluster, RiskFactor: ua.MaxDistance}
+	}
 	res := Result{Cluster: cluster}
 	if m.NoveltyThreshold > 0 {
 		res.NoveltyScore = dist

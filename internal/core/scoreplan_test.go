@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -222,6 +223,24 @@ func TestScoreAllocationFree(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Fatalf("ScoreStringWith(%q) allocates %v objects/op, want 0", junk, allocs)
+		}
+	}
+
+	// Traffic that never repeats a pair must not pay for the verdict memo:
+	// the doorkeeper notes a one-off pair's hash and stores no entry. A
+	// memo that inserted on first sight would allocate on every call here.
+	distinct := append([]float64(nil), vec...)
+	bits := math.Float64bits(distinct[0])
+	userAgent := ua.UserAgent(claim, ua.Windows10)
+	for _, sc := range []*Scratch{scratch, nil} {
+		if allocs := testing.AllocsPerRun(1000, func() {
+			bits++
+			distinct[0] = math.Float64frombits(bits)
+			if _, err := m.ScoreStringWith(sc, distinct, userAgent); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("ScoreStringWith on never-repeated vectors (scratch %v) allocates %v objects/op, want 0", sc != nil, allocs)
 		}
 	}
 }

@@ -11,6 +11,10 @@
 #   BenchmarkOnlineScoreScratch   0 allocs/op  (caller-owned scratch)
 #   BenchmarkScoreKernel/transform  0 allocs/op  (internal/core: scale + project)
 #   BenchmarkScoreKernel/assign     0 allocs/op  (internal/core: nearest centroid)
+#   BenchmarkScoreString/repeat       0 allocs/op  (internal/core: verdict-memo hits)
+#   BenchmarkScoreString/all-distinct 0 allocs/op  (internal/core: pairs that never
+#                                               repeat; pins the memo's admission on
+#                                               second sighting)
 #   BenchmarkExplainResult      ≤ 4 allocs/op  (internal/core: the explanation
 #                                               block, its centroid list, the claim)
 #   BenchmarkLedgerAppend       ≤ 1 allocs/op  (internal/audit: pooled encode buffer;
@@ -31,7 +35,10 @@
 # benchmarks run here for their printed figure alone, because bench/'s
 # one-thread traced replay cannot see what connections share:
 # BenchmarkTCPBatchScoreParallel (internal/collect, frames/s over two
-# connections) and BenchmarkDriftObserve/{serial,parallel} (internal/obs).
+# connections), its twin BenchmarkTCPBatchScoreParallelDistinct on
+# traffic that never repeats a pair (every verdict a memo miss; bench/
+# has no such workload) and BenchmarkDriftObserve/{serial,parallel}
+# (internal/obs).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -58,22 +65,23 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "== go test -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|CollectHandler$|TCPBatchScoreParallel$|DriftObserve$' -benchmem ./internal/core ./internal/audit ./internal/collect ./internal/obs"
-go test -run '^$' -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|CollectHandler$|TCPBatchScoreParallel$|DriftObserve$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit ./internal/collect ./internal/obs | tee "$out"
+echo "== go test -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|ScoreString$|CollectHandler$|TCPBatchScoreParallel(Distinct)?$|DriftObserve$' -benchmem ./internal/core ./internal/audit ./internal/collect ./internal/obs"
+go test -run '^$' -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|ScoreString$|CollectHandler$|TCPBatchScoreParallel(Distinct)?$|DriftObserve$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit ./internal/collect ./internal/obs | tee "$out"
 
 awk '
     /^BenchmarkExplainResult(-[0-9]+)? / { seen++; max = 4 }
     /^Benchmark(Ledger|Journal)Append(-[0-9]+)? / { seen++; max = 1 }
     /^BenchmarkScoreKernel\/(transform|assign)(-[0-9]+)? / { seen++; max = 0 }
+    /^BenchmarkScoreString\/(repeat|all-distinct)(-[0-9]+)? / { seen++; max = 0 }
     /^BenchmarkCollectHandler\/(binary|json)(-[0-9]+)? / { seen++; max = 4 }
-    /^Benchmark(ExplainResult|(Ledger|Journal)Append|ScoreKernel\/(transform|assign)|CollectHandler\/(binary|json))(-[0-9]+)? / {
+    /^Benchmark(ExplainResult|(Ledger|Journal)Append|ScoreKernel\/(transform|assign)|ScoreString\/(repeat|all-distinct)|CollectHandler\/(binary|json))(-[0-9]+)? / {
         if ($NF != "allocs/op" || $(NF-1) > max) {
             printf "benchgate: %s allocates %s %s, ceiling %d allocs/op\n", $1, $(NF-1), $NF, max
             bad = 1
         }
     }
     END {
-        if (seen < 7) { print "benchgate: kernel, audit-path, journal or collect-handler benchmarks missing from output"; bad = 1 }
+        if (seen < 9) { print "benchgate: kernel, score-string, audit-path, journal or collect-handler benchmarks missing from output"; bad = 1 }
         exit bad
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
@@ -96,4 +104,4 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths and the kernel, audit-path and collect-handler ceilings, training ≤ 10 MB)"
+echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths, the memo on both sides and the kernel, audit-path and collect-handler ceilings, training ≤ 10 MB)"

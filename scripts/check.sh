@@ -103,9 +103,9 @@ n=$(ls internal/seglog/*.go | grep -v _test.go | xargs grep -F -- 'os.O_EXCL' | 
 # which training runs on the table.
 # The score plan's two loops are on the same list: there is one
 # register-blocked kernel, so a "fast path" written beside it would be
-# one more site. p.transform(: scoreOnPlan, explain, predictClusterWith
-# (pooled and caller scratch). p.assign(: scoreOnPlan, predictClusterWith
-# (both).
+# one more site. p.transform(: scoreOnPlan, explain, predictClusterWith.
+# p.assign(: scoreOnPlan, predictClusterWith. The verdict memo
+# (core/memo.go) calls neither: a miss runs scoreOnPlan.
 echo "== per-row kernels"
 while read -r call dir want; do
     n=$(ls "$dir"/*.go | grep -v _test.go | xargs grep -HF -- "$call" | grep -vc ':func ' || true)
@@ -115,8 +115,8 @@ nearestCentroid( internal/kmeans 2
 scoreRows( internal/iforest 1
 pathLengthFlat( internal/iforest 2
 projectInto( internal/pca 1
-p.transform( internal/core 4
-p.assign( internal/core 3
+p.transform( internal/core 3
+p.assign( internal/core 2
 SITES
 
 # Training reads the distinct-row table: internal/core/train.go groups the
