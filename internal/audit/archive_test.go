@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -281,22 +282,43 @@ func TestHotSwapRecordsResolveToTheirOwnModel(t *testing.T) {
 	second, _ := trainModel(t, 14, true)
 	dir := t.TempDir()
 
+	// The tap reads frames as they leave: a class frame names a model, and
+	// a record names one itself or through its class. The ledger stays in
+	// one segment, so class ids are unique here.
 	var mu sync.Mutex
 	written := map[string]int{}
+	classModel := map[int]string{}
+	pairModels := map[string]map[string]bool{} // (ua, vector) → the models of its classes
 	led, err := audit.OpenTapped(audit.Config{Dir: dir}, func(w io.Writer) io.Writer {
 		return tapFunc{w: w, fn: func(p []byte) {
+			mu.Lock()
+			defer mu.Unlock()
 			frames(p, func(body []byte) {
-				var rec audit.Record
-				if err := json.Unmarshal(body, &rec); err != nil {
+				var f struct {
+					audit.Record
+					Class int `json:"class"`
+				}
+				if err := json.Unmarshal(body, &f); err != nil {
 					t.Errorf("frame does not decode: %v", err)
 					return
 				}
-				if _, err := os.Stat(filepath.Join(dir, "model."+rec.ModelHash+".json")); err != nil {
-					t.Errorf("seq %d reaches the disk before its model's archive: %v", rec.Seq, err)
+				hash := f.ModelHash
+				if bytes.HasPrefix(body, []byte(`{"class":`)) {
+					classModel[f.Class] = hash
+					pair := fmt.Sprint(f.UserAgent, f.Vector)
+					if pairModels[pair] == nil {
+						pairModels[pair] = map[string]bool{}
+					}
+					pairModels[pair][hash] = true
+				} else if f.Class != 0 {
+					hash = classModel[f.Class]
 				}
-				mu.Lock()
-				written[rec.ModelHash]++
-				mu.Unlock()
+				if _, err := os.Stat(filepath.Join(dir, "model."+hash+".json")); err != nil {
+					t.Errorf("%s reaches the disk before its model's archive: %v", body, err)
+				}
+				if !bytes.HasPrefix(body, []byte(`{"class":`)) {
+					written[hash]++
+				}
 			})
 		}}
 	})
@@ -404,5 +426,16 @@ func TestHotSwapRecordsResolveToTheirOwnModel(t *testing.T) {
 	defer mu.Unlock()
 	if !reflect.DeepEqual(written, seen) {
 		t.Fatalf("the tap saw %v, the scan %v", written, seen)
+	}
+	// One segment, two models: a pair both decided has a class under each,
+	// and every record above resolved to its own.
+	both := 0
+	for _, models := range pairModels {
+		if len(models) == 2 {
+			both++
+		}
+	}
+	if len(pairModels) != len(bodies) || both == 0 {
+		t.Fatalf("classes per pair %v, want %d pairs, some under both models", pairModels, len(bodies))
 	}
 }

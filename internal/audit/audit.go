@@ -5,28 +5,49 @@
 // makes every verdict durably explainable and re-derivable).
 //
 // On-disk format — segments named <prefix>.<seq>.audit, each a stream
-// of length-prefixed records:
+// of length-prefixed frames:
 //
-//	uint32 length (big-endian) | uint32 CRC32-IEEE of body | body (JSON Record)
+//	uint32 length (big-endian) | uint32 CRC32-IEEE of body | body (JSON)
 //
 // A record holds inputs, not derivations: the feature vector, the
 // claimed user-agent, the verdict, the hash of the model that decided
-// and provenance (time, trace, session, endpoint) — about 0.45 KB for
-// the serving tier's 28 features. The explanation of a verdict is a pure
-// function of (model, vector, user-agent) and is computed when a record
-// is read (Resolver.Explain), from the model archive: every model a
-// replica deploys is saved once beside the segments as
-// model.<hash>.json before any record carries that hash (archive.go).
-// Segments written before explanations were derived store one per
-// record; they scan, resume and replay as they are, and a reader uses
-// the stored explanation where there is one.
+// and provenance (time, trace, session, endpoint). The first four repeat:
+// the serving tier's fingerprint is coarse, and under one model the
+// verdict is a function of the (user-agent, vector) pair. So a segment
+// stores each distinct (model hash, user-agent, vector, verdict) — a
+// class — once, and a body is one of three:
+//
+//	{"seq":N,...every field...}                              an inline record
+//	{"class":K,"model_hash":…,"ua":…,"vector":[…],"verdict":{…}}  class K of the segment
+//	{"seq":N,"class":K,"time_ns":…,"trace_id":…,"session_id":…,"endpoint":…}
+//	                                                         a record of class K
+//
+// Class ids count 1, 2, 3, … from the start of each segment, and a class
+// frame goes to the segment log in one piece with the first record of
+// its class, so every segment reads on its own. For the serving tier's
+// 28 features a record of a known class frames to about 0.17 KB, a class
+// frame to about 0.34 KB, an inline record to about 0.48 KB. Records are
+// inline when a segment has defined classCap classes, when RedactRecord
+// produced them, and in every segment written before classes existed;
+// readers take all three shapes. Scan fills a record of a class in from
+// its class frame, so readers see whole records either way.
+//
+// The explanation of a verdict is a pure function of (model, vector,
+// user-agent) and is computed when a record is read (Resolver.Explain),
+// from the model archive: every model a replica deploys is saved once
+// beside the segments as model.<hash>.json before any record carries
+// that hash (archive.go). Segments written before explanations were
+// derived store one per record; they scan, resume and replay as they
+// are, and a reader uses the stored explanation where there is one.
 //
 // The framing makes two properties machine-checkable: a checksum
-// mismatch pins silent corruption to a record, and a truncated tail
+// mismatch pins silent corruption to a frame, and a truncated tail
 // (crash mid-write) is recognized and dropped on reopen without losing
-// any earlier record. `polygraphctl audit verify` walks the frames and
-// demands an intact archive for every hash a record is to be explained
-// from; `polygraphctl audit replay` feeds each record's vector back
+// any earlier record — a class frame precedes every record of its class,
+// so a prefix of a segment reads, and Open rebuilds the resumed
+// segment's classes from it. `polygraphctl audit verify` walks the
+// frames and demands an intact archive for every hash a record is to be
+// explained from; `polygraphctl audit replay` feeds each record's vector back
 // through its archived model (or a model file) and demands the recorded
 // verdict — the model/ledger consistency invariant CI enforces on every
 // smoke-load run.
@@ -38,7 +59,8 @@
 // every write(2), whole frames only. A record is in the file within a
 // second of Append (a quiet ledger's buffer is flushed by a timer), or
 // when Sync, Rotate or Close return. A process crash can lose at most
-// the two buffers (about 130 records of the serving tier), a machine
+// the two buffers (about 390 records of known classes of the serving
+// tier, 130 inline ones), a machine
 // crash also what the OS had not written back; either leaves at worst a
 // torn tail, which Open drops. A disk that falls behind blocks Append
 // once both buffers are full — backpressure, not a queue. A write that
@@ -54,6 +76,7 @@ package audit
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -66,6 +89,7 @@ import (
 	"encoding/json"
 
 	"polygraph/internal/core"
+	"polygraph/internal/fphash"
 	"polygraph/internal/jsonappend"
 	"polygraph/internal/seglog"
 )
@@ -134,35 +158,14 @@ func (rec *Record) appendAfterSeq(dst []byte) ([]byte, error) {
 		dst = append(dst, `,"time_ns":`...)
 		dst = strconv.AppendInt(dst, rec.TimeNs, 10)
 	}
-	if rec.TraceID != "" {
-		dst = append(dst, `,"trace_id":`...)
-		dst = jsonappend.String(dst, rec.TraceID)
-	}
-	if rec.ModelHash != "" {
-		dst = append(dst, `,"model_hash":`...)
-		dst = jsonappend.String(dst, rec.ModelHash)
-	}
-	if rec.SessionID != "" {
-		dst = append(dst, `,"session_id":`...)
-		dst = jsonappend.String(dst, rec.SessionID)
-	}
+	dst = appendString(dst, `,"trace_id":`, rec.TraceID)
+	dst = appendString(dst, `,"model_hash":`, rec.ModelHash)
+	dst = appendString(dst, `,"session_id":`, rec.SessionID)
 	dst = append(dst, `,"ua":`...)
 	dst = jsonappend.String(dst, rec.UserAgent)
-	if rec.Endpoint != "" {
-		dst = append(dst, `,"endpoint":`...)
-		dst = jsonappend.String(dst, rec.Endpoint)
-	}
-	if len(rec.Vector) > 0 {
-		dst = append(dst, `,"vector":[`...)
-		for i, f := range rec.Vector {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			if dst, err = jsonappend.Float(dst, f); err != nil {
-				return dst, err
-			}
-		}
-		dst = append(dst, ']')
+	dst = appendString(dst, `,"endpoint":`, rec.Endpoint)
+	if dst, err = appendVector(dst, rec.Vector); err != nil {
+		return dst, err
 	}
 	dst = append(dst, `,"verdict":`...)
 	if dst, err = rec.Verdict.AppendJSON(dst); err != nil {
@@ -171,15 +174,39 @@ func (rec *Record) appendAfterSeq(dst []byte) ([]byte, error) {
 	if rec.Redacted {
 		dst = append(dst, `,"redacted":true`...)
 	}
-	if rec.VectorSHA256 != "" {
-		dst = append(dst, `,"vector_sha256":`...)
-		dst = jsonappend.String(dst, rec.VectorSHA256)
-	}
+	dst = appendString(dst, `,"vector_sha256":`, rec.VectorSHA256)
 	if rec.VectorDim != 0 {
 		dst = append(dst, `,"vector_dim":`...)
 		dst = strconv.AppendInt(dst, int64(rec.VectorDim), 10)
 	}
 	return append(dst, '}'), nil
+}
+
+// appendString appends key and s as a JSON string, unless s is empty
+// (the omitempty rule).
+func appendString(dst []byte, key, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	return jsonappend.String(append(dst, key...), s)
+}
+
+// appendVector appends a non-empty vector's key and array.
+func appendVector(dst []byte, vec []float64) ([]byte, error) {
+	if len(vec) == 0 {
+		return dst, nil
+	}
+	dst = append(dst, `,"vector":[`...)
+	for i, f := range vec {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = jsonappend.Float(dst, f); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
 }
 
 // Config parameterizes a ledger.
@@ -222,15 +249,22 @@ type Ledger struct {
 	bytes   atomic.Int64
 	benign  atomic.Uint64 // benign verdicts seen, drives sampling
 
-	// mu makes a record's sequence number and its place in the segment
-	// log one step.
+	// hasher keys classes; classes indexes the active segment's. Appenders
+	// read the table without mu; it changes under mu.
+	hasher  fphash.Hasher
+	classes atomic.Pointer[classTable]
+
+	// mu makes a record's sequence number, its class and its place in the
+	// segment log one step.
 	mu  sync.Mutex
 	log *seglog.Writer
 	seq uint64 // next record sequence number
-	// lead is writeFrame's scratch: the 8-byte frame header and the
-	// record's opening up to the sequence number (at most 20 digits). A
-	// local array would escape to the heap through the log.
-	lead [8 + len(recordHead) + 20]byte
+	// lead and classLead are writeFrame's scratch: the 8-byte frame header
+	// and the frame's opening up to and including the numbers assigned
+	// under mu (at most 20 digits each). A local array would escape to
+	// the heap through the log.
+	lead      [8 + len(recordHead) + 20 + len(classRef) + 20]byte
+	classLead [8 + len(classHead) + 20]byte
 
 	ringMu sync.Mutex
 	ring   []Record
@@ -264,7 +298,7 @@ func open(cfg Config, tap func(io.Writer) io.Writer) (*Ledger, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	l := &Ledger{dir: cfg.Dir, sampleN: cfg.SampleBenign, models: NewResolver(cfg.Dir)}
+	l := &Ledger{dir: cfg.Dir, sampleN: cfg.SampleBenign, models: NewResolver(cfg.Dir), hasher: fphash.New()}
 	ringSize := cfg.RingSize
 	if ringSize == 0 {
 		ringSize = DefaultRingSize
@@ -272,6 +306,7 @@ func open(cfg Config, tap func(io.Writer) io.Writer) (*Ledger, error) {
 	if ringSize > 0 {
 		l.ring = make([]Record, ringSize)
 	}
+	var resumed []*class
 	log, err := seglog.Open(seglog.Config{
 		Dir:      cfg.Dir,
 		Prefix:   prefix,
@@ -279,17 +314,27 @@ func open(cfg Config, tap func(io.Writer) io.Writer) (*Ledger, error) {
 		MaxBytes: maxBytes,
 		Tap:      tap,
 		Recover: func(f *os.File) (int64, error) {
-			good, lastSeq, count, err := scanFrames(f, nil)
-			if count > 0 {
-				l.seq = lastSeq + 1
+			s, err := scanFrames(f, nil)
+			if s.records > 0 {
+				l.seq = s.lastSeq + 1
 			}
-			return good, err
+			resumed = s.classes
+			return s.good, err
 		},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("audit: %w", err)
 	}
 	l.log = log
+	// The resumed segment's records refer to its classes; so will the
+	// ones appended to it.
+	t := &classTable{seg: log.Seq()}
+	for _, c := range resumed[:min(len(resumed), classCap)] {
+		c.hash = classHash(l.hasher, &Record{ModelHash: c.modelHash, UserAgent: c.userAgent, Vector: c.vector, Verdict: c.verdict})
+		t.add(c)
+	}
+	t.n.Store(int32(len(resumed)))
+	l.classes.Store(t)
 	return l, nil
 }
 
@@ -301,48 +346,81 @@ func Segments(dir, prefix string) ([]string, error) {
 	return seglog.Segments(dir, prefix, segmentExt)
 }
 
-// scanFrames walks framed records from r, calling fn (when non-nil) for
-// each intact one, and returns the byte offset just past the last
-// intact frame, the last record's Seq (0 if none), and how many intact
-// records were seen. A length or checksum violation stops the walk
-// without error — the offset marks where the torn/corrupt tail begins.
-func scanFrames(r io.Reader, fn func(Record) error) (good int64, lastSeq uint64, count int, err error) {
+// segmentScan is what scanFrames learned of a segment.
+type segmentScan struct {
+	good    int64    // the offset just past the last intact frame
+	lastSeq uint64   // of the last record (0 if none)
+	records int      // intact records
+	classes []*class // the classes defined up to good, by id − 1
+}
+
+// frame is what a frame body decodes into: a record, inline or of a
+// class (Class its id), or a class frame (Class the id it defines).
+type frame struct {
+	Record
+	Class int `json:"class"`
+}
+
+// scanFrames walks the frames of one segment from r, calling fn (when
+// non-nil) for each intact record, with the fields a record of a class
+// leaves out filled in from its class frame. A length or checksum
+// violation, a body that does not decode, a class frame whose id is not
+// the next one and a record of a class not defined before it all stop
+// the walk without error: good marks where the torn or corrupt tail
+// begins.
+func scanFrames(r io.Reader, fn func(Record) error) (segmentScan, error) {
+	var s segmentScan
 	br := bufio.NewReaderSize(r, 64<<10)
 	var head [8]byte
 	body := make([]byte, 0, 4096)
 	for {
 		if _, err := io.ReadFull(br, head[:]); err != nil {
-			return good, lastSeq, count, nil // clean EOF or torn header
+			return s, nil // clean EOF or torn header
 		}
 		n := binary.BigEndian.Uint32(head[:4])
 		sum := binary.BigEndian.Uint32(head[4:])
 		if n == 0 || n > MaxRecordBytes {
-			return good, lastSeq, count, nil
+			return s, nil
 		}
 		if cap(body) < int(n) {
 			body = make([]byte, n)
 		}
 		body = body[:n]
 		if _, err := io.ReadFull(br, body); err != nil {
-			return good, lastSeq, count, nil
+			return s, nil
 		}
 		if crc32.ChecksumIEEE(body) != sum {
-			return good, lastSeq, count, nil
+			return s, nil
 		}
-		var rec Record
-		if err := json.Unmarshal(body, &rec); err != nil {
-			// Framed and checksummed but not a Record: corrupt producer,
-			// treat as the end of the readable stream.
-			return good, lastSeq, count, nil
+		var f frame
+		if err := json.Unmarshal(body, &f); err != nil {
+			// Framed and checksummed but not a frame of ours: corrupt
+			// producer, treat as the end of the readable stream.
+			return s, nil
+		}
+		if bytes.HasPrefix(body, []byte(classHead)) {
+			if f.Class != len(s.classes)+1 {
+				return s, nil
+			}
+			s.classes = append(s.classes, &class{id: f.Class, modelHash: f.ModelHash, userAgent: f.UserAgent,
+				vector: f.Vector, verdict: f.Verdict})
+			s.good += int64(8 + n)
+			continue
+		}
+		if f.Class != 0 {
+			if f.Class < 0 || f.Class > len(s.classes) {
+				return s, nil
+			}
+			s.classes[f.Class-1].resolve(&f.Record)
 		}
 		if fn != nil {
-			if err := fn(rec); err != nil {
-				return good, lastSeq, count, err
+			if err := fn(f.Record); err != nil {
+				return s, err
 			}
 		}
-		good += int64(8 + n)
-		lastSeq = rec.Seq
-		count++
+		s.good += int64(8 + n)
+		s.lastSeq = f.Seq
+		s.records++
 	}
 }
 
@@ -369,57 +447,151 @@ func (l *Ledger) Record(rec Record) error {
 	return l.Append(rec)
 }
 
-// encodeBufs recycles the buffers records are encoded into; a record of
-// the serving tier is about 0.45 KB.
-var encodeBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, 1024)
-	return &b
+// encoding is an appender's scratch: the parts of its record's frames,
+// built before the ledger lock.
+type encoding struct {
+	prov   []byte // appendProvenance: a record of a class
+	body   []byte // appendClassBody: the class frame that defines it
+	class  *class // newClass: the class that frame defines
+	inline []byte // appendAfterSeq: the record with every field
+}
+
+// encodings recycles appenders' scratch.
+var encodings = sync.Pool{New: func() any {
+	return &encoding{prov: make([]byte, 0, 256), body: make([]byte, 0, 1024), inline: make([]byte, 0, 1024)}
 }}
 
 // Append writes one admitted record unconditionally — pair it with
 // Admit, or use Record for the combined path. An Explanation on rec is
 // dropped, not stored: readers derive it. The record is encoded before
 // the ledger lock is taken, so concurrent appenders serialise on the
-// sequence number, the checksum and a copy into the segment log's
-// buffer — not on each other's encoding, and not on the disk.
+// sequence number, the class table, the checksum and a copy into the
+// segment log's buffer — not on each other's encoding, and not on the
+// disk. What is encoded depends on the active segment's class table: a
+// record of a class the segment defines needs only its provenance; one
+// of a class it does not define yet, the class frame's body and the
+// class as well. A record RedactRecord produced, and every record of a
+// segment whose table is full, is encoded whole, unhashed.
 func (l *Ledger) Append(rec Record) error {
 	rec.Explanation = nil
-	buf := encodeBufs.Get().(*[]byte)
-	rest, err := rec.appendAfterSeq((*buf)[:0])
-	var frame int64
+	e := encodings.Get().(*encoding)
+	e.prov, e.body, e.inline = e.prov[:0], e.body[:0], e.inline[:0]
+	var (
+		h   uint64
+		err error
+	)
+	t := l.classes.Load()
+	classed := classable(&rec) && !t.full()
+	if classed {
+		h = classHash(l.hasher, &rec)
+		e.prov = appendProvenance(e.prov, &rec)
+		if t.find(h, &rec) == nil {
+			e.body, err = appendClassBody(e.body, &rec)
+			e.class = newClass(h, &rec)
+		}
+	} else {
+		e.inline, err = rec.appendAfterSeq(e.inline)
+	}
+	var n int64
 	if err != nil {
 		err = fmt.Errorf("audit: marshal record: %w", err)
 	} else {
-		frame, err = l.writeFrame(&rec, rest)
+		n, err = l.writeFrame(&rec, classed, h, e)
 	}
-	*buf = rest
-	encodeBufs.Put(buf)
+	e.class = nil
+	encodings.Put(e)
 	if err != nil {
 		l.dropped.Add(1)
 		return err
 	}
 	l.records.Add(1)
-	l.bytes.Add(frame)
+	l.bytes.Add(n)
 	l.remember(rec)
 	return nil
 }
 
-// writeFrame is Append's critical section: it assigns rec.Seq, frames
-// recordHead + Seq + rest, hands the frame to the segment log and
-// returns its size.
-func (l *Ledger) writeFrame(rec *Record, rest []byte) (int64, error) {
+// writeFrame is Append's critical section. It assigns rec.Seq, finds or
+// defines rec's class in the table of the segment the frame goes to —
+// the segment log says which, and a new segment starts a new table —
+// frames the record (after its class frame, if it defines the class),
+// hands the frames to the segment log in one piece and returns their
+// size. It encodes what Append's guess at the table left out.
+func (l *Ledger) writeFrame(rec *Record, classed bool, h uint64, e *encoding) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	rec.Seq = l.seq
-	head := strconv.AppendUint(append(l.lead[:8], recordHead...), rec.Seq, 10)
-	n := len(head) - 8 + len(rest)
-	binary.BigEndian.PutUint32(head[:4], uint32(n))
-	binary.BigEndian.PutUint32(head[4:8], crc32.Update(crc32.ChecksumIEEE(head[8:]), crc32.IEEETable, rest))
-	if err := l.log.Append(head, rest); err != nil {
+	t := l.classes.Load()
+	var (
+		c      *class
+		define bool
+		id     int
+		parts  [4][]byte // frame heads, each followed by the rest of its frame
+		np, n  int
+		err    error
+	)
+	for {
+		c, define = nil, false
+		if classed && !t.full() {
+			c = t.find(h, rec)
+			define = c == nil
+		}
+		lead := strconv.AppendUint(append(l.lead[:8], recordHead...), rec.Seq, 10)
+		switch {
+		case define:
+			if len(e.body) == 0 {
+				if e.body, err = appendClassBody(e.body, rec); err != nil {
+					return 0, fmt.Errorf("audit: marshal record: %w", err)
+				}
+				e.class = newClass(h, rec)
+			}
+			id = int(t.n.Load()) + 1
+			classLead := strconv.AppendInt(append(l.classLead[:8], classHead...), int64(id), 10)
+			lead = strconv.AppendInt(append(lead, classRef...), int64(id), 10)
+			parts, np = [4][]byte{classLead, e.body, lead, e.prov}, 4
+		case c != nil:
+			lead = strconv.AppendInt(append(lead, classRef...), int64(c.id), 10)
+			parts, np = [4][]byte{lead, e.prov}, 2
+		default:
+			if len(e.inline) == 0 {
+				if e.inline, err = rec.appendAfterSeq(e.inline); err != nil {
+					return 0, fmt.Errorf("audit: marshal record: %w", err)
+				}
+			}
+			parts, np = [4][]byte{lead, e.inline}, 2
+		}
+		n = 0
+		for _, p := range parts[:np] {
+			n += len(p)
+		}
+		seg, err := l.log.Next(n)
+		if err != nil {
+			return 0, fmt.Errorf("audit: write frame: %w", err)
+		}
+		if seg == t.seg {
+			break
+		}
+		t = &classTable{seg: seg}
+		l.classes.Store(t)
+	}
+	for i := 0; i < np; i += 2 {
+		putHeader(parts[i], parts[i+1])
+	}
+	if err := l.log.Append(parts[:np]...); err != nil {
 		return 0, fmt.Errorf("audit: write frame: %w", err)
 	}
+	if define {
+		e.class.id = id
+		t.add(e.class)
+	}
 	l.seq++
-	return int64(8 + n), nil
+	return int64(n), nil
+}
+
+// putHeader fills in the 8-byte frame header at the start of head for
+// the frame head[8:] + rest: its length and checksum.
+func putHeader(head, rest []byte) {
+	binary.BigEndian.PutUint32(head[:4], uint32(len(head)-8+len(rest)))
+	binary.BigEndian.PutUint32(head[4:8], crc32.Update(crc32.ChecksumIEEE(head[8:]), crc32.IEEETable, rest))
 }
 
 // remember keeps the record in the recent ring for /debug/decisions.
@@ -479,6 +651,8 @@ func (l *Ledger) Explain(rec *Record) error { return l.models.Explain(rec) }
 // Rotate closes the active segment and starts a fresh one — the SIGHUP
 // hook, so operators can archive sealed segments while the daemon runs.
 func (l *Ledger) Rotate() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if err := l.log.Rotate(); err != nil {
 		return fmt.Errorf("audit: rotate: %w", err)
 	}

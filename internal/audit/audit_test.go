@@ -474,20 +474,81 @@ func TestSegmentsOrder(t *testing.T) {
 }
 
 // BenchmarkLedgerAppend is one admitted record of the serving tier's
-// shape (28-feature vector, no explanation, ≈0.47 KB) encoded, framed
-// and buffered. scripts/benchgate.sh gates its allocs/op.
+// shape (28-feature vector, no explanation) encoded, framed and buffered:
+//   - known-class: a record of a class its segment already defines
+//     (≈ 0.16 KB framed, the common case);
+//   - new-class: every record a fingerprint not seen before, so each
+//     defines a class (class frame + record, ≈ 0.5 KB) — the segment is
+//     rotated, untimed, whenever its table fills;
+//   - past-cap: every record a fingerprint not seen before, in a segment
+//     whose table is full, so each is written whole (≈ 0.47 KB).
+//
+// The last two are a flood that never repeats a fingerprint (paper §2.2).
+// scripts/benchgate.sh gates their allocs/op.
 func BenchmarkLedgerAppend(b *testing.B) {
-	l, err := Open(Config{Dir: b.TempDir(), MaxBytes: 1 << 40})
-	if err != nil {
-		b.Fatal(err)
+	open := func(b *testing.B) *Ledger {
+		l, err := Open(Config{Dir: b.TempDir(), MaxBytes: 1 << 40})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { l.Close() })
+		return l
 	}
-	defer l.Close()
-	rec := servingRecord()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	appendOne := func(b *testing.B, l *Ledger, rec Record) {
 		if err := l.Append(rec); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.Run("known-class", func(b *testing.B) {
+		l, rec := open(b), servingRecord()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			appendOne(b, l, rec)
+		}
+	})
+	b.Run("new-class", func(b *testing.B) {
+		l, rec := open(b), servingRecord()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%classCap == classCap-1 {
+				b.StopTimer()
+				if err := l.Rotate(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			rec.Vector[0] = float64(i + 1)
+			appendOne(b, l, rec)
+		}
+		if l.records.Load() != int64(b.N) || l.classes.Load().n.Load() == 0 {
+			b.Fatalf("%d records, the last segment defines %d classes", l.records.Load(), l.classes.Load().n.Load())
+		}
+	})
+	b.Run("past-cap", func(b *testing.B) {
+		l, rec := open(b), servingRecord()
+		for i := 0; i < classCap; i++ {
+			rec.Vector[0] = float64(-1 - i)
+			appendOne(b, l, rec)
+		}
+		// The vectors below are new to the full table, so each record is
+		// written whole: pin that the first takes an inline record's bytes.
+		rec.Vector[0], rec.Seq = 1, classCap
+		inline, err := encodeRecord(&rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		before := l.Counters().Bytes
+		appendOne(b, l, rec)
+		if got := l.Counters().Bytes - before; got != int64(8+len(inline)) {
+			b.Fatalf("a record past the cap takes %d B, an inline record %d B", got, 8+len(inline))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rec.Vector[0] = float64(i + 2)
+			appendOne(b, l, rec)
+		}
+	})
 }

@@ -2,8 +2,10 @@ package audit
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"strconv"
@@ -17,6 +19,23 @@ import (
 // sequence number, and appendAfterSeq's bytes.
 func encodeRecord(rec *Record) ([]byte, error) {
 	return rec.appendAfterSeq(strconv.AppendUint([]byte(recordHead), rec.Seq, 10))
+}
+
+// frameBytes frames body as the ledger does.
+func frameBytes(body []byte) []byte {
+	out := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	return append(out, body...)
+}
+
+// scanBytes reads data as one segment.
+func scanBytes(data []byte) ([]Record, segmentScan) {
+	var recs []Record
+	s, _ := scanFrames(bytes.NewReader(data), func(r Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	return recs, s
 }
 
 // checkParity demands that the encoder and json.Marshal agree on what
@@ -36,6 +55,24 @@ func checkParity(t testing.TB, rec *Record) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("encoder differs from json.Marshal:\n got %s\nwant %s", got, want)
+	}
+	// Written as a record of a class, the record must read back as it
+	// does inline: every stored field is in the class frame or in the
+	// record.
+	lean.Redacted, lean.VectorSHA256, lean.VectorDim = false, "", 0
+	inline, err := encodeRecord(&lean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := appendClassBody([]byte(classHead+"1"), &lean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := appendProvenance(append(strconv.AppendUint([]byte(recordHead), lean.Seq, 10), classRef+"1"...), &lean)
+	want1, _ := scanBytes(frameBytes(inline))
+	got1, _ := scanBytes(append(frameBytes(body), frameBytes(ref)...))
+	if len(want1) != 1 || !reflect.DeepEqual(got1, want1) {
+		t.Fatalf("a record of a class reads back as\n%+v\ninline as\n%+v", got1, want1)
 	}
 }
 
@@ -269,19 +306,33 @@ func servingRecord() Record {
 
 // TestServingRecordSize pins the storage cost of one audited verdict:
 // the paper's budget is a fingerprint of at most 1 KB, and the evidence
-// for one must not outweigh it.
+// for one must not outweigh it. A segment pays for a fingerprint once, in
+// its class frame; each verdict on it after that costs its provenance.
 func TestServingRecordSize(t *testing.T) {
 	l, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append(servingRecord()); err != nil {
+	rec := servingRecord()
+	if err := l.Append(rec); err != nil {
 		t.Fatal(err)
 	}
-	if frame := l.Counters().Bytes; frame > 512 {
-		t.Fatalf("the serving-shape record frames to %d B, want ≤ 512", frame)
+	first := l.Counters().Bytes
+	if err := l.Append(rec); err != nil {
+		t.Fatal(err)
 	}
+	known := l.Counters().Bytes - first
+	t.Run("known-class", func(t *testing.T) {
+		if known > 200 {
+			t.Fatalf("a record of a known class frames to %d B, want ≤ 200", known)
+		}
+	})
+	t.Run("class-frame", func(t *testing.T) {
+		if frame := first - known; frame > 512 {
+			t.Fatalf("the serving-shape class frame is %d B, want ≤ 512", frame)
+		}
+	})
 }
 
 // FuzzRecordEncodeParity: whatever strings and numbers a record holds,

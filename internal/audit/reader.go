@@ -51,17 +51,17 @@ func Scan(dir, prefix string, fn func(Record) error) (ScanStats, error) {
 			return stats, fmt.Errorf("audit: open %s: %w", path, err)
 		}
 		info, statErr := f.Stat()
-		good, _, count, err := scanFrames(f, fn)
+		s, err := scanFrames(f, fn)
 		f.Close()
 		stats.Segments++
-		stats.Records += count
+		stats.Records += s.records
 		if err != nil {
 			return stats, err
 		}
 		if statErr != nil {
 			return stats, fmt.Errorf("audit: stat %s: %w", path, statErr)
 		}
-		if good != info.Size() {
+		if s.good != info.Size() {
 			stats.TornSegments = append(stats.TornSegments, path)
 			stats.TornFinal = i == len(segments)-1
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -200,7 +201,9 @@ func TestCountersIdentityUnderConcurrentAppends(t *testing.T) {
 							})
 						}
 						started.Add(1)
-						_ = l.Record(testRecord(i%10 == 0, "")) // fails once the disk has
+						rec := servingRecord() // a record of a class: ≈ 160 B framed
+						rec.Verdict.Flagged = i%10 == 0
+						_ = l.Record(rec) // fails once the disk has
 						finished.Add(1)
 					}
 				}(w)
@@ -245,7 +248,10 @@ func TestCountersIdentityUnderConcurrentAppends(t *testing.T) {
 // offset inside its last two writes — every state a crash between or
 // inside those writes can leave, given that writes carry whole frames —
 // and reopens the ledger: every surviving frame must be whole, the torn
-// one dropped, and numbering must continue without a gap.
+// one dropped, and numbering must continue without a gap. The records
+// are of four classes, two of them first seen inside the cut writes, so
+// cuts fall before, inside and after class frames; a resumed ledger must
+// rebuild the segment's class table and refer to it.
 func TestCrashRecoveryAtEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	d := &disk{}
@@ -253,10 +259,12 @@ func TestCrashRecoveryAtEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	classOf := []int{0, 0, 1, 0, 1, 2, 0, 2, 3, 1, 3, 0}
 	var frameEnds []int64 // offset each record's frame ends at
 	for _, batch := range []int{5, 3, 4} {
 		for i := 0; i < batch; i++ {
-			if err := l.Record(testRecord(true, fmt.Sprint("t", len(frameEnds)))); err != nil {
+			k := len(frameEnds)
+			if err := l.Record(classRecord(classOf[k], fmt.Sprint("t", k))); err != nil {
 				t.Fatal(err)
 			}
 			frameEnds = append(frameEnds, l.Counters().Bytes)
@@ -298,28 +306,48 @@ func TestCrashRecoveryAtEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
-		if err := l.Record(testRecord(false, "post-crash")); err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
+		// Class 0 is defined in the first write, which no cut reaches: the
+		// resumed ledger refers to it by its id, 1, and writes no class frame.
+		for _, class := range []int{0, 3} {
+			if err := l.Record(classRecord(class, fmt.Sprint("post-crash-", class))); err != nil {
+				t.Fatalf("cut at %d: %v", cut, err)
+			}
+			if class == 0 {
+				ref := fmt.Sprintf(`{"seq":%d,"class":1,"trace_id":"post-crash-0"}`, whole)
+				if got := l.Counters().Bytes; got != int64(8+len(ref)) {
+					t.Fatalf("cut at %d: the post-crash record of class 0 took %d B, want the %d of %s", cut, got, 8+len(ref), ref)
+				}
+			}
 		}
 		if err := l.Close(); err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
 		var next uint64
 		stats, err := Scan(crashed, "", func(r Record) error {
-			want := fmt.Sprint("t", next)
-			if int(next) == whole {
-				want = "post-crash"
+			want, class := fmt.Sprint("t", next), 0
+			switch {
+			case int(next) < whole:
+				class = classOf[next]
+			case int(next) == whole+1:
+				want, class = "post-crash-3", 3
+			default:
+				want = "post-crash-0"
 			}
-			if r.Seq != next || r.TraceID != want {
-				return fmt.Errorf("record %d is seq %d trace %q, want trace %q", next, r.Seq, r.TraceID, want)
+			if r.Seq != next || r.TraceID != want || !reflect.DeepEqual(r, withSeq(classRecord(class, want), next)) {
+				return fmt.Errorf("record %d reads %+v, want trace %q of class %d", next, r, want, class)
 			}
 			next++
 			return nil
 		})
-		if err != nil || !stats.Clean() || stats.Records != whole+1 {
+		if err != nil || !stats.Clean() || stats.Records != whole+2 {
 			t.Fatalf("cut at %d (%d whole frames): %+v, err %v", cut, whole, stats, err)
 		}
 	}
+}
+
+func withSeq(rec Record, seq uint64) Record {
+	rec.Seq = seq
+	return rec
 }
 
 // slowDisk is a write seam that sleeps 200 µs in every write (on a

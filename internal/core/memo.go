@@ -1,13 +1,11 @@
 package core
 
 import (
-	"hash/maphash"
 	"math"
-	"math/bits"
-	"math/rand/v2"
 	"strings"
 	"sync/atomic"
 
+	"polygraph/internal/fphash"
 	"polygraph/internal/ua"
 )
 
@@ -25,8 +23,7 @@ const (
 // the scorer's own doorkeeper (Scratch.seen; a shared one bounces a cache
 // line between cores on every miss), so one-off pairs allocate nothing.
 type verdictMemo struct {
-	seed   maphash.Seed
-	secret [2]uint64
+	hasher fphash.Hasher
 	slots  []atomic.Pointer[memoEntry] // len a power of two, ≥ 2
 }
 
@@ -42,29 +39,12 @@ type memoEntry struct {
 }
 
 func newVerdictMemo(slots int) *verdictMemo {
-	return &verdictMemo{seed: maphash.MakeSeed(), secret: [2]uint64{rand.Uint64(), rand.Uint64()},
-		slots: make([]atomic.Pointer[memoEntry], slots)}
+	return &verdictMemo{hasher: fphash.New(), slots: make([]atomic.Pointer[memoEntry], slots)}
 }
 
-// hash is the user-agent through maphash, then the vector's bits folded
-// in two words per 128-bit multiply (wyhash's step) in two lanes.
+// hash is the pair's fingerprint hash (fphash.Hasher.Pair).
 func (memo *verdictMemo) hash(vector []float64, userAgent string) uint64 {
-	s0, s1 := memo.secret[0], memo.secret[1]
-	a := maphash.String(memo.seed, userAgent)
-	b := a ^ s1
-	for ; len(vector) >= 4; vector = vector[4:] {
-		a = mum(math.Float64bits(vector[0])^s0, math.Float64bits(vector[1])^a)
-		b = mum(math.Float64bits(vector[2])^s1, math.Float64bits(vector[3])^b)
-	}
-	for _, x := range vector {
-		a = mum(math.Float64bits(x)^s0, a^s1)
-	}
-	return mum(a^s1, b^s0)
-}
-
-func mum(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	return hi ^ lo
+	return memo.hasher.Pair(vector, userAgent)
 }
 
 // holds reports whether e is the entry of (vector, userAgent), bit for bit.

@@ -230,32 +230,27 @@ func (w *Writer) setFile(f *os.File, size int64) {
 	}
 }
 
-// Append adds one frame, the concatenation of head and rest (either may
-// be empty), rotating first if the active segment is full. It copies
-// the bytes and returns without touching the file.
+// Append adds one frame, the concatenation of parts, rotating first if
+// the active segment is full. It copies the bytes and returns without
+// touching the file.
 //
 // Every wait below releases mu, so each turn of the loop re-reads the
 // state it acts on: another caller may have rotated, swapped the
 // buffers, closed the writer, or the flusher may have failed.
-func (w *Writer) Append(head, rest []byte) error {
-	n := len(head) + len(rest)
+func (w *Writer) Append(parts ...[]byte) error {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	waited := false
 	for {
-		if err := w.usable(); err != nil {
+		if err := w.fit(n); err != nil {
 			return err
 		}
 		b := &w.bufs[w.cur]
-		switch {
-		case w.size+int64(n) > w.cfg.MaxBytes && w.size > 0:
-			if w.flushing || len(b.data) > 0 {
-				w.drain()
-			} else if err := w.next(); err != nil {
-				return err
-			}
-			continue
-		case len(b.data)+n > bufSize && len(b.data) > 0:
+		if len(b.data)+n > bufSize && len(b.data) > 0 {
 			if !w.flushing {
 				w.swap()
 			} else {
@@ -270,10 +265,54 @@ func (w *Writer) Append(head, rest []byte) error {
 		if len(b.data) == 0 {
 			w.armIdle()
 		}
-		b.data = append(append(b.data, head...), rest...)
+		for _, p := range parts {
+			b.data = append(b.data, p...)
+		}
 		b.frames++
 		w.size += int64(n)
 		return nil
+	}
+}
+
+// Next returns the number of the segment a frame of n bytes appended
+// now goes to, starting that segment first when the frame would take the
+// active one past MaxBytes. A caller whose frames refer to what earlier
+// frames of the same segment defined asks before it builds a frame, and
+// appends that frame before anything else can: nothing but Append and
+// Rotate starts a segment.
+func (w *Writer) Next(n int) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.fit(n); err != nil {
+		return 0, err
+	}
+	return w.seq, nil
+}
+
+// Seq returns the number of the active segment.
+func (w *Writer) Seq() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.seq
+}
+
+// fit makes the active segment one a frame of n bytes may go to: when
+// the frame would take a segment that holds frames past MaxBytes, it
+// waits for those frames to be written, seals it and starts the next.
+// Holds mu, releasing it while it waits.
+func (w *Writer) fit(n int) error {
+	for {
+		if err := w.usable(); err != nil {
+			return err
+		}
+		if w.size+int64(n) <= w.cfg.MaxBytes || w.size == 0 {
+			return nil
+		}
+		if w.flushing || len(w.bufs[w.cur].data) > 0 {
+			w.drain()
+		} else if err := w.next(); err != nil {
+			return err
+		}
 	}
 }
 

@@ -615,3 +615,47 @@ func TestNoGoroutineLeak(t *testing.T) {
 		return flushers() == 0 && runtime.NumGoroutine() <= base
 	})
 }
+
+// TestNextNamesTheFramesSegment: Next says which segment a frame of n
+// bytes goes to, starting it first when the frame would not fit, so an
+// Append of those n bytes that follows lands there and rotates nothing;
+// a resumed log's Seq is the resumed segment's.
+func TestNextNamesTheFramesSegment(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, Prefix: "n", Ext: "log", MaxBytes: 100}
+	w, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, 40)
+	for i, want := range []int{0, 0, 1, 1, 2} {
+		seq, err := w.Next(len(frame))
+		if err != nil || seq != want || w.Seq() != want {
+			t.Fatalf("frame %d: Next %d (Seq %d), %v; want segment %d", i, seq, w.Seq(), err, want)
+		}
+		if err := w.Append(frame[:10], frame[10:]); err != nil {
+			t.Fatal(err)
+		}
+		if w.Seq() != want {
+			t.Fatalf("frame %d: Append moved to segment %d after Next said %d", i, w.Seq(), want)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readSegments(t, dir, "n", "log"); len(got) != 3 || len(got[0]) != 80 || len(got[2]) != 40 {
+		t.Fatalf("segments of %d files", len(got))
+	}
+	cfg.Recover = func(f *os.File) (int64, error) { return 40, nil }
+	w, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if w.Seq() != 2 {
+		t.Fatalf("resumed segment %d, want 2", w.Seq())
+	}
+	if seq, err := w.Next(80); err != nil || seq != 3 {
+		t.Fatalf("a frame past the resumed segment's room: Next %d, %v; want 3", seq, err)
+	}
+}

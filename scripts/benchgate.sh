@@ -3,7 +3,7 @@
 # kernel, the audited-verdict path, the HTTP collect handler and training.
 #
 # Runs the online-scoring benchmark family, the score kernel's two loops,
-# the two audit-path benchmarks, the journal append and the collect
+# the three ledger-append cases, the journal append and the collect
 # handler with -benchmem and fails when a pinned path regresses its
 # allocation budget:
 #
@@ -17,8 +17,15 @@
 #                                               second sighting)
 #   BenchmarkExplainResult      ≤ 4 allocs/op  (internal/core: the explanation
 #                                               block, its centroid list, the claim)
-#   BenchmarkLedgerAppend       ≤ 1 allocs/op  (internal/audit: pooled encode buffer;
-#                                               the lean record, ≈ 0.47 KB framed)
+#   BenchmarkLedgerAppend/known-class  ≤ 1 allocs/op  (internal/audit: pooled encode
+#                                               buffers; a record of a class its segment
+#                                               defines, ≈ 0.16 KB framed)
+#   BenchmarkLedgerAppend/past-cap     ≤ 1 allocs/op  (never-repeated fingerprints in a
+#                                               segment whose class table is full: the
+#                                               whole record, ≈ 0.47 KB, unhashed)
+#   BenchmarkLedgerAppend/new-class    ≤ 4 allocs/op  (never-repeated fingerprints, each
+#                                               defining a class: the class, its two
+#                                               strings and its vector)
 #   BenchmarkJournalAppend      ≤ 1 allocs/op  (internal/collect: pooled line buffer)
 #   BenchmarkCollectHandler/binary  ≤ 4 allocs/op  (internal/collect: Server.ServeHTTP on
 #   BenchmarkCollectHandler/json    ≤ 4 allocs/op   a reused request; measured 3 — the trace,
@@ -69,19 +76,19 @@ echo "== go test -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel
 go test -run '^$' -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|ScoreString$|CollectHandler$|TCPBatchScoreParallel(Distinct)?$|DriftObserve$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit ./internal/collect ./internal/obs | tee "$out"
 
 awk '
-    /^BenchmarkExplainResult(-[0-9]+)? / { seen++; max = 4 }
-    /^Benchmark(Ledger|Journal)Append(-[0-9]+)? / { seen++; max = 1 }
+    /^Benchmark(ExplainResult|LedgerAppend\/new-class)(-[0-9]+)? / { seen++; max = 4 }
+    /^Benchmark(LedgerAppend\/(known-class|past-cap)|JournalAppend)(-[0-9]+)? / { seen++; max = 1 }
     /^BenchmarkScoreKernel\/(transform|assign)(-[0-9]+)? / { seen++; max = 0 }
     /^BenchmarkScoreString\/(repeat|all-distinct)(-[0-9]+)? / { seen++; max = 0 }
     /^BenchmarkCollectHandler\/(binary|json)(-[0-9]+)? / { seen++; max = 4 }
-    /^Benchmark(ExplainResult|(Ledger|Journal)Append|ScoreKernel\/(transform|assign)|ScoreString\/(repeat|all-distinct)|CollectHandler\/(binary|json))(-[0-9]+)? / {
+    /^Benchmark(ExplainResult|LedgerAppend\/(known-class|new-class|past-cap)|JournalAppend|ScoreKernel\/(transform|assign)|ScoreString\/(repeat|all-distinct)|CollectHandler\/(binary|json))(-[0-9]+)? / {
         if ($NF != "allocs/op" || $(NF-1) > max) {
             printf "benchgate: %s allocates %s %s, ceiling %d allocs/op\n", $1, $(NF-1), $NF, max
             bad = 1
         }
     }
     END {
-        if (seen < 9) { print "benchgate: kernel, score-string, audit-path, journal or collect-handler benchmarks missing from output"; bad = 1 }
+        if (seen < 11) { print "benchgate: kernel, score-string, audit-path, journal or collect-handler benchmarks missing from output"; bad = 1 }
         exit bad
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }

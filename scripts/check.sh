@@ -35,8 +35,11 @@ fi
 echo "== go build ./..."
 go build ./...
 
+# ./... includes scripts/pairstat, the reader behind scripts/pair.sh's
+# paired A/B table; the script itself is checked for syntax.
 echo "== go vet ./..."
 go vet ./...
+sh -n scripts/pair.sh
 
 # The benchmark is a module of its own, so ./... skips it; vetting it
 # here makes an API narrowing that breaks bench/seam.go fail this gate,
