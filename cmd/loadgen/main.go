@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		ledgerPath    = fs.String("ledger", "", "write the deterministic run ledger (JSON) to this path")
 		noCrossCheck  = fs.Bool("no-crosscheck", false, "skip the /v1/stats and /metrics reconciliation")
 		metricsOut    = fs.String("metrics-out", "", "dump the first member's /metrics exposition plus the balancer's fleet families to this path after the run")
-		auditDir      = fs.String("audit-dir", "", "enable the decision audit ledger and flagged-decision journal on the in-process replicas; replica r<i> writes to <dir>/r<i>")
+		auditDir      = fs.String("audit-dir", "", "enable the decision audit ledger, the one evidence log every flagged verdict goes to, on the in-process replicas; replica r<i> writes to <dir>/r<i>")
 		auditSample   = fs.Int("audit-sample", 1, "record every Nth benign decision in the audit ledger (flagged always recorded)")
 		modelOut      = fs.String("model-out", "", "save the in-process model to this file (for polygraphctl audit replay)")
 		fleetN        = fs.Int("fleet", 0, "run N in-process replicas behind the health-checked balancer (0 = one)")
@@ -479,7 +479,6 @@ func startRig(ctx context.Context, sc *loadgen.Scenario, cfg rigConfig, stderr *
 		}
 		if cfg.auditDir != "" {
 			rc.AuditDir = filepath.Join(cfg.auditDir, rc.Name)
-			rc.JournalDir = rc.AuditDir
 		}
 		if cfg.tcp {
 			rc.TCPAddr = "127.0.0.1:0"

@@ -213,14 +213,16 @@ func TestRunTCPEndToEnd(t *testing.T) {
 		t.Fatalf("ledger sent=%d errors=%d, want 256 sent and 0 errors", led.Sent, led.Errors())
 	}
 	// Sampled audit over TCP: every scored frame recorded or counted as
-	// sampled out, in replica r0's directory next to its journal.
+	// sampled out, in replica r0's directory. The ledger is the one
+	// evidence log there: no decision journal is written beside it.
 	if led.AuditRecords+led.AuditDropped != led.Sent || led.AuditDropped == 0 || led.AuditRecords < led.Flagged {
 		t.Fatalf("audit records=%d dropped=%d over %d sent (%d flagged)", led.AuditRecords, led.AuditDropped, led.Sent, led.Flagged)
 	}
-	for _, pattern := range []string{"decisions.*.audit", "decisions.*.jsonl"} {
-		if files, _ := filepath.Glob(filepath.Join(dir, "aud1", "r0", pattern)); len(files) == 0 {
-			t.Fatalf("no %s under aud1/r0", pattern)
-		}
+	if files, _ := filepath.Glob(filepath.Join(dir, "aud1", "r0", "decisions.*.audit")); len(files) == 0 {
+		t.Fatal("no decisions.*.audit under aud1/r0")
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "aud1", "r0", "decisions.*.jsonl")); len(files) != 0 {
+		t.Fatalf("a decision journal under aud1/r0: %v", files)
 	}
 }
 

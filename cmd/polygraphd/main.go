@@ -17,7 +17,7 @@
 // the controller's job.
 //
 // The replica runtime itself — model load/train, collect server, drift
-// telemetry, journal, audit ledger, hot reload — lives in
+// telemetry, audit ledger, hot reload — lives in
 // internal/serving so a fleet harness can run N replicas in one
 // process; this command wires exactly one replica to flags, signals,
 // and the optional pprof listener.
@@ -84,7 +84,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.train, "train", false, "train a fresh model in-process instead of loading one")
 	warm := fs.Bool("warm", false, "start without a model and wait for a fleet push (everything 503s until /admin/model deploys one)")
 	fs.IntVar(&c.Sessions, "sessions", 40000, "sessions to generate when -train is set")
-	fs.StringVar(&c.JournalDir, "journal", "", "directory for the durable flagged-decision journal (empty = off)")
 	fs.BoolVar(&c.Novelty, "novelty", false, "arm the novelty guard when training with -train")
 	fs.Float64Var(&c.RateLimitPerSec, "rate-limit", 0, "per-client-IP requests/second on the ingest endpoints (0 = off)")
 	fs.DurationVar(&c.ReloadTimeout, "reload-timeout", 5*time.Minute, "deadline for a SIGHUP model reload/retrain")

@@ -255,11 +255,11 @@ func ExampleNewServer() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("replayed %d sessions over HTTP: %d flagged, %d retained for the fraud team\n",
-		stats.Received, stats.Flagged, srv.Store().Len())
+	fmt.Printf("replayed %d sessions over HTTP: %d flagged, %d rejected\n",
+		stats.Received, stats.Flagged, stats.Rejected)
 	fmt.Println("slowest score within the 100 ms budget:", stats.MaxScoreUs < 100_000)
 	// Output:
 	// collection script: 2694 bytes of JavaScript, 28 probes
-	// replayed 2000 sessions over HTTP: 56 flagged, 56 retained for the fraud team
+	// replayed 2000 sessions over HTTP: 56 flagged, 0 rejected
 	// slowest score within the 100 ms budget: true
 }

@@ -52,20 +52,21 @@
 // verdict — the model/ledger consistency invariant CI enforces on every
 // smoke-load run.
 //
-// Durability — the segments are written by internal/seglog, which the
-// journal shares. Append encodes, numbers, checksums and counts a record
-// before it returns, but does not wait for the disk: the frame is copied
-// into one of two 32 KiB buffers and a single flusher goroutine performs
-// every write(2), whole frames only. A record is in the file within a
-// second of Append (a quiet ledger's buffer is flushed by a timer), or
-// when Sync, Rotate or Close return. A process crash can lose at most
-// the two buffers (about 390 records of known classes of the serving
-// tier, 130 inline ones), a machine
-// crash also what the OS had not written back; either leaves at worst a
-// torn tail, which Open drops. A disk that falls behind blocks Append
-// once both buffers are full — backpressure, not a queue. A write that
-// fails is sticky: the records it lost move from Records to Dropped and
-// every later Append fails and counts as dropped.
+// Durability — the segments are written by internal/seglog. Append
+// encodes, numbers, checksums and counts a record before it returns,
+// but does not wait for the disk: the frame is copied into one of two
+// 32 KiB buffers and a single flusher goroutine performs every
+// write(2), whole frames only. A record is in the file within a
+// second of Append (a quiet ledger's buffer is flushed by a timer),
+// or when Sync, Rotate or Close return. A process crash can lose at
+// most the two buffers (about 390 records of known classes of the
+// serving tier, 130 inline ones), a machine crash also what the OS
+// had not written back; either leaves at worst a torn tail, which
+// Open drops. A disk that falls behind blocks Append once both
+// buffers are full — backpressure, not a queue. A write that fails is
+// sticky: the records it lost move from Records to Dropped and every
+// later Append fails and counts as dropped, and Recent no longer
+// returns the lost records.
 //
 // Recording policy: flagged sessions are always recorded; benign
 // sessions are sampled 1-in-N by a deterministic counter, so the
@@ -81,6 +82,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"sync"
@@ -101,8 +103,8 @@ const MaxRecordBytes = 1 << 20
 // DefaultMaxBytes is the per-segment rotation threshold.
 const DefaultMaxBytes = 16 << 20
 
-// DefaultRingSize is how many recent records /debug/decisions can page
-// through without touching disk.
+// DefaultRingSize is how many recent records /debug/decisions and
+// /v1/flagged can page through without touching disk.
 const DefaultRingSize = 256
 
 // Record is one audited decision. Everything needed to re-derive the
@@ -611,10 +613,18 @@ func (l *Ledger) remember(rec Record) {
 // Recent returns up to n recorded decisions, newest first, optionally
 // filtered: verdict is "", "flagged", or "benign"; traceID filters on
 // an exact trace-ID match. The records are as Append wrote them; Explain
-// adds the explanation.
+// adds the explanation. A record a failed write lost is not returned.
 func (l *Ledger) Recent(n int, verdict, traceID string) []Record {
 	if l.ring == nil || n <= 0 {
 		return nil
+	}
+	// A failed write loses the newest records Append accepted, and the
+	// failure is sticky, so no later one takes a sequence number.
+	written := uint64(math.MaxUint64)
+	if lost, _ := l.log.Lost(); lost > 0 {
+		l.mu.Lock()
+		written = l.seq - uint64(lost)
+		l.mu.Unlock()
 	}
 	l.ringMu.Lock()
 	defer l.ringMu.Unlock()
@@ -637,6 +647,9 @@ func (l *Ledger) Recent(n int, verdict, traceID string) []Record {
 			}
 		}
 		if traceID != "" && rec.TraceID != traceID {
+			continue
+		}
+		if rec.Seq >= written {
 			continue
 		}
 		out = append(out, rec)

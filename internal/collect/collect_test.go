@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"polygraph/internal/audit"
 	"polygraph/internal/browser"
 	"polygraph/internal/core"
 	"polygraph/internal/dataset"
@@ -84,10 +85,6 @@ func TestEndToEndHonestAndLying(t *testing.T) {
 		t.Fatalf("session id = %s", dec.SessionID)
 	}
 
-	// Flagged session retained.
-	if srv.Store().Len() != 1 {
-		t.Fatalf("store has %d entries", srv.Store().Len())
-	}
 	stats, err := client.FetchStats(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -236,19 +233,6 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-func TestMemoryStoreRing(t *testing.T) {
-	st := NewMemoryStore(16) // 1 per shard
-	for i := 0; i < 100; i++ {
-		st.Record(Decision{SessionID: string(rune('a' + i%26)), RiskFactor: i})
-	}
-	if st.Len() == 0 || st.Len() > 16 {
-		t.Fatalf("store len = %d", st.Len())
-	}
-	if len(st.All()) != st.Len() {
-		t.Fatal("All() inconsistent with Len()")
-	}
-}
-
 func TestCollectionScriptShape(t *testing.T) {
 	script := CollectionScript(fingerprint.Table8(), "/ingest")
 	if len(script) > 4096 {
@@ -370,13 +354,18 @@ func TestSwapModelHotReload(t *testing.T) {
 	}
 }
 
-func TestServerJournalsFlaggedDecisions(t *testing.T) {
+// TestServerLedgersFlaggedDecisions: every flagged verdict reaches the
+// audit ledger, which is the one place a flagged verdict is written,
+// even with benign verdicts sampled out of it.
+func TestServerLedgersFlaggedDecisions(t *testing.T) {
 	m, d := testModel(t)
-	journal, err := OpenJournal(t.TempDir(), "decisions", 0)
+	dir := t.TempDir()
+	led, err := audit.Open(audit.Config{Dir: dir, SampleBenign: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(Config{Model: m, Journal: journal})
+	defer led.Close()
+	srv, err := NewServer(Config{Model: m, Audit: led})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,21 +382,23 @@ func TestServerJournalsFlaggedDecisions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := journal.Sync(); err != nil {
+	if err := led.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	if _, err := journal.Replay(func(dec Decision) bool {
-		if !dec.Flagged {
-			t.Fatal("journal contains unflagged decision")
+	flagged := 0
+	if _, err := audit.Scan(dir, "", func(rec audit.Record) error {
+		if rec.Verdict.Flagged {
+			flagged++
 		}
-		n++
-		return true
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Fatalf("journaled %d decisions, want 3", n)
+	if flagged != 3 {
+		t.Fatalf("ledgered %d flagged decisions, want 3", flagged)
+	}
+	if queue := fetchFlagged(t, ts.URL, ""); len(queue) != 3 {
+		t.Fatalf("/v1/flagged holds %d decisions, want 3", len(queue))
 	}
 }
 
@@ -514,55 +505,99 @@ func TestDriftRetrainHotSwapEndToEnd(t *testing.T) {
 	_ = d
 }
 
-func TestFlaggedQueryEndpoint(t *testing.T) {
-	m, d := testModel(t)
-	srv, _ := NewServer(Config{Model: m})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	client := NewClient(ts.URL)
-	// One cross-vendor lie (risk 20) and one near-version lie.
-	crossVendor := payloadFor(d, ua.Release{Vendor: ua.Chrome, Version: 112}, ua.Release{Vendor: ua.Firefox, Version: 110})
-	nearVersion := payloadFor(d, ua.Release{Vendor: ua.Chrome, Version: 112}, ua.Release{Vendor: ua.Chrome, Version: 60})
-	if _, err := client.Submit(context.Background(), crossVendor); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Submit(context.Background(), nearVersion); err != nil {
-		t.Fatal(err)
-	}
-
-	fetch := func(q string) []Decision {
-		resp, err := http.Get(ts.URL + "/v1/flagged" + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		var out []Decision
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	all := fetch("")
-	if len(all) != 2 {
-		t.Fatalf("%d flagged", len(all))
-	}
-	// Sorted by descending risk.
-	if all[0].RiskFactor < all[1].RiskFactor {
-		t.Fatal("not sorted by risk")
-	}
-	high := fetch("?min_risk=20")
-	if len(high) != 1 || high[0].RiskFactor != ua.MaxDistance {
-		t.Fatalf("min_risk filter: %+v", high)
-	}
-	resp, err := http.Get(ts.URL + "/v1/flagged?min_risk=junk")
+// fetchFlagged reads the /v1/flagged queue.
+func fetchFlagged(t *testing.T, base, query string) []audit.Record {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/flagged" + query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("junk min_risk status %d", resp.StatusCode)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/flagged%s: status %d", query, resp.StatusCode)
+	}
+	var out []audit.Record
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestFlaggedQueryEndpoint: /v1/flagged is the flagged records of the
+// ledger's recent ring, riskiest first and newest first within a risk
+// factor, filtered by min_risk; without a ledger it is a 404.
+func TestFlaggedQueryEndpoint(t *testing.T) {
+	m, d := testModel(t)
+	bare, err := NewServer(Config{Model: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	bare.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/flagged", nil))
+	if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "audit ledger not configured") {
+		t.Fatalf("/v1/flagged without a ledger: %d %q", rec.Code, rec.Body.String())
+	}
+
+	led, err := audit.Open(audit.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	srv, err := NewServer(Config{Model: m, Audit: led})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := NewClient(ts.URL)
+	chrome := ua.Release{Vendor: ua.Chrome, Version: 112}
+	// Cross-vendor lies (risk 20), a near-version lie and an honest
+	// session, in this order.
+	sends := []struct {
+		id      string
+		claimed ua.Release
+	}{
+		{"cross-vendor-1..", ua.Release{Vendor: ua.Firefox, Version: 110}},
+		{"near-version....", ua.Release{Vendor: ua.Chrome, Version: 60}},
+		{"honest..........", chrome},
+		{"cross-vendor-2..", ua.Release{Vendor: ua.Firefox, Version: 110}},
+	}
+	for _, s := range sends {
+		p := payloadFor(d, chrome, s.claimed)
+		copy(p.SessionID[:], s.id)
+		if _, err := client.Submit(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hexID := func(s string) string { return fmt.Sprintf("%x", s) }
+
+	queue := fetchFlagged(t, ts.URL, "")
+	var got []string
+	for _, r := range queue {
+		if !r.Verdict.Flagged || r.Explanation != nil {
+			t.Fatalf("queue record %+v: want flagged, without explanation", r)
+		}
+		got = append(got, r.SessionID)
+	}
+	want := []string{hexID("cross-vendor-2.."), hexID("cross-vendor-1.."), hexID("near-version....")}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("queue order %v, want %v (risk descending, then newest first)", got, want)
+	}
+	if queue[0].Verdict.RiskFactor != ua.MaxDistance || queue[2].Verdict.RiskFactor >= ua.MaxDistance {
+		t.Fatalf("queue risks %d, %d, %d", queue[0].Verdict.RiskFactor, queue[1].Verdict.RiskFactor, queue[2].Verdict.RiskFactor)
+	}
+	high := fetchFlagged(t, ts.URL, fmt.Sprintf("?min_risk=%d", ua.MaxDistance))
+	if len(high) != 2 || high[0].SessionID != want[0] || high[1].SessionID != want[1] {
+		t.Fatalf("min_risk filter: %+v", high)
+	}
+	for _, q := range []string{"junk", "-1"} {
+		resp, err := http.Get(ts.URL + "/v1/flagged?min_risk=" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("min_risk=%s status %d", q, resp.StatusCode)
+		}
 	}
 }

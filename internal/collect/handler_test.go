@@ -330,8 +330,8 @@ func poison(b []byte) {
 // The decoded user agent is a view of the request's bytes, so the other
 // half of the test is that nothing keeps that view: the body buffer is
 // overwritten after every request, and the coalescer's frame buffer
-// after every batch, and the audit ledger, /debug/decisions and the
-// store must still hold what each session sent.
+// after every batch, and the audit ledger, /debug/decisions and
+// /v1/flagged must still hold what each session sent.
 func TestCollectPooledStateIsolation(t *testing.T) {
 	m, d := testModel(t)
 	chrome := ua.Release{Vendor: ua.Chrome, Version: 112}
@@ -478,9 +478,16 @@ func TestCollectPooledStateIsolation(t *testing.T) {
 	for _, r := range recent {
 		check("/debug/decisions", r)
 	}
-	for _, d := range srv.Store().All() {
-		if id := d.SessionID; id != hexSessionID(&lying.SessionID) && id != hexSessionID(&tcpLying.SessionID) {
-			t.Fatalf("the store holds session %s, which no flagged request carried", id)
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/flagged", nil))
+	var queue []audit.Record
+	if err := json.Unmarshal(rec.Body.Bytes(), &queue); err != nil || len(queue) == 0 {
+		t.Fatalf("/v1/flagged: %d records, %v", len(queue), err)
+	}
+	for _, r := range queue {
+		check("/v1/flagged", r)
+		if id := r.SessionID; id != hexSessionID(&lying.SessionID) && id != hexSessionID(&tcpLying.SessionID) {
+			t.Fatalf("/v1/flagged holds session %s, which no flagged request carried", id)
 		}
 	}
 }

@@ -67,16 +67,14 @@ func (h *modelHolder) store(m *core.Model) error {
 // happens in score, so it cannot depend on which socket the session
 // arrived on.
 type ingest struct {
-	model   modelHolder
-	store   *MemoryStore
-	journal *Journal
-	drift   *obs.DriftMonitor
-	ledger  *audit.Ledger
-	logger  *slog.Logger
+	model  modelHolder
+	drift  *obs.DriftMonitor
+	ledger *audit.Ledger
+	logger *slog.Logger
 
-	// Set once the journal's or the ledger's segment write has failed and
-	// been logged; see warnAppend.
-	journalFailed, ledgerFailed atomic.Bool
+	// Set once the ledger's segment write has failed and been logged;
+	// see warnAppend.
+	ledgerFailed atomic.Bool
 }
 
 func newIngest(cfg Config) (*ingest, error) {
@@ -84,15 +82,10 @@ func newIngest(cfg Config) (*ingest, error) {
 		return nil, errors.New("collect: Config.Model is required")
 	}
 	in := &ingest{
-		model:   modelHolder{ledger: cfg.Audit},
-		store:   cfg.Store,
-		journal: cfg.Journal,
-		drift:   cfg.Drift,
-		ledger:  cfg.Audit,
-		logger:  cfg.Logger,
-	}
-	if in.store == nil {
-		in.store = NewMemoryStore(4096)
+		model:  modelHolder{ledger: cfg.Audit},
+		drift:  cfg.Drift,
+		ledger: cfg.Audit,
+		logger: cfg.Logger,
 	}
 	if err := in.model.store(cfg.Model); err != nil {
 		return nil, err
@@ -148,15 +141,14 @@ func hexSessionID(id *[fingerprint.SessionIDSize]byte) string {
 }
 
 // score runs one decoded payload through the pipeline: dimension check
-// and vectorise, the model, the drift monitor, then the store and the
-// journal for a flagged verdict, then the audit ledger for an admitted
-// one. It returns the verdict, or the reject reason with the error to
-// report. tr is the caller's open trace: it names the endpoint, stamps
-// audit records and log lines, and receives a record or audit span from
-// the payloads that do that work. sessionID is the payload's session ID
-// in hex when the transport has already encoded it for its reply, ""
-// when it has not: it is then encoded here, once, and only for a payload
-// that is stored or audited.
+// and vectorise, the model, the drift monitor, then the audit ledger for
+// an admitted verdict — every flagged one is. It returns the verdict, or
+// the reject reason with the error to report. tr is the caller's open
+// trace: it names the endpoint, stamps audit records and log lines, and
+// receives an audit span from the payloads that are audited. sessionID
+// is the payload's session ID in hex when the transport has already
+// encoded it for its reply, "" when it has not: it is then encoded here,
+// once, and only for a payload that is audited.
 //
 // timed adds the score span and returns the kernel time in
 // microseconds. A transport with one payload per trace sets it; the TCP
@@ -185,36 +177,15 @@ func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, se
 		in.drift.Observe(buf.vec)
 	}
 
-	// Neither the hex session ID nor the owned vector copy is built for
-	// the common payload: benign and sampled out of the ledger.
-	if res.Flagged() {
-		start := time.Now()
-		if sessionID == "" {
-			sessionID = hexSessionID(&p.SessionID)
-		}
-		d := Decision{
-			SessionID:     sessionID,
-			Cluster:       res.Cluster,
-			Matched:       res.Matched,
-			RiskFactor:    res.RiskFactor,
-			Flagged:       true,
-			ElapsedMicros: elapsedUs,
-		}
-		in.store.Record(d)
-		if in.journal != nil {
-			if err := in.journal.Append(d); err != nil {
-				in.warnAppend(tr, "collect: journal append failed", err, &in.journalFailed)
-			}
-		}
-		tr.RecordSpan("record", start, time.Since(start))
-	}
+	// The hex session ID and the owned vector copy are built only for an
+	// audited payload.
 	if in.ledger != nil && in.ledger.Admit(res.Flagged()) {
 		start := time.Now()
 		if sessionID == "" {
 			sessionID = hexSessionID(&p.SessionID)
 		}
 		if err := in.audit(dep, tr, sessionID, p.UserAgent, buf.vec, res); err != nil {
-			in.warnAppend(tr, "collect: audit record failed", err, &in.ledgerFailed)
+			in.warnAppend(tr, "collect: audit record failed", err)
 		}
 		tr.RecordSpan("audit", start, time.Since(start))
 	}
@@ -241,12 +212,12 @@ func (in *ingest) audit(dep *deployed, tr *obs.Trace, sessionID, userAgent strin
 	})
 }
 
-// warnAppend logs a failed journal or ledger append. A failed segment
-// write is sticky — every append after it fails the same way, and the
-// ledger counts each as dropped — so it is logged once, with what it
-// lost, not once per request; any other failure is logged each time.
-func (in *ingest) warnAppend(tr *obs.Trace, msg string, err error, logged *atomic.Bool) {
-	if errors.Is(err, seglog.ErrWriteFailed) && logged.Swap(true) {
+// warnAppend logs a failed ledger append. A failed segment write is
+// sticky — every append after it fails the same way, and the ledger
+// counts each as dropped — so it is logged once, with what it lost, not
+// once per request; any other failure is logged each time.
+func (in *ingest) warnAppend(tr *obs.Trace, msg string, err error) {
+	if errors.Is(err, seglog.ErrWriteFailed) && in.ledgerFailed.Swap(true) {
 		return
 	}
 	in.logWarn(tr, msg, "err", err.Error())

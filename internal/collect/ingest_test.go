@@ -32,28 +32,21 @@ type wireVerdict struct {
 type sideEffects struct {
 	Verdicts []wireVerdict
 	Status   string // trace status of the last trace
-	Store    []Decision
-	Journal  []Decision
 	Drift    uint64
 	Audit    []audit.Record
+	Flagged  []audit.Record // the /v1/flagged queue
 }
 
 // ingestRig is one set of sinks; every transport under test is built
 // over a fresh one from the same Config shape.
 type ingestRig struct {
-	cfg     Config
-	journal *Journal
-	drift   *obs.DriftMonitor
-	ledger  *audit.Ledger
+	cfg    Config
+	drift  *obs.DriftMonitor
+	ledger *audit.Ledger
 }
 
 func newIngestRig(t *testing.T, m *core.Model) *ingestRig {
 	t.Helper()
-	journal, err := OpenJournal(t.TempDir(), "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { journal.Close() })
 	drift, err := obs.NewDriftMonitor(obs.DriftConfig{Features: fingerprint.Names(m.Features), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -66,43 +59,44 @@ func newIngestRig(t *testing.T, m *core.Model) *ingestRig {
 	return &ingestRig{
 		cfg: Config{
 			Model:     m,
-			Store:     NewMemoryStore(64),
-			Journal:   journal,
 			Drift:     drift,
 			Audit:     ledger,
 			TraceSeed: 1,
 		},
-		journal: journal, drift: drift, ledger: ledger,
+		drift: drift, ledger: ledger,
 	}
 }
 
-// effects collects what the run left in the rig's sinks.
-func (r *ingestRig) effects(t *testing.T, verdicts []wireVerdict, tracer *obs.Tracer) sideEffects {
+// effects collects what the run left in the rig's sinks. reader is a
+// server over the rig's ledger: its /v1/flagged queue must be exactly
+// the flagged records of the ledger's ring.
+func (r *ingestRig) effects(t *testing.T, verdicts []wireVerdict, tracer *obs.Tracer, reader *Server) sideEffects {
 	t.Helper()
 	out := sideEffects{Verdicts: verdicts, Drift: r.drift.Seen()}
 	if last := tracer.Ring().Last(1); len(last) == 1 {
 		out.Status = last[0].Status
 	}
-	for _, d := range r.cfg.Store.All() {
-		d.ElapsedMicros = 0
-		out.Store = append(out.Store, d)
-	}
-	if err := r.journal.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.journal.Replay(func(d Decision) bool {
-		d.ElapsedMicros = 0
-		out.Journal = append(out.Journal, d)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range r.ledger.Recent(100, "", "") {
+	normalize := func(rec audit.Record) audit.Record {
 		if rec.TraceID == "" || rec.TimeNs == 0 || rec.Endpoint == "" {
 			t.Fatalf("audit record missing trace ID, time or endpoint: %+v", rec)
 		}
 		rec.Seq, rec.TimeNs, rec.TraceID, rec.Endpoint = 0, 0, "", ""
-		out.Audit = append(out.Audit, rec)
+		return rec
+	}
+	for _, rec := range r.ledger.Recent(100, "", "") {
+		out.Audit = append(out.Audit, normalize(rec))
+	}
+	rec := httptest.NewRecorder()
+	reader.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/flagged", nil))
+	var queue []audit.Record
+	if err := json.Unmarshal(rec.Body.Bytes(), &queue); err != nil {
+		t.Fatalf("/v1/flagged: %d %q: %v", rec.Code, rec.Body.String(), err)
+	}
+	if ring := r.ledger.Recent(100, "flagged", ""); !reflect.DeepEqual(queue, ring) {
+		t.Fatalf("/v1/flagged\n%+v\n!= the ledger ring's flagged records\n%+v", queue, ring)
+	}
+	for _, rec := range queue {
+		out.Flagged = append(out.Flagged, normalize(rec))
 	}
 	return out
 }
@@ -136,7 +130,7 @@ func sendHTTP(endpoint string) func(*testing.T, *ingestRig, []byte, int) sideEff
 		if scored := int64(1) - st.Rejected; st.Received != scored {
 			t.Fatalf("received %d, rejected %d for one request", st.Received, st.Rejected)
 		}
-		return r.effects(t, []wireVerdict{v}, srv.Tracer())
+		return r.effects(t, []wireVerdict{v}, srv.Tracer(), srv)
 	}
 }
 
@@ -174,13 +168,17 @@ func sendTCP(t *testing.T, r *ingestRig, wire []byte, frames int) sideEffects {
 	if got := srv.Scored() + srv.BadFrames(); got != int64(frames) {
 		t.Fatalf("scored+bad = %d, want %d", got, frames)
 	}
-	return r.effects(t, verdicts, srv.tracer)
+	reader, err := NewServer(r.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.effects(t, verdicts, srv.tracer, reader)
 }
 
 // TestIngestParityAcrossTransports is the single-core contract: the same
 // payload gets the same verdict, the same reject reason and the same
-// side effects — drift sample, store entry, journal line, audit record
-// — whichever transport carried it.
+// side effects — drift sample, audit record, /v1/flagged entry —
+// whichever transport carried it.
 func TestIngestParityAcrossTransports(t *testing.T) {
 	m, d := testModel(t)
 	chrome := ua.Release{Vendor: ua.Chrome, Version: 112}
@@ -275,16 +273,16 @@ func TestIngestParityAcrossTransports(t *testing.T) {
 				if got.Status != wantStatus {
 					t.Fatalf("%s: trace status %q, want %q", tp.name, got.Status, wantStatus)
 				}
-				scored, stored := 0, 0
+				scored, flagged := 0, 0
 				if tc.reason == "ok" {
 					scored = tp.frames
 				}
 				if tc.flagged {
-					stored = tp.frames
+					flagged = tp.frames
 				}
-				if int(got.Drift) != scored || len(got.Audit) != scored || len(got.Store) != stored || len(got.Journal) != stored {
-					t.Fatalf("%s: drift=%d audit=%d store=%d journal=%d, want %d scored and %d flagged",
-						tp.name, got.Drift, len(got.Audit), len(got.Store), len(got.Journal), scored, stored)
+				if int(got.Drift) != scored || len(got.Audit) != scored || len(got.Flagged) != flagged {
+					t.Fatalf("%s: drift=%d audit=%d flagged=%d, want %d scored and %d flagged",
+						tp.name, got.Drift, len(got.Audit), len(got.Flagged), scored, flagged)
 				}
 
 				// Relative expectations: every frame's verdict and side
@@ -298,12 +296,9 @@ func TestIngestParityAcrossTransports(t *testing.T) {
 						t.Fatalf("%s: verdict %+v != %s's %+v", tp.name, got.Verdicts[i], transports[0].name, base.Verdicts[0])
 					}
 				}
-				for i := range got.Store {
-					if got.Store[i] != base.Store[0] {
-						t.Fatalf("%s: store entry %+v != %+v", tp.name, got.Store[i], base.Store[0])
-					}
-					if got.Journal[i] != base.Journal[0] {
-						t.Fatalf("%s: journal line %+v != %+v", tp.name, got.Journal[i], base.Journal[0])
+				for i := range got.Flagged {
+					if !reflect.DeepEqual(got.Flagged[i], base.Flagged[0]) {
+						t.Fatalf("%s: /v1/flagged entry\n%+v\n!= %s's\n%+v", tp.name, got.Flagged[i], transports[0].name, base.Flagged[0])
 					}
 				}
 				for i := range got.Audit {

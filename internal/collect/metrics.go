@@ -58,7 +58,6 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 	}
 	obs.FamScoreDuration.WriteHistogram(w, series)
 
-	obs.FamStoreEntries.Write(w, float64(st.StoreEntries))
 	model := s.model.load()
 	obs.FamModelClusters.Write(w, float64(model.KMeans.K))
 	obs.FamModelAccuracy.Write(w, model.Accuracy)
@@ -90,30 +89,15 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 	obs.FamAuditDropped.Write(w, float64(ac.Dropped))
 	obs.FamAuditBytes.Write(w, float64(ac.Bytes))
 
-	// The ledger and the journal append without waiting for the disk, so
-	// a slow disk no longer shows in request latency; it shows here. Both
-	// series are always present, like the audit families above.
-	logs := [...]struct {
-		name string
-		m    seglog.FlushMetrics
-	}{{name: "audit"}, {name: "journal"}}
+	// The ledger appends without waiting for the disk, so a slow disk
+	// does not show in request latency; it shows here. The series is
+	// always present, like the audit families above.
+	flush := seglog.FlushMetrics{Durations: new(obs.Hist)}
 	if s.ledger != nil {
-		logs[0].m = s.ledger.FlushMetrics()
+		flush = s.ledger.FlushMetrics()
 	}
-	if s.journal != nil {
-		logs[1].m = s.journal.FlushMetrics()
-	}
-	var durations []obs.HistogramSeries
-	var waits []obs.LabeledValue
-	for _, l := range logs {
-		if l.m.Durations == nil {
-			l.m.Durations = new(obs.Hist)
-		}
-		durations = append(durations, obs.HistogramSnapshot(l.name, l.m.Durations))
-		waits = append(waits, obs.LabeledValue{Label: l.name, Value: float64(l.m.Waits)})
-	}
-	obs.FamFlushDuration.WriteHistogram(w, durations)
-	obs.FamFlushWaits.WriteSeries(w, waits)
+	obs.FamFlushDuration.WriteHistogram(w, []obs.HistogramSeries{obs.HistogramSnapshot("audit", flush.Durations)})
+	obs.FamFlushWaits.WriteSeries(w, []obs.LabeledValue{{Label: "audit", Value: float64(flush.Waits)}})
 
 	if s.drift != nil {
 		s.drift.WriteMetrics(w)

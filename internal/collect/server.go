@@ -2,11 +2,12 @@
 // an HTTP service that serves the fingerprint-collection script, ingests
 // ≤1 KB fingerprint payloads, scores them against the trained model in
 // real time (paper §3 budget: 100 ms; measured cost: microseconds), and
-// retains flagged sessions for the fraud team. A framed TCP listener
-// serves backend replay, and both transports hand every decoded payload
-// to one ingest core (ingest.go), so a verdict and its side effects —
-// drift sample, store entry, journal line, audit record — do not depend
-// on the socket it arrived on. The package also provides the clients.
+// writes flagged sessions to the audit ledger, the one evidence log the
+// fraud team's queue (/v1/flagged) reads. A framed TCP listener serves
+// backend replay, and both transports hand every decoded payload to one
+// ingest core (ingest.go), so a verdict and its side effects — drift
+// sample, audit record — do not depend on the socket it arrived on. The
+// package also provides the clients.
 //
 // A request borrows what it needs instead of allocating it: body, decoded
 // payload, feature vector, model scratch and encoded reply all live in a
@@ -19,11 +20,10 @@
 //
 // Observability (internal/obs) is threaded through the whole serving
 // path: every ingest request runs under a deterministic trace whose
-// spans (decode, score, record, audit) land in a lock-free
-// ring served at /debug/traces, per-endpoint request latency feeds
-// Prometheus histogram families at /metrics, rejects are counted by
-// cause, and accepted feature vectors optionally stream into a drift
-// monitor.
+// spans (decode, score, audit) land in a lock-free ring served at
+// /debug/traces, per-endpoint request latency feeds Prometheus
+// histogram families at /metrics, rejects are counted by cause, and
+// accepted feature vectors optionally stream into a drift monitor.
 package collect
 
 import (
@@ -35,7 +35,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -93,7 +92,8 @@ func (d *Decision) AppendJSON(dst []byte) []byte {
 type Config struct {
 	// Model scores sessions; required.
 	Model *core.Model
-	// Store retains flagged decisions; nil uses a fresh MemoryStore.
+	// Store is ignored: the audit ledger is the one evidence log
+	// (pinned.go).
 	Store *MemoryStore
 	// MaxBodyBytes caps request bodies; 0 uses the paper's 1 KB budget
 	// (plus framing slack for the JSON variant).
@@ -104,8 +104,6 @@ type Config struct {
 	// reason="rate_limit".
 	RateLimitPerSec float64
 	RateBurst       int
-	// Journal, when set, durably records every flagged decision.
-	Journal *Journal
 	// Logger receives structured request/reject/slow-trace records;
 	// nil discards. Build one with obs.NewLogger.
 	Logger *slog.Logger
@@ -128,8 +126,8 @@ type Config struct {
 	// sampling policy. Every deployed model is archived in the ledger
 	// directory first, so a deployment fails when that directory cannot
 	// be written. Recent records are served, explained, at
-	// /debug/decisions and the polygraph_audit_* families appear at
-	// /metrics.
+	// /debug/decisions, their flagged ones at /v1/flagged, and the
+	// polygraph_audit_* families appear at /metrics.
 	Audit *audit.Ledger
 	// ScoreDelay injects an artificial per-request delay into the HTTP
 	// ingest path, inside the latency-histogram measurement. It exists
@@ -259,20 +257,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Store exposes the flagged-session store.
-func (s *Server) Store() *MemoryStore { return s.store }
-
 // Tracer exposes the request tracer (to share with a TCP listener or
 // inspect the ring in tests).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // AttachTCP joins a TCP batch listener to this server: its histogram
 // and counters ride this server's /metrics exposition, and from here on
-// it scores through this server's ingest core — one model holder, store,
-// journal, drift monitor and ledger — so a SwapModel reaches both
-// transports at once and no audit record can carry a stale hash. Call
-// it before t.Serve; whatever ingest settings t was built with are
-// dropped.
+// it scores through this server's ingest core — one model holder, drift
+// monitor and ledger — so a SwapModel reaches both transports at once
+// and no audit record can carry a stale hash. Call it before t.Serve;
+// whatever ingest settings t was built with are dropped.
 func (s *Server) AttachTCP(t *TCPServer) {
 	t.ingest = s.ingest
 	s.tcp.Store(t)
@@ -527,46 +521,13 @@ func (s *Server) reject(w http.ResponseWriter, tr *obs.Trace, code int, reason r
 	http.Error(w, msg, code)
 }
 
-// handleFlagged returns retained flagged decisions, filtered by
-// ?min_risk=N and sorted by descending risk factor — the fraud team's
-// live queue.
-func (s *Server) handleFlagged(w http.ResponseWriter, r *http.Request) {
-	minRisk := 0
-	if v := r.URL.Query().Get("min_risk"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			s.reject(w, nil, http.StatusBadRequest, reasonBadRequest, "bad min_risk %q", v)
-			return
-		}
-		minRisk = n
-	}
-	all := s.store.All()
-	out := all[:0]
-	for _, d := range all {
-		if d.RiskFactor >= minRisk {
-			out = append(out, d)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].RiskFactor != out[j].RiskFactor {
-			return out[i].RiskFactor > out[j].RiskFactor
-		}
-		return out[i].SessionID < out[j].SessionID
-	})
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(out); err != nil {
-		s.logWarn(nil, "collect: encode flagged failed", "err", err.Error())
-	}
-}
-
 // Stats is the monitoring snapshot served at /v1/stats.
 type Stats struct {
-	Received     int64   `json:"received"`
-	Rejected     int64   `json:"rejected"`
-	Flagged      int64   `json:"flagged"`
-	AvgScoreUs   float64 `json:"avg_score_us"`
-	MaxScoreUs   int64   `json:"max_score_us"`
-	StoreEntries int     `json:"store_entries"`
+	Received   int64   `json:"received"`
+	Rejected   int64   `json:"rejected"`
+	Flagged    int64   `json:"flagged"`
+	AvgScoreUs float64 `json:"avg_score_us"`
+	MaxScoreUs int64   `json:"max_score_us"`
 }
 
 // Snapshot returns current counters. The latency figures derive from
@@ -576,10 +537,9 @@ type Stats struct {
 // by zero (the legacy avg-gauge bug class).
 func (s *Server) Snapshot() Stats {
 	st := Stats{
-		Received:     s.stats.received.Load(),
-		Rejected:     s.stats.rejected.Load(),
-		Flagged:      s.stats.flagged.Load(),
-		StoreEntries: s.store.Len(),
+		Received: s.stats.received.Load(),
+		Rejected: s.stats.rejected.Load(),
+		Flagged:  s.stats.flagged.Load(),
 	}
 	var n uint64
 	var sumUs float64
@@ -602,72 +562,4 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if err := json.NewEncoder(w).Encode(s.Snapshot()); err != nil {
 		s.logWarn(nil, "collect: encode stats failed", "err", err.Error())
 	}
-}
-
-// MemoryStore retains the most recent flagged decisions in a sharded
-// ring, safe for concurrent use. Production would forward to the risk
-// pipeline; the reproduction keeps them queryable.
-type MemoryStore struct {
-	shards [16]storeShard
-	cap    int
-}
-
-type storeShard struct {
-	mu      sync.Mutex
-	entries []Decision
-	next    int
-	full    bool
-}
-
-// NewMemoryStore bounds the total retained decisions (rounded up to a
-// multiple of the shard count).
-func NewMemoryStore(capacity int) *MemoryStore {
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &MemoryStore{cap: (capacity + 15) / 16}
-}
-
-func (m *MemoryStore) shardFor(sessionID string) *storeShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(sessionID); i++ {
-		h = (h ^ uint32(sessionID[i])) * 16777619
-	}
-	return &m.shards[h%16]
-}
-
-// Record stores a decision.
-func (m *MemoryStore) Record(d Decision) {
-	sh := m.shardFor(d.SessionID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if len(sh.entries) < m.cap {
-		sh.entries = append(sh.entries, d)
-		return
-	}
-	sh.entries[sh.next] = d
-	sh.next = (sh.next + 1) % m.cap
-	sh.full = true
-}
-
-// Len counts retained decisions.
-func (m *MemoryStore) Len() int {
-	n := 0
-	for i := range m.shards {
-		m.shards[i].mu.Lock()
-		n += len(m.shards[i].entries)
-		m.shards[i].mu.Unlock()
-	}
-	return n
-}
-
-// All returns a copy of every retained decision (unspecified order).
-func (m *MemoryStore) All() []Decision {
-	var out []Decision
-	for i := range m.shards {
-		m.shards[i].mu.Lock()
-		out = append(out, m.shards[i].entries...)
-		m.shards[i].mu.Unlock()
-	}
-	return out
 }

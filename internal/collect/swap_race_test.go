@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"polygraph/internal/audit"
 	"polygraph/internal/core"
 	"polygraph/internal/pipeline"
 	"polygraph/internal/ua"
@@ -110,7 +111,13 @@ func TestSwapModelUnderConcurrentScoring(t *testing.T) {
 // non-negative and finite.
 func TestIngestVsStatsUnderConcurrentHammer(t *testing.T) {
 	m, d := testModel(t)
-	srv, err := NewServer(Config{Model: m})
+	// /v1/flagged reads the ledger's ring while the ingesters append.
+	led, err := audit.Open(audit.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	srv, err := NewServer(Config{Model: m, Audit: led})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,8 +99,8 @@ func TestTCPBatchRoundtrip(t *testing.T) {
 	if decisions[0].SessionID != honest.SessionID {
 		t.Fatal("session id not echoed")
 	}
-	if srv.store.Len() != 1 {
-		t.Fatalf("store has %d entries", srv.store.Len())
+	if srv.Flagged() != 1 {
+		t.Fatalf("flagged counter %d, want 1", srv.Flagged())
 	}
 }
 

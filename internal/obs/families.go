@@ -94,7 +94,6 @@ var (
 	FamFlagged        = declare(SurfaceReplica, "counter", "polygraph_flagged_total", "Sessions flagged as suspicious.")
 	FamRejected       = declare(SurfaceReplica, "counter", "polygraph_rejected_total", "Rejected requests by cause.", "reason")
 	FamScoreDuration  = declare(SurfaceReplica, "histogram", "polygraph_score_duration_microseconds", "Request-handling latency of scored requests per endpoint, in microseconds.", "endpoint")
-	FamStoreEntries   = declare(SurfaceReplica, "gauge", "polygraph_store_entries", "Flagged decisions retained in memory.")
 	FamModelClusters  = declare(SurfaceReplica, "gauge", "polygraph_model_clusters", "Clusters in the deployed model.")
 	FamModelAccuracy  = declare(SurfaceReplica, "gauge", "polygraph_model_accuracy", "Training accuracy of the deployed model.")
 	FamModelTrainedAt = declare(SurfaceReplica, "gauge", "polygraph_model_trained_timestamp_seconds", "When the deployed model was trained (unix seconds; 0 = unknown).")
@@ -109,8 +108,8 @@ var (
 	FamTCPBatchSize     = declare(SurfaceTCP, "histogram", "polygraph_tcp_batch_size", "Coalesced TCP batch sizes in frames (recorded on the microsecond scale).", "endpoint")
 )
 
-// The audit ledger and the segment flusher under it and the journal
-// (collect/metrics.go). Present, as zeros, without a ledger.
+// The audit ledger and the segment flusher under it (collect/metrics.go);
+// log="audit" is the one log. Present, as zeros, without a ledger.
 var (
 	FamAuditRecords  = declare(SurfaceReplica, "counter", "polygraph_audit_records_total", "Decisions durably recorded in the audit ledger.")
 	FamAuditDropped  = declare(SurfaceReplica, "counter", "polygraph_audit_dropped_total", "Decisions not recorded: benign sampling plus append failures.")

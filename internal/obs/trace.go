@@ -80,7 +80,7 @@ type Span struct {
 }
 
 // inlineSpans is how many spans a Trace stores without a second
-// allocation: the ingest path records at most decode, score, record and
+// allocation. The ingest path records at most three: decode, score and
 // audit.
 const inlineSpans = 4
 

@@ -1,12 +1,12 @@
-// Package seglog is the one rotating segment file under the audit ledger
-// and the decision journal: files named <prefix>.<seq>.<ext> in one
+// Package seglog is the rotating segment file under the audit ledger,
+// its one serving user: files named <prefix>.<seq>.<ext> in one
 // directory, created O_EXCL so history is never overwritten, rotated
 // once the active one would pass a size, and written by a single
 // flusher goroutine so that no appender ever performs a write(2).
 //
 // A frame is whatever bytes one Append is given — the ledger's
-// length-prefixed record, the journal's JSON line. The writer never
-// looks inside one and never splits one.
+// length-prefixed record group. The writer never looks inside one and
+// never splits one.
 //
 // Buffering is double. Append copies its frame into the active
 // in-memory buffer. When the next frame would take that buffer past

@@ -30,7 +30,6 @@ var goldenValues = map[string]bool{
 	"polygraph_flagged_total":                     true,
 	"polygraph_rejected_total":                    true,
 	"polygraph_score_duration_microseconds_count": true,
-	"polygraph_store_entries":                     true,
 	"polygraph_model_clusters":                    true,
 	"polygraph_model_accuracy":                    true,
 	"polygraph_tcp_scored_total":                  true,
@@ -103,7 +102,7 @@ func TestExpositionGolden(t *testing.T) {
 	m := trainedModel(t)
 	r, err := New(context.Background(), Config{
 		Name: "gold-0", Addr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", Model: m,
-		AuditDir: t.TempDir(), AuditSample: 1, JournalDir: t.TempDir(),
+		AuditDir: t.TempDir(), AuditSample: 1,
 		DriftInterval: time.Hour, SLOSpec: slo.DefaultSpec(), SLOInterval: time.Hour,
 	})
 	if err != nil {

@@ -1,9 +1,9 @@
 // Package serving is the reusable replica runtime extracted from
 // cmd/polygraphd: everything a scoring replica needs — model
 // obtain/deploy, the collect server and its framed TCP listener, drift
-// telemetry, decision journal, audit ledger, hot reload — behind one
-// Replica type, so a process can run one replica (the daemon) or a
-// harness can run N in-process (cmd/loadgen). It is the only package
+// telemetry, audit ledger, hot reload — behind one Replica type, so a
+// process can run one replica (the daemon) or a harness can run N
+// in-process (cmd/loadgen). It is the only package
 // that constructs a collect server (scripts/check.sh enforces it), so
 // what the load harness gates is what the daemon deploys.
 //
@@ -66,8 +66,8 @@ type Config struct {
 	// TCPAddr, when set, also serves the framed batch protocol
 	// (collect.TCPServer) on this address. The listener scores through
 	// the collect server's ingest core, so it shares the model — hot
-	// swaps included — store, tracer, drift monitor, journal and ledger,
-	// and its counters ride the same /metrics page.
+	// swaps included — tracer, drift monitor and ledger, and its
+	// counters ride the same /metrics page.
 	TCPAddr string
 
 	// Model deploys this in-memory model at startup (takes precedence
@@ -87,9 +87,12 @@ type Config struct {
 	// ReloadTimeout bounds a TriggerReload retrain (default 5m).
 	ReloadTimeout time.Duration
 
-	// JournalDir enables the durable flagged-decision journal.
+	// JournalDir is ignored: the audit ledger is the one evidence log
+	// (collect/pinned.go).
 	JournalDir string
-	// AuditDir enables the checksummed decision audit ledger.
+	// AuditDir enables the checksummed decision audit ledger, the one
+	// evidence log: it holds every flagged verdict, and /v1/flagged
+	// reads it.
 	AuditDir string
 	// AuditSample records every Nth benign decision (default 1).
 	AuditSample int
@@ -146,8 +149,7 @@ type Replica struct {
 	ln      net.Listener
 	done    chan error
 
-	journal *collect.Journal
-	ledger  *audit.Ledger
+	ledger *audit.Ledger
 
 	// srv and model are nil until the first deployment (warming state).
 	srv   atomic.Pointer[collect.Server]
@@ -201,19 +203,11 @@ func New(ctx context.Context, cfg Config) (*Replica, error) {
 	}
 
 	fail := func(err error) (*Replica, error) {
-		r.closeStores()
+		r.closeLedger()
 		cancel()
 		return nil, err
 	}
 
-	if cfg.JournalDir != "" {
-		journal, err := collect.OpenJournal(cfg.JournalDir, "decisions", 0)
-		if err != nil {
-			return fail(fmt.Errorf("serving: journal: %w", err))
-		}
-		r.journal = journal
-		logger.Info("journaling flagged decisions", "dir", cfg.JournalDir)
-	}
 	if cfg.AuditDir != "" {
 		sample := cfg.AuditSample
 		if sample <= 0 {
@@ -295,19 +289,12 @@ func MountProfiling(mux *http.ServeMux) {
 	mux.Handle("GET /debug/vars", expvar.Handler())
 }
 
-// closeStores closes the journal and seals the audit ledger; both
-// closes are idempotent.
-func (r *Replica) closeStores() error {
-	var firstErr error
-	if r.journal != nil {
-		firstErr = r.journal.Close()
+// closeLedger seals the audit ledger; the close is idempotent.
+func (r *Replica) closeLedger() error {
+	if r.ledger == nil {
+		return nil
 	}
-	if r.ledger != nil {
-		if err := r.ledger.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return r.ledger.Close()
 }
 
 // applyProvenance records where the deployed model came from: training
@@ -372,7 +359,6 @@ func (r *Replica) DeployModel(m *core.Model) (string, error) {
 		TraceSeed:       r.cfg.TraceSeed,
 		SlowRequest:     r.cfg.SlowRequest,
 		Drift:           r.driftMon,
-		Journal:         r.journal,
 		Audit:           r.ledger,
 		ScoreDelay:      r.cfg.ScoreDelay,
 	})
@@ -764,7 +750,7 @@ func (r *Replica) Kill() {
 // connection after the server scored the request but before the client
 // read the response, so the client's retry would score the same request
 // twice on another replica. Counters stay readable in-process, and Close
-// must still be called to flush the journal and ledger.
+// must still be called to flush the ledger.
 func (r *Replica) Drain() {
 	if !r.killed.CompareAndSwap(false, true) {
 		return
@@ -798,7 +784,7 @@ func (r *Replica) closeTCP() {
 }
 
 // Close shuts the replica down gracefully: drain the listeners, stop
-// the drift loop, close the journal and seal the audit ledger.
+// the drift loop and seal the audit ledger.
 func (r *Replica) Close() error {
 	var firstErr error
 	if r.httpSrv != nil && !r.killed.Load() {
@@ -808,7 +794,7 @@ func (r *Replica) Close() error {
 	}
 	r.closeTCP()
 	r.cancel()
-	if err := r.closeStores(); err != nil && firstErr == nil {
+	if err := r.closeLedger(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr

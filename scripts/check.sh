@@ -5,7 +5,8 @@
 # roadmap call "tier-1 green"), vet — of this module and of the
 # benchmark module under bench/, whose seam.go pins the symbols the
 # benchmark calls — the one-ingest-core, explanations-are-derived,
-# one-use-of-unsafe, one-daemon-wiring, one-segment-writer, per-row-kernel
+# one-use-of-unsafe, one-daemon-wiring, one-segment-writer,
+# one-evidence-path, per-row-kernel
 # (score kernel included), training-reads-the-distinct-row-table,
 # training-is-one-goroutine,
 # one-operator-binary-one-perf-line, metrics-declared-once and
@@ -82,19 +83,35 @@ for call in 'collect.NewServer(' 'collect.NewTCPServer('; do
         echo "check.sh: call sites of $call: $(echo $sites), want exactly one, in internal/serving/serving.go" >&2; exit 1; }
 done
 
-# One segment writer: the audit ledger and the decision journal own no
-# file. internal/seglog creates every segment (the one O_EXCL open) and
-# its flusher performs every write, so a bufio.Writer over a file, or a
-# second O_EXCL open, in either of them is the hand-rolled rotating file
-# coming back.
+# One segment writer: the audit ledger and the pinned decision journal
+# own no file. internal/seglog creates every segment (the one O_EXCL
+# open) and its flusher performs every write, so a bufio.Writer over a
+# file, or a second O_EXCL open, in either of them is the hand-rolled
+# rotating file coming back.
 echo "== one segment writer"
-owners=$(ls internal/audit/*.go internal/collect/journal.go | grep -v _test.go)
+owners=$(ls internal/audit/*.go internal/collect/pinned.go | grep -v _test.go)
 for call in 'os.O_EXCL' 'bufio.NewWriterSize('; do
     n=$(echo "$owners" | xargs grep -F -- "$call" | wc -l)
-    [ "$n" -eq 0 ] || { echo "check.sh: $n uses of $call in internal/audit and internal/collect/journal.go, want 0" >&2; exit 1; }
+    [ "$n" -eq 0 ] || { echo "check.sh: $n uses of $call in internal/audit and internal/collect/pinned.go, want 0" >&2; exit 1; }
 done
 n=$(ls internal/seglog/*.go | grep -v _test.go | xargs grep -F -- 'os.O_EXCL' | wc -l)
 [ "$n" -eq 1 ] || { echo "check.sh: $n uses of os.O_EXCL in internal/seglog, want 1" >&2; exit 1; }
+
+# One evidence path: the audit ledger is the only place a flagged verdict
+# is written, and /v1/flagged reads its ring. The decision journal and
+# the memory store are left only as the shims of
+# internal/collect/pinned.go, which the bench/ module compiles against.
+# Outside that file no non-test code in cmd/ or internal/ names them or
+# calls a collect.Server's Store(), save the two ignored Config fields
+# that carry them; comments may.
+echo "== one evidence path"
+found=$(grep -rnwE --include='*.go' --exclude='*_test.go' -- 'Journal|OpenJournal|MemoryStore|NewMemoryStore|JournalDir' cmd internal |
+    grep -v '^internal/collect/pinned.go:' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+    grep -vE '^internal/collect/server.go:[0-9]+:	Store \*MemoryStore$' |
+    grep -vE '^internal/serving/serving.go:[0-9]+:	JournalDir string$' || true)
+found="$found$(grep -rnF --include='*.go' --exclude='*_test.go' -- '.Store()' cmd internal || true)"
+[ -z "$found" ] || { echo "check.sh: the journal or the memory store is reached outside internal/collect/pinned.go:" >&2; echo "$found" >&2; exit 1; }
 
 # One pass per distinct row: training runs each pure per-row kernel once
 # per row of the distinct-row table (matrix.RowGroups), so every kernel
