@@ -250,7 +250,7 @@ func cmdReplay(args []string) error {
 	}
 	flagged, novel := 0, 0
 	for i, s := range samples {
-		res, err := m.Score(s.Vector, s.UA)
+		res, err := m.ScoreString(s.Vector, records[i].UserAgent)
 		if err != nil {
 			return err
 		}

@@ -46,16 +46,16 @@ func TestTrainAndBatchScoreDeterminism(t *testing.T) {
 	// assignments, same flags — on one goroutine and on eight.
 	n := len(traffic.Sessions)
 	vectors := make([][]float64, n)
-	claims := make([]ua.Release, n)
+	userAgents := make([]string, n)
 	for i, s := range traffic.Sessions {
 		vectors[i] = s.Vector
-		claims[i] = s.Claimed
+		userAgents[i] = s.UAString
 	}
-	serialRes, err := model.ScoreBatchContext(context.Background(), vectors, claims, 1)
+	serialRes, err := model.ScoreStringBatchContext(context.Background(), vectors, userAgents, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wideRes, err := model.ScoreBatchContext(context.Background(), vectors, claims, 8)
+	wideRes, err := model.ScoreStringBatchContext(context.Background(), vectors, userAgents, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

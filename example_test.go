@@ -74,25 +74,22 @@ func ExampleTrain() {
 
 	// 3. Score an honest session: fingerprint and claim agree.
 	honest := traffic.Sessions[0]
-	res, err := model.Score(honest.Vector, honest.Claimed)
+	res, err := model.ScoreString(honest.Vector, honest.UAString)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("honest %s session: cluster %d, flagged=%v, risk=%d\n",
 		honest.Claimed, res.Cluster, res.Flagged(), res.RiskFactor)
 
-	// 4. Score a liar: the same fingerprint claiming a different
-	// browser — the category-2 fraud-browser signature.
-	lie := polygraph.Release{Vendor: polygraph.Firefox, Version: 110}
-	if honest.Claimed.Vendor == polygraph.Firefox {
-		lie = polygraph.Release{Vendor: polygraph.Chrome, Version: 112}
-	}
-	res, err = model.Score(honest.Vector, lie)
+	// 4. Score a liar: the same Edge fingerprint claiming Firefox 110 —
+	// the category-2 fraud-browser signature.
+	const lie = "Mozilla/5.0 (Windows NT 10.0; Win64; x64; rv:110.0) Gecko/20100101 Firefox/110.0"
+	res, err = model.ScoreString(honest.Vector, lie)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("same fingerprint claiming %s: flagged=%v, risk=%d (max=20)\n",
-		lie, res.Flagged(), res.RiskFactor)
+	fmt.Printf("same fingerprint claiming Firefox 110: flagged=%v, risk=%d (max=20)\n",
+		res.Flagged(), res.RiskFactor)
 	// Output:
 	// generated 30000 sessions across 142 browser releases
 	// trained: 99.66% clustering accuracy, 25 outliers filtered
@@ -123,7 +120,7 @@ func ExampleDefaultRiskPolicy_traffic() {
 	var honest, fraudulent bucket
 	var exampleDeny string
 	for _, s := range traffic.Sessions {
-		res, err := model.Score(s.Vector, s.Claimed)
+		res, err := model.ScoreString(s.Vector, s.UAString)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -104,7 +104,7 @@ func slowString(t *testing.T, m *Model, vector []float64, userAgent string) Resu
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := m.clusterOfScaled(scaled)
+	cluster, _, err := m.clusterAndDistance(scaled)
 	if err != nil {
 		t.Fatal(err)
 	}

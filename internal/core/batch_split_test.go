@@ -10,7 +10,7 @@ import (
 	"polygraph/internal/ua"
 )
 
-// TestScoreBatchSplit drives scoreRows past batchSplitRows, where it cuts
+// TestScoreBatchSplit drives ScoreStringBatchContext past batchSplitRows, where it cuts
 // the batch into one span per goroutine: every row must equal the
 // per-request call whatever the goroutine bound, the lowest-index bad row
 // must be the one reported even when later spans hold bad rows too, and

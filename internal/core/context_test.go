@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
-	"time"
 
 	"polygraph/internal/pipeline"
 	"polygraph/internal/pipeline/pipelinetest"
@@ -34,24 +34,12 @@ func TestTrainContextPreCancelled(t *testing.T) {
 	}
 }
 
-// stageEnds is a pipeline.SpanRecorder that notes, as each training stage
-// finishes, how many context checks the run has made so far.
-type stageEnds struct {
-	ctx    *pipelinetest.CountingCtx
-	names  []string
-	checks []int
-}
-
-func (s *stageEnds) RecordSpan(name string, _ time.Time, _ time.Duration) {
-	s.names = append(s.names, name)
-	s.checks = append(s.checks, s.ctx.Calls())
-}
-
 // TestTrainContextCancelMidTrain cancels a training run at every one of
 // the context checks a full run performs and requires, each time,
-// ErrCanceled attributed to the stage that check belongs to, and no
-// model. The checks sit at points fixed by the input (per stage, per
-// tree, per k-means++ pick and Lloyd iteration), so this is the same
+// ErrCanceled attributed to a stage, and no model. Walked in check
+// order, the stages named are the full run's stages in its order, each
+// at least once. The checks sit at points fixed by the input (per stage,
+// per tree, per k-means++ pick and Lloyd iteration), so this is the same
 // sweep on every machine.
 func TestTrainContextCancelMidTrain(t *testing.T) {
 	samples, ext := trainFixture(t, 40)
@@ -63,15 +51,18 @@ func TestTrainContextCancelMidTrain(t *testing.T) {
 	cfg.NoveltyGuard = true
 	cfg.Reference = ExtractorReference{Extractor: ext, OS: ua.Windows10}
 
-	ends := &stageEnds{}
-	ends.ctx = pipelinetest.NewCountingCtx(pipeline.WithSpanRecorder(context.Background(), ends), math.MaxInt)
-	under, _, err := TrainContext(ends.ctx, samples, cfg)
+	counting := pipelinetest.NewCountingCtx(context.Background(), math.MaxInt)
+	under, rep, err := TrainContext(counting, samples, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := ends.ctx.Calls()
-	if len(ends.names) != 6 || total != ends.checks[5] {
-		t.Fatalf("stages %v ended at checks %v of %d", ends.names, ends.checks, total)
+	total := counting.Calls()
+	var stages []string
+	for _, st := range rep.Stages {
+		stages = append(stages, st.Name)
+	}
+	if len(stages) != 6 {
+		t.Fatalf("full run ran stages %v, want 6", stages)
 	}
 	// Every stage starts with a check; the forest adds one per tree and
 	// k-means one per pick and iteration.
@@ -79,19 +70,22 @@ func TestTrainContextCancelMidTrain(t *testing.T) {
 		t.Fatalf("training performed %d ctx checks, want at least %d", total, least)
 	}
 
-	stage := 0
+	var named []string
 	for i := 1; i <= total; i++ {
-		for i > ends.checks[stage] {
-			stage++
-		}
 		m, rep, err := TrainContext(pipelinetest.NewCountingCtx(context.Background(), i-1), samples, cfg)
 		if m != nil || rep != nil || !errors.Is(err, ErrCanceled) {
 			t.Fatalf("cancel at check %d of %d: model %v, report %v, err %v", i, total, m, rep, err)
 		}
 		var se *pipeline.StageError
-		if !errors.As(err, &se) || se.Stage != ends.names[stage] {
-			t.Fatalf("cancel at check %d of %d: %v, want stage %q", i, total, err, ends.names[stage])
+		if !errors.As(err, &se) {
+			t.Fatalf("cancel at check %d of %d: %v carries no stage", i, total, err)
 		}
+		if len(named) == 0 || named[len(named)-1] != se.Stage {
+			named = append(named, se.Stage)
+		}
+	}
+	if !slices.Equal(named, stages) {
+		t.Fatalf("cancelling check by check named stages %v, want %v", named, stages)
 	}
 
 	// A run that completes under a context is the run without one.
@@ -214,14 +208,18 @@ func TestTrainRejectsBadForestSizes(t *testing.T) {
 
 func TestScoreNotTrained(t *testing.T) {
 	var m Model
-	if _, err := m.Score(make([]float64, 3), ua.Release{Vendor: ua.Chrome, Version: 100}); !errors.Is(err, ErrNotTrained) {
-		t.Fatalf("Score on zero model: want ErrNotTrained, got %v", err)
+	chrome := ua.UserAgent(ua.Release{Vendor: ua.Chrome, Version: 100}, ua.Windows10)
+	if _, err := m.ScoreString(make([]float64, 3), chrome); !errors.Is(err, ErrNotTrained) {
+		t.Fatalf("ScoreString on zero model: want ErrNotTrained, got %v", err)
 	}
 	if _, err := m.PredictCluster(make([]float64, 3)); !errors.Is(err, ErrNotTrained) {
 		t.Fatalf("PredictCluster on zero model: want ErrNotTrained, got %v", err)
 	}
-	if _, err := m.ScoreBatch(nil, nil); !errors.Is(err, ErrNotTrained) {
-		t.Fatalf("ScoreBatch on zero model: want ErrNotTrained, got %v", err)
+	if _, err := m.ScoreStringBatchContext(context.Background(), nil, nil, 0); !errors.Is(err, ErrNotTrained) {
+		t.Fatalf("ScoreStringBatchContext on zero model: want ErrNotTrained, got %v", err)
+	}
+	if _, err := m.ExplainResult(make([]float64, 3), chrome, Result{}, 0); !errors.Is(err, ErrNotTrained) {
+		t.Fatalf("ExplainResult on zero model: want ErrNotTrained, got %v", err)
 	}
 }
 
@@ -230,28 +228,29 @@ func TestScoreBatchContextCancel(t *testing.T) {
 	samples, _ := trainFixture(t, 20)
 	_ = ext
 	vectors := make([][]float64, len(samples))
-	claims := make([]ua.Release, len(samples))
+	userAgents := make([]string, len(samples))
 	for i, s := range samples {
 		vectors[i] = s.Vector
-		claims[i] = s.UA
+		userAgents[i] = ua.UserAgent(s.UA, ua.Windows10)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.ScoreBatchContext(ctx, vectors, claims, 1); !errors.Is(err, ErrCanceled) {
+	if _, err := m.ScoreStringBatchContext(ctx, vectors, userAgents, 1); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
-	// The same batch completes under a live context and matches ScoreBatch.
-	got, err := m.ScoreBatchContext(context.Background(), vectors, claims, 1)
+	// The same batch completes under a live context and matches
+	// ScoreString row by row.
+	got, err := m.ScoreStringBatchContext(context.Background(), vectors, userAgents, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.ScoreBatch(vectors, claims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d differs: %+v vs %+v", i, got[i], want[i])
+	for i := range vectors {
+		want, err := m.ScoreString(vectors[i], userAgents[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Fatalf("row %d differs: %+v vs %+v", i, got[i], want)
 		}
 	}
 }

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"polygraph/internal/browser"
@@ -113,7 +117,7 @@ func TestScoreHonestSession(t *testing.T) {
 	m, _, ext := trainFixtureModel(t, 60)
 	r := ua.Release{Vendor: ua.Chrome, Version: 112}
 	vec := ext.Extract(browser.Profile{Release: r, OS: ua.Windows10})
-	res, err := m.Score(vec, r)
+	res, err := m.scoreRelease(nil, vec, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +131,7 @@ func TestScoreLyingSession(t *testing.T) {
 	// Fingerprint of Chrome 112, claiming Firefox 110 (category-2 fraud
 	// browser behaviour).
 	vec := ext.Extract(browser.Profile{Release: ua.Release{Vendor: ua.Chrome, Version: 112}, OS: ua.Windows10})
-	res, err := m.Score(vec, ua.Release{Vendor: ua.Firefox, Version: 110})
+	res, err := m.scoreRelease(nil, vec, ua.Release{Vendor: ua.Firefox, Version: 110})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +149,7 @@ func TestScoreNearVersionLieLowRisk(t *testing.T) {
 	// version gap => flagged with moderate risk (distance to nearest
 	// cluster member).
 	vec := ext.Extract(browser.Profile{Release: ua.Release{Vendor: ua.Chrome, Version: 112}, OS: ua.Windows10})
-	res, err := m.Score(vec, ua.Release{Vendor: ua.Chrome, Version: 60})
+	res, err := m.scoreRelease(nil, vec, ua.Release{Vendor: ua.Chrome, Version: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +163,49 @@ func TestScoreNearVersionLieLowRisk(t *testing.T) {
 	}
 }
 
+// TestScoreDimensionError: a vector of the wrong width is the caller's
+// fault at every entry point — ErrBadInput, with one message whether or
+// not the user-agent parses.
 func TestScoreDimensionError(t *testing.T) {
 	m, _, _ := trainFixtureModel(t, 20)
-	if _, err := m.Score([]float64{1, 2}, ua.Release{Vendor: ua.Chrome, Version: 112}); err == nil {
-		t.Fatal("no error for wrong-width vector")
+	narrow := []float64{1, 2, 3}
+	want := fmt.Sprintf("vector has 3 features, model expects %d", m.Dim())
+	entries := []struct {
+		name string
+		call func(userAgent string) error
+	}{
+		{"ScoreString", func(userAgent string) error {
+			_, err := m.ScoreString(narrow, userAgent)
+			return err
+		}},
+		{"ScoreStringWith", func(userAgent string) error {
+			_, err := m.ScoreStringWith(m.NewScratch(), narrow, userAgent)
+			return err
+		}},
+		{"ScoreStringBatchContext", func(userAgent string) error {
+			_, err := m.ScoreStringBatchContext(context.Background(), [][]float64{narrow}, []string{userAgent}, 0)
+			return err
+		}},
+		{"ExplainResult", func(userAgent string) error {
+			_, err := m.ExplainResult(narrow, userAgent, Result{}, 0)
+			return err
+		}},
+		{"PredictCluster", func(string) error {
+			_, err := m.PredictCluster(narrow)
+			return err
+		}},
+	}
+	agents := map[string]string{
+		"parseable": ua.UserAgent(ua.Release{Vendor: ua.Chrome, Version: 112}, ua.Windows10),
+		"junk":      "definitely-not-a-browser",
+	}
+	for _, e := range entries {
+		for kind, userAgent := range agents {
+			err := e.call(userAgent)
+			if !errors.Is(err, ErrBadInput) || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s with a %s user-agent: %v, want ErrBadInput naming %q", e.name, kind, err, want)
+			}
+		}
 	}
 }
 
@@ -312,11 +355,11 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 		{Vendor: ua.Edge, Version: 18},
 	} {
 		vec := ext.Extract(browser.Profile{Release: r, OS: ua.Windows10})
-		a, err := m.Score(vec, r)
+		a, err := m.scoreRelease(nil, vec, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := loaded.Score(vec, r)
+		b, err := loaded.scoreRelease(nil, vec, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +450,7 @@ func BenchmarkScore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Score(vec, claimed); err != nil {
+		if _, err := m.scoreRelease(nil, vec, claimed); err != nil {
 			b.Fatal(err)
 		}
 	}

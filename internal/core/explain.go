@@ -166,27 +166,15 @@ type Explanation struct {
 	Novelty NoveltyExplanation `json:"novelty"`
 }
 
-// Explain scores one session and decomposes the verdict. topK ≤ 0 uses
-// DefaultExplainTopK. The embedded Verdict is computed by the exact
-// Score code path, so Explain(v, c).Verdict always equals
-// VerdictOf(Score(v, c)) — the property the audit replay check rests
-// on.
-func (m *Model) Explain(vector []float64, claimed ua.Release, topK int) (*Explanation, error) {
-	res, err := m.Score(vector, claimed)
-	if err != nil {
-		return nil, err
-	}
-	return m.explain(vector, claimed.String(), claimed, true, res, topK)
-}
-
-// ExplainResult decomposes an already-computed verdict without paying
-// for a second scoring pass — the serving tier's audit path, where res
-// just came out of ScoreString for the same (vector, userAgent) pair.
-// Passing a res that did not come from scoring these inputs produces an
-// explanation that contradicts itself; the audit replay check exists to
-// catch exactly that.
+// ExplainResult decomposes a verdict without paying for a second
+// scoring pass: res is what ScoreString returned for the same (vector,
+// userAgent) pair, and topK ≤ 0 uses DefaultExplainTopK. The embedded
+// Verdict is VerdictOf(res) — the property the audit replay check rests
+// on. Passing a res that did not come from scoring these inputs
+// produces an explanation that contradicts itself; the audit replay
+// check exists to catch exactly that.
 func (m *Model) ExplainResult(vector []float64, userAgent string, res Result, topK int) (*Explanation, error) {
-	if err := m.checkTrained(); err != nil {
+	if err := m.checkInput(vector); err != nil {
 		return nil, err
 	}
 	claimed, ok := ua.ParseRelease(userAgent)
@@ -221,9 +209,6 @@ func (m *Model) explain(vector []float64, claim string, claimed ua.Release, pars
 	p := m.scorePlanNow()
 	if !p.valid {
 		return nil, fmt.Errorf("core: %w: cannot explain on a model whose components disagree on their dimensions", ErrBadInput)
-	}
-	if len(vector) != p.dim {
-		return nil, fmt.Errorf("core: vector has %d features, model expects %d", len(vector), p.dim)
 	}
 	if res.Cluster < 0 || res.Cluster >= p.k {
 		return nil, fmt.Errorf("core: %w: verdict names cluster %d of %d", ErrBadInput, res.Cluster, p.k)

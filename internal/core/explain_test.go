@@ -10,9 +10,24 @@ import (
 	"polygraph/internal/ua"
 )
 
+// explainString is the serving tier's audited-verdict path: ScoreString,
+// then ExplainResult over the same inputs.
+func explainString(t testing.TB, m *Model, vec []float64, userAgent string, topK int) (*Explanation, Result) {
+	t.Helper()
+	res, err := m.ScoreString(vec, userAgent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := m.ExplainResult(vec, userAgent, res, topK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ex, res
+}
+
 // TestExplainVerdictMatchesScore pins the replay invariant: the verdict
-// embedded in an explanation is exactly VerdictOf(Score) for the same
-// inputs, for honest and lying sessions alike.
+// embedded in an explanation is exactly VerdictOf of Algorithm 1's
+// verdict for the same inputs, for honest and lying sessions alike.
 func TestExplainVerdictMatchesScore(t *testing.T) {
 	m, _, ext := trainFixtureModel(t, 60)
 	cases := []struct {
@@ -27,14 +42,11 @@ func TestExplainVerdictMatchesScore(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			vec := ext.Extract(browser.Profile{Release: tc.profile, OS: ua.Windows10})
-			res, err := m.Score(vec, tc.claim)
+			res, err := m.scoreRelease(nil, vec, tc.claim)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex, err := m.Explain(vec, tc.claim, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ex, _ := explainString(t, m, vec, ua.UserAgent(tc.claim, ua.Windows10), 0)
 			if ex.Verdict != VerdictOf(res) {
 				t.Fatalf("explain verdict %+v != score verdict %+v", ex.Verdict, VerdictOf(res))
 			}
@@ -51,10 +63,7 @@ func TestExplainVerdictMatchesScore(t *testing.T) {
 func TestExplainDecomposition(t *testing.T) {
 	m, _, ext := trainFixtureModel(t, 60)
 	vec := ext.Extract(browser.Profile{Release: ua.Release{Vendor: ua.Chrome, Version: 112}, OS: ua.Windows10})
-	ex, err := m.Explain(vec, ua.Release{Vendor: ua.Chrome, Version: 112}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex, _ := explainString(t, m, vec, ua.UserAgent(ua.Release{Vendor: ua.Chrome, Version: 112}, ua.Windows10), 3)
 	if ex.Schema != ExplanationSchema {
 		t.Fatalf("schema %d", ex.Schema)
 	}
@@ -107,10 +116,7 @@ func TestExplainNearestClaim(t *testing.T) {
 	m, _, ext := trainFixtureModel(t, 60)
 	vec := ext.Extract(browser.Profile{Release: ua.Release{Vendor: ua.Chrome, Version: 112}, OS: ua.Windows10})
 	claim := ua.Release{Vendor: ua.Chrome, Version: 60}
-	ex, err := m.Explain(vec, claim, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex, _ := explainString(t, m, vec, ua.UserAgent(claim, ua.Windows10), 0)
 	if ex.Verdict.Matched {
 		t.Skip("fixture clustered Chrome 60 with Chrome 112; lie not observable")
 	}
@@ -129,15 +135,9 @@ func TestExplainNearestClaim(t *testing.T) {
 func TestExplainDeterministicJSON(t *testing.T) {
 	m, _, ext := trainFixtureModel(t, 60)
 	vec := ext.Extract(browser.Profile{Release: ua.Release{Vendor: ua.Chrome, Version: 112}, OS: ua.Windows10})
-	claim := ua.Release{Vendor: ua.Firefox, Version: 110}
-	a, err := m.Explain(vec, claim, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.Explain(vec, claim, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	claim := ua.UserAgent(ua.Release{Vendor: ua.Firefox, Version: 110}, ua.Windows10)
+	a, _ := explainString(t, m, vec, claim, 0)
+	b, _ := explainString(t, m, vec, claim, 0)
 	aj, _ := json.Marshal(a)
 	bj, _ := json.Marshal(b)
 	if !bytes.Equal(aj, bj) {
@@ -146,8 +146,9 @@ func TestExplainDeterministicJSON(t *testing.T) {
 }
 
 // TestExplainBatchMatchesSingle pins the offline shape of an audited
-// batch: ScoreBatchContext then ExplainResult per row gives, for every
-// worker count, exactly what Explain gives for the row alone.
+// batch: ScoreStringBatchContext then ExplainResult per row gives, for
+// every worker count, exactly what ScoreString then ExplainResult give
+// for the row alone.
 func TestExplainBatchMatchesSingle(t *testing.T) {
 	m, _, ext := trainFixtureModel(t, 60)
 	releases := []ua.Release{
@@ -157,26 +158,23 @@ func TestExplainBatchMatchesSingle(t *testing.T) {
 		{Vendor: ua.Chrome, Version: 60},
 	}
 	var vectors [][]float64
-	var claims []ua.Release
+	var userAgents []string
 	for i, r := range releases {
 		vectors = append(vectors, ext.Extract(browser.Profile{Release: r, OS: ua.Windows10}))
 		// Make one of them a lie.
-		claims = append(claims, releases[(i+1)%len(releases)])
+		userAgents = append(userAgents, ua.UserAgent(releases[(i+1)%len(releases)], ua.Windows10))
 	}
 	for _, workers := range []int{1, 4} {
-		batch, err := m.ScoreBatchContext(context.Background(), vectors, claims, workers)
+		batch, err := m.ScoreStringBatchContext(context.Background(), vectors, userAgents, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range vectors {
-			fromBatch, err := m.ExplainResult(vectors[i], ua.UserAgent(claims[i], ua.Windows10), batch[i], 4)
+			fromBatch, err := m.ExplainResult(vectors[i], userAgents[i], batch[i], 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			single, err := m.Explain(vectors[i], claims[i], 4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			single, _ := explainString(t, m, vectors[i], userAgents[i], 4)
 			bj, _ := json.Marshal(fromBatch)
 			sj, _ := json.Marshal(single)
 			if !bytes.Equal(bj, sj) {
@@ -184,7 +182,7 @@ func TestExplainBatchMatchesSingle(t *testing.T) {
 			}
 		}
 	}
-	if _, err := m.ScoreBatchContext(context.Background(), vectors, claims[:1], 4); err == nil {
+	if _, err := m.ScoreStringBatchContext(context.Background(), vectors, userAgents[:1], 4); err == nil {
 		t.Fatal("mismatched lengths should error")
 	}
 }
@@ -192,22 +190,8 @@ func TestExplainBatchMatchesSingle(t *testing.T) {
 func TestExplainStringUnparseable(t *testing.T) {
 	m, _, ext := trainFixtureModel(t, 60)
 	vec := ext.Extract(browser.Profile{Release: ua.Release{Vendor: ua.Chrome, Version: 112}, OS: ua.Windows10})
-	// explainString is what the serving tier does for an audited
-	// request: ScoreString, then ExplainResult over the same inputs.
-	explainString := func(userAgent string) (*Explanation, Result) {
-		t.Helper()
-		res, err := m.ScoreString(vec, userAgent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex, err := m.ExplainResult(vec, userAgent, res, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ex, res
-	}
 	const junk = "curl/7.81.0"
-	ex, res := explainString(junk)
+	ex, res := explainString(t, m, vec, junk, 0)
 	if ex.ClaimParsed {
 		t.Fatal("junk UA marked parsed")
 	}
@@ -221,18 +205,23 @@ func TestExplainStringUnparseable(t *testing.T) {
 		t.Fatal("unparseable claim cannot have a nearest member")
 	}
 
-	// A parsed header through the string path must match Explain.
+	// A parsed header through the string path must explain exactly what
+	// the typed claim's verdict explains.
 	good := ua.Release{Vendor: ua.Chrome, Version: 112}
 	header := "Mozilla/5.0 (Windows NT 10.0; Win64; x64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/112.0.0.0 Safari/537.36"
-	fromString, _ := explainString(header)
-	direct, err := m.Explain(vec, good, 0)
+	fromString, _ := explainString(t, m, vec, header, 0)
+	typed, err := m.scoreRelease(nil, vec, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := m.ExplainResult(vec, ua.UserAgent(good, ua.Windows10), typed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fj, _ := json.Marshal(fromString)
 	dj, _ := json.Marshal(direct)
 	if !bytes.Equal(fj, dj) {
-		t.Fatal("ScoreString+ExplainResult(parsed) != Explain")
+		t.Fatal("ScoreString+ExplainResult(parsed header) != the typed claim's explanation")
 	}
 }
 

@@ -30,8 +30,8 @@ type Sample struct {
 }
 
 // Model is a trained Browser Polygraph. Construct with Train or Load.
-// The model is immutable after training and safe for concurrent Score
-// calls.
+// The model is immutable after training and safe for concurrent
+// scoring.
 type Model struct {
 	Features []fingerprint.Feature
 	Scaler   *scaler.Standard
@@ -110,26 +110,68 @@ func (m *Model) checkTrained() error {
 	return nil
 }
 
-// Score classifies one fingerprint vector against a claimed user-agent.
-// It is the latency-critical online path (paper budget: 100 ms; actual
-// cost is sub-microsecond). Steady-state calls are allocation-free: the
-// flattened plan supplies pooled scratch buffers. Callers scoring in a
-// tight loop can avoid even the pool round-trip with NewScratch +
-// ScoreWith.
-func (m *Model) Score(vector []float64, claimed ua.Release) (Result, error) {
-	return m.ScoreWith(nil, vector, claimed)
-}
-
-// ScoreWith is Score with caller-owned scratch buffers (see NewScratch),
-// the zero-allocation entry point for per-connection scoring loops. A
-// nil scratch borrows one from the model's pool. The scratch must not be
-// used concurrently.
-func (m *Model) ScoreWith(s *Scratch, vector []float64, claimed ua.Release) (Result, error) {
+// checkInput is every scoring entry point's first step: a model that
+// went through Train or Load (else ErrNotTrained) and a vector of its
+// width (else ErrBadInput), both decided before the user-agent is read.
+func (m *Model) checkInput(vector []float64) error {
 	if err := m.checkTrained(); err != nil {
-		return Result{}, err
+		return err
 	}
 	if len(vector) != m.Dim() {
-		return Result{}, fmt.Errorf("core: vector has %d features, model expects %d", len(vector), m.Dim())
+		return fmt.Errorf("core: %w: vector has %d features, model expects %d", ErrBadInput, len(vector), m.Dim())
+	}
+	return nil
+}
+
+// ScoreString classifies one session: the fingerprint vector it
+// reported against the user-agent string it claims (paper §5,
+// Algorithm 1). It is the latency-critical online path (paper budget:
+// 100 ms; actual cost is sub-microsecond). Unparseable user-agents are
+// maximally risky by definition — a browser that cannot state a
+// coherent identity fails the polygraph: the cluster is predicted,
+// Matched is false and RiskFactor is ua.MaxDistance. Steady-state calls
+// are allocation-free; callers scoring in a tight loop can avoid even
+// the scratch pool's round trip with NewScratch + ScoreStringWith.
+func (m *Model) ScoreString(vector []float64, userAgent string) (Result, error) {
+	return m.ScoreStringWith(nil, vector, userAgent)
+}
+
+// ScoreStringWith is ScoreString with caller-owned scratch buffers (see
+// NewScratch), the entry point for per-connection scoring loops. A nil
+// scratch borrows one from the model's pool; a scratch must not be used
+// concurrently. A repeated (vector, user-agent) pair is answered from
+// the plan's verdict memo (memo.go). Nothing allocates on this path,
+// whether or not the user-agent parses, but a repeated pair entering the
+// memo.
+func (m *Model) ScoreStringWith(s *Scratch, vector []float64, userAgent string) (Result, error) {
+	if err := m.checkInput(vector); err != nil {
+		return Result{}, err
+	}
+	if p := m.scorePlanNow(); p.valid {
+		if s == nil {
+			s = p.getScratch()
+			defer p.putScratch(s)
+		}
+		return m.scoreStringMemo(p, s, vector, userAgent), nil
+	}
+	claimed, ok := ua.ParseRelease(userAgent)
+	if !ok {
+		cluster, err := m.predictClusterWith(s, vector)
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{Cluster: cluster, Matched: false, RiskFactor: ua.MaxDistance}, nil
+	}
+	return m.scoreRelease(s, vector, claimed)
+}
+
+// scoreRelease scores a vector against an already-parsed claim, with no
+// memo: ScoreStringWith's fallback for models whose components disagree
+// on their dimensions, and the typed row the package's tests pin
+// Algorithm 1 with. A nil scratch borrows one from the pool.
+func (m *Model) scoreRelease(s *Scratch, vector []float64, claimed ua.Release) (Result, error) {
+	if err := m.checkInput(vector); err != nil {
+		return Result{}, err
 	}
 	p := m.scorePlanNow()
 	if !p.valid {
@@ -183,72 +225,40 @@ func (m *Model) scoreSlow(vector []float64, claimed ua.Release) (Result, error) 
 	return res, nil
 }
 
-// ScoreBatch scores many sessions at once, splitting a large batch over
-// GOMAXPROCS goroutines. Row i of the result is exactly what
-// Score(vectors[i], claims[i]) returns — batching changes throughput,
-// never outcomes — which makes it the offline/backfill counterpart of the
-// per-request Score path (paper §6.4: 205k sessions scored in one pass).
-func (m *Model) ScoreBatch(vectors [][]float64, claims []ua.Release) ([]Result, error) {
-	return m.ScoreBatchContext(context.Background(), vectors, claims, 0)
-}
+const (
+	// batchSplitRows is the fewest rows ScoreStringBatchContext gives a
+	// goroutine: about 0.2 ms of scoring, below which starting one costs
+	// more than it saves.
+	batchSplitRows = 512
+	// batchCancelRows is how many rows a batch goroutine scores between
+	// looks at the context.
+	batchCancelRows = 1024
+)
 
-// ScoreBatchContext is ScoreBatch with an explicit goroutine bound (0 =
-// GOMAXPROCS, 1 = the caller's goroutine alone) and cooperative
-// cancellation: a cancelled batch returns an error matching
-// errors.Is(err, ErrCanceled). A batch that completes is bit-identical to
-// ScoreBatch's — rows are independent. Bad rows are errors; a row that
-// panics (a corrupted model) takes the process down, not just the batch.
-func (m *Model) ScoreBatchContext(ctx context.Context, vectors [][]float64, claims []ua.Release, workers int) ([]Result, error) {
-	if len(vectors) != len(claims) {
-		return nil, fmt.Errorf("core: %w: %d vectors vs %d claims", ErrBadInput, len(vectors), len(claims))
-	}
-	return m.scoreRows(ctx, "score batch", len(vectors), workers, func(s *Scratch, i int) (Result, error) {
-		return m.ScoreWith(s, vectors[i], claims[i])
-	})
-}
-
-// ScoreStringBatchContext is ScoreBatchContext for sessions that deliver
-// raw user-agent strings: row i of a completed batch is exactly what
-// ScoreString(vectors[i], userAgents[i]) returns — including the
-// unparseable-user-agent rule (cluster predicted, Matched false,
-// RiskFactor ua.MaxDistance). On error the lowest-index bad row is
-// reported.
+// ScoreStringBatchContext scores many sessions at once, the
+// offline/backfill counterpart of the per-request path (paper §6.4:
+// 205k sessions scored in one pass). Every row goes through
+// ScoreStringWith, so row i of a completed batch is exactly what
+// ScoreString(vectors[i], userAgents[i]) returns — batching changes
+// throughput, never outcomes.
+//
+// The batch is cut into one contiguous span of at least batchSplitRows
+// rows per goroutine, at most workers of them (0 = GOMAXPROCS, 1 = the
+// caller's goroutine alone) counting the caller's, each with one pooled
+// scratch; it is the one fan-out of the train/score stack, kept because
+// it measures ×1.8 on two processors. A cancelled batch returns an
+// error matching errors.Is(err, ErrCanceled). On error the failure of
+// the lowest-index bad row is reported, which keeps the error
+// deterministic under concurrency. A row that panics (a corrupted
+// model) on a spawned goroutine is not recovered: it ends the process.
 func (m *Model) ScoreStringBatchContext(ctx context.Context, vectors [][]float64, userAgents []string, workers int) ([]Result, error) {
 	if len(vectors) != len(userAgents) {
 		return nil, fmt.Errorf("core: %w: %d vectors vs %d user-agents", ErrBadInput, len(vectors), len(userAgents))
 	}
-	return m.scoreRows(ctx, "score string batch", len(vectors), workers, func(s *Scratch, i int) (Result, error) {
-		return m.ScoreStringWith(s, vectors[i], userAgents[i])
-	})
-}
-
-const (
-	// batchSplitRows is the fewest rows scoreRows gives a goroutine:
-	// about 0.2 ms of scoring, below which starting one costs more than
-	// it saves.
-	batchSplitRows = 512
-	// batchCancelRows is how many rows scoreRows scores between looks at
-	// the context.
-	batchCancelRows = 1024
-)
-
-// scoreRows is the row loop both batch scorers share. Every row goes
-// through the serial entry point (ScoreWith or ScoreStringWith), so
-// parity with the per-request path is by construction. The batch is cut
-// into one contiguous span of at least batchSplitRows rows per goroutine,
-// at most workers of them (0 = GOMAXPROCS) counting the caller's, each
-// with one pooled scratch; it is the one fan-out of the train/score
-// stack, kept because it measures ×1.8 on two processors. On error the
-// failure of the lowest-index bad row is reported, which keeps the error
-// deterministic under concurrency. A panic in row on a spawned goroutine
-// is not recovered: it ends the process.
-func (m *Model) scoreRows(ctx context.Context, what string, n, workers int, row func(s *Scratch, i int) (Result, error)) ([]Result, error) {
 	if err := m.checkTrained(); err != nil {
 		return nil, err
 	}
-	// Report into a request trace when the ingress attached one (see
-	// pipeline.SpanRecorder); a bare context makes this a no-op.
-	defer pipeline.StartSpan(ctx, "score-batch")()
+	n := len(vectors)
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -264,8 +274,8 @@ func (m *Model) scoreRows(ctx context.Context, what string, n, workers int, row 
 	}
 	bad := make([]rowErr, workers)
 	score := func(w int) {
-		// An inconsistent model has no plan to draw scratch from; the
-		// row functions then take the component path, which needs none.
+		// An inconsistent model has no plan to draw scratch from; its
+		// rows then take the component path, which needs none.
 		var s *Scratch
 		if p.valid {
 			s = p.getScratch()
@@ -276,7 +286,7 @@ func (m *Model) scoreRows(ctx context.Context, what string, n, workers int, row 
 			if (i-lo)%batchCancelRows == 0 && ctx.Err() != nil {
 				return
 			}
-			res, err := row(s, i)
+			res, err := m.ScoreStringWith(s, vectors[i], userAgents[i])
 			if err != nil {
 				if bad[w].err == nil {
 					bad[w] = rowErr{i, err}
@@ -297,62 +307,24 @@ func (m *Model) scoreRows(ctx context.Context, what string, n, workers int, row 
 	score(0)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: %s: %w", what, pipeline.Canceled(err))
+		return nil, fmt.Errorf("core: score string batch: %w", pipeline.Canceled(err))
 	}
 	for _, b := range bad {
 		if b.err != nil {
-			return nil, fmt.Errorf("core: %s row %d: %w", what, b.i, b.err)
+			return nil, fmt.Errorf("core: score string batch row %d: %w", b.i, b.err)
 		}
 	}
 	return out, nil
 }
 
-// ScoreString is Score for sessions that deliver a raw user-agent string.
-// Unparseable user-agents are maximally risky by definition — a browser
-// that cannot state a coherent identity fails the polygraph.
-func (m *Model) ScoreString(vector []float64, userAgent string) (Result, error) {
-	return m.ScoreStringWith(nil, vector, userAgent)
-}
-
-// ScoreStringWith is ScoreString with caller-owned scratch (see
-// ScoreWith). A repeated (vector, user-agent) pair is answered from the
-// plan's verdict memo (memo.go). Nothing allocates on this path, whether
-// or not the user-agent parses, but a repeated pair entering the memo.
-func (m *Model) ScoreStringWith(s *Scratch, vector []float64, userAgent string) (Result, error) {
-	if err := m.checkTrained(); err != nil {
-		return Result{}, err
-	}
-	if p := m.scorePlanNow(); p.valid && len(vector) == p.dim {
-		if s == nil {
-			s = p.getScratch()
-			defer p.putScratch(s)
-		}
-		return m.scoreStringMemo(p, s, vector, userAgent), nil
-	}
-	claimed, ok := ua.ParseRelease(userAgent)
-	if !ok {
-		cluster, cerr := m.predictClusterWith(s, vector)
-		if cerr != nil {
-			return Result{}, cerr
-		}
-		return Result{Cluster: cluster, Matched: false, RiskFactor: ua.MaxDistance}, nil
-	}
-	return m.ScoreWith(s, vector, claimed)
-}
-
-// predictCluster runs the scale→project→nearest-centroid pipeline.
-func (m *Model) predictCluster(vector []float64) (int, error) {
-	return m.predictClusterWith(nil, vector)
-}
-
-// predictClusterWith is predictCluster on the flattened plan with
-// optional caller scratch; mismatched widths and inconsistent models
-// fall back to the component path for its precise errors.
+// predictClusterWith runs the scale→project→nearest-centroid pipeline
+// on the flattened plan with optional caller scratch; inconsistent
+// models fall back to the component path for its precise errors.
 func (m *Model) predictClusterWith(s *Scratch, vector []float64) (int, error) {
-	if err := m.checkTrained(); err != nil {
+	if err := m.checkInput(vector); err != nil {
 		return 0, err
 	}
-	if p := m.scorePlanNow(); p.valid && len(vector) == p.dim {
+	if p := m.scorePlanNow(); p.valid {
 		if s == nil {
 			s = p.getScratch()
 			defer p.putScratch(s)
@@ -364,11 +336,6 @@ func (m *Model) predictClusterWith(s *Scratch, vector []float64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.clusterOfScaled(scaled)
-}
-
-// clusterOfScaled maps an already-scaled vector to its cluster.
-func (m *Model) clusterOfScaled(scaled []float64) (int, error) {
 	c, _, err := m.clusterAndDistance(scaled)
 	return c, err
 }
@@ -391,7 +358,7 @@ func (m *Model) clusterAndDistance(scaled []float64) (int, float64, error) {
 // PredictCluster exposes the cluster assignment without risk analysis —
 // the drift detector and the experiments need it.
 func (m *Model) PredictCluster(vector []float64) (int, error) {
-	return m.predictCluster(vector)
+	return m.predictClusterWith(nil, vector)
 }
 
 // ClusterTable renders the Table 3 view: cluster number → sorted

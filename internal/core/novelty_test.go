@@ -45,7 +45,7 @@ func TestNoveltyGuardHonestTrafficClean(t *testing.T) {
 		{Vendor: ua.Firefox, Version: 95}, {Vendor: ua.Chrome, Version: 64},
 	} {
 		vec := ext.Extract(browser.Profile{Release: r, OS: ua.Windows10})
-		res, err := m.Score(vec, r)
+		res, err := m.ScoreString(vec, ua.UserAgent(r, ua.Windows10))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestNoveltyGuardCatchesClusterConsistentCategory1(t *testing.T) {
 	if len(members) == 0 {
 		t.Skip("category-1 fingerprint landed in a noise cluster; no cluster-consistent claim exists")
 	}
-	res, err := m.Score(vec, members[0])
+	res, err := m.ScoreString(vec, ua.UserAgent(members[0], ua.Windows10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +102,11 @@ func TestNoveltyGuardSurvivesSerialization(t *testing.T) {
 	tool, _ := fraud.ToolByName("ClonBrowser-4.6.6")
 	spoof := tool.Spoof(ua.Release{Vendor: ua.Firefox, Version: 110}, ua.Windows10, rng.New(9))
 	vec := ext.Extract(spoof.Profile)
-	a, err := m.Score(vec, spoof.Claimed)
+	a, err := m.ScoreString(vec, ua.UserAgent(spoof.Claimed, ua.Windows10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := loaded.Score(vec, spoof.Claimed)
+	b, err := loaded.ScoreString(vec, ua.UserAgent(spoof.Claimed, ua.Windows10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestNoveltyGuardFlagRegimeUnchanged(t *testing.T) {
 	}
 	flagsOff, flagsOn := 0, 0
 	for _, s := range d.Sessions {
-		a, err := off.Score(s.Vector, s.Claimed)
+		a, err := off.ScoreString(s.Vector, s.UAString)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := on.Score(s.Vector, s.Claimed)
+		b, err := on.ScoreString(s.Vector, s.UAString)
 		if err != nil {
 			t.Fatal(err)
 		}

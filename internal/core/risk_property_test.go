@@ -20,7 +20,7 @@ func TestRiskFactorBounds(t *testing.T) {
 		fpRel := releases[int(fpIdx)%len(releases)]
 		claimRel := releases[int(claimIdx)%len(releases)]
 		vec := ext.Extract(browser.Profile{Release: fpRel, OS: ua.Windows10})
-		res, err := m.Score(vec, claimRel)
+		res, err := m.scoreRelease(nil, vec, claimRel)
 		if err != nil {
 			return false
 		}
@@ -42,12 +42,12 @@ func TestRiskFactorDeterministic(t *testing.T) {
 	m, _, ext := trainFixtureModel(t, 40)
 	vec := ext.Extract(browser.Profile{Release: ua.Release{Vendor: ua.Chrome, Version: 112}, OS: ua.Windows10})
 	claim := ua.Release{Vendor: ua.Firefox, Version: 101}
-	a, err := m.Score(vec, claim)
+	a, err := m.scoreRelease(nil, vec, claim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		b, err := m.Score(vec, claim)
+		b, err := m.scoreRelease(nil, vec, claim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestRiskFactorDeterministic(t *testing.T) {
 func TestRiskFactorApproachMonotone(t *testing.T) {
 	m, _, ext := trainFixtureModel(t, 40)
 	vec := ext.Extract(browser.Profile{Release: ua.Release{Vendor: ua.Chrome, Version: 112}, OS: ua.Windows10})
-	base, err := m.Score(vec, ua.Release{Vendor: ua.Chrome, Version: 112})
+	base, err := m.scoreRelease(nil, vec, ua.Release{Vendor: ua.Chrome, Version: 112})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRiskFactorApproachMonotone(t *testing.T) {
 	}
 	prev := ua.MaxDistance + 1
 	for v := 59; v <= 112; v++ {
-		res, err := m.Score(vec, ua.Release{Vendor: ua.Chrome, Version: v})
+		res, err := m.scoreRelease(nil, vec, ua.Release{Vendor: ua.Chrome, Version: v})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestRiskFactorAgreesWithAlgorithm1(t *testing.T) {
 		fpRel := releases[int(fpIdx)%len(releases)]
 		claim := releases[int(claimIdx)%len(releases)]
 		vec := ext.Extract(browser.Profile{Release: fpRel, OS: ua.Windows10})
-		res, err := m.Score(vec, claim)
+		res, err := m.scoreRelease(nil, vec, claim)
 		if err != nil {
 			return false
 		}

@@ -86,8 +86,8 @@ type scorePlan struct {
 // Scratch holds the per-scorer reusable buffers of the fast path. A
 // Scratch is model-agnostic — buffers grow on demand and survive model
 // swaps — but must not be shared between concurrent scorers. Obtain one
-// with Model.NewScratch and thread it through ScoreWith /
-// ScoreStringWith; Score and ScoreBatch manage pooled scratch
+// with Model.NewScratch and thread it through ScoreStringWith;
+// ScoreString and ScoreStringBatchContext manage pooled scratch
 // internally.
 type Scratch struct {
 	scaled  []float64        // scaled feature vector (len dim)
@@ -366,7 +366,7 @@ func (p *scorePlan) assign(x []float64) (int, float64) {
 	return best, math.Sqrt(bestD)
 }
 
-// scoreOnPlan is the allocation-free core of Score: transform, assign,
+// scoreOnPlan is the allocation-free core of scoring: transform, assign,
 // novelty check, and the Algorithm 1 risk loop over the flat UA table.
 // A claim that did not parse (!parsed) takes the maximum risk.
 // VersionDivisor and NoveltyThreshold are read live from the Model.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sort"
 	"strings"
@@ -29,7 +30,7 @@ func TestPlanParityWithComponentPath(t *testing.T) {
 	samples, _ := trainFixture(t, 8)
 	for i, s := range samples {
 		for _, claim := range planParityClaims(s.UA) {
-			fast, err := m.Score(s.Vector, claim)
+			fast, err := m.scoreRelease(nil, s.Vector, claim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +70,7 @@ func TestPlanParityWithNoveltyGuard(t *testing.T) {
 		m.NoveltyThreshold = thr
 		for i, s := range samples {
 			for _, claim := range planParityClaims(s.UA) {
-				fast, err := m.Score(s.Vector, claim)
+				fast, err := m.scoreRelease(nil, s.Vector, claim)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -136,11 +137,11 @@ func TestHandBuiltModelBuildsPlanLazily(t *testing.T) {
 	samples, _ := trainFixture(t, 4)
 	for i, s := range samples {
 		for _, claim := range planParityClaims(s.UA) {
-			got, err := hand.Score(s.Vector, claim)
+			got, err := hand.scoreRelease(nil, s.Vector, claim)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := m.Score(s.Vector, claim)
+			want, err := m.scoreRelease(nil, s.Vector, claim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,12 +172,14 @@ func TestInconsistentModelFallsBackWithComponentError(t *testing.T) {
 		VersionDivisor: m.VersionDivisor,
 	}
 	samples, _ := trainFixture(t, 1)
-	_, err := hand.Score(samples[0].Vector, samples[0].UA)
-	if err == nil {
-		t.Fatal("no error from inconsistent model")
-	}
-	if !strings.Contains(err.Error(), "scaler: vector has 28 entries, fitted on 10") {
-		t.Fatalf("error %q lost the component message", err)
+	for _, userAgent := range []string{ua.UserAgent(samples[0].UA, ua.Windows10), "definitely not a browser"} {
+		_, err := hand.ScoreString(samples[0].Vector, userAgent)
+		if err == nil {
+			t.Fatalf("%q: no error from inconsistent model", userAgent)
+		}
+		if !strings.Contains(err.Error(), "scaler: vector has 28 entries, fitted on 10") {
+			t.Fatalf("%q: error %q lost the component message", userAgent, err)
+		}
 	}
 	if p := hand.plan.Load(); p == nil || p.valid {
 		t.Fatal("inconsistent model should cache an invalid plan")
@@ -184,7 +187,9 @@ func TestInconsistentModelFallsBackWithComponentError(t *testing.T) {
 }
 
 // TestScoreAllocationFree pins the headline acceptance criterion:
-// steady-state Score is 0 allocs/op, with and without caller scratch.
+// steady-state scoring is 0 allocs/op, with and without caller scratch,
+// on the kernel (scoreRelease) and on the served path (ScoreString,
+// here a memo hit).
 func TestScoreAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items at random, distorting alloc counts")
@@ -194,24 +199,40 @@ func TestScoreAllocationFree(t *testing.T) {
 	vec, claim := samples[0].Vector, samples[0].UA
 
 	// Warm the pool, then demand zero.
-	if _, err := m.Score(vec, claim); err != nil {
+	if _, err := m.scoreRelease(nil, vec, claim); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := m.Score(vec, claim); err != nil {
+		if _, err := m.scoreRelease(nil, vec, claim); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Fatalf("Score allocates %v objects/op, want 0", allocs)
+		t.Fatalf("scoreRelease allocates %v objects/op, want 0", allocs)
 	}
 
 	scratch := m.NewScratch()
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := m.ScoreWith(scratch, vec, claim); err != nil {
+		if _, err := m.scoreRelease(scratch, vec, claim); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Fatalf("ScoreWith allocates %v objects/op, want 0", allocs)
+		t.Fatalf("scoreRelease with scratch allocates %v objects/op, want 0", allocs)
+	}
+
+	// The second sighting stores the pair in the memo; from then on
+	// ScoreString answers from it.
+	userAgent := ua.UserAgent(claim, ua.Windows10)
+	for range 2 {
+		if _, err := m.ScoreString(vec, userAgent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := m.ScoreString(vec, userAgent); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("ScoreString allocates %v objects/op, want 0", allocs)
 	}
 
 	// A claim that does not parse takes the same kernel and must cost no
@@ -231,7 +252,6 @@ func TestScoreAllocationFree(t *testing.T) {
 	// memo that inserted on first sight would allocate on every call here.
 	distinct := append([]float64(nil), vec...)
 	bits := math.Float64bits(distinct[0])
-	userAgent := ua.UserAgent(claim, ua.Windows10)
 	for _, sc := range []*Scratch{scratch, nil} {
 		if allocs := testing.AllocsPerRun(1000, func() {
 			bits++
@@ -253,18 +273,18 @@ func TestScoreBatchAllocsSizeIndependent(t *testing.T) {
 	}
 	m, _, _ := trainFixtureModel(t, 40)
 	samples, _ := trainFixture(t, 1)
-	vec, claim := samples[0].Vector, samples[0].UA
+	vec, userAgent := samples[0].Vector, ua.UserAgent(samples[0].UA, ua.Windows10)
 
 	const big = 4096
 	vectors := make([][]float64, big)
-	claims := make([]ua.Release, big)
+	userAgents := make([]string, big)
 	for i := range vectors {
 		vectors[i] = vec
-		claims[i] = claim
+		userAgents[i] = userAgent
 	}
 	measure := func(n int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, err := m.ScoreBatch(vectors[:n], claims[:n]); err != nil {
+			if _, err := m.ScoreStringBatchContext(context.Background(), vectors[:n], userAgents[:n], 0); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -273,9 +293,9 @@ func TestScoreBatchAllocsSizeIndependent(t *testing.T) {
 	// The result slice plus a handful of dispatch-time objects; the gap
 	// between sizes must not grow with row count.
 	if small > 16 {
-		t.Fatalf("ScoreBatch(64) allocates %v objects/op", small)
+		t.Fatalf("ScoreStringBatchContext(64) allocates %v objects/op", small)
 	}
 	if large > small+8 {
-		t.Fatalf("ScoreBatch allocs scale with size: %v at 64 rows, %v at %d", small, large, big)
+		t.Fatalf("ScoreStringBatchContext allocs scale with size: %v at 64 rows, %v at %d", small, large, big)
 	}
 }

@@ -354,7 +354,7 @@ func (m *Model) buildClusterTable(rows matrix.RowGroups, cfg TrainConfig, report
 		// the pristine reference fingerprint instead.
 		if cfg.Reference != nil && total < cfg.RareUAThreshold {
 			if vec, ok := cfg.Reference.ReferenceVector(rel); ok && len(vec) == m.Dim() {
-				if c, err := m.predictCluster(vec); err == nil {
+				if c, err := m.PredictCluster(vec); err == nil {
 					cluster = c
 				}
 			}
@@ -412,7 +412,7 @@ func (m *Model) EvaluateAccuracy(samples []Sample) (float64, error) {
 	assign := make([]int, len(samples))
 	unseen := map[ua.Release][]int{}
 	for i, s := range samples {
-		c, err := m.predictCluster(s.Vector)
+		c, err := m.PredictCluster(s.Vector)
 		if err != nil {
 			return 0, err
 		}

@@ -81,7 +81,7 @@ func TestVerdictGolden(t *testing.T) {
 		gen := rng.NewString("verdict-golden:" + tool.FullName())
 		for _, victim := range ua.Universe(119) {
 			spoof := tool.Spoof(victim, ua.Windows10, gen)
-			record(m.Score(ds.Extractor.Extract(spoof.Profile), spoof.Claimed))
+			record(m.ScoreString(ds.Extractor.Extract(spoof.Profile), ua.UserAgent(spoof.Claimed, ua.Windows10)))
 		}
 	}
 

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"polygraph/internal/core"
@@ -57,12 +58,12 @@ type scoredSession struct {
 func (e *Env) scoreAll() ([]scoredSession, error) {
 	sessions := e.Traffic.Sessions
 	vectors := make([][]float64, len(sessions))
-	claims := make([]ua.Release, len(sessions))
+	userAgents := make([]string, len(sessions))
 	for i, s := range sessions {
 		vectors[i] = s.Vector
-		claims[i] = s.Claimed
+		userAgents[i] = s.UAString
 	}
-	results, err := e.Model.ScoreBatch(vectors, claims)
+	results, err := e.Model.ScoreStringBatchContext(context.Background(), vectors, userAgents, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -166,7 +166,7 @@ func (e *Env) UARandomization(n int) (*UARandomizationResult, error) {
 			continue
 		}
 		res.Sessions++
-		plain, err := e.Model.Score(s.Vector, s.Claimed)
+		plain, err := e.Model.ScoreString(s.Vector, s.UAString)
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +174,7 @@ func (e *Env) UARandomization(n int) (*UARandomizationResult, error) {
 			res.FlaggedPlain++
 		}
 		randomUA := universe[gen.Intn(len(universe))]
-		randomized, err := e.Model.Score(s.Vector, randomUA)
+		randomized, err := e.Model.ScoreString(s.Vector, ua.UserAgent(randomUA, ua.Windows10))
 		if err != nil {
 			return nil, err
 		}
@@ -301,14 +301,15 @@ func (e *Env) NoveltyGuard() (*NoveltyGuardResult, error) {
 			}
 			claim := members[gen.Intn(len(members))]
 			row.Attempts++
-			plain, err := e.Model.Score(vec, claim)
+			claimUA := ua.UserAgent(claim, ua.Windows10)
+			plain, err := e.Model.ScoreString(vec, claimUA)
 			if err != nil {
 				return nil, err
 			}
 			if plain.Flagged() {
 				row.CaughtWithoutGuard++
 			}
-			withGuard, err := guarded.Score(vec, claim)
+			withGuard, err := guarded.ScoreString(vec, claimUA)
 			if err != nil {
 				return nil, err
 			}
@@ -324,11 +325,11 @@ func (e *Env) NoveltyGuard() (*NoveltyGuardResult, error) {
 		if s.Fraud {
 			continue
 		}
-		a, err := e.Model.Score(s.Vector, s.Claimed)
+		a, err := e.Model.ScoreString(s.Vector, s.UAString)
 		if err != nil {
 			return nil, err
 		}
-		b, err := guarded.Score(s.Vector, s.Claimed)
+		b, err := guarded.ScoreString(s.Vector, s.UAString)
 		if err != nil {
 			return nil, err
 		}

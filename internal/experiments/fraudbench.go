@@ -108,7 +108,7 @@ func (e *Env) Table5() ([]Table5Row, error) {
 		for _, victim := range victims {
 			spoof := tool.Spoof(victim, ua.Windows10, gen)
 			vec := e.Traffic.Extractor.Extract(spoof.Profile)
-			res, err := e.Model.Score(vec, spoof.Claimed)
+			res, err := e.Model.ScoreString(vec, ua.UserAgent(spoof.Claimed, ua.Windows10))
 			if err != nil {
 				return nil, err
 			}

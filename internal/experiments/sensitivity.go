@@ -157,7 +157,7 @@ func (e *Env) Ablations() ([]AblationRow, error) {
 		}
 		flagged := 0
 		for _, s := range e.Traffic.Sessions {
-			res, err := m.Score(s.Vector, s.Claimed)
+			res, err := m.ScoreString(s.Vector, s.UAString)
 			if err != nil {
 				return nil, err
 			}
@@ -192,7 +192,7 @@ func (e *Env) DivisorSweep() ([]DivisorSweepRow, error) {
 		m.VersionDivisor = div
 		var rf1, rf4, flagged, riskSum int
 		for _, s := range e.Traffic.Sessions {
-			res, err := m.Score(s.Vector, s.Claimed)
+			res, err := m.ScoreString(s.Vector, s.UAString)
 			if err != nil {
 				return nil, err
 			}

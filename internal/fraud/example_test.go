@@ -41,7 +41,7 @@ func ExampleKnownTools() {
 		caught, riskSum := 0, 0
 		for _, victim := range victims {
 			spoof := tool.Spoof(victim, ua.Windows10, gen)
-			res, err := model.Score(traffic.Extractor.Extract(spoof.Profile), spoof.Claimed)
+			res, err := model.ScoreString(traffic.Extractor.Extract(spoof.Profile), ua.UserAgent(spoof.Claimed, ua.Windows10))
 			if err != nil {
 				log.Fatal(err)
 			}

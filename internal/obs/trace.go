@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -10,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"polygraph/internal/pipeline"
 	"polygraph/internal/rng"
 )
 
@@ -85,12 +83,9 @@ type Span struct {
 const inlineSpans = 4
 
 // Trace is one request's record: identity, endpoint, outcome, total
-// duration, and the spans recorded along the way. The request paths
-// record spans on it directly; it also implements pipeline.SpanRecorder,
-// so attaching it to a context (which Tracer.Start does) makes every
-// pipeline stage and StartSpan section report into it. A Trace is
-// mutable until Tracer.Finish and immutable after — the ring and
-// /debug/traces only ever see finished traces.
+// duration, and the spans the request path records on it (RecordSpan).
+// A Trace is mutable until Tracer.Finish and immutable after — the ring
+// and /debug/traces only ever see finished traces.
 type Trace struct {
 	ID       TraceID `json:"id"`
 	Endpoint string  `json:"endpoint"`
@@ -110,7 +105,8 @@ type Trace struct {
 // from here spares a clock read.
 func (t *Trace) StartTime() time.Time { return t.start }
 
-// RecordSpan implements pipeline.SpanRecorder.
+// RecordSpan appends one completed span: a named section of work with
+// its start time and duration. It is safe for concurrent use.
 func (t *Trace) RecordSpan(name string, start time.Time, d time.Duration) {
 	sp := Span{Name: name, StartUs: start.Sub(t.start).Microseconds(), DurUs: d.Microseconds()}
 	t.mu.Lock()
@@ -119,15 +115,6 @@ func (t *Trace) RecordSpan(name string, start time.Time, d time.Duration) {
 	}
 	t.Spans = append(t.Spans, sp)
 	t.mu.Unlock()
-}
-
-// traceKey carries the active *Trace on a request context.
-type traceKey struct{}
-
-// TraceFrom returns the trace on ctx (nil when untraced).
-func TraceFrom(ctx context.Context) *Trace {
-	tr, _ := ctx.Value(traceKey{}).(*Trace)
-	return tr
 }
 
 // TracerConfig parameterizes a Tracer.
@@ -182,16 +169,6 @@ func (t *Tracer) Ring() *TraceRing { return t.ring }
 // spans on it directly and must call Finish exactly once.
 func (t *Tracer) Open(endpoint string) *Trace {
 	return &Trace{ID: t.ids.Next(), Endpoint: endpoint, start: time.Now()}
-}
-
-// Start is Open for a caller that hands the request on through a
-// context: the derived context carries the trace both under its own key
-// and as the pipeline span recorder.
-func (t *Tracer) Start(ctx context.Context, endpoint string) (context.Context, *Trace) {
-	tr := t.Open(endpoint)
-	ctx = context.WithValue(ctx, traceKey{}, tr)
-	ctx = pipeline.WithSpanRecorder(ctx, tr)
-	return ctx, tr
 }
 
 // Finish seals the trace with its outcome, retains it in the ring, and

@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"polygraph/internal/pipeline"
 )
 
 func TestIDGenDeterministicSet(t *testing.T) {
@@ -117,13 +115,10 @@ func TestTracerSpansAndSlowLog(t *testing.T) {
 		SlowThreshold: time.Nanosecond, // everything is slow
 		Logger:        slog.New(slog.NewJSONHandler(&buf, nil)),
 	})
-	ctx, tr := tracer.Start(context.Background(), "/v1/collect")
-	if TraceFrom(ctx) != tr {
-		t.Fatal("trace not on context")
-	}
-	end := pipeline.StartSpan(ctx, "score")
+	tr := tracer.Open("/v1/collect")
+	start := time.Now()
 	time.Sleep(time.Millisecond)
-	end()
+	tr.RecordSpan("score", start, time.Since(start))
 	tracer.Finish(tr, "ok")
 
 	if len(tr.Spans) != 1 || tr.Spans[0].Name != "score" {
@@ -232,7 +227,7 @@ func TestTracerFastRequestNotLogged(t *testing.T) {
 func TestServeTraces(t *testing.T) {
 	tracer := NewTracer(TracerConfig{Seed: 5, RingSize: 8})
 	for i := 0; i < 3; i++ {
-		_, tr := tracer.Start(context.Background(), "/v1/collect")
+		tr := tracer.Open("/v1/collect")
 		tracer.Finish(tr, "ok")
 	}
 	req := httptest.NewRequest("GET", "/debug/traces?n=2", nil)

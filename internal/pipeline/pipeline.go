@@ -119,18 +119,12 @@ func (r *Runner) Run(name string, rowsIn int, fn func(ctx context.Context) (rows
 		}
 		return &StageError{Stage: name, Err: err}
 	}
-	elapsed := time.Since(start)
 	r.timings = append(r.timings, Timing{
 		Name:     name,
-		Duration: elapsed,
+		Duration: time.Since(start),
 		RowsIn:   rowsIn,
 		RowsOut:  rowsOut,
 	})
-	// Stages double as trace spans when the context carries a recorder
-	// (the serving tier's request traces; see span.go).
-	if rec := SpanRecorderFrom(r.ctx); rec != nil {
-		rec.RecordSpan(name, start, elapsed)
-	}
 	return nil
 }
 

@@ -112,7 +112,7 @@ func TestOnTraffic(t *testing.T) {
 
 	var honest, honestBlocked, fraud, fraudBlocked int
 	for _, s := range d.Sessions {
-		res, err := model.Score(s.Vector, s.Claimed)
+		res, err := model.ScoreString(s.Vector, s.UAString)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@
 // packages so downstream users import one path:
 //
 //	model, report, err := polygraph.Train(samples, polygraph.DefaultTrainConfig())
-//	result, err := model.Score(featureVector, claimedRelease)
+//	result, err := model.ScoreString(featureVector, userAgentHeader)
 //	if result.Flagged() { /* feed result.RiskFactor to risk-based auth */ }
 //
 // Architecture (paper §5):
@@ -16,7 +16,7 @@
 //	Real-World Data Collection        → dataset.Generate / collect.Server
 //	Data Pre-Processing               → scaling + Isolation Forest inside Train
 //	Training                          → PCA(7) + k-means(11) inside Train
-//	Fraud Detection                   → Model.Score (Algorithm 1 risk factor)
+//	Fraud Detection                   → Model.ScoreString (Algorithm 1 risk factor)
 //	Drift Detection                   → drift.Detector
 //
 // See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
@@ -56,7 +56,7 @@ type (
 	// that produced it (extract with errors.As).
 	StageError = pipeline.StageError
 	// Verdict is the replayable subset of a Result, as stamped into
-	// audit-ledger records (Model.Explain, polygraphctl audit).
+	// audit-ledger records (Model.ExplainResult, polygraphctl audit).
 	Verdict = core.Verdict
 	// Explanation decomposes one verdict: per-feature z-scores, top-k
 	// PCA component shares, centroid distances, cluster-table outcome,
@@ -70,7 +70,8 @@ var (
 	// ErrCanceled reports that a context was cancelled or timed out
 	// before the operation finished.
 	ErrCanceled = core.ErrCanceled
-	// ErrBadInput reports invalid caller-supplied samples or config.
+	// ErrBadInput reports invalid caller-supplied samples or config,
+	// or a vector whose width is not the model's.
 	ErrBadInput = core.ErrBadInput
 	// ErrNotTrained reports scoring on a model that was never trained.
 	ErrNotTrained = core.ErrNotTrained

@@ -29,7 +29,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// Honest session.
 	honest := traffic.Sessions[0]
-	res, err := model.Score(honest.Vector, honest.Claimed)
+	res, err := model.ScoreString(honest.Vector, honest.UAString)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := loaded.Score(honest.Vector, honest.Claimed)
+	res2, err := loaded.ScoreString(honest.Vector, honest.UAString)
 	if err != nil {
 		t.Fatal(err)
 	}

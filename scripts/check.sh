@@ -6,7 +6,7 @@
 # benchmark module under bench/, whose seam.go pins the symbols the
 # benchmark calls — the one-ingest-core, explanations-are-derived,
 # one-use-of-unsafe, one-daemon-wiring, one-segment-writer,
-# one-evidence-path, per-row-kernel
+# one-evidence-path, one-scoring-surface, per-row-kernel
 # (score kernel included), training-reads-the-distinct-row-table,
 # training-is-one-goroutine,
 # one-operator-binary-one-perf-line, metrics-declared-once and
@@ -113,6 +113,27 @@ found=$(grep -rnwE --include='*.go' --exclude='*_test.go' -- 'Journal|OpenJourna
 found="$found$(grep -rnF --include='*.go' --exclude='*_test.go' -- '.Store()' cmd internal || true)"
 [ -z "$found" ] || { echo "check.sh: the journal or the memory store is reached outside internal/collect/pinned.go:" >&2; echo "$found" >&2; exit 1; }
 
+# One scoring surface: a session is judged against the user-agent string
+# it claims, so core.Model scores and explains through exactly four
+# exported methods — ScoreString, ScoreStringWith, ScoreStringBatchContext
+# and ExplainResult — which all parse the claim the same way, use the
+# verdict memo and give an unparseable claim maximum risk. Request traces
+# are recorded on the obs.Trace a transport opens, not carried in a
+# context: nothing names the retired span recorder, and Tracer.Start is
+# defined and called only as the shim internal/obs/pinned.go keeps for
+# bench/seam.go.
+echo "== one scoring surface"
+methods=$(ls internal/core/*.go | grep -v _test.go |
+    xargs grep -ohE '^func \([^)]*\bModel\) (Score|Explain)[A-Za-z0-9_]*\(' |
+    sed -E 's/^func \([^)]*\) //; s/\($//' | sort | tr '\n' ' ')
+[ "$methods" = "ExplainResult ScoreString ScoreStringBatchContext ScoreStringWith " ] || {
+    echo "check.sh: core.Model's Score*/Explain* methods are: ${methods}— want ExplainResult ScoreString ScoreStringBatchContext ScoreStringWith" >&2; exit 1; }
+found=$(grep -rnwE --include='*.go' --exclude='*_test.go' -- 'SpanRecorder|StartSpan' cmd internal *.go || true)
+[ -z "$found" ] || { echo "check.sh: the span recorder is named in:" >&2; echo "$found" >&2; exit 1; }
+found=$(grep -rnE --include='*.go' --exclude='*_test.go' -- 'func \([^)]*\bTracer\) Start\(|[Tt]racer(\(\))?\.Start\(|, [A-Za-z_]+ :?= [A-Za-z_.()]+\.Start\(' cmd internal *.go |
+    grep -v '^internal/obs/pinned.go:' || true)
+[ -z "$found" ] || { echo "check.sh: Tracer.Start outside internal/obs/pinned.go:" >&2; echo "$found" >&2; exit 1; }
+
 # One pass per distinct row: training runs each pure per-row kernel once
 # per row of the distinct-row table (matrix.RowGroups), so every kernel
 # has a fixed set of non-test call sites and an edit that brings back an
@@ -161,14 +182,15 @@ done
 # leaves a worker pool under the §6.4 pipeline nothing to divide
 # (CHANGES.md, PR 28, has the measurement). The training packages start
 # no goroutine and share no state, and internal/core starts goroutines
-# in one place: scoreRows, the batch scorer's split, which does measure.
+# in one place: ScoreStringBatchContext, the batch scorer's split, which
+# does measure.
 echo "== training is one goroutine"
 [ ! -e internal/parallel ] || { echo "check.sh: internal/parallel exists" >&2; exit 1; }
 training="$(ls internal/matrix/*.go internal/scaler/*.go internal/pca/*.go internal/kmeans/*.go internal/iforest/*.go | grep -v _test.go) internal/core/train.go"
 found=$(grep -nE '^[[:space:]]*go[[:space:]]|sync\.|atomic\.' $training || true)
 [ -z "$found" ] || { echo "check.sh: goroutines or shared state in the training pipeline:" >&2; echo "$found" >&2; exit 1; }
 n=$(ls internal/core/*.go | grep -v _test.go | xargs grep -F -- 'go func' | wc -l)
-[ "$n" -eq 1 ] || { echo "check.sh: $n go statements in internal/core, want 1 (scoreRows)" >&2; exit 1; }
+[ "$n" -eq 1 ] || { echo "check.sh: $n go statements in internal/core, want 1 (ScoreStringBatchContext)" >&2; exit 1; }
 
 # One operator binary, one perf line: the offline checks are
 # polygraphctl subcommands, not binaries of their own, and performance
