@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -650,5 +651,91 @@ func TestAuditLsStopsAtN(t *testing.T) {
 	corrupt(segs[0])
 	if code, out, _ = runCmd(t, "ls", "-n", "1", "-verdict", "flagged", dir); code != 1 {
 		t.Fatalf("ls -n 1 with damage before the stop: exit %d\n%s", code, out)
+	}
+}
+
+// TestAuditJSONClassSegmentResumedPacked: a segment the writer before
+// packed records wrote (internal/audit's committed fixture: class frames,
+// records of a class in JSON, one inline record, and the archive of its
+// model) verifies, lists and replays; resumed, it takes packed records in
+// the same file, and verify, ls and replay -explain, with and without
+// -model, pass over the mixed segment, the old records printing as before.
+func TestAuditJSONClassSegmentResumedPacked(t *testing.T) {
+	const hash = "53871f274906354f37faa324c4bd702f"
+	dir := t.TempDir()
+	archive := filepath.Join(dir, "model."+hash+".json")
+	for from, to := range map[string]string{
+		"jsonclass.000000.audit":  filepath.Join(dir, "decisions.000000.audit"),
+		"model." + hash + ".json": archive,
+	} {
+		raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "audit", "testdata", from))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(to, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(records string) string {
+		t.Helper()
+		if code, out, errOut := runCmd(t, "verify", dir); code != 0 || !strings.Contains(out+errOut, records+" record(s)") {
+			t.Fatalf("verify exit %d\n%s%s", code, out, errOut)
+		}
+		for _, args := range [][]string{{"replay", "-explain", dir}, {"replay", "-model", archive, "-explain", dir}} {
+			if code, out, errOut := runCmd(t, args...); code != 0 || !strings.Contains(out, "replayed "+records+"/"+records) {
+				t.Fatalf("%v exit %d\n%s%s", args, code, out, errOut)
+			}
+		}
+		code, out, errOut := runCmd(t, "ls", "-json", dir)
+		if code != 0 {
+			t.Fatalf("ls -json exit %d: %s", code, errOut)
+		}
+		return out
+	}
+	before := check("7")
+
+	m, err := audit.NewResolver(dir).Model(hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old []audit.Record
+	if _, err := audit.Scan(dir, "", func(r audit.Record) error {
+		old = append(old, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	led, err := audit.Open(audit.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range old {
+		rec.TraceID, rec.Endpoint = "", "/v1/collect"
+		if i == 3 { // the inline one: now a record of a class the segment defines
+			rec.VectorSHA256, rec.VectorDim = "", 0
+		}
+		if err := led.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// And a class the segment does not define yet.
+	vec := slices.Clone(old[0].Vector)
+	vec[0]++
+	res, err := m.ScoreString(vec, old[0].UserAgent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := led.Append(audit.Record{ModelHash: hash, UserAgent: old[0].UserAgent, Vector: vec, Verdict: core.VerdictOf(res)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs, err := audit.Segments(dir, ""); err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v (%v), want the resumed one alone", segs, err)
+	}
+	after := check("15")
+	if !strings.HasPrefix(after, before) || strings.Count(after, "\n") != 15 {
+		t.Fatalf("ls -json over the mixed segment:\n%s\nthe old records printed\n%s", after, before)
 	}
 }

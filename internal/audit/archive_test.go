@@ -3,7 +3,6 @@ package audit_test
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -294,29 +293,26 @@ func TestHotSwapRecordsResolveToTheirOwnModel(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			frames(p, func(body []byte) {
-				var f struct {
-					audit.Record
-					Class int `json:"class"`
-				}
-				if err := json.Unmarshal(body, &f); err != nil {
-					t.Errorf("frame does not decode: %v", err)
+				rec, class, defines, ok := audit.DecodeFrame(body)
+				if !ok {
+					t.Errorf("frame does not decode: %q", body)
 					return
 				}
-				hash := f.ModelHash
-				if bytes.HasPrefix(body, []byte(`{"class":`)) {
-					classModel[f.Class] = hash
-					pair := fmt.Sprint(f.UserAgent, f.Vector)
+				hash := rec.ModelHash
+				if defines {
+					classModel[class] = hash
+					pair := fmt.Sprint(rec.UserAgent, rec.Vector)
 					if pairModels[pair] == nil {
 						pairModels[pair] = map[string]bool{}
 					}
 					pairModels[pair][hash] = true
-				} else if f.Class != 0 {
-					hash = classModel[f.Class]
+				} else if class != 0 {
+					hash = classModel[class]
 				}
 				if _, err := os.Stat(filepath.Join(dir, "model."+hash+".json")); err != nil {
-					t.Errorf("%s reaches the disk before its model's archive: %v", body, err)
+					t.Errorf("%q reaches the disk before its model's archive: %v", body, err)
 				}
-				if !bytes.HasPrefix(body, []byte(`{"class":`)) {
+				if !defines {
 					written[hash]++
 				}
 			})

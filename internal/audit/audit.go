@@ -7,7 +7,7 @@
 // On-disk format — segments named <prefix>.<seq>.audit, each a stream
 // of length-prefixed frames:
 //
-//	uint32 length (big-endian) | uint32 CRC32-IEEE of body | body (JSON)
+//	uint32 length (big-endian) | uint32 CRC32-IEEE of body | body
 //
 // A record holds inputs, not derivations: the feature vector, the
 // claimed user-agent, the verdict, the hash of the model that decided
@@ -15,22 +15,26 @@
 // the serving tier's fingerprint is coarse, and under one model the
 // verdict is a function of the (user-agent, vector) pair. So a segment
 // stores each distinct (model hash, user-agent, vector, verdict) — a
-// class — once, and a body is one of three:
+// class — once, and the writer writes a body in one of three shapes, told
+// apart by its first byte:
 //
 //	{"seq":N,...every field...}                              an inline record
 //	{"class":K,"model_hash":…,"ua":…,"vector":[…],"verdict":{…}}  class K of the segment
-//	{"seq":N,"class":K,"time_ns":…,"trace_id":…,"session_id":…,"endpoint":…}
-//	                                                         a record of class K
+//	0x01 seq K time_ns trace_id session_id endpoint          a record of class K, packed
 //
-// Class ids count 1, 2, 3, … from the start of each segment, and a class
-// frame goes to the segment log in one piece with the first record of
-// its class, so every segment reads on its own. For the serving tier's
-// 28 features a record of a known class frames to about 0.17 KB, a class
-// frame to about 0.34 KB, an inline record to about 0.48 KB. Records are
-// inline when a segment has defined classCap classes, when RedactRecord
-// produced them, and in every segment written before classes existed;
-// readers take all three shapes. Scan fills a record of a class in from
-// its class frame, so readers see whole records either way.
+// (class.go spells the packed layout out). Class ids count 1, 2, 3, …
+// from the start of each segment, and a class frame goes to the segment
+// log in one piece with the first record of its class, so every segment
+// reads on its own. For the serving tier's 28 features a record of a known
+// class frames to about 60 B, a class frame to about 0.34 KB, an inline
+// record to about 0.48 KB. Records are inline when their class is new to
+// a segment that has defined classCap classes, when RedactRecord produced
+// them, and in every segment written before classes existed. Segments
+// written before records were packed store a record of a class as JSON,
+// {"seq":N,"class":K,"time_ns":…,…}; readers take all four shapes, and
+// any other first byte ends the readable stream as a checksum error does.
+// Scan fills a record of a class in from its class frame, so readers see
+// whole records either way.
 //
 // The explanation of a verdict is a pure function of (model, vector,
 // user-agent) and is computed when a record is read (Resolver.Explain),
@@ -59,7 +63,7 @@
 // write(2), whole frames only. A record is in the file within a
 // second of Append (a quiet ledger's buffer is flushed by a timer),
 // or when Sync, Rotate or Close return. A process crash can lose at
-// most the two buffers (about 390 records of known classes of the
+// most the two buffers (about 1 100 records of known classes of the
 // serving tier, 130 inline ones), a machine crash also what the OS
 // had not written back; either leaves at worst a torn tail, which
 // Open drops. A disk that falls behind blocks Append once both
@@ -263,9 +267,10 @@ type Ledger struct {
 	seq uint64 // next record sequence number
 	// lead and classLead are writeFrame's scratch: the 8-byte frame header
 	// and the frame's opening up to and including the numbers assigned
-	// under mu (at most 20 digits each). A local array would escape to
-	// the heap through the log.
-	lead      [8 + len(recordHead) + 20 + len(classRef) + 20]byte
+	// under mu — an inline record's sequence number in at most 20 digits,
+	// or a packed record's tag and two uvarints. A local array would
+	// escape to the heap through the log.
+	lead      [8 + max(len(recordHead)+20, 1+2*binary.MaxVarintLen64)]byte
 	classLead [8 + len(classHead) + 20]byte
 
 	ringMu sync.Mutex
@@ -363,6 +368,23 @@ type frame struct {
 	Class int `json:"class"`
 }
 
+// decodeFrame decodes one non-empty frame body into f and reports whether
+// it is a class frame; ok is false for a body of none of the shapes. A
+// body opening with '{' is JSON: an inline record, a class frame, or a
+// record of a class from before records were packed.
+func decodeFrame(body []byte, f *frame) (defines, ok bool) {
+	switch body[0] {
+	case '{':
+		if json.Unmarshal(body, f) != nil {
+			return false, false
+		}
+		return bytes.HasPrefix(body, []byte(classHead)), true
+	case packedTag:
+		return false, readPacked(body[1:], f)
+	}
+	return false, false
+}
+
 // scanFrames walks the frames of one segment from r, calling fn (when
 // non-nil) for each intact record, with the fields a record of a class
 // leaves out filled in from its class frame. A length or checksum
@@ -395,12 +417,13 @@ func scanFrames(r io.Reader, fn func(Record) error) (segmentScan, error) {
 			return s, nil
 		}
 		var f frame
-		if err := json.Unmarshal(body, &f); err != nil {
+		defines, ok := decodeFrame(body, &f)
+		if !ok {
 			// Framed and checksummed but not a frame of ours: corrupt
 			// producer, treat as the end of the readable stream.
 			return s, nil
 		}
-		if bytes.HasPrefix(body, []byte(classHead)) {
+		if defines {
 			if f.Class != len(s.classes)+1 {
 				return s, nil
 			}
@@ -470,10 +493,10 @@ var encodings = sync.Pool{New: func() any {
 // sequence number, the class table, the checksum and a copy into the
 // segment log's buffer — not on each other's encoding, and not on the
 // disk. What is encoded depends on the active segment's class table: a
-// record of a class the segment defines needs only its provenance; one
-// of a class it does not define yet, the class frame's body and the
-// class as well. A record RedactRecord produced, and every record of a
-// segment whose table is full, is encoded whole, unhashed.
+// record of a class the segment defines needs only its packed
+// provenance; one of a class it does not define yet, the class frame's
+// body and the class as well, or — when the table is full — the whole
+// record. A record classable refuses is encoded whole, unhashed.
 func (l *Ledger) Append(rec Record) error {
 	rec.Explanation = nil
 	e := encodings.Get().(*encoding)
@@ -483,11 +506,16 @@ func (l *Ledger) Append(rec Record) error {
 		err error
 	)
 	t := l.classes.Load()
-	classed := classable(&rec) && !t.full()
+	classed := classable(&rec)
 	if classed {
 		h = classHash(l.hasher, &rec)
-		e.prov = appendProvenance(e.prov, &rec)
-		if t.find(h, &rec) == nil {
+		switch {
+		case t.find(h, &rec) != nil:
+			e.prov = appendProvenance(e.prov, &rec)
+		case t.full():
+			e.inline, err = rec.appendAfterSeq(e.inline)
+		default:
+			e.prov = appendProvenance(e.prov, &rec)
 			e.body, err = appendClassBody(e.body, &rec)
 			e.class = newClass(h, &rec)
 		}
@@ -517,7 +545,9 @@ func (l *Ledger) Append(rec Record) error {
 // the segment log says which, and a new segment starts a new table —
 // frames the record (after its class frame, if it defines the class),
 // hands the frames to the segment log in one piece and returns their
-// size. It encodes what Append's guess at the table left out.
+// size. A class the full table wrote inline before starts a new segment
+// (classTable.recurs). It encodes what Append's guess at the table left
+// out.
 func (l *Ledger) writeFrame(rec *Record, classed bool, h uint64, e *encoding) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -533,11 +563,19 @@ func (l *Ledger) writeFrame(rec *Record, classed bool, h uint64, e *encoding) (i
 	)
 	for {
 		c, define = nil, false
-		if classed && !t.full() {
-			c = t.find(h, rec)
-			define = c == nil
+		if classed {
+			if c = t.find(h, rec); c == nil {
+				define = !t.full()
+				if !define && t.recurs(h) {
+					if err := l.log.Rotate(); err != nil {
+						return 0, fmt.Errorf("audit: write frame: %w", err)
+					}
+				}
+			}
 		}
-		lead := strconv.AppendUint(append(l.lead[:8], recordHead...), rec.Seq, 10)
+		if (define || c != nil) && len(e.prov) == 0 {
+			e.prov = appendProvenance(e.prov, rec)
+		}
 		switch {
 		case define:
 			if len(e.body) == 0 {
@@ -548,17 +586,16 @@ func (l *Ledger) writeFrame(rec *Record, classed bool, h uint64, e *encoding) (i
 			}
 			id = int(t.n.Load()) + 1
 			classLead := strconv.AppendInt(append(l.classLead[:8], classHead...), int64(id), 10)
-			lead = strconv.AppendInt(append(lead, classRef...), int64(id), 10)
-			parts, np = [4][]byte{classLead, e.body, lead, e.prov}, 4
+			parts, np = [4][]byte{classLead, e.body, appendPackedLead(l.lead[:8], rec.Seq, id), e.prov}, 4
 		case c != nil:
-			lead = strconv.AppendInt(append(lead, classRef...), int64(c.id), 10)
-			parts, np = [4][]byte{lead, e.prov}, 2
+			parts, np = [4][]byte{appendPackedLead(l.lead[:8], rec.Seq, c.id), e.prov}, 2
 		default:
 			if len(e.inline) == 0 {
 				if e.inline, err = rec.appendAfterSeq(e.inline); err != nil {
 					return 0, fmt.Errorf("audit: marshal record: %w", err)
 				}
 			}
+			lead := strconv.AppendUint(append(l.lead[:8], recordHead...), rec.Seq, 10)
 			parts, np = [4][]byte{lead, e.inline}, 2
 		}
 		n = 0

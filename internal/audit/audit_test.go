@@ -476,12 +476,13 @@ func TestSegmentsOrder(t *testing.T) {
 // BenchmarkLedgerAppend is one admitted record of the serving tier's
 // shape (28-feature vector, no explanation) encoded, framed and buffered:
 //   - known-class: a record of a class its segment already defines
-//     (≈ 0.16 KB framed, the common case);
+//     (≈ 60 B framed, packed; the common case);
 //   - new-class: every record a fingerprint not seen before, so each
-//     defines a class (class frame + record, ≈ 0.5 KB) — the segment is
+//     defines a class (class frame + record, ≈ 0.4 KB) — the segment is
 //     rotated, untimed, whenever its table fills;
 //   - past-cap: every record a fingerprint not seen before, in a segment
-//     whose table is full, so each is written whole (≈ 0.47 KB).
+//     whose table is full, so each is hashed, looked up and written whole
+//     (≈ 0.47 KB).
 //
 // The last two are a flood that never repeats a fingerprint (paper §2.2).
 // scripts/benchgate.sh gates their allocs/op.

@@ -56,24 +56,43 @@ func checkParity(t testing.TB, rec *Record) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("encoder differs from json.Marshal:\n got %s\nwant %s", got, want)
 	}
-	// Written as a record of a class, the record must read back as it
-	// does inline: every stored field is in the class frame or in the
-	// record.
+	// Written as the writer writes the records of a class — the class
+	// frame, then a record in its packed shape, or inline when classable
+	// refuses it — the record must read back as it does inline: every
+	// stored field is in the class frame or in the record.
 	lean.Redacted, lean.VectorSHA256, lean.VectorDim = false, "", 0
 	inline, err := encodeRecord(&lean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := appendClassBody([]byte(classHead+"1"), &lean)
+	want1, _ := scanBytes(frameBytes(inline))
+	if len(want1) != 1 {
+		t.Fatalf("the inline record does not read back: %s", inline)
+	}
+	got1, _ := scanBytes(classFrames(t, &lean))
+	if !reflect.DeepEqual(got1, want1) {
+		t.Fatalf("a record of a class reads back as\n%+v\ninline as\n%+v", got1, want1)
+	}
+}
+
+// classFrames is what the writer appends for rec, the first record of
+// class 1 of a segment: the class frame and the packed record, or, for a
+// record classable refuses, the inline record.
+func classFrames(t testing.TB, rec *Record) []byte {
+	t.Helper()
+	if !classable(rec) {
+		inline, err := encodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frameBytes(inline)
+	}
+	body, err := appendClassBody([]byte(classHead+"1"), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := appendProvenance(append(strconv.AppendUint([]byte(recordHead), lean.Seq, 10), classRef+"1"...), &lean)
-	want1, _ := scanBytes(frameBytes(inline))
-	got1, _ := scanBytes(append(frameBytes(body), frameBytes(ref)...))
-	if len(want1) != 1 || !reflect.DeepEqual(got1, want1) {
-		t.Fatalf("a record of a class reads back as\n%+v\ninline as\n%+v", got1, want1)
-	}
+	packed := appendProvenance(appendPackedLead(nil, rec.Seq, 1), rec)
+	return append(frameBytes(body), frameBytes(packed)...)
 }
 
 // leaves calls fn on every settable leaf value under v (strings,
@@ -150,6 +169,10 @@ var hostileStrings = []string{
 	"trailing lead byte \xe2\x80",
 	"Mozilla/5.0 (Windows NT 10.0; Win64; x64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/112.0.0.0 Safari/537.36",
 	"日本語 ünïcödé 🦊",
+	"00c0ffee00c0ffee",                 // a canonical trace ID
+	"fedcba9876543210fedcba9876543210", // a canonical session ID
+	"00C0FFEE00C0FFEE",                 // upper-case: not canonical
+	"00c0ffee00c0ffeg",
 }
 
 // hostileFloats covers both notations, their cut-overs, the exponent
@@ -324,8 +347,8 @@ func TestServingRecordSize(t *testing.T) {
 	}
 	known := l.Counters().Bytes - first
 	t.Run("known-class", func(t *testing.T) {
-		if known > 200 {
-			t.Fatalf("a record of a known class frames to %d B, want ≤ 200", known)
+		if known > 72 {
+			t.Fatalf("a record of a known class frames to %d B, want ≤ 72", known)
 		}
 	})
 	t.Run("class-frame", func(t *testing.T) {
@@ -336,13 +359,16 @@ func TestServingRecordSize(t *testing.T) {
 }
 
 // FuzzRecordEncodeParity: whatever strings and numbers a record holds,
-// the encoder writes what json.Marshal writes, or both refuse.
+// the encoder writes what json.Marshal writes, or both refuse; and written
+// as the writer writes a record of a class, it reads back as it does
+// inline (checkParity).
 func FuzzRecordEncodeParity(f *testing.F) {
 	for i, s := range hostileStrings {
 		f.Add(s, hostileFloats[i], hostileFloats[len(hostileFloats)-1-i], int64(i)-3, uint8(i))
 	}
 	f.Add("NaN", math.NaN(), 1.0, int64(math.MinInt64), uint8(0xff))
 	f.Add("Inf", 2.5, math.Inf(-1), int64(math.MaxInt64), uint8(0x55))
+	f.Add("\xff", 0.5, 1.0, int64(-1), uint8(0x50))
 	f.Fuzz(func(t *testing.T, s string, a, b float64, n int64, bits uint8) {
 		on := func(i int) bool { return bits>>i&1 == 1 }
 		rec := &Record{
@@ -356,7 +382,14 @@ func FuzzRecordEncodeParity(f *testing.F) {
 		}
 		if on(4) {
 			rec.Vector = []float64{a, b, float64(n)}
-			rec.ModelHash, rec.SessionID, rec.Endpoint, rec.VectorSHA256 = s, s, s, s
+			rec.ModelHash, rec.SessionID, rec.Endpoint = s, s, s
+		}
+		if on(5) {
+			rec.VectorSHA256 = s
+		}
+		if on(6) { // the serving tier's IDs
+			rec.TraceID = fmt.Sprintf("%016x", uint64(n))
+			rec.SessionID = fmt.Sprintf("%016x%016x", math.Float64bits(a), math.Float64bits(b))
 		}
 		checkParity(t, rec)
 	})

@@ -184,7 +184,9 @@ func TestCountersIdentityUnderConcurrentAppends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const writers, each = 4, 3000
+			// Enough records of a class (≈ 60 B framed) that some leave the
+			// two 32 KiB buffers for the disk before it fills, at 1 in 100.
+			const writers, each = 4, 12000
 			var started, finished atomic.Int64
 			var diskFills sync.Once // half-way through, however the writers are scheduled
 			var wg sync.WaitGroup
@@ -201,7 +203,7 @@ func TestCountersIdentityUnderConcurrentAppends(t *testing.T) {
 							})
 						}
 						started.Add(1)
-						rec := servingRecord() // a record of a class: ≈ 160 B framed
+						rec := servingRecord()
 						rec.Verdict.Flagged = i%10 == 0
 						_ = l.Record(rec) // fails once the disk has
 						finished.Add(1)
@@ -313,9 +315,10 @@ func TestCrashRecoveryAtEveryOffset(t *testing.T) {
 				t.Fatalf("cut at %d: %v", cut, err)
 			}
 			if class == 0 {
-				ref := fmt.Sprintf(`{"seq":%d,"class":1,"trace_id":"post-crash-0"}`, whole)
+				rec := withSeq(classRecord(0, "post-crash-0"), uint64(whole))
+				ref := appendProvenance(appendPackedLead(nil, rec.Seq, 1), &rec)
 				if got := l.Counters().Bytes; got != int64(8+len(ref)) {
-					t.Fatalf("cut at %d: the post-crash record of class 0 took %d B, want the %d of %s", cut, got, 8+len(ref), ref)
+					t.Fatalf("cut at %d: the post-crash record of class 0 took %d B, want the %d of a packed record of class 1", cut, got, 8+len(ref))
 				}
 			}
 		}

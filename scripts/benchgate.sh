@@ -19,10 +19,10 @@
 #                                               block, its centroid list, the claim)
 #   BenchmarkLedgerAppend/known-class  ≤ 1 allocs/op  (internal/audit: pooled encode
 #                                               buffers; a record of a class its segment
-#                                               defines, ≈ 0.16 KB framed)
+#                                               defines, packed, ≈ 60 B framed)
 #   BenchmarkLedgerAppend/past-cap     ≤ 1 allocs/op  (never-repeated fingerprints in a
-#                                               segment whose class table is full: the
-#                                               whole record, ≈ 0.47 KB, unhashed)
+#                                               segment whose class table is full: hashed,
+#                                               looked up, the whole record, ≈ 0.47 KB)
 #   BenchmarkLedgerAppend/new-class    ≤ 4 allocs/op  (never-repeated fingerprints, each
 #                                               defining a class: the class, its two
 #                                               strings and its vector)
