@@ -24,19 +24,19 @@ import (
 //	                                    is missing or damaged
 //	polygraphctl audit ls [-n N] [-verdict v] [-trace id] [-json] <dir>
 //	                                    print matching records
-//	polygraphctl audit replay [-model model.json] [-explain] [-v] <dir>
-//	                                    re-score every recorded vector
-//	                                    and fail on any verdict divergence
+//	polygraphctl audit replay [-model model.json] [-v] <dir>
+//	                                    re-derive every verdict and its
+//	                                    explanation; fail on any divergence
 //
 // Replay is the machine-checkable consistency invariant: a verdict is
 // only trustworthy if the recorded (vector, user-agent) re-derives it
 // bit-for-bit through the recorded model. Each record is replayed
 // through the model its hash names in the ledger directory's archive
 // (model.<hash>.json); -model replays through one model file instead,
-// skipping records stamped with another hash. -explain additionally
-// derives each explanation, and compares it byte-for-byte where the
-// record stores one (segments from before explanations were derived on
-// read). ls -json prints each record with its explanation derived.
+// skipping records stamped with another hash. Each explanation is
+// derived too, and compared byte-for-byte where the record stores one
+// (segments from before explanations were derived on read). ls -json
+// prints each record with its explanation derived.
 func runAudit(args []string, stdout, stderr io.Writer) int {
 	return dispatch("audit", []command{
 		{"verify", runAuditVerify},
@@ -45,8 +45,12 @@ func runAudit(args []string, stdout, stderr io.Writer) int {
 	}, args, stdout, stderr)
 }
 
-// ledgerArg returns the one ledger directory an audit subcommand takes.
-func ledgerArg(fs *flag.FlagSet, stderr io.Writer) (string, bool) {
+// ledgerArg parses an audit subcommand's args and returns the one ledger
+// directory they name; false is a usage error, already reported.
+func ledgerArg(fs *flag.FlagSet, args []string, stderr io.Writer) (string, bool) {
+	if fs.Parse(args) != nil {
+		return "", false
+	}
 	if fs.NArg() != 1 {
 		fail(stderr, "audit: exactly one ledger directory required")
 		return "", false
@@ -77,10 +81,7 @@ func runAuditVerify(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("polygraphctl audit verify", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	prefix := fs.String("prefix", "", "segment name prefix (default decisions)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	dir, ok := ledgerArg(fs, stderr)
+	dir, ok := ledgerArg(fs, args, stderr)
 	if !ok {
 		return 2
 	}
@@ -133,7 +134,8 @@ func runAuditLs(args []string, stdout, stderr io.Writer) int {
 	verdict := fs.String("verdict", "", "filter: flagged or benign")
 	trace := fs.String("trace", "", "filter: exact trace ID")
 	asJSON := fs.Bool("json", false, "print full records, explanations derived, as JSON lines")
-	if err := fs.Parse(args); err != nil {
+	dir, ok := ledgerArg(fs, args, stderr)
+	if !ok {
 		return 2
 	}
 	switch *verdict {
@@ -141,22 +143,12 @@ func runAuditLs(args []string, stdout, stderr io.Writer) int {
 	default:
 		return fail(stderr, "bad -verdict %q (want flagged or benign)", *verdict)
 	}
-	dir, ok := ledgerArg(fs, stderr)
-	if !ok {
-		return 2
-	}
 	enc := json.NewEncoder(stdout)
 	models := audit.NewResolver(dir)
 	printed, unexplained := 0, 0
 	var firstExplainErr error
 	stats, err := audit.Scan(dir, *prefix, func(rec audit.Record) error {
-		if *verdict == "flagged" && !rec.Verdict.Flagged {
-			return nil
-		}
-		if *verdict == "benign" && rec.Verdict.Flagged {
-			return nil
-		}
-		if *trace != "" && rec.TraceID != *trace {
+		if !rec.Matches(*verdict, *trace) {
 			return nil
 		}
 		if *asJSON {
@@ -199,12 +191,8 @@ func runAuditReplay(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	prefix := fs.String("prefix", "", "segment name prefix (default decisions)")
 	modelPath := fs.String("model", "", "replay through this model file, skipping records stamped with another hash (default: each record through its archived model)")
-	explain := fs.Bool("explain", false, "also derive every explanation, and compare stored ones byte-for-byte")
 	verbose := fs.Bool("v", false, "print every mismatch in detail")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	dir, ok := ledgerArg(fs, stderr)
+	dir, ok := ledgerArg(fs, args, stderr)
 	if !ok {
 		return 2
 	}
@@ -241,40 +229,25 @@ func runAuditReplay(args []string, stdout, stderr io.Writer) int {
 			return nil
 		}
 		replayed++
-		res, err := model.ScoreString(rec.Vector, rec.UserAgent)
-		if err != nil {
+		switch d := models.Derive(model, &rec); {
+		case d.ScoreErr != nil:
 			mismatches++
-			fmt.Fprintf(stdout, "seq=%d trace=%s: replay scoring failed: %v\n", rec.Seq, rec.TraceID, err)
-			return nil
-		}
-		got := core.VerdictOf(res)
-		if got != rec.Verdict {
+			fmt.Fprintf(stdout, "seq=%d trace=%s: replay scoring failed: %v\n", rec.Seq, rec.TraceID, d.ScoreErr)
+		case d.Verdict != rec.Verdict:
 			mismatches++
 			fmt.Fprintf(stdout, "seq=%d trace=%s: VERDICT DIVERGED\n  recorded: %+v\n  replayed: %+v\n",
-				rec.Seq, rec.TraceID, rec.Verdict, got)
-			return nil
-		}
-		if *explain {
-			topK := core.DefaultExplainTopK
-			if rec.Explanation != nil {
-				topK = len(rec.Explanation.TopFeatures)
-			}
-			ex, err := model.ExplainResult(rec.Vector, rec.UserAgent, res, topK)
-			if err != nil {
-				mismatches++
-				fmt.Fprintf(stdout, "seq=%d: replay explanation failed: %v\n", rec.Seq, err)
-				return nil
-			}
-			if rec.Explanation == nil {
-				return nil
-			}
+				rec.Seq, rec.TraceID, rec.Verdict, d.Verdict)
+		case d.ExplainErr != nil:
+			mismatches++
+			fmt.Fprintf(stdout, "seq=%d: replay explanation failed: %v\n", rec.Seq, d.ExplainErr)
+		case rec.Explanation != nil:
 			want, _ := json.Marshal(rec.Explanation)
-			gotJSON, _ := json.Marshal(ex)
-			if !bytes.Equal(want, gotJSON) {
+			got, _ := json.Marshal(d.Explanation)
+			if !bytes.Equal(want, got) {
 				mismatches++
 				fmt.Fprintf(stdout, "seq=%d trace=%s: EXPLANATION DIVERGED\n", rec.Seq, rec.TraceID)
 				if *verbose {
-					fmt.Fprintf(stdout, "  recorded: %s\n  replayed: %s\n", want, gotJSON)
+					fmt.Fprintf(stdout, "  recorded: %s\n  replayed: %s\n", want, got)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -305,9 +306,9 @@ func TestAuditReplayCleanLedger(t *testing.T) {
 		t.Fatalf("replay output: %s", out)
 	}
 
-	code, out, _ = runCmd(t, "replay", "-model", modelPath, "-explain", dir)
+	code, out, _ = runCmd(t, "replay", "-model", modelPath, dir)
 	if code != 0 || !strings.Contains(out, "100% of verdicts re-derived identically") {
-		t.Fatalf("replay -explain exit %d\n%s", code, out)
+		t.Fatalf("replay exit %d\n%s", code, out)
 	}
 }
 
@@ -376,6 +377,54 @@ func TestAuditReplayDetectsTamperedVerdict(t *testing.T) {
 	}
 	if !strings.Contains(out, "VERDICT DIVERGED") || !strings.Contains(errOut, "did not re-derive") {
 		t.Fatalf("tamper not reported:\nstdout: %s\nstderr: %s", out, errOut)
+	}
+}
+
+// TestAuditReplayJudgesEveryRecordOfAClass: three records lie about
+// their verdict and three tell the truth, all of one fingerprint,
+// interleaved liars first. Each liar is reported under its own seq and
+// trace, and no truthful record is, so replay does not carry one record's
+// outcome over to another record's claim.
+func TestAuditReplayJudgesEveryRecordOfAClass(t *testing.T) {
+	m, ext := trainModel(t, 30)
+	modelPath := saveModel(t, m)
+	hash, err := m.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := ua.Release{Vendor: ua.Chrome, Version: 112}
+	vec := ext.Extract(browser.Profile{Release: rel, OS: ua.Windows10})
+	userAgent := ua.UserAgent(rel, ua.Windows10)
+	res, err := m.ScoreString(vec, userAgent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := core.VerdictOf(res)
+	lie := truth
+	lie.Flagged = !lie.Flagged
+	var recs []audit.Record
+	for i := 0; i < 6; i++ {
+		v := truth
+		if i%2 == 0 {
+			v = lie
+		}
+		recs = append(recs, audit.Record{TraceID: fmt.Sprintf("%016x", i+1), ModelHash: hash, UserAgent: userAgent, Vector: vec, Verdict: v})
+	}
+	dir := filepath.Join(t.TempDir(), "audit")
+	appendLean(t, dir, m, recs)
+
+	for _, args := range [][]string{{"replay", dir}, {"replay", "-model", modelPath, dir}} {
+		code, out, errOut := runCmd(t, args...)
+		if code != 1 || strings.Count(out, "VERDICT DIVERGED") != 3 || !strings.Contains(out, "replayed 6/6") ||
+			!strings.Contains(errOut, "3 verdict(s) did not re-derive") {
+			t.Fatalf("%v: exit %d\n%s%s", args, code, out, errOut)
+		}
+		for i := range recs {
+			line := fmt.Sprintf("seq=%d trace=%016x: VERDICT DIVERGED", i, i+1)
+			if liar := i%2 == 0; strings.Contains(out, line) != liar || strings.Contains(out, fmt.Sprintf("seq=%d ", i)) != liar {
+				t.Fatalf("%v: record %d (a liar: %v) misreported:\n%s", args, i, liar, out)
+			}
+		}
 	}
 }
 
@@ -467,7 +516,7 @@ func TestAuditLsJSONPrintsWhatTheOldFormatStored(t *testing.T) {
 
 // TestAuditMixedLedger: a segment from before explanations were derived,
 // then lean appends after a reopen. Open resumes the sequence, and
-// verify, ls and replay -explain pass over both halves — the old half
+// verify, ls and replay pass over both halves — the old half
 // compared byte for byte against what it stores.
 func TestAuditMixedLedger(t *testing.T) {
 	m, ext := trainModel(t, 30)
@@ -481,8 +530,8 @@ func TestAuditMixedLedger(t *testing.T) {
 	if code, out, errOut := runCmd(t, "verify", dir); code != 0 {
 		t.Fatalf("verify of an old-format ledger exit %d\n%s%s", code, out, errOut)
 	}
-	if code, out, errOut := runCmd(t, "replay", "-model", modelPath, "-explain", dir); code != 0 || !strings.Contains(out, "replayed 4/4") {
-		t.Fatalf("replay -model -explain of an old-format ledger exit %d\n%s%s", code, out, errOut)
+	if code, out, errOut := runCmd(t, "replay", "-model", modelPath, dir); code != 0 || !strings.Contains(out, "replayed 4/4") {
+		t.Fatalf("replay -model of an old-format ledger exit %d\n%s%s", code, out, errOut)
 	}
 	_, oldJSON, _ := runCmd(t, "ls", "-json", dir)
 	// Without -model there is no archive to replay through: loud, not skipped.
@@ -494,7 +543,7 @@ func TestAuditMixedLedger(t *testing.T) {
 	if code, out, errOut := runCmd(t, "verify", dir); code != 0 || !strings.Contains(out, "8 record(s)") {
 		t.Fatalf("verify exit %d\n%s%s", code, out, errOut)
 	}
-	for _, args := range [][]string{{"replay", "-explain", dir}, {"replay", "-model", modelPath, "-explain", dir}} {
+	for _, args := range [][]string{{"replay", dir}, {"replay", "-model", modelPath, dir}} {
 		if code, out, errOut := runCmd(t, args...); code != 0 || !strings.Contains(out, "replayed 8/8") {
 			t.Fatalf("%v exit %d\n%s%s", args, code, out, errOut)
 		}
@@ -520,7 +569,7 @@ func TestAuditMixedLedger(t *testing.T) {
 	tampered[1].Explanation.TopFeatures[0].Z += 1
 	dir2 := t.TempDir()
 	writeOldSegment(t, dir2, tampered)
-	if code, out, _ := runCmd(t, "replay", "-model", modelPath, "-explain", dir2); code != 1 || !strings.Contains(out, "seq=1") || !strings.Contains(out, "EXPLANATION DIVERGED") {
+	if code, out, _ := runCmd(t, "replay", "-model", modelPath, dir2); code != 1 || !strings.Contains(out, "seq=1") || !strings.Contains(out, "EXPLANATION DIVERGED") {
 		t.Fatalf("tampered stored explanation: exit %d\n%s", code, out)
 	}
 }
@@ -560,11 +609,11 @@ func TestAuditUnresolvableModelIsLoud(t *testing.T) {
 		if code != 1 || strings.Count(out, "\n") != 4 || strings.Contains(out, "explanation") || !strings.Contains(errOut, hash) {
 			t.Fatalf("%s archive: ls -json exit %d\n%s%s", name, code, out, errOut)
 		}
-		if code, out, errOut = runCmd(t, "replay", "-explain", dir); code != 1 || !strings.Contains(out, "UNRESOLVED model "+hash) {
+		if code, out, errOut = runCmd(t, "replay", dir); code != 1 || !strings.Contains(out, "UNRESOLVED model "+hash) {
 			t.Fatalf("%s archive: replay exit %d\n%s%s", name, code, out, errOut)
 		}
 		// The operator's copy of the model still replays the ledger.
-		if code, out, errOut = runCmd(t, "replay", "-model", modelPath, "-explain", dir); code != 0 {
+		if code, out, errOut = runCmd(t, "replay", "-model", modelPath, dir); code != 0 {
 			t.Fatalf("%s archive: replay -model exit %d\n%s%s", name, code, out, errOut)
 		}
 		// The plain listing derives nothing and does not need the archive.
@@ -585,7 +634,7 @@ func TestAuditReplayEachRecordThroughItsOwnModel(t *testing.T) {
 	appendLean(t, dir, m1, explainedRecords(t, m1, ext))
 	appendLean(t, dir, m2, explainedRecords(t, m2, ext))
 
-	code, out, errOut := runCmd(t, "replay", "-explain", dir)
+	code, out, errOut := runCmd(t, "replay", dir)
 	if code != 0 || !strings.Contains(out, "replayed 8/8 record(s), each against its archived model") {
 		t.Fatalf("replay exit %d\n%s%s", code, out, errOut)
 	}
@@ -658,7 +707,7 @@ func TestAuditLsStopsAtN(t *testing.T) {
 // packed records wrote (internal/audit's committed fixture: class frames,
 // records of a class in JSON, one inline record, and the archive of its
 // model) verifies, lists and replays; resumed, it takes packed records in
-// the same file, and verify, ls and replay -explain, with and without
+// the same file, and verify, ls and replay, with and without
 // -model, pass over the mixed segment, the old records printing as before.
 func TestAuditJSONClassSegmentResumedPacked(t *testing.T) {
 	const hash = "53871f274906354f37faa324c4bd702f"
@@ -681,7 +730,7 @@ func TestAuditJSONClassSegmentResumedPacked(t *testing.T) {
 		if code, out, errOut := runCmd(t, "verify", dir); code != 0 || !strings.Contains(out+errOut, records+" record(s)") {
 			t.Fatalf("verify exit %d\n%s%s", code, out, errOut)
 		}
-		for _, args := range [][]string{{"replay", "-explain", dir}, {"replay", "-model", archive, "-explain", dir}} {
+		for _, args := range [][]string{{"replay", dir}, {"replay", "-model", archive, dir}} {
 			if code, out, errOut := runCmd(t, args...); code != 0 || !strings.Contains(out, "replayed "+records+"/"+records) {
 				t.Fatalf("%v exit %d\n%s%s", args, code, out, errOut)
 			}

@@ -93,7 +93,7 @@ const usage = `usage:
   polygraphctl bundle analyze [-json] [-p99-budget D] [-slo-spec spec.json] <bundle-source>
   polygraphctl audit verify <ledger-dir>
   polygraphctl audit ls [-n N] [-verdict flagged|benign] [-trace id] [-json] <ledger-dir>
-  polygraphctl audit replay [-model model.json] [-explain] [-v] <ledger-dir>
+  polygraphctl audit replay [-model model.json] [-v] <ledger-dir>
   polygraphctl version
 a <source> is a file path, an http(s) URL, or - for stdin
 `

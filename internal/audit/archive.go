@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"polygraph/internal/core"
+	"polygraph/internal/fphash"
 )
 
 // The model archive: every model a replica deploys, saved once beside
@@ -84,12 +85,16 @@ func (l *Ledger) ArchiveModel(m *core.Model) (string, error) {
 const resolverCache = 4
 
 // Resolver turns the model hash stamped on a record back into the model,
-// from the archive in a ledger directory. It is safe for concurrent use.
+// from the archive in a ledger directory, and derives what a model makes
+// of a record (Derive). It is safe for concurrent use.
 type Resolver struct {
-	dir string
+	dir    string
+	hasher fphash.Hasher // keys derived
 
-	mu    sync.Mutex
-	cache map[string]resolved
+	mu      sync.Mutex
+	cache   map[string]resolved
+	derived map[uint64]*Derivation // at most classCap, by classHash
+	seen    [classCap]uint64       // derived's doorkeeper, as Scratch.seen is the memo's
 }
 
 // resolved is one remembered look-up; a failed one is kept too, so a
@@ -100,9 +105,21 @@ type resolved struct {
 	err   error
 }
 
+// Derivation is what a model makes of a record's inputs (Derive).
+type Derivation struct {
+	Verdict     core.Verdict      // the verdict the model gives
+	Explanation *core.Explanation // shared by the records of a class: read-only
+	ScoreErr    error             // the inputs did not score; nothing else is set
+	ExplainErr  error             // the verdict did not explain
+
+	class *class      // derived from a record of class,
+	model *core.Model // through model,
+	topK  int         // at topK
+}
+
 // NewResolver resolves hashes against the archive in dir.
 func NewResolver(dir string) *Resolver {
-	return &Resolver{dir: dir, cache: map[string]resolved{}}
+	return &Resolver{dir: dir, hasher: fphash.New(), cache: map[string]resolved{}, derived: map[uint64]*Derivation{}}
 }
 
 // Model returns the archived model with the given hash. The error names
@@ -147,12 +164,46 @@ func (rec *Record) Derivable() bool {
 	return rec.Explanation == nil && rec.ModelHash != "" && !rec.Redacted
 }
 
+// Derive scores rec's inputs through m and explains the verdict m gives,
+// at the top-K of rec's stored explanation (old segments) or else at
+// core.DefaultExplainTopK; judging that verdict is the caller's. A class
+// of records is derived once per model from its second sighting on, so
+// fingerprints that never repeat cost a hash per record and no copy.
+func (r *Resolver) Derive(m *core.Model, rec *Record) Derivation {
+	topK := core.DefaultExplainTopK
+	if rec.Explanation != nil {
+		topK = len(rec.Explanation.TopFeatures)
+	}
+	h := classHash(r.hasher, rec)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if d := r.derived[h]; d != nil && d.model == m && d.topK == topK && d.class.holds(h, rec) {
+		return *d
+	}
+	d := Derivation{model: m, topK: topK}
+	res, err := m.ScoreString(rec.Vector, rec.UserAgent)
+	if d.ScoreErr = err; err == nil {
+		d.Verdict = core.VerdictOf(res)
+		d.Explanation, d.ExplainErr = m.ExplainResult(rec.Vector, rec.UserAgent, res, topK)
+	}
+	seen := &r.seen[h%classCap]
+	if *seen == h {
+		if len(r.derived) >= classCap {
+			clear(r.derived)
+		}
+		kept := d // on the heap only when kept
+		kept.class = newClass(h, rec)
+		r.derived[h] = &kept
+	}
+	*seen = h
+	return d
+}
+
 // Explain fills rec.Explanation for a derivable record — the JSON the
 // ledger stored per record before explanations were derived — and leaves
-// any other record as it is. The vector is scored again through the
-// archived model first, and a verdict that differs from the recorded one
-// is an error: an explanation is never built around a verdict its inputs
-// do not produce.
+// any other record as it is. A verdict Derive does not re-derive is an
+// error: an explanation is never built around a verdict its inputs do not
+// produce. The explanation is shared by the records of a class: read-only.
 func (r *Resolver) Explain(rec *Record) error {
 	if !rec.Derivable() {
 		return nil
@@ -161,16 +212,15 @@ func (r *Resolver) Explain(rec *Record) error {
 	if err != nil {
 		return err
 	}
-	res, err := m.ScoreString(rec.Vector, rec.UserAgent)
-	if err != nil {
-		return fmt.Errorf("audit: seq %d: %w", rec.Seq, err)
+	switch d := r.Derive(m, rec); {
+	case d.ScoreErr != nil:
+		return fmt.Errorf("audit: seq %d: %w", rec.Seq, d.ScoreErr)
+	case d.Verdict != rec.Verdict:
+		return fmt.Errorf("audit: seq %d: model %s gives verdict %+v, the record holds %+v", rec.Seq, rec.ModelHash, d.Verdict, rec.Verdict)
+	case d.ExplainErr != nil:
+		return fmt.Errorf("audit: seq %d: %w", rec.Seq, d.ExplainErr)
+	default:
+		rec.Explanation = d.Explanation
+		return nil
 	}
-	if got := core.VerdictOf(res); got != rec.Verdict {
-		return fmt.Errorf("audit: seq %d: model %s gives verdict %+v, the record holds %+v", rec.Seq, rec.ModelHash, got, rec.Verdict)
-	}
-	rec.Explanation, err = m.ExplainResult(rec.Vector, rec.UserAgent, res, core.DefaultExplainTopK)
-	if err != nil {
-		return fmt.Errorf("audit: seq %d: %w", rec.Seq, err)
-	}
-	return nil
 }

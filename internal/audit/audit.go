@@ -51,10 +51,11 @@
 // so a prefix of a segment reads, and Open rebuilds the resumed
 // segment's classes from it. `polygraphctl audit verify` walks the
 // frames and demands an intact archive for every hash a record is to be
-// explained from; `polygraphctl audit replay` feeds each record's vector back
-// through its archived model (or a model file) and demands the recorded
-// verdict — the model/ledger consistency invariant CI enforces on every
-// smoke-load run.
+// explained from; `polygraphctl audit replay` re-derives each record's
+// verdict and explanation through its archived model (or a model file),
+// once per class (Resolver.Derive, as Resolver.Explain), and demands the
+// recorded verdict — the model/ledger consistency invariant CI enforces
+// on every smoke-load run.
 //
 // Durability — the segments are written by internal/seglog. Append
 // encodes, numbers, checksums and counts a record before it returns,
@@ -672,26 +673,19 @@ func (l *Ledger) Recent(n int, verdict, traceID string) []Record {
 	out := make([]Record, 0, min(n, size))
 	for i := 0; i < size && len(out) < n; i++ {
 		idx := (l.next - 1 - i + len(l.ring)) % len(l.ring)
-		rec := l.ring[idx]
-		switch verdict {
-		case "flagged":
-			if !rec.Verdict.Flagged {
-				continue
-			}
-		case "benign":
-			if rec.Verdict.Flagged {
-				continue
-			}
+		if rec := l.ring[idx]; rec.Matches(verdict, traceID) && rec.Seq < written {
+			out = append(out, rec)
 		}
-		if traceID != "" && rec.TraceID != traceID {
-			continue
-		}
-		if rec.Seq >= written {
-			continue
-		}
-		out = append(out, rec)
 	}
 	return out
+}
+
+// Matches reports whether rec passes the filters of Recent and
+// polygraphctl audit ls: verdict "" (any), "flagged" or "benign", and
+// traceID, unless it is "", exactly.
+func (rec *Record) Matches(verdict, traceID string) bool {
+	return (verdict != "flagged" || rec.Verdict.Flagged) && (verdict != "benign" || !rec.Verdict.Flagged) &&
+		(traceID == "" || rec.TraceID == traceID)
 }
 
 // Explain fills rec.Explanation from the archive in the ledger directory

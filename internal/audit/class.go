@@ -12,6 +12,7 @@ import (
 	"polygraph/internal/core"
 	"polygraph/internal/fphash"
 	"polygraph/internal/jsonappend"
+	"polygraph/internal/matrix"
 )
 
 // Classes. The serving tier's fingerprint is coarse on purpose (paper
@@ -99,16 +100,8 @@ func (c *class) resolve(rec *Record) {
 // holds reports whether rec belongs to the class. Floats compare bit for
 // bit, as the encoder tells them apart (0 from −0).
 func (c *class) holds(h uint64, rec *Record) bool {
-	if c.hash != h || c.modelHash != rec.ModelHash || c.userAgent != rec.UserAgent ||
-		len(c.vector) != len(rec.Vector) || !sameVerdict(c.verdict, rec.Verdict) {
-		return false
-	}
-	var diff uint64
-	vector := rec.Vector[:len(c.vector)]
-	for i, f := range c.vector {
-		diff |= math.Float64bits(f) ^ math.Float64bits(vector[i])
-	}
-	return diff == 0
+	return c.hash == h && c.modelHash == rec.ModelHash && c.userAgent == rec.UserAgent &&
+		len(c.vector) == len(rec.Vector) && sameVerdict(c.verdict, rec.Verdict) && matrix.SameBits(c.vector, rec.Vector)
 }
 
 func sameVerdict(a, b core.Verdict) bool {

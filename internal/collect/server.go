@@ -536,10 +536,11 @@ type Stats struct {
 // its count claims and the average can never be torn upward or divide
 // by zero (the legacy avg-gauge bug class).
 func (s *Server) Snapshot() Stats {
+	flagged := s.stats.flagged.Load() // before received: ingest counts received first
 	st := Stats{
 		Received: s.stats.received.Load(),
 		Rejected: s.stats.rejected.Load(),
-		Flagged:  s.stats.flagged.Load(),
+		Flagged:  flagged,
 	}
 	var n uint64
 	var sumUs float64

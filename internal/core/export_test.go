@@ -6,7 +6,7 @@ package core
 // the memo.
 func MemoHolds(m *Model, vector []float64, userAgent string) bool {
 	memo := m.scorePlanNow().memo
-	h := memo.hash(vector, userAgent)
+	h := memo.hasher.Pair(vector, userAgent)
 	set := memo.slots[h&uint64(len(memo.slots)-2):][:2]
 	for w := range set {
 		if e := set[w].Load(); e != nil && e.holds(h, vector, userAgent) {

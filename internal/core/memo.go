@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"polygraph/internal/fphash"
+	"polygraph/internal/matrix"
 	"polygraph/internal/ua"
 )
 
@@ -42,29 +43,16 @@ func newVerdictMemo(slots int) *verdictMemo {
 	return &verdictMemo{hasher: fphash.New(), slots: make([]atomic.Pointer[memoEntry], slots)}
 }
 
-// hash is the pair's fingerprint hash (fphash.Hasher.Pair).
-func (memo *verdictMemo) hash(vector []float64, userAgent string) uint64 {
-	return memo.hasher.Pair(vector, userAgent)
-}
-
 // holds reports whether e is the entry of (vector, userAgent), bit for bit.
 func (e *memoEntry) holds(h uint64, vector []float64, userAgent string) bool {
-	if e.hash != h || len(e.vec) != len(vector) || e.ua != userAgent {
-		return false
-	}
-	var diff uint64
-	vector = vector[:len(e.vec)]
-	for j, x := range e.vec {
-		diff |= math.Float64bits(x) ^ math.Float64bits(vector[j])
-	}
-	return diff == 0
+	return e.hash == h && len(e.vec) == len(vector) && e.ua == userAgent && matrix.SameBits(e.vec, vector)
 }
 
 // scoreStringMemo is ScoreString on a valid plan for a vector of its
 // width: the remembered verdict when the memo holds the pair under the
 // model's current VersionDivisor and NoveltyThreshold, else the kernel.
 func (m *Model) scoreStringMemo(p *scorePlan, s *Scratch, vector []float64, userAgent string) Result {
-	h := p.memo.hash(vector, userAgent)
+	h := p.memo.hasher.Pair(vector, userAgent)
 	set := p.memo.slots[h&uint64(len(p.memo.slots)-2):][:2]
 	div, thr := m.VersionDivisor, m.NoveltyThreshold
 	for w := range set {

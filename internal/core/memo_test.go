@@ -97,7 +97,7 @@ func TestMemoForcedCollisions(t *testing.T) {
 		if (&memoEntry{hash: 1, vec: a.vec, ua: a.ua}).holds(1, b.vec, b.ua) {
 			a = pairs[(i+3)%len(pairs)] // the same key (an honest Firefox 48 claim): take the sign twin
 		}
-		h := memo.hash(b.vec, b.ua)
+		h := memo.hasher.Pair(b.vec, b.ua)
 		set := memo.slots[h&uint64(len(memo.slots)-2):][:2]
 		for w := range set {
 			set[w].Store(&memoEntry{hash: h, vec: a.vec, ua: a.ua, res: Result{Cluster: -1},

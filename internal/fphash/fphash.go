@@ -1,9 +1,9 @@
 // Package fphash hashes a fingerprint — a claimed user-agent and a
 // feature vector, taken bit for bit — for the in-memory tables keyed by
-// one: the verdict memo on a score plan (internal/core) and an audit
-// segment's class table (internal/audit). A Hasher is seeded when it is
-// made, so the slots of a table cannot be aimed at from outside; a table
-// compares the whole key on a hit.
+// one: the verdict memo on a score plan (internal/core), and an audit
+// segment's class table and audit.Resolver's derivations (internal/audit).
+// A Hasher is seeded when it is made, so the slots of a table cannot be
+// aimed at from outside; a table compares the whole key on a hit.
 package fphash
 
 import (

@@ -5,7 +5,7 @@
 # roadmap call "tier-1 green"), vet — of this module and of the
 # benchmark module under bench/, whose seam.go pins the symbols the
 # benchmark calls — the one-ingest-core, explanations-are-derived,
-# one-use-of-unsafe, one-daemon-wiring, one-segment-writer,
+# one-re-derivation, one-use-of-unsafe, one-daemon-wiring, one-segment-writer,
 # one-evidence-path, one-scoring-surface, per-row-kernel
 # (score kernel included), training-reads-the-distinct-row-table,
 # training-is-one-goroutine,
@@ -64,6 +64,14 @@ done
 echo "== explanations are derived, not stored"
 n=$(cat internal/collect/ingest.go internal/collect/server.go internal/collect/coalesce.go internal/collect/tcp.go | grep -cF -- 'ExplainResult(' || true)
 [ "$n" -eq 0 ] || { echo "check.sh: $n calls of ExplainResult( on internal/collect's request path, want 0" >&2; exit 1; }
+
+# One re-derivation: the ledger's readers — polygraphctl audit replay and
+# ls -json, /debug/decisions — derive a record's verdict and explanation
+# through audit.Resolver.Derive, once per class, so the explainer has one
+# call site in internal/audit and cmd/polygraphctl.
+echo "== one re-derivation"
+n=$(ls internal/audit/*.go cmd/polygraphctl/*.go | grep -v _test.go | xargs grep -F -- 'ExplainResult(' | wc -l)
+[ "$n" -eq 1 ] || { echo "check.sh: $n calls of ExplainResult( in internal/audit and cmd/polygraphctl, want 1 (Resolver.Derive)" >&2; exit 1; }
 
 # One use of unsafe: the decoded user agent is a view of the request's
 # bytes (fingerprint.Payload.BorrowUserAgent, with its lifetime rule
