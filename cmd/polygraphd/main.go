@@ -90,7 +90,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.logJSON, "log-json", false, "emit structured logs as JSON instead of text")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listener for pprof/expvar (empty = off)")
 	fs.DurationVar(&c.SlowRequest, "slow-request", 100*time.Millisecond, "log requests slower than this with their trace")
-	fs.IntVar(&c.TraceRingSize, "trace-ring", 256, "finished request traces retained for /debug/traces")
+	fs.IntVar(&c.TraceRingSize, "trace-ring", 256, "finished request traces each shard of the /debug/traces ring retains")
 	fs.Uint64Var(&c.TraceSeed, "trace-seed", 1, "seed for the deterministic trace-ID stream")
 	fs.DurationVar(&c.DriftInterval, "drift-interval", time.Minute, "period of the live feature-drift PSI evaluation (0 = off)")
 	fs.IntVar(&c.DriftReservoir, "drift-reservoir", 512, "feature vectors sampled from live traffic for drift PSI")

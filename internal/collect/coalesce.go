@@ -155,7 +155,7 @@ func (c *coalescer) readAhead() bool {
 // and the listener's counters, which every connection shares, are
 // added to once per batch, before the replies leave.
 func (c *coalescer) serve() bool {
-	tr := c.s.tracer.Open(EndpointTCP)
+	tr := c.s.tracer.Open(EndpointTCP, c.buf.shard)
 	status, scored, flagged := "ok", 0, 0
 	for i := range c.ends {
 		st := c.serveFrame(tr, c.frame(i))

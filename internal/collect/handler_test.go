@@ -21,6 +21,7 @@ import (
 	"polygraph/internal/audit"
 	"polygraph/internal/core"
 	"polygraph/internal/fingerprint"
+	"polygraph/internal/obs"
 	"polygraph/internal/ua"
 )
 
@@ -532,4 +533,49 @@ func BenchmarkCollectHandler(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCollectHandlerParallel is BenchmarkCollectHandler on every
+// core: each goroutine of b.RunParallel hands Server.ServeHTTP its own
+// reused requests, binary and JSON in turn, behind a server built as a
+// replica builds it — drift monitor on, ledger sampling one benign
+// verdict in a hundred. What concurrent requests share is what it
+// measures; scripts/benchgate.sh runs it at -cpu 1,2, holds it to the
+// serial twin's allocation ceiling and prints ns/op at one CPU over
+// ns/op at two, the scaling ratio.
+func BenchmarkCollectHandlerParallel(b *testing.B) {
+	m, d := testModel(b)
+	chrome := ua.Release{Vendor: ua.Chrome, Version: 112}
+	p := payloadFor(d, chrome, chrome)
+	bodies := [...][]byte{binaryBodyFor(b, p), jsonBodyFor(b, p)}
+	led, err := audit.Open(audit.Config{Dir: b.TempDir(), SampleBenign: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer led.Close()
+	drift, err := obs.NewDriftMonitor(obs.DriftConfig{Features: fingerprint.Names(m.Features), Reservoir: 512, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := NewServer(Config{Model: m, Drift: drift, Audit: led})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var body [len(bodies)]bytes.Reader
+		var reqs [len(bodies)]*http.Request
+		for i, endpoint := range [...]string{EndpointBinary, EndpointJSON} {
+			reqs[i] = httptest.NewRequest(http.MethodPost, endpoint, nil)
+			reqs[i].Body = io.NopCloser(&body[i])
+		}
+		w := &nopWriter{header: http.Header{}}
+		for i := 0; pb.Next(); i++ {
+			k := i % len(bodies)
+			body[k].Reset(bodies[k])
+			clear(w.header)
+			srv.ServeHTTP(w, reqs[k])
+		}
+	})
 }

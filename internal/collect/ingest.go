@@ -75,6 +75,12 @@ type ingest struct {
 	// Set once the ledger's segment write has failed and been logged;
 	// see warnAppend.
 	ledgerFailed atomic.Bool
+
+	// shards is how many ways per-request serving state is split
+	// (obs.ShardCount when the core is built); nextShard hands each new
+	// scoreBuf the next shard, round-robin.
+	shards    int
+	nextShard atomic.Uint32
 }
 
 func newIngest(cfg Config) (*ingest, error) {
@@ -86,6 +92,7 @@ func newIngest(cfg Config) (*ingest, error) {
 		drift:  cfg.Drift,
 		ledger: cfg.Audit,
 		logger: cfg.Logger,
+		shards: obs.ShardCount(),
 	}
 	if err := in.model.store(cfg.Model); err != nil {
 		return nil, err
@@ -117,7 +124,13 @@ func tracerFor(cfg Config) *obs.Tracer {
 // — body, or the coalescer's frame buffer — which stay as they are
 // until the request or the batch is answered; audit, the one place that
 // keeps it, clones it. Buffers are model-agnostic and survive SwapModel.
+//
+// shard is the buffer's share of the serving state every request
+// writes (obs.ShardCount): the trace-ring shard, and on HTTP the
+// server's counters and latency histograms. sync.Pool keeps a buffer on
+// the P that returned it, so a core keeps writing the one shard.
 type scoreBuf struct {
+	shard   int
 	vec     []float64
 	scratch *core.Scratch
 	payload fingerprint.Payload
@@ -130,7 +143,8 @@ type scoreBuf struct {
 }
 
 func (in *ingest) newScoreBuf() *scoreBuf {
-	return &scoreBuf{scratch: in.model.load().NewScratch()}
+	shard := int(in.nextShard.Add(1)-1) % in.shards
+	return &scoreBuf{shard: shard, scratch: in.model.load().NewScratch()}
 }
 
 // hexSessionID is hex.EncodeToString(id[:]) in one allocation, not two.

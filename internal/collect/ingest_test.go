@@ -401,7 +401,7 @@ func TestIngestBenignSampledOutAllocs(t *testing.T) {
 		alone.Observe(vec)
 	})
 
-	tr := srv.Tracer().Open(EndpointBinary)
+	tr := srv.Tracer().Open(EndpointBinary, 0)
 	buf := srv.newScoreBuf()
 	got := testing.AllocsPerRun(200, func() {
 		res, _, _, err := srv.score(tr, buf, p, "", false)

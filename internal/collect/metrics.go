@@ -48,10 +48,14 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 	obs.FamRejected.WriteSeries(w, reasons)
 
 	// Per-endpoint request-handling latency of scored requests, as a
-	// real histogram family.
-	series := []obs.HistogramSeries{
-		obs.HistogramSnapshot(EndpointBinary, s.hists[EndpointBinary]),
-		obs.HistogramSnapshot(EndpointJSON, s.hists[EndpointJSON]),
+	// real histogram family, each series summed over the shards.
+	var series []obs.HistogramSeries
+	shardHists := make([]*obs.Hist, len(s.shards))
+	for route, rt := range ingestRoutes {
+		for i := range s.shards {
+			shardHists[i] = &s.shards[i].hists[route]
+		}
+		series = append(series, obs.HistogramSnapshot(rt.path, shardHists...))
 	}
 	if tcp := s.tcp.Load(); tcp != nil {
 		series = append(series, obs.HistogramSnapshot(EndpointTCP, &tcp.hist))

@@ -24,6 +24,15 @@
 // /debug/traces, per-endpoint request latency feeds Prometheus
 // histogram families at /metrics, rejects are counted by cause, and
 // accepted feature vectors optionally stream into a drift monitor.
+//
+// A verdict's cost must not grow with the cores serving it, so the HTTP
+// ingest path writes no cache line another core writes, apart from the
+// trace-ID sequence, the drift monitor's and the ledger's sampling
+// counters (DESIGN.md §3). Server.ServeHTTP matches the two ingest
+// routes itself, ahead of the mux and its read lock; the scored-request
+// counters, the endpoint histograms and the trace ring are split into
+// shards (obs.ShardCount), and a request writes the shard of the
+// scoreBuf it borrows. Readers sum the shards.
 package collect
 
 import (
@@ -111,7 +120,8 @@ type Config struct {
 	// pinned seed in tests); nil builds one from TraceRingSize,
 	// TraceSeed, SlowRequest, and Logger.
 	Tracer *obs.Tracer
-	// TraceRingSize bounds the /debug/traces ring (0 = 256).
+	// TraceRingSize is how many finished traces each shard of the
+	// /debug/traces ring retains (0 = 256; obs.TracerConfig.RingSize).
 	TraceRingSize int
 	// TraceSeed drives the deterministic trace-ID stream.
 	TraceSeed uint64
@@ -148,13 +158,13 @@ type Server struct {
 	// bufs pools the scoreBufs requests borrow.
 	bufs sync.Pool
 
-	// hists holds per-endpoint request-handling latency of successfully
-	// scored requests (handler entry → response written), the source of
-	// the polygraph_score_duration_microseconds histogram family.
-	hists map[string]*obs.Hist
+	// shards holds what every scored request writes, one shard per
+	// ingest shard: a request writes the shard of the scoreBuf it
+	// borrows, and readers sum them all.
+	shards []serveShard
 
-	stats serverStats
 	// rejects counts rejections by cause, indexed by rejectReason.
+	// Rejects are rare, so they stay unsharded.
 	rejects [numReasons]atomic.Int64
 
 	// trainedAtNs is the deployed model's training completion time
@@ -178,10 +188,27 @@ type Server struct {
 	trainStages []pipeline.Timing
 }
 
-type serverStats struct {
-	received atomic.Int64
-	rejected atomic.Int64
-	flagged  atomic.Int64
+// serveShard is one shard (obs.ShardCount) of the HTTP server's
+// per-request state.
+type serveShard struct {
+	received atomic.Int64 // scored requests
+	flagged  atomic.Int64 // of which flagged
+	// hists holds request-handling latency of scored requests (handler
+	// entry → response written) per ingest route, indexed like
+	// ingestRoutes: the polygraph_score_duration_microseconds family.
+	hists [len(ingestRoutes)]obs.Hist
+	_     obs.CacheLinePad
+}
+
+// ingestRoutes are the two ingest endpoints. NewServer registers them on
+// the mux and ServeHTTP dispatches them ahead of it, both from this one
+// table; a route's index picks its latency histogram.
+var ingestRoutes = [...]struct {
+	path   string
+	decode payloadDecoder
+}{
+	{EndpointBinary, decodeBinaryPayload},
+	{EndpointJSON, decodeJSONPayload},
 }
 
 // rejectReason taxonomizes rejects for polygraph_rejected_total.
@@ -219,14 +246,11 @@ func NewServer(cfg Config) (*Server, error) {
 		maxLen = 4 * fingerprint.MaxPayloadSize // JSON framing slack
 	}
 	s := &Server{
-		ingest: in,
-		maxLen: maxLen,
-		tracer: tracerFor(cfg),
-		mux:    http.NewServeMux(),
-		hists: map[string]*obs.Hist{
-			EndpointBinary: new(obs.Hist),
-			EndpointJSON:   new(obs.Hist),
-		},
+		ingest:     in,
+		maxLen:     maxLen,
+		tracer:     tracerFor(cfg),
+		mux:        http.NewServeMux(),
+		shards:     make([]serveShard, in.shards),
 		scoreDelay: cfg.ScoreDelay,
 	}
 	if cfg.RateLimitPerSec > 0 {
@@ -239,8 +263,11 @@ func NewServer(cfg Config) (*Server, error) {
 		s.limiter = NewRateLimiter(cfg.RateLimitPerSec, burst)
 	}
 	s.mux.HandleFunc("GET /script.js", s.handleScript)
-	s.mux.HandleFunc("POST "+EndpointBinary, s.handleCollectBinary)
-	s.mux.HandleFunc("POST "+EndpointJSON, s.handleCollectJSON)
+	for route, rt := range ingestRoutes {
+		s.mux.HandleFunc(http.MethodPost+" "+rt.path, func(w http.ResponseWriter, r *http.Request) {
+			s.serveCollect(w, r, route)
+		})
+	}
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/flagged", s.handleFlagged)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -252,8 +279,22 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. It matches the ingest routes itself,
+// ahead of the mux, whose lookup takes a read lock — a shared word every
+// core serving verdicts would write. Only a POST whose path is exactly an
+// ingest path, unescaped, is taken here; anything else goes to the mux,
+// where every route is registered too, so a wrong method still gets its
+// 405 with Allow, an uncleaned path its redirect, an escaped spelling
+// the same handler (TestIngestRoutingParity).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost && r.URL.RawPath == "" {
+		for route := range ingestRoutes {
+			if r.URL.Path == ingestRoutes[route].path {
+				s.serveCollect(w, r, route)
+				return
+			}
+		}
+	}
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -359,26 +400,25 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
-func (s *Server) handleCollectBinary(w http.ResponseWriter, r *http.Request) {
-	s.serveCollect(w, r, EndpointBinary, decodeBinaryPayload)
-}
-
-func (s *Server) handleCollectJSON(w http.ResponseWriter, r *http.Request) {
-	s.serveCollect(w, r, EndpointJSON, decodeJSONPayload)
-}
-
-// serveCollect is the shared ingest path: open a trace, rate-limit,
-// decode, score, and seal the trace with the outcome. Only successfully
-// scored requests feed the endpoint latency histogram — rejects are
-// counted by cause instead. The trace's start is the handler's.
-func (s *Server) serveCollect(w http.ResponseWriter, r *http.Request, endpoint string, decode payloadDecoder) {
-	tr := s.tracer.Open(endpoint)
+// serveCollect is the shared ingest path of ingestRoutes[route]: borrow
+// a scoreBuf, open a trace on its shard, rate-limit, decode, score, and
+// seal the trace with the outcome. Only successfully scored requests
+// feed the route's latency histogram — rejects are counted by cause
+// instead. The trace's start is the handler's.
+func (s *Server) serveCollect(w http.ResponseWriter, r *http.Request, route int) {
+	buf, _ := s.bufs.Get().(*scoreBuf)
+	if buf == nil {
+		buf = s.newScoreBuf()
+	}
+	defer s.bufs.Put(buf)
+	rt := &ingestRoutes[route]
+	tr := s.tracer.Open(rt.path, buf.shard)
 	if s.scoreDelay > 0 {
 		time.Sleep(s.scoreDelay) // fault drill: inflate measured latency
 	}
-	status := s.collectOne(w, r, tr, decode)
+	status := s.collectOne(w, r, tr, buf, rt.decode)
 	if status == "ok" {
-		s.hists[endpoint].Record(time.Since(tr.StartTime()))
+		s.shards[buf.shard].hists[route].Record(time.Since(tr.StartTime()))
 	}
 	s.tracer.Finish(tr, status)
 }
@@ -447,18 +487,12 @@ func (s *Server) readPayload(buf *scoreBuf, body io.Reader, decode payloadDecode
 
 // collectOne handles one ingest request under an open trace and returns
 // the trace status ("ok" or the reject reason). Body, payload and reply
-// live in a pooled scoreBuf.
-func (s *Server) collectOne(w http.ResponseWriter, r *http.Request, tr *obs.Trace, decode payloadDecoder) string {
+// live in buf, and the counters it adds to are buf's shard.
+func (s *Server) collectOne(w http.ResponseWriter, r *http.Request, tr *obs.Trace, buf *scoreBuf, decode payloadDecoder) string {
 	if s.limiter != nil && !s.limiter.Allow(clientKey(r)) {
 		s.reject(w, tr, http.StatusTooManyRequests, reasonRateLimit, "rate limit exceeded")
 		return reasonNames[reasonRateLimit]
 	}
-	buf, _ := s.bufs.Get().(*scoreBuf)
-	if buf == nil {
-		buf = s.newScoreBuf()
-	}
-	defer s.bufs.Put(buf)
-
 	decodeStart := time.Now()
 	code, reason, err := s.readPayload(buf, r.Body, decode)
 	tr.RecordSpan("decode", decodeStart, time.Since(decodeStart))
@@ -477,9 +511,10 @@ func (s *Server) collectOne(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 		s.reject(w, tr, code, reason, "%v", err)
 		return reasonNames[reason]
 	}
-	s.stats.received.Add(1)
+	sh := &s.shards[buf.shard]
+	sh.received.Add(1)
 	if res.Flagged() {
-		s.stats.flagged.Add(1)
+		sh.flagged.Add(1)
 	}
 	d := Decision{
 		SessionID:     sessionID,
@@ -510,7 +545,6 @@ func clientKey(r *http.Request) string {
 // reject counts, logs, and answers one rejected request. tr may be nil
 // for untraced endpoints (stats/flagged query validation).
 func (s *Server) reject(w http.ResponseWriter, tr *obs.Trace, code int, reason rejectReason, format string, args ...any) {
-	s.stats.rejected.Add(1)
 	s.rejects[reason].Add(1)
 	msg := fmt.Sprintf(format, args...)
 	s.logWarn(tr, "collect: reject",
@@ -530,30 +564,39 @@ type Stats struct {
 	MaxScoreUs int64   `json:"max_score_us"`
 }
 
-// Snapshot returns current counters. The latency figures derive from
-// the endpoint histograms, whose Record publishes the sum before the
-// count — so a snapshot's sum always covers at least the observations
-// its count claims and the average can never be torn upward or divide
-// by zero (the legacy avg-gauge bug class).
+// Snapshot returns current counters, summed over the shards. Every
+// shard's flagged is loaded before any shard's received: ingest counts a
+// request received before flagged, on one shard, so flagged never
+// exceeds received. The latency figures derive from the endpoint
+// histograms, whose Record publishes the sum before the count — so a
+// snapshot's sum always covers at least the observations its count
+// claims and the average can never be torn upward or divide by zero (the
+// legacy avg-gauge bug class).
 func (s *Server) Snapshot() Stats {
-	flagged := s.stats.flagged.Load() // before received: ingest counts received first
-	st := Stats{
-		Received: s.stats.received.Load(),
-		Rejected: s.stats.rejected.Load(),
-		Flagged:  flagged,
+	var st Stats
+	for i := range s.rejects {
+		st.Rejected += s.rejects[i].Load()
+	}
+	for i := range s.shards {
+		st.Flagged += s.shards[i].flagged.Load()
+	}
+	for i := range s.shards {
+		st.Received += s.shards[i].received.Load()
 	}
 	var n uint64
-	var sumUs float64
-	for _, h := range s.hists {
-		c := h.Count() // count before sum: see Record's ordering
-		n += c
-		sumUs += float64(h.Sum().Nanoseconds()) / 1e3
-		if m := h.Max().Microseconds(); m > st.MaxScoreUs {
-			st.MaxScoreUs = m
+	var sum time.Duration
+	for i := range s.shards {
+		for j := range s.shards[i].hists {
+			h := &s.shards[i].hists[j]
+			n += h.Count() // count before sum: see Record's ordering
+			sum += h.Sum()
+			if m := h.Max().Microseconds(); m > st.MaxScoreUs {
+				st.MaxScoreUs = m
+			}
 		}
 	}
 	if n > 0 {
-		st.AvgScoreUs = sumUs / float64(n)
+		st.AvgScoreUs = float64(sum.Nanoseconds()) / 1e3 / float64(n)
 	}
 	return st
 }

@@ -1,10 +1,11 @@
 // Package obs is the stdlib-only observability layer for the serving
 // and training stack: request-scoped traces with deterministic IDs and
-// a lock-free ring buffer (trace.go, ring.go), power-of-two-bucket
-// latency histograms shared with the loadgen harness (hist.go),
-// Prometheus text-exposition writers and a format linter (prom.go,
-// lint.go), live feature-drift telemetry over internal/drift's PSI
-// (drift.go), and a structured-logging constructor (below).
+// a lock-free ring buffer split per core (trace.go, ring.go, shard.go),
+// power-of-two-bucket latency histograms shared with the loadgen
+// harness (hist.go), Prometheus text-exposition writers and a format
+// linter (prom.go, lint.go), live feature-drift telemetry over
+// internal/drift's PSI (drift.go), and a structured-logging constructor
+// (below).
 //
 // The paper's deployment argument (§7) is that coarse-grained
 // fingerprints are cheap enough to score inline on every login — which

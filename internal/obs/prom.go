@@ -59,15 +59,23 @@ type HistogramSeries struct {
 	SumUs   float64
 }
 
-// HistogramSnapshot captures h for exposition. The _count emitted later
-// derives from this same bucket snapshot, so _bucket and _count stay
-// mutually consistent even while Record calls race the scrape.
-func HistogramSnapshot(label string, h *Hist) HistogramSeries {
-	return HistogramSeries{
-		Label:   label,
-		Buckets: h.Buckets(),
-		SumUs:   float64(h.Sum().Nanoseconds()) / 1e3,
+// HistogramSnapshot captures the sum of hs — one histogram, or the
+// shards of one — for exposition. The _count emitted later derives from
+// this same bucket snapshot, so _bucket and _count stay mutually
+// consistent even while Record calls race the scrape. The latency sum is
+// added in nanoseconds and converted once, so a sharded series prints
+// what one histogram holding every observation would.
+func HistogramSnapshot(label string, hs ...*Hist) HistogramSeries {
+	s := HistogramSeries{Label: label}
+	var sum time.Duration
+	for _, h := range hs {
+		for i, c := range h.Buckets() {
+			s.Buckets[i] += c
+		}
+		sum += h.Sum()
 	}
+	s.SumUs = float64(sum.Nanoseconds()) / 1e3
+	return s
 }
 
 // WriteHistogram emits a histogram family — cumulative _bucket series

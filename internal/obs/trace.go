@@ -95,6 +95,8 @@ type Trace struct {
 
 	start time.Time
 	mu    sync.Mutex
+	// shard is the TraceRing shard Finish stores the trace in.
+	shard uint32
 	// inline backs Spans until a fifth span makes append move them; a
 	// trace with no span keeps Spans nil, which /debug/traces shows as
 	// null.
@@ -119,7 +121,9 @@ func (t *Trace) RecordSpan(name string, start time.Time, d time.Duration) {
 
 // TracerConfig parameterizes a Tracer.
 type TracerConfig struct {
-	// RingSize bounds retained finished traces; 0 uses 256.
+	// RingSize is how many finished traces each shard of the ring
+	// retains (0 uses 256): the ring holds at most ShardCount() ×
+	// RingSize, and /debug/traces always has the RingSize newest.
 	RingSize int
 	// Seed drives the deterministic ID stream.
 	Seed uint64
@@ -165,10 +169,12 @@ func NewTracer(cfg TracerConfig) *Tracer {
 // tests).
 func (t *Tracer) Ring() *TraceRing { return t.ring }
 
-// Open opens a trace for one request on endpoint. The caller records
-// spans on it directly and must call Finish exactly once.
-func (t *Tracer) Open(endpoint string) *Trace {
-	return &Trace{ID: t.ids.Next(), Endpoint: endpoint, start: time.Now()}
+// Open opens a trace for one request on endpoint, to be retained in
+// shard (taken modulo the ring's shard count: the shard of the buffer
+// the request borrows). The caller records spans on it directly and
+// must call Finish exactly once.
+func (t *Tracer) Open(endpoint string, shard int) *Trace {
+	return &Trace{ID: t.ids.Next(), Endpoint: endpoint, start: time.Now(), shard: uint32(shard)}
 }
 
 // Finish seals the trace with its outcome, retains it in the ring, and
@@ -202,7 +208,7 @@ type tracePage struct {
 
 // ServeTraces answers GET /debug/traces: the most recent n finished
 // traces (newest first) and the n slowest retained ones (?n=, default
-// 32, capped at the ring size).
+// 32, capped at what the ring retains).
 func (t *Tracer) ServeTraces(w http.ResponseWriter, r *http.Request) {
 	n := 32
 	if v := r.URL.Query().Get("n"); v != "" {

@@ -100,6 +100,85 @@ func TestTraceRingLastAndSlowest(t *testing.T) {
 	}
 }
 
+// TestTraceRingShards puts traces on every shard of a ring and reads
+// them back: Last merges the shards newest first by finish time, capped
+// at what the ring retains however large n is, a shard busier than the
+// rest still leaves the per-shard size newest in Last, and Len counts
+// every put.
+func TestTraceRingShards(t *testing.T) {
+	const size = 4
+	r := NewTraceRing(size)
+	shards := len(r.shards)
+	if r.Cap() != shards*size {
+		t.Fatalf("Cap() = %d, want %d shards × %d", r.Cap(), shards, size)
+	}
+	epoch := time.Now()
+	// Trace i starts at i ms, lasts 1 µs and goes to shard i mod shards.
+	put := func(i int) {
+		r.Put(&Trace{ID: TraceID(i), DurUs: 1, start: epoch.Add(time.Duration(i) * time.Millisecond), shard: uint32(i % shards)})
+	}
+	for i := 1; i <= 2*shards; i++ {
+		put(i)
+	}
+	last := r.Last(1 << 40)
+	if len(last) != 2*shards {
+		t.Fatalf("Last(huge) returned %d traces, %d were put", len(last), 2*shards)
+	}
+	for k, tr := range last {
+		if want := TraceID(2*shards - k); tr.ID != want {
+			t.Fatalf("Last[%d] = trace %d, want %d (newest first across shards): %v", k, tr.ID, want, ids(last))
+		}
+	}
+	// Shard 0 alone takes the next 3·size traces: the size newest of all
+	// are there, and Last returns no more than the ring retains.
+	for i := 2*shards + 1; i <= 2*shards+3*size; i++ {
+		r.Put(&Trace{ID: TraceID(i), DurUs: 1, start: epoch.Add(time.Duration(i) * time.Millisecond)})
+	}
+	newest := r.Last(size)
+	for k, tr := range newest {
+		if want := TraceID(2*shards + 3*size - k); tr.ID != want {
+			t.Fatalf("Last(%d)[%d] = trace %d, want %d", size, k, tr.ID, want)
+		}
+	}
+	if got := len(r.Last(1 << 40)); got > r.Cap() {
+		t.Fatalf("Last(huge) returned %d traces from a ring of %d", got, r.Cap())
+	}
+	if r.Len() != uint64(2*shards+3*size) {
+		t.Fatalf("Len() = %d, want %d", r.Len(), 2*shards+3*size)
+	}
+}
+
+// TestTracerShardsConcurrent finishes traces on every shard from as many
+// goroutines: Len is exact and Last is newest first by finish time.
+func TestTracerShardsConcurrent(t *testing.T) {
+	tracer := NewTracer(TracerConfig{Seed: 1, RingSize: 64})
+	shards := len(tracer.Ring().shards)
+	const perShard = 200
+	var wg sync.WaitGroup
+	for g := 0; g < shards; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perShard; i++ {
+				tracer.Finish(tracer.Open("/v1/collect", g), "ok")
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := tracer.Ring().Len(); got != uint64(shards*perShard) {
+		t.Fatalf("Len() = %d, want %d", got, shards*perShard)
+	}
+	last := tracer.Ring().Last(tracer.Ring().Cap())
+	if len(last) != tracer.Ring().Cap() {
+		t.Fatalf("Last returned %d of the %d retained traces", len(last), tracer.Ring().Cap())
+	}
+	for k := 1; k < len(last); k++ {
+		if last[k].finished().After(last[k-1].finished()) {
+			t.Fatalf("Last[%d] finished after Last[%d]", k, k-1)
+		}
+	}
+}
+
 func ids(trs []*Trace) []string {
 	out := make([]string, len(trs))
 	for i, tr := range trs {
@@ -115,7 +194,7 @@ func TestTracerSpansAndSlowLog(t *testing.T) {
 		SlowThreshold: time.Nanosecond, // everything is slow
 		Logger:        slog.New(slog.NewJSONHandler(&buf, nil)),
 	})
-	tr := tracer.Open("/v1/collect")
+	tr := tracer.Open("/v1/collect", 0)
 	start := time.Now()
 	time.Sleep(time.Millisecond)
 	tr.RecordSpan("score", start, time.Since(start))
@@ -162,7 +241,7 @@ func TestTraceInlineSpans(t *testing.T) {
 		Spans    []Span  `json:"spans"`
 	}
 	for n := 0; n <= len(names); n++ {
-		tr := tracer.Open("/v1/collect")
+		tr := tracer.Open("/v1/collect", 0)
 		for _, name := range names[:n] {
 			start := time.Now()
 			tr.RecordSpan(name, start, time.Since(start))
@@ -227,7 +306,7 @@ func TestTracerFastRequestNotLogged(t *testing.T) {
 func TestServeTraces(t *testing.T) {
 	tracer := NewTracer(TracerConfig{Seed: 5, RingSize: 8})
 	for i := 0; i < 3; i++ {
-		tr := tracer.Open("/v1/collect")
+		tr := tracer.Open("/v1/collect", 0)
 		tracer.Finish(tr, "ok")
 	}
 	req := httptest.NewRequest("GET", "/debug/traces?n=2", nil)

@@ -32,6 +32,10 @@
 #                                               the hex session ID, the Content-Type
 #                                               header value; the user agent is a view
 #                                               of the body)
+#   BenchmarkCollectHandlerParallel ≤ 4 allocs/op (internal/collect: the same handler
+#                                               from every core, both endpoints, drift
+#                                               monitor and a 1-in-100 benign ledger;
+#                                               at -cpu 1,2)
 #   BenchmarkTrain60000         ≤ 10 MB/op     (internal/core: Train on bench/'s
 #                                               60 000 sessions; it reads a table of
 #                                               the ~150 distinct vectors, and an
@@ -46,6 +50,12 @@
 # traffic that never repeats a pair (every verdict a memo miss; bench/
 # has no such workload) and BenchmarkDriftObserve/{serial,parallel}
 # (internal/obs).
+#
+# BenchmarkCollectHandlerParallel is the HTTP handler's scaling floor:
+# the script prints ns/op at one CPU over ns/op at two. The ratio is not
+# gated: on a shared 2-CPU box it read anywhere from 1.24 to 2.01 across
+# six runs of one build, so a ratio gate would fail on noise, not on a
+# shared write.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -93,6 +103,25 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
+echo "== go test -bench 'CollectHandlerParallel$' -benchmem -cpu 1,2 ./internal/collect"
+go test -run '^$' -bench 'CollectHandlerParallel$' -benchmem -benchtime 0.3s -cpu 1,2 ./internal/collect | tee "$out"
+
+awk '
+    /^BenchmarkCollectHandlerParallel(-[0-9]+)? / {
+        seen++
+        ns[$1 ~ /-2$/ ? 2 : 1] = $3
+        if ($NF != "allocs/op" || $(NF-1) > 4) {
+            printf "benchgate: %s allocates %s %s, ceiling 4 allocs/op\n", $1, $(NF-1), $NF
+            bad = 1
+        }
+    }
+    END {
+        if (seen < 2 || !ns[1] || !ns[2]) { print "benchgate: BenchmarkCollectHandlerParallel at -cpu 1,2 missing from output"; exit 1 }
+        printf "benchgate: collect handler scales %.2fx from one CPU to two (printed, not gated)\n", ns[1] / ns[2]
+        exit bad
+    }
+' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
+
 echo "== go test -bench 'Train60000$' -benchmem ./internal/core"
 go test -run '^$' -bench 'Train60000$' -benchmem -benchtime 5x ./internal/core | tee "$out"
 
@@ -111,4 +140,4 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths, the memo on both sides and the kernel, audit-path and collect-handler ceilings, training ≤ 10 MB)"
+echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths, the memo on both sides and the kernel, audit-path and collect-handler ceilings (serial and parallel), training ≤ 10 MB)"
