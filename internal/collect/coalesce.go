@@ -153,7 +153,8 @@ func (c *coalescer) readAhead() bool {
 // coalescing is the batch's wall time — that is what each client frame
 // actually waited — so the clock is read once per batch, not per frame,
 // and the listener's counters, which every connection shares, are
-// added to once per batch, before the replies leave.
+// added to once per batch, before the replies leave. The batch's
+// latency is the duration Finish measured: its one clock read.
 func (c *coalescer) serve() bool {
 	tr := c.s.tracer.Open(EndpointTCP, c.buf.shard)
 	status, scored, flagged := "ok", 0, 0
@@ -176,8 +177,7 @@ func (c *coalescer) serve() bool {
 	c.s.scored.Add(int64(scored))
 	c.s.flagged.Add(int64(flagged))
 	c.s.badFrames.Add(int64(len(c.ends) - scored))
-	c.s.hist.RecordN(time.Since(tr.StartTime()), scored)
-	c.s.tracer.Finish(tr, status)
+	c.s.hist.RecordN(c.s.tracer.Finish(tr, status), scored)
 	return c.bw.Flush() == nil
 }
 
@@ -193,7 +193,7 @@ func (c *coalescer) serveFrame(tr *obs.Trace, data []byte) (status string) {
 	var res core.Result
 	if err == nil {
 		copy(reply[:fingerprint.SessionIDSize], p.SessionID[:])
-		res, _, reason, err = c.s.score(tr, c.buf, p, "", false)
+		res, _, reason, err = c.s.score(tr, c.buf, p, untimed)
 	}
 	if err != nil {
 		reply[tcpReplySize-1] = tcpErrorFlag

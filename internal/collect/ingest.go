@@ -154,35 +154,38 @@ func hexSessionID(id *[fingerprint.SessionIDSize]byte) string {
 	return string(b[:])
 }
 
+// untimed is the score start a transport passes to score when it does
+// not time its payloads.
+const untimed time.Duration = -1
+
 // score runs one decoded payload through the pipeline: dimension check
 // and vectorise, the model, the drift monitor, then the audit ledger for
 // an admitted verdict — every flagged one is. It returns the verdict, or
 // the reject reason with the error to report. tr is the caller's open
 // trace: it names the endpoint, stamps audit records and log lines, and
-// receives an audit span from the payloads that are audited. sessionID
-// is the payload's session ID in hex when the transport has already
-// encoded it for its reply, "" when it has not: it is then encoded here,
-// once, and only for a payload that is audited.
+// receives an audit span from the payloads that are audited.
 //
-// timed adds the score span and returns the kernel time in
-// microseconds. A transport with one payload per trace sets it; the TCP
-// coalescer, whose one trace covers up to tcpMaxBatch rows, does not —
-// two clock reads per row are a quarter of a 200 ns kernel.
-func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, sessionID string, timed bool) (res core.Result, elapsedUs int64, reason rejectReason, err error) {
+// Every boundary is one monotonic clock read, an offset from tr's start.
+// scoreStart is the caller's read of where scoring begins (HTTP: its
+// decode end); score adds the score span, which ends at one more read,
+// and returns it in microseconds. A transport with one payload per trace
+// passes it; the TCP coalescer, whose one trace covers up to tcpMaxBatch
+// rows, passes untimed — two clock reads per row are a quarter of a
+// 200 ns kernel. An audited payload's audit span starts at the score end
+// (its own read when untimed) and ends at one more read, and its record's
+// time is the trace's wall start plus that start offset.
+func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, scoreStart time.Duration) (res core.Result, elapsedUs int64, reason rejectReason, err error) {
 	dep := in.model.loadDeployed()
 	if len(p.Values) != dep.m.Dim() {
 		return res, 0, reasonBadDim, fmt.Errorf("expected %d features, got %d", dep.m.Dim(), len(p.Values))
 	}
 	buf.vec = fingerprint.ValuesToVectorInto(buf.vec, p.Values)
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
 	res, err = dep.m.ScoreStringWith(buf.scratch, buf.vec, p.UserAgent)
-	if timed {
-		d := time.Since(start)
-		tr.RecordSpan("score", start, d)
-		elapsedUs = d.Microseconds()
+	scoreEnd := untimed
+	if scoreStart != untimed {
+		scoreEnd = time.Since(tr.StartTime())
+		tr.RecordSpan("score", tr.StartTime().Add(scoreStart), scoreEnd-scoreStart)
+		elapsedUs = (scoreEnd - scoreStart).Microseconds()
 	}
 	if err != nil {
 		return res, elapsedUs, reasonScore, fmt.Errorf("score: %w", err)
@@ -194,14 +197,14 @@ func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, se
 	// The hex session ID and the owned vector copy are built only for an
 	// audited payload.
 	if in.ledger != nil && in.ledger.Admit(res.Flagged()) {
-		start := time.Now()
-		if sessionID == "" {
-			sessionID = hexSessionID(&p.SessionID)
+		start := scoreEnd
+		if start == untimed {
+			start = time.Since(tr.StartTime())
 		}
-		if err := in.audit(dep, tr, sessionID, p.UserAgent, buf.vec, res); err != nil {
+		if err := in.audit(dep, tr, start, hexSessionID(&p.SessionID), p.UserAgent, buf.vec, res); err != nil {
 			in.warnAppend(tr, "collect: audit record failed", err)
 		}
-		tr.RecordSpan("audit", start, time.Since(start))
+		tr.RecordSpan("audit", tr.StartTime().Add(start), time.Since(tr.StartTime())-start)
 	}
 	return res, elapsedUs, 0, nil
 }
@@ -209,13 +212,14 @@ func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, se
 // audit appends an admitted verdict to the ledger with what it was
 // decided from, stamped with the hash of the deployment that decided it
 // (dep is the snapshot score loaded, so a concurrent SwapModel cannot
-// mismatch them). The explanation is not computed here: readers derive
-// it from the record and the model archive. vec is the caller's reusable
-// buffer and userAgent a view of its request bytes; the ledger's recent
-// ring retains the record, so it gets its own copy of both.
-func (in *ingest) audit(dep *deployed, tr *obs.Trace, sessionID, userAgent string, vec []float64, res core.Result) error {
+// mismatch them) and timed at offset at from tr's start. The explanation
+// is not computed here: readers derive it from the record and the model
+// archive. vec is the caller's reusable buffer and userAgent a view of
+// its request bytes; the ledger's recent ring retains the record, so it
+// gets its own copy of both.
+func (in *ingest) audit(dep *deployed, tr *obs.Trace, at time.Duration, sessionID, userAgent string, vec []float64, res core.Result) error {
 	return in.ledger.Append(audit.Record{
-		TimeNs:    time.Now().UnixNano(),
+		TimeNs:    tr.StartTime().Add(at).UnixNano(),
 		TraceID:   tr.ID.String(),
 		ModelHash: dep.hash,
 		SessionID: sessionID,

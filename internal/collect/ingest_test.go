@@ -404,7 +404,7 @@ func TestIngestBenignSampledOutAllocs(t *testing.T) {
 	tr := srv.Tracer().Open(EndpointBinary, 0)
 	buf := srv.newScoreBuf()
 	got := testing.AllocsPerRun(200, func() {
-		res, _, _, err := srv.score(tr, buf, p, "", false)
+		res, _, _, err := srv.score(tr, buf, p, untimed)
 		if err != nil || res.Flagged() {
 			t.Fatalf("benign payload: %+v, %v", res, err)
 		}

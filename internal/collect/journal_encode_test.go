@@ -2,11 +2,14 @@ package collect
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"polygraph/internal/fingerprint"
 )
 
 // checkDecisionParity demands that Decision.AppendJSON and json.Marshal
@@ -23,6 +26,18 @@ func checkDecisionParity(t testing.TB, d Decision) {
 	}
 	if got := d.AppendJSON([]byte("prefix")); !bytes.Equal(got, append([]byte("prefix"), want...)) {
 		t.Fatalf("AppendJSON does not append: %s", got)
+	}
+}
+
+// checkHexIDParity demands that the reply's in-place hex session ID
+// writes what AppendJSON writes for the same ID as a hex string.
+func checkHexIDParity(t testing.TB, d Decision, id [fingerprint.SessionIDSize]byte) {
+	t.Helper()
+	d.SessionID = hex.EncodeToString(id[:])
+	want := d.AppendJSON([]byte("prefix"))
+	d.SessionID = "stale"
+	if got := d.appendJSONHexID([]byte("prefix"), &id); !bytes.Equal(got, want) {
+		t.Fatalf("appendJSONHexID differs from AppendJSON:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -52,21 +67,34 @@ func TestDecisionEncodeParity(t *testing.T) {
 			})
 		}
 	}
+	// Sixteen IDs between them hold every byte value.
+	for k := 0; k < 256/fingerprint.SessionIDSize; k++ {
+		var id [fingerprint.SessionIDSize]byte
+		for j := range id {
+			id[j] = byte(k*fingerprint.SessionIDSize + j)
+		}
+		n := ints[k%len(ints)]
+		checkHexIDParity(t, Decision{Cluster: n, Matched: k%2 == 0, RiskFactor: -n, Flagged: k%3 == 0, ElapsedMicros: int64(k)}, id)
+	}
 }
 
 func FuzzDecisionEncodeParity(f *testing.F) {
 	for i, id := range hostileSessionIDs {
-		f.Add(id, int64(i)-3, int64(i)<<40, uint8(i))
+		f.Add(id, []byte(id), int64(i)-3, int64(i)<<40, uint8(i))
 	}
-	f.Fuzz(func(t *testing.T, id string, a, b int64, bits uint8) {
-		checkDecisionParity(t, Decision{
+	f.Fuzz(func(t *testing.T, id string, raw []byte, a, b int64, bits uint8) {
+		d := Decision{
 			SessionID:     id,
 			Cluster:       int(a),
 			Matched:       bits&1 != 0,
 			RiskFactor:    int(b),
 			Flagged:       bits&2 != 0,
 			ElapsedMicros: a ^ b,
-		})
+		}
+		checkDecisionParity(t, d)
+		var sid [fingerprint.SessionIDSize]byte
+		copy(sid[:], raw)
+		checkHexIDParity(t, d, sid)
 	})
 }
 

@@ -14,9 +14,12 @@
 // scoreBuf (ingest.go) — pooled per HTTP request, one per TCP connection
 // — and the JSON frame the script sends is read by a scanner
 // (jsonscan.go), with encoding/json behind it for every other body. What
-// a scored HTTP request still allocates is its trace, the hex session ID
-// and the Content-Type header value; the user agent is a view of the
-// body, copied only into an audit record.
+// a scored HTTP request still allocates is its trace; the reply encodes
+// the session ID as hex in place, the user agent is a view of the body,
+// and both are copied into strings only for an audit record. A request
+// reads the wall clock once, when its trace opens, and every boundary
+// after it (decode end, score end, audit end, request end) is one
+// monotonic read, an offset from that start.
 //
 // Observability (internal/obs) is threaded through the whole serving
 // path: every ingest request runs under a deterministic trace whose
@@ -80,10 +83,24 @@ type Decision struct {
 
 // AppendJSON appends d byte for byte as json.Marshal encodes it, without
 // reflection (TestDecisionEncodeParity and its fuzz twin hold the two
-// together). A json-tagged field added to Decision needs its line here.
+// together). A json-tagged field added to Decision needs its line in
+// appendTail.
 func (d *Decision) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"session_id":`...)
-	dst = jsonappend.String(dst, d.SessionID)
+	return d.appendTail(jsonappend.String(dst, d.SessionID))
+}
+
+// appendJSONHexID is AppendJSON with the lower-case hex of id in place of
+// d.SessionID: the bytes Decision{SessionID: hex}.AppendJSON writes,
+// without building the hex string. Hex digits need no JSON escaping.
+func (d *Decision) appendJSONHexID(dst []byte, id *[fingerprint.SessionIDSize]byte) []byte {
+	dst = append(dst, `{"session_id":"`...)
+	dst = append(hex.AppendEncode(dst, id[:]), '"')
+	return d.appendTail(dst)
+}
+
+// appendTail appends every field after session_id and the closing brace.
+func (d *Decision) appendTail(dst []byte) []byte {
 	dst = append(dst, `,"cluster":`...)
 	dst = strconv.AppendInt(dst, int64(d.Cluster), 10)
 	dst = append(dst, `,"matched":`...)
@@ -140,9 +157,10 @@ type Config struct {
 	// polygraph_audit_* families appear at /metrics.
 	Audit *audit.Ledger
 	// ScoreDelay injects an artificial per-request delay into the HTTP
-	// ingest path, inside the latency-histogram measurement. It exists
-	// solely for SLO burn-rate fault drills (loadgen -fault-slow, CI's
-	// seeded breach test) and must never be set in production.
+	// ingest path, inside the latency-histogram measurement and ahead of
+	// the decode span. It exists solely for SLO burn-rate fault drills
+	// (loadgen -fault-slow, CI's seeded breach test) and must never be
+	// set in production.
 	ScoreDelay time.Duration
 }
 
@@ -404,7 +422,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // a scoreBuf, open a trace on its shard, rate-limit, decode, score, and
 // seal the trace with the outcome. Only successfully scored requests
 // feed the route's latency histogram — rejects are counted by cause
-// instead. The trace's start is the handler's.
+// instead — and it records the duration Finish measured, so the trace
+// and the histogram agree and the request end is one clock read. The
+// trace's start is the handler's.
 func (s *Server) serveCollect(w http.ResponseWriter, r *http.Request, route int) {
 	buf, _ := s.bufs.Get().(*scoreBuf)
 	if buf == nil {
@@ -413,15 +433,19 @@ func (s *Server) serveCollect(w http.ResponseWriter, r *http.Request, route int)
 	defer s.bufs.Put(buf)
 	rt := &ingestRoutes[route]
 	tr := s.tracer.Open(rt.path, buf.shard)
-	if s.scoreDelay > 0 {
-		time.Sleep(s.scoreDelay) // fault drill: inflate measured latency
-	}
 	status := s.collectOne(w, r, tr, buf, rt.decode)
+	d := s.tracer.Finish(tr, status)
 	if status == "ok" {
-		s.shards[buf.shard].hists[route].Record(time.Since(tr.StartTime()))
+		s.shards[buf.shard].hists[route].Record(d)
 	}
-	s.tracer.Finish(tr, status)
 }
+
+// jsonContentType is the Content-Type of every verdict reply, assigned to
+// the header map as is: Header.Set would canonicalise the key and
+// allocate the slice per request. It is never mutated; net/http clones
+// the header map at WriteHeader and only ever deletes from or appends to
+// it.
+var jsonContentType = []string{"application/json"}
 
 // payloadDecoder decodes a bounded request body into p, overwriting
 // every field, or reports the reject reason. p.UserAgent may be a view
@@ -487,22 +511,31 @@ func (s *Server) readPayload(buf *scoreBuf, body io.Reader, decode payloadDecode
 
 // collectOne handles one ingest request under an open trace and returns
 // the trace status ("ok" or the reject reason). Body, payload and reply
-// live in buf, and the counters it adds to are buf's shard.
+// live in buf, and the counters it adds to are buf's shard. Its
+// boundaries are offsets from the trace start: the decode span starts
+// there, at its own clock read only when the fault drill's delay or the
+// rate limiter ran first, and its end is the score span's start.
 func (s *Server) collectOne(w http.ResponseWriter, r *http.Request, tr *obs.Trace, buf *scoreBuf, decode payloadDecoder) string {
+	if s.scoreDelay > 0 {
+		time.Sleep(s.scoreDelay) // fault drill: inflate measured latency
+	}
 	if s.limiter != nil && !s.limiter.Allow(clientKey(r)) {
 		s.reject(w, tr, http.StatusTooManyRequests, reasonRateLimit, "rate limit exceeded")
 		return reasonNames[reasonRateLimit]
 	}
-	decodeStart := time.Now()
+	var decodeStart time.Duration
+	if s.scoreDelay > 0 || s.limiter != nil {
+		decodeStart = time.Since(tr.StartTime())
+	}
 	code, reason, err := s.readPayload(buf, r.Body, decode)
-	tr.RecordSpan("decode", decodeStart, time.Since(decodeStart))
+	decodeEnd := time.Since(tr.StartTime())
+	tr.RecordSpan("decode", tr.StartTime().Add(decodeStart), decodeEnd-decodeStart)
 	if err != nil {
 		s.reject(w, tr, code, reason, "%v", err)
 		return reasonNames[reason]
 	}
 	payload := &buf.payload
-	sessionID := hexSessionID(&payload.SessionID)
-	res, elapsed, reason, err := s.score(tr, buf, payload, sessionID, true)
+	res, elapsed, reason, err := s.score(tr, buf, payload, decodeEnd)
 	if err != nil {
 		code := http.StatusBadRequest
 		if reason == reasonScore {
@@ -517,16 +550,16 @@ func (s *Server) collectOne(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 		sh.flagged.Add(1)
 	}
 	d := Decision{
-		SessionID:     sessionID,
 		Cluster:       res.Cluster,
 		Matched:       res.Matched,
 		RiskFactor:    res.RiskFactor,
 		Flagged:       res.Flagged(),
 		ElapsedMicros: elapsed,
 	}
-	// One Write of what json.NewEncoder(w).Encode(&d) would send.
-	buf.reply = append(d.AppendJSON(buf.reply[:0]), '\n')
-	w.Header().Set("Content-Type", "application/json")
+	// One Write of what json.NewEncoder(w).Encode(&d) would send, d's
+	// SessionID the payload's in hex.
+	buf.reply = append(d.appendJSONHexID(buf.reply[:0], &payload.SessionID), '\n')
+	w.Header()["Content-Type"] = jsonContentType
 	if _, err := w.Write(buf.reply); err != nil {
 		s.logWarn(tr, "collect: encode response failed", "err", err.Error())
 	}

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -271,4 +274,46 @@ func TestLintDuplicateFamilyEmission(t *testing.T) {
 	if !sawHelp || !sawType {
 		t.Fatalf("duplicate family not flagged; problems = %v", problems)
 	}
+}
+
+// FuzzParseExposition feeds the parser what loadgen and the bundle
+// analyzers may be handed: any page at all. It must not panic, nor may
+// Samples, Value, Sum, Has or Histogram on what it returns, and the
+// lookups must agree with one another. Its committed seeds are families
+// of the page TestExpositionGolden (internal/serving) scrapes.
+func FuzzParseExposition(f *testing.F) {
+	f.Add([]byte("a 1\nb{x=\"y\\\"\",le=\"+Inf\"} 2 3\n# HELP a\n{} 4\nc{ 5\n"))
+	f.Fuzz(func(t *testing.T, page []byte) {
+		e, err := ParseExposition(bytes.NewReader(page))
+		if err != nil {
+			if !errors.Is(err, bufio.ErrTooLong) {
+				t.Fatalf("error from an in-memory page: %v", err)
+			}
+			return
+		}
+		total := 0
+		for name, idx := range e.byName {
+			got := e.Samples(name)
+			if len(got) != len(idx) || !e.Has(name) {
+				t.Fatalf("Samples(%q) has %d samples, the index %d", name, len(got), len(idx))
+			}
+			total += len(got)
+			family := strings.TrimSuffix(name, "_bucket")
+			unlabeled := false
+			for _, s := range got {
+				unlabeled = unlabeled || len(s.Labels) == 0
+				for _, l := range s.Labels {
+					e.Histogram(family, l.Name)
+					e.HistogramBuckets(family, l.Name)
+				}
+			}
+			if _, err := e.Value(name); (err == nil) != unlabeled {
+				t.Fatalf("Value(%q) error %v, with an unlabeled sample %v", name, err, unlabeled)
+			}
+			e.Sum(name)
+		}
+		if total != len(e.samples) {
+			t.Fatalf("the name index holds %d samples of %d", total, len(e.samples))
+		}
+	})
 }

@@ -103,8 +103,10 @@ type Trace struct {
 	inline [inlineSpans]Span
 }
 
-// StartTime is when the trace was opened; a handler that times itself
-// from here spares a clock read.
+// StartTime is when the trace was opened: the request's one wall-clock
+// read. A handler times its boundaries as monotonic offsets from it
+// (time.Since(tr.StartTime())) and passes StartTime().Add(offset) to
+// RecordSpan, which is arithmetic, not a clock read.
 func (t *Trace) StartTime() time.Time { return t.start }
 
 // RecordSpan appends one completed span: a named section of work with
@@ -179,8 +181,10 @@ func (t *Tracer) Open(endpoint string, shard int) *Trace {
 
 // Finish seals the trace with its outcome, retains it in the ring, and
 // emits a structured slow-request record when the total duration
-// crosses the threshold. After Finish the trace is immutable.
-func (t *Tracer) Finish(tr *Trace, status string) {
+// crosses the threshold. It returns that duration, its one clock read,
+// for a caller that records the request's latency elsewhere too. After
+// Finish the trace is immutable.
+func (t *Tracer) Finish(tr *Trace, status string) time.Duration {
 	d := time.Since(tr.start)
 	tr.Status = status
 	tr.DurUs = d.Microseconds()
@@ -197,6 +201,7 @@ func (t *Tracer) Finish(tr *Trace, status string) {
 		}
 		t.log.Warn("slow request", attrs...)
 	}
+	return d
 }
 
 // tracePage is the /debug/traces JSON document.
