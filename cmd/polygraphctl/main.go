@@ -211,7 +211,7 @@ func runTrain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	logger := obs.NewLogger(stderr, false).With("app", "polygraphctl")
-	model, _, _, err := serving.ObtainModel(context.Background(), true, "", *sessions, *novelty, logger)
+	model, _, _, err := serving.ObtainModel(true, "", *sessions, *novelty, logger)
 	if err != nil {
 		return fail(stderr, "train: %v", err)
 	}

@@ -12,9 +12,7 @@
 // With -warm the daemon boots without a model and fails closed: every
 // endpoint (including /healthz) answers 503 until the fleet control
 // plane (cmd/polygraphctl push) deploys a model through POST
-// /admin/model and hash-verifies it. A warm replica has no reload
-// source, so SIGHUP only rotates the audit segment — redeployment is
-// the controller's job.
+// /admin/model and hash-verifies it.
 //
 // The replica runtime itself — model load/train, collect server, drift
 // telemetry, audit ledger, hot reload — lives in
@@ -22,14 +20,12 @@
 // process; this command wires exactly one replica to flags, signals,
 // and the optional pprof listener.
 //
-// SIGHUP reloads the model and hot-swaps it into the running service —
-// the deployment step of the drift detector's retraining loop. When the
-// daemon was started with -train, SIGHUP retrains in-process; otherwise
-// it rereads -model. The reload runs asynchronously under a context
-// bounded by -reload-timeout and is cancelled cleanly on shutdown, so a
-// SIGTERM never waits behind a half-finished retrain. SIGHUP also seals
-// the active audit segment so operators can archive sealed segments on
-// the same signal.
+// SIGHUP rereads -model and hot-swaps it into the running service — the
+// deployment step of an operator's retrain (polygraph train -o). A file
+// that does not load leaves the current model serving. A -train or
+// -warm daemon has no file to reread, so there SIGHUP changes no model.
+// SIGHUP also seals the active audit segment so operators can archive
+// sealed segments on the same signal.
 //
 // Observability: logs are structured (log/slog; -log-json switches to
 // JSON), every ingest request is traced (last/slowest traces at
@@ -48,6 +44,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -64,8 +61,6 @@ import (
 // but the logger) and what main itself acts on.
 type options struct {
 	replica   serving.Config
-	train     bool
-	modelPath string
 	debugAddr string
 	logJSON   bool
 	version   bool
@@ -80,13 +75,12 @@ func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("polygraphd", flag.ContinueOnError)
 	fs.StringVar(&c.Addr, "addr", ":8080", "listen address")
 	fs.StringVar(&c.TCPAddr, "tcp-addr", "", "also serve the framed TCP protocol (length-prefixed binary payloads, pipelined frames scored as one batch) on this address (empty = off)")
-	fs.StringVar(&o.modelPath, "model", "model.json", "trained model path")
-	fs.BoolVar(&o.train, "train", false, "train a fresh model in-process instead of loading one")
+	fs.StringVar(&c.ModelPath, "model", "model.json", "trained model path")
+	fs.BoolVar(&c.Train, "train", false, "train a fresh model in-process instead of loading one")
 	warm := fs.Bool("warm", false, "start without a model and wait for a fleet push (everything 503s until /admin/model deploys one)")
 	fs.IntVar(&c.Sessions, "sessions", 40000, "sessions to generate when -train is set")
 	fs.BoolVar(&c.Novelty, "novelty", false, "arm the novelty guard when training with -train")
 	fs.Float64Var(&c.RateLimitPerSec, "rate-limit", 0, "per-client-IP requests/second on the ingest endpoints (0 = off)")
-	fs.DurationVar(&c.ReloadTimeout, "reload-timeout", 5*time.Minute, "deadline for a SIGHUP model reload/retrain")
 	fs.BoolVar(&o.logJSON, "log-json", false, "emit structured logs as JSON instead of text")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listener for pprof/expvar (empty = off)")
 	fs.DurationVar(&c.SlowRequest, "slow-request", 100*time.Millisecond, "log requests slower than this with their trace")
@@ -104,12 +98,11 @@ func parseFlags(args []string) (*options, error) {
 		return nil, err
 	}
 
-	c.Train, c.ModelPath = o.train, o.modelPath
 	if *warm {
-		if o.train {
+		if c.Train {
 			return nil, errors.New("-warm and -train are mutually exclusive")
 		}
-		c.Train, c.ModelPath = false, ""
+		c.ModelPath = ""
 	}
 	// Burn-rate alerting is on by default with the built-in spec; the
 	// engine arms itself on the first model deployment and serves GET
@@ -138,19 +131,7 @@ func main() {
 	}
 
 	if o.version {
-		fmt.Println(obs.Version("polygraphd"))
-		// When a model file is on hand, print its hash too — the identity
-		// the fleet control plane verifies across replicas.
-		if !o.train {
-			if f, err := os.Open(o.modelPath); err == nil {
-				if m, err := core.Load(f); err == nil {
-					if h, err := m.Hash(); err == nil {
-						fmt.Printf("model %s %s\n", o.modelPath, h)
-					}
-				}
-				f.Close()
-			}
-		}
+		printVersion(os.Stdout, o)
 		return
 	}
 
@@ -160,20 +141,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The signal context exists before the first model load so that a
-	// SIGINT during a slow in-process training run aborts it promptly
-	// instead of waiting out the full train.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	o.replica.Logger = logger
-	replica, err := serving.New(ctx, o.replica)
+	replica, err := serving.New(context.Background(), o.replica)
 	if err != nil {
-		if errors.Is(err, core.ErrCanceled) {
-			fatalf("model: startup interrupted: %v", err)
-		}
 		fatalf("model: %v", err)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if err := replica.Start(); err != nil {
 		fatalf("%v", err)
 	}
@@ -213,7 +187,13 @@ loop:
 			} else if o.replica.AuditDir != "" {
 				logger.Info("audit ledger rotated", "dir", o.replica.AuditDir)
 			}
-			replica.TriggerReload()
+			switch err := replica.Reload(); {
+			case errors.Is(err, serving.ErrNoModelFile):
+			case err != nil:
+				logger.Warn("reload failed, keeping current model", "err", err.Error())
+			default:
+				logger.Info("reloaded model", "path", o.replica.ModelPath, "model_hash", replica.ModelHash())
+			}
 		case <-ctx.Done():
 			logger.Info("shutting down")
 			if err := replica.Close(); err != nil {
@@ -231,6 +211,27 @@ loop:
 	logger.Info("served",
 		"collections", stats.Received, "flagged", stats.Flagged, "rejected", stats.Rejected,
 		"avg_score_us", fmt.Sprintf("%.1f", stats.AvgScoreUs))
+}
+
+// printVersion writes the build line and, when the replica will load its
+// model from a file, that file's path and model hash — the identity the
+// fleet control plane verifies across replicas. A -train or -warm replica
+// never loads the file, so it gets no model line.
+func printVersion(w io.Writer, o *options) {
+	fmt.Fprintln(w, obs.Version("polygraphd"))
+	if o.replica.Train || o.replica.ModelPath == "" {
+		return
+	}
+	f, err := os.Open(o.replica.ModelPath)
+	if err != nil {
+		return
+	}
+	defer f.Close()
+	if m, err := core.Load(f); err == nil {
+		if h, err := m.Hash(); err == nil {
+			fmt.Fprintf(w, "model %s %s\n", o.replica.ModelPath, h)
+		}
+	}
 }
 
 // debugMux assembles the -debug-addr surface: pprof profiles, expvar,

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,7 +41,7 @@ func TestTCPAddrFlag(t *testing.T) {
 		t.Fatal("-tcp-addr bound no framed listener")
 	}
 
-	model, _, _, err := serving.ObtainModel(context.Background(), true, "", 6000, false, obs.NewLogger(nil, false))
+	model, _, _, err := serving.ObtainModel(true, "", 6000, false, obs.NewLogger(nil, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +113,7 @@ func TestDebugMuxFollowsWarmReplica(t *testing.T) {
 		t.Fatalf("/debug/vars returned %d while warming", got)
 	}
 
-	model, _, _, err := serving.ObtainModel(context.Background(), true, "", 6000, false, obs.NewLogger(nil, false))
+	model, _, _, err := serving.ObtainModel(true, "", 6000, false, obs.NewLogger(nil, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +127,47 @@ func TestDebugMuxFollowsWarmReplica(t *testing.T) {
 	for _, path := range []string{"/debug/traces", "/debug/decisions"} {
 		if got := status(path); got != http.StatusOK {
 			t.Fatalf("%s returned %d after the push, want 200", path, got)
+		}
+	}
+}
+
+// TestPrintVersionModelLine: -version prints the model file's hash only
+// when the replica would load that file, which -warm and -train never do.
+func TestPrintVersionModelLine(t *testing.T) {
+	model, _, _, err := serving.ObtainModel(true, "", 6000, false, obs.NewLogger(nil, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := model.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.json")
+	var buf bytes.Buffer
+	if err := model.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	modelLine := "model " + path + " " + hash + "\n"
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-model", path}, modelLine},
+		{[]string{"-model", path, "-warm"}, ""},
+		{[]string{"-model", path, "-train"}, ""},
+	} {
+		o, err := parseFlags(append(tc.args, "-version"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		printVersion(&out, o)
+		build, rest, _ := strings.Cut(out.String(), "\n")
+		if !strings.HasPrefix(build, "polygraphd") || rest != tc.want {
+			t.Errorf("%v: printed %q, want the build line then %q", tc.args, out.String(), tc.want)
 		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"polygraph/internal/core"
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/obs"
-	"polygraph/internal/pipeline"
 	"polygraph/internal/ua"
 )
 
@@ -52,7 +52,7 @@ func TestMetricsExpositionLints(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.SetModelTrainedAt(time.Unix(1700000000, 0))
-	srv.SetTrainStages([]pipeline.Timing{{Name: "scale", Duration: 2 * time.Millisecond, RowsIn: 10, RowsOut: 10}})
+	srv.SetTrainStages([]core.StageTiming{{Name: "scale", Duration: 2 * time.Millisecond, RowsIn: 10, RowsOut: 10}})
 	tcpSrv, err := NewTCPServer(Config{Model: m, Tracer: srv.Tracer(), Drift: driftMon})
 	if err != nil {
 		t.Fatal(err)

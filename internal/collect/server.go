@@ -57,7 +57,6 @@ import (
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/jsonappend"
 	"polygraph/internal/obs"
-	"polygraph/internal/pipeline"
 	"polygraph/internal/slo"
 )
 
@@ -203,7 +202,7 @@ type Server struct {
 	// trainMu guards trainStages, the per-stage timings of the last
 	// (re)train that produced the deployed model; exported at /metrics.
 	trainMu     sync.RWMutex
-	trainStages []pipeline.Timing
+	trainStages []core.StageTiming
 }
 
 // serveShard is one shard (obs.ShardCount) of the HTTP server's
@@ -392,8 +391,8 @@ func (s *Server) ModelTrainedAt() time.Time {
 // SetTrainStages records the stage timings of the training run that
 // produced the deployed model; /metrics exports them. Call it alongside
 // SwapModel (or at startup) whenever a TrainReport is available.
-func (s *Server) SetTrainStages(stages []pipeline.Timing) {
-	copied := append([]pipeline.Timing(nil), stages...)
+func (s *Server) SetTrainStages(stages []core.StageTiming) {
+	copied := append([]core.StageTiming(nil), stages...)
 	s.trainMu.Lock()
 	s.trainStages = copied
 	s.trainMu.Unlock()
@@ -401,10 +400,10 @@ func (s *Server) SetTrainStages(stages []pipeline.Timing) {
 
 // TrainStages returns a copy of the last recorded training-stage
 // timings (nil when none were ever set).
-func (s *Server) TrainStages() []pipeline.Timing {
+func (s *Server) TrainStages() []core.StageTiming {
 	s.trainMu.RLock()
 	defer s.trainMu.RUnlock()
-	return append([]pipeline.Timing(nil), s.trainStages...)
+	return append([]core.StageTiming(nil), s.trainStages...)
 }
 
 func (s *Server) handleScript(w http.ResponseWriter, _ *http.Request) {

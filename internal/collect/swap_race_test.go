@@ -12,7 +12,6 @@ import (
 
 	"polygraph/internal/audit"
 	"polygraph/internal/core"
-	"polygraph/internal/pipeline"
 	"polygraph/internal/ua"
 )
 
@@ -44,7 +43,7 @@ func TestSwapModelUnderConcurrentScoring(t *testing.T) {
 	// the daemon's reload loop does.
 	stop := make(chan struct{})
 	swapperDone := make(chan struct{})
-	stages := []pipeline.Timing{{Name: "kmeans", Duration: time.Millisecond, RowsIn: 10, RowsOut: 10}}
+	stages := []core.StageTiming{{Name: "kmeans", Duration: time.Millisecond, RowsIn: 10, RowsOut: 10}}
 	go func() {
 		defer close(swapperDone)
 		models := [2]*core.Model{m, m2}
@@ -214,7 +213,7 @@ func TestMetricsExportTrainStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetTrainStages([]pipeline.Timing{
+	srv.SetTrainStages([]core.StageTiming{
 		{Name: "scale", Duration: 2 * time.Millisecond, RowsIn: 100, RowsOut: 100},
 		{Name: "kmeans", Duration: 5 * time.Millisecond, RowsIn: 98, RowsOut: 98},
 	})

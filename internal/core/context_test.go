@@ -3,104 +3,11 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
-	"slices"
+	"strings"
 	"testing"
 
-	"polygraph/internal/pipeline"
-	"polygraph/internal/pipeline/pipelinetest"
 	"polygraph/internal/ua"
 )
-
-func TestTrainContextPreCancelled(t *testing.T) {
-	samples, ext := trainFixture(t, 40)
-	cfg := DefaultTrainConfig()
-	cfg.K = 8
-	cfg.Contamination = 0
-	cfg.Reference = ExtractorReference{Extractor: ext, OS: ua.Windows10}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := TrainContext(ctx, samples, cfg)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
-	}
-	var se *pipeline.StageError
-	if !errors.As(err, &se) {
-		t.Fatalf("want a StageError in the chain, got %v", err)
-	}
-	if se.Stage != StageScale {
-		t.Fatalf("pre-cancelled run should die in the first stage, got %q", se.Stage)
-	}
-}
-
-// TestTrainContextCancelMidTrain cancels a training run at every one of
-// the context checks a full run performs and requires, each time,
-// ErrCanceled attributed to a stage, and no model. Walked in check
-// order, the stages named are the full run's stages in its order, each
-// at least once. The checks sit at points fixed by the input (per stage,
-// per tree, per k-means++ pick and Lloyd iteration), so this is the same
-// sweep on every machine.
-func TestTrainContextCancelMidTrain(t *testing.T) {
-	samples, ext := trainFixture(t, 40)
-	cfg := DefaultTrainConfig()
-	cfg.K = 8
-	cfg.Contamination = 0.01
-	cfg.IsolationTrees = 10
-	cfg.KMeansRestarts = 2
-	cfg.NoveltyGuard = true
-	cfg.Reference = ExtractorReference{Extractor: ext, OS: ua.Windows10}
-
-	counting := pipelinetest.NewCountingCtx(context.Background(), math.MaxInt)
-	under, rep, err := TrainContext(counting, samples, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := counting.Calls()
-	var stages []string
-	for _, st := range rep.Stages {
-		stages = append(stages, st.Name)
-	}
-	if len(stages) != 6 {
-		t.Fatalf("full run ran stages %v, want 6", stages)
-	}
-	// Every stage starts with a check; the forest adds one per tree and
-	// k-means one per pick and iteration.
-	if least := 6 + cfg.IsolationTrees + cfg.KMeansRestarts*(cfg.K-1+2); total < least {
-		t.Fatalf("training performed %d ctx checks, want at least %d", total, least)
-	}
-
-	var named []string
-	for i := 1; i <= total; i++ {
-		m, rep, err := TrainContext(pipelinetest.NewCountingCtx(context.Background(), i-1), samples, cfg)
-		if m != nil || rep != nil || !errors.Is(err, ErrCanceled) {
-			t.Fatalf("cancel at check %d of %d: model %v, report %v, err %v", i, total, m, rep, err)
-		}
-		var se *pipeline.StageError
-		if !errors.As(err, &se) {
-			t.Fatalf("cancel at check %d of %d: %v carries no stage", i, total, err)
-		}
-		if len(named) == 0 || named[len(named)-1] != se.Stage {
-			named = append(named, se.Stage)
-		}
-	}
-	if !slices.Equal(named, stages) {
-		t.Fatalf("cancelling check by check named stages %v, want %v", named, stages)
-	}
-
-	// A run that completes under a context is the run without one.
-	plain, _, err := Train(samples, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plain.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := under.Hash(); err != nil || got != want {
-		t.Fatalf("model trained under a context hashes %s (%v), without one %s", got, err, want)
-	}
-}
 
 func TestTrainReportStages(t *testing.T) {
 	samples, ext := trainFixture(t, 40)
@@ -109,7 +16,7 @@ func TestTrainReportStages(t *testing.T) {
 	cfg.Contamination = 0.01
 	cfg.Reference = ExtractorReference{Extractor: ext, OS: ua.Windows10}
 
-	model, rep, err := TrainContext(context.Background(), samples, cfg)
+	model, rep, err := Train(samples, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +51,7 @@ func TestTrainReportStagesNovelty(t *testing.T) {
 	cfg.NoveltyGuard = true
 	cfg.Reference = ExtractorReference{Extractor: ext, OS: ua.Windows10}
 
-	_, rep, err := TrainContext(context.Background(), samples, cfg)
+	_, rep, err := Train(samples, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,17 +73,28 @@ func TestTrainReportStagesNovelty(t *testing.T) {
 func TestTrainBadInput(t *testing.T) {
 	cfg := DefaultTrainConfig()
 	cfg.Features = nil
-	if _, _, err := TrainContext(context.Background(), nil, cfg); !errors.Is(err, ErrBadInput) {
+	if _, _, err := Train(nil, cfg); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("no features: want ErrBadInput, got %v", err)
 	}
 	cfg = DefaultTrainConfig()
-	if _, _, err := TrainContext(context.Background(), nil, cfg); !errors.Is(err, ErrBadInput) {
+	if _, _, err := Train(nil, cfg); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("no samples: want ErrBadInput, got %v", err)
 	}
 	cfg.K = 0
 	samples, _ := trainFixture(t, 2)
-	if _, _, err := TrainContext(context.Background(), samples, cfg); !errors.Is(err, ErrBadInput) {
+	if _, _, err := Train(samples, cfg); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("K=0: want ErrBadInput, got %v", err)
+	}
+}
+
+// TestTrainErrorNamesStage: a stage that fails names itself in the
+// error. One sample loses its only row to the outlier cut, which leaves
+// PCA nothing to fit.
+func TestTrainErrorNamesStage(t *testing.T) {
+	samples, _ := trainFixture(t, 1)
+	m, rep, err := Train(samples[:1], DefaultTrainConfig())
+	if err == nil || m != nil || rep != nil || !strings.Contains(err.Error(), "stage "+StagePCA+":") {
+		t.Fatalf("model %v, report %v, err %v; want an error naming stage %s", m, rep, err, StagePCA)
 	}
 }
 
@@ -198,7 +116,7 @@ func TestTrainRejectsBadForestSizes(t *testing.T) {
 			cfg := DefaultTrainConfig()
 			cfg.K = 4
 			tc.edit(&cfg)
-			m, rep, err := TrainContext(context.Background(), samples, cfg)
+			m, rep, err := Train(samples, cfg)
 			if !errors.Is(err, ErrBadInput) || m != nil || rep != nil {
 				t.Fatalf("model %v, report %v, err %v; want ErrBadInput", m, rep, err)
 			}

@@ -17,7 +17,6 @@ import (
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/kmeans"
 	"polygraph/internal/pca"
-	"polygraph/internal/pipeline"
 	"polygraph/internal/scaler"
 	"polygraph/internal/ua"
 )
@@ -307,7 +306,7 @@ func (m *Model) ScoreStringBatchContext(ctx context.Context, vectors [][]float64
 	score(0)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: score string batch: %w", pipeline.Canceled(err))
+		return nil, fmt.Errorf("core: score string batch: %w: %v", ErrCanceled, err)
 	}
 	for _, b := range bad {
 		if b.err != nil {

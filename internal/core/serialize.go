@@ -129,11 +129,10 @@ func Load(r io.Reader) (*Model, error) {
 		if len(mj.PCAMean) != len(mj.Features) {
 			return nil, fmt.Errorf("core: pca mean size mismatch")
 		}
-		comps := matrix.FromRows(mj.PCAComponents)
-		_, d := comps.Dims()
-		if d != len(mj.Features) {
-			return nil, fmt.Errorf("core: pca component width mismatch")
+		if err := checkWidths("pca_components", mj.PCAComponents, len(mj.Features)); err != nil {
+			return nil, err
 		}
+		comps := matrix.FromRows(mj.PCAComponents)
 		m.PCA = &pca.PCA{
 			Mean:       mj.PCAMean,
 			Components: comps,
@@ -142,15 +141,15 @@ func Load(r io.Reader) (*Model, error) {
 		}
 	}
 
-	cents := matrix.FromRows(mj.Centroids)
-	kr, kd := cents.Dims()
 	wantDim := len(mj.Features)
 	if m.PCA != nil {
 		wantDim = m.PCA.K
 	}
-	if kd != wantDim {
-		return nil, fmt.Errorf("core: centroid width %d, want %d", kd, wantDim)
+	if err := checkWidths("centroids", mj.Centroids, wantDim); err != nil {
+		return nil, err
 	}
+	cents := matrix.FromRows(mj.Centroids)
+	kr, kd := cents.Dims()
 	m.KMeans = &kmeans.Model{Centroids: cents, K: kr, Dim: kd}
 
 	m.ClusterUAs = map[int][]ua.Release{}
@@ -180,4 +179,15 @@ func Load(r io.Reader) (*Model, error) {
 	// serving tier never pays the build on a request.
 	m.plan.Store(buildScorePlan(m))
 	return m, nil
+}
+
+// checkWidths rejects a matrix whose rows are not all want wide, before
+// matrix.FromRows would panic on a ragged one.
+func checkWidths(name string, rows [][]float64, want int) error {
+	for i, row := range rows {
+		if len(row) != want {
+			return fmt.Errorf("core: %s row %d has width %d, want %d", name, i, len(row), want)
+		}
+	}
+	return nil
 }

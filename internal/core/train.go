@@ -1,35 +1,34 @@
 package core
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/iforest"
 	"polygraph/internal/kmeans"
 	"polygraph/internal/matrix"
 	"polygraph/internal/pca"
-	"polygraph/internal/pipeline"
 	"polygraph/internal/scaler"
 	"polygraph/internal/ua"
 )
 
-// The error taxonomy of the train/score stack, re-exported from
-// internal/pipeline so callers classify failures with errors.Is without
-// importing the pipeline layer. Stage attribution travels alongside via
-// pipeline.StageError (errors.As).
+// The error taxonomy of the train/score stack; callers classify failures
+// with errors.Is.
 var (
-	// ErrCanceled: the context was cancelled or timed out mid-pipeline.
-	ErrCanceled = pipeline.ErrCanceled
-	// ErrBadInput: the caller's samples or configuration are invalid.
-	ErrBadInput = pipeline.ErrBadInput
+	// ErrCanceled: a batch score's context was cancelled or timed out.
+	ErrCanceled = errors.New("canceled")
+	// ErrBadInput: the caller's samples, configuration or vector are
+	// invalid.
+	ErrBadInput = errors.New("bad input")
 	// ErrNotTrained: the model is missing its trained components.
-	ErrNotTrained = pipeline.ErrNotTrained
+	ErrNotTrained = errors.New("model not trained")
 )
 
 // Stage names of the §6.4 training pipeline, in execution order. They key
-// TrainReport.Stages, StageError attribution and the /metrics
+// TrainReport.Stages, a failed stage's error and the /metrics
 // stage-duration export.
 const (
 	StageScale        = "scale"
@@ -116,7 +115,16 @@ type TrainReport struct {
 	PerUAMajority map[ua.Release]float64
 	// Stages records the executed pipeline stages in order: name, wall
 	// time, rows in/out.
-	Stages []pipeline.Timing
+	Stages []StageTiming
+}
+
+// StageTiming records one executed training stage: what ran, how long it
+// took, and how many rows flowed in and out.
+type StageTiming struct {
+	Name     string        `json:"name"`
+	Duration time.Duration `json:"duration_ns"`
+	RowsIn   int           `json:"rows_in"`
+	RowsOut  int           `json:"rows_out"`
 }
 
 // WithDefaults returns a copy of cfg with every zero-valued knob that
@@ -137,22 +145,12 @@ func (cfg TrainConfig) WithDefaults() TrainConfig {
 	return cfg
 }
 
-// Train fits a Browser Polygraph model on the samples.
+// Train fits a Browser Polygraph model on the samples: the §6.4 stages
+// (scale → iforest filter → PCA → k-means → cluster-table) run in order
+// on one goroutine, and each one's wall time and rows in/out land in
+// TrainReport.Stages. Invalid samples or configuration return
+// ErrBadInput.
 func Train(samples []Sample, cfg TrainConfig) (*Model, *TrainReport, error) {
-	return TrainContext(context.Background(), samples, cfg)
-}
-
-// TrainContext is Train under a context: every stage of the §6.4
-// pipeline (scale → iforest filter → PCA → k-means → cluster-table) runs
-// through an internal/pipeline Runner that records wall time and rows
-// in/out into TrainReport.Stages. Training is one goroutine; the stages
-// check ctx between their passes over the rows (per isolation tree, per
-// k-means++ pick and Lloyd iteration), so cancelling mid-train aborts
-// within one such pass and returns an error matching
-// errors.Is(err, ErrCanceled) with the failing stage attached
-// (pipeline.StageError). Invalid samples or configuration return
-// ErrBadInput. A run that completes is bit-identical to Train's.
-func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Model, *TrainReport, error) {
 	cfg = cfg.WithDefaults()
 	if len(cfg.Features) == 0 {
 		return nil, nil, fmt.Errorf("core: %w: config has no features", ErrBadInput)
@@ -176,9 +174,6 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 		return nil, nil, fmt.Errorf("core: %w: IsolationTrees=%d", ErrBadInput, cfg.IsolationTrees)
 	}
 
-	run := pipeline.New(ctx)
-	report := &TrainReport{InputRows: len(samples)}
-
 	// Every stage reads one table: the distinct (claim, vector) pairs of
 	// the samples, each with its row count. A sum over the rows is a
 	// count-weighted sum over the table; what depends on row order — the
@@ -189,80 +184,73 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 		return claimKey(samples[i].UA), samples[i].Vector
 	})
 
+	report := &TrainReport{InputRows: len(samples)}
+	start := time.Now()
+	// done closes a stage: it records the stage's wall time since start
+	// and its rows in/out, and starts the next stage's clock.
+	done := func(name string, rowsIn, rowsOut int) {
+		now := time.Now()
+		report.Stages = append(report.Stages, StageTiming{Name: name, Duration: now.Sub(start), RowsIn: rowsIn, RowsOut: rowsOut})
+		start = now
+	}
+	failed := func(name string, err error) (*Model, *TrainReport, error) {
+		return nil, nil, fmt.Errorf("core: stage %s: %w", name, err)
+	}
+
 	// Stage 1: standard scaling; binary time-based columns pass through
 	// (§6.4.1).
-	var sc *scaler.Standard
-	err := run.Run(StageScale, len(samples), func(ctx context.Context) (int, error) {
-		var err error
-		if sc, err = scaler.FitContext(ctx, rows, scaler.Config{Skip: fingerprint.SkipScaleMask(cfg.Features)}); err != nil {
-			return 0, err
-		}
+	sc, err := scaler.FitGroups(rows, scaler.Config{Skip: fingerprint.SkipScaleMask(cfg.Features)})
+	if err == nil {
 		rows.Rows, err = sc.Transform(rows.Rows)
-		return len(samples), err
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
 	}
+	if err != nil {
+		return failed(StageScale, err)
+	}
+	done(StageScale, len(samples), len(samples))
 
 	// Stage 2: Isolation Forest outlier filtering (§6.4.1).
 	if !cfg.DisableOutlierFilter && cfg.Contamination > 0 {
-		err := run.Run(StageFilter, len(samples), func(ctx context.Context) (int, error) {
-			forest, err := iforest.FitContext(ctx, rows, iforest.Config{
-				Trees: cfg.IsolationTrees, Seed: cfg.Seed,
-			})
-			if err != nil {
-				return 0, err
-			}
-			drop, err := forest.Outliers(ctx, rows, cfg.Contamination)
-			if err != nil {
-				return 0, err
-			}
-			report.OutliersFiltered = len(drop)
-			rows = rows.Drop(drop)
-			return len(rows.Group), nil
+		forest, err := iforest.FitGroups(rows, iforest.Config{
+			Trees: cfg.IsolationTrees, Seed: cfg.Seed,
 		})
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: %w", err)
+			return failed(StageFilter, err)
 		}
+		drop, err := forest.Outliers(rows, cfg.Contamination)
+		if err != nil {
+			return failed(StageFilter, err)
+		}
+		report.OutliersFiltered = len(drop)
+		rows = rows.Drop(drop)
+		done(StageFilter, len(samples), len(rows.Group))
 	}
 	kept := len(rows.Group)
 
 	// Stage 3: PCA (§6.4.2).
 	var p *pca.PCA
 	if !cfg.DisablePCA {
-		err := run.Run(StagePCA, kept, func(ctx context.Context) (int, error) {
-			var err error
-			if p, err = pca.FitContext(ctx, rows, cfg.PCAComponents); err != nil {
-				return 0, err
-			}
+		if p, err = pca.FitGroups(rows, cfg.PCAComponents); err == nil {
 			report.CumulativeVariance = p.CumulativeVariance()
 			rows.Rows, err = p.Transform(rows.Rows)
-			return kept, err
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %w", err)
 		}
+		if err != nil {
+			return failed(StagePCA, err)
+		}
+		done(StagePCA, kept, kept)
 	}
 
 	// Stage 4: k-means (§6.4.3).
-	var km *kmeans.Model
-	err = run.Run(StageKMeans, kept, func(ctx context.Context) (int, error) {
-		var err error
-		km, err = kmeans.FitContext(ctx, rows, kmeans.Config{
-			K:        cfg.K,
-			Seed:     cfg.Seed,
-			Restarts: cfg.KMeansRestarts,
-			PlusPlus: true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		report.WCSS = km.WCSS
-		return kept, nil
+	km, err := kmeans.FitGroups(rows, kmeans.Config{
+		K:        cfg.K,
+		Seed:     cfg.Seed,
+		Restarts: cfg.KMeansRestarts,
+		PlusPlus: true,
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
+		return failed(StageKMeans, err)
 	}
+	report.WCSS = km.WCSS
+	done(StageKMeans, kept, kept)
 
 	model := &Model{
 		Features:       append([]fingerprint.Feature(nil), cfg.Features...),
@@ -278,42 +266,30 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 	// trips it and surfaces beyond the training population's territory
 	// do.
 	if cfg.NoveltyGuard {
-		err := run.Run(StageNovelty, kept, func(context.Context) (int, error) {
-			// The largest distance over the rows is the largest over
-			// the table.
-			maxDist := 0.0
-			for g := range rows.Count {
-				// One-pass nearest + distance; bit-identical to
-				// Distance(row, Predict(row)) at half the work.
-				if _, d := km.AssignDistance(rows.Rows.RawRow(g)); d > maxDist {
-					maxDist = d
-				}
+		// The largest distance over the rows is the largest over the
+		// table.
+		maxDist := 0.0
+		for g := range rows.Count {
+			// One-pass nearest + distance; bit-identical to
+			// Distance(row, Predict(row)) at half the work.
+			if _, d := km.AssignDistance(rows.Rows.RawRow(g)); d > maxDist {
+				maxDist = d
 			}
-			model.NoveltyThreshold = maxDist * 1.15
-			return kept, nil
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %w", err)
 		}
+		model.NoveltyThreshold = maxDist * 1.15
+		done(StageNovelty, kept, kept)
 	}
 
 	// Stage 5: label clusters by user-agent majority and align rare
 	// user-agents with reference fingerprints (§6.4.3). Rows out is the
 	// size of the UA→cluster table the stage distills.
-	err = run.Run(StageClusterTable, kept, func(context.Context) (int, error) {
-		model.buildClusterTable(rows, cfg, report)
-		return len(model.UACluster), nil
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
+	model.buildClusterTable(rows, cfg, report)
+	done(StageClusterTable, kept, len(model.UACluster))
 
 	// Flatten the finished model for the scoring fast path. The Store
 	// also supersedes any plan built lazily mid-training (the rare-UA
 	// alignment scores reference vectors before the UA table exists).
 	model.plan.Store(buildScorePlan(model))
-
-	report.Stages = run.Timings()
 	return model, report, nil
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"polygraph/internal/core"
 	"polygraph/internal/drift"
-	"polygraph/internal/pipeline"
 )
 
 // The renderers print each experiment in a layout matching the paper's
@@ -20,7 +19,7 @@ func header(w io.Writer, title string) {
 
 // RenderStageTimings prints the per-stage wall times and row counts of a
 // training run (TrainReport.Stages).
-func RenderStageTimings(w io.Writer, stages []pipeline.Timing) {
+func RenderStageTimings(w io.Writer, stages []core.StageTiming) {
 	if len(stages) == 0 {
 		return
 	}

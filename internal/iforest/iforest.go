@@ -6,15 +6,17 @@
 package iforest
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"polygraph/internal/matrix"
-	"polygraph/internal/pipeline"
 	"polygraph/internal/rng"
 )
+
+// errNegativeSize is a fit asked for a negative forest or sample size.
+var errNegativeSize = errors.New("iforest: negative forest or sample size")
 
 // Config controls forest construction.
 type Config struct {
@@ -63,24 +65,19 @@ type node struct {
 }
 
 // Fit builds a forest over the rows of m, through their grouping (see
-// FitContext).
+// FitGroups).
 func Fit(m *matrix.Dense, cfg Config) (*Forest, error) {
-	return FitContext(context.Background(), m.DistinctRows(), cfg)
+	return FitGroups(m.DistinctRows(), cfg)
 }
 
-// FitContext builds a forest over the grouped rows. The ψ-sample of each
+// FitGroups builds a forest over the grouped rows. The ψ-sample of each
 // tree is drawn over all the row indices, so a row repeated a thousand
 // times is a thousand candidates, and the trees read the sampled rows'
-// vectors through the distinct-row table. ctx is checked once per tree,
-// so cancellation aborts within one tree of work. A forest that finishes
-// fitting is bit-identical to Fit's. A negative Trees or SampleSize is
-// pipeline.ErrBadInput.
-func FitContext(ctx context.Context, rows matrix.RowGroups, cfg Config) (*Forest, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// vectors through the distinct-row table. A negative Trees or SampleSize
+// is an error, not a makeslice panic.
+func FitGroups(rows matrix.RowGroups, cfg Config) (*Forest, error) {
 	if cfg.Trees < 0 || cfg.SampleSize < 0 {
-		return nil, pipeline.BadInput("iforest: %d trees of sample size %d", cfg.Trees, cfg.SampleSize)
+		return nil, fmt.Errorf("%w: %d trees of sample size %d", errNegativeSize, cfg.Trees, cfg.SampleSize)
 	}
 	n, d := rows.Dims()
 	if n == 0 || d == 0 {
@@ -116,9 +113,6 @@ func FitContext(ctx context.Context, rows matrix.RowGroups, cfg Config) (*Forest
 	}
 	sample := make([]int32, psi)
 	for t := range f.trees {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		gen := base.Split(fmt.Sprintf("tree-%d", t))
 		// Sample ψ rows without replacement: the prefix of a Fisher–Yates
 		// shuffle (gen.Shuffle's draws, without a call per swap), as the
@@ -306,31 +300,19 @@ func (f *Forest) pathLengthFlat(t int, x []float64) float64 {
 	return depth + f.flatAdj[i]
 }
 
-// ScoreAll scores every row of data.
-func (f *Forest) ScoreAll(data *matrix.Dense) ([]float64, error) {
-	return f.ScoreAllContext(context.Background(), data)
-}
-
 // scoreBlock is how many rows scoreRows takes at a time: a block's rows
 // stay in cache while each tree in turn is walked over them.
 const scoreBlock = 1024
 
-// ScoreAllContext is ScoreAll with cooperative cancellation at block
-// boundaries. Training scores its distinct-row table, so every row here
-// is scored on its own.
-func (f *Forest) ScoreAllContext(ctx context.Context, data *matrix.Dense) ([]float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// ScoreAll scores every row of data. Training scores its distinct-row
+// table, so every row here is scored on its own.
+func (f *Forest) ScoreAll(data *matrix.Dense) ([]float64, error) {
 	r, d := data.Dims()
 	if d != f.dim {
 		return nil, fmt.Errorf("iforest: score on %d-dim rows, fitted on %d", d, f.dim)
 	}
 	out := make([]float64, r)
 	for start := 0; start < r; start += scoreBlock {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		f.scoreRows(data, out, start, min(start+scoreBlock, r))
 	}
 	return out, nil
@@ -366,14 +348,12 @@ func (f *Forest) scoreRows(data *matrix.Dense, out []float64, lo, hi int) {
 // `contamination` fraction (0 ≤ c < 1) with the highest anomaly scores
 // drops. Each class is scored once, on its table row. At least one row
 // is removed when contamination > 0 and there are rows, matching the
-// intent of a strictly positive threshold like the paper's 0.002%. ctx is
-// checked during the scoring pass; the cut is cheap and runs to
-// completion once scoring finishes.
-func (f *Forest) Outliers(ctx context.Context, rows matrix.RowGroups, contamination float64) ([]int, error) {
+// intent of a strictly positive threshold like the paper's 0.002%.
+func (f *Forest) Outliers(rows matrix.RowGroups, contamination float64) ([]int, error) {
 	if contamination < 0 || contamination >= 1 {
 		return nil, fmt.Errorf("iforest: contamination %v out of [0,1)", contamination)
 	}
-	scores, err := f.ScoreAllContext(ctx, rows.Rows)
+	scores, err := f.ScoreAll(rows.Rows)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package iforest
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 
 	"polygraph/internal/matrix"
 	"polygraph/internal/matrix/matrixtest"
-	"polygraph/internal/pipeline"
 	"polygraph/internal/rng"
 )
 
@@ -47,8 +45,8 @@ func TestFitRejectsNegativeSizes(t *testing.T) {
 		{Trees: -3, SampleSize: -3},
 	} {
 		f, err := Fit(m, cfg)
-		if !errors.Is(err, pipeline.ErrBadInput) || f != nil {
-			t.Errorf("%+v: forest %v, err %v; want pipeline.ErrBadInput", cfg, f, err)
+		if !errors.Is(err, errNegativeSize) || f != nil {
+			t.Errorf("%+v: forest %v, err %v; want errNegativeSize", cfg, f, err)
 		}
 	}
 }
@@ -133,7 +131,7 @@ func TestScoreAllDimError(t *testing.T) {
 // filterContamination is the contamination cut over m: the rows Outliers
 // drops from m's grouping, and the rows it keeps, both in row order.
 func filterContamination(f *Forest, m *matrix.Dense, contamination float64) (keep, drop []int, err error) {
-	if drop, err = f.Outliers(context.Background(), m.DistinctRows(), contamination); err != nil {
+	if drop, err = f.Outliers(m.DistinctRows(), contamination); err != nil {
 		return nil, nil, err
 	}
 	r, _ := m.Dims()

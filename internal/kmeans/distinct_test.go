@@ -63,7 +63,7 @@ func refInertia(cents, m *matrix.Dense) float64 {
 	return total
 }
 
-// refFit mirrors FitContext's defaults and restart loop. With
+// refFit mirrors FitGroups's defaults and restart loop. With
 // reseedAlwaysMoves every empty-cluster reseed counts as infinite
 // movement, the behaviour that kept a settled fit running to MaxIter.
 func refFit(m *matrix.Dense, cfg Config, reseedAlwaysMoves bool) *Model {

@@ -6,7 +6,6 @@
 package kmeans
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -47,24 +46,18 @@ type Model struct {
 	K, Dim int
 }
 
-// Fit clusters the rows of m, through their grouping (see FitContext).
+// Fit clusters the rows of m, through their grouping (see FitGroups).
 // It returns an error for degenerate input (fewer rows than clusters,
 // K < 1, empty matrix).
 func Fit(m *matrix.Dense, cfg Config) (*Model, error) {
-	return FitContext(context.Background(), m.DistinctRows(), cfg)
+	return FitGroups(m.DistinctRows(), cfg)
 }
 
-// FitContext clusters the grouped rows. The nearest-centroid search runs
+// FitGroups clusters the grouped rows. The nearest-centroid search runs
 // once per class, on its table row; the centroid update and the WCSS are
 // count-weighted sums over the table, in class order; the k-means++ pick
-// and uniform seeding draw over all the rows, in row order. ctx is
-// checked before every k-means++ pick and every Lloyd iteration (hence
-// every restart), so cancellation aborts within one pass. A fit that runs
-// to completion is bit-identical to Fit's.
-func FitContext(ctx context.Context, rows matrix.RowGroups, cfg Config) (*Model, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// and uniform seeding draw over all the rows, in row order.
+func FitGroups(rows matrix.RowGroups, cfg Config) (*Model, error) {
 	r, d := rows.Dims()
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("kmeans: K=%d < 1", cfg.K)
@@ -92,10 +85,7 @@ func FitContext(ctx context.Context, rows matrix.RowGroups, cfg Config) (*Model,
 	var best *Model
 	for attempt := 0; attempt < restarts; attempt++ {
 		gen := rng.New(cfg.Seed).Split(fmt.Sprintf("restart-%d", attempt))
-		model, err := fitOnce(ctx, data, cfg.K, maxIter, tol, cfg.PlusPlus, gen)
-		if err != nil {
-			return nil, err
-		}
+		model := fitOnce(data, cfg.K, maxIter, tol, cfg.PlusPlus, gen)
 		if best == nil || model.WCSS < best.WCSS {
 			best = model
 		}
@@ -126,22 +116,17 @@ func (data *grouped) refresh(cents *matrix.Dense) {
 // row returns the vector of row i.
 func (data *grouped) row(i int) []float64 { return data.Rows.RawRow(int(data.Group[i])) }
 
-func fitOnce(ctx context.Context, data *grouped, k, maxIter int, tol float64, plusPlus bool, gen *rng.PCG) (*Model, error) {
+func fitOnce(data *grouped, k, maxIter int, tol float64, plusPlus bool, gen *rng.PCG) *Model {
 	_, d := data.Dims()
 	cents := matrix.NewDense(k, d)
 	if plusPlus {
-		if err := seedPlusPlus(ctx, data, cents, gen); err != nil {
-			return nil, err
-		}
+		seedPlusPlus(data, cents, gen)
 	} else {
 		seedUniform(data, cents, gen)
 	}
 
 	iter := 0
 	for ; iter < maxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		// Assignment step, once per class.
 		data.refresh(cents)
 		// Update step: each class adds count × its vector to its
@@ -193,7 +178,7 @@ func fitOnce(ctx context.Context, data *grouped, k, maxIter int, tol float64, pl
 
 	model := &Model{Centroids: cents, K: k, Dim: d, Iterations: iter}
 	model.WCSS = model.inertia(data)
-	return model, nil
+	return model
 }
 
 // seedUniform picks K distinct random rows as initial centroids.
@@ -211,8 +196,8 @@ func seedUniform(data *grouped, cents *matrix.Dense, gen *rng.PCG) {
 // the nearest already-chosen centroid. The distance refresh after each
 // pick runs once per class; the total and the cumulative sampling scan
 // run over all rows, in row order, so the pick is the row a row-at-a-time
-// scan would make. ctx is checked before every pick.
-func seedPlusPlus(ctx context.Context, data *grouped, cents *matrix.Dense, gen *rng.PCG) error {
+// scan would make.
+func seedPlusPlus(data *grouped, cents *matrix.Dense, gen *rng.PCG) {
 	r, _ := data.Dims()
 	k, _ := cents.Dims()
 	// d2[g] is class g's squared distance to its nearest chosen centroid.
@@ -228,9 +213,6 @@ func seedPlusPlus(ctx context.Context, data *grouped, cents *matrix.Dense, gen *
 	copy(cents.RawRow(0), data.row(gen.Intn(r)))
 	refresh(0)
 	for c := 1; c < k; c++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		total := 0.0
 		for _, g := range data.Group {
 			total += d2[g]
@@ -255,7 +237,6 @@ func seedPlusPlus(ctx context.Context, data *grouped, cents *matrix.Dense, gen *
 		copy(cents.RawRow(c), data.row(idx))
 		refresh(c)
 	}
-	return nil
 }
 
 // farthestClass returns the class farthest from its nearest centroid, the
@@ -409,7 +390,7 @@ func ElbowCurve(m *matrix.Dense, kMin, kMax int, cfg Config) ([]ElbowPoint, erro
 	for k := kMin; k <= kMax; k++ {
 		c := cfg
 		c.K = k
-		model, err := FitContext(context.Background(), rows, c)
+		model, err := FitGroups(rows, c)
 		if err != nil {
 			return nil, fmt.Errorf("kmeans: elbow at k=%d: %w", k, err)
 		}

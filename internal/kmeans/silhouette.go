@@ -1,7 +1,6 @@
 package kmeans
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -123,7 +122,7 @@ func SilhouetteCurve(data *matrix.Dense, kMin, kMax int, cfg Config, sampleCap i
 	for k := kMin; k <= kMax; k++ {
 		c := cfg
 		c.K = k
-		model, err := FitContext(context.Background(), rows.RowGroups, c)
+		model, err := FitGroups(rows.RowGroups, c)
 		if err != nil {
 			return nil, err
 		}

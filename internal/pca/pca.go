@@ -11,7 +11,6 @@
 package pca
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -34,21 +33,14 @@ type PCA struct {
 }
 
 // Fit computes a PCA of m and keeps k components. k must be in [1, d].
-// Rows of m are observations; they are grouped (see FitContext).
+// Rows of m are observations; they are grouped (see FitGroups).
 func Fit(m *matrix.Dense, k int) (*PCA, error) {
-	return FitContext(context.Background(), m.DistinctRows(), k)
+	return FitGroups(m.DistinctRows(), k)
 }
 
-// FitContext computes a PCA of the grouped rows: the mean and covariance
-// are count-weighted sums over the distinct-row table. The covariance
-// product and the Jacobi eigendecomposition are indivisible dense
-// kernels, so the context is checked between them rather than inside;
-// the table is a few hundred rows of at most a few hundred columns,
-// which bounds each kernel to milliseconds.
-func FitContext(ctx context.Context, rows matrix.RowGroups, k int) (*PCA, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// FitGroups computes a PCA of the grouped rows: the mean and covariance
+// are count-weighted sums over the distinct-row table.
+func FitGroups(rows matrix.RowGroups, k int) (*PCA, error) {
 	r, d := rows.Dims()
 	if r < 2 {
 		return nil, fmt.Errorf("pca: need at least 2 rows, have %d", r)
@@ -56,13 +48,7 @@ func FitContext(ctx context.Context, rows matrix.RowGroups, k int) (*PCA, error)
 	if k < 1 || k > d {
 		return nil, fmt.Errorf("pca: k=%d out of range [1,%d]", k, d)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	cov := rows.Covariance()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	eig, err := matrix.SymEigen(cov)
 	if err != nil {
 		return nil, fmt.Errorf("pca: eigendecomposition: %w", err)
@@ -138,8 +124,7 @@ func (p *PCA) ComponentsForVariance(target float64) int {
 }
 
 // Transform projects every row of m onto the kept components, returning an
-// r×k matrix. Training projects its distinct-row table, a few hundred
-// rows, so the pass takes no context.
+// r×k matrix.
 func (p *PCA) Transform(m *matrix.Dense) (*matrix.Dense, error) {
 	r, d := m.Dims()
 	if d != len(p.Mean) {

@@ -7,7 +7,6 @@
 package scaler
 
 import (
-	"context"
 	"fmt"
 
 	"polygraph/internal/matrix"
@@ -30,20 +29,14 @@ type Config struct {
 }
 
 // Fit learns per-column mean and standard deviation from the rows of m,
-// through their grouping (see FitContext).
+// through their grouping (see FitGroups).
 func Fit(m *matrix.Dense, cfg Config) (*Standard, error) {
-	return FitContext(context.Background(), m.DistinctRows(), cfg)
+	return FitGroups(m.DistinctRows(), cfg)
 }
 
-// FitContext learns the moments of the grouped rows: count-weighted sums
-// over the distinct-row table. A done context refuses to start; fitting
-// is one cheap pass over the table, so no further checks occur.
-func FitContext(ctx context.Context, rows matrix.RowGroups, cfg Config) (*Standard, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
+// FitGroups learns the moments of the grouped rows: count-weighted sums
+// over the distinct-row table.
+func FitGroups(rows matrix.RowGroups, cfg Config) (*Standard, error) {
 	r, c := rows.Dims()
 	if r == 0 || c == 0 {
 		return nil, fmt.Errorf("scaler: cannot fit empty %dx%d matrix", r, c)
@@ -89,8 +82,6 @@ func (s *Standard) SetSkip(mask []bool) error {
 
 // Transform returns a scaled copy of m. Constant columns (std 0) are only
 // centered, never divided, so they map to exactly zero rather than NaN.
-// Training transforms its distinct-row table, a few hundred rows, so the
-// pass takes no context.
 func (s *Standard) Transform(m *matrix.Dense) (*matrix.Dense, error) {
 	r, c := m.Dims()
 	if c != len(s.Means) {

@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"os"
@@ -11,12 +10,11 @@ import (
 	"polygraph/internal/ua"
 )
 
-// ObtainModel produces a serving model under ctx: either by loading the
-// file at path or, when train is set, by generating traffic and
-// training in-process (cancellable mid-stage — see core.TrainContext).
-// The report and baseline (the training feature vectors, for the drift
-// monitor) are nil when the model came from a file.
-func ObtainModel(ctx context.Context, train bool, path string, sessions int, novelty bool, logger *slog.Logger) (*core.Model, *core.TrainReport, [][]float64, error) {
+// ObtainModel produces a serving model: either by loading the file at
+// path or, when train is set, by generating traffic and training
+// in-process. The report and baseline (the training feature vectors, for
+// the drift monitor) are nil when the model came from a file.
+func ObtainModel(train bool, path string, sessions int, novelty bool, logger *slog.Logger) (*core.Model, *core.TrainReport, [][]float64, error) {
 	if !train {
 		f, err := os.Open(path)
 		if err != nil {
@@ -37,7 +35,7 @@ func ObtainModel(ctx context.Context, train bool, path string, sessions int, nov
 	tc := core.DefaultTrainConfig()
 	tc.NoveltyGuard = novelty
 	tc.Reference = core.ExtractorReference{Extractor: traffic.Extractor, OS: ua.Windows10}
-	m, rep, err := core.TrainContext(ctx, samples, tc)
+	m, rep, err := core.Train(samples, tc)
 	if err != nil {
 		return nil, nil, nil, err
 	}

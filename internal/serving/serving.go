@@ -73,9 +73,10 @@ type Config struct {
 	// Model deploys this in-memory model at startup (takes precedence
 	// over Train/ModelPath).
 	Model *core.Model
-	// Train trains a fresh model in-process at startup and on reload.
+	// Train trains a fresh model in-process at startup.
 	Train bool
-	// ModelPath loads the model from this file when Train is unset.
+	// ModelPath loads the model from this file when Train is unset, at
+	// startup and on Reload.
 	ModelPath string
 	// Sessions is the training-set size when Train is set.
 	Sessions int
@@ -84,8 +85,6 @@ type Config struct {
 
 	// RateLimitPerSec is the per-client-IP ingest rate limit (0 = off).
 	RateLimitPerSec float64
-	// ReloadTimeout bounds a TriggerReload retrain (default 5m).
-	ReloadTimeout time.Duration
 
 	// JournalDir is ignored: the audit ledger is the one evidence log
 	// (collect/pinned.go).
@@ -166,25 +165,16 @@ type Replica struct {
 	tcp      *collect.TCPServer
 	tcpLn    net.Listener
 
-	reloading atomic.Bool
-	// ReloadDone receives one nil/error per finished TriggerReload;
-	// buffered so nobody has to listen. Tests and the daemon's log line
-	// both hang off it.
-	reloadDone chan error
-
 	killed atomic.Bool
 }
 
 // New builds the replica and, when cfg names a model source, obtains
-// and deploys the initial model under ctx (a canceled ctx aborts a slow
-// in-process training run promptly — same contract obtainModel had in
-// polygraphd's main).
+// and deploys the initial model. The replica's background loops run
+// under a context carrying ctx's values but not its cancellation; Close
+// stops them.
 func New(ctx context.Context, cfg Config) (*Replica, error) {
 	if cfg.Name == "" {
 		cfg.Name = "replica"
-	}
-	if cfg.ReloadTimeout <= 0 {
-		cfg.ReloadTimeout = 5 * time.Minute
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -194,12 +184,11 @@ func New(ctx context.Context, cfg Config) (*Replica, error) {
 
 	rctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	r := &Replica{
-		cfg:        cfg,
-		logger:     logger,
-		ctx:        rctx,
-		cancel:     cancel,
-		done:       make(chan error, 1),
-		reloadDone: make(chan error, 4),
+		cfg:    cfg,
+		logger: logger,
+		ctx:    rctx,
+		cancel: cancel,
+		done:   make(chan error, 1),
 	}
 
 	fail := func(err error) (*Replica, error) {
@@ -255,7 +244,7 @@ func New(ctx context.Context, cfg Config) (*Replica, error) {
 		}
 		r.srv.Load().SetModelTrainedAt(time.Now())
 	} else if cfg.Train || cfg.ModelPath != "" {
-		model, report, baseline, err := ObtainModel(ctx, cfg.Train, cfg.ModelPath, cfg.Sessions, cfg.Novelty, logger)
+		model, report, baseline, err := ObtainModel(cfg.Train, cfg.ModelPath, cfg.Sessions, cfg.Novelty, logger)
 		if err != nil {
 			return fail(err)
 		}
@@ -684,50 +673,27 @@ func (r *Replica) RotateAudit() error {
 	return r.ledger.Rotate()
 }
 
-// TriggerReload re-obtains the model from the configured source (file
-// reread, or in-process retrain under ReloadTimeout) and hot-swaps it
-// in, asynchronously and single-flight: a trigger during a running
-// reload is dropped (returns false). The outcome is logged and also
-// delivered on ReloadDone. A failed or canceled reload keeps the
-// current model serving.
-func (r *Replica) TriggerReload() bool {
-	if !r.cfg.Train && r.cfg.ModelPath == "" {
-		return false // fleet-managed replica: the controller owns the model
-	}
-	if !r.reloading.CompareAndSwap(false, true) {
-		r.logger.Info("reload already in progress, ignoring trigger")
-		return false
-	}
-	go func() {
-		defer r.reloading.Store(false)
-		rctx, cancel := context.WithTimeout(r.ctx, r.cfg.ReloadTimeout)
-		defer cancel()
-		model, report, baseline, err := ObtainModel(rctx, r.cfg.Train, r.cfg.ModelPath, r.cfg.Sessions, r.cfg.Novelty, r.logger)
-		if err == nil {
-			_, err = r.DeployModel(model)
-		}
-		if err != nil {
-			if errors.Is(err, core.ErrCanceled) {
-				r.logger.Warn("reload canceled, keeping current model", "err", err.Error())
-			} else {
-				r.logger.Warn("reload failed, keeping current model", "err", err.Error())
-			}
-		} else {
-			r.applyProvenance(report, baseline)
-			r.logger.Info("reloaded model",
-				"accuracy_pct", fmt.Sprintf("%.2f", 100*model.Accuracy),
-				"model_hash", r.ModelHash())
-		}
-		select {
-		case r.reloadDone <- err:
-		default:
-		}
-	}()
-	return true
-}
+// ErrNoModelFile is Reload on a replica with no model file: one that
+// trained its model in-process, or a fleet-managed one whose controller
+// owns the model.
+var ErrNoModelFile = errors.New("serving: no model file to reread")
 
-// ReloadDone delivers one value per finished TriggerReload.
-func (r *Replica) ReloadDone() <-chan error { return r.reloadDone }
+// Reload rereads the model file the replica booted from and hot-swaps it
+// in. On error the current model keeps serving.
+func (r *Replica) Reload() error {
+	if r.cfg.Train || r.cfg.ModelPath == "" {
+		return ErrNoModelFile
+	}
+	model, _, _, err := ObtainModel(false, r.cfg.ModelPath, 0, false, r.logger)
+	if err != nil {
+		return fmt.Errorf("serving: reload: %w", err)
+	}
+	if _, err := r.DeployModel(model); err != nil {
+		return fmt.Errorf("serving: reload: %w", err)
+	}
+	r.applyProvenance(nil, nil)
+	return nil
+}
 
 // Kill abruptly closes the listener and all in-flight connections —
 // the fleet drill's failure injection. Counters and the audit ledger

@@ -37,7 +37,7 @@ func trainedModel(t testing.TB) *core.Model {
 	t.Helper()
 	trainOnce.Do(func() {
 		logger := obs.NewLogger(nil, false)
-		m, _, _, err := ObtainModel(context.Background(), true, "", 10000, false, logger)
+		m, _, _, err := ObtainModel(true, "", 10000, false, logger)
 		if err != nil {
 			panic(err)
 		}
@@ -48,7 +48,7 @@ func trainedModel(t testing.TB) *core.Model {
 
 func TestObtainModelTrainsInProcess(t *testing.T) {
 	logger := obs.NewLogger(os.Stderr, false)
-	m, rep, baseline, err := ObtainModel(context.Background(), true, "", 10000, false, logger)
+	m, rep, baseline, err := ObtainModel(true, "", 10000, false, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +70,8 @@ func TestObtainModelLoadsFromDisk(t *testing.T) {
 	logger := obs.NewLogger(os.Stderr, false)
 	m := trainedModel(t)
 	path := filepath.Join(t.TempDir(), "model.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	loaded, rep, baseline, err := ObtainModel(context.Background(), false, path, 0, false, logger)
+	writeModel(t, path, m)
+	loaded, rep, baseline, err := ObtainModel(false, path, 0, false, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +88,7 @@ func TestObtainModelLoadsFromDisk(t *testing.T) {
 
 func TestObtainModelNoveltyGuard(t *testing.T) {
 	logger := obs.NewLogger(os.Stderr, false)
-	m, _, _, err := ObtainModel(context.Background(), true, "", 10000, true, logger)
+	m, _, _, err := ObtainModel(true, "", 10000, true, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,18 +99,8 @@ func TestObtainModelNoveltyGuard(t *testing.T) {
 
 func TestObtainModelMissingFile(t *testing.T) {
 	logger := obs.NewLogger(os.Stderr, false)
-	if _, _, _, err := ObtainModel(context.Background(), false, filepath.Join(t.TempDir(), "no.json"), 0, false, logger); err == nil {
+	if _, _, _, err := ObtainModel(false, filepath.Join(t.TempDir(), "no.json"), 0, false, logger); err == nil {
 		t.Fatal("missing model accepted")
-	}
-}
-
-func TestObtainModelCancelledTraining(t *testing.T) {
-	logger := obs.NewLogger(os.Stderr, false)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, _, err := ObtainModel(ctx, true, "", 10000, false, logger)
-	if !errors.Is(err, core.ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 }
 
@@ -228,14 +211,35 @@ func TestReplicaKillStopsListenerKeepsCounters(t *testing.T) {
 	}
 }
 
-func TestReplicaReloadRetrainsAndKeepsServing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("retrain reload is slow")
+// writeModel saves m to path, replacing what was there.
+func writeModel(t *testing.T, path string, m *core.Model) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
 	}
-	r, err := New(context.Background(), Config{
-		Name: "reload-0", Addr: "127.0.0.1:0",
-		Train: true, Sessions: 10000,
-	})
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplicaReloadRereadsModelFile boots from file A, overwrites the
+// file with model B and reloads: B serves. A corrupt file then fails the
+// reload and B keeps serving.
+func TestReplicaReloadRereadsModelFile(t *testing.T) {
+	a := trainedModel(t)
+	b, _, _, err := ObtainModel(true, "", 6000, false, obs.NewLogger(nil, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashA, _ := a.Hash()
+	hashB, _ := b.Hash()
+	if hashA == hashB {
+		t.Fatal("fixture models share a hash")
+	}
+	path := filepath.Join(t.TempDir(), "model.json")
+	writeModel(t, path, a)
+	r, err := New(context.Background(), Config{Name: "reload-0", Addr: "127.0.0.1:0", ModelPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,24 +247,55 @@ func TestReplicaReloadRetrainsAndKeepsServing(t *testing.T) {
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}
+	if got := r.ModelHash(); got != hashA {
+		t.Fatalf("booted hash %s, want A %s", got, hashA)
+	}
+
+	writeModel(t, path, b)
+	if err := r.Reload(); err != nil {
+		t.Fatalf("reload of model B: %v", err)
+	}
+	if got := r.ModelHash(); got != hashB {
+		t.Fatalf("after reload hash %s, want B %s", got, hashB)
+	}
+
+	if err := os.WriteFile(path, []byte(`{"features": [`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Reload(); err == nil {
+		t.Fatal("reload of a corrupt file succeeded")
+	}
+	if got := r.ModelHash(); got != hashB {
+		t.Fatalf("after a failed reload hash %s, want B %s still serving", got, hashB)
+	}
+	resp, err := http.Get(r.BaseURL() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after a failed reload: %d", resp.StatusCode)
+	}
+}
+
+// TestReplicaTrainHasNothingToReload: a replica that trained its model
+// in-process has no file to reread, says so, and keeps its model.
+func TestReplicaTrainHasNothingToReload(t *testing.T) {
+	r, err := New(context.Background(), Config{
+		Name: "reload-train", Train: true, Sessions: 6000,
+		// A path beside -train is not a reload source: training wins.
+		ModelPath: filepath.Join(t.TempDir(), "model.json"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
 	before := r.ModelHash()
-	if !r.TriggerReload() {
-		t.Fatal("reload not started")
+	if err := r.Reload(); !errors.Is(err, ErrNoModelFile) {
+		t.Fatalf("reload of a -train replica: %v, want ErrNoModelFile", err)
 	}
-	if r.TriggerReload() {
-		t.Fatal("second trigger during reload should be dropped")
-	}
-	select {
-	case err := <-r.ReloadDone():
-		if err != nil {
-			t.Fatalf("reload: %v", err)
-		}
-	case <-time.After(2 * time.Minute):
-		t.Fatal("reload did not finish")
-	}
-	// Deterministic pipeline: same sessions, same model, same hash.
 	if after := r.ModelHash(); after != before {
-		t.Fatalf("retrain changed hash %s -> %s", before, after)
+		t.Fatalf("hash %s -> %s across a refused reload", before, after)
 	}
 }
 
@@ -270,8 +305,8 @@ func TestReplicaFleetManagedHasNoReloadSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.TriggerReload() {
-		t.Fatal("fleet-managed replica accepted a reload trigger")
+	if err := r.Reload(); !errors.Is(err, ErrNoModelFile) {
+		t.Fatalf("fleet-managed replica reloaded: %v, want ErrNoModelFile", err)
 	}
 }
 

@@ -24,14 +24,11 @@
 package polygraph
 
 import (
-	"context"
-
 	"polygraph/internal/collect"
 	"polygraph/internal/core"
 	"polygraph/internal/dataset"
 	"polygraph/internal/drift"
 	"polygraph/internal/fingerprint"
-	"polygraph/internal/pipeline"
 	"polygraph/internal/riskauth"
 	"polygraph/internal/ua"
 )
@@ -51,10 +48,7 @@ type (
 	TrainReport = core.TrainReport
 	// StageTiming is one executed training stage: name, wall time, rows
 	// in/out (TrainReport.Stages).
-	StageTiming = pipeline.Timing
-	// StageError attributes a training failure to the pipeline stage
-	// that produced it (extract with errors.As).
-	StageError = pipeline.StageError
+	StageTiming = core.StageTiming
 	// Verdict is the replayable subset of a Result, as stamped into
 	// audit-ledger records (Model.ExplainResult, polygraphctl audit).
 	Verdict = core.Verdict
@@ -64,11 +58,11 @@ type (
 	Explanation = core.Explanation
 )
 
-// The error taxonomy. Classify failures from Train/TrainContext and the
-// scoring paths with errors.Is.
+// The error taxonomy. Classify failures from Train and the scoring paths
+// with errors.Is.
 var (
-	// ErrCanceled reports that a context was cancelled or timed out
-	// before the operation finished.
+	// ErrCanceled reports that a batch score's context was cancelled or
+	// timed out before the batch finished.
 	ErrCanceled = core.ErrCanceled
 	// ErrBadInput reports invalid caller-supplied samples or config,
 	// or a vector whose width is not the model's.
@@ -153,14 +147,6 @@ type (
 // PCA → k-means → cluster/user-agent table).
 func Train(samples []Sample, cfg TrainConfig) (*Model, *TrainReport, error) {
 	return core.Train(samples, cfg)
-}
-
-// TrainContext is Train under a context: cancellation aborts the
-// pipeline within one pass over the rows with an error matching
-// errors.Is(err, ErrCanceled), and TrainReport.Stages records per-stage
-// wall times and row counts.
-func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Model, *TrainReport, error) {
-	return core.TrainContext(ctx, samples, cfg)
 }
 
 // DefaultTrainConfig returns the paper's production configuration

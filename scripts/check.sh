@@ -147,9 +147,9 @@ found=$(grep -rnE --include='*.go' --exclude='*_test.go' -- 'func \([^)]*\bTrace
 # has a fixed set of non-test call sites and an edit that brings back an
 # all-rows loop shows up here as one more. nearestCentroid:
 # grouped.refresh (per table row) and Model.Predict (one vector).
-# scoreRows: ScoreAllContext, which Outliers runs on the table.
-# pathLengthFlat: Score and scoreRows. projectInto: TransformContext,
-# which training runs on the table.
+# scoreRows: ScoreAll, which Outliers runs on the table.
+# pathLengthFlat: Score and scoreRows. projectInto: Transform, which
+# training runs on the table.
 # The score plan's two loops are on the same list: there is one
 # register-blocked kernel, so a "fast path" written beside it would be
 # one more site. p.transform(: scoreOnPlan, explain, predictClusterWith.
@@ -170,7 +170,7 @@ SITES
 
 # Training reads the distinct-row table: internal/core/train.go groups the
 # samples once (matrix.GroupRows) and every stage fits on that grouping —
-# scaler, iforest, pca and kmeans each take it in their one FitContext —
+# scaler, iforest, pca and kmeans each take it in their one FitGroups —
 # with sums over the rows taken as count-weighted sums over the table.
 # A matrix with a row per sample in train.go (an n-row float matrix is
 # 13.4 MB at the benchmark's 60 000 sessions; TestTrainAllocations pins
@@ -182,21 +182,25 @@ found=$(grep -nE 'matrix\.(NewDense|FromRows)\(' internal/core/train.go || true)
 found=$(grep -rnE 'chunkedReduce|chunkSize' --include='*.go' internal/kmeans || true)
 [ -z "$found" ] || { echo "check.sh: the k-means chunk geometry is back:" >&2; echo "$found" >&2; exit 1; }
 for pkg in scaler iforest pca kmeans; do
-    n=$(ls internal/$pkg/*.go | grep -v _test.go | xargs grep -c 'func FitContext(ctx context.Context, rows matrix.RowGroups,' | awk -F: '{s += $NF} END {print s}')
-    [ "$n" -eq 1 ] || { echo "check.sh: internal/$pkg has $n FitContext over a matrix.RowGroups, want 1" >&2; exit 1; }
+    n=$(ls internal/$pkg/*.go | grep -v _test.go | xargs grep -c 'func FitGroups(rows matrix.RowGroups,' | awk -F: '{s += $NF} END {print s}')
+    [ "$n" -eq 1 ] || { echo "check.sh: internal/$pkg has $n FitGroups over a matrix.RowGroups, want 1" >&2; exit 1; }
 done
 
 # Training is one goroutine: a training set is ~150 distinct rows, which
 # leaves a worker pool under the §6.4 pipeline nothing to divide
 # (CHANGES.md, PR 28, has the measurement). The training packages start
-# no goroutine and share no state, and internal/core starts goroutines
-# in one place: ScoreStringBatchContext, the batch scorer's split, which
-# does measure.
+# no goroutine, share no state and take no context: a fit is a plain
+# function call, well under a second at the paper's 205 000 sessions,
+# with nothing worth cancelling. internal/core starts goroutines in one
+# place: ScoreStringBatchContext, the batch scorer's split, which does
+# measure.
 echo "== training is one goroutine"
 [ ! -e internal/parallel ] || { echo "check.sh: internal/parallel exists" >&2; exit 1; }
 training="$(ls internal/matrix/*.go internal/scaler/*.go internal/pca/*.go internal/kmeans/*.go internal/iforest/*.go | grep -v _test.go) internal/core/train.go"
 found=$(grep -nE '^[[:space:]]*go[[:space:]]|sync\.|atomic\.' $training || true)
 [ -z "$found" ] || { echo "check.sh: goroutines or shared state in the training pipeline:" >&2; echo "$found" >&2; exit 1; }
+found=$(grep -nF '"context"' $training || true)
+[ -z "$found" ] || { echo "check.sh: a context in the training pipeline:" >&2; echo "$found" >&2; exit 1; }
 n=$(ls internal/core/*.go | grep -v _test.go | xargs grep -F -- 'go func' | wc -l)
 [ "$n" -eq 1 ] || { echo "check.sh: $n go statements in internal/core, want 1 (ScoreStringBatchContext)" >&2; exit 1; }
 
