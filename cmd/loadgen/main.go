@@ -19,9 +19,10 @@
 // (internal/fleet). In-process, the members are serving.Replica values
 // — the runtime cmd/polygraphd runs, configured the same way whatever
 // their number: loadgen trains one model (fixed dataset seed,
-// -train-sessions), boots N warming replicas, distributes the model
-// hash-verified through their admin endpoints, and baselines each drift
-// monitor on the training vectors. N is 1 unless -fleet says otherwise;
+// -train-sessions), boots N warming replicas and distributes the model
+// hash-verified through their admin endpoints; each replica measures
+// drift against the baseline the model carries. N is 1 unless -fleet
+// says otherwise;
 // -tcp drives that one replica's framed listener. With -addr the one
 // member is a live server reached over plain HTTP.
 //
@@ -57,7 +58,6 @@ import (
 	"polygraph/internal/obs"
 	"polygraph/internal/serving"
 	"polygraph/internal/slo"
-	"polygraph/internal/ua"
 )
 
 func main() {
@@ -319,9 +319,8 @@ func buildScenario(path string, short bool, seed uint64) (*loadgen.Scenario, err
 }
 
 // trainModel builds the deterministic in-process model: fixed dataset
-// seed, the scenario's UA version ceiling, and the training vectors
-// returned for drift baselining.
-func trainModel(sc *loadgen.Scenario, sessions int, stderr *os.File) (*core.Model, [][]float64, error) {
+// seed and the scenario's UA version ceiling.
+func trainModel(sc *loadgen.Scenario, sessions int, stderr *os.File) (*core.Model, error) {
 	cfg := dataset.DefaultConfig()
 	cfg.Sessions = sessions
 	cfg.MaxVersion = sc.MaxVersion
@@ -329,22 +328,8 @@ func trainModel(sc *loadgen.Scenario, sessions int, stderr *os.File) (*core.Mode
 		cfg.MaxVersion = 114
 	}
 	fmt.Fprintf(stderr, "loadgen: training in-process model on %d sessions...\n", sessions)
-	traffic, err := dataset.Generate(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	tc := core.DefaultTrainConfig()
-	tc.Reference = core.ExtractorReference{Extractor: traffic.Extractor, OS: ua.Windows10}
-	samples := traffic.Samples()
-	model, _, err := core.Train(samples, tc)
-	if err != nil {
-		return nil, nil, err
-	}
-	baseline := make([][]float64, len(samples))
-	for i := range samples {
-		baseline[i] = samples[i].Vector
-	}
-	return model, baseline, nil
+	_, model, _, err := dataset.Train(cfg, core.DefaultTrainConfig())
+	return model, err
 }
 
 // killPhase is the scenario phase whose midpoint hosts the -fleet-kill
@@ -436,10 +421,10 @@ type rigConfig struct {
 // would be — then walks the real fleet admission path: pin the balancer
 // to the trained model's hash, distribute the model through every
 // replica's admin endpoint, and hash-verify each deployment before
-// admission. Each drift monitor is then baselined on the training
-// vectors so a post-run Evaluate exports real PSI values.
+// admission. Each deployment installs the model's drift baseline, so a
+// post-run Evaluate exports real PSI values.
 func startRig(ctx context.Context, sc *loadgen.Scenario, cfg rigConfig, stderr *os.File) (*targetRig, error) {
-	model, baseline, err := trainModel(sc, cfg.sessions, stderr)
+	model, err := trainModel(sc, cfg.sessions, stderr)
 	if err != nil {
 		return nil, err
 	}
@@ -509,13 +494,6 @@ func startRig(ctx context.Context, sc *loadgen.Scenario, cfg rigConfig, stderr *
 		fmt.Fprintf(stderr, "loadgen: fleet: %s %s admitted hash=%s\n", res.Name, res.BaseURL, short12(res.Hash))
 	}
 	for _, r := range replicas {
-		if err := r.Drift().SetBaseline(baseline, 0); err != nil {
-			return nil, err
-		}
-		// The pushed model and this baseline come from one training run:
-		// restamp the model so it never reads as older than its baseline
-		// (the bundle analyzer's stale-model rule compares the two).
-		r.Server().SetModelTrainedAt(time.Now())
 		rig.targets = append(rig.targets, r.BundleTarget())
 	}
 	rig.model, rig.features, rig.replicas = model, model.Features, replicas

@@ -295,7 +295,11 @@ func TestRunLiveAddr(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model in-process")
 	}
-	replica, err := serving.New(context.Background(), serving.Config{Name: "live", Addr: "127.0.0.1:0", Train: true, Sessions: 6000})
+	model, err := trainModel(&loadgen.Scenario{}, 6000, devNull(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := serving.New(context.Background(), serving.Config{Name: "live", Addr: "127.0.0.1:0", Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,16 @@
 //	polygraph generate -sessions 60000 -o sessions.jsonl      # FinOrg-style data handoff
 //	polygraph train    -sessions 60000 -o model.json           # generate + train in one step
 //	polygraph train    -data sessions.jsonl -o model.json      # train from a handoff file
+//	polygraph train    -novelty -o model.json                  # arm the novelty guard
 //	polygraph info     -model model.json
 //	polygraph score    -model model.json -ua "<user-agent>" -values 150,212,...
 //	polygraph replay   -model model.json -data sessions.jsonl  # batch re-score a dataset
 //	polygraph drift    -model model.json
 //	polygraph script   -model model.json
+//
+// train is the one offline trainer: the model file it writes carries
+// the model's drift baseline, and polygraphd loads it (-model) or the
+// fleet control plane pushes it (polygraphctl push).
 package main
 
 import (
@@ -123,41 +128,30 @@ func cmdTrain(args []string) error {
 	k := fs.Int("k", 11, "cluster count")
 	pcaComps := fs.Int("pca", 7, "PCA components")
 	dataPath := fs.String("data", "", "train from a JSONL handoff file instead of generating")
+	novelty := fs.Bool("novelty", false, "arm the novelty guard")
 	out := fs.String("o", "model.json", "output model path")
 	fs.Parse(args)
 
 	tc := core.DefaultTrainConfig()
 	tc.K = *k
 	tc.PCAComponents = *pcaComps
+	tc.NoveltyGuard = *novelty
 
-	var samples []core.Sample
-	if *dataPath != "" {
-		f, err := os.Open(*dataPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		samples, _, err = dataset.ReadJSONL(f, len(tc.Features))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("loaded %d sessions from %s\n", len(samples), *dataPath)
-	} else {
+	var model *core.Model
+	var report *core.TrainReport
+	var err error
+	if *dataPath == "" {
 		cfg := dataset.DefaultConfig()
 		cfg.Sessions = *sessions
 		if *seed != 0 {
 			cfg.Seed = *seed
 		}
-		fmt.Printf("generating %d sessions...\n", cfg.Sessions)
-		traffic, err := dataset.Generate(cfg)
-		if err != nil {
-			return err
-		}
-		samples = traffic.Samples()
-		tc.Reference = core.ExtractorReference{Extractor: traffic.Extractor, OS: ua.Windows10}
+		fmt.Printf("generating %d sessions and training (%d features, PCA %d, k=%d)...\n",
+			cfg.Sessions, len(tc.Features), tc.PCAComponents, tc.K)
+		_, model, report, err = dataset.Train(cfg, tc)
+	} else {
+		model, report, err = trainFromFile(*dataPath, tc)
 	}
-	fmt.Printf("training (%d features, PCA %d, k=%d)...\n", len(tc.Features), tc.PCAComponents, tc.K)
-	model, report, err := core.Train(samples, tc)
 	if err != nil {
 		return err
 	}
@@ -173,6 +167,22 @@ func cmdTrain(args []string) error {
 	}
 	fmt.Printf("model written to %s\n", *out)
 	return nil
+}
+
+// trainFromFile trains on the sessions of a JSONL handoff file.
+func trainFromFile(path string, tc core.TrainConfig) (*core.Model, *core.TrainReport, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	samples, _, err := dataset.ReadJSONL(f, len(tc.Features))
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Printf("loaded %d sessions from %s; training (%d features, PCA %d, k=%d)...\n",
+		len(samples), path, len(tc.Features), tc.PCAComponents, tc.K)
+	return core.Train(samples, tc)
 }
 
 func cmdInfo(args []string) error {

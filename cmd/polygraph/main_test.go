@@ -110,3 +110,25 @@ func TestGenerateTrainReplayPipeline(t *testing.T) {
 		t.Fatal("replay without -data accepted")
 	}
 }
+
+// TestTrainNoveltyFlag: -novelty arms the novelty guard of the model
+// train writes, and the guard stays off without it.
+func TestTrainNoveltyFlag(t *testing.T) {
+	for _, novelty := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "model.json")
+		args := []string{"-sessions", "10000", "-o", path}
+		if novelty {
+			args = append(args, "-novelty")
+		}
+		if err := cmdTrain(args); err != nil {
+			t.Fatal(err)
+		}
+		m, err := loadModel(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if armed := m.NoveltyThreshold > 0; armed != novelty {
+			t.Fatalf("-novelty=%v: novelty threshold %v", novelty, m.NoveltyThreshold)
+		}
+	}
+}

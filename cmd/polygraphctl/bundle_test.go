@@ -155,14 +155,13 @@ func TestBundleCaptureKeepsPreviousBundleUntilDone(t *testing.T) {
 	}
 }
 
-// writeFaultyBundle seeds a drift-stale-model fault and returns its
-// path.
+// writeFaultyBundle seeds a p99-over-budget fault and returns its path.
 func writeFaultyBundle(t *testing.T) string {
 	t.Helper()
 	var metrics bytes.Buffer
-	obs.FamDriftAlert.Write(&metrics, 1)
-	obs.FamModelTrainedAt.Write(&metrics, 1000)
-	obs.FamDriftBaselineAt.Write(&metrics, 2000)
+	slow := obs.HistogramSeries{Label: "/v1/collect", SumUs: 1 << 20}
+	slow.Buckets[20] = 1 // upper bound 2^20us ≈ 1.05s >> the 100ms budget
+	obs.FamScoreDuration.WriteHistogram(&metrics, []obs.HistogramSeries{slow})
 
 	b := bundle.NewBuilder(time.Unix(1_700_000_000, 0))
 	b.Target("r0", "http://r0").Add(bundle.ArtifactMetrics, bundle.KindMetrics, metrics.Bytes())
@@ -187,7 +186,7 @@ func TestBundleAnalyzeFaultyExitsOne(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("analyze faulty = %d, want 1; stdout %s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "FAIL drift-stale-model r0") {
+	if !strings.Contains(out.String(), "FAIL p99-over-budget r0") {
 		t.Fatalf("findings do not name the rule: %q", out.String())
 	}
 }
@@ -199,7 +198,7 @@ func TestBundleAnalyzeJSONOutput(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("analyze -json = %d, want 1", code)
 	}
-	if !strings.Contains(out.String(), `"rule": "drift-stale-model"`) ||
+	if !strings.Contains(out.String(), `"rule": "p99-over-budget"`) ||
 		!strings.Contains(out.String(), `"severity": "fail"`) {
 		t.Fatalf("JSON findings %q", out.String())
 	}

@@ -1,13 +1,11 @@
 // Command polygraphctl is the operator's tool for a polygraph
-// deployment: the fleet control plane (train once, push the model to
-// every replica, verify the fleet serves one hash) and the offline
-// checks an operator or CI runs against what the service wrote down.
+// deployment: the fleet control plane (push a model trained offline by
+// polygraph train to every replica, verify the fleet serves one hash)
+// and the offline checks an operator or CI runs against what the
+// service wrote down.
 //
 // Subcommands:
 //
-//	polygraphctl train -out model.json [-sessions N] [-novelty]
-//	                                    train in-process and write the
-//	                                    model file, printing its hash
 //	polygraphctl push -model model.json -replicas url1,url2,...
 //	                                    distribute the model: POST it to
 //	                                    every replica's admin endpoint,
@@ -60,7 +58,6 @@ import (
 	"polygraph/internal/core"
 	"polygraph/internal/fleet"
 	"polygraph/internal/obs"
-	"polygraph/internal/serving"
 	"polygraph/internal/slo"
 )
 
@@ -70,7 +67,6 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) int {
 	return dispatch("", []command{
-		{"train", runTrain},
 		{"push", runPush},
 		{"status", runStatus},
 		{"lint", runLint},
@@ -84,7 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 const usage = `usage:
-  polygraphctl train -out model.json [-sessions N] [-novelty]
   polygraphctl push -model model.json -replicas url1,url2,...
   polygraphctl status -replicas url1,url2,...
   polygraphctl lint [-require replica,tcp,fleet|family,...] <source>
@@ -199,39 +194,6 @@ func loadSpec(path string) (*slo.Spec, error) {
 		return slo.DefaultSpec(), nil
 	}
 	return slo.LoadSpec(path)
-}
-
-func runTrain(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("polygraphctl train", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	out := fs.String("out", "model.json", "output model path")
-	sessions := fs.Int("sessions", 40000, "training sessions to generate")
-	novelty := fs.Bool("novelty", false, "arm the novelty guard")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	logger := obs.NewLogger(stderr, false).With("app", "polygraphctl")
-	model, _, _, err := serving.ObtainModel(true, "", *sessions, *novelty, logger)
-	if err != nil {
-		return fail(stderr, "train: %v", err)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return fail(stderr, "%v", err)
-	}
-	if err := model.Save(f); err != nil {
-		f.Close()
-		return fail(stderr, "save: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		return fail(stderr, "close: %v", err)
-	}
-	hash, err := model.Hash()
-	if err != nil {
-		return fail(stderr, "hash: %v", err)
-	}
-	fmt.Fprintf(stdout, "trained %s sessions=%d accuracy=%.4f hash=%s\n", *out, *sessions, model.Accuracy, hash)
-	return 0
 }
 
 func runPush(args []string, stdout, stderr io.Writer) int {

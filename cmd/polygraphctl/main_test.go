@@ -12,22 +12,33 @@ import (
 
 	"polygraph/internal/audit"
 	"polygraph/internal/bundle"
+	"polygraph/internal/core"
+	"polygraph/internal/dataset"
 	"polygraph/internal/serving"
 )
 
-func TestTrainPushStatusRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	modelPath := filepath.Join(dir, "model.json")
+// trainModelFile trains a model the way polygraph train does and writes
+// it to a new file, returning its path and hash.
+func trainModelFile(t *testing.T) (path, hash string) {
+	t.Helper()
+	cfg := dataset.DefaultConfig()
+	cfg.Sessions = 8000
+	_, m, _, err := dataset.Train(cfg, core.DefaultTrainConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err = m.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return saveModel(t, m), hash
+}
 
+// TestTrainPushStatusRoundTrip trains a model offline, pushes it to two
+// warming replicas and checks the fleet agrees on its hash.
+func TestTrainPushStatusRoundTrip(t *testing.T) {
+	modelPath, wantHash := trainModelFile(t)
 	var out, errOut bytes.Buffer
-	if code := run([]string{"train", "-out", modelPath, "-sessions", "8000"}, &out, &errOut); code != 0 {
-		t.Fatalf("train exit %d: %s", code, errOut.String())
-	}
-	trainLine := out.String()
-	if !strings.Contains(trainLine, "hash=") {
-		t.Fatalf("train output missing hash: %q", trainLine)
-	}
-	wantHash := strings.TrimSpace(trainLine[strings.Index(trainLine, "hash=")+len("hash="):])
 
 	// Two warming in-process replicas — no model until the push.
 	var urls []string
@@ -78,14 +89,8 @@ func TestTrainPushStatusRoundTrip(t *testing.T) {
 }
 
 func TestPushRefusedAgainstDeadReplica(t *testing.T) {
-	dir := t.TempDir()
-	modelPath := filepath.Join(dir, "model.json")
+	modelPath, _ := trainModelFile(t)
 	var out, errOut bytes.Buffer
-	if code := run([]string{"train", "-out", modelPath, "-sessions", "8000"}, &out, &errOut); code != 0 {
-		t.Fatalf("train exit %d: %s", code, errOut.String())
-	}
-	out.Reset()
-	errOut.Reset()
 	// Unroutable replica: distribution admits zero and fails.
 	if code := run([]string{"push", "-model", modelPath, "-timeout", "2s",
 		"-replicas", "http://127.0.0.1:1"}, &out, &errOut); code != 1 {
@@ -147,7 +152,7 @@ func damagedLedger(t *testing.T) string {
 // only; a check that ran and failed exits 1.
 func TestSubcommandConventions(t *testing.T) {
 	leaves := [][]string{
-		{"train"}, {"push"}, {"status"}, {"lint"}, {"slo"},
+		{"push"}, {"status"}, {"lint"}, {"slo"},
 		{"bundle", "capture"}, {"bundle", "analyze"},
 		{"audit", "verify"}, {"audit", "ls"}, {"audit", "replay"},
 	}
@@ -156,9 +161,7 @@ func TestSubcommandConventions(t *testing.T) {
 		for _, flag := range []string{"-h", "-version"} {
 			usage = append(usage, append(append([]string{}, leaf...), flag))
 		}
-		if leaf[0] != "train" { // bare train trains with its defaults
-			usage = append(usage, leaf)
-		}
+		usage = append(usage, leaf)
 	}
 	usage = append(usage, []string{"bundle", "version"}, []string{"audit", "version"})
 	for _, args := range usage {

@@ -5,16 +5,20 @@
 // Usage:
 //
 //	polygraphd -model model.json -addr :8080
-//	polygraphd -train -sessions 40000 -addr :8080   # train in-process first
 //	polygraphd -warm -addr :8080                    # fleet-managed: wait for a push
 //	polygraphd -model model.json -tcp-addr :9090    # also serve the framed TCP protocol
+//
+// The daemon loads models; it does not make them. Train one offline
+// with polygraph train -o model.json: the file carries the model's drift
+// baseline, so the live PSI gauges measure traffic against what the
+// model was trained on.
 //
 // With -warm the daemon boots without a model and fails closed: every
 // endpoint (including /healthz) answers 503 until the fleet control
 // plane (cmd/polygraphctl push) deploys a model through POST
 // /admin/model and hash-verifies it.
 //
-// The replica runtime itself — model load/train, collect server, drift
+// The replica runtime itself — model deployment, collect server, drift
 // telemetry, audit ledger, hot reload — lives in
 // internal/serving so a fleet harness can run N replicas in one
 // process; this command wires exactly one replica to flags, signals,
@@ -22,8 +26,8 @@
 //
 // SIGHUP rereads -model and hot-swaps it into the running service — the
 // deployment step of an operator's retrain (polygraph train -o). A file
-// that does not load leaves the current model serving. A -train or
-// -warm daemon has no file to reread, so there SIGHUP changes no model.
+// that does not load leaves the current model serving. A -warm daemon
+// has no file to reread, so there SIGHUP changes no model.
 // SIGHUP also seals the active audit segment so operators can archive
 // sealed segments on the same signal.
 //
@@ -76,10 +80,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&c.Addr, "addr", ":8080", "listen address")
 	fs.StringVar(&c.TCPAddr, "tcp-addr", "", "also serve the framed TCP protocol (length-prefixed binary payloads, pipelined frames scored as one batch) on this address (empty = off)")
 	fs.StringVar(&c.ModelPath, "model", "model.json", "trained model path")
-	fs.BoolVar(&c.Train, "train", false, "train a fresh model in-process instead of loading one")
 	warm := fs.Bool("warm", false, "start without a model and wait for a fleet push (everything 503s until /admin/model deploys one)")
-	fs.IntVar(&c.Sessions, "sessions", 40000, "sessions to generate when -train is set")
-	fs.BoolVar(&c.Novelty, "novelty", false, "arm the novelty guard when training with -train")
 	fs.Float64Var(&c.RateLimitPerSec, "rate-limit", 0, "per-client-IP requests/second on the ingest endpoints (0 = off)")
 	fs.BoolVar(&o.logJSON, "log-json", false, "emit structured logs as JSON instead of text")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listener for pprof/expvar (empty = off)")
@@ -99,9 +100,6 @@ func parseFlags(args []string) (*options, error) {
 	}
 
 	if *warm {
-		if c.Train {
-			return nil, errors.New("-warm and -train are mutually exclusive")
-		}
 		c.ModelPath = ""
 	}
 	// Burn-rate alerting is on by default with the built-in spec; the
@@ -215,11 +213,11 @@ loop:
 
 // printVersion writes the build line and, when the replica will load its
 // model from a file, that file's path and model hash — the identity the
-// fleet control plane verifies across replicas. A -train or -warm replica
-// never loads the file, so it gets no model line.
+// fleet control plane verifies across replicas. A -warm replica never
+// loads the file, so it gets no model line.
 func printVersion(w io.Writer, o *options) {
 	fmt.Fprintln(w, obs.Version("polygraphd"))
-	if o.replica.Train || o.replica.ModelPath == "" {
+	if o.replica.ModelPath == "" {
 		return
 	}
 	f, err := os.Open(o.replica.ModelPath)

@@ -13,12 +13,25 @@ import (
 
 	"polygraph/internal/browser"
 	"polygraph/internal/collect"
+	"polygraph/internal/core"
+	"polygraph/internal/dataset"
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/fleet"
-	"polygraph/internal/obs"
 	"polygraph/internal/serving"
 	"polygraph/internal/ua"
 )
+
+// trainModel trains a small model on the calibrated population.
+func trainModel(t *testing.T) *core.Model {
+	t.Helper()
+	cfg := dataset.DefaultConfig()
+	cfg.Sessions = 6000
+	_, m, _, err := dataset.Train(cfg, core.DefaultTrainConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 // TestTCPAddrFlag boots the replica main boots from `-warm -tcp-addr`:
 // the framed listener holds the flag-bound port from Start on but
@@ -41,10 +54,7 @@ func TestTCPAddrFlag(t *testing.T) {
 		t.Fatal("-tcp-addr bound no framed listener")
 	}
 
-	model, _, _, err := serving.ObtainModel(true, "", 6000, false, obs.NewLogger(nil, false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := trainModel(t)
 	rel := ua.Release{Vendor: ua.Chrome, Version: 112}
 	ext := fingerprint.NewExtractor(browser.NewOracle(), model.Features)
 	frame := []*fingerprint.Payload{{
@@ -113,10 +123,7 @@ func TestDebugMuxFollowsWarmReplica(t *testing.T) {
 		t.Fatalf("/debug/vars returned %d while warming", got)
 	}
 
-	model, _, _, err := serving.ObtainModel(true, "", 6000, false, obs.NewLogger(nil, false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := trainModel(t)
 	b, err := fleet.NewBalancer(fleet.Config{Seed: 1}, fleet.Member{Name: "warm", BaseURL: replica.BaseURL()})
 	if err != nil {
 		t.Fatal(err)
@@ -132,12 +139,9 @@ func TestDebugMuxFollowsWarmReplica(t *testing.T) {
 }
 
 // TestPrintVersionModelLine: -version prints the model file's hash only
-// when the replica would load that file, which -warm and -train never do.
+// when the replica would load that file, which -warm never does.
 func TestPrintVersionModelLine(t *testing.T) {
-	model, _, _, err := serving.ObtainModel(true, "", 6000, false, obs.NewLogger(nil, false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := trainModel(t)
 	hash, err := model.Hash()
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +161,6 @@ func TestPrintVersionModelLine(t *testing.T) {
 	}{
 		{[]string{"-model", path}, modelLine},
 		{[]string{"-model", path, "-warm"}, ""},
-		{[]string{"-model", path, "-train"}, ""},
 	} {
 		o, err := parseFlags(append(tc.args, "-version"))
 		if err != nil {

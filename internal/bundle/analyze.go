@@ -264,29 +264,19 @@ func (a *analyzer) checkP99() {
 }
 
 // checkDriftStaleModel encodes the §7.3 lesson: fingerprint
-// distributions rot. An active drift alert alone is a warning; an
-// active alert while the deployed model predates the drift baseline
-// means the model has not been retrained since the distribution moved —
-// that is the failure.
+// distributions rot. Every replica measures drift against the deployed
+// model's own training baseline, so an active drift alert says the
+// traffic has moved away from what the model was trained on: a warning
+// that a retrain may be due.
 func (a *analyzer) checkDriftStaleModel() {
 	for _, name := range a.targetNames() {
 		ex := a.expositions[name]
 		if ex == nil {
 			continue
 		}
-		alert, err := ex.Value(obs.FamDriftAlert.Name)
-		if err != nil || alert < 1 {
-			continue
+		if alert, err := ex.Value(obs.FamDriftAlert.Name); err == nil && alert >= 1 {
+			a.addf(RuleDriftStaleModel, SeverityWarn, name, "drift alert active (PSI above threshold against the model's training baseline)")
 		}
-		trained, terr := ex.Value(obs.FamModelTrainedAt.Name)
-		baseline, berr := ex.Value(obs.FamDriftBaselineAt.Name)
-		if terr == nil && berr == nil && trained > 0 && baseline > 0 && trained < baseline {
-			a.addf(RuleDriftStaleModel, SeverityFail, name,
-				"drift alert active and deployed model (trained %.0f) predates the drift baseline (%.0f) — retrain overdue",
-				trained, baseline)
-			continue
-		}
-		a.addf(RuleDriftStaleModel, SeverityWarn, name, "drift alert active (PSI above threshold)")
 	}
 	a.pass(RuleDriftStaleModel, "no active drift alerts")
 }

@@ -22,15 +22,13 @@ type metricsOpts struct {
 	dropped     float64
 	rejected    float64 // decode-reason rejects
 	driftAlert  float64
-	trainedTs   float64
-	baselineTs  float64
 	p99Bucket   int // bucket index carrying the whole latency mass
 }
 
 func healthyOpts() metricsOpts {
 	return metricsOpts{
 		collections: 100, records: 90, dropped: 10,
-		trainedTs: 2_000, baselineTs: 1_000, p99Bucket: 10, // 1024us << 100ms
+		p99Bucket: 10, // 1024us << 100ms
 	}
 }
 
@@ -43,8 +41,6 @@ func metricsText(o metricsOpts) []byte {
 		obs.FamRejected.WriteSeries(&b, []obs.LabeledValue{{Label: "decode", Value: o.rejected}})
 	}
 	obs.FamDriftAlert.Write(&b, o.driftAlert)
-	obs.FamModelTrainedAt.Write(&b, o.trainedTs)
-	obs.FamDriftBaselineAt.Write(&b, o.baselineTs)
 	s := obs.HistogramSeries{Label: "/v1/collect", SumUs: 1000}
 	s.Buckets[o.p99Bucket] = uint64(o.collections)
 	obs.FamScoreDuration.WriteHistogram(&b, []obs.HistogramSeries{s})
@@ -116,32 +112,21 @@ func TestAnalyzeHealthyBundlePassesEveryRule(t *testing.T) {
 	}
 }
 
-// Seeded fault 1: drift alert active while the deployed model predates
-// the drift baseline.
+// Seeded fault 1: a drift alert is active. Drift is measured against
+// the deployed model's own training baseline, so the alert is a
+// warning that a retrain may be due, not a failure.
 func TestAnalyzeDriftStaleModelFault(t *testing.T) {
 	o := healthyOpts()
 	o.driftAlert = 1
-	o.trainedTs = 1_000
-	o.baselineTs = 2_000
 	findings := analyzeBundle(t, func(b *Builder) {
 		seedTarget(b, "r0", hashA, o)
+		seedTarget(b, "r1", hashA, healthyOpts())
 	})
-	f := wantSeverity(t, findings, RuleDriftStaleModel, SeverityFail)
-	if f.Target != "r0" {
-		t.Fatalf("finding target %q, want r0", f.Target)
+	if got := ruleFindings(findings, RuleDriftStaleModel); len(got) != 1 || got[0].Severity != SeverityWarn || got[0].Target != "r0" {
+		t.Fatalf("drift findings %v, want one warning for r0", got)
 	}
-	if !HasFailure(findings) {
-		t.Fatal("HasFailure false despite stale-model fail")
-	}
-
-	// An alert over a fresh model is only a warning.
-	o.trainedTs = 3_000
-	warnOnly := analyzeBundle(t, func(b *Builder) {
-		seedTarget(b, "r0", hashA, o)
-	})
-	wantSeverity(t, warnOnly, RuleDriftStaleModel, SeverityWarn)
-	if HasFailure(warnOnly) {
-		t.Fatalf("drift warn escalated to failure: %v", warnOnly)
+	if HasFailure(findings) {
+		t.Fatalf("drift warn escalated to failure: %v", findings)
 	}
 }
 

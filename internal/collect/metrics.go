@@ -107,20 +107,6 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 		s.drift.WriteMetrics(w)
 	}
 
-	// Per-stage timings of the (re)train that produced the deployed
-	// model, when the operator recorded them via SetTrainStages.
-	if stages := s.TrainStages(); len(stages) > 0 {
-		var durations, rowsIn, rowsOut []obs.LabeledValue
-		for _, st := range stages {
-			durations = append(durations, obs.LabeledValue{Label: st.Name, Value: st.Duration.Seconds()})
-			rowsIn = append(rowsIn, obs.LabeledValue{Label: st.Name, Value: float64(st.RowsIn)})
-			rowsOut = append(rowsOut, obs.LabeledValue{Label: st.Name, Value: float64(st.RowsOut)})
-		}
-		obs.FamTrainStageDuration.WriteSeries(w, durations)
-		obs.FamTrainStageRowsIn.WriteSeries(w, rowsIn)
-		obs.FamTrainStageRowsOut.WriteSeries(w, rowsOut)
-	}
-
 	// The SLO engine's families ride the same scrape when one is
 	// attached. The engine snapshots this exposition on its own tick;
 	// these gauges reflect the last completed evaluation, so including

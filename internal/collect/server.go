@@ -198,11 +198,6 @@ type Server struct {
 
 	// scoreDelay is Config.ScoreDelay (fault drills only).
 	scoreDelay time.Duration
-
-	// trainMu guards trainStages, the per-stage timings of the last
-	// (re)train that produced the deployed model; exported at /metrics.
-	trainMu     sync.RWMutex
-	trainStages []core.StageTiming
 }
 
 // serveShard is one shard (obs.ShardCount) of the HTTP server's
@@ -386,24 +381,6 @@ func (s *Server) ModelTrainedAt() time.Time {
 		return time.Time{}
 	}
 	return time.Unix(0, ns)
-}
-
-// SetTrainStages records the stage timings of the training run that
-// produced the deployed model; /metrics exports them. Call it alongside
-// SwapModel (or at startup) whenever a TrainReport is available.
-func (s *Server) SetTrainStages(stages []core.StageTiming) {
-	copied := append([]core.StageTiming(nil), stages...)
-	s.trainMu.Lock()
-	s.trainStages = copied
-	s.trainMu.Unlock()
-}
-
-// TrainStages returns a copy of the last recorded training-stage
-// timings (nil when none were ever set).
-func (s *Server) TrainStages() []core.StageTiming {
-	s.trainMu.RLock()
-	defer s.trainMu.RUnlock()
-	return append([]core.StageTiming(nil), s.trainStages...)
 }
 
 func (s *Server) handleScript(w http.ResponseWriter, _ *http.Request) {

@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"polygraph/internal/audit"
 	"polygraph/internal/core"
@@ -39,11 +37,9 @@ func TestSwapModelUnderConcurrentScoring(t *testing.T) {
 	}
 
 	// Swapper: flip between two (identical-content) models as fast as
-	// possible, refreshing the stage record alongside each swap the way
-	// the daemon's reload loop does.
+	// possible.
 	stop := make(chan struct{})
 	swapperDone := make(chan struct{})
-	stages := []core.StageTiming{{Name: "kmeans", Duration: time.Millisecond, RowsIn: 10, RowsOut: 10}}
 	go func() {
 		defer close(swapperDone)
 		models := [2]*core.Model{m, m2}
@@ -57,7 +53,6 @@ func TestSwapModelUnderConcurrentScoring(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			srv.SetTrainStages(stages)
 		}
 	}()
 
@@ -202,43 +197,5 @@ func TestIngestVsStatsUnderConcurrentHammer(t *testing.T) {
 	}
 	if st.Flagged != total/3 {
 		t.Fatalf("flagged %d, want %d", st.Flagged, total/3)
-	}
-}
-
-// TestMetricsExportTrainStages checks the /metrics rendering of stage
-// timings recorded via SetTrainStages.
-func TestMetricsExportTrainStages(t *testing.T) {
-	m, _ := testModel(t)
-	srv, err := NewServer(Config{Model: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetTrainStages([]core.StageTiming{
-		{Name: "scale", Duration: 2 * time.Millisecond, RowsIn: 100, RowsOut: 100},
-		{Name: "kmeans", Duration: 5 * time.Millisecond, RowsIn: 98, RowsOut: 98},
-	})
-	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	out := rec.Body.String()
-	for _, want := range []string{
-		`polygraph_train_stage_duration_seconds{stage="scale"} 0.002`,
-		`polygraph_train_stage_duration_seconds{stage="kmeans"} 0.005`,
-		`polygraph_train_stage_rows_in{stage="kmeans"} 98`,
-		`polygraph_train_stage_rows_out{stage="scale"} 100`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics output missing %q\n%s", want, out)
-		}
-	}
-	// A server that never saw SetTrainStages must omit the families.
-	srv2, err := NewServer(Config{Model: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec2 := httptest.NewRecorder()
-	srv2.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if strings.Contains(rec2.Body.String(), "polygraph_train_stage_duration_seconds") {
-		t.Error("stage metrics exported without SetTrainStages")
 	}
 }

@@ -1,5 +1,10 @@
 package core
 
+import (
+	"bytes"
+	"testing"
+)
+
 // MemoHolds reports whether m's verdict memo holds an entry for (vector,
 // userAgent) — whatever VersionDivisor and NoveltyThreshold it was stored
 // under — so a test can tell that the call that follows is answered from
@@ -14,4 +19,15 @@ func MemoHolds(m *Model, vector []float64, userAgent string) bool {
 		}
 	}
 	return false
+}
+
+// SavedFixture returns the JSON of a trained fixture model.
+func SavedFixture(t testing.TB) []byte {
+	t.Helper()
+	m, _, _ := trainFixtureModel(t, 10)
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

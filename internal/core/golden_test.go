@@ -11,14 +11,15 @@ import (
 // TestModelGolden pins the serialized model the §6.4 pipeline trains on
 // the calibrated generator: any change to a training kernel, a reduction
 // order or the model format moves one of these hashes, and must only come
-// with a deliberate model-format or algorithm change. They last moved when
+// with a deliberate model-format or algorithm change. They moved when
 // the scaler moments, the PCA covariance and the k-means centroid sums and
 // WCSS became count-weighted sums over the distinct-row table: the float
 // association order changed, and with it the low bits of the scaler, PCA
 // and centroid values. Nothing discrete moved — the same rows dropped,
 // the same initial centroids, the same UA→cluster table — and
 // TestVerdictGolden, which pins the decisions those values make, did not
-// change.
+// change. They last moved when the model began carrying its drift
+// baseline: the file gained the drift_baseline key and nothing else.
 func TestModelGolden(t *testing.T) {
 	dcfg := dataset.DefaultConfig()
 	dcfg.Sessions = 8000
@@ -34,9 +35,9 @@ func TestModelGolden(t *testing.T) {
 		edit func(*core.TrainConfig)
 		want string
 	}{
-		{"default", func(*core.TrainConfig) {}, "3f0f5d4f7881884dc0369750a6a41536"},
-		{"novelty-guard", func(c *core.TrainConfig) { c.NoveltyGuard = true }, "5cc2daaa35bf10d12ae7347e206d91ea"},
-		{"disable-pca", func(c *core.TrainConfig) { c.DisablePCA = true }, "c4fd0853c6a970e4060de3b75b3d2624"},
+		{"default", func(*core.TrainConfig) {}, "dc468b9a4da8b4e88dfa32aed20c0b1e"},
+		{"novelty-guard", func(c *core.TrainConfig) { c.NoveltyGuard = true }, "662093f6bb70207e408a3daf088a9b6e"},
+		{"disable-pca", func(c *core.TrainConfig) { c.DisablePCA = true }, "69ce1c56cdfe5cff5e9830ae552c7695"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

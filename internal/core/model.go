@@ -51,6 +51,9 @@ type Model struct {
 	VersionDivisor int
 	// TrainedRows counts post-filter training rows.
 	TrainedRows int
+	// Baseline is the drift baseline binned from the training vectors;
+	// nil in a model file written before models carried one.
+	Baseline Baseline
 
 	// plan caches the flattened scoring layout (see scoreplan.go).
 	// Train and Load store it eagerly; hand-assembled models build it

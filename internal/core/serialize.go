@@ -30,7 +30,8 @@ type modelJSON struct {
 	VersionDivisor int                 `json:"version_divisor"`
 	TrainedRows    int                 `json:"trained_rows"`
 
-	NoveltyThreshold float64 `json:"novelty_threshold,omitempty"`
+	NoveltyThreshold float64  `json:"novelty_threshold,omitempty"`
+	DriftBaseline    Baseline `json:"drift_baseline,omitempty"`
 }
 
 type featureJSON struct {
@@ -71,6 +72,7 @@ func (m *Model) Save(w io.Writer) error {
 		mj.Centroids[i] = m.KMeans.Centroids.Row(i)
 	}
 	mj.NoveltyThreshold = m.NoveltyThreshold
+	mj.DriftBaseline = m.Baseline
 	mj.ClusterUAs = map[string][]string{}
 	for c, rels := range m.ClusterUAs {
 		key := fmt.Sprintf("%d", c)
@@ -172,6 +174,12 @@ func Load(r io.Reader) (*Model, error) {
 		}
 	}
 	m.NoveltyThreshold = mj.NoveltyThreshold
+	if mj.DriftBaseline != nil {
+		if err := mj.DriftBaseline.Validate(len(mj.Features)); err != nil {
+			return nil, err
+		}
+		m.Baseline = mj.DriftBaseline
+	}
 	if m.VersionDivisor <= 0 {
 		m.VersionDivisor = ua.DefaultVersionDivisor
 	}

@@ -148,8 +148,9 @@ func (cfg TrainConfig) WithDefaults() TrainConfig {
 // Train fits a Browser Polygraph model on the samples: the §6.4 stages
 // (scale → iforest filter → PCA → k-means → cluster-table) run in order
 // on one goroutine, and each one's wall time and rows in/out land in
-// TrainReport.Stages. Invalid samples or configuration return
-// ErrBadInput.
+// TrainReport.Stages. The model carries its drift baseline, binned from
+// every ⌈n/512⌉-th sample's vector. Invalid samples or configuration
+// return ErrBadInput.
 func Train(samples []Sample, cfg TrainConfig) (*Model, *TrainReport, error) {
 	cfg = cfg.WithDefaults()
 	if len(cfg.Features) == 0 {
@@ -184,6 +185,7 @@ func Train(samples []Sample, cfg TrainConfig) (*Model, *TrainReport, error) {
 		return claimKey(samples[i].UA), samples[i].Vector
 	})
 
+	baseline := trainingBaseline(samples, dim)
 	report := &TrainReport{InputRows: len(samples)}
 	start := time.Now()
 	// done closes a stage: it records the stage's wall time since start
@@ -259,6 +261,7 @@ func Train(samples []Sample, cfg TrainConfig) (*Model, *TrainReport, error) {
 		KMeans:         km,
 		VersionDivisor: cfg.VersionDivisor,
 		TrainedRows:    kept,
+		Baseline:       baseline,
 	}
 
 	// Optional novelty guard: the threshold clears every *kept* training

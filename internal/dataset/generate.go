@@ -310,6 +310,24 @@ func (d *Dataset) Samples() []core.Sample {
 	return out
 }
 
+// Train is the one training recipe over the calibrated population: it
+// generates cfg's traffic and fits tc on every session, aligning rare
+// user-agents with the generator's own reference fingerprints
+// (core.ExtractorReference on Windows 10). polygraph train, loadgen and
+// the experiments train this way, each with its own cfg and tc.
+func Train(cfg Config, tc core.TrainConfig) (*Dataset, *core.Model, *core.TrainReport, error) {
+	traffic, err := Generate(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	tc.Reference = core.ExtractorReference{Extractor: traffic.Extractor, OS: ua.Windows10}
+	m, report, err := core.Train(traffic.Samples(), tc)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return traffic, m, report, nil
+}
+
 // SessionsForRelease returns the sessions claiming a specific release —
 // the drift detector evaluates new releases this way.
 func (d *Dataset) SessionsForRelease(r ua.Release) []Session {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"polygraph/internal/core"
 )
 
 // Feature-level drift monitoring via the Population Stability Index.
@@ -30,65 +32,47 @@ type PSIResult struct {
 	Status string
 }
 
-// PSI computes the Population Stability Index between a baseline and a
-// current sample of one feature. Bins are deciles of the baseline
-// (collapsing ties, so low-cardinality integer features get the bins
-// they support); both distributions are Laplace-smoothed so empty bins
-// do not produce infinities.
-func PSI(baseline, current []float64) (float64, error) {
-	if len(baseline) < 10 || len(current) < 10 {
-		return 0, fmt.Errorf("drift: PSI needs ≥10 samples per side, have %d/%d", len(baseline), len(current))
-	}
-	edges := decileEdges(baseline)
-	bBase := binCounts(baseline, edges)
-	bCur := binCounts(current, edges)
-	nBins := len(bBase)
+// minPSISamples is the fewest values PSI compares on either side.
+const minPSISamples = 10
 
+// PSI computes the Population Stability Index between a baseline and a
+// current sample of one feature, binned by the baseline's deciles
+// (core.DecileBins).
+func PSI(baseline, current []float64) (float64, error) {
+	if len(baseline) < minPSISamples {
+		return 0, fmt.Errorf("drift: PSI needs ≥%d samples per side, have %d/%d", minPSISamples, len(baseline), len(current))
+	}
+	return binnedPSI(core.DecileBins(baseline), current)
+}
+
+// binnedPSI is the one PSI loop: current is counted into the baseline's
+// bins, and both distributions are Laplace-smoothed so empty bins do not
+// produce infinities.
+func binnedPSI(b core.Bins, current []float64) (float64, error) {
+	total := b.Total()
+	if total < minPSISamples || len(current) < minPSISamples {
+		return 0, fmt.Errorf("drift: PSI needs ≥%d samples per side, have %d/%d", minPSISamples, total, len(current))
+	}
+	nBins := len(b.Counts)
+	cur := make([]int, nBins)
+	for _, x := range current {
+		cur[b.Bin(x)]++
+	}
 	psi := 0.0
-	nB := float64(len(baseline) + nBins) // +1 smoothing mass
+	nB := float64(total + nBins) // +1 smoothing mass
 	nC := float64(len(current) + nBins)
 	for i := 0; i < nBins; i++ {
-		pb := (float64(bBase[i]) + 1) / nB
-		pc := (float64(bCur[i]) + 1) / nC
+		pb := (float64(b.Counts[i]) + 1) / nB
+		pc := (float64(cur[i]) + 1) / nC
 		psi += (pc - pb) * math.Log(pc/pb)
 	}
 	return psi, nil
 }
 
-// decileEdges returns the distinct interior decile boundaries of xs,
-// preceded by an edge just below the baseline minimum. The leading edge
-// gives "current" mass below every baseline value its own bin, so a
-// downward shift of a constant or low-cardinality feature (our property
-// counts are integers) is visible; for continuous data it merely adds a
-// near-empty lowest bin.
-func decileEdges(xs []float64) []float64 {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	edges := []float64{sorted[0] - 0.5}
-	for d := 1; d < 10; d++ {
-		q := sorted[len(sorted)*d/10]
-		if q > edges[len(edges)-1] {
-			edges = append(edges, q)
-		}
-	}
-	return edges
-}
-
-// binCounts counts xs per bin defined by edges (len(edges)+1 bins).
-func binCounts(xs []float64, edges []float64) []int {
-	counts := make([]int, len(edges)+1)
-	for _, x := range xs {
-		// Bins are (-inf, e0], (e0, e1], ..., (eLast, inf):
-		// SearchFloat64s returns the first edge ≥ x, which is exactly
-		// the bin index (edge values fall in the lower bin).
-		counts[sort.SearchFloat64s(edges, x)]++
-	}
-	return counts
-}
-
-// FeaturePSI computes the PSI of every column between a baseline matrix
-// view and a current one, given as per-row vectors plus feature names.
-// Results are sorted by PSI descending.
+// FeaturePSI computes the PSI of every column between a baseline and a
+// current sample, given as per-row vectors plus feature names: the
+// baseline rows are binned (core.BinColumns) and measured as
+// BaselinePSI measures them. Results are sorted by PSI descending.
 func FeaturePSI(names []string, baseline, current [][]float64) ([]PSIResult, error) {
 	if len(baseline) == 0 || len(current) == 0 {
 		return nil, fmt.Errorf("drift: empty PSI input")
@@ -99,22 +83,29 @@ func FeaturePSI(names []string, baseline, current [][]float64) ([]PSIResult, err
 			return nil, fmt.Errorf("drift: baseline row %d has %d features, want %d", i, len(r), dim)
 		}
 	}
+	return BaselinePSI(names, core.BinColumns(baseline, dim), current)
+}
+
+// BaselinePSI computes the PSI of every column of current against a
+// binned baseline (one core.Bins per name). Results are sorted by PSI
+// descending.
+func BaselinePSI(names []string, baseline core.Baseline, current [][]float64) ([]PSIResult, error) {
+	dim := len(names)
+	if len(baseline) != dim {
+		return nil, fmt.Errorf("drift: baseline has %d features, want %d", len(baseline), dim)
+	}
 	for i, r := range current {
 		if len(r) != dim {
 			return nil, fmt.Errorf("drift: current row %d has %d features, want %d", i, len(r), dim)
 		}
 	}
 	out := make([]PSIResult, 0, dim)
-	bCol := make([]float64, len(baseline))
-	cCol := make([]float64, len(current))
+	col := make([]float64, len(current))
 	for j := 0; j < dim; j++ {
-		for i, r := range baseline {
-			bCol[i] = r[j]
-		}
 		for i, r := range current {
-			cCol[i] = r[j]
+			col[i] = r[j]
 		}
-		psi, err := PSI(bCol, cCol)
+		psi, err := binnedPSI(baseline[j], col)
 		if err != nil {
 			return nil, fmt.Errorf("drift: feature %s: %w", names[j], err)
 		}

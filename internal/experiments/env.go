@@ -11,7 +11,6 @@ import (
 
 	"polygraph/internal/core"
 	"polygraph/internal/dataset"
-	"polygraph/internal/ua"
 )
 
 // Env bundles the shared state most experiments need: the synthetic
@@ -36,15 +35,9 @@ func NewEnv(sessions int, seed uint64) (*Env, error) {
 	if seed != 0 {
 		cfg.Seed = seed
 	}
-	traffic, err := dataset.Generate(cfg)
+	traffic, model, report, err := dataset.Train(cfg, core.DefaultTrainConfig())
 	if err != nil {
-		return nil, fmt.Errorf("experiments: traffic: %w", err)
-	}
-	tc := core.DefaultTrainConfig()
-	tc.Reference = core.ExtractorReference{Extractor: traffic.Extractor, OS: ua.Windows10}
-	model, report, err := core.Train(traffic.Samples(), tc)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: train: %w", err)
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	return &Env{Traffic: traffic, Model: model, Report: report}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"polygraph/internal/core"
 	"polygraph/internal/drift"
 	"polygraph/internal/rng"
 )
@@ -19,30 +20,22 @@ import (
 // machinery and live traffic: the serving tier feeds every accepted
 // feature vector into a deterministic reservoir sample, and a
 // background loop (or an explicit Evaluate call) periodically compares
-// the reservoir against the training baseline with drift.FeaturePSI,
-// exporting polygraph_feature_psi{feature=...} and
-// polygraph_drift_alert gauges and logging a structured alert when any
-// feature crosses drift.PSIAlert. §6.6's "actively identifies shifts in
-// data patterns" thus becomes an operational signal instead of an
-// offline experiment.
+// the reservoir against the deployed model's drift baseline
+// (core.Model.Baseline) with drift.BaselinePSI, exporting
+// polygraph_feature_psi{feature=...} and polygraph_drift_alert gauges
+// and logging a structured alert when any feature crosses
+// drift.PSIAlert. §6.6's "actively identifies shifts in data patterns"
+// thus becomes an operational signal instead of an offline experiment.
 
-// ErrDriftNotReady reports an Evaluate before the reservoir holds
-// enough samples for a meaningful PSI.
+// ErrDriftNotReady reports an Evaluate with nothing to compare: no
+// baseline is installed, or the reservoir holds too few samples for a
+// meaningful PSI.
 var ErrDriftNotReady = errors.New("obs: drift reservoir not ready")
 
 // DriftConfig parameterizes a DriftMonitor.
 type DriftConfig struct {
 	// Features names the vector columns; required.
 	Features []string
-	// Baseline is the training-time sample the live reservoir is
-	// compared against. Nil arms self-baseline mode: the first
-	// Evaluate with a warm reservoir adopts the reservoir as baseline
-	// (useful against a loaded model file whose training vectors are
-	// gone).
-	Baseline [][]float64
-	// BaselineSize caps the retained baseline rows (deterministically
-	// subsampled); 0 keeps 512.
-	BaselineSize int
 	// Reservoir is the live sample size; 0 uses 512.
 	Reservoir int
 	// MinSamples gates evaluation; 0 uses 32 (PSI itself needs ≥10).
@@ -69,12 +62,9 @@ type DriftMonitor struct {
 
 	mu       sync.Mutex
 	features []string
-	baseline [][]float64
-	// baselineAt is when the current baseline was installed (SetBaseline
-	// or self-baseline adoption); zero while unset. Exported as
-	// polygraph_drift_baseline_timestamp_seconds so the support-bundle
-	// analyzers can tell "drift alert against a baseline newer than the
-	// deployed model" (stale model) apart from ordinary drift.
+	baseline core.Baseline
+	// baselineAt is when the current baseline was installed; zero while
+	// none is. Exported as polygraph_drift_baseline_timestamp_seconds.
 	baselineAt time.Time
 	res        [][]float64
 	rng        *rng.PCG
@@ -110,59 +100,43 @@ func NewDriftMonitor(cfg DriftConfig) (*DriftMonitor, error) {
 	if logger == nil {
 		logger = slog.New(discardHandler{})
 	}
-	m := &DriftMonitor{
+	return &DriftMonitor{
 		features: append([]string(nil), cfg.Features...),
 		res:      make([][]float64, 0, resSize),
 		rng:      rng.New(cfg.Seed),
 		resSize:  resSize,
 		minEval:  minEval,
 		log:      logger,
-	}
-	if cfg.Baseline != nil {
-		if err := m.SetBaseline(cfg.Baseline, cfg.BaselineSize); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	}, nil
 }
 
-// SetBaseline replaces the comparison baseline, deterministically
-// subsampling to maxRows (0 keeps 512), and restarts the sampling
-// window: the reservoir empties and fills again from the traffic that
-// follows, so the new baseline is never compared against vectors seen
-// before it. polygraphd calls this after a successful SIGHUP retrain so
-// drift is always measured against the deployed model's training
-// distribution. Seen keeps counting across windows.
-func (m *DriftMonitor) SetBaseline(rows [][]float64, maxRows int) error {
-	dim := len(m.features)
-	for i, r := range rows {
-		if len(r) != dim {
-			return fmt.Errorf("obs: baseline row %d has %d features, want %d", i, len(r), dim)
-		}
-	}
-	if maxRows <= 0 {
-		maxRows = 512
-	}
-	copied := make([][]float64, 0, min(len(rows), maxRows))
-	if len(rows) <= maxRows {
-		for _, r := range rows {
-			copied = append(copied, append([]float64(nil), r...))
-		}
-	} else {
-		// Every ⌈n/max⌉-th row: deterministic, order-independent of any
-		// RNG state, and spread across the input.
-		stride := (len(rows) + maxRows - 1) / maxRows
-		for i := 0; i < len(rows) && len(copied) < maxRows; i += stride {
-			copied = append(copied, append([]float64(nil), rows[i]...))
+// SetBaseline installs the baseline drift is measured against and
+// restarts the sampling window: the reservoir empties and fills again
+// from the traffic that follows, so a baseline is never compared against
+// vectors seen before it, and the last results, measured against the
+// previous baseline, are dropped. serving.Replica calls it with each
+// model it deploys. A nil baseline disarms the monitor, and so does one
+// that does not fit its features, which is also reported: Evaluate
+// answers ErrDriftNotReady until the next baseline. Seen keeps counting
+// across windows.
+func (m *DriftMonitor) SetBaseline(b core.Baseline) error {
+	var err error
+	if b != nil {
+		if err = b.Validate(len(m.features)); err != nil {
+			b, err = nil, fmt.Errorf("obs: %w", err)
 		}
 	}
 	m.mu.Lock()
-	m.baseline = copied
-	m.baselineAt = time.Now()
+	m.baseline = b
+	m.baselineAt = time.Time{}
+	if b != nil {
+		m.baselineAt = time.Now()
+	}
+	m.latest, m.alerted = nil, false
 	m.res = m.res[:0]
 	m.next.Store(0)
 	m.mu.Unlock()
-	return nil
+	return err
 }
 
 // Observe feeds one accepted feature vector into the reservoir (the
@@ -211,12 +185,13 @@ func (m *DriftMonitor) Seen() uint64 { return m.seen.Load() }
 
 // Evaluate computes per-feature PSI of the current reservoir against
 // the baseline, retaining the results for WriteMetrics and logging a
-// structured alert when any feature crosses drift.PSIAlert. In
-// self-baseline mode the first warm evaluation adopts the reservoir as
-// baseline and reports ErrDriftNotReady (there is nothing to compare
-// yet).
+// structured alert when any feature crosses drift.PSIAlert.
 func (m *DriftMonitor) Evaluate() ([]drift.PSIResult, error) {
 	m.mu.Lock()
+	if m.baseline == nil {
+		m.mu.Unlock()
+		return nil, fmt.Errorf("%w: no baseline", ErrDriftNotReady)
+	}
 	if n := len(m.res); n < m.minEval {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d/%d samples", ErrDriftNotReady, n, m.minEval)
@@ -225,18 +200,11 @@ func (m *DriftMonitor) Evaluate() ([]drift.PSIResult, error) {
 	for i, r := range m.res {
 		current[i] = append([]float64(nil), r...)
 	}
-	if m.baseline == nil {
-		m.baseline = current
-		m.baselineAt = time.Now()
-		m.mu.Unlock()
-		m.log.Info("drift baseline captured from live traffic", "rows", len(current))
-		return nil, fmt.Errorf("%w: baseline captured, comparison starts next cycle", ErrDriftNotReady)
-	}
 	baseline := m.baseline
 	features := m.features
 	m.mu.Unlock()
 
-	results, err := drift.FeaturePSI(features, baseline, current)
+	results, err := drift.BaselinePSI(features, baseline, current)
 	if err != nil {
 		return nil, err
 	}

@@ -13,9 +13,24 @@ import (
 	"sync"
 	"testing"
 
+	"polygraph/internal/core"
 	"polygraph/internal/drift"
 	"polygraph/internal/rng"
 )
+
+// armedMonitor builds a monitor from cfg and installs the baseline
+// binned from rows.
+func armedMonitor(t testing.TB, cfg DriftConfig, rows [][]float64) *DriftMonitor {
+	t.Helper()
+	m, err := NewDriftMonitor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetBaseline(core.BinColumns(rows, len(cfg.Features))); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 // driftRows synthesizes n two-feature vectors around the given centers.
 func driftRows(seed uint64, n int, c0, c1 float64) [][]float64 {
@@ -28,14 +43,7 @@ func driftRows(seed uint64, n int, c0, c1 float64) [][]float64 {
 }
 
 func TestDriftMonitorStablePopulation(t *testing.T) {
-	m, err := NewDriftMonitor(DriftConfig{
-		Features: []string{"f0", "f1"},
-		Baseline: driftRows(1, 400, 0, 10),
-		Seed:     2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := armedMonitor(t, DriftConfig{Features: []string{"f0", "f1"}, Seed: 2}, driftRows(1, 400, 0, 10))
 	for _, v := range driftRows(3, 400, 0, 10) {
 		m.Observe(v)
 	}
@@ -53,15 +61,11 @@ func TestDriftMonitorStablePopulation(t *testing.T) {
 
 func TestDriftMonitorAlertsOnShift(t *testing.T) {
 	var buf bytes.Buffer
-	m, err := NewDriftMonitor(DriftConfig{
+	m := armedMonitor(t, DriftConfig{
 		Features: []string{"f0", "f1"},
-		Baseline: driftRows(1, 400, 0, 10),
 		Seed:     2,
 		Logger:   slog.New(slog.NewJSONHandler(&buf, nil)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, driftRows(1, 400, 0, 10))
 	// f0 shifted far out of the baseline range; f1 unchanged.
 	for _, v := range driftRows(3, 400, 50, 10) {
 		m.Observe(v)
@@ -111,7 +115,10 @@ func TestDriftMonitorNotReady(t *testing.T) {
 	}
 }
 
-func TestDriftMonitorSelfBaseline(t *testing.T) {
+// A monitor without a baseline — a model file written before models
+// carried one — stays unarmed however full its reservoir, and so does
+// one whose baseline is taken away.
+func TestDriftMonitorWithoutBaselineStaysUnarmed(t *testing.T) {
 	m, err := NewDriftMonitor(DriftConfig{Features: []string{"f0", "f1"}, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -119,33 +126,37 @@ func TestDriftMonitorSelfBaseline(t *testing.T) {
 	for _, v := range driftRows(5, 100, 0, 0) {
 		m.Observe(v)
 	}
-	// First warm evaluation adopts the reservoir as baseline.
-	if _, err := m.Evaluate(); !errors.Is(err, ErrDriftNotReady) {
-		t.Fatalf("self-baseline capture should report not-ready, got %v", err)
+	for i := 0; i < 2; i++ {
+		if _, err := m.Evaluate(); !errors.Is(err, ErrDriftNotReady) {
+			t.Fatalf("evaluation %d without a baseline: %v, want ErrDriftNotReady", i, err)
+		}
 	}
-	for _, v := range driftRows(6, 100, 0, 0) {
-		m.Observe(v)
-	}
-	results, err := m.Evaluate()
-	if err != nil {
+	if err := m.SetBaseline(core.BinColumns(driftRows(6, 100, 0, 0), 2)); err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 {
-		t.Fatalf("got %d PSI results, want 2", len(results))
+	for _, v := range driftRows(7, 100, 50, 0) {
+		m.Observe(v)
+	}
+	if results, err := m.Evaluate(); err != nil || len(results) != 2 || !drift.AnyAlert(results) {
+		t.Fatalf("armed evaluation: %+v, %v; want two results and an alert", results, err)
+	}
+	if err := m.SetBaseline(nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range driftRows(8, 100, 0, 0) {
+		m.Observe(v)
+	}
+	if _, err := m.Evaluate(); !errors.Is(err, ErrDriftNotReady) {
+		t.Fatalf("evaluation after the baseline was taken away: %v, want ErrDriftNotReady", err)
+	}
+	if results, alerted := m.Latest(); results != nil || alerted {
+		t.Fatalf("results against the removed baseline still reported: %+v, alert %v", results, alerted)
 	}
 }
 
 func TestDriftMonitorDeterministicReservoir(t *testing.T) {
 	build := func() *DriftMonitor {
-		m, err := NewDriftMonitor(DriftConfig{
-			Features:  []string{"f0", "f1"},
-			Baseline:  driftRows(1, 64, 0, 0),
-			Reservoir: 32,
-			Seed:      9,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := armedMonitor(t, DriftConfig{Features: []string{"f0", "f1"}, Reservoir: 32, Seed: 9}, driftRows(1, 64, 0, 0))
 		for _, v := range driftRows(2, 500, 0.2, 0.1) {
 			m.Observe(v)
 		}
@@ -171,22 +182,30 @@ func TestDriftMonitorRejectsBadDims(t *testing.T) {
 	if _, err := NewDriftMonitor(DriftConfig{}); err == nil {
 		t.Fatal("empty feature list accepted")
 	}
-	m, err := NewDriftMonitor(DriftConfig{Features: []string{"f0"}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	rows := driftRows(1, 64, 0, 0)
+	for i := range rows {
+		rows[i] = rows[i][:1]
 	}
-	if err := m.SetBaseline([][]float64{{1, 2}}, 0); err == nil {
+	m := armedMonitor(t, DriftConfig{Features: []string{"f0"}, Seed: 1}, rows)
+	if err := m.SetBaseline(core.BinColumns([][]float64{{1, 2}}, 2)); err == nil {
 		t.Fatal("baseline with wrong width accepted")
 	}
 	m.Observe([]float64{1, 2}) // wrong width: dropped
 	if m.Seen() != 0 {
 		t.Fatal("wrong-width vector counted")
 	}
+	// The refused baseline disarmed the monitor rather than leaving the
+	// previous one in place.
+	for _, v := range rows {
+		m.Observe(v)
+	}
+	if _, err := m.Evaluate(); !errors.Is(err, ErrDriftNotReady) {
+		t.Fatalf("evaluation after a refused baseline: %v, want ErrDriftNotReady", err)
+	}
 }
 
-// The baseline-timestamp gauge feeds the support-bundle analyzer's
-// drift-stale-model rule: 0 while no baseline is installed, a real Unix
-// time once one is (explicitly or via self-baseline adoption).
+// The baseline-timestamp gauge: 0 while no baseline is installed, a
+// real Unix time once one is, and 0 again once it is taken away.
 func TestDriftMonitorBaselineTimestampGauge(t *testing.T) {
 	m, err := NewDriftMonitor(DriftConfig{Features: []string{"f0", "f1"}, Seed: 9})
 	if err != nil {
@@ -198,7 +217,7 @@ func TestDriftMonitorBaselineTimestampGauge(t *testing.T) {
 		t.Fatalf("baseline timestamp before SetBaseline = %v, %v; want 0", v, err)
 	}
 
-	if err := m.SetBaseline(driftRows(1, 400, 0, 10), 0); err != nil {
+	if err := m.SetBaseline(core.BinColumns(driftRows(1, 400, 0, 10), 2)); err != nil {
 		t.Fatal(err)
 	}
 	var after bytes.Buffer
@@ -209,6 +228,14 @@ func TestDriftMonitorBaselineTimestampGauge(t *testing.T) {
 	}
 	if problems, err := Lint(strings.NewReader(after.String())); err != nil || len(problems) != 0 {
 		t.Fatalf("drift exposition fails lint: %v %v", problems, err)
+	}
+	if err := m.SetBaseline(nil); err != nil {
+		t.Fatal(err)
+	}
+	var unset bytes.Buffer
+	m.WriteMetrics(&unset)
+	if v, err := ParseExpositionString(unset.String()).Value("polygraph_drift_baseline_timestamp_seconds"); err != nil || v != 0 {
+		t.Fatalf("baseline timestamp after SetBaseline(nil) = %v, %v; want 0", v, err)
 	}
 }
 
@@ -281,14 +308,12 @@ func TestDriftMonitorConcurrentObserve(t *testing.T) {
 	for i := range features {
 		features[i] = fmt.Sprintf("f%d", i)
 	}
-	baseline := make([][]float64, 64)
-	for i := range baseline {
-		baseline[i] = make([]float64, dim)
+	rows := make([][]float64, 64)
+	for i := range rows {
+		rows[i] = make([]float64, dim)
 	}
-	m, err := NewDriftMonitor(DriftConfig{Features: features, Baseline: baseline, Reservoir: 64, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseline := core.BinColumns(rows, dim)
+	m := armedMonitor(t, DriftConfig{Features: features, Reservoir: 64, Seed: 3}, rows)
 	whole := func() {
 		m.mu.Lock()
 		defer m.mu.Unlock()
@@ -316,7 +341,7 @@ func TestDriftMonitorConcurrentObserve(t *testing.T) {
 			m.WriteMetrics(io.Discard)
 			whole()
 			if i%8 == 0 {
-				if err := m.SetBaseline(baseline, 0); err != nil {
+				if err := m.SetBaseline(baseline); err != nil {
 					t.Error(err)
 				}
 			}
@@ -354,16 +379,12 @@ func TestDriftMonitorConcurrentObserve(t *testing.T) {
 // against must be the traffic that follows it: an all-time reservoir
 // would go on holding the population the old model served.
 func TestDriftMonitorSetBaselineRestartsWindow(t *testing.T) {
-	m, err := NewDriftMonitor(DriftConfig{
+	m := armedMonitor(t, DriftConfig{
 		Features:   []string{"f0", "f1"},
-		Baseline:   driftRows(1, 400, 0, 10),
 		Reservoir:  128,
 		MinSamples: 64,
 		Seed:       2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, driftRows(1, 400, 0, 10))
 	for _, v := range driftRows(3, 2000, 0, 10) {
 		m.Observe(v)
 	}
@@ -374,7 +395,7 @@ func TestDriftMonitorSetBaselineRestartsWindow(t *testing.T) {
 	if results, err := m.Evaluate(); err != nil || !drift.AnyAlert(results) {
 		t.Fatalf("shifted traffic did not alert: %+v, %v", results, err)
 	}
-	if err := m.SetBaseline(shifted, 0); err != nil {
+	if err := m.SetBaseline(core.BinColumns(shifted, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Evaluate(); !errors.Is(err, ErrDriftNotReady) {

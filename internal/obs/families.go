@@ -129,14 +129,6 @@ var (
 	FamFeaturePSI       = declare(SurfaceReplica, "gauge", "polygraph_feature_psi", "Population Stability Index of each feature, live traffic vs training baseline.", "feature")
 )
 
-// Stage timings of the in-process train that produced the deployed
-// model (collect/metrics.go); a model loaded from a file has none.
-var (
-	FamTrainStageDuration = declare("", "gauge", "polygraph_train_stage_duration_seconds", "Wall time of each pipeline stage in the last (re)train.", "stage")
-	FamTrainStageRowsIn   = declare("", "gauge", "polygraph_train_stage_rows_in", "Rows entering each pipeline stage in the last (re)train.", "stage")
-	FamTrainStageRowsOut  = declare("", "gauge", "polygraph_train_stage_rows_out", "Rows leaving each pipeline stage in the last (re)train.", "stage")
-)
-
 // SLOFamilies are the five families one burn-rate engine exports
 // (slo/engine.go). A replica's engine and the fleet rollup export the
 // same shapes under two names, so a dump holding both has no duplicate.

@@ -49,8 +49,7 @@ func TestRequiredFamilies(t *testing.T) {
 		t.Fatalf("RequiredFamilies(tcp, polygraph_custom) = %v, want %v", got, want)
 	}
 	replica := RequiredFamilies("replica")
-	if !slices.Contains(replica, ReplicaSLO.Alert.Name) || slices.Contains(replica, FleetSLO.Alert.Name) ||
-		slices.Contains(replica, FamTrainStageDuration.Name) {
+	if !slices.Contains(replica, ReplicaSLO.Alert.Name) || slices.Contains(replica, FleetSLO.Alert.Name) {
 		t.Fatalf("replica surface = %v", replica)
 	}
 }

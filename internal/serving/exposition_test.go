@@ -14,6 +14,7 @@ import (
 
 	"polygraph/internal/browser"
 	"polygraph/internal/collect"
+	"polygraph/internal/core"
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/fleet"
 	"polygraph/internal/obs"
@@ -99,23 +100,11 @@ func goldenLines(text string) string {
 // and the request-derived counters must all stay byte-identical, and the
 // page carries every family of the three surfaces.
 func TestExpositionGolden(t *testing.T) {
-	m := trainedModel(t)
-	r, err := New(context.Background(), Config{
-		Name: "gold-0", Addr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", Model: m,
-		AuditDir: t.TempDir(), AuditSample: 1,
-		DriftInterval: time.Hour, SLOSpec: slo.DefaultSpec(), SLOInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
-
 	// Sessions: twelve releases told honestly, every fourth one lying
-	// about its browser.
-	ext := fingerprint.NewExtractor(browser.NewOracle(), m.Features)
+	// about its browser. The deployed model's drift baseline is binned
+	// from the first 24.
+	trainedM := trainedModel(t)
+	ext := fingerprint.NewExtractor(browser.NewOracle(), trainedM.Features)
 	var payloads []*fingerprint.Payload
 	var baseline [][]float64
 	for i := 0; i < 48; i++ {
@@ -134,7 +123,19 @@ func TestExpositionGolden(t *testing.T) {
 			Values:    fingerprint.VectorToValues(vec),
 		})
 	}
-	if err := r.Drift().SetBaseline(baseline[:24], 0); err != nil {
+	m := reloaded(t, trainedM)
+	m.Baseline = core.BinColumns(baseline[:24], m.Dim())
+
+	r, err := New(context.Background(), Config{
+		Name: "gold-0", Addr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", Model: m,
+		AuditDir: t.TempDir(), AuditSample: 1,
+		DriftInterval: time.Hour, SLOSpec: slo.DefaultSpec(), SLOInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}
 

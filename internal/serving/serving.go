@@ -1,17 +1,23 @@
 // Package serving is the reusable replica runtime extracted from
 // cmd/polygraphd: everything a scoring replica needs — model
-// obtain/deploy, the collect server and its framed TCP listener, drift
+// deployment, the collect server and its framed TCP listener, drift
 // telemetry, audit ledger, hot reload — behind one Replica type, so a
 // process can run one replica (the daemon) or a harness can run N
 // in-process (cmd/loadgen). It is the only package
 // that constructs a collect server (scripts/check.sh enforces it), so
 // what the load harness gates is what the daemon deploys.
 //
+// A model reaches a replica one way: DeployModel, whether it comes from
+// Config.Model or Config.ModelPath at boot, a POST to the admin
+// endpoint, or a Reload of the model file. Each deployment installs the
+// model's drift baseline (core.Model.Baseline) and restarts the drift
+// window. Models are trained offline (polygraph train); a replica never
+// trains one.
+//
 // A Replica can boot in two modes:
 //
-//   - Deployed: Config carries a model source (Model, Train, or
-//     ModelPath) and the replica serves from startup — the standalone
-//     polygraphd path.
+//   - Deployed: Config carries a model source (Model or ModelPath) and
+//     the replica serves from startup — the standalone polygraphd path.
 //   - Warming: no model source. Every scoring endpoint (and /healthz)
 //     answers 503 until a model arrives through the admin endpoint —
 //     the fleet path, where the control plane trains once, pushes the
@@ -71,17 +77,10 @@ type Config struct {
 	TCPAddr string
 
 	// Model deploys this in-memory model at startup (takes precedence
-	// over Train/ModelPath).
+	// over ModelPath).
 	Model *core.Model
-	// Train trains a fresh model in-process at startup.
-	Train bool
-	// ModelPath loads the model from this file when Train is unset, at
-	// startup and on Reload.
+	// ModelPath loads the model from this file at startup and on Reload.
 	ModelPath string
-	// Sessions is the training-set size when Train is set.
-	Sessions int
-	// Novelty arms the novelty guard when training.
-	Novelty bool
 
 	// RateLimitPerSec is the per-client-IP ingest rate limit (0 = off).
 	RateLimitPerSec float64
@@ -242,26 +241,14 @@ func New(ctx context.Context, cfg Config) (*Replica, error) {
 		if _, err := r.DeployModel(cfg.Model); err != nil {
 			return fail(err)
 		}
-		r.srv.Load().SetModelTrainedAt(time.Now())
-	} else if cfg.Train || cfg.ModelPath != "" {
-		model, report, baseline, err := ObtainModel(cfg.Train, cfg.ModelPath, cfg.Sessions, cfg.Novelty, logger)
-		if err != nil {
+	} else if cfg.ModelPath != "" {
+		if err := r.deployFile(); err != nil {
 			return fail(err)
 		}
-		if _, err := r.DeployModel(model); err != nil {
-			return fail(err)
-		}
-		r.applyProvenance(report, baseline)
+		m := r.model.Load()
 		logger.Info("model ready",
-			"features", model.Dim(), "clusters", model.KMeans.K,
-			"accuracy_pct", fmt.Sprintf("%.2f", 100*model.Accuracy))
-		if report != nil {
-			for _, st := range report.Stages {
-				logger.Info("train stage", "stage", st.Name,
-					"ms", fmt.Sprintf("%.1f", float64(st.Duration.Microseconds())/1000),
-					"rows_in", st.RowsIn, "rows_out", st.RowsOut)
-			}
-		}
+			"features", m.Dim(), "clusters", m.KMeans.K,
+			"accuracy_pct", fmt.Sprintf("%.2f", 100*m.Accuracy))
 	}
 	return r, nil
 }
@@ -286,41 +273,47 @@ func (r *Replica) closeLedger() error {
 	return r.ledger.Close()
 }
 
-// applyProvenance records where the deployed model came from: training
-// stage timings and a drift baseline for in-process trains, the model
-// file's mtime as the staleness proxy for file loads.
-func (r *Replica) applyProvenance(report *core.TrainReport, baseline [][]float64) {
-	srv := r.srv.Load()
-	if srv == nil {
-		return
-	}
-	// Baseline before the trained-at stamp: a model must never read as
-	// older than the baseline of its own training run (the bundle
-	// analyzer's stale-model rule compares the two timestamps).
-	if mon := r.Drift(); mon != nil && baseline != nil {
-		if err := mon.SetBaseline(baseline, 0); err != nil {
-			r.logger.Warn("drift baseline rejected", "err", err.Error())
-		}
-	}
-	if report != nil {
-		srv.SetTrainStages(report.Stages)
-		srv.SetModelTrainedAt(time.Now())
-	} else if fi, err := os.Stat(r.cfg.ModelPath); err == nil {
-		srv.SetModelTrainedAt(fi.ModTime())
-	}
+// DeployModel hot-swaps m into the replica (building the collect server
+// and drift monitor on first deployment), records now as the model's
+// trained-at time, and returns the deployed model's hash — the value the
+// fleet controller verifies against its own before admission.
+func (r *Replica) DeployModel(m *core.Model) (string, error) {
+	return r.deploy(m, time.Now())
 }
 
-// DeployModel hot-swaps m into the replica (building the collect server
-// and drift monitor on first deployment) and returns the deployed
-// model's hash — the value the fleet controller verifies against its
-// own before admission.
-func (r *Replica) DeployModel(m *core.Model) (string, error) {
+// deployFile loads the model file at Config.ModelPath and deploys it;
+// the file's modification time stands in for when the model was
+// trained.
+func (r *Replica) deployFile() error {
+	f, err := os.Open(r.cfg.ModelPath)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	m, err := core.Load(f)
+	if err != nil {
+		return err
+	}
+	_, err = r.deploy(m, fi.ModTime())
+	return err
+}
+
+// deploy is every deployment path: the collect server swaps m in (or is
+// built around it), the drift monitor measures against m's baseline from
+// a fresh window, and trainedAt is exported with the model.
+func (r *Replica) deploy(m *core.Model, trainedAt time.Time) (string, error) {
 	r.deployMu.Lock()
 	defer r.deployMu.Unlock()
 	if srv := r.srv.Load(); srv != nil {
 		if err := srv.SwapModel(m); err != nil {
 			return "", fmt.Errorf("serving: swap model: %w", err)
 		}
+		r.armDrift(m)
+		srv.SetModelTrainedAt(trainedAt)
 		r.model.Store(m)
 		return srv.ModelHash(), nil
 	}
@@ -338,6 +331,7 @@ func (r *Replica) DeployModel(m *core.Model) (string, error) {
 			return "", fmt.Errorf("serving: drift: %w", err)
 		}
 		r.driftMon = mon
+		r.armDrift(m)
 		go mon.Run(r.ctx, r.cfg.DriftInterval)
 	}
 	srv, err := collect.NewServer(collect.Config{
@@ -386,9 +380,27 @@ func (r *Replica) DeployModel(m *core.Model) (string, error) {
 		r.tcp = tcp
 		r.serveTCP()
 	}
+	srv.SetModelTrainedAt(trainedAt)
 	r.model.Store(m)
 	r.srv.Store(srv)
 	return srv.ModelHash(), nil
+}
+
+// armDrift installs m's drift baseline, which restarts the drift window.
+// A model without a usable one (a file written before models carried
+// one) still serves, with drift unarmed until a model with one arrives.
+// deployMu must be held.
+func (r *Replica) armDrift(m *core.Model) {
+	if r.driftMon == nil {
+		return
+	}
+	err := r.driftMon.SetBaseline(m.Baseline)
+	if err == nil && m.Baseline == nil {
+		err = errors.New("the model carries none")
+	}
+	if err != nil {
+		r.logger.Warn("drift unarmed: no usable baseline", "err", err.Error())
+	}
 }
 
 // serveTCP starts the framed listener once both halves exist: the
@@ -413,8 +425,8 @@ func (r *Replica) serveTCP() {
 func (r *Replica) SLO() *slo.Engine { return r.sloEng.Load() }
 
 // Drift returns the replica's drift monitor (nil until a model is
-// deployed with Config.DriftInterval set), so a rig can baseline it on
-// the vectors it trained on and force an Evaluate after a short run.
+// deployed with Config.DriftInterval set), so a rig can force an
+// Evaluate after a short run.
 func (r *Replica) Drift() *obs.DriftMonitor {
 	r.deployMu.Lock()
 	defer r.deployMu.Unlock()
@@ -506,7 +518,6 @@ func (r *Replica) handleAdminModel(w http.ResponseWriter, req *http.Request) {
 			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 			return
 		}
-		r.srv.Load().SetModelTrainedAt(time.Now())
 		r.logger.Info("model deployed via admin push", "model_hash", r.ModelHash())
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(r.modelInfo(m))
@@ -673,25 +684,20 @@ func (r *Replica) RotateAudit() error {
 	return r.ledger.Rotate()
 }
 
-// ErrNoModelFile is Reload on a replica with no model file: one that
-// trained its model in-process, or a fleet-managed one whose controller
-// owns the model.
+// ErrNoModelFile is Reload on a replica with no model file: one booted
+// from an in-memory model, or a fleet-managed one whose controller owns
+// the model.
 var ErrNoModelFile = errors.New("serving: no model file to reread")
 
 // Reload rereads the model file the replica booted from and hot-swaps it
 // in. On error the current model keeps serving.
 func (r *Replica) Reload() error {
-	if r.cfg.Train || r.cfg.ModelPath == "" {
+	if r.cfg.ModelPath == "" {
 		return ErrNoModelFile
 	}
-	model, _, _, err := ObtainModel(false, r.cfg.ModelPath, 0, false, r.logger)
-	if err != nil {
+	if err := r.deployFile(); err != nil {
 		return fmt.Errorf("serving: reload: %w", err)
 	}
-	if _, err := r.DeployModel(model); err != nil {
-		return fmt.Errorf("serving: reload: %w", err)
-	}
-	r.applyProvenance(nil, nil)
 	return nil
 }
 

@@ -21,6 +21,8 @@ import (
 	"polygraph/internal/bundle"
 	"polygraph/internal/collect"
 	"polygraph/internal/core"
+	"polygraph/internal/dataset"
+	"polygraph/internal/drift"
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/fleet"
 	"polygraph/internal/obs"
@@ -33,74 +35,29 @@ var (
 	trained   *core.Model
 )
 
+// trainedModel is the package's fixture model, trained once.
 func trainedModel(t testing.TB) *core.Model {
 	t.Helper()
-	trainOnce.Do(func() {
-		logger := obs.NewLogger(nil, false)
-		m, _, _, err := ObtainModel(true, "", 10000, false, logger)
-		if err != nil {
-			panic(err)
-		}
-		trained = m
-	})
+	trainOnce.Do(func() { trained = trainModel(t, 10000) })
 	return trained
 }
 
-func TestObtainModelTrainsInProcess(t *testing.T) {
-	logger := obs.NewLogger(os.Stderr, false)
-	m, rep, baseline, err := ObtainModel(true, "", 10000, false, logger)
+// trainModel trains a model on the calibrated population.
+func trainModel(t testing.TB, sessions int) *core.Model {
+	t.Helper()
+	cfg := dataset.DefaultConfig()
+	cfg.Sessions = sessions
+	_, m, _, err := dataset.Train(cfg, core.DefaultTrainConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Dim() != 28 {
-		t.Fatalf("model dim %d", m.Dim())
-	}
-	if m.Accuracy < 0.97 {
-		t.Fatalf("accuracy %.4f", m.Accuracy)
-	}
-	if rep == nil || len(rep.Stages) == 0 {
-		t.Fatal("in-process training returned no stage timings")
-	}
-	if len(baseline) == 0 || len(baseline[0]) != m.Dim() {
-		t.Fatalf("training should return baseline vectors for drift, got %d", len(baseline))
-	}
+	return m
 }
 
-func TestObtainModelLoadsFromDisk(t *testing.T) {
-	logger := obs.NewLogger(os.Stderr, false)
-	m := trainedModel(t)
-	path := filepath.Join(t.TempDir(), "model.json")
-	writeModel(t, path, m)
-	loaded, rep, baseline, err := ObtainModel(false, path, 0, false, logger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Dim() != m.Dim() || loaded.Accuracy != m.Accuracy {
-		t.Fatal("loaded model differs")
-	}
-	if rep != nil {
-		t.Fatal("file load should not fabricate a train report")
-	}
-	if baseline != nil {
-		t.Fatal("file load should not fabricate a drift baseline")
-	}
-}
-
-func TestObtainModelNoveltyGuard(t *testing.T) {
-	logger := obs.NewLogger(os.Stderr, false)
-	m, _, _, err := ObtainModel(true, "", 10000, true, logger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NoveltyThreshold <= 0 {
-		t.Fatal("novelty guard not armed")
-	}
-}
-
-func TestObtainModelMissingFile(t *testing.T) {
-	logger := obs.NewLogger(os.Stderr, false)
-	if _, _, _, err := ObtainModel(false, filepath.Join(t.TempDir(), "no.json"), 0, false, logger); err == nil {
-		t.Fatal("missing model accepted")
+func TestNewMissingModelFile(t *testing.T) {
+	_, err := New(context.Background(), Config{Name: "missing", ModelPath: filepath.Join(t.TempDir(), "no.json")})
+	if !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("boot from a missing model file: %v, want a not-exist error", err)
 	}
 }
 
@@ -227,11 +184,7 @@ func writeModel(t *testing.T, path string, m *core.Model) {
 // file with model B and reloads: B serves. A corrupt file then fails the
 // reload and B keeps serving.
 func TestReplicaReloadRereadsModelFile(t *testing.T) {
-	a := trainedModel(t)
-	b, _, _, err := ObtainModel(true, "", 6000, false, obs.NewLogger(nil, false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := trainedModel(t), trainModel(t, 6000)
 	hashA, _ := a.Hash()
 	hashB, _ := b.Hash()
 	if hashA == hashB {
@@ -275,27 +228,6 @@ func TestReplicaReloadRereadsModelFile(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz after a failed reload: %d", resp.StatusCode)
-	}
-}
-
-// TestReplicaTrainHasNothingToReload: a replica that trained its model
-// in-process has no file to reread, says so, and keeps its model.
-func TestReplicaTrainHasNothingToReload(t *testing.T) {
-	r, err := New(context.Background(), Config{
-		Name: "reload-train", Train: true, Sessions: 6000,
-		// A path beside -train is not a reload source: training wins.
-		ModelPath: filepath.Join(t.TempDir(), "model.json"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	before := r.ModelHash()
-	if err := r.Reload(); !errors.Is(err, ErrNoModelFile) {
-		t.Fatalf("reload of a -train replica: %v, want ErrNoModelFile", err)
-	}
-	if after := r.ModelHash(); after != before {
-		t.Fatalf("hash %s -> %s across a refused reload", before, after)
 	}
 }
 
@@ -370,28 +302,31 @@ func TestReplicaSLOEngine(t *testing.T) {
 	}
 }
 
+// reloaded returns a copy of m, through its file format.
+func reloaded(t *testing.T, m *core.Model) *core.Model {
+	t.Helper()
+	var blob bytes.Buffer
+	if err := m.Save(&blob); err != nil {
+		t.Fatal(err)
+	}
+	out, err := core.Load(&blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // withoutRelease returns a copy of m that no longer lists rel in any
 // cluster, so a session honestly claiming rel mismatches under it.
 func withoutRelease(t *testing.T, m *core.Model, rel ua.Release) *core.Model {
 	t.Helper()
-	reload := func(m *core.Model) *core.Model {
-		var blob bytes.Buffer
-		if err := m.Save(&blob); err != nil {
-			t.Fatal(err)
-		}
-		out, err := core.Load(&blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	edited := reload(m)
+	edited := reloaded(t, m)
 	c, ok := edited.UACluster[rel]
 	if !ok {
 		t.Fatalf("model does not know %v", rel)
 	}
 	edited.ClusterUAs[c] = slices.DeleteFunc(edited.ClusterUAs[c], func(r ua.Release) bool { return r == rel })
-	return reload(edited) // Load rebuilds UACluster and the score plan
+	return reloaded(t, edited) // Load rebuilds UACluster and the score plan
 }
 
 // TestHotSwapReachesBothTransports: a warming replica with a framed
@@ -537,5 +472,157 @@ func TestHotSwapReachesBothTransports(t *testing.T) {
 	if c, err := collect.DialTCP(r.TCPAddr(), time.Second); err == nil {
 		c.Close()
 		t.Fatal("killed replica still accepts framed connections")
+	}
+}
+
+// driftStream is one fixed stream of honest sessions over twelve
+// releases, as vectors and as payloads.
+func driftStream(m *core.Model) ([][]float64, []*fingerprint.Payload) {
+	ext := fingerprint.NewExtractor(browser.NewOracle(), m.Features)
+	var vecs [][]float64
+	var payloads []*fingerprint.Payload
+	for i := 0; i < 64; i++ {
+		rel := ua.Release{Vendor: ua.Chrome, Version: 100 + i%12}
+		if i%4 == 1 {
+			rel = ua.Release{Vendor: ua.Firefox, Version: 100 + i%12}
+		}
+		vec := ext.Extract(browser.Profile{Release: rel, OS: ua.Windows10})
+		vecs = append(vecs, vec)
+		payloads = append(payloads, &fingerprint.Payload{
+			UserAgent: ua.UserAgent(rel, ua.Windows10),
+			Values:    fingerprint.VectorToValues(vec),
+		})
+	}
+	return vecs, payloads
+}
+
+// driveDrift sends the stream through r's HTTP endpoint and evaluates
+// its drift monitor.
+func driveDrift(t *testing.T, r *Replica, payloads []*fingerprint.Payload) ([]drift.PSIResult, error) {
+	t.Helper()
+	client := collect.NewClient(r.BaseURL())
+	for _, p := range payloads {
+		if _, err := client.Submit(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r.Drift().Evaluate()
+}
+
+// startDrift boots and starts a replica with a drift monitor whose
+// background loop never ticks.
+func startDrift(t *testing.T, cfg Config) *Replica {
+	t.Helper()
+	cfg.Addr, cfg.DriftInterval = "127.0.0.1:0", time.Hour
+	r, err := New(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// baselineAt reads the replica's polygraph_drift_baseline_timestamp_seconds.
+func baselineAt(t *testing.T, r *Replica) float64 {
+	t.Helper()
+	v, err := obs.ParseExpositionString(r.MetricsExposition()).Value(obs.FamDriftBaselineAt.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestDeployPathsInstallTheModelsBaseline: one model reaches a replica
+// through Config.Model, Config.ModelPath, POST /admin/model and Reload,
+// and on every path the drift monitor measures one fixed stream against
+// that model's own baseline, with identical results. A hot swap to a
+// second model installs the second model's baseline. A model file
+// written before models carried a baseline still deploys and serves,
+// with drift unarmed.
+func TestDeployPathsInstallTheModelsBaseline(t *testing.T) {
+	a, b := trainedModel(t), trainModel(t, 6000)
+	if a.Baseline == nil || b.Baseline == nil {
+		t.Fatal("a trained model carries no drift baseline")
+	}
+	vecs, payloads := driftStream(a)
+	names := fingerprint.Names(a.Features)
+	want, err := drift.BaselinePSI(names, a.Baseline, vecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	pathA, pathB := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
+	writeModel(t, pathA, a)
+	writeModel(t, pathB, b)
+
+	pushed := startDrift(t, Config{Name: "push"})
+	admin, err := fleet.NewBalancer(fleet.Config{Seed: 1}, fleet.Member{Name: "push", BaseURL: pushed.BaseURL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func(m *core.Model) {
+		t.Helper()
+		if _, err := (&fleet.Controller{}).Distribute(context.Background(), admin, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	push(a)
+	reload := startDrift(t, Config{Name: "reload", ModelPath: pathB})
+	writeModel(t, pathB, a)
+	if err := reload.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Replica{
+		startDrift(t, Config{Name: "model", Model: a}),
+		startDrift(t, Config{Name: "file", ModelPath: pathA}),
+		pushed,
+		reload,
+	} {
+		got, err := driveDrift(t, r, payloads)
+		if err != nil {
+			t.Fatalf("%s: drift evaluation: %v", r.Name(), err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: drift\n got %+v\nwant %+v (the model's own baseline)", r.Name(), got, want)
+		}
+		if baselineAt(t, r) <= 0 {
+			t.Fatalf("%s: baseline timestamp unset", r.Name())
+		}
+	}
+
+	push(b)
+	wantB, err := drift.BaselinePSI(names, b.Baseline, vecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(wantB, want) {
+		t.Fatal("the two models' baselines measure the stream alike")
+	}
+	if got, err := driveDrift(t, pushed, payloads); err != nil || !reflect.DeepEqual(got, wantB) {
+		t.Fatalf("after the swap to B: drift %+v, %v\nwant %+v (B's baseline)", got, err, wantB)
+	}
+
+	old := startDrift(t, Config{Name: "old", ModelPath: "../audit/testdata/model.53871f274906354f37faa324c4bd702f.json"})
+	if old.Drift() == nil {
+		t.Fatal("no drift monitor")
+	}
+	vecs, payloads = driftStream(old.model.Load())
+	client := collect.NewClient(old.BaseURL())
+	for _, p := range payloads {
+		if _, err := client.Submit(context.Background(), p); err != nil {
+			t.Fatalf("old-format model: %v", err)
+		}
+	}
+	if st := old.Stats(); st.Received != int64(len(vecs)) || st.Rejected != 0 {
+		t.Fatalf("old-format model served %+v, want %d accepted", st, len(vecs))
+	}
+	if _, err := old.Drift().Evaluate(); !errors.Is(err, obs.ErrDriftNotReady) {
+		t.Fatalf("old-format model: drift evaluation %v, want ErrDriftNotReady", err)
+	}
+	if v := baselineAt(t, old); v != 0 {
+		t.Fatalf("old-format model: baseline timestamp %v, want 0", v)
 	}
 }

@@ -5,7 +5,8 @@
 # roadmap call "tier-1 green"), vet — of this module and of the
 # benchmark module under bench/, whose seam.go pins the symbols the
 # benchmark calls — the one-ingest-core, explanations-are-derived,
-# one-re-derivation, one-use-of-unsafe, one-daemon-wiring, one-segment-writer,
+# one-re-derivation, one-use-of-unsafe, one-daemon-wiring,
+# the-daemon-does-not-train, one-segment-writer,
 # one-evidence-path, one-scoring-surface, per-row-kernel
 # (score kernel included), training-reads-the-distinct-row-table,
 # training-is-one-goroutine,
@@ -90,6 +91,14 @@ for call in 'collect.NewServer(' 'collect.NewTCPServer('; do
     [ "$sites" = internal/serving/serving.go ] || {
         echo "check.sh: call sites of $call: $(echo $sites), want exactly one, in internal/serving/serving.go" >&2; exit 1; }
 done
+
+# The daemon does not train: models are made offline (polygraph train)
+# and reach a replica as a file or a push, so neither the daemon nor the
+# operator's tool links the traffic generator (internal/dataset) or the
+# fraud-tool models behind it (internal/fraud).
+echo "== the daemon does not train"
+found=$(go list -deps ./cmd/polygraphd ./cmd/polygraphctl | grep -xE 'polygraph/internal/(dataset|fraud)' || true)
+[ -z "$found" ] || { echo "check.sh: polygraphd or polygraphctl links: $(echo $found)" >&2; exit 1; }
 
 # One segment writer: the audit ledger and the pinned decision journal
 # own no file. internal/seglog creates every segment (the one O_EXCL
