@@ -7,7 +7,6 @@ import (
 	"net"
 	"time"
 
-	"polygraph/internal/core"
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/obs"
 )
@@ -181,20 +180,17 @@ func (c *coalescer) serve() bool {
 	return c.bw.Flush() == nil
 }
 
-// serveFrame is the TCP transport's share of one frame: decode, hand
-// the payload to the ingest core, and encode the 21-byte answer into
-// c.reply. It reports the trace status ("ok" or the reject reason). The
-// payload's user agent is a view of data, which the batch holds until it
-// is answered.
+// serveFrame is the TCP transport's share of one frame: hand it to the
+// ingest core, and encode the 21-byte answer into c.reply. It reports
+// the trace status ("ok" or the reject reason). The reply carries the
+// session ID of a frame that decodes, and zeros for one that does not,
+// whose payload the core leaves empty. The payload's user agent may be
+// a view of data, which the batch holds until it is answered.
 func (c *coalescer) serveFrame(tr *obs.Trace, data []byte) (status string) {
 	p, reply := &c.buf.payload, &c.reply
 	*reply = [tcpReplySize]byte{}
-	reason, err := decodeBinaryPayload(p, data)
-	var res core.Result
-	if err == nil {
-		copy(reply[:fingerprint.SessionIDSize], p.SessionID[:])
-		res, _, reason, err = c.s.score(tr, c.buf, p, untimed)
-	}
+	res, _, reason, err := c.s.scoreFrame(tr, c.buf, p, data, untimed)
+	copy(reply[:fingerprint.SessionIDSize], p.SessionID[:])
 	if err != nil {
 		reply[tcpReplySize-1] = tcpErrorFlag
 		return reasonNames[reason]

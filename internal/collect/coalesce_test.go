@@ -1,14 +1,19 @@
 package collect
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"polygraph/internal/audit"
+	"polygraph/internal/core"
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/ua"
 )
@@ -466,4 +471,200 @@ func TestTCPCoalescerCountsFlaggedAndBadFrames(t *testing.T) {
 	if got := srv.BadFrames(); got != 1 {
 		t.Fatalf("bad-frames counter %d, want 1", got)
 	}
+}
+
+// TestTCPPooledStateIsolation is TestCollectPooledStateIsolation's twin
+// for the framed transport, whose frames the verdict memo answers by
+// their bytes: four batches on one connection, each carrying five
+// classes with long user agents of different lengths in a different
+// order, so every batch writes other bytes over the coalescer's frame
+// buffer, which is also poisoned between batches. A class is first
+// sighted in batch one, stored in the memo in batch two and answered
+// from it after that. Every verdict is audited, and every record must
+// hold the user agent and the vector its own frame carried.
+func TestTCPPooledStateIsolation(t *testing.T) {
+	m, d := testModel(t)
+	dir := t.TempDir()
+	led, err := audit.Open(audit.Config{Dir: dir, SampleBenign: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	tcp, err := NewTCPServer(Config{Model: m, Audit: led})
+	if err != nil {
+		t.Fatal(err)
+	}
+	releases := []ua.Release{
+		{Vendor: ua.Chrome, Version: 112}, {Vendor: ua.Firefox, Version: 110}, {Vendor: ua.Chrome, Version: 95},
+		{Vendor: ua.Edge, Version: 105}, {Vendor: ua.Firefox, Version: 78},
+	}
+	const batches = 4
+	type sent struct {
+		ua  string
+		vec []float64
+	}
+	want := map[string]sent{}
+	wire := make([][]byte, batches)
+	for b := range wire {
+		var batch []*fingerprint.Payload
+		for i := range releases {
+			k := (i + b) % len(releases)
+			// Claim the next release, so some classes are flagged.
+			p := payloadFor(d, releases[k], releases[(k+k%2)%len(releases)])
+			p.UserAgent += strings.Repeat(fmt.Sprintf(" class-%d", k), 10+15*k)
+			p.SessionID[0], p.SessionID[1] = byte(b), byte(k)
+			want[hexSessionID(&p.SessionID)] = sent{p.UserAgent, fingerprint.ValuesToVector(p.Values)}
+			batch = append(batch, p)
+		}
+		wire[b] = frameBytes(t, false, batch...)
+	}
+
+	server, client := net.Pipe()
+	defer client.Close()
+	c := &coalescer{s: tcp, conn: server, buf: tcp.newScoreBuf(),
+		br: bufio.NewReaderSize(server, tcpReadBufSize), bw: bufio.NewWriterSize(server, tcpMaxBatch*tcpReplySize)}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		for c.serveBatch() {
+			poison(c.frameBuf)
+		}
+	}()
+	for b := range wire {
+		if _, err := client.Write(wire[b]); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range readReplies(t, client, len(releases)) {
+			if r[tcpReplySize-1]&tcpErrorFlag != 0 {
+				t.Fatalf("batch %d, frame %d rejected", b, i)
+			}
+		}
+	}
+	client.Close()
+	<-served
+
+	if err := led.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	stats, err := audit.Scan(dir, "", func(rec audit.Record) error {
+		records++
+		w, ok := want[rec.SessionID]
+		if !ok || rec.UserAgent != w.ua || !slices.Equal(rec.Vector, w.vec) {
+			t.Errorf("session %s recorded with user agent %q and vector %v; its frame carried %q and %v", rec.SessionID, rec.UserAgent, rec.Vector, w.ua, w.vec)
+		}
+		return nil
+	})
+	if err != nil || !stats.Clean() || records != len(want) {
+		t.Fatalf("ledger scan: %+v, %v; %d records, want %d", stats, err, records, len(want))
+	}
+}
+
+// streamConn is a net.Conn whose reads play back a fixed stream and then
+// end in io.EOF, and whose writes are kept: a connection handleConn
+// serves to its end with no socket and no goroutine. Only the methods
+// below are called; the nil embedded Conn would panic on any other.
+type streamConn struct {
+	net.Conn
+	r   *bytes.Reader
+	out bytes.Buffer
+}
+
+func (c *streamConn) Read(p []byte) (int, error)      { return c.r.Read(p) }
+func (c *streamConn) Write(p []byte) (int, error)     { return c.out.Write(p) }
+func (c *streamConn) Close() error                    { return nil }
+func (c *streamConn) SetReadDeadline(time.Time) error { return nil }
+
+// wantReply is the 21-byte answer to one accepted frame, derived without
+// the listener: the allocating decoder, then the model's vector form.
+func wantReply(m *core.Model, frame []byte) [tcpReplySize]byte {
+	var r [tcpReplySize]byte
+	p, err := fingerprint.UnmarshalBinary(frame)
+	if err != nil {
+		r[tcpReplySize-1] = tcpErrorFlag
+		return r
+	}
+	copy(r[:], p.SessionID[:])
+	res, err := m.ScoreString(fingerprint.ValuesToVector(p.Values), p.UserAgent)
+	if err != nil {
+		r[tcpReplySize-1] = tcpErrorFlag
+		return r
+	}
+	binary.BigEndian.PutUint16(r[fingerprint.SessionIDSize:], uint16(res.Cluster))
+	binary.BigEndian.PutUint16(r[fingerprint.SessionIDSize+2:], uint16(res.RiskFactor))
+	if res.Flagged() {
+		r[tcpReplySize-1] |= tcpFlagged
+	}
+	if res.Matched {
+		r[tcpReplySize-1] |= tcpMatched
+	}
+	return r
+}
+
+// FuzzTCPStream feeds arbitrary bytes after the hello to one TCPServer
+// connection. The connection must end without panicking or hanging, and
+// answer every length-prefixed frame it accepted — every one before the
+// first zero or over-size length or the first frame cut short — with
+// exactly one reply, in order, the one the frame gets scored alone; the
+// listener counts each of them as scored or bad. Seeds are the first
+// eight frames of frameBlock blocks — the mutator's minimiser crawls
+// over a whole 64-frame block — of repeated and distinct classes, one
+// cut mid-frame, one with a bad length inside, one with frames that do
+// not decode.
+func FuzzTCPStream(f *testing.F) {
+	m, d := testModel(f)
+	rel := ua.Release{Vendor: ua.Chrome, Version: 112}
+	p := payloadFor(d, rel, rel)
+	honest := p.UserAgent
+	seed := func(payload func(f int) *fingerprint.Payload) []byte {
+		block := frameBlock(f, payload)
+		end := 0
+		for i := 0; i < 8; i++ {
+			end += 4 + int(binary.BigEndian.Uint32(block[end:]))
+		}
+		return block[:end]
+	}
+	same := seed(func(int) *fingerprint.Payload { return p })
+	f.Add(same)
+	f.Add(seed(func(i int) *fingerprint.Payload {
+		q := *p
+		q.UserAgent = strings.Replace(honest, "/112.0.0.0", fmt.Sprintf("/112.0.%d.0", i%3), 1)
+		q.Values = q.Values[:len(q.Values)-i%2]
+		return &q
+	}))
+	f.Add(same[:len(same)/2+3])
+	bad := append([]byte(nil), same...)
+	binary.BigEndian.PutUint32(bad[len(same)/2:], tcpMaxFrame+1)
+	f.Add(bad)
+	f.Add(seed(func(i int) *fingerprint.Payload {
+		q := *p
+		q.UserAgent = honest[:i%len(honest)]
+		q.Values = append(q.Values[:len(q.Values):len(q.Values)], int64(i))
+		return &q
+	}))
+	srv, err := NewTCPServer(Config{Model: m})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want []byte
+		for rest := data; len(rest) >= 4; {
+			n := binary.BigEndian.Uint32(rest)
+			if n == 0 || n > tcpMaxFrame || uint32(len(rest)-4) < n {
+				break
+			}
+			r := wantReply(m, rest[4:4+n])
+			want = append(want, r[:]...)
+			rest = rest[4+n:]
+		}
+		scored, bad := srv.Scored(), srv.BadFrames()
+		conn := &streamConn{r: bytes.NewReader(append([]byte(tcpHello), data...))}
+		srv.handleConn(conn)
+		if !bytes.Equal(conn.out.Bytes(), want) {
+			t.Fatalf("replies %x, want %x", conn.out.Bytes(), want)
+		}
+		if got := srv.Scored() - scored + srv.BadFrames() - bad; got != int64(len(want)/tcpReplySize) {
+			t.Fatalf("scored + bad moved by %d, %d frames accepted", got, len(want)/tcpReplySize)
+		}
+	})
 }

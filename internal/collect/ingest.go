@@ -61,11 +61,12 @@ func (h *modelHolder) store(m *core.Model) error {
 }
 
 // ingest is the one scoring pipeline behind every transport. The HTTP
-// handlers and the TCP coalescer read and decode their own bytes, keep
-// their own counters and histograms and encode their own replies; what
-// happens to a decoded payload — and every side effect of its verdict —
-// happens in score, so it cannot depend on which socket the session
-// arrived on.
+// handlers and the TCP coalescer read and bound their own bytes, keep
+// their own counters and histograms and encode their own replies; a
+// binary payload goes to scoreFrame as the bytes it arrived in, a JSON
+// one to scorePayload decoded, and every side effect of a verdict
+// happens in settle, which both end in, so it cannot depend on which
+// socket the session arrived on.
 type ingest struct {
 	model  modelHolder
 	drift  *obs.DriftMonitor
@@ -122,8 +123,11 @@ func tracerFor(cfg Config) *obs.Tracer {
 // reset before they are filled, and nothing here outlives the
 // request. payload.UserAgent is a view of the bytes it was decoded from
 // — body, or the coalescer's frame buffer — which stay as they are
-// until the request or the batch is answered; audit, the one place that
-// keeps it, clones it. Buffers are model-agnostic and survive SwapModel.
+// until the request or the batch is answered, or a verdict-memo entry's
+// own string; audit, the one place that keeps it, clones it. vec is the
+// JSON route's vector; a frame's is the scratch's or the memo entry's
+// (core.Model.ScoreFrame). Buffers are model-agnostic and survive
+// SwapModel.
 //
 // shard is the buffer's share of the serving state every request
 // writes (obs.ShardCount): the trace-ring shard, and on HTTP the
@@ -158,40 +162,60 @@ func hexSessionID(id *[fingerprint.SessionIDSize]byte) string {
 // not time its payloads.
 const untimed time.Duration = -1
 
-// score runs one decoded payload through the pipeline: dimension check
-// and vectorise, the model, the drift monitor, then the audit ledger for
-// an admitted verdict — every flagged one is. It returns the verdict, or
-// the reject reason with the error to report. tr is the caller's open
-// trace: it names the endpoint, stamps audit records and log lines, and
-// receives an audit span from the payloads that are audited.
+// scoreFrame runs one binary payload through the pipeline: the model
+// answers it from its class bytes or decodes it into p
+// (core.Model.ScoreFrame), and settle does the rest. p is left as
+// ScoreFrame leaves it: empty when frame does not decode.
+func (in *ingest) scoreFrame(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, frame []byte, scoreStart time.Duration) (core.Result, int64, rejectReason, error) {
+	dep := in.model.loadDeployed()
+	res, vec, err := dep.m.ScoreFrame(buf.scratch, p, frame)
+	return in.settle(tr, dep, p, vec, res, err, scoreStart)
+}
+
+// scorePayload runs one decoded payload (the JSON route's) through the
+// pipeline: dimension check, ValuesToVectorInto buf's vector,
+// ScoreStringWith, and settle does the rest.
+func (in *ingest) scorePayload(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, scoreStart time.Duration) (core.Result, int64, rejectReason, error) {
+	dep := in.model.loadDeployed()
+	if len(p.Values) != dep.m.Dim() {
+		return core.Result{}, 0, reasonBadDim, fmt.Errorf("expected %d features, got %d", dep.m.Dim(), len(p.Values))
+	}
+	buf.vec = fingerprint.ValuesToVectorInto(buf.vec, p.Values)
+	res, err := dep.m.ScoreStringWith(buf.scratch, buf.vec, p.UserAgent)
+	return in.settle(tr, dep, p, buf.vec, res, err, scoreStart)
+}
+
+// settle is the one pipeline after the model call, whichever key form it
+// took: the score span, the reject of a failed call, the drift monitor,
+// then the audit ledger for an admitted verdict — every flagged one is.
+// vec is the vector the model returned or was given. It returns the
+// verdict, or the reject reason with the error to report. tr is the
+// caller's open trace: it names the endpoint, stamps audit records and
+// log lines, and receives an audit span from the payloads that are
+// audited.
 //
 // Every boundary is one monotonic clock read, an offset from tr's start.
 // scoreStart is the caller's read of where scoring begins (HTTP: its
-// decode end); score adds the score span, which ends at one more read,
+// decode end); settle adds the score span, which ends at one more read,
 // and returns it in microseconds. A transport with one payload per trace
 // passes it; the TCP coalescer, whose one trace covers up to tcpMaxBatch
 // rows, passes untimed — two clock reads per row are a quarter of a
 // 200 ns kernel. An audited payload's audit span starts at the score end
 // (its own read when untimed) and ends at one more read, and its record's
 // time is the trace's wall start plus that start offset.
-func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, scoreStart time.Duration) (res core.Result, elapsedUs int64, reason rejectReason, err error) {
-	dep := in.model.loadDeployed()
-	if len(p.Values) != dep.m.Dim() {
-		return res, 0, reasonBadDim, fmt.Errorf("expected %d features, got %d", dep.m.Dim(), len(p.Values))
-	}
-	buf.vec = fingerprint.ValuesToVectorInto(buf.vec, p.Values)
-	res, err = dep.m.ScoreStringWith(buf.scratch, buf.vec, p.UserAgent)
-	scoreEnd := untimed
+func (in *ingest) settle(tr *obs.Trace, dep *deployed, p *fingerprint.Payload, vec []float64, res core.Result, err error, scoreStart time.Duration) (core.Result, int64, rejectReason, error) {
+	scoreEnd, elapsedUs := untimed, int64(0)
 	if scoreStart != untimed {
 		scoreEnd = time.Since(tr.StartTime())
 		tr.RecordSpan("score", tr.StartTime().Add(scoreStart), scoreEnd-scoreStart)
 		elapsedUs = (scoreEnd - scoreStart).Microseconds()
 	}
 	if err != nil {
-		return res, elapsedUs, reasonScore, fmt.Errorf("score: %w", err)
+		reason, err := rejectOf(err, dep.m.Dim(), len(p.Values))
+		return res, elapsedUs, reason, err
 	}
 	if in.drift != nil {
-		in.drift.Observe(buf.vec)
+		in.drift.Observe(vec)
 	}
 
 	// The hex session ID and the owned vector copy are built only for an
@@ -201,7 +225,7 @@ func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, sc
 		if start == untimed {
 			start = time.Since(tr.StartTime())
 		}
-		if err := in.audit(dep, tr, start, hexSessionID(&p.SessionID), p.UserAgent, buf.vec, res); err != nil {
+		if err := in.audit(dep, tr, start, hexSessionID(&p.SessionID), p.UserAgent, vec, res); err != nil {
 			in.warnAppend(tr, "collect: audit record failed", err)
 		}
 		tr.RecordSpan("audit", tr.StartTime().Add(start), time.Since(tr.StartTime())-start)
@@ -209,14 +233,30 @@ func (in *ingest) score(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, sc
 	return res, elapsedUs, 0, nil
 }
 
+// rejectOf names the reject of a failed model call on a payload whose
+// decoded width is n: a frame that does not decode (reported as the
+// JSON route reports a body it cannot decode), a vector of the wrong
+// width, or a scoring failure.
+func rejectOf(err error, dim, n int) (rejectReason, error) {
+	switch {
+	case errors.Is(err, fingerprint.ErrBadVersion):
+		return reasonBadVersion, fmt.Errorf("payload: %w", err)
+	case errors.Is(err, fingerprint.ErrBadPayload), errors.Is(err, fingerprint.ErrPayloadTooLarge):
+		return reasonDecode, fmt.Errorf("payload: %w", err)
+	case errors.Is(err, core.ErrBadInput):
+		return reasonBadDim, fmt.Errorf("expected %d features, got %d", dim, n)
+	}
+	return reasonScore, fmt.Errorf("score: %w", err)
+}
+
 // audit appends an admitted verdict to the ledger with what it was
 // decided from, stamped with the hash of the deployment that decided it
 // (dep is the snapshot score loaded, so a concurrent SwapModel cannot
 // mismatch them) and timed at offset at from tr's start. The explanation
 // is not computed here: readers derive it from the record and the model
-// archive. vec is the caller's reusable buffer and userAgent a view of
-// its request bytes; the ledger's recent ring retains the record, so it
-// gets its own copy of both.
+// archive. vec is a reusable buffer or a memo entry's, and userAgent may
+// be a view of the request bytes; the ledger's recent ring retains the
+// record, so it gets its own copy of both.
 func (in *ingest) audit(dep *deployed, tr *obs.Trace, at time.Duration, sessionID, userAgent string, vec []float64, res core.Result) error {
 	return in.ledger.Append(audit.Record{
 		TimeNs:    tr.StartTime().Add(at).UnixNano(),

@@ -403,14 +403,22 @@ func TestIngestBenignSampledOutAllocs(t *testing.T) {
 
 	tr := srv.Tracer().Open(EndpointBinary, 0)
 	buf := srv.newScoreBuf()
-	got := testing.AllocsPerRun(200, func() {
-		res, _, _, err := srv.score(tr, buf, p, untimed)
-		if err != nil || res.Flagged() {
-			t.Fatalf("benign payload: %+v, %v", res, err)
+	frame := binaryBodyFor(t, p)
+	for form, score := range map[string]func() (core.Result, int64, rejectReason, error){
+		"decoded payload": func() (core.Result, int64, rejectReason, error) { return srv.scorePayload(tr, buf, p, untimed) },
+		"frame": func() (core.Result, int64, rejectReason, error) {
+			return srv.scoreFrame(tr, buf, &buf.payload, frame, untimed)
+		},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			res, _, _, err := score()
+			if err != nil || res.Flagged() {
+				t.Fatalf("benign %s: %+v, %v", form, res, err)
+			}
+		})
+		if got > floor {
+			t.Fatalf("ingest core allocates %.0f per benign sampled-out %s; the model call and drift monitor alone allocate %.0f", got, form, floor)
 		}
-	})
-	if got > floor {
-		t.Fatalf("ingest core allocates %.0f per benign sampled-out payload; the model call and drift monitor alone allocate %.0f", got, floor)
 	}
 	if c := led.Counters(); c.Records != 0 || c.Dropped == 0 {
 		t.Fatalf("payloads were not sampled out: %+v", c)

@@ -4,10 +4,12 @@
 // real time (paper §3 budget: 100 ms; measured cost: microseconds), and
 // writes flagged sessions to the audit ledger, the one evidence log the
 // fraud team's queue (/v1/flagged) reads. A framed TCP listener serves
-// backend replay, and both transports hand every decoded payload to one
-// ingest core (ingest.go), so a verdict and its side effects — drift
-// sample, audit record — do not depend on the socket it arrived on. The
-// package also provides the clients.
+// backend replay, and both transports hand every payload to one ingest
+// core (ingest.go) — a binary one as its bytes, which the model's verdict
+// memo answers without decoding when it has seen the class — so a
+// verdict and its side effects — drift sample, audit record — do not
+// depend on the socket it arrived on. The package also provides the
+// clients.
 //
 // A request borrows what it needs instead of allocating it: body, decoded
 // payload, feature vector, model scratch and encoded reply all live in a
@@ -214,12 +216,14 @@ type serveShard struct {
 
 // ingestRoutes are the two ingest endpoints. NewServer registers them on
 // the mux and ServeHTTP dispatches them ahead of it, both from this one
-// table; a route's index picks its latency histogram.
+// table; a route's index picks its latency histogram. The binary route
+// has no decoder: its body is a frame, which the model scores from its
+// bytes (core.Model.ScoreFrame), decoding it only on a memo miss.
 var ingestRoutes = [...]struct {
 	path   string
 	decode payloadDecoder
 }{
-	{EndpointBinary, decodeBinaryPayload},
+	{EndpointBinary, nil},
 	{EndpointJSON, decodeJSONPayload},
 }
 
@@ -428,16 +432,6 @@ var jsonContentType = []string{"application/json"}
 // of body: the caller keeps body as it is for as long as it uses p.
 type payloadDecoder func(p *fingerprint.Payload, body []byte) (rejectReason, error)
 
-func decodeBinaryPayload(p *fingerprint.Payload, body []byte) (rejectReason, error) {
-	if err := p.UnmarshalBinaryBorrowed(body); err != nil {
-		if errors.Is(err, fingerprint.ErrBadVersion) {
-			return reasonBadVersion, err
-		}
-		return reasonDecode, err
-	}
-	return 0, nil
-}
-
 // jsonPayload is the sendBeacon-friendly JSON frame the script posts.
 type jsonPayload struct {
 	SessionID string  `json:"sid"`
@@ -465,9 +459,9 @@ func decodeJSONPayload(p *fingerprint.Payload, body []byte) (rejectReason, error
 }
 
 // readPayload reads the bounded request body into buf.body — one byte
-// past the limit at most, which is how a body over it is told — and
-// decodes it into buf.payload, or reports the reject: status code,
-// reason and message.
+// past the limit at most, which is how a body over it is told — and,
+// on a route with a decoder, decodes it into buf.payload, or reports the
+// reject: status code, reason and message.
 func (s *Server) readPayload(buf *scoreBuf, body io.Reader, decode payloadDecoder) (int, rejectReason, error) {
 	buf.body.Reset()
 	buf.limited = io.LimitedReader{R: body, N: s.maxLen + 1}
@@ -478,6 +472,9 @@ func (s *Server) readPayload(buf *scoreBuf, body io.Reader, decode payloadDecode
 	}
 	if int64(buf.body.Len()) > s.maxLen {
 		return http.StatusRequestEntityTooLarge, reasonTooLarge, fmt.Errorf("body over %d bytes", s.maxLen)
+	}
+	if decode == nil {
+		return http.StatusOK, 0, nil
 	}
 	if reason, err := decode(&buf.payload, buf.body.Bytes()); err != nil {
 		return http.StatusBadRequest, reason, fmt.Errorf("payload: %w", err)
@@ -490,7 +487,10 @@ func (s *Server) readPayload(buf *scoreBuf, body io.Reader, decode payloadDecode
 // live in buf, and the counters it adds to are buf's shard. Its
 // boundaries are offsets from the trace start: the decode span starts
 // there, at its own clock read only when the fault drill's delay or the
-// rate limiter ran first, and its end is the score span's start.
+// rate limiter ran first, and its end is the score span's start. On the
+// binary route the decode span is the read and the size check, and the
+// frame's decode, when the verdict memo does not answer it, falls in the
+// score span.
 func (s *Server) collectOne(w http.ResponseWriter, r *http.Request, tr *obs.Trace, buf *scoreBuf, decode payloadDecoder) string {
 	if s.scoreDelay > 0 {
 		time.Sleep(s.scoreDelay) // fault drill: inflate measured latency
@@ -511,7 +511,13 @@ func (s *Server) collectOne(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 		return reasonNames[reason]
 	}
 	payload := &buf.payload
-	res, elapsed, reason, err := s.score(tr, buf, payload, decodeEnd)
+	var res core.Result
+	var elapsed int64
+	if decode == nil {
+		res, elapsed, reason, err = s.scoreFrame(tr, buf, payload, buf.body.Bytes(), decodeEnd)
+	} else {
+		res, elapsed, reason, err = s.scorePayload(tr, buf, payload, decodeEnd)
+	}
 	if err != nil {
 		code := http.StatusBadRequest
 		if reason == reasonScore {

@@ -282,7 +282,7 @@ const tcpBlockFrames = 64
 
 // frameBlock is tcpBlockFrames length-prefixed frames, frame f encoding
 // payload(f).
-func frameBlock(b *testing.B, payload func(f int) *fingerprint.Payload) []byte {
+func frameBlock(b testing.TB, payload func(f int) *fingerprint.Payload) []byte {
 	var wire []byte
 	for f := 0; f < tcpBlockFrames; f++ {
 		enc, err := payload(f).MarshalBinary()

@@ -125,7 +125,8 @@ func sameResult(a, b Result) bool {
 // release universe and from strings that do not parse. The score plan
 // (ScoreStringWith) — scored cold, then hot, then from its verdict memo —
 // the component path (scoreSlow) and the oracle must agree on every
-// Result field.
+// Result field, and so must ScoreFrame on the vector's integer twin in a
+// binary payload, cold, hot and from the memo's frame form.
 func TestScorePathsMatchAlgorithm1(t *testing.T) {
 	gen := rng.New(33)
 	universe := ua.Universe(119)
@@ -220,6 +221,20 @@ func TestScorePathsMatchAlgorithm1(t *testing.T) {
 				if !sameResult(plan, want) {
 					t.Fatalf("%s, vector %d, claim %q, %s:\n plan   %+v\n oracle %+v", nm.name, i, claim, pass, plan, want)
 				}
+			}
+			// The frame form: the vector's integer twin in a binary
+			// payload, cold, hot and answered by its class bytes.
+			ints := make([]float64, len(vec))
+			for j, x := range vec {
+				ints[j] = float64(int64(math.Round(x)))
+			}
+			frame := frameOf(t, ints, claim, byte(i))
+			frameWant := algorithm1(m, ints, claim)
+			for _, pass := range []string{"cold", "hot", "hot again"} {
+				if pass == "hot again" && !MemoHoldsFrame(m, frame) {
+					t.Fatalf("%s, vector %d, claim %q: frame not memoised after two sightings", nm.name, i, claim)
+				}
+				checkFrame(t, m, s, frame, frameWant, fmt.Sprintf("%s, vector %d, claim %q, frame %s", nm.name, i, claim, pass))
 			}
 			switch {
 			case want.Matched:

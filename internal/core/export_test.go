@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"testing"
+
+	"polygraph/internal/fingerprint"
 )
 
 // MemoHolds reports whether m's verdict memo holds an entry for (vector,
@@ -12,9 +14,27 @@ import (
 func MemoHolds(m *Model, vector []float64, userAgent string) bool {
 	memo := m.scorePlanNow().memo
 	h := memo.hasher.Pair(vector, userAgent)
-	set := memo.slots[h&uint64(len(memo.slots)-2):][:2]
+	set := memo.set(h)
 	for w := range set {
 		if e := set[w].Load(); e != nil && e.holds(h, vector, userAgent) {
+			return true
+		}
+	}
+	return false
+}
+
+// MemoHoldsFrame is MemoHolds for the frame form: whether the memo holds
+// an entry for the class bytes of frame.
+func MemoHoldsFrame(m *Model, frame []byte) bool {
+	_, class, err := fingerprint.SplitFrame(frame)
+	if err != nil {
+		return false
+	}
+	memo := m.scorePlanNow().memo
+	h := memo.hasher.Bytes(class)
+	set := memo.set(h)
+	for w := range set {
+		if e := set[w].Load(); e != nil && e.holdsFrame(h, class) {
 			return true
 		}
 	}

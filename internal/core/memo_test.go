@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"polygraph/internal/fingerprint"
+	"polygraph/internal/matrix"
 	"polygraph/internal/ua"
 )
 
@@ -58,7 +59,8 @@ func checkPair(t testing.TB, m *Model, s *Scratch, p memoPair, what string) {
 // TestMemoForcedCollisions shrinks the memo to two, four and eight slots,
 // so many pairs share every slot: each pair scored three times in a row
 // is memoised and answered with its own verdict, and interleaved passes,
-// which evict entries on every call, never return a neighbour's.
+// which evict entries on every call, never return a neighbour's; nor
+// does a planted hash collision, in either key form.
 func TestMemoForcedCollisions(t *testing.T) {
 	m, _, _ := trainFixtureModel(t, 20)
 	pairs := memoPairs(t, m, 1)
@@ -105,11 +107,30 @@ func TestMemoForcedCollisions(t *testing.T) {
 		}
 		checkPair(t, m, s, b, fmt.Sprintf("pair %d under a planted collision", i))
 	}
+	// The frame form likewise: under frame b's hash, an entry holding
+	// frame a's class bytes and one of the vector form, which has none.
+	for i, b := range pairs {
+		a := pairs[(i+1)%len(pairs)]
+		fa, fb := frameOf(t, a.vec, a.ua, 1), frameOf(t, b.vec, b.ua, 1)
+		if bytes.Equal(fa, fb) {
+			continue
+		}
+		_, classA, _ := fingerprint.SplitFrame(fa)
+		_, classB, _ := fingerprint.SplitFrame(fb)
+		h := memo.hasher.Bytes(classB)
+		set := memo.set(h)
+		for w, class := range []string{string(classA), ""} {
+			set[w].Store(&memoEntry{hash: h, class: class, vec: a.vec, ua: a.ua, res: Result{Cluster: -1},
+				versionDivisor: m.VersionDivisor, noveltyThreshold: m.NoveltyThreshold})
+		}
+		checkFrame(t, m, s, fb, algorithm1(m, frameVector(t, fb), b.ua), fmt.Sprintf("frame %d under a planted collision", i))
+	}
 }
 
 // TestMemoFollowsLiveFields changes VersionDivisor and NoveltyThreshold
-// between calls on memoised pairs: the next verdict must be what a fresh
-// Load of the model at the new setting gives, never the remembered one.
+// between calls on memoised pairs, in both key forms: the next verdict
+// must be what a fresh Load of the model at the new setting gives, never
+// the remembered one.
 func TestMemoFollowsLiveFields(t *testing.T) {
 	m, _, _ := trainFixtureModel(t, 20)
 	pairs := memoPairs(t, m, 2)
@@ -142,6 +163,11 @@ func TestMemoFollowsLiveFields(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			frame := frameOf(t, p.vec, p.ua, byte(i))
+			frameWant, err := fresh.ScoreString(frameVector(t, frame), p.ua)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for pass := 0; pass < 3; pass++ {
 				res, err := m.ScoreStringWith(s, p.vec, p.ua)
 				if err != nil {
@@ -151,6 +177,8 @@ func TestMemoFollowsLiveFields(t *testing.T) {
 					t.Fatalf("setting %d (divisor %d, threshold %v), pair %d, pass %d: got %+v, fresh Load %+v",
 						si, set.div, set.thr, i, pass, res, want)
 				}
+				checkFrame(t, m, s, frame, frameWant, fmt.Sprintf("setting %d (divisor %d, threshold %v), pair %d, frame pass %d",
+					si, set.div, set.thr, i, pass))
 			}
 			got[i] = want
 			if prev != nil && prev[i] != want {
@@ -198,11 +226,17 @@ func TestMemoPlanBoundary(t *testing.T) {
 }
 
 // TestMemoConcurrentPairs: four goroutines score the same pairs in
-// different orders, with the memo at full size and at eight slots, where
-// entries are replaced under them. Run it with -race -count=10.
+// different orders, each pair as a vector and as a binary payload, with
+// the memo at full size and at eight slots, where entries are replaced
+// under them. Run it with -race -count=10.
 func TestMemoConcurrentPairs(t *testing.T) {
 	m, _, _ := trainFixtureModel(t, 20)
 	pairs := memoPairs(t, m, 1)
+	frames, frameWants := make([][]byte, len(pairs)), make([]Result, len(pairs))
+	for i, p := range pairs {
+		frames[i] = frameOf(t, p.vec, p.ua, byte(i))
+		frameWants[i] = algorithm1(m, frameVector(t, frames[i]), p.ua)
+	}
 	for _, slots := range []int{memoSlots, 8} {
 		m.scorePlanNow().memo = newVerdictMemo(slots)
 		var wg sync.WaitGroup
@@ -214,10 +248,15 @@ func TestMemoConcurrentPairs(t *testing.T) {
 				s := m.NewScratch()
 				for round := 0; round < 20; round++ {
 					for i := range pairs {
-						p := pairs[(i*(g+1)+round)%len(pairs)]
+						k := (i*(g+1) + round) % len(pairs)
+						p := pairs[k]
 						res, err := m.ScoreStringWith(s, p.vec, p.ua)
 						if err != nil || !sameResult(res, p.want) {
 							errs <- fmt.Sprintf("%d slots, goroutine %d: claim %q: got %+v (%v), oracle %+v", slots, g, p.ua, res, err, p.want)
+							return
+						}
+						if msg := frameMismatch(m, s, frames[k], frameWants[k]); msg != "" {
+							errs <- fmt.Sprintf("%d slots, goroutine %d: frame of claim %q: %s", slots, g, p.ua, msg)
 							return
 						}
 					}
@@ -276,7 +315,8 @@ func TestMemoEdgeInputs(t *testing.T) {
 // (fingerprint.Payload.BorrowUserAgent) that the next request overwrites.
 // An entry keeps its own copy, so after the bytes are poisoned the entry
 // still holds the user-agent it was stored under, and the poisoned view
-// scores as what it now says.
+// scores as what it now says. The same holds for a frame-form entry
+// after its frame buffer and the scratch are reused.
 func TestMemoOwnsItsKey(t *testing.T) {
 	m, _, _ := trainFixtureModel(t, 20)
 	samples, _ := trainFixture(t, 1)
@@ -294,4 +334,28 @@ func TestMemoOwnsItsKey(t *testing.T) {
 		t.Fatal("the entry lost its user-agent when the request bytes were overwritten")
 	}
 	checkPair(t, m, s, memoPair{vec, p.UserAgent, algorithm1(m, vec, string(wire))}, "poisoned")
+
+	// The frame form: ScoreFrame decodes in the caller's frame buffer,
+	// which the next batch overwrites, and into the scratch's vector,
+	// which the next miss overwrites. The entry keeps its own class
+	// bytes, vector and user-agent, which a hit hands out.
+	frame := frameOf(t, vec, honest, 1)
+	other := frameOf(t, vec, ua.UserAgent(ua.Release{Vendor: ua.Firefox, Version: 48}, ua.Windows10), 2)
+	buf := append([]byte(nil), frame...)
+	want := algorithm1(m, vec, honest)
+	for pass := 0; pass < 3; pass++ {
+		checkFrame(t, m, s, buf, want, fmt.Sprintf("frame, pass %d", pass))
+	}
+	var hit fingerprint.Payload
+	_, hitVec, err := m.ScoreFrame(s, &hit, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, bytes.Repeat([]byte{0xAA}, len(buf)))
+	buf = append(buf[:0], other...)
+	checkFrame(t, m, s, buf, algorithm1(m, vec, ua.UserAgent(ua.Release{Vendor: ua.Firefox, Version: 48}, ua.Windows10)), "the next frame in the buffer")
+	if hit.UserAgent != honest || !matrix.SameBits(hitVec, vec) || !MemoHoldsFrame(m, frame) {
+		t.Fatalf("the frame's entry changed with the buffer and the scratch: user agent %q, vector %v", hit.UserAgent, hitVec)
+	}
+	checkFrame(t, m, s, frame, want, "the frame again, after its buffer was overwritten")
 }

@@ -119,8 +119,14 @@ func (m *Model) checkInput(vector []float64) error {
 	if err := m.checkTrained(); err != nil {
 		return err
 	}
-	if len(vector) != m.Dim() {
-		return fmt.Errorf("core: %w: vector has %d features, model expects %d", ErrBadInput, len(vector), m.Dim())
+	return m.checkWidth(len(vector))
+}
+
+// checkWidth rejects a vector of n features unless n is the model's
+// width, with ErrBadInput.
+func (m *Model) checkWidth(n int) error {
+	if n != m.Dim() {
+		return fmt.Errorf("core: %w: vector has %d features, model expects %d", ErrBadInput, n, m.Dim())
 	}
 	return nil
 }
@@ -165,6 +171,54 @@ func (m *Model) ScoreStringWith(s *Scratch, vector []float64, userAgent string) 
 		return Result{Cluster: cluster, Matched: false, RiskFactor: ua.MaxDistance}, nil
 	}
 	return m.scoreRelease(s, vector, claimed)
+}
+
+// ScoreFrame is ScoreStringWith for a session that arrives as a binary
+// payload (fingerprint.Payload.MarshalBinary's wire format), the entry
+// point of both binary transports: it decodes frame into p and scores
+// p's values against p's user agent. A class the plan's verdict memo
+// holds is answered from the frame's class bytes
+// (fingerprint.SplitFrame) without decoding them: p then gets the
+// frame's session ID, the entry's user agent and no values. It returns
+// the verdict and the session's vector, read-only: s's on a miss, good
+// until s scores again, and the memo entry's on a hit. p.UserAgent may
+// be a view of frame (fingerprint.Payload.BorrowUserAgent). The errors
+// are those of p.UnmarshalBinary(frame) and then ScoreStringWith, in
+// that order; a decode error leaves p empty. s must not be nil, and
+// nothing allocates but a class entering the memo.
+func (m *Model) ScoreFrame(s *Scratch, p *fingerprint.Payload, frame []byte) (Result, []float64, error) {
+	sessionID, class, err := fingerprint.SplitFrame(frame)
+	if err != nil {
+		*p = fingerprint.Payload{Values: p.Values[:0]}
+		return Result{}, nil, err
+	}
+	if m.checkTrained() == nil {
+		if plan := m.scorePlanNow(); plan.valid {
+			return m.scoreFrameMemo(plan, s, p, frame, sessionID, class)
+		}
+	}
+	if err := m.decodeFrame(s, p, frame); err != nil {
+		return Result{}, nil, err
+	}
+	res, err := m.ScoreStringWith(s, s.vec, p.UserAgent)
+	return res, s.vec, err
+}
+
+// decodeFrame is ScoreFrame's one decode: frame into p, borrowing the
+// user agent, then a trained model and a width check, then p's values
+// into s.vec.
+func (m *Model) decodeFrame(s *Scratch, p *fingerprint.Payload, frame []byte) error {
+	if err := p.UnmarshalBinaryBorrowed(frame); err != nil {
+		return err
+	}
+	if err := m.checkTrained(); err != nil {
+		return err
+	}
+	if err := m.checkWidth(len(p.Values)); err != nil {
+		return err
+	}
+	s.vec = fingerprint.ValuesToVectorInto(s.vec, p.Values)
+	return nil
 }
 
 // scoreRelease scores a vector against an already-parsed claim, with no

@@ -86,13 +86,14 @@ type scorePlan struct {
 // Scratch holds the per-scorer reusable buffers of the fast path. A
 // Scratch is model-agnostic — buffers grow on demand and survive model
 // swaps — but must not be shared between concurrent scorers. Obtain one
-// with Model.NewScratch and thread it through ScoreStringWith;
-// ScoreString and ScoreStringBatchContext manage pooled scratch
-// internally.
+// with Model.NewScratch and thread it through ScoreStringWith or
+// ScoreFrame; ScoreString and ScoreStringBatchContext manage pooled
+// scratch internally.
 type Scratch struct {
 	scaled  []float64        // scaled feature vector (len dim)
 	centred []float64        // scaled − pcaMean (len dim), unused when PCA is off
 	x       []float64        // PCA projection (len pcaK), unused when PCA is off
+	vec     []float64        // a decoded frame's values (ScoreFrame)
 	seen    [memoSeen]uint64 // verdict-memo doorkeeper: hashes of recent misses (memo.go)
 }
 
@@ -103,6 +104,7 @@ func (m *Model) NewScratch() *Scratch {
 	s := &Scratch{}
 	if p := m.plan.Load(); p != nil && p.valid {
 		s.scaled = make([]float64, p.dim)
+		s.vec = make([]float64, p.dim)
 		if p.pcaK > 0 {
 			s.centred = make([]float64, p.dim)
 			s.x = make([]float64, p.pcaK)

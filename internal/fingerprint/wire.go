@@ -114,21 +114,33 @@ func (p *Payload) unmarshal(data []byte, borrow bool) error {
 	return err
 }
 
-func (p *Payload) decode(data []byte, borrow bool) error {
+// SplitFrame checks the header of a binary payload — its size against
+// MaxPayloadSize, its magic and its version — and splits what follows
+// into the session ID and the class bytes: the user agent and the
+// values, everything two sessions of one fingerprint class send alike.
+// The class bytes are not read; decoding them may still fail.
+func SplitFrame(data []byte) (sessionID, class []byte, err error) {
 	if len(data) > MaxPayloadSize {
-		return fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(data))
+		return nil, nil, fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(data))
 	}
 	if len(data) < 3+SessionIDSize {
-		return fmt.Errorf("%w: truncated header", ErrBadPayload)
+		return nil, nil, fmt.Errorf("%w: truncated header", ErrBadPayload)
 	}
 	if data[0] != magicByte0 || data[1] != magicByte1 {
-		return fmt.Errorf("%w: bad magic", ErrBadPayload)
+		return nil, nil, fmt.Errorf("%w: bad magic", ErrBadPayload)
 	}
 	if data[2] != payloadVersion {
-		return fmt.Errorf("%w: %w %d", ErrBadPayload, ErrBadVersion, data[2])
+		return nil, nil, fmt.Errorf("%w: %w %d", ErrBadPayload, ErrBadVersion, data[2])
 	}
-	copy(p.SessionID[:], data[3:3+SessionIDSize])
-	rest := data[3+SessionIDSize:]
+	return data[3 : 3+SessionIDSize], data[3+SessionIDSize:], nil
+}
+
+func (p *Payload) decode(data []byte, borrow bool) error {
+	sessionID, rest, err := SplitFrame(data)
+	if err != nil {
+		return err
+	}
+	copy(p.SessionID[:], sessionID)
 
 	uaLen, n := binary.Uvarint(rest)
 	if n <= 0 || uaLen > uint64(len(rest)-n) {

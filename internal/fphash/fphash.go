@@ -1,6 +1,7 @@
 // Package fphash hashes a fingerprint — a claimed user-agent and a
-// feature vector, taken bit for bit — for the in-memory tables keyed by
-// one: the verdict memo on a score plan (internal/core), and an audit
+// feature vector, taken bit for bit, or the class bytes of the binary
+// payload that carried them — for the in-memory tables keyed by one:
+// the verdict memo on a score plan (internal/core), and an audit
 // segment's class table and audit.Resolver's derivations (internal/audit).
 // A Hasher is seeded when it is made, so the slots of a table cannot be
 // aimed at from outside; a table compares the whole key on a hit.
@@ -43,6 +44,10 @@ func (h Hasher) Pair(vector []float64, userAgent string) uint64 {
 
 // String hashes s.
 func (h Hasher) String(s string) uint64 { return maphash.String(h.seed, s) }
+
+// Bytes hashes b: a binary payload's class bytes, for the verdict memo's
+// frame form.
+func (h Hasher) Bytes(b []byte) uint64 { return maphash.Bytes(h.seed, b) }
 
 // Mix folds the word x into the hash a.
 func (h Hasher) Mix(a, x uint64) uint64 { return mum(x^h.secret[0], a^h.secret[1]) }

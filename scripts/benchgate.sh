@@ -15,6 +15,11 @@
 #   BenchmarkScoreString/all-distinct 0 allocs/op  (internal/core: pairs that never
 #                                               repeat; pins the memo's admission on
 #                                               second sighting)
+#   BenchmarkScoreFrame/repeat        0 allocs/op  (internal/core: binary payloads
+#                                               answered from the memo by their class
+#                                               bytes, no decode)
+#   BenchmarkScoreFrame/all-distinct  0 allocs/op  (internal/core: classes that never
+#                                               repeat: decode, kernel, no admission)
 #   BenchmarkExplainResult      ≤ 4 allocs/op  (internal/core: the explanation
 #                                               block, its centroid list, the claim)
 #   BenchmarkLedgerAppend/known-class  ≤ 1 allocs/op  (internal/audit: pooled encode
@@ -82,23 +87,23 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "== go test -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|ScoreString$|CollectHandler$|TCPBatchScoreParallel(Distinct)?$|DriftObserve$' -benchmem ./internal/core ./internal/audit ./internal/collect ./internal/obs"
-go test -run '^$' -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|ScoreString$|CollectHandler$|TCPBatchScoreParallel(Distinct)?$|DriftObserve$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit ./internal/collect ./internal/obs | tee "$out"
+echo "== go test -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|ScoreString$|ScoreFrame$|CollectHandler$|TCPBatchScoreParallel(Distinct)?$|DriftObserve$' -benchmem ./internal/core ./internal/audit ./internal/collect ./internal/obs"
+go test -run '^$' -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|ScoreString$|ScoreFrame$|CollectHandler$|TCPBatchScoreParallel(Distinct)?$|DriftObserve$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit ./internal/collect ./internal/obs | tee "$out"
 
 awk '
     /^Benchmark(ExplainResult|LedgerAppend\/new-class)(-[0-9]+)? / { seen++; max = 4 }
     /^Benchmark(LedgerAppend\/(known-class|past-cap)|JournalAppend)(-[0-9]+)? / { seen++; max = 1 }
     /^BenchmarkScoreKernel\/(transform|assign)(-[0-9]+)? / { seen++; max = 0 }
-    /^BenchmarkScoreString\/(repeat|all-distinct)(-[0-9]+)? / { seen++; max = 0 }
+    /^BenchmarkScore(String|Frame)\/(repeat|all-distinct)(-[0-9]+)? / { seen++; max = 0 }
     /^BenchmarkCollectHandler\/(binary|json)(-[0-9]+)? / { seen++; max = 2 }
-    /^Benchmark(ExplainResult|LedgerAppend\/(known-class|new-class|past-cap)|JournalAppend|ScoreKernel\/(transform|assign)|ScoreString\/(repeat|all-distinct)|CollectHandler\/(binary|json))(-[0-9]+)? / {
+    /^Benchmark(ExplainResult|LedgerAppend\/(known-class|new-class|past-cap)|JournalAppend|ScoreKernel\/(transform|assign)|Score(String|Frame)\/(repeat|all-distinct)|CollectHandler\/(binary|json))(-[0-9]+)? / {
         if ($NF != "allocs/op" || $(NF-1) > max) {
             printf "benchgate: %s allocates %s %s, ceiling %d allocs/op\n", $1, $(NF-1), $NF, max
             bad = 1
         }
     }
     END {
-        if (seen < 11) { print "benchgate: kernel, score-string, audit-path, journal or collect-handler benchmarks missing from output"; bad = 1 }
+        if (seen < 13) { print "benchgate: kernel, score-string, score-frame, audit-path, journal or collect-handler benchmarks missing from output"; bad = 1 }
         exit bad
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
@@ -140,4 +145,4 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths, the memo on both sides and the kernel, audit-path and collect-handler ceilings (serial and parallel), training ≤ 10 MB)"
+echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths, the memo on both sides in both key forms and the kernel, audit-path and collect-handler ceilings (serial and parallel), training ≤ 10 MB)"

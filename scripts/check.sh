@@ -7,7 +7,7 @@
 # benchmark calls — the one-ingest-core, explanations-are-derived,
 # one-re-derivation, one-use-of-unsafe, one-daemon-wiring,
 # the-daemon-does-not-train, one-segment-writer,
-# one-evidence-path, one-scoring-surface, per-row-kernel
+# one-evidence-path, one-scoring-surface, one-frame-decoder, per-row-kernel
 # (score kernel included), training-reads-the-distinct-row-table,
 # training-is-one-goroutine,
 # one-operator-binary-one-perf-line, metrics-declared-once and
@@ -50,10 +50,10 @@ sh -n scripts/pair.sh
 echo "== go vet (bench module)"
 (cd bench && GOFLAGS=-mod=mod GOWORK=off go vet .)
 
-# One ingest core: the model call and the drift sample each happen at
-# exactly one place in internal/collect (ingest.go).
+# One ingest core: the model call of each key form and the drift sample
+# each happen at exactly one place in internal/collect (ingest.go).
 echo "== one ingest core"
-for call in 'ScoreStringWith(' '.Observe('; do
+for call in 'ScoreStringWith(' 'ScoreFrame(' '.Observe('; do
     n=$(ls internal/collect/*.go | grep -v _test.go | xargs grep -F -- "$call" | wc -l)
     [ "$n" -eq 1 ] || { echo "check.sh: $n call sites of $call in internal/collect, want 1" >&2; exit 1; }
 done
@@ -131,10 +131,12 @@ found="$found$(grep -rnF --include='*.go' --exclude='*_test.go' -- '.Store()' cm
 [ -z "$found" ] || { echo "check.sh: the journal or the memory store is reached outside internal/collect/pinned.go:" >&2; echo "$found" >&2; exit 1; }
 
 # One scoring surface: a session is judged against the user-agent string
-# it claims, so core.Model scores and explains through exactly four
-# exported methods — ScoreString, ScoreStringWith, ScoreStringBatchContext
-# and ExplainResult — which all parse the claim the same way, use the
-# verdict memo and give an unparseable claim maximum risk. Request traces
+# it claims, so core.Model scores and explains through exactly five
+# exported methods — ScoreString, ScoreStringWith, ScoreStringBatchContext,
+# ScoreFrame (the same session as the binary payload that carried it,
+# answered from the verdict memo by its class bytes) and ExplainResult —
+# which all parse the claim the same way, use the verdict memo and give
+# an unparseable claim maximum risk. Request traces
 # are recorded on the obs.Trace a transport opens, not carried in a
 # context: nothing names the retired span recorder, and Tracer.Start is
 # defined and called only as the shim internal/obs/pinned.go keeps for
@@ -143,13 +145,25 @@ echo "== one scoring surface"
 methods=$(ls internal/core/*.go | grep -v _test.go |
     xargs grep -ohE '^func \([^)]*\bModel\) (Score|Explain)[A-Za-z0-9_]*\(' |
     sed -E 's/^func \([^)]*\) //; s/\($//' | sort | tr '\n' ' ')
-[ "$methods" = "ExplainResult ScoreString ScoreStringBatchContext ScoreStringWith " ] || {
-    echo "check.sh: core.Model's Score*/Explain* methods are: ${methods}— want ExplainResult ScoreString ScoreStringBatchContext ScoreStringWith" >&2; exit 1; }
+[ "$methods" = "ExplainResult ScoreFrame ScoreString ScoreStringBatchContext ScoreStringWith " ] || {
+    echo "check.sh: core.Model's Score*/Explain* methods are: ${methods}— want ExplainResult ScoreFrame ScoreString ScoreStringBatchContext ScoreStringWith" >&2; exit 1; }
 found=$(grep -rnwE --include='*.go' --exclude='*_test.go' -- 'SpanRecorder|StartSpan' cmd internal *.go || true)
 [ -z "$found" ] || { echo "check.sh: the span recorder is named in:" >&2; echo "$found" >&2; exit 1; }
 found=$(grep -rnE --include='*.go' --exclude='*_test.go' -- 'func \([^)]*\bTracer\) Start\(|[Tt]racer(\(\))?\.Start\(|, [A-Za-z_]+ :?= [A-Za-z_.()]+\.Start\(' cmd internal *.go |
     grep -v '^internal/obs/pinned.go:' || true)
 [ -z "$found" ] || { echo "check.sh: Tracer.Start outside internal/obs/pinned.go:" >&2; echo "$found" >&2; exit 1; }
+
+# One frame decoder: a served binary payload is decoded in one place,
+# ScoreFrame's miss path (core.Model.decodeFrame), and only when the
+# verdict memo does not hold its class bytes; the transports hand the
+# model the frame. fingerprint.Payload.UnmarshalBinaryBorrowed, the
+# decoder whose user agent is a view of the frame, has that one caller.
+echo "== one frame decoder"
+sites=$(grep -rlF --include='*.go' --exclude='*_test.go' -- '.UnmarshalBinaryBorrowed(' cmd internal *.go | tr '\n' ' ')
+callers=$(awk '/^func / { f = $0 } /\.UnmarshalBinaryBorrowed\(/ { print f }' internal/core/model.go)
+[ "$sites" = "internal/core/model.go " ] &&
+    [ "$callers" = 'func (m *Model) decodeFrame(s *Scratch, p *fingerprint.Payload, frame []byte) error {' ] || {
+    echo "check.sh: UnmarshalBinaryBorrowed is called in: ${sites}by: ${callers} — want once, by core.Model.decodeFrame (ScoreFrame's miss path)" >&2; exit 1; }
 
 # One pass per distinct row: training runs each pure per-row kernel once
 # per row of the distinct-row table (matrix.RowGroups), so every kernel
