@@ -213,28 +213,35 @@ func fuzzSeed(t *testing.T, name string) []byte {
 }
 
 // TestScoreFrameSeeds keeps the committed FuzzScoreFrame seeds what
-// their names say: each seed's frame fails with its error, or scores.
+// their names say: each seed's frame fails with its error and message,
+// or scores.
 func TestScoreFrameSeeds(t *testing.T) {
 	m, _, _ := trainFixtureModel(t, 20)
-	for name, want := range map[string]error{
-		"valid":             nil,
-		"bad-magic":         fingerprint.ErrBadPayload,
-		"bad-version":       fingerprint.ErrBadVersion,
-		"truncated-header":  fingerprint.ErrBadPayload,
-		"truncated-varint":  fingerprint.ErrBadPayload,
-		"trailing-byte":     fingerprint.ErrBadPayload,
-		"noncanonical-zero": nil,
-		"ua-over-memo-max":  fingerprint.ErrPayloadTooLarge,
-		"wrong-width":       ErrBadInput,
+	for name, want := range map[string]struct {
+		err error
+		msg string
+	}{
+		"valid":             {},
+		"bad-magic":         {fingerprint.ErrBadPayload, "bad magic"},
+		"bad-version":       {fingerprint.ErrBadVersion, "version 2"},
+		"truncated-header":  {fingerprint.ErrBadPayload, "truncated header"},
+		"truncated-varint":  {fingerprint.ErrBadPayload, "truncated value"},
+		"trailing-byte":     {fingerprint.ErrBadPayload, "1 trailing bytes"},
+		"noncanonical-zero": {},
+		"ua-over-memo-max":  {fingerprint.ErrPayloadTooLarge, "bytes"},
+		"wrong-width":       {ErrBadInput, "model expects"},
 	} {
 		data := fuzzSeed(t, name)
 		var p fingerprint.Payload
 		_, _, err := m.ScoreFrame(m.NewScratch(), &p, data)
-		if (want == nil) != (err == nil) || (want != nil && !errors.Is(err, want)) {
-			t.Errorf("seed %s: %v, want %v", name, err, want)
+		if (want.err == nil) != (err == nil) || (want.err != nil && (!errors.Is(err, want.err) || !strings.Contains(err.Error(), want.msg))) {
+			t.Errorf("seed %s: %v, want %v (%s)", name, err, want.err, want.msg)
 		}
 		if name == "ua-over-memo-max" && !strings.Contains(string(data), strings.Repeat("x", memoMaxUA)) {
 			t.Errorf("seed %s carries no user agent over memoMaxUA", name)
+		}
+		if name == "noncanonical-zero" && !strings.Contains(string(data), "\x80\x00") {
+			t.Errorf("seed %s carries no 0x80 0x00 varint", name)
 		}
 	}
 }
