@@ -93,7 +93,8 @@ type Resolver struct {
 
 	mu      sync.Mutex
 	cache   map[string]resolved
-	derived map[uint64]*Derivation // at most classCap, by classHash
+	key     []byte                 // Derive's appendClassKey scratch
+	derived map[uint64]*Derivation // at most classCap, by the hash of key
 	seen    [classCap]uint64       // derived's doorkeeper, as Scratch.seen is the memo's
 }
 
@@ -112,7 +113,7 @@ type Derivation struct {
 	ScoreErr    error             // the inputs did not score; nothing else is set
 	ExplainErr  error             // the verdict did not explain
 
-	class *class      // derived from a record of class,
+	key   string      // derived from a record of class key (appendClassKey),
 	model *core.Model // through model,
 	topK  int         // at topK
 }
@@ -168,16 +169,19 @@ func (rec *Record) Derivable() bool {
 // at the top-K of rec's stored explanation (old segments) or else at
 // core.DefaultExplainTopK; judging that verdict is the caller's. A class
 // of records is derived once per model from its second sighting on, so
-// fingerprints that never repeat cost a hash per record and no copy.
+// fingerprints that never repeat cost a hash per record and no copy; a
+// record appendClassKey gives no key is derived every time.
 func (r *Resolver) Derive(m *core.Model, rec *Record) Derivation {
 	topK := core.DefaultExplainTopK
 	if rec.Explanation != nil {
 		topK = len(rec.Explanation.TopFeatures)
 	}
-	h := classHash(r.hasher, rec)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if d := r.derived[h]; d != nil && d.model == m && d.topK == topK && d.class.holds(h, rec) {
+	var keyed bool
+	r.key, keyed = appendClassKey(r.key[:0], rec)
+	h := r.hasher.Bytes(r.key)
+	if d := r.derived[h]; keyed && d != nil && d.model == m && d.topK == topK && d.key == string(r.key) {
 		return *d
 	}
 	d := Derivation{model: m, topK: topK}
@@ -186,13 +190,16 @@ func (r *Resolver) Derive(m *core.Model, rec *Record) Derivation {
 		d.Verdict = core.VerdictOf(res)
 		d.Explanation, d.ExplainErr = m.ExplainResult(rec.Vector, rec.UserAgent, res, topK)
 	}
+	if !keyed {
+		return d
+	}
 	seen := &r.seen[h%classCap]
 	if *seen == h {
 		if len(r.derived) >= classCap {
 			clear(r.derived)
 		}
 		kept := d // on the heap only when kept
-		kept.class = newClass(h, rec)
+		kept.key = string(r.key)
 		r.derived[h] = &kept
 	}
 	*seen = h

@@ -335,11 +335,14 @@ func open(cfg Config, tap func(io.Writer) io.Writer) (*Ledger, error) {
 	}
 	l.log = log
 	// The resumed segment's records refer to its classes; so will the
-	// ones appended to it.
+	// ones appended to it. A class whose vector has no class bytes keeps
+	// its id but is found by no record: a record of it is written inline.
 	t := &classTable{seg: log.Seq()}
 	for _, c := range resumed[:min(len(resumed), classCap)] {
-		c.hash = classHash(l.hasher, &Record{ModelHash: c.modelHash, UserAgent: c.userAgent, Vector: c.vector, Verdict: c.verdict})
-		t.add(c)
+		if key, ok := appendClassKey(nil, &Record{ModelHash: c.modelHash, UserAgent: c.userAgent, Vector: c.vector, Verdict: c.verdict}); ok {
+			c.hash, c.key = l.hasher.Bytes(key), string(key)
+			t.add(c)
+		}
 	}
 	t.n.Store(int32(len(resumed)))
 	l.classes.Store(t)
@@ -476,6 +479,7 @@ func (l *Ledger) Record(rec Record) error {
 // encoding is an appender's scratch: the parts of its record's frames,
 // built before the ledger lock.
 type encoding struct {
+	key    []byte // appendClassKey: the record's class
 	prov   []byte // appendProvenance: a record of a class
 	body   []byte // appendClassBody: the class frame that defines it
 	class  *class // newClass: the class that frame defines
@@ -484,7 +488,7 @@ type encoding struct {
 
 // encodings recycles appenders' scratch.
 var encodings = sync.Pool{New: func() any {
-	return &encoding{prov: make([]byte, 0, 256), body: make([]byte, 0, 1024), inline: make([]byte, 0, 1024)}
+	return &encoding{key: make([]byte, 0, 256), prov: make([]byte, 0, 256), body: make([]byte, 0, 1024), inline: make([]byte, 0, 1024)}
 }}
 
 // Append writes one admitted record unconditionally — pair it with
@@ -497,28 +501,28 @@ var encodings = sync.Pool{New: func() any {
 // record of a class the segment defines needs only its packed
 // provenance; one of a class it does not define yet, the class frame's
 // body and the class as well, or — when the table is full — the whole
-// record. A record classable refuses is encoded whole, unhashed.
+// record. A record appendClassKey refuses is encoded whole, unhashed.
 func (l *Ledger) Append(rec Record) error {
 	rec.Explanation = nil
 	e := encodings.Get().(*encoding)
 	e.prov, e.body, e.inline = e.prov[:0], e.body[:0], e.inline[:0]
 	var (
-		h   uint64
-		err error
+		h       uint64
+		classed bool
+		err     error
 	)
 	t := l.classes.Load()
-	classed := classable(&rec)
-	if classed {
-		h = classHash(l.hasher, &rec)
+	if e.key, classed = appendClassKey(e.key[:0], &rec); classed {
+		h = l.hasher.Bytes(e.key)
 		switch {
-		case t.find(h, &rec) != nil:
+		case t.find(h, e.key) != nil:
 			e.prov = appendProvenance(e.prov, &rec)
 		case t.full():
 			e.inline, err = rec.appendAfterSeq(e.inline)
 		default:
 			e.prov = appendProvenance(e.prov, &rec)
 			e.body, err = appendClassBody(e.body, &rec)
-			e.class = newClass(h, &rec)
+			e.class = newClass(h, e.key, &rec)
 		}
 	} else {
 		e.inline, err = rec.appendAfterSeq(e.inline)
@@ -565,7 +569,7 @@ func (l *Ledger) writeFrame(rec *Record, classed bool, h uint64, e *encoding) (i
 	for {
 		c, define = nil, false
 		if classed {
-			if c = t.find(h, rec); c == nil {
+			if c = t.find(h, e.key); c == nil {
 				define = !t.full()
 				if !define && t.recurs(h) {
 					if err := l.log.Rotate(); err != nil {
@@ -583,7 +587,7 @@ func (l *Ledger) writeFrame(rec *Record, classed bool, h uint64, e *encoding) (i
 				if e.body, err = appendClassBody(e.body, rec); err != nil {
 					return 0, fmt.Errorf("audit: marshal record: %w", err)
 				}
-				e.class = newClass(h, rec)
+				e.class = newClass(h, e.key, rec)
 			}
 			id = int(t.n.Load()) + 1
 			classLead := strconv.AppendInt(append(l.classLead[:8], classHead...), int64(id), 10)

@@ -5,14 +5,12 @@ import (
 	"encoding/hex"
 	"math"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"unicode/utf8"
 
 	"polygraph/internal/core"
-	"polygraph/internal/fphash"
+	"polygraph/internal/fingerprint"
 	"polygraph/internal/jsonappend"
-	"polygraph/internal/matrix"
 )
 
 // Classes. The serving tier's fingerprint is coarse on purpose (paper
@@ -74,20 +72,24 @@ const (
 )
 
 // class is one class of a segment: its id there and what its records
-// share.
+// share. A class the writer defines holds its key (appendClassKey), and
+// its user agent and model hash are views of the key.
 type class struct {
 	id        int
-	hash      uint64 // classHash of the four fields
+	hash      uint64 // of key
+	key       string
 	modelHash string
 	userAgent string
 	vector    []float64
 	verdict   core.Verdict
 }
 
-// newClass copies the four fields of rec, of hash h, into a class; the
-// writer sets its id when it defines it.
-func newClass(h uint64, rec *Record) *class {
-	return &class{hash: h, modelHash: strings.Clone(rec.ModelHash), userAgent: strings.Clone(rec.UserAgent),
+// newClass makes the class of rec, whose key (appendClassKey) hashes to
+// h; the writer sets its id when it defines it.
+func newClass(h uint64, key []byte, rec *Record) *class {
+	k := string(key)
+	_, at := binary.Uvarint(key)
+	return &class{hash: h, key: k, modelHash: k[len(k)-len(rec.ModelHash):], userAgent: k[at : at+len(rec.UserAgent)],
 		vector: slices.Clone(rec.Vector), verdict: rec.Verdict}
 }
 
@@ -95,19 +97,6 @@ func newClass(h uint64, rec *Record) *class {
 func (c *class) resolve(rec *Record) {
 	rec.ModelHash, rec.UserAgent, rec.Verdict = c.modelHash, c.userAgent, c.verdict
 	rec.Vector = slices.Clone(c.vector)
-}
-
-// holds reports whether rec belongs to the class. Floats compare bit for
-// bit, as the encoder tells them apart (0 from −0).
-func (c *class) holds(h uint64, rec *Record) bool {
-	return c.hash == h && c.modelHash == rec.ModelHash && c.userAgent == rec.UserAgent &&
-		len(c.vector) == len(rec.Vector) && sameVerdict(c.verdict, rec.Verdict) && matrix.SameBits(c.vector, rec.Vector)
-}
-
-func sameVerdict(a, b core.Verdict) bool {
-	na, nb := math.Float64bits(a.NoveltyScore), math.Float64bits(b.NoveltyScore)
-	a.NoveltyScore, b.NoveltyScore = 0, 0
-	return a == b && na == nb
 }
 
 // classable reports whether rec may be written as a record of a class.
@@ -120,16 +109,22 @@ func classable(rec *Record) bool {
 		utf8.ValidString(rec.TraceID) && utf8.ValidString(rec.SessionID) && utf8.ValidString(rec.Endpoint)
 }
 
-// classHash hashes the four fields of a class under the ledger's seed:
-// the (user-agent, vector) pair as the verdict memo hashes it, with the
-// model hash and the verdict folded in.
-func classHash(h fphash.Hasher, rec *Record) uint64 {
+// appendClassKey appends to dst the key of rec's class: the class bytes
+// of its user agent and vector (fingerprint.AppendVectorClass), then its
+// verdict, then its model hash. Equal keys are one class, the verdict's
+// floats taken bit for bit as the encoder tells them apart (0 from −0).
+// It is false, with no key, when rec is not classable or its vector has
+// no class bytes: such a record is written inline.
+func appendClassKey(dst []byte, rec *Record) ([]byte, bool) {
+	key, ok := fingerprint.AppendVectorClass(dst, rec.UserAgent, rec.Vector)
+	if !ok || !classable(rec) {
+		return dst, false
+	}
 	v := rec.Verdict
-	flags := uint64(bit(v.Matched)) | uint64(bit(v.Novel))<<1 | uint64(bit(v.Flagged))<<2
-	a := h.Mix(h.Pair(rec.Vector, rec.UserAgent), h.String(rec.ModelHash))
-	a = h.Mix(a, uint64(v.Cluster)<<3^flags)
-	a = h.Mix(a, uint64(v.RiskFactor))
-	return h.Mix(a, math.Float64bits(v.NoveltyScore))
+	key = binary.AppendVarint(binary.AppendVarint(key, int64(v.Cluster)), int64(v.RiskFactor))
+	key = append(key, bit(v.Matched)|bit(v.Novel)<<1|bit(v.Flagged)<<2)
+	key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v.NoveltyScore))
+	return append(key, rec.ModelHash...), true
 }
 
 func bit(b bool) uint8 {
@@ -153,11 +148,11 @@ type classTable struct {
 	inlined [recurSlots]uint64
 }
 
-// find returns the class rec, of hash h, belongs to, or nil.
-func (t *classTable) find(h uint64, rec *Record) *class {
+// find returns the class of key, which hashes to h, or nil.
+func (t *classTable) find(h uint64, key []byte) *class {
 	for i := h; ; i++ {
 		c := t.slots[i%classSlots].Load()
-		if c == nil || c.holds(h, rec) {
+		if c == nil || c.hash == h && c.key == string(key) {
 			return c
 		}
 	}

@@ -565,3 +565,58 @@ func record(trace string) Record {
 	rec.TraceID = trace
 	return rec
 }
+
+// TestResumedClassWithoutClassBytes: a resumed segment's class whose
+// vector has no class bytes ([1,-0.5,3], which a writer keyed by the
+// vector's bits defined) keeps its id, so the next class defined is 3,
+// but no record finds it: a record of its fields is written inline. A
+// record of the resumed class 2, whose vector has class bytes, refers to
+// it.
+func TestResumedClassWithoutClassBytes(t *testing.T) {
+	fraction := classSeeds()[1] // class 1 (Firefox 110, [1,-0.5,3]) and records 1 and 2 of it
+	integral := frameBytes([]byte(`{"class":2,"model_hash":"m1","ua":"Chrome 112","vector":[1,2,3],"verdict":{"cluster":2,"matched":false,"risk_factor":9,"flagged":true}}`))
+	seg := append(append([]byte(nil), fraction...), integral...)
+	dir := t.TempDir()
+	if err := os.WriteFile(segmentPath(dir, "decisions", 0), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	of := func(userAgent string, vec []float64) Record {
+		rec := servingRecord()
+		rec.ModelHash, rec.UserAgent, rec.Vector = "m1", userAgent, vec
+		rec.Verdict = core.Verdict{Cluster: 2, RiskFactor: 9, Flagged: true}
+		return rec
+	}
+	var appended []Record
+	for _, rec := range []Record{of("Firefox 110", []float64{1, -0.5, 3}), of("Chrome 112", []float64{1, 2, 3}), servingRecord(),
+		of("Chrome 112", []float64{1, 2, 3}), of("Firefox 110", []float64{1, -0.5, 3})} {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		rec.Seq = uint64(3 + len(appended))
+		appended = append(appended, rec)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(segmentPath(dir, "decisions", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := data[len(seg):]
+	if c, r, p, i := shapes(tail); c != 1 || r != 0 || p != 3 || i != 2 {
+		t.Fatalf("appended: %d class frames, %d JSON records of a class, %d packed and %d inline records; want 1, 0, 3, 2", c, r, p, i)
+	}
+	for _, body := range bodies(tail) {
+		if bytes.HasPrefix(body, []byte(classHead)) && !bytes.HasPrefix(body, []byte(classHead+"3,")) {
+			t.Fatalf("the class defined after the resumed two is %.12s, want class 3", body)
+		}
+	}
+	recs, stats := scanAll(t, dir, "")
+	if !stats.Clean() || len(recs) != 2+len(appended) || !reflect.DeepEqual(recs[2:], appended) {
+		t.Fatalf("%+v: read back\n%+v\nwant\n%+v", stats, recs[min(2, len(recs)):], appended)
+	}
+}

@@ -17,8 +17,9 @@ import (
 
 // TestDeriveOncePerClass: the records of one class share one derivation
 // from the class's second sighting on. A record that differs from them
-// only in the sign of one zero is a class of its own, and so is the same
-// class under another *core.Model, even one of the same hash.
+// only in the sign of one zero has no class bytes, so it is derived every
+// time and never shares theirs; the same class under another
+// *core.Model, even one of the same hash, is a class of its own.
 func TestDeriveOncePerClass(t *testing.T) {
 	m, ext := trainModel(t, 25, false)
 	dir := t.TempDir()
@@ -70,7 +71,7 @@ func TestDeriveOncePerClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	own, ownAgain, back := derive(archived, negZero), derive(archived, negZero), derive(archived, vec)
-	if own == second || ownAgain == second || back != second {
+	if own == second || ownAgain == second || own == ownAgain || back != second {
 		t.Fatalf("a record that differs only in the sign of a zero: %p %p, its neighbour's %p then %p", own, ownAgain, second, back)
 	}
 	if archived == m {

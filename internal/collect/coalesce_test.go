@@ -576,7 +576,7 @@ func (c *streamConn) Close() error                    { return nil }
 func (c *streamConn) SetReadDeadline(time.Time) error { return nil }
 
 // wantReply is the 21-byte answer to one accepted frame, derived without
-// the listener: the allocating decoder, then the model's vector form.
+// the listener: the allocating decoder, then ScoreString.
 func wantReply(m *core.Model, frame []byte) [tcpReplySize]byte {
 	var r [tcpReplySize]byte
 	p, err := fingerprint.UnmarshalBinary(frame)

@@ -173,21 +173,19 @@ func (in *ingest) scoreFrame(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payloa
 }
 
 // scorePayload runs one decoded payload (the JSON route's) through the
-// pipeline: dimension check, ValuesToVectorInto buf's vector,
-// ScoreStringWith, and settle does the rest.
+// pipeline: ValuesToVectorInto buf's vector, ScoreStringWith (whose
+// ErrBadInput is the width check), and settle does the rest.
 func (in *ingest) scorePayload(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, scoreStart time.Duration) (core.Result, int64, rejectReason, error) {
 	dep := in.model.loadDeployed()
-	if len(p.Values) != dep.m.Dim() {
-		return core.Result{}, 0, reasonBadDim, fmt.Errorf("expected %d features, got %d", dep.m.Dim(), len(p.Values))
-	}
 	buf.vec = fingerprint.ValuesToVectorInto(buf.vec, p.Values)
 	res, err := dep.m.ScoreStringWith(buf.scratch, buf.vec, p.UserAgent)
 	return in.settle(tr, dep, p, buf.vec, res, err, scoreStart)
 }
 
-// settle is the one pipeline after the model call, whichever key form it
-// took: the score span, the reject of a failed call, the drift monitor,
-// then the audit ledger for an admitted verdict — every flagged one is.
+// settle is the one pipeline after the model call, whichever route the
+// payload took: the score span, the reject of a failed call, the drift
+// monitor, then the audit ledger for an admitted verdict — every flagged
+// one is.
 // vec is the vector the model returned or was given. It returns the
 // verdict, or the reject reason with the error to report. tr is the
 // caller's open trace: it names the endpoint, stamps audit records and

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"polygraph/internal/browser"
+	"polygraph/internal/fingerprint"
 	"polygraph/internal/rng"
 	"polygraph/internal/ua"
 )
@@ -126,7 +127,8 @@ func sameResult(a, b Result) bool {
 // (ScoreStringWith) — scored cold, then hot, then from its verdict memo —
 // the component path (scoreSlow) and the oracle must agree on every
 // Result field, and so must ScoreFrame on the vector's integer twin in a
-// binary payload, cold, hot and from the memo's frame form.
+// binary payload, cold, hot and from the memo, and the twin as a vector
+// from the frame's memo entry.
 func TestScorePathsMatchAlgorithm1(t *testing.T) {
 	gen := rng.New(33)
 	universe := ua.Universe(119)
@@ -208,11 +210,13 @@ func TestScorePathsMatchAlgorithm1(t *testing.T) {
 				t.Fatalf("%s, vector %d, claim %q:\n scoreSlow %+v\n oracle    %+v", nm.name, i, claim, slow, want)
 			}
 			// Cold (first sighting), hot (the second, which enters the
-			// verdict memo) and hot again (answered from it), all on one
-			// scorer's scratch, whose doorkeeper admits the pair.
+			// verdict memo when the pair has class bytes) and hot again
+			// (answered from it), all on one scorer's scratch, whose
+			// doorkeeper admits the pair.
+			_, keyed := fingerprint.AppendVectorClass(nil, claim, vec)
 			for _, pass := range []string{"cold", "hot", "hot again"} {
-				if pass == "hot again" && !MemoHolds(m, vec, claim) {
-					t.Fatalf("%s, vector %d, claim %q: not memoised after two sightings", nm.name, i, claim)
+				if pass == "hot again" && MemoHolds(m, vec, claim) != keyed {
+					t.Fatalf("%s, vector %d, claim %q: memoised = %v after two sightings, want %v", nm.name, i, claim, !keyed, keyed)
 				}
 				plan, err := m.ScoreStringWith(s, vec, claim)
 				if err != nil {
@@ -222,7 +226,7 @@ func TestScorePathsMatchAlgorithm1(t *testing.T) {
 					t.Fatalf("%s, vector %d, claim %q, %s:\n plan   %+v\n oracle %+v", nm.name, i, claim, pass, plan, want)
 				}
 			}
-			// The frame form: the vector's integer twin in a binary
+			// As a frame: the vector's integer twin in a binary
 			// payload, cold, hot and answered by its class bytes.
 			ints := make([]float64, len(vec))
 			for j, x := range vec {
@@ -235,6 +239,13 @@ func TestScorePathsMatchAlgorithm1(t *testing.T) {
 					t.Fatalf("%s, vector %d, claim %q: frame not memoised after two sightings", nm.name, i, claim)
 				}
 				checkFrame(t, m, s, frame, frameWant, fmt.Sprintf("%s, vector %d, claim %q, frame %s", nm.name, i, claim, pass))
+			}
+			// The twin as a vector: the frame's entry answers it.
+			if !MemoHolds(m, ints, claim) {
+				t.Fatalf("%s, vector %d, claim %q: the twin as a vector misses the frame's entry", nm.name, i, claim)
+			}
+			if twin, err := m.ScoreStringWith(m.NewScratch(), ints, claim); err != nil || !sameResult(twin, frameWant) {
+				t.Fatalf("%s, vector %d, claim %q, twin as a vector: %+v (%v), oracle %+v", nm.name, i, claim, twin, err, frameWant)
 			}
 			switch {
 			case want.Matched:

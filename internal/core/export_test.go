@@ -7,39 +7,38 @@ import (
 	"polygraph/internal/fingerprint"
 )
 
-// MemoHolds reports whether m's verdict memo holds an entry for (vector,
-// userAgent) — whatever VersionDivisor and NoveltyThreshold it was stored
-// under — so a test can tell that the call that follows is answered from
-// the memo.
+// MemoHolds reports whether m's verdict memo holds an entry for the
+// class bytes of (vector, userAgent) — whatever VersionDivisor and
+// NoveltyThreshold it was stored under — so a test can tell that the call
+// that follows is answered from the memo. A pair with no class bytes is
+// never held.
 func MemoHolds(m *Model, vector []float64, userAgent string) bool {
-	memo := m.scorePlanNow().memo
-	h := memo.hasher.Pair(vector, userAgent)
-	set := memo.set(h)
-	for w := range set {
-		if e := set[w].Load(); e != nil && e.holds(h, vector, userAgent) {
-			return true
-		}
-	}
-	return false
+	class, ok := fingerprint.AppendVectorClass(nil, userAgent, vector)
+	return ok && memoEntries(m, class) > 0
 }
 
-// MemoHoldsFrame is MemoHolds for the frame form: whether the memo holds
-// an entry for the class bytes of frame.
+// MemoHoldsFrame is MemoHolds for the class bytes of frame.
 func MemoHoldsFrame(m *Model, frame []byte) bool {
 	_, class, err := fingerprint.SplitFrame(frame)
-	if err != nil {
-		return false
-	}
+	return err == nil && memoEntries(m, class) > 0
+}
+
+// memoEntries counts the entries of m's verdict memo keyed by class.
+func memoEntries(m *Model, class []byte) int {
 	memo := m.scorePlanNow().memo
 	h := memo.hasher.Bytes(class)
-	set := memo.set(h)
+	set, n := memo.set(h), 0
 	for w := range set {
-		if e := set[w].Load(); e != nil && e.holdsFrame(h, class) {
-			return true
+		if e := set[w].Load(); e != nil && e.hash == h && e.class == string(class) {
+			n++
 		}
 	}
-	return false
+	return n
 }
+
+// PlanValid reports whether m's score plan is valid: its components
+// agree on their dimensions, so it scores on the plan, never scoreSlow.
+func PlanValid(m *Model) bool { return m.scorePlanNow().valid }
 
 // SavedFixture returns the JSON of a trained fixture model.
 func SavedFixture(t testing.TB) []byte {

@@ -150,7 +150,8 @@ func TestTrainAttachesDriftBaseline(t *testing.T) {
 }
 
 // FuzzLoad hardens the model deserializer: Load never panics, a model it
-// accepts scores and explains a vector of its own width without
+// accepts builds a valid score plan (its components agree on their
+// dimensions) and scores and explains a vector of its own width without
 // panicking, and a drift monitor armed from it evaluates without
 // panicking. The committed seeds (testdata/fuzz/FuzzLoad) are a Save'd
 // fixture model over the first three Table 8 features, with two
@@ -172,6 +173,9 @@ func FuzzLoad(f *testing.F) {
 		m, err := core.Load(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if !core.PlanValid(m) {
+			t.Fatal("Load accepted a model that builds no valid score plan")
 		}
 		mon, err := obs.NewDriftMonitor(obs.DriftConfig{Features: fingerprint.Names(m.Features), Reservoir: 16, MinSamples: 10})
 		if err != nil {

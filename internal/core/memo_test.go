@@ -57,10 +57,11 @@ func checkPair(t testing.TB, m *Model, s *Scratch, p memoPair, what string) {
 }
 
 // TestMemoForcedCollisions shrinks the memo to two, four and eight slots,
-// so many pairs share every slot: each pair scored three times in a row
-// is memoised and answered with its own verdict, and interleaved passes,
-// which evict entries on every call, never return a neighbour's; nor
-// does a planted hash collision, in either key form.
+// so many pairs share every slot: each pair with class bytes scored three
+// times in a row is memoised and answered with its own verdict, and
+// interleaved passes, which evict entries on every call, never return a
+// neighbour's; nor does a planted hash collision, to a pair scored as a
+// vector or as a frame.
 func TestMemoForcedCollisions(t *testing.T) {
 	m, _, _ := trainFixtureModel(t, 20)
 	pairs := memoPairs(t, m, 1)
@@ -78,8 +79,8 @@ func TestMemoForcedCollisions(t *testing.T) {
 			for pass := 0; pass < 3; pass++ {
 				checkPair(t, m, s, p, fmt.Sprintf("%d slots, pair %d, pass %d", slots, i, pass))
 			}
-			if !MemoHolds(m, p.vec, p.ua) {
-				t.Fatalf("%d slots, pair %d: not memoised after three sightings", slots, i)
+			if _, keyed := fingerprint.AppendVectorClass(nil, p.ua, p.vec); MemoHolds(m, p.vec, p.ua) != keyed {
+				t.Fatalf("%d slots, pair %d: memoised = %v after three sightings, want %v", slots, i, !keyed, keyed)
 			}
 		}
 		for round := 0; round < 4; round++ {
@@ -91,46 +92,67 @@ func TestMemoForcedCollisions(t *testing.T) {
 		}
 	}
 	// A 64-bit hash collision cannot be produced on demand, so plant one:
-	// an entry under pair b's hash holding pair a's key and a verdict
-	// nothing gives. b must still get its own verdict.
+	// under pair b's hash, two entries holding pair a's class bytes and a
+	// verdict nothing gives. b must still get its own verdict, as a vector
+	// and as a frame.
 	memo := m.scorePlanNow().memo
 	for i, b := range pairs {
 		a := pairs[(i+1)%len(pairs)]
-		if (&memoEntry{hash: 1, vec: a.vec, ua: a.ua}).holds(1, b.vec, b.ua) {
-			a = pairs[(i+3)%len(pairs)] // the same key (an honest Firefox 48 claim): take the sign twin
+		classA, okA := fingerprint.AppendVectorClass(nil, a.ua, a.vec)
+		classB, okB := fingerprint.AppendVectorClass(nil, b.ua, b.vec)
+		if !okA || !okB || bytes.Equal(classA, classB) {
+			continue
 		}
-		h := memo.hasher.Pair(b.vec, b.ua)
-		set := memo.slots[h&uint64(len(memo.slots)-2):][:2]
+		h := memo.hasher.Bytes(classB)
+		set := memo.set(h)
 		for w := range set {
-			set[w].Store(&memoEntry{hash: h, vec: a.vec, ua: a.ua, res: Result{Cluster: -1},
+			set[w].Store(&memoEntry{hash: h, class: string(classA), vec: a.vec, ua: a.ua, res: Result{Cluster: -1},
 				versionDivisor: m.VersionDivisor, noveltyThreshold: m.NoveltyThreshold})
 		}
 		checkPair(t, m, s, b, fmt.Sprintf("pair %d under a planted collision", i))
-	}
-	// The frame form likewise: under frame b's hash, an entry holding
-	// frame a's class bytes and one of the vector form, which has none.
-	for i, b := range pairs {
-		a := pairs[(i+1)%len(pairs)]
-		fa, fb := frameOf(t, a.vec, a.ua, 1), frameOf(t, b.vec, b.ua, 1)
-		if bytes.Equal(fa, fb) {
-			continue
-		}
-		_, classA, _ := fingerprint.SplitFrame(fa)
-		_, classB, _ := fingerprint.SplitFrame(fb)
-		h := memo.hasher.Bytes(classB)
-		set := memo.set(h)
-		for w, class := range []string{string(classA), ""} {
-			set[w].Store(&memoEntry{hash: h, class: class, vec: a.vec, ua: a.ua, res: Result{Cluster: -1},
-				versionDivisor: m.VersionDivisor, noveltyThreshold: m.NoveltyThreshold})
-		}
+		fb := frameOf(t, b.vec, b.ua, 1)
 		checkFrame(t, m, s, fb, algorithm1(m, frameVector(t, fb), b.ua), fmt.Sprintf("frame %d under a planted collision", i))
 	}
 }
 
+// TestMemoOneEntryPerClass: a class scored as a vector and then as its
+// frame, or the other way round, takes one memo entry, which the second
+// form hits on its first sighting.
+func TestMemoOneEntryPerClass(t *testing.T) {
+	m, _, _ := trainFixtureModel(t, 20)
+	samples, _ := trainFixture(t, 1)
+	for i, vectorFirst := range []bool{true, false} {
+		vec, claim := samples[i].Vector, ua.UserAgent(samples[i].UA, ua.Windows10)
+		frame := frameOf(t, vec, claim, byte(i))
+		want := algorithm1(m, vec, claim)
+		first, second := func(s *Scratch) { checkPair(t, m, s, memoPair{vec, claim, want}, "vector") },
+			func(s *Scratch) { checkFrame(t, m, s, frame, want, "frame") }
+		if !vectorFirst {
+			first, second = second, first
+		}
+		s := m.NewScratch()
+		first(s)
+		first(s)
+		if !MemoHoldsFrame(m, frame) {
+			t.Fatalf("vector first %v: not memoised after two sightings", vectorFirst)
+		}
+		second(m.NewScratch())
+		second(s)
+		second(s)
+		if _, class, _ := fingerprint.SplitFrame(frame); memoEntries(m, class) != 1 {
+			t.Fatalf("vector first %v: the class has %d entries, want 1", vectorFirst, memoEntries(m, class))
+		}
+		var p fingerprint.Payload
+		if _, _, err := m.ScoreFrame(m.NewScratch(), &p, frame); err != nil || len(p.Values) != 0 {
+			t.Fatalf("vector first %v: a fresh scorer's frame is not a hit (%v, %d values)", vectorFirst, err, len(p.Values))
+		}
+	}
+}
+
 // TestMemoFollowsLiveFields changes VersionDivisor and NoveltyThreshold
-// between calls on memoised pairs, in both key forms: the next verdict
-// must be what a fresh Load of the model at the new setting gives, never
-// the remembered one.
+// between calls on memoised pairs, as vectors and as frames: the next
+// verdict must be what a fresh Load of the model at the new setting
+// gives, never the remembered one.
 func TestMemoFollowsLiveFields(t *testing.T) {
 	m, _, _ := trainFixtureModel(t, 20)
 	pairs := memoPairs(t, m, 2)
@@ -271,10 +293,12 @@ func TestMemoConcurrentPairs(t *testing.T) {
 	}
 }
 
-// TestMemoEdgeInputs: a NaN coordinate, −0 against +0, an empty or
-// unparseable user-agent and one over memoMaxUA, each scored three times,
-// agree with the oracle every time. Everything but the long user-agent is
-// memoised; that one is scored every time.
+// TestMemoEdgeInputs: a NaN coordinate, −0 against +0, a fraction, an
+// empty or unparseable user-agent and one over memoMaxUA, each scored
+// three times, agree with the oracle every time. A pair is memoised when
+// its user-agent is at most memoMaxUA bytes and every coordinate
+// round-trips through int64 (it has class bytes); the others are scored
+// every time.
 func TestMemoEdgeInputs(t *testing.T) {
 	m, _, _ := trainFixtureModel(t, 20)
 	samples, _ := trainFixture(t, 1)
@@ -288,25 +312,27 @@ func TestMemoEdgeInputs(t *testing.T) {
 	long := honest + strings.Repeat(" x", memoMaxUA)
 	s := m.NewScratch()
 	cases := []struct {
-		name string
-		vec  []float64
-		ua   string
+		name     string
+		vec      []float64
+		ua       string
+		memoised bool
 	}{
-		{"NaN", withAt(3, math.NaN()), honest},
-		{"NaN, other payload", withAt(3, math.Float64frombits(math.Float64bits(math.NaN())^1)), honest},
-		{"+0", withAt(0, 0), honest},
-		{"-0", withAt(0, math.Copysign(0, -1)), honest},
-		{"empty user-agent", base, ""},
-		{"unparseable", base, "Mozilla/5.0 Chrome/300.0.0.0"},
-		{"over memoMaxUA", base, long},
+		{"NaN", withAt(3, math.NaN()), honest, false},
+		{"NaN, other payload", withAt(3, math.Float64frombits(math.Float64bits(math.NaN())^1)), honest, false},
+		{"+0", withAt(0, 0), honest, true},
+		{"-0", withAt(0, math.Copysign(0, -1)), honest, false},
+		{"fraction", withAt(0, 0.5), honest, false},
+		{"empty user-agent", base, "", true},
+		{"unparseable", base, "Mozilla/5.0 Chrome/300.0.0.0", true},
+		{"over memoMaxUA", base, long, false},
 	}
 	for _, c := range cases {
 		p := memoPair{c.vec, c.ua, algorithm1(m, c.vec, c.ua)}
 		for pass := 0; pass < 3; pass++ {
 			checkPair(t, m, s, p, fmt.Sprintf("%s, pass %d", c.name, pass))
 		}
-		if want := len(c.ua) <= memoMaxUA; MemoHolds(m, c.vec, c.ua) != want {
-			t.Fatalf("%s: memoised = %v, want %v", c.name, !want, want)
+		if MemoHolds(m, c.vec, c.ua) != c.memoised {
+			t.Fatalf("%s: memoised = %v, want %v", c.name, !c.memoised, c.memoised)
 		}
 	}
 }
@@ -315,7 +341,7 @@ func TestMemoEdgeInputs(t *testing.T) {
 // (fingerprint.Payload.BorrowUserAgent) that the next request overwrites.
 // An entry keeps its own copy, so after the bytes are poisoned the entry
 // still holds the user-agent it was stored under, and the poisoned view
-// scores as what it now says. The same holds for a frame-form entry
+// scores as what it now says. The same holds for an entry stored by a frame
 // after its frame buffer and the scratch are reused.
 func TestMemoOwnsItsKey(t *testing.T) {
 	m, _, _ := trainFixtureModel(t, 20)
@@ -335,7 +361,7 @@ func TestMemoOwnsItsKey(t *testing.T) {
 	}
 	checkPair(t, m, s, memoPair{vec, p.UserAgent, algorithm1(m, vec, string(wire))}, "poisoned")
 
-	// The frame form: ScoreFrame decodes in the caller's frame buffer,
+	// As a frame: ScoreFrame decodes in the caller's frame buffer,
 	// which the next batch overwrites, and into the scratch's vector,
 	// which the next miss overwrites. The entry keeps its own class
 	// bytes, vector and user-agent, which a hit hands out.

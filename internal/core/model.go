@@ -147,10 +147,14 @@ func (m *Model) ScoreString(vector []float64, userAgent string) (Result, error) 
 // ScoreStringWith is ScoreString with caller-owned scratch buffers (see
 // NewScratch), the entry point for per-connection scoring loops. A nil
 // scratch borrows one from the model's pool; a scratch must not be used
-// concurrently. A repeated (vector, user-agent) pair is answered from
-// the plan's verdict memo (memo.go). Nothing allocates on this path,
-// whether or not the user-agent parses, but a repeated pair entering the
-// memo.
+// concurrently. The pair is encoded into the scratch as class bytes
+// (fingerprint.AppendVectorClass), the key of the plan's verdict memo
+// (memo.go) that ScoreFrame shares, so a repeated class is answered from
+// the memo whichever entry point stored it. A vector with no class bytes
+// (a coordinate that does not round-trip through int64: −0, NaN, ±Inf,
+// a fraction, |x| ≥ 2⁶³) or a user-agent over 1 KB is scored on the
+// kernel every time. Nothing allocates on this path, whether or not the
+// user-agent parses, but a repeated class entering the memo.
 func (m *Model) ScoreStringWith(s *Scratch, vector []float64, userAgent string) (Result, error) {
 	if err := m.checkInput(vector); err != nil {
 		return Result{}, err
@@ -176,16 +180,17 @@ func (m *Model) ScoreStringWith(s *Scratch, vector []float64, userAgent string) 
 // ScoreFrame is ScoreStringWith for a session that arrives as a binary
 // payload (fingerprint.Payload.MarshalBinary's wire format), the entry
 // point of both binary transports: it decodes frame into p and scores
-// p's values against p's user agent. A class the plan's verdict memo
-// holds is answered from the frame's class bytes
-// (fingerprint.SplitFrame) without decoding them: p then gets the
-// frame's session ID, the entry's user agent and no values. It returns
-// the verdict and the session's vector, read-only: s's on a miss, good
-// until s scores again, and the memo entry's on a hit. p.UserAgent may
-// be a view of frame (fingerprint.Payload.BorrowUserAgent). The errors
-// are those of p.UnmarshalBinary(frame) and then ScoreStringWith, in
-// that order; a decode error leaves p empty. s must not be nil, and
-// nothing allocates but a class entering the memo.
+// p's values against p's user agent. The frame's class bytes
+// (fingerprint.SplitFrame) key the plan's verdict memo as they arrive,
+// so a class the memo holds — stored by either entry point — is
+// answered without decoding them: p then gets the frame's session ID,
+// the entry's user agent and no values. It returns the verdict and the
+// session's vector, read-only: s's on a miss, good until s scores
+// again, and the memo entry's on a hit. p.UserAgent may be a view of
+// frame (fingerprint.Payload.BorrowUserAgent). The errors are those of
+// p.UnmarshalBinary(frame) and then ScoreStringWith, in that order; a
+// decode error leaves p empty. s must not be nil, and nothing allocates
+// but a class entering the memo.
 func (m *Model) ScoreFrame(s *Scratch, p *fingerprint.Payload, frame []byte) (Result, []float64, error) {
 	sessionID, class, err := fingerprint.SplitFrame(frame)
 	if err != nil {

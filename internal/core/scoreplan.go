@@ -80,7 +80,7 @@ type scorePlan struct {
 	clusterLabels []string
 
 	scratch sync.Pool    // of *Scratch
-	memo    *verdictMemo // ScoreString's verdicts (memo.go)
+	memo    *verdictMemo // verdicts by class bytes (memo.go)
 }
 
 // Scratch holds the per-scorer reusable buffers of the fast path. A
@@ -94,6 +94,7 @@ type Scratch struct {
 	centred []float64        // scaled − pcaMean (len dim), unused when PCA is off
 	x       []float64        // PCA projection (len pcaK), unused when PCA is off
 	vec     []float64        // a decoded frame's values (ScoreFrame)
+	class   []byte           // a scored pair's class bytes, the verdict memo's key (memo.go)
 	seen    [memoSeen]uint64 // verdict-memo doorkeeper: hashes of recent misses (memo.go)
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"unsafe"
 )
 
@@ -57,16 +58,50 @@ func (p *Payload) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 0, 256)
 	buf = append(buf, magicByte0, magicByte1, payloadVersion)
 	buf = append(buf, p.SessionID[:]...)
-	buf = binary.AppendUvarint(buf, uint64(len(p.UserAgent)))
-	buf = append(buf, p.UserAgent...)
-	buf = binary.AppendUvarint(buf, uint64(len(p.Values)))
-	for _, v := range p.Values {
-		buf = binary.AppendVarint(buf, v)
-	}
+	buf = appendClass(buf, p.UserAgent, p.Values)
 	if len(buf) > MaxPayloadSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(buf))
 	}
 	return buf, nil
+}
+
+// appendClass appends to dst the class bytes of a session that claims
+// userAgent and reports values: what MarshalBinary writes after the
+// session ID, uvarint(len userAgent) userAgent uvarint(len values)
+// varint(v)…. Two sessions of one fingerprint class send the same class
+// bytes, so they key every per-class table: the verdict memo and the
+// audit ledger's classes.
+func appendClass(dst []byte, userAgent string, values []int64) []byte {
+	dst = appendClassHead(dst, userAgent, len(values))
+	for _, v := range values {
+		dst = binary.AppendVarint(dst, v)
+	}
+	return dst
+}
+
+// AppendVectorClass appends to dst the class bytes of userAgent and the
+// wire values of vector (VectorToValues), as MarshalBinary would send
+// them, without a values slice. It is false, with dst as it came, when a
+// coordinate does not round-trip bit for bit through int64 — −0, NaN,
+// ±Inf, a fraction, |x| ≥ 2⁶³ — since then no class bytes name the
+// vector.
+func AppendVectorClass(dst []byte, userAgent string, vector []float64) ([]byte, bool) {
+	n := len(dst)
+	dst = appendClassHead(dst, userAgent, len(vector))
+	for _, x := range vector {
+		v := int64(x)
+		if !(math.Abs(x) < 0x1p63) || math.Float64bits(float64(v)) != math.Float64bits(x) {
+			return dst[:n], false
+		}
+		dst = binary.AppendVarint(dst, v)
+	}
+	return dst, true
+}
+
+func appendClassHead(dst []byte, userAgent string, n int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(userAgent)))
+	dst = append(dst, userAgent...)
+	return binary.AppendUvarint(dst, uint64(n))
 }
 
 // UnmarshalBinary decodes a payload produced by MarshalBinary. It

@@ -163,3 +163,32 @@ func TestUnmarshalBinaryBorrowedAliases(t *testing.T) {
 		t.Fatalf("UnmarshalBinaryBorrowed's user agent is a copy: %q", borrowed.UserAgent)
 	}
 }
+
+// TestAppendVectorClassIsTheWire: a vector whose coordinates round-trip
+// through int64 encodes to the class bytes MarshalBinary sends for its
+// values, appended to what dst held; any other coordinate — −0, NaN,
+// ±Inf, a fraction, |x| ≥ 2⁶³ — encodes to nothing, leaving dst as it
+// was.
+func TestAppendVectorClassIsTheWire(t *testing.T) {
+	userAgent := "Mozilla/5.0 (Windows NT 10.0; Win64; x64; rv:110.0) Gecko/20100101 Firefox/110.0"
+	vector := []float64{0, 1, -1, 63, -64, 64, 8191, -8192, 1 << 40, -(1 << 53), 0x1p62}
+	p := Payload{UserAgent: userAgent, Values: VectorToValues(vector)}
+	frame, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := SplitFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := AppendVectorClass([]byte("kept"), userAgent, vector)
+	if !ok || !bytes.Equal(got, append([]byte("kept"), want...)) {
+		t.Fatalf("class bytes %x (%v), the wire sends %x", got, ok, want)
+	}
+	for _, x := range []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 0.5, -2.25, 0x1p63, -0x1p63, 1e300} {
+		odd := append(append([]float64(nil), vector...), x)
+		if got, ok := AppendVectorClass([]byte("kept"), userAgent, odd); ok || string(got) != "kept" {
+			t.Fatalf("%v: class bytes %x (%v), want none", x, got, ok)
+		}
+	}
+}

@@ -145,4 +145,4 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths, the memo on both sides in both key forms and the kernel, audit-path and collect-handler ceilings (serial and parallel), training ≤ 10 MB)"
+echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths, the memo on both sides, as a vector and as a frame, and the kernel, audit-path and collect-handler ceilings (serial and parallel), training ≤ 10 MB)"

@@ -4,7 +4,7 @@
 # Runs the gofmt gate, the tier-1 build+test pass (what CI and the
 # roadmap call "tier-1 green"), vet — of this module and of the
 # benchmark module under bench/, whose seam.go pins the symbols the
-# benchmark calls — the one-ingest-core, explanations-are-derived,
+# benchmark calls — the one-ingest-core, one-class-key, explanations-are-derived,
 # one-re-derivation, one-use-of-unsafe, one-daemon-wiring,
 # the-daemon-does-not-train, one-segment-writer,
 # one-evidence-path, one-scoring-surface, one-frame-decoder, per-row-kernel
@@ -50,13 +50,25 @@ sh -n scripts/pair.sh
 echo "== go vet (bench module)"
 (cd bench && GOFLAGS=-mod=mod GOWORK=off go vet .)
 
-# One ingest core: the model call of each key form and the drift sample
-# each happen at exactly one place in internal/collect (ingest.go).
+# One ingest core: the model call of each route (ScoreStringWith for the
+# JSON one, ScoreFrame for the binary ones) and the drift sample each
+# happen at exactly one place in internal/collect (ingest.go).
 echo "== one ingest core"
 for call in 'ScoreStringWith(' 'ScoreFrame(' '.Observe('; do
     n=$(ls internal/collect/*.go | grep -v _test.go | xargs grep -F -- "$call" | wc -l)
     [ "$n" -eq 1 ] || { echo "check.sh: $n call sites of $call in internal/collect, want 1" >&2; exit 1; }
 done
+
+# One class key: every per-class table in internal/core and
+# internal/audit — the verdict memo, the ledger's class table and
+# audit.Resolver's derivations — is keyed by class bytes
+# (fingerprint.AppendVectorClass) and compares them as bytes, so a class has one
+# identity whichever way it arrived. A hash of the vector's bits or a
+# float-by-float compare would be a second key form.
+echo "== one class key"
+found=$(ls internal/core/*.go internal/audit/*.go | grep -v _test.go |
+    xargs grep -nE -- '\.Pair\(|matrix\.SameBits\(' || true)
+[ -z "$found" ] || { echo "check.sh: a second class key form in internal/core or internal/audit:" >&2; echo "$found" >&2; exit 1; }
 
 # Explanations are derived, not stored: the request path writes down what
 # a verdict was decided from and readers compute the explanation from the
