@@ -6,12 +6,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"polygraph/internal/core"
-	"polygraph/internal/fphash"
 )
 
 // The model archive: every model a replica deploys, saved once beside
@@ -88,8 +88,8 @@ const resolverCache = 4
 // from the archive in a ledger directory, and derives what a model makes
 // of a record (Derive). It is safe for concurrent use.
 type Resolver struct {
-	dir    string
-	hasher fphash.Hasher // keys derived
+	dir  string
+	seed maphash.Seed // hashes the keys of derived
 
 	mu      sync.Mutex
 	cache   map[string]resolved
@@ -120,7 +120,7 @@ type Derivation struct {
 
 // NewResolver resolves hashes against the archive in dir.
 func NewResolver(dir string) *Resolver {
-	return &Resolver{dir: dir, hasher: fphash.New(), cache: map[string]resolved{}, derived: map[uint64]*Derivation{}}
+	return &Resolver{dir: dir, seed: maphash.MakeSeed(), cache: map[string]resolved{}, derived: map[uint64]*Derivation{}}
 }
 
 // Model returns the archived model with the given hash. The error names
@@ -180,7 +180,7 @@ func (r *Resolver) Derive(m *core.Model, rec *Record) Derivation {
 	defer r.mu.Unlock()
 	var keyed bool
 	r.key, keyed = appendClassKey(r.key[:0], rec)
-	h := r.hasher.Bytes(r.key)
+	h := maphash.Bytes(r.seed, r.key)
 	if d := r.derived[h]; keyed && d != nil && d.model == m && d.topK == topK && d.key == string(r.key) {
 		return *d
 	}

@@ -86,6 +86,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"io"
 	"math"
 	"os"
@@ -96,7 +97,6 @@ import (
 	"encoding/json"
 
 	"polygraph/internal/core"
-	"polygraph/internal/fphash"
 	"polygraph/internal/jsonappend"
 	"polygraph/internal/seglog"
 )
@@ -256,9 +256,9 @@ type Ledger struct {
 	bytes   atomic.Int64
 	benign  atomic.Uint64 // benign verdicts seen, drives sampling
 
-	// hasher keys classes; classes indexes the active segment's. Appenders
-	// read the table without mu; it changes under mu.
-	hasher  fphash.Hasher
+	// seed hashes class keys (hash/maphash); classes indexes the active
+	// segment's. Appenders read the table without mu; it changes under mu.
+	seed    maphash.Seed
 	classes atomic.Pointer[classTable]
 
 	// mu makes a record's sequence number, its class and its place in the
@@ -306,7 +306,7 @@ func open(cfg Config, tap func(io.Writer) io.Writer) (*Ledger, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	l := &Ledger{dir: cfg.Dir, sampleN: cfg.SampleBenign, models: NewResolver(cfg.Dir), hasher: fphash.New()}
+	l := &Ledger{dir: cfg.Dir, sampleN: cfg.SampleBenign, models: NewResolver(cfg.Dir), seed: maphash.MakeSeed()}
 	ringSize := cfg.RingSize
 	if ringSize == 0 {
 		ringSize = DefaultRingSize
@@ -340,7 +340,7 @@ func open(cfg Config, tap func(io.Writer) io.Writer) (*Ledger, error) {
 	t := &classTable{seg: log.Seq()}
 	for _, c := range resumed[:min(len(resumed), classCap)] {
 		if key, ok := appendClassKey(nil, &Record{ModelHash: c.modelHash, UserAgent: c.userAgent, Vector: c.vector, Verdict: c.verdict}); ok {
-			c.hash, c.key = l.hasher.Bytes(key), string(key)
+			c.hash, c.key = maphash.Bytes(l.seed, key), string(key)
 			t.add(c)
 		}
 	}
@@ -513,7 +513,7 @@ func (l *Ledger) Append(rec Record) error {
 	)
 	t := l.classes.Load()
 	if e.key, classed = appendClassKey(e.key[:0], &rec); classed {
-		h = l.hasher.Bytes(e.key)
+		h = maphash.Bytes(l.seed, e.key)
 		switch {
 		case t.find(h, e.key) != nil:
 			e.prov = appendProvenance(e.prov, &rec)

@@ -439,12 +439,6 @@ func TestEngineString(t *testing.T) {
 	}
 }
 
-func TestErasAccessor(t *testing.T) {
-	if len(Eras()) != len(blinkEras)+len(geckoEras)+len(edgeHTMLEras) {
-		t.Fatal("Eras() incomplete")
-	}
-}
-
 func BenchmarkPropertyCountCached(b *testing.B) {
 	o := NewOracle()
 	r := ua.Release{Vendor: ua.Chrome, Version: 112}

@@ -123,12 +123,3 @@ func EraOf(r ua.Release) (Era, bool) {
 	}
 	return Era{}, false
 }
-
-// Eras returns all modeled eras, primarily for documentation and tests.
-func Eras() []Era {
-	out := make([]Era, 0, len(blinkEras)+len(geckoEras)+len(edgeHTMLEras))
-	out = append(out, blinkEras...)
-	out = append(out, geckoEras...)
-	out = append(out, edgeHTMLEras...)
-	return out
-}

@@ -17,6 +17,7 @@ import (
 	"polygraph/internal/core"
 	"polygraph/internal/dataset"
 	"polygraph/internal/fingerprint"
+	"polygraph/internal/scaler"
 	"polygraph/internal/ua"
 )
 
@@ -157,13 +158,59 @@ func TestServerRejectsMalformed(t *testing.T) {
 	}
 }
 
+// unplannable is m with a scaler fitted on 10 of its features: a model
+// whose components disagree, which core refuses to score.
+func unplannable(m *core.Model) *core.Model {
+	return &core.Model{
+		Features:       m.Features,
+		Scaler:         &scaler.Standard{Means: make([]float64, 10), Stds: make([]float64, 10)},
+		PCA:            m.PCA,
+		KMeans:         m.KMeans,
+		ClusterUAs:     m.ClusterUAs,
+		UACluster:      m.UACluster,
+		VersionDivisor: m.VersionDivisor,
+	}
+}
+
+// TestUnplannableModelIs500Score: core refuses a model it cannot plan
+// with ErrNotTrained, which is the server's fault, so both routes answer
+// a payload of the model's width with 500 and count a score reject,
+// never a 400 bad_dim that blames the client.
+func TestUnplannableModelIs500Score(t *testing.T) {
+	m, d := testModel(t)
+	srv, err := NewServer(Config{Model: unplannable(m)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chrome := ua.Release{Vendor: ua.Chrome, Version: 112}
+	p := payloadFor(d, chrome, chrome)
+	binary, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonBody, err := json.Marshal(jsonPayload{SessionID: fmt.Sprintf("%x", p.SessionID[:]), UserAgent: p.UserAgent, Values: p.Values})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for route, body := range map[string][]byte{EndpointBinary: binary, EndpointJSON: jsonBody} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "scaler") {
+			t.Fatalf("%s: %d %q, want 500 naming the scaler", route, rec.Code, rec.Body.String())
+		}
+	}
+	if score, badDim := srv.rejects[reasonScore].Load(), srv.rejects[reasonBadDim].Load(); score != 2 || badDim != 0 {
+		t.Fatalf("rejects: score %d, bad_dim %d; want 2 and 0", score, badDim)
+	}
+}
+
 func TestServerRejectsOversized(t *testing.T) {
 	m, _ := testModel(t)
-	srv, _ := NewServer(Config{Model: m, MaxBodyBytes: 64})
+	srv, _ := NewServer(Config{Model: m})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/v1/collect", "application/octet-stream",
-		bytes.NewReader(make([]byte, 1024)))
+		bytes.NewReader(make([]byte, maxBodyBytes+1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +308,7 @@ func BenchmarkServerScore(b *testing.B) {
 
 func TestServerRateLimiting(t *testing.T) {
 	m, d := testModel(t)
-	srv, err := NewServer(Config{Model: m, RateLimitPerSec: 1, RateBurst: 3})
+	srv, err := NewServer(Config{Model: m, RateLimitPerSec: 1.5}) // a burst of 3
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,29 +248,26 @@ func TestCollectBodyRead(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		limit  int64 // Config.MaxBodyBytes; 0 = the default
 		reader func() io.Reader
 		code   int
 		reason rejectReason // of a non-200
 	}{
-		{"valid", 0, func() io.Reader { return bytes.NewReader(good) }, 200, 0},
-		{"empty", 0, func() io.Reader { return bytes.NewReader(nil) }, 400, reasonDecode},
-		{"exactly the default limit", 0, func() io.Reader { return bytes.NewReader(pad(4 * fingerprint.MaxPayloadSize)) }, 400, reasonDecode},
-		{"one over the default limit", 0, func() io.Reader { return bytes.NewReader(pad(4*fingerprint.MaxPayloadSize + 1)) }, 413, reasonTooLarge},
-		{"far over the limit", 0, func() io.Reader { return bytes.NewReader(pad(1 << 16)) }, 413, reasonTooLarge},
-		{"one byte at a time", 0, func() io.Reader { return iotest.OneByteReader(bytes.NewReader(good)) }, 200, 0},
-		{"last bytes and EOF in one call", 0, func() io.Reader { return iotest.DataErrReader(bytes.NewReader(good)) }, 200, 0},
-		{"error mid-body", 0, func() io.Reader {
+		{"valid", func() io.Reader { return bytes.NewReader(good) }, 200, 0},
+		{"empty", func() io.Reader { return bytes.NewReader(nil) }, 400, reasonDecode},
+		{"exactly the limit", func() io.Reader { return bytes.NewReader(pad(maxBodyBytes)) }, 400, reasonDecode},
+		{"one over the limit", func() io.Reader { return bytes.NewReader(pad(maxBodyBytes + 1)) }, 413, reasonTooLarge},
+		{"far over the limit", func() io.Reader { return bytes.NewReader(pad(1 << 16)) }, 413, reasonTooLarge},
+		{"one byte at a time", func() io.Reader { return iotest.OneByteReader(bytes.NewReader(good)) }, 200, 0},
+		{"last bytes and EOF in one call", func() io.Reader { return iotest.DataErrReader(bytes.NewReader(good)) }, 200, 0},
+		{"error mid-body", func() io.Reader {
 			return io.MultiReader(bytes.NewReader(good[:len(good)/2]), iotest.ErrReader(errBroken))
 		}, 400, reasonRead},
-		{"error after the limit is never reached", 16, func() io.Reader {
-			return io.MultiReader(bytes.NewReader(pad(17)), iotest.ErrReader(errBroken))
+		{"error after the limit is never reached", func() io.Reader {
+			return io.MultiReader(bytes.NewReader(pad(maxBodyBytes+1)), iotest.ErrReader(errBroken))
 		}, 413, reasonTooLarge},
-		{"exactly a small limit", int64(len(good)), func() io.Reader { return bytes.NewReader(good) }, 200, 0},
-		{"one over a small limit", int64(len(good)) - 1, func() io.Reader { return bytes.NewReader(good) }, 413, reasonTooLarge},
 	}
 	for _, tc := range cases {
-		srv, err := NewServer(Config{Model: m, MaxBodyBytes: tc.limit})
+		srv, err := NewServer(Config{Model: m})
 		if err != nil {
 			t.Fatal(err)
 		}

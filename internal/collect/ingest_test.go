@@ -221,6 +221,7 @@ func TestIngestParityAcrossTransports(t *testing.T) {
 		{name: "unparseable UA", payload: garbled, reason: "ok", flagged: true},
 		{name: "novel surface, honest UA", model: jumpy, payload: payloadFor(d, chrome, chrome), reason: "ok", flagged: true, matched: true},
 		{name: "wrong width", payload: &fingerprint.Payload{UserAgent: "x", Values: []int64{1, 2, 3}}, reason: "bad_dim"},
+		{name: "model without a plan", model: unplannable(m), payload: payloadFor(d, chrome, chrome), reason: "score"},
 		{name: "bad version byte", payload: payloadFor(d, chrome, chrome), reason: "bad_version",
 			mangle: func(w []byte) []byte { w[2] = 0xFF; return w }},
 		{name: "truncated body", payload: payloadFor(d, chrome, chrome), reason: "decode",

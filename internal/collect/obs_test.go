@@ -39,9 +39,8 @@ func scrapeMetrics(t *testing.T, baseURL string) string {
 func TestMetricsExpositionLints(t *testing.T) {
 	m, d := testModel(t)
 	driftMon, err := obs.NewDriftMonitor(obs.DriftConfig{
-		Features:   fingerprint.Names(m.Features),
-		MinSamples: 10,
-		Seed:       1,
+		Features: fingerprint.Names(m.Features),
+		Seed:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,10 +61,11 @@ func TestMetricsExpositionLints(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// One scored request so histogram and counters move.
+	// Enough scored requests for a drift evaluation, so that histogram,
+	// counters and the drift sample move.
 	client := NewClient(ts.URL)
 	honest := payloadFor(d, ua.Release{Vendor: ua.Chrome, Version: 112}, ua.Release{Vendor: ua.Chrome, Version: 112})
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 32; i++ {
 		if _, err := client.Submit(context.Background(), honest); err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package collect
 
 import (
-	"net"
-	"net/http"
 	"sync"
 	"time"
 )
@@ -86,21 +84,4 @@ func fnvShard(key string) uint32 {
 		h = (h ^ uint32(key[i])) * 16777619
 	}
 	return h % 16
-}
-
-// Middleware wraps an http.Handler, answering 429 for clients over
-// budget. The key is the remote IP (ignoring the ephemeral port).
-func (rl *RateLimiter) Middleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		key := r.RemoteAddr
-		if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-			key = host
-		}
-		if !rl.Allow(key) {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
 }

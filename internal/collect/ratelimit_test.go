@@ -1,8 +1,6 @@
 package collect
 
 import (
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -127,31 +125,5 @@ func TestRateLimiterConcurrent(t *testing.T) {
 	// burst may pass.
 	if total != 1000 {
 		t.Fatalf("allowed %d, want exactly 1000", total)
-	}
-}
-
-func TestRateLimitMiddleware(t *testing.T) {
-	rl, _ := newTestLimiter(1, 2)
-	inner := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	h := rl.Middleware(inner)
-
-	req := func(addr string) int {
-		r := httptest.NewRequest(http.MethodGet, "/x", nil)
-		r.RemoteAddr = addr
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, r)
-		return rec.Code
-	}
-	if req("9.9.9.9:1111") != http.StatusOK || req("9.9.9.9:2222") != http.StatusOK {
-		t.Fatal("burst requests rejected")
-	}
-	// Same IP, different port: same bucket.
-	if req("9.9.9.9:3333") != http.StatusTooManyRequests {
-		t.Fatal("over-budget request allowed")
-	}
-	if req("8.8.8.8:1111") != http.StatusOK {
-		t.Fatal("other client rejected")
 	}
 }

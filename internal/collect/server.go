@@ -122,15 +122,10 @@ type Config struct {
 	// Store is ignored: the audit ledger is the one evidence log
 	// (pinned.go).
 	Store *MemoryStore
-	// MaxBodyBytes caps request bodies; 0 uses the paper's 1 KB budget
-	// (plus framing slack for the JSON variant).
-	MaxBodyBytes int64
 	// RateLimitPerSec enables per-client-IP token-bucket limiting on
-	// the ingestion endpoints (0 disables). RateBurst defaults to
-	// 2× the rate. Limited requests count as rejects with
-	// reason="rate_limit".
+	// the ingestion endpoints (0 disables), with a burst of 2× the rate.
+	// Limited requests count as rejects with reason="rate_limit".
 	RateLimitPerSec float64
-	RateBurst       int
 	// Logger receives structured request/reject/slow-trace records;
 	// nil discards. Build one with obs.NewLogger.
 	Logger *slog.Logger
@@ -169,7 +164,6 @@ type Config struct {
 // it implements http.Handler.
 type Server struct {
 	*ingest
-	maxLen  int64
 	tracer  *obs.Tracer
 	limiter *RateLimiter
 	mux     *http.ServeMux
@@ -257,26 +251,17 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxLen := cfg.MaxBodyBytes
-	if maxLen == 0 {
-		maxLen = 4 * fingerprint.MaxPayloadSize // JSON framing slack
-	}
 	s := &Server{
 		ingest:     in,
-		maxLen:     maxLen,
 		tracer:     tracerFor(cfg),
 		mux:        http.NewServeMux(),
 		shards:     make([]serveShard, in.shards),
 		scoreDelay: cfg.ScoreDelay,
 	}
 	if cfg.RateLimitPerSec > 0 {
-		burst := cfg.RateBurst
-		if burst <= 0 {
-			burst = int(2 * cfg.RateLimitPerSec)
-		}
 		// One limiter shared by both ingest endpoints: a client's budget
 		// covers its total ingest traffic, not per-endpoint budgets.
-		s.limiter = NewRateLimiter(cfg.RateLimitPerSec, burst)
+		s.limiter = NewRateLimiter(cfg.RateLimitPerSec, int(2*cfg.RateLimitPerSec))
 	}
 	s.mux.HandleFunc("GET /script.js", s.handleScript)
 	for route, rt := range ingestRoutes {
@@ -458,20 +443,24 @@ func decodeJSONPayload(p *fingerprint.Payload, body []byte) (rejectReason, error
 	return 0, nil
 }
 
+// maxBodyBytes caps a request body: the paper's 1 KB payload budget
+// with framing slack for the JSON variant.
+const maxBodyBytes = 4 * fingerprint.MaxPayloadSize
+
 // readPayload reads the bounded request body into buf.body — one byte
 // past the limit at most, which is how a body over it is told — and,
 // on a route with a decoder, decodes it into buf.payload, or reports the
 // reject: status code, reason and message.
 func (s *Server) readPayload(buf *scoreBuf, body io.Reader, decode payloadDecoder) (int, rejectReason, error) {
 	buf.body.Reset()
-	buf.limited = io.LimitedReader{R: body, N: s.maxLen + 1}
+	buf.limited = io.LimitedReader{R: body, N: maxBodyBytes + 1}
 	_, err := buf.body.ReadFrom(&buf.limited)
 	buf.limited.R = nil // the pool must not keep the request alive
 	if err != nil {
 		return http.StatusBadRequest, reasonRead, fmt.Errorf("read: %w", err)
 	}
-	if int64(buf.body.Len()) > s.maxLen {
-		return http.StatusRequestEntityTooLarge, reasonTooLarge, fmt.Errorf("body over %d bytes", s.maxLen)
+	if buf.body.Len() > maxBodyBytes {
+		return http.StatusRequestEntityTooLarge, reasonTooLarge, fmt.Errorf("body over %d bytes", maxBodyBytes)
 	}
 	if decode == nil {
 		return http.StatusOK, 0, nil

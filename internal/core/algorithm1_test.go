@@ -12,8 +12,8 @@ import (
 )
 
 // algorithm1 is the paper's Algorithm 1 written out literally, as the
-// oracle every score path is compared against. It reads the model's
-// components field by field and shares no code with the score paths but
+// oracle the score plan is compared against. It reads the model's
+// components field by field and shares no code with the plan but
 // ua.ParseRelease and ua.Distance, the paper's claim parser and distance:
 //
 //  1. scale: z_j = (x_j − μ_j)/σ_j; a pass-through column keeps x_j and a
@@ -29,6 +29,13 @@ import (
 // the novelty score, and a surface beyond the threshold is novel and, when
 // its claim matches, maximally risky.
 func algorithm1(m *Model, vector []float64, userAgent string) Result {
+	claimed, ok := ua.ParseRelease(userAgent)
+	return algorithm1Claim(m, vector, claimed, ok)
+}
+
+// algorithm1Claim is algorithm1 for a claim already parsed (parsed) or
+// not.
+func algorithm1Claim(m *Model, vector []float64, claimed ua.Release, parsed bool) Result {
 	skip := m.Scaler.Skip()
 	z := make([]float64, len(vector))
 	for j, x := range vector {
@@ -63,8 +70,7 @@ func algorithm1(m *Model, vector []float64, userAgent string) Result {
 		}
 	}
 
-	claimed, ok := ua.ParseRelease(userAgent)
-	if !ok {
+	if !parsed {
 		return Result{Cluster: cluster, RiskFactor: ua.MaxDistance}
 	}
 	res := Result{Cluster: cluster}
@@ -88,30 +94,6 @@ func algorithm1(m *Model, vector []float64, userAgent string) Result {
 	return res
 }
 
-// slowString is ScoreString on the component path: the scaler, PCA and
-// k-means called one after the other (scoreSlow), with an unparseable
-// claim taking the component cluster and the maximum risk.
-func slowString(t *testing.T, m *Model, vector []float64, userAgent string) Result {
-	t.Helper()
-	claimed, ok := ua.ParseRelease(userAgent)
-	if ok {
-		res, err := m.scoreSlow(vector, claimed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	scaled, err := m.Scaler.TransformVec(vector)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster, _, err := m.clusterAndDistance(scaled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Result{Cluster: cluster, RiskFactor: ua.MaxDistance}
-}
-
 // sameResult compares every field, the novelty score by its bits.
 func sameResult(a, b Result) bool {
 	return a.Cluster == b.Cluster && a.Matched == b.Matched && a.RiskFactor == b.RiskFactor &&
@@ -125,10 +107,9 @@ func sameResult(a, b Result) bool {
 // vectors with claims drawn from the models' clusters, from the whole
 // release universe and from strings that do not parse. The score plan
 // (ScoreStringWith) — scored cold, then hot, then from its verdict memo —
-// the component path (scoreSlow) and the oracle must agree on every
-// Result field, and so must ScoreFrame on the vector's integer twin in a
-// binary payload, cold, hot and from the memo, and the twin as a vector
-// from the frame's memo entry.
+// and the oracle must agree on every Result field, and so must ScoreFrame
+// on the vector's integer twin in a binary payload, cold, hot and from
+// the memo, and the twin as a vector from the frame's memo entry.
 func TestScorePathsMatchAlgorithm1(t *testing.T) {
 	gen := rng.New(33)
 	universe := ua.Universe(119)
@@ -163,7 +144,7 @@ func TestScorePathsMatchAlgorithm1(t *testing.T) {
 			// Around the typical distance, so both novelty outcomes occur.
 			m.NoveltyThreshold = 1 + 3*gen.Float64()
 		}
-		m.plan.Store(buildScorePlan(m))
+		replan(t, m)
 		models = append(models, named{fmt.Sprintf("generated %d (dim %d, pcaK %d, k %d)", i, dim, pcaK, k), m})
 	}
 	fixture, _, ext := trainFixtureModel(t, 20)
@@ -205,10 +186,6 @@ func TestScorePathsMatchAlgorithm1(t *testing.T) {
 			}
 
 			want := algorithm1(m, vec, claim)
-			slow := slowString(t, m, vec, claim)
-			if !sameResult(slow, want) {
-				t.Fatalf("%s, vector %d, claim %q:\n scoreSlow %+v\n oracle    %+v", nm.name, i, claim, slow, want)
-			}
 			// Cold (first sighting), hot (the second, which enters the
 			// verdict memo when the pair has class bytes) and hot again
 			// (answered from it), all on one scorer's scratch, whose

@@ -503,7 +503,7 @@ func BenchmarkScoreString(b *testing.B) {
 func BenchmarkScoreKernel(b *testing.B) {
 	m, _, ext := trainFixtureModel(b, 40)
 	vec := ext.Extract(browser.Profile{Release: ua.Release{Vendor: ua.Chrome, Version: 112}, OS: ua.Windows10})
-	p := m.scorePlanNow()
+	p := mustPlan(b, m)
 	s := m.NewScratch()
 	b.Run("transform", func(b *testing.B) {
 		b.ReportAllocs()

@@ -174,14 +174,15 @@ type Explanation struct {
 // produces an explanation that contradicts itself; the audit replay
 // check exists to catch exactly that.
 func (m *Model) ExplainResult(vector []float64, userAgent string, res Result, topK int) (*Explanation, error) {
-	if err := m.checkInput(vector); err != nil {
+	p, err := m.planFor(len(vector))
+	if err != nil {
 		return nil, err
 	}
 	claimed, ok := ua.ParseRelease(userAgent)
 	if !ok {
-		return m.explain(vector, userAgent, ua.Release{}, false, res, topK)
+		return m.explain(p, vector, userAgent, ua.Release{}, false, res, topK)
 	}
-	return m.explain(vector, claimed.String(), claimed, true, res, topK)
+	return m.explain(p, vector, claimed.String(), claimed, true, res, topK)
 }
 
 // explained is the one heap block behind an Explanation: the struct, the
@@ -197,18 +198,14 @@ type explained struct {
 }
 
 // explain builds the decomposition around an already-computed Result,
-// from the flattened plan: the scaled and projected vectors land in
+// from the model's plan p: the scaled and projected vectors land in
 // pooled scratch with the arithmetic scoring uses, and the feature
 // names, cluster labels and member names are the plan's. Every ordering
 // below is a stable insertion, so ties keep ascending index and the
 // output is a pure function of the input.
-func (m *Model) explain(vector []float64, claim string, claimed ua.Release, parsed bool, res Result, topK int) (*Explanation, error) {
+func (m *Model) explain(p *scorePlan, vector []float64, claim string, claimed ua.Release, parsed bool, res Result, topK int) (*Explanation, error) {
 	if topK <= 0 {
 		topK = DefaultExplainTopK
-	}
-	p := m.scorePlanNow()
-	if !p.valid {
-		return nil, fmt.Errorf("core: %w: cannot explain on a model whose components disagree on their dimensions", ErrBadInput)
 	}
 	if res.Cluster < 0 || res.Cluster >= p.k {
 		return nil, fmt.Errorf("core: %w: verdict names cluster %d of %d", ErrBadInput, res.Cluster, p.k)

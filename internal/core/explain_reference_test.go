@@ -139,7 +139,7 @@ func TestExplainMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(twins.KMeans.Centroids.RawRow(5), twins.KMeans.Centroids.RawRow(2))
-	twins.plan.Store(buildScorePlan(twins))
+	replan(t, twins)
 
 	r := rng.New(14)
 	universe := ua.Universe(114)

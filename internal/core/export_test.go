@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"hash/maphash"
 	"testing"
 
 	"polygraph/internal/fingerprint"
@@ -25,9 +26,12 @@ func MemoHoldsFrame(m *Model, frame []byte) bool {
 
 // memoEntries counts the entries of m's verdict memo keyed by class.
 func memoEntries(m *Model, class []byte) int {
-	memo := m.scorePlanNow().memo
-	h := memo.hasher.Bytes(class)
-	set, n := memo.set(h), 0
+	p, err := m.readyPlan()
+	if err != nil {
+		return 0
+	}
+	h := maphash.Bytes(p.memo.seed, class)
+	set, n := p.memo.set(h), 0
 	for w := range set {
 		if e := set[w].Load(); e != nil && e.hash == h && e.class == string(class) {
 			n++
@@ -35,10 +39,6 @@ func memoEntries(m *Model, class []byte) int {
 	}
 	return n
 }
-
-// PlanValid reports whether m's score plan is valid: its components
-// agree on their dimensions, so it scores on the plan, never scoreSlow.
-func PlanValid(m *Model) bool { return m.scorePlanNow().valid }
 
 // SavedFixture returns the JSON of a trained fixture model.
 func SavedFixture(t testing.TB) []byte {

@@ -74,30 +74,6 @@ func frameVector(t testing.TB, frame []byte) []float64 {
 	return fingerprint.ValuesToVector(p.Values)
 }
 
-// TestScoreFrameWithoutPlan: a model whose components disagree on their
-// dimensions has no score plan, and ScoreFrame decodes and scores on the
-// component path as ScoreStringWith does, errors included.
-func TestScoreFrameWithoutPlan(t *testing.T) {
-	m, _, _ := trainFixtureModel(t, 5)
-	samples, _ := trainFixture(t, 1)
-	m.Scaler.Means = m.Scaler.Means[:len(m.Scaler.Means)-1]
-	m.plan.Store(buildScorePlan(m))
-	if m.scorePlanNow().valid {
-		t.Fatal("a ragged model got a valid plan")
-	}
-	frame := frameOf(t, samples[0].Vector, ua.UserAgent(samples[0].UA, ua.Windows10), 1)
-	_, wantErr := m.ScoreStringWith(m.NewScratch(), frameVector(t, frame), ua.UserAgent(samples[0].UA, ua.Windows10))
-	var p fingerprint.Payload
-	_, _, err := m.ScoreFrame(m.NewScratch(), &p, frame)
-	if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
-		t.Fatalf("ScoreFrame: %v; ScoreStringWith: %v", err, wantErr)
-	}
-	var untrained Model
-	if _, _, err := untrained.ScoreFrame(untrained.NewScratch(), &p, frame); !errors.Is(err, ErrNotTrained) {
-		t.Fatalf("an untrained model: %v, want ErrNotTrained", err)
-	}
-}
-
 // FuzzScoreFrame: for any bytes, ScoreFrame — scored cold, on the
 // doorkeeper's second sighting and then from the verdict memo — agrees
 // with UnmarshalBinary and then ScoreStringWith: the same Result, the

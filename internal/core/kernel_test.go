@@ -55,8 +55,8 @@ func kernelModel(t *testing.T, gen *rng.PCG, dim, pcaK, k int) *Model {
 	for c := 0; c < k; c++ {
 		copy(m.KMeans.Centroids.RawRow(c), normals(cdim))
 	}
-	if p := m.scorePlanNow(); !p.valid {
-		t.Fatalf("dim %d pcaK %d k %d: plan invalid", dim, pcaK, k)
+	if _, err := m.readyPlan(); err != nil {
+		t.Fatalf("dim %d pcaK %d k %d: %v", dim, pcaK, k, err)
 	}
 	return m
 }
@@ -87,7 +87,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // the components, and demands the same bits at every stage.
 func checkKernel(t *testing.T, m *Model, s *Scratch, vec []float64, what string) {
 	t.Helper()
-	p := m.scorePlanNow()
+	p := mustPlan(t, m)
 	wantX, wantC, wantD := componentKernel(t, m, vec)
 	x := p.transform(s, vec)
 	if len(x) != len(wantX) {
@@ -138,7 +138,7 @@ func TestKernelTiesGoToLowestIndex(t *testing.T) {
 	gen := rng.New(17)
 	for k := 2; k <= 13; k++ {
 		m := kernelModel(t, gen, 5, 3, k)
-		p := m.scorePlanNow()
+		p := mustPlan(t, m)
 		rows := append([]float64(nil), p.cents...)
 		for a := 0; a < k; a++ {
 			for b := a + 1; b < k; b++ {

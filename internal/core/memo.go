@@ -2,12 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"slices"
 	"sync/atomic"
 
 	"polygraph/internal/fingerprint"
-	"polygraph/internal/fphash"
 	"polygraph/internal/ua"
 )
 
@@ -23,14 +23,14 @@ const (
 // (ScoreFrame) or encoded from a vector and a user agent
 // (ScoreStringWith, fingerprint.AppendVectorClass). A key has a set of
 // two slots; a new entry takes the first and pushes the first's to the
-// second. The hash is seeded per plan, so sets cannot be aimed at; a hit
-// compares the whole key. A key is stored on its second miss in a row at
-// its slot of the scorer's own doorkeeper (Scratch.seen; a shared one
-// bounces a cache line between cores on every miss), so one-off keys
-// allocate nothing.
+// second. The hash (hash/maphash) is seeded per plan, so sets cannot be
+// aimed at; a hit compares the whole key. A key is stored on its second
+// miss in a row at its slot of the scorer's own doorkeeper (Scratch.seen;
+// a shared one bounces a cache line between cores on every miss), so
+// one-off keys allocate nothing.
 type verdictMemo struct {
-	hasher fphash.Hasher
-	slots  []atomic.Pointer[memoEntry] // len a power of two, ≥ 2
+	seed  maphash.Seed
+	slots []atomic.Pointer[memoEntry] // len a power of two, ≥ 2
 }
 
 // memoEntry is a verdict with its key and hash and the two Model fields
@@ -48,7 +48,7 @@ type memoEntry struct {
 }
 
 func newVerdictMemo(slots int) *verdictMemo {
-	return &verdictMemo{hasher: fphash.New(), slots: make([]atomic.Pointer[memoEntry], slots)}
+	return &verdictMemo{seed: maphash.MakeSeed(), slots: make([]atomic.Pointer[memoEntry], slots)}
 }
 
 // set returns the two slots of the keys hashed h.
@@ -88,14 +88,14 @@ func (memo *verdictMemo) admit(m *Model, s *Scratch, h uint64, class []byte, uaL
 		res: res, versionDivisor: m.VersionDivisor, noveltyThreshold: m.NoveltyThreshold})
 }
 
-// scoreStringMemo is ScoreString on a valid plan for a vector of its
+// scoreStringMemo is ScoreString on plan p for a vector of its
 // width: the remembered verdict when the memo holds the pair's class
 // bytes, else the kernel. A pair with no class bytes (a coordinate that
 // does not round-trip through int64) goes to the kernel every time.
 func (m *Model) scoreStringMemo(p *scorePlan, s *Scratch, vector []float64, userAgent string) Result {
 	var keyed bool
 	s.class, keyed = fingerprint.AppendVectorClass(s.class[:0], userAgent, vector)
-	h := p.memo.hasher.Bytes(s.class)
+	h := maphash.Bytes(p.memo.seed, s.class)
 	if e := p.memo.lookup(m, h, s.class); keyed && e != nil {
 		return e.res
 	}
@@ -107,11 +107,11 @@ func (m *Model) scoreStringMemo(p *scorePlan, s *Scratch, vector []float64, user
 	return res
 }
 
-// scoreFrameMemo is ScoreFrame on a valid plan, for a frame whose header
+// scoreFrameMemo is ScoreFrame on plan p, for a frame whose header
 // checked out: the remembered verdict when the memo holds its class
 // bytes, with no decoding, else a decode and the kernel.
 func (m *Model) scoreFrameMemo(p *scorePlan, s *Scratch, pay *fingerprint.Payload, frame, sessionID, class []byte) (Result, []float64, error) {
-	h := p.memo.hasher.Bytes(class)
+	h := maphash.Bytes(p.memo.seed, class)
 	if e := p.memo.lookup(m, h, class); e != nil {
 		copy(pay.SessionID[:], sessionID)
 		pay.UserAgent, pay.Values = e.ua, pay.Values[:0]

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strings"
 	"sync"
@@ -74,7 +75,7 @@ func TestMemoForcedCollisions(t *testing.T) {
 	}
 	s := m.NewScratch()
 	for _, slots := range []int{2, 4, 8} {
-		m.scorePlanNow().memo = newVerdictMemo(slots)
+		mustPlan(t, m).memo = newVerdictMemo(slots)
 		for i, p := range pairs {
 			for pass := 0; pass < 3; pass++ {
 				checkPair(t, m, s, p, fmt.Sprintf("%d slots, pair %d, pass %d", slots, i, pass))
@@ -95,7 +96,7 @@ func TestMemoForcedCollisions(t *testing.T) {
 	// under pair b's hash, two entries holding pair a's class bytes and a
 	// verdict nothing gives. b must still get its own verdict, as a vector
 	// and as a frame.
-	memo := m.scorePlanNow().memo
+	memo := mustPlan(t, m).memo
 	for i, b := range pairs {
 		a := pairs[(i+1)%len(pairs)]
 		classA, okA := fingerprint.AppendVectorClass(nil, a.ua, a.vec)
@@ -103,7 +104,7 @@ func TestMemoForcedCollisions(t *testing.T) {
 		if !okA || !okB || bytes.Equal(classA, classB) {
 			continue
 		}
-		h := memo.hasher.Bytes(classB)
+		h := maphash.Bytes(memo.seed, classB)
 		set := memo.set(h)
 		for w := range set {
 			set[w].Store(&memoEntry{hash: h, class: string(classA), vec: a.vec, ua: a.ua, res: Result{Cluster: -1},
@@ -158,7 +159,7 @@ func TestMemoFollowsLiveFields(t *testing.T) {
 	pairs := memoPairs(t, m, 2)
 	var dists []float64
 	for _, p := range pairs {
-		_, d := m.scorePlanNow().assign(m.scorePlanNow().transform(m.NewScratch(), p.vec))
+		_, d := mustPlan(t, m).assign(mustPlan(t, m).transform(m.NewScratch(), p.vec))
 		dists = append(dists, d)
 	}
 	settings := []struct {
@@ -241,7 +242,7 @@ func TestMemoPlanBoundary(t *testing.T) {
 		t.Fatal("the early plan agrees with the finished model everywhere; the test shows nothing")
 	}
 	m.ClusterUAs = table
-	m.plan.Store(buildScorePlan(m))
+	replan(t, m)
 	for i, p := range pairs {
 		checkPair(t, m, s, p, fmt.Sprintf("pair %d after the final plan", i))
 	}
@@ -260,7 +261,7 @@ func TestMemoConcurrentPairs(t *testing.T) {
 		frameWants[i] = algorithm1(m, frameVector(t, frames[i]), p.ua)
 	}
 	for _, slots := range []int{memoSlots, 8} {
-		m.scorePlanNow().memo = newVerdictMemo(slots)
+		mustPlan(t, m).memo = newVerdictMemo(slots)
 		var wg sync.WaitGroup
 		errs := make(chan string, 4)
 		for g := 0; g < 4; g++ {
@@ -384,4 +385,21 @@ func TestMemoOwnsItsKey(t *testing.T) {
 		t.Fatalf("the frame's entry changed with the buffer and the scratch: user agent %q, vector %v", hit.UserAgent, hitVec)
 	}
 	checkFrame(t, m, s, frame, want, "the frame again, after its buffer was overwritten")
+}
+
+// TestMemoSeededPerPlan: a memo hashes a class alike twice and two
+// classes apart, and two memos — two plans — hash one class differently,
+// so the slots of one plan cannot be aimed at from what another revealed.
+func TestMemoSeededPerPlan(t *testing.T) {
+	a, b := newVerdictMemo(2), newVerdictMemo(2)
+	key := []byte("\x02ua\x03\x02\x04\x06")
+	if maphash.Bytes(a.seed, key) != maphash.Bytes(a.seed, append([]byte(nil), key...)) {
+		t.Fatal("the same class hashes twice differently")
+	}
+	if maphash.Bytes(a.seed, key) == maphash.Bytes(a.seed, []byte("\x02ua\x03\x02\x04\x07")) {
+		t.Fatal("the last byte is not in the hash")
+	}
+	if maphash.Bytes(a.seed, key) == maphash.Bytes(b.seed, key) {
+		t.Fatal("two memos agree on a class")
+	}
 }

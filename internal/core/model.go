@@ -3,6 +3,8 @@
 // filtering → PCA → k-means), the cluster/user-agent correspondence table
 // (Table 3), the Appendix-4 clustering-accuracy metric, and the real-time
 // Fraud Detection path with the risk-factor computation of Algorithm 1.
+// Every verdict is computed on the model's score plan (scoreplan.go);
+// a model whose components cannot be planned is refused, not scored.
 package core
 
 import (
@@ -55,10 +57,11 @@ type Model struct {
 	// nil in a model file written before models carried one.
 	Baseline Baseline
 
-	// plan caches the flattened scoring layout (see scoreplan.go).
-	// Train and Load store it eagerly; hand-assembled models build it
-	// lazily on first score. Never copy a Model by value — share the
-	// pointer (the plan cache is atomic state).
+	// plan caches the flattened scoring layout (see scoreplan.go), the
+	// only one verdicts are computed on. Train and Load store it
+	// eagerly; hand-assembled models build it lazily on first use
+	// (readyPlan). Never copy a Model by value — share the pointer (the
+	// plan cache is atomic state).
 	plan atomic.Pointer[scorePlan]
 
 	// NoveltyThreshold, when positive, arms the novelty guard:
@@ -102,24 +105,16 @@ func (r Result) Flagged() bool { return !r.Matched || r.Novel }
 // Dim returns the feature dimensionality the model expects.
 func (m *Model) Dim() int { return len(m.Features) }
 
-// checkTrained rejects scoring on a model that never went through Train
-// or Load (a zero Model, or one whose deserialization was incomplete)
-// with ErrNotTrained rather than a nil-pointer panic deep in a stage.
-func (m *Model) checkTrained() error {
-	if m.Scaler == nil || m.KMeans == nil {
-		return fmt.Errorf("core: %w", ErrNotTrained)
+// planFor is readyPlan for a vector of n features, the first step of
+// every entry point that takes one: the model's plan (else ErrNotTrained,
+// naming the component) and a vector of its width (else ErrBadInput),
+// both decided before the user-agent is read.
+func (m *Model) planFor(n int) (*scorePlan, error) {
+	p, err := m.readyPlan()
+	if err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-// checkInput is every scoring entry point's first step: a model that
-// went through Train or Load (else ErrNotTrained) and a vector of its
-// width (else ErrBadInput), both decided before the user-agent is read.
-func (m *Model) checkInput(vector []float64) error {
-	if err := m.checkTrained(); err != nil {
-		return err
-	}
-	return m.checkWidth(len(vector))
+	return p, m.checkWidth(n)
 }
 
 // checkWidth rejects a vector of n features unless n is the model's
@@ -156,25 +151,15 @@ func (m *Model) ScoreString(vector []float64, userAgent string) (Result, error) 
 // kernel every time. Nothing allocates on this path, whether or not the
 // user-agent parses, but a repeated class entering the memo.
 func (m *Model) ScoreStringWith(s *Scratch, vector []float64, userAgent string) (Result, error) {
-	if err := m.checkInput(vector); err != nil {
+	p, err := m.planFor(len(vector))
+	if err != nil {
 		return Result{}, err
 	}
-	if p := m.scorePlanNow(); p.valid {
-		if s == nil {
-			s = p.getScratch()
-			defer p.putScratch(s)
-		}
-		return m.scoreStringMemo(p, s, vector, userAgent), nil
+	if s == nil {
+		s = p.getScratch()
+		defer p.putScratch(s)
 	}
-	claimed, ok := ua.ParseRelease(userAgent)
-	if !ok {
-		cluster, err := m.predictClusterWith(s, vector)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Cluster: cluster, Matched: false, RiskFactor: ua.MaxDistance}, nil
-	}
-	return m.scoreRelease(s, vector, claimed)
+	return m.scoreStringMemo(p, s, vector, userAgent), nil
 }
 
 // ScoreFrame is ScoreStringWith for a session that arrives as a binary
@@ -188,35 +173,28 @@ func (m *Model) ScoreStringWith(s *Scratch, vector []float64, userAgent string) 
 // session's vector, read-only: s's on a miss, good until s scores
 // again, and the memo entry's on a hit. p.UserAgent may be a view of
 // frame (fingerprint.Payload.BorrowUserAgent). The errors are those of
-// p.UnmarshalBinary(frame) and then ScoreStringWith, in that order; a
-// decode error leaves p empty. s must not be nil, and nothing allocates
-// but a class entering the memo.
+// a model without a plan, of p.UnmarshalBinary(frame) and then of
+// ScoreStringWith, in that order; either of the first two leaves p
+// empty. s must not be nil, and nothing allocates but a class entering
+// the memo.
 func (m *Model) ScoreFrame(s *Scratch, p *fingerprint.Payload, frame []byte) (Result, []float64, error) {
-	sessionID, class, err := fingerprint.SplitFrame(frame)
+	plan, err := m.readyPlan()
+	var sessionID, class []byte
+	if err == nil {
+		sessionID, class, err = fingerprint.SplitFrame(frame)
+	}
 	if err != nil {
 		*p = fingerprint.Payload{Values: p.Values[:0]}
 		return Result{}, nil, err
 	}
-	if m.checkTrained() == nil {
-		if plan := m.scorePlanNow(); plan.valid {
-			return m.scoreFrameMemo(plan, s, p, frame, sessionID, class)
-		}
-	}
-	if err := m.decodeFrame(s, p, frame); err != nil {
-		return Result{}, nil, err
-	}
-	res, err := m.ScoreStringWith(s, s.vec, p.UserAgent)
-	return res, s.vec, err
+	return m.scoreFrameMemo(plan, s, p, frame, sessionID, class)
 }
 
-// decodeFrame is ScoreFrame's one decode: frame into p, borrowing the
-// user agent, then a trained model and a width check, then p's values
-// into s.vec.
+// decodeFrame is ScoreFrame's one decode, on a memo miss: frame into p,
+// borrowing the user agent, then a width check, then p's values into
+// s.vec.
 func (m *Model) decodeFrame(s *Scratch, p *fingerprint.Payload, frame []byte) error {
 	if err := p.UnmarshalBinaryBorrowed(frame); err != nil {
-		return err
-	}
-	if err := m.checkTrained(); err != nil {
 		return err
 	}
 	if err := m.checkWidth(len(p.Values)); err != nil {
@@ -224,66 +202,6 @@ func (m *Model) decodeFrame(s *Scratch, p *fingerprint.Payload, frame []byte) er
 	}
 	s.vec = fingerprint.ValuesToVectorInto(s.vec, p.Values)
 	return nil
-}
-
-// scoreRelease scores a vector against an already-parsed claim, with no
-// memo: ScoreStringWith's fallback for models whose components disagree
-// on their dimensions, and the typed row the package's tests pin
-// Algorithm 1 with. A nil scratch borrows one from the pool.
-func (m *Model) scoreRelease(s *Scratch, vector []float64, claimed ua.Release) (Result, error) {
-	if err := m.checkInput(vector); err != nil {
-		return Result{}, err
-	}
-	p := m.scorePlanNow()
-	if !p.valid {
-		return m.scoreSlow(vector, claimed)
-	}
-	if s == nil {
-		s = p.getScratch()
-		defer p.putScratch(s)
-	}
-	return m.scoreOnPlan(p, s, vector, claimed, true), nil
-}
-
-// scoreSlow is the component-path fallback for models whose parts are
-// dimensionally inconsistent (only reachable with hand-assembled
-// models); it preserves the precise component error messages.
-func (m *Model) scoreSlow(vector []float64, claimed ua.Release) (Result, error) {
-	scaled, err := m.Scaler.TransformVec(vector)
-	if err != nil {
-		return Result{}, err
-	}
-	cluster, dist, err := m.clusterAndDistance(scaled)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Cluster: cluster}
-	if m.NoveltyThreshold > 0 {
-		res.NoveltyScore = dist
-		res.Novel = dist > m.NoveltyThreshold
-	}
-	members := m.ClusterUAs[cluster]
-	for _, r := range members {
-		if r == claimed {
-			res.Matched = true
-			if res.Novel {
-				// The claim is cluster-consistent but the surface is
-				// alien: maximum risk, per the guard's purpose.
-				res.RiskFactor = ua.MaxDistance
-			}
-			return res, nil
-		}
-	}
-	// Algorithm 1: riskFactor = min distance to any user-agent of the
-	// predicted cluster.
-	risk := ua.MaxDistance
-	for _, r := range members {
-		if d := ua.Distance(claimed, r, m.VersionDivisor); d < risk {
-			risk = d
-		}
-	}
-	res.RiskFactor = risk
-	return res, nil
 }
 
 const (
@@ -313,11 +231,12 @@ const (
 // deterministic under concurrency. A row that panics (a corrupted
 // model) on a spawned goroutine is not recovered: it ends the process.
 func (m *Model) ScoreStringBatchContext(ctx context.Context, vectors [][]float64, userAgents []string, workers int) ([]Result, error) {
+	p, err := m.readyPlan()
+	if err != nil {
+		return nil, err
+	}
 	if len(vectors) != len(userAgents) {
 		return nil, fmt.Errorf("core: %w: %d vectors vs %d user-agents", ErrBadInput, len(vectors), len(userAgents))
-	}
-	if err := m.checkTrained(); err != nil {
-		return nil, err
 	}
 	n := len(vectors)
 	if workers < 1 {
@@ -325,7 +244,6 @@ func (m *Model) ScoreStringBatchContext(ctx context.Context, vectors [][]float64
 	}
 	workers = max(1, min(workers, n/batchSplitRows))
 	out := make([]Result, n)
-	p := m.scorePlanNow()
 	span := (n + workers - 1) / workers
 	// bad[w] is span w's first failure: spans ascend, so the first entry
 	// set is the batch's lowest-index bad row.
@@ -335,13 +253,8 @@ func (m *Model) ScoreStringBatchContext(ctx context.Context, vectors [][]float64
 	}
 	bad := make([]rowErr, workers)
 	score := func(w int) {
-		// An inconsistent model has no plan to draw scratch from; its
-		// rows then take the component path, which needs none.
-		var s *Scratch
-		if p.valid {
-			s = p.getScratch()
-			defer p.putScratch(s)
-		}
+		s := p.getScratch()
+		defer p.putScratch(s)
 		lo := w * span
 		for i, hi := lo, min(lo+span, n); i < hi; i++ {
 			if (i-lo)%batchCancelRows == 0 && ctx.Err() != nil {
@@ -378,48 +291,17 @@ func (m *Model) ScoreStringBatchContext(ctx context.Context, vectors [][]float64
 	return out, nil
 }
 
-// predictClusterWith runs the scale→project→nearest-centroid pipeline
-// on the flattened plan with optional caller scratch; inconsistent
-// models fall back to the component path for its precise errors.
-func (m *Model) predictClusterWith(s *Scratch, vector []float64) (int, error) {
-	if err := m.checkInput(vector); err != nil {
-		return 0, err
-	}
-	if p := m.scorePlanNow(); p.valid {
-		if s == nil {
-			s = p.getScratch()
-			defer p.putScratch(s)
-		}
-		c, _ := p.assign(p.transform(s, vector))
-		return c, nil
-	}
-	scaled, err := m.Scaler.TransformVec(vector)
-	if err != nil {
-		return 0, err
-	}
-	c, _, err := m.clusterAndDistance(scaled)
-	return c, err
-}
-
-// clusterAndDistance maps an already-scaled vector to its cluster and its
-// Euclidean distance to that cluster's centroid in cluster space.
-func (m *Model) clusterAndDistance(scaled []float64) (int, float64, error) {
-	x := scaled
-	if m.PCA != nil {
-		proj, err := m.PCA.TransformVec(scaled)
-		if err != nil {
-			return 0, 0, err
-		}
-		x = proj
-	}
-	c := m.KMeans.Predict(x)
-	return c, m.KMeans.Distance(x, c), nil
-}
-
 // PredictCluster exposes the cluster assignment without risk analysis —
 // the drift detector and the experiments need it.
 func (m *Model) PredictCluster(vector []float64) (int, error) {
-	return m.predictClusterWith(nil, vector)
+	p, err := m.planFor(len(vector))
+	if err != nil {
+		return 0, err
+	}
+	s := p.getScratch()
+	defer p.putScratch(s)
+	c, _ := p.assign(p.transform(s, vector))
+	return c, nil
 }
 
 // ClusterTable renders the Table 3 view: cluster number → sorted

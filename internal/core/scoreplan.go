@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -14,14 +15,19 @@ import (
 // steady-state scoring walks flat memory instead of chasing component
 // pointers, and allocates nothing.
 //
-// The plan is built once (eagerly at the end of Train and Load, lazily
-// on first score for hand-assembled models) and never mutated, so it is
-// safe to share across goroutines. It deliberately does NOT bake in
-// VersionDivisor or NoveltyThreshold: those are plain Model fields that
-// experiments tweak after training, and the scoring code reads them live
-// so the plan can never go stale against them.
+// The plan is the only way the package computes a verdict: every entry
+// point gets it from readyPlan first, and a model whose components
+// disagree on their dimensions has none, so it is refused with an error
+// that wraps ErrNotTrained and names the component. The plan is built
+// once (eagerly at the end of Train and Load, lazily on first use for
+// hand-assembled models and for PredictCluster mid-training) and never
+// mutated, so it is safe to share across goroutines. It deliberately
+// does NOT bake in VersionDivisor or NoveltyThreshold: those are plain
+// Model fields that experiments tweak after training, and the scoring
+// code reads them live so the plan can never go stale against them.
 //
-// Arithmetic is kept bit-identical to the component paths it replaces:
+// Arithmetic is Algorithm 1's, component by component, in the order
+// the components' own methods use:
 //   - scaling folds the skip mask and the zero-std guard into the
 //     (means, stds) tables as exact identities (mean 0, std 1 — x−0 and
 //     x/1 round to x), so the fused loop reproduces
@@ -50,12 +56,6 @@ import (
 // the fixture model; TestKernelBlockingParity pins it for every block
 // remainder.
 type scorePlan struct {
-	// valid is false when the model's components are dimensionally
-	// inconsistent (possible only for hand-assembled models); scoring
-	// then falls back to the component path, which reports the precise
-	// component error.
-	valid bool
-
 	dim   int // feature width
 	means []float64
 	stds  []float64 // zero/skipped entries normalized to exact identities
@@ -99,11 +99,11 @@ type Scratch struct {
 }
 
 // NewScratch returns scratch buffers for the allocation-free scoring
-// entry points. The receiver only sizes the initial buffers; the scratch
-// works with any model.
+// entry points. The receiver only sizes the initial buffers, when it has
+// a plan; the scratch works with any model.
 func (m *Model) NewScratch() *Scratch {
 	s := &Scratch{}
-	if p := m.plan.Load(); p != nil && p.valid {
+	if p, err := m.readyPlan(); err == nil {
 		s.scaled = make([]float64, p.dim)
 		s.vec = make([]float64, p.dim)
 		if p.pcaK > 0 {
@@ -114,30 +114,62 @@ func (m *Model) NewScratch() *Scratch {
 	return s
 }
 
-// scorePlanNow returns the model's plan, building it on first use.
-// Builds are idempotent and deterministic, so a racing double build is
-// harmless; CompareAndSwap keeps exactly one. Train and Load Store a
-// fresh plan when the model is complete, which also supersedes any plan
-// built mid-training (buildClusterTable scores reference vectors before
-// the UA table exists).
-func (m *Model) scorePlanNow() *scorePlan {
+// readyPlan returns the model's plan, building it on first use, or the
+// reason it has none: a model missing a component, or one whose
+// components disagree on their dimensions (only a hand-assembled model
+// can be either), wrapping ErrNotTrained. Every entry point calls it
+// first. Builds are idempotent and deterministic, so a racing double
+// build is harmless; CompareAndSwap keeps exactly one, and a failed
+// build is not kept. Train and Load Store a fresh plan when the model
+// is complete, which also supersedes any plan built mid-training
+// (buildClusterTable predicts reference vectors' clusters before the UA
+// table exists).
+func (m *Model) readyPlan() (*scorePlan, error) {
 	if p := m.plan.Load(); p != nil {
-		return p
+		return p, nil
 	}
-	m.plan.CompareAndSwap(nil, buildScorePlan(m))
-	return m.plan.Load()
+	p, err := buildScorePlan(m)
+	if err != nil {
+		return nil, err
+	}
+	m.plan.CompareAndSwap(nil, p)
+	return m.plan.Load(), nil
 }
 
-// buildScorePlan flattens m's components. Callers have already passed
-// checkTrained, so Scaler and KMeans are non-nil.
-func buildScorePlan(m *Model) *scorePlan {
-	p := &scorePlan{}
-	p.scratch.New = func() any { return &Scratch{} }
-	dim := m.Dim()
-	p.dim = dim
-	if len(m.Scaler.Means) != dim || len(m.Scaler.Stds) != dim {
-		return p
+// notPlanned is readyPlan's error: the model lacks a component or its
+// components disagree, as format and args say.
+func notPlanned(format string, args ...any) error {
+	return fmt.Errorf("core: %w: %s", ErrNotTrained, fmt.Sprintf(format, args...))
+}
+
+// missing names a component m lacks: a model that never went through
+// Train or Load, or one assembled by hand without it. Neither a plan
+// nor a model file can be made of it.
+func (m *Model) missing() error {
+	switch {
+	case m.Scaler == nil:
+		return notPlanned("no scaler")
+	case m.PCA != nil && m.PCA.Components == nil:
+		return notPlanned("no PCA components")
+	case m.KMeans == nil || m.KMeans.Centroids == nil:
+		return notPlanned("no k-means centroids")
 	}
+	return nil
+}
+
+// buildScorePlan flattens m's components, or names the first one that
+// is missing or disagrees with the model's width or with the component
+// before it.
+func buildScorePlan(m *Model) (*scorePlan, error) {
+	if err := m.missing(); err != nil {
+		return nil, err
+	}
+	dim := m.Dim()
+	if len(m.Scaler.Means) != dim || len(m.Scaler.Stds) != dim {
+		return nil, notPlanned("scaler has %d means and %d stds, model has %d features", len(m.Scaler.Means), len(m.Scaler.Stds), dim)
+	}
+	p := &scorePlan{dim: dim}
+	p.scratch.New = func() any { return &Scratch{} }
 	p.means = append([]float64(nil), m.Scaler.Means...)
 	p.stds = make([]float64, dim)
 	skip := m.Scaler.Skip()
@@ -158,12 +190,14 @@ func buildScorePlan(m *Model) *scorePlan {
 
 	cdim := dim
 	if m.PCA != nil {
-		if len(m.PCA.Mean) != dim || m.PCA.K < 1 {
-			return p
+		if len(m.PCA.Mean) != dim {
+			return nil, notPlanned("PCA mean has %d entries, model has %d features", len(m.PCA.Mean), dim)
 		}
-		rows, cols := m.PCA.Components.Dims()
-		if rows < m.PCA.K || cols != dim {
-			return p
+		if m.PCA.K < 1 {
+			return nil, notPlanned("PCA keeps %d components", m.PCA.K)
+		}
+		if rows, cols := m.PCA.Components.Dims(); rows < m.PCA.K || cols != dim {
+			return nil, notPlanned("PCA components are %d×%d, want %d×%d", rows, cols, m.PCA.K, dim)
 		}
 		p.pcaK = m.PCA.K
 		p.pcaMean = append([]float64(nil), m.PCA.Mean...)
@@ -176,11 +210,10 @@ func buildScorePlan(m *Model) *scorePlan {
 
 	km := m.KMeans
 	if km.K < 1 || km.Dim != cdim {
-		return p
+		return nil, notPlanned("k-means has %d clusters of dimension %d, want dimension %d", km.K, km.Dim, cdim)
 	}
-	rows, cols := km.Centroids.Dims()
-	if rows < km.K || cols != cdim {
-		return p
+	if rows, cols := km.Centroids.Dims(); rows < km.K || cols != cdim {
+		return nil, notPlanned("k-means centroids are %d×%d, want %d×%d", rows, cols, km.K, cdim)
 	}
 	p.k, p.cdim = km.K, cdim
 	p.cents = make([]float64, km.K*cdim)
@@ -208,8 +241,7 @@ func buildScorePlan(m *Model) *scorePlan {
 	}
 
 	p.memo = newVerdictMemo(memoSlots)
-	p.valid = true
-	return p
+	return p, nil
 }
 
 func (p *scorePlan) getScratch() *Scratch { return p.scratch.Get().(*Scratch) }

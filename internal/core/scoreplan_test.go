@@ -1,14 +1,56 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
+	"polygraph/internal/fingerprint"
+	"polygraph/internal/kmeans"
+	"polygraph/internal/matrix"
 	"polygraph/internal/scaler"
 	"polygraph/internal/ua"
 )
+
+// scoreRelease scores a vector against an already-parsed claim on the
+// plan, with no memo: the typed row the package's tests pin Algorithm 1
+// with. A nil scratch borrows one from the pool.
+func (m *Model) scoreRelease(s *Scratch, vector []float64, claimed ua.Release) (Result, error) {
+	p, err := m.planFor(len(vector))
+	if err != nil {
+		return Result{}, err
+	}
+	if s == nil {
+		s = p.getScratch()
+		defer p.putScratch(s)
+	}
+	return m.scoreOnPlan(p, s, vector, claimed, true), nil
+}
+
+// mustPlan returns m's plan, failing t when m has none.
+func mustPlan(t testing.TB, m *Model) *scorePlan {
+	t.Helper()
+	p, err := m.readyPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// replan stores a fresh plan for m, whose components a test changed
+// after its plan was built.
+func replan(t testing.TB, m *Model) {
+	t.Helper()
+	p, err := buildScorePlan(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.plan.Store(p)
+}
 
 // planParityClaims returns claim variants that exercise every branch of
 // the risk loop: the honest claim (match), a wrong-vendor claim
@@ -21,9 +63,10 @@ func planParityClaims(honest ua.Release) []ua.Release {
 	}
 }
 
-// TestPlanParityWithComponentPath pins the tentpole invariant: the
-// flattened fast path returns bit-identical Results to the component
-// (scaler → PCA → kmeans) path for every vector and claim combination.
+// TestPlanParityWithComponentPath: the plan returns bit-identical
+// Results to Algorithm 1 computed on the components one by one
+// (algorithm1Claim: scaler, then PCA, then k-means) for every vector and
+// claim combination of the trained fixture.
 func TestPlanParityWithComponentPath(t *testing.T) {
 	m, _, _ := trainFixtureModel(t, 40)
 	samples, _ := trainFixture(t, 8)
@@ -33,12 +76,8 @@ func TestPlanParityWithComponentPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			slow, err := m.scoreSlow(s.Vector, claim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast != slow {
-				t.Fatalf("sample %d claim %v: plan %+v, component %+v", i, claim, fast, slow)
+			if want := algorithm1Claim(m, s.Vector, claim, true); !sameResult(fast, want) {
+				t.Fatalf("sample %d claim %v: plan %+v, Algorithm 1 %+v", i, claim, fast, want)
 			}
 		}
 	}
@@ -58,8 +97,7 @@ func TestPlanParityWithNoveltyGuard(t *testing.T) {
 	defer func() { m.NoveltyThreshold = origThr }()
 	m.NoveltyThreshold = 1e308 // armed, nothing novel
 	for _, s := range samples {
-		slow, _ := m.scoreSlow(s.Vector, s.UA)
-		dists = append(dists, slow.NoveltyScore)
+		dists = append(dists, algorithm1Claim(m, s.Vector, s.UA, true).NoveltyScore)
 	}
 	sort.Float64s(dists)
 	thresholds := []float64{1e-12, dists[len(dists)/2], 1e308}
@@ -73,12 +111,8 @@ func TestPlanParityWithNoveltyGuard(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				slow, err := m.scoreSlow(s.Vector, claim)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fast != slow {
-					t.Fatalf("thr %v sample %d claim %v: plan %+v, component %+v", thr, i, claim, fast, slow)
+				if want := algorithm1Claim(m, s.Vector, claim, true); !sameResult(fast, want) {
+					t.Fatalf("thr %v sample %d claim %v: plan %+v, Algorithm 1 %+v", thr, i, claim, fast, want)
 				}
 				if fast.Novel {
 					novelSeen = true
@@ -149,39 +183,110 @@ func TestHandBuiltModelBuildsPlanLazily(t *testing.T) {
 			}
 		}
 	}
-	p := hand.plan.Load()
-	if p == nil || !p.valid {
-		t.Fatal("lazy plan missing or invalid after scoring")
+	if hand.plan.Load() == nil {
+		t.Fatal("no plan kept after scoring")
 	}
 }
 
-// TestInconsistentModelFallsBackWithComponentError: dimensional
-// inconsistency (only reachable with hand-assembled models) must produce
-// an invalid plan and surface the component's own error text.
-func TestInconsistentModelFallsBackWithComponentError(t *testing.T) {
-	m, _, _ := trainFixtureModel(t, 40)
-	narrow := &scaler.Standard{Means: make([]float64, 10), Stds: make([]float64, 10)}
-	hand := &Model{
-		Features:       m.Features, // claims 28 features...
-		Scaler:         narrow,     // ...but the scaler was fitted on 10
-		PCA:            m.PCA,
-		KMeans:         m.KMeans,
-		ClusterUAs:     m.ClusterUAs,
-		UACluster:      m.UACluster,
-		VersionDivisor: m.VersionDivisor,
-	}
+// TestUnplannableModelFailsClosed: a hand-built model that lacks a
+// component, or whose components disagree on their dimensions, has no
+// plan — one row per check buildScorePlan makes. Every entry point
+// refuses it with one error, which wraps ErrNotTrained (a server fault,
+// not the caller's bad input) and names the component; nothing is
+// cached, nothing panics, and the model cannot round-trip: Save refuses
+// a model missing a component and Load refuses the file of any other.
+func TestUnplannableModelFailsClosed(t *testing.T) {
+	trained, _, _ := trainFixtureModel(t, 5)
 	samples, _ := trainFixture(t, 1)
-	for _, userAgent := range []string{ua.UserAgent(samples[0].UA, ua.Windows10), "definitely not a browser"} {
-		_, err := hand.ScoreString(samples[0].Vector, userAgent)
-		if err == nil {
-			t.Fatalf("%q: no error from inconsistent model", userAgent)
-		}
-		if !strings.Contains(err.Error(), "scaler: vector has 28 entries, fitted on 10") {
-			t.Fatalf("%q: error %q lost the component message", userAgent, err)
-		}
+	dim, pcaK, k := trained.Dim(), trained.PCA.K, trained.KMeans.K
+	dense := func(rows, cols int) *matrix.Dense { return matrix.NewDense(rows, cols) }
+	cases := []struct {
+		name  string
+		spoil func(m *Model)
+		want  string
+	}{
+		{"no scaler", func(m *Model) { m.Scaler = nil }, "no scaler"},
+		{"no PCA components", func(m *Model) { m.PCA.Components = nil }, "no PCA components"},
+		{"no k-means", func(m *Model) { m.KMeans = nil }, "no k-means centroids"},
+		{"no centroids", func(m *Model) { m.KMeans.Centroids = nil }, "no k-means centroids"},
+		{"scaler width", func(m *Model) {
+			m.Scaler = &scaler.Standard{Means: make([]float64, 10), Stds: make([]float64, 10)}
+		}, "scaler has 10 means and 10 stds, model has 28 features"},
+		{"scaler stds", func(m *Model) {
+			m.Scaler = &scaler.Standard{Means: m.Scaler.Means, Stds: m.Scaler.Stds[:dim-1]}
+		}, "scaler has 28 means and 27 stds"},
+		{"PCA mean", func(m *Model) { m.PCA.Mean = m.PCA.Mean[:dim-1] }, "PCA mean has 27 entries"},
+		{"PCA keeps none", func(m *Model) { m.PCA.K, m.PCA.Components = 0, dense(0, dim) }, "PCA keeps 0 components"},
+		{"PCA components short", func(m *Model) { m.PCA.Components = dense(pcaK-1, dim) }, "PCA components are 6×28, want 7×28"},
+		{"PCA components wide", func(m *Model) { m.PCA.Components = dense(pcaK, dim+1) }, "PCA components are 7×29, want 7×28"},
+		{"k-means dimension", func(m *Model) {
+			m.KMeans = &kmeans.Model{K: k, Dim: pcaK + 1, Centroids: dense(k, pcaK+1)}
+		}, fmt.Sprintf("k-means has %d clusters of dimension 8, want dimension 7", k)},
+		{"k-means clusters", func(m *Model) { m.KMeans = &kmeans.Model{Dim: pcaK, Centroids: dense(0, pcaK)} }, "k-means has 0 clusters"},
+		{"centroids short", func(m *Model) {
+			m.KMeans = &kmeans.Model{K: k, Dim: pcaK, Centroids: dense(k-1, pcaK)}
+		}, fmt.Sprintf("k-means centroids are %d×7, want %d×7", k-1, k)},
+		{"centroids wide", func(m *Model) {
+			m.KMeans = &kmeans.Model{K: k, Dim: pcaK, Centroids: dense(k, pcaK+1)}
+		}, fmt.Sprintf("k-means centroids are %d×8, want %d×7", k, k)},
 	}
-	if p := hand.plan.Load(); p == nil || p.valid {
-		t.Fatal("inconsistent model should cache an invalid plan")
+	vec := samples[0].Vector
+	agent := ua.UserAgent(samples[0].UA, ua.Windows10)
+	frame := frameOf(t, vec, agent, 1)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, pca, km := *trained.Scaler, *trained.PCA, *trained.KMeans
+			m := &Model{
+				Features:       trained.Features,
+				Scaler:         &sc,
+				PCA:            &pca,
+				KMeans:         &km,
+				ClusterUAs:     trained.ClusterUAs,
+				UACluster:      trained.UACluster,
+				VersionDivisor: trained.VersionDivisor,
+			}
+			tc.spoil(m)
+			_, want := m.readyPlan()
+			if want == nil || !errors.Is(want, ErrNotTrained) || errors.Is(want, ErrBadInput) || !strings.Contains(want.Error(), tc.want) {
+				t.Fatalf("plan error %v, want ErrNotTrained naming %q", want, tc.want)
+			}
+			var p fingerprint.Payload
+			calls := map[string]func() error{
+				"ScoreString":     func() error { _, err := m.ScoreString(vec, agent); return err },
+				"ScoreStringWith": func() error { _, err := m.ScoreStringWith(m.NewScratch(), vec, "not a browser"); return err },
+				"ScoreFrame":      func() error { _, _, err := m.ScoreFrame(m.NewScratch(), &p, frame); return err },
+				"ScoreStringBatchContext": func() error {
+					_, err := m.ScoreStringBatchContext(context.Background(), [][]float64{vec}, []string{agent}, 1)
+					return err
+				},
+				"ExplainResult":  func() error { _, err := m.ExplainResult(vec, agent, Result{}, 0); return err },
+				"PredictCluster": func() error { _, err := m.PredictCluster(vec); return err },
+			}
+			for name, call := range calls {
+				if err := call(); err == nil || err.Error() != want.Error() || !errors.Is(err, ErrNotTrained) {
+					t.Fatalf("%s: %v, want %v", name, err, want)
+				}
+			}
+			if p.UserAgent != "" || len(p.Values) != 0 {
+				t.Fatalf("ScoreFrame left the payload %+v, want it empty", p)
+			}
+			if s := m.NewScratch(); s.scaled != nil || s.vec != nil {
+				t.Fatal("NewScratch sized its buffers from a model without a plan")
+			}
+			if m.plan.Load() != nil {
+				t.Fatal("a failed build was kept")
+			}
+			var saved bytes.Buffer
+			if err := m.Save(&saved); err != nil {
+				if err.Error() != want.Error() {
+					t.Fatalf("Save: %v, want %v", err, want)
+				}
+				return
+			}
+			if _, err := Load(&saved); err == nil {
+				t.Fatal("Load accepted the saved model")
+			}
+		})
 	}
 }
 

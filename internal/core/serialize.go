@@ -42,8 +42,12 @@ type featureJSON struct {
 
 const modelSchemaVersion = 1
 
-// Save writes the model as JSON.
+// Save writes the model as JSON, or refuses a model missing a component
+// with an error wrapping ErrNotTrained.
 func (m *Model) Save(w io.Writer) error {
+	if err := m.missing(); err != nil {
+		return err
+	}
 	mj := modelJSON{
 		Version:        modelSchemaVersion,
 		ScalerMeans:    m.Scaler.Means,
@@ -183,9 +187,13 @@ func Load(r io.Reader) (*Model, error) {
 	if m.VersionDivisor <= 0 {
 		m.VersionDivisor = ua.DefaultVersionDivisor
 	}
-	// Flatten for the scoring fast path once, at load time, so the
-	// serving tier never pays the build on a request.
-	m.plan.Store(buildScorePlan(m))
+	// Flatten for scoring once, at load time, so the serving tier never
+	// pays the build on a request and a loaded model always has a plan.
+	p, err := buildScorePlan(m)
+	if err != nil {
+		return nil, err
+	}
+	m.plan.Store(p)
 	return m, nil
 }
 

@@ -23,7 +23,8 @@ var (
 	// ErrBadInput: the caller's samples, configuration or vector are
 	// invalid.
 	ErrBadInput = errors.New("bad input")
-	// ErrNotTrained: the model is missing its trained components.
+	// ErrNotTrained: the model is missing a trained component, or its
+	// components disagree on their dimensions, so it has no score plan.
 	ErrNotTrained = errors.New("model not trained")
 )
 
@@ -289,10 +290,14 @@ func Train(samples []Sample, cfg TrainConfig) (*Model, *TrainReport, error) {
 	model.buildClusterTable(rows, cfg, report)
 	done(StageClusterTable, kept, len(model.UACluster))
 
-	// Flatten the finished model for the scoring fast path. The Store
-	// also supersedes any plan built lazily mid-training (the rare-UA
-	// alignment scores reference vectors before the UA table exists).
-	model.plan.Store(buildScorePlan(model))
+	// Flatten the finished model for scoring. The Store also supersedes
+	// any plan built lazily mid-training (the rare-UA alignment predicts
+	// reference vectors' clusters before the UA table exists).
+	plan, err := buildScorePlan(model)
+	if err != nil {
+		return nil, nil, err
+	}
+	model.plan.Store(plan)
 	return model, report, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -115,4 +116,34 @@ func TestBuiltinScenariosValid(t *testing.T) {
 			t.Errorf("builtin scenario %q invalid: %v", sc.Name, err)
 		}
 	}
+}
+
+// FuzzScenario: what LoadScenario runs on the bytes of a scenario file —
+// json.Unmarshal, then Validate — never panics, and a scenario it
+// accepts is accepted again, unchanged, after a round trip through
+// json.Marshal. The committed seeds (testdata/fuzz/FuzzScenario) are
+// scripts/tcp-bench.json and scripts/serve-bench.json, the first half of
+// each, and a copy of the first with a negative budget and a phase of
+// negative duration.
+func FuzzScenario(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sc Scenario
+		if json.Unmarshal(data, &sc) != nil || sc.Validate() != nil {
+			return
+		}
+		out, err := json.Marshal(&sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again Scenario
+		if err := json.Unmarshal(out, &again); err != nil {
+			t.Fatalf("an accepted scenario does not parse again: %v\n%s", err, out)
+		}
+		if err := again.Validate(); err != nil {
+			t.Fatalf("an accepted scenario is refused after a round trip: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(sc, again) {
+			t.Fatalf("the round trip changed the scenario:\n%+v\n%+v", sc, again)
+		}
+	})
 }

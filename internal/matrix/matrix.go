@@ -107,23 +107,6 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// MulVec returns m · v as a new vector. It panics on shape mismatch.
-func (m *Dense) MulVec(v []float64) []float64 {
-	if m.cols != len(v) {
-		panic(fmt.Sprintf("matrix: mulvec shape mismatch %dx%d · %d", m.rows, m.cols, len(v)))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		s := 0.0
-		for j, rv := range row {
-			s += rv * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // IsSymmetric reports whether the matrix is square and symmetric within
 // tol.
 func (m *Dense) IsSymmetric(tol float64) bool {

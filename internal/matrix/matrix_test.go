@@ -168,14 +168,6 @@ func TestMulShapePanics(t *testing.T) {
 	NewDense(2, 3).Mul(NewDense(2, 3))
 }
 
-func TestMulVec(t *testing.T) {
-	m := FromRows([][]float64{{1, 0, 2}, {0, 3, 0}})
-	got := m.MulVec([]float64{1, 2, 3})
-	if got[0] != 7 || got[1] != 6 {
-		t.Fatalf("MulVec = %v", got)
-	}
-}
-
 func TestMulAssociatesWithIdentity(t *testing.T) {
 	p := rng.New(5)
 	f := func(n uint8) bool {
@@ -343,13 +335,13 @@ func TestSymEigenReconstruction(t *testing.T) {
 				t.Fatalf("trial %d: eigenvalues not sorted: %v", trial, e.Values)
 			}
 		}
+		av := a.Mul(e.Vectors) // column k is A·v_k
 		for k := 0; k < n; k++ {
 			vec := e.Vectors.Col(k)
-			av := a.MulVec(vec)
 			for i := 0; i < n; i++ {
-				if !almostEqual(av[i], e.Values[k]*vec[i], 1e-6*(1+math.Abs(e.Values[k]))) {
+				if !almostEqual(av.At(i, k), e.Values[k]*vec[i], 1e-6*(1+math.Abs(e.Values[k]))) {
 					t.Fatalf("trial %d: A·v != λ·v at eig %d row %d: %v vs %v",
-						trial, k, i, av[i], e.Values[k]*vec[i])
+						trial, k, i, av.At(i, k), e.Values[k]*vec[i])
 				}
 			}
 		}

@@ -32,14 +32,17 @@ import (
 // meaningful PSI.
 var ErrDriftNotReady = errors.New("obs: drift reservoir not ready")
 
+// driftMinSamples is how many sampled vectors a window needs before it
+// is evaluated (drift.PSI itself needs 10).
+const driftMinSamples = 32
+
 // DriftConfig parameterizes a DriftMonitor.
 type DriftConfig struct {
 	// Features names the vector columns; required.
 	Features []string
-	// Reservoir is the live sample size; 0 uses 512.
+	// Reservoir is the live sample size; 0 uses 512. Evaluation waits
+	// for driftMinSamples of them.
 	Reservoir int
-	// MinSamples gates evaluation; 0 uses 32 (PSI itself needs ≥10).
-	MinSamples int
 	// Seed drives the deterministic reservoir-replacement stream.
 	Seed uint64
 	// Logger receives drift alerts; nil discards.
@@ -72,7 +75,6 @@ type DriftMonitor struct {
 	// materialises; the next skip is drawn from it.
 	w       float64
 	resSize int
-	minEval int
 	log     *slog.Logger
 
 	evals   uint64
@@ -89,13 +91,6 @@ func NewDriftMonitor(cfg DriftConfig) (*DriftMonitor, error) {
 	if resSize <= 0 {
 		resSize = 512
 	}
-	minEval := cfg.MinSamples
-	if minEval <= 0 {
-		minEval = 32
-	}
-	if minEval < 10 {
-		minEval = 10 // drift.PSI's own floor
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(discardHandler{})
@@ -105,7 +100,6 @@ func NewDriftMonitor(cfg DriftConfig) (*DriftMonitor, error) {
 		res:      make([][]float64, 0, resSize),
 		rng:      rng.New(cfg.Seed),
 		resSize:  resSize,
-		minEval:  minEval,
 		log:      logger,
 	}, nil
 }
@@ -192,9 +186,9 @@ func (m *DriftMonitor) Evaluate() ([]drift.PSIResult, error) {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("%w: no baseline", ErrDriftNotReady)
 	}
-	if n := len(m.res); n < m.minEval {
+	if n := len(m.res); n < driftMinSamples {
 		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d/%d samples", ErrDriftNotReady, n, m.minEval)
+		return nil, fmt.Errorf("%w: %d/%d samples", ErrDriftNotReady, n, driftMinSamples)
 	}
 	current := make([][]float64, len(m.res))
 	for i, r := range m.res {

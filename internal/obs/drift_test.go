@@ -105,13 +105,22 @@ func TestDriftMonitorAlertsOnShift(t *testing.T) {
 	}
 }
 
+// An armed window is evaluated from its driftMinSamples-th vector on.
 func TestDriftMonitorNotReady(t *testing.T) {
-	m, err := NewDriftMonitor(DriftConfig{Features: []string{"f0"}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := armedMonitor(t, DriftConfig{Features: []string{"f0", "f1"}, Seed: 1}, driftRows(1, 400, 0, 10))
 	if _, err := m.Evaluate(); !errors.Is(err, ErrDriftNotReady) {
 		t.Fatalf("empty reservoir evaluated: %v", err)
+	}
+	rows := driftRows(3, driftMinSamples, 0, 10)
+	for _, v := range rows[:driftMinSamples-1] {
+		m.Observe(v)
+	}
+	if _, err := m.Evaluate(); !errors.Is(err, ErrDriftNotReady) {
+		t.Fatalf("%d samples evaluated: %v", driftMinSamples-1, err)
+	}
+	m.Observe(rows[driftMinSamples-1])
+	if _, err := m.Evaluate(); err != nil {
+		t.Fatalf("%d samples: %v", driftMinSamples, err)
 	}
 }
 
@@ -380,10 +389,9 @@ func TestDriftMonitorConcurrentObserve(t *testing.T) {
 // would go on holding the population the old model served.
 func TestDriftMonitorSetBaselineRestartsWindow(t *testing.T) {
 	m := armedMonitor(t, DriftConfig{
-		Features:   []string{"f0", "f1"},
-		Reservoir:  128,
-		MinSamples: 64,
-		Seed:       2,
+		Features:  []string{"f0", "f1"},
+		Reservoir: 128,
+		Seed:      2,
 	}, driftRows(1, 400, 0, 10))
 	for _, v := range driftRows(3, 2000, 0, 10) {
 		m.Observe(v)

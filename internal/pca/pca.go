@@ -200,32 +200,6 @@ func (p *PCA) InverseVec(z []float64) ([]float64, error) {
 	return out, nil
 }
 
-// ReconstructionError returns the mean squared reconstruction error of m
-// under the kept components, a diagnostic for choosing K.
-func (p *PCA) ReconstructionError(m *matrix.Dense) (float64, error) {
-	proj, err := p.Transform(m)
-	if err != nil {
-		return 0, err
-	}
-	r, d := m.Dims()
-	if r == 0 {
-		return 0, nil
-	}
-	total := 0.0
-	for i := 0; i < r; i++ {
-		back, err := p.InverseVec(proj.RawRow(i))
-		if err != nil {
-			return 0, err
-		}
-		row := m.RawRow(i)
-		for j := 0; j < d; j++ {
-			diff := row[j] - back[j]
-			total += diff * diff
-		}
-	}
-	return total / float64(r), nil
-}
-
 // Orthonormality returns the maximum deviation of the kept components from
 // an orthonormal system; exported for model-validation checks.
 func (p *PCA) Orthonormality() float64 {

@@ -238,28 +238,6 @@ func TestInverseVecErrors(t *testing.T) {
 	}
 }
 
-func TestReconstructionErrorDecreasesWithK(t *testing.T) {
-	m := corrData(300, 11)
-	var prev float64 = math.Inf(1)
-	for k := 1; k <= 3; k++ {
-		p, err := Fit(m, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		re, err := p.ReconstructionError(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re > prev+1e-9 {
-			t.Fatalf("reconstruction error rose from %v to %v at k=%d", prev, re, k)
-		}
-		prev = re
-	}
-	if prev > 1e-9 {
-		t.Fatalf("full-rank reconstruction error = %v, want ~0", prev)
-	}
-}
-
 func TestOrthonormality(t *testing.T) {
 	m := corrData(500, 12)
 	p, err := Fit(m, 3)

@@ -165,52 +165,3 @@ func (p *PCG) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
-
-// Zipf samples from a Zipf-like distribution over [0, n) with exponent s.
-// Smaller indices are more likely. It uses inverse-CDF sampling over the
-// precomputed weights, so it is O(n) per call; callers that need many
-// samples should use NewZipf.
-func (p *PCG) Zipf(n int, s float64) int {
-	z := NewZipf(p, n, s)
-	return z.Sample()
-}
-
-// Zipfian samples ranks with probability proportional to 1/(rank+1)^s.
-type Zipfian struct {
-	rng *PCG
-	cdf []float64
-}
-
-// NewZipf precomputes the CDF for a Zipf distribution over [0, n) with
-// exponent s > 0.
-func NewZipf(rng *PCG, n int, s float64) *Zipfian {
-	if n <= 0 {
-		panic("rng: NewZipf with n <= 0")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipfian{rng: rng, cdf: cdf}
-}
-
-// Sample draws one rank from the distribution.
-func (z *Zipfian) Sample() int {
-	u := z.rng.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}

@@ -196,40 +196,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	p := New(29)
-	z := NewZipf(p, 100, 1.1)
-	counts := make([]int, 100)
-	for i := 0; i < 50000; i++ {
-		counts[z.Sample()]++
-	}
-	if counts[0] <= counts[50] {
-		t.Fatalf("zipf not skewed: rank0=%d rank50=%d", counts[0], counts[50])
-	}
-	if counts[0] == 50000 {
-		t.Fatal("zipf degenerate: all mass on rank 0")
-	}
-}
-
-func TestZipfBounds(t *testing.T) {
-	p := New(31)
-	z := NewZipf(p, 7, 1.0)
-	for i := 0; i < 10000; i++ {
-		if v := z.Sample(); v < 0 || v >= 7 {
-			t.Fatalf("zipf sample out of range: %d", v)
-		}
-	}
-}
-
-func TestNewZipfPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewZipf(rng, 0, 1) did not panic")
-		}
-	}()
-	NewZipf(New(1), 0, 1)
-}
-
 func TestSourceInterface(t *testing.T) {
 	p := New(37)
 	for i := 0; i < 100; i++ {

@@ -54,9 +54,6 @@ func FitGroups(rows matrix.RowGroups, cfg Config) (*Standard, error) {
 	return s, nil
 }
 
-// Cols returns the number of columns the scaler was fitted on.
-func (s *Standard) Cols() int { return len(s.Means) }
-
 // Skip returns a copy of the pass-through mask, or nil when every column
 // is scaled.
 func (s *Standard) Skip() []bool {
@@ -140,25 +137,4 @@ func (s *Standard) transformInto(src, dst []float64) {
 		}
 		dst[j] = d
 	}
-}
-
-// Inverse maps a scaled vector back to the original feature space; it is
-// used by diagnostics that explain cluster centroids in raw-count terms.
-func (s *Standard) Inverse(v []float64) ([]float64, error) {
-	if len(v) != len(s.Means) {
-		return nil, fmt.Errorf("scaler: inverse on %d entries, fitted on %d", len(v), len(s.Means))
-	}
-	out := make([]float64, len(v))
-	for j, x := range v {
-		if s.skip != nil && s.skip[j] {
-			out[j] = x
-			continue
-		}
-		sd := s.Stds[j]
-		if sd == 0 {
-			sd = 1
-		}
-		out[j] = x*sd + s.Means[j]
-	}
-	return out, nil
 }

@@ -3,7 +3,6 @@ package scaler
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"polygraph/internal/matrix"
 	"polygraph/internal/rng"
@@ -139,48 +138,6 @@ func TestDimensionMismatch(t *testing.T) {
 	if _, err := s.TransformVec([]float64{1}); err == nil {
 		t.Fatal("expected vector dimension error")
 	}
-	if _, err := s.Inverse([]float64{1, 2, 3}); err == nil {
-		t.Fatal("expected inverse dimension error")
-	}
-}
-
-// TestInverseRoundtrip: Inverse(Transform(x)) == x for non-constant
-// columns (property test).
-func TestInverseRoundtrip(t *testing.T) {
-	p := rng.New(7)
-	rows := make([][]float64, 100)
-	for i := range rows {
-		rows[i] = []float64{p.NormFloat64() * 50, p.Float64()*9 + 1}
-	}
-	m := matrix.FromRows(rows)
-	s, err := Fit(m, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsInf(a, 0) || math.IsNaN(b) || math.IsInf(b, 0) {
-			return true
-		}
-		in := []float64{a, b}
-		tv, err := s.TransformVec(in)
-		if err != nil {
-			return false
-		}
-		back, err := s.Inverse(tv)
-		if err != nil {
-			return false
-		}
-		for j := range in {
-			tol := 1e-9 * (1 + math.Abs(in[j]))
-			if math.Abs(back[j]-in[j]) > tol {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestSetSkip(t *testing.T) {
@@ -201,18 +158,6 @@ func TestSetSkip(t *testing.T) {
 	}
 	if s.Skip() != nil {
 		t.Fatal("nil mask not cleared")
-	}
-}
-
-func TestColsAccessor(t *testing.T) {
-	m := matrix.FromRows([][]float64{{1, 2, 3}})
-	// Single row: stds are zero but fit succeeds.
-	s, err := Fit(m, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Cols() != 3 {
-		t.Fatalf("Cols = %d", s.Cols())
 	}
 }
 

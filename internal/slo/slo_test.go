@@ -1,6 +1,8 @@
 package slo
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -212,4 +214,32 @@ func TestDefaultSpecEndpointsExist(t *testing.T) {
 	if !strings.HasPrefix(DefaultSpec().Name, "polygraph") {
 		t.Error("default spec name should be polygraph-scoped")
 	}
+}
+
+// FuzzParseSpec: ParseSpec never panics, and a spec it accepts passes
+// Validate and parses again, to the same JSON, after a round trip
+// through json.Marshal. The committed seeds (testdata/fuzz/FuzzParseSpec)
+// are scripts/slo-smoke.json, its first half and a copy with a negative
+// window.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("ParseSpec accepted a spec Validate refuses: %v", err)
+		}
+		out, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseSpec(out)
+		if err != nil {
+			t.Fatalf("an accepted spec does not parse again: %v\n%s", err, out)
+		}
+		if out2, err := json.Marshal(again); err != nil || !bytes.Equal(out, out2) {
+			t.Fatalf("the round trip changed the spec (%v):\n%s\n%s", err, out, out2)
+		}
+	})
 }

@@ -194,22 +194,3 @@ func LargeSetRate[T comparable](keys []T, threshold int) float64 {
 	}
 	return float64(inLarge) / float64(len(keys))
 }
-
-// FeatureEntropy pairs an attribute name with its entropy measurements,
-// for Table 7 style reports.
-type FeatureEntropy struct {
-	Name       string
-	Entropy    float64
-	Normalized float64
-}
-
-// SortByNormalizedEntropy sorts a Table 7 report descending by normalized
-// entropy, breaking ties by name for determinism.
-func SortByNormalizedEntropy(rows []FeatureEntropy) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Normalized != rows[j].Normalized {
-			return rows[i].Normalized > rows[j].Normalized
-		}
-		return rows[i].Name < rows[j].Name
-	})
-}

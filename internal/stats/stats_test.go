@@ -204,18 +204,6 @@ func TestRatesConsistentWithBuckets(t *testing.T) {
 	}
 }
 
-func TestSortByNormalizedEntropy(t *testing.T) {
-	rows := []FeatureEntropy{
-		{Name: "b", Normalized: 0.3},
-		{Name: "a", Normalized: 0.9},
-		{Name: "c", Normalized: 0.3},
-	}
-	SortByNormalizedEntropy(rows)
-	if rows[0].Name != "a" || rows[1].Name != "b" || rows[2].Name != "c" {
-		t.Fatalf("sorted order = %v %v %v", rows[0].Name, rows[1].Name, rows[2].Name)
-	}
-}
-
 func BenchmarkEntropy205k(b *testing.B) {
 	vals := make([]int, 205000)
 	for i := range vals {

@@ -67,7 +67,8 @@ var (
 	// ErrBadInput reports invalid caller-supplied samples or config,
 	// or a vector whose width is not the model's.
 	ErrBadInput = core.ErrBadInput
-	// ErrNotTrained reports scoring on a model that was never trained.
+	// ErrNotTrained reports scoring on a model that was never trained,
+	// or whose components disagree on their dimensions.
 	ErrNotTrained = core.ErrNotTrained
 )
 

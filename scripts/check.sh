@@ -165,6 +165,16 @@ found=$(grep -rnE --include='*.go' --exclude='*_test.go' -- 'func \([^)]*\bTrace
     grep -v '^internal/obs/pinned.go:' || true)
 [ -z "$found" ] || { echo "check.sh: Tracer.Start outside internal/obs/pinned.go:" >&2; echo "$found" >&2; exit 1; }
 
+# One scoring path: internal/core computes a verdict on the score plan
+# (core/scoreplan.go) alone, and refuses a model it cannot plan with
+# ErrNotTrained. Calling the components' own transforms from non-test
+# core, or bringing back the component-path scorer, is a second path
+# beside the plan that no served request would exercise.
+echo "== one scoring path"
+found=$(ls internal/core/*.go | grep -v _test.go |
+    xargs grep -nE 'Scaler\.TransformVec\(|PCA\.TransformVec\(|KMeans\.Distance\(|\bscoreSlow\b' || true)
+[ -z "$found" ] || { echo "check.sh: internal/core scores beside its plan:" >&2; echo "$found" >&2; exit 1; }
+
 # One frame decoder: a served binary payload is decoded in one place,
 # ScoreFrame's miss path (core.Model.decodeFrame), and only when the
 # verdict memo does not hold its class bytes; the transports hand the
@@ -187,8 +197,8 @@ callers=$(awk '/^func / { f = $0 } /\.UnmarshalBinaryBorrowed\(/ { print f }' in
 # training runs on the table.
 # The score plan's two loops are on the same list: there is one
 # register-blocked kernel, so a "fast path" written beside it would be
-# one more site. p.transform(: scoreOnPlan, explain, predictClusterWith.
-# p.assign(: scoreOnPlan, predictClusterWith. The verdict memo
+# one more site. p.transform(: scoreOnPlan, explain, PredictCluster.
+# p.assign(: scoreOnPlan, PredictCluster. The verdict memo
 # (core/memo.go) calls neither: a miss runs scoreOnPlan.
 echo "== per-row kernels"
 while read -r call dir want; do
