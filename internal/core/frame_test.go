@@ -74,6 +74,31 @@ func frameVector(t testing.TB, frame []byte) []float64 {
 	return fingerprint.ValuesToVector(p.Values)
 }
 
+// TestScoreFrameWithoutPlan: a model whose components disagree on their
+// dimensions has no score plan, and ScoreFrame refuses the frame with
+// the error ScoreStringWith gives for its vector, which wraps
+// ErrNotTrained; an untrained model is refused with ErrNotTrained too.
+func TestScoreFrameWithoutPlan(t *testing.T) {
+	m, _, _ := trainFixtureModel(t, 5)
+	samples, _ := trainFixture(t, 1)
+	m.Scaler.Means = m.Scaler.Means[:len(m.Scaler.Means)-1]
+	m.plan.Store(nil)
+	if _, err := m.readyPlan(); err == nil {
+		t.Fatal("a ragged model got a plan")
+	}
+	frame := frameOf(t, samples[0].Vector, ua.UserAgent(samples[0].UA, ua.Windows10), 1)
+	_, wantErr := m.ScoreStringWith(m.NewScratch(), frameVector(t, frame), ua.UserAgent(samples[0].UA, ua.Windows10))
+	var p fingerprint.Payload
+	_, _, err := m.ScoreFrame(m.NewScratch(), &p, frame)
+	if err == nil || wantErr == nil || err.Error() != wantErr.Error() || !errors.Is(err, ErrNotTrained) {
+		t.Fatalf("ScoreFrame: %v; ScoreStringWith: %v", err, wantErr)
+	}
+	var untrained Model
+	if _, _, err := untrained.ScoreFrame(untrained.NewScratch(), &p, frame); !errors.Is(err, ErrNotTrained) {
+		t.Fatalf("an untrained model: %v, want ErrNotTrained", err)
+	}
+}
+
 // FuzzScoreFrame: for any bytes, ScoreFrame — scored cold, on the
 // doorkeeper's second sighting and then from the verdict memo — agrees
 // with UnmarshalBinary and then ScoreStringWith: the same Result, the

@@ -188,6 +188,42 @@ func TestHandBuiltModelBuildsPlanLazily(t *testing.T) {
 	}
 }
 
+// TestInconsistentModelFallsBackWithComponentError: a hand-assembled
+// model whose scaler disagrees with its feature count has no plan, and
+// ScoreString refuses it, for a known and an unknown claimed release,
+// with an error that names the component and wraps ErrNotTrained. There
+// is no component path left to fall back to; the failed build is not
+// kept. TestUnplannableModelFailsClosed covers every other plan check.
+func TestInconsistentModelFallsBackWithComponentError(t *testing.T) {
+	m, _, _ := trainFixtureModel(t, 40)
+	narrow := &scaler.Standard{Means: make([]float64, 10), Stds: make([]float64, 10)}
+	hand := &Model{
+		Features:       m.Features, // claims 28 features...
+		Scaler:         narrow,     // ...but the scaler was fitted on 10
+		PCA:            m.PCA,
+		KMeans:         m.KMeans,
+		ClusterUAs:     m.ClusterUAs,
+		UACluster:      m.UACluster,
+		VersionDivisor: m.VersionDivisor,
+	}
+	samples, _ := trainFixture(t, 1)
+	for _, userAgent := range []string{ua.UserAgent(samples[0].UA, ua.Windows10), "definitely not a browser"} {
+		_, err := hand.ScoreString(samples[0].Vector, userAgent)
+		if err == nil {
+			t.Fatalf("%q: no error from inconsistent model", userAgent)
+		}
+		if !errors.Is(err, ErrNotTrained) || errors.Is(err, ErrBadInput) {
+			t.Fatalf("%q: error %q does not wrap ErrNotTrained alone", userAgent, err)
+		}
+		if !strings.Contains(err.Error(), "scaler has 10 means and 10 stds, model has 28 features") {
+			t.Fatalf("%q: error %q does not name the scaler", userAgent, err)
+		}
+	}
+	if hand.plan.Load() != nil {
+		t.Fatal("inconsistent model kept a plan")
+	}
+}
+
 // TestUnplannableModelFailsClosed: a hand-built model that lacks a
 // component, or whose components disagree on their dimensions, has no
 // plan — one row per check buildScorePlan makes. Every entry point
