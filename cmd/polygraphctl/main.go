@@ -248,13 +248,9 @@ func runStatus(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, "%v", err)
 	}
-	b, err := fleet.NewBalancer(fleet.Config{Seed: 1, ProbeTimeout: *timeout}, members...)
-	if err != nil {
-		return fail(stderr, "%v", err)
-	}
-	// One probe pass over Pending members: reuse the controller's Verify
-	// admission against the first live hash so agreement is checked the
-	// same way a fleet harness checks it.
+	client := &http.Client{Timeout: *timeout}
+	// One pass over the replicas: each one's model hash must equal the
+	// first live replica's.
 	ctx := context.Background()
 	var firstHash string
 	type row struct {
@@ -274,7 +270,7 @@ func runStatus(args []string, stdout, stderr io.Writer) int {
 	agree := true
 	for _, m := range members {
 		r := row{Name: m.Name, BaseURL: m.BaseURL}
-		info, err := fleet.FetchModelInfo(ctx, b.Client(), m.BaseURL)
+		info, err := fleet.FetchModelInfo(ctx, client, m.BaseURL)
 		if err != nil {
 			r.Error = err.Error()
 			agree = false
@@ -286,7 +282,7 @@ func runStatus(args []string, stdout, stderr io.Writer) int {
 			} else if info.Hash != firstHash {
 				agree = false
 			}
-			if text, err := m.FetchMetrics(ctx, b.Client()); err == nil {
+			if text, err := m.FetchMetrics(ctx, client); err == nil {
 				ex := obs.ParseExpositionString(text)
 				up, _ := ex.Value(obs.FamUptime.Name)
 				start, _ := ex.Value(obs.FamProcessStart.Name)

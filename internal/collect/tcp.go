@@ -101,9 +101,6 @@ func (s *TCPServer) BadConns() int64 { return s.badConn.Load() }
 // score failures) that were answered with the error flag.
 func (s *TCPServer) BadFrames() int64 { return s.badFrames.Load() }
 
-// Hist exposes the per-frame latency histogram.
-func (s *TCPServer) Hist() *obs.Hist { return &s.hist }
-
 // BatchHist exposes the coalesced batch-size histogram (frame counts on
 // the microsecond scale).
 func (s *TCPServer) BatchHist() *obs.Hist { return &s.batchHist }

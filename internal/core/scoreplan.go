@@ -33,9 +33,8 @@ import (
 //     x/1 round to x), so the fused loop reproduces
 //     scaler.transformInto bit for bit;
 //   - projection centres the scaled vector once (scaled[j]−pcaMean[j],
-//     the same subtraction pca.TransformVecInto repeats per component)
-//     and accumulates centred[j]·w in ascending j per component, exactly
-//     pca.TransformVecInto's order;
+//     as pca.TransformVec does) and accumulates centred[j]·w in
+//     ascending j per component, exactly pca.projectInto's order;
 //   - assignment sums squared diffs in ascending j per centroid and
 //     compares centroids in ascending order with a strict <, exactly
 //     kmeans nearestCentroid + sqDist, then takes one sqrt.

@@ -150,7 +150,7 @@ func Generate(cfg Config) (*Dataset, error) {
 		} else {
 			s = d.legitSession(day, sampler, gen, cfg)
 		}
-		fillSessionID(&s, gen)
+		s.ID = DrawSessionID(gen)
 		s.UAString = ua.UserAgent(s.Claimed, s.OS)
 		d.assignTags(&s, gen, cfg)
 		d.Sessions = append(d.Sessions, s)
@@ -158,18 +158,22 @@ func Generate(cfg Config) (*Dataset, error) {
 	return d, nil
 }
 
-// fillSessionID draws an opaque random identifier (appendix A: FinOrg's
-// session IDs were "completely opaque and randomized").
-func fillSessionID(s *Session, gen *rng.PCG) {
-	for i := 0; i < len(s.ID); i += 8 {
+// DrawSessionID draws an opaque random identifier (appendix A: FinOrg's
+// session IDs were "completely opaque and randomized"); loadgen's traffic
+// draws its session IDs here too.
+func DrawSessionID(gen *rng.PCG) (id [fingerprint.SessionIDSize]byte) {
+	for i := 0; i < len(id); i += 8 {
 		v := gen.Uint64()
-		for j := 0; j < 8 && i+j < len(s.ID); j++ {
-			s.ID[i+j] = byte(v >> (8 * j))
+		for j := 0; j < 8 && i+j < len(id); j++ {
+			id[i+j] = byte(v >> (8 * j))
 		}
 	}
+	return id
 }
 
-func osFor(gen *rng.PCG) ua.OS {
+// DrawOS draws a session's operating system from FinOrg's OS mix, which
+// loadgen's traffic shares.
+func DrawOS(gen *rng.PCG) ua.OS {
 	switch {
 	case gen.Bool(0.62):
 		return ua.Windows10
@@ -187,7 +191,7 @@ func osFor(gen *rng.PCG) ua.OS {
 // browsers.
 func (d *Dataset) legitSession(day int, sampler *uaSampler, gen *rng.PCG, cfg Config) Session {
 	rel := sampler.Sample(day, gen)
-	os := osFor(gen)
+	os := DrawOS(gen)
 	profile := browser.Profile{Release: rel, OS: os}
 	modifier := ""
 
@@ -268,7 +272,7 @@ func (d *Dataset) legitSession(day int, sampler *uaSampler, gen *rng.PCG, cfg Co
 func (d *Dataset) fraudSession(day int, sampler *uaSampler, tools []fraud.Tool, gen *rng.PCG) Session {
 	tool := tools[gen.Intn(len(tools))]
 	victim := sampler.Sample(day, gen)
-	spoof := tool.Spoof(victim, osFor(gen), gen)
+	spoof := tool.Spoof(victim, DrawOS(gen), gen)
 	return Session{
 		Day:           day,
 		Claimed:       spoof.Claimed,

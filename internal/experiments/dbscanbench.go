@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"polygraph/internal/dbscan"
+	"polygraph/internal/matrix"
 	"polygraph/internal/ua"
 )
 
@@ -65,7 +66,7 @@ func (e *Env) DBSCANAblation() (*DBSCANResult, error) {
 		a.weight++
 		rowToUnique[i] = a.idx
 	}
-	uniqueM := matrixFromRows(uniqueRows)
+	uniqueM := matrix.FromRows(uniqueRows)
 	weights := make([]float64, len(uniqueRows))
 	for _, a := range uniq {
 		weights[a.idx] = a.weight

@@ -10,6 +10,7 @@ import (
 	"polygraph/internal/finegrained"
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/rng"
+	"polygraph/internal/stats"
 	"polygraph/internal/ua"
 )
 
@@ -236,8 +237,8 @@ func (e *Env) Table7(topN int) []EntropyRow {
 	}
 	rows = append(rows, EntropyRow{
 		Feature:    "user-agent",
-		Entropy:    entropyOf(uas),
-		Normalized: normalizedEntropyOf(uas),
+		Entropy:    stats.Entropy(uas),
+		Normalized: stats.NormalizedEntropy(uas),
 	})
 	col := make([]int, len(sessions))
 	for j, f := range feats {
@@ -246,8 +247,8 @@ func (e *Env) Table7(topN int) []EntropyRow {
 		}
 		rows = append(rows, EntropyRow{
 			Feature:    f.Name(),
-			Entropy:    entropyOf(col),
-			Normalized: normalizedEntropyOf(col),
+			Entropy:    stats.Entropy(col),
+			Normalized: stats.NormalizedEntropy(col),
 		})
 	}
 	sort.Slice(rows, func(i, j int) bool {
@@ -283,11 +284,11 @@ func (e *Env) Figure5() Figure5Result {
 		keys[i] = fingerprintKey(s.Vector)
 	}
 	var res Figure5Result
-	for _, b := range anonymitySets(keys) {
+	for _, b := range stats.AnonymitySets(keys) {
 		res.Buckets = append(res.Buckets, AnonymityBucket{Label: b.Label, Percent: b.Percent, Count: b.Count})
 	}
-	res.UniqueRate = uniqueRate(keys)
-	res.LargeSetRate = largeSetRate(keys, 50)
+	res.UniqueRate = stats.UniqueRate(keys)
+	res.LargeSetRate = stats.LargeSetRate(keys, 50)
 	return res
 }
 

@@ -56,21 +56,6 @@ func osFamily(os ua.OS) string {
 	}
 }
 
-// osVariant distinguishes the macOS releases for the handful of
-// attributes that really differ between them (a system font, the menu
-// bar geometry). Feature-poor collectors split on these; feature-rich
-// ones barely notice — the paper's Appendix-5 asymmetry.
-func osVariant(os ua.OS) string {
-	switch os {
-	case ua.MacOSSonoma:
-		return "sonoma"
-	case ua.MacOSSequoia:
-		return "sequoia"
-	default:
-		return osFamily(os)
-	}
-}
-
 // eraName returns the engine-era token of a release; environment values
 // that track the rendering stack (canvas, audio) change per era, not per
 // version.

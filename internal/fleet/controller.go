@@ -171,49 +171,3 @@ func (c *Controller) pushOne(ctx context.Context, mem Member, blob []byte, wantH
 	res.Admitted = true
 	return res
 }
-
-// Verify admits replicas that already serve wantHash without pushing —
-// the admission path for a balancer fronting replicas that loaded the
-// model themselves (e.g. from a shared model file). Replicas reporting
-// a different hash are refused; unreachable ones stay pending.
-func (c *Controller) Verify(ctx context.Context, b *Balancer, wantHash string) ([]PushResult, error) {
-	results := make([]PushResult, 0, len(b.Members()))
-	admitted := 0
-	for _, mem := range b.Members() {
-		res := PushResult{Name: mem.Name, BaseURL: mem.BaseURL}
-		vctx, cancel := context.WithTimeout(ctx, c.pushTimeout())
-		var (
-			hash string
-			err  error
-		)
-		if mem.Probe != nil {
-			hash, err = mem.Probe(vctx)
-		} else {
-			var info ModelInfo
-			info, err = FetchModelInfo(vctx, c.client(), mem.BaseURL)
-			hash = info.Hash
-		}
-		cancel()
-		switch {
-		case err != nil:
-			res.Error = err.Error()
-		case hash != wantHash:
-			res.Hash = hash
-			res.Error = fmt.Sprintf("replica serves hash %s, want %s", hash, wantHash)
-			b.Refuse(mem.Name, hash)
-		default:
-			res.Hash = hash
-			if aerr := b.Admit(mem.Name, hash); aerr != nil {
-				res.Error = aerr.Error()
-			} else {
-				res.Admitted = true
-				admitted++
-			}
-		}
-		results = append(results, res)
-	}
-	if admitted == 0 {
-		return results, errors.New("fleet: verification admitted zero replicas")
-	}
-	return results, nil
-}

@@ -21,7 +21,7 @@
 //
 //	Pending ──hash verified──▶ Healthy ──down/probe-fail/hash-drift──▶ Ejected
 //	   │                          ▲                                       │
-//	   └──hash mismatch──▶ Refused│◀───── RecoverThreshold probes ────────┘
+//	   └──hash mismatch──▶ Refused│◀───── recoverThreshold probes ────────┘
 //	                              └─────── (hash re-verified) ────────────┘
 //
 // Refused is terminal until a new Distribute run re-verifies the
@@ -187,20 +187,20 @@ type Config struct {
 	// to be admitted or re-admitted; a probed hash that disagrees ejects
 	// the replica (hash drift).
 	ExpectHash string
-	// FailThreshold is the consecutive probe failures that eject a
-	// healthy replica (default 2). Transport failures reported through
-	// Finish eject immediately regardless.
-	FailThreshold int
-	// RecoverThreshold is the consecutive probe successes (with hash
-	// agreement) that re-admit an ejected replica (default 2).
-	RecoverThreshold int
-	// ProbeTimeout bounds each health probe (default 2s).
-	ProbeTimeout time.Duration
-	// Client is the HTTP client for default probes (nil builds one).
-	Client *http.Client
 	// Logger receives admission/ejection events; nil discards.
 	Logger *slog.Logger
 }
+
+// The health loop's thresholds: failThreshold consecutive probe failures
+// eject a healthy replica (a transport failure reported through Finish
+// ejects at once), recoverThreshold consecutive probe successes with
+// hash agreement re-admit an ejected one, and each probe has
+// probeTimeout.
+const (
+	failThreshold    = 2
+	recoverThreshold = 2
+	probeTimeout     = 2 * time.Second
+)
 
 // ErrNoHealthy is returned by Pick when the rotation is empty.
 var ErrNoHealthy = errors.New("fleet: no healthy replicas in rotation")
@@ -240,26 +240,13 @@ func NewBalancer(cfg Config, members ...Member) (*Balancer, error) {
 	if len(members) == 0 {
 		return nil, errors.New("fleet: balancer needs at least one member")
 	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 2
-	}
-	if cfg.RecoverThreshold <= 0 {
-		cfg.RecoverThreshold = 2
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: cfg.ProbeTimeout}
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = obs.NewLogger(nil, false)
 	}
 	b := &Balancer{
 		cfg:    cfg,
-		client: client,
+		client: &http.Client{Timeout: probeTimeout},
 		logger: logger,
 		byName: make(map[string]*memberState, len(members)),
 		rng:    rng.New(cfg.Seed),
@@ -487,7 +474,7 @@ func (b *Balancer) Snapshot() []MemberStatus {
 // HTTP (GET /healthz, then GET /admin/model for the hash; a replica
 // without the admin endpoint probes healthy with an unknown hash).
 func (b *Balancer) probe(ctx context.Context, ms *memberState) (string, error) {
-	ctx, cancel := context.WithTimeout(ctx, b.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	if ms.m.Probe != nil {
 		return ms.m.Probe(ctx)
@@ -517,7 +504,7 @@ func (b *Balancer) CheckOnce(ctx context.Context) {
 		hash, err := b.probe(ctx, ms)
 		if err != nil {
 			ms.probeOKs.Store(0)
-			if fails := ms.probeFails.Add(1); state == StateHealthy && fails >= int64(b.cfg.FailThreshold) {
+			if fails := ms.probeFails.Add(1); state == StateHealthy && fails >= failThreshold {
 				b.eject(ms, fmt.Sprintf("%d consecutive probe failures", fails))
 			}
 			continue
@@ -533,7 +520,7 @@ func (b *Balancer) CheckOnce(ctx context.Context) {
 			continue
 		}
 		if state == StateEjected {
-			if oks := ms.probeOKs.Add(1); oks >= int64(b.cfg.RecoverThreshold) {
+			if oks := ms.probeOKs.Add(1); oks >= recoverThreshold {
 				b.readmit(ms, hash)
 			}
 		}

@@ -176,28 +176,6 @@ func TestDistributeAllMismatchedFails(t *testing.T) {
 	}
 }
 
-func TestVerifyAdmitsPreloadedReplicas(t *testing.T) {
-	m, wantHash := fleetModel(t)
-	good, stale := newFakeReplica(t), newFakeReplica(t)
-	// good already serves the model; stale serves a different hash.
-	if _, err := (&Controller{}).Distribute(context.Background(), mustBalancer(t,
-		Config{Seed: 9}, Member{Name: "tmp", BaseURL: good.srv.URL}), m); err != nil {
-		t.Fatal(err)
-	}
-	stale.lieHash = "0ld"
-
-	b := mustBalancer(t, Config{Seed: 2, ExpectHash: wantHash},
-		Member{Name: "r0", BaseURL: good.srv.URL},
-		Member{Name: "r1", BaseURL: stale.srv.URL})
-	results, err := (&Controller{}).Verify(context.Background(), b, wantHash)
-	if err != nil {
-		t.Fatalf("verify: %v", err)
-	}
-	if !results[0].Admitted || results[1].Admitted {
-		t.Fatalf("unexpected admissions: %+v", results)
-	}
-}
-
 func mustBalancer(t *testing.T, cfg Config, members ...Member) *Balancer {
 	t.Helper()
 	b, err := NewBalancer(cfg, members...)
@@ -285,7 +263,7 @@ func TestPickSpreadsAndFinishEjectsOnDown(t *testing.T) {
 func TestHealthLoopEjectsAndReadmits(t *testing.T) {
 	var aUp atomic.Bool
 	aUp.Store(true)
-	b := mustBalancer(t, Config{Seed: 4, ExpectHash: "h", FailThreshold: 2, RecoverThreshold: 2},
+	b := mustBalancer(t, Config{Seed: 4, ExpectHash: "h"},
 		Member{Name: "a", BaseURL: "http://a", Probe: staticProbe("h", &aUp)},
 		Member{Name: "b", BaseURL: "http://b", Probe: staticProbe("h", nil)},
 	)
@@ -296,7 +274,7 @@ func TestHealthLoopEjectsAndReadmits(t *testing.T) {
 	aUp.Store(false)
 	b.CheckOnce(ctx)
 	if len(b.Healthy()) != 2 {
-		t.Fatal("single probe failure ejected below FailThreshold")
+		t.Fatal("single probe failure ejected below failThreshold")
 	}
 	b.CheckOnce(ctx)
 	if h := b.Healthy(); len(h) != 1 || h[0] != "b" {
@@ -306,11 +284,11 @@ func TestHealthLoopEjectsAndReadmits(t *testing.T) {
 	aUp.Store(true)
 	b.CheckOnce(ctx)
 	if len(b.Healthy()) != 1 {
-		t.Fatal("single healthy probe re-admitted below RecoverThreshold")
+		t.Fatal("single healthy probe re-admitted below recoverThreshold")
 	}
 	b.CheckOnce(ctx)
 	if len(b.Healthy()) != 2 {
-		t.Fatalf("replica not re-admitted after %d healthy probes", 2)
+		t.Fatalf("replica not re-admitted after %d healthy probes", recoverThreshold)
 	}
 	if got := b.Snapshot()[0]; got.State != "healthy" || got.ProbeFails != 0 {
 		t.Fatalf("re-admitted row: %+v", got)
@@ -392,7 +370,7 @@ func TestWriteMetricsLintsAndCounts(t *testing.T) {
 // turns into a proof obligation (run via scripts/check.sh test-race).
 func TestHealthTableConcurrency(t *testing.T) {
 	var flaky atomic.Bool
-	b := mustBalancer(t, Config{Seed: 8, ExpectHash: "h", FailThreshold: 1, RecoverThreshold: 1},
+	b := mustBalancer(t, Config{Seed: 8, ExpectHash: "h"},
 		Member{Name: "a", BaseURL: "http://a", Probe: staticProbe("h", nil)},
 		Member{Name: "b", BaseURL: "http://b", Probe: staticProbe("h", &flaky)},
 		Member{Name: "c", BaseURL: "http://c", Probe: staticProbe("h", nil)},
@@ -426,7 +404,8 @@ func TestHealthTableConcurrency(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			flaky.Store(i%2 == 0)
+			// Two probes in each state: the thresholds are two.
+			flaky.Store(i%4 < 2)
 			b.CheckOnce(ctx)
 		}
 	}()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"time"
 
 	"polygraph/internal/obs"
 	"polygraph/internal/slo"
@@ -75,23 +74,6 @@ func (r *SLORollup) Collect(ctx context.Context) (int, error) {
 		return 0, fmt.Errorf("fleet: slo rollup: no member reachable")
 	}
 	return ok, nil
-}
-
-// Run ticks the rollup on a wall-clock interval until ctx is done.
-func (r *SLORollup) Run(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			r.Collect(ctx)
-		}
-	}
 }
 
 // AttachSLO includes a rollup's fleet-level families (obs.FleetSLO) in

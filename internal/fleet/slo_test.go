@@ -165,7 +165,7 @@ func TestWriteMetricsHealthHammer(t *testing.T) {
 	var text atomic.Pointer[string]
 	s := replicaExposition(100, 1)
 	text.Store(&s)
-	bal := mustBalancer(t, Config{Seed: 14, ExpectHash: "h", FailThreshold: 1, RecoverThreshold: 1},
+	bal := mustBalancer(t, Config{Seed: 14, ExpectHash: "h"},
 		Member{Name: "a", BaseURL: "http://a", Probe: staticProbe("h", nil),
 			Metrics: func(ctx context.Context) (string, error) { return *text.Load(), nil }},
 		Member{Name: "b", BaseURL: "http://b", Probe: staticProbe("h", &flaky),
@@ -202,8 +202,8 @@ func TestWriteMetricsHealthHammer(t *testing.T) {
 			t.Error("empty exposition under hammer")
 		}
 	})
-	worker(func(i int) { // health transitions via probe loop
-		flaky.Store(i%2 == 0)
+	worker(func(i int) { // health transitions via probe loop, two probes a state
+		flaky.Store(i%4 < 2)
 		bal.CheckOnce(context.Background())
 	})
 	worker(func(i int) { // manual eject/admit churn

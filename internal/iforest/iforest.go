@@ -2,7 +2,8 @@
 // Ting & Zhou 2008), used in the Browser Polygraph pre-processing stage
 // (paper §6.4.1) to drop anomalous fingerprints before clustering. The
 // paper filters with a contamination threshold of 0.002%, eliminating 172
-// of 205k rows.
+// of 205k rows. The forest is a training-time filter only: no model file
+// carries it, so it has one form, the node array it is grown into.
 package iforest
 
 import (
@@ -28,46 +29,25 @@ type Config struct {
 	Seed uint64
 }
 
-// Forest is a fitted isolation forest.
+// Forest is a fitted isolation forest. Its trees are laid out preorder,
+// back to back, in one node array: tree t starts at roots[t], and an
+// internal node's left child is the node after it.
 type Forest struct {
-	trees      []*node
-	sampleSize int
-	dim        int
-
-	// Flat structure-of-arrays mirror of trees, built once by finalize()
-	// after Fit/Import so scoring walks contiguous slices instead of
-	// chasing *node pointers. Node i is a leaf iff flatLeft[i] < 0;
-	// internal nodes route x[flatFeature[i]] < flatThr[i] to
-	// flatLeft/flatRight (absolute indices into the same arrays), and
-	// leaves carry their c(size) path adjustment in flatAdj. flatRoots[t]
-	// is tree t's root (trees are laid out preorder, back to back). norm
-	// caches avgPathLength(sampleSize), hoisted out of the per-vector
-	// Score formula. A hand-built Forest without these arrays still scores
-	// through the pointer walk, bit-identically.
-	flatFeature []int32
-	flatThr     []float64
-	flatLeft    []int32
-	flatRight   []int32
-	flatAdj     []float64
-	flatRoots   []int32
-	norm        float64
+	nodes []node
+	roots []int32
+	dim   int
+	// norm is c(ψ), the path length that scores 0.5.
+	norm float64
 }
 
+// node is an internal node when feature ≥ 0: x[feature] < value goes to
+// the next node, anything else to right. At a leaf (feature −1), value is
+// c(size), the expected further depth among the size training rows that
+// reached it.
 type node struct {
-	// Internal nodes: split on feature < threshold.
-	feature   int
-	threshold float64
-	left      *node
-	right     *node
-	// Leaves: size is the number of training points that reached here.
-	size int
-	leaf bool
-}
-
-// Fit builds a forest over the rows of m, through their grouping (see
-// FitGroups).
-func Fit(m *matrix.Dense, cfg Config) (*Forest, error) {
-	return FitGroups(m.DistinctRows(), cfg)
+	value   float64
+	feature int32
+	right   int32
 }
 
 // FitGroups builds a forest over the grouped rows. The ψ-sample of each
@@ -96,7 +76,7 @@ func FitGroups(rows matrix.RowGroups, cfg Config) (*Forest, error) {
 	}
 	maxDepth := int(math.Ceil(math.Log2(float64(psi)))) + 1
 
-	f := &Forest{sampleSize: psi, dim: d, trees: make([]*node, trees)}
+	f := &Forest{roots: make([]int32, trees), dim: d, norm: avgPathLength(psi)}
 	// Sampling walks one shuffle state across trees: tree t's ψ rows
 	// depend on every earlier shuffle. Each tree draws its sample and
 	// then its splits from its own PCG stream split from Seed.
@@ -112,7 +92,7 @@ func FitGroups(rows matrix.RowGroups, cfg Config) (*Forest, error) {
 		cols[j] = rows.Rows.Col(j)
 	}
 	sample := make([]int32, psi)
-	for t := range f.trees {
+	for t := range f.roots {
 		gen := base.Split(fmt.Sprintf("tree-%d", t))
 		// Sample ψ rows without replacement: the prefix of a Fisher–Yates
 		// shuffle (gen.Shuffle's draws, without a call per swap), as the
@@ -124,75 +104,25 @@ func FitGroups(rows matrix.RowGroups, cfg Config) (*Forest, error) {
 		for k, i := range idx[:psi] {
 			sample[k] = rows.Group[i]
 		}
-		f.trees[t] = buildTree(cols, sample, 0, maxDepth, gen)
+		f.roots[t] = int32(len(f.nodes))
+		f.grow(cols, sample, 0, maxDepth, gen)
 	}
-	f.finalize()
 	return f, nil
 }
 
-// finalize flattens the pointer trees into the structure-of-arrays
-// layout and hoists the avgPathLength(sampleSize) normalization. Called
-// once at the end of Fit and Import; scoring never mutates the arrays.
-func (f *Forest) finalize() {
-	total := 0
-	for _, t := range f.trees {
-		total += countNodes(t)
-	}
-	f.flatFeature = make([]int32, total)
-	f.flatThr = make([]float64, total)
-	f.flatLeft = make([]int32, total)
-	f.flatRight = make([]int32, total)
-	f.flatAdj = make([]float64, total)
-	f.flatRoots = make([]int32, len(f.trees))
-	next := 0
-	for t, root := range f.trees {
-		f.flatRoots[t] = int32(next)
-		next = f.flatten(root, next)
-	}
-	f.norm = avgPathLength(f.sampleSize)
-}
-
-func countNodes(n *node) int {
-	if n.leaf {
-		return 1
-	}
-	return 1 + countNodes(n.left) + countNodes(n.right)
-}
-
-// flatten writes the subtree rooted at n starting at index at (preorder)
-// and returns the next free index.
-func (f *Forest) flatten(n *node, at int) int {
-	idx := at
-	at++
-	if n.leaf {
-		f.flatFeature[idx] = -1
-		f.flatLeft[idx] = -1
-		f.flatRight[idx] = -1
-		f.flatAdj[idx] = avgPathLength(n.size)
-		return at
-	}
-	f.flatFeature[idx] = int32(n.feature)
-	f.flatThr[idx] = n.threshold
-	l := at
-	at = f.flatten(n.left, at)
-	r := at
-	at = f.flatten(n.right, at)
-	f.flatLeft[idx] = int32(l)
-	f.flatRight[idx] = int32(r)
-	return at
-}
-
-// buildTree grows a tree over sample, the classes of the sampled rows
-// (one entry per row), reading feature j of class g as cols[j][g]. It
-// partitions sample in place: a node's split and its subtrees depend on
-// which rows fall on each side, never on their order.
-func buildTree(cols [][]float64, sample []int32, depth, maxDepth int, gen *rng.PCG) *node {
+// grow appends the tree over sample, the classes of the sampled rows (one
+// entry per row), to f.nodes in preorder, reading feature j of class g as
+// cols[j][g]. It partitions sample in place: a node's split and its
+// subtrees depend on which rows fall on each side, never on their order.
+func (f *Forest) grow(cols [][]float64, sample []int32, depth, maxDepth int, gen *rng.PCG) {
+	at := len(f.nodes)
+	f.nodes = append(f.nodes, node{value: avgPathLength(len(sample)), feature: -1})
 	if depth >= maxDepth || len(sample) <= 1 {
-		return &node{leaf: true, size: len(sample)}
+		return
 	}
 	d := len(cols)
 	// Pick a feature with spread; give up after a bounded number of
-	// tries (all-constant subsample).
+	// tries (all-constant subsample) and stay a leaf.
 	for try := 0; try < d; try++ {
 		feat := gen.Intn(d)
 		col := cols[feat]
@@ -220,26 +150,12 @@ func buildTree(cols [][]float64, sample []int32, depth, maxDepth int, gen *rng.P
 		if left == 0 || left == len(sample) {
 			continue
 		}
-		return &node{
-			feature:   feat,
-			threshold: thr,
-			left:      buildTree(cols, sample[:left], depth+1, maxDepth, gen),
-			right:     buildTree(cols, sample[left:], depth+1, maxDepth, gen),
-		}
+		f.nodes[at] = node{value: thr, feature: int32(feat)}
+		f.grow(cols, sample[:left], depth+1, maxDepth, gen)
+		f.nodes[at].right = int32(len(f.nodes))
+		f.grow(cols, sample[left:], depth+1, maxDepth, gen)
+		return
 	}
-	return &node{leaf: true, size: len(sample)}
-}
-
-// pathLength walks x down a tree, adding the standard c(size) adjustment
-// at leaves holding more than one training point.
-func pathLength(n *node, x []float64, depth float64) float64 {
-	if n.leaf {
-		return depth + avgPathLength(n.size)
-	}
-	if x[n.feature] < n.threshold {
-		return pathLength(n.left, x, depth+1)
-	}
-	return pathLength(n.right, x, depth+1)
 }
 
 // avgPathLength is c(n), the average path length of an unsuccessful BST
@@ -252,52 +168,20 @@ func avgPathLength(n int) float64 {
 	return 2*h - 2*float64(n-1)/float64(n)
 }
 
-// Score returns the anomaly score of x in [0, 1]; higher is more
-// anomalous. Scores near 0.5 indicate unremarkable points.
-func (f *Forest) Score(x []float64) float64 {
-	if len(x) != f.dim {
-		panic(fmt.Sprintf("iforest: score on %d-dim vector, fitted on %d", len(x), f.dim))
-	}
-	total := 0.0
-	if f.flatRoots != nil {
-		for t := range f.trees {
-			total += f.pathLengthFlat(t, x)
-		}
-	} else {
-		for _, t := range f.trees {
-			total += pathLength(t, x, 0)
-		}
-	}
-	mean := total / float64(len(f.trees))
-	return math.Pow(2, -mean/f.normalization())
-}
-
-// normalization returns the hoisted avgPathLength(sampleSize), falling
-// back to a live computation for hand-built forests that were never
-// finalized.
-func (f *Forest) normalization() float64 {
-	if f.flatRoots != nil {
-		return f.norm
-	}
-	return avgPathLength(f.sampleSize)
-}
-
-// pathLengthFlat is pathLength over the flat arrays: an iterative walk
-// from tree t's root, counting edges and adding the leaf adjustment.
-// Depth accrues by float64 increments of exactly 1, just like the
-// recursive walk's depth+1 parameter, so the result is bit-identical.
-func (f *Forest) pathLengthFlat(t int, x []float64) float64 {
-	i := f.flatRoots[t]
+// pathLength walks x down tree t, counting edges, and adds the leaf's
+// c(size) adjustment.
+func (f *Forest) pathLength(t int, x []float64) float64 {
+	i := f.roots[t]
 	depth := 0.0
-	for f.flatLeft[i] >= 0 {
-		if x[f.flatFeature[i]] < f.flatThr[i] {
-			i = f.flatLeft[i]
+	for n := f.nodes[i]; n.feature >= 0; n = f.nodes[i] {
+		if x[n.feature] < n.value {
+			i++
 		} else {
-			i = f.flatRight[i]
+			i = n.right
 		}
 		depth++
 	}
-	return depth + f.flatAdj[i]
+	return depth + f.nodes[i].value
 }
 
 // scoreBlock is how many rows scoreRows takes at a time: a block's rows
@@ -319,26 +203,18 @@ func (f *Forest) ScoreAll(data *matrix.Dense) ([]float64, error) {
 }
 
 // scoreRows scores rows [lo, hi) of data, each into its own slot of out.
-// With the flat layout it traverses tree-by-tree across the whole block —
-// the tree's arrays stay hot in cache while every row walks them —
-// accumulating per-row path totals in tree order, which is exactly the
-// summation order Score uses, so the batch is bit-identical to
-// row-at-a-time scoring.
+// It walks one tree at a time across the whole block, so the tree stays
+// hot in cache while every row walks it, and adds each row's path lengths
+// in tree order.
 func (f *Forest) scoreRows(data *matrix.Dense, out []float64, lo, hi int) {
-	if f.flatRoots == nil {
-		for i := lo; i < hi; i++ {
-			out[i] = f.Score(data.RawRow(i))
-		}
-		return
-	}
 	block := out[lo:hi]
 	clear(block)
-	for t := range f.trees {
+	for t := range f.roots {
 		for i := range block {
-			block[i] += f.pathLengthFlat(t, data.RawRow(lo+i))
+			block[i] += f.pathLength(t, data.RawRow(lo+i))
 		}
 	}
-	nTrees := float64(len(f.trees))
+	nTrees := float64(len(f.roots))
 	for i, total := range block {
 		block[i] = math.Pow(2, -(total/nTrees)/f.norm)
 	}

@@ -1,7 +1,6 @@
 package iforest
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -29,8 +28,23 @@ func clusterWithOutliers(n, outliers int, seed uint64) (*matrix.Dense, map[int]b
 	return matrix.FromRows(rows), outlierIdx
 }
 
+// fit builds a forest over the rows of m through their grouping.
+func fit(m *matrix.Dense, cfg Config) (*Forest, error) {
+	return FitGroups(m.DistinctRows(), cfg)
+}
+
+// score is the per-row reference of ScoreAll: x's path lengths added in
+// tree order, then normalized.
+func score(f *Forest, x []float64) float64 {
+	total := 0.0
+	for t := range f.roots {
+		total += f.pathLength(t, x)
+	}
+	return math.Pow(2, -(total/float64(len(f.roots)))/f.norm)
+}
+
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit(matrix.NewDense(0, 2), Config{}); err == nil {
+	if _, err := fit(matrix.NewDense(0, 2), Config{}); err == nil {
 		t.Fatal("expected error for empty input")
 	}
 }
@@ -44,7 +58,7 @@ func TestFitRejectsNegativeSizes(t *testing.T) {
 		{SampleSize: -1},
 		{Trees: -3, SampleSize: -3},
 	} {
-		f, err := Fit(m, cfg)
+		f, err := fit(m, cfg)
 		if !errors.Is(err, errNegativeSize) || f != nil {
 			t.Errorf("%+v: forest %v, err %v; want errNegativeSize", cfg, f, err)
 		}
@@ -53,7 +67,7 @@ func TestFitRejectsNegativeSizes(t *testing.T) {
 
 func TestOutliersScoreHigher(t *testing.T) {
 	m, outliers := clusterWithOutliers(500, 5, 1)
-	f, err := Fit(m, Config{Seed: 7})
+	f, err := fit(m, Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +92,7 @@ func TestOutliersScoreHigher(t *testing.T) {
 
 func TestScoreRange(t *testing.T) {
 	m, _ := clusterWithOutliers(300, 3, 2)
-	f, err := Fit(m, Config{Seed: 3})
+	f, err := fit(m, Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +106,11 @@ func TestScoreRange(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	m, _ := clusterWithOutliers(200, 2, 3)
-	a, err := Fit(m, Config{Seed: 9})
+	a, err := fit(m, Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fit(m, Config{Seed: 9})
+	b, err := fit(m, Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,20 +123,9 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestScorePanicsOnBadDim(t *testing.T) {
-	m, _ := clusterWithOutliers(100, 1, 4)
-	f, _ := Fit(m, Config{Seed: 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for wrong-width score")
-		}
-	}()
-	f.Score([]float64{1, 2, 3})
-}
-
 func TestScoreAllDimError(t *testing.T) {
 	m, _ := clusterWithOutliers(100, 1, 5)
-	f, _ := Fit(m, Config{Seed: 1})
+	f, _ := fit(m, Config{Seed: 1})
 	if _, err := f.ScoreAll(matrix.NewDense(3, 5)); err == nil {
 		t.Fatal("expected dimension error")
 	}
@@ -147,7 +150,7 @@ func filterContamination(f *Forest, m *matrix.Dense, contamination float64) (kee
 
 func TestFilterContaminationDropsOutliers(t *testing.T) {
 	m, outliers := clusterWithOutliers(1000, 4, 6)
-	f, err := Fit(m, Config{Seed: 11})
+	f, err := fit(m, Config{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +179,7 @@ func TestFilterContaminationDropsOutliers(t *testing.T) {
 
 func TestFilterContaminationZero(t *testing.T) {
 	m, _ := clusterWithOutliers(50, 1, 7)
-	f, _ := Fit(m, Config{Seed: 1})
+	f, _ := fit(m, Config{Seed: 1})
 	keep, drop, err := filterContamination(f, m, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +193,7 @@ func TestFilterContaminationTinyThresholdDropsAtLeastOne(t *testing.T) {
 	// The paper's threshold is 0.002%; on 205k rows that's a handful,
 	// but on small data a naive round would drop zero. We guarantee ≥1.
 	m, _ := clusterWithOutliers(100, 1, 8)
-	f, _ := Fit(m, Config{Seed: 1})
+	f, _ := fit(m, Config{Seed: 1})
 	_, drop, err := filterContamination(f, m, 0.00002)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +205,7 @@ func TestFilterContaminationTinyThresholdDropsAtLeastOne(t *testing.T) {
 
 func TestFilterContaminationBadRange(t *testing.T) {
 	m, _ := clusterWithOutliers(50, 1, 9)
-	f, _ := Fit(m, Config{Seed: 1})
+	f, _ := fit(m, Config{Seed: 1})
 	if _, _, err := filterContamination(f, m, -0.1); err == nil {
 		t.Fatal("expected error for negative contamination")
 	}
@@ -217,11 +220,11 @@ func TestConstantDataDoesNotHang(t *testing.T) {
 		rows[i] = []float64{5, 5, 5}
 	}
 	m := matrix.FromRows(rows)
-	f, err := Fit(m, Config{Seed: 1, Trees: 10})
+	f, err := fit(m, Config{Seed: 1, Trees: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := f.Score([]float64{5, 5, 5})
+	s := score(f, []float64{5, 5, 5})
 	if s < 0 || s > 1 {
 		t.Fatalf("score on constant data = %v", s)
 	}
@@ -243,7 +246,7 @@ func TestAvgPathLength(t *testing.T) {
 
 func TestSmallSampleSize(t *testing.T) {
 	m, _ := clusterWithOutliers(10, 1, 10)
-	f, err := Fit(m, Config{Seed: 1, SampleSize: 4, Trees: 20})
+	f, err := fit(m, Config{Seed: 1, SampleSize: 4, Trees: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,132 +255,157 @@ func TestSmallSampleSize(t *testing.T) {
 	}
 }
 
-func BenchmarkScore(b *testing.B) {
-	m, _ := clusterWithOutliers(2000, 10, 11)
-	f, err := Fit(m, Config{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := m.Row(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = f.Score(x)
-	}
-}
-
 func BenchmarkFit2000(b *testing.B) {
 	m, _ := clusterWithOutliers(2000, 10, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Fit(m, Config{Seed: 1}); err != nil {
+		if _, err := fit(m, Config{Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func TestExportImportRoundtrip(t *testing.T) {
-	m, _ := clusterWithOutliers(500, 5, 13)
-	f, err := Fit(m, Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dump := f.Export()
-	back, err := Import(dump)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Dim() != f.Dim() {
-		t.Fatal("dim lost")
-	}
-	orig, _ := f.ScoreAll(m)
-	rt, _ := back.ScoreAll(m)
-	for i := range orig {
-		if orig[i] != rt[i] {
-			t.Fatalf("score %d differs after roundtrip: %v vs %v", i, orig[i], rt[i])
-		}
-	}
+// refNode is a tree as the forest was first written: grown recursively
+// into pointer nodes and walked recursively.
+type refNode struct {
+	feature     int
+	threshold   float64
+	left, right *refNode
+	size        int
+	leaf        bool
 }
 
-func TestImportRejectsCorruptDumps(t *testing.T) {
-	m, _ := clusterWithOutliers(100, 2, 14)
-	f, _ := Fit(m, Config{Seed: 1, Trees: 4})
-	good := f.Export()
-
-	cases := []func(*Dump){
-		func(d *Dump) { d.SampleSize = 0 },
-		func(d *Dump) { d.Dim = 0 },
-		func(d *Dump) { d.Trees = nil },
-		func(d *Dump) { d.Trees[0] = nil },
-		func(d *Dump) { d.Trees[0][0].Left = 9999 },
-		func(d *Dump) { d.Trees[0][0].Left = 0 }, // cycle
-		func(d *Dump) {
-			if d.Trees[0][0].Left != -1 {
-				d.Trees[0][0].Feature = 99 // out-of-range split
-			} else {
-				d.Trees[0][0].Size = -1
+func refBuild(cols [][]float64, sample []int32, depth, maxDepth int, gen *rng.PCG) *refNode {
+	if depth >= maxDepth || len(sample) <= 1 {
+		return &refNode{leaf: true, size: len(sample)}
+	}
+	d := len(cols)
+	for try := 0; try < d; try++ {
+		feat := gen.Intn(d)
+		col := cols[feat]
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, g := range sample {
+			if v := col[g]; v < lo {
+				lo = v
 			}
-		},
-	}
-	for i, corrupt := range cases {
-		// Fresh dump each time; corruption is destructive.
-		d := f.Export()
-		corrupt(d)
-		if _, err := Import(d); err == nil {
-			t.Fatalf("case %d: corrupted dump accepted", i)
+			if v := col[g]; v > hi {
+				hi = v
+			}
+		}
+		if hi <= lo {
+			continue
+		}
+		thr := lo + gen.Float64()*(hi-lo)
+		left := 0
+		for k, g := range sample {
+			if col[g] < thr {
+				sample[k], sample[left] = sample[left], g
+				left++
+			}
+		}
+		if left == 0 || left == len(sample) {
+			continue
+		}
+		return &refNode{
+			feature:   feat,
+			threshold: thr,
+			left:      refBuild(cols, sample[:left], depth+1, maxDepth, gen),
+			right:     refBuild(cols, sample[left:], depth+1, maxDepth, gen),
 		}
 	}
-	if _, err := Import(nil); err == nil {
-		t.Fatal("nil dump accepted")
-	}
-	// The pristine dump still imports.
-	if _, err := Import(good); err != nil {
-		t.Fatal(err)
-	}
+	return &refNode{leaf: true, size: len(sample)}
 }
 
-func TestExportJSONStable(t *testing.T) {
-	m, _ := clusterWithOutliers(100, 1, 15)
-	f, _ := Fit(m, Config{Seed: 3, Trees: 8})
-	a, err := json.Marshal(f.Export())
-	if err != nil {
-		t.Fatal(err)
+func refPathLength(n *refNode, x []float64, depth float64) float64 {
+	if n.leaf {
+		return depth + avgPathLength(n.size)
 	}
-	b, _ := json.Marshal(f.Export())
-	if string(a) != string(b) {
-		t.Fatal("export not deterministic")
+	if x[n.feature] < n.threshold {
+		return refPathLength(n.left, x, depth+1)
 	}
-	var d Dump
-	if err := json.Unmarshal(a, &d); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Import(&d); err != nil {
-		t.Fatal(err)
-	}
+	return refPathLength(n.right, x, depth+1)
 }
 
-func TestFlatTraversalMatchesPointerWalk(t *testing.T) {
-	data, _ := clusterWithOutliers(300, 12, 21)
-	f, err := Fit(data, Config{Trees: 50, SampleSize: 64, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
+// refScores fits the pointer forest on the same draws as FitGroups — the
+// ψ-sample of tree t is the prefix of a Fisher–Yates shuffle carried over
+// from tree t−1, drawn from the stream split as "tree-t" — and scores
+// every row of data with it.
+func refScores(data *matrix.Dense, cfg Config) []float64 {
+	rows := data.DistinctRows()
+	n, d := rows.Dims()
+	trees, psi := cfg.Trees, cfg.SampleSize
+	if trees == 0 {
+		trees = 100
 	}
-	if f.flatRoots == nil {
-		t.Fatal("Fit did not finalize the flat layout")
+	if psi == 0 || psi > n {
+		psi = min(256, n)
 	}
-	// Score walks the flat arrays; recompute each score through the
-	// recursive pointer walk and demand bit equality — flattening is a
-	// layout change, not an arithmetic change.
+	maxDepth := int(math.Ceil(math.Log2(float64(psi)))) + 1
+	cols := make([][]float64, d)
+	for j := range cols {
+		cols[j] = rows.Rows.Col(j)
+	}
+	base := rng.New(cfg.Seed)
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	roots := make([]*refNode, trees)
+	for t := range roots {
+		gen := base.Split(fmt.Sprintf("tree-%d", t))
+		for i := n - 1; i > 0; i-- {
+			j := gen.Intn(i + 1)
+			idx[i], idx[j] = idx[j], idx[i]
+		}
+		sample := make([]int32, psi)
+		for k, i := range idx[:psi] {
+			sample[k] = rows.Group[i]
+		}
+		roots[t] = refBuild(cols, sample, 0, maxDepth, gen)
+	}
 	r, _ := data.Dims()
-	for i := 0; i < r; i++ {
-		x := data.RawRow(i)
+	out := make([]float64, r)
+	for i := range out {
 		total := 0.0
-		for _, tr := range f.trees {
-			total += pathLength(tr, x, 0)
+		for _, root := range roots {
+			total += refPathLength(root, data.RawRow(i), 0)
 		}
-		want := math.Pow(2, -(total/float64(len(f.trees)))/avgPathLength(f.sampleSize))
-		if got := f.Score(x); got != want {
-			t.Fatalf("row %d: flat score %v, pointer walk %v", i, got, want)
+		out[i] = math.Pow(2, -(total/float64(trees))/avgPathLength(psi))
+	}
+	return out
+}
+
+// TestFlatTraversalMatchesPointerWalk: the forest grows straight into its
+// preorder node array; scored through that array it must agree bit for
+// bit with the pointer trees grown and walked recursively on the same
+// draws.
+func TestFlatTraversalMatchesPointerWalk(t *testing.T) {
+	for _, seed := range []uint64{1, 9, 23} {
+		small, _ := clusterWithOutliers(30, 3, seed)
+		constCol := matrixtest.FewDistinct(seed, 400, 5, 40, true)
+		for i := 0; i < 400; i++ {
+			constCol.Set(i, 2, 5)
+		}
+		outliers, _ := clusterWithOutliers(300, 12, seed)
+		inputs := []struct {
+			name string
+			data *matrix.Dense
+			cfg  Config
+		}{
+			{"psi-below-n", outliers, Config{Trees: 50, SampleSize: 64, Seed: seed}},
+			{"psi-above-n", small, Config{Trees: 50, Seed: seed}},
+			{"constant-column", constCol, Config{Trees: 50, SampleSize: 32, Seed: seed}},
+		}
+		for _, in := range inputs {
+			f, err := fit(in.data, in.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := f.ScoreAll(in.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matrixtest.RequireSameBits(t, fmt.Sprintf("seed %d %s: score", seed, in.name), got, refScores(in.data, in.cfg))
 		}
 	}
 }
@@ -398,14 +426,14 @@ func TestScoreAllMatchesPerRowScore(t *testing.T) {
 		{"across-score-blocks", matrixtest.FewDistinct(8, 2*scoreBlock+100, 6, 2*scoreBlock+50, true)},
 	}
 	for _, in := range inputs {
-		f, err := Fit(in.data, Config{Trees: 40, SampleSize: 64, Seed: 3})
+		f, err := fit(in.data, Config{Trees: 40, SampleSize: 64, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		r, _ := in.data.Dims()
 		want := make([]float64, r)
 		for i := range want {
-			want[i] = f.Score(in.data.RawRow(i))
+			want[i] = score(f, in.data.RawRow(i))
 		}
 		got, err := f.ScoreAll(in.data)
 		if err != nil {
@@ -507,7 +535,7 @@ func TestFilterContaminationOnTiedRows(t *testing.T) {
 		{"all-but-one", matrixtest.FewDistinct(3, 64, 5, 5, false), 63.0 / 64},
 	}
 	for _, tc := range cases {
-		f, err := Fit(tc.data, Config{Trees: 20, SampleSize: 32, Seed: 8})
+		f, err := fit(tc.data, Config{Trees: 20, SampleSize: 32, Seed: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -540,7 +568,7 @@ func BenchmarkScoreAllAllDistinct(b *testing.B) {
 			data.Set(i, j, gen.Float64())
 		}
 	}
-	f, err := Fit(data, Config{Seed: 1})
+	f, err := fit(data, Config{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -555,38 +583,11 @@ func BenchmarkScoreAllAllDistinct(b *testing.B) {
 
 func TestNormalizationHoisted(t *testing.T) {
 	data, _ := clusterWithOutliers(200, 8, 7)
-	f, err := Fit(data, Config{Trees: 20, SampleSize: 32, Seed: 1})
+	f, err := fit(data, Config{Trees: 20, SampleSize: 32, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := avgPathLength(f.sampleSize); f.norm != want {
-		t.Fatalf("hoisted norm %v, want avgPathLength(%d) = %v", f.norm, f.sampleSize, want)
-	}
-	// A hand-built forest with no flat layout still normalizes live.
-	bare := &Forest{sampleSize: f.sampleSize}
-	if bare.normalization() != avgPathLength(f.sampleSize) {
-		t.Fatal("fallback normalization diverged")
-	}
-}
-
-func TestImportFinalizesFlatLayout(t *testing.T) {
-	data, _ := clusterWithOutliers(200, 8, 13)
-	f, err := Fit(data, Config{Trees: 25, SampleSize: 32, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Import(f.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.flatRoots == nil {
-		t.Fatal("Import did not finalize the flat layout")
-	}
-	r, _ := data.Dims()
-	for i := 0; i < r; i++ {
-		x := data.RawRow(i)
-		if f.Score(x) != back.Score(x) {
-			t.Fatalf("row %d: imported forest diverged", i)
-		}
+	if want := avgPathLength(32); f.norm != want {
+		t.Fatalf("hoisted norm %v, want avgPathLength(32) = %v", f.norm, want)
 	}
 }

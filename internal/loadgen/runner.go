@@ -138,7 +138,7 @@ type PhaseResult struct {
 	Elapsed     time.Duration    `json:"elapsed_ns"`
 	AchievedRPS float64          `json:"achieved_rps"`
 	// Latency holds per-endpoint histogram summaries.
-	Latency map[string]Quantiles `json:"latency"`
+	Latency map[string]obs.Quantiles `json:"latency"`
 	// Truncated marks a phase cut short by the scenario budget.
 	Truncated bool `json:"truncated,omitempty"`
 }
@@ -202,8 +202,8 @@ type Report struct {
 	Ledger   Ledger        `json:"ledger"`
 	Phases   []PhaseResult `json:"phases"`
 	// Overall aggregates latency across all phases per endpoint.
-	Overall map[string]Quantiles `json:"overall"`
-	Elapsed time.Duration        `json:"elapsed_ns"`
+	Overall map[string]obs.Quantiles `json:"overall"`
+	Elapsed time.Duration            `json:"elapsed_ns"`
 	// BudgetExceeded marks a run aborted by the scenario's wall budget.
 	BudgetExceeded bool        `json:"budget_exceeded,omitempty"`
 	CrossCheck     *CrossCheck `json:"cross_check,omitempty"`
@@ -236,13 +236,13 @@ type phaseState struct {
 
 	// hists are this phase's latency series and overall the whole run's,
 	// both keyed by transport endpoint.
-	hists, overall map[string]*Hist
+	hists, overall map[string]*obs.Hist
 }
 
-func newHists(endpoints []string) map[string]*Hist {
-	m := make(map[string]*Hist, len(endpoints))
+func newHists(endpoints []string) map[string]*obs.Hist {
+	m := make(map[string]*obs.Hist, len(endpoints))
 	for _, ep := range endpoints {
-		m[ep] = new(Hist)
+		m[ep] = new(obs.Hist)
 	}
 	return m
 }
@@ -435,7 +435,7 @@ func run(ctx context.Context, opts Options, tr transport) (*Report, error) {
 			Timeouts:   ps.timeout.Load(),
 			ConnErrors: ps.connErr.Load(),
 			ByStatus:   map[string]int64{},
-			Latency:    map[string]Quantiles{},
+			Latency:    map[string]obs.Quantiles{},
 			Truncated:  truncated,
 		}
 		for code, c := range ps.byStatus {
@@ -470,7 +470,7 @@ func run(ctx context.Context, opts Options, tr transport) (*Report, error) {
 	}
 	report.Elapsed = time.Since(start)
 	report.Ledger.StreamDigest = opts.Pool.StreamDigest(report.Ledger.Sent)
-	report.Overall = map[string]Quantiles{}
+	report.Overall = map[string]obs.Quantiles{}
 	for path, h := range overall {
 		if h.Count() > 0 {
 			report.Overall[path] = h.Summary()

@@ -91,9 +91,9 @@ type Scenario struct {
 	// exercising the rejection taxonomy (0 in the CI gate, which asserts
 	// zero non-2xx).
 	InvalidMix float64 `json:"invalid_mix"`
-	// Budget bounds the whole run's wall clock (0 = none). A run that
-	// exhausts its budget aborts remaining phases and says so in the
-	// report.
+	// Budget bounds the whole run's wall clock (0 = none; a negative
+	// budget is refused). A run that exhausts its budget aborts remaining
+	// phases and says so in the report.
 	Budget Duration `json:"budget,omitempty"`
 
 	Phases []Phase `json:"phases"`
@@ -113,6 +113,9 @@ func (sc *Scenario) Validate() error {
 	if sc.InvalidMix < 0 || sc.InvalidMix > 1 {
 		return fmt.Errorf("loadgen: invalid_mix %v outside [0,1]", sc.InvalidMix)
 	}
+	if sc.Budget < 0 {
+		return fmt.Errorf("loadgen: scenario %q has negative budget %v", sc.Name, time.Duration(sc.Budget))
+	}
 	if len(sc.Phases) == 0 {
 		return fmt.Errorf("loadgen: scenario %q has no phases", sc.Name)
 	}
@@ -123,8 +126,8 @@ func (sc *Scenario) Validate() error {
 		if (p.Requests > 0) == (p.Duration > 0) {
 			return fmt.Errorf("loadgen: phase %q must set exactly one of requests or duration", p.Name)
 		}
-		if p.Requests < 0 {
-			return fmt.Errorf("loadgen: phase %q has negative requests", p.Name)
+		if p.Requests < 0 || p.Duration < 0 {
+			return fmt.Errorf("loadgen: phase %q has negative requests or duration", p.Name)
 		}
 		if p.Concurrency < 0 {
 			return fmt.Errorf("loadgen: phase %q has negative concurrency", p.Name)

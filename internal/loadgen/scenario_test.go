@@ -95,11 +95,13 @@ func TestScenarioValidate(t *testing.T) {
 		{"fraud mix over 1", func(s *Scenario) { s.FraudMix = 1.5 }},
 		{"negative json mix", func(s *Scenario) { s.JSONMix = -0.1 }},
 		{"invalid mix over 1", func(s *Scenario) { s.InvalidMix = 2 }},
+		{"negative budget", func(s *Scenario) { s.Budget = Duration(-5 * time.Minute) }},
 		{"no phases", func(s *Scenario) { s.Phases = nil }},
 		{"unnamed phase", func(s *Scenario) { s.Phases[0].Name = "" }},
 		{"neither bound", func(s *Scenario) { s.Phases[0].Requests = 0 }},
 		{"both bounds", func(s *Scenario) { s.Phases[0].Duration = Duration(time.Second) }},
 		{"negative rps", func(s *Scenario) { s.Phases[0].RPS = -1 }},
+		{"requests and a negative duration", func(s *Scenario) { s.Phases[0].Duration = Duration(-time.Second) }},
 	}
 	for _, tc := range cases {
 		sc := valid()

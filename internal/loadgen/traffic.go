@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 
 	"polygraph/internal/browser"
+	"polygraph/internal/dataset"
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/fraud"
 	"polygraph/internal/rng"
@@ -100,10 +101,9 @@ func BuildPool(sc *Scenario, features []fingerprint.Feature) (*Pool, error) {
 }
 
 func buildRequest(sc *Scenario, gen *rng.PCG, ext *fingerprint.Extractor, universe []ua.Release, tools []fraud.Tool) (Request, error) {
-	payload := &fingerprint.Payload{}
-	fillID(payload, gen)
+	payload := &fingerprint.Payload{SessionID: dataset.DrawSessionID(gen)}
 	isFraud := gen.Bool(sc.FraudMix)
-	os := sampleOS(gen)
+	os := dataset.DrawOS(gen)
 	if isFraud {
 		tool := tools[gen.Intn(len(tools))]
 		victim := universe[gen.Intn(len(universe))]
@@ -175,28 +175,5 @@ func corrupt(body []byte, isJSON bool, gen *rng.PCG) []byte {
 		// Unsupported version byte.
 		out[2] = 0xFF
 		return out
-	}
-}
-
-func fillID(p *fingerprint.Payload, gen *rng.PCG) {
-	for i := 0; i < len(p.SessionID); i += 8 {
-		v := gen.Uint64()
-		for j := 0; j < 8 && i+j < len(p.SessionID); j++ {
-			p.SessionID[i+j] = byte(v >> (8 * j))
-		}
-	}
-}
-
-// sampleOS draws the same OS distribution the dataset generator uses.
-func sampleOS(gen *rng.PCG) ua.OS {
-	switch {
-	case gen.Bool(0.62):
-		return ua.Windows10
-	case gen.Bool(0.55):
-		return ua.Windows11
-	case gen.Bool(0.5):
-		return ua.MacOSSonoma
-	default:
-		return ua.MacOSSequoia
 	}
 }

@@ -12,7 +12,6 @@ package pca
 
 import (
 	"fmt"
-	"math"
 
 	"polygraph/internal/matrix"
 )
@@ -143,36 +142,20 @@ func (p *PCA) Transform(m *matrix.Dense) (*matrix.Dense, error) {
 
 // TransformVec projects a single observation, returning a length-k vector.
 func (p *PCA) TransformVec(v []float64) ([]float64, error) {
-	out := make([]float64, p.K)
-	if err := p.TransformVecInto(v, out); err != nil {
-		return nil, err
+	if len(v) != len(p.Mean) {
+		return nil, fmt.Errorf("pca: vector has %d features, fitted on %d", len(v), len(p.Mean))
 	}
+	centered := make([]float64, len(v))
+	for j, x := range v {
+		centered[j] = x - p.Mean[j]
+	}
+	out := make([]float64, p.K)
+	p.projectInto(centered, out)
 	return out, nil
 }
 
-// TransformVecInto projects src into dst (length K) without allocating,
-// for the online scoring path.
-func (p *PCA) TransformVecInto(src, dst []float64) error {
-	if len(src) != len(p.Mean) {
-		return fmt.Errorf("pca: vector has %d features, fitted on %d", len(src), len(p.Mean))
-	}
-	if len(dst) != p.K {
-		return fmt.Errorf("pca: destination has %d entries, want %d", len(dst), p.K)
-	}
-	// Centering is folded into the dot product to avoid a temp slice:
-	// (x-μ)·w = x·w - μ·w. Precomputing μ·w would save work but keep a
-	// cache on PCA; the vectors here are ≤ a few hundred wide.
-	for c := 0; c < p.K; c++ {
-		comp := p.Components.RawRow(c)
-		s := 0.0
-		for j, w := range comp {
-			s += (src[j] - p.Mean[j]) * w
-		}
-		dst[c] = s
-	}
-	return nil
-}
-
+// projectInto writes the dot product of centered with each kept component
+// to dst, accumulating in ascending feature order.
 func (p *PCA) projectInto(centered, dst []float64) {
 	for c := 0; c < p.K; c++ {
 		comp := p.Components.RawRow(c)
@@ -182,44 +165,4 @@ func (p *PCA) projectInto(centered, dst []float64) {
 		}
 		dst[c] = s
 	}
-}
-
-// InverseVec maps a k-dimensional projection back to the original feature
-// space (lossy if k < d): x ≈ μ + Σ z_c · w_c.
-func (p *PCA) InverseVec(z []float64) ([]float64, error) {
-	if len(z) != p.K {
-		return nil, fmt.Errorf("pca: inverse on %d entries, want %d", len(z), p.K)
-	}
-	out := append([]float64(nil), p.Mean...)
-	for c := 0; c < p.K; c++ {
-		comp := p.Components.RawRow(c)
-		for j, w := range comp {
-			out[j] += z[c] * w
-		}
-	}
-	return out, nil
-}
-
-// Orthonormality returns the maximum deviation of the kept components from
-// an orthonormal system; exported for model-validation checks.
-func (p *PCA) Orthonormality() float64 {
-	worst := 0.0
-	for a := 0; a < p.K; a++ {
-		ra := p.Components.RawRow(a)
-		for b := a; b < p.K; b++ {
-			rb := p.Components.RawRow(b)
-			dot := 0.0
-			for j := range ra {
-				dot += ra[j] * rb[j]
-			}
-			want := 0.0
-			if a == b {
-				want = 1
-			}
-			if dev := math.Abs(dot - want); dev > worst {
-				worst = dev
-			}
-		}
-	}
-	return worst
 }

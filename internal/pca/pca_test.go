@@ -171,14 +171,11 @@ func TestTransformMatchesRowAtATime(t *testing.T) {
 	}
 }
 
-func TestTransformVecIntoErrors(t *testing.T) {
+func TestTransformVecErrors(t *testing.T) {
 	m := corrData(10, 7)
 	p, _ := Fit(m, 2)
-	if err := p.TransformVecInto(make([]float64, 2), make([]float64, 2)); err == nil {
-		t.Fatal("expected error for wrong src width")
-	}
-	if err := p.TransformVecInto(make([]float64, 3), make([]float64, 3)); err == nil {
-		t.Fatal("expected error for wrong dst width")
+	if _, err := p.TransformVec(make([]float64, 2)); err == nil {
+		t.Fatal("expected error for wrong width")
 	}
 }
 
@@ -218,9 +215,12 @@ func TestInverseRoundtripFullRank(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := p.InverseVec(z)
-		if err != nil {
-			t.Fatal(err)
+		// x = μ + Σ z_c · w_c when every component is kept.
+		back := append([]float64(nil), p.Mean...)
+		for c, zc := range z {
+			for j, w := range p.Components.RawRow(c) {
+				back[j] += zc * w
+			}
 		}
 		for j := range row {
 			if math.Abs(back[j]-row[j]) > 1e-8*(1+math.Abs(row[j])) {
@@ -230,22 +230,26 @@ func TestInverseRoundtripFullRank(t *testing.T) {
 	}
 }
 
-func TestInverseVecErrors(t *testing.T) {
-	m := corrData(10, 10)
-	p, _ := Fit(m, 2)
-	if _, err := p.InverseVec([]float64{1}); err == nil {
-		t.Fatal("expected error for wrong width")
-	}
-}
-
 func TestOrthonormality(t *testing.T) {
 	m := corrData(500, 12)
 	p, err := Fit(m, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dev := p.Orthonormality(); dev > 1e-8 {
-		t.Fatalf("component basis deviates from orthonormal by %v", dev)
+	for a := 0; a < p.K; a++ {
+		for b := a; b < p.K; b++ {
+			dot := 0.0
+			for j, w := range p.Components.RawRow(a) {
+				dot += w * p.Components.At(b, j)
+			}
+			want := 0.0
+			if a == b {
+				want = 1
+			}
+			if dev := math.Abs(dot - want); dev > 1e-8 {
+				t.Fatalf("components %d·%d = %v, want %v", a, b, dot, want)
+			}
+		}
 	}
 }
 
@@ -263,23 +267,6 @@ func BenchmarkFit28Features(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Fit(m, 7); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTransformVecInto(b *testing.B) {
-	m := corrData(1000, 14)
-	p, err := Fit(m, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := m.Row(0)
-	dst := make([]float64, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.TransformVecInto(src, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -91,8 +91,7 @@ func (s *Standard) Transform(m *matrix.Dense) (*matrix.Dense, error) {
 	return out, nil
 }
 
-// TransformVec scales a single row in place-free fashion, returning a new
-// slice. It is the hot path for online scoring.
+// TransformVec scales a single row into a new slice.
 func (s *Standard) TransformVec(v []float64) ([]float64, error) {
 	if len(v) != len(s.Means) {
 		return nil, fmt.Errorf("scaler: vector has %d entries, fitted on %d", len(v), len(s.Means))
@@ -100,17 +99,6 @@ func (s *Standard) TransformVec(v []float64) ([]float64, error) {
 	out := make([]float64, len(v))
 	s.transformInto(v, out)
 	return out, nil
-}
-
-// TransformVecInto scales src into dst, which must have the fitted width.
-// It performs no allocation, for latency-critical scoring paths.
-func (s *Standard) TransformVecInto(src, dst []float64) error {
-	if len(src) != len(s.Means) || len(dst) != len(s.Means) {
-		return fmt.Errorf("scaler: TransformVecInto with src %d dst %d, fitted on %d",
-			len(src), len(dst), len(s.Means))
-	}
-	s.transformInto(src, dst)
-	return nil
 }
 
 func (s *Standard) transformInto(src, dst []float64) {

@@ -113,22 +113,6 @@ func TestTransformVecMatchesMatrix(t *testing.T) {
 	}
 }
 
-func TestTransformVecInto(t *testing.T) {
-	m := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
-	s, _ := Fit(m, Config{})
-	dst := make([]float64, 2)
-	if err := s.TransformVecInto([]float64{1, 2}, dst); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := s.TransformVec([]float64{1, 2})
-	if dst[0] != want[0] || dst[1] != want[1] {
-		t.Fatalf("into = %v, want %v", dst, want)
-	}
-	if err := s.TransformVecInto([]float64{1}, dst); err == nil {
-		t.Fatal("expected error for short src")
-	}
-}
-
 func TestDimensionMismatch(t *testing.T) {
 	m := matrix.FromRows([][]float64{{1, 2}})
 	s, _ := Fit(m, Config{})
@@ -158,30 +142,5 @@ func TestSetSkip(t *testing.T) {
 	}
 	if s.Skip() != nil {
 		t.Fatal("nil mask not cleared")
-	}
-}
-
-func BenchmarkTransformVecInto28(b *testing.B) {
-	p := rng.New(9)
-	rows := make([][]float64, 256)
-	for i := range rows {
-		row := make([]float64, 28)
-		for j := range row {
-			row[j] = p.NormFloat64() * 100
-		}
-		rows[i] = row
-	}
-	s, err := Fit(matrix.FromRows(rows), Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rows[0]
-	dst := make([]float64, 28)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.TransformVecInto(src, dst); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

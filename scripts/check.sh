@@ -193,8 +193,9 @@ callers=$(awk '/^func / { f = $0 } /\.UnmarshalBinaryBorrowed\(/ { print f }' in
 # all-rows loop shows up here as one more. nearestCentroid:
 # grouped.refresh (per table row) and Model.Predict (one vector).
 # scoreRows: ScoreAll, which Outliers runs on the table.
-# pathLengthFlat: Score and scoreRows. projectInto: Transform, which
-# training runs on the table.
+# pathLength: scoreRows, the one walk of the forest's node array.
+# projectInto: Transform, which training runs on the table, and
+# TransformVec (one vector, for the experiments).
 # The score plan's two loops are on the same list: there is one
 # register-blocked kernel, so a "fast path" written beside it would be
 # one more site. p.transform(: scoreOnPlan, explain, PredictCluster.
@@ -207,8 +208,8 @@ while read -r call dir want; do
 done <<'SITES'
 nearestCentroid( internal/kmeans 2
 scoreRows( internal/iforest 1
-pathLengthFlat( internal/iforest 2
-projectInto( internal/pca 1
+pathLength( internal/iforest 1
+projectInto( internal/pca 2
 p.transform( internal/core 3
 p.assign( internal/core 2
 SITES
