@@ -246,7 +246,7 @@ type Counters struct {
 }
 
 // Ledger is the concurrency-safe ledger writer. Open one with Open;
-// Record is safe for concurrent use.
+// Admit and Append are safe for concurrent use.
 type Ledger struct {
 	dir     string
 	sampleN int
@@ -453,27 +453,41 @@ func scanFrames(r io.Reader, fn func(Record) error) (segmentScan, error) {
 	}
 }
 
-// Admit applies the sampling policy to one decision: flagged verdicts
-// are always admitted; benign ones every Nth. A false return means the
-// decision counts as dropped (Counters derives how many from the benign
-// count) and should not be appended — callers use it to skip building a
-// record that would be sampled out anyway.
-func (l *Ledger) Admit(flagged bool) bool {
-	if flagged {
-		return true
+// Admit applies the sampling policy to a block of decisions in order:
+// flagged[i] says whether decision i was flagged, and Admit overwrites
+// it with whether decision i is admitted and returns flagged. Flagged
+// verdicts always are; benign ones every Nth, counted across every block
+// the ledger is given. The block's benign verdicts are counted with one
+// atomic add and take the counts one call per verdict would have given
+// them, so a serial stream admits the same decisions however it is
+// split into blocks. A decision not admitted counts as dropped
+// (Counters derives how many from the benign count) and should not be
+// appended — callers use it to skip building a record that would be
+// sampled out anyway.
+func (l *Ledger) Admit(flagged []bool) []bool {
+	if l.sampleN <= 1 {
+		for i := range flagged {
+			flagged[i] = true
+		}
+		return flagged
 	}
-	c := l.benign.Add(1)
-	return l.sampleN <= 1 || c%uint64(l.sampleN) == 0
-}
-
-// Record applies the sampling policy and appends the decision when
-// admitted. The ledger assigns rec.Seq. Sampled-out verdicts count as
-// dropped and return nil.
-func (l *Ledger) Record(rec Record) error {
-	if !l.Admit(rec.Verdict.Flagged) {
-		return nil
+	var benign uint64
+	for _, f := range flagged {
+		if !f {
+			benign++
+		}
 	}
-	return l.Append(rec)
+	if benign == 0 {
+		return flagged
+	}
+	c := l.benign.Add(benign) - benign
+	for i, f := range flagged {
+		if !f {
+			c++
+			flagged[i] = c%uint64(l.sampleN) == 0
+		}
+	}
+	return flagged
 }
 
 // encoding is an appender's scratch: the parts of its record's frames,
@@ -492,16 +506,16 @@ var encodings = sync.Pool{New: func() any {
 }}
 
 // Append writes one admitted record unconditionally — pair it with
-// Admit, or use Record for the combined path. An Explanation on rec is
-// dropped, not stored: readers derive it. The record is encoded before
-// the ledger lock is taken, so concurrent appenders serialise on the
-// sequence number, the class table, the checksum and a copy into the
-// segment log's buffer — not on each other's encoding, and not on the
-// disk. What is encoded depends on the active segment's class table: a
-// record of a class the segment defines needs only its packed
-// provenance; one of a class it does not define yet, the class frame's
-// body and the class as well, or — when the table is full — the whole
-// record. A record appendClassKey refuses is encoded whole, unhashed.
+// Admit. An Explanation on rec is dropped, not stored: readers derive
+// it. The record is encoded before the ledger lock is taken, so
+// concurrent appenders serialise on the sequence number, the class
+// table, the checksum and a copy into the segment log's buffer — not
+// on each other's encoding, and not on the disk. What is encoded
+// depends on the active segment's class table: a record of a class
+// the segment defines needs only its packed provenance; one of a
+// class it does not define yet, the class frame's body and the class
+// as well, or — when the table is full — the whole record. A record
+// appendClassKey refuses is encoded whole, unhashed.
 func (l *Ledger) Append(rec Record) error {
 	rec.Explanation = nil
 	e := encodings.Get().(*encoding)

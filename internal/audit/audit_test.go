@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -21,6 +22,56 @@ func testRecord(flagged bool, trace string) Record {
 	}
 }
 
+// admitAppend is what the serving path does with one decision: Admit
+// it, and Append it when admitted. A sampled-out decision returns nil.
+func admitAppend(l *Ledger, rec Record) error {
+	if !l.Admit([]bool{rec.Verdict.Flagged})[0] {
+		return nil
+	}
+	return l.Append(rec)
+}
+
+// Admit over a block admits what one call per decision admits, and
+// moves the benign count the same, for every sampling rate: a serial
+// stream of mixed verdicts cut into blocks of several sizes.
+func TestAdmitBlockMatchesOneAtATime(t *testing.T) {
+	flags := make([]bool, 1000)
+	for i := range flags {
+		flags[i] = i%3 == 0 || i%7 == 2
+	}
+	for _, n := range []int{1, 3, 100} {
+		single, err := Open(Config{Dir: t.TempDir(), SampleBenign: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocked, err := Open(Config{Dir: t.TempDir(), SampleBenign: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got []bool
+		for _, f := range flags {
+			want = append(want, single.Admit([]bool{f})[0])
+		}
+		sizes := []int{1, 64, 5, 256, 0, 2}
+		for rest, b := flags, 0; len(rest) > 0; b++ {
+			block := append([]bool(nil), rest[:min(sizes[b%len(sizes)], len(rest))]...)
+			rest = rest[len(block):]
+			got = append(got, blocked.Admit(block)...)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("1 in %d: the block form admits %v, one at a time %v", n, got, want)
+		}
+		if single.Counters() != blocked.Counters() {
+			t.Fatalf("1 in %d: counters %+v in blocks, %+v one at a time", n, blocked.Counters(), single.Counters())
+		}
+		for _, l := range []*Ledger{single, blocked} {
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestLedgerRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(Config{Dir: dir})
@@ -29,7 +80,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 	}
 	const n = 25
 	for i := 0; i < n; i++ {
-		if err := l.Record(testRecord(i%2 == 0, fmt.Sprintf("trace-%d", i))); err != nil {
+		if err := admitAppend(l, testRecord(i%2 == 0, fmt.Sprintf("trace-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,12 +126,12 @@ func TestLedgerSampling(t *testing.T) {
 	}
 	const flagged, benign = 13, 100
 	for i := 0; i < flagged; i++ {
-		if err := l.Record(testRecord(true, "")); err != nil {
+		if err := admitAppend(l, testRecord(true, "")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < benign; i++ {
-		if err := l.Record(testRecord(false, "")); err != nil {
+		if err := admitAppend(l, testRecord(false, "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,7 +176,7 @@ func TestLedgerRotation(t *testing.T) {
 	}
 	const n = 30
 	for i := 0; i < n; i++ {
-		if err := l.Record(testRecord(true, "")); err != nil {
+		if err := admitAppend(l, testRecord(true, "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,13 +208,13 @@ func TestLedgerExplicitRotate(t *testing.T) {
 	if err := l.Rotate(); err != nil {
 		t.Fatal(err) // empty segment: no-op, no error
 	}
-	if err := l.Record(testRecord(true, "")); err != nil {
+	if err := admitAppend(l, testRecord(true, "")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Record(testRecord(true, "")); err != nil {
+	if err := admitAppend(l, testRecord(true, "")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -197,7 +248,7 @@ func TestLedgerCrashRecovery(t *testing.T) {
 	}
 	const before = 10
 	for i := 0; i < before; i++ {
-		if err := l.Record(testRecord(true, fmt.Sprintf("t%d", i))); err != nil {
+		if err := admitAppend(l, testRecord(true, fmt.Sprintf("t%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +285,7 @@ func TestLedgerCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Record(testRecord(false, "post-crash")); err != nil {
+	if err := admitAppend(l, testRecord(false, "post-crash")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -280,7 +331,7 @@ func TestLedgerCorruptMiddleSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if err := l.Record(testRecord(true, "")); err != nil {
+		if err := admitAppend(l, testRecord(true, "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,7 +370,7 @@ func TestLedgerRecentFilters(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 12; i++ {
-		if err := l.Record(testRecord(i%3 == 0, fmt.Sprintf("tr-%d", i))); err != nil {
+		if err := admitAppend(l, testRecord(i%3 == 0, fmt.Sprintf("tr-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -378,12 +429,12 @@ func TestLedgerConcurrencyHammer(t *testing.T) {
 				if i%50 == 0 {
 					// Flagged, so admitted; fails in the encoder.
 					rec.Vector = []float64{1, math.NaN()}
-					if err := l.Record(rec); err == nil {
+					if err := admitAppend(l, rec); err == nil {
 						t.Errorf("NaN record appended")
 					}
 					continue
 				}
-				if err := l.Record(rec); err != nil {
+				if err := admitAppend(l, rec); err != nil {
 					t.Errorf("record: %v", err)
 					return
 				}

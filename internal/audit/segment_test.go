@@ -32,7 +32,7 @@ func TestQuietLedgerWritesItsLastRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Record(testRecord(true, "last-words")); err != nil {
+	if err := admitAppend(l, testRecord(true, "last-words")); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(50 * time.Millisecond) {
@@ -94,7 +94,7 @@ func TestFailedFlushMovesRecordsToDropped(t *testing.T) {
 	var admitted int64
 	record := func(flagged bool) error {
 		admitted++
-		return l.Record(testRecord(flagged, fmt.Sprint("r", admitted)))
+		return admitAppend(l, testRecord(flagged, fmt.Sprint("r", admitted)))
 	}
 	identity := func(when string) Counters {
 		t.Helper()
@@ -205,7 +205,7 @@ func TestCountersIdentityUnderConcurrentAppends(t *testing.T) {
 						started.Add(1)
 						rec := servingRecord()
 						rec.Verdict.Flagged = i%10 == 0
-						_ = l.Record(rec) // fails once the disk has
+						_ = admitAppend(l, rec) // fails once the disk has
 						finished.Add(1)
 					}
 				}(w)
@@ -266,7 +266,7 @@ func TestCrashRecoveryAtEveryOffset(t *testing.T) {
 	for _, batch := range []int{5, 3, 4} {
 		for i := 0; i < batch; i++ {
 			k := len(frameEnds)
-			if err := l.Record(classRecord(classOf[k], fmt.Sprint("t", k))); err != nil {
+			if err := admitAppend(l, classRecord(classOf[k], fmt.Sprint("t", k))); err != nil {
 				t.Fatal(err)
 			}
 			frameEnds = append(frameEnds, l.Counters().Bytes)
@@ -311,7 +311,7 @@ func TestCrashRecoveryAtEveryOffset(t *testing.T) {
 		// Class 0 is defined in the first write, which no cut reaches: the
 		// resumed ledger refers to it by its id, 1, and writes no class frame.
 		for _, class := range []int{0, 3} {
-			if err := l.Record(classRecord(class, fmt.Sprint("post-crash-", class))); err != nil {
+			if err := admitAppend(l, classRecord(class, fmt.Sprint("post-crash-", class))); err != nil {
 				t.Fatalf("cut at %d: %v", cut, err)
 			}
 			if class == 0 {

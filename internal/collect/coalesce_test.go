@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -15,13 +16,14 @@ import (
 	"polygraph/internal/audit"
 	"polygraph/internal/core"
 	"polygraph/internal/fingerprint"
+	"polygraph/internal/obs"
 	"polygraph/internal/ua"
 )
 
 // pipeServe runs handleConn over an in-memory pipe, which makes batch
 // boundaries deterministic: net.Pipe delivers each client Write as one
 // unit, so every byte written in a single call is buffered before the
-// coalescer's read-ahead runs.
+// coalescer takes a batch's further frames.
 func pipeServe(s *TCPServer) (net.Conn, func()) {
 	server, client := net.Pipe()
 	done := make(chan struct{})
@@ -130,7 +132,7 @@ func TestTCPCoalescedParity(t *testing.T) {
 	}
 }
 
-// TestTCPCoalescerBatchOfOne covers the empty-read-ahead flush boundary:
+// TestTCPCoalescerBatchOfOne covers the lone-frame flush boundary:
 // an interactive client sending one frame and waiting must get its reply
 // immediately (immediate flush) and be recorded as a batch of one.
 func TestTCPCoalescerBatchOfOne(t *testing.T) {
@@ -473,12 +475,158 @@ func TestTCPCoalescerCountsFlaggedAndBadFrames(t *testing.T) {
 	}
 }
 
+// TestTCPBlockSettleDeterminism: a connection's frames are settled as
+// one block per batch, and that must not change what a fixed-seed stream
+// leaves behind. The stream — honest sessions, lying ones and frames of
+// the wrong width — follows a primer of benign frames on another
+// connection, so the ledger's benign count does not start at zero. Sent
+// as 64-frame blocks and frame at a time, it must leave the same ledger
+// records (time and trace ID masked) and the same drift window, and both
+// must be what one sampling decision and one drift observation per
+// verdict, in stream order, give.
+func TestTCPBlockSettleDeterminism(t *testing.T) {
+	m, d := testModel(t)
+	const sampleBenign, blocks = 3, 4
+	payload := func(i int) *fingerprint.Payload {
+		var p *fingerprint.Payload
+		switch i % 5 {
+		case 0, 1, 2:
+			rel := ua.Release{Vendor: ua.Chrome, Version: 108 + i%7}
+			p = payloadFor(d, rel, rel)
+		case 3: // a Firefox engine claiming Chrome: flagged
+			p = payloadFor(d, ua.Release{Vendor: ua.Firefox, Version: 110}, ua.Release{Vendor: ua.Chrome, Version: 112})
+		default: // the wrong width: rejected, neither sampled nor observed
+			p = &fingerprint.Payload{UserAgent: "x", Values: []int64{1, 2, 3}}
+		}
+		binary.BigEndian.PutUint32(p.SessionID[:], uint32(i))
+		return p
+	}
+	primer := make([]*fingerprint.Payload, 7)
+	for i := range primer {
+		rel := ua.Release{Vendor: ua.Chrome, Version: 112}
+		primer[i] = payloadFor(d, rel, rel)
+		primer[i].SessionID[15] = byte(i)
+	}
+	stream := make([]*fingerprint.Payload, blocks*tcpBlockFrames)
+	for i := range stream {
+		stream[i] = payload(i)
+	}
+	hash, err := m.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	newDrift := func() *obs.DriftMonitor {
+		mon, err := obs.NewDriftMonitor(obs.DriftConfig{Features: fingerprint.Names(m.Features), Reservoir: 32, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mon.SetBaseline(m.Baseline); err != nil {
+			t.Fatal(err)
+		}
+		return mon
+	}
+	type outcome struct {
+		records []audit.Record
+		seen    uint64
+		window  any
+	}
+	window := func(mon *obs.DriftMonitor) any {
+		psi, err := mon.Evaluate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return psi
+	}
+
+	// One sampling decision and one drift observation per verdict.
+	var want outcome
+	mon, benign := newDrift(), 0
+	for _, p := range append(slices.Clip(primer), stream...) {
+		vec := fingerprint.ValuesToVector(p.Values)
+		res, err := m.ScoreString(vec, p.UserAgent)
+		if err != nil {
+			continue
+		}
+		mon.Observe(vec)
+		if !res.Flagged() {
+			if benign++; benign%sampleBenign != 0 {
+				continue
+			}
+		}
+		want.records = append(want.records, audit.Record{
+			Seq: uint64(len(want.records)), ModelHash: hash, SessionID: hexSessionID(&p.SessionID),
+			UserAgent: p.UserAgent, Endpoint: EndpointTCP, Vector: vec, Verdict: core.VerdictOf(res),
+		})
+	}
+	want.seen, want.window = mon.Seen(), window(mon)
+
+	run := func(perWrite int) outcome {
+		dir := t.TempDir()
+		led, err := audit.Open(audit.Config{Dir: dir, SampleBenign: sampleBenign})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon := newDrift()
+		srv, err := NewTCPServer(Config{Model: m, Drift: mon, Audit: led})
+		if err != nil {
+			t.Fatal(err)
+		}
+		send := func(frames []*fingerprint.Payload, perWrite int) {
+			conn, cleanup := pipeServe(srv)
+			defer cleanup()
+			if _, err := conn.Write([]byte(tcpHello)); err != nil {
+				t.Fatal(err)
+			}
+			for len(frames) > 0 {
+				block := frames[:min(perWrite, len(frames))]
+				frames = frames[len(block):]
+				if _, err := conn.Write(frameBytes(t, false, block...)); err != nil {
+					t.Fatal(err)
+				}
+				readReplies(t, conn, len(block))
+			}
+		}
+		send(primer, 1)
+		send(stream, perWrite)
+		if got, want := srv.BatchHist().Count(), uint64(len(primer)+(len(stream)+perWrite-1)/perWrite); got != want {
+			t.Fatalf("%d frames a write: %d batches, want %d", perWrite, got, want)
+		}
+		if err := led.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var got outcome
+		if _, err := audit.Scan(dir, "", func(rec audit.Record) error {
+			rec.TimeNs, rec.TraceID = 0, ""
+			got.records = append(got.records, rec)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got.seen, got.window = mon.Seen(), window(mon)
+		return got
+	}
+	for _, perWrite := range []int{tcpBlockFrames, 1} {
+		got := run(perWrite)
+		if len(got.records) != len(want.records) {
+			t.Fatalf("%d frames a write: %d ledger records, want %d", perWrite, len(got.records), len(want.records))
+		}
+		for i := range want.records {
+			if !reflect.DeepEqual(got.records[i], want.records[i]) {
+				t.Fatalf("%d frames a write: record %d is %+v, want %+v", perWrite, i, got.records[i], want.records[i])
+			}
+		}
+		if got.seen != want.seen || !reflect.DeepEqual(got.window, want.window) {
+			t.Fatalf("%d frames a write: drift saw %d with window %v, want %d with %v", perWrite, got.seen, got.window, want.seen, want.window)
+		}
+	}
+}
+
 // TestTCPPooledStateIsolation is TestCollectPooledStateIsolation's twin
 // for the framed transport, whose frames the verdict memo answers by
 // their bytes: four batches on one connection, each carrying five
 // classes with long user agents of different lengths in a different
-// order, so every batch writes other bytes over the coalescer's frame
-// buffer, which is also poisoned between batches. A class is first
+// order, so every batch lands other bytes in the connection's read
+// buffer, and the frame views of each batch are poisoned after it. A class is first
 // sighted in batch one, stored in the memo in batch two and answered
 // from it after that. Every verdict is audited, and every record must
 // hold the user agent and the vector its own frame carried.
@@ -527,7 +675,7 @@ func TestTCPPooledStateIsolation(t *testing.T) {
 	go func() {
 		defer close(served)
 		for c.serveBatch() {
-			poison(c.frameBuf)
+			poison(c.batch)
 		}
 	}()
 	for b := range wire {

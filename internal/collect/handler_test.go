@@ -327,8 +327,8 @@ func poison(b []byte) {
 //
 // The decoded user agent is a view of the request's bytes, so the other
 // half of the test is that nothing keeps that view: the body buffer is
-// overwritten after every request, and the coalescer's frame buffer
-// after every batch, and the audit ledger, /debug/decisions and
+// overwritten after every request, and the coalescer's view of its read
+// buffer after every batch, and the audit ledger, /debug/decisions and
 // /v1/flagged must still hold what each session sent.
 func TestCollectPooledStateIsolation(t *testing.T) {
 	m, d := testModel(t)
@@ -417,8 +417,8 @@ func TestCollectPooledStateIsolation(t *testing.T) {
 	wg.Wait()
 
 	// The framed transport, through the same ingest core: two coalesced
-	// batches on one connection's coalescer, its frame buffer poisoned
-	// after each.
+	// batches on one connection's coalescer, the frame views of each
+	// poisoned after it.
 	tcp, err := NewTCPServer(Config{Model: m})
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +432,7 @@ func TestCollectPooledStateIsolation(t *testing.T) {
 	go func() {
 		defer close(served)
 		for c.serveBatch() {
-			poison(c.frameBuf)
+			poison(c.batch)
 		}
 	}()
 	for batch := 0; batch < 2; batch++ {

@@ -28,8 +28,9 @@ type deployed struct {
 
 // modelHolder supports hot model swaps: the drift detector's retrain
 // loop produces a new model, and the serving tier adopts it without
-// downtime. The ingest core loads the pointer once per payload, so a
-// swap never tears a verdict.
+// downtime. The transports load the pointer once per block — an HTTP
+// request, a TCP batch — so a swap never tears a verdict and no batch
+// straddles one.
 type modelHolder struct {
 	ptr atomic.Pointer[deployed]
 	// ledger, when set, archives every model before it is deployed.
@@ -62,11 +63,13 @@ func (h *modelHolder) store(m *core.Model) error {
 
 // ingest is the one scoring pipeline behind every transport. The HTTP
 // handlers and the TCP coalescer read and bound their own bytes, keep
-// their own counters and histograms and encode their own replies; a
-// binary payload goes to scoreFrame as the bytes it arrived in, a JSON
-// one to scorePayload decoded, and every side effect of a verdict
-// happens in settle, which both end in, so it cannot depend on which
-// socket the session arrived on.
+// their own counters and histograms and encode their own replies. A
+// payload's score step — scoreFrame for a binary one, as the bytes it
+// arrived in, scorePayload for a decoded JSON one — adds its verdict to
+// the scoreBuf's block; every side effect of a verdict happens in
+// settle, over the block, so it cannot depend on which socket the
+// session arrived on. An HTTP request is a block of one, a TCP batch a
+// block of its frames.
 type ingest struct {
 	model  modelHolder
 	drift  *obs.DriftMonitor
@@ -122,12 +125,12 @@ func tracerFor(cfg Config) *obs.Tracer {
 // field set, the capacity of Values reused), body and reply are
 // reset before they are filled, and nothing here outlives the
 // request. payload.UserAgent is a view of the bytes it was decoded from
-// — body, or the coalescer's frame buffer — which stay as they are
-// until the request or the batch is answered, or a verdict-memo entry's
-// own string; audit, the one place that keeps it, clones it. vec is the
-// JSON route's vector; a frame's is the scratch's or the memo entry's
-// (core.Model.ScoreFrame). Buffers are model-agnostic and survive
-// SwapModel.
+// — body, or the coalescer's view of its read buffer — which stay as
+// they are until the request or the batch is answered, or a
+// verdict-memo entry's own string; audit, the one place that keeps it,
+// clones it. vec is the JSON route's vector; a frame's is the memo
+// entry's or, on a miss, a copy in owned (core.Model.ScoreFrame). Buffers
+// are model-agnostic and survive SwapModel.
 //
 // shard is the buffer's share of the serving state every request
 // writes (obs.ShardCount): the trace-ring shard, and on HTTP the
@@ -139,11 +142,47 @@ type scoreBuf struct {
 	scratch *core.Scratch
 	payload fingerprint.Payload
 
+	// block is the verdicts scored since newBlock, in order, for settle.
+	// owned holds their memo-miss vectors back to back: a miss's vector
+	// is the scratch's until the next miss. The vec of an earlier
+	// verdict keeps the array it was copied into when owned grows, so
+	// it stays valid; each buffer grows to its largest block and is
+	// reused. drifted and admit are settle's: the block's accepted
+	// vectors and its flags, then their admissions.
+	block   []verdict
+	owned   []float64
+	drifted [][]float64
+	admit   []bool
+
 	// HTTP only: the request body as read, through the reader that
 	// bounds it, and the encoded reply.
 	body    bytes.Buffer
 	limited io.LimitedReader
 	reply   []byte
+}
+
+// verdict is one payload's outcome between its score step and its
+// block's settle. settle maps a failed model call's err to the reject
+// reason and the error to report.
+type verdict struct {
+	res       core.Result
+	vec       []float64 // read only when err is nil
+	err       error
+	reason    rejectReason
+	width     int // the payload's decoded width, for a width reject
+	sessionID [fingerprint.SessionIDSize]byte
+	userAgent string
+}
+
+// newBlock empties buf's block for the next request or batch.
+func (buf *scoreBuf) newBlock() {
+	buf.block, buf.owned = buf.block[:0], buf.owned[:0]
+}
+
+// push adds the verdict of the payload just scored into buf.payload.
+func (buf *scoreBuf) push(res core.Result, vec []float64, err error) {
+	p := &buf.payload
+	buf.block = append(buf.block, verdict{res: res, vec: vec, err: err, width: len(p.Values), sessionID: p.SessionID, userAgent: p.UserAgent})
 }
 
 func (in *ingest) newScoreBuf() *scoreBuf {
@@ -162,73 +201,97 @@ func hexSessionID(id *[fingerprint.SessionIDSize]byte) string {
 // not time its payloads.
 const untimed time.Duration = -1
 
-// scoreFrame runs one binary payload through the pipeline: the model
-// answers it from its class bytes or decodes it into p
-// (core.Model.ScoreFrame), and settle does the rest. p is left as
-// ScoreFrame leaves it: empty when frame does not decode.
-func (in *ingest) scoreFrame(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, frame []byte, scoreStart time.Duration) (core.Result, int64, rejectReason, error) {
-	dep := in.model.loadDeployed()
-	res, vec, err := dep.m.ScoreFrame(buf.scratch, p, frame)
-	return in.settle(tr, dep, p, vec, res, err, scoreStart)
+// scoreFrame is the score step of one binary payload: the model
+// answers it from its class bytes or decodes it into buf.payload
+// (core.Model.ScoreFrame), and its verdict joins buf's block. A miss's
+// vector is copied into buf.owned, since the next miss overwrites the
+// scratch's; a hit keeps the memo entry's, which never changes, and
+// leaves the payload without values. buf.payload is left as ScoreFrame
+// leaves it: empty when frame does not decode.
+func (in *ingest) scoreFrame(dep *deployed, buf *scoreBuf, frame []byte) {
+	res, vec, err := dep.m.ScoreFrame(buf.scratch, &buf.payload, frame)
+	if err == nil && len(buf.payload.Values) > 0 {
+		n := len(buf.owned)
+		buf.owned = append(buf.owned, vec...)
+		vec = buf.owned[n:]
+	}
+	buf.push(res, vec, err)
 }
 
-// scorePayload runs one decoded payload (the JSON route's) through the
-// pipeline: ValuesToVectorInto buf's vector, ScoreStringWith (whose
-// ErrBadInput is the width check), and settle does the rest.
-func (in *ingest) scorePayload(tr *obs.Trace, buf *scoreBuf, p *fingerprint.Payload, scoreStart time.Duration) (core.Result, int64, rejectReason, error) {
-	dep := in.model.loadDeployed()
-	buf.vec = fingerprint.ValuesToVectorInto(buf.vec, p.Values)
-	res, err := dep.m.ScoreStringWith(buf.scratch, buf.vec, p.UserAgent)
-	return in.settle(tr, dep, p, buf.vec, res, err, scoreStart)
+// scorePayload is the score step of the decoded payload in buf.payload
+// (the JSON route's): ValuesToVectorInto buf's vector, then
+// ScoreStringWith, whose ErrBadInput is the width check. The vector is
+// buf.vec, which the request's block of one is settled before reusing.
+func (in *ingest) scorePayload(dep *deployed, buf *scoreBuf) {
+	buf.vec = fingerprint.ValuesToVectorInto(buf.vec, buf.payload.Values)
+	res, err := dep.m.ScoreStringWith(buf.scratch, buf.vec, buf.payload.UserAgent)
+	buf.push(res, buf.vec, err)
 }
 
-// settle is the one pipeline after the model call, whichever route the
-// payload took: the score span, the reject of a failed call, the drift
-// monitor, then the audit ledger for an admitted verdict — every flagged
-// one is.
-// vec is the vector the model returned or was given. It returns the
-// verdict, or the reject reason with the error to report. tr is the
-// caller's open trace: it names the endpoint, stamps audit records and
-// log lines, and receives an audit span from the payloads that are
-// audited.
+// settle is the one pipeline after the model calls of buf's block,
+// whichever route its payloads took, and dep is the deployment that
+// scored them. In order: the score span, the reject of each failed call,
+// one drift Observe of the block's accepted vectors, one ledger Admit of
+// their flags, then an audit record for each admitted verdict — every
+// flagged one is — in block order. It returns the score span in
+// microseconds. tr is the caller's open trace: it names the endpoint,
+// stamps audit records and log lines, and receives an audit span from
+// each payload that is audited.
 //
 // Every boundary is one monotonic clock read, an offset from tr's start.
 // scoreStart is the caller's read of where scoring begins (HTTP: its
-// decode end); settle adds the score span, which ends at one more read,
-// and returns it in microseconds. A transport with one payload per trace
-// passes it; the TCP coalescer, whose one trace covers up to tcpMaxBatch
-// rows, passes untimed — two clock reads per row are a quarter of a
-// 200 ns kernel. An audited payload's audit span starts at the score end
-// (its own read when untimed) and ends at one more read, and its record's
-// time is the trace's wall start plus that start offset.
-func (in *ingest) settle(tr *obs.Trace, dep *deployed, p *fingerprint.Payload, vec []float64, res core.Result, err error, scoreStart time.Duration) (core.Result, int64, rejectReason, error) {
-	scoreEnd, elapsedUs := untimed, int64(0)
+// decode end); settle adds the score span, which ends at one more read.
+// A transport with one payload per trace passes it; the TCP coalescer,
+// whose one trace covers up to tcpMaxBatch rows, passes untimed — two
+// clock reads per row are a quarter of a 200 ns kernel. An audited
+// payload's audit span starts at the score end (its own read when
+// untimed) and ends at one more read, and its record's time is the
+// trace's wall start plus that start offset.
+func (in *ingest) settle(tr *obs.Trace, dep *deployed, buf *scoreBuf, scoreStart time.Duration) (elapsedUs int64) {
+	scoreEnd := untimed
 	if scoreStart != untimed {
 		scoreEnd = time.Since(tr.StartTime())
 		tr.RecordSpan("score", tr.StartTime().Add(scoreStart), scoreEnd-scoreStart)
 		elapsedUs = (scoreEnd - scoreStart).Microseconds()
 	}
-	if err != nil {
-		reason, err := rejectOf(err, dep.m.Dim(), len(p.Values))
-		return res, elapsedUs, reason, err
+	buf.drifted, buf.admit = buf.drifted[:0], buf.admit[:0]
+	for i := range buf.block {
+		v := &buf.block[i]
+		if v.err != nil {
+			v.reason, v.err = rejectOf(v.err, dep.m.Dim(), v.width)
+			continue
+		}
+		buf.drifted = append(buf.drifted, v.vec)
+		buf.admit = append(buf.admit, v.res.Flagged())
 	}
 	if in.drift != nil {
-		in.drift.Observe(vec)
+		in.drift.Observe(buf.drifted...)
 	}
-
+	if in.ledger == nil || len(buf.admit) == 0 {
+		return elapsedUs
+	}
+	admitted := in.ledger.Admit(buf.admit)
 	// The hex session ID and the owned vector copy are built only for an
 	// audited payload.
-	if in.ledger != nil && in.ledger.Admit(res.Flagged()) {
-		start := scoreEnd
-		if start == untimed {
-			start = time.Since(tr.StartTime())
+	j := 0
+	for i := range buf.block {
+		v := &buf.block[i]
+		if v.err != nil {
+			continue
 		}
-		if err := in.audit(dep, tr, start, hexSessionID(&p.SessionID), p.UserAgent, vec, res); err != nil {
-			in.warnAppend(tr, "collect: audit record failed", err)
+		if admitted[j] {
+			start := scoreEnd
+			if start == untimed {
+				start = time.Since(tr.StartTime())
+			}
+			if err := in.audit(dep, tr, start, hexSessionID(&v.sessionID), v.userAgent, v.vec, v.res); err != nil {
+				in.warnAppend(tr, "collect: audit record failed", err)
+			}
+			tr.RecordSpan("audit", tr.StartTime().Add(start), time.Since(tr.StartTime())-start)
 		}
-		tr.RecordSpan("audit", tr.StartTime().Add(start), time.Since(tr.StartTime())-start)
+		j++
 	}
-	return res, elapsedUs, 0, nil
+	return elapsedUs
 }
 
 // rejectOf names the reject of a failed model call on a payload whose

@@ -403,18 +403,21 @@ func TestIngestBenignSampledOutAllocs(t *testing.T) {
 	})
 
 	tr := srv.Tracer().Open(EndpointBinary, 0)
-	buf := srv.newScoreBuf()
+	buf, dep := srv.newScoreBuf(), srv.model.loadDeployed()
 	frame := binaryBodyFor(t, p)
-	for form, score := range map[string]func() (core.Result, int64, rejectReason, error){
-		"decoded payload": func() (core.Result, int64, rejectReason, error) { return srv.scorePayload(tr, buf, p, untimed) },
-		"frame": func() (core.Result, int64, rejectReason, error) {
-			return srv.scoreFrame(tr, buf, &buf.payload, frame, untimed)
+	for form, score := range map[string]func(){
+		"decoded payload": func() {
+			buf.payload.UserAgent, buf.payload.Values = p.UserAgent, append(buf.payload.Values[:0], p.Values...)
+			srv.scorePayload(dep, buf)
 		},
+		"frame": func() { srv.scoreFrame(dep, buf, frame) },
 	} {
 		got := testing.AllocsPerRun(200, func() {
-			res, _, _, err := score()
-			if err != nil || res.Flagged() {
-				t.Fatalf("benign %s: %+v, %v", form, res, err)
+			buf.newBlock()
+			score()
+			srv.settle(tr, dep, buf, untimed)
+			if v := &buf.block[0]; v.err != nil || v.res.Flagged() {
+				t.Fatalf("benign %s: %+v, %v", form, v.res, v.err)
 			}
 		})
 		if got > floor {

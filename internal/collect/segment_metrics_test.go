@@ -42,7 +42,7 @@ func TestSegmentFlushMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := led.Record(audit.Record{UserAgent: "Chrome 112"}); err != nil {
+	if err := led.Append(audit.Record{UserAgent: "Chrome 112"}); err != nil {
 		t.Fatal(err)
 	}
 	// Sync drains the flusher: one write.

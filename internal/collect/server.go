@@ -499,22 +499,24 @@ func (s *Server) collectOne(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 		s.reject(w, tr, code, reason, "%v", err)
 		return reasonNames[reason]
 	}
-	payload := &buf.payload
-	var res core.Result
-	var elapsed int64
+	dep := s.model.loadDeployed()
+	buf.newBlock()
 	if decode == nil {
-		res, elapsed, reason, err = s.scoreFrame(tr, buf, payload, buf.body.Bytes(), decodeEnd)
+		s.scoreFrame(dep, buf, buf.body.Bytes())
 	} else {
-		res, elapsed, reason, err = s.scorePayload(tr, buf, payload, decodeEnd)
+		s.scorePayload(dep, buf)
 	}
-	if err != nil {
+	elapsed := s.settle(tr, dep, buf, decodeEnd)
+	v := &buf.block[0]
+	if v.err != nil {
 		code := http.StatusBadRequest
-		if reason == reasonScore {
+		if v.reason == reasonScore {
 			code = http.StatusInternalServerError
 		}
-		s.reject(w, tr, code, reason, "%v", err)
-		return reasonNames[reason]
+		s.reject(w, tr, code, v.reason, "%v", v.err)
+		return reasonNames[v.reason]
 	}
+	res := v.res
 	sh := &s.shards[buf.shard]
 	sh.received.Add(1)
 	if res.Flagged() {
@@ -529,7 +531,7 @@ func (s *Server) collectOne(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 	}
 	// One Write of what json.NewEncoder(w).Encode(&d) would send, d's
 	// SessionID the payload's in hex.
-	buf.reply = append(d.appendJSONHexID(buf.reply[:0], &payload.SessionID), '\n')
+	buf.reply = append(d.appendJSONHexID(buf.reply[:0], &v.sessionID), '\n')
 	w.Header()["Content-Type"] = jsonContentType
 	if _, err := w.Write(buf.reply); err != nil {
 		s.logWarn(tr, "collect: encode response failed", "err", err.Error())

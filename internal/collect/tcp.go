@@ -175,7 +175,7 @@ func (s *TCPServer) dropConn(c net.Conn) {
 func (s *TCPServer) handleConn(conn net.Conn) {
 	defer s.dropConn(conn)
 	// The read buffer must hold at least one full frame plus its length
-	// prefix so read-ahead can Peek a whole frame; the write buffer
+	// prefix so serveBatch can Peek a whole frame; the write buffer
 	// holds a full batch of replies, so a batch flushes in one syscall.
 	br := bufio.NewReaderSize(conn, tcpReadBufSize)
 	bw := bufio.NewWriterSize(conn, tcpMaxBatch*tcpReplySize)
@@ -225,16 +225,22 @@ func DialTCP(addr string, timeout time.Duration) (*TCPClient, error) {
 	if err != nil {
 		return nil, &ClientError{Kind: FailDown, Op: "dial", Err: err}
 	}
+	return newTCPClient(conn), nil
+}
+
+// newTCPClient wraps a connection and buffers the hello, which leaves
+// with the first batch. The writer holds tcpReadBufSize bytes, as the
+// listener's reader does, so a batch that fits the listener's read
+// buffer leaves in one write and can be coalesced as one batch.
+func newTCPClient(conn net.Conn) *TCPClient {
 	c := &TCPClient{
 		conn: conn,
 		br:   bufio.NewReader(conn),
-		bw:   bufio.NewWriter(conn),
+		bw:   bufio.NewWriterSize(conn, tcpReadBufSize),
 	}
-	if _, err := c.bw.WriteString(tcpHello); err != nil {
-		conn.Close()
-		return nil, &ClientError{Kind: FailDown, Op: "dial", Err: err}
-	}
-	return c, nil
+	// A fresh writer with room for the hello cannot fail.
+	_, _ = c.bw.WriteString(tcpHello)
+	return c
 }
 
 // deadlines arms the per-batch read/write deadlines.
@@ -252,9 +258,9 @@ func (c *TCPClient) deadlines() (read, write time.Duration) {
 // Close terminates the connection.
 func (c *TCPClient) Close() error { return c.conn.Close() }
 
-// SubmitBatch pipelines the payloads and reads all replies. Payloads
-// that fail to encode locally are reported as Err entries without being
-// sent.
+// SubmitBatch pipelines the payloads — in one write when their frames
+// fit tcpReadBufSize — and reads all replies. Payloads that fail to
+// encode locally are reported as Err entries without being sent.
 func (c *TCPClient) SubmitBatch(payloads []*fingerprint.Payload) ([]BatchDecision, error) {
 	readTO, writeTO := c.deadlines()
 	out := make([]BatchDecision, len(payloads))

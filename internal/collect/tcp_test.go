@@ -170,6 +170,65 @@ func TestTCPConcurrentConnections(t *testing.T) {
 	}
 }
 
+// writeCounter is a net.Conn that counts its writes.
+type writeCounter struct {
+	net.Conn
+	writes int
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Conn.Write(p)
+}
+
+// A 64-frame login batch (about 10.5 KB) leaves SubmitBatch in one
+// write, the hello riding on the first, and the listener, which is
+// handed it in one read, answers it as one coalesced batch.
+func TestTCPClientSubmitsBatchInOneWrite(t *testing.T) {
+	m, d := testModel(t)
+	srv, err := NewTCPServer(Config{Model: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, pipe := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.handleConn(server)
+	}()
+	conn := &writeCounter{Conn: pipe}
+	c := newTCPClient(conn)
+	// net.Pipe has no buffer: a batch split over several writes stalls
+	// once the listener answers its first part, so fail fast.
+	c.ReadTimeout, c.WriteTimeout = 5*time.Second, 5*time.Second
+	rel := ua.Release{Vendor: ua.Chrome, Version: 112}
+	batch := make([]*fingerprint.Payload, tcpBlockFrames)
+	for i := range batch {
+		batch[i] = payloadFor(d, rel, rel)
+		batch[i].SessionID[0] = byte(i)
+	}
+	for round := 1; round <= 3; round++ {
+		writes := conn.writes
+		out, err := c.SubmitBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, dec := range out {
+			if dec.Err || dec.SessionID != batch[i].SessionID {
+				t.Fatalf("round %d, frame %d answered %+v", round, i, dec)
+			}
+		}
+		if got := conn.writes - writes; got != 1 {
+			t.Fatalf("round %d: the batch left in %d writes, want 1", round, got)
+		}
+		if h := srv.BatchHist(); h.Count() != uint64(round) || h.Sum() != time.Duration(round*tcpBlockFrames)*time.Microsecond {
+			t.Fatalf("round %d: the listener served %d batches of %v frames in all, want %d of %d each", round, h.Count(), h.Sum(), round, tcpBlockFrames)
+		}
+	}
+	c.Close()
+	<-served
+}
+
 func TestTCPRejectsBadHello(t *testing.T) {
 	_, addr, cleanup := startTCP(t)
 	defer cleanup()

@@ -98,32 +98,6 @@ func TestTrainErrorNamesStage(t *testing.T) {
 	}
 }
 
-// TestTrainRejectsBadForestSizes: a negative isolation-forest size is
-// ErrBadInput, whether or not the filter stage would run, and never a
-// makeslice panic.
-func TestTrainRejectsBadForestSizes(t *testing.T) {
-	samples, _ := trainFixture(t, 5)
-	for _, tc := range []struct {
-		name string
-		edit func(*TrainConfig)
-	}{
-		{"trees-minus-one", func(c *TrainConfig) { c.IsolationTrees = -1 }},
-		{"trees-very-negative", func(c *TrainConfig) { c.IsolationTrees = -1 << 40 }},
-		{"filter-disabled", func(c *TrainConfig) { c.IsolationTrees, c.DisableOutlierFilter = -1, true }},
-		{"no-contamination", func(c *TrainConfig) { c.IsolationTrees, c.Contamination = -1, 0 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultTrainConfig()
-			cfg.K = 4
-			tc.edit(&cfg)
-			m, rep, err := Train(samples, cfg)
-			if !errors.Is(err, ErrBadInput) || m != nil || rep != nil {
-				t.Fatalf("model %v, report %v, err %v; want ErrBadInput", m, rep, err)
-			}
-		})
-	}
-}
-
 func TestScoreNotTrained(t *testing.T) {
 	var m Model
 	chrome := ua.UserAgent(ua.Release{Vendor: ua.Chrome, Version: 100}, ua.Windows10)
@@ -176,14 +150,13 @@ func TestScoreBatchContextCancel(t *testing.T) {
 func TestWithDefaults(t *testing.T) {
 	var cfg TrainConfig
 	d := cfg.WithDefaults()
-	if d.IsolationTrees != 100 || d.KMeansRestarts != 4 || d.VersionDivisor != ua.DefaultVersionDivisor {
+	if d.KMeansRestarts != 4 || d.VersionDivisor != ua.DefaultVersionDivisor {
 		t.Fatalf("defaults not filled: %+v", d)
 	}
-	cfg.IsolationTrees = 7
 	cfg.KMeansRestarts = 2
 	cfg.VersionDivisor = 9
 	d = cfg.WithDefaults()
-	if d.IsolationTrees != 7 || d.KMeansRestarts != 2 || d.VersionDivisor != 9 {
+	if d.KMeansRestarts != 2 || d.VersionDivisor != 9 {
 		t.Fatalf("explicit values overwritten: %+v", d)
 	}
 }

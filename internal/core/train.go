@@ -28,6 +28,10 @@ var (
 	ErrNotTrained = errors.New("model not trained")
 )
 
+// isolationTrees sizes the outlier filter's forest (§6.4.1). Every
+// model is trained with it; TestModelGolden pins the result.
+const isolationTrees = 100
+
 // Stage names of the §6.4 training pipeline, in execution order. They key
 // TrainReport.Stages, a failed stage's error and the /metrics
 // stage-duration export.
@@ -55,8 +59,6 @@ type TrainConfig struct {
 	// quotes a "0.002%" threshold while reporting 172 dropped rows of
 	// 205k (≈0.084%); we default to the observed drop rate.
 	Contamination float64
-	// IsolationTrees sizes the forest (default 100).
-	IsolationTrees int
 	// KMeansRestarts guards against unlucky initializations (default 4).
 	KMeansRestarts int
 	// DisablePCA clusters on the scaled features directly (ablation).
@@ -97,7 +99,6 @@ func DefaultTrainConfig() TrainConfig {
 		K:               11,
 		Seed:            1,
 		Contamination:   172.0 / 205000.0,
-		IsolationTrees:  100,
 		KMeansRestarts:  4,
 		RareUAThreshold: 100,
 		VersionDivisor:  ua.DefaultVersionDivisor,
@@ -129,14 +130,11 @@ type StageTiming struct {
 }
 
 // WithDefaults returns a copy of cfg with every zero-valued knob that
-// has a documented default filled in (IsolationTrees 100, KMeansRestarts
-// 4, VersionDivisor ua.DefaultVersionDivisor). It is the single source
+// has a documented default filled in (KMeansRestarts 4, VersionDivisor
+// ua.DefaultVersionDivisor). It is the single source
 // of truth for those defaults — Train applies it, and cmd/reproduce and
 // cmd/polygraph can call it to display the effective configuration.
 func (cfg TrainConfig) WithDefaults() TrainConfig {
-	if cfg.IsolationTrees == 0 {
-		cfg.IsolationTrees = 100
-	}
 	if cfg.KMeansRestarts == 0 {
 		cfg.KMeansRestarts = 4
 	}
@@ -171,9 +169,6 @@ func Train(samples []Sample, cfg TrainConfig) (*Model, *TrainReport, error) {
 	}
 	if !cfg.DisablePCA && (cfg.PCAComponents < 1 || cfg.PCAComponents > dim) {
 		return nil, nil, fmt.Errorf("core: %w: PCA components %d out of [1,%d]", ErrBadInput, cfg.PCAComponents, dim)
-	}
-	if cfg.IsolationTrees < 0 {
-		return nil, nil, fmt.Errorf("core: %w: IsolationTrees=%d", ErrBadInput, cfg.IsolationTrees)
 	}
 
 	// Every stage reads one table: the distinct (claim, vector) pairs of
@@ -214,7 +209,7 @@ func Train(samples []Sample, cfg TrainConfig) (*Model, *TrainReport, error) {
 	// Stage 2: Isolation Forest outlier filtering (§6.4.1).
 	if !cfg.DisableOutlierFilter && cfg.Contamination > 0 {
 		forest, err := iforest.FitGroups(rows, iforest.Config{
-			Trees: cfg.IsolationTrees, Seed: cfg.Seed,
+			Trees: isolationTrees, Seed: cfg.Seed,
 		})
 		if err != nil {
 			return failed(StageFilter, err)

@@ -50,10 +50,11 @@ type DriftConfig struct {
 }
 
 // DriftMonitor is safe for concurrent Observe/Evaluate/WriteMetrics.
-// Observe costs an accepted request one atomic add and one atomic load:
-// the reservoir is sampled by skip-ahead (Li's Algorithm L, TOMS 1994),
-// which draws how many observations to pass over instead of a number
-// per observation, so mu is taken only by the vectors that enter the
+// Observe costs a block of accepted vectors — one HTTP request's, one
+// TCP batch's — one atomic add and one atomic load: the reservoir is
+// sampled by skip-ahead (Li's Algorithm L, TOMS 1994), which draws how
+// many observations to pass over instead of a number per observation,
+// so mu is taken only by the vectors that enter the
 // reservoir — the first Reservoir of a window, then about
 // Reservoir·ln(N/Reservoir) of the next N.
 type DriftMonitor struct {
@@ -133,17 +134,36 @@ func (m *DriftMonitor) SetBaseline(b core.Baseline) error {
 	return err
 }
 
-// Observe feeds one accepted feature vector into the reservoir (the
-// vector is copied, so callers may reuse their buffer). Vectors of the
-// wrong width are dropped — the scoring path already rejected them
-// upstream. The sample is uniform over the window, and for one seed and
-// one serial order of calls it is always the same sample.
-func (m *DriftMonitor) Observe(v []float64) {
-	if len(v) != len(m.features) {
+// Observe feeds a block of accepted feature vectors into the reservoir,
+// in order (each vector is copied, so callers may reuse their buffers).
+// Vectors of the wrong width are dropped — the scoring path already
+// rejected them upstream. The block is counted with one atomic add, and
+// its vectors take the numbers one call per vector would have given
+// them, so for one seed and one serial order of vectors the sample is
+// the same however they are split into blocks. The sample is uniform
+// over the window.
+func (m *DriftMonitor) Observe(vs ...[]float64) {
+	var n uint64
+	for _, v := range vs {
+		if len(v) == len(m.features) {
+			n++
+		}
+	}
+	if n == 0 {
 		return
 	}
-	if n := m.seen.Add(1); n >= m.next.Load() {
-		m.enter(n, v)
+	last := m.seen.Add(n)
+	if last < m.next.Load() {
+		return
+	}
+	i := last - n
+	for _, v := range vs {
+		if len(v) != len(m.features) {
+			continue
+		}
+		if i++; i >= m.next.Load() {
+			m.enter(i, v)
+		}
 	}
 }
 

@@ -267,6 +267,55 @@ func positions(t testing.TB, seed uint64, k, n int) []int {
 	return out
 }
 
+// Observe over a block draws what one call per vector draws: blocks of
+// mixed sizes, some straddling the window's fill and carrying vectors of
+// the wrong width, with a restart between two of them, leave the same
+// reservoir, count and next entry as the vectors observed one at a time.
+func TestDriftMonitorBlockObserve(t *testing.T) {
+	const k, n, restart = 16, 3000, 1100
+	stream := make([][]float64, n)
+	for i := range stream {
+		stream[i] = []float64{float64(i)}
+		if i%97 == 5 {
+			stream[i] = []float64{float64(i), 0} // wrong width: dropped
+		}
+	}
+	baseline := core.BinColumns(driftRows(1, 400, 0, 10)[:1], 1)
+	monitor := func() *DriftMonitor {
+		m, err := NewDriftMonitor(DriftConfig{Features: []string{"pos"}, Reservoir: k, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	single, blocked := monitor(), monitor()
+	sizes := []int{1, 7, 64, 3, 200, 2, 256}
+	for p, part := range [][][]float64{stream[:restart], stream[restart:]} {
+		if p > 0 {
+			for _, m := range []*DriftMonitor{single, blocked} {
+				if err := m.SetBaseline(baseline); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for b := 0; len(part) > 0; b++ {
+			block := part[:min(sizes[b%len(sizes)], len(part))]
+			part = part[len(block):]
+			for _, v := range block {
+				single.Observe(v)
+			}
+			blocked.Observe(block...)
+			if !slices.EqualFunc(single.res, blocked.res, slices.Equal) || single.Seen() != blocked.Seen() || single.next.Load() != blocked.next.Load() {
+				t.Fatalf("after a block of %d: one at a time holds %v (seen %d, next %d), the block form %v (seen %d, next %d)",
+					len(block), single.res, single.Seen(), single.next.Load(), blocked.res, blocked.Seen(), blocked.next.Load())
+			}
+		}
+	}
+	if len(blocked.res) != k {
+		t.Fatalf("reservoir holds %d rows, want %d", len(blocked.res), k)
+	}
+}
+
 // The skip-ahead sampler must keep what algorithm R promised: every
 // position of the stream is in the reservoir with probability k/n. Over
 // many seeds the retention counts are binomial(seeds, k/n) per position,
@@ -307,10 +356,10 @@ func TestDriftMonitorGoldenReservoir(t *testing.T) {
 	}
 }
 
-// Concurrent Observe against everything that takes the monitor's lock:
-// the count is exact, every reservoir row is one whole vector (each
-// observed vector repeats one value), and a window restarted under the
-// observers' feet still fills.
+// Concurrent Observe, of single vectors and of blocks, against
+// everything that takes the monitor's lock: the count is exact, every
+// reservoir row is one whole vector (each observed vector repeats one
+// value), and a window restarted under the observers' feet still fills.
 func TestDriftMonitorConcurrentObserve(t *testing.T) {
 	const goroutines, each, dim = 4, 20000, 8
 	features := make([]string, dim)
@@ -360,12 +409,18 @@ func TestDriftMonitorConcurrentObserve(t *testing.T) {
 		observers.Add(1)
 		go func(g int) {
 			defer observers.Done()
-			v := make([]float64, dim)
-			for i := 0; i < each; i++ {
-				for j := range v {
-					v[j] = float64(g*each + i)
+			// Even observers pass one vector a call, odd ones blocks of 8.
+			block := make([][]float64, 1+7*(g%2))
+			for k := range block {
+				block[k] = make([]float64, dim)
+			}
+			for i := 0; i < each; i += len(block) {
+				for k, v := range block {
+					for j := range v {
+						v[j] = float64(g*each + i + k)
+					}
 				}
-				m.Observe(v)
+				m.Observe(block...)
 			}
 		}(g)
 	}

@@ -41,26 +41,34 @@
 #                                               from every core, both endpoints, drift
 #                                               monitor and a 1-in-100 benign ledger;
 #                                               at -cpu 1,2)
+#   BenchmarkTCPBatchScoreParallel  ≤ 3 allocs/op (internal/collect: 64-frame blocks over
+#                                               two connections, memo hits, drift monitor
+#                                               and a 1-in-100 benign ledger; per block:
+#                                               the trace and the audited verdicts)
+#   BenchmarkTCPBatchScoreParallelDistinct ≤ 4 allocs/op (the same on traffic that
+#                                               never repeats a pair; both at -cpu 1,2 and
+#                                               a fixed 20000 blocks, since how many
+#                                               audited verdicts define a ledger class
+#                                               depends on how often the 4 096 blocks
+#                                               cycle; the block's own buffers are reused)
 #   BenchmarkTrain60000         ≤ 10 MB/op     (internal/core: Train on bench/'s
 #                                               60 000 sessions; it reads a table of
 #                                               the ~150 distinct vectors, and an
 #                                               n-row float matrix is 13.4 MB)
 #
 # The ns/op numbers are machine-dependent and therefore only printed,
-# never gated; bench/ (BENCHMARK.json) is where they are measured. Two
-# benchmarks run here for their printed figure alone, because bench/'s
-# one-thread traced replay cannot see what connections share:
-# BenchmarkTCPBatchScoreParallel (internal/collect, frames/s over two
-# connections), its twin BenchmarkTCPBatchScoreParallelDistinct on
-# traffic that never repeats a pair (every verdict a memo miss; bench/
-# has no such workload) and BenchmarkDriftObserve/{serial,parallel}
-# (internal/obs).
+# never gated; bench/ (BENCHMARK.json) is where they are measured. The
+# TCP twins' frames/s (two connections; the distinct one, every verdict a
+# memo miss, has no bench/ workload) and BenchmarkDriftObserve/
+# {serial,parallel} (internal/obs) are printed because bench/'s
+# one-thread traced replay cannot see what connections share.
 #
-# BenchmarkCollectHandlerParallel is the HTTP handler's scaling floor:
-# the script prints ns/op at one CPU over ns/op at two. The ratio is not
-# gated: on a shared 2-CPU box it read anywhere from 1.24 to 2.01 across
-# six runs of one build, so a ratio gate would fail on noise, not on a
-# shared write.
+# BenchmarkCollectHandlerParallel is the HTTP handler's scaling floor and
+# BenchmarkTCPBatchScoreParallel the framed listener's: the script prints
+# each one's ns/op at one CPU over its ns/op at two. The ratios are not
+# gated: on a shared 2-CPU box the HTTP one read anywhere from 1.24 to
+# 2.01 across six runs of one build, so a ratio gate would fail on noise,
+# not on a shared write.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -87,8 +95,8 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "== go test -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|ScoreString$|ScoreFrame$|CollectHandler$|TCPBatchScoreParallel(Distinct)?$|DriftObserve$' -benchmem ./internal/core ./internal/audit ./internal/collect ./internal/obs"
-go test -run '^$' -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|ScoreString$|ScoreFrame$|CollectHandler$|TCPBatchScoreParallel(Distinct)?$|DriftObserve$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit ./internal/collect ./internal/obs | tee "$out"
+echo "== go test -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|ScoreString$|ScoreFrame$|CollectHandler$|DriftObserve$' -benchmem ./internal/core ./internal/audit ./internal/collect ./internal/obs"
+go test -run '^$' -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|ScoreString$|ScoreFrame$|CollectHandler$|DriftObserve$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit ./internal/collect ./internal/obs | tee "$out"
 
 awk '
     /^Benchmark(ExplainResult|LedgerAppend\/new-class)(-[0-9]+)? / { seen++; max = 4 }
@@ -127,6 +135,25 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
+echo "== go test -bench 'TCPBatchScoreParallel(Distinct)?$' -benchmem -benchtime 20000x -cpu 1,2 ./internal/collect"
+go test -run '^$' -bench 'TCPBatchScoreParallel(Distinct)?$' -benchmem -benchtime 20000x -cpu 1,2 ./internal/collect | tee "$out"
+
+awk '
+    /^BenchmarkTCPBatchScoreParallel(-[0-9]+)? / { seen++; max = 3; ns[$1 ~ /-2$/ ? 2 : 1] = $3 }
+    /^BenchmarkTCPBatchScoreParallelDistinct(-[0-9]+)? / { seen++; max = 4 }
+    /^BenchmarkTCPBatchScoreParallel(Distinct)?(-[0-9]+)? / {
+        if ($NF != "allocs/op" || $(NF-1) > max) {
+            printf "benchgate: %s allocates %s %s, ceiling %d allocs/op\n", $1, $(NF-1), $NF, max
+            bad = 1
+        }
+    }
+    END {
+        if (seen < 4 || !ns[1] || !ns[2]) { print "benchgate: the TCP twins at -cpu 1,2 missing from output"; exit 1 }
+        printf "benchgate: TCP listener scales %.2fx from one CPU to two (printed, not gated)\n", ns[1] / ns[2]
+        exit bad
+    }
+' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
+
 echo "== go test -bench 'Train60000$' -benchmem ./internal/core"
 go test -run '^$' -bench 'Train60000$' -benchmem -benchtime 5x ./internal/core | tee "$out"
 
@@ -145,4 +172,4 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths, the memo on both sides, as a vector and as a frame, and the kernel, audit-path and collect-handler ceilings (serial and parallel), training ≤ 10 MB)"
+echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths, the memo on both sides, as a vector and as a frame, and the kernel, audit-path, collect-handler (serial and parallel) and TCP-twin ceilings, training ≤ 10 MB)"
