@@ -103,16 +103,17 @@ func (c *coalescer) serveBatch() bool {
 	return served && keep
 }
 
-// serve answers c.batch: one trace and one model load, every frame
-// scored in frame order, one settle of the block, one reply per frame,
-// one flush. Per-frame latency under coalescing is the batch's wall time
-// — that is what each client frame actually waited — so the clock is
-// read once per batch, not per frame, and the listener's counters, which
-// every connection shares, are added to once per batch, before the
-// replies leave. The batch's latency is the duration Finish measured:
+// serve answers c.batch: one trace, the buffer's, and one model load,
+// every frame scored in frame order, one settle of the block, one reply
+// per frame, one flush. Per-frame latency under coalescing is the
+// batch's wall time — that is what each client frame actually waited —
+// so the clock is read once per batch, not per frame, and the listener's
+// counters, which every connection shares, are added to once per batch,
+// before the replies leave. The batch's latency is the duration Finish measured:
 // its one clock read.
 func (c *coalescer) serve() bool {
-	tr := c.s.tracer.Open(EndpointTCP, c.buf.shard)
+	tr := &c.buf.trace
+	c.s.tracer.Open(tr, EndpointTCP, c.buf.shard)
 	dep := c.s.model.loadDeployed()
 	c.buf.newBlock()
 	for rest := c.batch; len(rest) > 0; {

@@ -136,8 +136,14 @@ func tracerFor(cfg Config) *obs.Tracer {
 // writes (obs.ShardCount): the trace-ring shard, and on HTTP the
 // server's counters and latency histograms. sync.Pool keeps a buffer on
 // the P that returned it, so a core keeps writing the one shard.
+//
+// trace is the request's or the batch's trace: the buffer owns it, the
+// transport opens it (obs.Tracer.Open resets it) and finishes it before
+// the buffer goes back to the pool or on to the next batch, and the
+// ring keeps a copy. So a trace, too, is allocated once per buffer.
 type scoreBuf struct {
 	shard   int
+	trace   obs.Trace
 	vec     []float64
 	scratch *core.Scratch
 	payload fingerprint.Payload

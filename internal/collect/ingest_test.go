@@ -402,8 +402,9 @@ func TestIngestBenignSampledOutAllocs(t *testing.T) {
 		alone.Observe(vec)
 	})
 
-	tr := srv.Tracer().Open(EndpointBinary, 0)
 	buf, dep := srv.newScoreBuf(), srv.model.loadDeployed()
+	tr := &buf.trace
+	srv.Tracer().Open(tr, EndpointBinary, 0)
 	frame := binaryBodyFor(t, p)
 	for form, score := range map[string]func(){
 		"decoded payload": func() {

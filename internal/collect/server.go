@@ -384,7 +384,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // serveCollect is the shared ingest path of ingestRoutes[route]: borrow
-// a scoreBuf, open a trace on its shard, rate-limit, decode, score, and
+// a scoreBuf, open its trace on its shard, rate-limit, decode, score, and
 // seal the trace with the outcome. Only successfully scored requests
 // feed the route's latency histogram — rejects are counted by cause
 // instead — and it records the duration Finish measured, so the trace
@@ -397,7 +397,8 @@ func (s *Server) serveCollect(w http.ResponseWriter, r *http.Request, route int)
 	}
 	defer s.bufs.Put(buf)
 	rt := &ingestRoutes[route]
-	tr := s.tracer.Open(rt.path, buf.shard)
+	tr := &buf.trace
+	s.tracer.Open(tr, rt.path, buf.shard)
 	status := s.collectOne(w, r, tr, buf, rt.decode)
 	d := s.tracer.Finish(tr, status)
 	if status == "ok" {

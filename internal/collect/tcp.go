@@ -259,12 +259,16 @@ func (c *TCPClient) deadlines() (read, write time.Duration) {
 func (c *TCPClient) Close() error { return c.conn.Close() }
 
 // SubmitBatch pipelines the payloads — in one write when their frames
-// fit tcpReadBufSize — and reads all replies. Payloads that fail to
+// fit tcpReadBufSize — and reads all replies. It writes at most
+// tcpMaxBatch frames before it reads their replies, so the replies it
+// has not read, at most one full listener batch of them, never outgrow
+// what the connection buffers: a listener blocked on flushing them would
+// stop reading the frames still being written. Payloads that fail to
 // encode locally are reported as Err entries without being sent.
 func (c *TCPClient) SubmitBatch(payloads []*fingerprint.Payload) ([]BatchDecision, error) {
 	readTO, writeTO := c.deadlines()
 	out := make([]BatchDecision, len(payloads))
-	sent := make([]int, 0, len(payloads)) // indices actually on the wire
+	sent := make([]int, 0, min(len(payloads), tcpMaxBatch)) // indices on the wire, replies unread
 	var lenBuf [4]byte
 	c.conn.SetWriteDeadline(time.Now().Add(writeTO))
 	for i, p := range payloads {
@@ -280,10 +284,25 @@ func (c *TCPClient) SubmitBatch(payloads []*fingerprint.Payload) ([]BatchDecisio
 		if _, err := c.bw.Write(enc); err != nil {
 			return nil, &ClientError{Kind: FailDown, Op: "write frame", Err: err}
 		}
-		sent = append(sent, i)
+		if sent = append(sent, i); len(sent) == tcpMaxBatch {
+			if err := c.readReplies(out, sent, readTO); err != nil {
+				return nil, err
+			}
+			sent = sent[:0]
+			c.conn.SetWriteDeadline(time.Now().Add(writeTO))
+		}
 	}
+	if err := c.readReplies(out, sent, readTO); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// readReplies flushes the frames written so far and reads the reply of
+// each, out[i] for every i in sent, in order.
+func (c *TCPClient) readReplies(out []BatchDecision, sent []int, readTO time.Duration) error {
 	if err := c.bw.Flush(); err != nil {
-		return nil, &ClientError{Kind: FailDown, Op: "flush", Err: err}
+		return &ClientError{Kind: FailDown, Op: "flush", Err: err}
 	}
 	var reply [tcpReplySize]byte
 	for _, i := range sent {
@@ -293,7 +312,7 @@ func (c *TCPClient) SubmitBatch(payloads []*fingerprint.Payload) ([]BatchDecisio
 			c.conn.SetReadDeadline(time.Now().Add(readTO))
 		}
 		if _, err := io.ReadFull(c.br, reply[:]); err != nil {
-			return nil, &ClientError{Kind: FailDown, Op: fmt.Sprintf("read reply %d", i), Err: err}
+			return &ClientError{Kind: FailDown, Op: fmt.Sprintf("read reply %d", i), Err: err}
 		}
 		d := BatchDecision{}
 		copy(d.SessionID[:], reply[:fingerprint.SessionIDSize])
@@ -305,5 +324,5 @@ func (c *TCPClient) SubmitBatch(payloads []*fingerprint.Payload) ([]BatchDecisio
 		d.Err = flags&tcpErrorFlag != 0
 		out[i] = d
 	}
-	return out, nil
+	return nil
 }

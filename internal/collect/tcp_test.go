@@ -229,6 +229,50 @@ func TestTCPClientSubmitsBatchInOneWrite(t *testing.T) {
 	<-served
 }
 
+// A batch of many listener batches over net.Pipe, which buffers
+// nothing: SubmitBatch reads the replies of each tcpMaxBatch frames
+// before it writes more, so the listener never blocks flushing replies
+// the client is not reading while the client blocks writing frames the
+// listener is not reading, and every reply arrives well inside the
+// deadline.
+func TestTCPClientSubmitsLargeBatch(t *testing.T) {
+	m, d := testModel(t)
+	srv, err := NewTCPServer(Config{Model: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, pipe := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.handleConn(server)
+	}()
+	c := newTCPClient(pipe)
+	const deadline = 5 * time.Second
+	c.ReadTimeout, c.WriteTimeout = deadline, deadline
+	rel := ua.Release{Vendor: ua.Chrome, Version: 112}
+	batch := make([]*fingerprint.Payload, 4*tcpMaxBatch+1)
+	for i := range batch {
+		batch[i] = payloadFor(d, rel, rel)
+		batch[i].SessionID[0], batch[i].SessionID[1] = byte(i), byte(i>>8)
+	}
+	start := time.Now()
+	out, err := c.SubmitBatch(batch)
+	if took := time.Since(start); err != nil || took > deadline/2 {
+		t.Fatalf("%d frames answered in %v: %v", len(batch), took, err)
+	}
+	for i, dec := range out {
+		if dec.Err || dec.SessionID != batch[i].SessionID {
+			t.Fatalf("frame %d answered %+v", i, dec)
+		}
+	}
+	if h := srv.BatchHist(); h.Sum() != time.Duration(len(batch))*time.Microsecond {
+		t.Fatalf("the listener served %v frames in %d batches, want %d", h.Sum(), h.Count(), len(batch))
+	}
+	c.Close()
+	<-served
+}
+
 func TestTCPRejectsBadHello(t *testing.T) {
 	_, addr, cleanup := startTCP(t)
 	defer cleanup()

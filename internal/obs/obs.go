@@ -1,6 +1,7 @@
 // Package obs is the stdlib-only observability layer for the serving
-// and training stack: request-scoped traces with deterministic IDs and
-// a lock-free ring buffer split per core (trace.go, ring.go, shard.go),
+// and training stack: request-scoped traces with deterministic IDs, in
+// storage the caller owns, and a ring of trace copies split per core
+// (trace.go, ring.go, shard.go),
 // power-of-two-bucket latency histograms shared with the loadgen
 // harness (hist.go), Prometheus text-exposition writers and a format
 // linter (prom.go, lint.go), live feature-drift telemetry over

@@ -7,8 +7,10 @@ import "context"
 // Nothing that serves calls this: both transports open their traces
 // with Open. The benchmark module still compiles against it.
 
-// Start is Open, on shard 0, for a caller that passes a context along;
-// the context comes back unchanged.
+// Start is Open of a new trace, on shard 0, for a caller that passes a
+// context along; the context comes back unchanged.
 func (t *Tracer) Start(ctx context.Context, endpoint string) (context.Context, *Trace) {
-	return ctx, t.Open(endpoint, 0)
+	tr := new(Trace)
+	t.Open(tr, endpoint, 0)
+	return ctx, tr
 }

@@ -84,8 +84,11 @@ const inlineSpans = 4
 
 // Trace is one request's record: identity, endpoint, outcome, total
 // duration, and the spans the request path records on it (RecordSpan).
-// A Trace is mutable until Tracer.Finish and immutable after — the ring
-// and /debug/traces only ever see finished traces.
+// The caller owns it — the collect transports keep one in the buffer a
+// request or a batch borrows — and Tracer.Open resets it for each
+// request. Tracer.Finish copies the finished trace into the ring, so the
+// ring and /debug/traces never see the caller's trace, which the next
+// Open may reuse at once.
 type Trace struct {
 	ID       TraceID `json:"id"`
 	Endpoint string  `json:"endpoint"`
@@ -101,6 +104,23 @@ type Trace struct {
 	// trace with no span keeps Spans nil, which /debug/traces shows as
 	// null.
 	inline [inlineSpans]Span
+}
+
+// copyTo copies the finished trace into dst, which no one else reads or
+// writes meanwhile. Spans that fit inline are copied into dst's own
+// inline array; a longer slice is shared, since nothing appends to it
+// again: the next Open of t starts on a nil slice.
+func (t *Trace) copyTo(dst *Trace) {
+	dst.ID, dst.Endpoint, dst.Status, dst.DurUs = t.ID, t.Endpoint, t.Status, t.DurUs
+	dst.start, dst.shard = t.start, t.shard
+	switch {
+	case len(t.Spans) > inlineSpans:
+		dst.Spans = t.Spans
+	case t.Spans != nil:
+		dst.Spans = dst.inline[:copy(dst.inline[:], t.Spans)]
+	default:
+		dst.Spans = nil
+	}
 }
 
 // StartTime is when the trace was opened: the request's one wall-clock
@@ -171,19 +191,21 @@ func NewTracer(cfg TracerConfig) *Tracer {
 // tests).
 func (t *Tracer) Ring() *TraceRing { return t.ring }
 
-// Open opens a trace for one request on endpoint, to be retained in
-// shard (taken modulo the ring's shard count: the shard of the buffer
-// the request borrows). The caller records spans on it directly and
-// must call Finish exactly once.
-func (t *Tracer) Open(endpoint string, shard int) *Trace {
-	return &Trace{ID: t.ids.Next(), Endpoint: endpoint, start: time.Now(), shard: uint32(shard)}
+// Open resets the caller's trace tr for one request on endpoint, to be
+// retained in shard (taken modulo the ring's shard count: the shard of
+// the buffer the request borrows): a new ID, the start time, no status,
+// duration or spans. The caller records spans on it directly and must
+// call Finish exactly once before it opens tr again.
+func (t *Tracer) Open(tr *Trace, endpoint string, shard int) {
+	tr.ID, tr.Endpoint, tr.start, tr.shard = t.ids.Next(), endpoint, time.Now(), uint32(shard)
+	tr.Status, tr.DurUs, tr.Spans = "", 0, nil
 }
 
-// Finish seals the trace with its outcome, retains it in the ring, and
+// Finish seals the trace with its outcome, copies it into the ring, and
 // emits a structured slow-request record when the total duration
 // crosses the threshold. It returns that duration, its one clock read,
-// for a caller that records the request's latency elsewhere too. After
-// Finish the trace is immutable.
+// for a caller that records the request's latency elsewhere too. The
+// trace stays the caller's, to read or to open again.
 func (t *Tracer) Finish(tr *Trace, status string) time.Duration {
 	d := time.Since(tr.start)
 	tr.Status = status

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -159,8 +160,10 @@ func TestTracerShardsConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var tr Trace
 			for i := 0; i < perShard; i++ {
-				tracer.Finish(tracer.Open("/v1/collect", g), "ok")
+				tracer.Open(&tr, "/v1/collect", g)
+				tracer.Finish(&tr, "ok")
 			}
 		}(g)
 	}
@@ -194,7 +197,8 @@ func TestTracerSpansAndSlowLog(t *testing.T) {
 		SlowThreshold: time.Nanosecond, // everything is slow
 		Logger:        slog.New(slog.NewJSONHandler(&buf, nil)),
 	})
-	tr := tracer.Open("/v1/collect", 0)
+	tr := new(Trace)
+	tracer.Open(tr, "/v1/collect", 0)
 	start := time.Now()
 	time.Sleep(time.Millisecond)
 	tr.RecordSpan("score", start, time.Since(start))
@@ -241,7 +245,8 @@ func TestTraceInlineSpans(t *testing.T) {
 		Spans    []Span  `json:"spans"`
 	}
 	for n := 0; n <= len(names); n++ {
-		tr := tracer.Open("/v1/collect", 0)
+		tr := new(Trace)
+		tracer.Open(tr, "/v1/collect", 0)
 		for _, name := range names[:n] {
 			start := time.Now()
 			tr.RecordSpan(name, start, time.Since(start))
@@ -286,6 +291,163 @@ func TestTraceInlineSpans(t *testing.T) {
 	}
 }
 
+// TestTraceRingKeepsCopies reuses one caller-owned trace, as a pooled
+// buffer does: what Last, Slowest and /debug/traces returned for it is
+// unchanged after the trace is opened and finished again, and again
+// after its ring slot is overwritten — with three inline spans and with
+// five, whose slice the ring takes over.
+func TestTraceRingKeepsCopies(t *testing.T) {
+	for _, spans := range []int{3, 5} {
+		t.Run(fmt.Sprintf("%d spans", spans), func(t *testing.T) {
+			tracer := NewTracer(TracerConfig{Seed: 11, RingSize: 2})
+			var tr Trace
+			run := func(endpoint, status, span string, n int) {
+				tracer.Open(&tr, endpoint, 0)
+				for i := 0; i < n; i++ {
+					start := time.Now()
+					tr.RecordSpan(fmt.Sprintf("%s%d", span, i), start, time.Since(start))
+				}
+				tracer.Finish(&tr, status)
+			}
+			page := func() map[TraceID]string {
+				w := httptest.NewRecorder()
+				tracer.ServeTraces(w, httptest.NewRequest("GET", "/debug/traces", nil))
+				var p struct{ Last []json.RawMessage }
+				if err := json.Unmarshal(w.Body.Bytes(), &p); err != nil {
+					t.Fatal(err)
+				}
+				byID := map[TraceID]string{}
+				for _, raw := range p.Last {
+					var tr struct{ ID string }
+					json.Unmarshal(raw, &tr)
+					id, _ := strconv.ParseUint(tr.ID, 16, 64)
+					byID[TraceID(id)] = string(raw)
+				}
+				return byID
+			}
+			marshal := func(tr *Trace) string {
+				b, err := json.Marshal(tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(b)
+			}
+
+			run("/v1/collect", "ok", "first", spans)
+			first, want := tr.ID, marshal(&tr)
+			last, slow := tracer.Ring().Last(1), tracer.Ring().Slowest(1)
+			if len(last) != 1 || len(slow) != 1 {
+				t.Fatalf("Last(1) = %d traces, Slowest(1) = %d", len(last), len(slow))
+			}
+			served := page()[first]
+			if served == "" {
+				t.Fatal("/debug/traces does not show the trace")
+			}
+			for what, got := range map[string]string{"Last": marshal(last[0]), "Slowest": marshal(slow[0])} {
+				if got != want {
+					t.Fatalf("%s copies\n %s\nof\n %s", what, got, want)
+				}
+			}
+
+			// Reopen: a second trace, still on the ring beside the first.
+			run("/v1/collect-json", "bad_json", "second", spans+1)
+			if got := page()[first]; got != served {
+				t.Fatalf("/debug/traces shows the first trace as\n %s\nafter the caller reused it, was\n %s", got, served)
+			}
+			// Reopen again: the first trace's slot is overwritten.
+			run("tcp", "partial", "third", 1)
+			if len(tracer.Ring().Last(3)) != 2 {
+				t.Fatal("ring of two kept more than two traces")
+			}
+			for what, got := range map[string]string{"Last": marshal(last[0]), "Slowest": marshal(slow[0])} {
+				if got != want {
+					t.Fatalf("after reuse, %s's copy reads\n %s\nwas\n %s", what, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestTraceRingConcurrentPutAndRead puts traces from two writers per
+// shard — each reusing one trace, as a pooled buffer does — while
+// readers walk Last, Slowest and /debug/traces. Every trace read is
+// whole: its status says how many spans it has and each span carries
+// its endpoint's name. Run it under -race.
+func TestTraceRingConcurrentPutAndRead(t *testing.T) {
+	tracer := NewTracer(TracerConfig{Seed: 2, RingSize: 4})
+	shards := len(tracer.Ring().shards)
+	const perWriter = 300
+	check := func(trs []*Trace) error {
+		for _, tr := range trs {
+			if len(tr.Status) != 1 || len(tr.Spans) != int(tr.Status[0]-'0') {
+				return fmt.Errorf("trace %s: status %q with %d spans", tr.ID, tr.Status, len(tr.Spans))
+			}
+			for _, sp := range tr.Spans {
+				if sp.Name != tr.Endpoint {
+					return fmt.Errorf("trace %s of %s holds span %q", tr.ID, tr.Endpoint, sp.Name)
+				}
+			}
+		}
+		return nil
+	}
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan error, 3)
+	for _, read := range []func() []*Trace{
+		func() []*Trace { return tracer.Ring().Last(8) },
+		func() []*Trace { return tracer.Ring().Slowest(8) },
+		func() []*Trace {
+			tracer.ServeTraces(httptest.NewRecorder(), httptest.NewRequest("GET", "/debug/traces?n=4", nil))
+			return nil
+		},
+	} {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := check(read()); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < 2*shards; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			endpoint := fmt.Sprintf("w%d", g)
+			var tr Trace
+			for i := 0; i < perWriter; i++ {
+				tracer.Open(&tr, endpoint, g%shards)
+				n := i % (inlineSpans + 3)
+				for k := 0; k < n; k++ {
+					tr.RecordSpan(endpoint, tr.StartTime(), time.Duration(k))
+				}
+				tracer.Finish(&tr, strconv.Itoa(n))
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := tracer.Ring().Len(); got != uint64(2*shards*perWriter) {
+		t.Fatalf("Len() = %d, want %d", got, 2*shards*perWriter)
+	}
+	if err := check(tracer.Ring().Slowest(-1)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTracerFastRequestNotLogged(t *testing.T) {
 	var buf bytes.Buffer
 	tracer := NewTracer(TracerConfig{
@@ -306,7 +468,8 @@ func TestTracerFastRequestNotLogged(t *testing.T) {
 func TestServeTraces(t *testing.T) {
 	tracer := NewTracer(TracerConfig{Seed: 5, RingSize: 8})
 	for i := 0; i < 3; i++ {
-		tr := tracer.Open("/v1/collect", 0)
+		tr := new(Trace)
+		tracer.Open(tr, "/v1/collect", 0)
 		tracer.Finish(tr, "ok")
 	}
 	req := httptest.NewRequest("GET", "/debug/traces?n=2", nil)

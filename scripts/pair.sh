@@ -20,7 +20,8 @@
 # Defaults: --workload attack-audit-http --pairs 10 --seed 11 --seconds 10.
 #
 # Trajectory: runs every workload of this tree over --seeds seeds (1 to
-# N, default 5) and writes trajectory/BENCH_<date>.json: each metric's
+# N, default 5) and writes trajectory/BENCH_<date>.json, or
+# BENCH_<date>b.json and on for a later point that day: each metric's
 # median and quartiles over the seeds, with the go version, nproc and the
 # CPU model.
 set -eu
@@ -63,7 +64,13 @@ if [ "$trajectory" = 1 ]; then
         done
     done
     mkdir -p trajectory
-    point="trajectory/BENCH_$(date +%Y-%m-%d).json"
+    # A second point on one day takes the next free suffix: b, c, ...
+    day=$(date +%Y-%m-%d)
+    point="trajectory/BENCH_$day.json"
+    for suffix in b c d e f g h; do
+        [ -e "$point" ] || break
+        point="trajectory/BENCH_$day$suffix.json"
+    done
     go run ./scripts/pairstat -trajectory "$point" -commit "$(git describe --always --dirty)" "$out"
     echo "pair.sh: wrote $point"
     exit 0
