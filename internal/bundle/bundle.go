@@ -90,9 +90,6 @@ type Manifest struct {
 	Errors []CollectError `json:"errors,omitempty"`
 }
 
-// CapturedAt returns the capture time.
-func (m *Manifest) CapturedAt() time.Time { return time.Unix(0, m.CapturedAtNs) }
-
 // Target returns the named target's manifest entry, nil when absent.
 func (m *Manifest) Target(name string) *TargetManifest {
 	for i := range m.Targets {

@@ -43,8 +43,8 @@ func TestBundleRoundTrip(t *testing.T) {
 	if m.FormatVersion != FormatVersion || m.Tool != "test v1" || !m.Redacted {
 		t.Fatalf("manifest header %+v", m)
 	}
-	if !m.CapturedAt().Equal(captureInstant) {
-		t.Fatalf("CapturedAt = %v, want %v", m.CapturedAt(), captureInstant)
+	if m.CapturedAtNs != captureInstant.UnixNano() {
+		t.Fatalf("CapturedAtNs = %d, want %d", m.CapturedAtNs, captureInstant.UnixNano())
 	}
 	tm := m.Target("r0")
 	if tm == nil || len(tm.Artifacts) != 2 || len(tm.Errors) != 1 {

@@ -64,7 +64,11 @@ func memoHolds(m *core.Model, vector []float64, userAgent string) bool {
 func frameEntry(t *testing.T, m *core.Model, frame []byte) *float64 {
 	t.Helper()
 	var p fingerprint.Payload
-	_, vec, err := m.ScoreFrame(m.NewScratch(), &p, frame)
+	sessionID, class, err := fingerprint.SplitFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, vec, err := m.ScoreClass(m.NewScratch(), &p, sessionID, class)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,5 +169,44 @@ func TestJSONRouteSizeContract(t *testing.T) {
 		if want := size == 1000; storable != want || want && !memoHolds(m, vec, p.UserAgent) {
 			t.Fatalf("%d-byte user agent: storable %v, want %v; held %v", size, storable, want, memoHolds(m, vec, p.UserAgent))
 		}
+	}
+}
+
+// TestJSONAndBinaryShareClassEntry: a class posted as JSON is keyed by
+// the class bytes its binary frame carries, so the entry its JSON
+// sightings admit is the one that frame hits — also for a coordinate
+// that a float64 rounds (2⁵³+1 reads as 2⁵³), which a key encoded from
+// the float vector would file under another class. Both routes answer
+// the library's verdict.
+func TestJSONAndBinaryShareClassEntry(t *testing.T) {
+	m, d := testModel(t)
+	lib := fresh(t, m)
+	srv, err := NewServer(Config{Model: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chrome := ua.Release{Vendor: ua.Chrome, Version: 112}
+	for _, c := range []struct {
+		name  string
+		value int64
+	}{
+		{"2⁵³+1", 1<<53 + 1},
+		{"2⁵³", 1 << 53},
+		{"negative", -7},
+	} {
+		p := payloadFor(d, chrome, chrome)
+		p.Values[0] = c.value
+		want, err := lib.ScoreString(fingerprint.ValuesToVector(p.Values), p.UserAgent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, frame := jsonBodyFor(t, p), binaryBodyFor(t, p)
+		for i := 0; i < sightings; i++ {
+			postVerdict(t, srv, EndpointJSON, body, want, c.name+", JSON")
+		}
+		if frameEntry(t, m, frame) == nil {
+			t.Fatalf("%s: the class's binary frame misses the entry its JSON sightings admitted", c.name)
+		}
+		postVerdict(t, srv, EndpointBinary, frame, want, c.name+", binary")
 	}
 }

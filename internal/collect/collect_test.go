@@ -204,6 +204,39 @@ func TestUnplannableModelIs500Score(t *testing.T) {
 	}
 }
 
+// TestUnplannableModelChecksFramingFirst: a body that is not a payload
+// is refused for what it is before the model is asked for its plan, on
+// both routes — a frame whose header is malformed is 400 decode, as a
+// body that is not JSON is 400 bad_json — while a frame whose header
+// checks out reaches the model, which refuses it 500 score even when its
+// class bytes would not decode.
+func TestUnplannableModelChecksFramingFirst(t *testing.T) {
+	m, d := testModel(t)
+	srv, err := NewServer(Config{Model: unplannable(m)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chrome := ua.Release{Vendor: ua.Chrome, Version: 112}
+	frame, err := payloadFor(d, chrome, chrome).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, endpoint string
+		body           []byte
+		code           int
+		reason         string
+	}{
+		{"bad magic", EndpointBinary, append([]byte("xx"), frame[2:]...), http.StatusBadRequest, "decode"},
+		{"not JSON", EndpointJSON, []byte("{"), http.StatusBadRequest, "bad_json"},
+		{"a trailing byte", EndpointBinary, append(frame[:len(frame):len(frame)], 0), http.StatusInternalServerError, "score"},
+	} {
+		if code, reason, reply := routeAnswer(srv, c.endpoint, c.body); code != c.code || reason != c.reason {
+			t.Fatalf("%s: %d %q %q, want %d %q", c.name, code, reason, reply, c.code, c.reason)
+		}
+	}
+}
+
 func TestServerRejectsOversized(t *testing.T) {
 	m, _ := testModel(t)
 	srv, _ := NewServer(Config{Model: m})

@@ -3,11 +3,13 @@ package collect
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -575,4 +577,110 @@ func BenchmarkCollectHandlerParallel(b *testing.B) {
 			srv.ServeHTTP(w, reqs[k])
 		}
 	})
+}
+
+// routeAnswer posts body to srv and returns the status, the reject
+// reason it counted ("" for none) and the reply as answer renders it.
+func routeAnswer(srv *Server, endpoint string, body []byte) (code int, reason, reply string) {
+	var before [numReasons]int64
+	for i := range before {
+		before[i] = srv.rejects[i].Load()
+	}
+	rec := post(srv, endpoint, bytes.NewReader(body))
+	for i := range before {
+		if srv.rejects[i].Load() != before[i] {
+			reason = reasonNames[i]
+		}
+	}
+	return rec.Code, reason, answer(rec)
+}
+
+// TestRouteParityOverWidthsAndErrors: one Server answers a session of
+// each width — none, one, three, one short of and one over the model's,
+// 400 and the model's own — alike as JSON and as a binary frame, where
+// the frame fits the 1 KB budget: the same status, reject reason and
+// message, or the same verdict. As JSON, a value that is not an integer
+// or is an integer of 19 or 20 digits past int64 is 400 bad_json, and
+// int64's extremes are scored as the library scores them. Over TCP, a
+// frame whose class bytes do not decode is answered with a zero session
+// ID and one of the wrong width with its own, both as errors.
+func TestRouteParityOverWidthsAndErrors(t *testing.T) {
+	m, d := testModel(t)
+	lib := fresh(t, m)
+	srv, err := NewServer(Config{Model: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chrome := ua.Release{Vendor: ua.Chrome, Version: 112}
+	base := payloadFor(d, chrome, chrome)
+	widthOf := func(w int) *fingerprint.Payload {
+		p := *base
+		p.Values = make([]int64, w)
+		for i := range p.Values {
+			p.Values[i] = base.Values[i%len(base.Values)]
+		}
+		return &p
+	}
+	for _, w := range []int{0, 1, 3, 27, 29, 400, m.Dim()} {
+		p := widthOf(w)
+		code, reason, reply := routeAnswer(srv, EndpointJSON, jsonBodyFor(t, p))
+		wantCode, wantReason := http.StatusBadRequest, "bad_dim"
+		if w == m.Dim() {
+			wantCode, wantReason = http.StatusOK, ""
+		}
+		if code != wantCode || reason != wantReason {
+			t.Fatalf("width %d as JSON: %d %q %q, want %d %q", w, code, reason, reply, wantCode, wantReason)
+		}
+		frame, err := p.MarshalBinary()
+		if err != nil {
+			continue // over the binary route's budget
+		}
+		if bcode, breason, breply := routeAnswer(srv, EndpointBinary, frame); bcode != code || breason != reason || breply != reply {
+			t.Fatalf("width %d: binary %d %q %q, JSON %d %q %q", w, bcode, breason, breply, code, reason, reply)
+		}
+	}
+
+	ones := strings.Repeat(",1", m.Dim()-1) + "]}"
+	for _, v := range []string{"1.5", "1e3", "9300000000000000000", "-9300000000000000000", "12345678901234567890"} {
+		body := fmt.Sprintf(`{"sid":"%x","ua":%q,"v":[%s%s`, base.SessionID[:], base.UserAgent, v, ones)
+		if code, reason, reply := routeAnswer(srv, EndpointJSON, []byte(body)); code != http.StatusBadRequest || reason != "bad_json" {
+			t.Fatalf("value %s as JSON: %d %q %q, want 400 bad_json", v, code, reason, reply)
+		}
+	}
+	for _, v := range []int64{math.MaxInt64, math.MinInt64} {
+		p := widthOf(m.Dim())
+		p.Values[0] = v
+		want, err := lib.ScoreString(fingerprint.ValuesToVector(p.Values), p.UserAgent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		postVerdict(t, srv, EndpointJSON, jsonBodyFor(t, p), want, fmt.Sprintf("value %d as JSON", v))
+		postVerdict(t, srv, EndpointBinary, binaryBodyFor(t, p), want, fmt.Sprintf("value %d as binary", v))
+	}
+
+	tcp, err := NewTCPServer(Config{Model: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, cleanup := pipeServe(tcp)
+	defer cleanup()
+	good, narrow := widthOf(m.Dim()), widthOf(m.Dim()-1)
+	good.SessionID[0], narrow.SessionID[0] = 1, 2
+	undecodable := append(binaryBodyFor(t, good), 0) // a trailing byte
+	undecodable[3] = 3
+	burst := binary.BigEndian.AppendUint32(frameBytes(t, true, good, narrow), uint32(len(undecodable)))
+	burst = append(burst, undecodable...)
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	replies := readReplies(t, conn, 3)
+	if want := wantReply(m, binaryBodyFor(t, good)); replies[0] != want {
+		t.Fatalf("a good frame: reply %x, want %x", replies[0], want)
+	}
+	if id := replies[1][:fingerprint.SessionIDSize]; !bytes.Equal(id, narrow.SessionID[:]) || replies[1][tcpReplySize-1] != tcpErrorFlag {
+		t.Fatalf("a frame of the wrong width: reply %x, want its session ID %x and the error flag", replies[1], narrow.SessionID)
+	}
+	if want := ([tcpReplySize]byte{tcpReplySize - 1: tcpErrorFlag}); replies[2] != want {
+		t.Fatalf("a frame whose class bytes do not decode: reply %x, want %x", replies[2], want)
+	}
 }

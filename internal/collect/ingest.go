@@ -64,11 +64,11 @@ func (h *modelHolder) store(m *core.Model) error {
 // ingest is the one scoring pipeline behind every transport. The HTTP
 // handlers and the TCP coalescer read and bound their own bytes, keep
 // their own counters and histograms and encode their own replies. A
-// payload's score step — scoreFrame for a binary one, as the bytes it
-// arrived in, scorePayload for a decoded JSON one — adds its verdict to
-// the scoreBuf's block; every side effect of a verdict happens in
-// settle, over the block, so it cannot depend on which socket the
-// session arrived on. An HTTP request is a block of one, a TCP batch a
+// payload's score step, scoreClass — reached through scoreFrame's header
+// check for a binary one, and with the class bytes of the decoded
+// payload for a JSON one — adds its verdict to the scoreBuf's block;
+// every side effect of a verdict happens in settle, over the block, so
+// it cannot depend on which socket the session arrived on. An HTTP request is a block of one, a TCP batch a
 // block of its frames.
 type ingest struct {
 	model  modelHolder
@@ -128,9 +128,11 @@ func tracerFor(cfg Config) *obs.Tracer {
 // — body, or the coalescer's view of its read buffer — which stay as
 // they are until the request or the batch is answered, or a
 // verdict-memo entry's own string; audit, the one place that keeps it,
-// clones it. vec is the JSON route's vector; a frame's is the memo
-// entry's or, on a miss, a copy in owned (core.Model.ScoreFrame). Buffers
-// are model-agnostic and survive SwapModel.
+// clones it. class is the JSON route's class bytes, which the payload's
+// user agent is then a view of until the request is answered; a
+// verdict's vector is the memo entry's or, on a miss, a copy in owned
+// (core.Model.ScoreClass). Buffers are model-agnostic and survive
+// SwapModel.
 //
 // shard is the buffer's share of the serving state every request
 // writes (obs.ShardCount): the trace-ring shard, and on HTTP the
@@ -144,7 +146,7 @@ func tracerFor(cfg Config) *obs.Tracer {
 type scoreBuf struct {
 	shard   int
 	trace   obs.Trace
-	vec     []float64
+	class   []byte
 	scratch *core.Scratch
 	payload fingerprint.Payload
 
@@ -207,31 +209,34 @@ func hexSessionID(id *[fingerprint.SessionIDSize]byte) string {
 // not time its payloads.
 const untimed time.Duration = -1
 
-// scoreFrame is the score step of one binary payload: the model
-// answers it from its class bytes or decodes it into buf.payload
-// (core.Model.ScoreFrame), and its verdict joins buf's block. A miss's
+// scoreFrame is the score step of one binary payload: its header
+// (fingerprint.SplitFrame), whose error is the verdict's with
+// buf.payload empty, then scoreClass.
+func (in *ingest) scoreFrame(dep *deployed, buf *scoreBuf, frame []byte) {
+	sessionID, class, err := fingerprint.SplitFrame(frame)
+	if err != nil {
+		buf.payload = fingerprint.Payload{Values: buf.payload.Values[:0]}
+		buf.push(core.Result{}, nil, err)
+		return
+	}
+	in.scoreClass(dep, buf, sessionID, class)
+}
+
+// scoreClass is the score step of every payload: the model answers it
+// from its class bytes or decodes them into buf.payload
+// (core.Model.ScoreClass), and its verdict joins buf's block. A miss's
 // vector is copied into buf.owned, since the next miss overwrites the
 // scratch's; a hit keeps the memo entry's, which never changes, and
-// leaves the payload without values. buf.payload is left as ScoreFrame
-// leaves it: empty when frame does not decode.
-func (in *ingest) scoreFrame(dep *deployed, buf *scoreBuf, frame []byte) {
-	res, vec, err := dep.m.ScoreFrame(buf.scratch, &buf.payload, frame)
+// leaves the payload without values. buf.payload is left as ScoreClass
+// leaves it: empty when class does not decode.
+func (in *ingest) scoreClass(dep *deployed, buf *scoreBuf, sessionID, class []byte) {
+	res, vec, err := dep.m.ScoreClass(buf.scratch, &buf.payload, sessionID, class)
 	if err == nil && len(buf.payload.Values) > 0 {
 		n := len(buf.owned)
 		buf.owned = append(buf.owned, vec...)
 		vec = buf.owned[n:]
 	}
 	buf.push(res, vec, err)
-}
-
-// scorePayload is the score step of the decoded payload in buf.payload
-// (the JSON route's): ValuesToVectorInto buf's vector, then
-// ScoreStringWith, whose ErrBadInput is the width check. The vector is
-// buf.vec, which the request's block of one is settled before reusing.
-func (in *ingest) scorePayload(dep *deployed, buf *scoreBuf) {
-	buf.vec = fingerprint.ValuesToVectorInto(buf.vec, buf.payload.Values)
-	res, err := dep.m.ScoreStringWith(buf.scratch, buf.vec, buf.payload.UserAgent)
-	buf.push(res, buf.vec, err)
 }
 
 // settle is the one pipeline after the model calls of buf's block,

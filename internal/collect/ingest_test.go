@@ -408,8 +408,8 @@ func TestIngestBenignSampledOutAllocs(t *testing.T) {
 	frame := binaryBodyFor(t, p)
 	for form, score := range map[string]func(){
 		"decoded payload": func() {
-			buf.payload.UserAgent, buf.payload.Values = p.UserAgent, append(buf.payload.Values[:0], p.Values...)
-			srv.scorePayload(dep, buf)
+			buf.class = fingerprint.AppendClass(buf.class[:0], p.UserAgent, p.Values)
+			srv.scoreClass(dep, buf, p.SessionID[:], buf.class)
 		},
 		"frame": func() { srv.scoreFrame(dep, buf, frame) },
 	} {

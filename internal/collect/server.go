@@ -211,8 +211,10 @@ type serveShard struct {
 // ingestRoutes are the two ingest endpoints. NewServer registers them on
 // the mux and ServeHTTP dispatches them ahead of it, both from this one
 // table; a route's index picks its latency histogram. The binary route
-// has no decoder: its body is a frame, which the model scores from its
-// bytes (core.Model.ScoreFrame), decoding it only on a memo miss.
+// has no decoder: its body is a frame, whose class bytes the model
+// scores as they arrived (core.Model.ScoreClass), decoding them only on
+// a memo miss. The JSON route's decoded payload is scored by its class
+// bytes too (fingerprint.AppendClass).
 var ingestRoutes = [...]struct {
 	path   string
 	decode payloadDecoder
@@ -505,7 +507,9 @@ func (s *Server) collectOne(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 	if decode == nil {
 		s.scoreFrame(dep, buf, buf.body.Bytes())
 	} else {
-		s.scorePayload(dep, buf)
+		p := &buf.payload
+		buf.class = fingerprint.AppendClass(buf.class[:0], p.UserAgent, p.Values)
+		s.scoreClass(dep, buf, p.SessionID[:], buf.class)
 	}
 	elapsed := s.settle(tr, dep, buf, decodeEnd)
 	v := &buf.block[0]

@@ -107,7 +107,7 @@ func sameResult(a, b Result) bool {
 // vectors with claims drawn from the models' clusters, from the whole
 // release universe and from strings that do not parse. The score plan
 // (ScoreStringWith) — scored cold, then hot, then from its verdict memo —
-// and the oracle must agree on every Result field, and so must ScoreFrame
+// and the oracle must agree on every Result field, and so must ScoreClass
 // on the vector's integer twin in a binary payload, cold, hot and from
 // the memo, and the twin as a vector from the frame's memo entry.
 func TestScorePathsMatchAlgorithm1(t *testing.T) {

@@ -29,6 +29,17 @@ func frameOf(t testing.TB, vector []float64, userAgent string, sid byte) []byte 
 	return frame
 }
 
+// scoreFrame is what a binary transport does with frame: its header
+// (fingerprint.SplitFrame), whose error leaves p empty, then ScoreClass.
+func scoreFrame(m *Model, s *Scratch, p *fingerprint.Payload, frame []byte) (Result, []float64, error) {
+	sessionID, class, err := fingerprint.SplitFrame(frame)
+	if err != nil {
+		*p = fingerprint.Payload{Values: p.Values[:0]}
+		return Result{}, nil, err
+	}
+	return m.ScoreClass(s, p, sessionID, class)
+}
+
 // frameMismatch scores frame with scratch s into a payload that held
 // another session, and describes how the outcome differs from want and
 // from what the frame carries — its session ID, user agent and values,
@@ -40,7 +51,7 @@ func frameMismatch(m *Model, s *Scratch, frame []byte, want Result) string {
 		return err.Error()
 	}
 	p := fingerprint.Payload{SessionID: [fingerprint.SessionIDSize]byte{0xEE}, UserAgent: "left over", Values: []int64{7}}
-	got, vec, err := m.ScoreFrame(s, &p, frame)
+	got, vec, err := scoreFrame(m, s, &p, frame)
 	switch {
 	case err != nil:
 		return err.Error()
@@ -75,7 +86,7 @@ func frameVector(t testing.TB, frame []byte) []float64 {
 }
 
 // TestScoreFrameWithoutPlan: a model whose components disagree on their
-// dimensions has no score plan, and ScoreFrame refuses the frame with
+// dimensions has no score plan, and ScoreClass refuses the frame with
 // the error ScoreStringWith gives for its vector, which wraps
 // ErrNotTrained; an untrained model is refused with ErrNotTrained too.
 func TestScoreFrameWithoutPlan(t *testing.T) {
@@ -89,17 +100,18 @@ func TestScoreFrameWithoutPlan(t *testing.T) {
 	frame := frameOf(t, samples[0].Vector, ua.UserAgent(samples[0].UA, ua.Windows10), 1)
 	_, wantErr := m.ScoreStringWith(m.NewScratch(), frameVector(t, frame), ua.UserAgent(samples[0].UA, ua.Windows10))
 	var p fingerprint.Payload
-	_, _, err := m.ScoreFrame(m.NewScratch(), &p, frame)
+	_, _, err := scoreFrame(m, m.NewScratch(), &p, frame)
 	if err == nil || wantErr == nil || err.Error() != wantErr.Error() || !errors.Is(err, ErrNotTrained) {
-		t.Fatalf("ScoreFrame: %v; ScoreStringWith: %v", err, wantErr)
+		t.Fatalf("ScoreClass: %v; ScoreStringWith: %v", err, wantErr)
 	}
 	var untrained Model
-	if _, _, err := untrained.ScoreFrame(untrained.NewScratch(), &p, frame); !errors.Is(err, ErrNotTrained) {
+	if _, _, err := scoreFrame(&untrained, untrained.NewScratch(), &p, frame); !errors.Is(err, ErrNotTrained) {
 		t.Fatalf("an untrained model: %v, want ErrNotTrained", err)
 	}
 }
 
-// FuzzScoreFrame: for any bytes, ScoreFrame — scored cold, on the
+// FuzzScoreFrame: for any bytes, a binary transport's score step —
+// fingerprint.SplitFrame, then ScoreClass, scored cold, on the
 // doorkeeper's second sighting and then from the verdict memo — agrees
 // with UnmarshalBinary and then ScoreStringWith: the same Result, the
 // same vector bits, user agent and session ID, or the same error (and an
@@ -126,14 +138,14 @@ func FuzzScoreFrame(f *testing.F) {
 			if pass == "memo" && wantErr == nil && !MemoHoldsFrame(m, data) {
 				t.Fatalf("%s: the frame is not memoised after two sightings", pass)
 			}
-			res, gotVec, err := m.ScoreFrame(s, &got, data)
+			res, gotVec, err := scoreFrame(m, s, &got, data)
 			if wantErr != nil {
 				if err == nil || err.Error() != wantErr.Error() {
-					t.Fatalf("%s: ScoreFrame: %v; UnmarshalBinary + ScoreStringWith: %v", pass, err, wantErr)
+					t.Fatalf("%s: ScoreClass: %v; UnmarshalBinary + ScoreStringWith: %v", pass, err, wantErr)
 				}
 				for _, sentinel := range sentinels {
 					if errors.Is(err, sentinel) != errors.Is(wantErr, sentinel) {
-						t.Fatalf("%s: ScoreFrame's %v and the reference's %v differ on %v", pass, err, wantErr, sentinel)
+						t.Fatalf("%s: ScoreClass's %v and the reference's %v differ on %v", pass, err, wantErr, sentinel)
 					}
 				}
 				if !errors.Is(err, ErrBadInput) && (got.SessionID != [fingerprint.SessionIDSize]byte{} || got.UserAgent != "" || len(got.Values) != 0) {
@@ -143,11 +155,11 @@ func FuzzScoreFrame(f *testing.F) {
 			}
 			switch {
 			case err != nil:
-				t.Fatalf("%s: ScoreFrame: %v; the reference scores %+v", pass, err, want)
+				t.Fatalf("%s: ScoreClass: %v; the reference scores %+v", pass, err, want)
 			case !sameResult(res, want):
-				t.Fatalf("%s: ScoreFrame %+v, the reference %+v", pass, res, want)
+				t.Fatalf("%s: ScoreClass %+v, the reference %+v", pass, res, want)
 			case !matrix.SameBits(gotVec, vec):
-				t.Fatalf("%s: ScoreFrame's vector %v, the frame's %v", pass, gotVec, vec)
+				t.Fatalf("%s: ScoreClass's vector %v, the frame's %v", pass, gotVec, vec)
 			case got.UserAgent != p.UserAgent || got.SessionID != p.SessionID:
 				t.Fatalf("%s: payload %x %q, the frame's %x %q", pass, got.SessionID, got.UserAgent, p.SessionID, p.UserAgent)
 			}
@@ -155,27 +167,32 @@ func FuzzScoreFrame(f *testing.F) {
 	})
 }
 
-// BenchmarkScoreFrame is BenchmarkScoreString's twin for binary
-// payloads: repeat answers every frame from the verdict memo by its
-// class bytes, with no decode; all-distinct gives every call a class
-// never seen before — a counter written over the first eight bytes of
-// the user agent, which the claim parser does not read — so every call
-// decodes and runs the kernel, and the memo must not store any.
-// scripts/benchgate.sh holds both to 0 allocs/op.
-func BenchmarkScoreFrame(b *testing.B) {
+// BenchmarkScoreClass is BenchmarkScoreString's twin for class bytes,
+// as a binary payload carries them: repeat answers every call from the
+// verdict memo by its class bytes, with no decode; all-distinct gives
+// every call a class never seen before — a counter written over the
+// first eight bytes of the user agent, which the claim parser does not
+// read — so every call decodes and runs the kernel, and the memo must
+// not store any. scripts/benchgate.sh holds both to 0 allocs/op.
+func BenchmarkScoreClass(b *testing.B) {
 	m, _, _ := trainFixtureModel(b, 40)
 	samples, _ := trainFixture(b, 5)
-	frames, tags := make([][]byte, len(samples)), make([][]byte, len(samples))
+	ids, classes, tags := make([][]byte, len(samples)), make([][]byte, len(samples)), make([][]byte, len(samples))
 	for i, s := range samples {
-		frames[i] = frameOf(b, s.Vector, "00000000"+ua.UserAgent(s.UA, ua.Windows10), byte(i))
-		tags[i] = frames[i][bytes.Index(frames[i], []byte("00000000")):][:8]
+		frame := frameOf(b, s.Vector, "00000000"+ua.UserAgent(s.UA, ua.Windows10), byte(i))
+		var err error
+		if ids[i], classes[i], err = fingerprint.SplitFrame(frame); err != nil {
+			b.Fatal(err)
+		}
+		tags[i] = classes[i][bytes.Index(classes[i], []byte("00000000")):][:8]
 	}
 	s := m.NewScratch()
 	var p fingerprint.Payload
 	b.Run("repeat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := m.ScoreFrame(s, &p, frames[i%len(frames)]); err != nil {
+			j := i % len(classes)
+			if _, _, err := m.ScoreClass(s, &p, ids[j], classes[j]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -185,12 +202,12 @@ func BenchmarkScoreFrame(b *testing.B) {
 	b.Run("all-distinct", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			j := i % len(frames)
+			j := i % len(classes)
 			calls++
 			for d := range tags[j] {
 				tags[j][d] = hexDigits[calls>>(4*d)&15]
 			}
-			if _, _, err := m.ScoreFrame(s, &p, frames[j]); err != nil {
+			if _, _, err := m.ScoreClass(s, &p, ids[j], classes[j]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -234,7 +251,7 @@ func TestScoreFrameSeeds(t *testing.T) {
 	} {
 		data := fuzzSeed(t, name)
 		var p fingerprint.Payload
-		_, _, err := m.ScoreFrame(m.NewScratch(), &p, data)
+		_, _, err := scoreFrame(m, m.NewScratch(), &p, data)
 		if (want.err == nil) != (err == nil) || (want.err != nil && (!errors.Is(err, want.err) || !strings.Contains(err.Error(), want.msg))) {
 			t.Errorf("seed %s: %v, want %v (%s)", name, err, want.err, want.msg)
 		}

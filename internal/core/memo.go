@@ -19,8 +19,8 @@ const (
 
 // verdictMemo holds verdicts on one plan keyed by class bytes (the user
 // agent and the values, everything a binary payload carries after its
-// session ID), whichever way the class arrived: as a frame's own bytes
-// (ScoreFrame) or encoded from a vector and a user agent
+// session ID), whichever way the class arrived: as the bytes a served
+// route hands in (ScoreClass) or encoded from a vector and a user agent
 // (ScoreStringWith, fingerprint.AppendVectorClass). A key has a set of
 // two slots; a new entry takes the first and pushes the first's to the
 // second. The hash (hash/maphash) is seeded per plan, so sets cannot be
@@ -35,8 +35,8 @@ type verdictMemo struct {
 
 // memoEntry is a verdict with its key and hash and the two Model fields
 // scoring reads live, so that a change to either is a miss. It keeps the
-// vector and user agent its class bytes decode to, which a frame's hit
-// hands out; the user agent is a view of the class bytes.
+// vector and user agent its class bytes decode to, which a ScoreClass
+// hit hands out; the user agent is a view of the class bytes.
 type memoEntry struct {
 	hash             uint64
 	class            string // the key
@@ -105,23 +105,4 @@ func (m *Model) scoreStringMemo(p *scorePlan, s *Scratch, vector []float64, user
 		p.memo.admit(m, s, h, s.class, len(userAgent), vector, res)
 	}
 	return res
-}
-
-// scoreFrameMemo is ScoreFrame on plan p, for a frame whose header
-// checked out: the remembered verdict when the memo holds its class
-// bytes, with no decoding, else a decode and the kernel.
-func (m *Model) scoreFrameMemo(p *scorePlan, s *Scratch, pay *fingerprint.Payload, frame, sessionID, class []byte) (Result, []float64, error) {
-	h := maphash.Bytes(p.memo.seed, class)
-	if e := p.memo.lookup(m, h, class); e != nil {
-		copy(pay.SessionID[:], sessionID)
-		pay.UserAgent, pay.Values = e.ua, pay.Values[:0]
-		return e.res, e.vec, nil
-	}
-	if err := m.decodeFrame(s, pay, frame); err != nil {
-		return Result{}, nil, err
-	}
-	claimed, parsed := ua.ParseRelease(pay.UserAgent)
-	res := m.scoreOnPlan(p, s, s.vec, claimed, parsed)
-	p.memo.admit(m, s, h, class, len(pay.UserAgent), s.vec, res)
-	return res, s.vec, nil
 }

@@ -144,7 +144,7 @@ func TestMemoOneEntryPerClass(t *testing.T) {
 			t.Fatalf("vector first %v: the class has %d entries, want 1", vectorFirst, memoEntries(m, class))
 		}
 		var p fingerprint.Payload
-		if _, _, err := m.ScoreFrame(m.NewScratch(), &p, frame); err != nil || len(p.Values) != 0 {
+		if _, _, err := scoreFrame(m, m.NewScratch(), &p, frame); err != nil || len(p.Values) != 0 {
 			t.Fatalf("vector first %v: a fresh scorer's frame is not a hit (%v, %d values)", vectorFirst, err, len(p.Values))
 		}
 	}
@@ -362,7 +362,7 @@ func TestMemoOwnsItsKey(t *testing.T) {
 	}
 	checkPair(t, m, s, memoPair{vec, p.UserAgent, algorithm1(m, vec, string(wire))}, "poisoned")
 
-	// As a frame: ScoreFrame decodes in the caller's frame buffer,
+	// As a frame: ScoreClass decodes in the caller's frame buffer,
 	// which the next batch overwrites, and into the scratch's vector,
 	// which the next miss overwrites. The entry keeps its own class
 	// bytes, vector and user-agent, which a hit hands out.
@@ -374,7 +374,7 @@ func TestMemoOwnsItsKey(t *testing.T) {
 		checkFrame(t, m, s, buf, want, fmt.Sprintf("frame, pass %d", pass))
 	}
 	var hit fingerprint.Payload
-	_, hitVec, err := m.ScoreFrame(s, &hit, buf)
+	_, hitVec, err := scoreFrame(m, s, &hit, buf)
 	if err != nil {
 		t.Fatal(err)
 	}

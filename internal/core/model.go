@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"runtime"
 	"sort"
 	"strings"
@@ -144,7 +145,7 @@ func (m *Model) ScoreString(vector []float64, userAgent string) (Result, error) 
 // scratch borrows one from the model's pool; a scratch must not be used
 // concurrently. The pair is encoded into the scratch as class bytes
 // (fingerprint.AppendVectorClass), the key of the plan's verdict memo
-// (memo.go) that ScoreFrame shares, so a repeated class is answered from
+// (memo.go) that ScoreClass shares, so a repeated class is answered from
 // the memo whichever entry point stored it. A vector with no class bytes
 // (a coordinate that does not round-trip through int64: −0, NaN, ±Inf,
 // a fraction, |x| ≥ 2⁶³) or a user-agent over 1 KB is scored on the
@@ -162,41 +163,51 @@ func (m *Model) ScoreStringWith(s *Scratch, vector []float64, userAgent string) 
 	return m.scoreStringMemo(p, s, vector, userAgent), nil
 }
 
-// ScoreFrame is ScoreStringWith for a session that arrives as a binary
-// payload (fingerprint.Payload.MarshalBinary's wire format), the entry
-// point of both binary transports: it decodes frame into p and scores
-// p's values against p's user agent. The frame's class bytes
-// (fingerprint.SplitFrame) key the plan's verdict memo as they arrive,
-// so a class the memo holds — stored by either entry point — is
-// answered without decoding them: p then gets the frame's session ID,
-// the entry's user agent and no values. It returns the verdict and the
-// session's vector, read-only: s's on a miss, good until s scores
-// again, and the memo entry's on a hit. p.UserAgent may be a view of
-// frame (fingerprint.Payload.BorrowUserAgent). The errors are those of
-// a model without a plan, of p.UnmarshalBinary(frame) and then of
-// ScoreStringWith, in that order; either of the first two leaves p
-// empty. s must not be nil, and nothing allocates but a class entering
-// the memo.
-func (m *Model) ScoreFrame(s *Scratch, p *fingerprint.Payload, frame []byte) (Result, []float64, error) {
+// ScoreClass is ScoreStringWith for a session that arrives as its
+// session ID and class bytes (fingerprint.AppendClass's layout, what a
+// binary payload carries after its session ID: fingerprint.SplitFrame),
+// the entry point of every served route. The class bytes key the plan's
+// verdict memo as they are, so a class the memo holds — stored by any
+// entry point — is answered without decoding them: p then gets
+// sessionID, the entry's user agent and no values. On a miss the class
+// bytes are decoded into p and sessionID copied in, and p's values are
+// scored against p's user agent. It returns the verdict and the
+// session's vector, read-only: s's on a miss, good until s scores again,
+// and the memo entry's on a hit. p.UserAgent may be a view of class
+// (fingerprint.Payload.UnmarshalClassBorrowed). The errors are those of
+// a model without a plan, of decoding class and of a vector of the
+// wrong width, in that order; either of the first two leaves p empty.
+// sessionID may alias p.SessionID. s must not be nil, and nothing
+// allocates but a class entering the memo.
+func (m *Model) ScoreClass(s *Scratch, p *fingerprint.Payload, sessionID, class []byte) (Result, []float64, error) {
 	plan, err := m.readyPlan()
-	var sessionID, class []byte
-	if err == nil {
-		sessionID, class, err = fingerprint.SplitFrame(frame)
-	}
 	if err != nil {
 		*p = fingerprint.Payload{Values: p.Values[:0]}
 		return Result{}, nil, err
 	}
-	return m.scoreFrameMemo(plan, s, p, frame, sessionID, class)
+	h := maphash.Bytes(plan.memo.seed, class)
+	if e := plan.memo.lookup(m, h, class); e != nil {
+		copy(p.SessionID[:], sessionID)
+		p.UserAgent, p.Values = e.ua, p.Values[:0]
+		return e.res, e.vec, nil
+	}
+	if err := m.decodeClass(s, p, sessionID, class); err != nil {
+		return Result{}, nil, err
+	}
+	claimed, parsed := ua.ParseRelease(p.UserAgent)
+	res := m.scoreOnPlan(plan, s, s.vec, claimed, parsed)
+	plan.memo.admit(m, s, h, class, len(p.UserAgent), s.vec, res)
+	return res, s.vec, nil
 }
 
-// decodeFrame is ScoreFrame's one decode, on a memo miss: frame into p,
-// borrowing the user agent, then a width check, then p's values into
-// s.vec.
-func (m *Model) decodeFrame(s *Scratch, p *fingerprint.Payload, frame []byte) error {
-	if err := p.UnmarshalBinaryBorrowed(frame); err != nil {
+// decodeClass is ScoreClass's one decode, on a memo miss: class into p,
+// borrowing the user agent, and sessionID into p, then a width check,
+// then p's values into s.vec.
+func (m *Model) decodeClass(s *Scratch, p *fingerprint.Payload, sessionID, class []byte) error {
+	if err := p.UnmarshalClassBorrowed(class); err != nil {
 		return err
 	}
+	copy(p.SessionID[:], sessionID)
 	if err := m.checkWidth(len(p.Values)); err != nil {
 		return err
 	}

@@ -86,13 +86,13 @@ type scorePlan struct {
 // Scratch is model-agnostic — buffers grow on demand and survive model
 // swaps — but must not be shared between concurrent scorers. Obtain one
 // with Model.NewScratch and thread it through ScoreStringWith or
-// ScoreFrame; ScoreString and ScoreStringBatchContext manage pooled
+// ScoreClass; ScoreString and ScoreStringBatchContext manage pooled
 // scratch internally.
 type Scratch struct {
 	scaled  []float64        // scaled feature vector (len dim)
 	centred []float64        // scaled − pcaMean (len dim), unused when PCA is off
 	x       []float64        // PCA projection (len pcaK), unused when PCA is off
-	vec     []float64        // a decoded frame's values (ScoreFrame)
+	vec     []float64        // decoded class bytes' values (ScoreClass)
 	class   []byte           // a scored pair's class bytes, the verdict memo's key (memo.go)
 	seen    [memoSeen]uint64 // verdict-memo doorkeeper: hashes of recent misses (memo.go)
 }

@@ -268,7 +268,10 @@ func TestUnplannableModelFailsClosed(t *testing.T) {
 	}
 	vec := samples[0].Vector
 	agent := ua.UserAgent(samples[0].UA, ua.Windows10)
-	frame := frameOf(t, vec, agent, 1)
+	sessionID, class, err := fingerprint.SplitFrame(frameOf(t, vec, agent, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sc, pca, km := *trained.Scaler, *trained.PCA, *trained.KMeans
@@ -290,7 +293,7 @@ func TestUnplannableModelFailsClosed(t *testing.T) {
 			calls := map[string]func() error{
 				"ScoreString":     func() error { _, err := m.ScoreString(vec, agent); return err },
 				"ScoreStringWith": func() error { _, err := m.ScoreStringWith(m.NewScratch(), vec, "not a browser"); return err },
-				"ScoreFrame":      func() error { _, _, err := m.ScoreFrame(m.NewScratch(), &p, frame); return err },
+				"ScoreClass":      func() error { _, _, err := m.ScoreClass(m.NewScratch(), &p, sessionID, class); return err },
 				"ScoreStringBatchContext": func() error {
 					_, err := m.ScoreStringBatchContext(context.Background(), [][]float64{vec}, []string{agent}, 1)
 					return err
@@ -304,7 +307,7 @@ func TestUnplannableModelFailsClosed(t *testing.T) {
 				}
 			}
 			if p.UserAgent != "" || len(p.Values) != 0 {
-				t.Fatalf("ScoreFrame left the payload %+v, want it empty", p)
+				t.Fatalf("ScoreClass left the payload %+v, want it empty", p)
 			}
 			if s := m.NewScratch(); s.scaled != nil || s.vec != nil {
 				t.Fatal("NewScratch sized its buffers from a model without a plan")

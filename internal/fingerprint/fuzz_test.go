@@ -11,8 +11,9 @@ import (
 // binary.Varint-only reference decoder on what it accepts, rejects and
 // produces, anything it accepts must re-encode to a payload it accepts
 // again, and decoding into a Payload
-// that held another session — copying the user agent, or borrowing it as
-// the serving tier does — must give what decoding into a fresh one
+// that held another session — copying the user agent, or splitting the
+// frame and borrowing it from the class bytes as the serving tier does —
+// must give what decoding into a fresh one
 // gives — the same fields on success, the same error and an empty
 // payload on failure — because the TCP listener decodes every frame of a
 // connection into one Payload.
@@ -40,7 +41,7 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		p, err := UnmarshalBinary(data)
 		for name, decode := range map[string]func(*Payload, []byte) error{
 			"reused":   (*Payload).UnmarshalBinary,
-			"borrowed": (*Payload).UnmarshalBinaryBorrowed,
+			"borrowed": unmarshalBorrowed,
 		} {
 			dirty := &Payload{
 				SessionID: [SessionIDSize]byte{0xAA, 0xBB, 15: 0xCC},
@@ -85,4 +86,20 @@ func FuzzUnmarshalBinary(f *testing.F) {
 			}
 		}
 	})
+}
+
+// unmarshalBorrowed is UnmarshalBinary as the serving tier decodes a
+// frame: its header (SplitFrame), whose error leaves p empty, then its
+// class bytes, borrowed (UnmarshalClassBorrowed), and its session ID.
+func unmarshalBorrowed(p *Payload, data []byte) error {
+	sessionID, class, err := SplitFrame(data)
+	if err != nil {
+		*p = Payload{Values: p.Values[:0]}
+		return err
+	}
+	if err := p.UnmarshalClassBorrowed(class); err != nil {
+		return err
+	}
+	copy(p.SessionID[:], sessionID)
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"unsafe"
 )
 
@@ -58,20 +59,20 @@ func (p *Payload) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 0, 256)
 	buf = append(buf, magicByte0, magicByte1, payloadVersion)
 	buf = append(buf, p.SessionID[:]...)
-	buf = appendClass(buf, p.UserAgent, p.Values)
+	buf = AppendClass(buf, p.UserAgent, p.Values)
 	if len(buf) > MaxPayloadSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(buf))
 	}
 	return buf, nil
 }
 
-// appendClass appends to dst the class bytes of a session that claims
+// AppendClass appends to dst the class bytes of a session that claims
 // userAgent and reports values: what MarshalBinary writes after the
 // session ID, uvarint(len userAgent) userAgent uvarint(len values)
 // varint(v)…. Two sessions of one fingerprint class send the same class
 // bytes, so they key every per-class table: the verdict memo and the
 // audit ledger's classes.
-func appendClass(dst []byte, userAgent string, values []int64) []byte {
+func AppendClass(dst []byte, userAgent string, values []int64) []byte {
 	dst = appendClassHead(dst, userAgent, len(values))
 	for _, v := range values {
 		dst = binary.AppendVarint(dst, v)
@@ -122,14 +123,30 @@ func UnmarshalBinary(data []byte) (*Payload, error) {
 // payload held before never shows through. An error leaves the payload
 // empty.
 func (p *Payload) UnmarshalBinary(data []byte) error {
-	return p.unmarshal(data, false)
+	sessionID, class, err := SplitFrame(data)
+	if err == nil {
+		err = p.decodeClass(class)
+	}
+	if err != nil {
+		*p = Payload{Values: p.Values[:0]}
+		return err
+	}
+	copy(p.SessionID[:], sessionID)
+	p.UserAgent = strings.Clone(p.UserAgent)
+	return nil
 }
 
-// UnmarshalBinaryBorrowed is UnmarshalBinary without its one
-// allocation: p.UserAgent is a view of data (BorrowUserAgent), for the
-// serving tier, which holds every frame until its request is answered.
-func (p *Payload) UnmarshalBinaryBorrowed(data []byte) error {
-	return p.unmarshal(data, true)
+// UnmarshalClassBorrowed decodes class bytes (SplitFrame's, or
+// AppendClass's) into p's user agent and values, leaving its session ID
+// as it is, without allocating: p.UserAgent is a view of class
+// (BorrowUserAgent), for the serving tier, which holds every frame until
+// its request is answered. An error leaves the payload empty.
+func (p *Payload) UnmarshalClassBorrowed(class []byte) error {
+	err := p.decodeClass(class)
+	if err != nil {
+		*p = Payload{Values: p.Values[:0]}
+	}
+	return err
 }
 
 // BorrowUserAgent sets p.UserAgent to a view of ua, not a copy of it.
@@ -139,14 +156,6 @@ func (p *Payload) UnmarshalBinaryBorrowed(data []byte) error {
 // and the program's, one use of unsafe.
 func (p *Payload) BorrowUserAgent(ua []byte) {
 	p.UserAgent = unsafe.String(unsafe.SliceData(ua), len(ua))
-}
-
-func (p *Payload) unmarshal(data []byte, borrow bool) error {
-	err := p.decode(data, borrow)
-	if err != nil {
-		*p = Payload{Values: p.Values[:0]}
-	}
-	return err
 }
 
 // SplitFrame checks the header of a binary payload — its size against
@@ -170,23 +179,15 @@ func SplitFrame(data []byte) (sessionID, class []byte, err error) {
 	return data[3 : 3+SessionIDSize], data[3+SessionIDSize:], nil
 }
 
-func (p *Payload) decode(data []byte, borrow bool) error {
-	sessionID, rest, err := SplitFrame(data)
-	if err != nil {
-		return err
-	}
-	copy(p.SessionID[:], sessionID)
-
+// decodeClass is the codec's one decoder of class bytes, into p's user
+// agent, borrowed from rest, and its values.
+func (p *Payload) decodeClass(rest []byte) error {
 	uaLen, n := binary.Uvarint(rest)
 	if n <= 0 || uaLen > uint64(len(rest)-n) {
 		return fmt.Errorf("%w: bad user-agent length", ErrBadPayload)
 	}
 	rest = rest[n:]
-	if borrow {
-		p.BorrowUserAgent(rest[:uaLen])
-	} else {
-		p.UserAgent = string(rest[:uaLen])
-	}
+	p.BorrowUserAgent(rest[:uaLen])
 	rest = rest[uaLen:]
 
 	nVals, n := binary.Uvarint(rest)

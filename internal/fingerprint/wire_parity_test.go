@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// decodeReference is (*Payload).decode with every value read by
+// decodeReference is UnmarshalBinary with every value read by
 // binary.Varint — what the in-line one- and two-byte path must accept,
 // reject and produce exactly.
 func decodeReference(data []byte) (*Payload, error) {
@@ -131,27 +131,33 @@ func TestDecodeInlineVarintParity(t *testing.T) {
 	}
 }
 
-// TestUnmarshalBinaryBorrowedAliases pins the two lifetimes: the
-// borrowed decode allocates nothing and its user agent reads the frame's
-// bytes as they are now, the exported pair's is the caller's to keep.
-func TestUnmarshalBinaryBorrowedAliases(t *testing.T) {
+// TestUnmarshalClassBorrowedAliases pins the two lifetimes: the
+// borrowed class decode allocates nothing, leaves the session ID as it
+// was and its user agent reads the class bytes as they are now;
+// UnmarshalBinary's is the caller's to keep.
+func TestUnmarshalClassBorrowedAliases(t *testing.T) {
 	frame, err := (&Payload{UserAgent: "Mozilla/5.0 Chrome/112.0.0.0", Values: []int64{1, 2, 3}}).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var copied, borrowed Payload
+	_, class, err := SplitFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var copied Payload
 	if err := copied.UnmarshalBinary(frame); err != nil {
 		t.Fatal(err)
 	}
+	borrowed := Payload{SessionID: [SessionIDSize]byte{7}}
 	if n := testing.AllocsPerRun(100, func() {
-		if err := borrowed.UnmarshalBinaryBorrowed(frame); err != nil {
+		if err := borrowed.UnmarshalClassBorrowed(class); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
 		t.Fatalf("borrowed decode into a reused payload: %v allocs, want 0", n)
 	}
-	if borrowed.UserAgent != copied.UserAgent {
-		t.Fatalf("borrowed %q, copied %q", borrowed.UserAgent, copied.UserAgent)
+	if borrowed.UserAgent != copied.UserAgent || !slices.Equal(borrowed.Values, copied.Values) || borrowed.SessionID != [SessionIDSize]byte{7} {
+		t.Fatalf("borrowed %+v, copied %+v", borrowed, copied)
 	}
 	for i := range frame {
 		frame[i] = 0xAA
@@ -160,7 +166,7 @@ func TestUnmarshalBinaryBorrowedAliases(t *testing.T) {
 		t.Fatalf("UnmarshalBinary's user agent follows the frame: %q", copied.UserAgent)
 	}
 	if want := string(bytes.Repeat([]byte{0xAA}, len(copied.UserAgent))); borrowed.UserAgent != want {
-		t.Fatalf("UnmarshalBinaryBorrowed's user agent is a copy: %q", borrowed.UserAgent)
+		t.Fatalf("UnmarshalClassBorrowed's user agent is a copy: %q", borrowed.UserAgent)
 	}
 }
 

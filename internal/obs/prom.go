@@ -179,9 +179,6 @@ func (v VersionInfo) String() string {
 // mode) reports uptime against the same epoch.
 var processStart = time.Now()
 
-// ProcessStart returns the instant the process (package) initialized.
-func ProcessStart() time.Time { return processStart }
-
 // WriteBuildInfo emits polygraph_build_info{go_version="...",
 // revision="..."} 1 so dashboards can detect mixed builds across a
 // fleet, plus the process start timestamp and an uptime gauge so

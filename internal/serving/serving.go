@@ -736,9 +736,6 @@ func (r *Replica) Drain() {
 	r.logger.Warn("replica drained out of service")
 }
 
-// Killed reports whether Kill was called.
-func (r *Replica) Killed() bool { return r.killed.Load() }
-
 // closeTCP stops the framed listener: the TCPServer when one is serving
 // (closes the socket and live connections, waits for their handlers),
 // else the bare socket a replica that never left warming still holds.

@@ -94,9 +94,6 @@ func (r Release) String() string {
 	return fmt.Sprintf("%s %d", r.Vendor, r.Version)
 }
 
-// IsZero reports whether the release is unset.
-func (r Release) IsZero() bool { return r.Vendor == VendorUnknown && r.Version == 0 }
-
 // Valid reports whether the release lies in the modeled universe.
 func (r Release) Valid() bool {
 	switch r.Vendor {

@@ -15,10 +15,10 @@
 #   BenchmarkScoreString/all-distinct 0 allocs/op  (internal/core: pairs that never
 #                                               repeat; pins the memo's admission on
 #                                               second sighting)
-#   BenchmarkScoreFrame/repeat        0 allocs/op  (internal/core: binary payloads
-#                                               answered from the memo by their class
-#                                               bytes, no decode)
-#   BenchmarkScoreFrame/all-distinct  0 allocs/op  (internal/core: classes that never
+#   BenchmarkScoreClass/repeat        0 allocs/op  (internal/core: class bytes, as every
+#                                               served route hands them in, answered
+#                                               from the memo, no decode)
+#   BenchmarkScoreClass/all-distinct  0 allocs/op  (internal/core: classes that never
 #                                               repeat: decode, kernel, no admission)
 #   BenchmarkExplainResult      ≤ 4 allocs/op  (internal/core: the explanation
 #                                               block, its centroid list, the claim)
@@ -98,23 +98,23 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "== go test -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|ScoreString$|ScoreFrame$|CollectHandler$|DriftObserve$' -benchmem ./internal/core ./internal/audit ./internal/collect ./internal/obs"
-go test -run '^$' -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|ScoreString$|ScoreFrame$|CollectHandler$|DriftObserve$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit ./internal/collect ./internal/obs | tee "$out"
+echo "== go test -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|ScoreString$|ScoreClass$|CollectHandler$|DriftObserve$' -benchmem ./internal/core ./internal/audit ./internal/collect ./internal/obs"
+go test -run '^$' -bench 'ExplainResult$|LedgerAppend$|JournalAppend$|ScoreKernel$|ScoreString$|ScoreClass$|CollectHandler$|DriftObserve$' -benchmem -benchtime 0.3s ./internal/core ./internal/audit ./internal/collect ./internal/obs | tee "$out"
 
 awk '
     /^Benchmark(ExplainResult|LedgerAppend\/new-class)(-[0-9]+)? / { seen++; max = 4 }
     /^Benchmark(LedgerAppend\/(known-class|past-cap)|JournalAppend)(-[0-9]+)? / { seen++; max = 1 }
     /^BenchmarkScoreKernel\/(transform|assign)(-[0-9]+)? / { seen++; max = 0 }
-    /^BenchmarkScore(String|Frame)\/(repeat|all-distinct)(-[0-9]+)? / { seen++; max = 0 }
+    /^BenchmarkScore(String|Class)\/(repeat|all-distinct)(-[0-9]+)? / { seen++; max = 0 }
     /^BenchmarkCollectHandler\/(binary|json)(-[0-9]+)? / { seen++; max = 0 }
-    /^Benchmark(ExplainResult|LedgerAppend\/(known-class|new-class|past-cap)|JournalAppend|ScoreKernel\/(transform|assign)|Score(String|Frame)\/(repeat|all-distinct)|CollectHandler\/(binary|json))(-[0-9]+)? / {
+    /^Benchmark(ExplainResult|LedgerAppend\/(known-class|new-class|past-cap)|JournalAppend|ScoreKernel\/(transform|assign)|Score(String|Class)\/(repeat|all-distinct)|CollectHandler\/(binary|json))(-[0-9]+)? / {
         if ($NF != "allocs/op" || $(NF-1) > max) {
             printf "benchgate: %s allocates %s %s, ceiling %d allocs/op\n", $1, $(NF-1), $NF, max
             bad = 1
         }
     }
     END {
-        if (seen < 13) { print "benchgate: kernel, score-string, score-frame, audit-path, journal or collect-handler benchmarks missing from output"; bad = 1 }
+        if (seen < 13) { print "benchgate: kernel, score-string, score-class, audit-path, journal or collect-handler benchmarks missing from output"; bad = 1 }
         exit bad
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
@@ -175,4 +175,4 @@ awk '
     }
 ' "$out" || { echo "benchgate: FAIL" >&2; exit 1; }
 
-echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths, the memo on both sides, as a vector and as a frame, and the kernel, audit-path, collect-handler (serial and parallel) and TCP-twin ceilings, training ≤ 10 MB)"
+echo "benchgate: allocation budget holds (0 allocs/op on the scoring paths, the memo on both sides, as a vector and as class bytes, and the kernel, audit-path, collect-handler (serial and parallel) and TCP-twin ceilings, training ≤ 10 MB)"

@@ -50,19 +50,22 @@ sh -n scripts/pair.sh
 echo "== go vet (bench module)"
 (cd bench && GOFLAGS=-mod=mod GOWORK=off go vet .)
 
-# One ingest core: the model call of each route (ScoreStringWith for the
-# JSON one, ScoreFrame for the binary ones) and the drift sample each
-# happen at exactly one place in internal/collect (ingest.go).
+# One ingest core: every route's payload enters the model as class bytes
+# through one call (ScoreClass), and the drift sample happens once, both
+# in internal/collect/ingest.go. No route scores a float vector: the
+# vector entry (ScoreStringWith), the retired frame entry (ScoreFrame)
+# and the int-to-float conversion (ValuesToVectorInto) have no site.
 echo "== one ingest core"
-for call in 'ScoreStringWith(' 'ScoreFrame(' '.Observe('; do
+for want in 'ScoreClass(=1' '.Observe(=1' 'ScoreStringWith(=0' 'ScoreFrame(=0' 'ValuesToVectorInto(=0'; do
+    call=${want%=*}
     n=$(ls internal/collect/*.go | grep -v _test.go | xargs grep -F -- "$call" | wc -l)
-    [ "$n" -eq 1 ] || { echo "check.sh: $n call sites of $call in internal/collect, want 1" >&2; exit 1; }
+    [ "$n" -eq "${want##*=}" ] || { echo "check.sh: $n call sites of $call in internal/collect, want ${want##*=}" >&2; exit 1; }
 done
 
 # One class key: every per-class table in internal/core and
 # internal/audit — the verdict memo, the ledger's class table and
 # audit.Resolver's derivations — is keyed by class bytes
-# (fingerprint.AppendVectorClass) and compares them as bytes, so a class has one
+# (fingerprint.AppendClass's layout) and compares them as bytes, so a class has one
 # identity whichever way it arrived. A hash of the vector's bits or a
 # float-by-float compare would be a second key form.
 echo "== one class key"
@@ -145,8 +148,8 @@ found="$found$(grep -rnF --include='*.go' --exclude='*_test.go' -- '.Store()' cm
 # One scoring surface: a session is judged against the user-agent string
 # it claims, so core.Model scores and explains through exactly five
 # exported methods — ScoreString, ScoreStringWith, ScoreStringBatchContext,
-# ScoreFrame (the same session as the binary payload that carried it,
-# answered from the verdict memo by its class bytes) and ExplainResult —
+# ScoreClass (the same session as its class bytes, every served route's
+# entry, answered from the verdict memo by them) and ExplainResult —
 # which all parse the claim the same way, use the verdict memo and give
 # an unparseable claim maximum risk. Request traces
 # are recorded on the obs.Trace a transport opens, not carried in a
@@ -157,8 +160,8 @@ echo "== one scoring surface"
 methods=$(ls internal/core/*.go | grep -v _test.go |
     xargs grep -ohE '^func \([^)]*\bModel\) (Score|Explain)[A-Za-z0-9_]*\(' |
     sed -E 's/^func \([^)]*\) //; s/\($//' | sort | tr '\n' ' ')
-[ "$methods" = "ExplainResult ScoreFrame ScoreString ScoreStringBatchContext ScoreStringWith " ] || {
-    echo "check.sh: core.Model's Score*/Explain* methods are: ${methods}— want ExplainResult ScoreFrame ScoreString ScoreStringBatchContext ScoreStringWith" >&2; exit 1; }
+[ "$methods" = "ExplainResult ScoreClass ScoreString ScoreStringBatchContext ScoreStringWith " ] || {
+    echo "check.sh: core.Model's Score*/Explain* methods are: ${methods}— want ExplainResult ScoreClass ScoreString ScoreStringBatchContext ScoreStringWith" >&2; exit 1; }
 found=$(grep -rnwE --include='*.go' --exclude='*_test.go' -- 'SpanRecorder|StartSpan' cmd internal *.go || true)
 [ -z "$found" ] || { echo "check.sh: the span recorder is named in:" >&2; echo "$found" >&2; exit 1; }
 found=$(grep -rnE --include='*.go' --exclude='*_test.go' -- 'func \([^)]*\bTracer\) Start\(|[Tt]racer(\(\))?\.Start\(|, [A-Za-z_]+ :?= [A-Za-z_.()]+\.Start\(' cmd internal *.go |
@@ -175,17 +178,17 @@ found=$(ls internal/core/*.go | grep -v _test.go |
     xargs grep -nE 'Scaler\.TransformVec\(|PCA\.TransformVec\(|KMeans\.Distance\(|\bscoreSlow\b' || true)
 [ -z "$found" ] || { echo "check.sh: internal/core scores beside its plan:" >&2; echo "$found" >&2; exit 1; }
 
-# One frame decoder: a served binary payload is decoded in one place,
-# ScoreFrame's miss path (core.Model.decodeFrame), and only when the
-# verdict memo does not hold its class bytes; the transports hand the
-# model the frame. fingerprint.Payload.UnmarshalBinaryBorrowed, the
-# decoder whose user agent is a view of the frame, has that one caller.
+# One frame decoder: served class bytes are decoded in one place,
+# ScoreClass's miss path (core.Model.decodeClass), and only when the
+# verdict memo does not hold them; the transports hand the model the
+# class bytes. fingerprint.Payload.UnmarshalClassBorrowed, the decoder
+# whose user agent is a view of the class bytes, has that one caller.
 echo "== one frame decoder"
-sites=$(grep -rlF --include='*.go' --exclude='*_test.go' -- '.UnmarshalBinaryBorrowed(' cmd internal *.go | tr '\n' ' ')
-callers=$(awk '/^func / { f = $0 } /\.UnmarshalBinaryBorrowed\(/ { print f }' internal/core/model.go)
+sites=$(grep -rlF --include='*.go' --exclude='*_test.go' -- '.UnmarshalClassBorrowed(' cmd internal *.go | tr '\n' ' ')
+callers=$(awk '/^func / { f = $0 } /\.UnmarshalClassBorrowed\(/ { print f }' internal/core/model.go)
 [ "$sites" = "internal/core/model.go " ] &&
-    [ "$callers" = 'func (m *Model) decodeFrame(s *Scratch, p *fingerprint.Payload, frame []byte) error {' ] || {
-    echo "check.sh: UnmarshalBinaryBorrowed is called in: ${sites}by: ${callers} — want once, by core.Model.decodeFrame (ScoreFrame's miss path)" >&2; exit 1; }
+    [ "$callers" = 'func (m *Model) decodeClass(s *Scratch, p *fingerprint.Payload, sessionID, class []byte) error {' ] || {
+    echo "check.sh: UnmarshalClassBorrowed is called in: ${sites}by: ${callers} — want once, by core.Model.decodeClass (ScoreClass's miss path)" >&2; exit 1; }
 
 # One pass per distinct row: training runs each pure per-row kernel once
 # per row of the distinct-row table (matrix.RowGroups), so every kernel
