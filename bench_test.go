@@ -342,7 +342,7 @@ func BenchmarkCollectionExtract(b *testing.B) {
 	oracle := browser.NewOracle()
 	ext := fingerprint.NewExtractor(oracle, fingerprint.Table8())
 	profile := browser.Profile{Release: ua.Release{Vendor: ua.Chrome, Version: 112}, OS: ua.Windows10}
-	dst := make([]float64, ext.Dim())
+	dst := make([]float64, len(ext.Features()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

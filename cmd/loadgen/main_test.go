@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -323,7 +324,7 @@ func TestRunLiveAddr(t *testing.T) {
 	metricsPath := filepath.Join(dir, "metrics.txt")
 	null := devNull(t)
 	// A bare host:port is accepted, as before.
-	args := []string{"-scenario", scPath, "-addr", replica.Addr(), "-fail-on-errors", "-metrics-out", metricsPath}
+	args := []string{"-scenario", scPath, "-addr", strings.TrimPrefix(replica.BaseURL(), "http://"), "-fail-on-errors", "-metrics-out", metricsPath}
 	if code := run(args, null, null); code != 0 {
 		t.Fatalf("live run exit %d", code)
 	}
@@ -341,7 +342,7 @@ func TestRunLiveAddr(t *testing.T) {
 	}
 	// A target that refuses connections fails the gates instead of
 	// hanging or passing.
-	replica.Kill()
+	replica.Drain()
 	if code := run(args[:5], null, null); code != 1 {
 		t.Fatalf("dead target exit %d, want 1", code)
 	}
@@ -410,7 +411,11 @@ func TestRunSLOFaultDrill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := bundle.Open(bundlePath)
+	data, err := os.ReadFile(bundlePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := bundle.Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"polygraph/internal/audit"
-	"polygraph/internal/bundle"
 	"polygraph/internal/core"
 	"polygraph/internal/dataset"
 	"polygraph/internal/serving"
@@ -243,7 +242,7 @@ func TestReplicaListParsing(t *testing.T) {
 			if tc.want == nil {
 				return
 			}
-			got, err := bundle.Open(path)
+			got, err := readBundle(path)
 			if err != nil {
 				t.Fatal(err)
 			}

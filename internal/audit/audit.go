@@ -28,7 +28,7 @@
 // reads on its own. For the serving tier's 28 features a record of a known
 // class frames to about 60 B, a class frame to about 0.34 KB, an inline
 // record to about 0.48 KB. Records are inline when their class is new to
-// a segment that has defined classCap classes, when RedactRecord produced
+// a segment that has defined classCap classes, when redactRecord produced
 // them, and in every segment written before classes existed. Segments
 // written before records were packed store a record of a class as JSON,
 // {"seq":N,"class":K,"time_ns":…,…}; readers take all four shapes, and
@@ -133,7 +133,7 @@ type Record struct {
 	Explanation *core.Explanation `json:"explanation,omitempty"`
 
 	// Redacted marks a record whose privacy-bearing fields were reduced
-	// by RedactRecord before leaving the host: UserAgent replaced by a
+	// by redactRecord before leaving the host: UserAgent replaced by a
 	// hash token, Vector dropped (its digest and width kept below), and
 	// the per-feature Explanation removed. Redacted records cannot be
 	// replayed through polygraphctl audit; they exist so support bundles
@@ -748,6 +748,3 @@ func (l *Ledger) Counters() Counters {
 
 // FlushMetrics reports on the segment log's flusher.
 func (l *Ledger) FlushMetrics() seglog.FlushMetrics { return l.log.FlushMetrics() }
-
-// Dir returns the ledger directory (for log lines and tooling).
-func (l *Ledger) Dir() string { return l.dir }

@@ -100,7 +100,7 @@ func (c *class) resolve(rec *Record) {
 }
 
 // classable reports whether rec may be written as a record of a class.
-// What RedactRecord produced is written inline. So is a record whose
+// What redactRecord produced is written inline. So is a record whose
 // trace ID, session ID or endpoint is not valid UTF-8: JSON stores such a
 // string as U+FFFD and a packed record would keep its bytes, and a record
 // must read back the same whichever shape it was written in.

@@ -14,10 +14,10 @@ import (
 // escape hatch exists for operators debugging inside their own trust
 // boundary; everything else ships redacted.
 
-// RedactUA replaces a user-agent string with an unlinkable-but-matchable
+// redactUA replaces a user-agent string with an unlinkable-but-matchable
 // token: "sha256:<first 8 bytes hex>#<original length>". Empty strings
 // stay empty.
-func RedactUA(ua string) string {
+func redactUA(ua string) string {
 	if ua == "" {
 		return ""
 	}
@@ -25,10 +25,10 @@ func RedactUA(ua string) string {
 	return fmt.Sprintf("sha256:%x#%d", sum[:8], len(ua))
 }
 
-// VectorDigest returns the hex SHA-256 of a feature vector's big-endian
+// vectorDigest returns the hex SHA-256 of a feature vector's big-endian
 // IEEE-754 encoding ("" for an empty vector). Identical vectors digest
 // identically, so redacted records still cluster by fingerprint.
-func VectorDigest(vec []float64) string {
+func vectorDigest(vec []float64) string {
 	if len(vec) == 0 {
 		return ""
 	}
@@ -41,29 +41,29 @@ func VectorDigest(vec []float64) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// RedactRecord returns a copy of rec safe for export: UserAgent hashed,
+// redactRecord returns a copy of rec safe for export: UserAgent hashed,
 // Vector replaced by its digest and width, Explanation dropped (its
 // per-feature contributions reconstruct feature values). Already
 // redacted records pass through unchanged, so redaction is idempotent.
-func RedactRecord(rec Record) Record {
+func redactRecord(rec Record) Record {
 	if rec.Redacted {
 		return rec
 	}
 	out := rec
 	out.Redacted = true
-	out.UserAgent = RedactUA(rec.UserAgent)
-	out.VectorSHA256 = VectorDigest(rec.Vector)
+	out.UserAgent = redactUA(rec.UserAgent)
+	out.VectorSHA256 = vectorDigest(rec.Vector)
 	out.VectorDim = len(rec.Vector)
 	out.Vector = nil
 	out.Explanation = nil
 	return out
 }
 
-// RedactRecords maps RedactRecord over a slice, returning a new slice.
+// RedactRecords maps redactRecord over a slice, returning a new slice.
 func RedactRecords(recs []Record) []Record {
 	out := make([]Record, len(recs))
 	for i, r := range recs {
-		out[i] = RedactRecord(r)
+		out[i] = redactRecord(r)
 	}
 	return out
 }

@@ -15,40 +15,40 @@ import (
 
 func TestRedactUAFormat(t *testing.T) {
 	ua := "Mozilla/5.0 (X11; Linux x86_64) TestBrowser/1.0"
-	got := RedactUA(ua)
+	got := redactUA(ua)
 	sum := sha256.Sum256([]byte(ua))
 	want := fmt.Sprintf("sha256:%x#%d", sum[:8], len(ua))
 	if got != want {
-		t.Fatalf("RedactUA = %q, want %q", got, want)
+		t.Fatalf("redactUA = %q, want %q", got, want)
 	}
 	if strings.Contains(got, "Mozilla") {
 		t.Fatal("redacted UA leaks original content")
 	}
-	if RedactUA("") != "" {
+	if redactUA("") != "" {
 		t.Fatal("empty UA must stay empty")
 	}
 	// Equal UAs redact identically (matchable), different ones differ.
-	if RedactUA(ua) != got {
-		t.Fatal("RedactUA not deterministic")
+	if redactUA(ua) != got {
+		t.Fatal("redactUA not deterministic")
 	}
-	if RedactUA(ua+"x") == got {
+	if redactUA(ua+"x") == got {
 		t.Fatal("distinct UAs collide")
 	}
 }
 
 func TestVectorDigest(t *testing.T) {
 	a := []float64{1, 2.5, -3}
-	if VectorDigest(a) != VectorDigest([]float64{1, 2.5, -3}) {
+	if vectorDigest(a) != vectorDigest([]float64{1, 2.5, -3}) {
 		t.Fatal("identical vectors digest differently")
 	}
-	if VectorDigest(a) == VectorDigest([]float64{1, 2.5, -3.0001}) {
+	if vectorDigest(a) == vectorDigest([]float64{1, 2.5, -3.0001}) {
 		t.Fatal("distinct vectors collide")
 	}
-	if VectorDigest(nil) != "" || VectorDigest([]float64{}) != "" {
+	if vectorDigest(nil) != "" || vectorDigest([]float64{}) != "" {
 		t.Fatal("empty vector must digest to empty string")
 	}
-	if len(VectorDigest(a)) != 64 {
-		t.Fatalf("digest length %d, want 64 hex chars", len(VectorDigest(a)))
+	if len(vectorDigest(a)) != 64 {
+		t.Fatalf("digest length %d, want 64 hex chars", len(vectorDigest(a)))
 	}
 }
 
@@ -63,7 +63,7 @@ func TestRedactRecord(t *testing.T) {
 		Verdict:     core.Verdict{Flagged: true, RiskFactor: 9},
 		Explanation: &core.Explanation{Claim: "EvilBot/2.0"},
 	}
-	red := RedactRecord(rec)
+	red := redactRecord(rec)
 	if !red.Redacted {
 		t.Fatal("Redacted flag not set")
 	}
@@ -73,7 +73,7 @@ func TestRedactRecord(t *testing.T) {
 	if red.Vector != nil {
 		t.Fatal("Vector survived redaction")
 	}
-	if red.VectorSHA256 != VectorDigest(rec.Vector) || red.VectorDim != 3 {
+	if red.VectorSHA256 != vectorDigest(rec.Vector) || red.VectorDim != 3 {
 		t.Fatalf("vector digest/dim = %q/%d", red.VectorSHA256, red.VectorDim)
 	}
 	if red.Explanation != nil {
@@ -85,12 +85,12 @@ func TestRedactRecord(t *testing.T) {
 		t.Fatalf("non-sensitive fields mangled: %+v", red)
 	}
 	// Idempotent: re-redacting changes nothing (the UA is not re-hashed).
-	if again := RedactRecord(red); again.UserAgent != red.UserAgent || !again.Redacted {
+	if again := redactRecord(red); again.UserAgent != red.UserAgent || !again.Redacted {
 		t.Fatalf("redaction not idempotent: %+v", again)
 	}
 	// Original untouched (value semantics).
 	if rec.Vector == nil || rec.Explanation == nil {
-		t.Fatal("RedactRecord mutated its input")
+		t.Fatal("redactRecord mutated its input")
 	}
 }
 

@@ -159,7 +159,7 @@ func TestUnknownInputsReturnZero(t *testing.T) {
 	if o.PropertyCount(ua.Release{Vendor: ua.Chrome, Version: 1}, "Element") != 0 {
 		t.Fatal("invalid release should count 0")
 	}
-	if o.HasProperty(ua.Release{Vendor: ua.Chrome, Version: 1}, "Navigator", "deviceMemory") {
+	if o.hasProperty(ua.Release{Vendor: ua.Chrome, Version: 1}, "Navigator", "deviceMemory") {
 		t.Fatal("invalid release should report false")
 	}
 }
@@ -193,31 +193,31 @@ func TestCuratedTimeBasedTimelines(t *testing.T) {
 	ff110 := ua.Release{Vendor: ua.Firefox, Version: 110}
 	edge18 := ua.Release{Vendor: ua.Edge, Version: 18}
 
-	if o.HasProperty(ch62, "Navigator", "deviceMemory") {
+	if o.hasProperty(ch62, "Navigator", "deviceMemory") {
 		t.Fatal("deviceMemory on Chrome 62")
 	}
-	if !o.HasProperty(ch63, "Navigator", "deviceMemory") {
+	if !o.hasProperty(ch63, "Navigator", "deviceMemory") {
 		t.Fatal("deviceMemory missing on Chrome 63")
 	}
-	if o.HasProperty(ff110, "Navigator", "deviceMemory") {
+	if o.hasProperty(ff110, "Navigator", "deviceMemory") {
 		t.Fatal("deviceMemory on Firefox")
 	}
-	if !o.HasProperty(ch63, "HTMLVideoElement", "webkitDisplayingFullscreen") {
+	if !o.hasProperty(ch63, "HTMLVideoElement", "webkitDisplayingFullscreen") {
 		t.Fatal("webkit fullscreen missing on Blink")
 	}
-	if o.HasProperty(ff110, "HTMLVideoElement", "webkitDisplayingFullscreen") {
+	if o.hasProperty(ff110, "HTMLVideoElement", "webkitDisplayingFullscreen") {
 		t.Fatal("webkit fullscreen on Gecko")
 	}
-	if o.HasProperty(edge18, "CSSStyleDeclaration", "getPropertyValue") {
+	if o.hasProperty(edge18, "CSSStyleDeclaration", "getPropertyValue") {
 		t.Fatal("getPropertyValue on EdgeHTML prototype")
 	}
-	if !o.HasProperty(ff110, "CSSStyleDeclaration", "getPropertyValue") {
+	if !o.hasProperty(ff110, "CSSStyleDeclaration", "getPropertyValue") {
 		t.Fatal("getPropertyValue missing on Gecko")
 	}
-	if !o.HasProperty(ff110, "Screen", "orientation") {
+	if !o.hasProperty(ff110, "Screen", "orientation") {
 		t.Fatal("Screen.orientation missing on modern Firefox")
 	}
-	if o.HasProperty(ua.Release{Vendor: ua.Firefox, Version: 46}, "Screen", "orientation") {
+	if o.hasProperty(ua.Release{Vendor: ua.Firefox, Version: 46}, "Screen", "orientation") {
 		t.Fatal("Screen.orientation on Firefox 46")
 	}
 }
@@ -227,19 +227,19 @@ func TestBrowserPrintCandidates(t *testing.T) {
 	if len(cands) != 313 {
 		t.Fatalf("got %d candidates, want 313", len(cands))
 	}
-	seen := map[string]bool{}
+	seen := map[TimeBasedFeature]bool{}
 	for _, c := range cands {
-		if !KnownProto(c.Proto) {
+		if !knownProto(c.Proto) {
 			t.Fatalf("candidate on unknown proto %s", c.Proto)
 		}
-		if seen[c.Name()] {
-			t.Fatalf("duplicate candidate %s", c.Name())
+		if seen[c] {
+			t.Fatalf("duplicate candidate %+v", c)
 		}
-		seen[c.Name()] = true
+		seen[c] = true
 	}
 	// The curated six lead the list.
-	if cands[0].Name() != "Navigator.prototype.hasOwnProperty('deviceMemory')" {
-		t.Fatalf("first candidate = %s", cands[0].Name())
+	if cands[0] != (TimeBasedFeature{Proto: "Navigator", Prop: "deviceMemory"}) {
+		t.Fatalf("first candidate = %+v", cands[0])
 	}
 }
 
@@ -249,10 +249,10 @@ func TestSyntheticTimeFeaturesMostlyConstant(t *testing.T) {
 	constant := 0
 	cands := BrowserPrintCandidates()[6:]
 	for _, c := range cands {
-		first := o.HasProperty(universe[0], c.Proto, c.Prop)
+		first := o.hasProperty(universe[0], c.Proto, c.Prop)
 		same := true
 		for _, r := range universe[1:] {
-			if o.HasProperty(r, c.Proto, c.Prop) != first {
+			if o.hasProperty(r, c.Proto, c.Prop) != first {
 				same = false
 				break
 			}
@@ -304,10 +304,10 @@ func TestHasPropertyFallbackMembership(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("Range has no properties")
 	}
-	if !o.HasProperty(r, "Range", names[0]) {
+	if !o.hasProperty(r, "Range", names[0]) {
 		t.Fatal("membership fallback failed for existing prop")
 	}
-	if o.HasProperty(r, "Range", "definitelyNotAProp") {
+	if o.hasProperty(r, "Range", "definitelyNotAProp") {
 		t.Fatal("membership fallback accepted junk")
 	}
 }
@@ -416,7 +416,7 @@ func TestRegistryIntegrity(t *testing.T) {
 		t.Fatalf("appendix-3 list has %d entries, want 200", len(Appendix3Protos()))
 	}
 	for _, p := range Appendix3Protos() {
-		if !KnownProto(p) {
+		if !knownProto(p) {
 			t.Fatalf("appendix-3 proto %q not in registry", p)
 		}
 	}
@@ -425,7 +425,7 @@ func TestRegistryIntegrity(t *testing.T) {
 	}
 	// Table 8 prototypes all modeled.
 	for proto := range handTuned {
-		if !KnownProto(proto) {
+		if !knownProto(proto) {
 			t.Fatalf("hand-tuned proto %q not in registry", proto)
 		}
 	}
@@ -505,9 +505,9 @@ func TestSyntheticTimeFlipsAtEraBoundary(t *testing.T) {
 	universe := ua.Universe(114)
 	flips := 0
 	for _, c := range BrowserPrintCandidates()[6:] {
-		first := o.HasProperty(universe[0], c.Proto, c.Prop)
+		first := o.hasProperty(universe[0], c.Proto, c.Prop)
 		for _, r := range universe[1:] {
-			if o.HasProperty(r, c.Proto, c.Prop) != first {
+			if o.hasProperty(r, c.Proto, c.Prop) != first {
 				flips++
 				break
 			}

@@ -163,7 +163,7 @@ func (p Profile) PropertyCount(o *Oracle, proto string) int {
 
 // HasProperty returns the profile's reported hasOwnProperty result.
 func (p Profile) HasProperty(o *Oracle, proto, prop string) bool {
-	v := o.HasProperty(p.Release, proto, prop)
+	v := o.hasProperty(p.Release, proto, prop)
 	for _, m := range p.Mods {
 		v = m.AdjustBool(proto, prop, v)
 	}

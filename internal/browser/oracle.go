@@ -42,7 +42,7 @@ func hashPM(label string) float64 { return 2*hash01(label) - 1 }
 // interface is missing (the paper's features zero out the same way, e.g.
 // ServiceWorker under a disabling config, §6.3).
 func (o *Oracle) PropertyCount(r ua.Release, proto string) int {
-	if !KnownProto(proto) || !r.Valid() {
+	if !knownProto(proto) || !r.Valid() {
 		return 0
 	}
 	key := countKey{rel: r, proto: proto}
@@ -157,12 +157,12 @@ func propName(proto string, i int) string {
 	return fmt.Sprintf("%s%s%d", p, s, i)
 }
 
-// HasProperty reports whether proto.prototype.hasOwnProperty(prop) for
+// hasProperty reports whether proto.prototype.hasOwnProperty(prop) for
 // the release. Curated time-based properties (Table 8 Num 23–28) follow
 // their modeled timelines; synthetic BrowserPrint-style candidates follow
 // hash-derived timelines; any other name falls back to membership in the
 // modeled property list.
-func (o *Oracle) HasProperty(r ua.Release, proto, prop string) bool {
+func (o *Oracle) hasProperty(r ua.Release, proto, prop string) bool {
 	if !r.Valid() {
 		return false
 	}

@@ -193,9 +193,9 @@ func Registry() []string { return registry }
 // in publication order. The slice is shared; callers must not mutate it.
 func Appendix3Protos() []string { return appendix3Protos }
 
-// KnownProto reports whether the registry models the prototype.
-func KnownProto(name string) bool { return registrySet[name] }
+// knownProto reports whether the registry models the prototype.
+func knownProto(name string) bool { return registrySet[name] }
 
-// IsAppendix3 reports whether the prototype is in the paper's published
+// isAppendix3 reports whether the prototype is in the paper's published
 // deviation-candidate list.
-func IsAppendix3(name string) bool { return appendix3Set[name] }
+func isAppendix3(name string) bool { return appendix3Set[name] }

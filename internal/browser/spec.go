@@ -103,7 +103,7 @@ func deriveSpec(proto string) protoSpec {
 	gen := rng.NewString("proto-spec:" + proto)
 	spec := protoSpec{}
 	spec.base = baseMin + gen.Float64()*(baseMax-baseMin)
-	if !IsAppendix3(proto) {
+	if !isAppendix3(proto) {
 		// The rest of the registry models the MDN interfaces that did
 		// NOT make the paper's top-200: present everywhere and slow
 		// moving, so the §6.1 ranking puts them below the published

@@ -16,12 +16,6 @@ type TimeBasedFeature struct {
 	Prop  string
 }
 
-// Name renders the probe as the paper writes it, e.g.
-// "Navigator.prototype.hasOwnProperty('deviceMemory')".
-func (f TimeBasedFeature) Name() string {
-	return fmt.Sprintf("%s.prototype.hasOwnProperty('%s')", f.Proto, f.Prop)
-}
-
 // curatedTimeBased models the six time-based features that survived the
 // paper's pre-processing (Table 8 Num 23–28). Their timelines are the
 // reproduction's stand-ins for the real platform history: each one flips

@@ -90,17 +90,6 @@ func (o *AnalyzeOptions) defaults() {
 	}
 }
 
-// HasFailure reports whether any finding failed (the CLI's exit-1
-// condition).
-func HasFailure(findings []Finding) bool {
-	for _, f := range findings {
-		if f.Severity == SeverityFail {
-			return true
-		}
-	}
-	return false
-}
-
 // Analyze replays the full rule catalog over a bundle. Every rule
 // contributes at least one finding — a pass with a summary detail when
 // nothing is wrong — so the output enumerates what was checked, not
@@ -218,7 +207,7 @@ func (a *analyzer) checkPromlint() {
 		}
 	}
 	for _, t := range a.b.Manifest.Targets {
-		if data := a.b.TargetFile(t.Name, ArtifactMetrics); data != nil {
+		if data := a.b.targetFile(t.Name, ArtifactMetrics); data != nil {
 			lint(t.Name, data)
 		}
 	}
@@ -297,7 +286,7 @@ func (a *analyzer) checkFleetHash() {
 		hashes[hash] = append(hashes[hash], target)
 	}
 	for _, name := range a.targetNames() {
-		if data := a.b.TargetFile(name, ArtifactModelInfo); data != nil {
+		if data := a.b.targetFile(name, ArtifactModelInfo); data != nil {
 			var info struct {
 				Hash string `json:"hash"`
 			}

@@ -3,6 +3,7 @@ package bundle
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestAnalyzeHealthyBundlePassesEveryRule(t *testing.T) {
 		seedTarget(b, "r0", hashA, healthyOpts())
 		seedTarget(b, "r1", hashA, healthyOpts())
 	})
-	if HasFailure(findings) {
+	if hasFailure(findings) {
 		t.Fatalf("healthy bundle failed: %v", findings)
 	}
 	// Every rule reports — the output enumerates what was checked.
@@ -125,7 +126,7 @@ func TestAnalyzeDriftStaleModelFault(t *testing.T) {
 	if got := ruleFindings(findings, RuleDriftStaleModel); len(got) != 1 || got[0].Severity != SeverityWarn || got[0].Target != "r0" {
 		t.Fatalf("drift findings %v, want one warning for r0", got)
 	}
-	if HasFailure(findings) {
+	if hasFailure(findings) {
 		t.Fatalf("drift warn escalated to failure: %v", findings)
 	}
 }
@@ -180,7 +181,7 @@ func TestAnalyzeAuditAccountingFault(t *testing.T) {
 	clean := analyzeBundle(t, func(b *Builder) {
 		seedTarget(b, "r0", hashA, quiet)
 	})
-	if HasFailure(clean) {
+	if hasFailure(clean) {
 		t.Fatalf("ledger-less target failed accounting: %v", clean)
 	}
 }
@@ -201,7 +202,7 @@ func TestAnalyzeRejectSpike(t *testing.T) {
 		seedTarget(b, "r0", hashA, o)
 	})
 	wantSeverity(t, warn, RuleRejectSpike, SeverityWarn)
-	if HasFailure(warn) {
+	if hasFailure(warn) {
 		t.Fatalf("reject warn escalated: %v", warn)
 	}
 }
@@ -218,7 +219,7 @@ func TestAnalyzeFleetHealth(t *testing.T) {
 		b.AddFile(FleetMetricsFile, KindMetrics, fleetMetrics(2, 1))
 	})
 	wantSeverity(t, warn, RuleFleetHealth, SeverityWarn)
-	if HasFailure(warn) {
+	if hasFailure(warn) {
 		t.Fatalf("single ejection escalated: %v", warn)
 	}
 	// Nothing healthy left: fail.
@@ -232,7 +233,7 @@ func TestAnalyzeFleetHealth(t *testing.T) {
 func TestAnalyzeChecksumAndCollectErrors(t *testing.T) {
 	bb, _ := build(t, func(b *Builder) {
 		seedTarget(b, "r0", hashA, healthyOpts())
-		b.Target("r1", "http://r1").Error(ArtifactMetrics, errTest)
+		b.Target("r1", "http://r1").addError(ArtifactMetrics, errTest)
 	})
 	// Tamper with an artifact after capture.
 	bb.Files["targets/r0/"+ArtifactMetrics] = append(bb.Files["targets/r0/"+ArtifactMetrics], "tampered\n"...)
@@ -267,8 +268,8 @@ func TestAnalyzeSLOViolationFault(t *testing.T) {
 	if f.Target != "r0" || !strings.Contains(f.Detail, "collect-latency") {
 		t.Fatalf("slo finding = %+v, want collect-latency violation on r0", f)
 	}
-	if !HasFailure(findings) {
-		t.Fatal("HasFailure false despite SLO violation")
+	if !hasFailure(findings) {
+		t.Fatal("no failing finding despite an SLO violation")
 	}
 
 	// Beside a healthy replica the slow one also drags the fleet's
@@ -335,4 +336,10 @@ func TestAnalyzeSLOCustomSpec(t *testing.T) {
 	if !strings.Contains(f.Detail, "tight-lat") {
 		t.Fatalf("slo finding = %+v, want tight-lat violation", f)
 	}
+}
+
+// hasFailure reports whether any finding failed (the CLI's exit-1
+// condition).
+func hasFailure(findings []Finding) bool {
+	return slices.ContainsFunc(findings, func(f Finding) bool { return f.Severity == SeverityFail })
 }

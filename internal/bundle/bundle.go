@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path"
 	"strings"
 	"time"
@@ -81,23 +80,13 @@ type Manifest struct {
 	Tool          string `json:"tool,omitempty"`
 	CapturedAtNs  int64  `json:"captured_at_ns"`
 	// Redacted reports whether audit records were passed through
-	// audit.RedactRecord before packing (the default).
+	// audit.RedactRecords before packing (the default).
 	Redacted bool             `json:"redacted"`
 	Targets  []TargetManifest `json:"targets"`
 	// Files lists run-level artifacts under files/ (the balancer's
 	// exposition, effective config, -file extras).
 	Files  []Artifact     `json:"files,omitempty"`
 	Errors []CollectError `json:"errors,omitempty"`
-}
-
-// Target returns the named target's manifest entry, nil when absent.
-func (m *Manifest) Target(name string) *TargetManifest {
-	for i := range m.Targets {
-		if m.Targets[i].Name == name {
-			return &m.Targets[i]
-		}
-	}
-	return nil
 }
 
 // SanitizeName maps an arbitrary target name (often host:port) onto the
@@ -140,12 +129,6 @@ func NewBuilder(capturedAt time.Time) *Builder {
 	}
 }
 
-// SetTool records the capturing tool's version string.
-func (b *Builder) SetTool(tool string) { b.manifest.Tool = tool }
-
-// SetRedacted records whether audit records were redacted.
-func (b *Builder) SetRedacted(v bool) { b.manifest.Redacted = v }
-
 // Target adds (or returns) a capture target.
 func (b *Builder) Target(name, baseURL string) *TargetWriter {
 	name = SanitizeName(name)
@@ -164,8 +147,8 @@ func (b *Builder) AddFile(name, kind string, data []byte) {
 	b.manifest.Files = append(b.manifest.Files, b.add("files/"+name, name, kind, data))
 }
 
-// Error records a run-level collection error.
-func (b *Builder) Error(artifact string, err error) {
+// addError records a run-level collection error.
+func (b *Builder) addError(artifact string, err error) {
 	b.manifest.Errors = append(b.manifest.Errors, CollectError{Artifact: artifact, Err: err.Error()})
 }
 
@@ -190,9 +173,9 @@ func (t *TargetWriter) Add(name, kind string, data []byte) {
 	tm.Artifacts = append(tm.Artifacts, t.b.add("targets/"+tm.Name+"/"+name, name, kind, data))
 }
 
-// Error records a failed artifact on the target; the bundle still
+// addError records a failed artifact on the target; the bundle still
 // builds.
-func (t *TargetWriter) Error(artifact string, err error) {
+func (t *TargetWriter) addError(artifact string, err error) {
 	tm := &t.b.manifest.Targets[t.idx]
 	tm.Errors = append(tm.Errors, CollectError{Artifact: artifact, Err: err.Error()})
 }
@@ -290,17 +273,7 @@ func Read(r io.Reader) (*Bundle, error) {
 	return b, nil
 }
 
-// Open reads a bundle file.
-func Open(path string) (*Bundle, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
-}
-
-// TargetFile returns one target artifact's content, nil when absent.
-func (b *Bundle) TargetFile(target, name string) []byte {
+// targetFile returns one target artifact's content, nil when absent.
+func (b *Bundle) targetFile(target, name string) []byte {
 	return b.Files["targets/"+SanitizeName(target)+"/"+name]
 }

@@ -30,13 +30,13 @@ func build(t *testing.T, fn func(b *Builder)) (*Bundle, []byte) {
 
 func TestBundleRoundTrip(t *testing.T) {
 	bb, _ := build(t, func(b *Builder) {
-		b.SetTool("test v1")
+		b.manifest.Tool = "test v1"
 		tw := b.Target("r0", "http://127.0.0.1:1")
 		tw.Add(ArtifactMetrics, KindMetrics, []byte("polygraph_collections_total 1\n"))
 		tw.Add(ArtifactTraces, KindTraces, []byte("[]"))
-		tw.Error(ArtifactPprofCPU, errTest)
+		tw.addError(ArtifactPprofCPU, errTest)
 		b.AddFile("bench.json", KindFile, []byte("{}"))
-		b.Error("missing.json", errTest)
+		b.addError("missing.json", errTest)
 	})
 
 	m := bb.Manifest
@@ -46,7 +46,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	if m.CapturedAtNs != captureInstant.UnixNano() {
 		t.Fatalf("CapturedAtNs = %d, want %d", m.CapturedAtNs, captureInstant.UnixNano())
 	}
-	tm := m.Target("r0")
+	tm := targetOf(&m, "r0")
 	if tm == nil || len(tm.Artifacts) != 2 || len(tm.Errors) != 1 {
 		t.Fatalf("target manifest %+v", tm)
 	}
@@ -54,10 +54,10 @@ func TestBundleRoundTrip(t *testing.T) {
 		tm.Artifacts[0].Bytes != 30 || len(tm.Artifacts[0].SHA256) != 64 {
 		t.Fatalf("artifact entry %+v", tm.Artifacts[0])
 	}
-	if got := string(bb.TargetFile("r0", ArtifactMetrics)); got != "polygraph_collections_total 1\n" {
-		t.Fatalf("TargetFile = %q", got)
+	if got := string(bb.targetFile("r0", ArtifactMetrics)); got != "polygraph_collections_total 1\n" {
+		t.Fatalf("targetFile = %q", got)
 	}
-	if bb.TargetFile("r0", "nope.txt") != nil || bb.TargetFile("r9", ArtifactMetrics) != nil {
+	if bb.targetFile("r0", "nope.txt") != nil || bb.targetFile("r9", ArtifactMetrics) != nil {
 		t.Fatal("absent artifacts should return nil")
 	}
 	if len(m.Files) != 1 || m.Files[0].Name != "bench.json" {
@@ -81,7 +81,7 @@ func (e errFixed) Error() string { return string(e) }
 // byte-identical — the determinism CI relies on to diff bundles.
 func TestBundleDeterministicBytes(t *testing.T) {
 	fill := func(b *Builder) {
-		b.SetTool("test v1")
+		b.manifest.Tool = "test v1"
 		tw := b.Target("r0", "http://x")
 		tw.Add(ArtifactMetrics, KindMetrics, []byte("m 1\n"))
 		tw.Add(ArtifactStats, KindStats, []byte("{}"))
@@ -173,4 +173,14 @@ func tarNames(t *testing.T, raw []byte) []string {
 		names = append(names, hdr.Name)
 	}
 	return names
+}
+
+// targetOf returns the named target's manifest entry, nil when absent.
+func targetOf(m *Manifest, name string) *TargetManifest {
+	for i := range m.Targets {
+		if m.Targets[i].Name == name {
+			return &m.Targets[i]
+		}
+	}
+	return nil
 }

@@ -64,7 +64,7 @@ type Options struct {
 	Client *http.Client
 	// NoRedact ships audit records as /debug/decisions serves them — UA
 	// strings, fingerprint vectors and the explanations derived from
-	// them included. Default is redaction via audit.RedactRecord.
+	// them included. Default is redaction via audit.RedactRecords.
 	NoRedact bool
 	// PprofSeconds is the CPU-profile duration per target; 0 skips the
 	// CPU profile (the heap profile is always attempted unless
@@ -108,8 +108,7 @@ func Capture(ctx context.Context, w io.Writer, opts Options) (*Manifest, error) 
 	}
 
 	b := NewBuilder(now)
-	b.SetTool(opts.Tool)
-	b.SetRedacted(!opts.NoRedact)
+	b.manifest.Tool, b.manifest.Redacted = opts.Tool, !opts.NoRedact
 
 	for _, t := range opts.Targets {
 		captureTarget(ctx, b, client, t, opts, recent)
@@ -123,7 +122,7 @@ func Capture(ctx context.Context, w io.Writer, opts Options) (*Manifest, error) 
 	if opts.Config != nil {
 		data, err := json.MarshalIndent(opts.Config, "", "  ")
 		if err != nil {
-			b.Error(ConfigFile, err)
+			b.addError(ConfigFile, err)
 		} else {
 			b.AddFile(ConfigFile, KindConfig, append(data, '\n'))
 		}
@@ -131,7 +130,7 @@ func Capture(ctx context.Context, w io.Writer, opts Options) (*Manifest, error) 
 	for _, f := range opts.Files {
 		data, err := os.ReadFile(f)
 		if err != nil {
-			b.Error(filepath.Base(f), err)
+			b.addError(filepath.Base(f), err)
 			continue
 		}
 		b.AddFile(filepath.Base(f), KindFile, data)
@@ -195,7 +194,7 @@ func captureTarget(ctx context.Context, b *Builder, client *http.Client, t Targe
 	grab := func(name, kind, path string) []byte {
 		data, err := fetch(path)
 		if err != nil {
-			tw.Error(name, err)
+			tw.addError(name, err)
 			return nil
 		}
 		tw.Add(name, kind, data)
@@ -233,7 +232,7 @@ func captureTarget(ctx context.Context, b *Builder, client *http.Client, t Targe
 func captureDecisions(tw *TargetWriter, fetch func(string) ([]byte, error), noRedact bool, recent int) {
 	data, err := fetch(fmt.Sprintf("/debug/decisions?n=%d", recent))
 	if err != nil {
-		tw.Error(ArtifactDecisions, err)
+		tw.addError(ArtifactDecisions, err)
 		return
 	}
 	if noRedact {
@@ -242,12 +241,12 @@ func captureDecisions(tw *TargetWriter, fetch func(string) ([]byte, error), noRe
 	}
 	var recs []audit.Record
 	if err := json.Unmarshal(data, &recs); err != nil {
-		tw.Error(ArtifactDecisions, fmt.Errorf("redact: %w", err))
+		tw.addError(ArtifactDecisions, fmt.Errorf("redact: %w", err))
 		return
 	}
 	out, err := json.Marshal(audit.RedactRecords(recs))
 	if err != nil {
-		tw.Error(ArtifactDecisions, fmt.Errorf("redact: %w", err))
+		tw.addError(ArtifactDecisions, fmt.Errorf("redact: %w", err))
 		return
 	}
 	tw.Add(ArtifactDecisions, KindDecisions, append(out, '\n'))

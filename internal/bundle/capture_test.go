@@ -98,7 +98,7 @@ func TestCaptureLiveAndDeadTargets(t *testing.T) {
 	if bb.Manifest.Tool != "capture-test" || !bb.Manifest.Redacted {
 		t.Fatalf("manifest header %+v", bb.Manifest)
 	}
-	live := bb.Manifest.Target("live")
+	live := targetOf(&bb.Manifest, "live")
 	if live == nil {
 		t.Fatal("live target missing from manifest")
 	}
@@ -119,7 +119,7 @@ func TestCaptureLiveAndDeadTargets(t *testing.T) {
 	}
 
 	// The dead replica becomes recorded errors, not a failed capture.
-	dead := bb.Manifest.Target("dead")
+	dead := targetOf(&bb.Manifest, "dead")
 	if dead == nil {
 		t.Fatal("dead target missing from manifest")
 	}
@@ -138,7 +138,7 @@ func TestCaptureRedactsDecisionsByDefault(t *testing.T) {
 		Targets:   []Target{{Name: "r0", BaseURL: url}},
 		SkipPprof: true,
 	})
-	data := bb.TargetFile("r0", ArtifactDecisions)
+	data := bb.targetFile("r0", ArtifactDecisions)
 	if data == nil {
 		t.Fatal("decisions.json not captured")
 	}
@@ -163,7 +163,7 @@ func TestCaptureRedactsDecisionsByDefault(t *testing.T) {
 	if raw.Manifest.Redacted {
 		t.Fatal("NoRedact capture still claims redaction")
 	}
-	if !bytes.Contains(raw.TargetFile("r0", ArtifactDecisions), []byte("SecretAgent")) {
+	if !bytes.Contains(raw.targetFile("r0", ArtifactDecisions), []byte("SecretAgent")) {
 		t.Fatal("NoRedact capture lost the raw UA")
 	}
 }
@@ -182,10 +182,10 @@ func TestCaptureRedactionFailClosed(t *testing.T) {
 		Targets:   []Target{{Name: "r0", BaseURL: srv.URL}},
 		SkipPprof: true,
 	})
-	if bb.TargetFile("r0", ArtifactDecisions) != nil {
+	if bb.targetFile("r0", ArtifactDecisions) != nil {
 		t.Fatal("unparseable decisions were shipped despite redaction")
 	}
-	tm := bb.Manifest.Target("r0")
+	tm := targetOf(&bb.Manifest, "r0")
 	found := false
 	for _, ce := range tm.Errors {
 		if ce.Artifact == ArtifactDecisions && strings.Contains(ce.Err, "redact") {
@@ -276,7 +276,7 @@ func TestCaptureThenAnalyzeHealthy(t *testing.T) {
 		SkipPprof: true,
 	})
 	findings := Analyze(bb, AnalyzeOptions{})
-	if HasFailure(findings) {
+	if hasFailure(findings) {
 		t.Fatalf("captured healthy target fails analysis: %v", findings)
 	}
 }
@@ -315,11 +315,15 @@ func TestCaptureFileKeepsPreviousBundleOnFailure(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	b, err := Open(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("good capture did not replace the previous bundle: %v", err)
 	}
-	if b.Manifest.Target("r0") == nil {
+	if targetOf(&b.Manifest, "r0") == nil {
 		t.Fatalf("manifest targets: %+v", b.Manifest.Targets)
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 1 {

@@ -56,7 +56,7 @@ func TestBundleReadSeeds(t *testing.T) {
 		switch {
 		case msg == "" && err != nil:
 			t.Errorf("seed %s: %v", name, err)
-		case msg == "" && HasFailure(Analyze(b, AnalyzeOptions{})):
+		case msg == "" && hasFailure(Analyze(b, AnalyzeOptions{})):
 			t.Errorf("seed %s: a finding failed: %v", name, Analyze(b, AnalyzeOptions{}))
 		case msg != "" && (err == nil || !strings.Contains(err.Error(), msg)):
 			t.Errorf("seed %s: %v, want an error containing %q", name, err, msg)

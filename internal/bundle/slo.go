@@ -71,7 +71,7 @@ func EvaluateSLO(b *Bundle, spec *slo.Spec) []SLOCheck {
 func targetExpositions(b *Bundle) map[string]*obs.Exposition {
 	out := map[string]*obs.Exposition{}
 	for _, t := range b.Manifest.Targets {
-		if data := b.TargetFile(t.Name, ArtifactMetrics); data != nil {
+		if data := b.targetFile(t.Name, ArtifactMetrics); data != nil {
 			out[t.Name] = obs.ParseExpositionString(string(data))
 		}
 	}

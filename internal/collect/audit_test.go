@@ -22,10 +22,10 @@ import (
 
 // auditedServer builds an HTTP server wired to a fresh ledger in a temp
 // dir, returning both plus the test base URL.
-func auditedServer(t *testing.T, sampleBenign int) (*Server, *audit.Ledger, *httptest.Server) {
+func auditedServer(t *testing.T, dir string, sampleBenign int) (*Server, *audit.Ledger, *httptest.Server) {
 	t.Helper()
 	m, _ := testModel(t)
-	led, err := audit.Open(audit.Config{Dir: t.TempDir(), SampleBenign: sampleBenign})
+	led, err := audit.Open(audit.Config{Dir: dir, SampleBenign: sampleBenign})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func auditedServer(t *testing.T, sampleBenign int) (*Server, *audit.Ledger, *htt
 }
 
 func TestHTTPScoreRecordsAudit(t *testing.T) {
-	srv, led, ts := auditedServer(t, 1)
+	srv, led, ts := auditedServer(t, t.TempDir(), 1)
 	_, d := testModel(t)
 	client := NewClient(ts.URL)
 
@@ -108,7 +108,7 @@ func TestHTTPScoreRecordsAudit(t *testing.T) {
 }
 
 func TestHTTPAuditSampling(t *testing.T) {
-	_, led, ts := auditedServer(t, 3)
+	_, led, ts := auditedServer(t, t.TempDir(), 3)
 	_, d := testModel(t)
 	client := NewClient(ts.URL)
 
@@ -153,7 +153,7 @@ func fetchJSON(t *testing.T, url string, out any) int {
 }
 
 func TestDecisionsEndpoint(t *testing.T) {
-	_, _, ts := auditedServer(t, 1)
+	_, _, ts := auditedServer(t, t.TempDir(), 1)
 	_, d := testModel(t)
 	client := NewClient(ts.URL)
 
@@ -330,7 +330,7 @@ func TestAuditMetricsFamilies(t *testing.T) {
 		}
 	}
 
-	_, _, ts := auditedServer(t, 1)
+	_, _, ts := auditedServer(t, t.TempDir(), 1)
 	_, d := testModel(t)
 	client := NewClient(ts.URL)
 	lying := payloadFor(d, ua.Release{Vendor: ua.Chrome, Version: 112}, ua.Release{Vendor: ua.Firefox, Version: 110})
@@ -418,7 +418,8 @@ func TestTCPScoreRecordsAudit(t *testing.T) {
 // explained, so SwapModel reports the failure and the old model — whose
 // archive exists — keeps serving and keeps being audited.
 func TestSwapModelFailsClosedWithoutArchive(t *testing.T) {
-	srv, led, ts := auditedServer(t, 1)
+	dir := t.TempDir()
+	srv, led, ts := auditedServer(t, dir, 1)
 	_, d := testModel(t)
 	oldHash := srv.ModelHash()
 
@@ -435,8 +436,8 @@ func TestSwapModelFailsClosedWithoutArchive(t *testing.T) {
 
 	// The directory goes away under the open segment (chmod would not stop
 	// root): nothing new can be created in it.
-	gone := led.Dir() + ".gone"
-	if err := os.Rename(led.Dir(), gone); err != nil {
+	gone := dir + ".gone"
+	if err := os.Rename(dir, gone); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.SwapModel(other); err == nil {
@@ -454,22 +455,22 @@ func TestSwapModelFailsClosedWithoutArchive(t *testing.T) {
 	}
 
 	// Back in place, the same swap goes through and leaves two archives.
-	if err := os.Rename(gone, led.Dir()); err != nil {
+	if err := os.Rename(gone, dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.SwapModel(other); err != nil {
 		t.Fatal(err)
 	}
 	for _, hash := range []string{oldHash, srv.ModelHash()} {
-		if _, err := audit.NewResolver(led.Dir()).Model(hash); err != nil {
+		if _, err := audit.NewResolver(dir).Model(hash); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A boot fails the same way.
-	if err := os.Rename(led.Dir(), gone); err != nil {
+	if err := os.Rename(dir, gone); err != nil {
 		t.Fatal(err)
 	}
-	defer os.Rename(gone, led.Dir())
+	defer os.Rename(gone, dir)
 	if _, err := NewServer(Config{Model: other, Audit: led}); err == nil {
 		t.Fatal("NewServer succeeded with nowhere to archive the model")
 	}

@@ -127,7 +127,7 @@ func TestTCPCoalescedParity(t *testing.T) {
 			t.Fatalf("frame %d: batched %+v != serial %+v", i, got[i], want[0])
 		}
 	}
-	if srv.BatchHist().Count() == 0 {
+	if srv.batchHist.Count() == 0 {
 		t.Fatal("batch-size histogram never recorded")
 	}
 }
@@ -153,7 +153,7 @@ func TestTCPCoalescerBatchOfOne(t *testing.T) {
 	if replies[0][tcpReplySize-1]&tcpErrorFlag != 0 {
 		t.Fatalf("error reply: %v", replies[0])
 	}
-	h := srv.BatchHist()
+	h := &srv.batchHist
 	if h.Count() != 1 {
 		t.Fatalf("batch count %d, want 1", h.Count())
 	}
@@ -190,7 +190,7 @@ func TestTCPCoalescerExactlyMaxBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	readReplies(t, conn, tcpMaxBatch)
-	h := srv.BatchHist()
+	h := &srv.batchHist
 	if h.Count() != 1 || h.Max() != tcpMaxBatch*time.Microsecond {
 		t.Fatalf("after %d-frame burst: %d batches, max %v (want 1 batch of %d)", tcpMaxBatch, h.Count(), h.Max(), tcpMaxBatch)
 	}
@@ -207,7 +207,7 @@ func TestTCPCoalescerExactlyMaxBatch(t *testing.T) {
 	if h.Max() != tcpMaxBatch*time.Microsecond {
 		t.Fatalf("a batch exceeded tcpMaxBatch: max %v", h.Max())
 	}
-	if got := srv.Scored(); got != 2*tcpMaxBatch+1 {
+	if got := srv.scored.Load(); got != 2*tcpMaxBatch+1 {
 		t.Fatalf("scored %d frames, want %d", got, 2*tcpMaxBatch+1)
 	}
 }
@@ -247,7 +247,7 @@ func TestTCPCoalescerOversizedFrameMidBatch(t *testing.T) {
 	if _, err := conn.Read(one[:]); err == nil {
 		t.Fatal("server kept talking after oversized frame mid-batch")
 	}
-	if got := srv.Scored(); got != 3 {
+	if got := srv.scored.Load(); got != 3 {
 		t.Fatalf("scored %d frames, want 3", got)
 	}
 }
@@ -467,10 +467,10 @@ func TestTCPCoalescerCountsFlaggedAndBadFrames(t *testing.T) {
 	if !decs[0].Flagged || !decs[1].Err || !decs[2].Flagged {
 		t.Fatalf("unexpected decisions: %+v", decs)
 	}
-	if got := srv.Flagged(); got != 2 {
+	if got := srv.flagged.Load(); got != 2 {
 		t.Fatalf("flagged counter %d, want 2", got)
 	}
-	if got := srv.BadFrames(); got != 1 {
+	if got := srv.badFrames.Load(); got != 1 {
 		t.Fatalf("bad-frames counter %d, want 1", got)
 	}
 }
@@ -588,7 +588,7 @@ func TestTCPBlockSettleDeterminism(t *testing.T) {
 		}
 		send(primer, 1)
 		send(stream, perWrite)
-		if got, want := srv.BatchHist().Count(), uint64(len(primer)+(len(stream)+perWrite-1)/perWrite); got != want {
+		if got, want := srv.batchHist.Count(), uint64(len(primer)+(len(stream)+perWrite-1)/perWrite); got != want {
 			t.Fatalf("%d frames a write: %d batches, want %d", perWrite, got, want)
 		}
 		if err := led.Close(); err != nil {
@@ -805,13 +805,13 @@ func FuzzTCPStream(f *testing.F) {
 			want = append(want, r[:]...)
 			rest = rest[4+n:]
 		}
-		scored, bad := srv.Scored(), srv.BadFrames()
+		scored, bad := srv.scored.Load(), srv.badFrames.Load()
 		conn := &streamConn{r: bytes.NewReader(append([]byte(tcpHello), data...))}
 		srv.handleConn(conn)
 		if !bytes.Equal(conn.out.Bytes(), want) {
 			t.Fatalf("replies %x, want %x", conn.out.Bytes(), want)
 		}
-		if got := srv.Scored() - scored + srv.BadFrames() - bad; got != int64(len(want)/tcpReplySize) {
+		if got := srv.scored.Load() - scored + srv.badFrames.Load() - bad; got != int64(len(want)/tcpReplySize) {
 			t.Fatalf("scored + bad moved by %d, %d frames accepted", got, len(want)/tcpReplySize)
 		}
 	})

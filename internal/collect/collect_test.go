@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -679,5 +681,35 @@ func TestFlaggedQueryEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("min_risk=%s status %d", q, resp.StatusCode)
 		}
+	}
+}
+
+// TestSubmitToClosedListenerUnwraps pins the client's error contract: a
+// refused dial is a *ClientError of kind FailDown, and errors.As reaches
+// the transport's own error through ClientError.Unwrap, so a caller can
+// tell a refused connection from a timeout without parsing the message.
+func TestSubmitToClosedListenerUnwraps(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+
+	_, err = NewClient("http://"+addr).Submit(context.Background(), &fingerprint.Payload{UserAgent: "Chrome 112"})
+	var ce *ClientError
+	if !errors.As(err, &ce) || ce.Kind != FailDown || ce.Op != "submit" {
+		t.Fatalf("Submit to a closed listener: %v, want a FailDown *ClientError", err)
+	}
+	var ne net.Error
+	if !errors.As(err, &ne) {
+		t.Fatalf("errors.As found no net.Error under %v", err)
+	}
+	var op *net.OpError
+	if !errors.As(err, &op) || op.Op != "dial" {
+		t.Fatalf("errors.As found no dial *net.OpError under %v", err)
+	}
+	if errors.Unwrap(err) != ce.Err {
+		t.Fatalf("Unwrap = %v, want the transport error %v", errors.Unwrap(err), ce.Err)
 	}
 }

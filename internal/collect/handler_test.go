@@ -445,7 +445,7 @@ func TestCollectPooledStateIsolation(t *testing.T) {
 	}
 	client.Close()
 	<-served
-	if got := tcp.BatchHist().Sum(); got != 6*time.Microsecond {
+	if got := tcp.batchHist.Sum(); got != 6*time.Microsecond {
 		t.Fatalf("the listener coalesced %v frames, want 6", got)
 	}
 

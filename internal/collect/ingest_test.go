@@ -70,10 +70,10 @@ func newIngestRig(t *testing.T, m *core.Model) *ingestRig {
 // effects collects what the run left in the rig's sinks. reader is a
 // server over the rig's ledger: its /v1/flagged queue must be exactly
 // the flagged records of the ledger's ring.
-func (r *ingestRig) effects(t *testing.T, verdicts []wireVerdict, tracer *obs.Tracer, reader *Server) sideEffects {
+func (r *ingestRig) effects(t *testing.T, verdicts []wireVerdict, traces http.Handler, reader *Server) sideEffects {
 	t.Helper()
 	out := sideEffects{Verdicts: verdicts, Drift: r.drift.Seen()}
-	if last := tracer.Ring().Last(1); len(last) == 1 {
+	if last := tracePageOf(t, traces, 1).Last; len(last) == 1 {
 		out.Status = last[0].Status
 	}
 	normalize := func(rec audit.Record) audit.Record {
@@ -130,7 +130,7 @@ func sendHTTP(endpoint string) func(*testing.T, *ingestRig, []byte, int) sideEff
 		if scored := int64(1) - st.Rejected; st.Received != scored {
 			t.Fatalf("received %d, rejected %d for one request", st.Received, st.Rejected)
 		}
-		return r.effects(t, []wireVerdict{v}, srv.Tracer(), srv)
+		return r.effects(t, []wireVerdict{v}, srv, srv)
 	}
 }
 
@@ -162,17 +162,17 @@ func sendTCP(t *testing.T, r *ingestRig, wire []byte, frames int) sideEffects {
 			Err:     flags&tcpErrorFlag != 0,
 		})
 	}
-	if h := srv.BatchHist(); h.Count() != 1 || h.Max() != time.Duration(frames)*time.Microsecond {
+	if h := &srv.batchHist; h.Count() != 1 || h.Max() != time.Duration(frames)*time.Microsecond {
 		t.Fatalf("%d frames served as %d batches (max %v), want one batch", frames, h.Count(), h.Max())
 	}
-	if got := srv.Scored() + srv.BadFrames(); got != int64(frames) {
+	if got := srv.scored.Load() + srv.badFrames.Load(); got != int64(frames) {
 		t.Fatalf("scored+bad = %d, want %d", got, frames)
 	}
 	reader, err := NewServer(r.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.effects(t, verdicts, srv.tracer, reader)
+	return r.effects(t, verdicts, http.HandlerFunc(srv.tracer.ServeTraces), reader)
 }
 
 // TestIngestParityAcrossTransports is the single-core contract: the same
@@ -358,12 +358,12 @@ func TestTCPAuditFailureIsLoggedNotSwallowed(t *testing.T) {
 	if got := strings.Count(logged, "collect: audit record failed"); got != 2 {
 		t.Fatalf("%d audit-failure warnings, want one per frame (2):\n%s", got, logged)
 	}
-	wantID := obs.NewIDGen(9).Next().String()
+	wantID := traceIDs(9, 1)[0]
 	if got := strings.Count(logged, obs.TraceIDKey+"="+wantID); got != 2 {
 		t.Fatalf("warnings do not carry the batch trace ID %s:\n%s", wantID, logged)
 	}
 	c := led.Counters()
-	if scored := srv.Scored(); scored != 2 || c.Records+c.Dropped != scored {
+	if scored := srv.scored.Load(); scored != 2 || c.Records+c.Dropped != scored {
 		t.Fatalf("records %d + dropped %d != scored %d", c.Records, c.Dropped, scored)
 	}
 }

@@ -72,13 +72,13 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 	obs.FamModelTrainedAt.Write(w, trainedAt)
 
 	if tcp := s.tcp.Load(); tcp != nil {
-		obs.FamTCPScored.Write(w, float64(tcp.Scored()))
-		obs.FamTCPFlagged.Write(w, float64(tcp.Flagged()))
-		obs.FamTCPBadHandshakes.Write(w, float64(tcp.BadConns()))
-		obs.FamTCPBadFrames.Write(w, float64(tcp.BadFrames()))
+		obs.FamTCPScored.Write(w, float64(tcp.scored.Load()))
+		obs.FamTCPFlagged.Write(w, float64(tcp.flagged.Load()))
+		obs.FamTCPBadHandshakes.Write(w, float64(tcp.badConn.Load()))
+		obs.FamTCPBadFrames.Write(w, float64(tcp.badFrames.Load()))
 		// Batch sizes ride the microsecond histogram scale: le=N reads
 		// as a batch of N frames and _sum is total coalesced frames.
-		obs.FamTCPBatchSize.WriteHistogram(w, []obs.HistogramSeries{obs.HistogramSnapshot(EndpointTCP, tcp.BatchHist())})
+		obs.FamTCPBatchSize.WriteHistogram(w, []obs.HistogramSeries{obs.HistogramSnapshot(EndpointTCP, &tcp.batchHist)})
 	}
 
 	// Audit-ledger families are always present (zeros when no ledger is

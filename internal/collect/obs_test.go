@@ -113,7 +113,7 @@ func TestMetricsExpositionLints(t *testing.T) {
 
 // TestTraceIDPropagation pins the deterministic trace-ID contract: the
 // ID in the slow-request log, the ID in /debug/traces, and the ID
-// predicted by an independent obs.NewIDGen with the same seed must all
+// predicted by an independent tracer with the same seed must all
 // agree.
 func TestTraceIDPropagation(t *testing.T) {
 	m, d := testModel(t)
@@ -137,7 +137,7 @@ func TestTraceIDPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := obs.NewIDGen(seed).Next().String()
+	want := traceIDs(seed, 1)[0]
 
 	// /debug/traces must report the same ID with its spans.
 	resp, err := http.Get(ts.URL + "/debug/traces?n=1")
@@ -366,7 +366,7 @@ func TestTraceRingSwapModelHammer(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if srv.Tracer().Ring().Len() == 0 {
+	if tracePageOf(t, srv, 1).Count == 0 {
 		t.Fatal("no traces retained after hammer")
 	}
 }

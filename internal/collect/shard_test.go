@@ -109,7 +109,7 @@ func TestDebugTracesNewestFirstAcrossShards(t *testing.T) {
 	chrome := ua.Release{Vendor: ua.Chrome, Version: 112}
 	p := payloadFor(d, chrome, chrome)
 	body := jsonBodyFor(t, p)
-	ids := obs.NewIDGen(seed)
+	ids := traceIDs(seed, 2*(srv.ingest.shards+1))
 	var sent []string // trace IDs, oldest first
 	for c := 0; c <= srv.ingest.shards; c++ {
 		client, err := DialTCP(l.Addr().String(), 0)
@@ -121,11 +121,11 @@ func TestDebugTracesNewestFirstAcrossShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		client.Close()
-		sent = append(sent, ids.Next().String())
+		sent = append(sent, ids[len(sent)])
 		if rec := post(srv, EndpointJSON, bytes.NewReader(body)); rec.Code != http.StatusOK {
 			t.Fatalf("collect: %d %s", rec.Code, rec.Body)
 		}
-		sent = append(sent, ids.Next().String())
+		sent = append(sent, ids[len(sent)])
 	}
 
 	page := tracePageOf(t, srv, len(sent))
@@ -164,19 +164,26 @@ func TestDebugTracesHugeN(t *testing.T) {
 
 // tracePage is the part of the /debug/traces document these tests read.
 type tracePage struct {
-	Count uint64 `json:"count"`
-	Last  []struct {
-		ID       string `json:"id"`
-		Endpoint string `json:"endpoint"`
-	} `json:"last"`
+	Count   uint64            `json:"count"`
+	Last    []traceDoc        `json:"last"`
 	Slowest []json.RawMessage `json:"slowest"`
 }
 
-// tracePageOf fetches /debug/traces?n=n through the public handler.
-func tracePageOf(t *testing.T, srv *Server, n int) tracePage {
+// traceDoc is one trace as /debug/traces lists it.
+type traceDoc struct {
+	ID       string     `json:"id"`
+	Endpoint string     `json:"endpoint"`
+	Status   string     `json:"status"`
+	DurUs    int64      `json:"dur_us"`
+	Spans    []obs.Span `json:"spans"`
+}
+
+// tracePageOf fetches /debug/traces?n=n from h: a Server's public
+// handler, or a tracer's ServeTraces.
+func tracePageOf(t *testing.T, h http.Handler, n int) tracePage {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces?n="+strconv.Itoa(n), nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces?n="+strconv.Itoa(n), nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/debug/traces: %d %s", rec.Code, rec.Body)
 	}
@@ -185,4 +192,18 @@ func tracePageOf(t *testing.T, srv *Server, n int) tracePage {
 		t.Fatal(err)
 	}
 	return page
+}
+
+// traceIDs returns the first n trace IDs a tracer seeded with seed gives
+// out, as a server with that TraceSeed does.
+func traceIDs(seed uint64, n int) []string {
+	tracer := obs.NewTracer(obs.TracerConfig{Seed: seed})
+	ids := make([]string, n)
+	var tr obs.Trace
+	for i := range ids {
+		tracer.Open(&tr, "", 0)
+		tracer.Finish(&tr, "")
+		ids[i] = tr.ID.String()
+	}
+	return ids
 }

@@ -152,7 +152,9 @@ func TestScoreDelayFaultDrill(t *testing.T) {
 	}
 	// Threshold 1024µs sits well under the injected 2ms delay: every
 	// scored request lands in a bucket above the threshold.
-	eng, err := slo.NewEngine(slo.Config{Spec: collectSLOSpec(1024), IntervalS: 1})
+	eng, err := slo.NewEngine(slo.Config{Spec: collectSLOSpec(1024), IntervalS: 1, Source: func() *obs.Exposition {
+		return obs.ParseExpositionString(srv.MetricsText())
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +169,15 @@ func TestScoreDelayFaultDrill(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.TickExposition(obs.ParseExpositionString(srv.MetricsText()))
+	if err := eng.TickNow(); err != nil {
+		t.Fatal(err)
+	}
 
 	lat := eng.Status().Objectives[1]
 	if lat.Total != 8 || lat.Good != 0 {
 		t.Fatalf("latency SLI counters = %+v, want 0/8 under a 2ms injected delay", lat)
 	}
-	if !lat.Alerting || !eng.Alerting() {
+	if !lat.Alerting || !eng.Status().Alerting {
 		t.Fatalf("fault drill did not trip the burn-rate alert: %+v", lat)
 	}
 	if !strings.Contains(srv.MetricsText(), `polygraph_slo_alert{objective="lat"} 1`) {

@@ -88,23 +88,6 @@ func NewTCPServer(cfg Config) (*TCPServer, error) {
 	}, nil
 }
 
-// Scored counts frames scored successfully across all connections.
-func (s *TCPServer) Scored() int64 { return s.scored.Load() }
-
-// Flagged counts scored frames whose verdict was flagged.
-func (s *TCPServer) Flagged() int64 { return s.flagged.Load() }
-
-// BadConns counts connections dropped before or at the handshake.
-func (s *TCPServer) BadConns() int64 { return s.badConn.Load() }
-
-// BadFrames counts frames rejected after the handshake (decode, dim, or
-// score failures) that were answered with the error flag.
-func (s *TCPServer) BadFrames() int64 { return s.badFrames.Load() }
-
-// BatchHist exposes the coalesced batch-size histogram (frame counts on
-// the microsecond scale).
-func (s *TCPServer) BatchHist() *obs.Hist { return &s.batchHist }
-
 // Serve accepts connections until the listener closes (via Close).
 func (s *TCPServer) Serve(l net.Listener) error {
 	s.mu.Lock()

@@ -99,8 +99,8 @@ func TestTCPBatchRoundtrip(t *testing.T) {
 	if decisions[0].SessionID != honest.SessionID {
 		t.Fatal("session id not echoed")
 	}
-	if srv.Flagged() != 1 {
-		t.Fatalf("flagged counter %d, want 1", srv.Flagged())
+	if srv.flagged.Load() != 1 {
+		t.Fatalf("flagged counter %d, want 1", srv.flagged.Load())
 	}
 }
 
@@ -221,7 +221,7 @@ func TestTCPClientSubmitsBatchInOneWrite(t *testing.T) {
 		if got := conn.writes - writes; got != 1 {
 			t.Fatalf("round %d: the batch left in %d writes, want 1", round, got)
 		}
-		if h := srv.BatchHist(); h.Count() != uint64(round) || h.Sum() != time.Duration(round*tcpBlockFrames)*time.Microsecond {
+		if h := &srv.batchHist; h.Count() != uint64(round) || h.Sum() != time.Duration(round*tcpBlockFrames)*time.Microsecond {
 			t.Fatalf("round %d: the listener served %d batches of %v frames in all, want %d of %d each", round, h.Count(), h.Sum(), round, tcpBlockFrames)
 		}
 	}
@@ -266,7 +266,7 @@ func TestTCPClientSubmitsLargeBatch(t *testing.T) {
 			t.Fatalf("frame %d answered %+v", i, dec)
 		}
 	}
-	if h := srv.BatchHist(); h.Sum() != time.Duration(len(batch))*time.Microsecond {
+	if h := &srv.batchHist; h.Sum() != time.Duration(len(batch))*time.Microsecond {
 		t.Fatalf("the listener served %v frames in %d batches, want %d", h.Sum(), h.Count(), len(batch))
 	}
 	c.Close()
@@ -455,7 +455,7 @@ func benchTCPParallel(b *testing.B, m *core.Model, blocks [][]byte) {
 	close(start)
 	wg.Wait()
 	b.StopTimer()
-	if got := srv.Scored(); got != int64(b.N)*tcpBlockFrames {
+	if got := srv.scored.Load(); got != int64(b.N)*tcpBlockFrames {
 		b.Fatalf("scored %d frames, sent %d", got, b.N*tcpBlockFrames)
 	}
 	b.ReportMetric(float64(b.N)*tcpBlockFrames/b.Elapsed().Seconds(), "frames/s")

@@ -65,10 +65,11 @@ func TestHTTPTraceTimeline(t *testing.T) {
 			if r.TimeNs < before.UnixNano() || r.TimeNs > after.UnixNano() {
 				t.Errorf("%s: audit time_ns %d outside the request's [%d, %d]", endpoint, r.TimeNs, before.UnixNano(), after.UnixNano())
 			}
-			var tr *obs.Trace
-			for _, c := range srv.Tracer().Ring().Last(2) {
-				if c.ID.String() == r.TraceID {
-					tr = c
+			var tr *traceDoc
+			last := tracePageOf(t, srv, 2).Last
+			for i := range last {
+				if last[i].ID == r.TraceID {
+					tr = &last[i]
 				}
 			}
 			if tr == nil || tr.Status != "ok" {

@@ -25,7 +25,7 @@ type Baseline []Bins
 // baselineRows caps the training vectors Train bins into a baseline.
 const baselineRows = 512
 
-// DecileBins bins xs by its own deciles. The edges are the distinct
+// decileBins bins xs by its own deciles. The edges are the distinct
 // interior decile boundaries of xs, preceded by an edge just below its
 // minimum: the leading edge gives mass below every baseline value its
 // own bin, so a downward shift of a constant or low-cardinality feature
@@ -33,7 +33,7 @@ const baselineRows = 512
 // merely adds a near-empty lowest bin. Ties collapse, so a
 // low-cardinality feature gets the bins it supports. xs must not be
 // empty.
-func DecileBins(xs []float64) Bins {
+func decileBins(xs []float64) Bins {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
 	edges := []float64{sorted[0] - 0.5}
@@ -71,7 +71,7 @@ func BinColumns(rows [][]float64, dim int) Baseline {
 		for i, r := range rows {
 			col[i] = r[j]
 		}
-		out[j] = DecileBins(col)
+		out[j] = decileBins(col)
 	}
 	return out
 }

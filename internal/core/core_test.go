@@ -391,18 +391,18 @@ func TestCompressReleases(t *testing.T) {
 		{Vendor: ua.Edge, Version: 110},
 		{Vendor: ua.Firefox, Version: 50},
 	}
-	got := CompressReleases(rels)
+	got := compressReleases(rels)
 	want := "Chrome 110-112, Chrome 114, Edge 110, Firefox 50"
 	if got != want {
-		t.Fatalf("CompressReleases = %q, want %q", got, want)
+		t.Fatalf("compressReleases = %q, want %q", got, want)
 	}
-	if CompressReleases(nil) != "" {
+	if compressReleases(nil) != "" {
 		t.Fatal("empty input should render empty")
 	}
 	// Duplicates collapse.
 	dup := []ua.Release{{Vendor: ua.Chrome, Version: 5}, {Vendor: ua.Chrome, Version: 5}}
-	if CompressReleases(dup) != "Chrome 5" {
-		t.Fatalf("dup compress = %q", CompressReleases(dup))
+	if compressReleases(dup) != "Chrome 5" {
+		t.Fatalf("dup compress = %q", compressReleases(dup))
 	}
 }
 

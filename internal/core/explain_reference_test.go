@@ -84,7 +84,7 @@ func explainReference(m *Model, vector []float64, claim string, claimed ua.Relea
 	members := m.ClusterUAs[res.Cluster]
 	ex.Frequent = len(members) > 0
 	if len(members) > 0 {
-		ex.ClusterUAs = CompressReleases(members)
+		ex.ClusterUAs = compressReleases(members)
 	}
 	if parsed && !res.Matched && len(members) > 0 {
 		best := ClaimDistance{Distance: ua.MaxDistance + 1}

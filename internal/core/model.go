@@ -320,7 +320,7 @@ func (m *Model) PredictCluster(vector []float64) (int, error) {
 func (m *Model) ClusterTable() []ClusterRow {
 	rows := make([]ClusterRow, 0, len(m.ClusterUAs))
 	for c, uas := range m.ClusterUAs {
-		rows = append(rows, ClusterRow{Cluster: c, UserAgents: CompressReleases(uas)})
+		rows = append(rows, ClusterRow{Cluster: c, UserAgents: compressReleases(uas)})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Cluster < rows[j].Cluster })
 	return rows
@@ -332,9 +332,9 @@ type ClusterRow struct {
 	UserAgents string
 }
 
-// CompressReleases renders a release set as the paper's table notation:
+// compressReleases renders a release set as the paper's table notation:
 // contiguous same-vendor version runs become "Vendor lo-hi".
-func CompressReleases(releases []ua.Release) string {
+func compressReleases(releases []ua.Release) string {
 	byVendor := map[ua.Vendor][]int{}
 	for _, r := range releases {
 		byVendor[r.Vendor] = append(byVendor[r.Vendor], r.Version)

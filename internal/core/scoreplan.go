@@ -226,7 +226,7 @@ func buildScorePlan(m *Model) (*scorePlan, error) {
 		p.uaOff[c] = int32(len(p.uaList))
 		p.uaList = append(p.uaList, m.ClusterUAs[c]...)
 		if members := m.ClusterUAs[c]; len(members) > 0 {
-			p.clusterLabels[c] = CompressReleases(members)
+			p.clusterLabels[c] = compressReleases(members)
 		}
 	}
 	p.uaOff[km.K] = int32(len(p.uaList))

@@ -28,10 +28,6 @@ var (
 	ErrNotTrained = errors.New("model not trained")
 )
 
-// isolationTrees sizes the outlier filter's forest (§6.4.1). Every
-// model is trained with it; TestModelGolden pins the result.
-const isolationTrees = 100
-
 // Stage names of the §6.4 training pipeline, in execution order. They key
 // TrainReport.Stages, a failed stage's error and the /metrics
 // stage-duration export.
@@ -208,9 +204,7 @@ func Train(samples []Sample, cfg TrainConfig) (*Model, *TrainReport, error) {
 
 	// Stage 2: Isolation Forest outlier filtering (§6.4.1).
 	if !cfg.DisableOutlierFilter && cfg.Contamination > 0 {
-		forest, err := iforest.FitGroups(rows, iforest.Config{
-			Trees: isolationTrees, Seed: cfg.Seed,
-		})
+		forest, err := iforest.FitGroups(rows, iforest.Config{Seed: cfg.Seed})
 		if err != nil {
 			return failed(StageFilter, err)
 		}

@@ -35,16 +35,6 @@ type PSIResult struct {
 // minPSISamples is the fewest values PSI compares on either side.
 const minPSISamples = 10
 
-// PSI computes the Population Stability Index between a baseline and a
-// current sample of one feature, binned by the baseline's deciles
-// (core.DecileBins).
-func PSI(baseline, current []float64) (float64, error) {
-	if len(baseline) < minPSISamples {
-		return 0, fmt.Errorf("drift: PSI needs ≥%d samples per side, have %d/%d", minPSISamples, len(baseline), len(current))
-	}
-	return binnedPSI(core.DecileBins(baseline), current)
-}
-
 // binnedPSI is the one PSI loop: current is counted into the baseline's
 // bins, and both distributions are Laplace-smoothed so empty bins do not
 // produce infinities.

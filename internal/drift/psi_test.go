@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"polygraph/internal/browser"
+	"polygraph/internal/core"
 	"polygraph/internal/dataset"
 	"polygraph/internal/fingerprint"
 	"polygraph/internal/rng"
@@ -19,10 +20,20 @@ func normals(n int, mean, sd float64, seed uint64) []float64 {
 	return out
 }
 
+// decilePSI measures a current sample of one feature against the
+// deciles of a baseline sample, as BaselinePSI does per feature.
+func decilePSI(baseline, current []float64) (float64, error) {
+	rows := make([][]float64, len(baseline))
+	for i := range baseline {
+		rows[i] = baseline[i : i+1]
+	}
+	return binnedPSI(core.BinColumns(rows, 1)[0], current)
+}
+
 func TestPSIIdenticalDistributions(t *testing.T) {
 	a := normals(5000, 10, 2, 1)
 	b := normals(5000, 10, 2, 2)
-	psi, err := PSI(a, b)
+	psi, err := decilePSI(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +45,7 @@ func TestPSIIdenticalDistributions(t *testing.T) {
 func TestPSIShiftedDistribution(t *testing.T) {
 	a := normals(5000, 10, 2, 3)
 	b := normals(5000, 14, 2, 4) // 2σ mean shift
-	psi, err := PSI(a, b)
+	psi, err := decilePSI(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +57,11 @@ func TestPSIShiftedDistribution(t *testing.T) {
 func TestPSINonNegativeAndSymmetricOrder(t *testing.T) {
 	a := normals(2000, 5, 1, 5)
 	b := normals(2000, 6, 1.5, 6)
-	ab, err := PSI(a, b)
+	ab, err := decilePSI(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ba, err := PSI(b, a)
+	ba, err := decilePSI(b, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +87,11 @@ func TestPSILowCardinalityFeature(t *testing.T) {
 		}
 		return out
 	}
-	stable, err := PSI(mk(3000, 0.1, 7), mk(3000, 0.11, 8))
+	stable, err := decilePSI(mk(3000, 0.1, 7), mk(3000, 0.11, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shifted, err := PSI(mk(3000, 0.1, 9), mk(3000, 0.6, 10))
+	shifted, err := decilePSI(mk(3000, 0.1, 9), mk(3000, 0.6, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +104,10 @@ func TestPSILowCardinalityFeature(t *testing.T) {
 }
 
 func TestPSIErrors(t *testing.T) {
-	if _, err := PSI([]float64{1}, normals(100, 0, 1, 1)); err == nil {
+	if _, err := decilePSI([]float64{1}, normals(100, 0, 1, 1)); err == nil {
 		t.Fatal("tiny baseline accepted")
 	}
-	if _, err := PSI(normals(100, 0, 1, 1), []float64{1}); err == nil {
+	if _, err := decilePSI(normals(100, 0, 1, 1), []float64{1}); err == nil {
 		t.Fatal("tiny current accepted")
 	}
 }

@@ -22,11 +22,9 @@ type Env struct {
 	Report  *core.TrainReport
 }
 
-// DefaultSessions is the paper's training volume (§6.2: 205k rows).
-const DefaultSessions = 205000
-
 // NewEnv generates traffic and trains the default model. sessions <= 0
-// selects DefaultSessions.
+// keeps dataset.DefaultConfig's session count, the paper's training
+// volume (§6.2: 205k rows).
 func NewEnv(sessions int, seed uint64) (*Env, error) {
 	cfg := dataset.DefaultConfig()
 	if sessions > 0 {

@@ -40,9 +40,6 @@ func NewExtractor(o *browser.Oracle, feats []Feature) *Extractor {
 // must not mutate).
 func (e *Extractor) Features() []Feature { return e.features }
 
-// Dim returns the number of features.
-func (e *Extractor) Dim() int { return len(e.features) }
-
 // Extract returns the feature vector of a profile. The returned slice is
 // owned by the caller.
 func (e *Extractor) Extract(p browser.Profile) []float64 {

@@ -2,6 +2,7 @@ package fingerprint
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +23,7 @@ func TestTable8Shape(t *testing.T) {
 		case TimeBased:
 			tb++
 		}
-		if !browser.KnownProto(f.Proto) {
+		if !slices.Contains(browser.Registry(), f.Proto) {
 			t.Fatalf("feature on unknown proto %s", f.Proto)
 		}
 	}
@@ -171,7 +172,7 @@ func TestExtractIntoMatchesExtract(t *testing.T) {
 	e := newTestExtractor()
 	p := browser.Profile{Release: ua.Release{Vendor: ua.Edge, Version: 112}, OS: ua.Windows11}
 	want := e.Extract(p)
-	dst := make([]float64, e.Dim())
+	dst := make([]float64, len(e.Features()))
 	e.ExtractInto(p, dst)
 	for i := range want {
 		if want[i] != dst[i] {
@@ -360,7 +361,7 @@ func TestVectorValueConversions(t *testing.T) {
 func BenchmarkExtractCached(b *testing.B) {
 	e := newTestExtractor()
 	p := browser.Profile{Release: ua.Release{Vendor: ua.Chrome, Version: 112}, OS: ua.Windows10}
-	dst := make([]float64, e.Dim())
+	dst := make([]float64, len(e.Features()))
 	e.ExtractInto(p, dst) // warm cache
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -75,7 +75,7 @@ func (c *Controller) Distribute(ctx context.Context, b *Balancer, m *core.Model)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: hash model: %w", err)
 	}
-	if expect := b.ExpectedHash(); expect != "" && expect != wantHash {
+	if expect := b.cfg.ExpectHash; expect != "" && expect != wantHash {
 		return nil, fmt.Errorf("fleet: balancer is pinned to hash %s, refusing to distribute %s", expect, wantHash)
 	}
 	var blob bytes.Buffer
@@ -99,7 +99,7 @@ func (c *Controller) Distribute(ctx context.Context, b *Balancer, m *core.Model)
 			}
 		} else {
 			if res.Hash != "" && res.Hash != wantHash {
-				b.Refuse(mem.Name, res.Hash)
+				b.refuse(mem.Name, res.Hash)
 			}
 			logger.Warn("fleet: replica not admitted",
 				"replica", mem.Name, "error", res.Error)

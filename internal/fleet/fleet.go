@@ -274,10 +274,6 @@ func (b *Balancer) Members() []Member {
 	return out
 }
 
-// ExpectedHash returns the model hash the fleet is pinned to ("" when
-// unpinned).
-func (b *Balancer) ExpectedHash() string { return b.cfg.ExpectHash }
-
 // Client returns the HTTP client the balancer probes with, for callers
 // that fetch replica surfaces (stats, metrics) alongside it.
 func (b *Balancer) Client() *http.Client { return b.client }
@@ -290,7 +286,7 @@ func (b *Balancer) Admit(name, hash string) error {
 		return fmt.Errorf("fleet: admit unknown member %q", name)
 	}
 	if b.cfg.ExpectHash != "" && hash != b.cfg.ExpectHash {
-		b.Refuse(name, hash)
+		b.refuse(name, hash)
 		return fmt.Errorf("fleet: member %q reports hash %s, fleet expects %s", name, hash, b.cfg.ExpectHash)
 	}
 	ms.setHash(hash)
@@ -301,9 +297,9 @@ func (b *Balancer) Admit(name, hash string) error {
 	return nil
 }
 
-// Refuse marks a member's model hash as disagreeing with the fleet's; it
+// refuse marks a member's model hash as disagreeing with the fleet's; it
 // leaves rotation until a new distribution re-verifies it.
-func (b *Balancer) Refuse(name, hash string) {
+func (b *Balancer) refuse(name, hash string) {
 	ms := b.byName[name]
 	if ms == nil {
 		return
@@ -312,15 +308,6 @@ func (b *Balancer) Refuse(name, hash string) {
 	ms.setState(StateRefused)
 	b.logger.Warn("fleet: replica refused (hash mismatch)",
 		"replica", name, "model_hash", hash, "expect", b.cfg.ExpectHash)
-}
-
-// Eject removes a member from rotation (idempotent).
-func (b *Balancer) Eject(name, reason string) {
-	ms := b.byName[name]
-	if ms == nil {
-		return
-	}
-	b.eject(ms, reason)
 }
 
 // Quiesce takes a member out of rotation for an orderly drain: it
@@ -377,9 +364,6 @@ func (b *Balancer) readmit(ms *memberState, hash string) {
 // Picked is one routing decision: a healthy replica with an in-flight
 // lease. Callers must Finish it exactly once.
 type Picked struct{ ms *memberState }
-
-// Name returns the picked replica's name.
-func (p Picked) Name() string { return p.ms.m.Name }
 
 // BaseURL returns the picked replica's serving root.
 func (p Picked) BaseURL() string { return p.ms.m.BaseURL }
@@ -442,17 +426,6 @@ func (b *Balancer) Finish(p Picked, err error) {
 // (exported at /metrics as polygraph_fleet_retries_total).
 func (b *Balancer) CountRetry() { b.retries.Add(1) }
 
-// Healthy returns the names of members currently in rotation.
-func (b *Balancer) Healthy() []string {
-	var out []string
-	for _, ms := range b.members {
-		if ms.getState() == StateHealthy {
-			out = append(out, ms.m.Name)
-		}
-	}
-	return out
-}
-
 // Snapshot returns a torn-read-safe view of the health table in
 // registration order.
 func (b *Balancer) Snapshot() []MemberStatus {
@@ -492,10 +465,10 @@ func (b *Balancer) probe(ctx context.Context, ms *memberState) (string, error) {
 	return info.Hash, nil
 }
 
-// CheckOnce runs one probe round over the whole table and applies the
-// ejection/re-admission thresholds. Exposed for deterministic tests;
-// RunHealth drives it on a cadence.
-func (b *Balancer) CheckOnce(ctx context.Context) {
+// checkOnce runs one probe round over the whole table and applies the
+// ejection/re-admission thresholds; RunHealth drives it on a cadence,
+// tests call it directly.
+func (b *Balancer) checkOnce(ctx context.Context) {
 	for _, ms := range b.members {
 		state := ms.getState()
 		if state == StatePending || state == StateRefused {
@@ -539,7 +512,7 @@ func (b *Balancer) RunHealth(ctx context.Context, interval time.Duration) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			b.CheckOnce(ctx)
+			b.checkOnce(ctx)
 		}
 	}
 }

@@ -150,7 +150,7 @@ func TestDistributeAdmitsOnlyHashMatches(t *testing.T) {
 	if admitted != 2 {
 		t.Fatalf("admitted %d replicas, want 2: %+v", admitted, results)
 	}
-	if h := b.Healthy(); len(h) != 2 {
+	if h := healthy(b); len(h) != 2 {
 		t.Fatalf("healthy set %v, want 2 members", h)
 	}
 	for _, st := range b.Snapshot() {
@@ -171,7 +171,7 @@ func TestDistributeAllMismatchedFails(t *testing.T) {
 	if _, err := (&Controller{}).Distribute(context.Background(), b, m); err == nil {
 		t.Fatal("distribution with zero admissible replicas succeeded")
 	}
-	if len(b.Healthy()) != 0 {
+	if len(healthy(b)) != 0 {
 		t.Fatal("mismatched replica entered rotation")
 	}
 }
@@ -212,7 +212,7 @@ func TestPickSpreadsAndFinishEjectsOnDown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen[p.Name()]++
+		seen[p.ms.m.Name]++
 		leases = append(leases, p)
 	}
 	if seen["a"] == 0 || seen["b"] == 0 {
@@ -230,7 +230,7 @@ func TestPickSpreadsAndFinishEjectsOnDown(t *testing.T) {
 	// A protocol failure must not eject.
 	p, _ := b.Pick()
 	b.Finish(p, &collect.ClientError{Kind: collect.FailBadFrame, Op: "submit", Err: errors.New("garbled")})
-	if len(b.Healthy()) != 2 {
+	if len(healthy(b)) != 2 {
 		t.Fatal("bad-frame error ejected a live replica")
 	}
 	// A transport failure ejects immediately.
@@ -239,13 +239,13 @@ func TestPickSpreadsAndFinishEjectsOnDown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Name() == "a" {
+		if p.ms.m.Name == "a" {
 			b.Finish(p, &collect.ClientError{Kind: collect.FailDown, Op: "submit", Err: errors.New("refused")})
 			break
 		}
 		b.Finish(p, nil)
 	}
-	if h := b.Healthy(); len(h) != 1 || h[0] != "b" {
+	if h := healthy(b); len(h) != 1 || h[0] != "b" {
 		t.Fatalf("healthy after ejection: %v, want [b]", h)
 	}
 	for i := 0; i < 16; i++ {
@@ -253,8 +253,8 @@ func TestPickSpreadsAndFinishEjectsOnDown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Name() != "b" {
-			t.Fatalf("picked ejected replica %s", p.Name())
+		if p.ms.m.Name != "b" {
+			t.Fatalf("picked ejected replica %s", p.ms.m.Name)
 		}
 		b.Finish(p, nil)
 	}
@@ -272,22 +272,22 @@ func TestHealthLoopEjectsAndReadmits(t *testing.T) {
 
 	ctx := context.Background()
 	aUp.Store(false)
-	b.CheckOnce(ctx)
-	if len(b.Healthy()) != 2 {
+	b.checkOnce(ctx)
+	if len(healthy(b)) != 2 {
 		t.Fatal("single probe failure ejected below failThreshold")
 	}
-	b.CheckOnce(ctx)
-	if h := b.Healthy(); len(h) != 1 || h[0] != "b" {
+	b.checkOnce(ctx)
+	if h := healthy(b); len(h) != 1 || h[0] != "b" {
 		t.Fatalf("healthy after threshold: %v, want [b]", h)
 	}
 
 	aUp.Store(true)
-	b.CheckOnce(ctx)
-	if len(b.Healthy()) != 1 {
+	b.checkOnce(ctx)
+	if len(healthy(b)) != 1 {
 		t.Fatal("single healthy probe re-admitted below recoverThreshold")
 	}
-	b.CheckOnce(ctx)
-	if len(b.Healthy()) != 2 {
+	b.checkOnce(ctx)
+	if len(healthy(b)) != 2 {
 		t.Fatalf("replica not re-admitted after %d healthy probes", recoverThreshold)
 	}
 	if got := b.Snapshot()[0]; got.State != "healthy" || got.ProbeFails != 0 {
@@ -300,15 +300,15 @@ func TestHealthLoopEjectsOnHashDrift(t *testing.T) {
 		Member{Name: "a", BaseURL: "http://a", Probe: staticProbe("drifted", nil)},
 	)
 	b.Admit("a", "good") // admitted against the fleet hash, then drifts
-	b.CheckOnce(context.Background())
-	if len(b.Healthy()) != 0 {
+	b.checkOnce(context.Background())
+	if len(healthy(b)) != 0 {
 		t.Fatal("hash-drifted replica stayed in rotation")
 	}
 	// Drifted hash keeps it out: probes succeed but never re-admit.
-	b.CheckOnce(context.Background())
-	b.CheckOnce(context.Background())
-	b.CheckOnce(context.Background())
-	if len(b.Healthy()) != 0 {
+	b.checkOnce(context.Background())
+	b.checkOnce(context.Background())
+	b.checkOnce(context.Background())
+	if len(healthy(b)) != 0 {
 		t.Fatal("hash-drifted replica was re-admitted")
 	}
 }
@@ -331,7 +331,7 @@ func TestWriteMetricsLintsAndCounts(t *testing.T) {
 	)
 	b.Admit("a", "h1")
 	b.Admit("b", "h1")
-	b.Eject("b", "test")
+	b.eject(b.byName["b"], "test")
 	b.CountRetry()
 
 	var sb strings.Builder
@@ -406,7 +406,7 @@ func TestHealthTableConcurrency(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			// Two probes in each state: the thresholds are two.
 			flaky.Store(i%4 < 2)
-			b.CheckOnce(ctx)
+			b.checkOnce(ctx)
 		}
 	}()
 	wg.Add(1)
@@ -452,7 +452,7 @@ func TestQuiesceWaitsForInflight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Name() == "b" {
+		if p.ms.m.Name == "b" {
 			lease = p
 			break
 		}
@@ -500,7 +500,7 @@ func TestQuiesceWaitsForInflight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Name() == "b" {
+		if p.ms.m.Name == "b" {
 			t.Fatal("pick routed to a quiesced member")
 		}
 		b.Finish(p, nil)
@@ -520,4 +520,15 @@ func TestQuiesceWaitsForInflight(t *testing.T) {
 	if err := b.Quiesce(context.Background(), "nope"); err == nil {
 		t.Fatal("quiesce of an unknown member returned nil")
 	}
+}
+
+// healthy returns the names of the members in rotation.
+func healthy(b *Balancer) []string {
+	var out []string
+	for _, ms := range b.members {
+		if ms.getState() == StateHealthy {
+			out = append(out, ms.m.Name)
+		}
+	}
+	return out
 }

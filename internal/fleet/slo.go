@@ -81,6 +81,3 @@ func (r *SLORollup) Collect(ctx context.Context) (int, error) {
 // own (obs.ReplicaSLO) so a fleet dump that concatenates a replica
 // exposition with the balancer's stays free of duplicate families.
 func (b *Balancer) AttachSLO(r *SLORollup) { b.sloRollup.Store(r) }
-
-// SLO returns the attached rollup (nil when none).
-func (b *Balancer) SLO() *SLORollup { return b.sloRollup.Load() }

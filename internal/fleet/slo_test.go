@@ -72,9 +72,6 @@ func TestSLORollupAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	bal.AttachSLO(r)
-	if bal.SLO() != r {
-		t.Fatal("SLO() does not return the attached rollup")
-	}
 
 	n, err := r.Collect(context.Background())
 	if err != nil || n != 2 {
@@ -157,7 +154,7 @@ func TestBalancerMetricsIncludeFleetSLO(t *testing.T) {
 }
 
 // TestWriteMetricsHealthHammer races WriteMetrics scrapes against
-// health transitions (CheckOnce, Eject, Admit), pick/finish traffic,
+// health transitions (checkOnce, eject, Admit), pick/finish traffic,
 // and rollup ticks; with -race this is the data-race gate for the
 // balancer's exposition path.
 func TestWriteMetricsHealthHammer(t *testing.T) {
@@ -204,10 +201,10 @@ func TestWriteMetricsHealthHammer(t *testing.T) {
 	})
 	worker(func(i int) { // health transitions via probe loop, two probes a state
 		flaky.Store(i%4 < 2)
-		bal.CheckOnce(context.Background())
+		bal.checkOnce(context.Background())
 	})
 	worker(func(i int) { // manual eject/admit churn
-		bal.Eject("a", "hammer")
+		bal.eject(bal.byName["a"], "hammer")
 		bal.Admit("a", "h")
 	})
 	worker(func(i int) { // pick/finish traffic with occasional transport failures

@@ -21,10 +21,11 @@ var errNegativeSize = errors.New("iforest: negative forest or sample size")
 
 // Config controls forest construction.
 type Config struct {
-	// Trees is the ensemble size; 0 means the default of 100.
-	Trees int
-	// SampleSize is the sub-sample ψ per tree; 0 means min(256, n).
-	SampleSize int
+	// trees is the ensemble size; 0 means the default of 100, the one
+	// size training uses (tests set others).
+	trees int
+	// sampleSize is the sub-sample ψ per tree; 0 means min(256, n).
+	sampleSize int
 	// Seed drives deterministic construction.
 	Seed uint64
 }
@@ -53,21 +54,21 @@ type node struct {
 // FitGroups builds a forest over the grouped rows. The ψ-sample of each
 // tree is drawn over all the row indices, so a row repeated a thousand
 // times is a thousand candidates, and the trees read the sampled rows'
-// vectors through the distinct-row table. A negative Trees or SampleSize
+// vectors through the distinct-row table. A negative trees or sampleSize
 // is an error, not a makeslice panic.
 func FitGroups(rows matrix.RowGroups, cfg Config) (*Forest, error) {
-	if cfg.Trees < 0 || cfg.SampleSize < 0 {
-		return nil, fmt.Errorf("%w: %d trees of sample size %d", errNegativeSize, cfg.Trees, cfg.SampleSize)
+	if cfg.trees < 0 || cfg.sampleSize < 0 {
+		return nil, fmt.Errorf("%w: %d trees of sample size %d", errNegativeSize, cfg.trees, cfg.sampleSize)
 	}
 	n, d := rows.Dims()
 	if n == 0 || d == 0 {
 		return nil, fmt.Errorf("iforest: empty input %dx%d", n, d)
 	}
-	trees := cfg.Trees
+	trees := cfg.trees
 	if trees == 0 {
 		trees = 100
 	}
-	psi := cfg.SampleSize
+	psi := cfg.sampleSize
 	if psi == 0 {
 		psi = 256
 	}
@@ -188,9 +189,9 @@ func (f *Forest) pathLength(t int, x []float64) float64 {
 // stay in cache while each tree in turn is walked over them.
 const scoreBlock = 1024
 
-// ScoreAll scores every row of data. Training scores its distinct-row
+// scoreAll scores every row of data. Training scores its distinct-row
 // table, so every row here is scored on its own.
-func (f *Forest) ScoreAll(data *matrix.Dense) ([]float64, error) {
+func (f *Forest) scoreAll(data *matrix.Dense) ([]float64, error) {
 	r, d := data.Dims()
 	if d != f.dim {
 		return nil, fmt.Errorf("iforest: score on %d-dim rows, fitted on %d", d, f.dim)
@@ -229,7 +230,7 @@ func (f *Forest) Outliers(rows matrix.RowGroups, contamination float64) ([]int, 
 	if contamination < 0 || contamination >= 1 {
 		return nil, fmt.Errorf("iforest: contamination %v out of [0,1)", contamination)
 	}
-	scores, err := f.ScoreAll(rows.Rows)
+	scores, err := f.scoreAll(rows.Rows)
 	if err != nil {
 		return nil, err
 	}

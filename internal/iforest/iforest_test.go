@@ -33,7 +33,7 @@ func fit(m *matrix.Dense, cfg Config) (*Forest, error) {
 	return FitGroups(m.DistinctRows(), cfg)
 }
 
-// score is the per-row reference of ScoreAll: x's path lengths added in
+// score is the per-row reference of scoreAll: x's path lengths added in
 // tree order, then normalized.
 func score(f *Forest, x []float64) float64 {
 	total := 0.0
@@ -54,9 +54,9 @@ func TestFitErrors(t *testing.T) {
 func TestFitRejectsNegativeSizes(t *testing.T) {
 	m, _ := clusterWithOutliers(50, 1, 1)
 	for _, cfg := range []Config{
-		{Trees: -1},
-		{SampleSize: -1},
-		{Trees: -3, SampleSize: -3},
+		{trees: -1},
+		{sampleSize: -1},
+		{trees: -3, sampleSize: -3},
 	} {
 		f, err := fit(m, cfg)
 		if !errors.Is(err, errNegativeSize) || f != nil {
@@ -71,7 +71,7 @@ func TestOutliersScoreHigher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, err := f.ScoreAll(m)
+	scores, err := f.scoreAll(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestScoreRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, _ := f.ScoreAll(m)
+	scores, _ := f.scoreAll(m)
 	for i, s := range scores {
 		if s < 0 || s > 1 {
 			t.Fatalf("score[%d] = %v out of [0,1]", i, s)
@@ -114,8 +114,8 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, _ := a.ScoreAll(m)
-	sb, _ := b.ScoreAll(m)
+	sa, _ := a.scoreAll(m)
+	sb, _ := b.scoreAll(m)
 	for i := range sa {
 		if sa[i] != sb[i] {
 			t.Fatalf("same seed produced different score at %d", i)
@@ -126,7 +126,7 @@ func TestDeterminism(t *testing.T) {
 func TestScoreAllDimError(t *testing.T) {
 	m, _ := clusterWithOutliers(100, 1, 5)
 	f, _ := fit(m, Config{Seed: 1})
-	if _, err := f.ScoreAll(matrix.NewDense(3, 5)); err == nil {
+	if _, err := f.scoreAll(matrix.NewDense(3, 5)); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }
@@ -220,7 +220,7 @@ func TestConstantDataDoesNotHang(t *testing.T) {
 		rows[i] = []float64{5, 5, 5}
 	}
 	m := matrix.FromRows(rows)
-	f, err := fit(m, Config{Seed: 1, Trees: 10})
+	f, err := fit(m, Config{Seed: 1, trees: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +246,11 @@ func TestAvgPathLength(t *testing.T) {
 
 func TestSmallSampleSize(t *testing.T) {
 	m, _ := clusterWithOutliers(10, 1, 10)
-	f, err := fit(m, Config{Seed: 1, SampleSize: 4, Trees: 20})
+	f, err := fit(m, Config{Seed: 1, sampleSize: 4, trees: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ScoreAll(m); err != nil {
+	if _, err := f.scoreAll(m); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -333,7 +333,7 @@ func refPathLength(n *refNode, x []float64, depth float64) float64 {
 func refScores(data *matrix.Dense, cfg Config) []float64 {
 	rows := data.DistinctRows()
 	n, d := rows.Dims()
-	trees, psi := cfg.Trees, cfg.SampleSize
+	trees, psi := cfg.trees, cfg.sampleSize
 	if trees == 0 {
 		trees = 100
 	}
@@ -392,16 +392,16 @@ func TestFlatTraversalMatchesPointerWalk(t *testing.T) {
 			data *matrix.Dense
 			cfg  Config
 		}{
-			{"psi-below-n", outliers, Config{Trees: 50, SampleSize: 64, Seed: seed}},
-			{"psi-above-n", small, Config{Trees: 50, Seed: seed}},
-			{"constant-column", constCol, Config{Trees: 50, SampleSize: 32, Seed: seed}},
+			{"psi-below-n", outliers, Config{trees: 50, sampleSize: 64, Seed: seed}},
+			{"psi-above-n", small, Config{trees: 50, Seed: seed}},
+			{"constant-column", constCol, Config{trees: 50, sampleSize: 32, Seed: seed}},
 		}
 		for _, in := range inputs {
 			f, err := fit(in.data, in.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := f.ScoreAll(in.data)
+			got, err := f.scoreAll(in.data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,7 +410,7 @@ func TestFlatTraversalMatchesPointerWalk(t *testing.T) {
 	}
 }
 
-// TestScoreAllMatchesPerRowScore: ScoreAll walks blocks of rows tree by
+// TestScoreAllMatchesPerRowScore: scoreAll walks blocks of rows tree by
 // tree; it must agree bit for bit with Score called on every row,
 // whatever the repetition.
 func TestScoreAllMatchesPerRowScore(t *testing.T) {
@@ -426,7 +426,7 @@ func TestScoreAllMatchesPerRowScore(t *testing.T) {
 		{"across-score-blocks", matrixtest.FewDistinct(8, 2*scoreBlock+100, 6, 2*scoreBlock+50, true)},
 	}
 	for _, in := range inputs {
-		f, err := fit(in.data, Config{Trees: 40, SampleSize: 64, Seed: 3})
+		f, err := fit(in.data, Config{trees: 40, sampleSize: 64, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,7 +435,7 @@ func TestScoreAllMatchesPerRowScore(t *testing.T) {
 		for i := range want {
 			want[i] = score(f, in.data.RawRow(i))
 		}
-		got, err := f.ScoreAll(in.data)
+		got, err := f.scoreAll(in.data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,11 +535,11 @@ func TestFilterContaminationOnTiedRows(t *testing.T) {
 		{"all-but-one", matrixtest.FewDistinct(3, 64, 5, 5, false), 63.0 / 64},
 	}
 	for _, tc := range cases {
-		f, err := fit(tc.data, Config{Trees: 20, SampleSize: 32, Seed: 8})
+		f, err := fit(tc.data, Config{trees: 20, sampleSize: 32, Seed: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		scores, err := f.ScoreAll(tc.data)
+		scores, err := f.scoreAll(tc.data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -575,7 +575,7 @@ func BenchmarkScoreAllAllDistinct(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.ScoreAll(data); err != nil {
+		if _, err := f.scoreAll(data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -583,7 +583,7 @@ func BenchmarkScoreAllAllDistinct(b *testing.B) {
 
 func TestNormalizationHoisted(t *testing.T) {
 	data, _ := clusterWithOutliers(200, 8, 7)
-	f, err := fit(data, Config{Trees: 20, SampleSize: 32, Seed: 1})
+	f, err := fit(data, Config{trees: 20, sampleSize: 32, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -399,11 +399,11 @@ func ElbowCurve(m *matrix.Dense, kMin, kMax int, cfg Config) ([]ElbowPoint, erro
 	return out, nil
 }
 
-// RelativeWCSS transforms an elbow curve into the paper's Figure 4 series:
+// relativeWCSS transforms an elbow curve into the paper's Figure 4 series:
 // for each k > kMin, the fractional WCSS drop achieved by moving from k-1
 // to k clusters, (WCSS(k-1) − WCSS(k)) / WCSS(k-1). A pronounced spike
 // marks a k that buys an outsized improvement — k = 11 in the paper.
-func RelativeWCSS(curve []ElbowPoint) []ElbowPoint {
+func relativeWCSS(curve []ElbowPoint) []ElbowPoint {
 	if len(curve) < 2 {
 		return nil
 	}
@@ -422,7 +422,7 @@ func RelativeWCSS(curve []ElbowPoint) []ElbowPoint {
 // BestRelativeK returns the k with the largest relative WCSS drop,
 // ignoring candidates below kFloor (tiny k always has huge drops).
 func BestRelativeK(curve []ElbowPoint, kFloor int) int {
-	rel := RelativeWCSS(curve)
+	rel := relativeWCSS(curve)
 	bestK, bestV := 0, -1.0
 	for _, p := range rel {
 		if p.K < kFloor {

@@ -211,7 +211,7 @@ func TestElbowCurveBadRange(t *testing.T) {
 
 func TestRelativeWCSS(t *testing.T) {
 	curve := []ElbowPoint{{K: 1, WCSS: 100}, {K: 2, WCSS: 50}, {K: 3, WCSS: 45}}
-	rel := RelativeWCSS(curve)
+	rel := relativeWCSS(curve)
 	if len(rel) != 2 {
 		t.Fatalf("rel len = %d", len(rel))
 	}
@@ -221,7 +221,7 @@ func TestRelativeWCSS(t *testing.T) {
 	if math.Abs(rel[1].WCSS-0.1) > 1e-12 {
 		t.Fatalf("drop at k=3 = %v", rel[1].WCSS)
 	}
-	if RelativeWCSS(curve[:1]) != nil {
+	if relativeWCSS(curve[:1]) != nil {
 		t.Fatal("short curve should return nil")
 	}
 }
@@ -321,7 +321,7 @@ func TestSilhouetteWellSeparated(t *testing.T) {
 		t.Fatal(err)
 	}
 	assign, _ := model.PredictAll(m)
-	s, err := Silhouette(m, assign, 3, 0, 1)
+	s, err := silhouette(m, assign, 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestSilhouetteOversplitLower(t *testing.T) {
 			t.Fatal(err)
 		}
 		assign, _ := model.PredictAll(m)
-		s, err := Silhouette(m, assign, k, 0, 1)
+		s, err := silhouette(m, assign, k, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,15 +351,15 @@ func TestSilhouetteOversplitLower(t *testing.T) {
 
 func TestSilhouetteErrors(t *testing.T) {
 	m, _ := blobs(testCenters, 20, 0.5, 23)
-	if _, err := Silhouette(m, []int{0}, 3, 0, 1); err == nil {
+	if _, err := silhouette(m, []int{0}, 3, 0, 1); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 	assign := make([]int, 60)
-	if _, err := Silhouette(m, assign, 1, 0, 1); err == nil {
+	if _, err := silhouette(m, assign, 1, 0, 1); err == nil {
 		t.Fatal("k=1 accepted")
 	}
 	assign[0] = 99
-	if _, err := Silhouette(m, assign, 3, 0, 1); err == nil {
+	if _, err := silhouette(m, assign, 3, 0, 1); err == nil {
 		t.Fatal("out-of-range assignment accepted")
 	}
 }
@@ -368,11 +368,11 @@ func TestSilhouetteSampled(t *testing.T) {
 	m, _ := blobs(testCenters, 400, 0.5, 24)
 	model, _ := Fit(m, Config{K: 3, Seed: 1, PlusPlus: true})
 	assign, _ := model.PredictAll(m)
-	full, err := Silhouette(m, assign, 3, 0, 1)
+	full, err := silhouette(m, assign, 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := Silhouette(m, assign, 3, 200, 1)
+	sampled, err := silhouette(m, assign, 3, 200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestSilhouetteSampled(t *testing.T) {
 		t.Fatalf("sampled silhouette %v far from full %v", sampled, full)
 	}
 	// Deterministic under the same seed.
-	again, _ := Silhouette(m, assign, 3, 200, 1)
+	again, _ := silhouette(m, assign, 3, 200, 1)
 	if again != sampled {
 		t.Fatal("sampled silhouette not deterministic")
 	}

@@ -8,7 +8,7 @@ import (
 	"polygraph/internal/rng"
 )
 
-// Silhouette computes the mean silhouette coefficient of the assignment:
+// silhouette computes the mean silhouette coefficient of the assignment:
 // for each point, (b−a)/max(a,b) where a is the mean distance to its own
 // cluster and b the smallest mean distance to another cluster. It is the
 // standard alternative to the paper's elbow/relative-WCSS criterion for
@@ -18,7 +18,7 @@ import (
 // Exact silhouette is O(n²); sampleCap bounds the points evaluated
 // (uniform deterministic subsample, 0 = 2048). Distances to non-sampled
 // points are still exact within the sample.
-func Silhouette(data *matrix.Dense, assign []int, k int, sampleCap int, seed uint64) (float64, error) {
+func silhouette(data *matrix.Dense, assign []int, k int, sampleCap int, seed uint64) (float64, error) {
 	n, _ := data.Dims()
 	if n != len(assign) {
 		return 0, fmt.Errorf("kmeans: %d rows vs %d assignments", n, len(assign))
@@ -126,7 +126,7 @@ func SilhouetteCurve(data *matrix.Dense, kMin, kMax int, cfg Config, sampleCap i
 		if err != nil {
 			return nil, err
 		}
-		s, err := Silhouette(data, model.assign(rows), k, sampleCap, cfg.Seed)
+		s, err := silhouette(data, model.assign(rows), k, sampleCap, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -171,7 +171,7 @@ func TestBuildPoolDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1.StreamDigest(int64(sc.Pool)) == p3.StreamDigest(int64(sc.Pool)) {
+	if p1.streamDigest(int64(sc.Pool)) == p3.streamDigest(int64(sc.Pool)) {
 		t.Fatal("different seeds produced identical streams")
 	}
 	// The mix must actually contain both endpoints and some fraud.
@@ -199,10 +199,10 @@ func TestStreamDigestCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := int64(len(pool.Requests))
-	if pool.StreamDigest(n) == pool.StreamDigest(n+1) {
+	if pool.streamDigest(n) == pool.streamDigest(n+1) {
 		t.Fatal("digest ignores stream length")
 	}
-	if pool.StreamDigest(5) != pool.StreamDigest(5) {
+	if pool.streamDigest(5) != pool.streamDigest(5) {
 		t.Fatal("digest not a pure function")
 	}
 }
@@ -536,7 +536,7 @@ func TestBlockClaims(t *testing.T) {
 					t.Fatalf("index %d sent but the ledger counts %d", i, sum)
 				}
 			}
-			if rep.Ledger.StreamDigest != pool.StreamDigest(sum) {
+			if rep.Ledger.StreamDigest != pool.streamDigest(sum) {
 				t.Fatal("ledger digest is not the serial stream's")
 			}
 			for name := range mids {

@@ -92,7 +92,7 @@ type Ledger struct {
 	Seed     uint64 `json:"seed"`
 	Sent     int64  `json:"sent"`
 	// StreamDigest is the FNV-1a 64 hash of all sent bodies in sequence
-	// order (see Pool.StreamDigest).
+	// order (see Pool.streamDigest).
 	StreamDigest string `json:"stream_digest"`
 	// ByStatus counts responses by HTTP status code (keys are decimal
 	// strings so the JSON form is stable and diffable).
@@ -308,7 +308,7 @@ func httpTransport(opts *Options) transport {
 		flagged:   obs.FamFlagged.Name,
 		rejected:  obs.FamRejected.Name,
 		worker: func(ctx context.Context, ps *phaseState) (func(start, n int64), func()) {
-			return func(start, _ int64) { sendOne(ctx, client, opts.Fleet, attempts, opts.Pool.At(start), ps) }, func() {}
+			return func(start, _ int64) { sendOne(ctx, client, opts.Fleet, attempts, opts.Pool.at(start), ps) }, func() {}
 		},
 	}
 }
@@ -469,7 +469,7 @@ func run(ctx context.Context, opts Options, tr transport) (*Report, error) {
 		}
 	}
 	report.Elapsed = time.Since(start)
-	report.Ledger.StreamDigest = opts.Pool.StreamDigest(report.Ledger.Sent)
+	report.Ledger.StreamDigest = opts.Pool.streamDigest(report.Ledger.Sent)
 	report.Overall = map[string]obs.Quantiles{}
 	for path, h := range overall {
 		if h.Count() > 0 {
@@ -662,7 +662,7 @@ func sendOne(ctx context.Context, client *http.Client, b *fleet.Balancer, attemp
 func sendTCPBlock(client *collect.TCPClient, pool *Pool, start, size int64, ps *phaseState) bool {
 	payloads := make([]*fingerprint.Payload, size)
 	for k := int64(0); k < size; k++ {
-		payloads[k] = pool.At(start + k).Payload
+		payloads[k] = pool.at(start + k).Payload
 	}
 	ps.sent.Add(size)
 	t0 := time.Now()

@@ -47,20 +47,20 @@ type Pool struct {
 	Dim int
 }
 
-// At returns the request for global sequence index i (the stream cycles
+// at returns the request for global sequence index i (the stream cycles
 // through the pool).
-func (p *Pool) At(i int64) *Request {
+func (p *Pool) at(i int64) *Request {
 	return &p.Requests[int(i%int64(len(p.Requests)))]
 }
 
-// StreamDigest hashes the first n request bodies of the stream (pool
+// streamDigest hashes the first n request bodies of the stream (pool
 // entries in cycled index order) with FNV-1a 64. Two runs that sent the
 // same number of requests from byte-identical pools share a digest, which
 // is the "byte-identical request stream" check made cheap.
-func (p *Pool) StreamDigest(n int64) string {
+func (p *Pool) streamDigest(n int64) string {
 	h := fnv.New64a()
 	for i := int64(0); i < n; i++ {
-		h.Write(p.At(i).Body)
+		h.Write(p.at(i).Body)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

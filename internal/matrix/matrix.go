@@ -100,16 +100,16 @@ func (m *Dense) Col(j int) []float64 {
 	return out
 }
 
-// Clone returns a deep copy.
-func (m *Dense) Clone() *Dense {
+// clone returns a deep copy.
+func (m *Dense) clone() *Dense {
 	out := NewDense(m.rows, m.cols)
 	copy(out.data, m.data)
 	return out
 }
 
-// IsSymmetric reports whether the matrix is square and symmetric within
+// isSymmetric reports whether the matrix is square and symmetric within
 // tol.
-func (m *Dense) IsSymmetric(tol float64) bool {
+func (m *Dense) isSymmetric(tol float64) bool {
 	if m.rows != m.cols {
 		return false
 	}
@@ -146,14 +146,14 @@ func SymEigen(a *Dense) (*Eigen, error) {
 			maxAbs = av
 		}
 	}
-	if !a.IsSymmetric(1e-9*maxAbs + 1e-300) {
+	if !a.isSymmetric(1e-9*maxAbs + 1e-300) {
 		return nil, fmt.Errorf("matrix: SymEigen on non-symmetric matrix")
 	}
 	if n == 0 {
 		return &Eigen{Values: nil, Vectors: NewDense(0, 0)}, nil
 	}
 
-	w := a.Clone()
+	w := a.clone()
 	v := NewDense(n, n)
 	for i := 0; i < n; i++ {
 		v.data[i*n+i] = 1

@@ -244,7 +244,7 @@ func TestCovarianceSymmetricProperty(t *testing.T) {
 			}
 		}
 		cov := m.DistinctRows().Covariance()
-		if !cov.IsSymmetric(1e-9) {
+		if !cov.isSymmetric(1e-9) {
 			return false
 		}
 		// Diagonal entries are variances: non-negative.
@@ -372,7 +372,7 @@ func TestSymEigenReconstruction(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}})
-	c := m.Clone()
+	c := m.clone()
 	c.Set(0, 0, 9)
 	if m.At(0, 0) != 1 {
 		t.Fatal("Clone aliased storage")
@@ -380,13 +380,13 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestIsSymmetric(t *testing.T) {
-	if !FromRows([][]float64{{1, 2}, {2, 1}}).IsSymmetric(0) {
+	if !FromRows([][]float64{{1, 2}, {2, 1}}).isSymmetric(0) {
 		t.Fatal("symmetric matrix reported asymmetric")
 	}
-	if FromRows([][]float64{{1, 2}, {2.1, 1}}).IsSymmetric(0.01) {
+	if FromRows([][]float64{{1, 2}, {2.1, 1}}).isSymmetric(0.01) {
 		t.Fatal("asymmetric matrix reported symmetric")
 	}
-	if NewDense(2, 3).IsSymmetric(1) {
+	if NewDense(2, 3).isSymmetric(1) {
 		t.Fatal("non-square matrix reported symmetric")
 	}
 }

@@ -263,14 +263,6 @@ func (m *DriftMonitor) Run(ctx context.Context, interval time.Duration) {
 	}
 }
 
-// Latest returns the most recent evaluation's results (nil before the
-// first successful one) and whether it alerted.
-func (m *DriftMonitor) Latest() ([]drift.PSIResult, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.latest, m.alerted
-}
-
 // WriteMetrics appends the drift families to a /metrics exposition.
 func (m *DriftMonitor) WriteMetrics(w io.Writer) {
 	m.mu.Lock()

@@ -54,8 +54,8 @@ func TestDriftMonitorStablePopulation(t *testing.T) {
 	if drift.AnyAlert(results) {
 		t.Fatalf("stable population alerted: %+v", results)
 	}
-	if _, alerted := m.Latest(); alerted {
-		t.Fatal("Latest reports alert for stable population")
+	if m.alerted {
+		t.Fatal("the monitor holds an alert for a stable population")
 	}
 }
 
@@ -158,8 +158,8 @@ func TestDriftMonitorWithoutBaselineStaysUnarmed(t *testing.T) {
 	if _, err := m.Evaluate(); !errors.Is(err, ErrDriftNotReady) {
 		t.Fatalf("evaluation after the baseline was taken away: %v, want ErrDriftNotReady", err)
 	}
-	if results, alerted := m.Latest(); results != nil || alerted {
-		t.Fatalf("results against the removed baseline still reported: %+v, alert %v", results, alerted)
+	if m.latest != nil || m.alerted {
+		t.Fatalf("results against the removed baseline still reported: %+v, alert %v", m.latest, m.alerted)
 	}
 }
 

@@ -87,11 +87,11 @@ func BucketUpperMicros(i int) float64 {
 	return hi
 }
 
-// Buckets snapshots the per-bucket counts (non-cumulative). The copy is
+// buckets snapshots the per-bucket counts (non-cumulative). The copy is
 // internally consistent enough for exposition: each counter is read
 // once, and Family.WriteHistogram derives _count from the same snapshot
 // so _bucket/_count never disagree.
-func (h *Hist) Buckets() [NumBuckets]uint64 {
+func (h *Hist) buckets() [NumBuckets]uint64 {
 	var out [NumBuckets]uint64
 	for i := range h.counts {
 		out[i] = h.counts[i].Load()
@@ -108,8 +108,8 @@ func (h *Hist) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }
 // Max returns the exact maximum recorded latency.
 func (h *Hist) Max() time.Duration { return time.Duration(h.maxNs.Load()) }
 
-// Mean returns the exact arithmetic mean latency (0 when empty).
-func (h *Hist) Mean() time.Duration {
+// mean returns the exact arithmetic mean latency (0 when empty).
+func (h *Hist) mean() time.Duration {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
@@ -117,11 +117,11 @@ func (h *Hist) Mean() time.Duration {
 	return time.Duration(uint64(h.sumNs.Load()) / n)
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by locating the bucket
+// quantile estimates the q-quantile (0 ≤ q ≤ 1) by locating the bucket
 // holding the target rank and interpolating linearly inside it. The
 // estimate for the top bucket is clamped to the exact recorded maximum,
-// so Quantile(1) == Max. Returns 0 for an empty histogram.
-func (h *Hist) Quantile(q float64) time.Duration {
+// so quantile(1) == Max. Returns 0 for an empty histogram.
+func (h *Hist) quantile(q float64) time.Duration {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
@@ -133,7 +133,7 @@ func (h *Hist) Quantile(q float64) time.Duration {
 		q = 1
 	}
 	// Rank of the target observation (1-based, nearest-rank with a
-	// ceiling so Quantile(1) lands on the last observation).
+	// ceiling so quantile(1) lands on the last observation).
 	rank := uint64(math.Ceil(q * float64(n)))
 	if rank == 0 {
 		rank = 1
@@ -179,10 +179,10 @@ type Quantiles struct {
 func (h *Hist) Summary() Quantiles {
 	return Quantiles{
 		Count: h.Count(),
-		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
+		Mean:  h.mean(),
+		P50:   h.quantile(0.50),
+		P95:   h.quantile(0.95),
+		P99:   h.quantile(0.99),
 		Max:   h.Max(),
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 func TestHistEmpty(t *testing.T) {
 	var h Hist
-	if h.Count() != 0 || h.Max() != 0 || h.Mean() != 0 || h.Quantile(0.99) != 0 {
+	if h.Count() != 0 || h.Max() != 0 || h.mean() != 0 || h.quantile(0.99) != 0 {
 		t.Fatalf("empty hist not all-zero: %+v", h.Summary())
 	}
 }
@@ -24,19 +24,19 @@ func TestHistExactMoments(t *testing.T) {
 	if h.Max() != 5*time.Millisecond {
 		t.Fatalf("max = %v", h.Max())
 	}
-	if h.Mean() != 5*time.Millisecond {
-		t.Fatalf("mean = %v", h.Mean())
+	if h.mean() != 5*time.Millisecond {
+		t.Fatalf("mean = %v", h.mean())
 	}
 	// Every quantile of a one-point distribution must land in the value's
 	// bucket, clamped above by the exact max.
 	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
-		got := h.Quantile(q)
+		got := h.quantile(q)
 		if got < 4096*time.Microsecond || got > 5*time.Millisecond {
 			t.Fatalf("Quantile(%v) = %v outside [4.096ms, 5ms]", q, got)
 		}
 	}
-	if h.Quantile(1) != h.Max() {
-		t.Fatalf("Quantile(1) = %v, Max = %v", h.Quantile(1), h.Max())
+	if h.quantile(1) != h.Max() {
+		t.Fatalf("quantile(1) = %v, Max = %v", h.quantile(1), h.Max())
 	}
 }
 
@@ -54,7 +54,7 @@ func TestHistRecordNIsRecordRepeated(t *testing.T) {
 	}
 	batched.RecordN(time.Hour, 0)
 	batched.RecordN(time.Hour, -3)
-	if batched.Buckets() != single.Buckets() || batched.Count() != single.Count() ||
+	if batched.buckets() != single.buckets() || batched.Count() != single.Count() ||
 		batched.Sum() != single.Sum() || batched.Max() != single.Max() {
 		t.Fatalf("RecordN: %+v sum %v; repeated Record: %+v sum %v",
 			batched.Summary(), batched.Sum(), single.Summary(), single.Sum())
@@ -122,7 +122,7 @@ func TestHistQuantilesKnownDistributions(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var h Hist
 			tc.feed(&h)
-			got := float64(h.Quantile(tc.q)) / float64(time.Microsecond)
+			got := float64(h.quantile(tc.q)) / float64(time.Microsecond)
 			if math.Abs(got-tc.wantUs) > tc.relTol*tc.wantUs {
 				t.Fatalf("Quantile(%v) = %vµs, want %vµs ±%.0f%%", tc.q, got, tc.wantUs, 100*tc.relTol)
 			}
@@ -137,14 +137,14 @@ func TestHistQuantileMonotone(t *testing.T) {
 	}
 	prev := time.Duration(-1)
 	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1} {
-		got := h.Quantile(q)
+		got := h.quantile(q)
 		if got < prev {
 			t.Fatalf("Quantile(%v) = %v < previous %v", q, got, prev)
 		}
 		prev = got
 	}
-	if h.Quantile(1) != h.Max() {
-		t.Fatalf("Quantile(1) = %v != Max %v", h.Quantile(1), h.Max())
+	if h.quantile(1) != h.Max() {
+		t.Fatalf("quantile(1) = %v != Max %v", h.quantile(1), h.Max())
 	}
 }
 

@@ -109,13 +109,13 @@ func TestEscapeLabel(t *testing.T) {
 		{"a\"b\\c\nd", `a\"b\\c\nd`},
 		{"plain", "plain"},
 	} {
-		if got := EscapeLabel(tc.in); got != tc.want {
-			t.Errorf("EscapeLabel(%q) = %q, want %q", tc.in, got, tc.want)
+		if got := escapeLabel(tc.in); got != tc.want {
+			t.Errorf("escapeLabel(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
 	// A value with nothing to escape, the common case, costs nothing.
-	if n := testing.AllocsPerRun(100, func() { EscapeLabel("/v1/collect-json") }); n != 0 {
-		t.Fatalf("EscapeLabel of a plain value allocates %v times", n)
+	if n := testing.AllocsPerRun(100, func() { escapeLabel("/v1/collect-json") }); n != 0 {
+		t.Fatalf("escapeLabel of a plain value allocates %v times", n)
 	}
 }
 

@@ -49,9 +49,9 @@ type Exposition struct {
 	byName  map[string][]int
 }
 
-// ParseExposition parses a text exposition from r. It returns an error
+// parseExposition parses a text exposition from r. It returns an error
 // only for I/O failure; malformed lines are skipped.
-func ParseExposition(r io.Reader) (*Exposition, error) {
+func parseExposition(r io.Reader) (*Exposition, error) {
 	e := &Exposition{byName: map[string][]int{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -82,7 +82,7 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 
 // ParseExpositionString parses an in-memory exposition.
 func ParseExpositionString(text string) *Exposition {
-	e, _ := ParseExposition(strings.NewReader(text)) // string reader cannot fail
+	e, _ := parseExposition(strings.NewReader(text)) // string reader cannot fail
 	return e
 }
 
@@ -211,7 +211,7 @@ func QuantileBucket(cum []uint64, q float64) (int, uint64) {
 }
 
 // parseLabels splits a label body into pairs, unescaping values (the
-// inverse of EscapeLabel).
+// inverse of escapeLabel).
 func parseLabels(labels string) []Label {
 	var out []Label
 	for _, kv := range splitLabels(labels) {
@@ -229,7 +229,7 @@ func parseLabels(labels string) []Label {
 	return out
 }
 
-// unescapeLabel reverses EscapeLabel: \\ → \, \n → newline, \" → ".
+// unescapeLabel reverses escapeLabel: \\ → \, \n → newline, \" → ".
 func unescapeLabel(v string) string {
 	if !strings.ContainsRune(v, '\\') {
 		return v

@@ -284,7 +284,7 @@ func TestLintDuplicateFamilyEmission(t *testing.T) {
 func FuzzParseExposition(f *testing.F) {
 	f.Add([]byte("a 1\nb{x=\"y\\\"\",le=\"+Inf\"} 2 3\n# HELP a\n{} 4\nc{ 5\n"))
 	f.Fuzz(func(t *testing.T, page []byte) {
-		e, err := ParseExposition(bytes.NewReader(page))
+		e, err := parseExposition(bytes.NewReader(page))
 		if err != nil {
 			if !errors.Is(err, bufio.ErrTooLong) {
 				t.Fatalf("error from an in-memory page: %v", err)

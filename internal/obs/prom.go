@@ -40,15 +40,15 @@ func (f *Family) WriteSeries(w io.Writer, series []LabeledValue) {
 	}
 	f.header(w)
 	for _, s := range series {
-		fmt.Fprintf(w, "%s{%s=\"%s\"} %g\n", f.Name, f.Labels[0], EscapeLabel(s.Label), s.Value)
+		fmt.Fprintf(w, "%s{%s=\"%s\"} %g\n", f.Name, f.Labels[0], escapeLabel(s.Label), s.Value)
 	}
 }
 
 // labelEscaper escapes a label value per the exposition format.
 var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 
-// EscapeLabel escapes a label value per the exposition format.
-func EscapeLabel(v string) string { return labelEscaper.Replace(v) }
+// escapeLabel escapes a label value per the exposition format.
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // HistogramSeries is one labeled series of a histogram family: a
 // snapshot of per-bucket (non-cumulative) counts plus the exact latency
@@ -69,7 +69,7 @@ func HistogramSnapshot(label string, hs ...*Hist) HistogramSeries {
 	s := HistogramSeries{Label: label}
 	var sum time.Duration
 	for _, h := range hs {
-		for i, c := range h.Buckets() {
+		for i, c := range h.buckets() {
 			s.Buckets[i] += c
 		}
 		sum += h.Sum()
@@ -89,7 +89,7 @@ func (f *Family) WriteHistogram(w io.Writer, series []HistogramSeries) {
 	f.header(w)
 	name, label := f.Name, f.Labels[0]
 	for _, s := range series {
-		lv := EscapeLabel(s.Label)
+		lv := escapeLabel(s.Label)
 		var cum uint64
 		for i := 0; i < NumBuckets; i++ {
 			cum += s.Buckets[i]
@@ -125,7 +125,7 @@ func (f *Family) WriteMulti(w io.Writer, series []MultiSeries) {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			fmt.Fprintf(&b, "%s=\"%s\"", f.Labels[i], EscapeLabel(v))
+			fmt.Fprintf(&b, "%s=\"%s\"", f.Labels[i], escapeLabel(v))
 		}
 		fmt.Fprintf(w, "%s{%s} %g\n", f.Name, b.String(), s.Value)
 	}

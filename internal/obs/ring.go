@@ -6,15 +6,15 @@ import (
 	"time"
 )
 
-// TraceRing retains finished traces in shards (shard.go): each shard is
+// traceRing retains finished traces in shards (shard.go): each shard is
 // a fixed-size ring of trace values with its own lock and cursor, so
 // Tracer.Finish on one core does not write the lock, the cursor or the
-// slots another core writes. Put copies a finished trace into the next
+// slots another core writes. put copies a finished trace into the next
 // slot of its shard under that shard's lock, so the caller keeps its
 // trace and may reuse it at once; the ring's slots are its own. Readers
 // lock each shard in turn and return fresh copies, so nothing a reader
 // holds changes when a slot is overwritten.
-type TraceRing struct {
+type traceRing struct {
 	shards []ringShard
 	size   int
 }
@@ -31,11 +31,11 @@ type ringShard struct {
 // longer than the 128 bytes CacheLinePad keeps apart.
 const ringGap = 1
 
-// NewTraceRing builds a ring of ShardCount() shards, each retaining the
+// newTraceRing builds a ring of ShardCount() shards, each retaining the
 // size (minimum 1) most recent traces put into it.
-func NewTraceRing(size int) *TraceRing {
+func newTraceRing(size int) *traceRing {
 	size = max(size, 1)
-	r := &TraceRing{shards: make([]ringShard, ShardCount()), size: size}
+	r := &traceRing{shards: make([]ringShard, ShardCount()), size: size}
 	stride := size + ringGap
 	slots := make([]Trace, len(r.shards)*stride)
 	for i := range r.shards {
@@ -44,10 +44,10 @@ func NewTraceRing(size int) *TraceRing {
 	return r
 }
 
-// Put copies a finished trace into its shard, over that shard's oldest
+// put copies a finished trace into its shard, over that shard's oldest
 // when it is full. It keeps no reference to tr but a span slice longer
 // than the inline four, which Trace.copyTo hands over.
-func (r *TraceRing) Put(tr *Trace) {
+func (r *traceRing) put(tr *Trace) {
 	sh := &r.shards[int(tr.shard)%len(r.shards)]
 	sh.mu.Lock()
 	tr.copyTo(&sh.slots[sh.seq%uint64(r.size)])
@@ -55,9 +55,9 @@ func (r *TraceRing) Put(tr *Trace) {
 	sh.mu.Unlock()
 }
 
-// Len reports how many traces have ever been put (not capped at what
+// total reports how many traces have ever been put (not capped at what
 // the ring retains).
-func (r *TraceRing) Len() uint64 {
+func (r *traceRing) total() uint64 {
 	var n uint64
 	for i := range r.shards {
 		sh := &r.shards[i]
@@ -68,8 +68,8 @@ func (r *TraceRing) Len() uint64 {
 	return n
 }
 
-// Cap is how many traces the ring retains at most: every shard's slots.
-func (r *TraceRing) Cap() int { return len(r.shards) * r.size }
+// capacity is how many traces the ring retains at most: every shard's slots.
+func (r *traceRing) capacity() int { return len(r.shards) * r.size }
 
 // clone is a fresh copy of a retained trace, for a reader to keep.
 func (t *Trace) clone() *Trace {
@@ -78,13 +78,13 @@ func (t *Trace) clone() *Trace {
 	return c
 }
 
-// Last returns copies of up to n most-recent traces, newest first by
+// last returns copies of up to n most-recent traces, newest first by
 // finish time (start plus dur_us; a tie keeps its shard's put order). n
-// is capped at Cap, so a request cannot size the answer past what is
-// retained. Each shard keeps its own most recent traces, so Last(n) for
+// is capped at capacity, so a request cannot size the answer past what is
+// retained. Each shard keeps its own most recent traces, so last(n) for
 // n up to the per-shard size misses none of the n newest.
-func (r *TraceRing) Last(n int) []*Trace {
-	n = min(max(n, 0), r.Cap())
+func (r *traceRing) last(n int) []*Trace {
+	n = min(max(n, 0), r.capacity())
 	var out []*Trace
 	for i := range r.shards {
 		sh := &r.shards[i]
@@ -113,10 +113,10 @@ func slower(a, b *Trace) bool {
 	return a.ID < b.ID
 }
 
-// Slowest returns copies of up to n retained traces sorted by
+// slowest returns copies of up to n retained traces sorted by
 // descending duration (ties broken by trace ID for stable output); a
 // negative n returns them all. Only each shard's n slowest are copied.
-func (r *TraceRing) Slowest(n int) []*Trace {
+func (r *traceRing) slowest(n int) []*Trace {
 	var all []*Trace
 	var idx []int
 	for i := range r.shards {

@@ -38,26 +38,26 @@ func (id TraceID) MarshalJSON() ([]byte, error) {
 	return append(id.appendHex(b), '"'), nil
 }
 
-// IDGen produces trace IDs that are deterministic for a fixed seed yet
+// idGen produces trace IDs that are deterministic for a fixed seed yet
 // safe for concurrent use: two PCG-drawn keys whiten an atomic sequence
 // through a splitmix64 finalizer, so the ID *set* for N requests is a
 // pure function of the seed while concurrent callers never contend on
 // generator state. (A shared *rng.PCG would need a lock; a per-call
 // finalizer needs none.)
-type IDGen struct {
+type idGen struct {
 	k0, k1 uint64
 	seq    atomic.Uint64
 }
 
-// NewIDGen seeds a generator. Seed 0 is valid (it is still whitened
+// newIDGen seeds a generator. Seed 0 is valid (it is still whitened
 // through PCG).
-func NewIDGen(seed uint64) *IDGen {
+func newIDGen(seed uint64) *idGen {
 	r := rng.New(seed)
-	return &IDGen{k0: r.Uint64(), k1: r.Uint64()}
+	return &idGen{k0: r.Uint64(), k1: r.Uint64()}
 }
 
-// Next returns the next trace ID.
-func (g *IDGen) Next() TraceID {
+// next returns the next trace ID.
+func (g *idGen) next() TraceID {
 	n := g.seq.Add(1)
 	return TraceID(mix64(n^g.k0) ^ g.k1)
 }
@@ -98,7 +98,7 @@ type Trace struct {
 
 	start time.Time
 	mu    sync.Mutex
-	// shard is the TraceRing shard Finish stores the trace in.
+	// shard is the traceRing shard Finish stores the trace in.
 	shard uint32
 	// inline backs Spans until a fifth span makes append move them; a
 	// trace with no span keeps Spans nil, which /debug/traces shows as
@@ -159,8 +159,8 @@ type TracerConfig struct {
 // Tracer mints request traces at ingress, retains finished ones in a
 // ring, and logs the slow outliers.
 type Tracer struct {
-	ids  *IDGen
-	ring *TraceRing
+	ids  *idGen
+	ring *traceRing
 	slow time.Duration
 	log  *slog.Logger
 }
@@ -180,16 +180,12 @@ func NewTracer(cfg TracerConfig) *Tracer {
 		logger = slog.New(discardHandler{})
 	}
 	return &Tracer{
-		ids:  NewIDGen(cfg.Seed),
-		ring: NewTraceRing(size),
+		ids:  newIDGen(cfg.Seed),
+		ring: newTraceRing(size),
 		slow: slow,
 		log:  logger,
 	}
 }
-
-// Ring exposes the finished-trace ring (for /debug/traces handlers and
-// tests).
-func (t *Tracer) Ring() *TraceRing { return t.ring }
 
 // Open resets the caller's trace tr for one request on endpoint, to be
 // retained in shard (taken modulo the ring's shard count: the shard of
@@ -197,7 +193,7 @@ func (t *Tracer) Ring() *TraceRing { return t.ring }
 // duration or spans. The caller records spans on it directly and must
 // call Finish exactly once before it opens tr again.
 func (t *Tracer) Open(tr *Trace, endpoint string, shard int) {
-	tr.ID, tr.Endpoint, tr.start, tr.shard = t.ids.Next(), endpoint, time.Now(), uint32(shard)
+	tr.ID, tr.Endpoint, tr.start, tr.shard = t.ids.next(), endpoint, time.Now(), uint32(shard)
 	tr.Status, tr.DurUs, tr.Spans = "", 0, nil
 }
 
@@ -210,7 +206,7 @@ func (t *Tracer) Finish(tr *Trace, status string) time.Duration {
 	d := time.Since(tr.start)
 	tr.Status = status
 	tr.DurUs = d.Microseconds()
-	t.ring.Put(tr)
+	t.ring.put(tr)
 	if d >= t.slow {
 		attrs := []any{
 			slog.String(TraceIDKey, tr.ID.String()),
@@ -247,9 +243,9 @@ func (t *Tracer) ServeTraces(w http.ResponseWriter, r *http.Request) {
 		n = parsed
 	}
 	page := tracePage{
-		Count:   t.ring.Len(),
-		Last:    t.ring.Last(n),
-		Slowest: t.ring.Slowest(n),
+		Count:   t.ring.total(),
+		Last:    t.ring.last(n),
+		Slowest: t.ring.slowest(n),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

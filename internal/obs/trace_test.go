@@ -15,20 +15,20 @@ import (
 )
 
 func TestIDGenDeterministicSet(t *testing.T) {
-	a, b := NewIDGen(7), NewIDGen(7)
+	a, b := newIDGen(7), newIDGen(7)
 	for i := 0; i < 100; i++ {
-		if x, y := a.Next(), b.Next(); x != y {
+		if x, y := a.next(), b.next(); x != y {
 			t.Fatalf("draw %d: %s != %s for the same seed", i, x, y)
 		}
 	}
-	c := NewIDGen(8)
-	if a0, c0 := NewIDGen(7).Next(), c.Next(); a0 == c0 {
+	c := newIDGen(8)
+	if a0, c0 := newIDGen(7).next(), c.next(); a0 == c0 {
 		t.Fatal("different seeds produced the same first ID")
 	}
 }
 
 func TestIDGenConcurrentUnique(t *testing.T) {
-	g := NewIDGen(1)
+	g := newIDGen(1)
 	const workers, perWorker = 8, 500
 	ids := make(chan TraceID, workers*perWorker)
 	var wg sync.WaitGroup
@@ -37,7 +37,7 @@ func TestIDGenConcurrentUnique(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				ids <- g.Next()
+				ids <- g.next()
 			}
 		}()
 	}
@@ -63,9 +63,9 @@ func TestTraceIDString(t *testing.T) {
 		t.Fatalf("String() = %q", got)
 	}
 	ids := []TraceID{0, 1, 0xf, 0x10, 0x0123456789abcdef, 0xfedcba9876543210, 1 << 63, ^TraceID(0)}
-	gen := NewIDGen(3)
+	gen := newIDGen(3)
 	for i := 0; i < 64; i++ {
-		ids = append(ids, gen.Next())
+		ids = append(ids, gen.next())
 	}
 	for _, id := range ids {
 		want := fmt.Sprintf("%016x", uint64(id))
@@ -80,80 +80,80 @@ func TestTraceIDString(t *testing.T) {
 }
 
 func TestTraceRingLastAndSlowest(t *testing.T) {
-	r := NewTraceRing(4)
+	r := newTraceRing(4)
 	for i := 1; i <= 6; i++ {
-		r.Put(&Trace{ID: TraceID(i), DurUs: int64(i * 10)})
+		r.put(&Trace{ID: TraceID(i), DurUs: int64(i * 10)})
 	}
-	if r.Len() != 6 {
-		t.Fatalf("Len() = %d", r.Len())
+	if r.total() != 6 {
+		t.Fatalf("total() = %d", r.total())
 	}
-	last := r.Last(3)
+	last := r.last(3)
 	if len(last) != 3 || last[0].ID != 6 || last[1].ID != 5 || last[2].ID != 4 {
-		t.Fatalf("Last(3) = %v", ids(last))
+		t.Fatalf("last(3) = %v", ids(last))
 	}
 	// Ring size 4: traces 3..6 retained; slowest first.
-	slow := r.Slowest(2)
+	slow := r.slowest(2)
 	if len(slow) != 2 || slow[0].ID != 6 || slow[1].ID != 5 {
-		t.Fatalf("Slowest(2) = %v", ids(slow))
+		t.Fatalf("slowest(2) = %v", ids(slow))
 	}
-	if got := r.Last(100); len(got) != 4 {
-		t.Fatalf("Last(100) returned %d traces from a 4-slot ring", len(got))
+	if got := r.last(100); len(got) != 4 {
+		t.Fatalf("last(100) returned %d traces from a 4-slot ring", len(got))
 	}
 }
 
 // TestTraceRingShards puts traces on every shard of a ring and reads
-// them back: Last merges the shards newest first by finish time, capped
+// them back: last merges the shards newest first by finish time, capped
 // at what the ring retains however large n is, a shard busier than the
-// rest still leaves the per-shard size newest in Last, and Len counts
+// rest still leaves the per-shard size newest in last, and total counts
 // every put.
 func TestTraceRingShards(t *testing.T) {
 	const size = 4
-	r := NewTraceRing(size)
+	r := newTraceRing(size)
 	shards := len(r.shards)
-	if r.Cap() != shards*size {
-		t.Fatalf("Cap() = %d, want %d shards × %d", r.Cap(), shards, size)
+	if r.capacity() != shards*size {
+		t.Fatalf("capacity() = %d, want %d shards × %d", r.capacity(), shards, size)
 	}
 	epoch := time.Now()
 	// Trace i starts at i ms, lasts 1 µs and goes to shard i mod shards.
 	put := func(i int) {
-		r.Put(&Trace{ID: TraceID(i), DurUs: 1, start: epoch.Add(time.Duration(i) * time.Millisecond), shard: uint32(i % shards)})
+		r.put(&Trace{ID: TraceID(i), DurUs: 1, start: epoch.Add(time.Duration(i) * time.Millisecond), shard: uint32(i % shards)})
 	}
 	for i := 1; i <= 2*shards; i++ {
 		put(i)
 	}
-	last := r.Last(1 << 40)
+	last := r.last(1 << 40)
 	if len(last) != 2*shards {
-		t.Fatalf("Last(huge) returned %d traces, %d were put", len(last), 2*shards)
+		t.Fatalf("last(huge) returned %d traces, %d were put", len(last), 2*shards)
 	}
 	for k, tr := range last {
 		if want := TraceID(2*shards - k); tr.ID != want {
-			t.Fatalf("Last[%d] = trace %d, want %d (newest first across shards): %v", k, tr.ID, want, ids(last))
+			t.Fatalf("last[%d] = trace %d, want %d (newest first across shards): %v", k, tr.ID, want, ids(last))
 		}
 	}
 	// Shard 0 alone takes the next 3·size traces: the size newest of all
-	// are there, and Last returns no more than the ring retains.
+	// are there, and last returns no more than the ring retains.
 	for i := 2*shards + 1; i <= 2*shards+3*size; i++ {
-		r.Put(&Trace{ID: TraceID(i), DurUs: 1, start: epoch.Add(time.Duration(i) * time.Millisecond)})
+		r.put(&Trace{ID: TraceID(i), DurUs: 1, start: epoch.Add(time.Duration(i) * time.Millisecond)})
 	}
-	newest := r.Last(size)
+	newest := r.last(size)
 	for k, tr := range newest {
 		if want := TraceID(2*shards + 3*size - k); tr.ID != want {
-			t.Fatalf("Last(%d)[%d] = trace %d, want %d", size, k, tr.ID, want)
+			t.Fatalf("last(%d)[%d] = trace %d, want %d", size, k, tr.ID, want)
 		}
 	}
-	if got := len(r.Last(1 << 40)); got > r.Cap() {
-		t.Fatalf("Last(huge) returned %d traces from a ring of %d", got, r.Cap())
+	if got := len(r.last(1 << 40)); got > r.capacity() {
+		t.Fatalf("last(huge) returned %d traces from a ring of %d", got, r.capacity())
 	}
-	if r.Len() != uint64(2*shards+3*size) {
-		t.Fatalf("Len() = %d, want %d", r.Len(), 2*shards+3*size)
+	if r.total() != uint64(2*shards+3*size) {
+		t.Fatalf("total() = %d, want %d", r.total(), 2*shards+3*size)
 	}
 }
 
 // TestTracerShardsConcurrent finishes traces on every shard from as many
-// goroutines: Len is exact and Last is newest first by finish time.
+// goroutines: total is exact and last is newest first by finish time.
 func TestTracerShardsConcurrent(t *testing.T) {
 	tracer := NewTracer(TracerConfig{Seed: 1, RingSize: 64})
-	shards := len(tracer.Ring().shards)
+	shards := len(tracer.ring.shards)
 	const perShard = 200
 	var wg sync.WaitGroup
 	for g := 0; g < shards; g++ {
@@ -168,16 +168,16 @@ func TestTracerShardsConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := tracer.Ring().Len(); got != uint64(shards*perShard) {
-		t.Fatalf("Len() = %d, want %d", got, shards*perShard)
+	if got := tracer.ring.total(); got != uint64(shards*perShard) {
+		t.Fatalf("total() = %d, want %d", got, shards*perShard)
 	}
-	last := tracer.Ring().Last(tracer.Ring().Cap())
-	if len(last) != tracer.Ring().Cap() {
-		t.Fatalf("Last returned %d of the %d retained traces", len(last), tracer.Ring().Cap())
+	last := tracer.ring.last(tracer.ring.capacity())
+	if len(last) != tracer.ring.capacity() {
+		t.Fatalf("last returned %d of the %d retained traces", len(last), tracer.ring.capacity())
 	}
 	for k := 1; k < len(last); k++ {
 		if last[k].finished().After(last[k-1].finished()) {
-			t.Fatalf("Last[%d] finished after Last[%d]", k, k-1)
+			t.Fatalf("last[%d] finished after last[%d]", k, k-1)
 		}
 	}
 }
@@ -276,7 +276,7 @@ func TestTraceInlineSpans(t *testing.T) {
 
 	// Newest first: 5, 4, 3, … spans. Each retained trace still holds its
 	// own, in storage no other trace points into.
-	kept := tracer.Ring().Last(len(names) + 1)
+	kept := tracer.ring.last(len(names) + 1)
 	seen := map[*Span]bool{}
 	for i, tr := range kept {
 		if want := len(names) - i; len(tr.Spans) != want {
@@ -292,7 +292,7 @@ func TestTraceInlineSpans(t *testing.T) {
 }
 
 // TestTraceRingKeepsCopies reuses one caller-owned trace, as a pooled
-// buffer does: what Last, Slowest and /debug/traces returned for it is
+// buffer does: what last, slowest and /debug/traces returned for it is
 // unchanged after the trace is opened and finished again, and again
 // after its ring slot is overwritten — with three inline spans and with
 // five, whose slice the ring takes over.
@@ -335,9 +335,9 @@ func TestTraceRingKeepsCopies(t *testing.T) {
 
 			run("/v1/collect", "ok", "first", spans)
 			first, want := tr.ID, marshal(&tr)
-			last, slow := tracer.Ring().Last(1), tracer.Ring().Slowest(1)
+			last, slow := tracer.ring.last(1), tracer.ring.slowest(1)
 			if len(last) != 1 || len(slow) != 1 {
-				t.Fatalf("Last(1) = %d traces, Slowest(1) = %d", len(last), len(slow))
+				t.Fatalf("last(1) = %d traces, slowest(1) = %d", len(last), len(slow))
 			}
 			served := page()[first]
 			if served == "" {
@@ -356,7 +356,7 @@ func TestTraceRingKeepsCopies(t *testing.T) {
 			}
 			// Reopen again: the first trace's slot is overwritten.
 			run("tcp", "partial", "third", 1)
-			if len(tracer.Ring().Last(3)) != 2 {
+			if len(tracer.ring.last(3)) != 2 {
 				t.Fatal("ring of two kept more than two traces")
 			}
 			for what, got := range map[string]string{"Last": marshal(last[0]), "Slowest": marshal(slow[0])} {
@@ -370,12 +370,12 @@ func TestTraceRingKeepsCopies(t *testing.T) {
 
 // TestTraceRingConcurrentPutAndRead puts traces from two writers per
 // shard — each reusing one trace, as a pooled buffer does — while
-// readers walk Last, Slowest and /debug/traces. Every trace read is
+// readers walk last, slowest and /debug/traces. Every trace read is
 // whole: its status says how many spans it has and each span carries
 // its endpoint's name. Run it under -race.
 func TestTraceRingConcurrentPutAndRead(t *testing.T) {
 	tracer := NewTracer(TracerConfig{Seed: 2, RingSize: 4})
-	shards := len(tracer.Ring().shards)
+	shards := len(tracer.ring.shards)
 	const perWriter = 300
 	check := func(trs []*Trace) error {
 		for _, tr := range trs {
@@ -394,8 +394,8 @@ func TestTraceRingConcurrentPutAndRead(t *testing.T) {
 	done := make(chan struct{})
 	errs := make(chan error, 3)
 	for _, read := range []func() []*Trace{
-		func() []*Trace { return tracer.Ring().Last(8) },
-		func() []*Trace { return tracer.Ring().Slowest(8) },
+		func() []*Trace { return tracer.ring.last(8) },
+		func() []*Trace { return tracer.ring.slowest(8) },
 		func() []*Trace {
 			tracer.ServeTraces(httptest.NewRecorder(), httptest.NewRequest("GET", "/debug/traces?n=4", nil))
 			return nil
@@ -440,10 +440,10 @@ func TestTraceRingConcurrentPutAndRead(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := tracer.Ring().Len(); got != uint64(2*shards*perWriter) {
-		t.Fatalf("Len() = %d, want %d", got, 2*shards*perWriter)
+	if got := tracer.ring.total(); got != uint64(2*shards*perWriter) {
+		t.Fatalf("total() = %d, want %d", got, 2*shards*perWriter)
 	}
-	if err := check(tracer.Ring().Slowest(-1)); err != nil {
+	if err := check(tracer.ring.slowest(-1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -460,7 +460,7 @@ func TestTracerFastRequestNotLogged(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Fatalf("fast request logged: %q", buf.String())
 	}
-	if tracer.Ring().Len() != 1 {
+	if tracer.ring.total() != 1 {
 		t.Fatal("finished trace not retained")
 	}
 }

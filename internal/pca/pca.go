@@ -75,9 +75,9 @@ func FitGroups(rows matrix.RowGroups, k int) (*PCA, error) {
 	}, nil
 }
 
-// ExplainedVarianceRatio returns each fitted component's share of total
+// explainedVarianceRatio returns each fitted component's share of total
 // variance (length = original dimension d).
-func (p *PCA) ExplainedVarianceRatio() []float64 {
+func (p *PCA) explainedVarianceRatio() []float64 {
 	total := 0.0
 	for _, v := range p.Variances {
 		total += v
@@ -92,10 +92,10 @@ func (p *PCA) ExplainedVarianceRatio() []float64 {
 	return out
 }
 
-// CumulativeVariance returns the running sum of ExplainedVarianceRatio —
+// CumulativeVariance returns the running sum of explainedVarianceRatio —
 // exactly the curve of the paper's Figure 2.
 func (p *PCA) CumulativeVariance() []float64 {
-	ratios := p.ExplainedVarianceRatio()
+	ratios := p.explainedVarianceRatio()
 	cum := 0.0
 	out := make([]float64, len(ratios))
 	for i, r := range ratios {

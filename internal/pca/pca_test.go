@@ -45,7 +45,7 @@ func TestExplainedVarianceDominantComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratios := p.ExplainedVarianceRatio()
+	ratios := p.explainedVarianceRatio()
 	if ratios[0] < 0.99 {
 		t.Fatalf("dominant component explains %v, want >0.99", ratios[0])
 	}

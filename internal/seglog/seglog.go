@@ -186,11 +186,6 @@ func Segments(dir, prefix, ext string) ([]string, error) {
 	return matches, nil
 }
 
-// Segments lists this log's segment files in sequence order.
-func (w *Writer) Segments() ([]string, error) {
-	return Segments(w.cfg.Dir, w.cfg.Prefix, w.cfg.Ext)
-}
-
 // create opens segment w.seq, which must not exist yet.
 func (w *Writer) create() error {
 	f, err := os.OpenFile(Path(w.cfg.Dir, w.cfg.Prefix, w.cfg.Ext, w.seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)

@@ -590,7 +590,8 @@ func TestNoGoroutineLeak(t *testing.T) {
 	// not have left the scheduler yet.
 	waitFor(t, "earlier tests' flushers to be gone", func() bool { return flushers() == 0 })
 	base := runtime.NumGoroutine()
-	w, err := Open(Config{Dir: t.TempDir(), Prefix: "g", Ext: "log", MaxBytes: 1 << 20})
+	dir := t.TempDir()
+	w, err := Open(Config{Dir: dir, Prefix: "g", Ext: "log", MaxBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +603,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if segs, _ := w.Segments(); len(segs) != 101 {
+	if segs, _ := Segments(dir, "g", "log"); len(segs) != 101 {
 		t.Fatalf("%d segments after 100 rotations", len(segs))
 	}
 	if n := flushers(); n != 1 {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestReplicaDebugBundleEndpoint(t *testing.T) {
 	if !bb.Manifest.Redacted {
 		t.Fatal("bundle not marked redacted by default")
 	}
-	tm := bb.Manifest.Target("bundle-0")
+	tm := targetOf(&bb.Manifest, "bundle-0")
 	if tm == nil {
 		t.Fatalf("target bundle-0 missing; manifest %+v", bb.Manifest)
 	}
@@ -79,7 +80,7 @@ func TestReplicaDebugBundleEndpoint(t *testing.T) {
 		}
 	}
 	var info fleet.ModelInfo
-	if err := json.Unmarshal(bb.TargetFile("bundle-0", bundle.ArtifactModelInfo), &info); err != nil {
+	if err := json.Unmarshal(bb.Files["targets/bundle-0/"+bundle.ArtifactModelInfo], &info); err != nil {
 		t.Fatal(err)
 	}
 	if info.Hash != r.ModelHash() {
@@ -87,7 +88,7 @@ func TestReplicaDebugBundleEndpoint(t *testing.T) {
 	}
 
 	// The captured bundle analyzes clean.
-	if findings := bundle.Analyze(bb, bundle.AnalyzeOptions{}); bundle.HasFailure(findings) {
+	if findings := bundle.Analyze(bb, bundle.AnalyzeOptions{}); hasFailure(findings) {
 		t.Fatalf("healthy replica bundle fails analysis: %v", findings)
 	}
 }
@@ -140,7 +141,7 @@ func TestBundleTargetWorksAfterDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := manifest.Target("drain-0")
+	tm := targetOf(manifest, "drain-0")
 	if tm == nil {
 		t.Fatal("drained target missing")
 	}
@@ -178,8 +179,8 @@ func TestFleetWideBundleCaptureWithDeadReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill one replica: listener gone, in-memory counters remain.
-	reps[2].Kill()
+	// Kill one replica (kill): listener gone, in-memory counters remain.
+	kill(reps[2])
 
 	var buf bytes.Buffer
 	manifest, err := bundle.Capture(context.Background(), &buf, bundle.Options{
@@ -196,7 +197,7 @@ func TestFleetWideBundleCaptureWithDeadReplica(t *testing.T) {
 	}
 
 	for i := 0; i < 2; i++ {
-		tm := manifest.Target(fmt.Sprintf("fr%d", i))
+		tm := targetOf(manifest, fmt.Sprintf("fr%d", i))
 		if tm == nil {
 			t.Fatalf("live replica fr%d missing", i)
 		}
@@ -214,7 +215,7 @@ func TestFleetWideBundleCaptureWithDeadReplica(t *testing.T) {
 
 	// Dead replica: the member overrides still snapshot metrics and
 	// stats in-process; everything HTTP becomes a recorded error.
-	dead := manifest.Target("fr2")
+	dead := targetOf(manifest, "fr2")
 	if dead == nil {
 		t.Fatal("dead replica missing from manifest")
 	}
@@ -240,7 +241,7 @@ func TestFleetWideBundleCaptureWithDeadReplica(t *testing.T) {
 		t.Fatal("fleet metrics file missing")
 	}
 	findings := bundle.Analyze(bb, bundle.AnalyzeOptions{})
-	if bundle.HasFailure(findings) {
+	if hasFailure(findings) {
 		t.Fatalf("degraded-but-consistent fleet failed analysis: %v", findings)
 	}
 	sawWarn := false
@@ -252,4 +253,20 @@ func TestFleetWideBundleCaptureWithDeadReplica(t *testing.T) {
 	if !sawWarn {
 		t.Fatalf("dead replica's capture gaps not surfaced as warnings: %v", findings)
 	}
+}
+
+// targetOf returns the named target's manifest entry, nil when absent.
+func targetOf(m *bundle.Manifest, name string) *bundle.TargetManifest {
+	for i := range m.Targets {
+		if m.Targets[i].Name == name {
+			return &m.Targets[i]
+		}
+	}
+	return nil
+}
+
+// hasFailure reports whether any finding failed (polygraphctl bundle
+// analyze's exit-1 condition).
+func hasFailure(findings []bundle.Finding) bool {
+	return slices.ContainsFunc(findings, func(f bundle.Finding) bool { return f.Severity == bundle.SeverityFail })
 }

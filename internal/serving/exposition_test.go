@@ -195,7 +195,7 @@ func TestExpositionGolden(t *testing.T) {
 	}
 
 	var page bytes.Buffer
-	page.WriteString(r.MetricsExposition())
+	page.WriteString(r.metricsExposition())
 	b.WriteMetrics(&page)
 	problems, err := obs.Lint(bytes.NewReader(page.Bytes()), obs.RequiredFamilies("replica", "tcp", "fleet")...)
 	if err != nil || len(problems) != 0 {

@@ -7,7 +7,7 @@
 // that constructs a collect server (scripts/check.sh enforces it), so
 // what the load harness gates is what the daemon deploys.
 //
-// A model reaches a replica one way: DeployModel, whether it comes from
+// A model reaches a replica one way: deploy, whether it comes from
 // Config.Model or Config.ModelPath at boot, a POST to the admin
 // endpoint, or a Reload of the model file. Each deployment installs the
 // model's drift baseline (core.Model.Baseline) and restarts the drift
@@ -133,8 +133,8 @@ type Config struct {
 
 // Replica is one serving instance: listener, collect server, admin
 // surface, and the operational subsystems polygraphd used to wire
-// inline. Create with New, serve with Start, stop with Close (graceful)
-// or Kill (abrupt — the fleet drill's failure injection).
+// inline. Create with New, serve with Start, take out of service with
+// Drain (the fleet drill's failure injection), stop with Close.
 type Replica struct {
 	cfg    Config
 	logger *slog.Logger
@@ -238,7 +238,7 @@ func New(ctx context.Context, cfg Config) (*Replica, error) {
 	r.mux = mux
 
 	if cfg.Model != nil {
-		if _, err := r.DeployModel(cfg.Model); err != nil {
+		if _, err := r.deploy(cfg.Model, time.Now()); err != nil {
 			return fail(err)
 		}
 	} else if cfg.ModelPath != "" {
@@ -273,14 +273,6 @@ func (r *Replica) closeLedger() error {
 	return r.ledger.Close()
 }
 
-// DeployModel hot-swaps m into the replica (building the collect server
-// and drift monitor on first deployment), records now as the model's
-// trained-at time, and returns the deployed model's hash — the value the
-// fleet controller verifies against its own before admission.
-func (r *Replica) DeployModel(m *core.Model) (string, error) {
-	return r.deploy(m, time.Now())
-}
-
 // deployFile loads the model file at Config.ModelPath and deploys it;
 // the file's modification time stands in for when the model was
 // trained.
@@ -304,7 +296,8 @@ func (r *Replica) deployFile() error {
 
 // deploy is every deployment path: the collect server swaps m in (or is
 // built around it), the drift monitor measures against m's baseline from
-// a fresh window, and trainedAt is exported with the model.
+// a fresh window, and trainedAt is exported with the model. It returns
+// the deployed model's hash.
 func (r *Replica) deploy(m *core.Model, trainedAt time.Time) (string, error) {
 	r.deployMu.Lock()
 	defer r.deployMu.Unlock()
@@ -514,7 +507,7 @@ func (r *Replica) handleAdminModel(w http.ResponseWriter, req *http.Request) {
 			http.Error(w, fmt.Sprintf("decode model: %v", err), http.StatusBadRequest)
 			return
 		}
-		if _, err := r.DeployModel(m); err != nil {
+		if _, err := r.deploy(m, time.Now()); err != nil {
 			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 			return
 		}
@@ -539,8 +532,8 @@ func (r *Replica) modelInfo(m *core.Model) fleet.ModelInfo {
 	}
 }
 
-// Start binds the listener and serves until Close/Kill. It returns once
-// the listener is bound, so Addr/BaseURL are valid immediately after.
+// Start binds the listener and serves until Drain or Close. It returns
+// once the listener is bound, so BaseURL is valid immediately after.
 func (r *Replica) Start() error {
 	if r.ln != nil {
 		return errors.New("serving: already started")
@@ -589,21 +582,12 @@ func (r *Replica) Start() error {
 // Done delivers the serve loop's terminal error (nil on clean close).
 func (r *Replica) Done() <-chan error { return r.done }
 
-// Addr returns the bound listen address ("" before Start).
-func (r *Replica) Addr() string {
+// BaseURL returns the replica's serving root ("" before Start).
+func (r *Replica) BaseURL() string {
 	if r.ln == nil {
 		return ""
 	}
-	return r.ln.Addr().String()
-}
-
-// BaseURL returns the replica's serving root ("" before Start).
-func (r *Replica) BaseURL() string {
-	a := r.Addr()
-	if a == "" {
-		return ""
-	}
-	return "http://" + a
+	return "http://" + r.ln.Addr().String()
 }
 
 // TCPAddr returns the framed listener's bound address ("" before Start
@@ -639,7 +623,7 @@ func (r *Replica) ModelHash() string {
 }
 
 // Stats snapshots the replica's counters in-process — readable even
-// after Kill, which is what lets the fleet harness reconcile a drill
+// after Drain, which is what lets the fleet harness reconcile a drill
 // where one replica died mid-run.
 func (r *Replica) Stats() collect.Stats {
 	if srv := r.srv.Load(); srv != nil {
@@ -648,9 +632,9 @@ func (r *Replica) Stats() collect.Stats {
 	return collect.Stats{}
 }
 
-// MetricsExposition renders the replica's /metrics page in-process
+// metricsExposition renders the replica's /metrics page in-process
 // (same handler, no network), surviving a killed listener.
-func (r *Replica) MetricsExposition() string {
+func (r *Replica) metricsExposition() string {
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	r.mux.ServeHTTP(rec, req)
@@ -669,7 +653,7 @@ func (r *Replica) Member() fleet.Member {
 			return r.Stats(), nil
 		},
 		Metrics: func(context.Context) (string, error) {
-			return r.MetricsExposition(), nil
+			return r.metricsExposition(), nil
 		},
 	}
 }
@@ -701,24 +685,10 @@ func (r *Replica) Reload() error {
 	return nil
 }
 
-// Kill abruptly closes the listener and all in-flight connections —
-// the fleet drill's failure injection. Counters and the audit ledger
-// stay readable in-process; Close must still be called to flush them.
-func (r *Replica) Kill() {
-	if !r.killed.CompareAndSwap(false, true) {
-		return
-	}
-	if r.httpSrv != nil {
-		r.httpSrv.Close()
-	}
-	r.closeTCP()
-	r.logger.Warn("replica killed")
-}
-
 // Drain takes the replica out of service gracefully: in-flight requests
 // complete with responses, then the listener closes; new connections are
 // refused. This is the failure mode the fleet kill drill injects when
-// the reconciliation must stay exact — a hard Kill can sever a
+// the reconciliation must stay exact — a hard kill can sever a
 // connection after the server scored the request but before the client
 // read the response, so the client's retry would score the same request
 // twice on another replica. Counters stay readable in-process, and Close

@@ -143,7 +143,7 @@ func TestReplicaKillStopsListenerKeepsCounters(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	r.Kill()
+	kill(r)
 	if _, err := http.Get(r.BaseURL() + "/healthz"); err == nil {
 		t.Fatal("killed replica still answers HTTP")
 	}
@@ -151,7 +151,7 @@ func TestReplicaKillStopsListenerKeepsCounters(t *testing.T) {
 	if got := r.Stats(); got.Received < 0 {
 		t.Fatalf("stats unreadable after kill: %+v", got)
 	}
-	if exp := r.MetricsExposition(); !strings.Contains(exp, "polygraph_build_info") {
+	if exp := r.metricsExposition(); !strings.Contains(exp, "polygraph_build_info") {
 		t.Fatal("metrics exposition unreadable after kill")
 	}
 	member := r.Member()
@@ -284,7 +284,7 @@ func TestReplicaSLOEngine(t *testing.T) {
 	if eng.Status().Tick != 1 {
 		t.Fatalf("tick %d, want 1", eng.Status().Tick)
 	}
-	if !strings.Contains(r.MetricsExposition(), "polygraph_slo_alert") {
+	if !strings.Contains(r.metricsExposition(), "polygraph_slo_alert") {
 		t.Fatal("replica exposition missing polygraph_slo_* families")
 	}
 
@@ -458,14 +458,14 @@ func TestHotSwapReachesBothTransports(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		decisions := bb.TargetFile("swap-0", bundle.ArtifactDecisions)
+		decisions := bb.Files["targets/swap-0/"+bundle.ArtifactDecisions]
 		if got := bytes.Count(decisions, []byte(`"explanation":{`)); got != map[string]int{"?no-redact=1": 4, "": 0}[q] {
 			t.Fatalf("bundle%s: %d explained decisions in %s", q, got, decisions)
 		}
 	}
 
 	// A killed replica stops answering frames too.
-	r.Kill()
+	kill(r)
 	if c, err := collect.DialTCP(r.TCPAddr(), time.Second); err == nil {
 		c.Close()
 		t.Fatal("killed replica still accepts framed connections")
@@ -525,7 +525,7 @@ func startDrift(t *testing.T, cfg Config) *Replica {
 // baselineAt reads the replica's polygraph_drift_baseline_timestamp_seconds.
 func baselineAt(t *testing.T, r *Replica) float64 {
 	t.Helper()
-	v, err := obs.ParseExpositionString(r.MetricsExposition()).Value(obs.FamDriftBaselineAt.Name)
+	v, err := obs.ParseExpositionString(r.metricsExposition()).Value(obs.FamDriftBaselineAt.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,4 +622,17 @@ func TestDeployPathsInstallTheModelsBaseline(t *testing.T) {
 	if v := baselineAt(t, old); v != 0 {
 		t.Fatalf("old-format model: baseline timestamp %v, want 0", v)
 	}
+}
+
+// kill closes a replica's listener and every in-flight connection at
+// once, as a crash would. Counters and the audit ledger stay readable
+// in-process; Close must still be called to flush them.
+func kill(r *Replica) {
+	if !r.killed.CompareAndSwap(false, true) {
+		return
+	}
+	if r.httpSrv != nil {
+		r.httpSrv.Close()
+	}
+	r.closeTCP()
 }

@@ -71,7 +71,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("slo: engine needs a spec")
 	}
-	if err := cfg.Spec.Validate(); err != nil {
+	if err := cfg.Spec.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.IntervalS == 0 {
@@ -130,14 +130,8 @@ func (e *Engine) TickNow() error {
 	if ex == nil {
 		return fmt.Errorf("slo: source returned no exposition")
 	}
-	e.TickExposition(ex)
-	return nil
-}
-
-// TickExposition extracts the spec's counters from ex and advances one
-// tick.
-func (e *Engine) TickExposition(ex *obs.Exposition) {
 	e.TickCounters(e.spec.Extract(ex))
+	return nil
 }
 
 // TickCounters appends one cumulative counter snapshot and re-evaluates
@@ -337,13 +331,6 @@ func (e *Engine) Status() Page {
 	page := e.page
 	page.Objectives = append([]ObjectiveStatus(nil), e.page.Objectives...)
 	return page
-}
-
-// Alerting reports whether any objective's burn-rate alert is firing.
-func (e *Engine) Alerting() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.page.Alerting
 }
 
 // WriteJSON renders the /debug/slo page. Deterministic: same snapshot

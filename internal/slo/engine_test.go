@@ -76,7 +76,7 @@ func TestEngineBurnRateMath(t *testing.T) {
 	}
 	// 10x exceeds the fast threshold (5) and the slow one (2): both
 	// pairs over in both windows → alert fires.
-	if !o.FastBurn || !o.SlowBurn || !o.Alerting || !st.Alerting || !e.Alerting() {
+	if !o.FastBurn || !o.SlowBurn || !o.Alerting || !st.Alerting || !e.Status().Alerting {
 		t.Fatalf("objective not alerting: %+v", o)
 	}
 }
@@ -84,7 +84,7 @@ func TestEngineBurnRateMath(t *testing.T) {
 func TestEngineAlertClearsAfterCleanTraffic(t *testing.T) {
 	e := tightEngine(t)
 	e.TickCounters([]Counters{{Good: 900, Total: 1000}})
-	if !e.Alerting() {
+	if !e.Status().Alerting {
 		t.Fatal("breach did not trip the alert")
 	}
 	// Clean traffic: each tick adds 1000 good events. The fast pair
@@ -101,7 +101,7 @@ func TestEngineAlertClearsAfterCleanTraffic(t *testing.T) {
 			t.Fatalf("tick %d: fast pair still firing: %+v", i, st)
 		}
 	}
-	if e.Alerting() {
+	if e.Status().Alerting {
 		t.Fatalf("alert still firing after bad tick rolled out: %+v", e.Status().Objectives[0])
 	}
 }
@@ -135,7 +135,6 @@ func TestEngineDeterministicJSON(t *testing.T) {
 						e.WriteJSON(&b)
 						e.WriteMetrics(&b)
 						e.Status()
-						e.Alerting()
 					}
 				}()
 			}

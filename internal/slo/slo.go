@@ -120,8 +120,8 @@ type Spec struct {
 	Objectives []Objective `json:"objectives"`
 }
 
-// Validate rejects impossible specs before any evaluation.
-func (s *Spec) Validate() error {
+// validate rejects impossible specs before any evaluation.
+func (s *Spec) validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("slo: spec has no name")
 	}
@@ -169,13 +169,13 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// ParseSpec parses and validates a JSON spec.
-func ParseSpec(data []byte) (*Spec, error) {
+// parseSpec parses and validates a JSON spec.
+func parseSpec(data []byte) (*Spec, error) {
 	var s Spec
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("slo: parse spec: %w", err)
 	}
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
@@ -187,7 +187,7 @@ func LoadSpec(path string) (*Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("slo: read spec: %w", err)
 	}
-	s, err := ParseSpec(data)
+	s, err := parseSpec(data)
 	if err != nil {
 		return nil, fmt.Errorf("slo: %s: %w", path, err)
 	}

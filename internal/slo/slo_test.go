@@ -51,7 +51,7 @@ func fixtureSpec() *Spec {
 }
 
 func TestSpecValidate(t *testing.T) {
-	if err := DefaultSpec().Validate(); err != nil {
+	if err := DefaultSpec().validate(); err != nil {
 		t.Fatalf("default spec invalid: %v", err)
 	}
 	bad := []Spec{
@@ -67,7 +67,7 @@ func TestSpecValidate(t *testing.T) {
 		{Name: "x", Windows: Windows{FastShortS: 600, FastLongS: 300}, Objectives: []Objective{{Name: "a", Kind: KindAvailability, Target: 0.9, WindowS: 60}}},
 	}
 	for i, s := range bad {
-		if err := s.Validate(); err == nil {
+		if err := s.validate(); err == nil {
 			t.Errorf("bad spec %d validated clean", i)
 		}
 	}
@@ -141,17 +141,17 @@ func TestParseSpecRoundTrip(t *testing.T) {
     {"name": "a", "kind": "availability", "target": 0.99, "window_s": 60}
   ]
 }`)
-	s, err := ParseSpec(data)
+	s, err := parseSpec(data)
 	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
+		t.Fatalf("parseSpec: %v", err)
 	}
 	if s.Windows.FastBurn != 5 || s.Objectives[0].Target != 0.99 {
 		t.Fatalf("parsed spec = %+v", s)
 	}
-	if _, err := ParseSpec([]byte("{")); err == nil {
+	if _, err := parseSpec([]byte("{")); err == nil {
 		t.Fatal("malformed JSON parsed clean")
 	}
-	if _, err := ParseSpec([]byte(`{"name":"x","objectives":[]}`)); err == nil {
+	if _, err := parseSpec([]byte(`{"name":"x","objectives":[]}`)); err == nil {
 		t.Fatal("empty objectives validated clean")
 	}
 }
@@ -216,25 +216,25 @@ func TestDefaultSpecEndpointsExist(t *testing.T) {
 	}
 }
 
-// FuzzParseSpec: ParseSpec never panics, and a spec it accepts passes
-// Validate and parses again, to the same JSON, after a round trip
+// FuzzParseSpec: parseSpec never panics, and a spec it accepts passes
+// validate and parses again, to the same JSON, after a round trip
 // through json.Marshal. The committed seeds (testdata/fuzz/FuzzParseSpec)
 // are scripts/slo-smoke.json, its first half and a copy with a negative
 // window.
 func FuzzParseSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ParseSpec(data)
+		s, err := parseSpec(data)
 		if err != nil {
 			return
 		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("ParseSpec accepted a spec Validate refuses: %v", err)
+		if err := s.validate(); err != nil {
+			t.Fatalf("parseSpec accepted a spec validate refuses: %v", err)
 		}
 		out, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := ParseSpec(out)
+		again, err := parseSpec(out)
 		if err != nil {
 			t.Fatalf("an accepted spec does not parse again: %v\n%s", err, out)
 		}

@@ -1,18 +1,14 @@
 // Package stats provides the descriptive statistics used by the paper's
 // privacy analysis (§7.4): Shannon entropy and normalized entropy of
 // collected attributes (Table 7), anonymity-set analysis of full
-// fingerprints (Figure 5), plus the summary helpers (mean, std, quantiles)
-// other packages share.
+// fingerprints (Figure 5), and the normalized standard deviation of a
+// feature (§6.1).
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
-// Mean returns the arithmetic mean; 0 for empty input.
-func Mean(xs []float64) float64 {
+// mean returns the arithmetic mean; 0 for empty input.
+func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -23,13 +19,13 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Std returns the population standard deviation; 0 for fewer than two
+// std returns the population standard deviation; 0 for fewer than two
 // values.
-func Std(xs []float64) float64 {
+func std(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
-	m := Mean(xs)
+	m := mean(xs)
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
@@ -38,41 +34,17 @@ func Std(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// NormalizedStd returns Std/|Mean|, the coefficient of variation the paper
+// NormalizedStd returns std/|mean|, the coefficient of variation the paper
 // uses to rank deviation-based candidate features ("the normalized
 // standard deviation of the selected features ranges from 0.0012 to
-// 1.3853", §6.1). A zero mean yields the raw Std.
+// 1.3853", §6.1). A zero mean yields the raw std.
 func NormalizedStd(xs []float64) float64 {
-	m := math.Abs(Mean(xs))
-	sd := Std(xs)
+	m := math.Abs(mean(xs))
+	sd := std(xs)
 	if m == 0 {
 		return sd
 	}
 	return sd / m
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation
-// on the sorted copy of xs. It panics on empty input or q outside [0,1].
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: Quantile with q=%v", q))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Entropy returns the Shannon entropy (bits) of the empirical distribution
@@ -120,7 +92,7 @@ type AnonymityBucket struct {
 // Figure 5 buckets, what share of observations belong to anonymity sets of
 // each size. The default buckets mirror the figure: 1, 2–10, 11–50, >50.
 func AnonymitySets[T comparable](keys []T) []AnonymityBucket {
-	return AnonymitySetsWithBuckets(keys, []AnonymityBucket{
+	return anonymitySetsWithBuckets(keys, []AnonymityBucket{
 		{Label: "1 (unique)", MinSize: 1, MaxSize: 1},
 		{Label: "2-10", MinSize: 2, MaxSize: 10},
 		{Label: "11-50", MinSize: 11, MaxSize: 50},
@@ -128,10 +100,10 @@ func AnonymitySets[T comparable](keys []T) []AnonymityBucket {
 	})
 }
 
-// AnonymitySetsWithBuckets is AnonymitySets with caller-provided buckets.
+// anonymitySetsWithBuckets is AnonymitySets with caller-provided buckets.
 // Buckets must be disjoint; observations whose set size matches no bucket
 // are dropped from the report.
-func AnonymitySetsWithBuckets[T comparable](keys []T, buckets []AnonymityBucket) []AnonymityBucket {
+func anonymitySetsWithBuckets[T comparable](keys []T, buckets []AnonymityBucket) []AnonymityBucket {
 	out := append([]AnonymityBucket(nil), buckets...)
 	if len(keys) == 0 {
 		return out

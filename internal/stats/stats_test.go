@@ -9,19 +9,19 @@ import (
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
+	if mean(nil) != 0 {
 		t.Fatal("mean of empty != 0")
 	}
-	if Mean([]float64{1, 2, 3}) != 2 {
+	if mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("mean wrong")
 	}
 }
 
 func TestStd(t *testing.T) {
-	if Std([]float64{5}) != 0 {
+	if std([]float64{5}) != 0 {
 		t.Fatal("std of singleton != 0")
 	}
-	got := Std([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	got := std([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if !approx(got, 2, 1e-12) {
 		t.Fatalf("std = %v, want 2", got)
 	}
@@ -29,48 +29,15 @@ func TestStd(t *testing.T) {
 
 func TestNormalizedStd(t *testing.T) {
 	xs := []float64{10, 20, 30}
-	want := Std(xs) / 20
+	want := std(xs) / 20
 	if got := NormalizedStd(xs); !approx(got, want, 1e-12) {
 		t.Fatalf("normalized std = %v want %v", got, want)
 	}
 	// Zero mean falls back to raw std.
 	zs := []float64{-1, 1}
-	if got := NormalizedStd(zs); !approx(got, Std(zs), 1e-12) {
+	if got := NormalizedStd(zs); !approx(got, std(zs), 1e-12) {
 		t.Fatalf("zero-mean normalized std = %v", got)
 	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !approx(got, c.want, 1e-12) {
-			t.Fatalf("q=%v: got %v want %v", c.q, got, c.want)
-		}
-	}
-	if got := Quantile([]float64{7}, 0.3); got != 7 {
-		t.Fatalf("singleton quantile = %v", got)
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for empty quantile")
-		}
-	}()
-	Quantile(nil, 0.5)
-}
-
-func TestQuantileBadQPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for q>1")
-		}
-	}()
-	Quantile([]float64{1}, 1.5)
 }
 
 func TestEntropyUniform(t *testing.T) {

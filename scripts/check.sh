@@ -4,7 +4,10 @@
 # Runs the gofmt gate, the tier-1 build+test pass (what CI and the
 # roadmap call "tier-1 green"), vet — of this module and of the
 # benchmark module under bench/, whose seam.go pins the symbols the
-# benchmark calls — the one-ingest-core, one-class-key, explanations-are-derived,
+# benchmark calls — the dead-API census (scripts/deadapi: no exported
+# function or method in internal/ that only tests, or only its own
+# package, use, and no unused package-level constant or variable,
+# save its allowlist), the one-ingest-core, one-class-key, explanations-are-derived,
 # one-re-derivation, one-use-of-unsafe, one-daemon-wiring,
 # the-daemon-does-not-train, one-segment-writer,
 # one-evidence-path, one-scoring-surface, one-frame-decoder, per-row-kernel
@@ -38,7 +41,8 @@ echo "== go build ./..."
 go build ./...
 
 # ./... includes scripts/pairstat, the reader behind scripts/pair.sh's
-# paired A/B table; the script itself is checked for syntax.
+# paired A/B table (the script itself is checked for syntax), and
+# scripts/deadapi, the census below.
 echo "== go vet ./..."
 go vet ./...
 sh -n scripts/pair.sh
@@ -49,6 +53,17 @@ sh -n scripts/pair.sh
 # bench/run.sh builds it, and writes nothing into the tree.
 echo "== go vet (bench module)"
 (cd bench && GOFLAGS=-mod=mod GOWORK=off go vet .)
+
+# A census, not a grep: scripts/deadapi type-checks this module and the
+# bench module and records every use of every name. An exported function
+# or method in internal/ that no non-test code uses is to be deleted,
+# one that only its own package uses is to be unexported, and a
+# package-level constant or variable that nothing reads, tests included,
+# is to be deleted. Satisfying an interface and being a method of a type
+# polygraph.go aliases count as uses. scripts/deadapi/allowlist.txt names
+# each exception with a reason, and an entry that matches nothing fails.
+echo "== dead API census"
+go run ./scripts/deadapi
 
 # One ingest core: every route's payload enters the model as class bytes
 # through one call (ScoreClass), and the drift sample happens once, both
@@ -195,7 +210,7 @@ callers=$(awk '/^func / { f = $0 } /\.UnmarshalClassBorrowed\(/ { print f }' int
 # has a fixed set of non-test call sites and an edit that brings back an
 # all-rows loop shows up here as one more. nearestCentroid:
 # grouped.refresh (per table row) and Model.Predict (one vector).
-# scoreRows: ScoreAll, which Outliers runs on the table.
+# scoreRows: scoreAll, which Outliers runs on the table.
 # pathLength: scoreRows, the one walk of the forest's node array.
 # projectInto: Transform, which training runs on the table, and
 # TransformVec (one vector, for the experiments).
