@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		maxP99        = fs.Duration("max-p99", 0, "fail when any endpoint's overall p99 exceeds this (0 = off)")
 		failOnErrors  = fs.Bool("fail-on-errors", false, "fail on any non-2xx response or transport error")
 		ledgerPath    = fs.String("ledger", "", "write the deterministic run ledger (JSON) to this path")
-		noCrossCheck  = fs.Bool("no-crosscheck", false, "skip the /v1/stats and /metrics reconciliation")
+		noCrossCheck  = fs.Bool("no-crosscheck", false, "skip the /metrics reconciliation")
 		metricsOut    = fs.String("metrics-out", "", "dump the first member's /metrics exposition plus the balancer's fleet families to this path after the run")
 		auditDir      = fs.String("audit-dir", "", "enable the decision audit ledger, the one evidence log every flagged verdict goes to, on the in-process replicas; replica r<i> writes to <dir>/r<i>")
 		auditSample   = fs.Int("audit-sample", 1, "record every Nth benign decision in the audit ledger (flagged always recorded)")
@@ -345,8 +345,6 @@ type targetRig struct {
 	rollup   *fleet.SLORollup
 	// features is the feature set the payloads must carry.
 	features []fingerprint.Feature
-	// targets are the members as support-bundle capture targets.
-	targets []bundle.Target
 
 	// In-process only: the trained model, the replicas serving it, and
 	// the first replica's framed listener when the run drives TCP.
@@ -400,7 +398,6 @@ func liveRig(ctx context.Context, sc *loadgen.Scenario, addr string, sloSpec *sl
 		return nil, err
 	}
 	rig.features = fingerprint.Table8()
-	rig.targets = rig.balancer.BundleTargets()
 	rig.serve(ctx)
 	return rig, nil
 }
@@ -493,9 +490,6 @@ func startRig(ctx context.Context, sc *loadgen.Scenario, cfg rigConfig, stderr *
 		}
 		fmt.Fprintf(stderr, "loadgen: fleet: %s %s admitted hash=%s\n", res.Name, res.BaseURL, short12(res.Hash))
 	}
-	for _, r := range replicas {
-		rig.targets = append(rig.targets, r.BundleTarget())
-	}
 	rig.model, rig.features, rig.replicas = model, model.Features, replicas
 	rig.tcpAddr = replicas[0].TCPAddr()
 	rig.serve(ctx)
@@ -534,7 +528,7 @@ func (rig *targetRig) dumpMetrics(ctx context.Context, path string) error {
 func (rig *targetRig) captureBundle(ctx context.Context, path string) error {
 	_, err := bundle.CaptureFile(ctx, path, bundle.Options{
 		Tool:         obs.Version("loadgen").String(),
-		Targets:      rig.targets,
+		Targets:      rig.balancer.BundleTargets(),
 		FleetMetrics: rig.balancer.WriteMetrics,
 	})
 	return err

@@ -75,7 +75,7 @@ func runBundleCapture(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, "%v", err)
 		}
 		for _, m := range members {
-			targets = append(targets, m.BundleTarget(nil))
+			targets = append(targets, m.BundleTarget())
 		}
 	}
 

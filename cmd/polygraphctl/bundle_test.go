@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -36,7 +39,6 @@ func healthyServerWith(t *testing.T, duringMetrics func()) string {
 		duringMetrics()
 		w.Write(metrics.Bytes())
 	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("{}")) })
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("[]")) })
 	mux.HandleFunc("/debug/decisions", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("[]")) })
 	modelInfo := func(w http.ResponseWriter, r *http.Request) { w.Write([]byte(`{"hash":"cafe"}`)) }
@@ -167,17 +169,31 @@ func writeFaultyBundle(t *testing.T) string {
 	slow.Buckets[20] = 1 // upper bound 2^20us ≈ 1.05s >> the 100ms budget
 	obs.FamScoreDuration.WriteHistogram(&metrics, []obs.HistogramSeries{slow})
 
-	b := bundle.NewBuilder(time.Unix(1_700_000_000, 0))
-	b.Target("r0", "http://r0").Add(bundle.ArtifactMetrics, bundle.KindMetrics, metrics.Bytes())
-	path := filepath.Join(t.TempDir(), "faulty.tgz")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	return captureBundle(t, "", metricsTarget("r0", metrics.String()))
+}
+
+// metricsTarget is a capture target whose /metrics page is metrics;
+// every other path fails, and the capture records the gap.
+func metricsTarget(name, metrics string) bundle.Target {
+	return bundle.Target{Name: name, BaseURL: "http://" + name, Fetch: func(_ context.Context, path string) ([]byte, error) {
+		if path != "/metrics" {
+			return nil, fmt.Errorf("GET %s: 404", path)
+		}
+		return []byte(metrics), nil
+	}}
+}
+
+// captureBundle captures targets at a fixed instant, with fleetMetrics
+// (when not "") as the balancer's exposition, and returns the bundle's
+// path.
+func captureBundle(t *testing.T, fleetMetrics string, targets ...bundle.Target) string {
+	t.Helper()
+	opts := bundle.Options{Targets: targets, SkipPprof: true, Now: time.Unix(1_700_000_000, 0)}
+	if fleetMetrics != "" {
+		opts.FleetMetrics = func(w io.Writer) { io.WriteString(w, fleetMetrics) }
 	}
-	if _, err := b.Write(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "bundle.tgz")
+	if _, err := bundle.CaptureFile(context.Background(), path, opts); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -6,9 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
-
-	"polygraph/internal/bundle"
 )
 
 const healthyExpo = `# HELP polygraph_collections_total c
@@ -99,27 +96,9 @@ func TestSLOCustomSpec(t *testing.T) {
 // TestRunBundle pins the fleet semantics: per-target evaluation, the
 // summed fleet view, and the fleet-level alert gauge all gate.
 func TestSLOBundle(t *testing.T) {
-	buildBundle := func(t *testing.T, fn func(b *bundle.Builder)) string {
-		t.Helper()
-		b := bundle.NewBuilder(time.Unix(1700000000, 0))
-		fn(b)
-		var buf bytes.Buffer
-		if _, err := b.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "bundle.tgz")
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
 	// Healthy two-replica fleet.
 	var out, errb bytes.Buffer
-	clean := buildBundle(t, func(b *bundle.Builder) {
-		b.Target("r0", "http://r0").Add(bundle.ArtifactMetrics, bundle.KindMetrics, []byte(healthyExpo))
-		b.Target("r1", "http://r1").Add(bundle.ArtifactMetrics, bundle.KindMetrics, []byte(healthyExpo))
-	})
+	clean := captureBundle(t, "", metricsTarget("r0", healthyExpo), metricsTarget("r1", healthyExpo))
 	if code := run([]string{"slo", clean}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d for healthy fleet bundle\n%s%s", code, out.String(), errb.String())
 	}
@@ -131,10 +110,7 @@ func TestSLOBundle(t *testing.T) {
 
 	// One breached replica fails both its own view and the fleet sum.
 	out.Reset()
-	mixed := buildBundle(t, func(b *bundle.Builder) {
-		b.Target("r0", "http://r0").Add(bundle.ArtifactMetrics, bundle.KindMetrics, []byte(healthyExpo))
-		b.Target("r1", "http://r1").Add(bundle.ArtifactMetrics, bundle.KindMetrics, []byte(breachedExpo))
-	})
+	mixed := captureBundle(t, "", metricsTarget("r0", healthyExpo), metricsTarget("r1", breachedExpo))
 	if code := run([]string{"slo", mixed}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d for mixed fleet bundle, want 1\n%s", code, out.String())
 	}
@@ -145,13 +121,10 @@ func TestSLOBundle(t *testing.T) {
 
 	// A fleet-level alert gauge in the balancer exposition gates too.
 	out.Reset()
-	fleetAlert := buildBundle(t, func(b *bundle.Builder) {
-		b.Target("r0", "http://r0").Add(bundle.ArtifactMetrics, bundle.KindMetrics, []byte(healthyExpo))
-		b.AddFile(bundle.FleetMetricsFile, bundle.KindMetrics, []byte(`# HELP polygraph_fleet_slo_alert a
+	fleetAlert := captureBundle(t, `# HELP polygraph_fleet_slo_alert a
 # TYPE polygraph_fleet_slo_alert gauge
 polygraph_fleet_slo_alert{objective="ingest-availability"} 1
-`))
-	})
+`, metricsTarget("r0", healthyExpo))
 	if code := run([]string{"slo", fleetAlert}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d for fleet-alert bundle, want 1\n%s", code, out.String())
 	}

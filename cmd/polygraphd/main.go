@@ -205,10 +205,17 @@ loop:
 			break loop
 		}
 	}
-	stats := replica.Stats()
+	// A replica that never got a model has no /metrics page: the empty
+	// page reads zero for every count.
+	page, _ := replica.Member().FetchMetrics(context.Background(), nil)
+	ex := obs.ParseExpositionString(page)
+	avg, dur := 0.0, obs.FamScoreDuration.Name
+	if n := ex.Sum(dur + "_count"); n > 0 {
+		avg = ex.Sum(dur+"_sum") / n
+	}
 	logger.Info("served",
-		"collections", stats.Received, "flagged", stats.Flagged, "rejected", stats.Rejected,
-		"avg_score_us", fmt.Sprintf("%.1f", stats.AvgScoreUs))
+		"collections", int64(ex.Sum(obs.FamCollections.Name)), "flagged", int64(ex.Sum(obs.FamFlagged.Name)),
+		"rejected", int64(ex.Sum(obs.FamRejected.Name)), "avg_score_us", fmt.Sprintf("%.1f", avg))
 }
 
 // printVersion writes the build line and, when the replica will load its

@@ -2,6 +2,7 @@ package polygraph_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -202,7 +203,7 @@ func ExampleDriftDetector() {
 // ExampleNewServer runs the deployment loop in one process: the
 // collection/scoring HTTP service, the script a page embeds, and a burst
 // of honest and fraud-browser sessions replayed by eight concurrent
-// clients, read back from the service's counters.
+// clients, tallied from the verdicts the service answers.
 func ExampleNewServer() {
 	traffic, model := trainDetector(false)
 	srv, err := polygraph.NewServer(collect.Config{Model: model})
@@ -220,6 +221,11 @@ func ExampleNewServer() {
 	fmt.Printf("collection script: %d bytes of JavaScript, %d probes\n", len(script), model.Dim())
 
 	const workers, perWorker = 8, 250
+	type tally struct {
+		scored, flagged, rejected int
+		maxElapsedUs              int64
+	}
+	tallies := make([]tally, workers)
 	var wg sync.WaitGroup
 	tool, _ := fraud.ToolByName("GoLogin-3.3.23")
 	for w := 0; w < workers; w++ {
@@ -228,6 +234,7 @@ func ExampleNewServer() {
 			defer wg.Done()
 			gen := rng.New(uint64(1000 + w))
 			c := polygraph.NewClient(ts.URL)
+			t := &tallies[w]
 			for i := 0; i < perWorker; i++ {
 				fraudulent := gen.Bool(0.02)
 				claimed := ua.Release{Vendor: ua.Chrome, Version: 110 + gen.Intn(5)}
@@ -240,21 +247,35 @@ func ExampleNewServer() {
 					UserAgent: ua.UserAgent(claimed, ua.Windows10),
 					Values:    fingerprint.VectorToValues(traffic.Extractor.Extract(profile)),
 				}
-				if _, err := c.Submit(context.Background(), payload); err != nil {
+				dec, err := c.Submit(context.Background(), payload)
+				var reject *collect.ClientError
+				switch {
+				case errors.As(err, &reject) && reject.Kind == collect.FailStatus:
+					t.rejected++
+				case err != nil:
 					log.Fatal(err)
+				default:
+					t.scored++
+					if dec.Flagged {
+						t.flagged++
+					}
+					t.maxElapsedUs = max(t.maxElapsedUs, dec.ElapsedMicros)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	stats, err := client.FetchStats(context.Background())
-	if err != nil {
-		log.Fatal(err)
+	var sum tally
+	for _, t := range tallies {
+		sum.scored += t.scored
+		sum.flagged += t.flagged
+		sum.rejected += t.rejected
+		sum.maxElapsedUs = max(sum.maxElapsedUs, t.maxElapsedUs)
 	}
 	fmt.Printf("replayed %d sessions over HTTP: %d flagged, %d rejected\n",
-		stats.Received, stats.Flagged, stats.Rejected)
-	fmt.Println("slowest score within the 100 ms budget:", stats.MaxScoreUs < 100_000)
+		sum.scored, sum.flagged, sum.rejected)
+	fmt.Println("slowest score within the 100 ms budget:", sum.maxElapsedUs < 100_000)
 	// Output:
 	// collection script: 2694 bytes of JavaScript, 28 probes
 	// replayed 2000 sessions over HTTP: 56 flagged, 0 rejected

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"polygraph/internal/obs"
 	"polygraph/internal/seglog"
 )
 
@@ -387,5 +388,5 @@ func BenchmarkLedgerAppendSlowDisk(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	b.ReportMetric(float64(l.FlushMetrics().Durations.Sum().Nanoseconds())/float64(b.N), "flush-ns/op")
+	b.ReportMetric(obs.HistogramSnapshot("", l.FlushMetrics().Durations).SumUs*1e3/float64(b.N), "flush-ns/op")
 }

@@ -50,10 +50,10 @@ func metricsText(o metricsOpts) []byte {
 
 // seedTarget adds one replica with the standard artifact set.
 func seedTarget(b *Builder, name, hash string, o metricsOpts) {
-	tw := b.Target(name, "http://"+name)
-	tw.Add(ArtifactMetrics, KindMetrics, metricsText(o))
-	tw.Add(ArtifactModelInfo, KindModelInfo, []byte(`{"hash":"`+hash+`","features":4,"clusters":8}`))
-	tw.Add(ArtifactTraces, KindTraces, []byte("[]"))
+	tw := b.target(name, "http://"+name)
+	tw.add(ArtifactMetrics, KindMetrics, metricsText(o))
+	tw.add(ArtifactModelInfo, KindModelInfo, []byte(`{"hash":"`+hash+`","features":4,"clusters":8}`))
+	tw.add(ArtifactTraces, KindTraces, []byte("[]"))
 }
 
 func analyzeBundle(t *testing.T, fn func(b *Builder)) []Finding {
@@ -216,7 +216,7 @@ func TestAnalyzeFleetHealth(t *testing.T) {
 	// One ejected replica with others healthy: warn.
 	warn := analyzeBundle(t, func(b *Builder) {
 		seedTarget(b, "r0", hashA, healthyOpts())
-		b.AddFile(FleetMetricsFile, KindMetrics, fleetMetrics(2, 1))
+		b.addFile(FleetMetricsFile, KindMetrics, fleetMetrics(2, 1))
 	})
 	wantSeverity(t, warn, RuleFleetHealth, SeverityWarn)
 	if hasFailure(warn) {
@@ -225,7 +225,7 @@ func TestAnalyzeFleetHealth(t *testing.T) {
 	// Nothing healthy left: fail.
 	fail := analyzeBundle(t, func(b *Builder) {
 		seedTarget(b, "r0", hashA, healthyOpts())
-		b.AddFile(FleetMetricsFile, KindMetrics, fleetMetrics(0, 3))
+		b.addFile(FleetMetricsFile, KindMetrics, fleetMetrics(0, 3))
 	})
 	wantSeverity(t, fail, RuleFleetHealth, SeverityFail)
 }
@@ -233,7 +233,7 @@ func TestAnalyzeFleetHealth(t *testing.T) {
 func TestAnalyzeChecksumAndCollectErrors(t *testing.T) {
 	bb, _ := build(t, func(b *Builder) {
 		seedTarget(b, "r0", hashA, healthyOpts())
-		b.Target("r1", "http://r1").addError(ArtifactMetrics, errTest)
+		b.target("r1", "http://r1").addError(ArtifactMetrics, errTest)
 	})
 	// Tamper with an artifact after capture.
 	bb.Files["targets/r0/"+ArtifactMetrics] = append(bb.Files["targets/r0/"+ArtifactMetrics], "tampered\n"...)
@@ -250,7 +250,7 @@ func TestAnalyzeChecksumAndCollectErrors(t *testing.T) {
 func TestAnalyzePromlintRule(t *testing.T) {
 	findings := analyzeBundle(t, func(b *Builder) {
 		// A sample without HELP/TYPE headers trips the linter.
-		b.Target("r0", "").Add(ArtifactMetrics, KindMetrics,
+		b.target("r0", "").add(ArtifactMetrics, KindMetrics,
 			[]byte("polygraph_headerless_total 1\n"))
 	})
 	wantSeverity(t, findings, RulePromlint, SeverityFail)
@@ -295,8 +295,8 @@ func TestAnalyzeSLOAlertGaugeFault(t *testing.T) {
 polygraph_slo_alert{objective="collect-latency"} 1
 `)...)
 	findings := analyzeBundle(t, func(b *Builder) {
-		tw := b.Target("r0", "http://r0")
-		tw.Add(ArtifactMetrics, KindMetrics, withAlert)
+		tw := b.target("r0", "http://r0")
+		tw.add(ArtifactMetrics, KindMetrics, withAlert)
 	})
 	f := wantSeverity(t, findings, RuleSLO, SeverityFail)
 	if !strings.Contains(f.Detail, "alert firing") {
@@ -306,7 +306,7 @@ polygraph_slo_alert{objective="collect-latency"} 1
 	// Same for the fleet-level gauge in the balancer exposition.
 	fleet := analyzeBundle(t, func(b *Builder) {
 		seedTarget(b, "r0", hashA, healthyOpts())
-		b.AddFile(FleetMetricsFile, KindMetrics, []byte(`# HELP polygraph_fleet_slo_alert a
+		b.addFile(FleetMetricsFile, KindMetrics, []byte(`# HELP polygraph_fleet_slo_alert a
 # TYPE polygraph_fleet_slo_alert gauge
 polygraph_fleet_slo_alert{objective="ingest-availability"} 1
 `))

@@ -36,7 +36,6 @@ const (
 	KindTraces    = "traces"
 	KindDecisions = "decisions"
 	KindModelInfo = "model-info"
-	KindStats     = "stats"
 	KindHealth    = "health"
 	KindExpvar    = "expvar"
 	KindPprof     = "pprof"
@@ -118,19 +117,19 @@ type Builder struct {
 	data     map[string][]byte
 }
 
-// NewBuilder starts a bundle captured at the given instant (the only
+// newBuilder starts a bundle captured at the given instant (the only
 // wall-clock input; everything else about the tar stream is a pure
 // function of the added content, which keeps bundles byte-reproducible
 // for tests).
-func NewBuilder(capturedAt time.Time) *Builder {
+func newBuilder(capturedAt time.Time) *Builder {
 	return &Builder{
 		manifest: Manifest{FormatVersion: FormatVersion, CapturedAtNs: capturedAt.UnixNano(), Redacted: true},
 		data:     map[string][]byte{},
 	}
 }
 
-// Target adds (or returns) a capture target.
-func (b *Builder) Target(name, baseURL string) *TargetWriter {
+// target adds (or returns) a capture target.
+func (b *Builder) target(name, baseURL string) *TargetWriter {
 	name = SanitizeName(name)
 	for i := range b.manifest.Targets {
 		if b.manifest.Targets[i].Name == name {
@@ -141,8 +140,8 @@ func (b *Builder) Target(name, baseURL string) *TargetWriter {
 	return &TargetWriter{b: b, idx: len(b.manifest.Targets) - 1}
 }
 
-// AddFile stores a run-level artifact under files/<name>.
-func (b *Builder) AddFile(name, kind string, data []byte) {
+// addFile stores a run-level artifact under files/<name>.
+func (b *Builder) addFile(name, kind string, data []byte) {
 	name = path.Base(name)
 	b.manifest.Files = append(b.manifest.Files, b.add("files/"+name, name, kind, data))
 }
@@ -167,8 +166,8 @@ type TargetWriter struct {
 	idx int
 }
 
-// Add stores one artifact under targets/<target>/<name>.
-func (t *TargetWriter) Add(name, kind string, data []byte) {
+// add stores one artifact under targets/<target>/<name>.
+func (t *TargetWriter) add(name, kind string, data []byte) {
 	tm := &t.b.manifest.Targets[t.idx]
 	tm.Artifacts = append(tm.Artifacts, t.b.add("targets/"+tm.Name+"/"+name, name, kind, data))
 }
@@ -180,11 +179,11 @@ func (t *TargetWriter) addError(artifact string, err error) {
 	tm.Errors = append(tm.Errors, CollectError{Artifact: artifact, Err: err.Error()})
 }
 
-// Write writes the finished tar.gz: manifest.json first, then every
+// write writes the finished tar.gz: manifest.json first, then every
 // artifact in insertion order. Headers carry only the capture mtime and
 // a fixed mode, so the byte stream is deterministic for a given
 // capture.
-func (b *Builder) Write(w io.Writer) (*Manifest, error) {
+func (b *Builder) write(w io.Writer) (*Manifest, error) {
 	gz := gzip.NewWriter(w)
 	tw := tar.NewWriter(gz)
 	mtime := time.Unix(0, b.manifest.CapturedAtNs).UTC().Truncate(time.Second)

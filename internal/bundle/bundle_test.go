@@ -15,10 +15,10 @@ var captureInstant = time.Unix(1_700_000_000, 123_456_789)
 // build writes a bundle through fn and reads it back.
 func build(t *testing.T, fn func(b *Builder)) (*Bundle, []byte) {
 	t.Helper()
-	b := NewBuilder(captureInstant)
+	b := newBuilder(captureInstant)
 	fn(b)
 	var buf bytes.Buffer
-	if _, err := b.Write(&buf); err != nil {
+	if _, err := b.write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	bb, err := Read(bytes.NewReader(buf.Bytes()))
@@ -31,11 +31,11 @@ func build(t *testing.T, fn func(b *Builder)) (*Bundle, []byte) {
 func TestBundleRoundTrip(t *testing.T) {
 	bb, _ := build(t, func(b *Builder) {
 		b.manifest.Tool = "test v1"
-		tw := b.Target("r0", "http://127.0.0.1:1")
-		tw.Add(ArtifactMetrics, KindMetrics, []byte("polygraph_collections_total 1\n"))
-		tw.Add(ArtifactTraces, KindTraces, []byte("[]"))
+		tw := b.target("r0", "http://127.0.0.1:1")
+		tw.add(ArtifactMetrics, KindMetrics, []byte("polygraph_collections_total 1\n"))
+		tw.add(ArtifactTraces, KindTraces, []byte("[]"))
 		tw.addError(ArtifactPprofCPU, errTest)
-		b.AddFile("bench.json", KindFile, []byte("{}"))
+		b.addFile("bench.json", KindFile, []byte("{}"))
 		b.addError("missing.json", errTest)
 	})
 
@@ -82,10 +82,10 @@ func (e errFixed) Error() string { return string(e) }
 func TestBundleDeterministicBytes(t *testing.T) {
 	fill := func(b *Builder) {
 		b.manifest.Tool = "test v1"
-		tw := b.Target("r0", "http://x")
-		tw.Add(ArtifactMetrics, KindMetrics, []byte("m 1\n"))
-		tw.Add(ArtifactStats, KindStats, []byte("{}"))
-		b.AddFile("config.json", KindConfig, []byte("{}"))
+		tw := b.target("r0", "http://x")
+		tw.add(ArtifactMetrics, KindMetrics, []byte("m 1\n"))
+		tw.add(ArtifactTraces, KindTraces, []byte("[]"))
+		b.addFile("config.json", KindConfig, []byte("{}"))
 	}
 	_, first := build(t, fill)
 	_, second := build(t, fill)
@@ -96,7 +96,7 @@ func TestBundleDeterministicBytes(t *testing.T) {
 
 func TestBundleManifestIsFirstEntry(t *testing.T) {
 	_, raw := build(t, func(b *Builder) {
-		b.Target("r0", "").Add(ArtifactMetrics, KindMetrics, []byte("m 1\n"))
+		b.target("r0", "").add(ArtifactMetrics, KindMetrics, []byte("m 1\n"))
 	})
 	// The gzip stream must start with the manifest entry so `tar tzf`
 	// and streaming readers see the table of contents first.
@@ -124,8 +124,8 @@ func TestSanitizeName(t *testing.T) {
 
 func TestTargetDedup(t *testing.T) {
 	bb, _ := build(t, func(b *Builder) {
-		b.Target("r0", "http://x").Add(ArtifactMetrics, KindMetrics, []byte("m 1\n"))
-		b.Target("r0", "ignored").Add(ArtifactStats, KindStats, []byte("{}"))
+		b.target("r0", "http://x").add(ArtifactMetrics, KindMetrics, []byte("m 1\n"))
+		b.target("r0", "ignored").add(ArtifactTraces, KindTraces, []byte("[]"))
 	})
 	if len(bb.Manifest.Targets) != 1 {
 		t.Fatalf("targets %+v, want one deduped entry", bb.Manifest.Targets)
@@ -141,10 +141,10 @@ func TestReadRejectsBadBundles(t *testing.T) {
 	}
 	// A bundle claiming a newer format must be refused, not
 	// misinterpreted.
-	b := NewBuilder(captureInstant)
+	b := newBuilder(captureInstant)
 	b.manifest.FormatVersion = FormatVersion + 1
 	var buf bytes.Buffer
-	if _, err := b.Write(&buf); err != nil {
+	if _, err := b.write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Read(bytes.NewReader(buf.Bytes())); err == nil ||

@@ -19,7 +19,6 @@ import (
 // analyzers read them, so they live next to the format.
 const (
 	ArtifactMetrics   = "metrics.txt"
-	ArtifactStats     = "stats.json"
 	ArtifactTraces    = "traces.json"
 	ArtifactDecisions = "decisions.json"
 	ArtifactModelInfo = "model-info.json"
@@ -52,8 +51,8 @@ type Target struct {
 	// BaseURL (polygraphd's -debug-addr); "" uses BaseURL.
 	DebugURL string
 	// Fetch overrides HTTP entirely: given a request path it returns
-	// the response body. In-process rigs (serving.Replica.BundleTarget)
-	// use it so a capture needs no listener at all.
+	// the response body. In-process replicas (a serving.Replica's
+	// fleet.Member) set it so a capture needs no listener at all.
 	Fetch func(ctx context.Context, path string) ([]byte, error)
 }
 
@@ -107,7 +106,7 @@ func Capture(ctx context.Context, w io.Writer, opts Options) (*Manifest, error) 
 		recent = 256
 	}
 
-	b := NewBuilder(now)
+	b := newBuilder(now)
 	b.manifest.Tool, b.manifest.Redacted = opts.Tool, !opts.NoRedact
 
 	for _, t := range opts.Targets {
@@ -117,14 +116,14 @@ func Capture(ctx context.Context, w io.Writer, opts Options) (*Manifest, error) 
 	if opts.FleetMetrics != nil {
 		var buf bytes.Buffer
 		opts.FleetMetrics(&buf)
-		b.AddFile(FleetMetricsFile, KindMetrics, buf.Bytes())
+		b.addFile(FleetMetricsFile, KindMetrics, buf.Bytes())
 	}
 	if opts.Config != nil {
 		data, err := json.MarshalIndent(opts.Config, "", "  ")
 		if err != nil {
 			b.addError(ConfigFile, err)
 		} else {
-			b.AddFile(ConfigFile, KindConfig, append(data, '\n'))
+			b.addFile(ConfigFile, KindConfig, append(data, '\n'))
 		}
 	}
 	for _, f := range opts.Files {
@@ -133,10 +132,10 @@ func Capture(ctx context.Context, w io.Writer, opts Options) (*Manifest, error) 
 			b.addError(filepath.Base(f), err)
 			continue
 		}
-		b.AddFile(filepath.Base(f), KindFile, data)
+		b.addFile(filepath.Base(f), KindFile, data)
 	}
 
-	return b.Write(w)
+	return b.write(w)
 }
 
 // CaptureFile is Capture into the file at path. Whatever was at path
@@ -177,7 +176,7 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 
 // captureTarget collects one target's artifact set in a fixed order.
 func captureTarget(ctx context.Context, b *Builder, client *http.Client, t Target, opts Options, recent int) {
-	tw := b.Target(t.Name, t.BaseURL)
+	tw := b.target(t.Name, t.BaseURL)
 	fetch := func(path string) ([]byte, error) {
 		if t.Fetch != nil {
 			return t.Fetch(ctx, path)
@@ -197,7 +196,7 @@ func captureTarget(ctx context.Context, b *Builder, client *http.Client, t Targe
 			tw.addError(name, err)
 			return nil
 		}
-		tw.Add(name, kind, data)
+		tw.add(name, kind, data)
 		return data
 	}
 	// grabOptional packs the artifact when the endpoint answers but stays
@@ -205,13 +204,12 @@ func captureTarget(ctx context.Context, b *Builder, client *http.Client, t Targe
 	// SLO engine, and that configuration choice is not a capture failure.
 	grabOptional := func(name, kind, path string) {
 		if data, err := fetch(path); err == nil {
-			tw.Add(name, kind, data)
+			tw.add(name, kind, data)
 		}
 	}
 
 	grab(ArtifactHealth, KindHealth, "/healthz")
 	grab(ArtifactMetrics, KindMetrics, "/metrics")
-	grab(ArtifactStats, KindStats, "/v1/stats")
 	grab(ArtifactTraces, KindTraces, fmt.Sprintf("/debug/traces?n=%d", recent))
 	captureDecisions(tw, fetch, opts.NoRedact, recent)
 	grabOptional(ArtifactSLO, KindSLO, "/debug/slo")
@@ -236,7 +234,7 @@ func captureDecisions(tw *TargetWriter, fetch func(string) ([]byte, error), noRe
 		return
 	}
 	if noRedact {
-		tw.Add(ArtifactDecisions, KindDecisions, data)
+		tw.add(ArtifactDecisions, KindDecisions, data)
 		return
 	}
 	var recs []audit.Record
@@ -249,7 +247,7 @@ func captureDecisions(tw *TargetWriter, fetch func(string) ([]byte, error), noRe
 		tw.addError(ArtifactDecisions, fmt.Errorf("redact: %w", err))
 		return
 	}
-	tw.Add(ArtifactDecisions, KindDecisions, append(out, '\n'))
+	tw.add(ArtifactDecisions, KindDecisions, append(out, '\n'))
 }
 
 // isDebugListenerPath reports whether a path belongs on polygraphd's
@@ -258,9 +256,9 @@ func isDebugListenerPath(path string) bool {
 	return strings.HasPrefix(path, "/debug/pprof/") || strings.HasPrefix(path, "/debug/vars")
 }
 
-// HTTPFetch GETs a URL, requiring a 200 and bounding the body — the
-// transport every HTTP-backed capture target shares (nil client uses
-// http.DefaultClient).
+// HTTPFetch GETs a URL, requiring a 200 and bounding the body — the one
+// GET every HTTP read of a replica's page shares: capture targets and
+// fleet members (nil client uses http.DefaultClient).
 func HTTPFetch(ctx context.Context, client *http.Client, url string) ([]byte, error) {
 	if client == nil {
 		client = http.DefaultClient

@@ -29,9 +29,6 @@ func liveTarget(t *testing.T) string {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Write(metricsText(healthyOpts()))
 	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"collections":100}`))
-	})
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("n") == "" {
 			http.Error(w, "missing n", http.StatusBadRequest)
@@ -102,7 +99,7 @@ func TestCaptureLiveAndDeadTargets(t *testing.T) {
 	if live == nil {
 		t.Fatal("live target missing from manifest")
 	}
-	for _, want := range []string{ArtifactHealth, ArtifactMetrics, ArtifactStats,
+	for _, want := range []string{ArtifactHealth, ArtifactMetrics,
 		ArtifactTraces, ArtifactDecisions, ArtifactModelInfo, ArtifactExpvar} {
 		found := false
 		for _, a := range live.Artifacts {
@@ -126,7 +123,7 @@ func TestCaptureLiveAndDeadTargets(t *testing.T) {
 	if len(dead.Artifacts) != 0 {
 		t.Fatalf("dead target captured artifacts: %+v", dead.Artifacts)
 	}
-	if len(dead.Errors) < 7 {
+	if len(dead.Errors) < 6 {
 		t.Fatalf("dead target recorded %d errors, want one per artifact: %+v",
 			len(dead.Errors), dead.Errors)
 	}

@@ -113,7 +113,6 @@ func (s *Server) handleDebugIndex(w http.ResponseWriter, r *http.Request) {
 <li><a href="/debug/bundle">/debug/bundle</a> — download a support bundle (?pprof_seconds=, ?no-redact=1; serving-replica runtime)</li>
 <li><a href="/debug/slo">/debug/slo</a> — SLO burn-rate status (404 until an engine is attached)</li>
 <li><a href="/metrics">/metrics</a> — Prometheus exposition</li>
-<li><a href="/v1/stats">/v1/stats</a> — serving counters snapshot</li>
 <li><a href="/v1/flagged">/v1/flagged</a> — recent flagged verdicts from the audit ledger (?min_risk=)</li>
 <li><a href="/admin/model/info">/admin/model/info</a> — deployed model provenance (serving-replica runtime)</li>
 <li><a href="/healthz">/healthz</a> — liveness</li>

@@ -265,7 +265,7 @@ func TestDebugIndexPage(t *testing.T) {
 	}
 	for _, want := range []string{
 		"/debug/traces", "/debug/decisions", "/debug/bundle", "/metrics",
-		"/v1/stats", "/v1/flagged", "/admin/model/info", "/debug/pprof/", "/debug/vars", "/healthz",
+		"/v1/flagged", "/admin/model/info", "/debug/pprof/", "/debug/vars", "/healthz",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("index missing %q:\n%s", want, body)

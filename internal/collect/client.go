@@ -113,25 +113,3 @@ func (c *Client) FetchScript(ctx context.Context) (string, error) {
 	}
 	return string(b), nil
 }
-
-// FetchStats downloads the server's monitoring snapshot.
-func (c *Client) FetchStats(ctx context.Context) (Stats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/stats", nil)
-	if err != nil {
-		return Stats{}, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return Stats{}, classify("stats", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Stats{}, &ClientError{Kind: FailStatus, Op: "stats", Status: resp.StatusCode,
-			Err: fmt.Errorf("/v1/stats returned %d", resp.StatusCode)}
-	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return Stats{}, &ClientError{Kind: FailBadFrame, Op: "stats", Err: fmt.Errorf("decode stats: %w", err)}
-	}
-	return st, nil
-}

@@ -157,8 +157,8 @@ func TestTCPCoalescerBatchOfOne(t *testing.T) {
 	if h.Count() != 1 {
 		t.Fatalf("batch count %d, want 1", h.Count())
 	}
-	if h.Max() != time.Microsecond {
-		t.Fatalf("batch-of-one recorded as %v, want 1µs (= 1 frame)", h.Max())
+	if h.Summary().Max != time.Microsecond {
+		t.Fatalf("batch-of-one recorded as %v, want 1µs (= 1 frame)", h.Summary().Max)
 	}
 }
 
@@ -191,8 +191,8 @@ func TestTCPCoalescerExactlyMaxBatch(t *testing.T) {
 	}
 	readReplies(t, conn, tcpMaxBatch)
 	h := &srv.batchHist
-	if h.Count() != 1 || h.Max() != tcpMaxBatch*time.Microsecond {
-		t.Fatalf("after %d-frame burst: %d batches, max %v (want 1 batch of %d)", tcpMaxBatch, h.Count(), h.Max(), tcpMaxBatch)
+	if h.Count() != 1 || h.Summary().Max != tcpMaxBatch*time.Microsecond {
+		t.Fatalf("after %d-frame burst: %d batches, max %v (want 1 batch of %d)", tcpMaxBatch, h.Count(), h.Summary().Max, tcpMaxBatch)
 	}
 
 	// Second burst: one frame over the cap → a full batch, then a batch
@@ -204,8 +204,8 @@ func TestTCPCoalescerExactlyMaxBatch(t *testing.T) {
 	if h.Count() != 3 {
 		t.Fatalf("after %d-frame burst: %d batches recorded, want 3", tcpMaxBatch+1, h.Count())
 	}
-	if h.Max() != tcpMaxBatch*time.Microsecond {
-		t.Fatalf("a batch exceeded tcpMaxBatch: max %v", h.Max())
+	if h.Summary().Max != tcpMaxBatch*time.Microsecond {
+		t.Fatalf("a batch exceeded tcpMaxBatch: max %v", h.Summary().Max)
 	}
 	if got := srv.scored.Load(); got != 2*tcpMaxBatch+1 {
 		t.Fatalf("scored %d frames, want %d", got, 2*tcpMaxBatch+1)

@@ -19,6 +19,7 @@ import (
 	"polygraph/internal/core"
 	"polygraph/internal/dataset"
 	"polygraph/internal/fingerprint"
+	"polygraph/internal/obs"
 	"polygraph/internal/scaler"
 	"polygraph/internal/ua"
 )
@@ -88,16 +89,14 @@ func TestEndToEndHonestAndLying(t *testing.T) {
 		t.Fatalf("session id = %s", dec.SessionID)
 	}
 
-	stats, err := client.FetchStats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Received != 2 || stats.Flagged != 1 {
-		t.Fatalf("stats = %+v", stats)
+	ex := obs.ParseExpositionString(scrapeMetrics(t, ts.URL))
+	if received, flagged := ex.Sum(obs.FamCollections.Name), ex.Sum(obs.FamFlagged.Name); received != 2 || flagged != 1 {
+		t.Fatalf("received %g flagged %g, want 2 and 1", received, flagged)
 	}
 	// The 100 ms budget (§3) with enormous headroom.
-	if stats.AvgScoreUs > 100000 {
-		t.Fatalf("avg scoring latency %v µs exceeds 100 ms", stats.AvgScoreUs)
+	name := obs.FamScoreDuration.Name
+	if avg := ex.Sum(name+"_sum") / ex.Sum(name+"_count"); avg > 100000 {
+		t.Fatalf("avg scoring latency %v µs exceeds 100 ms", avg)
 	}
 }
 
@@ -155,8 +154,8 @@ func TestServerRejectsMalformed(t *testing.T) {
 			t.Fatalf("case %d accepted", i)
 		}
 	}
-	if srv.Snapshot().Rejected != 3 {
-		t.Fatalf("rejected counter = %d", srv.Snapshot().Rejected)
+	if got := obs.ParseExpositionString(srv.MetricsText()).Sum(obs.FamRejected.Name); got != 3 {
+		t.Fatalf("rejected counter = %g", got)
 	}
 }
 
@@ -364,9 +363,14 @@ func TestServerRateLimiting(t *testing.T) {
 	if ok < 3 || limited == 0 {
 		t.Fatalf("ok=%d limited=%d", ok, limited)
 	}
-	// Stats and script endpoints stay reachable.
-	if _, err := client.FetchStats(context.Background()); err != nil {
+	// The metrics endpoint stays reachable.
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
 		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics status %d under rate limiting", resp.StatusCode)
 	}
 }
 

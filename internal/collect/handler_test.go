@@ -18,7 +18,6 @@ import (
 	"sync"
 	"testing"
 	"testing/iotest"
-	"time"
 
 	"polygraph/internal/audit"
 	"polygraph/internal/core"
@@ -445,7 +444,7 @@ func TestCollectPooledStateIsolation(t *testing.T) {
 	}
 	client.Close()
 	<-served
-	if got := tcp.batchHist.Sum(); got != 6*time.Microsecond {
+	if got := obs.HistogramSnapshot("", &tcp.batchHist).SumUs; got != 6 {
 		t.Fatalf("the listener coalesced %v frames, want 6", got)
 	}
 

@@ -126,9 +126,9 @@ func sendHTTP(endpoint string) func(*testing.T, *ingestRig, []byte, int) sideEff
 			}
 			v = wireVerdict{Cluster: d.Cluster, Risk: d.RiskFactor, Matched: d.Matched, Flagged: d.Flagged}
 		}
-		st := srv.Snapshot()
-		if scored := int64(1) - st.Rejected; st.Received != scored {
-			t.Fatalf("received %d, rejected %d for one request", st.Received, st.Rejected)
+		ex := obs.ParseExpositionString(srv.MetricsText())
+		if received, rejected := ex.Sum(obs.FamCollections.Name), ex.Sum(obs.FamRejected.Name); received != 1-rejected {
+			t.Fatalf("received %g, rejected %g for one request", received, rejected)
 		}
 		return r.effects(t, []wireVerdict{v}, srv, srv)
 	}
@@ -162,8 +162,8 @@ func sendTCP(t *testing.T, r *ingestRig, wire []byte, frames int) sideEffects {
 			Err:     flags&tcpErrorFlag != 0,
 		})
 	}
-	if h := &srv.batchHist; h.Count() != 1 || h.Max() != time.Duration(frames)*time.Microsecond {
-		t.Fatalf("%d frames served as %d batches (max %v), want one batch", frames, h.Count(), h.Max())
+	if h := &srv.batchHist; h.Count() != 1 || h.Summary().Max != time.Duration(frames)*time.Microsecond {
+		t.Fatalf("%d frames served as %d batches (max %v), want one batch", frames, h.Count(), h.Summary().Max)
 	}
 	if got := srv.scored.Load() + srv.badFrames.Load(); got != int64(frames) {
 		t.Fatalf("scored+bad = %d, want %d", got, frames)

@@ -32,11 +32,11 @@ func (s *Server) MetricsText() string {
 }
 
 func (s *Server) writeMetricsTo(w io.Writer) {
-	st := s.Snapshot()
+	received, flagged := s.snapshot()
 	obs.WriteBuildInfo(w)
 	obs.WriteRuntimeMetrics(w)
-	obs.FamCollections.Write(w, float64(st.Received))
-	obs.FamFlagged.Write(w, float64(st.Flagged))
+	obs.FamCollections.Write(w, float64(received))
+	obs.FamFlagged.Write(w, float64(flagged))
 
 	// Rejects broken out by cause. Every reason is always present
 	// (zeros included) so rate() works from the first scrape; the sum

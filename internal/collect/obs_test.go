@@ -252,31 +252,29 @@ func TestRejectReasonTaxonomy(t *testing.T) {
 }
 
 // TestAvgGaugeZeroTraffic pins the torn-stats fix: with zero scored
-// requests the mean latency on /v1/stats must be exactly 0, not NaN or
-// garbage (NaN would not even encode).
+// requests the latency histogram's sum and count on /metrics are exactly
+// 0, so a mean derived from them is 0/0 for the reader to guard, never
+// garbage. The retired /v1/stats route answers 404.
 func TestAvgGaugeZeroTraffic(t *testing.T) {
 	m, _ := testModel(t)
 	srv, err := NewServer(Config{Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Snapshot()
-	if st.AvgScoreUs != 0 || st.MaxScoreUs != 0 {
-		t.Fatalf("zero-traffic stats: avg=%v max=%v", st.AvgScoreUs, st.MaxScoreUs)
-	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	ex := obs.ParseExpositionString(scrapeMetrics(t, ts.URL))
+	name := obs.FamScoreDuration.Name
+	if sum, count := ex.Sum(name+"_sum"), ex.Sum(name+"_count"); sum != 0 || count != 0 {
+		t.Fatalf("zero-traffic %s: sum=%v count=%v", name, sum, count)
+	}
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), `"avg_score_us":0,`) {
-		t.Fatalf("zero-traffic avg on /v1/stats not 0:\n%s", body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/v1/stats status %d, want 404", resp.StatusCode)
 	}
 }
 

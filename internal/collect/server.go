@@ -271,7 +271,6 @@ func NewServer(cfg Config) (*Server, error) {
 			s.serveCollect(w, r, route)
 		})
 	}
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/flagged", s.handleFlagged)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -566,55 +565,16 @@ func (s *Server) reject(w http.ResponseWriter, tr *obs.Trace, code int, reason r
 	http.Error(w, msg, code)
 }
 
-// Stats is the monitoring snapshot served at /v1/stats.
-type Stats struct {
-	Received   int64   `json:"received"`
-	Rejected   int64   `json:"rejected"`
-	Flagged    int64   `json:"flagged"`
-	AvgScoreUs float64 `json:"avg_score_us"`
-	MaxScoreUs int64   `json:"max_score_us"`
-}
-
-// Snapshot returns current counters, summed over the shards. Every
-// shard's flagged is loaded before any shard's received: ingest counts a
-// request received before flagged, on one shard, so flagged never
-// exceeds received. The latency figures derive from the endpoint
-// histograms, whose Record publishes the sum before the count — so a
-// snapshot's sum always covers at least the observations its count
-// claims and the average can never be torn upward or divide by zero (the
-// legacy avg-gauge bug class).
-func (s *Server) Snapshot() Stats {
-	var st Stats
-	for i := range s.rejects {
-		st.Rejected += s.rejects[i].Load()
+// snapshot reads the received and flagged counters, summed over the
+// shards. Every shard's flagged is loaded before any shard's received:
+// ingest counts a request received before flagged, on one shard, so
+// flagged never exceeds received.
+func (s *Server) snapshot() (received, flagged int64) {
+	for i := range s.shards {
+		flagged += s.shards[i].flagged.Load()
 	}
 	for i := range s.shards {
-		st.Flagged += s.shards[i].flagged.Load()
+		received += s.shards[i].received.Load()
 	}
-	for i := range s.shards {
-		st.Received += s.shards[i].received.Load()
-	}
-	var n uint64
-	var sum time.Duration
-	for i := range s.shards {
-		for j := range s.shards[i].hists {
-			h := &s.shards[i].hists[j]
-			n += h.Count() // count before sum: see Record's ordering
-			sum += h.Sum()
-			if m := h.Max().Microseconds(); m > st.MaxScoreUs {
-				st.MaxScoreUs = m
-			}
-		}
-	}
-	if n > 0 {
-		st.AvgScoreUs = float64(sum.Nanoseconds()) / 1e3 / float64(n)
-	}
-	return st
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(s.Snapshot()); err != nil {
-		s.logWarn(nil, "collect: encode stats failed", "err", err.Error())
-	}
+	return received, flagged
 }

@@ -10,6 +10,7 @@ import (
 
 	"polygraph/internal/audit"
 	"polygraph/internal/core"
+	"polygraph/internal/obs"
 	"polygraph/internal/ua"
 )
 
@@ -97,12 +98,10 @@ func TestSwapModelUnderConcurrentScoring(t *testing.T) {
 }
 
 // TestIngestVsStatsUnderConcurrentHammer hammers the ingest endpoints
-// while other goroutines scrape /v1/stats, /metrics, /v1/flagged, and
-// Snapshot directly. Under -race this proves the counter reads are not
-// torn; the invariant checks prove the snapshots are coherent views:
-// received never decreases between successive snapshots, flagged never
-// exceeds received, and the average latency implied by a snapshot is
-// non-negative and finite.
+// while other goroutines scrape /metrics and /v1/flagged. Under -race
+// this proves the counter reads are not torn; the invariant checks prove
+// each scrape is a coherent view: received never decreases between
+// successive scrapes, and flagged never exceeds received.
 func TestIngestVsStatsUnderConcurrentHammer(t *testing.T) {
 	m, d := testModel(t)
 	// /v1/flagged reads the ledger's ring while the ingesters append.
@@ -150,34 +149,35 @@ func TestIngestVsStatsUnderConcurrentHammer(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			var lastReceived int64
+			var lastReceived float64
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				st := srv.Snapshot()
-				if st.Received < lastReceived {
-					t.Errorf("received went backwards: %d -> %d", lastReceived, st.Received)
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("/metrics status %d", rec.Code)
 					return
 				}
-				lastReceived = st.Received
-				if st.Flagged > st.Received {
-					t.Errorf("flagged %d exceeds received %d", st.Flagged, st.Received)
+				ex := obs.ParseExpositionString(rec.Body.String())
+				received, flagged := ex.Sum(obs.FamCollections.Name), ex.Sum(obs.FamFlagged.Name)
+				if received < lastReceived {
+					t.Errorf("received went backwards: %g -> %g", lastReceived, received)
 					return
 				}
-				if st.AvgScoreUs < 0 {
-					t.Errorf("negative average latency %v", st.AvgScoreUs)
+				lastReceived = received
+				if flagged > received {
+					t.Errorf("flagged %g exceeds received %g", flagged, received)
 					return
 				}
-				for _, path := range []string{"/v1/stats", "/metrics", "/v1/flagged"} {
-					rec := httptest.NewRecorder()
-					srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-					if rec.Code != http.StatusOK {
-						t.Errorf("%s status %d", path, rec.Code)
-						return
-					}
+				rec = httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/flagged", nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("/v1/flagged status %d", rec.Code)
+					return
 				}
 			}
 		}()
@@ -187,15 +187,16 @@ func TestIngestVsStatsUnderConcurrentHammer(t *testing.T) {
 	readers.Wait()
 
 	// The hammer sent equal thirds of honest / lying / garbage bodies.
-	st := srv.Snapshot()
+	ex := obs.ParseExpositionString(srv.MetricsText())
+	received, rejected := ex.Sum(obs.FamCollections.Name), ex.Sum(obs.FamRejected.Name)
 	const total = ingesters * perIngester
-	if st.Received+st.Rejected != total {
-		t.Fatalf("received %d + rejected %d != %d sent", st.Received, st.Rejected, total)
+	if received+rejected != total {
+		t.Fatalf("received %g + rejected %g != %d sent", received, rejected, total)
 	}
-	if st.Received != 2*total/3 || st.Rejected != total/3 {
-		t.Fatalf("received %d rejected %d, want %d/%d", st.Received, st.Rejected, 2*total/3, total/3)
+	if received != 2*total/3 || rejected != total/3 {
+		t.Fatalf("received %g rejected %g, want %d/%d", received, rejected, 2*total/3, total/3)
 	}
-	if st.Flagged != total/3 {
-		t.Fatalf("flagged %d, want %d", st.Flagged, total/3)
+	if flagged := ex.Sum(obs.FamFlagged.Name); flagged != total/3 {
+		t.Fatalf("flagged %g, want %d", flagged, total/3)
 	}
 }

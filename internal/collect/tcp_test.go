@@ -221,8 +221,8 @@ func TestTCPClientSubmitsBatchInOneWrite(t *testing.T) {
 		if got := conn.writes - writes; got != 1 {
 			t.Fatalf("round %d: the batch left in %d writes, want 1", round, got)
 		}
-		if h := &srv.batchHist; h.Count() != uint64(round) || h.Sum() != time.Duration(round*tcpBlockFrames)*time.Microsecond {
-			t.Fatalf("round %d: the listener served %d batches of %v frames in all, want %d of %d each", round, h.Count(), h.Sum(), round, tcpBlockFrames)
+		if h := &srv.batchHist; h.Count() != uint64(round) || obs.HistogramSnapshot("", h).SumUs != float64(round*tcpBlockFrames) {
+			t.Fatalf("round %d: the listener served %d batches of %v frames in all, want %d of %d each", round, h.Count(), obs.HistogramSnapshot("", h).SumUs, round, tcpBlockFrames)
 		}
 	}
 	c.Close()
@@ -266,8 +266,8 @@ func TestTCPClientSubmitsLargeBatch(t *testing.T) {
 			t.Fatalf("frame %d answered %+v", i, dec)
 		}
 	}
-	if h := &srv.batchHist; h.Sum() != time.Duration(len(batch))*time.Microsecond {
-		t.Fatalf("the listener served %v frames in %d batches, want %d", h.Sum(), h.Count(), len(batch))
+	if h := &srv.batchHist; obs.HistogramSnapshot("", h).SumUs != float64(len(batch)) {
+		t.Fatalf("the listener served %v frames in %d batches, want %d", obs.HistogramSnapshot("", h).SumUs, h.Count(), len(batch))
 	}
 	c.Close()
 	<-served

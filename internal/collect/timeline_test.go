@@ -3,6 +3,7 @@ package collect
 import (
 	"bytes"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -16,12 +17,14 @@ import (
 
 // routeHist sums one ingest route's latency histogram over the shards.
 func routeHist(srv *Server, route int) (n uint64, sum time.Duration) {
+	hists := make([]*obs.Hist, len(srv.shards))
 	for i := range srv.shards {
-		h := &srv.shards[i].hists[route]
-		n += h.Count()
-		sum += h.Sum()
+		hists[i] = &srv.shards[i].hists[route]
+		n += hists[i].Count()
 	}
-	return n, sum
+	// The snapshot's sum is the shards' nanoseconds over 1e3; rounding
+	// back recovers them exactly at these magnitudes.
+	return n, time.Duration(math.Round(obs.HistogramSnapshot("", hists...).SumUs * 1e3))
 }
 
 // TestHTTPTraceTimeline pins the one timeline a scored HTTP request is
@@ -165,7 +168,7 @@ func TestHTTPBenignSampledOutAllocs(t *testing.T) {
 	if c := led.Counters(); c.Records != 0 || c.Dropped == 0 {
 		t.Fatalf("requests were not sampled out: %+v", c)
 	}
-	if n := srv.Snapshot().Received; n == 0 {
+	if n := obs.ParseExpositionString(srv.MetricsText()).Sum(obs.FamCollections.Name); n == 0 {
 		t.Fatal("no request was scored")
 	}
 }

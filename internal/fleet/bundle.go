@@ -1,49 +1,17 @@
 package fleet
 
-import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
-
-	"polygraph/internal/bundle"
-)
+import "polygraph/internal/bundle"
 
 // Fleet-wide support-bundle capture: the balancer knows every replica —
 // including ones already ejected or drained — so it is the natural
-// place to enumerate capture targets. The adapter reuses the member
-// overrides the health/stats machinery already has, which lets an
-// in-process rig snapshot the /metrics and /v1/stats of a replica whose
-// listener is gone; everything else falls back to HTTP against BaseURL
-// and surfaces as recorded collector errors when the replica is dead.
+// place to enumerate capture targets. A member's Fetch is the target's,
+// which lets an in-process rig snapshot a replica whose listener is
+// gone; a plain HTTP member is captured over BaseURL and surfaces as
+// recorded collector errors when the replica is dead.
 
 // BundleTarget adapts one member for bundle.Capture.
-func (m Member) BundleTarget(client *http.Client) bundle.Target {
-	t := bundle.Target{Name: m.Name, BaseURL: m.BaseURL}
-	if m.Stats == nil && m.Metrics == nil {
-		return t // plain HTTP member: let capture fetch directly
-	}
-	t.Fetch = func(ctx context.Context, path string) ([]byte, error) {
-		switch {
-		case path == "/metrics" && m.Metrics != nil:
-			text, err := m.Metrics(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return []byte(text), nil
-		case path == "/v1/stats" && m.Stats != nil:
-			stats, err := m.Stats(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(stats)
-		case m.BaseURL == "":
-			return nil, fmt.Errorf("no base URL for %s", path)
-		default:
-			return bundle.HTTPFetch(ctx, client, m.BaseURL+path)
-		}
-	}
-	return t
+func (m Member) BundleTarget() bundle.Target {
+	return bundle.Target{Name: m.Name, BaseURL: m.BaseURL, Fetch: m.Fetch}
 }
 
 // BundleTargets enumerates every member of the balancer as a capture
@@ -53,7 +21,7 @@ func (b *Balancer) BundleTargets() []bundle.Target {
 	members := b.Members()
 	out := make([]bundle.Target, len(members))
 	for i, m := range members {
-		out[i] = m.BundleTarget(b.client)
+		out[i] = m.BundleTarget()
 	}
 	return out
 }

@@ -6,8 +6,8 @@
 // The design splits three concerns:
 //
 //   - Member: how to reach one replica (base URL, plus optional
-//     in-process overrides for probing and stat collection, which keep a
-//     killed replica's counters readable for reconciliation).
+//     in-process overrides for probing and for GETs, which keep a
+//     drained replica's pages readable for reconciliation).
 //   - Balancer: who receives the next request. Power-of-two-choices over
 //     the healthy set by in-flight count, with immediate ejection on
 //     transport failure (collect.IsDown) and probe-driven re-admission.
@@ -33,13 +33,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"polygraph/internal/bundle"
 	"polygraph/internal/collect"
 	"polygraph/internal/obs"
 	"polygraph/internal/rng"
@@ -96,8 +96,8 @@ func (s State) String() string {
 
 // Member describes how to reach one replica. The zero overrides make a
 // purely HTTP member; in-process replicas (internal/serving) supply
-// Probe/Stats/Metrics functions so their counters stay readable for
-// reconciliation even after their listener is killed.
+// Probe and Fetch so their pages stay readable for reconciliation and
+// bundle capture even after their listener is gone.
 type Member struct {
 	// Name identifies the replica in logs, metrics, and reports.
 	Name string
@@ -106,41 +106,23 @@ type Member struct {
 	// Probe overrides the HTTP health+hash probe; it returns the
 	// replica's deployed model hash ("" when unknown).
 	Probe func(ctx context.Context) (modelHash string, err error)
-	// Stats overrides the HTTP /v1/stats fetch.
-	Stats func(ctx context.Context) (collect.Stats, error)
-	// Metrics overrides the HTTP /metrics fetch (full exposition text).
-	Metrics func(ctx context.Context) (string, error)
+	// Fetch overrides every GET of a page (/metrics, the bundle's
+	// artifacts): given a request path it returns the 200 body, as
+	// bundle.Target.Fetch does. Nil GETs BaseURL+path over HTTP.
+	Fetch func(ctx context.Context, path string) ([]byte, error)
 }
 
-// FetchStats resolves the member's /v1/stats snapshot through the
-// override or HTTP.
-func (m Member) FetchStats(ctx context.Context, client *http.Client) (collect.Stats, error) {
-	if m.Stats != nil {
-		return m.Stats(ctx)
+// fetch GETs path from the member, through Fetch or over HTTP.
+func (m Member) fetch(ctx context.Context, client *http.Client, path string) ([]byte, error) {
+	if m.Fetch != nil {
+		return m.Fetch(ctx, path)
 	}
-	c := collect.Client{BaseURL: m.BaseURL, HTTPClient: client}
-	return c.FetchStats(ctx)
+	return bundle.HTTPFetch(ctx, client, m.BaseURL+path)
 }
 
-// FetchMetrics resolves the member's /metrics exposition through the
-// override or HTTP.
+// FetchMetrics reads the member's /metrics exposition.
 func (m Member) FetchMetrics(ctx context.Context, client *http.Client) (string, error) {
-	if m.Metrics != nil {
-		return m.Metrics(ctx)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.BaseURL+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("fleet: %s /metrics returned %d", m.Name, resp.StatusCode)
-	}
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	b, err := m.fetch(ctx, client, "/metrics")
 	return string(b), err
 }
 
@@ -519,20 +501,12 @@ func (b *Balancer) RunHealth(ctx context.Context, interval time.Duration) {
 
 // FetchModelInfo reads a replica's deployed-model admin view.
 func FetchModelInfo(ctx context.Context, client *http.Client, baseURL string) (ModelInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+AdminModelPath, nil)
-	if err != nil {
-		return ModelInfo{}, err
-	}
-	resp, err := client.Do(req)
+	body, err := bundle.HTTPFetch(ctx, client, baseURL+AdminModelPath)
 	if err != nil {
 		return ModelInfo{}, fmt.Errorf("fleet: fetch model info: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return ModelInfo{}, fmt.Errorf("fleet: %s returned %d", AdminModelPath, resp.StatusCode)
-	}
 	var info ModelInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+	if err := json.Unmarshal(body, &info); err != nil {
 		return ModelInfo{}, fmt.Errorf("fleet: decode model info: %w", err)
 	}
 	return info, nil

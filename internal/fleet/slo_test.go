@@ -41,11 +41,11 @@ func metricsMember(name string, text *atomic.Pointer[string], fail *atomic.Bool)
 		Name:    name,
 		BaseURL: "http://" + name,
 		Probe:   staticProbe("h", nil),
-		Metrics: func(ctx context.Context) (string, error) {
+		Fetch: func(ctx context.Context, path string) ([]byte, error) {
 			if fail != nil && fail.Load() {
-				return "", errors.New("unreachable")
+				return nil, errors.New("unreachable")
 			}
-			return *text.Load(), nil
+			return []byte(*text.Load()), nil
 		},
 	}
 }
@@ -95,8 +95,8 @@ func TestSLORollupAggregates(t *testing.T) {
 	}
 
 	// Fleet-wide outage: error reported, but the tick still landed.
-	fail := func(ctx context.Context) (string, error) { return "", errors.New("down") }
-	bal2 := mustBalancer(t, Config{Seed: 12}, Member{Name: "x", BaseURL: "http://x", Metrics: fail})
+	fail := func(ctx context.Context, path string) ([]byte, error) { return nil, errors.New("down") }
+	bal2 := mustBalancer(t, Config{Seed: 12}, Member{Name: "x", BaseURL: "http://x", Fetch: fail})
 	r2, err := NewSLORollup(bal2, rollupSpec(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -164,9 +164,9 @@ func TestWriteMetricsHealthHammer(t *testing.T) {
 	text.Store(&s)
 	bal := mustBalancer(t, Config{Seed: 14, ExpectHash: "h"},
 		Member{Name: "a", BaseURL: "http://a", Probe: staticProbe("h", nil),
-			Metrics: func(ctx context.Context) (string, error) { return *text.Load(), nil }},
+			Fetch: func(ctx context.Context, path string) ([]byte, error) { return []byte(*text.Load()), nil }},
 		Member{Name: "b", BaseURL: "http://b", Probe: staticProbe("h", &flaky),
-			Metrics: func(ctx context.Context) (string, error) { return *text.Load(), nil }},
+			Fetch: func(ctx context.Context, path string) ([]byte, error) { return []byte(*text.Load()), nil }},
 	)
 	bal.Admit("a", "h")
 	bal.Admit("b", "h")

@@ -7,7 +7,6 @@
 package iforest
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -15,9 +14,6 @@ import (
 	"polygraph/internal/matrix"
 	"polygraph/internal/rng"
 )
-
-// errNegativeSize is a fit asked for a negative forest or sample size.
-var errNegativeSize = errors.New("iforest: negative forest or sample size")
 
 // Config controls forest construction.
 type Config struct {
@@ -54,12 +50,8 @@ type node struct {
 // FitGroups builds a forest over the grouped rows. The ψ-sample of each
 // tree is drawn over all the row indices, so a row repeated a thousand
 // times is a thousand candidates, and the trees read the sampled rows'
-// vectors through the distinct-row table. A negative trees or sampleSize
-// is an error, not a makeslice panic.
+// vectors through the distinct-row table.
 func FitGroups(rows matrix.RowGroups, cfg Config) (*Forest, error) {
-	if cfg.trees < 0 || cfg.sampleSize < 0 {
-		return nil, fmt.Errorf("%w: %d trees of sample size %d", errNegativeSize, cfg.trees, cfg.sampleSize)
-	}
 	n, d := rows.Dims()
 	if n == 0 || d == 0 {
 		return nil, fmt.Errorf("iforest: empty input %dx%d", n, d)

@@ -1,7 +1,6 @@
 package iforest
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -46,22 +45,6 @@ func score(f *Forest, x []float64) float64 {
 func TestFitErrors(t *testing.T) {
 	if _, err := fit(matrix.NewDense(0, 2), Config{}); err == nil {
 		t.Fatal("expected error for empty input")
-	}
-}
-
-// TestFitRejectsNegativeSizes: a negative forest or sample size is bad
-// input, not a makeslice panic.
-func TestFitRejectsNegativeSizes(t *testing.T) {
-	m, _ := clusterWithOutliers(50, 1, 1)
-	for _, cfg := range []Config{
-		{trees: -1},
-		{sampleSize: -1},
-		{trees: -3, sampleSize: -3},
-	} {
-		f, err := fit(m, cfg)
-		if !errors.Is(err, errNegativeSize) || f != nil {
-			t.Errorf("%+v: forest %v, err %v; want errNegativeSize", cfg, f, err)
-		}
 	}
 }
 

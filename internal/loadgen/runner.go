@@ -33,7 +33,7 @@ type Options struct {
 	// Every HTTP send picks a healthy member, reports the outcome
 	// (ejecting on transport failure), and transparently retries on
 	// another member when the picked one was down. The cross-check reads
-	// every member through Member.FetchStats/FetchMetrics — in-process
+	// every member's /metrics through Member.FetchMetrics — in-process
 	// where the member allows it, which keeps a drained replica's
 	// counters readable — sums the per-member deltas before
 	// reconciliation and itemizes them in CrossCheck.Replicas.
@@ -50,7 +50,7 @@ type Options struct {
 	// the cross-check: its members are the HTTP servers whose /metrics
 	// carry the listener's counters.
 	TCPAddr string
-	// SkipCrossCheck disables the /v1/stats + /metrics reconciliation
+	// SkipCrossCheck disables the /metrics reconciliation
 	// (needed when other traffic shares the target).
 	SkipCrossCheck bool
 	// ExpectAudit extends the cross-check with the audit-ledger
@@ -152,8 +152,8 @@ type ReplicaDelta struct {
 }
 
 // CrossCheck reconciles the client-side ledger against the server's own
-// /v1/stats counters and the /metrics exposition — the "do the two sides
-// of the wire agree" audit. Against a fleet, the server-side deltas are
+// counters on its /metrics exposition — the "do the two sides of the
+// wire agree" audit. Against a fleet, the server-side deltas are
 // the sums over every replica (including killed ones, whose counters
 // the harness reads in-process), and Replicas itemizes the split.
 type CrossCheck struct {
@@ -175,9 +175,9 @@ type CrossCheck struct {
 	// they depend on failure timing, and the Ledger must stay
 	// byte-identical across runs.
 	Retries int64 `json:"retries,omitempty"`
-	// MetricsReceived is polygraph_collections_total scraped from
-	// /metrics after the run, cross-checking the exposition against the
-	// JSON stats view.
+	// MetricsReceived is the transport's scored counter, summed over
+	// every member's /metrics after the run (a running total, where
+	// ServerReceivedDelta is the run's delta).
 	MetricsReceived float64 `json:"metrics_received"`
 	// AuditRecordsDelta and AuditDroppedDelta are the audit-ledger
 	// counter deltas over the run; with Options.ExpectAudit their sum
@@ -749,16 +749,6 @@ func crossCheck(ctx context.Context, opts *Options, tr transport, pre []page, re
 		flagged += delta(tr.flagged)
 		rejected += delta(tr.rejected)
 		cc.MetricsReceived += post[i].ex.Sum(tr.scored)
-		// The JSON stats view and the exposition read the same counters.
-		st, err := m.FetchStats(ctx, opts.Fleet.Client())
-		if err != nil {
-			cc.Details = append(cc.Details, fmt.Sprintf("%s: /v1/stats: %v", m.Name, err))
-			return
-		}
-		if got := post[i].ex.Sum(obs.FamCollections.Name); int64(got) != st.Received {
-			cc.Details = append(cc.Details, fmt.Sprintf(
-				"%s: /metrics %s %v disagrees with /v1/stats received %d", m.Name, obs.FamCollections.Name, got, st.Received))
-		}
 	}
 
 	cc.ClientOK = ledger.ByStatus["200"]

@@ -102,11 +102,11 @@ func (h *Hist) buckets() [NumBuckets]uint64 {
 // Count returns the number of recorded observations.
 func (h *Hist) Count() uint64 { return h.count.Load() }
 
-// Sum returns the exact sum of recorded latencies.
-func (h *Hist) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }
+// sum returns the exact sum of recorded latencies.
+func (h *Hist) sum() time.Duration { return time.Duration(h.sumNs.Load()) }
 
-// Max returns the exact maximum recorded latency.
-func (h *Hist) Max() time.Duration { return time.Duration(h.maxNs.Load()) }
+// max returns the exact maximum recorded latency.
+func (h *Hist) max() time.Duration { return time.Duration(h.maxNs.Load()) }
 
 // mean returns the exact arithmetic mean latency (0 when empty).
 func (h *Hist) mean() time.Duration {
@@ -162,7 +162,7 @@ func (h *Hist) quantile(q float64) time.Duration {
 		us := lo + (hi-lo)*frac
 		return time.Duration(us * float64(time.Microsecond))
 	}
-	return h.Max()
+	return h.max()
 }
 
 // Quantiles is the summary the reports carry.
@@ -183,6 +183,6 @@ func (h *Hist) Summary() Quantiles {
 		P50:   h.quantile(0.50),
 		P95:   h.quantile(0.95),
 		P99:   h.quantile(0.99),
-		Max:   h.Max(),
+		Max:   h.max(),
 	}
 }

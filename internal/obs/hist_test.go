@@ -8,7 +8,7 @@ import (
 
 func TestHistEmpty(t *testing.T) {
 	var h Hist
-	if h.Count() != 0 || h.Max() != 0 || h.mean() != 0 || h.quantile(0.99) != 0 {
+	if h.Count() != 0 || h.max() != 0 || h.mean() != 0 || h.quantile(0.99) != 0 {
 		t.Fatalf("empty hist not all-zero: %+v", h.Summary())
 	}
 }
@@ -21,8 +21,8 @@ func TestHistExactMoments(t *testing.T) {
 	if h.Count() != 100 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if h.Max() != 5*time.Millisecond {
-		t.Fatalf("max = %v", h.Max())
+	if h.max() != 5*time.Millisecond {
+		t.Fatalf("max = %v", h.max())
 	}
 	if h.mean() != 5*time.Millisecond {
 		t.Fatalf("mean = %v", h.mean())
@@ -35,8 +35,8 @@ func TestHistExactMoments(t *testing.T) {
 			t.Fatalf("Quantile(%v) = %v outside [4.096ms, 5ms]", q, got)
 		}
 	}
-	if h.quantile(1) != h.Max() {
-		t.Fatalf("quantile(1) = %v, Max = %v", h.quantile(1), h.Max())
+	if h.quantile(1) != h.max() {
+		t.Fatalf("quantile(1) = %v, Max = %v", h.quantile(1), h.max())
 	}
 }
 
@@ -55,9 +55,9 @@ func TestHistRecordNIsRecordRepeated(t *testing.T) {
 	batched.RecordN(time.Hour, 0)
 	batched.RecordN(time.Hour, -3)
 	if batched.buckets() != single.buckets() || batched.Count() != single.Count() ||
-		batched.Sum() != single.Sum() || batched.Max() != single.Max() {
+		batched.sum() != single.sum() || batched.max() != single.max() {
 		t.Fatalf("RecordN: %+v sum %v; repeated Record: %+v sum %v",
-			batched.Summary(), batched.Sum(), single.Summary(), single.Sum())
+			batched.Summary(), batched.sum(), single.Summary(), single.sum())
 	}
 }
 
@@ -143,8 +143,8 @@ func TestHistQuantileMonotone(t *testing.T) {
 		}
 		prev = got
 	}
-	if h.quantile(1) != h.Max() {
-		t.Fatalf("quantile(1) = %v != Max %v", h.quantile(1), h.Max())
+	if h.quantile(1) != h.max() {
+		t.Fatalf("quantile(1) = %v != Max %v", h.quantile(1), h.max())
 	}
 }
 

@@ -72,7 +72,7 @@ func HistogramSnapshot(label string, hs ...*Hist) HistogramSeries {
 		for i, c := range h.buckets() {
 			s.Buckets[i] += c
 		}
-		sum += h.Sum()
+		sum += h.sum()
 	}
 	s.SumUs = float64(sum.Nanoseconds()) / 1e3
 	return s

@@ -12,7 +12,7 @@ import (
 // borrows: buffers are handed shard indices round-robin as they are
 // made, and sync.Pool keeps a buffer on the P that put it back, so each
 // P keeps writing the shard of the buffer it holds. Readers (/metrics,
-// /v1/stats, /debug/traces) sum or merge every shard.
+// /debug/traces) sum or merge every shard.
 
 // maxShards bounds the split on wide machines: each shard of the trace
 // ring retains its own TracerConfig.RingSize traces.

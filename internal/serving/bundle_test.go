@@ -65,7 +65,7 @@ func TestReplicaDebugBundleEndpoint(t *testing.T) {
 		t.Fatalf("target bundle-0 missing; manifest %+v", bb.Manifest)
 	}
 	for _, want := range []string{
-		bundle.ArtifactHealth, bundle.ArtifactMetrics, bundle.ArtifactStats,
+		bundle.ArtifactHealth, bundle.ArtifactMetrics,
 		bundle.ArtifactTraces, bundle.ArtifactDecisions, bundle.ArtifactModelInfo,
 		bundle.ArtifactExpvar, bundle.ArtifactPprofHeap,
 	} {
@@ -126,8 +126,8 @@ func TestAdminModelInfoGetAlias(t *testing.T) {
 	}
 }
 
-// A drained replica has no listener, but its BundleTarget still
-// snapshots everything through the mux in-process.
+// A drained replica has no listener, but its member's bundle target
+// still snapshots everything through the mux in-process.
 func TestBundleTargetWorksAfterDrain(t *testing.T) {
 	r := startReplica(t, "drain-0")
 	r.Drain()
@@ -135,7 +135,7 @@ func TestBundleTargetWorksAfterDrain(t *testing.T) {
 	var buf bytes.Buffer
 	ctx := context.Background()
 	manifest, err := bundle.Capture(ctx, &buf, bundle.Options{
-		Targets:   []bundle.Target{r.BundleTarget()},
+		Targets:   []bundle.Target{r.Member().BundleTarget()},
 		SkipPprof: true,
 	})
 	if err != nil {
@@ -154,9 +154,12 @@ func TestBundleTargetWorksAfterDrain(t *testing.T) {
 	}
 }
 
-// The acceptance scenario: a 3-replica fleet with one killed replica.
-// The capture must list every live replica's artifact set and turn the
-// dead replica into recorded collector errors — never a failed bundle.
+// The acceptance scenario: a 3-replica fleet with one killed replica that
+// the capture reaches only over HTTP (as polygraphctl bundle capture
+// -fleet reaches every replica). The capture must list every live
+// replica's artifact set and turn the dead replica into recorded
+// collector errors — never a failed bundle. An in-process member of a
+// killed replica is captured whole: TestBundleTargetWorksAfterDrain.
 func TestFleetWideBundleCaptureWithDeadReplica(t *testing.T) {
 	m := trainedModel(t)
 	wantHash, err := m.Hash()
@@ -171,6 +174,7 @@ func TestFleetWideBundleCaptureWithDeadReplica(t *testing.T) {
 		reps = append(reps, r)
 		members = append(members, r.Member())
 	}
+	members[2] = fleet.Member{Name: "fr2", BaseURL: reps[2].BaseURL()}
 	b, err := fleet.NewBalancer(fleet.Config{Seed: 1, ExpectHash: wantHash}, members...)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +209,7 @@ func TestFleetWideBundleCaptureWithDeadReplica(t *testing.T) {
 		for _, a := range tm.Artifacts {
 			names[a.Name] = true
 		}
-		for _, want := range []string{bundle.ArtifactMetrics, bundle.ArtifactStats,
+		for _, want := range []string{bundle.ArtifactMetrics,
 			bundle.ArtifactTraces, bundle.ArtifactDecisions, bundle.ArtifactModelInfo} {
 			if !names[want] {
 				t.Errorf("live fr%d missing %s (errors %+v)", i, want, tm.Errors)
@@ -213,18 +217,13 @@ func TestFleetWideBundleCaptureWithDeadReplica(t *testing.T) {
 		}
 	}
 
-	// Dead replica: the member overrides still snapshot metrics and
-	// stats in-process; everything HTTP becomes a recorded error.
+	// Dead replica: every artifact becomes a recorded error.
 	dead := targetOf(manifest, "fr2")
 	if dead == nil {
 		t.Fatal("dead replica missing from manifest")
 	}
-	deadNames := map[string]bool{}
-	for _, a := range dead.Artifacts {
-		deadNames[a.Name] = true
-	}
-	if !deadNames[bundle.ArtifactMetrics] || !deadNames[bundle.ArtifactStats] {
-		t.Fatalf("dead replica lost in-process artifacts: %+v", dead.Artifacts)
+	if len(dead.Artifacts) != 0 {
+		t.Fatalf("dead replica captured artifacts over HTTP: %+v", dead.Artifacts)
 	}
 	if len(dead.Errors) == 0 {
 		t.Fatal("dead replica recorded no collector errors")

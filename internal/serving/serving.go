@@ -458,7 +458,7 @@ func (r *Replica) handleBundle(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%q", "polygraph-bundle-"+bundle.SanitizeName(r.cfg.Name)+".tgz"))
 	if _, err := bundle.Capture(req.Context(), w, bundle.Options{
-		Targets:      []bundle.Target{r.BundleTarget()},
+		Targets:      []bundle.Target{r.Member().BundleTarget()},
 		NoRedact:     q.Get("no-redact") == "1",
 		PprofSeconds: seconds,
 		SkipPprof:    !r.cfg.Debug,
@@ -469,27 +469,21 @@ func (r *Replica) handleBundle(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// BundleTarget adapts the replica for in-process bundle capture: every
-// fetch is served straight off the replica's mux, no listener needed.
-// Fleet rigs hand these to bundle.Capture to snapshot killed or
-// quiesced replicas that no longer accept connections.
-func (r *Replica) BundleTarget() bundle.Target {
-	return bundle.Target{
-		Name:    r.cfg.Name,
-		BaseURL: r.BaseURL(),
-		Fetch: func(ctx context.Context, path string) ([]byte, error) {
-			rec := httptest.NewRecorder()
-			r.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
-			if rec.Code != http.StatusOK {
-				msg := strings.TrimSpace(rec.Body.String())
-				if len(msg) > 120 {
-					msg = msg[:120]
-				}
-				return nil, fmt.Errorf("%s: %d %s", path, rec.Code, msg)
-			}
-			return rec.Body.Bytes(), nil
-		},
+// fetch GETs path straight off the replica's mux, no listener needed, so
+// a drained replica's pages stay readable — the one way the fleet
+// harness, its reconciliation and bundle capture read a replica
+// in-process.
+func (r *Replica) fetch(ctx context.Context, path string) ([]byte, error) {
+	rec := httptest.NewRecorder()
+	r.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
+	if rec.Code != http.StatusOK {
+		msg := strings.TrimSpace(rec.Body.String())
+		if len(msg) > 120 {
+			msg = msg[:120]
+		}
+		return nil, fmt.Errorf("%s: %d %s", path, rec.Code, msg)
 	}
+	return rec.Body.Bytes(), nil
 }
 
 // handleAdminModel is the distribution endpoint: POST deploys the model
@@ -622,40 +616,12 @@ func (r *Replica) ModelHash() string {
 	return ""
 }
 
-// Stats snapshots the replica's counters in-process — readable even
-// after Drain, which is what lets the fleet harness reconcile a drill
-// where one replica died mid-run.
-func (r *Replica) Stats() collect.Stats {
-	if srv := r.srv.Load(); srv != nil {
-		return srv.Snapshot()
-	}
-	return collect.Stats{}
-}
-
-// metricsExposition renders the replica's /metrics page in-process
-// (same handler, no network), surviving a killed listener.
-func (r *Replica) metricsExposition() string {
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-	r.mux.ServeHTTP(rec, req)
-	return rec.Body.String()
-}
-
 // Member adapts the replica for fleet membership. Liveness probes go
-// over HTTP (a killed replica must probe dead), while stats and metrics
-// resolve in-process (a killed replica's counters must stay readable
+// over HTTP (a drained replica must probe dead), while every page read
+// resolves in-process (a drained replica's counters must stay readable
 // for client-vs-sum-of-replicas reconciliation).
 func (r *Replica) Member() fleet.Member {
-	return fleet.Member{
-		Name:    r.cfg.Name,
-		BaseURL: r.BaseURL(),
-		Stats: func(context.Context) (collect.Stats, error) {
-			return r.Stats(), nil
-		},
-		Metrics: func(context.Context) (string, error) {
-			return r.metricsExposition(), nil
-		},
-	}
+	return fleet.Member{Name: r.cfg.Name, BaseURL: r.BaseURL(), Fetch: r.fetch}
 }
 
 // RotateAudit seals the active audit segment (no-op without a ledger) —

@@ -148,14 +148,10 @@ func TestReplicaKillStopsListenerKeepsCounters(t *testing.T) {
 		t.Fatal("killed replica still answers HTTP")
 	}
 	// In-process surfaces survive the kill.
-	if got := r.Stats(); got.Received < 0 {
-		t.Fatalf("stats unreadable after kill: %+v", got)
-	}
 	if exp := r.metricsExposition(); !strings.Contains(exp, "polygraph_build_info") {
 		t.Fatal("metrics exposition unreadable after kill")
 	}
-	member := r.Member()
-	if _, err := member.Stats(context.Background()); err != nil {
+	if _, err := r.Member().FetchMetrics(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -613,8 +609,9 @@ func TestDeployPathsInstallTheModelsBaseline(t *testing.T) {
 			t.Fatalf("old-format model: %v", err)
 		}
 	}
-	if st := old.Stats(); st.Received != int64(len(vecs)) || st.Rejected != 0 {
-		t.Fatalf("old-format model served %+v, want %d accepted", st, len(vecs))
+	ex := obs.ParseExpositionString(old.metricsExposition())
+	if received, rejected := ex.Sum(obs.FamCollections.Name), ex.Sum(obs.FamRejected.Name); received != float64(len(vecs)) || rejected != 0 {
+		t.Fatalf("old-format model received %g, rejected %g, want %d accepted", received, rejected, len(vecs))
 	}
 	if _, err := old.Drift().Evaluate(); !errors.Is(err, obs.ErrDriftNotReady) {
 		t.Fatalf("old-format model: drift evaluation %v, want ErrDriftNotReady", err)
@@ -622,6 +619,16 @@ func TestDeployPathsInstallTheModelsBaseline(t *testing.T) {
 	if v := baselineAt(t, old); v != 0 {
 		t.Fatalf("old-format model: baseline timestamp %v, want 0", v)
 	}
+}
+
+// metricsExposition reads the replica's /metrics page through its
+// in-process fetch, which survives a killed listener.
+func (r *Replica) metricsExposition() string {
+	page, err := r.fetch(context.Background(), "/metrics")
+	if err != nil {
+		panic(err)
+	}
+	return string(page)
 }
 
 // kill closes a replica's listener and every in-flight connection at

@@ -15,7 +15,7 @@
 # training-is-one-goroutine,
 # one-operator-binary-one-perf-line, metrics-declared-once and
 # docs-name-only-identifiers-that-exist guards, the race-detector pass that
-# guards the concurrent layers (collect's hot-swap/stats paths, seglog's
+# guards the concurrent layers (collect's hot-swap/counter paths, seglog's
 # flusher, obs, and core's batch scorer, the one fan-out of the
 # train/score stack), and five seconds of fuzzing per fuzz target.
 # Usage:
